@@ -16,6 +16,7 @@
 use crate::gthv::GthvInstance;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_memory::diff::diff_pages;
+use hdsm_tags::wire::bounded_vec;
 use std::fmt;
 
 /// A raw byte diff: simulated address + replacement bytes. This is the
@@ -116,9 +117,8 @@ pub fn unpack_raw(mut buf: Bytes) -> Result<Vec<RawDiff>, BaselineError> {
     if buf.remaining() < 4 {
         return Err(BaselineError::BadFrame);
     }
-    let n = buf.get_u32() as usize;
-    // `n` is untrusted wire data: bound the preallocation.
-    let mut out = Vec::with_capacity(n.min(1024));
+    let n = buf.get_u32();
+    let mut out = bounded_vec(n, 8 + 4, buf.remaining(), BaselineError::BadFrame)?;
     for _ in 0..n {
         if buf.remaining() < 12 {
             return Err(BaselineError::BadFrame);

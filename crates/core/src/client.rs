@@ -36,8 +36,8 @@ use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, map_runs};
-use crate::update::{apply_batch, apply_batch_mode, apply_tracked, extract_updates, UpdateError};
-use hdsm_memory::diff::diff_pages;
+use crate::update::{apply_batch, apply_tracked, extract_updates, UpdateError};
+use hdsm_memory::diff::{default_diff_threads, diff_pages_parallel};
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::MsgKind;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
@@ -196,10 +196,6 @@ pub struct DsdClient {
     conv_stats: ConversionStats,
     recv_deadline: std::time::Duration,
     promote_threshold: u8,
-    /// Use the compiled-plan apply path, the grouped v2 wire format and
-    /// the parallel diff scan. On by default; the differential suite turns
-    /// it off to compare against the original slow paths.
-    fast_path: bool,
     /// Monotonic request id for the at-most-once envelope.
     req_counter: u64,
     /// Retransmissions attempted before waiting out the full deadline.
@@ -256,7 +252,6 @@ impl DsdClient {
             conv_stats: ConversionStats::default(),
             recv_deadline: std::time::Duration::from_secs(30),
             promote_threshold: 100,
-            fast_path: true,
             req_counter: 0,
             max_retries: 10,
             retry_base: std::time::Duration::from_millis(250),
@@ -375,9 +370,9 @@ impl DsdClient {
     /// without replicas, the epoch-stamped one with them.
     fn encode_request(&self, msg: &DsdMsg, req_id: u64, shard: u32) -> bytes::Bytes {
         if self.directory.n_replicas() > 0 {
-            msg.encode_enveloped_epoch(req_id, self.epoch_of(shard), self.fast_path)
+            msg.encode_enveloped_epoch(req_id, self.epoch_of(shard))
         } else {
-            msg.encode_enveloped_mode(req_id, self.fast_path)
+            msg.encode_enveloped(req_id)
         }
     }
 
@@ -406,14 +401,6 @@ impl DsdClient {
     pub fn set_promotion_threshold(&mut self, percent: u8) {
         assert!(percent <= 100);
         self.promote_threshold = percent;
-    }
-
-    /// Select between the hot paths (compiled conversion plans, grouped
-    /// wire batches, parallel diff scan — the default) and the original
-    /// per-update slow paths. Both produce byte-identical shared memory;
-    /// `tests/differential.rs` holds that equivalence.
-    pub fn set_fast_path(&mut self, fast: bool) {
-        self.fast_path = fast;
     }
 
     /// How long a blocking protocol receive may wait before failing with
@@ -470,7 +457,7 @@ impl DsdClient {
             // but after a promotion the direct beat is what keeps this
             // worker alive at the new primary.
             for s in 0..self.directory.n_shards() {
-                let payload = msg.encode_enveloped_epoch(0, self.epoch_of(s), false);
+                let payload = msg.encode_enveloped_epoch(0, self.epoch_of(s));
                 let _ = self.ep.send(
                     self.directory.shard_ep(s),
                     MsgKind::Heartbeat,
@@ -661,12 +648,7 @@ impl DsdClient {
             let mut span = self.recorder.span(self.obs_rank, EventKind::Convert);
             span.args(updates.len() as u64, bytes);
             span.op(self.cur_op);
-            apply_batch_mode(
-                &mut self.gthv,
-                updates,
-                &mut self.conv_stats,
-                self.fast_path,
-            )?;
+            apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
         }
         self.costs.t_conv += t0.elapsed();
         self.costs.updates_applied += updates.len() as u64;
@@ -705,14 +687,7 @@ impl DsdClient {
         {
             let mut span = self.recorder.span(self.obs_rank, EventKind::DiffScan);
             span.op(self.cur_op);
-            runs = if self.fast_path {
-                hdsm_memory::diff::diff_pages_parallel(
-                    self.gthv.space(),
-                    hdsm_memory::diff::default_diff_threads(),
-                )
-            } else {
-                diff_pages(self.gthv.space())
-            };
+            runs = diff_pages_parallel(self.gthv.space(), default_diff_threads());
             mapped = map_runs(self.gthv.table(), &runs);
             span.args(hdsm_memory::diff::total_bytes(&runs), runs.len() as u64);
         }

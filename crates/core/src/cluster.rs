@@ -493,23 +493,16 @@ pub struct TopologyConfig {
     /// virtual clock, making the whole run an exactly reproducible
     /// function of `(workload, config, seed)`.
     pub fabric: FabricMode,
-    /// Hot-path implementation selection for every node (default `true`:
-    /// compiled conversion plans, the grouped v2 wire format and the
-    /// parallel diff scan). `false` forces the original tag-interpreting
-    /// slow paths — the differential suite runs both and requires
-    /// byte-identical final state.
-    pub fast_path: bool,
 }
 
 impl Default for TopologyConfig {
-    /// One unreplicated shard on the threaded fabric with the hot paths
-    /// on — the classic single-home layout.
+    /// One unreplicated shard on the threaded fabric — the classic
+    /// single-home layout.
     fn default() -> TopologyConfig {
         TopologyConfig {
             shards: 1,
             replicas: 0,
             fabric: FabricMode::Threads,
-            fast_path: true,
         }
     }
 }
@@ -584,7 +577,6 @@ pub struct ClusterBuilder {
     max_retries: Option<u32>,
     retry_base: Option<Duration>,
     recorder: Recorder,
-    fast_path: bool,
     fabric: FabricMode,
     sessions: Vec<SessionSpec>,
     placement: PlacementPolicy,
@@ -620,7 +612,6 @@ impl ClusterBuilder {
             max_retries: None,
             retry_base: None,
             recorder: Recorder::disabled(),
-            fast_path: true,
             fabric: FabricMode::Threads,
             sessions: Vec::new(),
             placement: PlacementPolicy::Static,
@@ -644,13 +635,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the cluster shape — shards, replicas, fabric and hot-path
-    /// selection — in one typed call.
+    /// Set the cluster shape — shards, replicas and fabric — in one typed
+    /// call.
     pub fn topology(mut self, t: TopologyConfig) -> Self {
         self.shards = t.shards;
         self.replicas = t.replicas;
         self.fabric = t.fabric;
-        self.fast_path = t.fast_path;
         self
     }
 
@@ -1007,7 +997,6 @@ impl ClusterBuilder {
                     lease: self.lease,
                     linger,
                     recorder: self.recorder.clone(),
-                    fast_path: self.fast_path,
                     shard: s,
                     directory,
                     replica_ep: (!is_replica && self.replicas > 0).then(|| directory.replica_ep(s)),
@@ -1040,7 +1029,6 @@ impl ClusterBuilder {
         let deadline = self.recv_deadline;
         let max_retries = self.max_retries;
         let retry_base_opt = self.retry_base;
-        let fast_path = self.fast_path;
         let mut first_error: Option<ClusterError> = None;
         let mut home_error: Option<ClusterError> = None;
         let mut worker_errors: Vec<(usize, DsdError)> = Vec::new();
@@ -1149,8 +1137,7 @@ impl ClusterBuilder {
                                     let src = directory.worker_ep(rank);
                                     for dst in directory.home_eps() {
                                         let payload = if replicated {
-                                            DsdMsg::Heartbeat { rank }
-                                                .encode_enveloped_epoch(0, 0, false)
+                                            DsdMsg::Heartbeat { rank }.encode_enveloped_epoch(0, 0)
                                         } else {
                                             DsdMsg::Heartbeat { rank }.encode_enveloped(0)
                                         };
@@ -1338,7 +1325,6 @@ impl ClusterBuilder {
                     let mut client = DsdClient::new(i as u32 + 1, ep, 0, gthv);
                     client.set_directory(directory);
                     client.set_recorder(recorder.clone());
-                    client.set_fast_path(fast_path);
                     if let Some(d) = deadline {
                         client.set_recv_deadline(d);
                     }

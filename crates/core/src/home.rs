@@ -29,14 +29,14 @@ use crate::directory::Directory;
 use crate::gthv::GthvInstance;
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
-use crate::update::{apply_batch_mode, extract_updates, full_ranges, UpdateError};
+use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{pack_batch, unpack_batch};
+use hdsm_tags::wire::{pack_batch_fast, unpack_batch};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,10 +70,6 @@ pub struct HomeConfig {
     /// Observability hook for home-side spans (absorb/extract timing,
     /// lease expiries). Disabled by default.
     pub recorder: Recorder,
-    /// Use the compiled-plan apply path and the grouped v2 wire format
-    /// (default). The differential suite turns this off to compare against
-    /// the original slow paths.
-    pub fast_path: bool,
     /// Which shard of the home service this instance is (`0..S`).
     pub shard: u32,
     /// The deterministic entry/lock/barrier → shard partition shared by
@@ -114,7 +110,6 @@ impl Default for HomeConfig {
             lease: None,
             linger: Duration::ZERO,
             recorder: Recorder::disabled(),
-            fast_path: true,
             shard: 0,
             directory: Directory::single(),
             replica_ep: None,
@@ -291,7 +286,6 @@ pub struct HomeShard {
     costs: CostBreakdown,
     conv_stats: ConversionStats,
     recorder: Recorder,
-    fast_path: bool,
     /// The sync operation each thread's outstanding request is doing work
     /// for (from the request's trace context), so replies — including
     /// deferred grants and barrier releases — and home-side spans are
@@ -390,7 +384,6 @@ impl HomeShard {
             costs: CostBreakdown::default(),
             conv_stats: ConversionStats::default(),
             recorder: config.recorder,
-            fast_path: config.fast_path,
             op_ctx: HashMap::new(),
             role: if config.primary_ep.is_some() {
                 Role::Replica
@@ -501,12 +494,7 @@ impl HomeShard {
                 updates.iter().map(|u| u.data.len() as u64).sum(),
             );
             span.op(self.op_of(writer));
-            apply_batch_mode(
-                &mut self.gthv,
-                updates,
-                &mut self.conv_stats,
-                self.fast_path,
-            )?;
+            apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
         }
         self.costs.t_conv += t0.elapsed();
         self.costs.updates_applied += updates.len() as u64;
@@ -617,7 +605,7 @@ impl HomeShard {
             .ok_or_else(|| HomeError::Violation(format!("no route for thread {rank}")))?;
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
         let t0 = Instant::now();
-        let payload = msg.encode_enveloped_mode(req_id, self.fast_path);
+        let payload = msg.encode_enveloped(req_id);
         self.costs.t_pack += t0.elapsed();
         self.reply_cache
             .insert(rank, (req_id, msg.kind(), payload.clone()));
@@ -734,7 +722,7 @@ impl HomeShard {
             return Ok(());
         };
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
-        let payload = DsdMsg::Shutdown.encode_enveloped_mode(req_id, self.fast_path);
+        let payload = DsdMsg::Shutdown.encode_enveloped(req_id);
         match self.net_send(ep_rank, MsgKind::Shutdown, payload, OpCtx::default()) {
             Err(NetError::Disconnected(_)) => Ok(()),
             other => Ok(other?),
@@ -1477,12 +1465,7 @@ impl HomeShard {
                 other => Ok(other?),
             };
         }
-        let ranges: Vec<UpdateRange> = full_ranges(&self.gthv)
-            .into_iter()
-            .filter(|r| r.entry == entry)
-            .collect();
-        let ups = extract_updates(&self.gthv, &ranges)?;
-        let state = pack_batch(&ups);
+        let state = self.pack_entry_state(entry)?;
         let prev = self.entry_home.get(&entry).copied();
         let epoch = prev.map(|(_, e)| e).unwrap_or(0) + 1;
         // Ship the flip down the replication stream *before* acting on
@@ -1593,6 +1576,16 @@ impl HomeShard {
         }
     }
 
+    /// The current contents of `entry` as a packed update batch — the
+    /// `state` of an [`DsdMsg::EntryState`] offer.
+    fn pack_entry_state(&self, entry: u32) -> Result<Bytes, HomeError> {
+        let ranges: Vec<UpdateRange> = full_ranges(&self.gthv)
+            .into_iter()
+            .filter(|r| r.entry == entry)
+            .collect();
+        Ok(pack_batch_fast(&extract_updates(&self.gthv, &ranges)?))
+    }
+
     /// Apply an adopted entry's packed state and take ownership at
     /// `epoch`. The entry's history lives at the old owner, so the log
     /// floor is raised to force every horizon below it through a full
@@ -1603,7 +1596,7 @@ impl HomeShard {
             return Ok(());
         }
         let ups = unpack_batch(state).map_err(ProtocolError::from)?;
-        apply_batch_mode(&mut self.gthv, &ups, &mut self.conv_stats, self.fast_path)?;
+        apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         self.entry_home.insert(entry, (self.shard, epoch));
         self.seq += 1;
         self.log_floor = self.seq;
@@ -1761,7 +1754,7 @@ impl HomeShard {
         out.put_u64(self.seq);
         out.put_u64(self.log_floor);
         let ups = extract_updates(&self.gthv, &self.owned_full_ranges())?;
-        let batch = pack_batch(&ups);
+        let batch = pack_batch_fast(&ups);
         out.put_u32(batch.len() as u32);
         out.put_slice(&batch);
         out.put_u32(self.log.len() as u32);
@@ -1852,7 +1845,7 @@ impl HomeShard {
         need(&b, blen)?;
         let batch = b.split_to(blen);
         let ups = unpack_batch(batch).map_err(ProtocolError::from)?;
-        apply_batch_mode(&mut self.gthv, &ups, &mut self.conv_stats, self.fast_path)?;
+        apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         need(&b, 4)?;
         let n = b.get_u32();
         self.log.clear();
@@ -2634,5 +2627,48 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(h.absorb(1, &bad), Err(HomeError::Violation(_))));
+    }
+    #[test]
+    fn handoff_states_roundtrip_through_the_grouped_batch() {
+        // Shard snapshot and entry-handoff state both travel as v2 batches
+        // and install byte-exactly, also across a representation boundary.
+        let shard = |plat| {
+            let (_net, mut eps) = Network::new(1, NetConfig::instant());
+            HomeShard::new(
+                GthvInstance::new(tiny_def(), plat),
+                eps.pop().unwrap(),
+                HomeConfig {
+                    participants: vec![1],
+                    ..Default::default()
+                },
+            )
+        };
+        let mut src = shard(PlatformSpec::solaris_sparc());
+        src.init_with(|g| {
+            for i in 0..64 {
+                g.write_int(0, i, i as i128 * 7 - 100).unwrap();
+            }
+        });
+        let v2_marker = [0xFFu8; 4];
+
+        let snap = src.snapshot_state().unwrap();
+        assert_eq!(&snap[20..24], &v2_marker, "snapshot batch must be v2");
+        let mut same = shard(PlatformSpec::solaris_sparc());
+        same.install_state(snap.clone()).unwrap();
+        assert_eq!(same.gthv().space().raw(), src.gthv().space().raw());
+        assert_eq!((same.seq, same.log.len()), (src.seq, src.log.len()));
+        let mut other = shard(PlatformSpec::linux_x86());
+        other.install_state(snap).unwrap();
+
+        let state = src.pack_entry_state(0).unwrap();
+        assert_eq!(&state[..4], &v2_marker, "entry state must be v2");
+        let mut adopter = shard(PlatformSpec::linux_x86());
+        adopter.install_entry(0, 1, state).unwrap();
+        for i in 0..64 {
+            let want = i as i128 * 7 - 100;
+            assert_eq!(other.gthv().read_int(0, i).unwrap(), want);
+            assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
+        }
+        assert!(adopter.owns_entry(0));
     }
 }

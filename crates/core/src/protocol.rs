@@ -11,7 +11,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
-use hdsm_tags::wire::{pack_batch, pack_batch_fast, unpack_batch, WireError, WireUpdate};
+use hdsm_tags::wire::{bounded_vec, pack_batch_fast, unpack_batch, WireError, WireUpdate};
 use std::fmt;
 
 /// A decoded DSD protocol message.
@@ -359,21 +359,10 @@ impl DsdMsg {
         )
     }
 
-    /// Encode to a payload with the v1 (per-update framed) batch format.
-    /// The update batch (if any) is packed with the CGT-RMR wire format —
-    /// this is the `t_pack` work.
+    /// Encode the message body. The update batch (if any) is packed in
+    /// the grouped v2 CGT-RMR wire format ([`pack_batch_fast`]) — this is
+    /// the `t_pack` work.
     pub fn encode(&self) -> Bytes {
-        self.encode_with(pack_batch)
-    }
-
-    /// Encode to a payload, choosing the batch format: `fast` uses the v2
-    /// grouped format ([`pack_batch_fast`]), otherwise v1. [`Self::decode`]
-    /// accepts either, so mixed-mode clusters interoperate.
-    pub fn encode_mode(&self, fast: bool) -> Bytes {
-        self.encode_with(if fast { pack_batch_fast } else { pack_batch })
-    }
-
-    fn encode_with(&self, pack: fn(&[WireUpdate]) -> Bytes) -> Bytes {
         let mut out = BytesMut::with_capacity(16);
         match self {
             DsdMsg::LockRequest { lock, rank } => {
@@ -382,7 +371,7 @@ impl DsdMsg {
             }
             DsdMsg::LockGrant { lock, updates } => {
                 out.put_u32(*lock);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UnlockRequest {
                 lock,
@@ -391,7 +380,7 @@ impl DsdMsg {
             } => {
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UnlockAck { lock } => out.put_u32(*lock),
             DsdMsg::BarrierEnter {
@@ -401,11 +390,11 @@ impl DsdMsg {
             } => {
                 out.put_u32(*barrier);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::BarrierRelease { barrier, updates } => {
                 out.put_u32(*barrier);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::Join { rank } | DsdMsg::Resync { rank } | DsdMsg::Heartbeat { rank } => {
                 out.put_u32(*rank)
@@ -428,7 +417,7 @@ impl DsdMsg {
                 out.put_u32(*cond);
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::CondSignal {
                 cond,
@@ -441,10 +430,10 @@ impl DsdMsg {
             }
             DsdMsg::UpdateFlush { rank, updates } => {
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UpdateFetch { rank } => out.put_u32(*rank),
-            DsdMsg::UpdateBatch { updates } => out.put_slice(&pack(updates)),
+            DsdMsg::UpdateBatch { updates } => out.put_slice(&pack_batch_fast(updates)),
             DsdMsg::Replicate {
                 src_ep,
                 req_id,
@@ -658,8 +647,9 @@ impl DsdMsg {
                 to_shard: u32_of(&mut payload)?,
             }),
             MsgKind::EntryMoved => {
-                let n = u32_of(&mut payload)? as usize;
-                let mut entries = Vec::with_capacity(n);
+                let n = u32_of(&mut payload)?;
+                let mut entries =
+                    bounded_vec(n, 12, payload.remaining(), ProtocolError::Truncated)?;
                 for _ in 0..n {
                     entries.push((
                         u32_of(&mut payload)?,
@@ -697,16 +687,21 @@ impl DsdMsg {
     /// match them up and discard stale duplicates; `0` is reserved for
     /// unsolicited messages (heartbeats, shutdown broadcasts).
     pub fn encode_enveloped(&self, req_id: u64) -> Bytes {
-        self.encode_enveloped_mode(req_id, false)
-    }
-
-    /// [`Self::encode_enveloped`] with an explicit batch-format choice.
-    pub fn encode_enveloped_mode(&self, req_id: u64, fast: bool) -> Bytes {
-        let body = self.encode_mode(fast);
+        let body = self.encode();
         let mut out = BytesMut::with_capacity(8 + body.len());
         out.put_u64(req_id);
         out.put_slice(&body);
         out.freeze()
+    }
+
+    /// Forwarder to [`Self::encode_enveloped`]; the flag is ignored (there
+    /// is one batch format). It exists only because `benchmark/` is frozen
+    /// between benchmark PRs and `benchmark/src/replay.rs` still calls this
+    /// signature; the next benchmark PR switches that call and deletes
+    /// this.
+    #[doc(hidden)]
+    pub fn encode_enveloped_mode(&self, req_id: u64, _fast: bool) -> Bytes {
+        self.encode_enveloped(req_id)
     }
 
     /// Decode a payload carrying the reliability envelope; returns the
@@ -727,8 +722,8 @@ impl DsdMsg {
     /// A home shard compares the stamp against its own epoch to detect
     /// stale views (reply [`DsdMsg::ViewChange`]) and its own deposition
     /// (a stamp from the future means another epoch rules the shard).
-    pub fn encode_enveloped_epoch(&self, req_id: u64, epoch: u32, fast: bool) -> Bytes {
-        let body = self.encode_mode(fast);
+    pub fn encode_enveloped_epoch(&self, req_id: u64, epoch: u32) -> Bytes {
+        let body = self.encode();
         let mut out = BytesMut::with_capacity(12 + body.len());
         out.put_u64(req_id);
         out.put_u32(epoch);
@@ -871,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_roundtrips_every_update_carrier() {
+    fn grouped_batches_roundtrip_through_every_update_carrier() {
         // Many small same-entry updates — the shape the v2 grouped format
         // exists for — must survive every message that carries a batch.
         let updates: Vec<WireUpdate> = (0..40u32)
@@ -913,15 +908,27 @@ mod tests {
         ];
         for m in msgs {
             let kind = m.kind();
-            let slow = m.encode_mode(false);
-            let fast = m.encode_mode(true);
-            assert!(fast.len() < slow.len(), "fast framing should be smaller");
-            assert_eq!(DsdMsg::decode(kind, fast).unwrap(), m);
-            let (rid, back) =
-                DsdMsg::decode_enveloped(kind, m.encode_enveloped_mode(9, true)).unwrap();
+            assert_eq!(DsdMsg::decode(kind, m.encode()).unwrap(), m);
+            let (rid, back) = DsdMsg::decode_enveloped(kind, m.encode_enveloped(9)).unwrap();
             assert_eq!(rid, 9);
             assert_eq!(back, m);
         }
+    }
+
+    #[test]
+    fn v1_batch_bodies_still_decode() {
+        // `decode` parses outside input, so a body carrying the older
+        // count-prefixed batch must stay readable.
+        let mut body = BytesMut::new();
+        body.put_u32(2);
+        body.put_slice(&hdsm_tags::wire::pack_batch(&sample_updates()));
+        assert_eq!(
+            DsdMsg::decode(MsgKind::LockGrant, body.freeze()).unwrap(),
+            DsdMsg::LockGrant {
+                lock: 2,
+                updates: sample_updates(),
+            }
+        );
     }
 
     #[test]
@@ -948,7 +955,7 @@ mod tests {
     #[test]
     fn epoch_envelope_roundtrips_and_detects_truncation() {
         let m = DsdMsg::LockRequest { lock: 2, rank: 5 };
-        let bytes = m.encode_enveloped_epoch(77, 3, false);
+        let bytes = m.encode_enveloped_epoch(77, 3);
         let (rid, epoch, back) = DsdMsg::decode_enveloped_epoch(m.kind(), bytes).unwrap();
         assert_eq!((rid, epoch), (77, 3));
         assert_eq!(back, m);

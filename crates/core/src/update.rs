@@ -19,7 +19,7 @@ use crate::runs::UpdateRange;
 use bytes::Bytes;
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::{ScalarClass, ScalarKind};
-use hdsm_tags::convert::{convert_scalar_run, ConversionError, ConversionStats};
+use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::generate::tag_for_scalar_run;
 use hdsm_tags::plan::RunPlan;
 use hdsm_tags::tag::TagItem;
@@ -223,7 +223,7 @@ pub fn apply_update(
     u: &WireUpdate,
     stats: &mut ConversionStats,
 ) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, false, true)
+    apply_inner(gthv, u, stats, false)
 }
 
 /// Apply one wire update through the *tracked* write path, so the write
@@ -234,7 +234,7 @@ pub fn apply_tracked(
     u: &WireUpdate,
     stats: &mut ConversionStats,
 ) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, true, true)
+    apply_inner(gthv, u, stats, true)
 }
 
 fn apply_inner(
@@ -242,7 +242,6 @@ fn apply_inner(
     u: &WireUpdate,
     stats: &mut ConversionStats,
     tracked: bool,
-    fast: bool,
 ) -> Result<Applied, UpdateError> {
     // Copy the scalar fields out of the row instead of cloning it — the
     // row's path String would otherwise be allocated and dropped once per
@@ -316,33 +315,17 @@ fn apply_inner(
         return Ok(Applied::Memcpy);
     }
 
-    // Heterogeneous path: receiver makes right. The fast variant fetches
-    // the compiled plan for (entry, sender shape) — lowered once, memoized
-    // — instead of re-deriving the dispatch per update; the slow variant
-    // keeps the original per-update `convert_scalar_run` as the
-    // differential-testing oracle. Both are byte- and stats-identical.
+    // Heterogeneous path: receiver makes right, through the compiled plan
+    // for (entry, sender shape) — lowered once, memoized — instead of
+    // re-deriving the dispatch per update.
     let mut native = vec![0u8; dst_len];
-    if fast {
-        let class = row_kind.class();
-        let plan = gthv
-            .plans_mut()
-            .lookup(u.entry as usize, src_size, u.endian, || {
-                RunPlan::lower(class, src_size, u.endian, row_size, local_endian)
-            });
-        plan.apply(&u.data, &mut native, count, stats)?;
-    } else {
-        convert_scalar_run(
-            &u.data,
-            src_size,
-            u.endian,
-            &mut native,
-            row_size,
-            local_endian,
-            row_kind.class(),
-            count,
-            stats,
-        )?;
-    }
+    let class = row_kind.class();
+    let plan = gthv
+        .plans_mut()
+        .lookup(u.entry as usize, src_size, u.endian, || {
+            RunPlan::lower(class, src_size, u.endian, row_size, local_endian)
+        });
+    plan.apply(&u.data, &mut native, count, stats)?;
     store(gthv, dst_addr, &native, tracked)?;
     Ok(Applied::Converted)
 }
@@ -368,22 +351,9 @@ pub fn apply_batch(
     updates: &[WireUpdate],
     stats: &mut ConversionStats,
 ) -> Result<(u64, u64, u64), UpdateError> {
-    apply_batch_mode(gthv, updates, stats, true)
-}
-
-/// [`apply_batch`] with an explicit path selection: `fast` uses the
-/// compiled-plan cache, `!fast` the original per-update conversion
-/// dispatch. The differential suite runs whole workloads under both and
-/// requires byte-identical final memory.
-pub fn apply_batch_mode(
-    gthv: &mut GthvInstance,
-    updates: &[WireUpdate],
-    stats: &mut ConversionStats,
-    fast: bool,
-) -> Result<(u64, u64, u64), UpdateError> {
     let (mut m, mut c, mut p) = (0, 0, 0);
     for u in updates {
-        match apply_inner(gthv, u, stats, false, fast)? {
+        match apply_update(gthv, u, stats)? {
             Applied::Memcpy => m += 1,
             Applied::Converted => c += 1,
             Applied::PointerTranslated => p += 1,
@@ -569,25 +539,6 @@ mod tests {
         apply_update(&mut dst, &ups[0], &mut stats).unwrap();
         assert_eq!(dst.space().dirty_count(), 0);
         assert_eq!(dst.space().stats().faults, 0);
-    }
-
-    #[test]
-    fn fast_and_slow_apply_are_byte_and_stats_identical() {
-        let mut src = inst(PlatformSpec::linux_x86());
-        let mut fast = inst(PlatformSpec::solaris_sparc());
-        let mut slow = inst(PlatformSpec::solaris_sparc());
-        for i in 0..64 {
-            src.write_int(1, i, (i as i128) * 13 - 99).unwrap();
-        }
-        src.write_ptr(0, 0, Some((2, 7))).unwrap();
-        let ups = extract_updates(&src, &[range(0, 0, 1), range(1, 0, 64)]).unwrap();
-        let mut fast_stats = ConversionStats::default();
-        let mut slow_stats = ConversionStats::default();
-        let rf = apply_batch_mode(&mut fast, &ups, &mut fast_stats, true).unwrap();
-        let rs = apply_batch_mode(&mut slow, &ups, &mut slow_stats, false).unwrap();
-        assert_eq!(rf, rs);
-        assert_eq!(fast_stats, slow_stats);
-        assert_eq!(fast.space().raw(), slow.space().raw());
     }
 
     #[test]

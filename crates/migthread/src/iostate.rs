@@ -23,6 +23,7 @@
 //! it needs no receiver-makes-right conversion — only re-binding.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use hdsm_tags::wire::bounded_vec;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -278,16 +279,26 @@ impl IoState {
         if buf.remaining() < 2 {
             return Err(IoError::BadState("truncated file count".into()));
         }
-        let nf = buf.get_u16() as usize;
-        let mut files = Vec::with_capacity(nf.min(64));
+        let nf = buf.get_u16();
+        let mut files = bounded_vec(
+            nf,
+            11, // mode + offset + empty path
+            buf.remaining(),
+            IoError::BadState("truncated cursor table".into()),
+        )?;
         for _ in 0..nf {
             files.push(FileCursor::unpack(&mut buf)?);
         }
         if buf.remaining() < 2 {
             return Err(IoError::BadState("truncated socket count".into()));
         }
-        let ns = buf.get_u16() as usize;
-        let mut sockets = Vec::with_capacity(ns.min(64));
+        let ns = buf.get_u16();
+        let mut sockets = bounded_vec(
+            ns,
+            22, // two counters + empty peer + empty unread buffer
+            buf.remaining(),
+            IoError::BadState("truncated socket table".into()),
+        )?;
         for _ in 0..ns {
             sockets.push(SocketState::unpack(&mut buf)?);
         }

@@ -14,6 +14,7 @@ use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::{convert_block, ConversionError, ConversionStats};
 use hdsm_tags::generate::tag_for;
 use hdsm_tags::parse::parse_tag;
+use hdsm_tags::wire::bounded_vec;
 use std::fmt;
 
 /// Magic guarding migration images.
@@ -167,10 +168,14 @@ pub fn parse_image(image: &StateImage) -> Result<ParsedImage, MigrateError> {
     if buf.remaining() < 4 {
         return Err(MigrateError::BadImage("truncated block count".into()));
     }
-    let n = buf.get_u32() as usize;
-    // `n` is untrusted wire data: bound the preallocation (growth is
-    // amortised; the per-block length checks reject bogus counts).
-    let mut blocks = Vec::with_capacity(n.min(64));
+    let n = buf.get_u32();
+    // Smallest block: two empty strings and a zero data length.
+    let mut blocks = bounded_vec(
+        n,
+        2 + 2 + 8,
+        buf.remaining(),
+        MigrateError::BadImage("truncated block table".into()),
+    )?;
     for _ in 0..n {
         let name = get_str(&mut buf)?;
         let tag = get_str(&mut buf)?;
@@ -187,8 +192,14 @@ pub fn parse_image(image: &StateImage) -> Result<ParsedImage, MigrateError> {
     if buf.remaining() < 4 {
         return Err(MigrateError::BadImage("truncated link count".into()));
     }
-    let nl = buf.get_u32() as usize;
-    let mut links = Vec::with_capacity(nl.min(64));
+    let nl = buf.get_u32();
+    // Smallest link: two empty block names and two leaf indices.
+    let mut links = bounded_vec(
+        nl,
+        2 + 8 + 2 + 8,
+        buf.remaining(),
+        MigrateError::BadImage("truncated link table".into()),
+    )?;
     for _ in 0..nl {
         let src_block = get_str(&mut buf)?;
         if buf.remaining() < 8 {

@@ -14,7 +14,6 @@
 //! does not fit the destination type is a hard error, not silent truncation
 //! (heterogeneous sharing cannot be made lossless by wishful thinking).
 
-use crate::tag::Tag;
 use hdsm_platform::endian::{
     fits_int, fits_uint, read_float, read_int, read_uint, write_float, write_int, write_uint,
     Endianness,
@@ -203,9 +202,11 @@ pub fn convert_one(
 
 /// Convert a contiguous run of `count` scalars of one class.
 ///
-/// This is the workhorse of the DSM update path: coalesced array-element
-/// runs (paper §5, Figure 9 discussion) are converted with one call.
-/// Fast paths:
+/// The reference semantics of a run conversion: the DSM update path
+/// applies the compiled [`crate::plan::RunPlan`], which is property-tested
+/// byte- and stats-identical to this function, and `convert_block` (thread
+/// migration) runs on it directly. Coalesced array-element runs (paper §5,
+/// Figure 9 discussion) are converted with one call. Fast paths:
 /// * same size and endianness → single `memcpy`;
 /// * same size, opposite endianness → tight per-element byte swap.
 #[allow(clippy::too_many_arguments)]
@@ -400,40 +401,6 @@ fn convert_walk(
             "layout kinds differ".to_string(),
         )),
     }
-}
-
-/// The paper's homogeneous-apply gate: identical tag strings (and equal
-/// endianness, which travels in the wire header) mean raw bytes can be
-/// `memcpy`'d. Returns `Ok(true)` if the fast path applied, `Ok(false)` if
-/// the caller must run full conversion.
-pub fn try_homogeneous_apply(
-    src_tag: &Tag,
-    src_endian: Endianness,
-    dst_tag: &Tag,
-    dst_endian: Endianness,
-    src: &[u8],
-    dst: &mut [u8],
-    stats: &mut ConversionStats,
-) -> Result<bool, ConversionError> {
-    if src_endian != dst_endian || src_tag != dst_tag {
-        return Ok(false);
-    }
-    let want = src_tag.byte_size();
-    if src.len() as u64 != want {
-        return Err(ConversionError::SrcSizeMismatch {
-            expected: want,
-            got: src.len() as u64,
-        });
-    }
-    if dst.len() != src.len() {
-        return Err(ConversionError::DstSizeMismatch {
-            expected: want,
-            got: dst.len() as u64,
-        });
-    }
-    dst.copy_from_slice(src);
-    stats.memcpy_bytes += src.len() as u64;
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -648,50 +615,6 @@ mod tests {
             ),
             Err(ConversionError::SrcSizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn homogeneous_apply_gate() {
-        use crate::parse::parse_tag;
-        let tag = parse_tag("(4,4)(0,0)").unwrap();
-        let other = parse_tag("(4,3)(0,0)").unwrap();
-        let src = [1u8; 16];
-        let mut dst = [0u8; 16];
-        let mut stats = ConversionStats::default();
-        // Same tag + endianness → applied.
-        assert!(try_homogeneous_apply(
-            &tag,
-            Endianness::Little,
-            &tag,
-            Endianness::Little,
-            &src,
-            &mut dst,
-            &mut stats
-        )
-        .unwrap());
-        assert_eq!(dst, src);
-        // Different endianness → not applied.
-        assert!(!try_homogeneous_apply(
-            &tag,
-            Endianness::Big,
-            &tag,
-            Endianness::Little,
-            &src,
-            &mut dst,
-            &mut stats
-        )
-        .unwrap());
-        // Different tag → not applied.
-        assert!(!try_homogeneous_apply(
-            &other,
-            Endianness::Little,
-            &tag,
-            Endianness::Little,
-            &src[..12],
-            &mut dst,
-            &mut stats
-        )
-        .unwrap());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   sign-extending and resizing each scalar ("receiver makes right").
 //! * **Wire format** ([`wire`]) frames tag + data for transport.
 
-pub mod binfmt;
 pub mod convert;
 pub mod generate;
 pub mod parse;
@@ -31,6 +30,6 @@ pub use convert::{
 };
 pub use generate::{tag_for, tag_for_scalar_run};
 pub use parse::{parse_tag, TagParseError};
-pub use plan::{ConvPlan, PlanCache, PlanOp, RunOp, RunPlan};
+pub use plan::{PlanCache, RunOp, RunPlan};
 pub use tag::{Tag, TagItem};
 pub use wire::{pack_batch_fast, pack_update, unpack_update, WireError, WireUpdate};

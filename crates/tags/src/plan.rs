@@ -1,28 +1,22 @@
-//! Compiled conversion plans — the hot-path successor to per-update tag
-//! walking.
+//! Compiled conversion plans for the scalar runs the DSM update path
+//! ships.
 //!
 //! Eq. 1's `t_conv` (and much of `t_unpack`) used to be spent re-deciding
 //! *how* to convert: every incoming update re-parsed its tag string and
 //! re-walked the type tree before moving a single byte. For SOR's 16k
 //! two-element updates that bookkeeping dwarfs the conversion itself. A
-//! plan is that decision made once: a (source shape, destination shape,
-//! endianness pair) is *lowered* into a flat vector of (offset, width,
-//! kind) ops — [`ConvPlan`] — or, for the scalar runs the DSM update path
-//! actually ships, a single [`RunPlan`]. Applying a plan dispatches on the
-//! precomputed op with no tag traversal, no string parsing and no
-//! allocation, and collapses to a straight `memcpy` exactly when the
-//! [`crate::convert::try_homogeneous_apply`] conditions hold (identical
-//! tags, identical endianness).
+//! [`RunPlan`] is that decision made once per (source element shape,
+//! destination element shape, endianness pair). Applying it dispatches on
+//! the precomputed op with no tag traversal, no string parsing and no
+//! allocation, and collapses to a straight `memcpy` exactly when element
+//! size and endianness agree.
 //!
-//! Semantics are pinned to the slow path: `RunPlan::apply` must byte-match
+//! Semantics are pinned to the reference: `RunPlan::apply` must byte-match
 //! [`crate::convert::convert_scalar_run`] (including its
-//! [`ConversionStats`] accounting), and `ConvPlan::lower` round-trips
-//! against [`crate::convert::convert_one`] — both are property-tested in
-//! `tests/proptest_dsd.rs` and differentially tested end-to-end in
-//! `tests/differential.rs`.
+//! [`ConversionStats`] accounting) — property-tested in
+//! `tests/proptest_dsd.rs`.
 
 use crate::convert::{convert_one, ConversionError, ConversionStats};
-use crate::tag::{Tag, TagItem};
 use hdsm_platform::endian::Endianness;
 use hdsm_platform::scalar::ScalarClass;
 
@@ -97,7 +91,7 @@ impl RunPlan {
 
     /// Apply the plan to `count` elements. Byte-for-byte and stats-for-stats
     /// identical to [`crate::convert::convert_scalar_run`] with the same
-    /// arguments — the differential harness depends on it.
+    /// arguments — `tests/proptest_dsd.rs` holds the equivalence.
     pub fn apply(
         &self,
         src: &[u8],
@@ -146,225 +140,6 @@ impl RunPlan {
                         self.class,
                         stats,
                     )?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One op of a compiled whole-tag plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Convert `count` elements from `src_off` to `dst_off` per `run`.
-    Run {
-        /// Byte offset of the run in the source image.
-        src_off: u64,
-        /// Byte offset of the run in the destination image.
-        dst_off: u64,
-        /// Elements in the run.
-        count: u64,
-        /// The per-element plan.
-        run: RunPlan,
-    },
-    /// Raw byte copy (the homogeneous collapse).
-    Memcpy {
-        /// Source byte offset.
-        src_off: u64,
-        /// Destination byte offset.
-        dst_off: u64,
-        /// Bytes to copy.
-        len: u64,
-    },
-    /// Zero destination padding so padding bytes are deterministic.
-    Zero {
-        /// Destination byte offset.
-        dst_off: u64,
-        /// Bytes to zero.
-        len: u64,
-    },
-}
-
-/// A whole tag lowered into a flat op vector.
-///
-/// Built once per (entry, platform pair) and cached; `apply` never looks at
-/// a [`Tag`] again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvPlan {
-    /// Required source image length.
-    pub src_len: u64,
-    /// Required destination image length.
-    pub dst_len: u64,
-    /// Ops in source order.
-    pub ops: Vec<PlanOp>,
-}
-
-impl ConvPlan {
-    /// Lower a (source tag, destination tag) pair into a plan.
-    ///
-    /// Identical tags with identical endianness collapse to a single
-    /// [`PlanOp::Memcpy`] — the same gate as
-    /// [`crate::convert::try_homogeneous_apply`]. Otherwise both tags are
-    /// flattened to leaf slots and zipped in lock-step; scalar slots take
-    /// `class` (pointer slots force [`ScalarClass::Pointer`]), padding
-    /// widths may differ per platform, and any shape divergence is a
-    /// [`ConversionError::ShapeMismatch`].
-    pub fn lower(
-        src_tag: &Tag,
-        src_endian: Endianness,
-        dst_tag: &Tag,
-        dst_endian: Endianness,
-        class: ScalarClass,
-    ) -> Result<ConvPlan, ConversionError> {
-        if src_tag == dst_tag && src_endian == dst_endian {
-            let len = src_tag.byte_size();
-            return Ok(ConvPlan {
-                src_len: len,
-                dst_len: len,
-                ops: vec![PlanOp::Memcpy {
-                    src_off: 0,
-                    dst_off: 0,
-                    len,
-                }],
-            });
-        }
-        let src_slots = src_tag.flatten();
-        let dst_slots = dst_tag.flatten();
-        if src_slots.len() != dst_slots.len() {
-            return Err(ConversionError::ShapeMismatch(format!(
-                "tag slots {} vs {}",
-                src_slots.len(),
-                dst_slots.len()
-            )));
-        }
-        let mut ops = Vec::with_capacity(src_slots.len());
-        for ((soff, sitem), (doff, ditem)) in src_slots.iter().zip(&dst_slots) {
-            match (sitem, ditem) {
-                (
-                    TagItem::Scalar {
-                        size: ss,
-                        count: sc,
-                    },
-                    TagItem::Scalar {
-                        size: ds,
-                        count: dc,
-                    },
-                ) => {
-                    if sc != dc {
-                        return Err(ConversionError::ShapeMismatch(format!(
-                            "scalar count {sc} vs {dc}"
-                        )));
-                    }
-                    ops.push(PlanOp::Run {
-                        src_off: *soff,
-                        dst_off: *doff,
-                        count: u64::from(*sc),
-                        run: RunPlan::lower(class, *ss, src_endian, *ds, dst_endian),
-                    });
-                }
-                (
-                    TagItem::Pointer {
-                        size: ss,
-                        count: sc,
-                    },
-                    TagItem::Pointer {
-                        size: ds,
-                        count: dc,
-                    },
-                ) => {
-                    if sc != dc {
-                        return Err(ConversionError::ShapeMismatch(format!(
-                            "pointer count {sc} vs {dc}"
-                        )));
-                    }
-                    ops.push(PlanOp::Run {
-                        src_off: *soff,
-                        dst_off: *doff,
-                        count: u64::from(*sc),
-                        run: RunPlan::lower(ScalarClass::Pointer, *ss, src_endian, *ds, dst_endian),
-                    });
-                }
-                (TagItem::Padding { .. }, TagItem::Padding { bytes }) => {
-                    if *bytes > 0 {
-                        ops.push(PlanOp::Zero {
-                            dst_off: *doff,
-                            len: u64::from(*bytes),
-                        });
-                    }
-                }
-                (s, d) => {
-                    return Err(ConversionError::ShapeMismatch(format!(
-                        "slot kind {s} vs {d}"
-                    )));
-                }
-            }
-        }
-        Ok(ConvPlan {
-            src_len: src_tag.byte_size(),
-            dst_len: dst_tag.byte_size(),
-            ops,
-        })
-    }
-
-    /// True when the plan is the single-`memcpy` homogeneous collapse.
-    pub fn is_memcpy(&self) -> bool {
-        matches!(
-            self.ops.as_slice(),
-            [PlanOp::Memcpy {
-                src_off: 0,
-                dst_off: 0,
-                len
-            }] if *len == self.src_len
-        )
-    }
-
-    /// Execute the plan.
-    pub fn apply(
-        &self,
-        src: &[u8],
-        dst: &mut [u8],
-        stats: &mut ConversionStats,
-    ) -> Result<(), ConversionError> {
-        if src.len() as u64 != self.src_len {
-            return Err(ConversionError::SrcSizeMismatch {
-                expected: self.src_len,
-                got: src.len() as u64,
-            });
-        }
-        if dst.len() as u64 != self.dst_len {
-            return Err(ConversionError::DstSizeMismatch {
-                expected: self.dst_len,
-                got: dst.len() as u64,
-            });
-        }
-        for op in &self.ops {
-            match op {
-                PlanOp::Run {
-                    src_off,
-                    dst_off,
-                    count,
-                    run,
-                } => {
-                    let s0 = *src_off as usize;
-                    let s1 = s0 + (u64::from(run.src_size) * count) as usize;
-                    let d0 = *dst_off as usize;
-                    let d1 = d0 + (u64::from(run.dst_size) * count) as usize;
-                    run.apply(&src[s0..s1], &mut dst[d0..d1], *count, stats)?;
-                }
-                PlanOp::Memcpy {
-                    src_off,
-                    dst_off,
-                    len,
-                } => {
-                    let s0 = *src_off as usize;
-                    let d0 = *dst_off as usize;
-                    let n = *len as usize;
-                    dst[d0..d0 + n].copy_from_slice(&src[s0..s0 + n]);
-                    stats.memcpy_bytes += *len;
-                }
-                PlanOp::Zero { dst_off, len } => {
-                    let d0 = *dst_off as usize;
-                    dst[d0..d0 + *len as usize].fill(0);
                 }
             }
         }
@@ -437,7 +212,6 @@ impl PlanCache {
 mod tests {
     use super::*;
     use crate::convert::convert_scalar_run;
-    use crate::parse::parse_tag;
 
     const LE: Endianness = Endianness::Little;
     const BE: Endianness = Endianness::Big;
@@ -501,93 +275,6 @@ mod tests {
             assert_eq!(got, want, "{class:?} {ss}{se:?}->{ds}{de:?}");
             assert_eq!(got_stats, want_stats);
         }
-    }
-
-    #[test]
-    fn identical_tags_collapse_to_memcpy() {
-        let tag = parse_tag("(4,10)(0,0)").unwrap();
-        let plan = ConvPlan::lower(&tag, LE, &tag, LE, ScalarClass::Signed).unwrap();
-        assert!(plan.is_memcpy());
-        let src: Vec<u8> = (0..40).collect();
-        let mut dst = vec![0u8; 40];
-        let mut stats = ConversionStats::default();
-        plan.apply(&src, &mut dst, &mut stats).unwrap();
-        assert_eq!(dst, src);
-        assert_eq!(stats.memcpy_bytes, 40);
-    }
-
-    #[test]
-    fn cross_endian_same_tag_is_not_a_memcpy() {
-        let tag = parse_tag("(4,3)(0,0)").unwrap();
-        let plan = ConvPlan::lower(&tag, BE, &tag, LE, ScalarClass::Signed).unwrap();
-        assert!(!plan.is_memcpy());
-        let src = [0u8, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3];
-        let mut dst = [0u8; 12];
-        let mut stats = ConversionStats::default();
-        plan.apply(&src, &mut dst, &mut stats).unwrap();
-        assert_eq!(dst, [1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0]);
-        assert_eq!(stats.scalars_swapped, 3);
-    }
-
-    #[test]
-    fn figure4_struct_lowers_across_platforms() {
-        // The paper's Figure 4 shapes: Linux/x86 vs Solaris/SPARC lay the
-        // same struct out with different padding and pointer widths.
-        let src = parse_tag("(4,-1)(0,0)(4,10)(0,0)(8,2)(0,0)").unwrap();
-        let dst = parse_tag("(8,-1)(0,0)(4,10)(4,0)(8,2)(0,0)").unwrap();
-        let plan = ConvPlan::lower(&src, LE, &dst, BE, ScalarClass::Signed).unwrap();
-        assert_eq!(plan.src_len, 4 + 40 + 16);
-        assert_eq!(plan.dst_len, 8 + 40 + 4 + 16);
-        // Pointer slot forces the pointer class regardless of the default.
-        let ptr_run = plan.ops.iter().find_map(|op| match op {
-            PlanOp::Run { run, .. } if run.class == ScalarClass::Pointer => Some(*run),
-            _ => None,
-        });
-        assert_eq!(ptr_run.unwrap().op, RunOp::Convert);
-        // Padding slot on the destination side gets zeroed.
-        assert!(plan
-            .ops
-            .iter()
-            .any(|op| matches!(op, PlanOp::Zero { len: 4, .. })));
-    }
-
-    #[test]
-    fn shape_mismatch_is_rejected() {
-        let a = parse_tag("(4,10)(0,0)").unwrap();
-        let b = parse_tag("(4,9)(0,0)").unwrap();
-        assert!(matches!(
-            ConvPlan::lower(&a, LE, &b, LE, ScalarClass::Signed),
-            Err(ConversionError::ShapeMismatch(_))
-        ));
-        let c = parse_tag("(4,-10)(0,0)").unwrap();
-        assert!(matches!(
-            ConvPlan::lower(&a, LE, &c, LE, ScalarClass::Signed),
-            Err(ConversionError::ShapeMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn aggregates_flatten_before_lowering() {
-        let src = parse_tag("((4,1)(0,0),3)").unwrap();
-        let dst = parse_tag("((8,1)(0,0),3)").unwrap();
-        let plan = ConvPlan::lower(&src, LE, &dst, LE, ScalarClass::Signed).unwrap();
-        let runs = plan
-            .ops
-            .iter()
-            .filter(|op| matches!(op, PlanOp::Run { .. }))
-            .count();
-        assert_eq!(runs, 3);
-        let src_bytes = [1u8, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0];
-        let mut dst_bytes = [0xAAu8; 24];
-        let mut stats = ConversionStats::default();
-        plan.apply(&src_bytes, &mut dst_bytes, &mut stats).unwrap();
-        let mut want = [0u8; 24];
-        want[0] = 1;
-        want[8] = 2;
-        want[16] = 3;
-        // Widened lanes are fully written, so no 0xAA survives in data slots.
-        assert_eq!(dst_bytes, want);
-        assert_eq!(stats.scalars_resized, 3);
     }
 
     #[test]

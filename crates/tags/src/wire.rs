@@ -81,6 +81,28 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Size a `Vec` for a length prefix read from outside the program.
+///
+/// `count` is the declared element count (any of the `u16`/`u32` prefixes
+/// the decoders use), `min_elem_bytes` the fewest bytes one encoded
+/// element can occupy and `remaining` what the buffer still holds. A
+/// count the buffer cannot possibly back fails with the decoder's own
+/// `truncated` error *before* anything is allocated, so no wire input can
+/// make a decoder reserve more than a small multiple of the bytes it was
+/// actually handed.
+pub fn bounded_vec<T, E>(
+    count: impl Into<u64>,
+    min_elem_bytes: usize,
+    remaining: usize,
+    truncated: E,
+) -> Result<Vec<T>, E> {
+    let count = count.into();
+    match count.checked_mul(min_elem_bytes as u64) {
+        Some(need) if need <= remaining as u64 => Ok(Vec::with_capacity(count as usize)),
+        _ => Err(truncated),
+    }
+}
+
 /// Pack one update into `out`.
 pub fn pack_update(u: &WireUpdate, out: &mut BytesMut) {
     let tag_str = u.tag.to_string();
@@ -100,6 +122,10 @@ pub fn pack_update(u: &WireUpdate, out: &mut BytesMut) {
     out.put_u64(u.data.len() as u64);
     out.put_slice(&u.data);
 }
+
+/// Fewest bytes a v1 frame occupies: fixed header, empty sender, empty
+/// tag, empty payload.
+const MIN_FRAME_BYTES: usize = (2 + 1 + 1 + 4 + 8 + 1) + 4 + 8;
 
 /// Unpack one update from the front of `buf`, advancing it.
 pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
@@ -155,8 +181,10 @@ pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
     })
 }
 
-/// Pack a batch of updates (count-prefixed). This is the body of a
-/// lock-grant or unlock message.
+/// Pack a batch in the v1 format (count-prefixed frames). Nothing in the
+/// DSM ships this any more — [`pack_batch_fast`] is the wire format — but
+/// it stays as the reference the property tests compare against and as
+/// the producer of the v1 input [`unpack_batch`] must keep accepting.
 pub fn pack_batch(updates: &[WireUpdate]) -> Bytes {
     let mut out =
         BytesMut::with_capacity(16 + updates.iter().map(|u| 64 + u.data.len()).sum::<usize>());
@@ -177,9 +205,7 @@ pub fn unpack_batch(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
     if n == BATCH_V2_MARKER {
         return unpack_batch_v2(buf);
     }
-    let n = n as usize;
-    // `n` is untrusted wire data: bound the preallocation.
-    let mut out = Vec::with_capacity(n.min(1024));
+    let mut out = bounded_vec(n, MIN_FRAME_BYTES, buf.remaining(), WireError::Truncated)?;
     for _ in 0..n {
         out.push(unpack_update(&mut buf)?);
     }
@@ -293,8 +319,9 @@ fn unpack_batch_v2(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
     if buf.remaining() < 4 {
         return Err(WireError::Truncated);
     }
-    let groups = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(groups.min(1024));
+    let groups = buf.get_u32();
+    // The smallest group is a raw group: kind byte + frame count.
+    let mut out = bounded_vec(groups, 1 + 4, buf.remaining(), WireError::Truncated)?;
     for _ in 0..groups {
         if buf.remaining() < 1 {
             return Err(WireError::Truncated);
@@ -324,13 +351,10 @@ fn unpack_batch_v2(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
                     return Err(WireError::Truncated);
                 }
                 let sender = String::from_utf8_lossy(&buf.copy_to_bytes(name_len)).into_owned();
-                let nruns = buf.get_u32() as usize;
-                let mut runs = Vec::with_capacity(nruns.min(4096));
+                let nruns = buf.get_u32();
+                let mut runs = bounded_vec(nruns, 8 + 4, buf.remaining(), WireError::Truncated)?;
                 let mut want: u64 = 0;
                 for _ in 0..nruns {
-                    if buf.remaining() < 8 + 4 {
-                        return Err(WireError::Truncated);
-                    }
                     let elem_offset = buf.get_u64();
                     let count = buf.get_u32();
                     if count == 0 {

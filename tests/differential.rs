@@ -1,13 +1,13 @@
-//! Differential harness for the Eq. 1 fast path.
+//! Differential harness for the Eq. 1 update pipeline.
 //!
-//! The compiled-plan apply path, the grouped v2 wire format and the
-//! parallel diff scan are performance changes only: for every
-//! (workload × platform pair × fault plan) the authoritative GThV at the
-//! end of a run must be *byte-identical* whether the cluster ran with
-//! `fast_path(true)` (the default) or `fast_path(false)` (the original
-//! tag-interpreting slow paths). A third axis checks DSD against the
-//! homogeneous `baseline` page DSM, which knows nothing about tags or
-//! plans at all.
+//! There is one pipeline (parallel diff scan → grouped v2 wire batch →
+//! compiled-plan apply), so the suite pins it from the outside: for every
+//! (workload × platform pair) the authoritative GThV at the end of a run
+//! must verify against the kernel's serial oracle, and must be
+//! *byte-identical* whether the fabric was clean or dropping, duplicating
+//! and reordering messages. A sharding axis holds the same bytes across
+//! home-shard counts, and a third axis checks DSD against the homogeneous
+//! `baseline` page DSM, which knows nothing about tags or plans at all.
 
 use hdsm::apps::workload::{paper_pairs, PlatformPair, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
@@ -30,9 +30,9 @@ fn fault_plans() -> [Option<FaultPlan>; 2] {
     ]
 }
 
-/// Shard count for the whole suite: CI runs it at `HDSM_SHARDS=1` and
-/// `HDSM_SHARDS=3`, so every fast/slow/baseline comparison also holds
-/// under a sharded home. Defaults to the classic single home.
+/// Shard count for the per-kernel tests: CI runs the suite at
+/// `HDSM_SHARDS=1` and `HDSM_SHARDS=3`, so every clean/faulty comparison
+/// also holds under a sharded home. Defaults to the classic single home.
 fn shards_from_env() -> u32 {
     std::env::var("HDSM_SHARDS")
         .ok()
@@ -40,126 +40,51 @@ fn shards_from_env() -> u32 {
         .unwrap_or(1)
 }
 
-/// A two-worker cluster over `pair`, on a clean or faulty fabric, with the
-/// chosen hot-path mode.
-fn build(pair: &PlatformPair, plan: &Option<FaultPlan>, fast: bool) -> ClusterBuilder {
-    let mut b = ClusterBuilder::new()
-        .home(pair.home.clone())
-        .worker(pair.home.clone())
-        .worker(pair.remote.clone())
-        .locks(1)
-        .barriers(2)
-        .topology(TopologyConfig {
-            shards: shards_from_env(),
-            fast_path: fast,
-            ..Default::default()
-        });
-    if let Some(plan) = plan {
-        b = b
-            .timing(TimingConfig {
-                retry_base: Some(Duration::from_millis(10)),
-                lease: Some(Duration::from_secs(5)),
-                recv_deadline: Some(Duration::from_secs(30)),
-                ..Default::default()
-            })
-            .faults(FaultConfig {
-                plan: Some(plan.clone()),
-            });
-    }
-    b
-}
-
-/// Run one workload in both modes across every pair × fault plan and
-/// require verified, byte-identical authoritative state.
-fn assert_fast_equals_slow<F>(workload: &str, run: F)
-where
-    F: Fn(&PlatformPair, &Option<FaultPlan>, bool) -> (Vec<u8>, bool),
-{
+/// Run one kernel across every paper pair on the clean and the faulty
+/// fabric: both runs must verify against the serial oracle, and the faulty
+/// run's authoritative bytes must equal the clean run's.
+fn assert_verified_and_fault_invariant(workload: &str) {
+    let [clean, faulty] = fault_plans();
     for pair in paper_pairs() {
-        for (p, plan) in fault_plans().iter().enumerate() {
-            let (slow_bytes, slow_ok) = run(&pair, plan, false);
-            let (fast_bytes, fast_ok) = run(&pair, plan, true);
-            assert!(
-                slow_ok,
-                "{workload} slow path failed verification on {} plan {p}",
-                pair.label
-            );
-            assert!(
-                fast_ok,
-                "{workload} fast path failed verification on {} plan {p}",
-                pair.label
-            );
-            assert_eq!(
-                fast_bytes, slow_bytes,
-                "{workload} fast/slow GThV divergence on {} plan {p}",
-                pair.label
-            );
-        }
+        let shards = shards_from_env();
+        let (clean_bytes, clean_ok) = run_workload_sharded(workload, &pair, &clean, shards);
+        let (faulty_bytes, faulty_ok) = run_workload_sharded(workload, &pair, &faulty, shards);
+        assert!(
+            clean_ok,
+            "{workload} failed verification on {} (clean fabric)",
+            pair.label
+        );
+        assert!(
+            faulty_ok,
+            "{workload} failed verification on {} (faulty fabric)",
+            pair.label
+        );
+        assert_eq!(
+            faulty_bytes, clean_bytes,
+            "{workload} GThV under faults diverged from the clean run on {}",
+            pair.label
+        );
     }
 }
 
 #[test]
-fn jacobi_fast_path_is_byte_identical_to_slow_path() {
-    let (n, seed, sweeps) = (10usize, 11u64, 3usize);
-    assert_fast_equals_slow("jacobi", |pair, plan, fast| {
-        let outcome = build(pair, plan, fast)
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, seed))
-            .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-            .unwrap();
-        (
-            outcome.final_gthv.space().raw().to_vec(),
-            jacobi::verify(&outcome.final_gthv, n, seed, sweeps),
-        )
-    });
+fn jacobi_is_verified_and_fault_invariant_on_every_pair() {
+    assert_verified_and_fault_invariant("jacobi");
 }
 
 #[test]
-fn sor_fast_path_is_byte_identical_to_slow_path() {
-    let (n, seed, sweeps) = (10usize, 13u64, 2usize);
-    assert_fast_equals_slow("sor", |pair, plan, fast| {
-        let outcome = build(pair, plan, fast)
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed))
-            .run(move |c, i| sor::run_worker(c, i, n, sweeps))
-            .unwrap();
-        (
-            outcome.final_gthv.space().raw().to_vec(),
-            sor::verify(&outcome.final_gthv, n, seed, sweeps),
-        )
-    });
+fn sor_is_verified_and_fault_invariant_on_every_pair() {
+    assert_verified_and_fault_invariant("sor");
 }
 
 #[test]
-fn matmul_fast_path_is_byte_identical_to_slow_path() {
-    let (n, seed) = (10usize, 17u64);
-    assert_fast_equals_slow("matmul", |pair, plan, fast| {
-        let outcome = build(pair, plan, fast)
-            .gthv(matmul::gthv_def(n))
-            .init(move |g| matmul::init(g, n, seed))
-            .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-            .unwrap();
-        (
-            outcome.final_gthv.space().raw().to_vec(),
-            matmul::verify(&outcome.final_gthv, n, seed),
-        )
-    });
+fn matmul_is_verified_and_fault_invariant_on_every_pair() {
+    assert_verified_and_fault_invariant("matmul");
 }
 
 #[test]
-fn lu_fast_path_is_byte_identical_to_slow_path() {
-    let (n, seed) = (8usize, 19u64);
-    assert_fast_equals_slow("lu", |pair, plan, fast| {
-        let outcome = build(pair, plan, fast)
-            .gthv(lu::gthv_def(n))
-            .init(move |g| lu::init(g, n, seed))
-            .run(move |c, i| lu::run_worker(c, i, n))
-            .unwrap();
-        (
-            outcome.final_gthv.space().raw().to_vec(),
-            lu::verify(&outcome.final_gthv, n, seed),
-        )
-    });
+fn lu_is_verified_and_fault_invariant_on_every_pair() {
+    assert_verified_and_fault_invariant("lu");
 }
 
 /// One workload on a two-worker cluster with the home service sharded
@@ -310,18 +235,18 @@ fn sharded_run_reports_per_shard_traffic() {
 }
 
 /// Cross-implementation axis: on a homogeneous pair, the full DSD pipeline
-/// (both modes) must reproduce exactly what the tag-free `baseline` page
-/// DSM propagates — same dirty bytes, same final memory image.
+/// must reproduce exactly what the tag-free `baseline` page DSM propagates
+/// — same dirty bytes, same final memory image.
 #[test]
-fn dsd_both_modes_match_baseline_page_dsm() {
+fn dsd_matches_baseline_page_dsm() {
     use hdsm::dsd::baseline::{apply_raw_diffs, extract_raw_diffs, pack_raw, unpack_raw};
     use hdsm::dsd::gthv::GthvInstance;
     use hdsm::dsd::runs::abstract_diffs;
-    use hdsm::dsd::update::{apply_batch_mode, extract_updates};
-    use hdsm::memory::diff::{diff_pages, diff_pages_parallel};
+    use hdsm::dsd::update::{apply_batch, extract_updates};
+    use hdsm::memory::diff::diff_pages_parallel;
     use hdsm::platform::spec::PlatformSpec;
     use hdsm::tags::convert::ConversionStats;
-    use hdsm::tags::wire::{pack_batch, pack_batch_fast, unpack_batch};
+    use hdsm::tags::wire::{pack_batch_fast, unpack_batch};
 
     let seed = 23u64;
     let defs = [
@@ -346,31 +271,18 @@ fn dsd_both_modes_match_baseline_page_dsm() {
         let raw = unpack_raw(pack_raw(&extract_raw_diffs(&src))).unwrap();
         apply_raw_diffs(&mut via_baseline, src.platform(), &raw).unwrap();
 
-        // DSD slow path: serial diff, v1 wire, per-update tag dispatch.
-        let mut via_slow = GthvInstance::new(def.clone(), plat.clone());
-        let runs = diff_pages(src.space());
-        let ups = extract_updates(&src, &abstract_diffs(src.table(), &runs)).unwrap();
-        let ups = unpack_batch(pack_batch(&ups)).unwrap();
-        let mut stats = ConversionStats::default();
-        apply_batch_mode(&mut via_slow, &ups, &mut stats, false).unwrap();
-
-        // DSD fast path: parallel diff, grouped v2 wire, compiled plans.
-        let mut via_fast = GthvInstance::new(def, plat);
+        // DSD: parallel diff, grouped v2 wire, compiled plans.
+        let mut via_dsd = GthvInstance::new(def, plat);
         let runs = diff_pages_parallel(src.space(), 4);
         let ups = extract_updates(&src, &abstract_diffs(src.table(), &runs)).unwrap();
         let ups = unpack_batch(pack_batch_fast(&ups)).unwrap();
         let mut stats = ConversionStats::default();
-        apply_batch_mode(&mut via_fast, &ups, &mut stats, true).unwrap();
+        apply_batch(&mut via_dsd, &ups, &mut stats).unwrap();
 
         assert_eq!(
-            via_slow.space().raw(),
+            via_dsd.space().raw(),
             via_baseline.space().raw(),
-            "{name}: DSD slow path vs baseline page DSM"
-        );
-        assert_eq!(
-            via_fast.space().raw(),
-            via_baseline.space().raw(),
-            "{name}: DSD fast path vs baseline page DSM"
+            "{name}: DSD vs baseline page DSM"
         );
     }
 }

@@ -174,8 +174,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path properties: compiled conversion plans and the parallel diff
-// scan must be indistinguishable from the slow paths they replace.
+// Pipeline-vs-reference properties: compiled run plans and the parallel
+// diff scan must be indistinguishable from the references they are pinned
+// to (`convert_scalar_run`, the serial `diff_pages`).
 // ---------------------------------------------------------------------------
 
 use hdsm::memory::diff::{diff_pages, diff_pages_parallel};
@@ -183,95 +184,27 @@ use hdsm::memory::space::AddressSpace;
 use hdsm::platform::endian::Endianness;
 use hdsm::platform::scalar::ScalarClass;
 use hdsm::tags::convert::{convert_scalar_run, ConversionStats};
-use hdsm::tags::parse::parse_tag;
-use hdsm::tags::plan::ConvPlan;
-use hdsm::tags::tag::TagItem;
-
-/// Deterministic small per-element value: fits every scalar width of every
-/// class without overflow, and is exactly representable as f32/f64, so the
-/// plan-vs-oracle comparison never depends on conversion error paths.
-fn slot_value(idx: u64) -> u8 {
-    ((idx * 37 + 11) % 100) as u8
-}
-
-/// Encode `slot_value` into one element of `size` bytes for `class`.
-fn encode_value(v: u8, big: bool, class: ScalarClass, out: &mut [u8]) {
-    match class {
-        ScalarClass::Float => match (out.len(), big) {
-            (4, false) => out.copy_from_slice(&f32::from(v).to_le_bytes()),
-            (4, true) => out.copy_from_slice(&f32::from(v).to_be_bytes()),
-            (8, false) => out.copy_from_slice(&f64::from(v).to_le_bytes()),
-            (_, true) => out.copy_from_slice(&f64::from(v).to_be_bytes()),
-            _ => unreachable!("float widths are 4 or 8"),
-        },
-        _ => {
-            // Signed, unsigned and pointer all place the small magnitude in
-            // the least significant byte.
-            out.fill(0);
-            if big {
-                *out.last_mut().unwrap() = v;
-            } else {
-                out[0] = v;
-            }
-        }
-    }
-}
-
-/// Render a generated slot list as a pair of CGT-RMR tag strings. Counts
-/// match on both sides (the tags describe the same C type on two
-/// platforms); sizes and padding widths may differ.
-fn tag_strings(class: ScalarClass, slots: &[(u8, u8, u8, u8)]) -> (String, String) {
-    let mut src = String::new();
-    let mut dst = String::new();
-    for &(kind, s_sel, d_sel, count) in slots {
-        match kind {
-            0 => {
-                src.push_str(&format!("({},0)", s_sel % 4));
-                dst.push_str(&format!("({},0)", d_sel % 4));
-            }
-            1 => {
-                let ss = [4u32, 8][(s_sel % 2) as usize];
-                let ds = [4u32, 8][(d_sel % 2) as usize];
-                src.push_str(&format!("({ss},-{count})"));
-                dst.push_str(&format!("({ds},-{count})"));
-            }
-            _ => {
-                let (ss, ds) = if class == ScalarClass::Float {
-                    (
-                        [4u32, 8][(s_sel % 2) as usize],
-                        [4u32, 8][(d_sel % 2) as usize],
-                    )
-                } else {
-                    (
-                        [1u32, 2, 4, 8][(s_sel % 4) as usize],
-                        [1u32, 2, 4, 8][(d_sel % 4) as usize],
-                    )
-                };
-                src.push_str(&format!("({ss},{count})"));
-                dst.push_str(&format!("({ds},{count})"));
-            }
-        }
-    }
-    src.push_str("(0,0)");
-    dst.push_str("(0,0)");
-    (src, dst)
-}
+use hdsm::tags::plan::RunPlan;
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 64,
+        cases: 256,
         .. ProptestConfig::default()
     })]
 
-    /// Random tag strings: lowering to a [`ConvPlan`] and applying it must
-    /// byte- and stats-match the slow per-run conversion path, and the
-    /// reverse plan must round-trip the data.
+    /// Random (class, src/dst size, src/dst endian, count) over random
+    /// source bytes: a lowered [`RunPlan`] must agree with
+    /// `convert_scalar_run` on the verdict (representability errors
+    /// included), the destination bytes and the [`ConversionStats`].
     #[test]
-    fn conv_plan_matches_slow_conversion_and_roundtrips(
+    fn run_plan_apply_matches_convert_scalar_run(
         class_sel in 0u8..4,
-        slots in prop::collection::vec((0u8..6, 0u8..4, 0u8..4, 1u8..5), 1..6),
+        s_sel in 0u8..4,
+        d_sel in 0u8..4,
         se_big in any::<bool>(),
         de_big in any::<bool>(),
+        count in 0u64..33,
+        raw in prop::collection::vec(any::<u8>(), 8 * 32),
     ) {
         let class = [
             ScalarClass::Signed,
@@ -279,99 +212,32 @@ proptest! {
             ScalarClass::Float,
             ScalarClass::Pointer,
         ][class_sel as usize];
+        let widths: &[u32] = match class {
+            ScalarClass::Float | ScalarClass::Pointer => &[4, 8],
+            _ => &[1, 2, 4, 8],
+        };
+        let ss = widths[s_sel as usize % widths.len()];
+        let ds = widths[d_sel as usize % widths.len()];
         let se = if se_big { Endianness::Big } else { Endianness::Little };
         let de = if de_big { Endianness::Big } else { Endianness::Little };
-        let (src_s, dst_s) = tag_strings(class, &slots);
-        let src_tag = parse_tag(&src_s).unwrap();
-        let dst_tag = parse_tag(&dst_s).unwrap();
-        let src_slots = src_tag.flatten();
-        let dst_slots = dst_tag.flatten();
+        let src = &raw[..(u64::from(ss) * count) as usize];
+        let dst_len = (u64::from(ds) * count) as usize;
 
-        // Fill the source image: deterministic small values in data slots,
-        // recognisable garbage in padding (a correct plan never copies it).
-        let mut src = vec![0xEEu8; src_tag.byte_size() as usize];
-        let mut idx = 0u64;
-        for (off, item) in &src_slots {
-            let (size, count, cls) = match item {
-                TagItem::Scalar { size, count } => (*size, *count, class),
-                TagItem::Pointer { size, count } => (*size, *count, ScalarClass::Pointer),
-                TagItem::Padding { .. } => continue,
-                TagItem::Aggregate { .. } => unreachable!("flatten yields leaves"),
-            };
-            for e in 0..u64::from(count) {
-                let at = (*off + e * u64::from(size)) as usize;
-                encode_value(slot_value(idx), se_big, cls, &mut src[at..at + size as usize]);
-                idx += 1;
-            }
-        }
-
-        let plan = ConvPlan::lower(&src_tag, se, &dst_tag, de, class).unwrap();
-        let mut got = vec![0x55u8; dst_tag.byte_size() as usize];
-        let mut got_stats = ConversionStats::default();
-        plan.apply(&src, &mut got, &mut got_stats).unwrap();
-
-        if src_s == dst_s && se == de {
-            // The homogeneous collapse: one memcpy of the whole image,
-            // padding garbage included — same as try_homogeneous_apply.
-            prop_assert!(plan.is_memcpy());
-            prop_assert_eq!(&got, &src);
-            prop_assert_eq!(got_stats.memcpy_bytes, src.len() as u64);
-            return Ok(());
-        }
-
-        // Slow-path oracle: walk the zipped slots with convert_scalar_run
-        // (what the pre-plan code did per update), zeroing dst padding.
-        let mut want = vec![0x55u8; got.len()];
+        let mut want = vec![0x55u8; dst_len];
         let mut want_stats = ConversionStats::default();
-        for ((soff, sitem), (doff, ditem)) in src_slots.iter().zip(&dst_slots) {
-            let (ss, ds, count, cls) = match (sitem, ditem) {
-                (
-                    TagItem::Scalar { size: ss, count },
-                    TagItem::Scalar { size: ds, .. },
-                ) => (*ss, *ds, u64::from(*count), class),
-                (
-                    TagItem::Pointer { size: ss, count },
-                    TagItem::Pointer { size: ds, .. },
-                ) => (*ss, *ds, u64::from(*count), ScalarClass::Pointer),
-                (TagItem::Padding { .. }, TagItem::Padding { bytes }) => {
-                    let d0 = *doff as usize;
-                    want[d0..d0 + *bytes as usize].fill(0);
-                    continue;
-                }
-                _ => unreachable!("generated slots are kind-aligned"),
-            };
-            let s0 = *soff as usize;
-            let d0 = *doff as usize;
-            convert_scalar_run(
-                &src[s0..s0 + (u64::from(ss) * count) as usize],
-                ss,
-                se,
-                &mut want[d0..d0 + (u64::from(ds) * count) as usize],
-                ds,
-                de,
-                cls,
-                count,
-                &mut want_stats,
-            )
-            .unwrap();
-        }
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(got_stats, want_stats);
+        let want_res =
+            convert_scalar_run(src, ss, se, &mut want, ds, de, class, count, &mut want_stats);
 
-        // Round-trip: the reverse plan restores every data slot exactly
-        // (padding normalises to zero in both directions).
-        let reverse = ConvPlan::lower(&dst_tag, de, &src_tag, se, class).unwrap();
-        let mut back = vec![0x77u8; src.len()];
-        let mut back_stats = ConversionStats::default();
-        reverse.apply(&got, &mut back, &mut back_stats).unwrap();
-        let mut normalized = src.clone();
-        for (off, item) in &src_slots {
-            if let TagItem::Padding { bytes } = item {
-                let o = *off as usize;
-                normalized[o..o + *bytes as usize].fill(0);
-            }
-        }
-        prop_assert_eq!(back, normalized);
+        let plan = RunPlan::lower(class, ss, se, ds, de);
+        let mut got = vec![0x55u8; dst_len];
+        let mut got_stats = ConversionStats::default();
+        let got_res = plan.apply(src, &mut got, count, &mut got_stats);
+
+        // Debug strings: a float error may carry a NaN, which is not `==`.
+        prop_assert_eq!(format!("{got_res:?}"), format!("{want_res:?}"));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(got_stats, want_stats);
+        prop_assert_eq!(plan.is_memcpy(), ss == ds && se == de);
     }
 
     /// Random dirty-byte patterns: the sharded parallel diff scan must

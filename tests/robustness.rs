@@ -40,7 +40,9 @@ fn tiny_def() -> GthvDef {
 
 #[test]
 fn random_bytes_never_panic_protocol_decode() {
-    // Deterministic pseudo-random fuzz over every message kind.
+    // Deterministic pseudo-random fuzz over every message kind and all
+    // three decoders: every short length, then strided lengths past 4 KiB
+    // so a wild length prefix has a frame big enough to look plausible.
     let mut seed = 0x12345678u64;
     let mut next = || {
         seed = seed
@@ -48,13 +50,93 @@ fn random_bytes_never_panic_protocol_decode() {
             .wrapping_add(1442695040888963407);
         (seed >> 33) as u8
     };
-    for len in 0..64usize {
+    for len in (0..64usize).chain((64..=4200).step_by(47)) {
         for kind in MsgKind::ALL {
-            let buf: Vec<u8> = (0..len).map(|_| next()).collect();
-            // Must return Ok or Err — never panic.
-            let _ = DsdMsg::decode(kind, Bytes::from(buf));
+            let buf = Bytes::from((0..len).map(|_| next()).collect::<Vec<u8>>());
+            // Must return Ok or Err — never panic, never over-allocate.
+            let _ = DsdMsg::decode(kind, buf.clone());
+            let _ = DsdMsg::decode_enveloped(kind, buf.clone());
+            let _ = DsdMsg::decode_enveloped_epoch(kind, buf);
         }
     }
+}
+
+/// Every length-prefixed decoder, fed its largest declarable count in
+/// front of 16 bytes of body, must answer with a clean `Err` — never a
+/// reservation sized by the prefix.
+#[test]
+fn wild_length_prefixes_are_rejected_before_allocating() {
+    use bytes::{BufMut, BytesMut};
+    use hdsm::dsd::baseline::unpack_raw;
+    use hdsm::migthread::iostate::IoState;
+    use hdsm::migthread::packfmt::{pack_state, unpack_state, StateImage};
+    use hdsm::migthread::state::ThreadState;
+
+    /// `head` followed by 16 zero bytes of body.
+    fn frame(head: &[u8]) -> Bytes {
+        let mut b = BytesMut::from(head);
+        b.put_slice(&[0u8; 16]);
+        b.freeze()
+    }
+    let max = u32::MAX.to_be_bytes();
+
+    // DsdMsg::decode, every kind that carries a count: the EntryMoved row
+    // table directly, the update carriers through their embedded batch.
+    assert_eq!(
+        DsdMsg::decode(MsgKind::EntryMoved, frame(&max)),
+        Err(ProtocolError::Truncated)
+    );
+    // A v1 batch count can be anything below the v2 marker; a v2 batch
+    // declares groups, and a run group declares runs.
+    let v1 = (u32::MAX - 1).to_be_bytes().to_vec();
+    let v2_groups = [max, max].concat();
+    let mut v2_runs = BytesMut::new();
+    v2_runs.put_u32(u32::MAX); // v2 marker
+    v2_runs.put_u32(1); // one group
+    v2_runs.put_slice(&[0, 0, 0]); // run group, little-endian, not a pointer
+    v2_runs.put_u32(4); // element size
+    v2_runs.put_u32(0); // entry
+    v2_runs.put_u8(0); // empty sender
+    v2_runs.put_u32(u32::MAX); // runs
+    for batch in [&v1[..], &v2_groups[..], &v2_runs[..]] {
+        assert!(unpack_batch(frame(batch)).is_err());
+        for (kind, ids) in [
+            (MsgKind::LockGrant, 1),
+            (MsgKind::UnlockRequest, 2),
+            (MsgKind::BarrierEnter, 2),
+            (MsgKind::BarrierRelease, 1),
+            (MsgKind::CondWait, 3),
+            (MsgKind::UpdateFlush, 1),
+            (MsgKind::UpdateBatch, 0),
+        ] {
+            let body = [&vec![0u8; 4 * ids][..], batch].concat();
+            assert!(
+                matches!(
+                    DsdMsg::decode(kind, frame(&body)),
+                    Err(ProtocolError::Wire(_))
+                ),
+                "{kind:?}"
+            );
+        }
+    }
+
+    // Migration image: block table, then link table. An empty state's
+    // image ends in the two zero counts.
+    let declared = ThreadState::new("p");
+    let empty = pack_state(&declared).bytes;
+    for keep in [empty.len() - 8, empty.len() - 4] {
+        let image = StateImage {
+            bytes: frame(&[&empty[..keep], &max[..]].concat()),
+        };
+        assert!(unpack_state(&image, &PlatformSpec::linux_x86(), &declared).is_err());
+    }
+
+    // I/O state: cursor table, then socket table (`u16` counts).
+    assert!(IoState::unpack(frame(&[0xFF, 0xFF])).is_err());
+    assert!(IoState::unpack(frame(&[0, 0, 0xFF, 0xFF])).is_err());
+
+    // Baseline page-DSM diffs.
+    assert!(unpack_raw(frame(&max)).is_err());
 }
 
 #[test]
