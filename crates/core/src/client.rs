@@ -30,7 +30,7 @@
 //!
 //! Every phase is timed into the Eq. 1 [`CostBreakdown`].
 
-use crate::costs::CostBreakdown;
+use crate::costs::{CostBreakdown, Phase};
 use crate::directory::Directory;
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
@@ -39,13 +39,11 @@ use crate::runs::{coalesce, map_runs};
 use crate::update::{apply_batch, apply_tracked, extract_updates, UpdateError};
 use hdsm_memory::diff::{default_diff_threads, diff_pages_parallel};
 use hdsm_net::endpoint::{Endpoint, NetError};
-use hdsm_net::message::MsgKind;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::WireUpdate;
 use std::fmt;
-use std::time::Instant;
 
 /// Errors from the client side of the protocol.
 #[derive(Debug)]
@@ -179,6 +177,10 @@ fn decorrelated_backoff(
     std::time::Duration::from_micros(pick).min(cap)
 }
 
+/// Hard ceiling on any single retransmission delay, whatever the jitter
+/// rolls.
+const RETRY_CAP: std::time::Duration = std::time::Duration::from_secs(5);
+
 /// A computing thread's handle on the distributed shared data.
 pub struct DsdClient {
     thread_rank: u32,
@@ -202,8 +204,6 @@ pub struct DsdClient {
     max_retries: u32,
     /// First retransmission delay; later delays use decorrelated jitter.
     retry_base: std::time::Duration,
-    /// Hard ceiling on any single retransmission delay.
-    retry_cap: std::time::Duration,
     /// Directory epoch per shard, learned from `ViewChange` replies.
     /// Requests are stamped with it when the directory has replicas;
     /// absent entries mean epoch 0 (the shard's original primary).
@@ -255,7 +255,6 @@ impl DsdClient {
             req_counter: 0,
             max_retries: 10,
             retry_base: std::time::Duration::from_millis(250),
-            retry_cap: std::time::Duration::from_secs(5),
             shard_epochs: std::collections::HashMap::new(),
             shard_overrides: std::collections::HashMap::new(),
             entry_overrides: std::collections::HashMap::new(),
@@ -267,32 +266,34 @@ impl DsdClient {
         }
     }
 
-    /// Open a new sync-op trace context: everything recorded until the
-    /// next `begin_op` — phase spans, sends (including the flush/fetch
-    /// fan-out), retransmits and the home's replies — is attributed to
-    /// this `(kind, id, epoch, origin)` tuple. A disabled recorder keeps
-    /// this a no-op and `cur_op` permanently unattributed.
-    fn begin_op(&mut self, kind: OpKind, id: u32) {
-        if !self.recorder.is_enabled() {
-            return;
+    /// The op bracket: run `body` as sync op `(kind, id)`. Everything
+    /// recorded until the next bracket opens — phase spans, sends
+    /// (including the flush/fetch fan-out), retransmits and the home's
+    /// replies — is attributed to this `(kind, id, epoch, origin)` tuple,
+    /// and the op sits in the recorder's in-flight table (which the stall
+    /// watchdog ages) until `body` returns. `cur_op` outlives the bracket
+    /// so trailing events stay attributed to the op that caused them. A
+    /// disabled recorder leaves `cur_op` permanently unattributed.
+    fn op<T>(
+        &mut self,
+        kind: OpKind,
+        id: u32,
+        body: impl FnOnce(&mut DsdClient) -> Result<T, DsdError>,
+    ) -> Result<T, DsdError> {
+        if self.recorder.is_enabled() {
+            let epoch = self.op_epochs.entry((kind, id)).or_insert(0);
+            *epoch += 1;
+            self.cur_op = OpCtx {
+                kind,
+                id,
+                epoch: *epoch,
+                origin: self.obs_rank,
+            };
+            self.recorder.op_begin(self.obs_rank, self.cur_op);
         }
-        let epoch = self.op_epochs.entry((kind, id)).or_insert(0);
-        *epoch += 1;
-        self.cur_op = OpCtx {
-            kind,
-            id,
-            epoch: *epoch,
-            origin: self.obs_rank,
-        };
-        self.recorder.op_begin(self.obs_rank, self.cur_op);
-    }
-
-    /// Retire the current sync op from the recorder's in-flight table
-    /// (the stall watchdog stops aging it). `cur_op` itself is kept so
-    /// trailing events — the release fan-out after an unlock, say — stay
-    /// attributed to the op that caused them.
-    fn end_op(&mut self) {
+        let r = body(self);
         self.recorder.op_end(self.cur_op);
+        r
     }
 
     /// Attach the cluster's home directory. Must match the directory the
@@ -366,14 +367,18 @@ impl DsdClient {
         }
     }
 
-    /// Encode a request for `shard`: the plain reliability envelope
-    /// without replicas, the epoch-stamped one with them.
-    fn encode_request(&self, msg: &DsdMsg, req_id: u64, shard: u32) -> bytes::Bytes {
-        if self.directory.n_replicas() > 0 {
-            msg.encode_enveloped_epoch(req_id, self.epoch_of(shard))
-        } else {
-            msg.encode_enveloped(req_id)
-        }
+    /// Encode request `req_id` for `shard` under the directory's envelope
+    /// rule, stamped with the epoch this client last learned — `t_pack`.
+    fn pack_request(&mut self, msg: &DsdMsg, req_id: u64, shard: u32) -> bytes::Bytes {
+        let epoch = self
+            .directory
+            .epoch_stamped(msg.kind())
+            .then(|| self.epoch_of(shard));
+        let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
+        let payload = msg.encode_request(req_id, epoch);
+        t.args(payload.len() as u64, 0);
+        t.end(&mut self.costs);
+        payload
     }
 
     /// Attach an observability recorder. Spans for every protocol phase,
@@ -420,54 +425,15 @@ impl DsdClient {
 
     /// Delay before the first retransmission. Subsequent delays use
     /// decorrelated jitter: uniform in `[base, 3·previous]`, clamped to
-    /// the retry cap, so a cohort of clients whose requests died
+    /// 5 s, so a cohort of clients whose requests died
     /// together does not retransmit in lockstep forever. Default 250 ms.
     pub fn set_retry_base(&mut self, base: std::time::Duration) {
         self.retry_base = base;
     }
 
-    /// Hard ceiling on any single retransmission delay, whatever the
-    /// jitter rolls. Default 5 s.
-    pub fn set_retry_cap(&mut self, cap: std::time::Duration) {
-        self.retry_cap = cap;
-    }
-
     /// Handle to the fabric (stats, partitions).
     pub fn network(&self) -> &hdsm_net::Network {
         self.ep.network()
-    }
-
-    /// Fire-and-forget liveness beacon to every home shard (each keeps
-    /// its own lease table). Sent with request id 0 — never deduplicated,
-    /// never replied to.
-    pub fn heartbeat(&mut self) {
-        let msg = DsdMsg::Heartbeat {
-            rank: self.thread_rank,
-        };
-        if self.directory.n_replicas() == 0 {
-            let payload = msg.encode_enveloped(0);
-            for s in 0..self.directory.n_shards() {
-                let _ = self
-                    .ep
-                    .send(self.shard_ep(s), MsgKind::Heartbeat, payload.clone());
-            }
-        } else {
-            // Beat both endpoints of every shard: a standby drops direct
-            // beats (its lease table is fed by the replication stream),
-            // but after a promotion the direct beat is what keeps this
-            // worker alive at the new primary.
-            for s in 0..self.directory.n_shards() {
-                let payload = msg.encode_enveloped_epoch(0, self.epoch_of(s));
-                let _ = self.ep.send(
-                    self.directory.shard_ep(s),
-                    MsgKind::Heartbeat,
-                    payload.clone(),
-                );
-                let _ = self
-                    .ep
-                    .send(self.directory.replica_ep(s), MsgKind::Heartbeat, payload);
-            }
-        }
     }
 
     /// This thread's stable rank.
@@ -525,9 +491,7 @@ impl DsdClient {
         self.req_counter += 1;
         let req_id = self.req_counter;
         let kind = msg.kind();
-        let t0 = Instant::now();
-        let mut payload = self.encode_request(&msg, req_id, shard);
-        self.costs.t_pack += t0.elapsed();
+        let mut payload = self.pack_request(&msg, req_id, shard);
         let deadline = self.clock.now() + self.recv_deadline;
         // Decorrelated-jitter state. The seed mixes rank and request id
         // so two clients (or two requests) never share a delay sequence.
@@ -565,8 +529,7 @@ impl DsdClient {
             } else if attempt == 0 {
                 self.retry_base
             } else {
-                prev_wait =
-                    decorrelated_backoff(prev_wait, self.retry_base, self.retry_cap, &mut rng);
+                prev_wait = decorrelated_backoff(prev_wait, self.retry_base, RETRY_CAP, &mut rng);
                 prev_wait
             };
             let attempt_deadline = (self.clock.now() + attempt_wait).min(deadline);
@@ -582,14 +545,10 @@ impl DsdClient {
                 match self.ep.recv_timeout(wait) {
                     Ok(m) => {
                         let src = m.src;
-                        let t0 = Instant::now();
-                        let (rid, decoded) = {
-                            let mut span = self.recorder.span(self.obs_rank, EventKind::Unpack);
-                            span.args(m.payload.len() as u64, m.src as u64);
-                            span.op(self.cur_op);
-                            DsdMsg::decode_enveloped(m.kind, m.payload)?
-                        };
-                        self.costs.t_unpack += t0.elapsed();
+                        let mut t = Phase::Unpack.begin(&self.recorder, self.obs_rank, self.cur_op);
+                        t.args(m.payload.len() as u64, m.src as u64);
+                        let (rid, decoded) = DsdMsg::decode_enveloped(m.kind, m.payload)?;
+                        t.end(&mut self.costs);
                         if let DsdMsg::WorkerLost {
                             rank,
                             heard_ms,
@@ -621,7 +580,7 @@ impl DsdClient {
                                         .insert(shard, self.other_ep(shard, src));
                                 }
                                 dst = self.shard_ep(shard);
-                                payload = self.encode_request(&msg, req_id, shard);
+                                payload = self.pack_request(&msg, req_id, shard);
                                 break; // resend under the new view now
                             }
                             continue;
@@ -643,14 +602,10 @@ impl DsdClient {
     /// and re-arm write protection.
     fn apply_incoming(&mut self, updates: &[WireUpdate]) -> Result<(), DsdError> {
         let bytes: u64 = updates.iter().map(|u| u.data.len() as u64).sum();
-        let t0 = Instant::now();
-        {
-            let mut span = self.recorder.span(self.obs_rank, EventKind::Convert);
-            span.args(updates.len() as u64, bytes);
-            span.op(self.cur_op);
-            apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
-        }
-        self.costs.t_conv += t0.elapsed();
+        let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
+        t.args(updates.len() as u64, bytes);
+        apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
+        t.end(&mut self.costs);
         self.costs.updates_applied += updates.len() as u64;
         self.costs.bytes_applied += bytes;
         if self.recorder.is_enabled() {
@@ -678,20 +633,14 @@ impl DsdClient {
 
     /// Detect local writes and turn them into wire updates (the release
     /// pipeline: t_index → t_tag → t_pack in Eq. 1; packing finishes in
-    /// [`Self::send`]).
+    /// [`Self::pack_request`]).
     fn collect_outgoing(&mut self) -> Result<Vec<WireUpdate>, DsdError> {
         // t_index: byte-level twin/diff plus mapping runs to index ranges.
-        let t0 = Instant::now();
-        let runs;
-        let mapped;
-        {
-            let mut span = self.recorder.span(self.obs_rank, EventKind::DiffScan);
-            span.op(self.cur_op);
-            runs = diff_pages_parallel(self.gthv.space(), default_diff_threads());
-            mapped = map_runs(self.gthv.table(), &runs);
-            span.args(hdsm_memory::diff::total_bytes(&runs), runs.len() as u64);
-        }
-        self.costs.t_index += t0.elapsed();
+        let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
+        let runs = diff_pages_parallel(self.gthv.space(), default_diff_threads());
+        let mapped = map_runs(self.gthv.table(), &runs);
+        t.args(hdsm_memory::diff::total_bytes(&runs), runs.len() as u64);
+        t.end(&mut self.costs);
         if self.recorder.is_enabled() {
             let ps = self.gthv.space().page_size() as u64;
             let base = self.gthv.space().base();
@@ -701,32 +650,21 @@ impl DsdClient {
         }
         // t_tag: coalescing consecutive elements into single tags, plus
         // optional whole-entry promotion.
-        let t1 = Instant::now();
-        let mut ranges;
-        {
-            let mut span = self.recorder.span(self.obs_rank, EventKind::TagBuild);
-            span.op(self.cur_op);
-            ranges = coalesce(mapped);
-            if self.promote_threshold < 100 {
-                ranges =
-                    crate::runs::promote_ranges(self.gthv.table(), ranges, self.promote_threshold);
-            }
-            span.args(ranges.len() as u64, 0);
+        let mut t = Phase::Tag.begin(&self.recorder, self.obs_rank, self.cur_op);
+        let mut ranges = coalesce(mapped);
+        if self.promote_threshold < 100 {
+            ranges = crate::runs::promote_ranges(self.gthv.table(), ranges, self.promote_threshold);
         }
-        self.costs.t_tag += t1.elapsed();
+        t.args(ranges.len() as u64, 0);
+        t.end(&mut self.costs);
         // t_pack: extracting the raw native bytes (and pointer swizzling).
-        let t2 = Instant::now();
-        let ups;
-        {
-            let mut span = self.recorder.span(self.obs_rank, EventKind::Pack);
-            span.op(self.cur_op);
-            ups = extract_updates(&self.gthv, &ranges)?;
-            span.args(
-                ups.iter().map(|u| u.data.len() as u64).sum(),
-                ups.len() as u64,
-            );
-        }
-        self.costs.t_pack += t2.elapsed();
+        let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
+        let ups = extract_updates(&self.gthv, &ranges)?;
+        t.args(
+            ups.iter().map(|u| u.data.len() as u64).sum(),
+            ups.len() as u64,
+        );
+        t.end(&mut self.costs);
         self.costs.updates_sent += ups.len() as u64;
         if self.recorder.is_enabled() {
             for u in &ups {
@@ -745,326 +683,97 @@ impl DsdClient {
         Ok(ups)
     }
 
-    /// Fan released updates out to their owning shards, keeping the
-    /// bucket owned by `keep` (the shard the release itself goes to).
-    /// Each flush is acknowledged before the next is sent and before the
-    /// caller sends its release, so by the time any shard grants a later
-    /// acquire, every flushed update is already absorbed somewhere the
-    /// acquirer will fetch from. A single-shard directory returns the
-    /// batch untouched without touching the wire.
-    fn flush_updates(
+    /// The release pipeline, shared by unlock, cond-wait and barrier:
+    /// collect local writes, re-arm write detection, fan the updates out
+    /// to their owning shards (`UpdateFlush`), then send the release
+    /// itself — `build(updates owned by owner)` — to `owner` and return its
+    /// reply. Each flush is acknowledged before the next is sent and
+    /// before the release goes out, so by the time any shard grants a
+    /// later acquire, every flushed update is already absorbed somewhere
+    /// the acquirer will fetch from. A single-shard directory ships the
+    /// whole batch inside the release without touching the wire first.
+    ///
+    /// An `EntryMoved` reply — to a flush or to the release — means our
+    /// placement view was stale: the shard refused the whole bucket
+    /// without absorbing (or unlocking, or counting an arrival). Learn the
+    /// new owners, re-route just the bounced updates and go round again
+    /// under fresh request ids; every bounce strictly advances the
+    /// override map (entry epochs only grow), so the loop terminates.
+    fn release_via(
         &mut self,
-        updates: Vec<WireUpdate>,
-        keep: u32,
-    ) -> Result<Vec<WireUpdate>, DsdError> {
+        owner: u32,
+        build: impl Fn(Vec<WireUpdate>) -> DsdMsg,
+    ) -> Result<DsdMsg, DsdError> {
+        let mut pending = self.collect_outgoing()?;
+        // Twins/dirty marks shipped; re-arm for the next critical section.
+        self.gthv.space_mut().reset_and_protect();
         let shards = self.directory.n_shards();
-        if shards == 1 {
-            return Ok(updates);
-        }
-        let mut pending = updates;
         let mut kept: Vec<WireUpdate> = Vec::new();
-        // An `EntryMoved` bounce means our placement view was stale: the
-        // shard refused the whole bucket without absorbing anything.
-        // Learn the new owners, re-bucket just the bounced updates and
-        // retry — every bounce strictly advances the override map (entry
-        // epochs only grow), so the loop terminates.
         loop {
-            let mut buckets: Vec<Vec<WireUpdate>> = (0..shards).map(|_| Vec::new()).collect();
-            for u in pending.drain(..) {
-                buckets[self.entry_shard_eff(u.entry) as usize].push(u);
-            }
-            kept.append(&mut buckets[keep as usize]);
-            let mut bounced: Vec<WireUpdate> = Vec::new();
-            for shard in 0..shards {
-                if shard == keep || buckets[shard as usize].is_empty() {
+            if shards == 1 {
+                kept = std::mem::take(&mut pending);
+            } else {
+                let mut buckets: Vec<Vec<WireUpdate>> = (0..shards).map(|_| Vec::new()).collect();
+                for u in pending.drain(..) {
+                    buckets[self.entry_shard_eff(u.entry) as usize].push(u);
+                }
+                kept.append(&mut buckets[owner as usize]);
+                for shard in 0..shards {
+                    if shard == owner || buckets[shard as usize].is_empty() {
+                        continue;
+                    }
+                    let ups = std::mem::take(&mut buckets[shard as usize]);
+                    match self.request(
+                        shard,
+                        DsdMsg::UpdateFlush {
+                            rank: self.thread_rank,
+                            updates: ups.clone(),
+                        },
+                    )? {
+                        DsdMsg::Ack => {}
+                        DsdMsg::EntryMoved { entries } => {
+                            self.learn_moves(&entries);
+                            pending.extend(ups);
+                        }
+                        _ => return Err(DsdError::Unexpected("Ack (update flush)")),
+                    }
+                }
+                if !pending.is_empty() {
                     continue;
                 }
-                let ups = std::mem::take(&mut buckets[shard as usize]);
-                match self.request(
-                    shard,
-                    DsdMsg::UpdateFlush {
-                        rank: self.thread_rank,
-                        updates: ups.clone(),
-                    },
-                )? {
-                    DsdMsg::Ack => {}
-                    DsdMsg::EntryMoved { entries } => {
-                        self.learn_moves(&entries);
-                        bounced.extend(ups);
-                    }
-                    _ => return Err(DsdError::Unexpected("Ack (update flush)")),
+            }
+            match self.request(owner, build(kept.clone()))? {
+                DsdMsg::EntryMoved { entries } => {
+                    self.learn_moves(&entries);
+                    pending = std::mem::take(&mut kept);
                 }
+                reply => return Ok(reply),
             }
-            if bounced.is_empty() {
-                return Ok(kept);
-            }
-            pending = bounced;
         }
     }
 
-    /// Pull outstanding updates from every shard other than `granting`
-    /// (whose updates rode in with the grant). Returns the merged batch;
-    /// empty — with no wire traffic — on a single-shard directory.
-    fn fetch_others(&mut self, granting: u32) -> Result<Vec<WireUpdate>, DsdError> {
-        let shards = self.directory.n_shards();
-        if shards == 1 {
-            return Ok(Vec::new());
-        }
-        let mut merged = Vec::new();
-        for shard in 0..shards {
-            if shard == granting {
-                continue;
-            }
+    /// The tail of every acquire (lock grant, cond wake, barrier
+    /// release): `updates` rode in with the reply from shard `granting`;
+    /// pull the outstanding updates of every other shard (`UpdateFetch` —
+    /// no wire traffic on a single-shard directory), apply the lot and
+    /// re-arm write protection.
+    fn finish_acquire(
+        &mut self,
+        granting: u32,
+        mut updates: Vec<WireUpdate>,
+    ) -> Result<(), DsdError> {
+        for shard in (0..self.directory.n_shards()).filter(|&s| s != granting) {
             match self.request(
                 shard,
                 DsdMsg::UpdateFetch {
                     rank: self.thread_rank,
                 },
             )? {
-                DsdMsg::UpdateBatch { updates } => merged.extend(updates),
+                DsdMsg::UpdateBatch { updates: more } => updates.extend(more),
                 _ => return Err(DsdError::Unexpected("UpdateBatch")),
             }
         }
-        Ok(merged)
-    }
-
-    fn lock_impl(&mut self, lock: u32) -> Result<(), DsdError> {
-        self.begin_op(OpKind::Lock, lock);
-        let r = self.lock_body(lock);
-        self.end_op();
-        r
-    }
-
-    fn lock_body(&mut self, lock: u32) -> Result<(), DsdError> {
-        let owner = self.directory.lock_shard(lock);
-        let reply = {
-            let mut span = self.recorder.span(self.obs_rank, EventKind::LockWait);
-            span.args(lock as u64, 0);
-            span.op(self.cur_op);
-            self.request(
-                owner,
-                DsdMsg::LockRequest {
-                    lock,
-                    rank: self.thread_rank,
-                },
-            )?
-        };
-        match reply {
-            DsdMsg::LockGrant { lock: l, updates } if l == lock => {
-                if self.recorder.is_enabled() {
-                    self.held_since
-                        .insert(lock, (self.recorder.now_us(), self.clock.now()));
-                }
-                let mut all = updates;
-                all.extend(self.fetch_others(owner)?);
-                self.apply_incoming(&all)?;
-                Ok(())
-            }
-            _ => Err(DsdError::Unexpected("LockGrant")),
-        }
-    }
-
-    fn unlock_impl(&mut self, lock: u32) -> Result<(), DsdError> {
-        self.begin_op(OpKind::Unlock, lock);
-        let r = self.unlock_body(lock);
-        self.end_op();
-        r
-    }
-
-    fn unlock_body(&mut self, lock: u32) -> Result<(), DsdError> {
-        let owner = self.directory.lock_shard(lock);
-        let mut release = self.recorder.span(self.obs_rank, EventKind::LockRelease);
-        release.args(lock as u64, 0);
-        release.op(self.cur_op);
-        let updates = self.collect_outgoing()?;
-        // Twins/dirty marks shipped; re-arm for the next critical section.
-        self.gthv.space_mut().reset_and_protect();
-        let mut updates = self.flush_updates(updates, owner)?;
-        let reply = loop {
-            match self.request(
-                owner,
-                DsdMsg::UnlockRequest {
-                    lock,
-                    rank: self.thread_rank,
-                    updates: updates.clone(),
-                },
-            )? {
-                // The release bucket held entries that no longer live at
-                // the granting shard: the home bounced without unlocking
-                // or absorbing. Re-flush to the new owners, resend the
-                // rest under a fresh request id.
-                DsdMsg::EntryMoved { entries } => {
-                    self.learn_moves(&entries);
-                    updates = self.flush_updates(std::mem::take(&mut updates), owner)?;
-                }
-                other => break other,
-            }
-        };
-        match reply {
-            DsdMsg::UnlockAck { lock: l } if l == lock => {
-                self.recorder.release_to(self.thread_rank, owner);
-                if let Some((t_us, start)) = self.held_since.remove(&lock) {
-                    self.recorder.span_at_op(
-                        self.obs_rank,
-                        EventKind::LockHold,
-                        t_us,
-                        self.clock.now().saturating_since(start).as_micros() as u64,
-                        lock as u64,
-                        0,
-                        "",
-                        self.cur_op,
-                    );
-                }
-                Ok(())
-            }
-            _ => Err(DsdError::Unexpected("UnlockAck")),
-        }
-    }
-
-    fn cond_wait_impl(&mut self, cond: u32, lock: u32) -> Result<(), DsdError> {
-        self.begin_op(OpKind::Cond, cond);
-        let r = self.cond_wait_body(cond, lock);
-        self.end_op();
-        r
-    }
-
-    fn cond_wait_body(&mut self, cond: u32, lock: u32) -> Result<(), DsdError> {
-        let owner = self.directory.lock_shard(lock);
-        if self.directory.cond_shard(cond) != owner {
-            return Err(DsdError::ShardMismatch { cond, lock });
-        }
-        let updates = self.collect_outgoing()?;
-        self.gthv.space_mut().reset_and_protect();
-        let mut updates = self.flush_updates(updates, owner)?;
-        let reply = loop {
-            match self.request(
-                owner,
-                DsdMsg::CondWait {
-                    cond,
-                    lock,
-                    rank: self.thread_rank,
-                    updates: updates.clone(),
-                },
-            )? {
-                // Bounced before the release+park: re-flush and re-wait.
-                DsdMsg::EntryMoved { entries } => {
-                    self.learn_moves(&entries);
-                    updates = self.flush_updates(std::mem::take(&mut updates), owner)?;
-                }
-                other => break other,
-            }
-        };
-        match reply {
-            DsdMsg::LockGrant { lock: l, updates } if l == lock => {
-                let mut all = updates;
-                all.extend(self.fetch_others(owner)?);
-                self.apply_incoming(&all)?;
-                Ok(())
-            }
-            _ => Err(DsdError::Unexpected("LockGrant (cond wake)")),
-        }
-    }
-
-    fn cond_signal_impl(&mut self, cond: u32, broadcast: bool) -> Result<(), DsdError> {
-        self.begin_op(OpKind::Cond, cond);
-        let r = self.cond_signal_body(cond, broadcast);
-        self.end_op();
-        r
-    }
-
-    fn cond_signal_body(&mut self, cond: u32, broadcast: bool) -> Result<(), DsdError> {
-        let owner = self.directory.cond_shard(cond);
-        match self.request(
-            owner,
-            DsdMsg::CondSignal {
-                cond,
-                rank: self.thread_rank,
-                broadcast,
-            },
-        )? {
-            DsdMsg::Ack => Ok(()),
-            _ => Err(DsdError::Unexpected("Ack")),
-        }
-    }
-
-    fn barrier_impl(&mut self, barrier: u32) -> Result<(), DsdError> {
-        self.begin_op(OpKind::Barrier, barrier);
-        let r = self.barrier_body(barrier);
-        self.end_op();
-        r
-    }
-
-    fn barrier_body(&mut self, barrier: u32) -> Result<(), DsdError> {
-        let coordinator = self.directory.barrier_shard(barrier);
-        let mut span = self.recorder.span(self.obs_rank, EventKind::Barrier);
-        span.args(barrier as u64, 0);
-        span.op(self.cur_op);
-        let updates = self.collect_outgoing()?;
-        self.gthv.space_mut().reset_and_protect();
-        let mut updates = self.flush_updates(updates, coordinator)?;
-        let reply = loop {
-            match self.request(
-                coordinator,
-                DsdMsg::BarrierEnter {
-                    barrier,
-                    rank: self.thread_rank,
-                    updates: updates.clone(),
-                },
-            )? {
-                // Bounced before the coordinator counted our arrival:
-                // re-flush the moved entries and re-enter.
-                DsdMsg::EntryMoved { entries } => {
-                    self.learn_moves(&entries);
-                    updates = self.flush_updates(std::mem::take(&mut updates), coordinator)?;
-                }
-                other => break other,
-            }
-        };
-        match reply {
-            DsdMsg::BarrierRelease {
-                barrier: b,
-                updates,
-            } if b == barrier => {
-                self.recorder.release_to(self.thread_rank, coordinator);
-                let mut all = updates;
-                all.extend(self.fetch_others(coordinator)?);
-                self.apply_incoming(&all)?;
-                Ok(())
-            }
-            _ => Err(DsdError::Unexpected("BarrierRelease")),
-        }
-    }
-
-    fn join_impl(mut self) -> Result<(CostBreakdown, ConversionStats, GthvInstance), DsdError> {
-        self.begin_op(OpKind::Join, 0);
-        let r = self.join_body();
-        self.end_op();
-        r?;
-        Ok((self.costs, self.conv_stats, self.gthv))
-    }
-
-    fn join_body(&mut self) -> Result<(), DsdError> {
-        // Sign off at every shard; each keeps its own participant table
-        // and its Shutdown is the deferred (retransmittable) reply to the
-        // Join it received.
-        for shard in 0..self.directory.n_shards() {
-            match self.request(
-                shard,
-                DsdMsg::Join {
-                    rank: self.thread_rank,
-                },
-            ) {
-                Ok(DsdMsg::Shutdown) => {}
-                // A shard cannot exit its service loop before processing
-                // every participant's Join — ours included. If it hung up
-                // mid-retransmission, the Shutdown reply was lost after a
-                // clean sign-off; nothing is owed to us.
-                Err(DsdError::Net(NetError::Disconnected(_))) => {}
-                Ok(_) => return Err(DsdError::Unexpected("Shutdown")),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        self.apply_incoming(&updates)
     }
 
     // ----- the typed session API -----
@@ -1074,20 +783,75 @@ impl DsdClient {
     /// this returns. Pair with [`Self::release`], or use [`Self::lock`]
     /// for an RAII guard.
     pub fn acquire(&mut self, lock: LockId) -> Result<(), DsdError> {
-        self.lock_impl(lock.raw())
+        let lock = lock.raw();
+        self.op(OpKind::Lock, lock, |c| {
+            let owner = c.directory.lock_shard(lock);
+            let reply = {
+                let mut span = c.recorder.span(c.obs_rank, EventKind::LockWait);
+                span.args(lock as u64, 0);
+                span.op(c.cur_op);
+                c.request(
+                    owner,
+                    DsdMsg::LockRequest {
+                        lock,
+                        rank: c.thread_rank,
+                    },
+                )?
+            };
+            match reply {
+                DsdMsg::LockGrant { lock: l, updates } if l == lock => {
+                    if c.recorder.is_enabled() {
+                        c.held_since
+                            .insert(lock, (c.recorder.now_us(), c.clock.now()));
+                    }
+                    c.finish_acquire(owner, updates)
+                }
+                _ => Err(DsdError::Unexpected("LockGrant")),
+            }
+        })
     }
 
     /// Release distributed mutex `lock` (paper §4.2 `MTh_unlock`): local
     /// modifications are diffed, tagged, packed and shipped home.
     pub fn release(&mut self, lock: LockId) -> Result<(), DsdError> {
-        self.unlock_impl(lock.raw())
+        let lock = lock.raw();
+        self.op(OpKind::Unlock, lock, |c| {
+            let owner = c.directory.lock_shard(lock);
+            let mut release = c.recorder.span(c.obs_rank, EventKind::LockRelease);
+            release.args(lock as u64, 0);
+            release.op(c.cur_op);
+            let rank = c.thread_rank;
+            match c.release_via(owner, |updates| DsdMsg::UnlockRequest {
+                lock,
+                rank,
+                updates,
+            })? {
+                DsdMsg::UnlockAck { lock: l } if l == lock => {
+                    c.recorder.release_to(rank, owner);
+                    if let Some((t_us, start)) = c.held_since.remove(&lock) {
+                        c.recorder.span_at_op(
+                            c.obs_rank,
+                            EventKind::LockHold,
+                            t_us,
+                            c.clock.now().saturating_since(start).as_micros() as u64,
+                            lock as u64,
+                            0,
+                            "",
+                            c.cur_op,
+                        );
+                    }
+                    Ok(())
+                }
+                _ => Err(DsdError::Unexpected("UnlockAck")),
+            }
+        })
     }
 
     /// Acquire mutex `lock` and return a guard that releases it when
     /// dropped — including on panic, so a failing critical section still
     /// flushes its diffs home. The guard dereferences to the client.
     pub fn lock(&mut self, lock: LockId) -> Result<LockGuard<'_>, DsdError> {
-        self.lock_impl(lock.raw())?;
+        self.acquire(lock)?;
         Ok(LockGuard {
             client: self,
             lock,
@@ -1106,34 +870,113 @@ impl DsdClient {
     /// the same shard (`cond.raw() % S == lock.raw() % S`) so the
     /// release+park stays atomic at one owner.
     pub fn cond_wait(&mut self, cond: CondId, lock: LockId) -> Result<(), DsdError> {
-        self.cond_wait_impl(cond.raw(), lock.raw())
+        let (cond, lock) = (cond.raw(), lock.raw());
+        self.op(OpKind::Cond, cond, |c| {
+            let owner = c.directory.lock_shard(lock);
+            if c.directory.cond_shard(cond) != owner {
+                return Err(DsdError::ShardMismatch { cond, lock });
+            }
+            let rank = c.thread_rank;
+            match c.release_via(owner, |updates| DsdMsg::CondWait {
+                cond,
+                lock,
+                rank,
+                updates,
+            })? {
+                DsdMsg::LockGrant { lock: l, updates } if l == lock => {
+                    c.finish_acquire(owner, updates)
+                }
+                _ => Err(DsdError::Unexpected("LockGrant (cond wake)")),
+            }
+        })
     }
 
     /// `MTh_cond_signal(cond)` — wake one waiter. Acknowledged by the
     /// home so the signal survives a lossy fabric; callers conventionally
     /// hold the associated mutex while signalling.
     pub fn cond_signal(&mut self, cond: CondId) -> Result<(), DsdError> {
-        self.cond_signal_impl(cond.raw(), false)
+        self.cond_wake(cond.raw(), false)
     }
 
     /// `MTh_cond_broadcast(cond)` — wake every waiter.
     pub fn cond_broadcast(&mut self, cond: CondId) -> Result<(), DsdError> {
-        self.cond_signal_impl(cond.raw(), true)
+        self.cond_wake(cond.raw(), true)
+    }
+
+    fn cond_wake(&mut self, cond: u32, broadcast: bool) -> Result<(), DsdError> {
+        self.op(OpKind::Cond, cond, |c| {
+            match c.request(
+                c.directory.cond_shard(cond),
+                DsdMsg::CondSignal {
+                    cond,
+                    rank: c.thread_rank,
+                    broadcast,
+                },
+            )? {
+                DsdMsg::Ack => Ok(()),
+                _ => Err(DsdError::Unexpected("Ack")),
+            }
+        })
     }
 
     /// `MTh_barrier(index, rank)` — a full release + acquire for every
     /// participant (paper §4: barriers spare the programmer from building
     /// them out of the distributed mutex).
     pub fn barrier(&mut self, barrier: BarrierId) -> Result<(), DsdError> {
-        self.barrier_impl(barrier.raw())
+        let barrier = barrier.raw();
+        self.op(OpKind::Barrier, barrier, |c| {
+            let coordinator = c.directory.barrier_shard(barrier);
+            let mut span = c.recorder.span(c.obs_rank, EventKind::Barrier);
+            span.args(barrier as u64, 0);
+            span.op(c.cur_op);
+            let rank = c.thread_rank;
+            match c.release_via(coordinator, |updates| DsdMsg::BarrierEnter {
+                barrier,
+                rank,
+                updates,
+            })? {
+                DsdMsg::BarrierRelease {
+                    barrier: b,
+                    updates,
+                } if b == barrier => {
+                    c.recorder.release_to(rank, coordinator);
+                    c.finish_acquire(coordinator, updates)
+                }
+                _ => Err(DsdError::Unexpected("BarrierRelease")),
+            }
+        })
     }
 
     /// `MTh_join()` — sign off and wait for the program to end. Consumes
     /// the client; returns the accumulated costs and the final local copy.
     /// The home's shutdown broadcast is the (deferred, retransmittable)
     /// reply to this request.
-    pub fn join(self) -> Result<(CostBreakdown, ConversionStats, GthvInstance), DsdError> {
-        self.join_impl()
+    pub fn join(mut self) -> Result<(CostBreakdown, ConversionStats, GthvInstance), DsdError> {
+        self.op(OpKind::Join, 0, |c| {
+            // Sign off at every shard; each keeps its own participant
+            // table and its Shutdown is the deferred (retransmittable)
+            // reply to the Join it received.
+            for shard in 0..c.directory.n_shards() {
+                match c.request(
+                    shard,
+                    DsdMsg::Join {
+                        rank: c.thread_rank,
+                    },
+                ) {
+                    Ok(DsdMsg::Shutdown) => {}
+                    // A shard cannot exit its service loop before
+                    // processing every participant's Join — ours included.
+                    // If it hung up mid-retransmission, the Shutdown reply
+                    // was lost after a clean sign-off; nothing is owed to
+                    // us.
+                    Err(DsdError::Net(NetError::Disconnected(_))) => {}
+                    Ok(_) => return Err(DsdError::Unexpected("Shutdown")),
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        })?;
+        Ok((self.costs, self.conv_stats, self.gthv))
     }
 
     /// Re-host this thread on a different (possibly heterogeneous) node,
@@ -1206,12 +1049,16 @@ impl DsdClient {
         //    twin and stay dirty on the new node.
         fresh.space_mut().reset_and_protect();
         self.gthv = fresh;
-        let t0 = Instant::now();
+        let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
+        t.args(
+            dirty_updates.len() as u64,
+            dirty_updates.iter().map(|u| u.data.len() as u64).sum(),
+        );
         for u in &dirty_updates {
             apply_tracked(&mut self.gthv, u, &mut stats)?;
         }
+        t.end(&mut self.costs);
         self.conv_stats.merge(&stats);
-        self.costs.t_conv += t0.elapsed();
         Ok(())
     }
 
@@ -1307,7 +1154,7 @@ impl LockGuard<'_> {
     /// can only swallow it).
     pub fn unlock(mut self) -> Result<(), DsdError> {
         self.released = true;
-        self.client.unlock_impl(self.lock.raw())
+        self.client.release(self.lock)
     }
 }
 
@@ -1330,7 +1177,7 @@ impl Drop for LockGuard<'_> {
             // Best effort: the release must not panic inside a drop
             // (possibly already unwinding). A failed release surfaces at
             // the next protocol operation instead.
-            let _ = self.client.unlock_impl(self.lock.raw());
+            let _ = self.client.release(self.lock);
         }
     }
 }
@@ -1339,7 +1186,7 @@ impl Drop for LockGuard<'_> {
 mod tests {
     use super::*;
     use crate::gthv::GthvDef;
-    use crate::home::{HomeConfig, HomeService};
+    use crate::home::{HomeConfig, HomeShard};
     use hdsm_net::endpoint::Network;
     use hdsm_net::stats::NetConfig;
     use hdsm_platform::ctype::StructBuilder;
@@ -1373,7 +1220,7 @@ mod tests {
         let (_net, mut eps) = Network::new(platforms.len() + 1, NetConfig::instant());
         let home_ep = eps.remove(0);
         let participants: Vec<u32> = (1..=platforms.len() as u32).collect();
-        let mut home = HomeService::new(
+        let mut home = HomeShard::new(
             GthvInstance::new(def.clone(), home_plat),
             home_ep,
             HomeConfig {
@@ -1730,7 +1577,7 @@ mod tests {
         let shard0_ep = eps.remove(0);
         let mut shards = Vec::new();
         for (shard, ep) in [(0u32, shard0_ep), (1u32, shard1_ep)] {
-            let mut h = HomeService::new(
+            let mut h = HomeShard::new(
                 GthvInstance::new(def.clone(), PlatformSpec::linux_x86()),
                 ep,
                 HomeConfig {

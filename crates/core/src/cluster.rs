@@ -45,7 +45,7 @@ use hdsm_net::endpoint::{Endpoint, NetError, Network};
 use hdsm_net::fault::LinkFaults;
 use hdsm_net::message::MsgKind;
 use hdsm_net::stats::{NetConfig, NetStats};
-use hdsm_net::{ActorId, FabricClock, FabricMode, FaultPlan, SimFabric, Ticker};
+use hdsm_net::{FabricClock, FabricMode, FaultPlan, SimFabric, Ticker};
 use hdsm_obs::{DecisionRow, EventKind, ObsSnapshot, Recorder, WatchdogConfig};
 use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::ConversionStats;
@@ -322,64 +322,19 @@ impl ClusterCtl {
     /// lease and dedup tables — through the wire, and retires once the
     /// replica confirms installation under the bumped epoch. Blocks
     /// until the handoff completes; zero client operations fail.
+    ///
+    /// Returns [`ClusterError::HandoffBusy`] when the shard is fenced for
+    /// any reason other than this very drain — transient; retry after
+    /// backing off.
     pub fn handoff(&mut self, shard: ShardId) -> Result<(), ClusterError> {
         let s = shard.raw();
-        let dst = self.directory.shard_ep(s);
-        let req = DsdMsg::HandoffRequest { shard: s }.encode_enveloped(0);
-        let deadline = self.clock.now() + Duration::from_secs(30);
-        let mut next_send = self.clock.now();
-        loop {
-            if self.clock.now() >= deadline {
-                return Err(ClusterError::Handoff {
-                    shard: s,
-                    error: DsdError::Net(NetError::Timeout),
-                });
-            }
-            if self.clock.now() >= next_send {
-                match self.ep.send(dst, MsgKind::HandoffRequest, req.clone()) {
-                    // A dead primary cannot be drained, but its replica
-                    // promotes on its own; nothing to hand off.
-                    Ok(()) | Err(NetError::Disconnected(_)) => {}
-                    Err(e) => {
-                        return Err(ClusterError::Handoff {
-                            shard: s,
-                            error: e.into(),
-                        })
-                    }
-                }
-                next_send = self.clock.now() + Duration::from_millis(100);
-            }
-            match self.ep.recv_timeout(Duration::from_millis(50)) {
-                Ok(m) if m.kind == MsgKind::HandoffDone => {
-                    if let Ok((_, DsdMsg::HandoffDone { shard: hs, .. })) =
-                        DsdMsg::decode_enveloped(m.kind, m.payload)
-                    {
-                        if hs == s {
-                            return Ok(());
-                        }
-                    }
-                }
-                // A shard fenced for any reason other than this very drain
-                // (deposed, mid-promotion, busy with an entry move) bounces
-                // the request with `ViewChange` instead of starting it.
-                // Surface the typed busy error — the old behaviour was a
-                // generic 30 s timeout — so callers can back off. Safe
-                // against false positives: the admin link is FIFO and a
-                // shard draining *for us* answers duplicates silently, so
-                // a `ViewChange` here never races a later `HandoffDone`.
-                Ok(m) if m.kind == MsgKind::ViewChange => {
-                    return Err(ClusterError::HandoffBusy { shard: s });
-                }
-                Ok(_) => {} // stray redirects etc.: ignore
-                Err(NetError::Timeout) => {}
-                Err(e) => {
-                    return Err(ClusterError::Handoff {
-                        shard: s,
-                        error: DsdError::Net(e),
-                    })
-                }
-            }
-        }
+        self.admin_call(
+            s,
+            &[self.directory.shard_ep(s)],
+            DsdMsg::HandoffRequest { shard: s },
+            Duration::from_secs(30),
+            |reply| matches!(reply, DsdMsg::HandoffDone { shard: hs, .. } if *hs == s),
+        )
     }
 
     /// Migrate one index entry's home from shard `from` to shard `to` —
@@ -400,11 +355,6 @@ impl ClusterCtl {
         to: ShardId,
     ) -> Result<(), ClusterError> {
         let (s_from, s_to) = (from.raw(), to.raw());
-        let req = DsdMsg::EntryHandoff {
-            entry,
-            to_shard: s_to,
-        }
-        .encode_enveloped(0);
         // Offer to both of the source shard's endpoints: the mute shadow
         // drops it, a retired primary is Disconnected, the serving
         // instance (original or promoted) acts on it.
@@ -412,60 +362,76 @@ impl ClusterCtl {
         if self.directory.n_replicas() > 0 {
             dsts.push(self.directory.replica_ep(s_from));
         }
-        let deadline = self.clock.now() + Duration::from_secs(10);
+        self.admin_call(
+            s_from,
+            &dsts,
+            DsdMsg::EntryHandoff {
+                entry,
+                to_shard: s_to,
+            },
+            Duration::from_secs(10),
+            |reply| {
+                matches!(reply, DsdMsg::EntryDone { entry: e, to_shard }
+                    if *e == entry && *to_shard == s_to)
+            },
+        )
+    }
+
+    /// The admin call: offer `req` to the endpoints `dsts` of `shard`
+    /// every 100 ms (the homes answer duplicates idempotently) until a
+    /// reply satisfies `done`, for at most `budget` of fabric time. Every
+    /// failure surfaces as [`ClusterError::Handoff`] on `shard`, except
+    /// a `ViewChange` bounce: a shard that is fenced — deposed,
+    /// mid-promotion, busy with another move — answers that instead of
+    /// starting, and the caller gets the typed
+    /// [`ClusterError::HandoffBusy`] to back off on. That is safe against
+    /// false positives: the admin link is FIFO and a shard already
+    /// working *for us* answers duplicates silently, so a `ViewChange`
+    /// never races a later confirmation.
+    fn admin_call(
+        &mut self,
+        shard: u32,
+        dsts: &[u32],
+        req: DsdMsg,
+        budget: Duration,
+        done: impl Fn(&DsdMsg) -> bool,
+    ) -> Result<(), ClusterError> {
+        let failed = |error: DsdError| ClusterError::Handoff { shard, error };
+        let frame = req.encode_enveloped(0);
+        let deadline = self.clock.now() + budget;
         let mut next_send = self.clock.now();
         loop {
             if self.clock.now() >= deadline {
-                return Err(ClusterError::Handoff {
-                    shard: s_from,
-                    error: DsdError::Net(NetError::Timeout),
-                });
+                return Err(failed(NetError::Timeout.into()));
             }
             if self.clock.now() >= next_send {
                 let mut alive = false;
-                for &dst in &dsts {
-                    match self.ep.send(dst, MsgKind::EntryHandoff, req.clone()) {
+                for &dst in dsts {
+                    match self.ep.send(dst, req.kind(), frame.clone()) {
                         Ok(()) => alive = true,
                         Err(NetError::Disconnected(_)) => {}
-                        Err(e) => {
-                            return Err(ClusterError::Handoff {
-                                shard: s_from,
-                                error: e.into(),
-                            })
-                        }
+                        Err(e) => return Err(failed(e.into())),
                     }
                 }
                 if !alive {
-                    // Every endpoint of the source shard is gone — the
-                    // cluster is tearing down. Let the caller break.
-                    return Err(ClusterError::Handoff {
-                        shard: s_from,
-                        error: DsdError::Net(NetError::Disconnected(dsts[0])),
-                    });
+                    // Every endpoint of the shard is gone — killed (its
+                    // standby promotes on its own) or tearing down.
+                    return Err(failed(NetError::Disconnected(dsts[0]).into()));
                 }
                 next_send = self.clock.now() + Duration::from_millis(100);
             }
             match self.ep.recv_timeout(Duration::from_millis(50)) {
-                Ok(m) if m.kind == MsgKind::EntryDone => {
-                    if let Ok((_, DsdMsg::EntryDone { entry: e, to_shard })) =
-                        DsdMsg::decode_enveloped(m.kind, m.payload)
-                    {
-                        if e == entry && to_shard == s_to {
-                            return Ok(());
-                        }
+                Ok(m) if m.kind == MsgKind::ViewChange => {
+                    return Err(ClusterError::HandoffBusy { shard });
+                }
+                Ok(m) => {
+                    // Late acks for earlier calls etc. are ignored.
+                    if DsdMsg::decode_enveloped(m.kind, m.payload).is_ok_and(|(_, r)| done(&r)) {
+                        return Ok(());
                     }
                 }
-                Ok(m) if m.kind == MsgKind::ViewChange => {
-                    return Err(ClusterError::HandoffBusy { shard: s_from });
-                }
-                Ok(_) => {} // late acks for earlier moves etc.: ignore
                 Err(NetError::Timeout) => {}
-                Err(e) => {
-                    return Err(ClusterError::Handoff {
-                        shard: s_from,
-                        error: DsdError::Net(e),
-                    })
-                }
+                Err(e) => return Err(failed(e.into())),
             }
         }
     }
@@ -567,22 +533,15 @@ pub struct ClusterBuilder {
     n_locks: u32,
     n_barriers: u32,
     n_conds: u32,
-    shards: u32,
-    replicas: u32,
+    topology: TopologyConfig,
+    timing: TimingConfig,
     net_config: NetConfig,
     init: Option<InitFn>,
     control: Option<ControlFn>,
-    recv_deadline: Option<Duration>,
-    lease: Option<Duration>,
-    max_retries: Option<u32>,
-    retry_base: Option<Duration>,
     recorder: Recorder,
-    fabric: FabricMode,
     sessions: Vec<SessionSpec>,
     placement: PlacementPolicy,
-    stall_budget: Option<Duration>,
     telemetry: Option<(Duration, usize)>,
-    obs_ring_capacity: Option<usize>,
     blackbox_dir: Option<String>,
 }
 
@@ -602,22 +561,15 @@ impl ClusterBuilder {
             n_locks: 1,
             n_barriers: 1,
             n_conds: 0,
-            shards: 1,
-            replicas: 0,
+            topology: TopologyConfig::default(),
+            timing: TimingConfig::default(),
             net_config: NetConfig::instant(),
             init: None,
             control: None,
-            recv_deadline: None,
-            lease: Some(Duration::from_secs(30)),
-            max_retries: None,
-            retry_base: None,
             recorder: Recorder::disabled(),
-            fabric: FabricMode::Threads,
             sessions: Vec::new(),
             placement: PlacementPolicy::Static,
-            stall_budget: None,
             telemetry: None,
-            obs_ring_capacity: None,
             blackbox_dir: None,
         }
     }
@@ -638,20 +590,14 @@ impl ClusterBuilder {
     /// Set the cluster shape — shards, replicas and fabric — in one typed
     /// call.
     pub fn topology(mut self, t: TopologyConfig) -> Self {
-        self.shards = t.shards;
-        self.replicas = t.replicas;
-        self.fabric = t.fabric;
+        self.topology = t;
         self
     }
 
     /// Set the protocol timing — lease, receive bound, retransmission
     /// schedule and stall budget — in one typed call.
     pub fn timing(mut self, t: TimingConfig) -> Self {
-        self.lease = t.lease;
-        self.recv_deadline = t.recv_deadline;
-        self.max_retries = t.max_retries;
-        self.retry_base = t.retry_base;
-        self.stall_budget = t.stall_budget;
+        self.timing = t;
         self
     }
 
@@ -679,15 +625,6 @@ impl ClusterBuilder {
     /// ignored and no actor is spawned.
     pub fn telemetry(mut self, interval: Duration, frames: usize) -> Self {
         self.telemetry = Some((interval, frames));
-        self
-    }
-
-    /// Override the per-rank event-ring capacity of the enabled
-    /// [`Self::obs`] recorder (default 65 536 events per rank). Rings
-    /// that wrap surface per-rank drop counts in
-    /// `ObsSnapshot::report()`'s event-rings section.
-    pub fn obs_ring_capacity(mut self, cap: usize) -> Self {
-        self.obs_ring_capacity = Some(cap);
         self
     }
 
@@ -799,17 +736,17 @@ impl ClusterBuilder {
         if self.worker_platforms.is_empty() {
             return Err(ClusterError::Config("no workers".into()));
         }
-        if self.shards == 0 {
+        if self.topology.shards == 0 {
             return Err(ClusterError::Config(
                 "at least one home shard required".into(),
             ));
         }
-        if self.replicas > 1 {
+        if self.topology.replicas > 1 {
             return Err(ClusterError::Config(
                 "at most one replica per shard is supported".into(),
             ));
         }
-        if self.replicas > 0 && self.lease.is_none() {
+        if self.topology.replicas > 0 && self.timing.lease.is_none() {
             return Err(ClusterError::Config(
                 "replicas need a lease: promotion is driven by lease-timed silence".into(),
             ));
@@ -822,7 +759,7 @@ impl ClusterBuilder {
                     .into(),
             ));
         }
-        let n_home_eps = (self.shards * (1 + self.replicas)) as usize;
+        let n_home_eps = (self.topology.shards * (1 + self.topology.replicas)) as usize;
         let n_eps = n_home_eps
             + self.worker_platforms.len()
             + usize::from(self.control.is_some())
@@ -833,22 +770,22 @@ impl ClusterBuilder {
             // plans keep battering the client↔home links, but these two
             // internal link classes stay clean. Runtime partitions still
             // sever them — partitions are checked before link faults.
-            if self.replicas > 0 {
-                for s in 0..self.shards {
-                    let (p, r) = (s, self.shards + s);
-                    *plan = std::mem::take(plan).link(p, r, LinkFaults::default()).link(
-                        r,
-                        p,
-                        LinkFaults::default(),
-                    );
+            let mut clean = |a: u32, b: u32| {
+                *plan = std::mem::take(plan).link(a, b, LinkFaults::default()).link(
+                    b,
+                    a,
+                    LinkFaults::default(),
+                );
+            };
+            if self.topology.replicas > 0 {
+                for s in 0..self.topology.shards {
+                    clean(s, self.topology.shards + s);
                 }
             }
             if self.control.is_some() {
                 let admin = (n_home_eps + self.worker_platforms.len()) as u32;
                 for ep in 0..n_home_eps as u32 {
-                    *plan = std::mem::take(plan)
-                        .link(admin, ep, LinkFaults::default())
-                        .link(ep, admin, LinkFaults::default());
+                    clean(admin, ep);
                 }
             }
             if adaptive {
@@ -858,18 +795,14 @@ impl ClusterBuilder {
                 // runs keep their exact fault schedules.
                 let placement = (n_eps - 1) as u32;
                 for a in 0..n_home_eps as u32 {
-                    *plan = std::mem::take(plan)
-                        .link(placement, a, LinkFaults::default())
-                        .link(a, placement, LinkFaults::default());
-                    for b in 0..n_home_eps as u32 {
-                        if a != b {
-                            *plan = std::mem::take(plan).link(a, b, LinkFaults::default());
-                        }
+                    clean(placement, a);
+                    for b in 0..a {
+                        clean(a, b);
                     }
                 }
             }
         }
-        let (net, eps) = match self.fabric {
+        let (net, eps) = match self.topology.fabric {
             FabricMode::Threads => {
                 Network::new_observed(n_eps, self.net_config.clone(), self.recorder.clone())
             }
@@ -887,14 +820,14 @@ impl ClusterBuilder {
         }
         // The telemetry knobs are no-ops on a disabled recorder — the
         // calls below return without touching anything.
-        if let Some(cap) = self.obs_ring_capacity {
-            self.recorder.set_ring_capacity(cap);
-        }
         if let Some((interval, frames)) = self.telemetry {
             self.recorder
                 .enable_timeseries(interval.as_micros().max(1) as u64, frames);
             self.recorder.configure_watchdog(WatchdogConfig {
-                budget_us: self.stall_budget.map(|d| d.as_micros().max(1) as u64),
+                budget_us: self
+                    .timing
+                    .stall_budget
+                    .map(|d| d.as_micros().max(1) as u64),
                 ..WatchdogConfig::default()
             });
         }
@@ -929,7 +862,7 @@ impl ClusterBuilder {
         }
         let (def, net, mut eps) = self.take_parts()?;
         let sim = net.sim().cloned();
-        let directory = Directory::with_replicas(self.shards, self.replicas);
+        let directory = Directory::with_replicas(self.topology.shards, self.topology.replicas);
         let adaptive = self.placement.is_adaptive();
         // Endpoint layout: primaries, then replicas, then workers, then
         // the admin control endpoint (when a control script runs), then
@@ -938,7 +871,7 @@ impl ClusterBuilder {
         // endpoint numbering.
         let mut placement_ep = adaptive.then(|| eps.pop().expect("placement ep"));
         let mut admin_ep = self.control.is_some().then(|| eps.pop().expect("admin ep"));
-        let n_home_eps = (self.shards * (1 + self.replicas)) as usize;
+        let n_home_eps = (self.topology.shards * (1 + self.topology.replicas)) as usize;
         let home_eps: Vec<Endpoint> = eps.drain(..n_home_eps).collect();
         let mut control = self.control.take();
         // Cooperative kill switches, one per home endpoint, flipped by
@@ -949,7 +882,7 @@ impl ClusterBuilder {
             .collect();
         let n_workers = self.worker_platforms.len();
         let participants: Vec<u32> = (1..=n_workers as u32).collect();
-        let retry_base = self.retry_base.unwrap_or(Duration::from_millis(250));
+        let retry_base = self.timing.retry_base.unwrap_or(Duration::from_millis(250));
         // With a faulty fabric the final Shutdown can be dropped; the home
         // sticks around long enough to answer Join retransmissions.
         let linger = if self.net_config.fault_plan.is_some() {
@@ -958,7 +891,8 @@ impl ClusterBuilder {
             Duration::ZERO
         };
         // The obs report keys its shard-utilization section off this gauge.
-        self.recorder.gauge("cluster.shards", self.shards as i64);
+        self.recorder
+            .gauge("cluster.shards", self.topology.shards as i64);
         let mut init = self.init.take();
         // With one shard the initialiser runs directly on the home
         // instance, exactly the pre-shard path. With several, it runs once
@@ -966,7 +900,8 @@ impl ClusterBuilder {
         // all homes share one platform, so an untracked byte copy
         // reproduces the closure's effect exactly, and each shard then
         // logs only the slice of the structure it owns.
-        let init_image: Option<Vec<u8>> = if directory.n_shards() > 1 || self.replicas > 0 {
+        let init_image: Option<Vec<u8>> = if directory.n_shards() > 1 || self.topology.replicas > 0
+        {
             init.take().map(|f| {
                 let mut seed = GthvInstance::new(def.clone(), self.home_platform.clone());
                 f(&mut seed);
@@ -994,12 +929,13 @@ impl ClusterBuilder {
                     n_barriers: self.n_barriers,
                     n_conds: self.n_conds,
                     participants: participants.clone(),
-                    lease: self.lease,
+                    lease: self.timing.lease,
                     linger,
                     recorder: self.recorder.clone(),
                     shard: s,
                     directory,
-                    replica_ep: (!is_replica && self.replicas > 0).then(|| directory.replica_ep(s)),
+                    replica_ep: (!is_replica && self.topology.replicas > 0)
+                        .then(|| directory.replica_ep(s)),
                     primary_ep: is_replica.then(|| directory.shard_ep(s)),
                     kill: control.is_some().then(|| kills[i].clone()),
                     sessions: spaces.clone(),
@@ -1026,18 +962,16 @@ impl ClusterBuilder {
         // stitch below.
         let mut home_outs: Vec<Vec<HomeRunOutcome>> =
             (0..directory.n_shards()).map(|_| Vec::new()).collect();
-        let deadline = self.recv_deadline;
-        let max_retries = self.max_retries;
-        let retry_base_opt = self.retry_base;
+        let timing = &self.timing;
         let mut first_error: Option<ClusterError> = None;
         let mut home_error: Option<ClusterError> = None;
         let mut worker_errors: Vec<(usize, DsdError)> = Vec::new();
         // Per-worker liveness flags for the heartbeat pump: a crashed
         // worker stops beating so the home's lease detector notices.
         let alive: Vec<AtomicBool> = (0..n_workers).map(|_| AtomicBool::new(true)).collect();
-        let pump_done = AtomicBool::new(false);
-        let placement_done = AtomicBool::new(false);
-        let telemetry_done = AtomicBool::new(false);
+        // Set once every worker and the control script have returned:
+        // the pump, placement and telemetry actors wind down.
+        let services_done = AtomicBool::new(false);
         // Threads-mode nap the teardown can cut short, so shutdown never
         // waits out a telemetry slice (that wait would be pure wall-time
         // overhead on short runs).
@@ -1047,61 +981,24 @@ impl ClusterBuilder {
             .filter(|_| self.recorder.is_enabled())
             .map(|(interval, _)| interval.max(Duration::from_micros(1)));
 
-        let replicated = self.replicas > 0;
-        // Simulation mode: register every node as a scheduler actor, in
-        // a fixed order from this one thread, before anything spawns —
-        // actor ids are part of the deterministic schedule.
-        let home_actors: Vec<Option<ActorId>> = (0..n_home_eps)
-            .map(|i| {
-                sim.as_ref().map(|f| {
-                    let n_shards = directory.n_shards() as usize;
-                    if i < n_shards {
-                        f.add_actor(&format!("home-shard{i}"))
-                    } else {
-                        f.add_actor(&format!("home-replica{}", i - n_shards))
-                    }
-                })
-            })
-            .collect();
-        let pump_actor = if self.lease.is_some() {
-            sim.as_ref().map(|f| f.add_actor("pump"))
-        } else {
-            None
-        };
-        let ctl_actor = if control.is_some() {
-            sim.as_ref().map(|f| f.add_actor("control"))
-        } else {
-            None
-        };
-        let placement_actor = if adaptive {
-            sim.as_ref().map(|f| f.add_actor("placement"))
-        } else {
-            None
-        };
-        let telemetry_actor = if telemetry_cfg.is_some() {
-            sim.as_ref().map(|f| f.add_actor("telemetry"))
-        } else {
-            None
-        };
-        let worker_actors: Vec<Option<ActorId>> = (0..n_workers)
-            .map(|i| {
-                sim.as_ref()
-                    .map(|f| f.add_actor(&format!("worker{}", i + 1)))
-            })
-            .collect();
+        // One spawn path for every node of the cluster. In simulation
+        // mode each is registered as a scheduler actor right before its
+        // thread spawns — all from this one thread, in a fixed order
+        // (homes, pump, control, placement, telemetry, workers), because
+        // actor ids are part of the deterministic schedule; the threads
+        // park at their entry turnstile until `begin()` below.
         std::thread::scope(|s| {
+            let n_shards = directory.n_shards() as usize;
             let home_handles: Vec<_> = shard_services
                 .into_iter()
-                .zip(home_actors)
-                .map(|((shard, home), actor)| {
-                    let sim = sim.clone();
-                    (
-                        shard,
-                        s.spawn(move || {
-                            let _guard = actor.map(|a| sim.as_ref().unwrap().enter(a));
-                            home.run()
-                        }),
-                    )
+                .enumerate()
+                .map(|(i, (shard, home))| {
+                    let name = if i < n_shards {
+                        format!("home-shard{i}")
+                    } else {
+                        format!("home-replica{}", i - n_shards)
+                    };
+                    (shard, spawn_actor(s, &sim, &name, move || home.run()))
                 })
                 .collect();
             // Heartbeat pump: beats on behalf of every live worker at a
@@ -1112,21 +1009,21 @@ impl ClusterBuilder {
             // (its lease table is fed by the relay stream), but after a
             // promotion the direct beat is what keeps workers alive at
             // the new primary.
-            let pump_handle = self.lease.map(|lease| {
+            let mut services = Vec::new();
+            services.extend(self.timing.lease.map(|lease| {
                 let net = net.clone();
-                let sim = sim.clone();
                 let alive = &alive;
-                let pump_done = &pump_done;
+                let services_done = &services_done;
                 let interval = (lease / 4).max(Duration::from_millis(5));
-                s.spawn(move || {
-                    let _guard = pump_actor.map(|a| sim.as_ref().unwrap().enter(a));
+                spawn_actor(s, &sim, "pump", move || {
                     let clock = net.clock();
+                    let beat_epoch = directory.epoch_stamped(MsgKind::Heartbeat).then_some(0);
                     let mut last_beat = clock.now();
                     // Exit when every worker has signed off (flags flip
                     // at deterministic points) or the run tears down;
                     // the flag check keeps the heartbeat count a pure
                     // function of the schedule in simulation mode.
-                    while !pump_done.load(Ordering::Relaxed)
+                    while !services_done.load(Ordering::Relaxed)
                         && alive.iter().any(|a| a.load(Ordering::Relaxed))
                     {
                         if clock.now().saturating_since(last_beat) >= interval {
@@ -1135,13 +1032,11 @@ impl ClusterBuilder {
                                 if a.load(Ordering::Relaxed) {
                                     let rank = i as u32 + 1;
                                     let src = directory.worker_ep(rank);
+                                    let beat =
+                                        DsdMsg::Heartbeat { rank }.encode_request(0, beat_epoch);
                                     for dst in directory.home_eps() {
-                                        let payload = if replicated {
-                                            DsdMsg::Heartbeat { rank }.encode_enveloped_epoch(0, 0)
-                                        } else {
-                                            DsdMsg::Heartbeat { rank }.encode_enveloped(0)
-                                        };
-                                        let _ = net.send_as(src, dst, MsgKind::Heartbeat, payload);
+                                        let _ =
+                                            net.send_as(src, dst, MsgKind::Heartbeat, beat.clone());
                                     }
                                 }
                             }
@@ -1149,22 +1044,20 @@ impl ClusterBuilder {
                         clock.sleep(Duration::from_millis(5));
                     }
                 })
-            });
-            // The admin control script, on its own endpoint.
+            }));
+            // The admin plane as seen from endpoint `ep`: the control
+            // script's handle, and the placement engine's actuator.
+            let ctl_on = |ep: Endpoint| ClusterCtl {
+                net: net.clone(),
+                ep,
+                directory,
+                kills: kills.clone(),
+                clock: net.clock(),
+                recorder: self.recorder.clone(),
+            };
             let ctl_handle = control.take().map(|f| {
-                let ctl = ClusterCtl {
-                    net: net.clone(),
-                    ep: admin_ep.take().expect("control implies admin endpoint"),
-                    directory,
-                    kills: kills.clone(),
-                    clock: net.clock(),
-                    recorder: self.recorder.clone(),
-                };
-                let sim = sim.clone();
-                s.spawn(move || {
-                    let _guard = ctl_actor.map(|a| sim.as_ref().unwrap().enter(a));
-                    f(ctl)
-                })
+                let ctl = ctl_on(admin_ep.take().expect("control implies admin endpoint"));
+                spawn_actor(s, &sim, "control", move || f(ctl))
             });
             // The adaptive placement engine, on its own endpoint: once
             // per policy epoch it folds the recorder's cumulative
@@ -1174,26 +1067,14 @@ impl ClusterBuilder {
             // the engine is an ordinary actor and its decisions are a
             // deterministic function of (signals, seed), while in
             // threaded mode shutdown is noticed within a slice.
-            let placement_handle = adaptive.then(|| {
-                let net = net.clone();
-                let ep = placement_ep.take().expect("adaptive implies placement ep");
+            services.extend(adaptive.then(|| {
+                let mut ctl = ctl_on(placement_ep.take().expect("adaptive implies placement ep"));
                 let policy = self.placement.clone();
                 let recorder = self.recorder.clone();
-                let sim = sim.clone();
-                let kills = kills.clone();
-                let placement_done = &placement_done;
+                let services_done = &services_done;
                 let alive = &alive;
                 let shards = directory.n_shards();
-                s.spawn(move || {
-                    let _guard = placement_actor.map(|a| sim.as_ref().unwrap().enter(a));
-                    let mut ctl = ClusterCtl {
-                        net: net.clone(),
-                        ep,
-                        directory,
-                        kills,
-                        clock: net.clock(),
-                        recorder: recorder.clone(),
-                    };
+                spawn_actor(s, &sim, "placement", move || {
                     let epoch = policy.epoch();
                     // The engine's own view of where every moved entry
                     // lives: entry → (shard, per-entry move count). Fed
@@ -1202,7 +1083,7 @@ impl ClusterBuilder {
                     let mut owners: std::collections::BTreeMap<u32, (u32, u32)> =
                         std::collections::BTreeMap::new();
                     let done = || {
-                        placement_done.load(Ordering::Relaxed)
+                        services_done.load(Ordering::Relaxed)
                             || !alive.iter().any(|a| a.load(Ordering::Relaxed))
                     };
                     'engine: loop {
@@ -1255,29 +1136,27 @@ impl ClusterBuilder {
                         }
                     }
                 })
-            });
+            }));
             // The telemetry actor: closes time-series windows and runs
             // the stall watchdog on exact tick boundaries of the fabric
             // clock. Registered like the placement engine, so in
             // simulation mode the ticks are deterministic events and
             // same-seed runs emit byte-identical frame streams and fire
             // the watchdog at identical virtual times.
-            let telemetry_handle = telemetry_cfg.map(|interval| {
+            services.extend(telemetry_cfg.map(|interval| {
                 let net = net.clone();
                 let recorder = self.recorder.clone();
-                let sim = sim.clone();
-                let telemetry_done = &telemetry_done;
+                let services_done = &services_done;
                 let telemetry_stop = &telemetry_stop;
                 let alive = &alive;
-                s.spawn(move || {
-                    let _guard = telemetry_actor.map(|a| sim.as_ref().unwrap().enter(a));
+                spawn_actor(s, &sim, "telemetry", move || {
                     let clock = net.clock();
                     let slice = Duration::from_millis(5).min(interval);
                     let mut ticker = Ticker::new(clock.now(), interval);
-                    while !telemetry_done.load(Ordering::Relaxed)
+                    while !services_done.load(Ordering::Relaxed)
                         && alive.iter().any(|a| a.load(Ordering::Relaxed))
                     {
-                        if sim.is_some() {
+                        if clock.is_sim() {
                             // Virtual time is free; the slice bounds how
                             // late past a boundary a tick event can run.
                             clock.sleep(slice);
@@ -1299,7 +1178,7 @@ impl ClusterBuilder {
                         }
                     }
                 })
-            });
+            }));
             let mut handles = Vec::new();
             let recorder = &self.recorder;
             for ((i, plat), ep) in self.worker_platforms.iter().enumerate().zip(eps.drain(..)) {
@@ -1307,14 +1186,12 @@ impl ClusterBuilder {
                 let plat = plat.clone();
                 let body = &body;
                 let alive = &alive;
-                let sim = sim.clone();
-                let actor = worker_actors[i];
                 let session = spaces
                     .iter()
                     .copied()
                     .find(|t| t.contains_rank(i as u32 + 1));
-                handles.push(s.spawn(move || {
-                    let _guard = actor.map(|a| sim.as_ref().unwrap().enter(a));
+                let name = format!("worker{}", i + 1);
+                handles.push(spawn_actor(s, &sim, &name, move || {
                     let info = WorkerInfo {
                         index: i,
                         n_workers,
@@ -1325,13 +1202,13 @@ impl ClusterBuilder {
                     let mut client = DsdClient::new(i as u32 + 1, ep, 0, gthv);
                     client.set_directory(directory);
                     client.set_recorder(recorder.clone());
-                    if let Some(d) = deadline {
+                    if let Some(d) = timing.recv_deadline {
                         client.set_recv_deadline(d);
                     }
-                    if let Some(n) = max_retries {
+                    if let Some(n) = timing.max_retries {
                         client.set_max_retries(n);
                     }
-                    if let Some(b) = retry_base_opt {
+                    if let Some(b) = timing.retry_base {
                         client.set_retry_base(b);
                     }
                     let result = body(&mut client, &info);
@@ -1371,23 +1248,13 @@ impl ClusterBuilder {
                     first_error.get_or_insert(ClusterError::Panic(panic_msg(p)));
                 }
             }
-            pump_done.store(true, Ordering::Relaxed);
-            placement_done.store(true, Ordering::Relaxed);
-            telemetry_done.store(true, Ordering::Relaxed);
+            services_done.store(true, Ordering::Relaxed);
             {
                 let (lock, cv) = &telemetry_stop;
                 *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
                 cv.notify_all();
             }
-            if let Some(h) = pump_handle {
-                let _ = h.join();
-            }
-            if let Some(h) = placement_handle {
-                if let Err(p) = h.join() {
-                    first_error.get_or_insert(ClusterError::Panic(panic_msg(p)));
-                }
-            }
-            if let Some(h) = telemetry_handle {
+            for h in services {
                 if let Err(p) = h.join() {
                     first_error.get_or_insert(ClusterError::Panic(panic_msg(p)));
                 }
@@ -1556,7 +1423,7 @@ impl ClusterBuilder {
                 self.worker_platforms.len()
             )));
         }
-        if !matches!(self.fabric, FabricMode::Threads) {
+        if !matches!(self.topology.fabric, FabricMode::Threads) {
             return Err(ClusterError::Config(
                 "run_adaptive is not supported in simulation mode; use fabric(FabricMode::Threads)"
                     .into(),
@@ -1666,6 +1533,27 @@ fn run_one_adaptive(
         }
     }
     Ok(comp.capture())
+}
+
+/// Spawn one node of the cluster — home shard, worker, pump, control
+/// script, placement engine, telemetry — on its own scoped thread. On the
+/// simulated fabric the node is first registered as scheduler actor
+/// `name`, and its thread binds to that actor (waiting for the token)
+/// before running `f`.
+fn spawn_actor<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    sim: &Option<SimFabric>,
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    let actor = sim.clone().map(|fabric| {
+        let id = fabric.add_actor(name);
+        (fabric, id)
+    });
+    s.spawn(move || {
+        let _guard = actor.map(|(fabric, id)| fabric.enter(id));
+        f()
+    })
 }
 
 fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {

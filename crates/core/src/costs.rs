@@ -3,11 +3,89 @@
 //! `C_share = t_index + t_tag + t_pack + t_unpack + t_conv` (paper §5).
 //! Every DSD participant accumulates one of these per phase; the figure
 //! harnesses aggregate them per node / per platform pair.
+//!
+//! A charged region is opened with [`Phase::begin`] and closed with
+//! [`PhaseTimer::end`]: the one place that reads the wall clock for the
+//! ledger and, over the same region, records the obs span — so every
+//! non-zero term has a span of the matching kind in the trace.
 
+use hdsm_obs::{EventKind, OpCtx, Recorder, Span};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::AddAssign;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// One term of Eq. 1: ties the [`CostBreakdown`] field it is charged to
+/// to the [`EventKind`] its regions are traced under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// `t_index` ↔ [`EventKind::DiffScan`].
+    Index,
+    /// `t_tag` ↔ [`EventKind::TagBuild`].
+    Tag,
+    /// `t_pack` ↔ [`EventKind::Pack`].
+    Pack,
+    /// `t_unpack` ↔ [`EventKind::Unpack`].
+    Unpack,
+    /// `t_conv` ↔ [`EventKind::Convert`].
+    Conv,
+}
+
+impl Phase {
+    /// The span kind this term's regions are recorded under.
+    pub fn event_kind(self) -> EventKind {
+        match self {
+            Phase::Index => EventKind::DiffScan,
+            Phase::Tag => EventKind::TagBuild,
+            Phase::Pack => EventKind::Pack,
+            Phase::Unpack => EventKind::Unpack,
+            Phase::Conv => EventKind::Convert,
+        }
+    }
+
+    /// Open a charged region of this term on endpoint `rank`, attributed
+    /// to sync op `op`. The span opens first so its bookkeeping stays
+    /// outside the wall-clock delta.
+    pub fn begin(self, recorder: &Recorder, rank: u32, op: OpCtx) -> PhaseTimer {
+        let mut span = recorder.span(rank, self.event_kind());
+        span.op(op);
+        PhaseTimer {
+            phase: self,
+            span,
+            t0: Instant::now(),
+        }
+    }
+}
+
+/// An open charged region (see [`Phase::begin`]). Dropping it without
+/// [`PhaseTimer::end`] — an early error return — still records the span
+/// but charges nothing, like the work it abandoned.
+#[must_use = "end() charges the region to the ledger"]
+pub struct PhaseTimer {
+    phase: Phase,
+    span: Span,
+    t0: Instant,
+}
+
+impl PhaseTimer {
+    /// Attach the two span arguments (see each [`EventKind`]'s docs).
+    pub fn args(&mut self, arg0: u64, arg1: u64) {
+        self.span.args(arg0, arg1);
+    }
+
+    /// Close the region: add its wall-clock duration to the term's field
+    /// of `costs`, then emit the span on the recorder's clock.
+    pub fn end(self, costs: &mut CostBreakdown) {
+        let dt = self.t0.elapsed();
+        match self.phase {
+            Phase::Index => costs.t_index += dt,
+            Phase::Tag => costs.t_tag += dt,
+            Phase::Pack => costs.t_pack += dt,
+            Phase::Unpack => costs.t_unpack += dt,
+            Phase::Conv => costs.t_conv += dt,
+        }
+    }
+}
 
 /// The five cost components of data sharing, plus bookkeeping counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -189,6 +267,47 @@ mod tests {
     #[test]
     fn empty_percentages_are_zero() {
         assert_eq!(CostBreakdown::default().percentages(), [0.0; 5]);
+    }
+
+    #[test]
+    fn a_timed_region_charges_its_field_and_emits_its_span() {
+        let rec = Recorder::enabled();
+        let mut costs = CostBreakdown::default();
+        for phase in [
+            Phase::Index,
+            Phase::Tag,
+            Phase::Pack,
+            Phase::Unpack,
+            Phase::Conv,
+        ] {
+            let mut t = phase.begin(&rec, 3, OpCtx::default());
+            t.args(7, 9);
+            std::thread::sleep(Duration::from_micros(50));
+            t.end(&mut costs);
+        }
+        let fields = [
+            costs.t_index,
+            costs.t_tag,
+            costs.t_pack,
+            costs.t_unpack,
+            costs.t_conv,
+        ];
+        assert!(fields.iter().all(|d| *d > Duration::ZERO), "{costs}");
+        let kinds: Vec<EventKind> = rec.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::DiffScan,
+                EventKind::TagBuild,
+                EventKind::Pack,
+                EventKind::Unpack,
+                EventKind::Convert
+            ]
+        );
+        assert!(rec
+            .events()
+            .iter()
+            .all(|e| (e.rank, e.arg0, e.arg1) == (3, 7, 9)));
     }
 
     #[test]

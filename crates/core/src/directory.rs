@@ -24,6 +24,27 @@
 //! primary and replica endpoint when a fenced shard answers with
 //! `ViewChange` — see DESIGN.md §14.
 
+use hdsm_net::message::MsgKind;
+
+/// Is `kind` a client-originated request (or heartbeat)? These are the
+/// frames a home shard routes through its epoch check, relay and dedup
+/// path; everything else is a reply or replication/admin control plane.
+pub fn is_client_request(kind: MsgKind) -> bool {
+    matches!(
+        kind,
+        MsgKind::LockRequest
+            | MsgKind::UnlockRequest
+            | MsgKind::BarrierEnter
+            | MsgKind::Join
+            | MsgKind::CondWait
+            | MsgKind::CondSignal
+            | MsgKind::Resync
+            | MsgKind::Heartbeat
+            | MsgKind::UpdateFlush
+            | MsgKind::UpdateFetch
+    )
+}
+
 /// Deterministic entry/lock/barrier/cond → shard mapping for a home
 /// service sharded `S` ways, with `R` warm standby replicas per shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +84,16 @@ impl Directory {
     /// Number of warm standby replicas per shard (0 = replication off).
     pub fn n_replicas(&self) -> u32 {
         self.replicas
+    }
+
+    /// The envelope rule, stated once for client, heartbeat pump and home
+    /// alike: a frame of `kind` carries an epoch stamp after its request
+    /// id iff the directory has replicas and the frame is a client
+    /// request. Replies and the control plane always keep the plain
+    /// envelope, and without replicas the wire is byte-identical to the
+    /// unreplicated protocol.
+    pub fn epoch_stamped(&self, kind: MsgKind) -> bool {
+        self.replicas > 0 && is_client_request(kind)
     }
 
     /// Shard owning index-table entry `entry`.
@@ -162,6 +193,39 @@ mod tests {
         assert_eq!(d.worker_ep(4), 9);
         assert_eq!(d.home_eps().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
         assert_eq!(d.shard_eps().collect::<Vec<_>>(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn epoch_stamping_covers_exactly_the_client_request_kinds_under_replication() {
+        let (plain, replicated) = (Directory::new(2), Directory::with_replicas(2, 1));
+        for k in [
+            MsgKind::LockRequest,
+            MsgKind::UnlockRequest,
+            MsgKind::BarrierEnter,
+            MsgKind::Join,
+            MsgKind::CondWait,
+            MsgKind::Heartbeat,
+            MsgKind::UpdateFlush,
+            MsgKind::UpdateFetch,
+        ] {
+            assert!(replicated.epoch_stamped(k), "{k:?}");
+            assert!(!plain.epoch_stamped(k), "{k:?}");
+        }
+        for k in [
+            MsgKind::LockGrant,
+            MsgKind::Ack,
+            MsgKind::Shutdown,
+            MsgKind::Replicate,
+            MsgKind::ViewChange,
+            MsgKind::HandoffState,
+            MsgKind::ReplicaBeat,
+            MsgKind::EntryHandoff,
+            MsgKind::EntryState,
+            MsgKind::EntryMoved,
+            MsgKind::Other,
+        ] {
+            assert!(!replicated.epoch_stamped(k), "{k:?}");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! threads that have not synchronized in a while (the paper's Figure 9
 //! "batch update" spike is this mechanism at work).
 
-use crate::costs::CostBreakdown;
-use crate::directory::Directory;
+use crate::costs::{CostBreakdown, Phase};
+use crate::directory::{is_client_request, Directory};
 use crate::gthv::GthvInstance;
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
@@ -36,12 +36,12 @@ use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{pack_batch_fast, unpack_batch};
+use hdsm_tags::wire::{bounded_vec, pack_batch_fast, unpack_batch};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::tenant::{ResidualReport, TenantSpace};
 
@@ -347,10 +347,6 @@ pub struct HomeShard {
     entry_pending: VecDeque<Message>,
 }
 
-/// The pre-sharding name of [`HomeShard`], kept for downstream code that
-/// spawns a single home service directly.
-pub type HomeService = HomeShard;
-
 impl HomeShard {
     /// Create the service around the authoritative instance.
     pub fn new(gthv: GthvInstance, ep: Endpoint, config: HomeConfig) -> HomeShard {
@@ -411,6 +407,19 @@ impl HomeShard {
             adaptive: config.adaptive,
             entry_pending: VecDeque::new(),
         }
+    }
+
+    /// Record a failover milestone of this shard — kill, fence, promotion,
+    /// first grant after one — as an instant event carrying the shard and
+    /// the epoch it happened under.
+    fn mark(&self, kind: EventKind, label: &'static str) {
+        self.recorder.instant(
+            self.ep.rank(),
+            kind,
+            self.shard as u64,
+            self.epoch as u64,
+            label,
+        );
     }
 
     /// The sync op thread `rank`'s outstanding request belongs to.
@@ -486,19 +495,13 @@ impl HomeShard {
                 )));
             }
         }
-        let t0 = Instant::now();
-        {
-            let mut span = self.recorder.span(self.ep.rank(), EventKind::Convert);
-            span.args(
-                updates.len() as u64,
-                updates.iter().map(|u| u.data.len() as u64).sum(),
-            );
-            span.op(self.op_of(writer));
-            apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
-        }
-        self.costs.t_conv += t0.elapsed();
+        let bytes: u64 = updates.iter().map(|u| u.data.len() as u64).sum();
+        let mut t = Phase::Conv.begin(&self.recorder, self.ep.rank(), self.op_of(writer));
+        t.args(updates.len() as u64, bytes);
+        apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
+        t.end(&mut self.costs);
         self.costs.updates_applied += updates.len() as u64;
-        self.costs.bytes_applied += updates.iter().map(|u| u.data.len() as u64).sum::<u64>();
+        self.costs.bytes_applied += bytes;
         self.seq += 1;
         let s = self.seq;
         for u in updates {
@@ -540,92 +543,126 @@ impl HomeShard {
         rank: u32,
     ) -> Result<Vec<hdsm_tags::wire::WireUpdate>, HomeError> {
         let horizon = self.seen.get(&rank).copied().unwrap_or(0);
-        let t_tag0 = Instant::now();
-        let ranges: Vec<UpdateRange>;
-        {
-            let mut span = self.recorder.span(self.ep.rank(), EventKind::TagBuild);
-            span.op(self.op_of(rank));
-            ranges = if horizon < self.log_floor {
-                // The thread's horizon predates the log: full refresh of
-                // this shard's slice.
-                self.owned_full_ranges()
-            } else {
-                coalesce(
-                    self.log
-                        .iter()
-                        .filter(|(s, w, _)| *s > horizon && *w != rank)
-                        .map(|(_, _, r)| *r)
-                        .collect(),
-                )
-            };
-            span.args(ranges.len() as u64, rank as u64);
-        }
-        self.costs.t_tag += t_tag0.elapsed();
-        let t_pack0 = Instant::now();
-        let ups;
-        {
-            let mut span = self.recorder.span(self.ep.rank(), EventKind::Pack);
-            span.op(self.op_of(rank));
-            ups = extract_updates(&self.gthv, &ranges)?;
-            span.args(
-                ups.iter().map(|u| u.data.len() as u64).sum(),
-                ups.len() as u64,
-            );
-        }
-        self.costs.t_pack += t_pack0.elapsed();
+        let op = self.op_of(rank);
+        let mut t = Phase::Tag.begin(&self.recorder, self.ep.rank(), op);
+        let ranges = if horizon < self.log_floor {
+            // The thread's horizon predates the log: full refresh of
+            // this shard's slice.
+            self.owned_full_ranges()
+        } else {
+            coalesce(
+                self.log
+                    .iter()
+                    .filter(|(s, w, _)| *s > horizon && *w != rank)
+                    .map(|(_, _, r)| *r)
+                    .collect(),
+            )
+        };
+        t.args(ranges.len() as u64, rank as u64);
+        t.end(&mut self.costs);
+        let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
+        let ups = extract_updates(&self.gthv, &ranges)?;
+        let bytes: u64 = ups.iter().map(|u| u.data.len() as u64).sum();
+        t.args(bytes, ups.len() as u64);
+        t.end(&mut self.costs);
         self.costs.updates_sent += ups.len() as u64;
-        self.costs.bytes_sent += ups.iter().map(|u| u.data.len() as u64).sum::<u64>();
+        self.costs.bytes_sent += bytes;
         self.seen.insert(rank, self.seq);
         Ok(ups)
     }
 
-    /// Transmit on the wire — unless this instance is a shadow replaying
-    /// a relayed request, in which case the send is swallowed (the
-    /// primary already answered) while all bookkeeping above this call
-    /// stays byte-identical to the primary's.
-    fn net_send(
+    /// The one transmit: put `payload` on the wire to endpoint `ep_rank`
+    /// and report whether that peer is still there — a dropped endpoint
+    /// (`Disconnected`) is the peer being gone, not a transport failure;
+    /// each caller decides what a gone peer means. A shadow replaying a
+    /// relayed request swallows the send (the primary already answered)
+    /// while all bookkeeping above this call stays byte-identical to the
+    /// primary's.
+    fn post(
         &mut self,
         ep_rank: u32,
         kind: MsgKind,
         payload: Bytes,
         op: OpCtx,
-    ) -> Result<(), NetError> {
+    ) -> Result<bool, HomeError> {
         if self.mute {
-            return Ok(());
+            return Ok(true);
         }
-        self.ep.send_op(ep_rank, kind, payload, op)
+        match self.ep.send_op(ep_rank, kind, payload, op) {
+            Ok(()) => Ok(true),
+            Err(NetError::Disconnected(_)) => Ok(false),
+            Err(e) => Err(e.into()),
+        }
     }
 
-    /// Send a reply to thread `rank`, enveloped with the request id of
-    /// its outstanding request, and cache it for retransmission.
-    fn send(&mut self, rank: u32, msg: DsdMsg) -> Result<(), HomeError> {
+    /// The control-plane send: `msg` to endpoint `ep_rank` as an
+    /// unsolicited frame (request id 0) — replication relay, depose and
+    /// handoff traffic, admin confirmations. Returns whether the peer is
+    /// alive.
+    fn tell(&mut self, ep_rank: u32, msg: DsdMsg) -> Result<bool, HomeError> {
+        self.post(
+            ep_rank,
+            msg.kind(),
+            msg.encode_enveloped(0),
+            OpCtx::default(),
+        )
+    }
+
+    /// Reply to thread `rank`: `msg` enveloped with the request id of its
+    /// outstanding request and cached for retransmission. Returns whether
+    /// the thread's endpoint is still alive.
+    fn reply(&mut self, rank: u32, msg: DsdMsg) -> Result<bool, HomeError> {
         let ep_rank = *self
             .routes
             .get(&rank)
             .ok_or_else(|| HomeError::Violation(format!("no route for thread {rank}")))?;
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
-        let t0 = Instant::now();
-        let payload = msg.encode_enveloped(req_id);
-        self.costs.t_pack += t0.elapsed();
-        self.reply_cache
-            .insert(rank, (req_id, msg.kind(), payload.clone()));
         // The reply — including a deferred grant or barrier release —
         // belongs to the op the requester is blocked in.
         let op = self.op_of(rank);
-        self.net_send(ep_rank, msg.kind(), payload, op)?;
+        let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
+        let payload = msg.encode_enveloped(req_id);
+        t.args(payload.len() as u64, rank as u64);
+        t.end(&mut self.costs);
+        self.reply_cache
+            .insert(rank, (req_id, msg.kind(), payload.clone()));
+        let alive = self.post(ep_rank, msg.kind(), payload, op)?;
         if self.promoted && !self.first_grant_recorded && !self.mute {
             // The recovery-latency endpoint: the first client request
             // this shard served after taking over.
             self.first_grant_recorded = true;
-            self.recorder.instant(
-                self.ep.rank(),
-                EventKind::FirstGrant,
-                self.shard as u64,
-                self.epoch as u64,
-                "",
-            );
+            self.mark(EventKind::FirstGrant, "");
         }
-        Ok(())
+        Ok(alive)
+    }
+
+    /// [`Self::reply`] to a thread that must still be there: a grant,
+    /// release or ack its requester is blocked on.
+    fn send(&mut self, rank: u32, msg: DsdMsg) -> Result<(), HomeError> {
+        if self.reply(rank, msg)? {
+            Ok(())
+        } else {
+            Err(NetError::Disconnected(self.routes[&rank]).into())
+        }
+    }
+
+    /// Resend thread `rank`'s cached reply if it answers request `req_id`
+    /// (the reply, not the request, was lost). A requester only hangs up
+    /// once it has its reply (and, under a sharded home, every other
+    /// shard's), so a dropped endpoint means the duplicate outlived its
+    /// sender. Returns whether there was such a reply.
+    fn resend_cached(&mut self, rank: u32, req_id: u64) -> Result<bool, HomeError> {
+        let (Some((rid, kind, payload)), Some(&ep_rank)) =
+            (self.reply_cache.get(&rank), self.routes.get(&rank))
+        else {
+            return Ok(false);
+        };
+        if *rid != req_id {
+            return Ok(false);
+        }
+        let (kind, payload) = (*kind, payload.clone());
+        self.post(ep_rank, kind, payload, self.op_of(rank))?;
+        Ok(true)
     }
 
     /// The enriched lost-worker notification for `rank`: how stale its
@@ -700,10 +737,7 @@ impl HomeShard {
                 continue;
             }
             if self.joined.contains(&r) {
-                match self.send(r, DsdMsg::Shutdown) {
-                    Err(HomeError::Net(NetError::Disconnected(_))) => {}
-                    other => other?,
-                }
+                self.reply(r, DsdMsg::Shutdown)?;
             }
             self.closed.insert(r);
             self.last_heard.remove(&r);
@@ -723,10 +757,8 @@ impl HomeShard {
         };
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
         let payload = DsdMsg::Shutdown.encode_enveloped(req_id);
-        match self.net_send(ep_rank, MsgKind::Shutdown, payload, OpCtx::default()) {
-            Err(NetError::Disconnected(_)) => Ok(()),
-            other => Ok(other?),
-        }
+        self.post(ep_rank, MsgKind::Shutdown, payload, OpCtx::default())?;
+        Ok(())
     }
 
     fn grant(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
@@ -734,9 +766,11 @@ impl HomeShard {
         self.send(rank, DsdMsg::LockGrant { lock, updates })
     }
 
-    /// Is replication on for this cluster (clients stamp epochs)?
-    fn replicated(&self) -> bool {
-        self.directory.n_replicas() > 0
+    /// Period of the service loop's wake-ups: a quarter of the lease.
+    fn tick(&self) -> Duration {
+        self.lease
+            .map(|l| (l / 4).max(Duration::from_millis(10)))
+            .unwrap_or(Duration::from_millis(10))
     }
 
     /// Has the cooperative kill switch flipped?
@@ -787,31 +821,21 @@ impl HomeShard {
     /// instance is killed, deposed or drained). Returns the instance,
     /// the home-side cost breakdown and the failover verdict.
     pub fn run(mut self) -> Result<HomeRunOutcome, HomeError> {
-        let now = self.clock.now();
-        for &r in &self.participants {
-            self.last_heard.insert(r, now);
-        }
-        self.peer_last_heard = now;
+        self.restart_leases();
+        self.peer_last_heard = self.clock.now();
         // Seed the telemetry epoch table (monotone max, so a replica's
         // epoch-0 report can't regress a promoted primary's).
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
         // Replication, a lease and the kill switch all need periodic
         // wake-ups; without any of them the classic blocking recv stands.
-        let tick = self
-            .lease
-            .map(|l| (l / 4).max(Duration::from_millis(10)))
-            .unwrap_or(Duration::from_millis(10));
-        let ticks =
-            self.lease.is_some() || self.replicated() || self.kill.is_some() || self.adaptive;
+        let tick = self.tick();
+        let ticks = self.lease.is_some()
+            || self.directory.n_replicas() > 0
+            || self.kill.is_some()
+            || self.adaptive;
         while self.joined.len() + self.dead.len() < self.participants.len() {
             if self.killed() {
-                self.recorder.instant(
-                    self.ep.rank(),
-                    EventKind::ShardKill,
-                    self.shard as u64,
-                    self.epoch as u64,
-                    "",
-                );
+                self.mark(EventKind::ShardKill, "");
                 self.recorder.count("home.shards_killed", 1);
                 return Ok(self.outcome(false));
             }
@@ -878,10 +902,7 @@ impl HomeShard {
             // may already have reached the worker, which then exits and
             // drops its endpoint before our enqueue lands. A disconnected
             // client has everything it was owed.
-            match self.send(r, DsdMsg::Shutdown) {
-                Err(HomeError::Net(NetError::Disconnected(_))) => {}
-                other => other?,
-            }
+            self.reply(r, DsdMsg::Shutdown)?;
         }
         if !self.dead.is_empty() {
             // A declared-dead worker may only be partitioned and will
@@ -895,105 +916,13 @@ impl HomeShard {
         Ok(self.outcome(true))
     }
 
-    /// One incoming message: replication/failover control first, then the
-    /// epoch-checked client path into [`Self::dispatch`].
+    /// One incoming message, decoded once: client requests take the
+    /// epoch-checked path into [`Self::dispatch`]; everything else is
+    /// replication/failover/placement control.
     fn process(&mut self, msg: Message) -> Result<(), HomeError> {
         let op = msg.trace.map(|t| t.op).unwrap_or_default();
-        match msg.kind {
-            MsgKind::Replicate => return self.on_replicate(msg),
-            MsgKind::ReplicaBeat => {
-                self.peer_last_heard = self.clock.now();
-                return Ok(());
-            }
-            MsgKind::Depose => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::Depose { shard, epoch } = m {
-                    if shard == self.shard && !self.fenced {
-                        self.fence();
-                    }
-                    let ack = DsdMsg::DeposeAck { shard, epoch }.encode_enveloped(0);
-                    match self.net_send(msg.src, MsgKind::DeposeAck, ack, OpCtx::default()) {
-                        Err(NetError::Disconnected(_)) => {}
-                        other => other?,
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::DeposeAck => {
-                self.peer_last_heard = self.clock.now();
-                self.pending_depose = false;
-                return Ok(());
-            }
-            MsgKind::HandoffRequest => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffRequest { shard } = m {
-                    if shard == self.shard {
-                        self.start_handoff(msg.src)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::HandoffState => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffState {
-                    shard,
-                    epoch,
-                    state,
-                } = m
-                {
-                    if shard == self.shard {
-                        self.on_handoff_state(msg.src, epoch, state)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::HandoffInstalled => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffInstalled { shard, epoch } = m {
-                    if shard == self.shard {
-                        self.peer_last_heard = self.clock.now();
-                        self.finish_handoff(epoch)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::EntryHandoff => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryHandoff { entry, to_shard } = m {
-                    self.on_entry_handoff(msg.src, entry, to_shard)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryState => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryState {
-                    entry,
-                    epoch,
-                    state,
-                } = m
-                {
-                    self.on_entry_state(msg.src, entry, epoch, state)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryInstalled => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryInstalled { entry, epoch } = m {
-                    self.on_entry_installed(entry, epoch)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryDone => return Ok(()),
-            MsgKind::ViewChange => {
-                // Only another home bounces us a `ViewChange` (an
-                // `EntryState` offer that hit a fenced endpoint). The
-                // idle-tick retransmit keeps offering to both endpoints
-                // until the promoted one installs; nothing to do here.
-                return Ok(());
-            }
-            _ => {}
-        }
-        if self.entry_handoff.is_some() {
+        let request = is_client_request(msg.kind);
+        if request && self.entry_handoff.is_some() {
             // An outbound entry move is in flight: the entry's log rows
             // are gone here and the target has not installed yet, so
             // neither shard could serve its pre-move updates. Defer every
@@ -1002,44 +931,92 @@ impl HomeShard {
             self.entry_pending.push_back(msg);
             return Ok(());
         }
-        // Client path. With replication on, client requests carry an
-        // epoch stamp after the request id.
-        let epoch_wire = self.replicated() && DsdMsg::epoch_stamped(msg.kind);
-        let t0 = Instant::now();
-        let (req_id, stamp, decoded) = {
-            let mut span = self.recorder.span(self.ep.rank(), EventKind::Unpack);
-            span.args(msg.payload.len() as u64, msg.src as u64);
-            span.op(op);
-            if epoch_wire {
-                let (r, e, d) = DsdMsg::decode_enveloped_epoch(msg.kind, msg.payload.clone())?;
-                (r, e, d)
-            } else {
-                let (r, d) = DsdMsg::decode_enveloped(msg.kind, msg.payload.clone())?;
-                (r, self.epoch, d)
+        let mut t = Phase::Unpack.begin(&self.recorder, self.ep.rank(), op);
+        t.args(msg.payload.len() as u64, msg.src as u64);
+        let (req_id, stamp, decoded) = DsdMsg::decode_request(
+            msg.kind,
+            msg.payload.clone(),
+            self.directory.epoch_stamped(msg.kind),
+        )?;
+        t.end(&mut self.costs);
+        match decoded {
+            DsdMsg::Replicate {
+                src_ep,
+                req_id,
+                kind,
+                body,
+            } => self.on_replicate(src_ep, req_id, kind, body),
+            DsdMsg::ReplicaBeat { .. } => {
+                self.peer_last_heard = self.clock.now();
+                Ok(())
             }
-        };
-        self.costs.t_unpack += t0.elapsed();
-        if self.role == Role::Replica && !self.promoted {
-            // A shadow never answers clients: its state evolves through
-            // the relay stream only. The client retransmits; once this
-            // replica promotes, the retransmission is served (dedup
-            // catches anything the primary already answered).
-            return Ok(());
+            DsdMsg::Depose { shard, epoch } => {
+                if shard == self.shard && !self.fenced {
+                    self.fence();
+                }
+                self.tell(msg.src, DsdMsg::DeposeAck { shard, epoch })?;
+                Ok(())
+            }
+            DsdMsg::DeposeAck { .. } => {
+                self.peer_last_heard = self.clock.now();
+                self.pending_depose = false;
+                Ok(())
+            }
+            DsdMsg::HandoffRequest { shard } if shard == self.shard => self.start_handoff(msg.src),
+            DsdMsg::HandoffState {
+                shard,
+                epoch,
+                state,
+            } if shard == self.shard => self.on_handoff_state(msg.src, epoch, state),
+            DsdMsg::HandoffInstalled { shard, epoch } if shard == self.shard => {
+                self.peer_last_heard = self.clock.now();
+                self.finish_handoff(epoch)
+            }
+            DsdMsg::EntryHandoff { entry, to_shard } => {
+                self.on_entry_handoff(msg.src, entry, to_shard)
+            }
+            DsdMsg::EntryState {
+                entry,
+                epoch,
+                state,
+            } => self.on_entry_state(msg.src, entry, epoch, state),
+            DsdMsg::EntryInstalled { entry, epoch } => self.on_entry_installed(entry, epoch),
+            // Control frames for another shard, a late `EntryDone`, or a
+            // `ViewChange` another home bounced at us (an `EntryState`
+            // offer that hit a fenced endpoint — the idle-tick retransmit
+            // keeps offering to both endpoints until the promoted one
+            // installs): nothing to do.
+            DsdMsg::HandoffRequest { .. }
+            | DsdMsg::HandoffState { .. }
+            | DsdMsg::HandoffInstalled { .. }
+            | DsdMsg::EntryDone { .. }
+            | DsdMsg::ViewChange { .. } => Ok(()),
+            decoded => {
+                if self.role == Role::Replica && !self.promoted {
+                    // A shadow never answers clients: its state evolves
+                    // through the relay stream only. The client
+                    // retransmits; once this replica promotes, the
+                    // retransmission is served (dedup catches anything the
+                    // primary already answered).
+                    return Ok(());
+                }
+                if stamp.is_some_and(|e| e > self.epoch) && !self.fenced {
+                    // A request stamped from the future: some other
+                    // instance already serves a later epoch of this shard.
+                    self.fence();
+                }
+                if self.fenced {
+                    return self.reply_view_change(msg.src, req_id);
+                }
+                // Relay *before* processing, envelope stripped, so the
+                // shadow can never miss a request whose effects the
+                // primary exposed to a client and replays it through the
+                // same dispatch path.
+                let body = msg.payload.slice(if stamp.is_some() { 12 } else { 8 }..);
+                self.relay(msg.src, req_id, msg.kind, body)?;
+                self.dispatch(msg.src, req_id, decoded, op)
+            }
         }
-        if stamp > self.epoch && !self.fenced {
-            // A request stamped from the future: some other instance
-            // already serves a later epoch of this shard. Fence.
-            self.fence();
-        }
-        if self.fenced {
-            return self.reply_view_change(msg.src, req_id);
-        }
-        if self.role == Role::Primary && self.replica_ep.is_some() && !self.replica_gone {
-            // Relay *before* processing, so the shadow can never miss a
-            // request whose effects the primary exposed to a client.
-            self.relay(msg.src, req_id, msg.kind, &msg.payload, epoch_wire)?;
-        }
-        self.dispatch(msg.src, req_id, decoded, op)
     }
 
     /// Redirect a client with a stale view: the shard now rules under
@@ -1050,10 +1027,8 @@ impl HomeShard {
             epoch: self.epoch + 1,
         }
         .encode_enveloped(req_id);
-        match self.net_send(src_ep, MsgKind::ViewChange, payload, OpCtx::default()) {
-            Err(NetError::Disconnected(_)) => Ok(()),
-            other => Ok(other?),
-        }
+        self.post(src_ep, MsgKind::ViewChange, payload, OpCtx::default())?;
+        Ok(())
     }
 
     /// Stop serving: every subsequent client request is answered with a
@@ -1061,70 +1036,46 @@ impl HomeShard {
     /// ever leave this instance.
     fn fence(&mut self) {
         self.fenced = true;
-        self.recorder.instant(
-            self.ep.rank(),
-            EventKind::Fence,
-            self.shard as u64,
-            self.epoch as u64,
-            "",
-        );
+        self.mark(EventKind::Fence, "");
         self.recorder.count("home.fenced", 1);
     }
 
-    /// Forward one client frame to the shadow replica, envelope stripped,
-    /// so the replica replays it through the same dispatch path.
+    /// Ship one frame down the replication stream (a no-op unless this is
+    /// a primary with a live standby): a client request (`src_ep`,
+    /// `req_id` as received) or, with both 0, a home-side *decision* — a
+    /// lease expiry, an ownership flip, an adopted entry — so that
+    /// timing-dependent state transitions replay verbatim instead of
+    /// being re-derived from the replica's own clock. A dead standby
+    /// means continuing solo: the cluster is back to the unreplicated
+    /// availability level.
     fn relay(
         &mut self,
         src_ep: u32,
         req_id: u64,
         kind: MsgKind,
-        payload: &Bytes,
-        epoch_wire: bool,
+        body: Bytes,
     ) -> Result<(), HomeError> {
         let Some(rep) = self.replica_ep else {
             return Ok(());
         };
-        let body = payload.slice(if epoch_wire { 12 } else { 8 }..);
+        if self.role != Role::Primary || self.replica_gone {
+            return Ok(());
+        }
         let frame = DsdMsg::Replicate {
             src_ep,
             req_id,
             kind: kind as u16,
             body,
+        };
+        if !self.tell(rep, frame)? {
+            self.replica_gone = true;
         }
-        .encode_enveloped(0);
-        match self.ep.send(rep, MsgKind::Replicate, frame) {
-            Err(NetError::Disconnected(_)) => {
-                // The replica crashed. Continue solo — the cluster is
-                // back to the unreplicated availability level.
-                self.replica_gone = true;
-                Ok(())
-            }
-            other => Ok(other?),
-        }
+        Ok(())
     }
 
-    /// Relay a home-side *decision* (today: a lease expiry) to the
-    /// shadow, so timing-dependent state transitions replay verbatim
-    /// instead of being re-derived from the replica's own clock.
+    /// [`Self::relay`] a home-side decision.
     fn relay_decision(&mut self, inner: DsdMsg) -> Result<(), HomeError> {
-        if self.role != Role::Primary || self.replica_gone || self.replica_ep.is_none() {
-            return Ok(());
-        }
-        let rep = self.replica_ep.unwrap();
-        let frame = DsdMsg::Replicate {
-            src_ep: 0,
-            req_id: 0,
-            kind: inner.kind() as u16,
-            body: inner.encode(),
-        }
-        .encode_enveloped(0);
-        match self.ep.send(rep, MsgKind::Replicate, frame) {
-            Err(NetError::Disconnected(_)) => {
-                self.replica_gone = true;
-                Ok(())
-            }
-            other => Ok(other?),
-        }
+        self.relay(0, 0, inner.kind(), inner.encode())
     }
 
     /// Replica side of the relay: replay the original request through the
@@ -1132,18 +1083,14 @@ impl HomeShard {
     /// dedup horizon and reply cache end up byte-identical to the
     /// primary's, so a promoted replica can serve retransmissions of
     /// requests the primary already answered.
-    fn on_replicate(&mut self, msg: Message) -> Result<(), HomeError> {
+    fn on_replicate(
+        &mut self,
+        src_ep: u32,
+        req_id: u64,
+        kind: u16,
+        body: Bytes,
+    ) -> Result<(), HomeError> {
         self.peer_last_heard = self.clock.now();
-        let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-        let DsdMsg::Replicate {
-            src_ep,
-            req_id,
-            kind,
-            body,
-        } = m
-        else {
-            return Ok(());
-        };
         let Some(kind) = MsgKind::from_u16(kind) else {
             return Err(HomeError::Protocol(ProtocolError::BadMessage(
                 "relayed frame with unknown kind",
@@ -1203,72 +1150,47 @@ impl HomeShard {
                     }
                 }
                 if idle {
-                    if let Some((_, epoch, state)) = self.handoff.clone() {
-                        // Keep offering the snapshot until the replica
-                        // confirms installation.
-                        let rep = self.replica_ep.expect("handoff without replica");
-                        let frame = DsdMsg::HandoffState {
-                            shard: self.shard,
-                            epoch,
-                            state,
-                        }
-                        .encode_enveloped(0);
-                        match self.ep.send(rep, MsgKind::HandoffState, frame) {
-                            Err(NetError::Disconnected(_)) => {
-                                return Err(HomeError::Violation(
-                                    "handoff target replica is gone".into(),
-                                ))
-                            }
-                            other => other?,
-                        }
-                    }
-                    if self.entry_handoff.is_some() {
-                        // Keep offering the moved entry's state until the
-                        // target shard acknowledges installation.
-                        self.send_entry_state()?;
-                    }
+                    // Keep offering the shard snapshot / the moved entry's
+                    // state until the other side confirms installation.
+                    self.offer_handoff_state()?;
+                    self.send_entry_state()?;
                 }
                 if !self.fenced {
                     self.check_leases()?;
                 }
             }
             Role::Replica => {
+                let primary = self.primary_ep.expect("replica without primary");
                 if !self.promoted {
                     // Beat the primary so it can self-fence if it loses
                     // us; a dead endpoint on the other side means the
                     // primary crashed outright.
-                    let beat = DsdMsg::ReplicaBeat { shard: self.shard }.encode_enveloped(0);
-                    let primary = self.primary_ep.expect("replica without primary");
-                    let primary_dead = matches!(
-                        self.ep.send(primary, MsgKind::ReplicaBeat, beat),
-                        Err(NetError::Disconnected(_))
-                    );
-                    let primary_silent = self
-                        .lease
-                        .map(|l| self.clock.now().saturating_since(self.peer_last_heard) > l)
-                        .unwrap_or(false);
-                    // Promote only once the inbound queue is drained, so
-                    // every relayed frame the primary managed to send is
-                    // replayed before this instance starts serving.
-                    if idle && (primary_dead || primary_silent) {
-                        self.promote();
+                    let primary_dead =
+                        !self.tell(primary, DsdMsg::ReplicaBeat { shard: self.shard })?;
+                    // A dead primary is succeeded only once the relay
+                    // stream has been quiet for a full tick, so every
+                    // frame it managed to send is replayed before this
+                    // instance starts serving. Quiet is measured on the
+                    // stream itself, not by waiting for a receive to time
+                    // out: heartbeats arrive at the tick's own period and
+                    // can keep the queue from ever looking idle.
+                    let quiet = self.clock.now().saturating_since(self.peer_last_heard);
+                    let primary_silent = self.lease.is_some_and(|l| quiet > l);
+                    if (primary_dead && quiet >= self.tick()) || primary_silent {
+                        // Take over and start deposing the old primary.
+                        self.promote(self.epoch + 1, true, "");
                     }
                 } else {
                     if self.pending_depose {
-                        let frame = DsdMsg::Depose {
+                        let depose = DsdMsg::Depose {
                             shard: self.shard,
                             epoch: self.epoch,
-                        }
-                        .encode_enveloped(0);
-                        let primary = self.primary_ep.expect("replica without primary");
-                        match self.ep.send(primary, MsgKind::Depose, frame) {
-                            // Dead primary needs no fencing.
-                            Err(NetError::Disconnected(_)) => self.pending_depose = false,
-                            other => other?,
-                        }
+                        };
+                        // A dead primary needs no fencing.
+                        self.pending_depose = self.tell(primary, depose)?;
                     }
                     self.check_leases()?;
-                    if idle && self.entry_handoff.is_some() {
+                    if idle {
                         self.send_entry_state()?;
                     }
                 }
@@ -1277,26 +1199,17 @@ impl HomeShard {
         Ok(())
     }
 
-    /// Take over the shard: bump the epoch, restart every survivor's
-    /// lease (they may have gone quiet waiting out the failover), and
-    /// start deposing the old primary.
-    fn promote(&mut self) {
+    /// Start serving the shard under `epoch`: restart every survivor's
+    /// lease (they may have gone quiet waiting out the failover) and
+    /// announce the view change. `depose` says whether the old primary
+    /// still has to be fenced (a failover) or fenced itself (`how` =
+    /// `"handoff"`).
+    fn promote(&mut self, epoch: u32, depose: bool, how: &'static str) {
         self.promoted = true;
-        self.epoch += 1;
-        self.pending_depose = true;
-        let now = self.clock.now();
-        for &r in &self.participants {
-            if !self.joined.contains(&r) && !self.dead.contains(&r) {
-                self.last_heard.insert(r, now);
-            }
-        }
-        self.recorder.instant(
-            self.ep.rank(),
-            EventKind::Promote,
-            self.shard as u64,
-            self.epoch as u64,
-            "",
-        );
+        self.epoch = epoch;
+        self.pending_depose = depose;
+        self.restart_leases();
+        self.mark(EventKind::Promote, how);
         self.recorder.count("home.promotions", 1);
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
         self.recorder.blackbox_trigger_once(
@@ -1329,20 +1242,29 @@ impl HomeShard {
         let new_epoch = self.epoch + 1;
         self.fence();
         let state = self.snapshot_state()?;
-        self.handoff = Some((admin_ep, new_epoch, state.clone()));
-        let rep = self.replica_ep.unwrap();
-        let frame = DsdMsg::HandoffState {
+        self.handoff = Some((admin_ep, new_epoch, state));
+        self.offer_handoff_state()
+    }
+
+    /// Offer the in-flight drain's snapshot to the replica. Called once
+    /// at drain start and again on idle ticks until `HandoffInstalled`
+    /// arrives.
+    fn offer_handoff_state(&mut self) -> Result<(), HomeError> {
+        let Some((_, epoch, state)) = self.handoff.clone() else {
+            return Ok(());
+        };
+        let rep = self.replica_ep.expect("handoff without replica");
+        let offer = DsdMsg::HandoffState {
             shard: self.shard,
-            epoch: new_epoch,
+            epoch,
             state,
-        }
-        .encode_enveloped(0);
-        match self.ep.send(rep, MsgKind::HandoffState, frame) {
-            Err(NetError::Disconnected(_)) => Err(HomeError::Violation(
+        };
+        if !self.tell(rep, offer)? {
+            return Err(HomeError::Violation(
                 "handoff target replica is gone".into(),
-            )),
-            other => Ok(other?),
+            ));
         }
+        Ok(())
     }
 
     /// The replica confirmed installation: tell the admin, close the obs
@@ -1374,12 +1296,8 @@ impl HomeShard {
         let done = DsdMsg::HandoffDone {
             shard: self.shard,
             epoch: new_epoch,
-        }
-        .encode_enveloped(0);
-        match self.ep.send(admin_ep, MsgKind::HandoffDone, done) {
-            Err(NetError::Disconnected(_)) => {}
-            other => other?,
-        }
+        };
+        self.tell(admin_ep, done)?;
         self.handoff = None;
         Ok(())
     }
@@ -1393,39 +1311,15 @@ impl HomeShard {
         }
         if !self.promoted {
             self.install_state(state)?;
-            self.promoted = true;
-            self.epoch = epoch;
             // The old primary fenced itself; no depose needed.
-            self.pending_depose = false;
-            let now = self.clock.now();
-            for &r in &self.participants {
-                if !self.joined.contains(&r) && !self.dead.contains(&r) {
-                    self.last_heard.insert(r, now);
-                }
-            }
-            self.recorder.instant(
-                self.ep.rank(),
-                EventKind::Promote,
-                self.shard as u64,
-                self.epoch as u64,
-                "handoff",
-            );
-            self.recorder.count("home.promotions", 1);
-            self.recorder.dir_epoch(self.shard, self.epoch as u64);
-            self.recorder.blackbox_trigger_once(
-                "view-change",
-                ((self.shard as u64) << 32) | self.epoch as u64,
-            );
+            self.promote(epoch, false, "handoff");
         }
         let ack = DsdMsg::HandoffInstalled {
             shard: self.shard,
             epoch: self.epoch,
-        }
-        .encode_enveloped(0);
-        match self.ep.send(src_ep, MsgKind::HandoffInstalled, ack) {
-            Err(NetError::Disconnected(_)) => Ok(()),
-            other => Ok(other?),
-        }
+        };
+        self.tell(src_ep, ack)?;
+        Ok(())
     }
 
     // ----- per-entry re-homing (placement engine actuator) -----
@@ -1459,11 +1353,8 @@ impl HomeShard {
         if to_shard == self.shard || !self.owns_entry(entry) {
             // Already there (or a duplicate of a completed move): the
             // idempotent confirmation is all the admin needs.
-            let done = DsdMsg::EntryDone { entry, to_shard }.encode_enveloped(0);
-            return match self.net_send(admin_ep, MsgKind::EntryDone, done, OpCtx::default()) {
-                Err(NetError::Disconnected(_)) => Ok(()),
-                other => Ok(other?),
-            };
+            self.tell(admin_ep, DsdMsg::EntryDone { entry, to_shard })?;
+            return Ok(());
         }
         let state = self.pack_entry_state(entry)?;
         let prev = self.entry_home.get(&entry).copied();
@@ -1495,26 +1386,15 @@ impl HomeShard {
         let Some(h) = &self.entry_handoff else {
             return Ok(());
         };
-        let frame = DsdMsg::EntryState {
+        let offer = DsdMsg::EntryState {
             entry: h.entry,
             epoch: h.epoch,
             state: h.state.clone(),
-        }
-        .encode_enveloped(0);
+        };
         let to_shard = h.to_shard;
-        let mut eps = vec![self.directory.shard_ep(to_shard)];
+        let mut alive = self.tell(self.directory.shard_ep(to_shard), offer.clone())?;
         if self.directory.n_replicas() > 0 {
-            eps.push(self.directory.replica_ep(to_shard));
-        }
-        let mut alive = false;
-        for ep in eps {
-            match self.net_send(ep, MsgKind::EntryState, frame.clone(), OpCtx::default()) {
-                Err(NetError::Disconnected(_)) => {}
-                other => {
-                    other?;
-                    alive = true;
-                }
-            }
+            alive |= self.tell(self.directory.replica_ep(to_shard), offer)?;
         }
         if !alive {
             // Every endpoint of the target shard is gone: abort the move
@@ -1569,11 +1449,8 @@ impl HomeShard {
             })?;
             self.install_entry(entry, epoch, state)?;
         }
-        let ack = DsdMsg::EntryInstalled { entry, epoch }.encode_enveloped(0);
-        match self.net_send(src_ep, MsgKind::EntryInstalled, ack, OpCtx::default()) {
-            Err(NetError::Disconnected(_)) => Ok(()),
-            other => Ok(other?),
-        }
+        self.tell(src_ep, DsdMsg::EntryInstalled { entry, epoch })?;
+        Ok(())
     }
 
     /// The current contents of `entry` as a packed update batch — the
@@ -1636,12 +1513,8 @@ impl HomeShard {
         let done = DsdMsg::EntryDone {
             entry: h.entry,
             to_shard: h.to_shard,
-        }
-        .encode_enveloped(0);
-        match self.net_send(h.admin_ep, MsgKind::EntryDone, done, OpCtx::default()) {
-            Err(NetError::Disconnected(_)) => {}
-            other => other?,
-        }
+        };
+        self.tell(h.admin_ep, done)?;
         self.drain_entry_pending()
     }
 
@@ -1697,23 +1570,13 @@ impl HomeShard {
             .unwrap_or(Duration::from_millis(100))
             .max(self.linger);
         let deadline = self.clock.now() + grace;
-        loop {
-            let left = deadline.saturating_since(self.clock.now());
-            if left.is_zero() {
-                return Ok(());
-            }
-            let msg = match self.ep.recv_timeout(left) {
-                Ok(m) => m,
-                Err(NetError::Timeout) | Err(NetError::ChannelClosed) => return Ok(()),
-                Err(e) => return Err(e.into()),
-            };
+        while let Some(msg) = self.recv_until(deadline)? {
             match msg.kind {
                 MsgKind::Depose => {
                     if let Ok((_, DsdMsg::Depose { shard, epoch })) =
                         DsdMsg::decode_enveloped(msg.kind, msg.payload)
                     {
-                        let ack = DsdMsg::DeposeAck { shard, epoch }.encode_enveloped(0);
-                        let _ = self.ep.send(msg.src, MsgKind::DeposeAck, ack);
+                        let _ = self.tell(msg.src, DsdMsg::DeposeAck { shard, epoch });
                     }
                 }
                 MsgKind::Replicate | MsgKind::ReplicaBeat | MsgKind::DeposeAck => {}
@@ -1728,6 +1591,7 @@ impl HomeShard {
                 }
             }
         }
+        Ok(())
     }
 
     /// Serialize the full shard state for a handoff: authoritative entry
@@ -1831,29 +1695,41 @@ impl HomeShard {
     /// Install a handoff snapshot wholesale, replacing whatever shadow
     /// state this replica accumulated (correct even if it missed relays).
     fn install_state(&mut self, mut b: Bytes) -> Result<(), HomeError> {
+        const TRUNCATED: HomeError = HomeError::Protocol(ProtocolError::Truncated);
         fn need(b: &Bytes, n: usize) -> Result<(), HomeError> {
             if b.remaining() < n {
-                Err(HomeError::Protocol(ProtocolError::Truncated))
+                Err(TRUNCATED)
             } else {
                 Ok(())
             }
+        }
+        /// One table of the snapshot: a `u32` row count, then that many
+        /// rows, each at least `width` bytes, read by `row`.
+        fn table<T>(
+            b: &mut Bytes,
+            width: usize,
+            mut row: impl FnMut(&mut Bytes) -> Result<T, HomeError>,
+        ) -> Result<Vec<T>, HomeError> {
+            need(b, 4)?;
+            let n = b.get_u32();
+            let mut rows = bounded_vec(n, width, b.remaining(), TRUNCATED)?;
+            for _ in 0..n {
+                need(b, width)?;
+                rows.push(row(b)?);
+            }
+            Ok(rows)
         }
         need(&b, 20)?;
         self.seq = b.get_u64();
         self.log_floor = b.get_u64();
         let blen = b.get_u32() as usize;
         need(&b, blen)?;
-        let batch = b.split_to(blen);
-        let ups = unpack_batch(batch).map_err(ProtocolError::from)?;
+        let ups = unpack_batch(b.split_to(blen)).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.log.clear();
-        for _ in 0..n {
-            need(&b, 32)?;
+        self.log = table(&mut b, 32, |b| {
             let (s, w) = (b.get_u64(), b.get_u32());
             let (entry, first, count) = (b.get_u32(), b.get_u64(), b.get_u64());
-            self.log.push((
+            Ok((
                 s,
                 w,
                 UpdateRange {
@@ -1861,144 +1737,64 @@ impl HomeShard {
                     first,
                     count,
                 },
-            ));
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.seen.clear();
-        for _ in 0..n {
-            need(&b, 12)?;
-            let (r, s) = (b.get_u32(), b.get_u64());
-            self.seen.insert(r, s);
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.routes.clear();
-        for _ in 0..n {
-            need(&b, 8)?;
-            let (r, ep) = (b.get_u32(), b.get_u32());
-            self.routes.insert(r, ep);
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.locks = (0..n)
-            .map(|_| -> Result<LockState, HomeError> {
-                need(&b, 8)?;
-                let holder = match b.get_u32() {
-                    0 => None,
-                    h => Some(h - 1),
-                };
-                let nw = b.get_u32();
-                let mut waiters = VecDeque::new();
-                for _ in 0..nw {
-                    need(&b, 4)?;
-                    waiters.push_back(b.get_u32());
-                }
-                Ok(LockState { holder, waiters })
-            })
-            .collect::<Result<_, _>>()?;
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.barriers = (0..n)
-            .map(|_| -> Result<BarrierState, HomeError> {
-                need(&b, 4)?;
-                let ne = b.get_u32();
-                let mut entered = Vec::new();
-                for _ in 0..ne {
-                    need(&b, 4)?;
-                    entered.push(b.get_u32());
-                }
-                Ok(BarrierState { entered })
-            })
-            .collect::<Result<_, _>>()?;
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.conds = (0..n)
-            .map(|_| -> Result<CondState, HomeError> {
-                need(&b, 4)?;
-                let nw = b.get_u32();
-                let mut waiters = VecDeque::new();
-                for _ in 0..nw {
-                    need(&b, 8)?;
-                    let (r, l) = (b.get_u32(), b.get_u32());
-                    waiters.push_back((r, l));
-                }
-                Ok(CondState { waiters })
-            })
-            .collect::<Result<_, _>>()?;
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.joined.clear();
-        for _ in 0..n {
-            need(&b, 4)?;
-            self.joined.insert(b.get_u32());
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.dead.clear();
-        for _ in 0..n {
-            need(&b, 4)?;
-            self.dead.insert(b.get_u32());
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.last_req.clear();
-        for _ in 0..n {
-            need(&b, 12)?;
-            let (r, id) = (b.get_u32(), b.get_u64());
-            self.last_req.insert(r, id);
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.reply_cache.clear();
-        for _ in 0..n {
-            need(&b, 18)?;
-            let rank = b.get_u32();
-            let rid = b.get_u64();
+            ))
+        })?;
+        self.seen = HashMap::from_iter(table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u64())))?);
+        self.routes = HashMap::from_iter(table(&mut b, 8, |b| Ok((b.get_u32(), b.get_u32())))?);
+        self.locks = table(&mut b, 8, |b| {
+            let holder = b.get_u32().checked_sub(1);
+            let waiters = table(b, 4, |b| Ok(b.get_u32()))?.into();
+            Ok(LockState { holder, waiters })
+        })?;
+        self.barriers = table(&mut b, 4, |b| {
+            let entered = table(b, 4, |b| Ok(b.get_u32()))?;
+            Ok(BarrierState { entered })
+        })?;
+        self.conds = table(&mut b, 4, |b| {
+            let waiters = table(b, 8, |b| Ok((b.get_u32(), b.get_u32())))?.into();
+            Ok(CondState { waiters })
+        })?;
+        self.joined = HashSet::from_iter(table(&mut b, 4, |b| Ok(b.get_u32()))?);
+        self.dead = HashSet::from_iter(table(&mut b, 4, |b| Ok(b.get_u32()))?);
+        self.last_req = HashMap::from_iter(table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u64())))?);
+        self.reply_cache = HashMap::from_iter(table(&mut b, 18, |b| {
+            let (rank, rid) = (b.get_u32(), b.get_u64());
             let kind = MsgKind::from_u16(b.get_u16()).ok_or(HomeError::Protocol(
                 ProtocolError::BadMessage("snapshot reply kind unknown"),
             ))?;
             let plen = b.get_u32() as usize;
-            need(&b, plen)?;
-            let payload = b.split_to(plen);
-            self.reply_cache.insert(rank, (rid, kind, payload));
-        }
-        need(&b, 4)?;
-        let n = b.get_u32();
-        self.entry_home.clear();
-        for _ in 0..n {
-            need(&b, 12)?;
-            let (entry, shard, epoch) = (b.get_u32(), b.get_u32(), b.get_u32());
-            self.entry_home.insert(entry, (shard, epoch));
-        }
+            need(b, plen)?;
+            Ok((rank, (rid, kind, b.split_to(plen))))
+        })?);
+        self.entry_home = HashMap::from_iter(table(&mut b, 12, |b| {
+            Ok((b.get_u32(), (b.get_u32(), b.get_u32())))
+        })?);
         Ok(())
+    }
+
+    /// The next message before `deadline`; `None` once it has passed or
+    /// the fabric has closed.
+    fn recv_until(&self, deadline: FabricInstant) -> Result<Option<Message>, HomeError> {
+        let left = deadline.saturating_since(self.clock.now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        match self.ep.recv_timeout(left) {
+            Ok(m) => Ok(Some(m)),
+            Err(NetError::Timeout) | Err(NetError::ChannelClosed) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Keep answering retransmissions for `linger` after shutdown, so
     /// clients whose final reply was dropped can still complete.
     fn linger_drain(&mut self) -> Result<(), HomeError> {
         let deadline = self.clock.now() + self.linger;
-        loop {
-            let left = deadline.saturating_since(self.clock.now());
-            if left.is_zero() {
-                return Ok(());
-            }
-            let msg = match self.ep.recv_timeout(left) {
-                Ok(m) => m,
-                Err(NetError::Timeout) | Err(NetError::ChannelClosed) => return Ok(()),
-                Err(e) => return Err(e.into()),
-            };
-            let epoch_wire = self.replicated() && DsdMsg::epoch_stamped(msg.kind);
-            let (req_id, decoded) = if epoch_wire {
-                match DsdMsg::decode_enveloped_epoch(msg.kind, msg.payload) {
-                    Ok((r, _, d)) => (r, d),
-                    Err(_) => continue,
-                }
-            } else {
-                match DsdMsg::decode_enveloped(msg.kind, msg.payload) {
-                    Ok(x) => x,
-                    Err(_) => continue,
-                }
+        while let Some(msg) = self.recv_until(deadline)? {
+            let stamped = self.directory.epoch_stamped(msg.kind);
+            let Ok((req_id, _, decoded)) = DsdMsg::decode_request(msg.kind, msg.payload, stamped)
+            else {
+                continue;
             };
             let Some(rank) = decoded.sender_rank() else {
                 continue;
@@ -2013,23 +1809,18 @@ impl HomeShard {
                 let _ = self.send(rank, lost);
                 continue;
             }
-            match self.reply_cache.get(&rank) {
-                Some((rid, kind, payload)) if *rid == req_id => {
-                    let (kind, payload) = (*kind, payload.clone());
-                    let ep_rank = *self.routes.get(&rank).unwrap();
-                    let op = self.op_of(rank);
-                    let _ = self.net_send(ep_rank, kind, payload, op);
-                }
-                _ if req_id > self.last_req.get(&rank).copied().unwrap_or(0) => {
-                    // A new request after shutdown can only be a stray
-                    // late join (or a client that missed the broadcast):
-                    // answer Shutdown so it terminates.
-                    self.last_req.insert(rank, req_id);
-                    let _ = self.send(rank, DsdMsg::Shutdown);
-                }
-                _ => {}
+            // A resend that fails needs no second answer either: the
+            // requester retransmits.
+            let answered = self.resend_cached(rank, req_id).unwrap_or(true);
+            if !answered && req_id > self.last_req.get(&rank).copied().unwrap_or(0) {
+                // A new request after shutdown can only be a stray late
+                // join (or a client that missed the broadcast): answer
+                // Shutdown so it terminates.
+                self.last_req.insert(rank, req_id);
+                let _ = self.send(rank, DsdMsg::Shutdown);
             }
         }
+        Ok(())
     }
 
     /// Reliability front-end: refresh liveness, deduplicate retransmitted
@@ -2050,7 +1841,7 @@ impl HomeShard {
         let Some(rank) = msg.sender_rank() else {
             // Rankless messages (e.g. stray Acks) carry no liveness or
             // dedup state; let handle() report the violation.
-            return self.handle(src_ep, msg);
+            return self.handle(msg);
         };
         self.routes.insert(rank, src_ep);
         self.touch(rank);
@@ -2067,10 +1858,8 @@ impl HomeShard {
             // already hung up again, there is nobody left to tell.
             self.last_req.insert(rank, req_id);
             let lost = self.worker_lost_msg(rank);
-            return match self.send(rank, lost) {
-                Err(HomeError::Net(NetError::Disconnected(_))) => Ok(()),
-                other => other,
-            };
+            self.reply(rank, lost)?;
+            return Ok(());
         }
         if self.closed.contains(&rank) {
             // The rank's session already shut down and its cached reply
@@ -2092,27 +1881,23 @@ impl HomeShard {
                 // Duplicate of the current request: the reply (if already
                 // produced) was lost — resend it verbatim. If the reply
                 // is still pending (deferred grant/release), ignore.
-                if let Some((rid, kind, payload)) = self.reply_cache.get(&rank) {
-                    if *rid == req_id {
-                        let (kind, payload) = (*kind, payload.clone());
-                        let ep_rank = *self.routes.get(&rank).unwrap();
-                        // A requester only hangs up once it has its reply
-                        // (and, under a sharded home, every other shard's):
-                        // a dropped endpoint means the duplicate outlived
-                        // its sender, not that the reply was lost.
-                        let op = self.op_of(rank);
-                        match self.net_send(ep_rank, kind, payload, op) {
-                            Err(NetError::Disconnected(_)) => {}
-                            other => other?,
-                        }
-                    }
-                }
+                self.resend_cached(rank, req_id)?;
                 return Ok(());
             }
             self.last_req.insert(rank, req_id);
             self.reply_cache.remove(&rank);
         }
-        self.handle(src_ep, msg)
+        self.handle(msg)
+    }
+
+    /// Start every live participant's lease afresh from now.
+    fn restart_leases(&mut self) {
+        let now = self.clock.now();
+        for &r in &self.participants {
+            if !self.joined.contains(&r) && !self.dead.contains(&r) {
+                self.last_heard.insert(r, now);
+            }
+        }
     }
 
     /// Refresh a participant's liveness timestamp.
@@ -2179,15 +1964,7 @@ impl HomeShard {
         for idx in 0..self.locks.len() {
             self.locks[idx].waiters.retain(|&w| w != rank);
             if self.locks[idx].holder == Some(rank) {
-                self.locks[idx].holder = None;
-                while let Some(next) = self.locks[idx].waiters.pop_front() {
-                    if self.dead.contains(&next) {
-                        continue;
-                    }
-                    self.locks[idx].holder = Some(next);
-                    self.grant(idx as u32, next)?;
-                    break;
-                }
+                self.pass_lock(idx as u32)?;
             }
         }
         for c in &mut self.conds {
@@ -2219,14 +1996,16 @@ impl HomeShard {
         Ok(())
     }
 
-    /// Does this shard home synchronization object `id` of kind `what`
-    /// (per `shard_of`)? Misrouted operations are protocol violations.
-    fn check_owner(
+    /// The table slot of synchronization object `id` of kind `what`
+    /// (homed per `shard_of`, in a table of `len`). A misrouted operation
+    /// or an unconfigured index is a protocol violation.
+    fn slot(
         &self,
         what: &'static str,
         id: u32,
         shard_of: impl Fn(&Directory, u32) -> u32,
-    ) -> Result<(), HomeError> {
+        len: usize,
+    ) -> Result<usize, HomeError> {
         let owner = shard_of(&self.directory, id);
         if owner != self.shard {
             return Err(HomeError::Violation(format!(
@@ -2234,37 +2013,52 @@ impl HomeShard {
                 self.shard
             )));
         }
+        if id as usize >= len {
+            return Err(HomeError::Violation(format!("no {what} {id}")));
+        }
+        Ok(id as usize)
+    }
+
+    /// Grant mutex `lock` to `rank` if it is free, else queue `rank`
+    /// behind the holder — a lock request, or a woken cond waiter that
+    /// must re-acquire its mutex before its `cond_wait` returns.
+    fn grant_or_queue(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
+        let l = &mut self.locks[lock as usize];
+        if l.holder.is_none() {
+            l.holder = Some(rank);
+            self.grant(lock, rank)
+        } else {
+            l.waiters.push_back(rank);
+            Ok(())
+        }
+    }
+
+    /// Free mutex `lock` and grant it to the next live waiter, if any —
+    /// after an unlock, a cond-wait's release half, or the holder's death.
+    fn pass_lock(&mut self, lock: u32) -> Result<(), HomeError> {
+        self.locks[lock as usize].holder = None;
+        while let Some(next) = self.locks[lock as usize].waiters.pop_front() {
+            if !self.dead.contains(&next) {
+                self.locks[lock as usize].holder = Some(next);
+                return self.grant(lock, next);
+            }
+        }
         Ok(())
     }
 
-    fn handle(&mut self, src_ep: u32, msg: DsdMsg) -> Result<(), HomeError> {
+    /// One fresh (deduplicated, routed) request against the sync tables.
+    fn handle(&mut self, msg: DsdMsg) -> Result<(), HomeError> {
         match msg {
             DsdMsg::LockRequest { lock, rank } => {
-                self.routes.insert(rank, src_ep);
-                self.check_owner("lock", lock, Directory::lock_shard)?;
-                let idx = lock as usize;
-                if idx >= self.locks.len() {
-                    return Err(HomeError::Violation(format!("no lock {lock}")));
-                }
-                if self.locks[idx].holder.is_none() {
-                    self.locks[idx].holder = Some(rank);
-                    self.grant(lock, rank)?;
-                } else {
-                    self.locks[idx].waiters.push_back(rank);
-                }
-                Ok(())
+                self.slot("lock", lock, Directory::lock_shard, self.locks.len())?;
+                self.grant_or_queue(lock, rank)
             }
             DsdMsg::UnlockRequest {
                 lock,
                 rank,
                 updates,
             } => {
-                self.routes.insert(rank, src_ep);
-                self.check_owner("lock", lock, Directory::lock_shard)?;
-                let idx = lock as usize;
-                if idx >= self.locks.len() {
-                    return Err(HomeError::Violation(format!("no lock {lock}")));
-                }
+                let idx = self.slot("lock", lock, Directory::lock_shard, self.locks.len())?;
                 if self.locks[idx].holder != Some(rank) {
                     return Err(HomeError::Violation(format!(
                         "thread {rank} unlocking mutex {lock} held by {:?}",
@@ -2277,25 +2071,20 @@ impl HomeShard {
                     return Ok(());
                 }
                 self.absorb(rank, &updates)?;
-                self.locks[idx].holder = None;
                 self.send(rank, DsdMsg::UnlockAck { lock })?;
-                if let Some(next) = self.locks[idx].waiters.pop_front() {
-                    self.locks[idx].holder = Some(next);
-                    self.grant(lock, next)?;
-                }
-                Ok(())
+                self.pass_lock(lock)
             }
             DsdMsg::BarrierEnter {
                 barrier,
                 rank,
                 updates,
             } => {
-                self.routes.insert(rank, src_ep);
-                self.check_owner("barrier", barrier, Directory::barrier_shard)?;
-                let idx = barrier as usize;
-                if idx >= self.barriers.len() {
-                    return Err(HomeError::Violation(format!("no barrier {barrier}")));
-                }
+                let idx = self.slot(
+                    "barrier",
+                    barrier,
+                    Directory::barrier_shard,
+                    self.barriers.len(),
+                )?;
                 if self.bounce_moved(rank, &updates)? {
                     return Ok(()); // client re-routes and re-enters
                 }
@@ -2318,7 +2107,6 @@ impl HomeShard {
                 Ok(())
             }
             DsdMsg::Join { rank } => {
-                self.routes.insert(rank, src_ep);
                 if !self.participants.contains(&rank) {
                     return Err(HomeError::Violation(format!(
                         "unknown participant {rank} joining"
@@ -2334,17 +2122,8 @@ impl HomeShard {
                 rank,
                 updates,
             } => {
-                self.routes.insert(rank, src_ep);
-                self.check_owner("cond", cond, Directory::cond_shard)?;
-                self.check_owner("lock", lock, Directory::lock_shard)?;
-                let cidx = cond as usize;
-                let lidx = lock as usize;
-                if cidx >= self.conds.len() {
-                    return Err(HomeError::Violation(format!("no cond {cond}")));
-                }
-                if lidx >= self.locks.len() {
-                    return Err(HomeError::Violation(format!("no lock {lock}")));
-                }
+                let cidx = self.slot("cond", cond, Directory::cond_shard, self.conds.len())?;
+                let lidx = self.slot("lock", lock, Directory::lock_shard, self.locks.len())?;
                 if self.locks[lidx].holder != Some(rank) {
                     return Err(HomeError::Violation(format!(
                         "thread {rank} cond-waiting without holding mutex {lock}"
@@ -2356,11 +2135,7 @@ impl HomeShard {
                 // Atomic release + sleep: absorb the waiter's updates,
                 // free the mutex (waking the next contender), park.
                 self.absorb(rank, &updates)?;
-                self.locks[lidx].holder = None;
-                if let Some(next) = self.locks[lidx].waiters.pop_front() {
-                    self.locks[lidx].holder = Some(next);
-                    self.grant(lock, next)?;
-                }
+                self.pass_lock(lock)?;
                 self.conds[cidx].waiters.push_back((rank, lock));
                 Ok(())
             }
@@ -2369,32 +2144,18 @@ impl HomeShard {
                 rank,
                 broadcast,
             } => {
-                self.routes.insert(rank, src_ep);
-                self.check_owner("cond", cond, Directory::cond_shard)?;
-                let cidx = cond as usize;
-                if cidx >= self.conds.len() {
-                    return Err(HomeError::Violation(format!("no cond {cond}")));
-                }
+                let cidx = self.slot("cond", cond, Directory::cond_shard, self.conds.len())?;
                 let wake = if broadcast {
                     std::mem::take(&mut self.conds[cidx].waiters)
                 } else {
                     self.conds[cidx].waiters.pop_front().into_iter().collect()
                 };
                 for (waiter, lock) in wake {
-                    // A woken thread must re-acquire its mutex before its
-                    // cond_wait returns — queue it like a lock requester.
-                    let lidx = lock as usize;
-                    if self.locks[lidx].holder.is_none() {
-                        self.locks[lidx].holder = Some(waiter);
-                        self.grant(lock, waiter)?;
-                    } else {
-                        self.locks[lidx].waiters.push_back(waiter);
-                    }
+                    self.grant_or_queue(lock, waiter)?;
                 }
                 self.send(rank, DsdMsg::Ack)
             }
             DsdMsg::Resync { rank } => {
-                self.routes.insert(rank, src_ep);
                 // Cold copy: force a full refresh at the next acquire by
                 // dropping the horizon below the log floor (or to zero).
                 self.seen.insert(rank, 0);
@@ -2412,7 +2173,6 @@ impl HomeShard {
                 // goes to another shard. Absorb and ack; the thread holds
                 // its release until the ack arrives, so the next acquirer
                 // of any mutex is guaranteed to fetch these updates.
-                self.routes.insert(rank, src_ep);
                 if self.bounce_moved(rank, &updates)? {
                     return Ok(()); // client re-routes and re-flushes
                 }
@@ -2422,7 +2182,6 @@ impl HomeShard {
             DsdMsg::UpdateFetch { rank } => {
                 // Acquire-time pull: the thread just acquired at another
                 // shard and needs this shard's outstanding updates too.
-                self.routes.insert(rank, src_ep);
                 let updates = self.stale_updates_for(rank)?;
                 self.send(rank, DsdMsg::UpdateBatch { updates })
             }
@@ -2460,7 +2219,7 @@ mod tests {
     fn init_logs_full_structure() {
         let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-        let mut h = HomeService::new(
+        let mut h = HomeShard::new(
             gthv,
             eps.pop().unwrap(),
             HomeConfig {
@@ -2486,7 +2245,7 @@ mod tests {
     fn stale_updates_respect_horizon() {
         let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-        let mut h = HomeService::new(
+        let mut h = HomeShard::new(
             gthv,
             eps.pop().unwrap(),
             HomeConfig {
@@ -2512,7 +2271,7 @@ mod tests {
     fn resync_forces_full_refresh() {
         let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-        let mut h = HomeService::new(
+        let mut h = HomeShard::new(
             gthv,
             eps.pop().unwrap(),
             HomeConfig {
@@ -2527,7 +2286,8 @@ mod tests {
         let _ = h.stale_updates_for(1).unwrap();
         assert!(h.stale_updates_for(1).unwrap().is_empty());
         // Simulate migration: cold copy.
-        h.handle(0, DsdMsg::Resync { rank: 1 }).unwrap();
+        h.dispatch(0, 0, DsdMsg::Resync { rank: 1 }, OpCtx::default())
+            .unwrap();
         let ups = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1, "full refresh after resync");
         assert_eq!(ups[0].tag.element_count(), 64);
@@ -2537,7 +2297,7 @@ mod tests {
     fn compaction_preserves_refresh_capability() {
         let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-        let mut h = HomeService::new(
+        let mut h = HomeShard::new(
             gthv,
             eps.pop().unwrap(),
             HomeConfig {

@@ -113,7 +113,7 @@ pub enum DsdMsg {
     /// instead of a grant/release that can never come, so survivors fail
     /// fast instead of hanging. Carries the forensic context of the
     /// expiry: how long ago the home last heard from the rank, and the
-    /// lease it blew through (both 0 when unknown / legacy senders).
+    /// lease it blew through (both 0 when unknown).
     WorkerLost {
         /// The dead thread's rank.
         rank: u32,
@@ -338,27 +338,6 @@ impl DsdMsg {
         }
     }
 
-    /// Is `kind` a client-originated request (or heartbeat)? These are
-    /// the kinds that carry the epoch-stamped reliability envelope when
-    /// replication is on; replies and the replication/admin control plane
-    /// keep the plain envelope.
-    pub fn epoch_stamped(kind: MsgKind) -> bool {
-        matches!(
-            kind,
-            MsgKind::LockRequest
-                | MsgKind::UnlockRequest
-                | MsgKind::BarrierEnter
-                | MsgKind::Join
-                | MsgKind::CondWait
-                | MsgKind::CondSignal
-                | MsgKind::Resync
-                | MsgKind::Other
-                | MsgKind::Heartbeat
-                | MsgKind::UpdateFlush
-                | MsgKind::UpdateFetch
-        )
-    }
-
     /// Encode the message body. The update batch (if any) is packed in
     /// the grouped v2 CGT-RMR wire format ([`pack_batch_fast`]) — this is
     /// the `t_pack` work.
@@ -549,9 +528,7 @@ impl DsdMsg {
                     broadcast,
                 })
             }
-            // `Other` kept for pre-reliability senders that shipped Resync
-            // under the catch-all kind.
-            MsgKind::Resync | MsgKind::Other => Ok(DsdMsg::Resync {
+            MsgKind::Resync => Ok(DsdMsg::Resync {
                 rank: u32_of(&mut payload)?,
             }),
             MsgKind::Ack => Ok(DsdMsg::Ack),
@@ -560,17 +537,13 @@ impl DsdMsg {
             }),
             MsgKind::WorkerLost => {
                 let rank = u32_of(&mut payload)?;
-                // Legacy frames carried only the rank; the forensic
-                // fields default to 0 ("unknown").
-                let (heard_ms, lease_ms) = if payload.remaining() >= 16 {
-                    (payload.get_u64(), payload.get_u64())
-                } else {
-                    (0, 0)
-                };
+                if payload.remaining() < 16 {
+                    return Err(ProtocolError::Truncated);
+                }
                 Ok(DsdMsg::WorkerLost {
                     rank,
-                    heard_ms,
-                    lease_ms,
+                    heard_ms: payload.get_u64(),
+                    lease_ms: payload.get_u64(),
                 })
             }
             MsgKind::Shutdown => Ok(DsdMsg::Shutdown),
@@ -682,16 +655,48 @@ impl DsdMsg {
         }
     }
 
-    /// Encode with the reliability envelope: a `u64` request id precedes
-    /// the message body. Replies echo the request's id so the client can
-    /// match them up and discard stale duplicates; `0` is reserved for
-    /// unsolicited messages (heartbeats, shutdown broadcasts).
-    pub fn encode_enveloped(&self, req_id: u64) -> Bytes {
+    /// Encode with the reliability envelope — the one request/reply codec:
+    /// `req_id u64 | [epoch u32] | body`. Replies echo the request's id so
+    /// the client can match them up and discard stale duplicates; `0` is
+    /// reserved for unsolicited messages (heartbeats, shutdown broadcasts).
+    /// `epoch` is `Some` exactly when
+    /// [`crate::directory::Directory::epoch_stamped`] says the frame
+    /// carries a stamp: a home shard compares it against its own epoch to
+    /// detect stale views (reply [`DsdMsg::ViewChange`]) and its own
+    /// deposition (a stamp from the future means another epoch rules the
+    /// shard).
+    pub fn encode_request(&self, req_id: u64, epoch: Option<u32>) -> Bytes {
         let body = self.encode();
-        let mut out = BytesMut::with_capacity(8 + body.len());
+        let mut out = BytesMut::with_capacity(12 + body.len());
         out.put_u64(req_id);
+        if let Some(epoch) = epoch {
+            out.put_u32(epoch);
+        }
         out.put_slice(&body);
         out.freeze()
+    }
+
+    /// Decode what [`Self::encode_request`] wrote; `stamped` says whether
+    /// an epoch follows the request id (the same
+    /// [`crate::directory::Directory::epoch_stamped`] verdict the sender
+    /// encoded under). Returns the request id, the stamp and the message.
+    pub fn decode_request(
+        kind: MsgKind,
+        mut payload: Bytes,
+        stamped: bool,
+    ) -> Result<(u64, Option<u32>, DsdMsg), ProtocolError> {
+        if payload.remaining() < if stamped { 12 } else { 8 } {
+            return Err(ProtocolError::Truncated);
+        }
+        let req_id = payload.get_u64();
+        let epoch = stamped.then(|| payload.get_u32());
+        Ok((req_id, epoch, DsdMsg::decode(kind, payload)?))
+    }
+
+    /// [`Self::encode_request`] without an epoch stamp: replies and the
+    /// replication/admin control plane.
+    pub fn encode_enveloped(&self, req_id: u64) -> Bytes {
+        self.encode_request(req_id, None)
     }
 
     /// Forwarder to [`Self::encode_enveloped`]; the flag is ignored (there
@@ -704,45 +709,10 @@ impl DsdMsg {
         self.encode_enveloped(req_id)
     }
 
-    /// Decode a payload carrying the reliability envelope; returns the
-    /// request id alongside the message.
-    pub fn decode_enveloped(
-        kind: MsgKind,
-        mut payload: Bytes,
-    ) -> Result<(u64, DsdMsg), ProtocolError> {
-        if payload.remaining() < 8 {
-            return Err(ProtocolError::Truncated);
-        }
-        let req_id = payload.get_u64();
-        Ok((req_id, DsdMsg::decode(kind, payload)?))
-    }
-
-    /// Encode with the *epoch-stamped* reliability envelope used by client
-    /// requests when replication is on: `req_id u64 | epoch u32 | body`.
-    /// A home shard compares the stamp against its own epoch to detect
-    /// stale views (reply [`DsdMsg::ViewChange`]) and its own deposition
-    /// (a stamp from the future means another epoch rules the shard).
-    pub fn encode_enveloped_epoch(&self, req_id: u64, epoch: u32) -> Bytes {
-        let body = self.encode();
-        let mut out = BytesMut::with_capacity(12 + body.len());
-        out.put_u64(req_id);
-        out.put_u32(epoch);
-        out.put_slice(&body);
-        out.freeze()
-    }
-
-    /// Decode a payload carrying the epoch-stamped envelope; returns the
-    /// request id and epoch stamp alongside the message.
-    pub fn decode_enveloped_epoch(
-        kind: MsgKind,
-        mut payload: Bytes,
-    ) -> Result<(u64, u32, DsdMsg), ProtocolError> {
-        if payload.remaining() < 12 {
-            return Err(ProtocolError::Truncated);
-        }
-        let req_id = payload.get_u64();
-        let epoch = payload.get_u32();
-        Ok((req_id, epoch, DsdMsg::decode(kind, payload)?))
+    /// [`Self::decode_request`] for an unstamped frame.
+    pub fn decode_enveloped(kind: MsgKind, payload: Bytes) -> Result<(u64, DsdMsg), ProtocolError> {
+        let (req_id, _, msg) = DsdMsg::decode_request(kind, payload, false)?;
+        Ok((req_id, msg))
     }
 }
 
@@ -932,67 +902,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_resync_under_other_kind_still_decodes() {
-        let m = DsdMsg::Resync { rank: 9 };
-        assert_eq!(DsdMsg::decode(MsgKind::Other, m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn legacy_worker_lost_rank_only_frame_still_decodes() {
-        // Pre-failover senders shipped just the rank.
-        let mut raw = BytesMut::new();
-        raw.put_u32(5);
+    fn removed_leniencies_are_rejected() {
+        // No sender ships Resync under the catch-all kind or a WorkerLost
+        // without its forensic tail.
+        assert!(DsdMsg::decode(MsgKind::Other, DsdMsg::Resync { rank: 9 }.encode()).is_err());
         assert_eq!(
-            DsdMsg::decode(MsgKind::WorkerLost, raw.freeze()).unwrap(),
-            DsdMsg::WorkerLost {
-                rank: 5,
-                heard_ms: 0,
-                lease_ms: 0,
-            }
+            DsdMsg::decode(MsgKind::WorkerLost, Bytes::from_static(&[0, 0, 0, 5])),
+            Err(ProtocolError::Truncated)
         );
     }
 
     #[test]
     fn epoch_envelope_roundtrips_and_detects_truncation() {
         let m = DsdMsg::LockRequest { lock: 2, rank: 5 };
-        let bytes = m.encode_enveloped_epoch(77, 3);
-        let (rid, epoch, back) = DsdMsg::decode_enveloped_epoch(m.kind(), bytes).unwrap();
-        assert_eq!((rid, epoch), (77, 3));
+        let bytes = m.encode_request(77, Some(3));
+        let (rid, epoch, back) = DsdMsg::decode_request(m.kind(), bytes, true).unwrap();
+        assert_eq!((rid, epoch), (77, Some(3)));
         assert_eq!(back, m);
         assert_eq!(
-            DsdMsg::decode_enveloped_epoch(MsgKind::Join, Bytes::from_static(&[0; 11])),
+            DsdMsg::decode_request(MsgKind::Join, Bytes::from_static(&[0; 11]), true),
             Err(ProtocolError::Truncated)
         );
-    }
-
-    #[test]
-    fn epoch_stamping_covers_exactly_the_client_request_kinds() {
-        for k in [
-            MsgKind::LockRequest,
-            MsgKind::UnlockRequest,
-            MsgKind::BarrierEnter,
-            MsgKind::Join,
-            MsgKind::CondWait,
-            MsgKind::Heartbeat,
-            MsgKind::UpdateFlush,
-            MsgKind::UpdateFetch,
-        ] {
-            assert!(DsdMsg::epoch_stamped(k), "{k:?}");
-        }
-        for k in [
-            MsgKind::LockGrant,
-            MsgKind::Ack,
-            MsgKind::Shutdown,
-            MsgKind::Replicate,
-            MsgKind::ViewChange,
-            MsgKind::HandoffState,
-            MsgKind::ReplicaBeat,
-            MsgKind::EntryHandoff,
-            MsgKind::EntryState,
-            MsgKind::EntryMoved,
-        ] {
-            assert!(!DsdMsg::epoch_stamped(k), "{k:?}");
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The software address space.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Per-page protection state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageProt {
     /// Writes fault (the DSM's armed state after a release).
     ReadOnly,

@@ -18,7 +18,6 @@
 //! so the estimate doubles as a self-check: it should sit near zero.
 
 use crate::event::{Event, EventKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Sort `events` into HLC (causal) order. Stable for equal stamps:
@@ -97,7 +96,7 @@ pub fn check_happens_before(events: &[Event]) -> Result<(), String> {
 }
 
 /// Estimated clock offset between one rank pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkewRow {
     /// Lower-numbered rank of the pair.
     pub a: u32,

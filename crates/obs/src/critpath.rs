@@ -16,11 +16,10 @@
 //! time, it only attributes it.
 
 use crate::event::{Event, EventKind, OpCtx, OpKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One attributed slice of an op's latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// What the time went on.
     pub label: &'static str,
@@ -31,7 +30,7 @@ pub struct Segment {
 }
 
 /// Retransmits attributed to one directed link during one op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkRetransmits {
     /// Sending endpoint rank.
     pub from: u32,
@@ -42,7 +41,7 @@ pub struct LinkRetransmits {
 }
 
 /// The critical path of one sync operation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpCritPath {
     /// The operation (origin = the slowest client's endpoint rank).
     pub op: OpCtx,

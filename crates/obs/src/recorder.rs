@@ -20,7 +20,7 @@ use crate::watchdog::{self, StallReport, WatchdogConfig};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -83,10 +83,8 @@ pub(crate) struct ObsCore {
     /// Overrides `epoch.elapsed()` when set (see [`TimeSource`]). Set at
     /// most once, before the cluster starts recording.
     time: OnceLock<TimeSource>,
-    /// Capacity for rings created from here on (existing rings keep
-    /// theirs) — a builder knob, so it lives behind an atomic rather
-    /// than the construction-time config.
-    ring_capacity: AtomicUsize,
+    /// Capacity of each per-rank ring ([`ObsConfig::ring_capacity`]).
+    ring_capacity: usize,
     /// Per-rank event rings, grown on first touch.
     rings: Mutex<Vec<EventRing>>,
     registry: Mutex<Registry>,
@@ -159,7 +157,7 @@ impl Recorder {
         Recorder(Some(Arc::new(ObsCore {
             epoch: Instant::now(),
             time: OnceLock::new(),
-            ring_capacity: AtomicUsize::new(config.ring_capacity.max(1)),
+            ring_capacity: config.ring_capacity.max(1),
             rings: Mutex::new(Vec::new()),
             registry: Mutex::new(Registry::default()),
             heatmap: Mutex::new(Heatmap::default()),
@@ -203,19 +201,9 @@ impl Recorder {
         let mut rings = core.rings.lock();
         let idx = e.rank as usize;
         while rings.len() <= idx {
-            let cap = core.ring_capacity.load(Ordering::Relaxed);
-            rings.push(EventRing::new(cap));
+            rings.push(EventRing::new(core.ring_capacity));
         }
         rings[idx].push(e);
-    }
-
-    /// Change the per-rank event ring capacity for rings created from
-    /// here on (rings already grown keep their capacity — call before
-    /// the cluster starts recording). No-op when disabled.
-    pub fn set_ring_capacity(&self, cap: usize) {
-        if let Some(core) = &self.0 {
-            core.ring_capacity.store(cap.max(1), Ordering::Relaxed);
-        }
     }
 
     /// Tick `rank`'s HLC for a local event and return the new stamp.
@@ -400,21 +388,6 @@ impl Recorder {
         }
     }
 
-    /// The stamp of rank `rank`'s most recent event (ZERO when disabled
-    /// or untouched). Test/analyzer convenience.
-    pub fn hlc_last(&self, rank: u32) -> HlcStamp {
-        match &self.0 {
-            Some(core) => {
-                let clocks = core.clocks.lock();
-                clocks
-                    .get(rank as usize)
-                    .map(|c| c.last())
-                    .unwrap_or(HlcStamp::ZERO)
-            }
-            None => HlcStamp::ZERO,
-        }
-    }
-
     /// Open a timing span; the event is recorded (and its duration fed
     /// into the per-kind latency histogram) when the guard drops. On a
     /// disabled recorder the guard is inert and costs nothing.
@@ -583,14 +556,6 @@ impl Recorder {
         }
     }
 
-    /// Decisions recorded so far, in order. Empty when disabled.
-    pub fn placement_decisions(&self) -> Vec<DecisionRow> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => core.decisions.lock().clone(),
-        }
-    }
-
     // ----- in-flight sync operations (fed by the client) -----
 
     /// Sync op `op` began on endpoint rank `rank`: enter it into the
@@ -634,14 +599,6 @@ impl Recorder {
         }
     }
 
-    /// The in-flight table, key-ordered. Empty when disabled.
-    pub fn in_flight_ops(&self) -> Vec<InflightOp> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => core.inflight.lock().values().copied().collect(),
-        }
-    }
-
     // ----- directory epochs (fed by the home shards) -----
 
     /// Shard `shard`'s directory epoch reached `epoch`. Monotone max, so
@@ -655,19 +612,6 @@ impl Recorder {
         }
     }
 
-    /// The directory epoch table, shard-ordered. Empty when disabled.
-    pub fn dir_epochs(&self) -> Vec<(u32, u64)> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => core
-                .dir_epochs
-                .lock()
-                .iter()
-                .map(|(&s, &e)| (s, e))
-                .collect(),
-        }
-    }
-
     // ----- windowed time-series -----
 
     /// Turn on the windowed time-series: one delta [`Frame`] per
@@ -677,14 +621,6 @@ impl Recorder {
         if let Some(core) = &self.0 {
             *core.timeseries.lock() = Some(TimeSeries::new(interval_us, cap));
         }
-    }
-
-    /// The configured window interval, `None` when the time-series is
-    /// off (or the recorder disabled).
-    pub fn timeseries_interval_us(&self) -> Option<u64> {
-        let core = self.0.as_ref()?;
-        let ts = core.timeseries.lock();
-        ts.as_ref().map(|t| t.interval_us())
     }
 
     /// One cumulative sample of every windowed table, taken lock by lock

@@ -2,20 +2,18 @@
 //!
 //! [`ObsSnapshot`] freezes everything an enabled recorder gathered:
 //! metrics, per-kind network traffic, and the page/entry heatmaps. It is
-//! plain data (`serde` derives for downstream tooling), renders to JSON
-//! (`to_json`, hand-rolled so the offline serde stand-in suffices) and to
-//! a human cluster report (`report`).
+//! plain data, renders to JSON (`to_json`, hand-written) and to a human
+//! cluster report (`report`).
 
 use crate::causal::SkewRow;
 use crate::critpath::OpCritPath;
 use crate::heatmap::Heatmap;
 use crate::metrics::Registry;
 use crate::watchdog::StallReport;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Traffic of one message kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindTraffic {
     /// Message kind label (e.g. `lock-req`).
     pub kind: String,
@@ -31,7 +29,7 @@ pub struct KindTraffic {
 /// `0..S` are the home shards when the cluster runs sharded (the
 /// `cluster.shards` gauge carries `S`), so these rows are the data behind
 /// the report's shard-utilization section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DestRow {
     /// Destination endpoint rank.
     pub dst: u32,
@@ -42,7 +40,7 @@ pub struct DestRow {
 }
 
 /// Summary of one latency histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistSummary {
     /// Metric name (event kind name for span histograms).
     pub name: String,
@@ -61,7 +59,7 @@ pub struct HistSummary {
 }
 
 /// One page row of the page heatmap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageRow {
     /// Page index in the protected global space.
     pub page: u64,
@@ -74,7 +72,7 @@ pub struct PageRow {
 }
 
 /// One entry row of the entry heatmap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRow {
     /// Index-table entry id.
     pub entry: u32,
@@ -101,7 +99,7 @@ pub struct EntryRow {
 /// One row of the per-(entry, writer) update-attribution table: how much
 /// update traffic `writer` generated for `entry`. The placement engine's
 /// "dominant writer" input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriterRow {
     /// Index-table entry id.
     pub entry: u32,
@@ -116,7 +114,7 @@ pub struct WriterRow {
 /// One row of the per-(writer, shard) sync-destination table: how many
 /// release-class operations (unlock, barrier enter, cond wait) `writer`
 /// completed at `shard`. The placement engine's "nearest shard" input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReleaseRow {
     /// Writer thread rank.
     pub writer: u32,
@@ -131,7 +129,7 @@ pub struct ReleaseRow {
 /// `epoch`, because `writer` dominated its update traffic. Decisions are
 /// part of the snapshot so same-seed simulated runs can be compared
 /// decision-for-decision, not just byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionRow {
     /// Index-table entry that moved.
     pub entry: u32,
@@ -146,7 +144,7 @@ pub struct DecisionRow {
 }
 
 /// Everything an enabled recorder knows, frozen.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObsSnapshot {
     /// Wall time covered, µs since the recorder epoch.
     pub wall_us: u64,
@@ -196,7 +194,7 @@ pub struct ObsSnapshot {
 }
 
 /// Ring statistics of one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingDropRow {
     /// Endpoint rank.
     pub rank: u32,

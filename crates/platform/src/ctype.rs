@@ -8,12 +8,11 @@
 //! structs.
 
 use crate::scalar::ScalarKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A C type as declared in the (conceptual) source program.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CType {
     /// A scalar (`int`, `double`, pointer, …).
     Scalar(ScalarKind),
@@ -24,7 +23,7 @@ pub enum CType {
 }
 
 /// A named field of a struct.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Field name (diagnostics / index-table dumps).
     pub name: String,
@@ -33,7 +32,7 @@ pub struct Field {
 }
 
 /// A struct definition.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StructDef {
     /// Struct tag name, e.g. `"GThV_t"`.
     pub name: String,

@@ -4,10 +4,8 @@
 //! that crosses a node boundary is read and written through these helpers,
 //! parameterised by the *declared* endianness of the simulated platform.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte order of a simulated platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endianness {
     /// Least-significant byte first (x86, x86-64, little-endian ARM).
     Little,

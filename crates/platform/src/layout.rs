@@ -11,10 +11,9 @@
 use crate::ctype::CType;
 use crate::scalar::ScalarKind;
 use crate::spec::PlatformSpec;
-use serde::{Deserialize, Serialize};
 
 /// Layout of one struct field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldLayout {
     /// Field name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct FieldLayout {
 }
 
 /// Shape of a laid-out type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayoutKind {
     /// A scalar of the given kind.
     Scalar(ScalarKind),
@@ -51,7 +50,7 @@ pub enum LayoutKind {
 }
 
 /// A type laid out for one specific platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TypeLayout {
     /// Total size in bytes, including tail padding.
     pub size: u64,

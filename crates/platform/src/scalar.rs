@@ -6,13 +6,11 @@
 //! every node because the same program runs everywhere (SPMD). This module
 //! enumerates the scalar kinds of that shared description.
 
-use serde::{Deserialize, Serialize};
-
 /// A C scalar type as written in the source program.
 ///
 /// Sizes are *not* part of the kind — they depend on the platform (ILP32 vs
 /// LP64, etc.) and are resolved through [`crate::spec::PlatformSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarKind {
     /// `char` — treated as signed 1-byte, per both reference platforms.
     Char,
@@ -46,7 +44,7 @@ pub enum ScalarKind {
 
 /// Conversion class of a scalar — what the receiver-makes-right routine has
 /// to do with its bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScalarClass {
     /// Two's-complement signed integer: byte-swap + sign-extend / truncate.
     Signed,

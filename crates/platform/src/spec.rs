@@ -13,12 +13,11 @@
 
 use crate::endian::Endianness;
 use crate::scalar::ScalarKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Data model of a platform: how wide are `long` and pointers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataModel {
     /// `int`, `long` and pointers are all 32-bit (classic 32-bit Unix).
     Ilp32,
@@ -32,7 +31,7 @@ pub enum DataModel {
 /// two nodes are **homogeneous** iff their specs are data-layout equal
 /// (endianness, data model and alignment quirks), which is what decides
 /// between the `memcpy` fast path and full CGT-RMR conversion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Identifier, e.g. `"linux-x86"`.
     pub name: String,

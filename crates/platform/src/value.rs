@@ -15,11 +15,10 @@ use crate::endian::{
 use crate::layout::{LayoutKind, TypeLayout};
 use crate::scalar::{ScalarClass, ScalarKind};
 use crate::spec::PlatformSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A logical value of some C type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Any integer scalar (stored wide; encoding truncates/extends to the
     /// platform's size for the declared kind).

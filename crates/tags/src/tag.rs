@@ -12,11 +12,10 @@
 //! tuple (Figure 3 shows `(0,0)` after each field), and the generator in
 //! [`crate::generate`] keeps that convention.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One item of a tag.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TagItem {
     /// `(size, count)` — `count` scalars of `size` bytes.
     Scalar {
@@ -47,7 +46,7 @@ pub enum TagItem {
 }
 
 /// A complete tag: an ordered sequence of items.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Tag(pub Vec<TagItem>);
 
 impl TagItem {

@@ -10,7 +10,7 @@ use hdsm::dsd::gthv::GthvDef;
 use hdsm::dsd::protocol::{DsdMsg, ProtocolError};
 use hdsm::dsd::{BarrierId, CondId, LockId};
 use hdsm::net::message::MsgKind;
-use hdsm::net::{FaultPlan, NetStats};
+use hdsm::net::{FabricMode, FaultPlan, NetStats};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -40,8 +40,8 @@ fn tiny_def() -> GthvDef {
 
 #[test]
 fn random_bytes_never_panic_protocol_decode() {
-    // Deterministic pseudo-random fuzz over every message kind and all
-    // three decoders: every short length, then strided lengths past 4 KiB
+    // Deterministic pseudo-random fuzz over every message kind, bare and
+    // under both envelope shapes: every short length, then strided lengths past 4 KiB
     // so a wild length prefix has a frame big enough to look plausible.
     let mut seed = 0x12345678u64;
     let mut next = || {
@@ -55,8 +55,8 @@ fn random_bytes_never_panic_protocol_decode() {
             let buf = Bytes::from((0..len).map(|_| next()).collect::<Vec<u8>>());
             // Must return Ok or Err — never panic, never over-allocate.
             let _ = DsdMsg::decode(kind, buf.clone());
-            let _ = DsdMsg::decode_enveloped(kind, buf.clone());
-            let _ = DsdMsg::decode_enveloped_epoch(kind, buf);
+            let _ = DsdMsg::decode_request(kind, buf.clone(), false);
+            let _ = DsdMsg::decode_request(kind, buf, true);
         }
     }
 }
@@ -794,8 +794,9 @@ fn failover_workload(c: &mut DsdClient, info: &WorkerInfo) -> Result<(), DsdErro
     c.barrier(BarrierId::new(0))?;
     if info.index == 0 {
         // Keep the run alive across the injected failure while the other
-        // worker's lock traffic drives the failover machinery.
-        std::thread::sleep(Duration::from_millis(250));
+        // worker's lock traffic drives the failover machinery. On the
+        // fabric clock, so the pause is virtual time in simulation mode.
+        c.network().clock().sleep(Duration::from_millis(250));
     }
     for _ in 0..10 {
         for lock in 0..2u32 {
@@ -817,9 +818,11 @@ fn failover_workload(c: &mut DsdClient, info: &WorkerInfo) -> Result<(), DsdErro
 }
 
 /// Run [`failover_workload`] on a two-shard cluster with `replicas`
-/// standbys; optionally kill one shard's primary `kill_after` ms in.
-/// Returns the final authoritative bytes and both counters.
+/// standbys on `fabric`; optionally kill one shard's primary
+/// `kill_after` ms of fabric time in. Returns the final authoritative
+/// bytes and both counters.
 fn run_failover_convergence(
+    fabric: FabricMode,
     replicas: u32,
     kill: Option<(u32, u64)>,
     plan: Option<FaultPlan>,
@@ -833,7 +836,7 @@ fn run_failover_convergence(
         .topology(TopologyConfig {
             shards: 2,
             replicas,
-            ..Default::default()
+            fabric,
         })
         .timing(TimingConfig {
             lease: Some(Duration::from_millis(400)),
@@ -852,7 +855,7 @@ fn run_failover_convergence(
     }
     if let Some((shard, after_ms)) = kill {
         b = b.control(move |ctl| {
-            std::thread::sleep(Duration::from_millis(after_ms));
+            ctl.sleep(Duration::from_millis(after_ms));
             ctl.kill_shard(ShardId::new(shard));
         });
     }
@@ -869,16 +872,18 @@ fn replicated_clean_run_is_byte_identical_to_unreplicated() {
     // Replication is pure redundancy: with nothing failing, the final
     // authoritative state must not depend on whether standbys shadowed
     // the run.
-    let (plain, a0, b0) = run_failover_convergence(0, None, None);
-    let (replicated, a1, b1) = run_failover_convergence(1, None, None);
+    let (plain, a0, b0) = run_failover_convergence(FabricMode::Threads, 0, None, None);
+    let (replicated, a1, b1) = run_failover_convergence(FabricMode::Threads, 1, None, None);
     assert_eq!((a0, b0), (40, 40));
     assert_eq!((a1, b1), (40, 40));
     assert_eq!(replicated, plain);
 }
 
-#[test]
-fn failover_kill_either_shard_converges_to_fault_free_bytes() {
-    let (clean, _, _) = run_failover_convergence(0, None, None);
+/// Kill either shard's primary 100 ms into [`failover_workload`], on a
+/// clean and on a faulty fabric: every increment survives and the final
+/// bytes equal the fault-free run's.
+fn assert_kill_either_shard_converges(fabric: FabricMode) {
+    let (clean, _, _) = run_failover_convergence(fabric, 0, None, None);
     let faulty = || {
         FaultPlan::seeded(0xFA11)
             .drop(0.02)
@@ -887,7 +892,7 @@ fn failover_kill_either_shard_converges_to_fault_free_bytes() {
     };
     for shard in [0u32, 1] {
         for (p, plan) in [None, Some(faulty())].into_iter().enumerate() {
-            let (bytes, xs, ys) = run_failover_convergence(1, Some((shard, 100)), plan);
+            let (bytes, xs, ys) = run_failover_convergence(fabric, 1, Some((shard, 100)), plan);
             assert_eq!(
                 (xs, ys),
                 (40, 40),
@@ -899,6 +904,23 @@ fn failover_kill_either_shard_converges_to_fault_free_bytes() {
             );
         }
     }
+}
+
+#[test]
+fn failover_kill_either_shard_converges_to_fault_free_bytes() {
+    // On the deterministic fabric the kill, the worker pacing and every
+    // lease and retransmit timer ride the virtual clock, so the verdict
+    // does not depend on how the host schedules seven threads.
+    assert_kill_either_shard_converges(FabricMode::Sim { seed: 0xFA11 });
+}
+
+/// The same battery on OS threads and the wall clock. Times out
+/// (`Net(Timeout)`) about 1 run in 12 on a 2-core host, so it runs in the
+/// non-blocking chaos-soak CI job (`-- --ignored soak_`), not in tier-1.
+#[test]
+#[ignore = "wall-clock failover battery: run with --ignored"]
+fn soak_failover_kill_either_shard_on_wall_clock() {
+    assert_kill_either_shard_converges(FabricMode::Threads);
 }
 
 #[test]
@@ -1132,7 +1154,7 @@ fn handoff_drains_live_shard_with_zero_failed_ops() {
     assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 40);
     assert_eq!(outcome.final_gthv.read_int(1, 0).unwrap(), 40);
     // The drained shard's final state equals a run that never handed off.
-    let (clean, _, _) = run_failover_convergence(0, None, None);
+    let (clean, _, _) = run_failover_convergence(FabricMode::Threads, 0, None, None);
     assert_eq!(outcome.final_gthv.space().raw().to_vec(), clean);
     let events = recorder.events();
     let span = events
@@ -1297,14 +1319,19 @@ fn soak_seeded_failover_chaos() {
     let reorder_p = (next() % 40) as f64 / 1000.0;
     let victim = (next() % 2) as u32;
     let kill_after = 40 + next() % 220;
-    let (clean, a, b) = run_failover_convergence(0, None, None);
+    let (clean, a, b) = run_failover_convergence(FabricMode::Threads, 0, None, None);
     assert_eq!((a, b), (40, 40), "fault-free baseline is broken");
     let plan = FaultPlan::seeded(seed)
         .drop(drop_p)
         .duplicate(dup_p)
         .reorder(reorder_p);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_failover_convergence(1, Some((victim, kill_after)), Some(plan))
+        run_failover_convergence(
+            FabricMode::Threads,
+            1,
+            Some((victim, kill_after)),
+            Some(plan),
+        )
     }));
     let failure = match &run {
         Err(_) => Some("panic or run error".to_string()),
@@ -1339,7 +1366,6 @@ const SIM_REGRESSION_SEEDS: [u64; 8] = [77, 88, 1, 2, 3, 5, 8, 13];
 /// with a chaotic fault plan, so the whole run is a pure function of
 /// the seed.
 fn run_sim_convergence(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, NetStats) {
-    use hdsm::net::FabricMode;
     let outcome = ClusterBuilder::new()
         .gthv(tiny_def())
         .worker(PlatformSpec::linux_x86())
@@ -1414,7 +1440,6 @@ fn sim_regression_seeds_replay_deterministically() {
 #[test]
 fn fifty_tenant_churn_soak_leaks_nothing() {
     use hdsm::dsd::SessionSpec;
-    use hdsm::net::FabricMode;
     const TENANTS: u32 = 50;
     // One counter slot per tenant.
     let def = GthvDef::new(

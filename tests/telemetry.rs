@@ -12,7 +12,7 @@
 use hdsm::dsd::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
 use hdsm::dsd::{BarrierId, GthvDef, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetStats};
-use hdsm::obs::{OpKind, Recorder, StallReport, TriggerRow};
+use hdsm::obs::{EventKind, OpKind, Recorder, StallReport, TriggerRow};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -221,4 +221,54 @@ fn disabled_recorder_keeps_wire_bytes_identical_to_armed_run() {
         "telemetry must not change a single wire byte"
     );
     assert_eq!(bytes_off, bytes_on, "and must not change the computation");
+}
+
+#[test]
+fn every_charged_eq1_term_has_a_span_of_its_kind_on_that_rank() {
+    // The trace covers the ledger: wherever a rank's `CostBreakdown`
+    // charged time to an Eq. 1 term, the same region is a span of the
+    // matching kind on that rank. One home shard on the threaded fabric,
+    // so the home is endpoint 0 and worker `i` is endpoint `i + 1`.
+    // Worker 0 only ever acquires, so the only packing it is charged for
+    // is encoding its own requests; worker 1 runs the release pipeline.
+    let recorder = Recorder::enabled();
+    let outcome = ClusterBuilder::new()
+        .gthv(counters_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(2)
+        .obs(recorder.clone())
+        .run(|c, info| {
+            let lock = LockId::new(info.index as u32);
+            c.acquire(lock)?;
+            if info.index == 1 {
+                c.write_int(0, 1, 7)?;
+                c.release(lock)?;
+            }
+            Ok(())
+        })
+        .expect("clean run");
+    let events = recorder.events();
+    let ledgers = std::iter::once(&outcome.home_costs).chain(&outcome.worker_costs);
+    for (rank, costs) in ledgers.enumerate() {
+        for (term, charged, kind) in [
+            ("t_index", costs.t_index, EventKind::DiffScan),
+            ("t_tag", costs.t_tag, EventKind::TagBuild),
+            ("t_pack", costs.t_pack, EventKind::Pack),
+            ("t_unpack", costs.t_unpack, EventKind::Unpack),
+            ("t_conv", costs.t_conv, EventKind::Convert),
+        ] {
+            let traced = events
+                .iter()
+                .any(|e| e.rank == rank as u32 && e.kind == kind);
+            assert!(
+                charged.is_zero() || traced,
+                "rank {rank} charged {charged:?} to {term} without a {kind:?} span"
+            );
+        }
+    }
+    assert!(
+        outcome.worker_costs.iter().all(|c| !c.t_pack.is_zero()),
+        "every worker packed at least its requests"
+    );
 }
