@@ -31,7 +31,7 @@
 //! Every phase is timed into the Eq. 1 [`CostBreakdown`].
 
 use crate::costs::{CostBreakdown, Phase};
-use crate::directory::Directory;
+use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
@@ -181,14 +181,29 @@ fn decorrelated_backoff(
 /// rolls.
 const RETRY_CAP: std::time::Duration = std::time::Duration::from_secs(5);
 
+/// What this client has learned about one home shard's failover state —
+/// one row per shard replaces the `shard_epochs` and `shard_overrides`
+/// maps, which a `ViewChange` always wrote together.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardView {
+    /// The shard's directory epoch, stamped on requests when the
+    /// directory has replicas (0 = the shard's original primary).
+    epoch: u32,
+    /// The endpoint this client currently believes serves the shard,
+    /// once a dead primary or a `ViewChange` taught it otherwise.
+    ep: Option<u32>,
+}
+
 /// A computing thread's handle on the distributed shared data.
 pub struct DsdClient {
     thread_rank: u32,
     ep: Endpoint,
     home_ep: u32,
-    /// Entry/lock/barrier → home-shard partition; the single-home layout
-    /// unless the cluster was built with `shards(n)`.
-    directory: Directory,
+    /// Entry/lock/barrier → home-shard partition (the single-home layout
+    /// unless the cluster was built with `shards(n)`), plus the per-entry
+    /// ownership rows learned lazily from `EntryMoved` bounces when the
+    /// adaptive placement engine re-homes an entry.
+    placement: Placement,
     /// Rank used for this client's observability events: the transport
     /// endpoint rank, which never collides with home-shard ranks (it
     /// equals the thread rank in the classic single-home layout).
@@ -204,18 +219,9 @@ pub struct DsdClient {
     max_retries: u32,
     /// First retransmission delay; later delays use decorrelated jitter.
     retry_base: std::time::Duration,
-    /// Directory epoch per shard, learned from `ViewChange` replies.
-    /// Requests are stamped with it when the directory has replicas;
-    /// absent entries mean epoch 0 (the shard's original primary).
-    shard_epochs: std::collections::HashMap<u32, u32>,
-    /// Failover overrides: shard → endpoint this client currently
-    /// believes serves it (set when a primary dies or deposes itself).
-    shard_overrides: std::collections::HashMap<u32, u32>,
-    /// Placement overrides: entry → (owning shard, placement epoch),
-    /// learned lazily from `EntryMoved` bounces when the adaptive
-    /// placement engine re-homes an entry away from its modulo shard.
-    /// Higher epochs win; absent entries follow the static directory.
-    entry_overrides: std::collections::HashMap<u32, (u32, u32)>,
+    /// Failover view per shard, learned from dead endpoints and
+    /// `ViewChange` replies; an absent shard is at its original primary.
+    shard_views: std::collections::HashMap<u32, ShardView>,
     /// Observability hook (disabled by default: every use is a null check).
     recorder: Recorder,
     /// The fabric's time source (wall clock in threaded mode, virtual
@@ -245,7 +251,7 @@ impl DsdClient {
             thread_rank,
             ep,
             home_ep,
-            directory: Directory::single(),
+            placement: Placement::new(Directory::single()),
             obs_rank,
             gthv,
             costs: CostBreakdown::default(),
@@ -255,9 +261,7 @@ impl DsdClient {
             req_counter: 0,
             max_retries: 10,
             retry_base: std::time::Duration::from_millis(250),
-            shard_epochs: std::collections::HashMap::new(),
-            shard_overrides: std::collections::HashMap::new(),
-            entry_overrides: std::collections::HashMap::new(),
+            shard_views: std::collections::HashMap::new(),
             recorder: Recorder::disabled(),
             clock,
             held_since: std::collections::HashMap::new(),
@@ -300,12 +304,12 @@ impl DsdClient {
     /// home shards were built with; the default single-home directory
     /// routes everything to `home_ep`.
     pub fn set_directory(&mut self, directory: Directory) {
-        self.directory = directory;
+        self.placement = Placement::new(directory);
     }
 
     /// The entry/lock/barrier → shard directory this client routes by.
     pub fn directory(&self) -> Directory {
-        self.directory
+        self.placement.directory()
     }
 
     /// Endpoint rank home shard `shard` listens on. The single-home
@@ -313,57 +317,46 @@ impl DsdClient {
     /// override (learned from a dead endpoint or a `ViewChange`) wins
     /// over the directory's default.
     fn shard_ep(&self, shard: u32) -> u32 {
-        if let Some(&ep) = self.shard_overrides.get(&shard) {
+        if let Some(ep) = self.shard_views.get(&shard).and_then(|v| v.ep) {
             return ep;
         }
-        if self.directory.n_shards() == 1 && self.directory.n_replicas() == 0 {
+        let directory = self.directory();
+        if directory.n_shards() == 1 && directory.n_replicas() == 0 {
             self.home_ep
         } else {
-            self.directory.shard_ep(shard)
+            directory.shard_ep(shard)
         }
     }
 
     /// The epoch this client stamps on requests to `shard` (0 until a
     /// `ViewChange` teaches it otherwise).
     fn epoch_of(&self, shard: u32) -> u32 {
-        self.shard_epochs.get(&shard).copied().unwrap_or(0)
+        self.shard_views.get(&shard).map_or(0, |v| v.epoch)
     }
 
     /// The other endpoint serving `shard` — its replica if `not` is the
     /// primary, its primary otherwise. Only meaningful with replicas.
     fn other_ep(&self, shard: u32, not: u32) -> u32 {
-        let primary = self.directory.shard_ep(shard);
+        let primary = self.directory().shard_ep(shard);
         if not == primary {
-            self.directory.replica_ep(shard)
+            self.directory().replica_ep(shard)
         } else {
             primary
         }
     }
 
-    /// The shard that *effectively* owns `entry`: a placement override
-    /// learned from an `EntryMoved` bounce, else the static modulo map.
-    fn entry_shard_eff(&self, entry: u32) -> u32 {
-        self.entry_overrides
-            .get(&entry)
-            .map(|&(s, _)| s)
-            .unwrap_or_else(|| self.directory.entry_shard(entry))
-    }
-
-    /// Adopt `EntryMoved` rows into the override map. Each row carries
-    /// the entry's monotonically increasing placement epoch, so stale
-    /// bounces (from a shard that has since lost the entry again) never
-    /// roll the map backwards.
+    /// Adopt `EntryMoved` rows into the placement. Each row carries the
+    /// entry's monotonically increasing placement epoch, so stale bounces
+    /// (from a shard that has since lost the entry again) never roll the
+    /// view backwards.
     fn learn_moves(&mut self, rows: &[(u32, u32, u32)]) {
-        let mut learned = 0u64;
-        for &(entry, shard, epoch) in rows {
-            let cur = self.entry_overrides.get(&entry).map(|&(_, e)| e);
-            if cur.is_none_or(|c| epoch > c) {
-                self.entry_overrides.insert(entry, (shard, epoch));
-                learned += 1;
-            }
-        }
+        let learned = rows
+            .iter()
+            .filter(|&&(entry, shard, epoch)| self.placement.adopt(entry, shard, epoch))
+            .count();
         if learned > 0 {
-            self.recorder.count("client.entry_moves_learned", learned);
+            self.recorder
+                .count("client.entry_moves_learned", learned as u64);
         }
     }
 
@@ -371,7 +364,7 @@ impl DsdClient {
     /// rule, stamped with the epoch this client last learned — `t_pack`.
     fn pack_request(&mut self, msg: &DsdMsg, req_id: u64, shard: u32) -> bytes::Bytes {
         let epoch = self
-            .directory
+            .directory()
             .epoch_stamped(msg.kind())
             .then(|| self.epoch_of(shard));
         let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
@@ -514,11 +507,11 @@ impl DsdClient {
             }
             match self.ep.send_op(dst, kind, payload.clone(), self.cur_op) {
                 Ok(()) => self.costs.bytes_sent += payload.len() as u64,
-                Err(NetError::Disconnected(_)) if self.directory.n_replicas() > 0 => {
+                Err(NetError::Disconnected(_)) if self.directory().n_replicas() > 0 => {
                     // The destination's endpoint is gone: fail over to
                     // the shard's other endpoint and keep retrying there.
                     dst = self.other_ep(shard, dst);
-                    self.shard_overrides.insert(shard, dst);
+                    self.shard_views.entry(shard).or_default().ep = Some(dst);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -571,13 +564,13 @@ impl DsdClient {
                             // still talking to the fenced sender itself.
                             let newer = epoch > self.epoch_of(vs);
                             if newer {
-                                self.shard_epochs.insert(vs, epoch);
-                                self.shard_overrides.insert(vs, self.other_ep(vs, src));
+                                let ep = Some(self.other_ep(vs, src));
+                                self.shard_views.insert(vs, ShardView { epoch, ep });
                             }
                             if vs == shard && (newer || dst == src) {
                                 if dst == src && !newer {
-                                    self.shard_overrides
-                                        .insert(shard, self.other_ep(shard, src));
+                                    let ep = Some(self.other_ep(shard, src));
+                                    self.shard_views.entry(shard).or_default().ep = ep;
                                 }
                                 dst = self.shard_ep(shard);
                                 payload = self.pack_request(&msg, req_id, shard);
@@ -707,7 +700,7 @@ impl DsdClient {
         let mut pending = self.collect_outgoing()?;
         // Twins/dirty marks shipped; re-arm for the next critical section.
         self.gthv.space_mut().reset_and_protect();
-        let shards = self.directory.n_shards();
+        let shards = self.directory().n_shards();
         let mut kept: Vec<WireUpdate> = Vec::new();
         loop {
             if shards == 1 {
@@ -715,7 +708,7 @@ impl DsdClient {
             } else {
                 let mut buckets: Vec<Vec<WireUpdate>> = (0..shards).map(|_| Vec::new()).collect();
                 for u in pending.drain(..) {
-                    buckets[self.entry_shard_eff(u.entry) as usize].push(u);
+                    buckets[self.placement.owner(u.entry) as usize].push(u);
                 }
                 kept.append(&mut buckets[owner as usize]);
                 for shard in 0..shards {
@@ -762,7 +755,7 @@ impl DsdClient {
         granting: u32,
         mut updates: Vec<WireUpdate>,
     ) -> Result<(), DsdError> {
-        for shard in (0..self.directory.n_shards()).filter(|&s| s != granting) {
+        for shard in (0..self.directory().n_shards()).filter(|&s| s != granting) {
             match self.request(
                 shard,
                 DsdMsg::UpdateFetch {
@@ -785,7 +778,7 @@ impl DsdClient {
     pub fn acquire(&mut self, lock: LockId) -> Result<(), DsdError> {
         let lock = lock.raw();
         self.op(OpKind::Lock, lock, |c| {
-            let owner = c.directory.lock_shard(lock);
+            let owner = c.directory().lock_shard(lock);
             let reply = {
                 let mut span = c.recorder.span(c.obs_rank, EventKind::LockWait);
                 span.args(lock as u64, 0);
@@ -816,7 +809,7 @@ impl DsdClient {
     pub fn release(&mut self, lock: LockId) -> Result<(), DsdError> {
         let lock = lock.raw();
         self.op(OpKind::Unlock, lock, |c| {
-            let owner = c.directory.lock_shard(lock);
+            let owner = c.directory().lock_shard(lock);
             let mut release = c.recorder.span(c.obs_rank, EventKind::LockRelease);
             release.args(lock as u64, 0);
             release.op(c.cur_op);
@@ -872,8 +865,8 @@ impl DsdClient {
     pub fn cond_wait(&mut self, cond: CondId, lock: LockId) -> Result<(), DsdError> {
         let (cond, lock) = (cond.raw(), lock.raw());
         self.op(OpKind::Cond, cond, |c| {
-            let owner = c.directory.lock_shard(lock);
-            if c.directory.cond_shard(cond) != owner {
+            let owner = c.directory().lock_shard(lock);
+            if c.directory().cond_shard(cond) != owner {
                 return Err(DsdError::ShardMismatch { cond, lock });
             }
             let rank = c.thread_rank;
@@ -906,7 +899,7 @@ impl DsdClient {
     fn cond_wake(&mut self, cond: u32, broadcast: bool) -> Result<(), DsdError> {
         self.op(OpKind::Cond, cond, |c| {
             match c.request(
-                c.directory.cond_shard(cond),
+                c.directory().cond_shard(cond),
                 DsdMsg::CondSignal {
                     cond,
                     rank: c.thread_rank,
@@ -925,7 +918,7 @@ impl DsdClient {
     pub fn barrier(&mut self, barrier: BarrierId) -> Result<(), DsdError> {
         let barrier = barrier.raw();
         self.op(OpKind::Barrier, barrier, |c| {
-            let coordinator = c.directory.barrier_shard(barrier);
+            let coordinator = c.directory().barrier_shard(barrier);
             let mut span = c.recorder.span(c.obs_rank, EventKind::Barrier);
             span.args(barrier as u64, 0);
             span.op(c.cur_op);
@@ -956,7 +949,7 @@ impl DsdClient {
             // Sign off at every shard; each keeps its own participant
             // table and its Shutdown is the deferred (retransmittable)
             // reply to the Join it received.
-            for shard in 0..c.directory.n_shards() {
+            for shard in 0..c.directory().n_shards() {
                 match c.request(
                     shard,
                     DsdMsg::Join {
@@ -1074,7 +1067,7 @@ impl DsdClient {
         self.gthv.space_mut().reset_and_protect();
         // Every shard tracks its own horizon for this thread; each must
         // drop it so the next acquire fully refreshes every slice.
-        for shard in 0..self.directory.n_shards() {
+        for shard in 0..self.directory().n_shards() {
             match self.request(
                 shard,
                 DsdMsg::Resync {

@@ -30,7 +30,7 @@
 
 use crate::client::{DsdClient, DsdError};
 use crate::costs::CostBreakdown;
-use crate::directory::Directory;
+use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvDef, GthvInstance};
 use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
 use crate::ids::{BarrierId, CondId, LockId, ShardId};
@@ -820,9 +820,8 @@ impl ClusterBuilder {
         }
         // The telemetry knobs are no-ops on a disabled recorder — the
         // calls below return without touching anything.
-        if let Some((interval, frames)) = self.telemetry {
-            self.recorder
-                .enable_timeseries(interval.as_micros().max(1) as u64, frames);
+        if let Some((_, frames)) = self.telemetry {
+            self.recorder.enable_timeseries(frames);
             self.recorder.configure_watchdog(WatchdogConfig {
                 budget_us: self
                     .timing
@@ -915,12 +914,9 @@ impl ClusterBuilder {
         // its primary through the relay stream.
         let mut shard_services = Vec::with_capacity(n_home_eps);
         for (i, ep) in home_eps.into_iter().enumerate() {
-            let is_replica = i >= directory.n_shards() as usize;
-            let s = if is_replica {
-                i as u32 - directory.n_shards()
-            } else {
-                i as u32
-            };
+            // Endpoint `i` serves shard `i % S`: as primary below `S`,
+            // as its standby above.
+            let s = i as u32 % directory.n_shards();
             let mut home = HomeShard::new(
                 GthvInstance::new(def.clone(), self.home_platform.clone()),
                 ep,
@@ -934,9 +930,7 @@ impl ClusterBuilder {
                     recorder: self.recorder.clone(),
                     shard: s,
                     directory,
-                    replica_ep: (!is_replica && self.topology.replicas > 0)
-                        .then(|| directory.replica_ep(s)),
-                    primary_ep: is_replica.then(|| directory.shard_ep(s)),
+                    standby: i as u32 >= directory.n_shards(),
                     kill: control.is_some().then(|| kills[i].clone()),
                     sessions: spaces.clone(),
                     adaptive,
@@ -1077,11 +1071,10 @@ impl ClusterBuilder {
                 spawn_actor(s, &sim, "placement", move || {
                     let epoch = policy.epoch();
                     // The engine's own view of where every moved entry
-                    // lives: entry → (shard, per-entry move count). Fed
+                    // lives, its epochs counting the moves per entry. Fed
                     // back into the planner so settled moves become
                     // no-ops instead of oscillation.
-                    let mut owners: std::collections::BTreeMap<u32, (u32, u32)> =
-                        std::collections::BTreeMap::new();
+                    let mut owners = Placement::new(directory);
                     let done = || {
                         services_done.load(Ordering::Relaxed)
                             || !alive.iter().any(|a| a.load(Ordering::Relaxed))
@@ -1099,7 +1092,7 @@ impl ClusterBuilder {
                         let inputs = PlacementInputs {
                             write_heat: recorder.write_heat(),
                             release_dests: recorder.release_dests(),
-                            owners: owners.iter().map(|(&e, &(s, _))| (e, s)).collect(),
+                            owners: owners.rows().into_iter().map(|(e, s, _)| (e, s)).collect(),
                             shards,
                         };
                         for d in policy.plan(&inputs) {
@@ -1112,9 +1105,8 @@ impl ClusterBuilder {
                                 ShardId::new(d.to_shard),
                             ) {
                                 Ok(()) => {
-                                    let moves =
-                                        owners.get(&d.entry).map(|&(_, m)| m).unwrap_or(0) + 1;
-                                    owners.insert(d.entry, (d.to_shard, moves));
+                                    let moves = owners.epoch(d.entry) + 1;
+                                    owners.adopt(d.entry, d.to_shard, moves);
                                     recorder.placement_decision(DecisionRow {
                                         entry: d.entry,
                                         from_shard: d.from_shard,
@@ -1122,7 +1114,6 @@ impl ClusterBuilder {
                                         writer: d.writer,
                                         epoch: moves,
                                     });
-                                    recorder.count("placement.rehomes", 1);
                                 }
                                 Err(ClusterError::HandoffBusy { .. }) => {
                                     // The shard is mid-promotion or
@@ -1334,27 +1325,14 @@ impl ClusterBuilder {
         }
         let residuals: Vec<ResidualReport> = winners.iter().map(|w| w.residual).collect();
         // Adaptive placement may have re-homed entries away from their
-        // static modulo shard. Merge every winner's ownership overlay
-        // (max per-entry epoch wins, exactly the clients' merge rule) so
-        // the overlay step below attributes each entry to its *effective*
-        // final owner. Static runs have empty overlays and take the
-        // classic modulo path unchanged.
-        let mut overrides: std::collections::HashMap<u32, (u32, u32)> =
-            std::collections::HashMap::new();
-        for w in &winners {
-            for &(entry, shard, epoch) in &w.entry_overrides {
-                let cur = overrides.get(&entry).map(|&(_, e)| e);
-                if cur.is_none_or(|c| epoch > c) {
-                    overrides.insert(entry, (shard, epoch));
-                }
-            }
+        // static modulo shard. Adopt every winner's ownership rows into
+        // one placement so the overlay step below attributes each entry
+        // to its *effective* final owner. Static runs have no rows and
+        // take the classic modulo path unchanged.
+        let mut placement = Placement::new(directory);
+        for &(entry, shard, epoch) in winners.iter().flat_map(|w| &w.entry_overrides) {
+            placement.adopt(entry, shard, epoch);
         }
-        let effective_shard = |entry: u32| {
-            overrides
-                .get(&entry)
-                .map(|&(s, _)| s)
-                .unwrap_or_else(|| directory.entry_shard(entry))
-        };
         let mut winners = winners.into_iter();
         let first = winners.next().expect("at least one shard");
         let (mut final_gthv, mut home_costs, mut home_conv) = (first.gthv, first.costs, first.conv);
@@ -1363,7 +1341,7 @@ impl ClusterBuilder {
             let g = out.gthv;
             let owned: Vec<_> = full_ranges(&g)
                 .into_iter()
-                .filter(|r| effective_shard(r.entry) == shard)
+                .filter(|r| placement.owner(r.entry) == shard)
                 .collect();
             let updates = extract_updates(&g, &owned)
                 .map_err(|e| ClusterError::Home(HomeError::Update(e)))?;
@@ -1516,8 +1494,6 @@ fn run_one_adaptive(
                 steps,
                 "",
             );
-            rec.count("mig.migrations", 1);
-            rec.count("mig.image_bytes", image.bytes.len() as u64);
             client.rehost(ev.to_platform.clone())?;
             let mut m = mig_stats.lock();
             m.migrations += 1;

@@ -25,6 +25,7 @@
 //! `ViewChange` — see DESIGN.md §14.
 
 use hdsm_net::message::MsgKind;
+use std::collections::BTreeMap;
 
 /// Is `kind` a client-originated request (or heartbeat)? These are the
 /// frames a home shard routes through its epoch check, relay and dedup
@@ -149,9 +150,92 @@ impl Directory {
     }
 }
 
+/// Who owns each index-table entry *now*: the static [`Directory`] plus
+/// the ordered `entry → (shard, epoch)` overlay the adaptive placement
+/// engine writes when it re-homes an entry away from its modulo shard.
+/// Every node that tracks ownership holds one — it replaces
+/// `HomeShard::{directory, entry_home}`, `DsdClient::{directory,
+/// entry_overrides}`, the cluster stitch's `overrides` map with its
+/// `effective_shard` closure, and the placement actor's `owners` — and
+/// [`Placement::adopt`] is the only statement of the merge rule they all
+/// follow (DESIGN.md §16, *max-epoch-wins*).
+#[derive(Debug, Clone)]
+pub struct Placement {
+    directory: Directory,
+    moved: BTreeMap<u32, (u32, u32)>,
+}
+
+impl Placement {
+    /// The static placement of `directory`: nothing re-homed yet.
+    pub fn new(directory: Directory) -> Placement {
+        Placement {
+            directory,
+            moved: BTreeMap::new(),
+        }
+    }
+
+    /// The static map underneath the overlay.
+    pub fn directory(&self) -> Directory {
+        self.directory
+    }
+
+    /// The shard that currently owns `entry`: its overlay row if it was
+    /// ever re-homed, else the modulo map.
+    pub fn owner(&self, entry: u32) -> u32 {
+        match self.moved.get(&entry) {
+            Some(&(shard, _)) => shard,
+            None => self.directory.entry_shard(entry),
+        }
+    }
+
+    /// The ownership epoch of `entry`: 0 until its first move, then
+    /// strictly increasing with every move or abort revert.
+    pub fn epoch(&self, entry: u32) -> u32 {
+        self.moved.get(&entry).map_or(0, |&(_, epoch)| epoch)
+    }
+
+    /// Max-epoch-wins: take the row `entry → (shard, epoch)` iff `epoch`
+    /// is strictly above the entry's current one, so late, duplicated or
+    /// reordered rows never roll ownership backwards. Returns whether the
+    /// row won.
+    pub fn adopt(&mut self, entry: u32, shard: u32, epoch: u32) -> bool {
+        let won = epoch > self.epoch(entry);
+        if won {
+            self.moved.insert(entry, (shard, epoch));
+        }
+        won
+    }
+
+    /// The overlay as `(entry, owning shard, epoch)` rows, entry-sorted.
+    pub fn rows(&self) -> Vec<(u32, u32, u32)> {
+        self.moved
+            .iter()
+            .map(|(&entry, &(shard, epoch))| (entry, shard, epoch))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn placement_adopts_strictly_newer_rows_only() {
+        let mut p = Placement::new(Directory::new(3));
+        // Untouched entries follow the modulo map at epoch 0.
+        assert_eq!((p.owner(7), p.epoch(7)), (1, 0));
+        assert!(p.rows().is_empty());
+        assert!(!p.adopt(7, 2, 0), "epoch 0 is the static map's own");
+        assert!(p.adopt(7, 2, 1));
+        assert!(p.adopt(4, 0, 3));
+        assert!(!p.adopt(7, 0, 1), "an equal epoch loses");
+        assert!(!p.adopt(4, 2, 2), "a lower epoch loses");
+        assert_eq!((p.owner(7), p.epoch(7)), (2, 1));
+        assert!(p.adopt(7, 1, 2), "a higher epoch wins, even back home");
+        assert_eq!(p.rows(), [(4, 0, 3), (7, 1, 2)], "entry-sorted");
+        assert_eq!(p.owner(5), 2, "no row: modulo map");
+        assert_eq!(p.directory(), Directory::new(3));
+    }
 
     #[test]
     fn single_home_layout_is_preserved() {

@@ -25,7 +25,7 @@
 //! "batch update" spike is this mechanism at work).
 
 use crate::costs::{CostBreakdown, Phase};
-use crate::directory::{is_client_request, Directory};
+use crate::directory::{is_client_request, Directory, Placement};
 use crate::gthv::GthvInstance;
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
@@ -37,7 +37,7 @@ use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::{bounded_vec, pack_batch_fast, unpack_batch};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,16 +75,14 @@ pub struct HomeConfig {
     /// The deterministic entry/lock/barrier → shard partition shared by
     /// the whole cluster. Defaults to the single-home layout.
     pub directory: Directory,
-    /// Endpoint of this shard's warm standby. Set on a *primary* when
-    /// replication is on: every deduplicated client request is relayed
-    /// there before it is processed, so the standby replays the identical
-    /// sequence against shadow state.
-    pub replica_ep: Option<u32>,
-    /// Endpoint of this shard's primary. Set on a *replica*: the instance
-    /// starts as a mute shadow, drops direct client traffic, and promotes
-    /// itself (epoch + 1) when the primary goes silent past the lease or
-    /// its endpoint dies.
-    pub primary_ep: Option<u32>,
+    /// Is this instance the shard's warm standby? A standby starts as a
+    /// mute shadow of the primary at `directory.shard_ep(shard)`: it drops
+    /// direct client traffic, replays the primary's relay stream, and
+    /// promotes itself (epoch + 1) when the primary goes silent past the
+    /// lease or its endpoint dies. Otherwise the instance is the primary
+    /// and, when the directory has replicas, relays every deduplicated
+    /// client request to `directory.replica_ep(shard)` before processing.
+    pub standby: bool,
     /// Cooperative kill switch for fault injection: when the flag flips,
     /// the shard abandons its loop mid-run (recording a `ShardKill`
     /// event) and drops its endpoint, exactly like a crashed process.
@@ -112,8 +110,7 @@ impl Default for HomeConfig {
             recorder: Recorder::disabled(),
             shard: 0,
             directory: Directory::single(),
-            replica_ep: None,
-            primary_ep: None,
+            standby: false,
             kill: None,
             sessions: Vec::new(),
             adaptive: false,
@@ -121,11 +118,109 @@ impl Default for HomeConfig {
     }
 }
 
-/// Whether a [`HomeShard`] instance serves clients or shadows a primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Primary,
-    Replica,
+/// Where a participant is in its life: every rank starts `Expected` and
+/// settles exactly once, by joining or by lease expiry. Replaces
+/// membership in the `participants`, `joined` and `dead` sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Life {
+    /// Configured and not yet signed off: barriers and the service loop
+    /// wait for it, the lease detector watches it.
+    #[default]
+    Expected,
+    /// Signed off with `Join`; owed a `Shutdown`.
+    Joined,
+    /// Declared dead by the lease detector; answered `WorkerLost`.
+    Dead,
+}
+
+/// Everything the shard keeps about one computing thread — one row of
+/// the rank-ordered `peers` table, which replaces the ten rank-keyed
+/// collections `participants`, `joined`, `dead`, `closed`, `routes`,
+/// `seen`, `last_heard`, `last_req`, `reply_cache` and `op_ctx`.
+#[derive(Debug, Default)]
+struct Peer {
+    life: Life,
+    /// The rank's tenancy session has shut down: the purgeable fields
+    /// below are cleared ([`Peer::close`]) and any late request is
+    /// answered with an uncached `Shutdown`.
+    closed: bool,
+    /// Transport endpoint of the thread's latest message.
+    route: Option<u32>,
+    /// Highest update-log sequence the thread has seen (0 = nothing, or
+    /// a cold copy that needs a full refresh).
+    seen: u64,
+    /// Last time the thread was heard from (any message), on the fabric
+    /// timeline — the lease clock and the `heard_ms` forensics of
+    /// [`DsdMsg::WorkerLost`], virtual-clock exact in simulation mode.
+    last_heard: Option<FabricInstant>,
+    /// Highest request id handled (at-most-once dedup; 0 = none yet).
+    last_req: u64,
+    /// Last reply sent, resent verbatim when the same request id arrives
+    /// again (the reply, not the request, was lost).
+    reply: Option<(u64, MsgKind, Bytes)>,
+    /// The sync operation the thread's outstanding request is doing work
+    /// for (from the request's trace context), so replies — including
+    /// deferred grants and barrier releases — and home-side spans are
+    /// attributed to the op that caused them. Unset when obs is disabled.
+    op: OpCtx,
+}
+
+impl Peer {
+    /// The rank's session shut down: purge its lease, horizon, op and
+    /// cached reply. Only the route and the `last_req` watermark survive,
+    /// so a late duplicate is still answered at-most-once.
+    fn close(&mut self) {
+        self.closed = true;
+        self.last_heard = None;
+        self.seen = 0;
+        self.op = OpCtx::default();
+        self.reply = None;
+    }
+}
+
+/// A handoff drain in progress at a fenced primary — replaces the
+/// `handoff` tuple and `handoff_start_us`.
+#[derive(Debug)]
+struct Drain {
+    /// Endpoint of the admin that asked (gets `HandoffDone`).
+    admin_ep: u32,
+    /// The epoch the standby will serve under.
+    epoch: u32,
+    /// The shard snapshot, re-offered until `HandoffInstalled` arrives.
+    state: Bytes,
+    /// Start (µs) of the drain, for the obs span.
+    start_us: u64,
+}
+
+/// This instance's place in its shard's replication pair. One state
+/// replaces the nine flags `role`, `promoted`, `replica_ep`, `primary_ep`,
+/// `replica_gone`, `pending_depose`, `handoff`, `handoff_start_us` and
+/// `first_grant_recorded`, so a drain cannot exist without a standby to
+/// drain into and a depose cannot be owed by an instance that never
+/// promoted. (`fenced`, `mute`, `epoch` and `peer_last_heard` stay flat on
+/// the shard: every state has them.)
+#[derive(Debug)]
+enum Standby {
+    /// Unreplicated, or a primary whose standby's endpoint is gone:
+    /// serves clients, relays nothing.
+    Solo,
+    /// Serves clients and relays every request to the standby at
+    /// `replica_ep` before processing it.
+    Primary {
+        replica_ep: u32,
+        drain: Option<Drain>,
+    },
+    /// Mute shadow of the primary at `primary_ep`: replays the relay
+    /// stream, answers no client.
+    Shadow { primary_ep: u32 },
+    /// A shadow that took over (failover or handoff) and serves clients.
+    Promoted {
+        primary_ep: u32,
+        /// The old primary is still owed a `Depose`.
+        pending_depose: bool,
+        /// First post-promotion client reply already recorded.
+        first_grant_recorded: bool,
+    },
 }
 
 /// What a finished [`HomeShard::run`] hands back: the instance and cost
@@ -150,9 +245,9 @@ pub struct HomeRunOutcome {
     /// churn soak).
     pub residual: ResidualReport,
     /// Per-entry ownership overrides this shard learned during the run:
-    /// `(entry, owning shard, ownership epoch)` rows, sorted by entry.
-    /// Empty unless the placement engine re-homed entries. The cluster's
-    /// final stitch resolves conflicting rows by highest epoch.
+    /// its [`Placement::rows`]. Empty unless the placement engine
+    /// re-homed entries. The cluster's final stitch adopts every winner's
+    /// rows into one [`Placement`].
     pub entry_overrides: Vec<(u32, u32, u32)>,
 }
 
@@ -219,7 +314,7 @@ struct CondState {
 }
 
 /// In-flight per-entry re-homing at the *source* shard: ownership has
-/// already flipped in `entry_home` (and the log rows for the entry were
+/// already flipped in `placement` (and the log rows for the entry were
 /// purged), but the target has not yet acknowledged installation — every
 /// client-path message is deferred until it does, closing the window in
 /// which neither shard could serve the entry's pre-move updates.
@@ -237,9 +332,6 @@ struct EntryHandoffState {
     /// Packed authoritative contents of the entry, retransmitted until
     /// the target acknowledges with `EntryInstalled`.
     state: Bytes,
-    /// The override row (owner, epoch) in force before this move, if any
-    /// — restored (epoch + 1) when the move aborts.
-    prev: Option<(u32, u32)>,
 }
 
 /// One shard of the home service: owns the authoritative bytes, update
@@ -250,7 +342,11 @@ pub struct HomeShard {
     gthv: GthvInstance,
     ep: Endpoint,
     shard: u32,
-    directory: Directory,
+    /// Who owns which entry: the cluster's directory plus the per-entry
+    /// ownership overlay, written identically at a move's source and
+    /// target (and relayed to replicas), so every surviving shard reports
+    /// a consistent final ownership map.
+    placement: Placement,
     locks: Vec<LockState>,
     barriers: Vec<BarrierState>,
     conds: Vec<CondState>,
@@ -264,78 +360,41 @@ pub struct HomeShard {
     /// Oldest sequence still in the log; horizons below this need a full
     /// refresh (log compaction / cold migrated copies).
     log_floor: u64,
-    /// Highest sequence each thread has seen.
-    seen: HashMap<u32, u64>,
-    /// Transport endpoint of each thread's latest message.
-    routes: HashMap<u32, u32>,
-    participants: HashSet<u32>,
-    joined: HashSet<u32>,
-    /// Participants declared dead by the lease detector.
-    dead: HashSet<u32>,
-    /// Last time each participant was heard from (any message), on the
-    /// fabric timeline — the source of the `heard_ms` forensics in
-    /// [`DsdMsg::WorkerLost`], virtual-clock exact in simulation mode.
-    last_heard: HashMap<u32, FabricInstant>,
-    /// Highest request id handled per thread (at-most-once dedup).
-    last_req: HashMap<u32, u64>,
-    /// Last reply sent to each thread, resent verbatim when the same
-    /// request id arrives again (the reply, not the request, was lost).
-    reply_cache: HashMap<u32, (u64, MsgKind, Bytes)>,
+    /// The participants, by rank. Rank order is iteration order, which
+    /// fixes the order of simultaneous lease expiries, of the shutdown
+    /// broadcast and of the snapshot's rows — all three decide bytes a
+    /// same-seed simulation must reproduce.
+    peers: BTreeMap<u32, Peer>,
+    /// How many peers are still `Expected`, kept in step by
+    /// [`Self::settle`]: the service loop's condition and the
+    /// session-less barrier count, O(1) per message.
+    pending: usize,
+    /// The lowest `Dead` rank, kept in step by [`Self::settle`]: what a
+    /// session-less barrier entrant is failed with.
+    lowest_dead: Option<u32>,
     lease: Option<Duration>,
     linger: Duration,
     costs: CostBreakdown,
     conv_stats: ConversionStats,
     recorder: Recorder,
-    /// The sync operation each thread's outstanding request is doing work
-    /// for (from the request's trace context), so replies — including
-    /// deferred grants and barrier releases — and home-side spans are
-    /// attributed to the op that caused them. Empty when obs is disabled.
-    op_ctx: HashMap<u32, OpCtx>,
-    /// Primary (serves clients) or replica (mute shadow until promoted).
-    role: Role,
+    standby: Standby,
     /// The epoch this instance serves under; bumped by promotion/handoff.
     epoch: u32,
     /// Fenced: stopped serving; answers clients with `ViewChange` only.
     fenced: bool,
-    /// Partner endpoint: the replica (on a primary) / primary (on a
-    /// replica). `None` when replication is off.
-    replica_ep: Option<u32>,
-    primary_ep: Option<u32>,
     /// Last sign of life from the replication-link partner.
     peer_last_heard: FabricInstant,
-    /// The partner's endpoint is gone (crashed replica): stop relaying.
-    replica_gone: bool,
-    /// On a replica: promoted to serving primary.
-    promoted: bool,
     /// Replaying a relayed request: suppress every outbound send while
     /// still populating the reply cache, so the shadow's dedup state
     /// stays byte-identical to the primary's.
     mute: bool,
     /// Cooperative kill switch (fault injection).
     kill: Option<Arc<AtomicBool>>,
-    /// A promoted replica still owes the old primary a `Depose`.
-    pending_depose: bool,
-    /// Handoff drain in progress: (admin endpoint, new epoch, snapshot).
-    handoff: Option<(u32, u32, Bytes)>,
-    /// Start (µs) of the handoff drain, for the obs span.
-    handoff_start_us: u64,
-    /// First post-promotion client reply already recorded.
-    first_grant_recorded: bool,
     /// The fabric's time source; every lease, drain and promotion timer
     /// reads it so failover timing is seed-deterministic in sim mode.
     clock: FabricClock,
     /// Tenancy layout (empty = classic single-session mode).
     sessions: Vec<TenantSpace>,
-    /// Ranks whose session has shut down: their per-rank state (lease,
-    /// horizon, reply cache) is purged; only the `last_req` watermark
-    /// survives so a late duplicate is still answered at-most-once —
-    /// with an uncached `Shutdown`, never by re-entering the tables.
-    closed: HashSet<u32>,
-    /// Per-entry ownership overrides layered over the modulo directory:
-    /// entry → (owning shard, ownership epoch). Written identically at
-    /// the move's source and target (and relayed to replicas), so every
-    /// surviving shard can report a consistent final ownership map.
-    entry_home: HashMap<u32, (u32, u32)>,
     /// In-flight outbound entry re-homing (source side); at most one at
     /// a time per shard — the admin serializes moves cluster-wide.
     entry_handoff: Option<EntryHandoffState>,
@@ -356,53 +415,50 @@ impl HomeShard {
             .collect();
         let conds = (0..config.n_conds).map(|_| CondState::default()).collect();
         let clock = ep.clock();
+        let (shard, directory) = (config.shard, config.directory);
+        let peers: BTreeMap<u32, Peer> = config
+            .participants
+            .into_iter()
+            .map(|r| (r, Peer::default()))
+            .collect();
         HomeShard {
             gthv,
             ep,
-            shard: config.shard,
-            directory: config.directory,
+            shard,
+            placement: Placement::new(directory),
             locks,
             barriers,
             conds,
             seq: 0,
             log: Vec::new(),
             log_floor: 0,
-            seen: config.participants.iter().map(|&r| (r, 0)).collect(),
-            routes: HashMap::new(),
-            participants: config.participants.into_iter().collect(),
-            joined: HashSet::new(),
-            dead: HashSet::new(),
-            last_heard: HashMap::new(),
-            last_req: HashMap::new(),
-            reply_cache: HashMap::new(),
+            pending: peers.len(),
+            lowest_dead: None,
+            peers,
             lease: config.lease,
             linger: config.linger,
             costs: CostBreakdown::default(),
             conv_stats: ConversionStats::default(),
             recorder: config.recorder,
-            op_ctx: HashMap::new(),
-            role: if config.primary_ep.is_some() {
-                Role::Replica
+            standby: if config.standby {
+                Standby::Shadow {
+                    primary_ep: directory.shard_ep(shard),
+                }
+            } else if directory.n_replicas() > 0 {
+                Standby::Primary {
+                    replica_ep: directory.replica_ep(shard),
+                    drain: None,
+                }
             } else {
-                Role::Primary
+                Standby::Solo
             },
             epoch: 0,
             fenced: false,
-            replica_ep: config.replica_ep,
-            primary_ep: config.primary_ep,
             peer_last_heard: clock.now(),
-            replica_gone: false,
-            promoted: false,
             mute: false,
             kill: config.kill,
-            pending_depose: false,
-            handoff: None,
-            handoff_start_us: 0,
-            first_grant_recorded: false,
             clock,
             sessions: config.sessions,
-            closed: HashSet::new(),
-            entry_home: HashMap::new(),
             entry_handoff: None,
             adaptive: config.adaptive,
             entry_pending: VecDeque::new(),
@@ -424,7 +480,50 @@ impl HomeShard {
 
     /// The sync op thread `rank`'s outstanding request belongs to.
     fn op_of(&self, rank: u32) -> OpCtx {
-        self.op_ctx.get(&rank).copied().unwrap_or_default()
+        self.peers.get(&rank).map(|p| p.op).unwrap_or_default()
+    }
+
+    /// Where rank `rank` is in its life; `None` for a rank outside the
+    /// configured participants.
+    fn life(&self, rank: u32) -> Option<Life> {
+        self.peers.get(&rank).map(|p| p.life)
+    }
+
+    /// The one life transition, `Expected → to`, with the `pending` and
+    /// `lowest_dead` summaries kept in step. Returns whether `rank` was
+    /// still expected — a rank settles once, so a duplicate `Join` or a
+    /// replayed expiry changes nothing.
+    fn settle(&mut self, rank: u32, to: Life) -> bool {
+        match self.peers.get_mut(&rank) {
+            Some(p) if p.life == Life::Expected => {
+                p.life = to;
+                self.pending -= 1;
+                if to == Life::Dead {
+                    self.lowest_dead = Some(self.lowest_dead.map_or(rank, |d| d.min(rank)));
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Does this instance answer clients (anything but a mute shadow)?
+    fn serves_clients(&self) -> bool {
+        !matches!(self.standby, Standby::Shadow { .. })
+    }
+
+    /// A handoff drain of ours is in progress.
+    fn draining(&self) -> bool {
+        matches!(self.standby, Standby::Primary { drain: Some(_), .. })
+    }
+
+    /// `entry` is gained (or re-gained, on an abort revert) without its
+    /// history, which lives at the old owner: raise the log floor above
+    /// every horizon so each thread's next pull is a full refresh of the
+    /// (now larger) owned slice.
+    fn force_full_refresh(&mut self) {
+        self.seq += 1;
+        self.log_floor = self.seq;
     }
 
     /// Initialise the authoritative copy and log this shard's slice of the
@@ -447,53 +546,54 @@ impl HomeShard {
         &self.gthv
     }
 
-    /// Does this shard currently own `entry`? The placement overlay wins
-    /// over the modulo directory; the single-shard layout owns everything
-    /// it has no override row for.
+    /// Does this shard currently own `entry`?
     fn owns_entry(&self, entry: u32) -> bool {
-        match self.entry_home.get(&entry) {
-            Some(&(shard, _)) => shard == self.shard,
-            None => {
-                self.directory.n_shards() <= 1 || self.directory.entry_shard(entry) == self.shard
-            }
-        }
+        self.placement.owner(entry) == self.shard
     }
 
     /// Full-structure ranges restricted to the entries this shard owns.
     fn owned_full_ranges(&self) -> Vec<UpdateRange> {
         let mut ranges = full_ranges(&self.gthv);
-        if self.directory.n_shards() > 1 || !self.entry_home.is_empty() {
-            ranges.retain(|r| self.owns_entry(r.entry));
-        }
+        ranges.retain(|r| self.owns_entry(r.entry));
         ranges
     }
 
-    /// Absorb a batch of incoming updates: unpack time was already spent
-    /// decoding; here we apply (t_conv) and log the ranges.
+    /// Absorb a batch of incoming updates from thread `writer`: unpack
+    /// time was already spent decoding; here we apply (t_conv) and log the
+    /// ranges. Returns `false`, with nothing absorbed, when the batch
+    /// targets an entry this shard re-homed away: the writer is replied
+    /// the `EntryMoved` rows instead, merges them, re-buckets the affected
+    /// updates and resends.
     fn absorb(
         &mut self,
         writer: u32,
         updates: &[hdsm_tags::wire::WireUpdate],
-    ) -> Result<(), HomeError> {
+    ) -> Result<bool, HomeError> {
         if updates.is_empty() {
-            return Ok(());
+            return Ok(true);
         }
-        if self.directory.n_shards() > 1 || !self.entry_home.is_empty() {
-            // Routing bugs must not silently corrupt another shard's
-            // slice: this shard is only authoritative for what it owns.
-            // (Misroutes caused by a client's stale placement view are
-            // bounced with `EntryMoved` before reaching this check.)
-            if let Some(u) = updates.iter().find(|u| !self.owns_entry(u.entry)) {
-                return Err(HomeError::Violation(format!(
-                    "shard {} received update for entry {} owned by shard {}",
-                    self.shard,
-                    u.entry,
-                    self.entry_home
-                        .get(&u.entry)
-                        .map(|&(s, _)| s)
-                        .unwrap_or_else(|| self.directory.entry_shard(u.entry))
-                )));
-            }
+        // This shard is only authoritative for what it owns. Of the rest,
+        // an entry that moved (epoch > 0) is a stale view at the writer;
+        // one that never did is a routing bug, which must not silently
+        // corrupt another shard's slice.
+        let p = &self.placement;
+        let (mut moved, misrouted): (Vec<_>, Vec<_>) = updates
+            .iter()
+            .map(|u| (u.entry, p.owner(u.entry), p.epoch(u.entry)))
+            .filter(|&(_, owner, _)| owner != self.shard)
+            .partition(|&(_, _, epoch)| epoch > 0);
+        if !moved.is_empty() {
+            moved.sort_unstable();
+            moved.dedup();
+            self.recorder.count("home.entry_bounces", 1);
+            self.send(writer, DsdMsg::EntryMoved { entries: moved })?;
+            return Ok(false);
+        }
+        if let Some((entry, owner, _)) = misrouted.first() {
+            return Err(HomeError::Violation(format!(
+                "shard {} received update for entry {entry} owned by shard {owner}",
+                self.shard
+            )));
         }
         let bytes: u64 = updates.iter().map(|u| u.data.len() as u64).sum();
         let mut t = Phase::Conv.begin(&self.recorder, self.ep.rank(), self.op_of(writer));
@@ -516,7 +616,7 @@ impl HomeShard {
             ));
         }
         self.maybe_compact();
-        Ok(())
+        Ok(true)
     }
 
     /// Drop log entries every participant has already seen.
@@ -525,10 +625,10 @@ impl HomeShard {
             return;
         }
         let min_seen = self
-            .participants
-            .iter()
-            .filter(|r| !self.joined.contains(r))
-            .map(|r| self.seen.get(r).copied().unwrap_or(0))
+            .peers
+            .values()
+            .filter(|p| p.life != Life::Joined)
+            .map(|p| p.seen)
             .min()
             .unwrap_or(self.seq);
         self.log.retain(|(s, _, _)| *s > min_seen);
@@ -542,8 +642,10 @@ impl HomeShard {
         &mut self,
         rank: u32,
     ) -> Result<Vec<hdsm_tags::wire::WireUpdate>, HomeError> {
-        let horizon = self.seen.get(&rank).copied().unwrap_or(0);
-        let op = self.op_of(rank);
+        let (horizon, op) = self
+            .peers
+            .get(&rank)
+            .map_or((0, OpCtx::default()), |p| (p.seen, p.op));
         let mut t = Phase::Tag.begin(&self.recorder, self.ep.rank(), op);
         let ranges = if horizon < self.log_floor {
             // The thread's horizon predates the log: full refresh of
@@ -567,7 +669,9 @@ impl HomeShard {
         t.end(&mut self.costs);
         self.costs.updates_sent += ups.len() as u64;
         self.costs.bytes_sent += bytes;
-        self.seen.insert(rank, self.seq);
+        if let Some(p) = self.peers.get_mut(&rank) {
+            p.seen = self.seq;
+        }
         Ok(ups)
     }
 
@@ -612,26 +716,29 @@ impl HomeShard {
     /// outstanding request and cached for retransmission. Returns whether
     /// the thread's endpoint is still alive.
     fn reply(&mut self, rank: u32, msg: DsdMsg) -> Result<bool, HomeError> {
-        let ep_rank = *self
-            .routes
-            .get(&rank)
-            .ok_or_else(|| HomeError::Violation(format!("no route for thread {rank}")))?;
-        let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
+        let no_route = || HomeError::Violation(format!("no route for thread {rank}"));
+        let peer = self.peers.get_mut(&rank).ok_or_else(no_route)?;
+        let ep_rank = peer.route.ok_or_else(no_route)?;
         // The reply — including a deferred grant or barrier release —
         // belongs to the op the requester is blocked in.
-        let op = self.op_of(rank);
+        let (req_id, op) = (peer.last_req, peer.op);
         let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
         let payload = msg.encode_enveloped(req_id);
         t.args(payload.len() as u64, rank as u64);
         t.end(&mut self.costs);
-        self.reply_cache
-            .insert(rank, (req_id, msg.kind(), payload.clone()));
+        peer.reply = Some((req_id, msg.kind(), payload.clone()));
         let alive = self.post(ep_rank, msg.kind(), payload, op)?;
-        if self.promoted && !self.first_grant_recorded && !self.mute {
-            // The recovery-latency endpoint: the first client request
-            // this shard served after taking over.
-            self.first_grant_recorded = true;
-            self.mark(EventKind::FirstGrant, "");
+        if let Standby::Promoted {
+            first_grant_recorded: recorded @ false,
+            ..
+        } = &mut self.standby
+        {
+            if !self.mute {
+                // The recovery-latency endpoint: the first client request
+                // this shard served after taking over.
+                *recorded = true;
+                self.mark(EventKind::FirstGrant, "");
+            }
         }
         Ok(alive)
     }
@@ -640,10 +747,10 @@ impl HomeShard {
     /// release or ack its requester is blocked on.
     fn send(&mut self, rank: u32, msg: DsdMsg) -> Result<(), HomeError> {
         if self.reply(rank, msg)? {
-            Ok(())
-        } else {
-            Err(NetError::Disconnected(self.routes[&rank]).into())
+            return Ok(());
         }
+        let ep_rank = self.peers.get(&rank).and_then(|p| p.route);
+        Err(NetError::Disconnected(ep_rank.unwrap_or_default()).into())
     }
 
     /// Resend thread `rank`'s cached reply if it answers request `req_id`
@@ -652,16 +759,17 @@ impl HomeShard {
     /// shard's), so a dropped endpoint means the duplicate outlived its
     /// sender. Returns whether there was such a reply.
     fn resend_cached(&mut self, rank: u32, req_id: u64) -> Result<bool, HomeError> {
-        let (Some((rid, kind, payload)), Some(&ep_rank)) =
-            (self.reply_cache.get(&rank), self.routes.get(&rank))
-        else {
+        let Some(peer) = self.peers.get(&rank) else {
+            return Ok(false);
+        };
+        let (Some((rid, kind, payload)), Some(ep_rank)) = (&peer.reply, peer.route) else {
             return Ok(false);
         };
         if *rid != req_id {
             return Ok(false);
         }
-        let (kind, payload) = (*kind, payload.clone());
-        self.post(ep_rank, kind, payload, self.op_of(rank))?;
+        let (kind, payload, op) = (*kind, payload.clone(), peer.op);
+        self.post(ep_rank, kind, payload, op)?;
         Ok(true)
     }
 
@@ -671,9 +779,10 @@ impl HomeShard {
         DsdMsg::WorkerLost {
             rank,
             heard_ms: self
-                .last_heard
+                .peers
                 .get(&rank)
-                .map(|t| self.clock.now().saturating_since(*t).as_millis() as u64)
+                .and_then(|p| p.last_heard)
+                .map(|t| self.clock.now().saturating_since(t).as_millis() as u64)
                 .unwrap_or(0),
             lease_ms: self.lease.map(|l| l.as_millis() as u64).unwrap_or(0),
         }
@@ -695,13 +804,9 @@ impl HomeShard {
         match self.session_of_barrier(barrier) {
             Some(t) => t
                 .member_ranks()
-                .filter(|r| {
-                    self.participants.contains(r)
-                        && !self.joined.contains(r)
-                        && !self.dead.contains(r)
-                })
+                .filter(|&r| self.life(r) == Some(Life::Expected))
                 .count(),
-            None => self.participants.len() - self.joined.len() - self.dead.len(),
+            None => self.pending,
         }
     }
 
@@ -710,40 +815,36 @@ impl HomeShard {
     /// fail this one's barriers), any dead participant otherwise.
     fn blocking_dead(&self, rank: u32) -> Option<u32> {
         match self.session_of_rank(rank) {
-            Some(t) => t.member_ranks().filter(|r| self.dead.contains(r)).min(),
-            None => self.dead.iter().min().copied(),
+            Some(t) => t.member_ranks().find(|&r| self.life(r) == Some(Life::Dead)),
+            None => self.lowest_dead,
         }
     }
 
     /// If `rank`'s session is now fully accounted for (every member
     /// joined or dead), shut the session down: the deferred `Join`
-    /// replies go out as `Shutdown`s, then every member's per-rank state
-    /// is purged — except `last_req`, which keeps late duplicates
-    /// at-most-once (they are re-answered with an uncached `Shutdown`
-    /// via the `closed` set instead).
+    /// replies go out as `Shutdown`s, then every member is closed
+    /// ([`Peer::close`]); late duplicates are re-answered with an uncached
+    /// `Shutdown` instead.
     fn maybe_close_session(&mut self, rank: u32) -> Result<(), HomeError> {
         let Some(t) = self.session_of_rank(rank).copied() else {
             return Ok(());
         };
-        let complete = t
-            .member_ranks()
-            .filter(|r| self.participants.contains(r))
-            .all(|r| self.joined.contains(&r) || self.dead.contains(&r));
-        if !complete {
+        if t.member_ranks()
+            .any(|r| self.life(r) == Some(Life::Expected))
+        {
             return Ok(());
         }
         for r in t.member_ranks() {
-            if !self.participants.contains(&r) || self.closed.contains(&r) {
+            let open = self.peers.get(&r).filter(|p| !p.closed);
+            let Some(life) = open.map(|p| p.life) else {
                 continue;
-            }
-            if self.joined.contains(&r) {
+            };
+            if life == Life::Joined {
                 self.reply(r, DsdMsg::Shutdown)?;
             }
-            self.closed.insert(r);
-            self.last_heard.remove(&r);
-            self.seen.remove(&r);
-            self.op_ctx.remove(&r);
-            self.reply_cache.remove(&r);
+            if let Some(p) = self.peers.get_mut(&r) {
+                p.close();
+            }
         }
         self.recorder.count("home.sessions_closed", 1);
         Ok(())
@@ -752,10 +853,10 @@ impl HomeShard {
     /// Answer a closed-session rank with `Shutdown` without touching the
     /// purged reply cache.
     fn resend_shutdown_uncached(&mut self, rank: u32) -> Result<(), HomeError> {
-        let Some(&ep_rank) = self.routes.get(&rank) else {
+        let Some((Some(ep_rank), req_id)) = self.peers.get(&rank).map(|p| (p.route, p.last_req))
+        else {
             return Ok(());
         };
-        let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
         let payload = DsdMsg::Shutdown.encode_enveloped(req_id);
         self.post(ep_rank, MsgKind::Shutdown, payload, OpCtx::default())?;
         Ok(())
@@ -783,29 +884,13 @@ impl HomeShard {
 
     /// Finish into the run outcome.
     fn outcome(self, authoritative: bool) -> HomeRunOutcome {
+        let closed = || self.peers.values().filter(|p| p.closed);
         let residual = ResidualReport {
-            leases: self
-                .closed
-                .iter()
-                .filter(|r| self.last_heard.contains_key(r))
-                .count(),
-            dedup: self
-                .closed
-                .iter()
-                .filter(|r| self.reply_cache.contains_key(r))
-                .count(),
-            horizons: self
-                .closed
-                .iter()
-                .filter(|r| self.seen.contains_key(r))
-                .count(),
+            leases: closed().filter(|p| p.last_heard.is_some()).count(),
+            dedup: closed().filter(|p| p.reply.is_some()).count(),
+            horizons: closed().filter(|p| p.seen != 0).count(),
         };
-        let mut entry_overrides: Vec<(u32, u32, u32)> = self
-            .entry_home
-            .iter()
-            .map(|(&entry, &(shard, epoch))| (entry, shard, epoch))
-            .collect();
-        entry_overrides.sort_unstable();
+        let entry_overrides = self.placement.rows();
         HomeRunOutcome {
             gthv: self.gthv,
             costs: self.costs,
@@ -830,13 +915,12 @@ impl HomeShard {
         // wake-ups; without any of them the classic blocking recv stands.
         let tick = self.tick();
         let ticks = self.lease.is_some()
-            || self.directory.n_replicas() > 0
+            || self.placement.directory().n_replicas() > 0
             || self.kill.is_some()
             || self.adaptive;
-        while self.joined.len() + self.dead.len() < self.participants.len() {
+        while self.pending > 0 {
             if self.killed() {
                 self.mark(EventKind::ShardKill, "");
-                self.recorder.count("home.shards_killed", 1);
                 return Ok(self.outcome(false));
             }
             let msg = if ticks {
@@ -853,7 +937,7 @@ impl HomeShard {
                 self.process(msg)?;
             }
             self.tick_duties(idle)?;
-            if self.fenced && self.handoff.is_none() {
+            if self.fenced && !self.draining() {
                 // Deposed, self-fenced or drained: this instance no
                 // longer serves. Keep redirecting stragglers for a
                 // while, then retire.
@@ -861,7 +945,7 @@ impl HomeShard {
                 return Ok(self.outcome(false));
             }
         }
-        if self.role == Role::Replica && !self.promoted {
+        if !self.serves_clients() {
             // The primary drove the run to completion; this shadow's job
             // is done. The primary broadcasts the shutdown.
             return Ok(self.outcome(false));
@@ -885,18 +969,16 @@ impl HomeShard {
         }
         // Every live participant joined: broadcast shutdown. The shutdown
         // is the (deferred) reply to each thread's Join request, so it is
-        // cached and resent if the fabric drops it.
-        // Broadcast in rank order: `joined` is a hash set, and iterating
-        // it raw would make the shutdown send order (and with it the
-        // dedup traffic of any straggler retransmits racing the
-        // broadcast) vary run to run, breaking sim reproducibility.
-        let mut ranks: Vec<u32> = self
-            .joined
+        // cached and resent if the fabric drops it. The broadcast goes
+        // out in rank order, so the send order (and with it the dedup
+        // traffic of any straggler retransmits racing the broadcast) is
+        // the same run to run.
+        let ranks: Vec<u32> = self
+            .peers
             .iter()
-            .copied()
-            .filter(|r| !self.closed.contains(r))
+            .filter(|(_, p)| p.life == Life::Joined && !p.closed)
+            .map(|(&r, _)| r)
             .collect();
-        ranks.sort_unstable();
         for r in ranks {
             // A duplicated copy of this very Shutdown (or a prior shard's)
             // may already have reached the worker, which then exits and
@@ -904,7 +986,7 @@ impl HomeShard {
             // client has everything it was owed.
             self.reply(r, DsdMsg::Shutdown)?;
         }
-        if !self.dead.is_empty() {
+        if self.lowest_dead.is_some() {
             // A declared-dead worker may only be partitioned and will
             // resurface retransmitting; stay around long enough to tell
             // it it was declared lost instead of letting it time out.
@@ -936,7 +1018,7 @@ impl HomeShard {
         let (req_id, stamp, decoded) = DsdMsg::decode_request(
             msg.kind,
             msg.payload.clone(),
-            self.directory.epoch_stamped(msg.kind),
+            self.placement.directory().epoch_stamped(msg.kind),
         )?;
         t.end(&mut self.costs);
         match decoded {
@@ -959,7 +1041,7 @@ impl HomeShard {
             }
             DsdMsg::DeposeAck { .. } => {
                 self.peer_last_heard = self.clock.now();
-                self.pending_depose = false;
+                self.depose_settled();
                 Ok(())
             }
             DsdMsg::HandoffRequest { shard } if shard == self.shard => self.start_handoff(msg.src),
@@ -992,7 +1074,7 @@ impl HomeShard {
             | DsdMsg::EntryDone { .. }
             | DsdMsg::ViewChange { .. } => Ok(()),
             decoded => {
-                if self.role == Role::Replica && !self.promoted {
+                if !self.serves_clients() {
                     // A shadow never answers clients: its state evolves
                     // through the relay stream only. The client
                     // retransmits; once this replica promotes, the
@@ -1037,7 +1119,6 @@ impl HomeShard {
     fn fence(&mut self) {
         self.fenced = true;
         self.mark(EventKind::Fence, "");
-        self.recorder.count("home.fenced", 1);
     }
 
     /// Ship one frame down the replication stream (a no-op unless this is
@@ -1046,8 +1127,8 @@ impl HomeShard {
     /// lease expiry, an ownership flip, an adopted entry — so that
     /// timing-dependent state transitions replay verbatim instead of
     /// being re-derived from the replica's own clock. A dead standby
-    /// means continuing solo: the cluster is back to the unreplicated
-    /// availability level.
+    /// means continuing [`Standby::Solo`]: the cluster is back to the
+    /// unreplicated availability level.
     fn relay(
         &mut self,
         src_ep: u32,
@@ -1055,20 +1136,18 @@ impl HomeShard {
         kind: MsgKind,
         body: Bytes,
     ) -> Result<(), HomeError> {
-        let Some(rep) = self.replica_ep else {
+        let Standby::Primary { replica_ep, .. } = self.standby else {
             return Ok(());
         };
-        if self.role != Role::Primary || self.replica_gone {
-            return Ok(());
-        }
         let frame = DsdMsg::Replicate {
             src_ep,
             req_id,
             kind: kind as u16,
             body,
         };
-        if !self.tell(rep, frame)? {
-            self.replica_gone = true;
+        if !self.tell(replica_ep, frame)? && !self.draining() {
+            // (Mid-drain the snapshot offer reports the loss instead.)
+            self.standby = Standby::Solo;
         }
         Ok(())
     }
@@ -1100,21 +1179,14 @@ impl HomeShard {
         self.mute = true;
         let res = match inner {
             // Relayed home-side decisions (req id 0), not client requests.
-            DsdMsg::WorkerLost { rank, .. } if req_id == 0 => {
-                if self.dead.contains(&rank) {
-                    Ok(())
-                } else {
-                    self.declare_dead(rank)
-                }
-            }
+            DsdMsg::WorkerLost { rank, .. } if req_id == 0 => self.declare_dead(rank),
             DsdMsg::EntryMoved { entries } if req_id == 0 => {
                 // Mirror the primary's placement flips (including any
                 // abort revert), so a promoted shadow reports and serves
                 // the same per-entry ownership map.
-                for (entry, shard, epoch) in entries {
-                    self.apply_entry_move(entry, shard, epoch);
-                }
-                Ok(())
+                entries
+                    .into_iter()
+                    .try_for_each(|(entry, shard, epoch)| self.move_entry(entry, shard, epoch))
             }
             DsdMsg::EntryState {
                 entry,
@@ -1134,83 +1206,87 @@ impl HomeShard {
     /// Periodic failover duties, run on every loop turn (`idle` marks a
     /// receive-timeout turn, i.e. the inbound queue is drained).
     fn tick_duties(&mut self, idle: bool) -> Result<(), HomeError> {
-        match self.role {
-            Role::Primary => {
+        match self.standby {
+            Standby::Shadow { primary_ep } => {
+                // Beat the primary so it can self-fence if it loses us; a
+                // dead endpoint on the other side means the primary
+                // crashed outright.
+                let primary_dead =
+                    !self.tell(primary_ep, DsdMsg::ReplicaBeat { shard: self.shard })?;
+                // A dead primary is succeeded only once the relay stream
+                // has been quiet for a full tick, so every frame it
+                // managed to send is replayed before this instance starts
+                // serving. Quiet is measured on the stream itself, not by
+                // waiting for a receive to time out: heartbeats arrive at
+                // the tick's own period and can keep the queue from ever
+                // looking idle.
+                let quiet = self.clock.now().saturating_since(self.peer_last_heard);
+                let primary_silent = self.lease.is_some_and(|l| quiet > l);
+                if (primary_dead && quiet >= self.tick()) || primary_silent {
+                    // Take over and start deposing the old primary.
+                    self.promote(primary_ep, self.epoch + 1, true, "");
+                }
+                return Ok(()); // a shadow has nobody to serve
+            }
+            Standby::Primary { .. } => {
                 // Split-brain guard: if the replication link has been
                 // silent for ¾ of the lease, assume the replica is about
                 // to promote (it does so at one full lease) and fence
                 // *first*, so there is never a moment with two grant
                 // authorities.
-                if let (Some(_), Some(lease)) = (self.replica_ep, self.lease) {
-                    if !self.replica_gone
-                        && !self.fenced
-                        && self.clock.now().saturating_since(self.peer_last_heard) > lease * 3 / 4
-                    {
-                        self.fence();
-                    }
-                }
-                if idle {
-                    // Keep offering the shard snapshot / the moved entry's
-                    // state until the other side confirms installation.
-                    self.offer_handoff_state()?;
-                    self.send_entry_state()?;
-                }
-                if !self.fenced {
-                    self.check_leases()?;
+                let silence = self.clock.now().saturating_since(self.peer_last_heard);
+                if !self.fenced && self.lease.is_some_and(|l| silence > l * 3 / 4) {
+                    self.fence();
                 }
             }
-            Role::Replica => {
-                let primary = self.primary_ep.expect("replica without primary");
-                if !self.promoted {
-                    // Beat the primary so it can self-fence if it loses
-                    // us; a dead endpoint on the other side means the
-                    // primary crashed outright.
-                    let primary_dead =
-                        !self.tell(primary, DsdMsg::ReplicaBeat { shard: self.shard })?;
-                    // A dead primary is succeeded only once the relay
-                    // stream has been quiet for a full tick, so every
-                    // frame it managed to send is replayed before this
-                    // instance starts serving. Quiet is measured on the
-                    // stream itself, not by waiting for a receive to time
-                    // out: heartbeats arrive at the tick's own period and
-                    // can keep the queue from ever looking idle.
-                    let quiet = self.clock.now().saturating_since(self.peer_last_heard);
-                    let primary_silent = self.lease.is_some_and(|l| quiet > l);
-                    if (primary_dead && quiet >= self.tick()) || primary_silent {
-                        // Take over and start deposing the old primary.
-                        self.promote(self.epoch + 1, true, "");
-                    }
-                } else {
-                    if self.pending_depose {
-                        let depose = DsdMsg::Depose {
-                            shard: self.shard,
-                            epoch: self.epoch,
-                        };
-                        // A dead primary needs no fencing.
-                        self.pending_depose = self.tell(primary, depose)?;
-                    }
-                    self.check_leases()?;
-                    if idle {
-                        self.send_entry_state()?;
-                    }
+            Standby::Promoted {
+                primary_ep,
+                pending_depose: true,
+                ..
+            } => {
+                let depose = DsdMsg::Depose {
+                    shard: self.shard,
+                    epoch: self.epoch,
+                };
+                if !self.tell(primary_ep, depose)? {
+                    self.depose_settled(); // a dead primary needs no fencing
                 }
             }
+            Standby::Solo | Standby::Promoted { .. } => {}
+        }
+        if idle {
+            // Keep offering the shard snapshot / the moved entry's state
+            // until the other side confirms installation.
+            self.offer_handoff_state()?;
+            self.send_entry_state()?;
+        }
+        if !self.fenced {
+            self.check_leases()?;
         }
         Ok(())
     }
 
-    /// Start serving the shard under `epoch`: restart every survivor's
-    /// lease (they may have gone quiet waiting out the failover) and
-    /// announce the view change. `depose` says whether the old primary
-    /// still has to be fenced (a failover) or fenced itself (`how` =
-    /// `"handoff"`).
-    fn promote(&mut self, epoch: u32, depose: bool, how: &'static str) {
-        self.promoted = true;
+    /// The old primary acknowledged its `Depose`, or is gone: none owed.
+    fn depose_settled(&mut self) {
+        if let Standby::Promoted { pending_depose, .. } = &mut self.standby {
+            *pending_depose = false;
+        }
+    }
+
+    /// Start serving the shard under `epoch` in place of the primary at
+    /// `primary_ep`: restart every survivor's lease (they may have gone
+    /// quiet waiting out the failover) and announce the view change.
+    /// `depose` says whether the old primary still has to be fenced (a
+    /// failover) or fenced itself (`how` = `"handoff"`).
+    fn promote(&mut self, primary_ep: u32, epoch: u32, depose: bool, how: &'static str) {
+        self.standby = Standby::Promoted {
+            primary_ep,
+            pending_depose: depose,
+            first_grant_recorded: false,
+        };
         self.epoch = epoch;
-        self.pending_depose = depose;
         self.restart_leases();
         self.mark(EventKind::Promote, how);
-        self.recorder.count("home.promotions", 1);
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
         self.recorder.blackbox_trigger_once(
             "view-change",
@@ -1222,7 +1298,7 @@ impl HomeShard {
     /// bounce to the replica with zero failed operations), snapshot the
     /// full shard state and start offering it to the replica.
     fn start_handoff(&mut self, admin_ep: u32) -> Result<(), HomeError> {
-        if self.handoff.is_some() {
+        if self.draining() {
             return Ok(()); // duplicate request: drain already underway
         }
         if self.fenced {
@@ -1233,16 +1309,24 @@ impl HomeShard {
             // off rather than retransmitting into a fenced shard forever.
             return self.reply_view_change(admin_ep, 0);
         }
-        if self.role != Role::Primary || self.replica_ep.is_none() {
+        let Standby::Primary { replica_ep, .. } = self.standby else {
             return Err(HomeError::Violation(
                 "handoff requested on a shard without a replica".into(),
             ));
-        }
-        self.handoff_start_us = self.recorder.now_us();
-        let new_epoch = self.epoch + 1;
+        };
+        let start_us = self.recorder.now_us();
+        let epoch = self.epoch + 1;
         self.fence();
         let state = self.snapshot_state()?;
-        self.handoff = Some((admin_ep, new_epoch, state));
+        self.standby = Standby::Primary {
+            replica_ep,
+            drain: Some(Drain {
+                admin_ep,
+                epoch,
+                state,
+                start_us,
+            }),
+        };
         self.offer_handoff_state()
     }
 
@@ -1250,16 +1334,19 @@ impl HomeShard {
     /// at drain start and again on idle ticks until `HandoffInstalled`
     /// arrives.
     fn offer_handoff_state(&mut self) -> Result<(), HomeError> {
-        let Some((_, epoch, state)) = self.handoff.clone() else {
+        let Standby::Primary {
+            replica_ep,
+            drain: Some(drain),
+        } = &self.standby
+        else {
             return Ok(());
         };
-        let rep = self.replica_ep.expect("handoff without replica");
         let offer = DsdMsg::HandoffState {
             shard: self.shard,
-            epoch,
-            state,
+            epoch: drain.epoch,
+            state: drain.state.clone(),
         };
-        if !self.tell(rep, offer)? {
+        if !self.tell(*replica_ep, offer)? {
             return Err(HomeError::Violation(
                 "handoff target replica is gone".into(),
             ));
@@ -1270,35 +1357,33 @@ impl HomeShard {
     /// The replica confirmed installation: tell the admin, close the obs
     /// span, retire.
     fn finish_handoff(&mut self, epoch: u32) -> Result<(), HomeError> {
-        let Some((admin_ep, new_epoch, _)) = self.handoff else {
+        let Standby::Primary { drain, .. } = &mut self.standby else {
             return Ok(());
         };
-        if epoch != new_epoch {
+        let Some(drain) = drain.take_if(|d| d.epoch == epoch) else {
             return Ok(());
-        }
+        };
         let now = self.recorder.now_us();
         self.recorder.span_at_op(
             self.ep.rank(),
             EventKind::Handoff,
-            self.handoff_start_us,
-            now.saturating_sub(self.handoff_start_us),
+            drain.start_us,
+            now.saturating_sub(drain.start_us),
             self.shard as u64,
-            new_epoch as u64,
+            epoch as u64,
             "",
             OpCtx {
                 kind: OpKind::Handoff,
                 id: self.shard,
-                epoch: new_epoch,
+                epoch,
                 origin: 0,
             },
         );
-        self.recorder.count("home.handoffs", 1);
         let done = DsdMsg::HandoffDone {
             shard: self.shard,
-            epoch: new_epoch,
+            epoch,
         };
-        self.tell(admin_ep, done)?;
-        self.handoff = None;
+        self.tell(drain.admin_ep, done)?;
         Ok(())
     }
 
@@ -1306,13 +1391,14 @@ impl HomeShard {
     /// promote to the offered epoch. Idempotent — a retransmitted
     /// snapshot after promotion is just re-acknowledged.
     fn on_handoff_state(&mut self, src_ep: u32, epoch: u32, state: Bytes) -> Result<(), HomeError> {
-        if self.role != Role::Replica {
-            return Ok(());
-        }
-        if !self.promoted {
-            self.install_state(state)?;
-            // The old primary fenced itself; no depose needed.
-            self.promote(epoch, false, "handoff");
+        match self.standby {
+            Standby::Shadow { primary_ep } => {
+                self.install_state(state)?;
+                // The old primary fenced itself; no depose needed.
+                self.promote(primary_ep, epoch, false, "handoff");
+            }
+            Standby::Promoted { .. } => {}
+            Standby::Solo | Standby::Primary { .. } => return Ok(()),
         }
         let ack = DsdMsg::HandoffInstalled {
             shard: self.shard,
@@ -1337,7 +1423,7 @@ impl HomeShard {
         entry: u32,
         to_shard: u32,
     ) -> Result<(), HomeError> {
-        if self.role == Role::Replica && !self.promoted {
+        if !self.serves_clients() {
             return Ok(()); // shadows learn moves from the relay stream
         }
         if let Some(h) = &self.entry_handoff {
@@ -1357,22 +1443,14 @@ impl HomeShard {
             return Ok(());
         }
         let state = self.pack_entry_state(entry)?;
-        let prev = self.entry_home.get(&entry).copied();
-        let epoch = prev.map(|(_, e)| e).unwrap_or(0) + 1;
-        // Ship the flip down the replication stream *before* acting on
-        // it, mirroring the relay-before-process discipline.
-        self.relay_decision(DsdMsg::EntryMoved {
-            entries: vec![(entry, to_shard, epoch)],
-        })?;
-        self.entry_home.insert(entry, (to_shard, epoch));
-        self.log.retain(|(_, _, r)| r.entry != entry);
+        let epoch = self.placement.epoch(entry) + 1;
+        self.move_entry(entry, to_shard, epoch)?;
         self.entry_handoff = Some(EntryHandoffState {
             entry,
             admin_ep,
             to_shard,
             epoch,
             state,
-            prev,
         });
         self.recorder.count("home.entry_handoffs", 1);
         self.send_entry_state()
@@ -1391,10 +1469,10 @@ impl HomeShard {
             epoch: h.epoch,
             state: h.state.clone(),
         };
-        let to_shard = h.to_shard;
-        let mut alive = self.tell(self.directory.shard_ep(to_shard), offer.clone())?;
-        if self.directory.n_replicas() > 0 {
-            alive |= self.tell(self.directory.replica_ep(to_shard), offer)?;
+        let (to_shard, directory) = (h.to_shard, self.placement.directory());
+        let mut alive = self.tell(directory.shard_ep(to_shard), offer.clone())?;
+        if directory.n_replicas() > 0 {
+            alive |= self.tell(directory.replica_ep(to_shard), offer)?;
         }
         if !alive {
             // Every endpoint of the target shard is gone: abort the move
@@ -1412,13 +1490,7 @@ impl HomeShard {
         let Some(h) = self.entry_handoff.take() else {
             return Ok(());
         };
-        let owner = h.prev.map(|(s, _)| s).unwrap_or(self.shard);
-        self.relay_decision(DsdMsg::EntryMoved {
-            entries: vec![(h.entry, owner, h.epoch + 1)],
-        })?;
-        self.entry_home.insert(h.entry, (owner, h.epoch + 1));
-        self.seq += 1;
-        self.log_floor = self.seq;
+        self.move_entry(h.entry, self.shard, h.epoch + 1)?;
         self.recorder.count("home.entry_handoff_aborts", 1);
         self.drain_entry_pending()
     }
@@ -1433,22 +1505,13 @@ impl HomeShard {
         epoch: u32,
         state: Bytes,
     ) -> Result<(), HomeError> {
-        if self.role == Role::Replica && !self.promoted {
+        if !self.serves_clients() {
             return Ok(()); // the shadow's copy arrives on the relay stream
         }
         if self.fenced {
             return self.reply_view_change(src_ep, 0);
         }
-        let cur = self.entry_home.get(&entry).map(|&(_, e)| e).unwrap_or(0);
-        if epoch > cur {
-            // Relay before installing, as with client requests.
-            self.relay_decision(DsdMsg::EntryState {
-                entry,
-                epoch,
-                state: state.clone(),
-            })?;
-            self.install_entry(entry, epoch, state)?;
-        }
+        self.install_entry(entry, epoch, state)?;
         self.tell(src_ep, DsdMsg::EntryInstalled { entry, epoch })?;
         Ok(())
     }
@@ -1463,52 +1526,51 @@ impl HomeShard {
         Ok(pack_batch_fast(&extract_updates(&self.gthv, &ranges)?))
     }
 
-    /// Apply an adopted entry's packed state and take ownership at
-    /// `epoch`. The entry's history lives at the old owner, so the log
-    /// floor is raised to force every horizon below it through a full
-    /// refresh of the (now larger) owned slice.
+    /// Take ownership of `entry` at `epoch` and apply its packed state
+    /// (idempotently — a duplicate offer changes nothing). The install is
+    /// relayed first, as with client requests, so a shadow replays it
+    /// through this same path.
     fn install_entry(&mut self, entry: u32, epoch: u32, state: Bytes) -> Result<(), HomeError> {
-        let cur = self.entry_home.get(&entry).map(|&(_, e)| e).unwrap_or(0);
-        if epoch <= cur {
+        if !self.placement.adopt(entry, self.shard, epoch) {
             return Ok(());
         }
+        self.relay_decision(DsdMsg::EntryState {
+            entry,
+            epoch,
+            state: state.clone(),
+        })?;
         let ups = unpack_batch(state).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
-        self.entry_home.insert(entry, (self.shard, epoch));
-        self.seq += 1;
-        self.log_floor = self.seq;
+        self.force_full_refresh();
         self.recorder.count("home.entries_adopted", 1);
         Ok(())
     }
 
-    /// Replica-side mirror of one relayed ownership flip.
-    fn apply_entry_move(&mut self, entry: u32, shard: u32, epoch: u32) {
-        let cur = self.entry_home.get(&entry).map(|&(_, e)| e).unwrap_or(0);
-        if epoch <= cur {
-            return;
+    /// One ownership flip without a state transfer — a move's start and
+    /// its abort revert at the source, and the replay of both at its
+    /// shadow. Shipped down the replication stream *before* acting on it,
+    /// mirroring the relay-before-process discipline; the entry's log
+    /// rows go with the ownership.
+    fn move_entry(&mut self, entry: u32, shard: u32, epoch: u32) -> Result<(), HomeError> {
+        self.relay_decision(DsdMsg::EntryMoved {
+            entries: vec![(entry, shard, epoch)],
+        })?;
+        if self.placement.adopt(entry, shard, epoch) {
+            self.log.retain(|(_, _, r)| r.entry != entry);
+            if shard == self.shard {
+                self.force_full_refresh();
+            }
         }
-        self.entry_home.insert(entry, (shard, epoch));
-        self.log.retain(|(_, _, r)| r.entry != entry);
-        if shard == self.shard {
-            // Gaining (or re-gaining, on an abort revert) ownership of an
-            // entry whose history we do not have: force full refreshes.
-            self.seq += 1;
-            self.log_floor = self.seq;
-        }
+        Ok(())
     }
 
     /// Source side: the target acknowledged installation. Confirm to the
     /// admin and release the deferred client traffic.
     fn on_entry_installed(&mut self, entry: u32, epoch: u32) -> Result<(), HomeError> {
-        let matches_inflight = self
-            .entry_handoff
-            .as_ref()
-            .map(|h| h.entry == entry && h.epoch == epoch)
-            .unwrap_or(false);
-        if !matches_inflight {
+        let inflight = |h: &mut EntryHandoffState| h.entry == entry && h.epoch == epoch;
+        let Some(h) = self.entry_handoff.take_if(inflight) else {
             return Ok(()); // late ack for a move already concluded
-        }
-        let h = self.entry_handoff.take().expect("checked above");
+        };
         self.recorder.count("home.entries_rehomed", 1);
         let done = DsdMsg::EntryDone {
             entry: h.entry,
@@ -1529,35 +1591,6 @@ impl HomeShard {
             self.process(m)?;
         }
         Ok(())
-    }
-
-    /// If any of `updates` targets an entry this shard re-homed away,
-    /// reply `EntryMoved` with the override rows instead of absorbing —
-    /// the client merges them (max epoch wins), re-buckets the affected
-    /// updates and resends. Misrouted updates with *no* override row
-    /// fall through to `absorb`'s violation check: those are genuine
-    /// routing bugs, not stale placement views.
-    fn bounce_moved(
-        &mut self,
-        rank: u32,
-        updates: &[hdsm_tags::wire::WireUpdate],
-    ) -> Result<bool, HomeError> {
-        if self.entry_home.is_empty() {
-            return Ok(false);
-        }
-        let mut rows: Vec<(u32, u32, u32)> = updates
-            .iter()
-            .filter(|u| !self.owns_entry(u.entry))
-            .filter_map(|u| self.entry_home.get(&u.entry).map(|&(s, e)| (u.entry, s, e)))
-            .collect();
-        if rows.is_empty() {
-            return Ok(false);
-        }
-        rows.sort_unstable();
-        rows.dedup();
-        self.recorder.count("home.entry_bounces", 1);
-        self.send(rank, DsdMsg::EntryMoved { entries: rows })?;
-        Ok(true)
     }
 
     /// After fencing, keep redirecting stragglers (and re-acking deposes)
@@ -1596,24 +1629,13 @@ impl HomeShard {
 
     /// Serialize the full shard state for a handoff: authoritative entry
     /// bytes (as a packed update batch over the owned slice), the update
-    /// log, horizons, routes, sync tables, membership and the at-most-once
-    /// dedup state. Opaque to the protocol layer — only this module reads
-    /// it back.
+    /// log, the peers table (life, route, horizon and at-most-once dedup
+    /// state of every rank), the sync tables and the ownership overlay.
+    /// Every table is written in key order, so the bytes are a pure
+    /// function of the shard's state (the simulation determinism tests
+    /// compare run artifacts byte-for-byte). Opaque to the protocol layer
+    /// — only this module reads it back.
     fn snapshot_state(&self) -> Result<Bytes, HomeError> {
-        // Every map/set below iterates in sorted order: the snapshot's
-        // bytes must be a pure function of the shard's state, not of the
-        // per-instance `HashMap` hash seed (the simulation determinism
-        // tests compare run artifacts byte-for-byte).
-        fn sorted<K: Ord + Copy, V>(m: &HashMap<K, V>) -> Vec<(K, &V)> {
-            let mut v: Vec<_> = m.iter().map(|(k, x)| (*k, x)).collect();
-            v.sort_by_key(|(k, _)| *k);
-            v
-        }
-        fn sorted_set(set: &HashSet<u32>) -> Vec<u32> {
-            let mut v: Vec<u32> = set.iter().copied().collect();
-            v.sort_unstable();
-            v
-        }
         let mut out = BytesMut::new();
         out.put_u64(self.seq);
         out.put_u64(self.log_floor);
@@ -1629,15 +1651,21 @@ impl HomeShard {
             out.put_u64(r.first);
             out.put_u64(r.count);
         }
-        out.put_u32(self.seen.len() as u32);
-        for (rank, s) in sorted(&self.seen) {
-            out.put_u32(rank);
-            out.put_u64(*s);
-        }
-        out.put_u32(self.routes.len() as u32);
-        for (rank, ep) in sorted(&self.routes) {
-            out.put_u32(rank);
-            out.put_u32(*ep);
+        out.put_u32(self.peers.len() as u32);
+        for (rank, p) in &self.peers {
+            out.put_u32(*rank);
+            out.put_u8(p.life as u8);
+            out.put_u8(p.closed as u8);
+            out.put_u32(p.route.map(|ep| ep + 1).unwrap_or(0));
+            out.put_u64(p.seen);
+            out.put_u64(p.last_req);
+            out.put_u8(p.reply.is_some() as u8);
+            if let Some((rid, kind, payload)) = &p.reply {
+                out.put_u64(*rid);
+                out.put_u16(*kind as u16);
+                out.put_u32(payload.len() as u32);
+                out.put_slice(payload);
+            }
         }
         out.put_u32(self.locks.len() as u32);
         for l in &self.locks {
@@ -1662,40 +1690,25 @@ impl HomeShard {
                 out.put_u32(*l);
             }
         }
-        out.put_u32(self.joined.len() as u32);
-        for r in sorted_set(&self.joined) {
-            out.put_u32(r);
-        }
-        out.put_u32(self.dead.len() as u32);
-        for r in sorted_set(&self.dead) {
-            out.put_u32(r);
-        }
-        out.put_u32(self.last_req.len() as u32);
-        for (rank, id) in sorted(&self.last_req) {
-            out.put_u32(rank);
-            out.put_u64(*id);
-        }
-        out.put_u32(self.reply_cache.len() as u32);
-        for (rank, (rid, kind, payload)) in sorted(&self.reply_cache) {
-            out.put_u32(rank);
-            out.put_u64(*rid);
-            out.put_u16(*kind as u16);
-            out.put_u32(payload.len() as u32);
-            out.put_slice(payload);
-        }
-        out.put_u32(self.entry_home.len() as u32);
-        for (entry, (shard, epoch)) in sorted(&self.entry_home) {
+        let rows = self.placement.rows();
+        out.put_u32(rows.len() as u32);
+        for (entry, shard, epoch) in rows {
             out.put_u32(entry);
-            out.put_u32(*shard);
-            out.put_u32(*epoch);
+            out.put_u32(shard);
+            out.put_u32(epoch);
         }
         Ok(out.freeze())
     }
 
     /// Install a handoff snapshot wholesale, replacing whatever shadow
     /// state this replica accumulated (correct even if it missed relays).
+    /// The blob arrives in a wire frame: every length is checked against
+    /// what is left of it before anything is reserved or read.
     fn install_state(&mut self, mut b: Bytes) -> Result<(), HomeError> {
         const TRUNCATED: HomeError = HomeError::Protocol(ProtocolError::Truncated);
+        fn bad(what: &'static str) -> HomeError {
+            HomeError::Protocol(ProtocolError::BadMessage(what))
+        }
         fn need(b: &Bytes, n: usize) -> Result<(), HomeError> {
             if b.remaining() < n {
                 Err(TRUNCATED)
@@ -1739,8 +1752,45 @@ impl HomeShard {
                 },
             ))
         })?;
-        self.seen = HashMap::from_iter(table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u64())))?);
-        self.routes = HashMap::from_iter(table(&mut b, 8, |b| Ok((b.get_u32(), b.get_u32())))?);
+        self.peers = BTreeMap::from_iter(table(&mut b, 27, |b| {
+            let rank = b.get_u32();
+            let life = match b.get_u8() {
+                0 => Life::Expected,
+                1 => Life::Joined,
+                2 => Life::Dead,
+                _ => return Err(bad("snapshot peer life unknown")),
+            };
+            let closed = b.get_u8() != 0;
+            let route = b.get_u32().checked_sub(1);
+            let (seen, last_req) = (b.get_u64(), b.get_u64());
+            let mut reply = None;
+            if b.get_u8() != 0 {
+                need(b, 14)?;
+                let rid = b.get_u64();
+                let kind =
+                    MsgKind::from_u16(b.get_u16()).ok_or(bad("snapshot reply kind unknown"))?;
+                let plen = b.get_u32() as usize;
+                need(b, plen)?;
+                reply = Some((rid, kind, b.split_to(plen)));
+            }
+            let peer = Peer {
+                life,
+                closed,
+                route,
+                seen,
+                last_req,
+                reply,
+                ..Peer::default()
+            };
+            Ok((rank, peer))
+        })?);
+        self.pending = self
+            .peers
+            .values()
+            .filter(|p| p.life == Life::Expected)
+            .count();
+        let dead = self.peers.iter().find(|(_, p)| p.life == Life::Dead);
+        self.lowest_dead = dead.map(|(&r, _)| r);
         self.locks = table(&mut b, 8, |b| {
             let holder = b.get_u32().checked_sub(1);
             let waiters = table(b, 4, |b| Ok(b.get_u32()))?.into();
@@ -1754,21 +1804,12 @@ impl HomeShard {
             let waiters = table(b, 8, |b| Ok((b.get_u32(), b.get_u32())))?.into();
             Ok(CondState { waiters })
         })?;
-        self.joined = HashSet::from_iter(table(&mut b, 4, |b| Ok(b.get_u32()))?);
-        self.dead = HashSet::from_iter(table(&mut b, 4, |b| Ok(b.get_u32()))?);
-        self.last_req = HashMap::from_iter(table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u64())))?);
-        self.reply_cache = HashMap::from_iter(table(&mut b, 18, |b| {
-            let (rank, rid) = (b.get_u32(), b.get_u64());
-            let kind = MsgKind::from_u16(b.get_u16()).ok_or(HomeError::Protocol(
-                ProtocolError::BadMessage("snapshot reply kind unknown"),
-            ))?;
-            let plen = b.get_u32() as usize;
-            need(b, plen)?;
-            Ok((rank, (rid, kind, b.split_to(plen))))
-        })?);
-        self.entry_home = HashMap::from_iter(table(&mut b, 12, |b| {
-            Ok((b.get_u32(), (b.get_u32(), b.get_u32())))
-        })?);
+        self.placement = Placement::new(self.placement.directory());
+        for (entry, shard, epoch) in
+            table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u32(), b.get_u32())))?
+        {
+            self.placement.adopt(entry, shard, epoch);
+        }
         Ok(())
     }
 
@@ -1791,7 +1832,7 @@ impl HomeShard {
     fn linger_drain(&mut self) -> Result<(), HomeError> {
         let deadline = self.clock.now() + self.linger;
         while let Some(msg) = self.recv_until(deadline)? {
-            let stamped = self.directory.epoch_stamped(msg.kind);
+            let stamped = self.placement.directory().epoch_stamped(msg.kind);
             let Ok((req_id, _, decoded)) = DsdMsg::decode_request(msg.kind, msg.payload, stamped)
             else {
                 continue;
@@ -1799,25 +1840,27 @@ impl HomeShard {
             let Some(rank) = decoded.sender_rank() else {
                 continue;
             };
-            self.routes.insert(rank, msg.src);
+            let Some(peer) = self.peers.get_mut(&rank) else {
+                continue;
+            };
+            peer.route = Some(msg.src);
             if matches!(decoded, DsdMsg::Heartbeat { .. }) {
                 continue;
             }
-            if self.dead.contains(&rank) {
-                self.last_req.insert(rank, req_id);
+            if peer.life == Life::Dead {
+                peer.last_req = req_id;
                 let lost = self.worker_lost_msg(rank);
                 let _ = self.send(rank, lost);
-                continue;
-            }
-            // A resend that fails needs no second answer either: the
-            // requester retransmits.
-            let answered = self.resend_cached(rank, req_id).unwrap_or(true);
-            if !answered && req_id > self.last_req.get(&rank).copied().unwrap_or(0) {
+            } else if req_id > peer.last_req {
                 // A new request after shutdown can only be a stray late
                 // join (or a client that missed the broadcast): answer
                 // Shutdown so it terminates.
-                self.last_req.insert(rank, req_id);
+                peer.last_req = req_id;
                 let _ = self.send(rank, DsdMsg::Shutdown);
+            } else {
+                // A resend that fails needs no second answer either: the
+                // requester retransmits.
+                let _ = self.resend_cached(rank, req_id);
             }
         }
         Ok(())
@@ -1833,59 +1876,61 @@ impl HomeShard {
         msg: DsdMsg,
         op: OpCtx,
     ) -> Result<(), HomeError> {
-        if let DsdMsg::Heartbeat { rank } = msg {
-            self.routes.insert(rank, src_ep);
-            self.touch(rank);
-            return Ok(());
-        }
         let Some(rank) = msg.sender_rank() else {
             // Rankless messages (e.g. stray Acks) carry no liveness or
             // dedup state; let handle() report the violation.
             return self.handle(msg);
         };
-        self.routes.insert(rank, src_ep);
-        self.touch(rank);
+        let now = self.clock.now();
+        let Some(peer) = self.peers.get_mut(&rank) else {
+            return Err(HomeError::Violation(format!(
+                "request from unknown participant {rank}"
+            )));
+        };
+        peer.route = Some(src_ep);
+        if peer.life != Life::Dead && !peer.closed {
+            peer.last_heard = Some(now);
+        }
+        if matches!(msg, DsdMsg::Heartbeat { .. }) {
+            return Ok(());
+        }
         if op.is_some() {
             // Remember which sync op this thread is blocked in, so its
             // reply (possibly deferred past other requests) and the spans
             // spent serving it are attributed to the right op.
-            self.op_ctx.insert(rank, op);
+            peer.op = op;
         }
-        if self.dead.contains(&rank) {
+        if peer.life == Life::Dead {
             // A declared-dead worker resurfaced (e.g. a healed partition
             // after its lease expired). Its synchronisation state is
             // gone; tell it so instead of corrupting the tables. If it
             // already hung up again, there is nobody left to tell.
-            self.last_req.insert(rank, req_id);
+            peer.last_req = req_id;
             let lost = self.worker_lost_msg(rank);
             self.reply(rank, lost)?;
             return Ok(());
         }
-        if self.closed.contains(&rank) {
+        if peer.closed {
             // The rank's session already shut down and its cached reply
             // was purged; whether this is a Join retransmission or a
             // stray late operation, the only correct answer is Shutdown
             // (sent uncached, so the purge stays permanent).
-            if req_id != 0 {
-                let last = self.last_req.entry(rank).or_insert(0);
-                *last = (*last).max(req_id);
-            }
+            peer.last_req = peer.last_req.max(req_id);
             return self.resend_shutdown_uncached(rank);
         }
         if req_id != 0 {
-            let last = self.last_req.get(&rank).copied().unwrap_or(0);
-            if req_id < last {
+            if req_id < peer.last_req {
                 return Ok(()); // stale retransmission of an older request
             }
-            if req_id == last {
+            if req_id == peer.last_req {
                 // Duplicate of the current request: the reply (if already
                 // produced) was lost — resend it verbatim. If the reply
                 // is still pending (deferred grant/release), ignore.
                 self.resend_cached(rank, req_id)?;
                 return Ok(());
             }
-            self.last_req.insert(rank, req_id);
-            self.reply_cache.remove(&rank);
+            peer.last_req = req_id;
+            peer.reply = None;
         }
         self.handle(msg)
     }
@@ -1893,46 +1938,28 @@ impl HomeShard {
     /// Start every live participant's lease afresh from now.
     fn restart_leases(&mut self) {
         let now = self.clock.now();
-        for &r in &self.participants {
-            if !self.joined.contains(&r) && !self.dead.contains(&r) {
-                self.last_heard.insert(r, now);
+        for p in self.peers.values_mut() {
+            if p.life == Life::Expected {
+                p.last_heard = Some(now);
             }
         }
     }
 
-    /// Refresh a participant's liveness timestamp.
-    fn touch(&mut self, rank: u32) {
-        if self.participants.contains(&rank)
-            && !self.dead.contains(&rank)
-            && !self.closed.contains(&rank)
-        {
-            self.last_heard.insert(rank, self.clock.now());
-        }
-    }
-
-    /// Declare participants dead whose lease has expired.
+    /// Declare participants dead whose lease has expired — in rank order,
+    /// because the declaration order decides who inherits contended
+    /// locks.
     fn check_leases(&mut self) -> Result<(), HomeError> {
         let Some(lease) = self.lease else {
             return Ok(());
         };
         let now = self.clock.now();
-        // Sorted so that simultaneous expiries are declared in rank
-        // order, not hash-set order — the declaration order decides who
-        // inherits contended locks, and sim reproducibility needs it
-        // fixed.
-        let mut expired: Vec<u32> = self
-            .participants
+        let expired: Vec<u32> = self
+            .peers
             .iter()
-            .filter(|r| !self.joined.contains(r) && !self.dead.contains(r))
-            .filter(|r| {
-                self.last_heard
-                    .get(r)
-                    .map(|t| now.saturating_since(*t) > lease)
-                    .unwrap_or(true)
-            })
-            .copied()
+            .filter(|(_, p)| p.life == Life::Expected)
+            .filter(|(_, p)| p.last_heard.is_none_or(|t| now.saturating_since(t) > lease))
+            .map(|(&r, _)| r)
             .collect();
-        expired.sort_unstable();
         for r in expired {
             // Ship the expiry decision down the replication stream first
             // (it is timing-dependent; the shadow must not re-derive it).
@@ -1947,7 +1974,9 @@ impl HomeShard {
     /// (granting the next waiter), drop it from wait queues, and fail any
     /// barrier it was blocking with [`DsdMsg::WorkerLost`].
     fn declare_dead(&mut self, rank: u32) -> Result<(), HomeError> {
-        self.dead.insert(rank);
+        if !self.settle(rank, Life::Dead) {
+            return Ok(()); // a replayed expiry: already settled
+        }
         // Attributed to the dead rank's last known op — the op whose
         // participants will observe the expiry.
         self.recorder.instant_op(
@@ -1983,7 +2012,7 @@ impl HomeShard {
             }
             let entered = std::mem::take(&mut self.barriers[idx].entered);
             for r in entered {
-                if !self.dead.contains(&r) {
+                if self.life(r) != Some(Life::Dead) {
                     let lost = self.worker_lost_msg(rank);
                     self.send(r, lost)?;
                 }
@@ -2006,7 +2035,7 @@ impl HomeShard {
         shard_of: impl Fn(&Directory, u32) -> u32,
         len: usize,
     ) -> Result<usize, HomeError> {
-        let owner = shard_of(&self.directory, id);
+        let owner = shard_of(&self.placement.directory(), id);
         if owner != self.shard {
             return Err(HomeError::Violation(format!(
                 "{what} {id} homed at shard {owner}, not shard {}",
@@ -2038,7 +2067,7 @@ impl HomeShard {
     fn pass_lock(&mut self, lock: u32) -> Result<(), HomeError> {
         self.locks[lock as usize].holder = None;
         while let Some(next) = self.locks[lock as usize].waiters.pop_front() {
-            if !self.dead.contains(&next) {
+            if self.life(next) != Some(Life::Dead) {
                 self.locks[lock as usize].holder = Some(next);
                 return self.grant(lock, next);
             }
@@ -2065,12 +2094,11 @@ impl HomeShard {
                         self.locks[idx].holder
                     )));
                 }
-                if self.bounce_moved(rank, &updates)? {
+                if !self.absorb(rank, &updates)? {
                     // Stale placement view: nothing absorbed, lock still
                     // held — the client re-routes and retries the release.
                     return Ok(());
                 }
-                self.absorb(rank, &updates)?;
                 self.send(rank, DsdMsg::UnlockAck { lock })?;
                 self.pass_lock(lock)
             }
@@ -2085,10 +2113,9 @@ impl HomeShard {
                     Directory::barrier_shard,
                     self.barriers.len(),
                 )?;
-                if self.bounce_moved(rank, &updates)? {
+                if !self.absorb(rank, &updates)? {
                     return Ok(()); // client re-routes and re-enters
                 }
-                self.absorb(rank, &updates)?;
                 if let Some(lost) = self.blocking_dead(rank) {
                     // The barrier can never complete with a dead
                     // participant of its session outstanding: fail fast.
@@ -2107,14 +2134,8 @@ impl HomeShard {
                 Ok(())
             }
             DsdMsg::Join { rank } => {
-                if !self.participants.contains(&rank) {
-                    return Err(HomeError::Violation(format!(
-                        "unknown participant {rank} joining"
-                    )));
-                }
-                self.joined.insert(rank);
-                self.maybe_close_session(rank)?;
-                Ok(())
+                self.settle(rank, Life::Joined);
+                self.maybe_close_session(rank)
             }
             DsdMsg::CondWait {
                 cond,
@@ -2129,12 +2150,11 @@ impl HomeShard {
                         "thread {rank} cond-waiting without holding mutex {lock}"
                     )));
                 }
-                if self.bounce_moved(rank, &updates)? {
-                    return Ok(()); // client re-routes and retries the wait
-                }
                 // Atomic release + sleep: absorb the waiter's updates,
                 // free the mutex (waking the next contender), park.
-                self.absorb(rank, &updates)?;
+                if !self.absorb(rank, &updates)? {
+                    return Ok(()); // client re-routes and retries the wait
+                }
                 self.pass_lock(lock)?;
                 self.conds[cidx].waiters.push_back((rank, lock));
                 Ok(())
@@ -2158,7 +2178,9 @@ impl HomeShard {
             DsdMsg::Resync { rank } => {
                 // Cold copy: force a full refresh at the next acquire by
                 // dropping the horizon below the log floor (or to zero).
-                self.seen.insert(rank, 0);
+                if let Some(p) = self.peers.get_mut(&rank) {
+                    p.seen = 0;
+                }
                 if self.log_floor == 0 && self.seq > 0 {
                     // Ensure "below floor" semantics even without
                     // compaction: raise the floor to the current sequence
@@ -2173,10 +2195,9 @@ impl HomeShard {
                 // goes to another shard. Absorb and ack; the thread holds
                 // its release until the ack arrives, so the next acquirer
                 // of any mutex is guaranteed to fetch these updates.
-                if self.bounce_moved(rank, &updates)? {
+                if !self.absorb(rank, &updates)? {
                     return Ok(()); // client re-routes and re-flushes
                 }
-                self.absorb(rank, &updates)?;
                 self.send(rank, DsdMsg::Ack)
             }
             DsdMsg::UpdateFetch { rank } => {
@@ -2330,7 +2351,7 @@ mod tests {
         }
         assert!(h.log.len() < 5000, "log was never compacted");
         // A thread below the floor still gets a full refresh.
-        h.seen.insert(2, 0);
+        h.peers.get_mut(&2).unwrap().seen = 0;
         assert!(h.log_floor > 0);
         let ups = h.stale_updates_for(2).unwrap();
         assert_eq!(ups[0].tag.element_count(), 64);
@@ -2388,41 +2409,90 @@ mod tests {
         .unwrap();
         assert!(matches!(h.absorb(1, &bad), Err(HomeError::Violation(_))));
     }
-    #[test]
-    fn handoff_states_roundtrip_through_the_grouped_batch() {
-        // Shard snapshot and entry-handoff state both travel as v2 batches
-        // and install byte-exactly, also across a representation boundary.
-        let shard = |plat| {
-            let (_net, mut eps) = Network::new(1, NetConfig::instant());
-            HomeShard::new(
-                GthvInstance::new(tiny_def(), plat),
-                eps.pop().unwrap(),
-                HomeConfig {
-                    participants: vec![1],
-                    ..Default::default()
-                },
-            )
+    /// A shard over `tiny_def` on `plat` with ranks 1..=5 in two tenancy
+    /// sessions ({1} and {2..=5}, the latter with one mutex), plus the
+    /// worker endpoints 1..=5 of its fabric.
+    fn session_shard(plat: hdsm_platform::spec::Platform) -> (HomeShard, Vec<Endpoint>) {
+        use crate::tenant::SessionSpec;
+        let (_net, mut eps) = Network::new(6, NetConfig::instant());
+        let config = HomeConfig {
+            participants: (1..=5).collect(),
+            sessions: TenantSpace::layout(&[SessionSpec::new(1, 0, 0), SessionSpec::new(4, 1, 0)]),
+            ..Default::default()
         };
-        let mut src = shard(PlatformSpec::solaris_sparc());
-        src.init_with(|g| {
+        let gthv = GthvInstance::new(tiny_def(), plat);
+        (HomeShard::new(gthv, eps.remove(0), config), eps)
+    }
+
+    /// [`session_shard`] driven until it holds a peer in every state:
+    /// rank 1 joined and closed (its session is complete), rank 2 holding
+    /// mutex 0 with its grant cached, rank 3 queued behind it, rank 4
+    /// dead, rank 5 expected and never heard from — plus one ownership
+    /// row.
+    fn populated_shard() -> (HomeShard, Vec<Endpoint>) {
+        let (mut h, eps) = session_shard(PlatformSpec::solaris_sparc());
+        h.init_with(|g| {
             for i in 0..64 {
                 g.write_int(0, i, i as i128 * 7 - 100).unwrap();
             }
         });
+        let op = OpCtx::default();
+        h.dispatch(1, 1, DsdMsg::Join { rank: 1 }, op).unwrap();
+        for rank in [2, 3] {
+            h.dispatch(rank, 7, DsdMsg::LockRequest { lock: 0, rank }, op)
+                .unwrap();
+        }
+        h.declare_dead(4).unwrap();
+        h.placement.adopt(0, 0, 2);
+        (h, eps)
+    }
+
+    #[test]
+    fn handoff_states_roundtrip_through_the_grouped_batch() {
+        // Shard snapshot and entry-handoff state both travel as v2 batches
+        // and install byte-exactly, also across a representation boundary.
+        let (src, _src_eps) = populated_shard();
+        let lives: Vec<_> = src.peers.values().map(|p| (p.life, p.closed)).collect();
+        assert_eq!(
+            lives,
+            [
+                (Life::Joined, true),
+                (Life::Expected, false),
+                (Life::Expected, false),
+                (Life::Dead, false),
+                (Life::Expected, false)
+            ]
+        );
         let v2_marker = [0xFFu8; 4];
 
         let snap = src.snapshot_state().unwrap();
         assert_eq!(&snap[20..24], &v2_marker, "snapshot batch must be v2");
-        let mut same = shard(PlatformSpec::solaris_sparc());
+        let (mut same, same_eps) = session_shard(PlatformSpec::solaris_sparc());
         same.install_state(snap.clone()).unwrap();
         assert_eq!(same.gthv().space().raw(), src.gthv().space().raw());
-        assert_eq!((same.seq, same.log.len()), (src.seq, src.log.len()));
-        let mut other = shard(PlatformSpec::linux_x86());
+        assert_eq!(
+            same.snapshot_state().unwrap(),
+            snap,
+            "snapshot → install → snapshot must be byte-identical"
+        );
+        assert_eq!((same.pending, same.lowest_dead), (3, Some(4)));
+        let closed = &same.peers[&1];
+        assert!(closed.closed && closed.reply.is_none() && closed.last_req == 1);
+        // A duplicate of rank 2's granted request is answered from the
+        // installed reply cache, not by queueing rank 2 behind itself.
+        let dup = DsdMsg::LockRequest { lock: 0, rank: 2 };
+        same.dispatch(2, 7, dup, OpCtx::default()).unwrap();
+        let resent = same_eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
+        let (rid, grant) = DsdMsg::decode_enveloped(resent.kind, resent.payload).unwrap();
+        assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 7);
+        assert_eq!(same.locks[0].holder, Some(2));
+        assert_eq!(same.locks[0].waiters, [3]);
+        let (mut other, _other_eps) = session_shard(PlatformSpec::linux_x86());
         other.install_state(snap).unwrap();
 
         let state = src.pack_entry_state(0).unwrap();
         assert_eq!(&state[..4], &v2_marker, "entry state must be v2");
-        let mut adopter = shard(PlatformSpec::linux_x86());
+        let (mut adopter, _adopter_eps) = session_shard(PlatformSpec::linux_x86());
         adopter.install_entry(0, 1, state).unwrap();
         for i in 0..64 {
             let want = i as i128 * 7 - 100;
@@ -2430,5 +2500,39 @@ mod tests {
             assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
         }
         assert!(adopter.owns_entry(0));
+    }
+
+    #[test]
+    fn random_bytes_never_panic_or_overreserve_installing_snapshots() {
+        // `HandoffState.state` and `EntryState.state` arrive in wire
+        // frames: whatever they hold, the installers answer Ok or Err —
+        // never a panic, never a reservation sized by a length prefix.
+        let (src, _src_eps) = populated_shard();
+        let snap = src.snapshot_state().unwrap();
+        let (mut victim, _eps) = session_shard(PlatformSpec::linux_x86());
+        for cut in 0..snap.len() {
+            assert!(
+                victim.install_state(snap.slice(..cut)).is_err(),
+                "strict prefix of {cut} bytes must be rejected"
+            );
+        }
+        // Every count and length of a valid snapshot, blown up in place.
+        for at in 0..snap.len() - 4 {
+            let mut wild = snap.to_vec();
+            wild[at..at + 4].fill(0xFF);
+            let _ = victim.install_state(wild.into());
+        }
+        let mut seed = 0x5EED_5A17u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as u8
+        };
+        for i in 0..1000usize {
+            let buf = Bytes::from((0..i * 4200 / 999).map(|_| next()).collect::<Vec<u8>>());
+            assert!(victim.install_state(buf.clone()).is_err(), "buffer {i}");
+            let _ = victim.install_entry(0, i as u32 + 1, buf);
+        }
     }
 }

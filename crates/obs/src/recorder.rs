@@ -615,11 +615,11 @@ impl Recorder {
     // ----- windowed time-series -----
 
     /// Turn on the windowed time-series: one delta [`Frame`] per
-    /// `interval_us` of fabric time, at most `cap` frames retained
-    /// (oldest lost first). No-op when disabled.
-    pub fn enable_timeseries(&self, interval_us: u64, cap: usize) {
+    /// [`Self::tick_window`] call, at most `cap` frames retained (oldest
+    /// lost first). No-op when disabled.
+    pub fn enable_timeseries(&self, cap: usize) {
         if let Some(core) = &self.0 {
-            *core.timeseries.lock() = Some(TimeSeries::new(interval_us, cap));
+            *core.timeseries.lock() = Some(TimeSeries::new(cap));
         }
     }
 

@@ -167,7 +167,6 @@ pub struct Sample {
 /// previous cumulative [`Sample`] they are diffed against.
 #[derive(Debug)]
 pub struct TimeSeries {
-    interval_us: u64,
     cap: usize,
     seq: u64,
     frames: VecDeque<Frame>,
@@ -184,21 +183,15 @@ fn delta_map<K: Copy + Ord>(cur: &BTreeMap<K, u64>, prev: &BTreeMap<K, u64>) -> 
 }
 
 impl TimeSeries {
-    /// A new aggregator emitting one frame per `interval_us`, keeping at
-    /// most `cap` frames (oldest lost first).
-    pub fn new(interval_us: u64, cap: usize) -> TimeSeries {
+    /// A new aggregator keeping at most `cap` frames (oldest lost first);
+    /// whoever calls [`Self::push`] sets the window length.
+    pub fn new(cap: usize) -> TimeSeries {
         TimeSeries {
-            interval_us: interval_us.max(1),
             cap: cap.max(1),
             seq: 0,
             frames: VecDeque::new(),
             prev: Sample::default(),
         }
-    }
-
-    /// The configured window length in µs.
-    pub fn interval_us(&self) -> u64 {
-        self.interval_us
     }
 
     /// Close the window ending at `t_us`: diff `cur` against the previous
@@ -271,7 +264,7 @@ mod tests {
 
     #[test]
     fn frames_carry_deltas_not_cumulatives() {
-        let mut ts = TimeSeries::new(1000, 8);
+        let mut ts = TimeSeries::new(8);
         let f0 = ts.push(1000, sample(5, 7));
         assert_eq!(f0.seq, 0);
         assert_eq!(f0.msgs(), 5);
@@ -291,7 +284,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let mut ts = TimeSeries::new(10, 3);
+        let mut ts = TimeSeries::new(3);
         for i in 0..10u64 {
             ts.push(i * 10, Sample::default());
         }
@@ -301,7 +294,7 @@ mod tests {
 
     #[test]
     fn json_is_single_line_and_stable() {
-        let mut ts = TimeSeries::new(1000, 8);
+        let mut ts = TimeSeries::new(8);
         let f = ts.push(1000, sample(5, 7));
         let j = f.to_json();
         assert!(!j.contains('\n'));
@@ -316,7 +309,7 @@ mod tests {
 
     #[test]
     fn decisions_are_windowed() {
-        let mut ts = TimeSeries::new(1000, 8);
+        let mut ts = TimeSeries::new(8);
         let d = DecisionRow {
             entry: 3,
             from_shard: 1,

@@ -320,6 +320,26 @@ fn heat_driven_rehomes_hot_entry_and_records_decisions() {
             .any(|r| r.writer == 1 && r.shard == 0 && r.releases > 0),
         "release destinations must point rank 1 at shard 0"
     );
+    // The homes' and clients' own books agree with the decision rows:
+    // every move the engine decided was started at its source, installed
+    // at its target and confirmed — none aborted, none bounced off a
+    // busy shard — and the writers whose view went stale were bounced
+    // once and learned the new owner.
+    let count = |name: &str| {
+        let row = snap.counters.iter().find(|(k, _)| k == name);
+        row.map_or(0, |(_, v)| *v)
+    };
+    let moves = snap.placement.len() as u64;
+    assert_eq!(count("home.entry_handoffs"), moves);
+    assert_eq!(count("home.entries_adopted"), moves);
+    assert_eq!(count("home.entries_rehomed"), moves);
+    assert_eq!(count("home.entry_handoff_aborts"), 0);
+    assert_eq!(count("placement.busy_backoffs"), 0);
+    assert!(count("home.entry_bounces") >= 1);
+    assert_eq!(
+        count("client.entry_moves_learned"),
+        count("home.entry_bounces")
+    );
     // A static snapshot of the same workload records no decisions.
     let st_snap = st.obs.expect("recorder enabled");
     assert!(st_snap.placement.is_empty());

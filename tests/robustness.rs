@@ -1178,6 +1178,59 @@ fn handoff_drains_live_shard_with_zero_failed_ops() {
 }
 
 #[test]
+fn handoff_of_a_dead_primary_fails_at_once_not_after_the_budget() {
+    use hdsm::net::endpoint::NetError;
+    // The admin asks to drain shard 0 after its primary was killed and the
+    // standby took over: the only endpoint a drain can start at is gone,
+    // so the call must say so immediately instead of retransmitting into
+    // the void for its 30 s budget. The run itself is unharmed.
+    let lease = Duration::from_millis(400);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let outcome = ClusterBuilder::new()
+        .gthv(two_entry_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(2)
+        .barriers(2)
+        .topology(TopologyConfig {
+            shards: 2,
+            replicas: 1,
+            fabric: FabricMode::Sim { seed: 0xDEAD },
+        })
+        .timing(TimingConfig {
+            lease: Some(lease),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        })
+        .control(move |mut ctl| {
+            ctl.sleep(Duration::from_millis(50));
+            ctl.kill_shard(ShardId::new(0));
+            ctl.sleep(Duration::from_millis(300)); // the standby promotes
+            let clock = ctl.network().clock();
+            let t0 = clock.now();
+            let verdict = ctl.handoff(ShardId::new(0));
+            tx.send((verdict, clock.now().saturating_since(t0)))
+                .unwrap();
+        })
+        .run(failover_workload)
+        .expect("the failed admin call must not fail the run");
+    assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 40);
+    let (verdict, took) = rx.recv().unwrap();
+    assert!(
+        matches!(
+            verdict,
+            Err(ClusterError::Handoff {
+                shard: 0,
+                error: DsdError::Net(NetError::Disconnected(_))
+            })
+        ),
+        "{verdict:?}"
+    );
+    assert!(took < lease, "the verdict took {took:?} of fabric time");
+}
+
+#[test]
 fn failover_paper_kernels_survive_any_single_shard_kill() {
     use hdsm::apps::{jacobi, lu, matmul, sor};
     // The tentpole acceptance: with replicas = 1, killing either home
@@ -1467,6 +1520,7 @@ fn fifty_tenant_churn_soak_leaks_nothing() {
     }
     let outcome = b
         .sessions(specs)
+        .obs(hdsm::obs::Recorder::enabled())
         .topology(TopologyConfig {
             shards: 3,
             fabric: FabricMode::Sim { seed: 0x7E4A47 },
@@ -1525,4 +1579,11 @@ fn fifty_tenant_churn_soak_leaks_nothing() {
             "shard {shard} leaked session state after close: {r:?}"
         );
     }
+    // And the purge ran where it should: every shard closed every session
+    // exactly once, as its last member signed off.
+    let snap = outcome.obs.expect("recorder enabled");
+    assert!(snap
+        .counters
+        .iter()
+        .any(|(k, v)| k == "home.sessions_closed" && *v == 3 * TENANTS as u64));
 }
