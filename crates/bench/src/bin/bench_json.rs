@@ -21,7 +21,7 @@ use hdsm_core::costs::CostBreakdown;
 use hdsm_core::gthv::GthvDef;
 use hdsm_core::{LockId, PlacementPolicy, ShardId};
 use hdsm_net::{FabricMode, MsgKind, NetConfig};
-use hdsm_obs::{EventKind, Recorder};
+use hdsm_obs::{EventKind, ObsConfig, Recorder};
 use hdsm_platform::ctype::StructBuilder;
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_platform::spec::PlatformSpec;
@@ -274,7 +274,13 @@ fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
 /// promoted standby (`ShardKill` → `FirstGrant`), in milliseconds. The
 /// row carries no `c_share_ms`, so the `--check` perf gate ignores it.
 fn measure_failover_recovery() -> f64 {
-    let recorder = Recorder::enabled();
+    // The body runs for a fixed wall budget, so a faster release path
+    // means more ops and more events: at ~33 events an op the standby's
+    // rank passed the default 65 536-slot ring near 5000 ops and evicted
+    // its own `FirstGrant`. The ring grows lazily; size it for the budget.
+    let recorder = Recorder::with_config(ObsConfig {
+        ring_capacity: 1 << 20,
+    });
     let def = GthvDef::new(
         StructBuilder::new("G")
             .array("xs", ScalarKind::Int, 16)

@@ -37,7 +37,7 @@ use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, map_runs};
 use crate::update::{apply_batch, apply_tracked, extract_updates, UpdateError};
-use hdsm_memory::diff::{default_diff_threads, diff_pages_parallel};
+use hdsm_memory::diff::diff_pages;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
@@ -630,7 +630,7 @@ impl DsdClient {
     fn collect_outgoing(&mut self) -> Result<Vec<WireUpdate>, DsdError> {
         // t_index: byte-level twin/diff plus mapping runs to index ranges.
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let runs = diff_pages_parallel(self.gthv.space(), default_diff_threads());
+        let runs = diff_pages(self.gthv.space());
         let mapped = map_runs(self.gthv.table(), &runs);
         t.args(hdsm_memory::diff::total_bytes(&runs), runs.len() as u64);
         t.end(&mut self.costs);
@@ -987,7 +987,6 @@ impl DsdClient {
     pub fn rehost(&mut self, platform: Platform) -> Result<(), DsdError> {
         use crate::runs::abstract_diffs;
         use crate::update::full_ranges;
-        use hdsm_memory::diff::diff_pages;
 
         let def = self.gthv.def().clone();
 

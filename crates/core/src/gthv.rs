@@ -230,6 +230,10 @@ impl GthvInstance {
         &mut self.plans
     }
 
+    /// The row of `entry`, once `elem` is known to be inside it. The
+    /// writers copy the `Copy` fields they need out of it before they
+    /// borrow the space mutably — never the row, whose `path` is a heap
+    /// `String`.
     fn row_checked(
         &self,
         entry: u32,
@@ -264,10 +268,11 @@ impl GthvInstance {
 
     /// Write an integer element (tracked: may fault / create a twin).
     pub fn write_int(&mut self, entry: u32, elem: u64, value: i128) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?.clone();
+        let row = self.row_checked(entry, elem)?;
+        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
         let mut buf = [0u8; 16];
-        let out = &mut buf[..row.size as usize];
-        match row.kind.class() {
+        let out = &mut buf[..size];
+        match kind.class() {
             ScalarClass::Signed => {
                 if !hdsm_platform::endian::fits_int(value, out.len()) {
                     return Err(GthvError::Overflow);
@@ -283,12 +288,11 @@ impl GthvInstance {
             _ => {
                 return Err(GthvError::KindMismatch {
                     entry,
-                    actual: row.kind,
+                    actual: kind,
                 })
             }
         }
-        let addr = row.elem_addr(elem);
-        self.space.write(addr, &buf[..row.size as usize])?;
+        self.space.write(addr, out)?;
         Ok(())
     }
 
@@ -307,18 +311,18 @@ impl GthvInstance {
 
     /// Write a float element (tracked).
     pub fn write_float(&mut self, entry: u32, elem: u64, value: f64) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?.clone();
-        if row.kind.class() != ScalarClass::Float {
+        let row = self.row_checked(entry, elem)?;
+        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
+        if kind.class() != ScalarClass::Float {
             return Err(GthvError::KindMismatch {
                 entry,
-                actual: row.kind,
+                actual: kind,
             });
         }
         let mut buf = [0u8; 8];
-        let out = &mut buf[..row.size as usize];
+        let out = &mut buf[..size];
         write_float(value, out, self.platform.endian);
-        let addr = row.elem_addr(elem);
-        self.space.write(addr, &buf[..row.size as usize])?;
+        self.space.write(addr, out)?;
         Ok(())
     }
 
@@ -349,11 +353,12 @@ impl GthvInstance {
         elem: u64,
         target: Option<(u32, u64)>,
     ) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?.clone();
-        if row.kind != ScalarKind::Ptr {
+        let row = self.row_checked(entry, elem)?;
+        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
+        if kind != ScalarKind::Ptr {
             return Err(GthvError::KindMismatch {
                 entry,
-                actual: row.kind,
+                actual: kind,
             });
         }
         let raw: u64 = match target {
@@ -370,14 +375,13 @@ impl GthvInstance {
                 trow.elem_addr(tel)
             }
         };
-        if !hdsm_platform::endian::fits_uint(u128::from(raw), row.size as usize) {
+        if !hdsm_platform::endian::fits_uint(u128::from(raw), size) {
             return Err(GthvError::Overflow);
         }
         let mut buf = [0u8; 8];
-        let out = &mut buf[..row.size as usize];
+        let out = &mut buf[..size];
         write_uint(u128::from(raw), out, self.platform.endian);
-        let addr = row.elem_addr(elem);
-        self.space.write(addr, &buf[..row.size as usize])?;
+        self.space.write(addr, out)?;
         Ok(())
     }
 

@@ -58,6 +58,21 @@ impl IndexRow {
         debug_assert!(elem < self.count);
         self.addr + elem * u64::from(self.size)
     }
+
+    /// The elements the byte range `[start, end)` touches, as
+    /// `(first, count)`; an element touched in part counts whole. `None`
+    /// if the range misses the row's data (or is empty).
+    pub fn elems_overlapping(&self, start: u64, end: u64) -> Option<(u64, u64)> {
+        let from = start.max(self.addr);
+        let to = end.min(self.end());
+        if from >= to {
+            return None;
+        }
+        let size = u64::from(self.size);
+        let first = (from - self.addr) / size;
+        let last = (to - 1 - self.addr) / size;
+        Some((first, last - first + 1))
+    }
 }
 
 /// The per-node index table.
@@ -134,33 +149,6 @@ impl IndexTable {
             return None; // in padding after the row
         }
         Some((row.entry, (addr - row.addr) / u64::from(row.size)))
-    }
-
-    /// Rows overlapping the byte range `[start, end)`, with the clamped
-    /// element range for each: `(entry, first_elem, count)`.
-    pub fn rows_overlapping(&self, start: u64, end: u64) -> Vec<(u32, u64, u64)> {
-        let mut out = Vec::new();
-        if end <= start {
-            return out;
-        }
-        // First row that could overlap: last row with addr <= start, else 0.
-        let mut idx = self.rows.partition_point(|r| r.addr <= start);
-        idx = idx.saturating_sub(1);
-        while idx < self.rows.len() {
-            let row = &self.rows[idx];
-            if row.addr >= end {
-                break;
-            }
-            let ov_start = start.max(row.addr);
-            let ov_end = end.min(row.end());
-            if ov_start < ov_end {
-                let first = (ov_start - row.addr) / u64::from(row.size);
-                let last = (ov_end - 1 - row.addr) / u64::from(row.size);
-                out.push((row.entry, first, last - first + 1));
-            }
-            idx += 1;
-        }
-        out
     }
 
     /// Render the table in the paper's Table 1 format (address / size /
@@ -319,14 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn rows_overlapping_ranges() {
+    fn elems_overlapping_clamps_to_the_row() {
         let t = figure4_table(&PlatformSpec::linux_x86());
-        // A write covering the tail of A and head of B.
-        let a_row = &t.rows()[1];
-        let start = a_row.elem_addr(56167);
-        let end = t.rows()[2].elem_addr(2); // first 2 elements of B
-        let ov = t.rows_overlapping(start, end);
-        assert_eq!(ov, vec![(1, 56167, 2), (2, 0, 2)]);
+        let (a, b) = (&t.rows()[1], &t.rows()[2]);
+        // A write covering the tail of A and the first 2 elements of B.
+        let (start, end) = (a.elem_addr(56167), b.elem_addr(2));
+        assert_eq!(a.elems_overlapping(start, end), Some((56167, 2)));
+        assert_eq!(b.elems_overlapping(start, end), Some((0, 2)));
+        assert_eq!(t.rows()[3].elems_overlapping(start, end), None);
     }
 
     #[test]
@@ -334,17 +322,21 @@ mod tests {
         let t = figure4_table(&PlatformSpec::linux_x86());
         let a = &t.rows()[1];
         // One byte inside element 10.
-        let ov = t.rows_overlapping(a.elem_addr(10) + 1, a.elem_addr(10) + 2);
-        assert_eq!(ov, vec![(1, 10, 1)]);
+        let ov = a.elems_overlapping(a.elem_addr(10) + 1, a.elem_addr(10) + 2);
+        assert_eq!(ov, Some((10, 1)));
     }
 
     #[test]
     fn empty_and_degenerate_ranges() {
         let t = figure4_table(&PlatformSpec::linux_x86());
-        assert!(t.rows_overlapping(PAPER_BASE, PAPER_BASE).is_empty());
-        assert!(t
-            .rows_overlapping(PAPER_BASE - 100, PAPER_BASE - 50)
-            .is_empty());
+        for row in t.rows() {
+            assert_eq!(row.elems_overlapping(PAPER_BASE, PAPER_BASE), None);
+            assert_eq!(row.elems_overlapping(row.addr + 1, row.addr + 1), None);
+            assert_eq!(
+                row.elems_overlapping(PAPER_BASE - 100, PAPER_BASE - 50),
+                None
+            );
+        }
     }
 
     #[test]

@@ -32,19 +32,57 @@ impl UpdateRange {
 }
 
 /// Map byte-level diff runs to element ranges via the index table.
-/// Output is sorted by (entry, first) and *uncoalesced*.
+/// Output is sorted by (entry, first), adjacent duplicates folded: a range
+/// that repeats, overlaps or abuts the one pushed just before it, in the
+/// same entry, extends that one. A store per element of a row stripe is
+/// therefore one range, not one per element; ranges that meet only after
+/// sorting are left to [`coalesce`].
+///
+/// Runs in ascending, non-overlapping order — what [`diff_pages`] returns
+/// — are mapped by one forward walk over the table's rows, and come out
+/// with nothing left for [`coalesce`] to merge. Any other order is
+/// accepted: a run that starts before an earlier one ended is
+/// looked up by binary search, and the output sorted at the end.
+///
+/// [`diff_pages`]: hdsm_memory::diff::diff_pages
 pub fn map_runs(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> {
-    let mut out = Vec::new();
+    let rows = table.rows();
+    let mut out: Vec<UpdateRange> = Vec::new();
+    // First row that can overlap the current run, and the highest address
+    // any run so far has reached.
+    let (mut cursor, mut frontier) = (0, 0);
+    let mut in_order = true;
     for run in runs {
-        for (entry, first, count) in table.rows_overlapping(run.addr, run.end()) {
-            out.push(UpdateRange {
-                entry,
-                first,
-                count,
-            });
+        let (start, end) = (run.addr, run.end());
+        if start < frontier {
+            in_order = false;
+            cursor = rows.partition_point(|r| r.end() <= start);
+        }
+        frontier = frontier.max(end);
+        while rows.get(cursor).is_some_and(|r| r.end() <= start) {
+            cursor += 1;
+        }
+        for row in rows[cursor..].iter().take_while(|r| r.addr < end) {
+            let Some((first, count)) = row.elems_overlapping(start, end) else {
+                continue; // an empty run
+            };
+            match out.last_mut() {
+                Some(last)
+                    if last.entry == row.entry && (last.first..=last.end()).contains(&first) =>
+                {
+                    last.count = last.count.max(first + count - last.first);
+                }
+                _ => out.push(UpdateRange {
+                    entry: row.entry,
+                    first,
+                    count,
+                }),
+            }
         }
     }
-    out.sort_by_key(|r| (r.entry, r.first));
+    if !in_order {
+        out.sort_by_key(|r| (r.entry, r.first));
+    }
     out
 }
 
@@ -116,12 +154,58 @@ pub fn promote_ranges(
     out
 }
 
+/// The `map_runs` this module started with — a binary search and a `Vec`
+/// per run, one range per row a run touches, a sort of everything at the
+/// end — kept as the reference [`map_runs`] is held to.
+#[cfg(test)]
+fn map_runs_reference(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> {
+    fn rows_overlapping(table: &IndexTable, start: u64, end: u64) -> Vec<(u32, u64, u64)> {
+        let rows = table.rows();
+        let mut out = Vec::new();
+        if end <= start {
+            return out;
+        }
+        // First row that could overlap: last row with addr <= start, else 0.
+        let mut idx = rows.partition_point(|r| r.addr <= start);
+        idx = idx.saturating_sub(1);
+        while idx < rows.len() {
+            let row = &rows[idx];
+            if row.addr >= end {
+                break;
+            }
+            let ov_start = start.max(row.addr);
+            let ov_end = end.min(row.end());
+            if ov_start < ov_end {
+                let first = (ov_start - row.addr) / u64::from(row.size);
+                let last = (ov_end - 1 - row.addr) / u64::from(row.size);
+                out.push((row.entry, first, last - first + 1));
+            }
+            idx += 1;
+        }
+        out
+    }
+    let mut out = Vec::new();
+    for run in runs {
+        for (entry, first, count) in rows_overlapping(table, run.addr, run.end()) {
+            out.push(UpdateRange {
+                entry,
+                first,
+                count,
+            });
+        }
+    }
+    out.sort_by_key(|r| (r.entry, r.first));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index_table::IndexTable;
-    use hdsm_platform::ctype::{paper_figure4_struct, CType};
+    use hdsm_platform::ctype::{paper_figure4_struct, CType, StructBuilder};
+    use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::PlatformSpec;
+    use proptest::prelude::*;
 
     const BASE: u64 = 0x4005_8000;
 
@@ -388,5 +472,109 @@ mod tests {
                 count: 15
             }]
         );
+    }
+    #[test]
+    fn a_store_per_element_of_a_stripe_maps_to_one_range() {
+        // Three of an int's four bytes changed in each of 100 consecutive
+        // elements: 100 runs, ranges that abut — one range out.
+        let t = table();
+        let a = t.row(1).unwrap();
+        let runs: Vec<DiffRun> = (40..140)
+            .map(|e| DiffRun {
+                addr: a.elem_addr(e),
+                len: 3,
+            })
+            .collect();
+        let one = vec![UpdateRange {
+            entry: 1,
+            first: 40,
+            count: 100,
+        }];
+        assert_eq!(map_runs(&t, &runs), one);
+        assert_eq!(map_runs_reference(&t, &runs).len(), 100);
+        // Two runs inside one element repeat its range.
+        let twice = [
+            DiffRun {
+                addr: a.elem_addr(7),
+                len: 1,
+            },
+            DiffRun {
+                addr: a.elem_addr(7) + 2,
+                len: 1,
+            },
+        ];
+        assert_eq!(map_runs(&t, &twice).len(), 1);
+    }
+
+    /// The Fig. 4 struct, and eight `{char; double}` back to back (3 or 7
+    /// padding bytes after every `char`), on the paper's two platforms and
+    /// the LP64 one where the pointer row grows.
+    fn tables() -> Vec<IndexTable> {
+        let padded = StructBuilder::new("P")
+            .scalar("c", ScalarKind::Char)
+            .scalar("d", ScalarKind::Double)
+            .build()
+            .unwrap();
+        let padded = StructBuilder::new("Ps")
+            .field("p", CType::array(CType::Struct(padded), 8))
+            .build()
+            .unwrap();
+        let types = [CType::Struct(paper_figure4_struct()), CType::Struct(padded)];
+        let platforms = [
+            PlatformSpec::linux_x86(),
+            PlatformSpec::solaris_sparc(),
+            PlatformSpec::solaris_sparc64(),
+        ];
+        types
+            .iter()
+            .flat_map(|ty| platforms.iter().map(|p| IndexTable::build(ty, BASE, p)))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn map_runs_matches_the_reference_in_any_order(
+            // (row, offset from that row's start or end, length, stretch):
+            // runs cluster on row seams and padding; one in eight is long
+            // enough to cross whole rows.
+            picks in prop::collection::vec(
+                (0usize..64, -24i64..24, 0usize..80, 0usize..8),
+                0..40,
+            ),
+        ) {
+            for t in tables() {
+                let rows = t.rows();
+                let shuffled: Vec<DiffRun> = picks
+                    .iter()
+                    .map(|&(row, delta, len, stretch)| {
+                        let r = &rows[(row / 2) % rows.len()];
+                        let anchor = if row % 2 == 0 { r.addr } else { r.end() };
+                        DiffRun {
+                            addr: anchor.saturating_add_signed(delta),
+                            len: if stretch == 0 { len * 5000 } else { len },
+                        }
+                    })
+                    .collect();
+                // Ascending starts, overlaps kept.
+                let mut overlapping = shuffled.clone();
+                overlapping.sort_by_key(|r| r.addr);
+                // Ascending and disjoint, as `diff_pages` returns them.
+                let mut sorted: Vec<DiffRun> = Vec::new();
+                for r in &overlapping {
+                    let from = sorted.last().map_or(0, |p| p.end()).max(r.addr);
+                    if from < r.end() {
+                        sorted.push(DiffRun { addr: from, len: (r.end() - from) as usize });
+                    }
+                }
+                for runs in [&shuffled, &overlapping, &sorted] {
+                    let mapped = map_runs(&t, runs);
+                    prop_assert!(mapped.is_sorted_by_key(|r| (r.entry, r.first)), "{mapped:?}");
+                    prop_assert_eq!(
+                        coalesce(mapped),
+                        coalesce(map_runs_reference(&t, runs))
+                    );
+                }
+            }
+        }
     }
 }

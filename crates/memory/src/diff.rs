@@ -4,7 +4,8 @@
 //! corresponding byte on the original page" — this scan is the dominant
 //! part of the paper's `t_index` (Figure 8 measures it together with the
 //! run→index mapping). The output is a list of maximal *runs* of modified
-//! bytes, addressed in the node's simulated address space.
+//! bytes, addressed in the node's simulated address space. Every byte is
+//! compared, eight to a `u64` word; the runs are the byte loop's.
 
 use crate::space::AddressSpace;
 
@@ -24,26 +25,114 @@ impl DiffRun {
     }
 }
 
-/// Compare one page against a twin, appending maximal modified runs to
-/// `out`. `page_addr` is the simulated address of the page's first byte.
-pub fn diff_page_into(page_addr: u64, twin: &[u8], current: &[u8], out: &mut Vec<DiffRun>) {
-    debug_assert_eq!(twin.len(), current.len());
-    let mut i = 0;
-    let n = current.len();
-    while i < n {
-        if twin[i] == current[i] {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < n && twin[i] != current[i] {
-            i += 1;
-        }
-        out.push(DiffRun {
-            addr: page_addr + start as u64,
-            len: i - start,
+/// Bytes compared per step of [`diff_page_into`]: eight `u64` words, one
+/// bit of a `u64` mask per byte.
+const BLOCK: usize = 64;
+
+/// One bit per byte of `twin`/`current` (equal lengths, at most [`BLOCK`]
+/// bytes): bit `k` is set iff byte `k` differs. Whole words are XORed and
+/// each word's eight "byte is non-zero" flags gathered into eight adjacent
+/// bits; only a tail shorter than a word is compared bytewise.
+#[inline]
+fn differing_bytes(twin: &[u8], current: &[u8]) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Moves bit 8k of a word to bit 56 + k; no two partial products meet.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut mask = 0u64;
+    let mut at = 0;
+    let (mut t_words, mut c_words) = (twin.chunks_exact(8), current.chunks_exact(8));
+    for (t, c) in (&mut t_words).zip(&mut c_words) {
+        let x = u64::from_le_bytes(t.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        // Bit 7 of every non-zero byte of `x`; adding 0x7f to the low
+        // seven bits cannot carry into the next byte.
+        let nonzero = (((x & LOW7) + LOW7) | x) & !LOW7;
+        mask |= ((nonzero >> 7).wrapping_mul(GATHER) >> 56) << at;
+        at += 8;
+    }
+    for (t, c) in t_words.remainder().iter().zip(c_words.remainder()) {
+        mask |= u64::from(t != c) << at;
+        at += 1;
+    }
+    mask
+}
+
+/// The runs of one page under construction: turns per-block masks into
+/// [`DiffRun`]s, carrying a run that reaches a block's last byte into the
+/// next block.
+struct PageRuns<'a> {
+    page_addr: u64,
+    /// Offset at which the run reaching the current block started.
+    open: Option<usize>,
+    out: &'a mut Vec<DiffRun>,
+}
+
+impl PageRuns<'_> {
+    fn push(&mut self, start: usize, end: usize) {
+        self.out.push(DiffRun {
+            addr: self.page_addr + start as u64,
+            len: end - start,
         });
     }
+
+    /// Emit the runs that end inside the block at offset `base` whose
+    /// [`differing_bytes`] mask is `diff`. The mask's 0→1 edges are run
+    /// starts and its 1→0 edges run ends, read off with `trailing_zeros`;
+    /// no branch depends on a single byte.
+    fn block(&mut self, base: usize, diff: u64) {
+        // Bit k: byte k - 1 differs (k = 0: the previous block's last byte).
+        let after = (diff << 1) | u64::from(self.open.is_some());
+        let mut starts = diff & !after;
+        let mut ends = !diff & after;
+        if let Some(start) = self.open {
+            if ends == 0 {
+                return; // all 64 bytes differ: the run goes on
+            }
+            self.push(start, base + ends.trailing_zeros() as usize);
+            ends &= ends - 1;
+            self.open = None;
+        }
+        while starts != 0 {
+            let start = base + starts.trailing_zeros() as usize;
+            starts &= starts - 1;
+            if ends == 0 {
+                self.open = Some(start); // differs through the last byte
+                return;
+            }
+            self.push(start, base + ends.trailing_zeros() as usize);
+            ends &= ends - 1;
+        }
+    }
+}
+
+/// Compare one page against a twin, appending maximal modified runs to
+/// `out`. `page_addr` is the simulated address of the page's first byte.
+///
+/// The page is compared [`BLOCK`] bytes at a time, as `u64` words: an
+/// unchanged block costs one fixed-size comparison, a changed one its
+/// [`differing_bytes`] mask and a `trailing_zeros` per run edge.
+pub fn diff_page_into(page_addr: u64, twin: &[u8], current: &[u8], out: &mut Vec<DiffRun>) {
+    assert_eq!(twin.len(), current.len(), "twin and page differ in size");
+    let mut runs = PageRuns {
+        page_addr,
+        open: None,
+        out,
+    };
+    let (mut t_blocks, mut c_blocks) = (twin.chunks_exact(BLOCK), current.chunks_exact(BLOCK));
+    let mut base = 0;
+    for (t, c) in (&mut t_blocks).zip(&mut c_blocks) {
+        let t: &[u8; BLOCK] = t.try_into().expect("whole block");
+        let c: &[u8; BLOCK] = c.try_into().expect("whole block");
+        runs.block(base, if t == c { 0 } else { differing_bytes(t, c) });
+        base += BLOCK;
+    }
+    // The tail, shorter than a block and possibly empty: the bits its mask
+    // does not use read "equal", which ends a run that reaches the page's
+    // last byte there, as it must.
+    runs.block(
+        base,
+        differing_bytes(t_blocks.remainder(), c_blocks.remainder()),
+    );
 }
 
 /// Diff every dirty page of a space against its twin, returning runs in
@@ -65,7 +154,9 @@ pub fn diff_pages(space: &AddressSpace) -> Vec<DiffRun> {
 
 /// Worker count for [`diff_pages_parallel`] on this host: available
 /// parallelism capped at 4 — diffing is memory-bound, so more threads stop
-/// paying for themselves quickly.
+/// paying for themselves quickly. Not for a hot path:
+/// `available_parallelism()` re-reads the affinity mask and the cgroup
+/// files, 12–24 µs a call where the benchmark runs.
 pub fn default_diff_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -85,6 +176,10 @@ pub const PARALLEL_DIFF_MIN_PAGES: usize = 16;
 /// across page boundaries. Pages are diffed independently in the serial
 /// path too, so the output is bit-identical to [`diff_pages`] — the
 /// property test in `tests/proptest_dsd.rs` pins this.
+///
+/// The DSD client does not call it: a release's whole serial scan costs
+/// less than one thread spawn (DESIGN §11). It is public for the
+/// benchmark's `memory.diff_scan_par_us` row and goes when that row does.
 pub fn diff_pages_parallel(space: &AddressSpace, threads: usize) -> Vec<DiffRun> {
     let pages: Vec<usize> = space.dirty_pages().collect();
     if threads < 2 || pages.len() < PARALLEL_DIFF_MIN_PAGES {
@@ -166,11 +261,109 @@ pub fn split_by_page(runs: &[DiffRun], base: u64, page_size: u64) -> Vec<(u64, u
     out
 }
 
+/// The byte-at-a-time scan [`diff_page_into`] replaced, kept as the
+/// reference its output is held to.
+#[cfg(test)]
+fn diff_page_into_bytewise(page_addr: u64, twin: &[u8], current: &[u8], out: &mut Vec<DiffRun>) {
+    debug_assert_eq!(twin.len(), current.len());
+    let mut i = 0;
+    let n = current.len();
+    while i < n {
+        if twin[i] == current[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < n && twin[i] != current[i] {
+            i += 1;
+        }
+        out.push(DiffRun {
+            addr: page_addr + start as u64,
+            len: i - start,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const BASE: u64 = 0x1000;
+
+    /// Both scans of one twin/current pair.
+    fn scans(twin: &[u8], current: &[u8]) -> (Vec<DiffRun>, Vec<DiffRun>) {
+        let (mut fast, mut reference) = (Vec::new(), Vec::new());
+        diff_page_into(BASE, twin, current, &mut fast);
+        diff_page_into_bytewise(BASE, twin, current, &mut reference);
+        (fast, reference)
+    }
+
+    #[test]
+    fn every_run_position_within_two_blocks_matches_bytewise() {
+        // Every (start, end) of a single run over two blocks and a ragged
+        // tail: each byte position of a word, word seams, the block seam.
+        let len = 2 * BLOCK + 11;
+        let twin = vec![0x5au8; len];
+        for start in 0..len {
+            for end in start + 1..=len {
+                let mut current = twin.clone();
+                current[start..end].iter_mut().for_each(|b| *b ^= 0xff);
+                let (fast, reference) = scans(&twin, &current);
+                assert_eq!(fast, reference, "run [{start}, {end})");
+                assert_eq!(fast.len(), 1);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_wise_scan_equals_bytewise(
+            twin in prop::collection::vec(any::<u8>(), 0..=4099),
+            // Inverted stretches and single flipped bits: dense and sparse.
+            runs in prop::collection::vec((0usize..4099, 1usize..200), 0..40),
+            flips in prop::collection::vec(0usize..4099, 0..64),
+        ) {
+            let len = twin.len();
+            let mut current = twin.clone();
+            if len > 0 {
+                for (at, n) in runs {
+                    let at = at % len;
+                    for b in &mut current[at..(at + n).min(len)] {
+                        *b = !*b;
+                    }
+                }
+                for at in flips {
+                    current[at % len] ^= 1;
+                }
+            }
+            let (fast, reference) = scans(&twin, &current);
+            prop_assert_eq!(fast, reference);
+        }
+
+        #[test]
+        fn page_seams_match_bytewise(
+            // Odd page sizes: blocks and words never line up with pages.
+            page in prop::sample::select(vec![61usize, 64, 100, 4096, 4099]),
+            writes in prop::collection::vec((0usize..3 * 4099, 1usize..300), 1..24),
+        ) {
+            let mut s = armed(3 * page, page);
+            for (at, n) in writes {
+                let at = at % (3 * page);
+                let n = n.min(3 * page - at);
+                // Every fifth byte stays zero: runs of four inside the write.
+                let data: Vec<u8> = (at..at + n).map(|k| (k % 5) as u8).collect();
+                s.write(BASE + at as u64, &data).unwrap();
+            }
+            let mut reference = Vec::new();
+            for p in s.dirty_pages() {
+                let (twin, page) = (s.twin(p).unwrap(), s.page(p));
+                diff_page_into_bytewise(s.page_addr(p), twin, page, &mut reference);
+            }
+            merge_adjacent(&mut reference);
+            prop_assert_eq!(diff_pages(&s), reference);
+        }
+    }
 
     fn armed(len: usize, page: usize) -> AddressSpace {
         let mut s = AddressSpace::new(BASE, len, page);

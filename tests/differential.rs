@@ -1,6 +1,6 @@
 //! Differential harness for the Eq. 1 update pipeline.
 //!
-//! There is one pipeline (parallel diff scan → grouped v2 wire batch →
+//! There is one pipeline (word-wise diff scan → grouped v2 wire batch →
 //! compiled-plan apply), so the suite pins it from the outside: for every
 //! (workload × platform pair) the authoritative GThV at the end of a run
 //! must verify against the kernel's serial oracle, and must be
@@ -243,7 +243,7 @@ fn dsd_matches_baseline_page_dsm() {
     use hdsm::dsd::gthv::GthvInstance;
     use hdsm::dsd::runs::abstract_diffs;
     use hdsm::dsd::update::{apply_batch, extract_updates};
-    use hdsm::memory::diff::diff_pages_parallel;
+    use hdsm::memory::diff::diff_pages;
     use hdsm::platform::spec::PlatformSpec;
     use hdsm::tags::convert::ConversionStats;
     use hdsm::tags::wire::{pack_batch_fast, unpack_batch};
@@ -271,9 +271,10 @@ fn dsd_matches_baseline_page_dsm() {
         let raw = unpack_raw(pack_raw(&extract_raw_diffs(&src))).unwrap();
         apply_raw_diffs(&mut via_baseline, src.platform(), &raw).unwrap();
 
-        // DSD: parallel diff, grouped v2 wire, compiled plans.
+        // DSD, as the client runs it: word-wise diff, grouped v2 wire,
+        // compiled plans.
         let mut via_dsd = GthvInstance::new(def, plat);
-        let runs = diff_pages_parallel(src.space(), 4);
+        let runs = diff_pages(src.space());
         let ups = extract_updates(&src, &abstract_diffs(src.table(), &runs)).unwrap();
         let ups = unpack_batch(pack_batch_fast(&ups)).unwrap();
         let mut stats = ConversionStats::default();
