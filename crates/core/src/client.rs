@@ -35,14 +35,14 @@ use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
-use crate::runs::{coalesce, map_runs};
-use crate::update::{apply_batch, apply_tracked, extract_updates, UpdateError};
+use crate::runs::{coalesce, map_runs, UpdateRange};
+use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
 use hdsm_memory::diff::diff_pages;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::WireUpdate;
+use hdsm_tags::wire::UpdateBatch;
 use std::fmt;
 
 /// Errors from the client side of the protocol.
@@ -591,25 +591,28 @@ impl DsdClient {
         }
     }
 
-    /// Apply incoming updates (grant / barrier release) to the local copy
-    /// and re-arm write protection.
-    fn apply_incoming(&mut self, updates: &[WireUpdate]) -> Result<(), DsdError> {
-        let bytes: u64 = updates.iter().map(|u| u.data.len() as u64).sum();
+    /// Apply incoming updates (grant / barrier release; one batch per
+    /// shard that had any) to the local copy and re-arm write protection.
+    fn apply_incoming(&mut self, batches: &[UpdateBatch]) -> Result<(), DsdError> {
+        let updates: u64 = batches.iter().map(|b| b.len() as u64).sum();
+        let bytes: u64 = batches.iter().map(UpdateBatch::payload_bytes).sum();
         let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
-        t.args(updates.len() as u64, bytes);
-        apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
+        t.args(updates, bytes);
+        for batch in batches {
+            apply_batch(&mut self.gthv, batch, &mut self.conv_stats)?;
+        }
         t.end(&mut self.costs);
-        self.costs.updates_applied += updates.len() as u64;
+        self.costs.updates_applied += updates;
         self.costs.bytes_applied += bytes;
         if self.recorder.is_enabled() {
             let ps = self.gthv.space().page_size() as u64;
             let base = self.gthv.space().base();
-            for u in updates {
+            for u in batches.iter().flat_map(UpdateBatch::iter) {
                 self.recorder.update_applied(u.entry, u.data.len() as u64);
                 // Local footprint of the overwritten range, page by page.
                 if let Some(row) = self.gthv.table().row(u.entry) {
                     let start = row.addr + u.elem_offset * u64::from(row.size);
-                    let end = start + u.tag.element_count() * u64::from(row.size);
+                    let end = start + u.count * u64::from(row.size);
                     if end > start {
                         for page in (start - base) / ps..=(end - 1 - base) / ps {
                             self.recorder.page_invalidated(page);
@@ -624,10 +627,9 @@ impl DsdClient {
         Ok(())
     }
 
-    /// Detect local writes and turn them into wire updates (the release
-    /// pipeline: t_index → t_tag → t_pack in Eq. 1; packing finishes in
-    /// [`Self::pack_request`]).
-    fn collect_outgoing(&mut self) -> Result<Vec<WireUpdate>, DsdError> {
+    /// Detect local writes and turn them into update ranges (the head of
+    /// the release pipeline: t_index → t_tag in Eq. 1), one update each.
+    fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
         // t_index: byte-level twin/diff plus mapping runs to index ranges.
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
         let runs = diff_pages(self.gthv.space());
@@ -650,29 +652,19 @@ impl DsdClient {
         }
         t.args(ranges.len() as u64, 0);
         t.end(&mut self.costs);
-        // t_pack: extracting the raw native bytes (and pointer swizzling).
+        self.costs.updates_sent += ranges.len() as u64;
+        Ok(ranges)
+    }
+
+    /// Frame the current bytes of `ranges` (t_pack in Eq. 1: the raw
+    /// native bytes, pointers swizzled, written once into the frame the
+    /// message will carry; [`Self::pack_request`] copies that frame behind
+    /// its envelope).
+    fn extract(&mut self, ranges: &[UpdateRange]) -> Result<UpdateBatch, DsdError> {
         let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let ups = extract_updates(&self.gthv, &ranges)?;
-        t.args(
-            ups.iter().map(|u| u.data.len() as u64).sum(),
-            ups.len() as u64,
-        );
+        let ups = extract_updates(&self.gthv, ranges)?;
+        t.args(ups.payload_bytes(), ups.len() as u64);
         t.end(&mut self.costs);
-        self.costs.updates_sent += ups.len() as u64;
-        if self.recorder.is_enabled() {
-            for u in &ups {
-                self.recorder.update_sent(
-                    u.entry,
-                    u.elem_offset,
-                    u.tag.element_count(),
-                    u.data.len() as u64,
-                );
-                // Per-(entry, writer) attribution: the placement engine's
-                // "dominant writer" signal.
-                self.recorder
-                    .entry_written_by(u.entry, self.thread_rank, u.data.len() as u64);
-            }
-        }
         Ok(ups)
     }
 
@@ -686,47 +678,51 @@ impl DsdClient {
     /// the acquirer will fetch from. A single-shard directory ships the
     /// whole batch inside the release without touching the wire first.
     ///
+    /// What is bucketed by owning shard is the *ranges*; each bucket is
+    /// framed when it is sent, from the address space, which nothing
+    /// writes until the release returns.
+    ///
     /// An `EntryMoved` reply — to a flush or to the release — means our
     /// placement view was stale: the shard refused the whole bucket
     /// without absorbing (or unlocking, or counting an arrival). Learn the
-    /// new owners, re-route just the bounced updates and go round again
-    /// under fresh request ids; every bounce strictly advances the
-    /// override map (entry epochs only grow), so the loop terminates.
+    /// new owners, re-route just the bounced ranges (framing them again)
+    /// and go round again under fresh request ids; every bounce strictly
+    /// advances the override map (entry epochs only grow), so the loop
+    /// terminates.
     fn release_via(
         &mut self,
         owner: u32,
-        build: impl Fn(Vec<WireUpdate>) -> DsdMsg,
+        build: impl Fn(UpdateBatch) -> DsdMsg,
     ) -> Result<DsdMsg, DsdError> {
         let mut pending = self.collect_outgoing()?;
-        // Twins/dirty marks shipped; re-arm for the next critical section.
+        if self.recorder.is_enabled() {
+            self.record_outgoing(&pending);
+        }
+        // Twins/dirty marks collected; re-arm for the next critical section.
         self.gthv.space_mut().reset_and_protect();
         let shards = self.directory().n_shards();
-        let mut kept: Vec<WireUpdate> = Vec::new();
+        let mut kept: Vec<UpdateRange> = Vec::new();
         loop {
             if shards == 1 {
                 kept = std::mem::take(&mut pending);
             } else {
-                let mut buckets: Vec<Vec<WireUpdate>> = (0..shards).map(|_| Vec::new()).collect();
-                for u in pending.drain(..) {
-                    buckets[self.placement.owner(u.entry) as usize].push(u);
+                let mut buckets: Vec<Vec<UpdateRange>> = (0..shards).map(|_| Vec::new()).collect();
+                for r in pending.drain(..) {
+                    buckets[self.placement.owner(r.entry) as usize].push(r);
                 }
                 kept.append(&mut buckets[owner as usize]);
                 for shard in 0..shards {
-                    if shard == owner || buckets[shard as usize].is_empty() {
+                    let ranges = std::mem::take(&mut buckets[shard as usize]);
+                    if ranges.is_empty() {
                         continue;
                     }
-                    let ups = std::mem::take(&mut buckets[shard as usize]);
-                    match self.request(
-                        shard,
-                        DsdMsg::UpdateFlush {
-                            rank: self.thread_rank,
-                            updates: ups.clone(),
-                        },
-                    )? {
+                    let updates = self.extract(&ranges)?;
+                    let rank = self.thread_rank;
+                    match self.request(shard, DsdMsg::UpdateFlush { rank, updates })? {
                         DsdMsg::Ack => {}
                         DsdMsg::EntryMoved { entries } => {
                             self.learn_moves(&entries);
-                            pending.extend(ups);
+                            pending.extend(ranges);
                         }
                         _ => return Err(DsdError::Unexpected("Ack (update flush)")),
                     }
@@ -735,7 +731,8 @@ impl DsdClient {
                     continue;
                 }
             }
-            match self.request(owner, build(kept.clone()))? {
+            let updates = self.extract(&kept)?;
+            match self.request(owner, build(updates))? {
                 DsdMsg::EntryMoved { entries } => {
                     self.learn_moves(&entries);
                     pending = std::mem::take(&mut kept);
@@ -745,16 +742,28 @@ impl DsdClient {
         }
     }
 
+    /// Feed the recorder the updates a release is about to ship.
+    fn record_outgoing(&self, ranges: &[UpdateRange]) {
+        for r in ranges {
+            let Some(row) = self.gthv.table().row(r.entry) else {
+                continue;
+            };
+            let bytes = r.count * u64::from(row.size);
+            self.recorder.update_sent(r.entry, r.first, r.count, bytes);
+            // Per-(entry, writer) attribution: the placement engine's
+            // "dominant writer" signal.
+            self.recorder
+                .entry_written_by(r.entry, self.thread_rank, bytes);
+        }
+    }
+
     /// The tail of every acquire (lock grant, cond wake, barrier
     /// release): `updates` rode in with the reply from shard `granting`;
     /// pull the outstanding updates of every other shard (`UpdateFetch` —
     /// no wire traffic on a single-shard directory), apply the lot and
     /// re-arm write protection.
-    fn finish_acquire(
-        &mut self,
-        granting: u32,
-        mut updates: Vec<WireUpdate>,
-    ) -> Result<(), DsdError> {
+    fn finish_acquire(&mut self, granting: u32, updates: UpdateBatch) -> Result<(), DsdError> {
+        let mut batches = vec![updates];
         for shard in (0..self.directory().n_shards()).filter(|&s| s != granting) {
             match self.request(
                 shard,
@@ -762,11 +771,11 @@ impl DsdClient {
                     rank: self.thread_rank,
                 },
             )? {
-                DsdMsg::UpdateBatch { updates: more } => updates.extend(more),
+                DsdMsg::UpdateBatch { updates } => batches.push(updates),
                 _ => return Err(DsdError::Unexpected("UpdateBatch")),
             }
         }
-        self.apply_incoming(&updates)
+        self.apply_incoming(&batches)
     }
 
     // ----- the typed session API -----
@@ -1042,13 +1051,8 @@ impl DsdClient {
         fresh.space_mut().reset_and_protect();
         self.gthv = fresh;
         let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
-        t.args(
-            dirty_updates.len() as u64,
-            dirty_updates.iter().map(|u| u.data.len() as u64).sum(),
-        );
-        for u in &dirty_updates {
-            apply_tracked(&mut self.gthv, u, &mut stats)?;
-        }
+        t.args(dirty_updates.len() as u64, dirty_updates.payload_bytes());
+        apply_batch_tracked(&mut self.gthv, &dirty_updates, &mut stats)?;
         t.end(&mut self.costs);
         self.conv_stats.merge(&stats);
         Ok(())

@@ -36,7 +36,7 @@ use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{bounded_vec, pack_batch_fast, unpack_batch};
+use hdsm_tags::wire::{bounded_vec, unpack_batch, Group, UpdateBatch};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -564,22 +564,25 @@ impl HomeShard {
     /// targets an entry this shard re-homed away: the writer is replied
     /// the `EntryMoved` rows instead, merges them, re-buckets the affected
     /// updates and resends.
-    fn absorb(
-        &mut self,
-        writer: u32,
-        updates: &[hdsm_tags::wire::WireUpdate],
-    ) -> Result<bool, HomeError> {
+    fn absorb(&mut self, writer: u32, updates: &UpdateBatch) -> Result<bool, HomeError> {
         if updates.is_empty() {
             return Ok(true);
         }
-        // This shard is only authoritative for what it owns. Of the rest,
-        // an entry that moved (epoch > 0) is a stale view at the writer;
-        // one that never did is a routing bug, which must not silently
-        // corrupt another shard's slice.
+        // This shard is only authoritative for what it owns — asked once
+        // per group, whose runs share their entry. Of the rest, an entry
+        // that moved (epoch > 0) is a stale view at the writer; one that
+        // never did is a routing bug, which must not silently corrupt
+        // another shard's slice.
         let p = &self.placement;
-        let (mut moved, misrouted): (Vec<_>, Vec<_>) = updates
-            .iter()
-            .map(|u| (u.entry, p.owner(u.entry), p.epoch(u.entry)))
+        let entries = updates.groups().flat_map(|group| {
+            let (one, many) = match group {
+                Group::Runs(g) => (Some(g.head.entry), None),
+                Group::Raw(g) => (None, Some(g.updates().map(|u| u.entry))),
+            };
+            one.into_iter().chain(many.into_iter().flatten())
+        });
+        let (mut moved, misrouted): (Vec<_>, Vec<_>) = entries
+            .map(|entry| (entry, p.owner(entry), p.epoch(entry)))
             .filter(|&(_, owner, _)| owner != self.shard)
             .partition(|&(_, _, epoch)| epoch > 0);
         if !moved.is_empty() {
@@ -595,23 +598,23 @@ impl HomeShard {
                 self.shard
             )));
         }
-        let bytes: u64 = updates.iter().map(|u| u.data.len() as u64).sum();
+        let (n, bytes) = (updates.len() as u64, updates.payload_bytes());
         let mut t = Phase::Conv.begin(&self.recorder, self.ep.rank(), self.op_of(writer));
-        t.args(updates.len() as u64, bytes);
+        t.args(n, bytes);
         apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
         t.end(&mut self.costs);
-        self.costs.updates_applied += updates.len() as u64;
+        self.costs.updates_applied += n;
         self.costs.bytes_applied += bytes;
         self.seq += 1;
         let s = self.seq;
-        for u in updates {
+        for u in updates.iter() {
             self.log.push((
                 s,
                 writer,
                 UpdateRange {
                     entry: u.entry,
                     first: u.elem_offset,
-                    count: u.tag.element_count(),
+                    count: u.count,
                 },
             ));
         }
@@ -638,10 +641,7 @@ impl HomeShard {
     /// Updates thread `rank` has not seen, as freshly extracted wire
     /// frames (t_tag for range coalescing + t_pack accounted by caller's
     /// encode; extraction itself is charged to t_pack).
-    fn stale_updates_for(
-        &mut self,
-        rank: u32,
-    ) -> Result<Vec<hdsm_tags::wire::WireUpdate>, HomeError> {
+    fn stale_updates_for(&mut self, rank: u32) -> Result<UpdateBatch, HomeError> {
         let (horizon, op) = self
             .peers
             .get(&rank)
@@ -664,7 +664,7 @@ impl HomeShard {
         t.end(&mut self.costs);
         let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
         let ups = extract_updates(&self.gthv, &ranges)?;
-        let bytes: u64 = ups.iter().map(|u| u.data.len() as u64).sum();
+        let bytes = ups.payload_bytes();
         t.args(bytes, ups.len() as u64);
         t.end(&mut self.costs);
         self.costs.updates_sent += ups.len() as u64;
@@ -1523,7 +1523,7 @@ impl HomeShard {
             .into_iter()
             .filter(|r| r.entry == entry)
             .collect();
-        Ok(pack_batch_fast(&extract_updates(&self.gthv, &ranges)?))
+        Ok(extract_updates(&self.gthv, &ranges)?.frame().clone())
     }
 
     /// Take ownership of `entry` at `epoch` and apply its packed state
@@ -1639,10 +1639,9 @@ impl HomeShard {
         let mut out = BytesMut::new();
         out.put_u64(self.seq);
         out.put_u64(self.log_floor);
-        let ups = extract_updates(&self.gthv, &self.owned_full_ranges())?;
-        let batch = pack_batch_fast(&ups);
-        out.put_u32(batch.len() as u32);
-        out.put_slice(&batch);
+        let batch = extract_updates(&self.gthv, &self.owned_full_ranges())?;
+        out.put_u32(batch.frame().len() as u32);
+        out.put_slice(batch.frame());
         out.put_u32(self.log.len() as u32);
         for (s, w, r) in &self.log {
             out.put_u64(*s);
@@ -2281,7 +2280,7 @@ mod tests {
         // Thread 1 pulls: gets the init batch.
         let ups = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].tag.element_count(), 64);
+        assert_eq!(ups.iter().next().unwrap().count, 64);
         // Pulling again with nothing new: empty.
         assert!(h.stale_updates_for(1).unwrap().is_empty());
         // Thread 2 still sees everything.
@@ -2311,7 +2310,7 @@ mod tests {
             .unwrap();
         let ups = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1, "full refresh after resync");
-        assert_eq!(ups[0].tag.element_count(), 64);
+        assert_eq!(ups.iter().next().unwrap().count, 64);
     }
 
     #[test]
@@ -2354,7 +2353,7 @@ mod tests {
         h.peers.get_mut(&2).unwrap().seen = 0;
         assert!(h.log_floor > 0);
         let ups = h.stale_updates_for(2).unwrap();
-        assert_eq!(ups[0].tag.element_count(), 64);
+        assert_eq!(ups.iter().next().unwrap().count, 64);
     }
 
     #[test]

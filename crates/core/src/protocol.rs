@@ -11,7 +11,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
-use hdsm_tags::wire::{bounded_vec, pack_batch_fast, unpack_batch, WireError, WireUpdate};
+use hdsm_tags::wire::{bounded_vec, unpack_batch, UpdateBatch, WireError};
 use std::fmt;
 
 /// A decoded DSD protocol message.
@@ -30,7 +30,7 @@ pub enum DsdMsg {
         /// Mutex index.
         lock: u32,
         /// Outstanding updates.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Thread `rank` releases mutex `lock`, propagating its updates back
     /// to the home thread (paper §4.2).
@@ -40,7 +40,7 @@ pub enum DsdMsg {
         /// Releasing thread rank.
         rank: u32,
         /// The thread's modifications since acquire.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Home acknowledges the release.
     UnlockAck {
@@ -54,14 +54,14 @@ pub enum DsdMsg {
         /// Entering thread rank.
         rank: u32,
         /// The thread's modifications since its last release.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Home releases a thread from the barrier with merged updates.
     BarrierRelease {
         /// Barrier index.
         barrier: u32,
         /// Merged outstanding updates for this thread.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Thread `rank` signs off (called immediately before termination).
     Join {
@@ -80,7 +80,7 @@ pub enum DsdMsg {
         /// Waiting thread rank.
         rank: u32,
         /// The thread's modifications since acquire (its release).
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// `MTh_cond_signal` / `MTh_cond_broadcast`: wake one (or all) waiters
     /// of condition `cond`. Fire-and-forget, like its Pthreads
@@ -134,7 +134,7 @@ pub enum DsdMsg {
         /// Flushing thread rank.
         rank: u32,
         /// Updates for entries this shard owns.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Acquire-time pull under a sharded home: thread `rank` asks a
     /// non-granting shard for the outstanding updates of its slice.
@@ -146,7 +146,7 @@ pub enum DsdMsg {
     /// shard's slice since the fetcher's horizon.
     UpdateBatch {
         /// Outstanding updates.
-        updates: Vec<WireUpdate>,
+        updates: UpdateBatch,
     },
     /// Primary → replica: one deduplicated state-mutating client request,
     /// relayed verbatim *before* the primary processes it, so the replica
@@ -338,11 +338,38 @@ impl DsdMsg {
         }
     }
 
-    /// Encode the message body. The update batch (if any) is packed in
-    /// the grouped v2 CGT-RMR wire format ([`pack_batch_fast`]) — this is
-    /// the `t_pack` work.
+    /// Encode the message body: one buffer, sized before the first byte
+    /// is written, into which the fixed fields and the update batch's
+    /// frame (if any) are each copied once — this is the `t_pack` work
+    /// left after extraction wrote the frame.
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(16);
+        let mut out = BytesMut::with_capacity(self.encoded_bound());
+        self.encode_into(&mut out);
+        out.freeze()
+    }
+
+    /// At least as many bytes as the envelope and body occupy: the
+    /// variable-length tail exactly, the few fixed fields by their
+    /// largest sum (`WorkerLost`'s 20) after a 12-byte envelope.
+    fn encoded_bound(&self) -> usize {
+        32 + match self {
+            DsdMsg::LockGrant { updates, .. }
+            | DsdMsg::UnlockRequest { updates, .. }
+            | DsdMsg::BarrierEnter { updates, .. }
+            | DsdMsg::BarrierRelease { updates, .. }
+            | DsdMsg::CondWait { updates, .. }
+            | DsdMsg::UpdateFlush { updates, .. }
+            | DsdMsg::UpdateBatch { updates } => updates.frame().len(),
+            DsdMsg::Replicate { body: tail, .. }
+            | DsdMsg::HandoffState { state: tail, .. }
+            | DsdMsg::EntryState { state: tail, .. } => tail.len(),
+            DsdMsg::EntryMoved { entries } => 4 + 12 * entries.len(),
+            _ => 0,
+        }
+    }
+
+    /// Append the message body to `out`.
+    fn encode_into(&self, out: &mut BytesMut) {
         match self {
             DsdMsg::LockRequest { lock, rank } => {
                 out.put_u32(*lock);
@@ -350,7 +377,7 @@ impl DsdMsg {
             }
             DsdMsg::LockGrant { lock, updates } => {
                 out.put_u32(*lock);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::UnlockRequest {
                 lock,
@@ -359,7 +386,7 @@ impl DsdMsg {
             } => {
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::UnlockAck { lock } => out.put_u32(*lock),
             DsdMsg::BarrierEnter {
@@ -369,11 +396,11 @@ impl DsdMsg {
             } => {
                 out.put_u32(*barrier);
                 out.put_u32(*rank);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::BarrierRelease { barrier, updates } => {
                 out.put_u32(*barrier);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::Join { rank } | DsdMsg::Resync { rank } | DsdMsg::Heartbeat { rank } => {
                 out.put_u32(*rank)
@@ -396,7 +423,7 @@ impl DsdMsg {
                 out.put_u32(*cond);
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::CondSignal {
                 cond,
@@ -409,10 +436,10 @@ impl DsdMsg {
             }
             DsdMsg::UpdateFlush { rank, updates } => {
                 out.put_u32(*rank);
-                out.put_slice(&pack_batch_fast(updates));
+                out.put_slice(updates.frame());
             }
             DsdMsg::UpdateFetch { rank } => out.put_u32(*rank),
-            DsdMsg::UpdateBatch { updates } => out.put_slice(&pack_batch_fast(updates)),
+            DsdMsg::UpdateBatch { updates } => out.put_slice(updates.frame()),
             DsdMsg::Replicate {
                 src_ep,
                 req_id,
@@ -469,10 +496,11 @@ impl DsdMsg {
             }
             DsdMsg::Ack | DsdMsg::Shutdown => {}
         }
-        out.freeze()
     }
 
-    /// Decode a payload received under `kind` — the `t_unpack` work.
+    /// Decode a payload received under `kind` — the `t_unpack` work. An
+    /// update batch is validated once, here, and kept as the slice of
+    /// `payload` it arrived in.
     pub fn decode(kind: MsgKind, mut payload: Bytes) -> Result<DsdMsg, ProtocolError> {
         fn u32_of(b: &mut Bytes) -> Result<u32, ProtocolError> {
             if b.remaining() < 4 {
@@ -666,13 +694,12 @@ impl DsdMsg {
     /// deposition (a stamp from the future means another epoch rules the
     /// shard).
     pub fn encode_request(&self, req_id: u64, epoch: Option<u32>) -> Bytes {
-        let body = self.encode();
-        let mut out = BytesMut::with_capacity(12 + body.len());
+        let mut out = BytesMut::with_capacity(self.encoded_bound());
         out.put_u64(req_id);
         if let Some(epoch) = epoch {
             out.put_u32(epoch);
         }
-        out.put_slice(&body);
+        self.encode_into(&mut out);
         out.freeze()
     }
 
@@ -722,16 +749,22 @@ mod tests {
     use hdsm_platform::endian::Endianness;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_tags::generate::tag_for_scalar_run;
+    use hdsm_tags::wire::reference::{batch_of, updates_of};
+    use hdsm_tags::wire::WireUpdate;
 
-    fn sample_updates() -> Vec<WireUpdate> {
-        vec![WireUpdate {
+    fn sample_batch() -> UpdateBatch {
+        batch_of(&[sample_update()])
+    }
+
+    fn sample_update() -> WireUpdate {
+        WireUpdate {
             entry: 3,
             elem_offset: 100,
             endian: Endianness::Big,
             sender: "solaris-sparc".into(),
             tag: tag_for_scalar_run(ScalarKind::Int, 4, 8),
             data: Bytes::from(vec![1u8; 32]),
-        }]
+        }
     }
 
     #[test]
@@ -740,29 +773,29 @@ mod tests {
             DsdMsg::LockRequest { lock: 2, rank: 5 },
             DsdMsg::LockGrant {
                 lock: 2,
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::UnlockRequest {
                 lock: 2,
                 rank: 5,
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::UnlockAck { lock: 2 },
             DsdMsg::BarrierEnter {
                 barrier: 0,
                 rank: 5,
-                updates: vec![],
+                updates: UpdateBatch::default(),
             },
             DsdMsg::BarrierRelease {
                 barrier: 0,
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::Join { rank: 5 },
             DsdMsg::CondWait {
                 cond: 1,
                 lock: 0,
                 rank: 5,
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::CondSignal {
                 cond: 1,
@@ -780,11 +813,11 @@ mod tests {
             DsdMsg::Shutdown,
             DsdMsg::UpdateFlush {
                 rank: 5,
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::UpdateFetch { rank: 5 },
             DsdMsg::UpdateBatch {
-                updates: sample_updates(),
+                updates: sample_batch(),
             },
             DsdMsg::Replicate {
                 src_ep: 7,
@@ -839,12 +872,14 @@ mod tests {
     fn grouped_batches_roundtrip_through_every_update_carrier() {
         // Many small same-entry updates — the shape the v2 grouped format
         // exists for — must survive every message that carries a batch.
-        let updates: Vec<WireUpdate> = (0..40u32)
+        let updates: Vec<_> = (0..40u32)
             .map(|i| WireUpdate {
                 elem_offset: u64::from(i) * 2,
-                ..sample_updates().pop().unwrap()
+                ..sample_update()
             })
             .collect();
+        let updates = batch_of(&updates);
+        assert_eq!(updates.len(), 40);
         let msgs = vec![
             DsdMsg::LockGrant {
                 lock: 2,
@@ -891,13 +926,32 @@ mod tests {
         // count-prefixed batch must stay readable.
         let mut body = BytesMut::new();
         body.put_u32(2);
-        body.put_slice(&hdsm_tags::wire::pack_batch(&sample_updates()));
-        assert_eq!(
-            DsdMsg::decode(MsgKind::LockGrant, body.freeze()).unwrap(),
-            DsdMsg::LockGrant {
-                lock: 2,
-                updates: sample_updates(),
+        body.put_slice(&hdsm_tags::wire::pack_batch(&[sample_update()]));
+        match DsdMsg::decode(MsgKind::LockGrant, body.freeze()).unwrap() {
+            DsdMsg::LockGrant { lock: 2, updates } => {
+                assert_eq!(updates_of(&updates), [sample_update()]);
             }
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_decoded_batch_is_a_slice_of_the_payload_it_came_in() {
+        let m = DsdMsg::BarrierEnter {
+            barrier: 0,
+            rank: 5,
+            updates: sample_batch(),
+        };
+        let payload = m.encode_enveloped(9);
+        let (_, back) = DsdMsg::decode_enveloped(m.kind(), payload.clone()).unwrap();
+        let DsdMsg::BarrierEnter { updates, .. } = back else {
+            panic!("decoded {back:?}");
+        };
+        let frame = updates.frame();
+        assert_eq!(
+            frame.as_ptr(),
+            payload[payload.len() - frame.len()..].as_ptr(),
+            "the frame was copied out of the payload"
         );
     }
 

@@ -1,10 +1,11 @@
 //! Update extraction and application.
 //!
-//! The releaser side turns coalesced [`UpdateRange`]s into [`WireUpdate`]
-//! frames: a CGT-RMR tag plus the raw bytes of the modified elements, in
-//! the sender's native format. The applier side is receiver-makes-right:
-//! identical tag + endianness → `memcpy`; otherwise per-element conversion
-//! (paper §4.1, Figure 5).
+//! The releaser side frames coalesced [`UpdateRange`]s as an
+//! [`UpdateBatch`]: per range a run-shaped CGT-RMR tag plus the raw bytes
+//! of the modified elements, in the sender's native format, written
+//! straight into the grouped wire frame. The applier side walks that frame
+//! and is receiver-makes-right: identical tag + endianness → `memcpy`;
+//! otherwise per-element conversion (paper §4.1, Figure 5).
 //!
 //! **Pointers** get special treatment in both directions (paper §4: "with
 //! each index then, it is straightforward to map the index to a memory
@@ -16,14 +17,11 @@
 
 use crate::gthv::GthvInstance;
 use crate::runs::UpdateRange;
-use bytes::Bytes;
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::{ScalarClass, ScalarKind};
 use hdsm_tags::convert::{ConversionError, ConversionStats};
-use hdsm_tags::generate::tag_for_scalar_run;
-use hdsm_tags::plan::RunPlan;
-use hdsm_tags::tag::TagItem;
-use hdsm_tags::wire::WireUpdate;
+use hdsm_tags::plan::{RunOp, RunPlan};
+use hdsm_tags::wire::{run_shape, FrameWriter, Group, GroupHead, UpdateBatch, UpdateView};
 use std::fmt;
 
 /// Bits of the portable pointer word reserved for the element index.
@@ -32,18 +30,6 @@ use std::fmt;
 /// paper's largest arrays (56 169 elements) with ample margin, and the
 /// whole word still fits a 4-byte pointer (entry < 127).
 pub const PTR_ELEM_BITS: u32 = 24;
-
-/// How an update was applied — exposed so tests and benches can verify
-/// the paper's fast-path claim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Applied {
-    /// Homogeneous memcpy fast path.
-    Memcpy,
-    /// Full receiver-makes-right conversion.
-    Converted,
-    /// Pointer unswizzling (always element-by-element).
-    PointerTranslated,
-}
 
 /// Errors from update extraction/application.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,216 +136,305 @@ fn unswizzle_ptr(gthv: &GthvInstance, portable: u64) -> Result<u64, UpdateError>
     Ok(row.elem_addr(elem))
 }
 
-/// Extract wire updates for the given (coalesced) ranges from a node's
-/// shared region. Data entries ship verbatim native bytes; pointer entries
-/// are swizzled to the portable index form (still in native byte order —
-/// the receiver handles endianness like any unsigned scalar).
+/// Frame the current bytes of the given (coalesced) ranges as an update
+/// batch, one update per range. Data entries ship verbatim native bytes;
+/// pointer entries are swizzled to the portable index form (still in
+/// native byte order — the receiver handles endianness like any unsigned
+/// scalar).
+///
+/// Two passes over `ranges`: the first touches no data, checks every
+/// range against its row and sizes the frame (consecutive ranges of one
+/// entry form one run group); the second writes group headers, run tables
+/// and payload straight from the address space into that one buffer. The
+/// cost is two allocations a batch (the buffer and its reference count)
+/// and one copy of each payload byte, whatever the number of ranges.
 pub fn extract_updates(
     gthv: &GthvInstance,
     ranges: &[UpdateRange],
-) -> Result<Vec<WireUpdate>, UpdateError> {
-    let mut out = Vec::with_capacity(ranges.len());
-    for r in ranges {
+) -> Result<UpdateBatch, UpdateError> {
+    if ranges.is_empty() {
+        return Ok(UpdateBatch::default());
+    }
+    let endian = gthv.platform().endian;
+    let sender = gthv.platform().name.as_bytes();
+    let groups = || ranges.chunk_by(|a, b| a.entry == b.entry);
+
+    let (mut n_groups, mut body_bytes) = (0u32, 0usize);
+    for group in groups() {
+        let entry = group[0].entry;
         let row = gthv
             .table()
-            .row(r.entry)
-            .ok_or(UpdateError::NoSuchEntry(r.entry))?;
-        if r.first + r.count > row.count {
-            return Err(UpdateError::RangeOutOfBounds {
-                entry: r.entry,
-                first: r.first,
-                count: r.count,
-                available: row.count,
-            });
-        }
-        let len = (u64::from(row.size) * r.count) as usize;
-        let raw = gthv.space().read(row.elem_addr(r.first), len)?;
-        let data = if row.kind == ScalarKind::Ptr {
-            let mut swizzled = vec![0u8; len];
-            let s = row.size as usize;
-            for i in 0..r.count as usize {
-                let addr = read_uint(&raw[i * s..(i + 1) * s], gthv.platform().endian) as u64;
-                let portable = swizzle_ptr(gthv, addr)?;
-                write_uint(
-                    u128::from(portable),
-                    &mut swizzled[i * s..(i + 1) * s],
-                    gthv.platform().endian,
-                );
+            .row(entry)
+            .ok_or(UpdateError::NoSuchEntry(entry))?;
+        let mut elems = 0;
+        for r in group {
+            if r.first + r.count > row.count {
+                return Err(UpdateError::RangeOutOfBounds {
+                    entry,
+                    first: r.first,
+                    count: r.count,
+                    available: row.count,
+                });
             }
-            Bytes::from(swizzled)
-        } else {
-            Bytes::copy_from_slice(raw)
+            elems += r.count;
+        }
+        n_groups += 1;
+        body_bytes += FrameWriter::run_group_bytes(
+            sender,
+            group.len(),
+            (elems * u64::from(row.size)) as usize,
+        );
+    }
+
+    let mut w = FrameWriter::new(n_groups, body_bytes);
+    for group in groups() {
+        let row = gthv.table().row(group[0].entry).expect("checked above");
+        let head = GroupHead {
+            entry: row.entry,
+            endian,
+            is_ptr: row.kind == ScalarKind::Ptr,
+            size: row.size,
+            sender,
         };
-        out.push(WireUpdate {
-            entry: r.entry,
-            elem_offset: r.first,
-            endian: gthv.platform().endian,
-            sender: gthv.platform().name.clone(),
-            tag: tag_for_scalar_run(row.kind, row.size, r.count),
-            data,
-        });
-    }
-    Ok(out)
-}
-
-fn run_shape(u: &WireUpdate) -> Result<(u32, u64, bool), UpdateError> {
-    match u.tag.0.as_slice() {
-        [TagItem::Scalar { size, count }, TagItem::Padding { bytes: 0 }] => {
-            Ok((*size, u64::from(*count), false))
-        }
-        [TagItem::Pointer { size, count }, TagItem::Padding { bytes: 0 }] => {
-            Ok((*size, u64::from(*count), true))
-        }
-        _ => Err(UpdateError::BadTagShape(u.tag.to_string())),
-    }
-}
-
-/// Apply one wire update to a node's shared region (untracked — applying
-/// remote updates must not look like local writes).
-///
-/// Returns how it was applied; the caller times this call as `t_conv`.
-pub fn apply_update(
-    gthv: &mut GthvInstance,
-    u: &WireUpdate,
-    stats: &mut ConversionStats,
-) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, false)
-}
-
-/// Apply one wire update through the *tracked* write path, so the write
-/// faults/twins/dirties like an application store. Used when replaying a
-/// migrating thread's unreleased modifications onto its new node.
-pub fn apply_tracked(
-    gthv: &mut GthvInstance,
-    u: &WireUpdate,
-    stats: &mut ConversionStats,
-) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, true)
-}
-
-fn apply_inner(
-    gthv: &mut GthvInstance,
-    u: &WireUpdate,
-    stats: &mut ConversionStats,
-    tracked: bool,
-) -> Result<Applied, UpdateError> {
-    // Copy the scalar fields out of the row instead of cloning it — the
-    // row's path String would otherwise be allocated and dropped once per
-    // update, 16k times per SOR release.
-    let (row_addr, row_size, row_count, row_kind) = {
-        let row = gthv
-            .table()
-            .row(u.entry)
-            .ok_or(UpdateError::NoSuchEntry(u.entry))?;
-        (row.addr, row.size, row.count, row.kind)
-    };
-    let (src_size, count, is_ptr) = run_shape(u)?;
-    if (row_kind == ScalarKind::Ptr) != is_ptr {
-        return Err(UpdateError::KindMismatch { entry: u.entry });
-    }
-    if u.elem_offset + count > row_count {
-        return Err(UpdateError::RangeOutOfBounds {
-            entry: u.entry,
-            first: u.elem_offset,
-            count,
-            available: row_count,
-        });
-    }
-    let dst_addr = row_addr + u.elem_offset * u64::from(row_size);
-    let dst_len = (u64::from(row_size) * count) as usize;
-    let local_endian = gthv.platform().endian;
-
-    if is_ptr {
-        // Always element-by-element: unswizzle into native addresses.
-        let s = src_size as usize;
-        if u.data.len() != s * count as usize {
-            return Err(UpdateError::Conversion(ConversionError::SrcSizeMismatch {
-                expected: (s * count as usize) as u64,
-                got: u.data.len() as u64,
-            }));
-        }
-        let mut native = vec![0u8; dst_len];
-        let d = row_size as usize;
-        for i in 0..count as usize {
-            let portable = read_uint(&u.data[i * s..(i + 1) * s], u.endian) as u64;
-            let addr = unswizzle_ptr(gthv, portable)?;
-            if !fits_uint(u128::from(addr), d) {
-                return Err(UpdateError::BadPointer(format!(
-                    "address {addr:#x} does not fit a {d}-byte pointer"
-                )));
+        w.begin_group(
+            head,
+            group.iter().map(|r| {
+                let count = u32::try_from(r.count).expect("run too long for one update");
+                (r.first, count)
+            }),
+        );
+        let s = row.size as usize;
+        for r in group {
+            let raw = gthv
+                .space()
+                .read(row.elem_addr(r.first), s * r.count as usize)?;
+            if !head.is_ptr {
+                w.put_payload(raw);
+                continue;
             }
-            write_uint(
-                u128::from(addr),
-                &mut native[i * d..(i + 1) * d],
-                local_endian,
-            );
-            stats.scalars_converted += 1;
+            for native in raw.chunks_exact(s) {
+                let portable = swizzle_ptr(gthv, read_uint(native, endian) as u64)?;
+                let mut word = [0u8; 16];
+                write_uint(u128::from(portable), &mut word[..s], endian);
+                w.put_payload(&word[..s]);
+            }
         }
-        store(gthv, dst_addr, &native, tracked)?;
-        return Ok(Applied::PointerTranslated);
     }
-
-    // Homogeneous fast path: same element size and byte order → memcpy.
-    // (The paper gates this on a tag string comparison; size+endian
-    // equality is exactly what identical run tags plus the wire-header
-    // endianness check establish.)
-    if src_size == row_size && u.endian == local_endian {
-        if u.data.len() != dst_len {
-            return Err(UpdateError::Conversion(ConversionError::SrcSizeMismatch {
-                expected: dst_len as u64,
-                got: u.data.len() as u64,
-            }));
-        }
-        store(gthv, dst_addr, &u.data, tracked)?;
-        stats.memcpy_bytes += dst_len as u64;
-        return Ok(Applied::Memcpy);
-    }
-
-    // Heterogeneous path: receiver makes right, through the compiled plan
-    // for (entry, sender shape) — lowered once, memoized — instead of
-    // re-deriving the dispatch per update.
-    let mut native = vec![0u8; dst_len];
-    let class = row_kind.class();
-    let plan = gthv
-        .plans_mut()
-        .lookup(u.entry as usize, src_size, u.endian, || {
-            RunPlan::lower(class, src_size, u.endian, row_size, local_endian)
-        });
-    plan.apply(&u.data, &mut native, count, stats)?;
-    store(gthv, dst_addr, &native, tracked)?;
-    Ok(Applied::Converted)
+    Ok(w.finish())
 }
 
-fn store(
-    gthv: &mut GthvInstance,
-    addr: u64,
-    bytes: &[u8],
-    tracked: bool,
-) -> Result<(), UpdateError> {
-    if tracked {
-        gthv.space_mut().write(addr, bytes)?;
-    } else {
-        gthv.space_mut().write_untracked(addr, bytes)?;
-    }
-    Ok(())
-}
-
-/// Apply a whole batch, returning per-kind counts `(memcpy, converted,
-/// pointer)`.
+/// Apply a batch to a node's shared region (untracked — applying remote
+/// updates must not look like local writes), returning per-kind update
+/// counts `(memcpy, converted, pointer)`; the caller times this call as
+/// `t_conv`.
+///
+/// The batch is walked as borrowed views of its frame. Entry row, kind
+/// check and conversion plan are looked up once per group, bounds are
+/// checked once per run, and a `Memcpy`/`Swap` run — which cannot fail
+/// once its lengths are checked — converts straight into its destination
+/// in the address space: one pass over the payload, no allocation. A
+/// `Convert` or pointer run can fail on any element (`IntOverflow`,
+/// `BadPointer`), so it is built in one scratch buffer the walk owns and
+/// stored only whole. An error leaves every earlier update applied and
+/// the failing one unwritten.
 pub fn apply_batch(
     gthv: &mut GthvInstance,
-    updates: &[WireUpdate],
+    batch: &UpdateBatch,
     stats: &mut ConversionStats,
 ) -> Result<(u64, u64, u64), UpdateError> {
-    let (mut m, mut c, mut p) = (0, 0, 0);
-    for u in updates {
-        match apply_update(gthv, u, stats)? {
-            Applied::Memcpy => m += 1,
-            Applied::Converted => c += 1,
-            Applied::PointerTranslated => p += 1,
+    apply_groups(gthv, batch, stats, false)
+}
+
+/// [`apply_batch`] through the *tracked* write path, so every update
+/// faults/twins/dirties like an application store. Used when replaying a
+/// migrating thread's unreleased modifications onto its new node.
+pub fn apply_batch_tracked(
+    gthv: &mut GthvInstance,
+    batch: &UpdateBatch,
+    stats: &mut ConversionStats,
+) -> Result<(u64, u64, u64), UpdateError> {
+    apply_groups(gthv, batch, stats, true)
+}
+
+fn apply_groups(
+    gthv: &mut GthvInstance,
+    batch: &UpdateBatch,
+    stats: &mut ConversionStats,
+    tracked: bool,
+) -> Result<(u64, u64, u64), UpdateError> {
+    let mut walk = ApplyWalk {
+        stats,
+        tracked,
+        scratch: Vec::new(),
+        tally: (0, 0, 0),
+    };
+    for group in batch.groups() {
+        match group {
+            Group::Runs(g) => walk.apply_runs(gthv, g.head, g.runs())?,
+            // A v1 frame is a group of its one run, if it is run-shaped.
+            Group::Raw(g) => {
+                for u in g.updates() {
+                    let (size, count, is_ptr) = run_shape(&u.tag)
+                        .ok_or_else(|| UpdateError::BadTagShape(u.tag.to_string()))?;
+                    let head = GroupHead {
+                        entry: u.entry,
+                        endian: u.endian,
+                        is_ptr,
+                        size,
+                        sender: u.sender,
+                    };
+                    let run = UpdateView {
+                        entry: u.entry,
+                        elem_offset: u.elem_offset,
+                        count: u64::from(count),
+                        data: u.data,
+                    };
+                    walk.apply_runs(gthv, head, std::iter::once(run))?;
+                }
+            }
         }
     }
-    Ok((m, c, p))
+    Ok(walk.tally)
+}
+
+/// What one walk over a batch carries from group to group.
+struct ApplyWalk<'s> {
+    stats: &'s mut ConversionStats,
+    tracked: bool,
+    /// Where a run that can fail half-way is built before it is stored.
+    scratch: Vec<u8>,
+    /// Updates applied as `(memcpy, converted, pointer)`.
+    tally: (u64, u64, u64),
+}
+
+impl ApplyWalk<'_> {
+    /// Apply the runs of one group: the per-entry decisions first, once.
+    fn apply_runs<'a>(
+        &mut self,
+        gthv: &mut GthvInstance,
+        head: GroupHead<'_>,
+        runs: impl Iterator<Item = UpdateView<'a>>,
+    ) -> Result<(), UpdateError> {
+        let entry = head.entry;
+        // Copy the scalar fields out of the row instead of cloning it —
+        // its path is a heap `String`.
+        let (row_addr, row_size, row_count, row_kind) = {
+            let row = gthv
+                .table()
+                .row(entry)
+                .ok_or(UpdateError::NoSuchEntry(entry))?;
+            (row.addr, row.size, row.count, row.kind)
+        };
+        if (row_kind == ScalarKind::Ptr) != head.is_ptr {
+            return Err(UpdateError::KindMismatch { entry });
+        }
+        let local_endian = gthv.platform().endian;
+        // Receiver makes right through the compiled plan for (entry,
+        // sender shape) — lowered once, memoized; `Memcpy` exactly when
+        // element size and byte order agree. Pointers never take it: they
+        // are unswizzled element by element.
+        let plan = (!head.is_ptr).then(|| {
+            gthv.plans_mut()
+                .lookup(entry as usize, head.size, head.endian, || {
+                    RunPlan::lower(
+                        row_kind.class(),
+                        head.size,
+                        head.endian,
+                        row_size,
+                        local_endian,
+                    )
+                })
+        });
+        for run in runs {
+            if run
+                .elem_offset
+                .checked_add(run.count)
+                .is_none_or(|end| end > row_count)
+            {
+                return Err(UpdateError::RangeOutOfBounds {
+                    entry,
+                    first: run.elem_offset,
+                    count: run.count,
+                    available: row_count,
+                });
+            }
+            let dst_addr = row_addr + run.elem_offset * u64::from(row_size);
+            let dst_len = (u64::from(row_size) * run.count) as usize;
+            match plan {
+                Some(plan) if plan.op != RunOp::Convert => {
+                    let dst = self.dst(gthv, dst_addr, dst_len)?;
+                    plan.apply(run.data, dst, run.count, self.stats)?;
+                    if plan.op == RunOp::Memcpy {
+                        self.tally.0 += 1;
+                    } else {
+                        self.tally.1 += 1;
+                    }
+                }
+                Some(plan) => {
+                    self.scratch.clear();
+                    self.scratch.resize(dst_len, 0);
+                    plan.apply(run.data, &mut self.scratch, run.count, self.stats)?;
+                    self.store_scratch(gthv, dst_addr)?;
+                    self.tally.1 += 1;
+                }
+                None => {
+                    self.unswizzle_run(gthv, &head, &run, row_size as usize)?;
+                    self.store_scratch(gthv, dst_addr)?;
+                    self.tally.2 += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Unswizzle a pointer run into native addresses, in `scratch`.
+    fn unswizzle_run(
+        &mut self,
+        gthv: &GthvInstance,
+        head: &GroupHead<'_>,
+        run: &UpdateView<'_>,
+        dst_size: usize,
+    ) -> Result<(), UpdateError> {
+        let s = head.size as usize;
+        self.scratch.clear();
+        self.scratch.resize(dst_size * run.count as usize, 0);
+        for (src, dst) in run
+            .data
+            .chunks_exact(s)
+            .zip(self.scratch.chunks_exact_mut(dst_size))
+        {
+            let addr = unswizzle_ptr(gthv, read_uint(src, head.endian) as u64)?;
+            if !fits_uint(u128::from(addr), dst_size) {
+                return Err(UpdateError::BadPointer(format!(
+                    "address {addr:#x} does not fit a {dst_size}-byte pointer"
+                )));
+            }
+            write_uint(u128::from(addr), dst, gthv.platform().endian);
+            self.stats.scalars_converted += 1;
+        }
+        Ok(())
+    }
+
+    /// The destination of one run in the address space.
+    fn dst<'g>(
+        &self,
+        gthv: &'g mut GthvInstance,
+        addr: u64,
+        len: usize,
+    ) -> Result<&'g mut [u8], UpdateError> {
+        let space = gthv.space_mut();
+        Ok(if self.tracked {
+            space.slice_mut(addr, len)?
+        } else {
+            space.slice_mut_untracked(addr, len)?
+        })
+    }
+
+    fn store_scratch(&self, gthv: &mut GthvInstance, addr: u64) -> Result<(), UpdateError> {
+        self.dst(gthv, addr, self.scratch.len())?
+            .copy_from_slice(&self.scratch);
+        Ok(())
+    }
 }
 
 /// Ranges covering the *entire* shared structure — used to seed a freshly
@@ -387,6 +462,8 @@ mod tests {
     use crate::gthv::{GthvDef, GthvInstance};
     use hdsm_platform::ctype::paper_figure4_struct;
     use hdsm_platform::spec::{Platform, PlatformSpec};
+    use hdsm_tags::wire::reference::{batch_of, updates_of};
+    use hdsm_tags::wire::{pack_batch, unpack_batch};
 
     fn inst(p: Platform) -> GthvInstance {
         GthvInstance::new(GthvDef::new(paper_figure4_struct()).unwrap(), p)
@@ -400,6 +477,10 @@ mod tests {
         }
     }
 
+    fn apply(dst: &mut GthvInstance, batch: &UpdateBatch) -> Result<(u64, u64, u64), UpdateError> {
+        apply_batch(dst, batch, &mut ConversionStats::default())
+    }
+
     #[test]
     fn extract_apply_homogeneous_is_memcpy() {
         let mut src = inst(PlatformSpec::linux_x86());
@@ -408,6 +489,7 @@ mod tests {
             src.write_int(1, i, (i as i128) * 3 - 50).unwrap();
         }
         let ups = extract_updates(&src, &[range(1, 0, 100)]).unwrap();
+        assert_eq!((ups.len(), ups.payload_bytes()), (1, 400));
         let mut stats = ConversionStats::default();
         let (m, c, p) = apply_batch(&mut dst, &ups, &mut stats).unwrap();
         assert_eq!((m, c, p), (1, 0, 0));
@@ -435,14 +517,36 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_ranges_of_an_entry_share_one_group() {
+        let src = inst(PlatformSpec::linux_x86());
+        let ups = extract_updates(
+            &src,
+            &[
+                range(1, 0, 1),
+                range(1, 2, 1),
+                range(2, 0, 3),
+                range(1, 4, 1),
+            ],
+        )
+        .unwrap();
+        let runs: Vec<usize> = ups
+            .groups()
+            .map(|g| match g {
+                Group::Runs(g) => g.runs().count(),
+                Group::Raw(_) => panic!("extraction frames no raw group"),
+            })
+            .collect();
+        assert_eq!(runs, [2, 1, 1]);
+        assert_eq!((ups.len(), ups.payload_bytes()), (4, 4 + 4 + 12 + 4));
+    }
+
+    #[test]
     fn pointer_swizzles_across_heterogeneous_nodes() {
         let mut src = inst(PlatformSpec::linux_x86());
         let mut dst = inst(PlatformSpec::solaris_sparc64());
         src.write_ptr(0, 0, Some((3, 4321))).unwrap();
         let ups = extract_updates(&src, &[range(0, 0, 1)]).unwrap();
-        let mut stats = ConversionStats::default();
-        let applied = apply_update(&mut dst, &ups[0], &mut stats).unwrap();
-        assert_eq!(applied, Applied::PointerTranslated);
+        assert_eq!(apply(&mut dst, &ups).unwrap(), (0, 0, 1));
         // The logical target survived even though ILP32 LE → LP64 BE and
         // the local addresses of C[4321] differ between the two layouts.
         assert_eq!(dst.read_ptr(0, 0).unwrap(), Some((3, 4321)));
@@ -457,9 +561,8 @@ mod tests {
         let mut dst = inst(PlatformSpec::linux_x86());
         src.write_ptr(0, 0, None).unwrap();
         let ups = extract_updates(&src, &[range(0, 0, 1)]).unwrap();
-        assert!(ups[0].data.iter().all(|&b| b == 0));
-        let mut stats = ConversionStats::default();
-        apply_update(&mut dst, &ups[0], &mut stats).unwrap();
+        assert!(ups.iter().all(|u| u.data.iter().all(|&b| b == 0)));
+        apply(&mut dst, &ups).unwrap();
         assert_eq!(dst.read_ptr(0, 0).unwrap(), None);
     }
 
@@ -469,11 +572,7 @@ mod tests {
         let mut dst = inst(PlatformSpec::linux_x86());
         src.write_ptr(0, 0, Some((1, 5))).unwrap();
         let ups = extract_updates(&src, &[range(0, 0, 1)]).unwrap();
-        let mut stats = ConversionStats::default();
-        assert_eq!(
-            apply_update(&mut dst, &ups[0], &mut stats).unwrap(),
-            Applied::PointerTranslated
-        );
+        assert_eq!(apply(&mut dst, &ups).unwrap(), (0, 0, 1));
         assert_eq!(dst.read_ptr(0, 0).unwrap(), Some((1, 5)));
     }
 
@@ -485,60 +584,160 @@ mod tests {
             src.write_int(3, i, 1000 + i as i128).unwrap();
         }
         let ups = extract_updates(&src, &[range(3, 200, 10)]).unwrap();
-        assert_eq!(ups[0].elem_offset, 200);
-        let mut stats = ConversionStats::default();
-        apply_update(&mut dst, &ups[0], &mut stats).unwrap();
+        assert_eq!(ups.iter().next().unwrap().elem_offset, 200);
+        apply(&mut dst, &ups).unwrap();
         assert_eq!(dst.read_int(3, 205).unwrap(), 1205);
         assert_eq!(dst.read_int(3, 199).unwrap(), 0);
         assert_eq!(dst.read_int(3, 210).unwrap(), 0);
     }
 
     #[test]
-    fn out_of_bounds_rejected_both_sides() {
+    fn extraction_rejects_what_the_table_does_not_hold() {
         let src = inst(PlatformSpec::linux_x86());
         assert!(matches!(
-            extract_updates(&src, &[range(1, 56160, 100)]),
-            Err(UpdateError::RangeOutOfBounds { .. })
+            extract_updates(&src, &[range(1, 0, 4), range(1, 56160, 100)]),
+            Err(UpdateError::RangeOutOfBounds { first: 56160, .. })
         ));
         assert!(matches!(
             extract_updates(&src, &[range(9, 0, 1)]),
             Err(UpdateError::NoSuchEntry(9))
         ));
-        let mut dst = inst(PlatformSpec::linux_x86());
-        let mut ups = extract_updates(&src, &[range(1, 0, 4)]).unwrap();
-        ups[0].elem_offset = 56168;
-        let mut stats = ConversionStats::default();
-        assert!(matches!(
-            apply_update(&mut dst, &ups[0], &mut stats),
-            Err(UpdateError::RangeOutOfBounds { .. })
-        ));
+    }
+
+    /// A batch of three one-element updates to `A` (entry 1) of a
+    /// homogeneous pair, with update `k` rewritten by `edit`.
+    fn three_with(k: usize, edit: impl Fn(&mut hdsm_tags::wire::WireUpdate)) -> UpdateBatch {
+        let mut src = inst(PlatformSpec::linux_x86());
+        for i in 0..3 {
+            src.write_int(1, 2 * i, 7 + i as i128).unwrap();
+        }
+        let ranges = [range(1, 0, 1), range(1, 2, 1), range(1, 4, 1)];
+        let mut us = updates_of(&extract_updates(&src, &ranges).unwrap());
+        edit(&mut us[k]);
+        batch_of(&us)
     }
 
     #[test]
-    fn kind_mismatch_rejected() {
+    fn per_group_checks_reject_what_per_update_checks_did() {
+        // A failing update is reported as it always was, everything before
+        // it — in its own group too — is applied, it and everything after
+        // it is not.
+        type Edit = fn(&mut hdsm_tags::wire::WireUpdate);
+        type Check = fn(&UpdateError) -> bool;
+        let cases: [(&str, Edit, Check); 4] = [
+            (
+                "NoSuchEntry",
+                |u| u.entry = 9,
+                |e| *e == UpdateError::NoSuchEntry(9),
+            ),
+            (
+                "KindMismatch",
+                |u| u.entry = 0,
+                |e| *e == UpdateError::KindMismatch { entry: 0 },
+            ),
+            (
+                "RangeOutOfBounds",
+                |u| u.elem_offset = 56169,
+                |e| {
+                    *e == UpdateError::RangeOutOfBounds {
+                        entry: 1,
+                        first: 56169,
+                        count: 1,
+                        available: 56169,
+                    }
+                },
+            ),
+            (
+                "RangeOutOfBounds (offset + count wraps)",
+                |u| u.elem_offset = u64::MAX,
+                |e| matches!(e, UpdateError::RangeOutOfBounds { .. }),
+            ),
+        ];
+        for (name, edit, check) in cases {
+            for k in 0..3 {
+                let mut dst = inst(PlatformSpec::linux_x86());
+                let err = apply(&mut dst, &three_with(k, edit)).unwrap_err();
+                assert!(check(&err), "{name} at {k}: {err:?}");
+                for i in 0..3 {
+                    let want = if i < k { 7 + i as i128 } else { 0 };
+                    assert_eq!(
+                        dst.read_int(1, 2 * i as u64).unwrap(),
+                        want,
+                        "{name} at {k}"
+                    );
+                }
+                assert_eq!(dst.read_ptr(0, 0).unwrap(), None, "{name} at {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn v1_frames_apply_through_the_group_path_and_other_tags_are_refused() {
+        // A v1 batch is kept as a raw group; its run-shaped frames apply
+        // as one-run groups, with the same per-kind tally and stats.
         let mut src = inst(PlatformSpec::linux_x86());
-        src.write_int(1, 0, 5).unwrap();
-        let mut ups = extract_updates(&src, &[range(1, 0, 1)]).unwrap();
-        ups[0].entry = 0; // pointer entry, scalar tag
+        for i in 0..3 {
+            src.write_int(1, 2 * i, 7 + i as i128).unwrap();
+        }
+        let ranges = [range(1, 0, 1), range(1, 2, 2)];
+        let grouped = extract_updates(&src, &ranges).unwrap();
+        let mut us = updates_of(&grouped);
+        let v1 = unpack_batch(pack_batch(&us)).unwrap();
+        let mut outcomes = Vec::new();
+        for batch in [&grouped, &v1] {
+            let mut dst = inst(PlatformSpec::solaris_sparc());
+            let mut stats = ConversionStats::default();
+            let tally = apply_batch(&mut dst, batch, &mut stats).unwrap();
+            outcomes.push((tally, stats, dst.space().raw().to_vec()));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!(outcomes[0].0, (0, 2, 0));
+
+        // A tag that is not one run: refused by name, the update before
+        // it applied.
+        us[1].tag = hdsm_tags::parse::parse_tag("((4,1)(0,0),2)").unwrap();
         let mut dst = inst(PlatformSpec::linux_x86());
-        let mut stats = ConversionStats::default();
-        assert!(matches!(
-            apply_update(&mut dst, &ups[0], &mut stats),
-            Err(UpdateError::KindMismatch { .. })
-        ));
+        assert_eq!(
+            apply(&mut dst, &batch_of(&us)),
+            Err(UpdateError::BadTagShape("((4,1)(0,0),2)".into()))
+        );
+        assert_eq!(dst.read_int(1, 0).unwrap(), 7);
+        assert_eq!(dst.read_int(1, 2).unwrap(), 0);
     }
 
     #[test]
     fn applied_updates_do_not_dirty_the_receiver() {
         let mut src = inst(PlatformSpec::linux_x86());
-        let mut dst = inst(PlatformSpec::linux_x86());
-        dst.space_mut().protect_all();
         src.write_int(1, 0, 1).unwrap();
         let ups = extract_updates(&src, &[range(1, 0, 1)]).unwrap();
-        let mut stats = ConversionStats::default();
-        apply_update(&mut dst, &ups[0], &mut stats).unwrap();
-        assert_eq!(dst.space().dirty_count(), 0);
-        assert_eq!(dst.space().stats().faults, 0);
+        for p in [PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()] {
+            let mut dst = inst(p);
+            dst.space_mut().protect_all();
+            apply(&mut dst, &ups).unwrap();
+            assert_eq!(dst.read_int(1, 0).unwrap(), 1);
+            assert_eq!(dst.space().dirty_count(), 0);
+            assert_eq!(dst.space().stats().faults, 0);
+        }
+    }
+
+    #[test]
+    fn tracked_apply_faults_and_dirties_like_a_store() {
+        let mut src = inst(PlatformSpec::linux_x86());
+        src.write_int(1, 0, 1).unwrap();
+        src.write_ptr(0, 0, Some((1, 5))).unwrap();
+        let ups = extract_updates(&src, &[range(0, 0, 1), range(1, 0, 1)]).unwrap();
+        for p in [PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()] {
+            let mut dst = inst(p);
+            dst.space_mut().protect_all();
+            let mut stats = ConversionStats::default();
+            apply_batch_tracked(&mut dst, &ups, &mut stats).unwrap();
+            assert_eq!(dst.read_int(1, 0).unwrap(), 1);
+            assert_eq!(dst.read_ptr(0, 0).unwrap(), Some((1, 5)));
+            // Both elements sit on the structure's first page.
+            assert_eq!(dst.space().dirty_count(), 1);
+            assert_eq!(dst.space().stats().faults, 1);
+            assert_eq!(dst.space().stats().writes, 2);
+        }
     }
 
     #[test]
@@ -562,12 +761,20 @@ mod tests {
         let gd = GthvDef::new(def).unwrap();
         let mut src = GthvInstance::new(gd.clone(), PlatformSpec::linux_x86_64());
         let mut dst = GthvInstance::new(gd, PlatformSpec::linux_x86());
-        src.write_int(0, 0, 1i128 << 40).unwrap();
-        let ups = extract_updates(&src, &[range(0, 0, 4)]).unwrap();
-        let mut stats = ConversionStats::default();
+        for i in 0..4 {
+            src.write_int(0, i, 100 + i as i128).unwrap();
+            dst.write_int(0, i, -1).unwrap();
+        }
+        // The third element of the second update does not fit a 4-byte
+        // long: the first update lands, the second leaves no byte behind —
+        // not even of the two elements converted before the failure.
+        src.write_int(0, 3, 1i128 << 40).unwrap();
+        let ups = extract_updates(&src, &[range(0, 0, 1), range(0, 1, 3)]).unwrap();
         assert!(matches!(
-            apply_update(&mut dst, &ups[0], &mut stats),
+            apply(&mut dst, &ups),
             Err(UpdateError::Conversion(ConversionError::IntOverflow { .. }))
         ));
+        let got: Vec<i128> = (0..4).map(|i| dst.read_int(0, i).unwrap()).collect();
+        assert_eq!(got, [100, -1, -1, -1]);
     }
 }

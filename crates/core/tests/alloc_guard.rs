@@ -1,14 +1,19 @@
-//! Allocation guard for the store → `UpdateRange` path: a tracked store
-//! is a bounds check, an encode into a stack buffer and a copy, and
-//! `map_runs` allocates its output vector and nothing per run. A counting
-//! global allocator holds both to that.
+//! Allocation guard for the store → `UpdateRange` → frame → apply path: a
+//! tracked store is a bounds check, an encode into a stack buffer and a
+//! copy, `map_runs` allocates its output vector and nothing per run, and
+//! a batch is one frame from extraction to apply — written, enveloped,
+//! validated and applied with a handful of allocations whatever the number
+//! of updates. A counting global allocator holds all of it to that.
 
 use hdsm_core::gthv::{GthvDef, GthvInstance};
-use hdsm_core::runs::map_runs;
+use hdsm_core::protocol::DsdMsg;
+use hdsm_core::runs::{map_runs, UpdateRange};
+use hdsm_core::update::{apply_batch, extract_updates};
 use hdsm_memory::diff::DiffRun;
 use hdsm_platform::ctype::StructBuilder;
 use hdsm_platform::scalar::ScalarKind;
-use hdsm_platform::spec::PlatformSpec;
+use hdsm_platform::spec::{Platform, PlatformSpec};
+use hdsm_tags::convert::ConversionStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -57,12 +62,16 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 const CALLS: u64 = 10_000;
 
 fn instance() -> GthvInstance {
+    instance_on(PlatformSpec::linux_x86())
+}
+
+fn instance_on(platform: Platform) -> GthvInstance {
     let def = StructBuilder::new("G")
         .array("grid", ScalarKind::Double, 2 * CALLS as usize)
         .array("counts", ScalarKind::Int, CALLS as usize)
         .build()
         .unwrap();
-    GthvInstance::new(GthvDef::new(def).unwrap(), PlatformSpec::linux_x86())
+    GthvInstance::new(GthvDef::new(def).unwrap(), platform)
 }
 
 #[test]
@@ -102,4 +111,63 @@ fn map_runs_allocates_its_output_and_nothing_per_run() {
     assert_eq!(mapped.len(), runs.len());
     // Doubling from 4 to 16 384 slots is 13 (re)allocations.
     assert!(n <= 16, "{n} allocations for {CALLS} runs");
+}
+
+#[test]
+fn a_batch_costs_a_few_allocations_from_extraction_to_apply_not_one_per_update() {
+    let mut sender = instance();
+    for k in 0..CALLS {
+        sender.write_float(0, 2 * k, k as f64 + 0.5).unwrap();
+    }
+    // SOR's shape: every other element, so that no range joins the last.
+    let ranges: Vec<UpdateRange> = (0..CALLS)
+        .map(|k| UpdateRange {
+            entry: 0,
+            first: 2 * k,
+            count: 1,
+        })
+        .collect();
+
+    // The release: the frame (buffer + reference count), then the message
+    // that carries it (the same again).
+    let (n, (payload, kind)) = allocations(|| {
+        let updates = extract_updates(&sender, &ranges).unwrap();
+        assert_eq!(updates.len(), CALLS as usize);
+        let msg = DsdMsg::BarrierEnter {
+            barrier: 0,
+            rank: 2,
+            updates,
+        };
+        (msg.encode_enveloped(1), msg.kind())
+    });
+    assert!(
+        n <= 8,
+        "{n} allocations to extract and encode {CALLS} updates"
+    );
+
+    // The acquire on the opposite byte order: the batch is a slice of the
+    // payload, and every run is swapped straight into the address space.
+    let mut receiver = instance_on(PlatformSpec::solaris_sparc());
+    let mut stats = ConversionStats::default();
+    let (n, batch) = allocations(|| {
+        let (_, msg) = DsdMsg::decode_enveloped(kind, payload.clone()).unwrap();
+        let DsdMsg::BarrierEnter { updates, .. } = msg else {
+            panic!("decoded {msg:?}");
+        };
+        let tally = apply_batch(&mut receiver, &updates, &mut stats).unwrap();
+        assert_eq!(tally, (0, CALLS, 0));
+        updates
+    });
+    assert!(
+        n <= 8,
+        "{n} allocations to decode and apply {CALLS} updates"
+    );
+    assert_eq!(stats.scalars_swapped, CALLS);
+    for k in [0, 1, CALLS - 1] {
+        assert_eq!(receiver.read_float(0, 2 * k).unwrap(), k as f64 + 0.5);
+    }
+
+    let (n, copy) = allocations(|| batch.clone());
+    assert_eq!(n, 0, "{n} allocations to clone a batch");
+    assert_eq!(copy, batch);
 }

@@ -138,28 +138,43 @@ impl AddressSpace {
     /// write to a protected page runs the fault handler (twin copy,
     /// unprotect, mark dirty), exactly the paper's SIGSEGV handler.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let off = self.offset_of(addr, bytes.len())?;
+        self.slice_mut(addr, bytes.len())?.copy_from_slice(bytes);
+        Ok(())
+    }
+
+    /// The destination of one tracked write of `len` bytes at `addr`: every
+    /// protected page it touches faults first, then the caller fills the
+    /// slice in place (a conversion writes straight into the space instead
+    /// of into a buffer [`Self::write`] would copy).
+    pub fn slice_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
+        let off = self.offset_of(addr, len)?;
         self.stats.writes += 1;
-        if !bytes.is_empty() {
+        if len > 0 {
             let first = off / self.page_size;
-            let last = (off + bytes.len() - 1) / self.page_size;
+            let last = (off + len - 1) / self.page_size;
             for page in first..=last {
                 if self.prot[page] == PageProt::ReadOnly {
                     self.fault(page);
                 }
             }
         }
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
+        Ok(&mut self.data[off..off + len])
     }
 
     /// Write bypassing protection (used by the DSM itself when applying
     /// remote updates to the authoritative copy — those must not count as
     /// local modifications).
     pub fn write_untracked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let off = self.offset_of(addr, bytes.len())?;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.slice_mut_untracked(addr, bytes.len())?
+            .copy_from_slice(bytes);
         Ok(())
+    }
+
+    /// [`Self::slice_mut`] bypassing protection, as
+    /// [`Self::write_untracked`] does.
+    pub fn slice_mut_untracked(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
+        let off = self.offset_of(addr, len)?;
+        Ok(&mut self.data[off..off + len])
     }
 
     /// The fault handler: copy the pristine page into a twin, unprotect,

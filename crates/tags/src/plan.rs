@@ -119,12 +119,7 @@ impl RunPlan {
                 stats.memcpy_bytes += src.len() as u64;
             }
             RunOp::Swap => {
-                let s = self.src_size as usize;
-                for (d, c) in dst.chunks_exact_mut(s).zip(src.chunks_exact(s)) {
-                    for (i, b) in c.iter().rev().enumerate() {
-                        d[i] = *b;
-                    }
-                }
+                swap_run(src, dst, self.src_size as usize);
                 stats.scalars_converted += count;
                 stats.scalars_swapped += count;
             }
@@ -144,6 +139,37 @@ impl RunPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Reverse the bytes of every `size`-byte element of `src` into `dst`
+/// (equally long, a whole number of elements): one load, `swap_bytes` and
+/// store per element at the widths scalars have, byte by byte at any
+/// other.
+fn swap_run(src: &[u8], dst: &mut [u8], size: usize) {
+    macro_rules! swap_as {
+        ($ty:ty) => {
+            for (d, s) in dst.chunks_exact_mut(size).zip(src.chunks_exact(size)) {
+                let v = <$ty>::from_ne_bytes(s.try_into().expect("chunk is one element"));
+                d.copy_from_slice(&v.swap_bytes().to_ne_bytes());
+            }
+        };
+    }
+    match size {
+        2 => swap_as!(u16),
+        4 => swap_as!(u32),
+        8 => swap_as!(u64),
+        _ => swap_run_bytewise(src, dst, size),
+    }
+}
+
+/// [`swap_run`] at any width, and the reference its fast widths are
+/// tested against.
+fn swap_run_bytewise(src: &[u8], dst: &mut [u8], size: usize) {
+    for (d, c) in dst.chunks_exact_mut(size).zip(src.chunks_exact(size)) {
+        for (i, b) in c.iter().rev().enumerate() {
+            d[i] = *b;
+        }
     }
 }
 
@@ -274,6 +300,41 @@ mod tests {
             plan.apply(&src, &mut got, count, &mut got_stats).unwrap();
             assert_eq!(got, want, "{class:?} {ss}{se:?}->{ds}{de:?}");
             assert_eq!(got_stats, want_stats);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn swap_matches_the_byte_loop_at_every_width(
+            size in proptest::sample::select(vec![1usize, 2, 3, 4, 8, 16]),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let src = &bytes[..bytes.len() / size * size];
+            let mut want = vec![0u8; src.len()];
+            swap_run_bytewise(src, &mut want, size);
+            let mut got = vec![0xAAu8; src.len()];
+            swap_run(src, &mut got, size);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_run_whose_payload_disagrees_with_its_count_is_rejected_unwritten() {
+        for (ss, se, ds, de) in [(4, LE, 4, LE), (4, BE, 4, LE), (4, BE, 8, LE)] {
+            let plan = RunPlan::lower(ScalarClass::Signed, ss, se, ds, de);
+            let mut dst = vec![0x55u8; ds as usize * 3];
+            let mut stats = ConversionStats::default();
+            assert_eq!(
+                plan.apply(&[1u8; 11], &mut dst, 3, &mut stats),
+                Err(ConversionError::SrcSizeMismatch {
+                    expected: 12,
+                    got: 11
+                }),
+                "{:?}",
+                plan.op
+            );
+            assert!(dst.iter().all(|&b| b == 0x55), "{:?} wrote", plan.op);
+            assert_eq!(stats, ConversionStats::default());
         }
     }
 

@@ -7,12 +7,22 @@
 //! unpacking `t_unpack` (Eq. 1); both are deliberately cheap (length-
 //! prefixed copies), matching the paper's observation that
 //! `t_pack`/`t_unpack` are comparatively small.
+//!
+//! The grouped v2 frame is also the one in-memory form of a batch: an
+//! [`UpdateBatch`] owns the frame, a [`FrameWriter`] writes it straight
+//! from the sender's address space, [`unpack_batch`] validates a received
+//! one once and keeps it, and the receiver applies from borrowed
+//! [`Group`] views of it. [`WireUpdate`] is the owned value of one update
+//! — the v1 frame's codec, the tests' input and [`mod@reference`]'s output.
 
 use crate::parse::{parse_tag, TagParseError};
 use crate::tag::{Tag, TagItem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_platform::endian::Endianness;
 use std::fmt;
+use std::sync::OnceLock;
+
+pub mod reference;
 
 /// Magic bytes guarding every update frame.
 const MAGIC: u16 = 0xD5D; // "DSD"
@@ -23,6 +33,14 @@ const VERSION: u8 = 1;
 /// `u32::MAX`, so the two formats are self-describing and [`unpack_batch`]
 /// accepts either.
 const BATCH_V2_MARKER: u32 = u32::MAX;
+/// A v2 frame opens with the marker and its group count.
+const FRAME_HEADER_BYTES: usize = 4 + 4;
+/// A run group around its sender name, run table and payload: kind,
+/// endianness, pointer flag, element size, entry, name length, run count
+/// and payload length.
+const RUN_GROUP_FIXED_BYTES: usize = 1 + 1 + 1 + 4 + 4 + 1 + 4 + 8;
+/// One row of a run table: element offset and element count.
+const RUN_BYTES: usize = 8 + 4;
 
 /// One update: "this range of elements of entry `entry` now has these
 /// bytes" — the unit the home node and remote threads exchange on
@@ -109,10 +127,7 @@ pub fn pack_update(u: &WireUpdate, out: &mut BytesMut) {
     debug_assert!(tag_str.is_ascii());
     out.put_u16(MAGIC);
     out.put_u8(VERSION);
-    out.put_u8(match u.endian {
-        Endianness::Little => 0,
-        Endianness::Big => 1,
-    });
+    out.put_u8(endian_byte(u.endian));
     out.put_u32(u.entry);
     out.put_u64(u.elem_offset);
     out.put_u8(u.sender.len().min(255) as u8);
@@ -123,12 +138,66 @@ pub fn pack_update(u: &WireUpdate, out: &mut BytesMut) {
     out.put_slice(&u.data);
 }
 
+fn endian_byte(e: Endianness) -> u8 {
+    match e {
+        Endianness::Little => 0,
+        Endianness::Big => 1,
+    }
+}
+
+fn endian_of(byte: u8) -> Result<Endianness, WireError> {
+    match byte {
+        0 => Ok(Endianness::Little),
+        1 => Ok(Endianness::Big),
+        _ => Err(WireError::BadHeader),
+    }
+}
+
 /// Fewest bytes a v1 frame occupies: fixed header, empty sender, empty
 /// tag, empty payload.
 const MIN_FRAME_BYTES: usize = (2 + 1 + 1 + 4 + 8 + 1) + 4 + 8;
 
-/// Unpack one update from the front of `buf`, advancing it.
-pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
+/// Split the first `n` bytes off the front of `buf` (which holds them).
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> &'a [u8] {
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    head
+}
+
+/// One v1 frame split into its fields, name and payload still borrowed
+/// from the buffer: what a raw group of a batch holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawUpdate<'a> {
+    /// Index-table entry the update targets.
+    pub entry: u32,
+    /// First element within the entry.
+    pub elem_offset: u64,
+    /// Byte order of `data`.
+    pub endian: Endianness,
+    /// Name of the sending platform, as framed.
+    pub sender: &'a [u8],
+    /// CGT-RMR tag describing `data` (any shape).
+    pub tag: Tag,
+    /// Raw bytes in the sender's native format.
+    pub data: &'a [u8],
+}
+
+impl RawUpdate<'_> {
+    fn into_update(self, data: Bytes) -> WireUpdate {
+        WireUpdate {
+            entry: self.entry,
+            elem_offset: self.elem_offset,
+            endian: self.endian,
+            sender: String::from_utf8_lossy(self.sender).into_owned(),
+            tag: self.tag,
+            data,
+        }
+    }
+}
+
+/// Split one v1 frame off the front of `buf`, advancing it: every check
+/// the format has, nothing copied but the parsed tag.
+fn split_update<'a>(buf: &mut &'a [u8]) -> Result<RawUpdate<'a>, WireError> {
     if buf.remaining() < 2 + 1 + 1 + 4 + 8 + 1 {
         return Err(WireError::Truncated);
     }
@@ -138,40 +207,36 @@ pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
     if buf.get_u8() != VERSION {
         return Err(WireError::BadHeader);
     }
-    let endian = match buf.get_u8() {
-        0 => Endianness::Little,
-        1 => Endianness::Big,
-        _ => return Err(WireError::BadHeader),
-    };
+    let endian = endian_of(buf.get_u8())?;
     let entry = buf.get_u32();
     let elem_offset = buf.get_u64();
     let name_len = buf.get_u8() as usize;
     if buf.remaining() < name_len + 4 {
         return Err(WireError::Truncated);
     }
-    let sender = String::from_utf8_lossy(&buf.copy_to_bytes(name_len)).into_owned();
+    let sender = take(buf, name_len);
     let tag_len = buf.get_u32() as usize;
     if buf.remaining() < tag_len + 8 {
         return Err(WireError::Truncated);
     }
-    let tag_bytes = buf.copy_to_bytes(tag_len);
+    let tag_bytes = take(buf, tag_len);
     if !tag_bytes.is_ascii() {
         return Err(WireError::NonAsciiTag);
     }
-    let tag_str = std::str::from_utf8(&tag_bytes).map_err(|_| WireError::NonAsciiTag)?;
+    let tag_str = std::str::from_utf8(tag_bytes).map_err(|_| WireError::NonAsciiTag)?;
     let tag = parse_tag(tag_str).map_err(WireError::BadTag)?;
-    let data_len = buf.get_u64() as usize;
-    if buf.remaining() < data_len {
+    let data_len = buf.get_u64();
+    if (buf.remaining() as u64) < data_len {
         return Err(WireError::Truncated);
     }
-    let data = buf.copy_to_bytes(data_len);
-    if tag.byte_size() != data.len() as u64 {
+    let data = take(buf, data_len as usize);
+    if tag.byte_size() != data_len {
         return Err(WireError::LengthMismatch {
             tag_bytes: tag.byte_size(),
-            data_bytes: data.len() as u64,
+            data_bytes: data_len,
         });
     }
-    Ok(WireUpdate {
+    Ok(RawUpdate {
         entry,
         elem_offset,
         endian,
@@ -181,10 +246,23 @@ pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
     })
 }
 
+/// Unpack one update from the front of `buf`, advancing it. The payload
+/// is a shared slice of `buf`, not a copy.
+pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
+    let mut rest: &[u8] = buf;
+    let raw = split_update(&mut rest)?;
+    let end = buf.len() - rest.len();
+    let data = buf.slice(end - raw.data.len()..end);
+    let update = raw.into_update(data);
+    buf.advance(end);
+    Ok(update)
+}
+
 /// Pack a batch in the v1 format (count-prefixed frames). Nothing in the
-/// DSM ships this any more — [`pack_batch_fast`] is the wire format — but
-/// it stays as the reference the property tests compare against and as
-/// the producer of the v1 input [`unpack_batch`] must keep accepting.
+/// DSM ships this any more — the grouped frame a [`FrameWriter`] writes is
+/// the wire format — but it stays as the reference the property tests
+/// compare against and as the producer of the v1 input [`unpack_batch`]
+/// must keep accepting.
 pub fn pack_batch(updates: &[WireUpdate]) -> Bytes {
     let mut out =
         BytesMut::with_capacity(16 + updates.iter().map(|u| 64 + u.data.len()).sum::<usize>());
@@ -195,29 +273,9 @@ pub fn pack_batch(updates: &[WireUpdate]) -> Bytes {
     out.freeze()
 }
 
-/// Unpack a batch previously produced by [`pack_batch`] or
-/// [`pack_batch_fast`] — the leading word distinguishes the two formats.
-pub fn unpack_batch(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let n = buf.get_u32();
-    if n == BATCH_V2_MARKER {
-        return unpack_batch_v2(buf);
-    }
-    let mut out = bounded_vec(n, MIN_FRAME_BYTES, buf.remaining(), WireError::Truncated)?;
-    for _ in 0..n {
-        out.push(unpack_update(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(WireError::BadHeader);
-    }
-    Ok(out)
-}
-
 /// Match a run-shaped tag — the shape every DSM update carries
 /// (`(m,n)(0,0)` or `(m,-n)(0,0)`): `(size, count, is_pointer)`.
-fn tag_run_shape(tag: &Tag) -> Option<(u32, u32, bool)> {
+pub fn run_shape(tag: &Tag) -> Option<(u32, u32, bool)> {
     match tag.0.as_slice() {
         [TagItem::Scalar { size, count }, TagItem::Padding { bytes: 0 }] => {
             Some((*size, *count, false))
@@ -229,134 +287,136 @@ fn tag_run_shape(tag: &Tag) -> Option<(u32, u32, bool)> {
     }
 }
 
-/// Pack a batch in the v2 grouped format.
-///
-/// Consecutive updates sharing (entry, endianness, sender, element size,
-/// scalar-vs-pointer) and a run-shaped tag collapse into one *run group*
-/// that frames the shared metadata once and then just
-/// `(elem_offset, count)` pairs plus a single concatenated payload —
-/// SOR's 16k two-element updates shrink from ~50 framed bytes each to 12.
-/// Crucially the receiver reconstructs each update's tag directly from the
-/// group header, so `t_unpack` pays no per-update string parse. Updates
-/// whose tags are not run-shaped travel in a *raw group* of v1 frames.
-/// Grouping only ever merges **consecutive** updates, so apply order — and
-/// therefore last-writer-wins semantics within a batch — is preserved
-/// exactly.
-pub fn pack_batch_fast(updates: &[WireUpdate]) -> Bytes {
-    // Partition into maximal consecutive segments: (is_run_group, start, end).
-    let mut segs: Vec<(bool, usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < updates.len() {
-        let mut j = i + 1;
-        if let Some((size, _, is_ptr)) = tag_run_shape(&updates[i].tag) {
-            while j < updates.len() {
-                match tag_run_shape(&updates[j].tag) {
-                    Some((s, _, p))
-                        if s == size
-                            && p == is_ptr
-                            && updates[j].entry == updates[i].entry
-                            && updates[j].endian == updates[i].endian
-                            && updates[j].sender == updates[i].sender =>
-                    {
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            segs.push((true, i, j));
-        } else {
-            while j < updates.len() && tag_run_shape(&updates[j].tag).is_none() {
-                j += 1;
-            }
-            segs.push((false, i, j));
-        }
-        i = j;
-    }
-    let mut out =
-        BytesMut::with_capacity(32 + updates.iter().map(|u| 16 + u.data.len()).sum::<usize>());
-    out.put_u32(BATCH_V2_MARKER);
-    out.put_u32(segs.len() as u32);
-    for (is_run, a, b) in segs {
-        let head = &updates[a];
-        if is_run {
-            let (size, _, is_ptr) = tag_run_shape(&head.tag).expect("segment head is run-shaped");
-            out.put_u8(0);
-            out.put_u8(match head.endian {
-                Endianness::Little => 0,
-                Endianness::Big => 1,
-            });
-            out.put_u8(u8::from(is_ptr));
-            out.put_u32(size);
-            out.put_u32(head.entry);
-            out.put_u8(head.sender.len().min(255) as u8);
-            out.put_slice(&head.sender.as_bytes()[..head.sender.len().min(255)]);
-            out.put_u32((b - a) as u32);
-            let mut data_len: u64 = 0;
-            for u in &updates[a..b] {
-                let (_, count, _) = tag_run_shape(&u.tag).expect("grouped update is run-shaped");
-                debug_assert_eq!(u.data.len() as u64, u.tag.byte_size());
-                out.put_u64(u.elem_offset);
-                out.put_u32(count);
-                data_len += u.data.len() as u64;
-            }
-            out.put_u64(data_len);
-            for u in &updates[a..b] {
-                out.put_slice(&u.data);
-            }
-        } else {
-            out.put_u8(1);
-            out.put_u32((b - a) as u32);
-            for u in &updates[a..b] {
-                pack_update(u, &mut out);
-            }
-        }
-    }
-    out.freeze()
+/// What the updates of one run group share, framed once per group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GroupHead<'a> {
+    /// Index-table entry every run of the group targets.
+    pub entry: u32,
+    /// Byte order of the payload.
+    pub endian: Endianness,
+    /// Pointer runs (`(m,-n)`) rather than data runs (`(m,n)`).
+    pub is_ptr: bool,
+    /// Bytes per element on the sender.
+    pub size: u32,
+    /// Name of the sending platform (diagnostics; at most 255 bytes are
+    /// framed).
+    pub sender: &'a [u8],
 }
 
-/// Unpack the body of a v2 grouped batch (marker already consumed).
-fn unpack_batch_v2(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
-    if buf.remaining() < 4 {
+/// One update of a batch, borrowed from the frame: `count` elements of
+/// `entry` from `elem_offset` on now hold `data`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateView<'a> {
+    /// Index-table entry the update targets.
+    pub entry: u32,
+    /// First element within the entry.
+    pub elem_offset: u64,
+    /// Elements the update covers.
+    pub count: u64,
+    /// Raw bytes in the sender's native format.
+    pub data: &'a [u8],
+}
+
+/// A run group of a batch: consecutive updates sharing a [`GroupHead`],
+/// framed as `(elem_offset, count)` rows and one concatenated payload.
+#[derive(Debug, Clone, Copy)]
+pub struct RunGroup<'a> {
+    /// What every run shares.
+    pub head: GroupHead<'a>,
+    table: &'a [u8],
+    data: &'a [u8],
+}
+
+impl<'a> RunGroup<'a> {
+    /// The group's updates in frame order — two loads and a slice each.
+    pub fn runs(&self) -> impl Iterator<Item = UpdateView<'a>> + 'a {
+        let (entry, size, mut data) = (self.head.entry, self.head.size as usize, self.data);
+        self.table.chunks_exact(RUN_BYTES).map(move |row| {
+            let (offset, count) = row.split_at(8);
+            let count = u32::from_be_bytes(count.try_into().expect("4-byte count"));
+            let (head, rest) = data.split_at(size * count as usize);
+            data = rest;
+            UpdateView {
+                entry,
+                elem_offset: u64::from_be_bytes(offset.try_into().expect("8-byte offset")),
+                count: u64::from(count),
+                data: head,
+            }
+        })
+    }
+}
+
+/// A raw group of a batch: v1 frames, whose tags need not be run-shaped.
+/// No DSM sender produces one; a v1 batch is kept as one.
+#[derive(Debug, Clone, Copy)]
+pub struct RawGroup<'a> {
+    frames: &'a [u8],
+}
+
+impl<'a> RawGroup<'a> {
+    /// The group's updates in frame order, each parsed again (tag
+    /// included) — the cold path.
+    pub fn updates(&self) -> impl Iterator<Item = RawUpdate<'a>> + 'a {
+        let mut rest = self.frames;
+        std::iter::from_fn(move || {
+            (!rest.is_empty())
+                .then(|| split_update(&mut rest).expect("frame checked when the batch was made"))
+        })
+    }
+}
+
+/// One group of a batch, borrowed from its frame.
+#[derive(Debug, Clone, Copy)]
+pub enum Group<'a> {
+    /// Run-shaped updates behind one shared header.
+    Runs(RunGroup<'a>),
+    /// v1 frames.
+    Raw(RawGroup<'a>),
+}
+
+/// Split the group at the front of `buf` off it, with every check the
+/// format has and nothing allocated from a wire-supplied length; also how
+/// many updates it holds and their payload bytes. `validated` says the
+/// frame passed this once already (it is an [`UpdateBatch`]'s), so the
+/// pass over the run table that checks it against the payload length is
+/// not made again.
+fn split_group<'a>(
+    buf: &mut &'a [u8],
+    validated: bool,
+) -> Result<(Group<'a>, usize, u64), WireError> {
+    if buf.remaining() < 1 {
         return Err(WireError::Truncated);
     }
-    let groups = buf.get_u32();
-    // The smallest group is a raw group: kind byte + frame count.
-    let mut out = bounded_vec(groups, 1 + 4, buf.remaining(), WireError::Truncated)?;
-    for _ in 0..groups {
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        match buf.get_u8() {
-            0 => {
-                if buf.remaining() < 1 + 1 + 4 + 4 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let endian = match buf.get_u8() {
-                    0 => Endianness::Little,
-                    1 => Endianness::Big,
-                    _ => return Err(WireError::BadHeader),
-                };
-                let is_ptr = match buf.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::BadHeader),
-                };
-                let size = buf.get_u32();
-                if size == 0 {
-                    return Err(WireError::BadHeader);
-                }
-                let entry = buf.get_u32();
-                let name_len = buf.get_u8() as usize;
-                if buf.remaining() < name_len + 4 {
-                    return Err(WireError::Truncated);
-                }
-                let sender = String::from_utf8_lossy(&buf.copy_to_bytes(name_len)).into_owned();
-                let nruns = buf.get_u32();
-                let mut runs = bounded_vec(nruns, 8 + 4, buf.remaining(), WireError::Truncated)?;
-                let mut want: u64 = 0;
-                for _ in 0..nruns {
-                    let elem_offset = buf.get_u64();
-                    let count = buf.get_u32();
+    match buf.get_u8() {
+        0 => {
+            if buf.remaining() < 1 + 1 + 4 + 4 + 1 {
+                return Err(WireError::Truncated);
+            }
+            let endian = endian_of(buf.get_u8())?;
+            let is_ptr = match buf.get_u8() {
+                0 => false,
+                1 => true,
+                _ => return Err(WireError::BadHeader),
+            };
+            let size = buf.get_u32();
+            if size == 0 {
+                return Err(WireError::BadHeader);
+            }
+            let entry = buf.get_u32();
+            let name_len = buf.get_u8() as usize;
+            if buf.remaining() < name_len + 4 {
+                return Err(WireError::Truncated);
+            }
+            let sender = take(buf, name_len);
+            let nruns = buf.get_u32() as usize;
+            if nruns as u64 * RUN_BYTES as u64 > buf.remaining() as u64 {
+                return Err(WireError::Truncated);
+            }
+            let table = take(buf, nruns * RUN_BYTES);
+            let mut want: u64 = 0;
+            if !validated {
+                for row in table.chunks_exact(RUN_BYTES) {
+                    let count = u32::from_be_bytes(row[8..].try_into().expect("4-byte count"));
                     if count == 0 {
                         return Err(WireError::BadHeader);
                     }
@@ -364,61 +424,323 @@ fn unpack_batch_v2(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
                         .checked_mul(u64::from(count))
                         .and_then(|b| want.checked_add(b))
                         .ok_or(WireError::BadHeader)?;
-                    runs.push((elem_offset, count));
-                }
-                if buf.remaining() < 8 {
-                    return Err(WireError::Truncated);
-                }
-                let data_len = buf.get_u64();
-                if data_len != want {
-                    return Err(WireError::LengthMismatch {
-                        tag_bytes: want,
-                        data_bytes: data_len,
-                    });
-                }
-                if (buf.remaining() as u64) < data_len {
-                    return Err(WireError::Truncated);
-                }
-                let data = buf.copy_to_bytes(data_len as usize);
-                let mut at = 0usize;
-                for (elem_offset, count) in runs {
-                    let len = (u64::from(size) * u64::from(count)) as usize;
-                    let item = if is_ptr {
-                        TagItem::Pointer { size, count }
-                    } else {
-                        TagItem::Scalar { size, count }
-                    };
-                    out.push(WireUpdate {
-                        entry,
-                        elem_offset,
-                        endian,
-                        sender: sender.clone(),
-                        tag: Tag(vec![item, TagItem::Padding { bytes: 0 }]),
-                        data: data.slice(at..at + len),
-                    });
-                    at += len;
                 }
             }
-            1 => {
-                if buf.remaining() < 4 {
-                    return Err(WireError::Truncated);
-                }
-                let n = buf.get_u32() as usize;
-                for _ in 0..n {
-                    out.push(unpack_update(&mut buf)?);
-                }
+            if buf.remaining() < 8 {
+                return Err(WireError::Truncated);
             }
-            _ => return Err(WireError::BadHeader),
+            let data_len = buf.get_u64();
+            if !validated && data_len != want {
+                return Err(WireError::LengthMismatch {
+                    tag_bytes: want,
+                    data_bytes: data_len,
+                });
+            }
+            if (buf.remaining() as u64) < data_len {
+                return Err(WireError::Truncated);
+            }
+            let data = take(buf, data_len as usize);
+            let head = GroupHead {
+                entry,
+                endian,
+                is_ptr,
+                size,
+                sender,
+            };
+            Ok((Group::Runs(RunGroup { head, table, data }), nruns, data_len))
         }
+        1 => {
+            if buf.remaining() < 4 {
+                return Err(WireError::Truncated);
+            }
+            let n = buf.get_u32() as usize;
+            let frames = *buf;
+            let mut data_len = 0;
+            for _ in 0..n {
+                data_len += split_update(buf)?.data.len() as u64;
+            }
+            let frames = &frames[..frames.len() - buf.len()];
+            Ok((Group::Raw(RawGroup { frames }), n, data_len))
+        }
+        _ => Err(WireError::BadHeader),
     }
-    if buf.has_remaining() {
+}
+
+/// A batch of updates: the grouped v2 frame itself, validated once, with
+/// its update count and payload bytes. It is what every message, log and
+/// snapshot of the DSM carries; cloning shares the frame.
+///
+/// Consecutive updates sharing (entry, endianness, sender, element size,
+/// scalar-vs-pointer) and a run-shaped tag form one *run group* that
+/// frames the shared metadata once and then just `(elem_offset, count)`
+/// pairs plus a single concatenated payload — SOR's 10 735 one-element
+/// updates take 20 framed bytes each, not ~50 — and the receiver needs no
+/// per-update tag parse. Updates whose tags are not run-shaped travel in
+/// a *raw group* of v1 frames. Grouping only ever merges **consecutive**
+/// updates, so apply order — and therefore last-writer-wins semantics
+/// within a batch — is preserved exactly.
+#[derive(Clone, PartialEq)]
+pub struct UpdateBatch {
+    frame: Bytes,
+    updates: usize,
+    payload_bytes: u64,
+}
+
+impl Default for UpdateBatch {
+    /// The empty batch; every empty batch shares one frame.
+    fn default() -> UpdateBatch {
+        static EMPTY: OnceLock<UpdateBatch> = OnceLock::new();
+        EMPTY
+            .get_or_init(|| FrameWriter::new(0, 0).finish())
+            .clone()
+    }
+}
+
+impl fmt::Debug for UpdateBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UpdateBatch")
+            .field("updates", &self.updates)
+            .field("payload_bytes", &self.payload_bytes)
+            .field("frame_bytes", &self.frame.len())
+            .finish()
+    }
+}
+
+impl UpdateBatch {
+    /// The frame: what travels, byte for byte.
+    pub fn frame(&self) -> &Bytes {
+        &self.frame
+    }
+
+    /// Number of updates.
+    pub fn len(&self) -> usize {
+        self.updates
+    }
+
+    /// Whether the batch holds no update.
+    pub fn is_empty(&self) -> bool {
+        self.updates == 0
+    }
+
+    /// Payload bytes of all updates, framing excluded.
+    pub fn payload_bytes(&self) -> u64 {
+        self.payload_bytes
+    }
+
+    /// The groups in frame order, borrowed. A run group without runs
+    /// holds no update and is skipped.
+    pub fn groups(&self) -> impl Iterator<Item = Group<'_>> + '_ {
+        let mut rest = &self.frame[FRAME_HEADER_BYTES..];
+        std::iter::from_fn(move || {
+            while !rest.is_empty() {
+                match split_group(&mut rest, true).expect("frame checked when the batch was made") {
+                    (_, 0, _) => continue,
+                    (group, ..) => return Some(group),
+                }
+            }
+            None
+        })
+    }
+
+    /// Every update in frame order, borrowed.
+    pub fn iter(&self) -> impl Iterator<Item = UpdateView<'_>> + '_ {
+        self.groups().flat_map(|group| {
+            let (runs, raw) = match group {
+                Group::Runs(g) => (Some(g.runs()), None),
+                Group::Raw(g) => (None, Some(g.updates())),
+            };
+            let raw = raw.into_iter().flatten().map(|u| UpdateView {
+                entry: u.entry,
+                elem_offset: u.elem_offset,
+                count: u.tag.element_count(),
+                data: u.data,
+            });
+            runs.into_iter().flatten().chain(raw)
+        })
+    }
+}
+
+/// The frame of a batch. (The name is from when packing was a pass over
+/// materialised updates; `benchmark/`, frozen between benchmark PRs, and
+/// `tests/differential.rs` call it.)
+pub fn pack_batch_fast(batch: &UpdateBatch) -> Bytes {
+    batch.frame.clone()
+}
+
+/// Validate a received batch — a grouped v2 frame or a v1 batch, the
+/// leading word tells which — and keep it. A v2 frame is kept as the
+/// zero-copy slice it arrived in; a v1 batch is copied once, whole, into a
+/// frame of one raw group. Every length is checked against what the
+/// buffer holds before it is used, and nothing is allocated from one.
+pub fn unpack_batch(buf: Bytes) -> Result<UpdateBatch, WireError> {
+    let mut rest: &[u8] = &buf;
+    if rest.remaining() < 4 {
+        return Err(WireError::Truncated);
+    }
+    let n = rest.get_u32();
+    if n != BATCH_V2_MARKER {
+        return unpack_batch_v1(n, rest);
+    }
+    if rest.remaining() < 4 {
+        return Err(WireError::Truncated);
+    }
+    let groups = rest.get_u32();
+    // The smallest group is a raw group: kind byte + frame count.
+    if u64::from(groups) * (1 + 4) > rest.remaining() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let (mut updates, mut payload_bytes) = (0, 0);
+    for _ in 0..groups {
+        let (_, n, bytes) = split_group(&mut rest, false)?;
+        updates += n;
+        payload_bytes += bytes;
+    }
+    if rest.has_remaining() {
         return Err(WireError::BadHeader);
     }
-    Ok(out)
+    Ok(UpdateBatch {
+        frame: buf,
+        updates,
+        payload_bytes,
+    })
+}
+
+/// The cold half of [`unpack_batch`]: `n` v1 frames, re-framed as they
+/// are into one raw group.
+fn unpack_batch_v1(n: u32, frames: &[u8]) -> Result<UpdateBatch, WireError> {
+    if u64::from(n) * MIN_FRAME_BYTES as u64 > frames.len() as u64 {
+        return Err(WireError::Truncated);
+    }
+    let mut rest = frames;
+    let mut payload_bytes = 0;
+    for _ in 0..n {
+        payload_bytes += split_update(&mut rest)?.data.len() as u64;
+    }
+    if rest.has_remaining() {
+        return Err(WireError::BadHeader);
+    }
+    if n == 0 {
+        return Ok(UpdateBatch::default());
+    }
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + 1 + 4 + frames.len());
+    frame.put_u32(BATCH_V2_MARKER);
+    frame.put_u32(1);
+    frame.put_u8(1);
+    frame.put_u32(n);
+    frame.put_slice(frames);
+    Ok(UpdateBatch {
+        frame: frame.into(),
+        updates: n as usize,
+        payload_bytes,
+    })
+}
+
+/// Writes a grouped v2 frame group by group into one buffer sized
+/// exactly before the first byte is written: the sender sizes the frame
+/// from its ranges ([`Self::run_group_bytes`]), then per group writes the
+/// header and run table ([`Self::begin_group`]) and appends the payload
+/// straight from its address space ([`Self::put_payload`]).
+pub struct FrameWriter {
+    out: Vec<u8>,
+    /// Groups the header announced and `begin_group` has not yet opened.
+    groups_left: u32,
+    /// `out.len()` once the open group's payload is complete.
+    group_end: usize,
+    planned: usize,
+    updates: usize,
+    payload_bytes: u64,
+}
+
+impl FrameWriter {
+    /// Bytes a run group of `runs` runs and `data_len` payload bytes from
+    /// `sender` occupies in the frame.
+    pub fn run_group_bytes(sender: &[u8], runs: usize, data_len: usize) -> usize {
+        RUN_GROUP_FIXED_BYTES + sender.len().min(255) + runs * RUN_BYTES + data_len
+    }
+
+    /// A frame of `groups` groups occupying `body_bytes` in all (the sum
+    /// of their [`Self::run_group_bytes`]).
+    pub fn new(groups: u32, body_bytes: usize) -> FrameWriter {
+        let planned = FRAME_HEADER_BYTES + body_bytes;
+        let mut out = Vec::with_capacity(planned);
+        out.put_u32(BATCH_V2_MARKER);
+        out.put_u32(groups);
+        FrameWriter {
+            groups_left: groups,
+            group_end: out.len(),
+            out,
+            planned,
+            updates: 0,
+            payload_bytes: 0,
+        }
+    }
+
+    /// Open the next run group: its header and its `(elem_offset, count)`
+    /// table. The payload of the runs, `head.size * count` bytes each in
+    /// the same order, must follow through [`Self::put_payload`].
+    ///
+    /// # Panics
+    /// If the previous group's payload is incomplete, a run is empty or
+    /// the frame was sized for fewer groups.
+    pub fn begin_group(
+        &mut self,
+        head: GroupHead<'_>,
+        runs: impl ExactSizeIterator<Item = (u64, u32)>,
+    ) {
+        assert_eq!(self.out.len(), self.group_end, "previous group's payload");
+        self.groups_left = self.groups_left.checked_sub(1).expect("a group too many");
+        let out = &mut self.out;
+        out.put_u8(0);
+        out.put_u8(endian_byte(head.endian));
+        out.put_u8(u8::from(head.is_ptr));
+        out.put_u32(head.size);
+        out.put_u32(head.entry);
+        let sender = &head.sender[..head.sender.len().min(255)];
+        out.put_u8(sender.len() as u8);
+        out.put_slice(sender);
+        out.put_u32(runs.len() as u32);
+        self.updates += runs.len();
+        let mut data_len: u64 = 0;
+        for (elem_offset, count) in runs {
+            assert!(count > 0, "empty run");
+            out.put_u64(elem_offset);
+            out.put_u32(count);
+            data_len += u64::from(head.size) * u64::from(count);
+        }
+        out.put_u64(data_len);
+        self.payload_bytes += data_len;
+        self.group_end = out.len() + data_len as usize;
+    }
+
+    /// Append payload bytes of the open group.
+    pub fn put_payload(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    /// The finished batch.
+    ///
+    /// # Panics
+    /// If the frame is not exactly what [`Self::new`] and
+    /// [`Self::begin_group`] were told it would be.
+    pub fn finish(self) -> UpdateBatch {
+        assert_eq!(self.out.len(), self.group_end, "last group's payload");
+        assert_eq!(self.groups_left, 0, "groups announced but not written");
+        assert_eq!(
+            self.out.len(),
+            self.planned,
+            "frame was sized for its groups"
+        );
+        UpdateBatch {
+            frame: self.out.into(),
+            updates: self.updates,
+            payload_bytes: self.payload_bytes,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{pack_grouped, unpack_updates, updates_of};
     use super::*;
     use crate::generate::tag_for_scalar_run;
     use hdsm_platform::scalar::ScalarKind;
@@ -451,12 +773,16 @@ mod tests {
         let us = vec![sample(0, 1), sample(1, 100), sample(9, 3)];
         let packed = pack_batch(&us);
         let back = unpack_batch(packed).unwrap();
-        assert_eq!(back, us);
+        assert_eq!(updates_of(&back), us);
     }
 
     #[test]
     fn empty_batch() {
-        assert_eq!(unpack_batch(pack_batch(&[])).unwrap(), vec![]);
+        for empty in [pack_batch(&[]), pack_grouped(&[])] {
+            let batch = unpack_batch(empty).unwrap();
+            assert_eq!(batch, UpdateBatch::default());
+            assert!(batch.is_empty() && batch.iter().next().is_none());
+        }
     }
 
     #[test]
@@ -532,17 +858,32 @@ mod tests {
             sample(1, 1),
             sample(1, 1),
         ];
-        let packed = pack_batch_fast(&us);
-        assert_eq!(unpack_batch(packed).unwrap(), us);
+        let batch = unpack_batch(pack_grouped(&us)).unwrap();
+        assert_eq!(updates_of(&batch), us);
+        // The flat walk covers raw-group updates too, and the counts the
+        // batch carries are the walk's.
+        let flat: Vec<(u32, u64, usize)> = batch
+            .iter()
+            .map(|u| (u.entry, u.count, u.data.len()))
+            .collect();
+        let want: Vec<(u32, u64, usize)> = us
+            .iter()
+            .map(|u| (u.entry, u.tag.element_count(), u.data.len()))
+            .collect();
+        assert_eq!(flat, want);
+        assert_eq!(batch.len(), us.len());
+        let bytes: usize = us.iter().map(|u| u.data.len()).sum();
+        assert_eq!(batch.payload_bytes(), bytes as u64);
+        // The frame is the batch: packing it again is handing it over.
+        assert_eq!(pack_batch_fast(&batch), pack_grouped(&us));
     }
 
     #[test]
-    fn fast_batch_of_empty_and_single() {
-        assert_eq!(unpack_batch(pack_batch_fast(&[])).unwrap(), vec![]);
+    fn fast_batch_of_single_run_and_single_raw_update() {
         let us = vec![sample(4, 9)];
-        assert_eq!(unpack_batch(pack_batch_fast(&us)).unwrap(), us);
+        assert_eq!(updates_of(&unpack_batch(pack_grouped(&us)).unwrap()), us);
         let us = vec![aggregate_sample(0)];
-        assert_eq!(unpack_batch(pack_batch_fast(&us)).unwrap(), us);
+        assert_eq!(updates_of(&unpack_batch(pack_grouped(&us)).unwrap()), us);
     }
 
     #[test]
@@ -555,8 +896,8 @@ mod tests {
             })
             .collect();
         let v1 = pack_batch(&us);
-        let v2 = pack_batch_fast(&us);
-        assert_eq!(unpack_batch(v2.clone()).unwrap(), us);
+        let v2 = pack_grouped(&us);
+        assert_eq!(updates_of(&unpack_batch(v2.clone()).unwrap()), us);
         assert!(
             v2.len() * 2 < v1.len(),
             "grouped batch should at least halve framing: v1={} v2={}",
@@ -571,14 +912,15 @@ mod tests {
         other.endian = Endianness::Little;
         other.sender = "linux-x86".into();
         let us = vec![sample(0, 2), other, sample(0, 2)];
-        let packed = pack_batch_fast(&us);
-        assert_eq!(unpack_batch(packed).unwrap(), us);
+        let batch = unpack_batch(pack_grouped(&us)).unwrap();
+        assert_eq!(batch.groups().count(), 3);
+        assert_eq!(updates_of(&batch), us);
     }
 
     #[test]
     fn fast_batch_detects_truncation_everywhere() {
         let us = vec![sample(0, 2), sample(0, 3), aggregate_sample(1)];
-        let full = pack_batch_fast(&us);
+        let full = pack_grouped(&us);
         for cut in 0..full.len() {
             assert!(
                 unpack_batch(full.slice(..cut)).is_err(),
@@ -589,7 +931,7 @@ mod tests {
 
     #[test]
     fn fast_batch_rejects_trailing_garbage() {
-        let packed = pack_batch_fast(&[sample(0, 1)]);
+        let packed = pack_grouped(&[sample(0, 1)]);
         let mut with_garbage = BytesMut::from(&packed[..]);
         with_garbage.put_u8(9);
         assert!(unpack_batch(with_garbage.freeze()).is_err());
@@ -598,7 +940,87 @@ mod tests {
     #[test]
     fn v1_batches_still_decode() {
         // Mixed-version clusters: a v1 producer must stay readable.
-        let us = vec![sample(0, 1), sample(1, 100)];
-        assert_eq!(unpack_batch(pack_batch(&us)).unwrap(), us);
+        let us = vec![sample(0, 1), aggregate_sample(2), sample(1, 100)];
+        let batch = unpack_batch(pack_batch(&us)).unwrap();
+        assert_eq!(updates_of(&batch), us);
+        assert_eq!((batch.len(), batch.payload_bytes()), (3, 4 + 12 + 400));
+        // Kept as one raw group of the frames as they came; what is
+        // stored is itself a frame both decoders read.
+        assert!(matches!(
+            batch.groups().collect::<Vec<_>>()[..],
+            [Group::Raw(_)]
+        ));
+        assert_eq!(unpack_updates(batch.frame().clone()).unwrap(), us);
+    }
+
+    #[test]
+    fn decoder_agrees_with_the_reference_on_every_truncation_and_byte_flip() {
+        // Accepted input: the same updates. Rejected input: the same
+        // `WireError`, whichever field the damage lands in.
+        let us = vec![
+            sample(0, 2),
+            sample(0, 3),
+            aggregate_sample(1),
+            sample(1, 1),
+        ];
+        for full in [pack_grouped(&us), pack_batch(&us)] {
+            let agree = |bytes: Bytes, what: &str| {
+                let got = unpack_batch(bytes.clone()).map(|b| updates_of(&b));
+                assert_eq!(got, unpack_updates(bytes), "{what}");
+            };
+            for cut in 0..=full.len() {
+                agree(full.slice(..cut), &format!("cut at {cut}"));
+            }
+            for at in 0..full.len() {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut bytes = full.to_vec();
+                    bytes[at] ^= flip;
+                    agree(Bytes::from(bytes), &format!("byte {at} ^ {flip:#x}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_writer_writes_the_reference_frame() {
+        let us = vec![sample(0, 2), sample(0, 5), sample(3, 1)];
+        let head = |entry| GroupHead {
+            entry,
+            endian: Endianness::Big,
+            is_ptr: false,
+            size: 4,
+            sender: b"solaris-sparc",
+        };
+        let sizes = [(2, 28), (1, 4)];
+        let body = sizes
+            .iter()
+            .map(|&(runs, len)| FrameWriter::run_group_bytes(b"solaris-sparc", runs, len))
+            .sum();
+        let mut w = FrameWriter::new(2, body);
+        w.begin_group(head(0), [(7, 2), (7, 5)].into_iter());
+        w.put_payload(&us[0].data);
+        w.put_payload(&us[1].data);
+        w.begin_group(head(3), [(7, 1)].into_iter());
+        w.put_payload(&us[2].data);
+        let batch = w.finish();
+        assert_eq!(batch.frame(), &pack_grouped(&us));
+        assert_eq!((batch.len(), batch.payload_bytes()), (3, 32));
+        assert_eq!(batch, unpack_batch(batch.frame().clone()).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "previous group's payload")]
+    fn frame_writer_refuses_a_group_with_missing_payload() {
+        let head = GroupHead {
+            entry: 0,
+            endian: Endianness::Little,
+            is_ptr: false,
+            size: 8,
+            sender: b"x",
+        };
+        let mut w = FrameWriter::new(2, 2 * FrameWriter::run_group_bytes(b"x", 1, 8));
+        w.begin_group(head, [(0, 1)].into_iter());
+        w.put_payload(&[0; 4]);
+        w.begin_group(head, [(1, 1)].into_iter());
     }
 }

@@ -10,6 +10,7 @@ use hdsm_tags::convert::{convert_block, ConversionStats};
 use hdsm_tags::generate::tag_for;
 use hdsm_tags::parse::parse_tag;
 use hdsm_tags::tag::{Tag, TagItem};
+use hdsm_tags::wire::reference::{pack_grouped, unpack_updates, updates_of};
 use hdsm_tags::wire::{pack_batch, unpack_batch, WireUpdate};
 use proptest::prelude::*;
 
@@ -197,18 +198,29 @@ proptest! {
         prop_assert_eq!(stats.memcpy_bytes, src.len() as u64);
     }
 
-    /// Wire batch pack/unpack round-trips arbitrary updates.
+    /// Both batch formats round-trip arbitrary updates — run-shaped data
+    /// and pointer runs of any width, aggregates, changing senders — and
+    /// the borrowed views of the kept frame show, update for update, what
+    /// the reference decoder materialises from it.
     #[test]
-    fn wire_batch_roundtrip(
+    fn wire_batch_views_equal_the_reference_decoder(
         frames in prop::collection::vec(
-            (0u32..64, 0u64..1000, 1u64..64, any::<bool>()),
-            0..6
+            (0u32..4, 0u64..1000, 1u64..64, any::<bool>(), 0u8..8, any::<bool>()),
+            0..12
         )
     ) {
         let updates: Vec<WireUpdate> = frames
             .into_iter()
-            .map(|(entry, elem_offset, n, big)| {
-                let data: Vec<u8> = (0..n * 4).map(|i| (i * 31 % 256) as u8).collect();
+            .map(|(entry, elem_offset, n, big, shape, other_sender)| {
+                let (tag, bytes) = match shape {
+                    0 => (parse_tag("((4,1)(0,0),3)").unwrap(), 12),
+                    1 => (Tag(vec![
+                        TagItem::Pointer { size: 4, count: n as u32 },
+                        TagItem::Padding { bytes: 0 },
+                    ]), n * 4),
+                    2 | 3 => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Double, 8, n), n * 8),
+                    _ => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Int, 4, n), n * 4),
+                };
                 WireUpdate {
                     entry,
                     elem_offset,
@@ -217,14 +229,22 @@ proptest! {
                     } else {
                         hdsm_platform::endian::Endianness::Little
                     },
-                    sender: "test".into(),
-                    tag: hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Int, 4, n),
-                    data: bytes::Bytes::from(data),
+                    sender: if other_sender { "other" } else { "test" }.into(),
+                    tag,
+                    data: (0..bytes).map(|i| (i * 31 % 256) as u8).collect(),
                 }
             })
             .collect();
-        let packed = pack_batch(&updates);
-        prop_assert_eq!(unpack_batch(packed).unwrap(), updates);
+        for packed in [pack_batch(&updates), pack_grouped(&updates)] {
+            let batch = unpack_batch(packed.clone()).unwrap();
+            prop_assert_eq!(&updates_of(&batch), &updates);
+            prop_assert_eq!(&unpack_updates(packed).unwrap(), &updates);
+            prop_assert_eq!(&unpack_updates(batch.frame().clone()).unwrap(), &updates);
+            prop_assert_eq!(batch.len(), updates.len());
+            prop_assert_eq!(batch.iter().count(), updates.len());
+            let bytes: usize = updates.iter().map(|u| u.data.len()).sum();
+            prop_assert_eq!(batch.payload_bytes(), bytes as u64);
+        }
     }
 
     /// Parser never panics on arbitrary ASCII input.

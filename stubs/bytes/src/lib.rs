@@ -363,6 +363,12 @@ impl Buf for Bytes {
         assert!(cnt <= self.len(), "advance past end");
         self.start += cnt;
     }
+    /// O(1), like the real crate: the head is a shared slice of the same
+    /// allocation, not a copy.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(self.remaining() >= len, "buffer underflow");
+        self.split_to(len)
+    }
 }
 
 impl Buf for &[u8] {
@@ -461,6 +467,26 @@ mod tests {
         t.advance(1);
         assert_eq!(&t[..], &[3, 4]);
         assert_eq!(&s[..], &[2, 3, 4], "clone unaffected");
+    }
+
+    #[test]
+    fn copy_to_bytes_on_bytes_shares_the_allocation_and_advances() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        b.advance(1);
+        let head = b.copy_to_bytes(3);
+        assert_eq!(&head[..], &[2, 3, 4]);
+        assert_eq!(&b[..], &[5], "cursor advanced past the head");
+        assert!(Arc::ptr_eq(&head.data, &b.data), "head is a copy");
+        // The trait default (any other `Buf`) still copies.
+        let mut s: &[u8] = &[7, 8, 9];
+        assert_eq!(&s.copy_to_bytes(2)[..], &[7, 8]);
+        assert_eq!(s, &[9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn copy_to_bytes_underflow_panics() {
+        Bytes::from(vec![1, 2]).copy_to_bytes(3);
     }
 
     #[test]
