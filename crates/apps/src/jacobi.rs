@@ -3,7 +3,7 @@
 //! sweep propagates each worker's row block. Updates are contiguous row
 //! stripes, a friendly case for the consecutive-element coalescing.
 
-use crate::workload::{block_rows, det_f64};
+use crate::workload::{block_rows, close_to, det_f64};
 use hdsm_core::client::{DsdClient, DsdError};
 use hdsm_core::cluster::WorkerInfo;
 use hdsm_core::gthv::{GthvDef, GthvInstance};
@@ -43,10 +43,8 @@ pub fn gthv_def(n: usize) -> GthvDef {
 /// Home-side initialisation: deterministic interior, fixed hot boundary.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
     let src = source_grid(n, seed);
-    for (i, v) in src.iter().enumerate() {
-        g.write_float(entries::G0, i as u64, *v).expect("init g0");
-        g.write_float(entries::G1, i as u64, *v).expect("init g1");
-    }
+    g.write_floats(entries::G0, 0, &src).expect("init g0");
+    g.write_floats(entries::G1, 0, &src).expect("init g1");
     g.write_int(entries::N, 0, n as i128).expect("init n");
 }
 
@@ -95,13 +93,7 @@ pub fn verify(g: &GthvInstance, n: usize, seed: u64, sweeps: usize) -> bool {
     } else {
         entries::G1
     };
-    for (i, w) in want.iter().enumerate() {
-        match g.read_float(entry, i as u64) {
-            Ok(v) if (v - w).abs() <= 1e-9 * (1.0 + w.abs()) => {}
-            _ => return false,
-        }
-    }
-    true
+    close_to(g, entry, &want)
 }
 
 /// SPMD worker body.
@@ -113,24 +105,30 @@ pub fn run_worker(
 ) -> Result<(), DsdError> {
     client.barrier(barriers::SWEEP)?;
     let rows = block_rows(n, info.index, info.n_workers);
+    let interior = rows.start.max(1)..rows.end.min(n.saturating_sub(1));
+    // The window of source rows i-1, i, i+1 and the interior of output
+    // row i: local views of the shared grids, allocated once.
+    let (mut up, mut mid, mut down) = (vec![0.0f64; n], vec![0.0f64; n], vec![0.0f64; n]);
+    let mut out = vec![0.0f64; n.saturating_sub(2)];
     for sweep in 0..sweeps {
         let (src, dst) = if sweep % 2 == 0 {
             (entries::G0, entries::G1)
         } else {
             (entries::G1, entries::G0)
         };
-        for i in rows.clone() {
-            if i == 0 || i == n - 1 {
-                continue;
+        if !interior.is_empty() {
+            client.read_floats(src, ((interior.start - 1) * n) as u64, &mut mid)?;
+            client.read_floats(src, (interior.start * n) as u64, &mut down)?;
+        }
+        for i in interior.clone() {
+            // Slide the window down one row; nothing writes `src` in a sweep.
+            std::mem::swap(&mut up, &mut mid);
+            std::mem::swap(&mut mid, &mut down);
+            client.read_floats(src, ((i + 1) * n) as u64, &mut down)?;
+            for (j, v) in out.iter_mut().enumerate() {
+                *v = 0.25 * (up[j + 1] + down[j + 1] + mid[j] + mid[j + 2]);
             }
-            for j in 1..n - 1 {
-                let v = 0.25
-                    * (client.read_float(src, ((i - 1) * n + j) as u64)?
-                        + client.read_float(src, ((i + 1) * n + j) as u64)?
-                        + client.read_float(src, (i * n + j - 1) as u64)?
-                        + client.read_float(src, (i * n + j + 1) as u64)?);
-                client.write_float(dst, (i * n + j) as u64, v)?;
-            }
+            client.write_floats(dst, (i * n + 1) as u64, &out)?;
         }
         client.barrier(barriers::SWEEP)?;
     }

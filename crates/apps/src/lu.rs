@@ -7,7 +7,7 @@
 //! "the LU-decomposition example transfers more data per update than the
 //! matrix multiplication example" (§5, Figures 10 vs 11).
 
-use crate::workload::det_f64;
+use crate::workload::{close_to, det_f64};
 use hdsm_core::client::{DsdClient, DsdError};
 use hdsm_core::cluster::WorkerInfo;
 use hdsm_core::gthv::{GthvDef, GthvInstance};
@@ -56,10 +56,8 @@ pub fn source_matrix(n: usize, seed: u64) -> Vec<f64> {
 
 /// Home-side initialisation.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
-    let m = source_matrix(n, seed);
-    for (i, v) in m.iter().enumerate() {
-        g.write_float(entries::M, i as u64, *v).expect("init M");
-    }
+    g.write_floats(entries::M, 0, &source_matrix(n, seed))
+        .expect("init M");
     g.write_int(entries::N, 0, n as i128).expect("init n");
 }
 
@@ -81,14 +79,7 @@ pub fn expected_lu(n: usize, seed: u64) -> Vec<f64> {
 
 /// Verify the distributed result against the oracle within a tolerance.
 pub fn verify(g: &GthvInstance, n: usize, seed: u64) -> bool {
-    let want = expected_lu(n, seed);
-    for (i, w) in want.iter().enumerate() {
-        match g.read_float(entries::M, i as u64) {
-            Ok(v) if (v - w).abs() <= 1e-9 * (1.0 + w.abs()) => {}
-            _ => return false,
-        }
-    }
-    true
+    close_to(g, entries::M, &expected_lu(n, seed))
 }
 
 /// SPMD worker body: cyclic row distribution, one barrier per step.
@@ -101,27 +92,25 @@ pub fn run_worker(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result
     // Opening barrier pulls the initial matrix.
     client.barrier(barriers::STEP)?;
     debug_assert_eq!(client.read_int(entries::N, 0)? as usize, n);
+    // Columns k.. of the pivot row and of the row being eliminated, as
+    // local views allocated once and used at their first n - k elements.
+    let (mut pivot_buf, mut row_buf) = (vec![0.0f64; n], vec![0.0f64; n]);
     for k in 0..n.saturating_sub(1) {
-        let pivot = client.read_float(entries::M, (k * n + k) as u64)?;
+        let (pivot_row, row) = (&mut pivot_buf[..n - k], &mut row_buf[..n - k]);
         // Pivot row snapshot (local reads).
-        let mut pivot_row = Vec::with_capacity(n - k);
-        for j in k..n {
-            pivot_row.push(client.read_float(entries::M, (k * n + j) as u64)?);
-        }
+        client.read_floats(entries::M, (k * n + k) as u64, pivot_row)?;
+        let pivot = pivot_row[0];
         for i in (k + 1)..n {
             if i % info.n_workers != info.index {
                 continue; // cyclic ownership
             }
-            let factor = client.read_float(entries::M, (i * n + k) as u64)? / pivot;
-            client.write_float(entries::M, (i * n + k) as u64, factor)?;
-            for j in (k + 1)..n {
-                let cur = client.read_float(entries::M, (i * n + j) as u64)?;
-                client.write_float(
-                    entries::M,
-                    (i * n + j) as u64,
-                    cur - factor * pivot_row[j - k],
-                )?;
+            client.read_floats(entries::M, (i * n + k) as u64, row)?;
+            let factor = row[0] / pivot;
+            row[0] = factor;
+            for (cur, p) in row[1..].iter_mut().zip(&pivot_row[1..]) {
+                *cur -= factor * p;
             }
+            client.write_floats(entries::M, (i * n + k) as u64, row)?;
         }
         client.barrier(barriers::STEP)?;
     }

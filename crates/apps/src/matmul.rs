@@ -74,12 +74,14 @@ pub fn gthv_def(n: usize) -> GthvDef {
 
 /// Home-side initialisation: deterministic A and B, zero C, store `n`.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
-    for i in 0..(n * n) as u64 {
-        g.write_int(entries::A, i, i128::from(det_i32(seed, i)))
-            .expect("init A");
-        g.write_int(entries::B, i, i128::from(det_i32(seed ^ 0xABCD, i)))
-            .expect("init B");
-    }
+    let matrix = |seed| -> Vec<i128> {
+        (0..(n * n) as u64)
+            .map(|i| i128::from(det_i32(seed, i)))
+            .collect()
+    };
+    g.write_ints(entries::A, 0, &matrix(seed)).expect("init A");
+    g.write_ints(entries::B, 0, &matrix(seed ^ 0xABCD))
+        .expect("init B");
     g.write_int(entries::N, 0, n as i128).expect("init n");
     // GThP points at A, as in the paper's example structure.
     g.write_ptr(entries::GTHP, 0, Some((entries::A, 0)))
@@ -113,22 +115,22 @@ pub fn expected_c(n: usize, seed: u64) -> Vec<i64> {
 /// Verify a final instance against the oracle.
 pub fn verify(g: &GthvInstance, n: usize, seed: u64) -> bool {
     let want = expected_c(n, seed);
-    for (i, w) in want.iter().enumerate() {
-        match g.read_int(entries::C, i as u64) {
-            Ok(v) if v == i128::from(*w) => {}
-            _ => return false,
-        }
-    }
-    g.read_int(entries::N, 0).map(|v| v as usize) == Ok(n)
+    let mut got = vec![0i128; want.len()];
+    g.read_ints(entries::C, 0, &mut got).is_ok()
+        && got.iter().zip(&want).all(|(v, w)| *v == i128::from(*w))
+        && g.read_int(entries::N, 0).map(|v| v as usize) == Ok(n)
 }
 
-/// Read a full row of a matrix entry from the local copy.
-fn read_row(c: &DsdClient, entry: u32, n: usize, row: usize) -> Result<Vec<i64>, DsdError> {
-    let mut out = Vec::with_capacity(n);
-    for j in 0..n {
-        out.push(c.read_int(entry, (row * n + j) as u64)? as i64);
+/// Row `i` of `C = A * B` for row `a_row` of `A`, into `c_row`.
+fn multiply_row(a_row: &[i128], b: &[i64], c_row: &mut [i128]) {
+    let n = a_row.len();
+    for (j, c) in c_row.iter_mut().enumerate() {
+        let mut acc = 0i64;
+        for k in 0..n {
+            acc += a_row[k] as i64 * b[k * n + j];
+        }
+        *c = i128::from(acc);
     }
-    Ok(out)
 }
 
 /// SPMD worker body.
@@ -143,22 +145,22 @@ pub fn run_worker(
     debug_assert_eq!(client.read_int(entries::N, 0)? as usize, n);
 
     let rows = block_rows(n, info.index, info.n_workers);
+    // One matrix row in the accessors' integer type, reused for every row
+    // of B and A read.
+    let mut row = vec![0i128; n];
     // Load B once (column access pattern).
     let mut b = Vec::with_capacity(n * n);
-    for i in 0..(n * n) as u64 {
-        b.push(client.read_int(entries::B, i)? as i64);
+    for k in 0..n {
+        client.read_ints(entries::B, (k * n) as u64, &mut row)?;
+        b.extend(row.iter().map(|&v| v as i64));
     }
     match mode {
         SyncMode::Barrier => {
+            let mut c_row = vec![0i128; n];
             for i in rows {
-                let a_row = read_row(client, entries::A, n, i)?;
-                for j in 0..n {
-                    let mut acc = 0i64;
-                    for k in 0..n {
-                        acc += a_row[k] * b[k * n + j];
-                    }
-                    client.write_int(entries::C, (i * n + j) as u64, i128::from(acc))?;
-                }
+                client.read_ints(entries::A, (i * n) as u64, &mut row)?;
+                multiply_row(&row, &b, &mut c_row);
+                client.write_ints(entries::C, (i * n) as u64, &c_row)?;
             }
             client.barrier(barriers::END)?;
         }
@@ -166,21 +168,13 @@ pub fn run_worker(
             // Compute locally, then publish the block under the mutex —
             // one lock/unlock round per worker, like the paper's
             // lock-protected critical sections.
-            let mut block: Vec<(u64, i64)> = Vec::new();
-            for i in rows {
-                let a_row = read_row(client, entries::A, n, i)?;
-                for j in 0..n {
-                    let mut acc = 0i64;
-                    for k in 0..n {
-                        acc += a_row[k] * b[k * n + j];
-                    }
-                    block.push(((i * n + j) as u64, acc));
-                }
+            let mut block = vec![0i128; rows.len() * n];
+            for (i, c_row) in rows.clone().zip(block.chunks_exact_mut(n)) {
+                client.read_ints(entries::A, (i * n) as u64, &mut row)?;
+                multiply_row(&row, &b, c_row);
             }
             let mut c = client.lock(locks::C)?;
-            for (idx, v) in block {
-                c.write_int(entries::C, idx, i128::from(v))?;
-            }
+            c.write_ints(entries::C, (rows.start * n) as u64, &block)?;
             c.unlock()?;
             client.barrier(barriers::END)?;
         }

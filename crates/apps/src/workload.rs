@@ -1,6 +1,7 @@
 //! Common workload vocabulary: the paper's matrix sizes and platform
 //! pairs, and the synchronization style knob.
 
+use hdsm_core::gthv::GthvInstance;
 use hdsm_platform::spec::{Platform, PlatformSpec};
 
 /// The paper's matrix sizes (§5 and Figures 6–11).
@@ -46,6 +47,18 @@ pub fn paper_pairs() -> [PlatformPair; 3] {
             remote: PlatformSpec::linux_x86(),
         },
     ]
+}
+
+/// Does float entry `entry` of `g` hold `want`, element for element, within
+/// the serial oracles' tolerance? The comparison every float kernel's
+/// `verify` makes.
+pub(crate) fn close_to(g: &GthvInstance, entry: u32, want: &[f64]) -> bool {
+    let mut got = vec![0.0f64; want.len()];
+    g.read_floats(entry, 0, &mut got).is_ok()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(v, w)| (v - w).abs() <= 1e-9 * (1.0 + w.abs()))
 }
 
 /// How workers synchronize their updates.

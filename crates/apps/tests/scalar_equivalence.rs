@@ -1,0 +1,246 @@
+//! The kernels walk rows through the run accessors; the C originals (and
+//! these kernels until they changed) made one accessor call per element.
+//! A copy of each element-wise inner loop lives here, and on the sim
+//! fabric — where a run is a pure function of its seed — both forms must
+//! produce the same memory, the same traffic, the same updates and the
+//! same faults, to the byte and to the count.
+
+use hdsm_apps::workload::{block_rows, SyncMode};
+use hdsm_apps::{jacobi, lu, matmul, sor};
+use hdsm_core::client::{DsdClient, DsdError};
+use hdsm_core::cluster::{ClusterBuilder, ClusterOutcome, TopologyConfig, WorkerInfo};
+use hdsm_net::FabricMode;
+use hdsm_platform::spec::PlatformSpec;
+
+const SEED: u64 = 0x5CA1A4;
+const SWEEPS: usize = 3;
+
+fn jacobi_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
+    use jacobi::{barriers, entries};
+    client.barrier(barriers::SWEEP)?;
+    let rows = block_rows(n, info.index, info.n_workers);
+    for sweep in 0..SWEEPS {
+        let (src, dst) = if sweep % 2 == 0 {
+            (entries::G0, entries::G1)
+        } else {
+            (entries::G1, entries::G0)
+        };
+        for i in rows.clone() {
+            if i == 0 || i == n - 1 {
+                continue;
+            }
+            for j in 1..n - 1 {
+                let v = 0.25
+                    * (client.read_float(src, ((i - 1) * n + j) as u64)?
+                        + client.read_float(src, ((i + 1) * n + j) as u64)?
+                        + client.read_float(src, (i * n + j - 1) as u64)?
+                        + client.read_float(src, (i * n + j + 1) as u64)?);
+                client.write_float(dst, (i * n + j) as u64, v)?;
+            }
+        }
+        client.barrier(barriers::SWEEP)?;
+    }
+    Ok(())
+}
+
+fn sor_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
+    use sor::{barriers, entries, OMEGA};
+    client.barrier(barriers::SWEEP)?;
+    let rows = block_rows(n, info.index, info.n_workers);
+    for _ in 0..SWEEPS {
+        for colour in 0..2 {
+            for i in rows.clone() {
+                if i == 0 || i == n - 1 {
+                    continue;
+                }
+                for j in 1..n - 1 {
+                    if (i + j) % 2 != colour {
+                        continue;
+                    }
+                    let stencil = 0.25
+                        * (client.read_float(entries::G, ((i - 1) * n + j) as u64)?
+                            + client.read_float(entries::G, ((i + 1) * n + j) as u64)?
+                            + client.read_float(entries::G, (i * n + j - 1) as u64)?
+                            + client.read_float(entries::G, (i * n + j + 1) as u64)?);
+                    let cur = client.read_float(entries::G, (i * n + j) as u64)?;
+                    client.write_float(
+                        entries::G,
+                        (i * n + j) as u64,
+                        cur + OMEGA * (stencil - cur),
+                    )?;
+                }
+            }
+            client.barrier(barriers::SWEEP)?;
+        }
+    }
+    Ok(())
+}
+
+fn matmul_scalar(
+    client: &mut DsdClient,
+    info: &WorkerInfo,
+    n: usize,
+    mode: SyncMode,
+) -> Result<(), DsdError> {
+    use matmul::{barriers, entries, locks};
+    client.barrier(barriers::START)?;
+    let rows = block_rows(n, info.index, info.n_workers);
+    let mut b = Vec::with_capacity(n * n);
+    for i in 0..(n * n) as u64 {
+        b.push(client.read_int(entries::B, i)? as i64);
+    }
+    let mut block: Vec<(u64, i64)> = Vec::new();
+    for i in rows {
+        let mut a_row = Vec::with_capacity(n);
+        for k in 0..n {
+            a_row.push(client.read_int(entries::A, (i * n + k) as u64)? as i64);
+        }
+        for j in 0..n {
+            let mut acc = 0i64;
+            for k in 0..n {
+                acc += a_row[k] * b[k * n + j];
+            }
+            match mode {
+                SyncMode::Barrier => {
+                    client.write_int(entries::C, (i * n + j) as u64, i128::from(acc))?
+                }
+                SyncMode::Lock => block.push(((i * n + j) as u64, acc)),
+            }
+        }
+    }
+    if mode == SyncMode::Lock {
+        let mut c = client.lock(locks::C)?;
+        for (idx, v) in block {
+            c.write_int(entries::C, idx, i128::from(v))?;
+        }
+        c.unlock()?;
+    }
+    client.barrier(barriers::END)
+}
+
+fn lu_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
+    use lu::{barriers, entries};
+    client.barrier(barriers::STEP)?;
+    for k in 0..n.saturating_sub(1) {
+        let pivot = client.read_float(entries::M, (k * n + k) as u64)?;
+        let mut pivot_row = Vec::with_capacity(n - k);
+        for j in k..n {
+            pivot_row.push(client.read_float(entries::M, (k * n + j) as u64)?);
+        }
+        for i in (k + 1)..n {
+            if i % info.n_workers != info.index {
+                continue;
+            }
+            let factor = client.read_float(entries::M, (i * n + k) as u64)? / pivot;
+            client.write_float(entries::M, (i * n + k) as u64, factor)?;
+            for j in (k + 1)..n {
+                let cur = client.read_float(entries::M, (i * n + j) as u64)?;
+                client.write_float(
+                    entries::M,
+                    (i * n + j) as u64,
+                    cur - factor * pivot_row[j - k],
+                )?;
+            }
+        }
+        client.barrier(barriers::STEP)?;
+    }
+    Ok(())
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kernel {
+    Jacobi,
+    Sor,
+    Matmul(SyncMode),
+    Lu,
+}
+
+/// Everything the two forms of a kernel must agree on.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    final_bytes: Vec<u8>,
+    net_bytes: u64,
+    net_msgs: u64,
+    updates_sent: u64,
+    bytes_sent: u64,
+    /// Write faults per worker, read off its address space when it is done.
+    faults: Vec<u64>,
+}
+
+/// Run `kernel` at size `n` — its library `run_worker`, or the scalar copy
+/// above — on a heterogeneous three-worker cluster and a fixed sim seed.
+fn observe(kernel: Kernel, n: usize, scalar: bool) -> Observed {
+    let mut b = ClusterBuilder::new()
+        .home(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::linux_x86_64())
+        .locks(1)
+        .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 0xFAB },
+            ..Default::default()
+        });
+    b = match kernel {
+        Kernel::Jacobi => b
+            .gthv(jacobi::gthv_def(n))
+            .init(move |g| jacobi::init(g, n, SEED)),
+        Kernel::Sor => b
+            .gthv(sor::gthv_def(n))
+            .init(move |g| sor::init(g, n, SEED)),
+        Kernel::Matmul(_) => b
+            .gthv(matmul::gthv_def(n))
+            .init(move |g| matmul::init(g, n, SEED)),
+        Kernel::Lu => b.gthv(lu::gthv_def(n)).init(move |g| lu::init(g, n, SEED)),
+    };
+    let outcome: ClusterOutcome<u64> = b
+        .run(move |c, info| {
+            match (kernel, scalar) {
+                (Kernel::Jacobi, false) => jacobi::run_worker(c, info, n, SWEEPS),
+                (Kernel::Jacobi, true) => jacobi_scalar(c, info, n),
+                (Kernel::Sor, false) => sor::run_worker(c, info, n, SWEEPS),
+                (Kernel::Sor, true) => sor_scalar(c, info, n),
+                (Kernel::Matmul(mode), false) => matmul::run_worker(c, info, n, mode),
+                (Kernel::Matmul(mode), true) => matmul_scalar(c, info, n, mode),
+                (Kernel::Lu, false) => lu::run_worker(c, info, n),
+                (Kernel::Lu, true) => lu_scalar(c, info, n),
+            }?;
+            Ok(c.gthv().space().stats().faults)
+        })
+        .expect("cluster run");
+    let verified = match kernel {
+        Kernel::Jacobi => jacobi::verify(&outcome.final_gthv, n, SEED, SWEEPS),
+        Kernel::Sor => sor::verify(&outcome.final_gthv, n, SEED, SWEEPS),
+        Kernel::Matmul(_) => matmul::verify(&outcome.final_gthv, n, SEED),
+        Kernel::Lu => lu::verify(&outcome.final_gthv, n, SEED),
+    };
+    assert!(verified, "{kernel:?} n={n} scalar={scalar} must verify");
+    Observed {
+        final_bytes: outcome.final_gthv.space().raw().to_vec(),
+        net_bytes: outcome.net_stats.total_bytes(),
+        net_msgs: outcome.net_stats.total_messages(),
+        updates_sent: outcome.worker_costs.iter().map(|c| c.updates_sent).sum(),
+        bytes_sent: outcome.worker_costs.iter().map(|c| c.bytes_sent).sum(),
+        faults: outcome.results,
+    }
+}
+
+#[test]
+fn row_run_kernels_equal_their_scalar_originals() {
+    let kernels = [
+        Kernel::Jacobi,
+        Kernel::Sor,
+        Kernel::Matmul(SyncMode::Barrier),
+        Kernel::Matmul(SyncMode::Lock),
+        Kernel::Lu,
+    ];
+    // 16: rows divide the page; 33: a row (264 or 132 bytes) never does,
+    // so runs straddle pages at every offset.
+    for n in [16, 33] {
+        for kernel in kernels {
+            let (runs, scalar) = (observe(kernel, n, false), observe(kernel, n, true));
+            assert!(runs.updates_sent > 0 && runs.faults.iter().all(|f| *f > 0));
+            assert_eq!(runs, scalar, "{kernel:?} at n = {n}");
+        }
+    }
+}

@@ -43,6 +43,7 @@ use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::UpdateBatch;
+use std::cell::Cell;
 use std::fmt;
 
 /// Errors from the client side of the protocol.
@@ -194,6 +195,13 @@ struct ShardView {
     ep: Option<u32>,
 }
 
+/// Typed accesses to one entry since the client's last heat flush.
+#[derive(Debug, Clone, Default)]
+struct Touched {
+    reads: Cell<u64>,
+    writes: Cell<u64>,
+}
+
 /// A computing thread's handle on the distributed shared data.
 pub struct DsdClient {
     thread_rank: u32,
@@ -224,6 +232,11 @@ pub struct DsdClient {
     shard_views: std::collections::HashMap<u32, ShardView>,
     /// Observability hook (disabled by default: every use is a null check).
     recorder: Recorder,
+    /// Typed accesses since the last sync op, one row per entry — plain
+    /// counters on the load/store path, handed to the recorder's heat map
+    /// by [`Self::flush_heat`]. Empty while the recorder is disabled, so a
+    /// disarmed access pays one failed lookup.
+    heat: Vec<Touched>,
     /// The fabric's time source (wall clock in threaded mode, virtual
     /// clock in simulation mode); every deadline and backoff below reads
     /// it, never `Instant`, so retries are seed-deterministic in sim runs.
@@ -263,6 +276,7 @@ impl DsdClient {
             retry_base: std::time::Duration::from_millis(250),
             shard_views: std::collections::HashMap::new(),
             recorder: Recorder::disabled(),
+            heat: Vec::new(),
             clock,
             held_since: std::collections::HashMap::new(),
             cur_op: OpCtx::default(),
@@ -285,6 +299,7 @@ impl DsdClient {
         body: impl FnOnce(&mut DsdClient) -> Result<T, DsdError>,
     ) -> Result<T, DsdError> {
         if self.recorder.is_enabled() {
+            self.flush_heat();
             let epoch = self.op_epochs.entry((kind, id)).or_insert(0);
             *epoch += 1;
             self.cur_op = OpCtx {
@@ -378,7 +393,39 @@ impl DsdClient {
     /// heatmap feeds and retransmit instants are recorded through it; the
     /// default disabled recorder makes all of that free.
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.flush_heat();
+        let entries = if recorder.is_enabled() {
+            self.gthv.table().rows().len()
+        } else {
+            0
+        };
+        self.heat = vec![Default::default(); entries];
         self.recorder = recorder;
+    }
+
+    /// Tally `elems` typed reads of `entry`: a run adds its element count.
+    #[inline]
+    fn touch_read(&self, entry: u32, elems: usize) {
+        if let Some(t) = self.heat.get(entry as usize) {
+            t.reads.set(t.reads.get() + elems as u64);
+        }
+    }
+
+    /// Tally `elems` typed writes of `entry`.
+    #[inline]
+    fn touch_write(&self, entry: u32, elems: usize) {
+        if let Some(t) = self.heat.get(entry as usize) {
+            t.writes.set(t.writes.get() + elems as u64);
+        }
+    }
+
+    /// Hand the access tallies to the heat map and zero them. Runs when a
+    /// sync op opens (every op, [`Self::join`] included, goes through
+    /// [`Self::op`]), so a snapshot taken after the run holds every access
+    /// made before the client's last op.
+    fn flush_heat(&self) {
+        let tallies = self.heat.iter().map(|t| (t.reads.take(), t.writes.take()));
+        self.recorder.entry_accesses(tallies);
     }
 
     /// The client's observability recorder (disabled unless wired up).
@@ -1087,32 +1134,64 @@ impl DsdClient {
     // ----- typed convenience accessors (forwarders) -----
 
     /// Read an integer element of the shared structure.
+    #[inline]
     pub fn read_int(&self, entry: u32, elem: u64) -> Result<i128, DsdError> {
-        self.recorder.entry_read(entry);
+        self.touch_read(entry, 1);
         Ok(self.gthv.read_int(entry, elem)?)
     }
 
     /// Write an integer element (write-detected).
+    #[inline]
     pub fn write_int(&mut self, entry: u32, elem: u64, v: i128) -> Result<(), DsdError> {
-        self.recorder.entry_write(entry);
+        self.touch_write(entry, 1);
         Ok(self.gthv.write_int(entry, elem, v)?)
     }
 
     /// Read a float element.
+    #[inline]
     pub fn read_float(&self, entry: u32, elem: u64) -> Result<f64, DsdError> {
-        self.recorder.entry_read(entry);
+        self.touch_read(entry, 1);
         Ok(self.gthv.read_float(entry, elem)?)
     }
 
     /// Write a float element (write-detected).
+    #[inline]
     pub fn write_float(&mut self, entry: u32, elem: u64, v: f64) -> Result<(), DsdError> {
-        self.recorder.entry_write(entry);
+        self.touch_write(entry, 1);
         Ok(self.gthv.write_float(entry, elem, v)?)
+    }
+
+    /// Read the `out.len()` integer elements of `entry` from `first`
+    /// ([`GthvInstance::read_ints`]).
+    pub fn read_ints(&self, entry: u32, first: u64, out: &mut [i128]) -> Result<(), DsdError> {
+        self.touch_read(entry, out.len());
+        Ok(self.gthv.read_ints(entry, first, out)?)
+    }
+
+    /// Write `values` to the integer elements of `entry` from `first`
+    /// (write-detected; [`GthvInstance::write_ints`]).
+    pub fn write_ints(&mut self, entry: u32, first: u64, values: &[i128]) -> Result<(), DsdError> {
+        self.touch_write(entry, values.len());
+        Ok(self.gthv.write_ints(entry, first, values)?)
+    }
+
+    /// Read the `out.len()` float elements of `entry` from `first`
+    /// ([`GthvInstance::read_floats`]).
+    pub fn read_floats(&self, entry: u32, first: u64, out: &mut [f64]) -> Result<(), DsdError> {
+        self.touch_read(entry, out.len());
+        Ok(self.gthv.read_floats(entry, first, out)?)
+    }
+
+    /// Write `values` to the float elements of `entry` from `first`
+    /// (write-detected; [`GthvInstance::write_floats`]).
+    pub fn write_floats(&mut self, entry: u32, first: u64, values: &[f64]) -> Result<(), DsdError> {
+        self.touch_write(entry, values.len());
+        Ok(self.gthv.write_floats(entry, first, values)?)
     }
 
     /// Read a pointer element as a logical `(entry, elem)` target.
     pub fn read_ptr(&self, entry: u32, elem: u64) -> Result<Option<(u32, u64)>, DsdError> {
-        self.recorder.entry_read(entry);
+        self.touch_read(entry, 1);
         Ok(self.gthv.read_ptr(entry, elem)?)
     }
 
@@ -1123,7 +1202,7 @@ impl DsdClient {
         elem: u64,
         target: Option<(u32, u64)>,
     ) -> Result<(), DsdError> {
-        self.recorder.entry_write(entry);
+        self.touch_write(entry, 1);
         Ok(self.gthv.write_ptr(entry, elem, target)?)
     }
 }
@@ -1248,6 +1327,37 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn heat_map_counts_every_access_once_and_a_run_by_its_elements() {
+        // The accessors tally in the client and hand the heat map the
+        // totals at each sync op; the snapshot must read as if every
+        // access had been reported when it was made.
+        let recorder = Recorder::enabled();
+        with_cluster(vec![PlatformSpec::solaris_sparc()], 1, 1, |c| {
+            c.set_recorder(recorder.clone());
+            c.acquire(L0).unwrap();
+            for i in 0..3 {
+                c.read_int(0, i).unwrap();
+            }
+            c.read_ints(0, 10, &mut [0; 5]).unwrap();
+            c.write_int(0, 0, 1).unwrap();
+            c.write_ints(0, 20, &[2; 4]).unwrap();
+            c.write_int(1, 0, 1).unwrap();
+            // A refused access was still attempted.
+            assert!(c.read_float(0, 0).is_err());
+            assert!(c.read_int(9, 0).is_err());
+            c.release(L0).unwrap();
+            // After the last sync op of the body: `join` flushes these.
+            c.read_int(1, 0).unwrap();
+            c.read_int(1, 0).unwrap();
+        });
+        let snap = recorder.snapshot().expect("enabled recorder");
+        let row = |entry| *snap.entries.iter().find(|e| e.entry == entry).unwrap();
+        assert_eq!((row(0).reads, row(0).writes), (3 + 5 + 1, 1 + 4));
+        assert_eq!((row(1).reads, row(1).writes), (2, 1));
+        assert!(snap.entries.iter().all(|e| e.entry < 2));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 use crate::index_table::IndexTable;
 use hdsm_memory::space::{AddressSpace, MemError};
 use hdsm_platform::ctype::{CType, StructDef, TypeError};
-use hdsm_platform::endian::{read_float, read_int, read_uint, write_float, write_int, write_uint};
+use hdsm_platform::endian::{
+    fits_int, fits_uint, read_float, read_float_run, read_int_run, read_uint, write_float,
+    write_float_run, write_int_run, write_uint,
+};
 use hdsm_platform::layout::TypeLayout;
 use hdsm_platform::scalar::{ScalarClass, ScalarKind};
 use hdsm_platform::spec::Platform;
@@ -230,112 +233,152 @@ impl GthvInstance {
         &mut self.plans
     }
 
-    /// The row of `entry`, once `elem` is known to be inside it. The
-    /// writers copy the `Copy` fields they need out of it before they
-    /// borrow the space mutably — never the row, whose `path` is a heap
-    /// `String`.
-    fn row_checked(
+    /// The one check every accessor makes: where the `count` elements of
+    /// `entry` from `first` live on this node. Fails the way a loop of
+    /// one-element accesses would — no such entry, `first` outside the
+    /// entry, a kind `want` refuses, then the run leaving the entry at its
+    /// end (reported at the first element past it). An empty run passes
+    /// when `first` is at most the entry's length.
+    #[inline]
+    fn locate(
         &self,
         entry: u32,
-        elem: u64,
-    ) -> Result<&crate::index_table::IndexRow, GthvError> {
+        first: u64,
+        count: u64,
+        want: impl FnOnce(ScalarClass) -> bool,
+    ) -> Result<Located, GthvError> {
         let row = self.table.row(entry).ok_or(GthvError::NoSuchEntry(entry))?;
-        if elem >= row.count {
-            return Err(GthvError::ElemOutOfRange {
-                entry,
-                elem,
-                count: row.count,
-            });
+        let outside = |elem| GthvError::ElemOutOfRange {
+            entry,
+            elem,
+            count: row.count,
+        };
+        if first >= row.count && (count > 0 || first > row.count) {
+            return Err(outside(first));
         }
-        Ok(row)
-    }
-
-    /// Read an integer element.
-    pub fn read_int(&self, entry: u32, elem: u64) -> Result<i128, GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        let bytes = self.space.read(row.elem_addr(elem), row.size as usize)?;
-        Ok(match row.kind.class() {
-            ScalarClass::Signed => read_int(bytes, self.platform.endian),
-            ScalarClass::Unsigned => read_uint(bytes, self.platform.endian) as i128,
-            _ => {
-                return Err(GthvError::KindMismatch {
-                    entry,
-                    actual: row.kind,
-                })
-            }
-        })
-    }
-
-    /// Write an integer element (tracked: may fault / create a twin).
-    pub fn write_int(&mut self, entry: u32, elem: u64, value: i128) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
-        let mut buf = [0u8; 16];
-        let out = &mut buf[..size];
-        match kind.class() {
-            ScalarClass::Signed => {
-                if !hdsm_platform::endian::fits_int(value, out.len()) {
-                    return Err(GthvError::Overflow);
-                }
-                write_int(value, out, self.platform.endian);
-            }
-            ScalarClass::Unsigned => {
-                if value < 0 || !hdsm_platform::endian::fits_uint(value as u128, out.len()) {
-                    return Err(GthvError::Overflow);
-                }
-                write_uint(value as u128, out, self.platform.endian);
-            }
-            _ => {
-                return Err(GthvError::KindMismatch {
-                    entry,
-                    actual: kind,
-                })
-            }
-        }
-        self.space.write(addr, out)?;
-        Ok(())
-    }
-
-    /// Read a float element.
-    pub fn read_float(&self, entry: u32, elem: u64) -> Result<f64, GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        if row.kind.class() != ScalarClass::Float {
+        let class = row.kind.class();
+        if !want(class) {
             return Err(GthvError::KindMismatch {
                 entry,
                 actual: row.kind,
             });
         }
-        let bytes = self.space.read(row.elem_addr(elem), row.size as usize)?;
+        if first.checked_add(count).is_none_or(|end| end > row.count) {
+            return Err(outside(row.count));
+        }
+        let size = row.size as usize;
+        Ok(Located {
+            addr: row.addr + first * u64::from(row.size),
+            size,
+            len: count as usize * size,
+            class,
+        })
+    }
+
+    /// Read an integer element.
+    #[inline]
+    pub fn read_int(&self, entry: u32, elem: u64) -> Result<i128, GthvError> {
+        let mut value = [0];
+        self.read_ints(entry, elem, &mut value)?;
+        Ok(value[0])
+    }
+
+    /// Write an integer element (tracked: may fault / create a twin).
+    #[inline]
+    pub fn write_int(&mut self, entry: u32, elem: u64, value: i128) -> Result<(), GthvError> {
+        self.write_ints(entry, elem, &[value])
+    }
+
+    /// Read a float element.
+    #[inline]
+    pub fn read_float(&self, entry: u32, elem: u64) -> Result<f64, GthvError> {
+        let at = self.locate(entry, elem, 1, is_float)?;
+        let bytes = self.space.read(at.addr, at.size)?;
         Ok(read_float(bytes, self.platform.endian))
     }
 
     /// Write a float element (tracked).
+    #[inline]
     pub fn write_float(&mut self, entry: u32, elem: u64, value: f64) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
-        if kind.class() != ScalarClass::Float {
-            return Err(GthvError::KindMismatch {
-                entry,
-                actual: kind,
-            });
-        }
-        let mut buf = [0u8; 8];
-        let out = &mut buf[..size];
+        let at = self.locate(entry, elem, 1, is_float)?;
+        let out = self.space.slice_mut(at.addr, at.size)?;
         write_float(value, out, self.platform.endian);
-        self.space.write(addr, out)?;
+        Ok(())
+    }
+
+    /// Read the `out.len()` integer elements of `entry` from `first`: one
+    /// range and kind check for the run, then a fixed-width load each.
+    pub fn read_ints(&self, entry: u32, first: u64, out: &mut [i128]) -> Result<(), GthvError> {
+        let at = self.locate(entry, first, out.len() as u64, is_int)?;
+        let bytes = self.space.read(at.addr, at.len)?;
+        let signed = at.class == ScalarClass::Signed;
+        read_int_run(bytes, at.size, self.platform.endian, signed, out);
+        Ok(())
+    }
+
+    /// Write `values` to the integer elements of `entry` from `first`
+    /// (tracked: one protection check per page touched, one fault per
+    /// protected page). The run is validated whole — range, kind, every
+    /// value representable — before its first byte is stored, so a
+    /// rejected run changes nothing.
+    pub fn write_ints(&mut self, entry: u32, first: u64, values: &[i128]) -> Result<(), GthvError> {
+        let fits = |size: usize, class, values: &[i128]| {
+            values.iter().all(|&v| match class {
+                ScalarClass::Signed => fits_int(v, size),
+                _ => v >= 0 && fits_uint(v as u128, size),
+            })
+        };
+        let at = match self.locate(entry, first, values.len() as u64, is_int) {
+            Ok(at) => at,
+            // The run leaves the entry at its end: a loop of stores would
+            // have met an unrepresentable value before that end first.
+            Err(tail @ GthvError::ElemOutOfRange { elem, .. }) if elem > first => {
+                let head = &values[..(elem - first) as usize];
+                let at = self.locate(entry, first, head.len() as u64, is_int)?;
+                return Err(if fits(at.size, at.class, head) {
+                    tail
+                } else {
+                    GthvError::Overflow
+                });
+            }
+            Err(e) => return Err(e),
+        };
+        if !fits(at.size, at.class, values) {
+            return Err(GthvError::Overflow);
+        }
+        let out = self.space.slice_mut(at.addr, at.len)?;
+        write_int_run(values, at.size, self.platform.endian, out);
+        Ok(())
+    }
+
+    /// Read the `out.len()` float elements of `entry` from `first` — a row
+    /// of a matrix into the caller's buffer, checked once.
+    pub fn read_floats(&self, entry: u32, first: u64, out: &mut [f64]) -> Result<(), GthvError> {
+        let at = self.locate(entry, first, out.len() as u64, is_float)?;
+        let bytes = self.space.read(at.addr, at.len)?;
+        read_float_run(bytes, at.size, self.platform.endian, out);
+        Ok(())
+    }
+
+    /// Write `values` to the float elements of `entry` from `first`
+    /// (tracked like [`Self::write_ints`], validated whole before the
+    /// first store).
+    pub fn write_floats(
+        &mut self,
+        entry: u32,
+        first: u64,
+        values: &[f64],
+    ) -> Result<(), GthvError> {
+        let at = self.locate(entry, first, values.len() as u64, is_float)?;
+        let out = self.space.slice_mut(at.addr, at.len)?;
+        write_float_run(values, at.size, self.platform.endian, out);
         Ok(())
     }
 
     /// Read a pointer element as a logical target `(entry, elem)`.
     pub fn read_ptr(&self, entry: u32, elem: u64) -> Result<Option<(u32, u64)>, GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        if row.kind != ScalarKind::Ptr {
-            return Err(GthvError::KindMismatch {
-                entry,
-                actual: row.kind,
-            });
-        }
-        let bytes = self.space.read(row.elem_addr(elem), row.size as usize)?;
+        let at = self.locate(entry, elem, 1, is_ptr)?;
+        let bytes = self.space.read(at.addr, at.size)?;
         let raw = read_uint(bytes, self.platform.endian) as u64;
         if raw == 0 {
             return Ok(None);
@@ -353,44 +396,44 @@ impl GthvInstance {
         elem: u64,
         target: Option<(u32, u64)>,
     ) -> Result<(), GthvError> {
-        let row = self.row_checked(entry, elem)?;
-        let (addr, size, kind) = (row.elem_addr(elem), row.size as usize, row.kind);
-        if kind != ScalarKind::Ptr {
-            return Err(GthvError::KindMismatch {
-                entry,
-                actual: kind,
-            });
-        }
+        let at = self.locate(entry, elem, 1, is_ptr)?;
         let raw: u64 = match target {
             None => 0,
-            Some((te, tel)) => {
-                let trow = self.table.row(te).ok_or(GthvError::NoSuchEntry(te))?;
-                if tel >= trow.count {
-                    return Err(GthvError::ElemOutOfRange {
-                        entry: te,
-                        elem: tel,
-                        count: trow.count,
-                    });
-                }
-                trow.elem_addr(tel)
-            }
+            Some((te, tel)) => self.locate(te, tel, 1, |_| true)?.addr,
         };
-        if !hdsm_platform::endian::fits_uint(u128::from(raw), size) {
+        if !fits_uint(u128::from(raw), at.size) {
             return Err(GthvError::Overflow);
         }
-        let mut buf = [0u8; 8];
-        let out = &mut buf[..size];
+        let out = self.space.slice_mut(at.addr, at.size)?;
         write_uint(u128::from(raw), out, self.platform.endian);
-        self.space.write(addr, out)?;
         Ok(())
     }
+}
 
-    /// Bulk-read a run of integer elements (convenience for apps/tests).
-    pub fn read_int_run(&self, entry: u32, first: u64, count: u64) -> Result<Vec<i128>, GthvError> {
-        (first..first + count)
-            .map(|e| self.read_int(entry, e))
-            .collect()
-    }
+/// Where a checked run of elements lives: what [`GthvInstance::locate`]
+/// hands the accessors.
+#[derive(Debug, Clone, Copy)]
+struct Located {
+    /// Simulated address of the first element.
+    addr: u64,
+    /// Bytes per element on this node.
+    size: usize,
+    /// Bytes in the whole run.
+    len: usize,
+    /// Conversion class of the entry.
+    class: ScalarClass,
+}
+
+fn is_int(class: ScalarClass) -> bool {
+    matches!(class, ScalarClass::Signed | ScalarClass::Unsigned)
+}
+
+fn is_float(class: ScalarClass) -> bool {
+    class == ScalarClass::Float
+}
+
+fn is_ptr(class: ScalarClass) -> bool {
+    class == ScalarClass::Pointer
 }
 
 #[cfg(test)]
@@ -458,6 +501,40 @@ mod tests {
     }
 
     #[test]
+    fn run_bounds_cannot_overflow() {
+        // `first + count` wraps in u64; the run is refused, not a panic
+        // (debug) or an access to elements 0.. (release).
+        let mut g = figure4_instance(PlatformSpec::linux_x86());
+        let past = |r| matches!(r, Err(GthvError::ElemOutOfRange { elem, .. }) if elem == u64::MAX);
+        assert!(past(g.read_ints(1, u64::MAX, &mut [0; 2])));
+        assert!(past(g.write_ints(1, u64::MAX, &[7; 2])));
+        assert_eq!(g.space().stats().writes, 0);
+        // A run is reported where a loop of scalar calls would stop: at
+        // the first element past the entry.
+        assert!(matches!(
+            g.read_ints(1, 56168, &mut [0; 2]),
+            Err(GthvError::ElemOutOfRange { elem: 56169, .. })
+        ));
+    }
+
+    #[test]
+    fn runs_roundtrip_and_fault_once_per_page() {
+        let mut g = figure4_instance(PlatformSpec::solaris_sparc());
+        g.space_mut().protect_all();
+        // 3000 ints = 12000 bytes from A[100]: three 8 KiB pages at most.
+        let values: Vec<i128> = (0..3000).map(|v| v * 7 - 9000).collect();
+        g.write_ints(1, 100, &values).unwrap();
+        let stats = g.space().stats();
+        assert_eq!(stats.writes, 1);
+        assert_eq!(stats.faults as usize, g.space().dirty_count());
+        assert!((2..=3).contains(&stats.faults));
+        let mut back = vec![0; 3000];
+        g.read_ints(1, 100, &mut back).unwrap();
+        assert_eq!(back, values);
+        assert_eq!(g.read_int(1, 100 + 2999).unwrap(), values[2999]);
+    }
+
+    #[test]
     fn float_entries() {
         let def = StructBuilder::new("F")
             .array("xs", ScalarKind::Double, 10)
@@ -469,6 +546,19 @@ mod tests {
         g.write_float(1, 3, 0.25).unwrap();
         assert_eq!(g.read_float(0, 3).unwrap(), 2.5);
         assert_eq!(g.read_float(1, 3).unwrap(), 0.25);
+        // Runs convert the same way, at both widths.
+        g.write_floats(0, 4, &[1.5, -2.0]).unwrap();
+        g.write_floats(1, 4, &[1.5, -2.0]).unwrap();
+        for entry in [0, 1] {
+            let mut run = [0.0; 3];
+            g.read_floats(entry, 3, &mut run).unwrap();
+            assert_eq!(run[1..], [1.5, -2.0]);
+            assert_eq!(run[0], g.read_float(entry, 3).unwrap());
+        }
+        assert!(matches!(
+            g.write_ints(0, 0, &[1]),
+            Err(GthvError::KindMismatch { .. })
+        ));
     }
 
     #[test]

@@ -54,6 +54,7 @@ impl IndexRow {
     }
 
     /// Address of element `elem`.
+    #[inline]
     pub fn elem_addr(&self, elem: u64) -> u64 {
         debug_assert!(elem < self.count);
         self.addr + elem * u64::from(self.size)
@@ -121,6 +122,7 @@ impl IndexTable {
     }
 
     /// Row for an entry id.
+    #[inline]
     pub fn row(&self, entry: u32) -> Option<&IndexRow> {
         self.rows.get(entry as usize)
     }

@@ -343,8 +343,10 @@ mod tests {
 
         #[test]
         fn page_seams_match_bytewise(
-            // Odd page sizes: blocks and words never line up with pages.
-            page in prop::sample::select(vec![61usize, 64, 100, 4096, 4099]),
+            // Pages from one word up: a write crosses many seams on the
+            // small ones, and a page shorter than a scan block has no
+            // whole block in it.
+            page in prop::sample::select(vec![8usize, 16, 64, 512, 4096]),
             writes in prop::collection::vec((0usize..3 * 4099, 1usize..300), 1..24),
         ) {
             let mut s = armed(3 * page, page);

@@ -21,7 +21,9 @@ pub struct FaultStats {
     pub faults: u64,
     /// Bytes copied into twins.
     pub twin_bytes: u64,
-    /// Total write operations (faulting or not).
+    /// Tracked store calls, faulting or not: one per [`AddressSpace::write`]
+    /// or [`AddressSpace::slice_mut`], however many bytes it covers — a run
+    /// of elements stored through one call counts once.
     pub writes: u64,
 }
 
@@ -59,6 +61,8 @@ impl std::error::Error for MemError {}
 pub struct AddressSpace {
     base: u64,
     page_size: usize,
+    /// `log2(page_size)`: offset → page is a shift on the store path.
+    page_shift: u32,
     data: Vec<u8>,
     prot: Vec<PageProt>,
     twins: Vec<Option<Box<[u8]>>>,
@@ -71,13 +75,17 @@ impl AddressSpace {
     /// simulated address `base`, rounded up to whole pages.
     ///
     /// # Panics
-    /// Panics if `page_size` is zero.
+    /// Panics if `page_size` is not a power of two (every MMU's is).
     pub fn new(base: u64, len: usize, page_size: usize) -> AddressSpace {
-        assert!(page_size > 0, "page size must be positive");
+        assert!(
+            page_size.is_power_of_two(),
+            "page size must be a power of two, got {page_size}"
+        );
         let pages = len.div_ceil(page_size).max(1);
         AddressSpace {
             base,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             data: vec![0; pages * page_size],
             prot: vec![PageProt::ReadWrite; pages],
             twins: vec![None; pages],
@@ -116,6 +124,7 @@ impl AddressSpace {
         self.stats
     }
 
+    #[inline]
     fn offset_of(&self, addr: u64, len: usize) -> Result<usize, MemError> {
         let off = addr
             .checked_sub(self.base)
@@ -129,6 +138,7 @@ impl AddressSpace {
     /// Read `len` bytes at simulated address `addr`. Reads never fault —
     /// the DSD propagates updates at acquire time, so the protocol never
     /// needs read traps (paper §4 traps only writes).
+    #[inline]
     pub fn read(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
         let off = self.offset_of(addr, len)?;
         Ok(&self.data[off..off + len])
@@ -137,6 +147,7 @@ impl AddressSpace {
     /// Write `bytes` at `addr` through the protection check: the first
     /// write to a protected page runs the fault handler (twin copy,
     /// unprotect, mark dirty), exactly the paper's SIGSEGV handler.
+    #[inline]
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
         self.slice_mut(addr, bytes.len())?.copy_from_slice(bytes);
         Ok(())
@@ -146,16 +157,18 @@ impl AddressSpace {
     /// protected page it touches faults first, then the caller fills the
     /// slice in place (a conversion writes straight into the space instead
     /// of into a buffer [`Self::write`] would copy).
+    ///
+    /// The store path proper is the range check, one protection check per
+    /// page touched and the slice; the handler is out of line.
+    #[inline]
     pub fn slice_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
         let off = self.offset_of(addr, len)?;
         self.stats.writes += 1;
         if len > 0 {
-            let first = off / self.page_size;
-            let last = (off + len - 1) / self.page_size;
-            for page in first..=last {
-                if self.prot[page] == PageProt::ReadOnly {
-                    self.fault(page);
-                }
+            let first = off >> self.page_shift;
+            let last = (off + len - 1) >> self.page_shift;
+            if self.prot[first..=last].contains(&PageProt::ReadOnly) {
+                self.fault_pages(first, last);
             }
         }
         Ok(&mut self.data[off..off + len])
@@ -172,16 +185,28 @@ impl AddressSpace {
 
     /// [`Self::slice_mut`] bypassing protection, as
     /// [`Self::write_untracked`] does.
+    #[inline]
     pub fn slice_mut_untracked(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
         let off = self.offset_of(addr, len)?;
         Ok(&mut self.data[off..off + len])
+    }
+
+    /// Run the fault handler on every protected page of `first..=last`.
+    #[cold]
+    #[inline(never)]
+    fn fault_pages(&mut self, first: usize, last: usize) {
+        for page in first..=last {
+            if self.prot[page] == PageProt::ReadOnly {
+                self.fault(page);
+            }
+        }
     }
 
     /// The fault handler: copy the pristine page into a twin, unprotect,
     /// record dirty.
     fn fault(&mut self, page: usize) {
         debug_assert_eq!(self.prot[page], PageProt::ReadOnly);
-        let start = page * self.page_size;
+        let start = page << self.page_shift;
         let twin: Box<[u8]> = self.data[start..start + self.page_size].into();
         self.stats.faults += 1;
         self.stats.twin_bytes += twin.len() as u64;
@@ -198,11 +223,9 @@ impl AddressSpace {
             return Ok(());
         }
         let off = self.offset_of(addr, len)?;
-        let first = off / self.page_size;
-        let last = (off + len - 1) / self.page_size;
-        for p in first..=last {
-            self.prot[p] = PageProt::ReadOnly;
-        }
+        let first = off >> self.page_shift;
+        let last = (off + len - 1) >> self.page_shift;
+        self.prot[first..=last].fill(PageProt::ReadOnly);
         Ok(())
     }
 
@@ -224,7 +247,7 @@ impl AddressSpace {
     /// Protection state of the page containing `addr`.
     pub fn prot_at(&self, addr: u64) -> Result<PageProt, MemError> {
         let off = self.offset_of(addr, 1)?;
-        Ok(self.prot[off / self.page_size])
+        Ok(self.prot[off >> self.page_shift])
     }
 
     /// Indices of dirty pages, ascending.
@@ -395,6 +418,12 @@ mod tests {
         assert_eq!(s.stats().faults, 1);
         s.write(BASE + 8192, &[1]).unwrap(); // next page
         assert_eq!(s.stats().faults, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn page_size_must_be_a_power_of_two() {
+        AddressSpace::new(BASE, 10_000, 3000);
     }
 
     #[test]

@@ -95,14 +95,11 @@ impl Heatmap {
         self.pages.entry(page).or_default().invalidations += 1;
     }
 
-    /// A typed read hit `entry`.
-    pub fn entry_read(&mut self, entry: u32) {
-        self.entries.entry(entry).or_default().reads += 1;
-    }
-
-    /// A typed write hit `entry`.
-    pub fn entry_write(&mut self, entry: u32) {
-        self.entries.entry(entry).or_default().writes += 1;
+    /// `reads` typed reads and `writes` typed writes hit `entry`.
+    pub fn entry_accessed(&mut self, entry: u32, reads: u64, writes: u64) {
+        let e = self.entries.entry(entry).or_default();
+        e.reads += reads;
+        e.writes += writes;
     }
 
     /// An update frame for `entry` covering `[first, first+count)` with
@@ -195,8 +192,8 @@ mod tests {
         h.update_sent(0, 10, 5, 40);
         h.update_sent(0, 2, 3, 24);
         h.update_applied(0, 64);
-        h.entry_read(0);
-        h.entry_write(0);
+        h.entry_accessed(0, 1, 0);
+        h.entry_accessed(0, 0, 1);
         let e = h.entry(0).unwrap();
         assert_eq!(e.updates_sent, 2);
         assert_eq!(e.elems_sent, 8);

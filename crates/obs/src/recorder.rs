@@ -471,17 +471,18 @@ impl Recorder {
         }
     }
 
-    /// A typed read hit `entry`.
-    pub fn entry_read(&self, entry: u32) {
+    /// The typed accesses a client tallied since its last flush, as
+    /// `(reads, writes)` per entry in entry order. Clients count on the
+    /// load/store path and call this once per sync op: one lock for the
+    /// lot, never one per access.
+    pub fn entry_accesses(&self, tallies: impl Iterator<Item = (u64, u64)>) {
         if let Some(core) = &self.0 {
-            core.heatmap.lock().entry_read(entry);
-        }
-    }
-
-    /// A typed write hit `entry`.
-    pub fn entry_write(&self, entry: u32) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().entry_write(entry);
+            let mut heatmap = core.heatmap.lock();
+            for (entry, (reads, writes)) in tallies.enumerate() {
+                if reads != 0 || writes != 0 {
+                    heatmap.entry_accessed(entry as u32, reads, writes);
+                }
+            }
         }
     }
 
