@@ -2,7 +2,7 @@
 //!
 //! Measures the time to form application-level tags from the discovered
 //! indexes (coalescing consecutive array elements so that "many —
-//! hundreds, perhaps thousands — indexes [distill] into a single tag").
+//! hundreds, perhaps thousands — indexes \[distill\] into a single tag").
 //! The paper notes a worst-case spike (their size 216) when a series of
 //! updates builds up at the home node and ships as one large batch; the
 //! batch path here is exercised by the home-side tag formation, which is

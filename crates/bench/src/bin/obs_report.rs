@@ -7,12 +7,12 @@
 //! * `results/obs_trace.json` — Chrome tracing JSON (load via
 //!   `chrome://tracing` or <https://ui.perfetto.dev>); one track per rank,
 //!   with flow arrows linking each send to its receive.
-//! * `results/obs_snapshot.json` — the machine-readable [`ObsSnapshot`].
+//! * `results/obs_snapshot.json` — the machine-readable [`hdsm_obs::ObsSnapshot`].
 //! * `results/critpath.txt` — per-sync-op critical paths from the faulty
 //!   SOR run (straggler rank, slowest shard, retransmits per link).
 //! * `results/obs_metrics.prom` — Prometheus text exposition (`--prom`),
 //!   including the per-destination link counters and placement decision
-//!   rows, cross-checked against [`NetStats`] before writing.
+//!   rows, cross-checked against [`hdsm_net::NetStats`] before writing.
 //! * `results/obs_timeseries.jsonl` — the faulty SOR run's windowed
 //!   time-series, one delta frame per line.
 //!
@@ -21,7 +21,7 @@
 //! a flight-recorder bundle (`results/blackbox-*.json`) and exits.
 //!
 //! Also prints the plain-text cluster reports and cross-checks the
-//! snapshot's network totals against the fabric's own [`NetStats`] —
+//! snapshot's network totals against the fabric's own [`hdsm_net::NetStats`] —
 //! overall and per destination endpoint — since they are fed at the same
 //! call site and must agree.
 

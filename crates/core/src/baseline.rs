@@ -1,6 +1,6 @@
 //! The traditional homogeneous twin/diff DSM baseline.
 //!
-//! Paper §4: "a basic DSM … [takes] a diff between the twin and the
+//! Paper §4: "a basic DSM … \[takes\] a diff between the twin and the
 //! current page. These differences can be propagated … and applied
 //! directly to nodes owing to the fact that nodes are homogeneous to one
 //! another." This module implements exactly that — raw byte diffs with no

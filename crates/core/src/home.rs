@@ -36,7 +36,7 @@ use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{bounded_vec, unpack_batch, Group, UpdateBatch};
+use hdsm_tags::wire::{bounded_vec, unpack_batch, UpdateBatch};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -574,13 +574,7 @@ impl HomeShard {
         // never did is a routing bug, which must not silently corrupt
         // another shard's slice.
         let p = &self.placement;
-        let entries = updates.groups().flat_map(|group| {
-            let (one, many) = match group {
-                Group::Runs(g) => (Some(g.head.entry), None),
-                Group::Raw(g) => (None, Some(g.updates().map(|u| u.entry))),
-            };
-            one.into_iter().chain(many.into_iter().flatten())
-        });
+        let entries = updates.groups().map(|g| g.head.entry);
         let (mut moved, misrouted): (Vec<_>, Vec<_>) = entries
             .map(|entry| (entry, p.owner(entry), p.epoch(entry)))
             .filter(|&(_, owner, _)| owner != self.shard)
@@ -1738,9 +1732,16 @@ impl HomeShard {
         need(&b, blen)?;
         let ups = unpack_batch(b.split_to(blen)).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
+        let index = self.gthv.table();
         self.log = table(&mut b, 32, |b| {
             let (s, w) = (b.get_u64(), b.get_u32());
             let (entry, first, count) = (b.get_u32(), b.get_u64(), b.get_u64());
+            // A logged range is extracted from this instance later; one
+            // the index table does not hold must not get that far.
+            let row = index.row(entry).ok_or(bad("snapshot log entry unknown"))?;
+            if first.checked_add(count).is_none_or(|end| end > row.count) {
+                return Err(bad("snapshot log range out of bounds"));
+            }
             Ok((
                 s,
                 w,
@@ -2515,12 +2516,32 @@ mod tests {
                 "strict prefix of {cut} bytes must be rejected"
             );
         }
+        // What an accepted snapshot holds is used later: promoted, the
+        // replica extracts every rank's stale ranges from its log.
+        fn install_and_serve(victim: &mut HomeShard, snap: Vec<u8>) -> Result<(), HomeError> {
+            victim.install_state(snap.into())?;
+            for rank in 0..=6 {
+                let _ = victim.stale_updates_for(rank);
+            }
+            Ok(())
+        }
         // Every count and length of a valid snapshot, blown up in place.
         for at in 0..snap.len() - 4 {
             let mut wild = snap.to_vec();
             wild[at..at + 4].fill(0xFF);
-            let _ = victim.install_state(wild.into());
+            let _ = install_and_serve(&mut victim, wild);
         }
+        // A log row whose `first + count` wraps: seq, floor, the batch,
+        // the row count, then (seq, writer, entry, first, count) rows.
+        let log = 20 + u32::from_be_bytes(snap[16..20].try_into().unwrap()) as usize;
+        assert!(u32::from_be_bytes(snap[log..log + 4].try_into().unwrap()) > 0);
+        let mut wraps = snap.to_vec();
+        wraps[log + 20..log + 28].copy_from_slice(&u64::MAX.to_be_bytes());
+        wraps[log + 28..log + 36].copy_from_slice(&2u64.to_be_bytes());
+        assert!(matches!(
+            install_and_serve(&mut victim, wraps),
+            Err(HomeError::Protocol(ProtocolError::BadMessage(_)))
+        ));
         let mut seed = 0x5EED_5A17u64;
         let mut next = || {
             seed = seed

@@ -11,8 +11,8 @@
 //! ```text
 //! twin/diff (page level)                       t_index
 //!   → abstract diffs to application-level indexes   t_index
-//!   → coalesce runs, form CGT-RMR tags              t_tag
-//!   → pack tag + raw native data                    t_pack
+//!   → coalesce runs, one CGT-RMR run tag each       t_tag
+//!   → frame run groups + raw native data            t_pack
 //!   → ship to peer
 //!   → unpack                                        t_unpack
 //!   → memcpy (homogeneous) / convert (heterogeneous) t_conv
@@ -33,7 +33,9 @@
 //!   join protocol between remote threads and the home node's stub service;
 //! * [`cluster`] — orchestration of a simulated heterogeneous cluster
 //!   (node threads + home service), including runtime node join and thread
-//!   migration driven by [`hdsm_migthread::scheduler`] policies;
+//!   migration: [`placement::plan_thread_moves`] plans the moves,
+//!   `ClusterBuilder::run_adaptive` executes them;
+//! * [`placement`] — heat-driven re-homing of index entries;
 //! * [`baseline`] — a traditional homogeneous twin/diff page DSM used as
 //!   the comparison baseline;
 //! * [`costs`] — Eq. 1 cost accounting.

@@ -26,13 +26,7 @@
 //! `cpu_factor`s and executed by `run_adaptive`'s existing migration
 //! machinery (pack through CGT-RMR, restore on the target).
 
-use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A bring-your-own placement planner, as installed by
-/// [`PlacementPolicy::Custom`]: signals in, decisions out.
-pub type PlacementHook = dyn Fn(&PlacementInputs) -> Vec<PlacementDecision> + Send + Sync;
 
 /// The signals the placement engine feeds to [`PlacementPolicy::plan`].
 ///
@@ -76,7 +70,7 @@ pub struct PlacementDecision {
 /// Set through `ClusterBuilder::placement(..)`. The default, `Static`,
 /// is byte-for-byte today's behaviour: entries stay at `entry % shards`
 /// forever and no placement endpoint, actor, or message is created.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum PlacementPolicy {
     /// Entries never move: `entry % shards` for the life of the cluster.
     Static,
@@ -98,30 +92,6 @@ pub enum PlacementPolicy {
         /// entry is worth moving.
         min_gain: u64,
     },
-    /// Bring-your-own policy: the engine calls the hook once per epoch
-    /// (fixed at one second) with the current [`PlacementInputs`] and
-    /// applies whatever decisions it returns. Decisions targeting
-    /// out-of-range shards or already-correct owners are skipped.
-    Custom(Arc<PlacementHook>),
-}
-
-impl fmt::Debug for PlacementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlacementPolicy::Static => write!(f, "Static"),
-            PlacementPolicy::HeatDriven {
-                epoch,
-                hysteresis,
-                min_gain,
-            } => f
-                .debug_struct("HeatDriven")
-                .field("epoch", epoch)
-                .field("hysteresis", hysteresis)
-                .field("min_gain", min_gain)
-                .finish(),
-            PlacementPolicy::Custom(_) => write!(f, "Custom(..)"),
-        }
-    }
 }
 
 impl Default for PlacementPolicy {
@@ -153,7 +123,6 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::Static => Duration::from_secs(3600),
             PlacementPolicy::HeatDriven { epoch, .. } => *epoch,
-            PlacementPolicy::Custom(_) => Duration::from_secs(1),
         }
     }
 
@@ -165,13 +134,6 @@ impl PlacementPolicy {
     pub fn plan(&self, inputs: &PlacementInputs) -> Vec<PlacementDecision> {
         match self {
             PlacementPolicy::Static => Vec::new(),
-            PlacementPolicy::Custom(hook) => {
-                let mut out = hook(inputs);
-                out.retain(|d| {
-                    d.to_shard < inputs.shards && d.to_shard != owner_of(inputs, d.entry)
-                });
-                out
-            }
             PlacementPolicy::HeatDriven {
                 hysteresis,
                 min_gain,
@@ -389,37 +351,6 @@ mod tests {
         let a = policy.plan(&ins);
         let b = policy.plan(&ins);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn custom_hook_filters_bad_targets() {
-        let hook = |_: &PlacementInputs| {
-            vec![
-                PlacementDecision {
-                    entry: 0,
-                    from_shard: 0,
-                    to_shard: 9,
-                    writer: 0,
-                }, // out of range
-                PlacementDecision {
-                    entry: 1,
-                    from_shard: 1,
-                    to_shard: 1,
-                    writer: 0,
-                }, // already home (1 % 2 == 1)
-                PlacementDecision {
-                    entry: 2,
-                    from_shard: 0,
-                    to_shard: 1,
-                    writer: 0,
-                }, // valid
-            ]
-        };
-        let policy = PlacementPolicy::Custom(Arc::new(hook));
-        assert!(policy.is_adaptive());
-        let plan = policy.plan(&inputs());
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].entry, 2);
     }
 
     #[test]

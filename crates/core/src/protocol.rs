@@ -749,8 +749,7 @@ mod tests {
     use hdsm_platform::endian::Endianness;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_tags::generate::tag_for_scalar_run;
-    use hdsm_tags::wire::reference::{batch_of, updates_of};
-    use hdsm_tags::wire::WireUpdate;
+    use hdsm_tags::wire::reference::{batch_of, WireUpdate};
 
     fn sample_batch() -> UpdateBatch {
         batch_of(&[sample_update()])
@@ -921,21 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_batch_bodies_still_decode() {
-        // `decode` parses outside input, so a body carrying the older
-        // count-prefixed batch must stay readable.
-        let mut body = BytesMut::new();
-        body.put_u32(2);
-        body.put_slice(&hdsm_tags::wire::pack_batch(&[sample_update()]));
-        match DsdMsg::decode(MsgKind::LockGrant, body.freeze()).unwrap() {
-            DsdMsg::LockGrant { lock: 2, updates } => {
-                assert_eq!(updates_of(&updates), [sample_update()]);
-            }
-            other => panic!("decoded {other:?}"),
-        }
-    }
-
-    #[test]
     fn a_decoded_batch_is_a_slice_of_the_payload_it_came_in() {
         let m = DsdMsg::BarrierEnter {
             barrier: 0,
@@ -957,9 +941,16 @@ mod tests {
 
     #[test]
     fn removed_leniencies_are_rejected() {
-        // No sender ships Resync under the catch-all kind or a WorkerLost
-        // without its forensic tail.
+        // No sender ships Resync under the catch-all kind, a WorkerLost
+        // without its forensic tail or a count-prefixed batch.
         assert!(DsdMsg::decode(MsgKind::Other, DsdMsg::Resync { rank: 9 }.encode()).is_err());
+        assert_eq!(
+            DsdMsg::decode(
+                MsgKind::LockGrant,
+                Bytes::from_static(&[0, 0, 0, 2, 0, 0, 0, 0])
+            ),
+            Err(ProtocolError::Wire(WireError::BadHeader))
+        );
         assert_eq!(
             DsdMsg::decode(MsgKind::WorkerLost, Bytes::from_static(&[0, 0, 0, 5])),
             Err(ProtocolError::Truncated)

@@ -4,7 +4,7 @@
 //! mapped through the index table to `(entry, element-range)` — the
 //! architecture-independent form that can travel between heterogeneous
 //! nodes. Consecutive element ranges of the same entry are coalesced so
-//! "many (hundreds, perhaps thousands) indexes [distill] into a single
+//! "many (hundreds, perhaps thousands) indexes \[distill\] into a single
 //! tag" (paper §5, Figure 9 discussion).
 
 use crate::index_table::IndexTable;

@@ -19,10 +19,10 @@ use crate::gthv::GthvInstance;
 use crate::runs::UpdateRange;
 use hdsm_memory::space::{AddressSpace, MemError};
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
-use hdsm_platform::scalar::{ScalarClass, ScalarKind};
+use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::plan::{RunOp, RunPlan};
-use hdsm_tags::wire::{run_shape, FrameWriter, Group, GroupHead, UpdateBatch, UpdateView};
+use hdsm_tags::wire::{FrameWriter, GroupHead, UpdateBatch, UpdateView};
 use std::fmt;
 
 /// Bits of the portable pointer word reserved for the element index.
@@ -48,8 +48,6 @@ pub enum UpdateError {
         /// Elements available.
         available: u64,
     },
-    /// Update tag is not a single scalar/pointer run.
-    BadTagShape(String),
     /// Tag scalar kind (pointer vs data) disagrees with the entry.
     KindMismatch {
         /// Entry id.
@@ -77,7 +75,6 @@ impl fmt::Display for UpdateError {
                 f,
                 "range [{first}, +{count}) out of bounds for entry {entry} ({available} elems)"
             ),
-            UpdateError::BadTagShape(t) => write!(f, "bad update tag {t}"),
             UpdateError::KindMismatch { entry } => write!(f, "kind mismatch for entry {entry}"),
             UpdateError::BadPointer(s) => write!(f, "bad pointer: {s}"),
             UpdateError::Conversion(e) => write!(f, "conversion: {e}"),
@@ -169,7 +166,10 @@ pub fn extract_updates(
             .ok_or(UpdateError::NoSuchEntry(entry))?;
         let mut elems = 0;
         for r in group {
-            if r.first + r.count > row.count {
+            if r.first
+                .checked_add(r.count)
+                .is_none_or(|end| end > row.count)
+            {
                 return Err(UpdateError::RangeOutOfBounds {
                     entry,
                     first: r.first,
@@ -269,31 +269,8 @@ fn apply_groups(
         scratch: Vec::new(),
         tally: (0, 0, 0),
     };
-    for group in batch.groups() {
-        match group {
-            Group::Runs(g) => walk.apply_runs(gthv, g.head, g.runs())?,
-            // A v1 frame is a group of its one run, if it is run-shaped.
-            Group::Raw(g) => {
-                for u in g.updates() {
-                    let (size, count, is_ptr) = run_shape(&u.tag)
-                        .ok_or_else(|| UpdateError::BadTagShape(u.tag.to_string()))?;
-                    let head = GroupHead {
-                        entry: u.entry,
-                        endian: u.endian,
-                        is_ptr,
-                        size,
-                        sender: u.sender,
-                    };
-                    let run = UpdateView {
-                        entry: u.entry,
-                        elem_offset: u.elem_offset,
-                        count: u64::from(count),
-                        data: u.data,
-                    };
-                    walk.apply_runs(gthv, head, std::iter::once(run))?;
-                }
-            }
-        }
+    for g in batch.groups() {
+        walk.apply_runs(gthv, g.head, g.runs())?;
     }
     Ok(walk.tally)
 }
@@ -460,19 +437,13 @@ pub fn full_ranges(gthv: &GthvInstance) -> Vec<UpdateRange> {
         .collect()
 }
 
-/// The conversion class of an entry (test helper).
-pub fn entry_class(gthv: &GthvInstance, entry: u32) -> Option<ScalarClass> {
-    gthv.table().row(entry).map(|r| r.kind.class())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gthv::{GthvDef, GthvInstance};
     use hdsm_platform::ctype::paper_figure4_struct;
     use hdsm_platform::spec::{Platform, PlatformSpec};
-    use hdsm_tags::wire::reference::{batch_of, updates_of};
-    use hdsm_tags::wire::{pack_batch, unpack_batch};
+    use hdsm_tags::wire::reference::{batch_of, updates_of, WireUpdate};
 
     fn inst(p: Platform) -> GthvInstance {
         GthvInstance::new(GthvDef::new(paper_figure4_struct()).unwrap(), p)
@@ -538,13 +509,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let runs: Vec<usize> = ups
-            .groups()
-            .map(|g| match g {
-                Group::Runs(g) => g.runs().count(),
-                Group::Raw(_) => panic!("extraction frames no raw group"),
-            })
-            .collect();
+        let runs: Vec<usize> = ups.groups().map(|g| g.runs().count()).collect();
         assert_eq!(runs, [2, 1, 1]);
         assert_eq!((ups.len(), ups.payload_bytes()), (4, 4 + 4 + 12 + 4));
     }
@@ -607,6 +572,11 @@ mod tests {
             extract_updates(&src, &[range(1, 0, 4), range(1, 56160, 100)]),
             Err(UpdateError::RangeOutOfBounds { first: 56160, .. })
         ));
+        // `first + count` wraps.
+        assert!(matches!(
+            extract_updates(&src, &[range(1, u64::MAX, 2)]),
+            Err(UpdateError::RangeOutOfBounds { count: 2, .. })
+        ));
         assert!(matches!(
             extract_updates(&src, &[range(9, 0, 1)]),
             Err(UpdateError::NoSuchEntry(9))
@@ -615,7 +585,7 @@ mod tests {
 
     /// A batch of three one-element updates to `A` (entry 1) of a
     /// homogeneous pair, with update `k` rewritten by `edit`.
-    fn three_with(k: usize, edit: impl Fn(&mut hdsm_tags::wire::WireUpdate)) -> UpdateBatch {
+    fn three_with(k: usize, edit: impl Fn(&mut WireUpdate)) -> UpdateBatch {
         let mut src = inst(PlatformSpec::linux_x86());
         for i in 0..3 {
             src.write_int(1, 2 * i, 7 + i as i128).unwrap();
@@ -631,7 +601,7 @@ mod tests {
         // A failing update is reported as it always was, everything before
         // it — in its own group too — is applied, it and everything after
         // it is not.
-        type Edit = fn(&mut hdsm_tags::wire::WireUpdate);
+        type Edit = fn(&mut WireUpdate);
         type Check = fn(&UpdateError) -> bool;
         let cases: [(&str, Edit, Check); 4] = [
             (
@@ -678,40 +648,6 @@ mod tests {
                 assert_eq!(dst.read_ptr(0, 0).unwrap(), None, "{name} at {k}");
             }
         }
-    }
-
-    #[test]
-    fn v1_frames_apply_through_the_group_path_and_other_tags_are_refused() {
-        // A v1 batch is kept as a raw group; its run-shaped frames apply
-        // as one-run groups, with the same per-kind tally and stats.
-        let mut src = inst(PlatformSpec::linux_x86());
-        for i in 0..3 {
-            src.write_int(1, 2 * i, 7 + i as i128).unwrap();
-        }
-        let ranges = [range(1, 0, 1), range(1, 2, 2)];
-        let grouped = extract_updates(&src, &ranges).unwrap();
-        let mut us = updates_of(&grouped);
-        let v1 = unpack_batch(pack_batch(&us)).unwrap();
-        let mut outcomes = Vec::new();
-        for batch in [&grouped, &v1] {
-            let mut dst = inst(PlatformSpec::solaris_sparc());
-            let mut stats = ConversionStats::default();
-            let tally = apply_batch(&mut dst, batch, &mut stats).unwrap();
-            outcomes.push((tally, stats, dst.space().raw().to_vec()));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0].0, (0, 2, 0));
-
-        // A tag that is not one run: refused by name, the update before
-        // it applied.
-        us[1].tag = hdsm_tags::parse::parse_tag("((4,1)(0,0),2)").unwrap();
-        let mut dst = inst(PlatformSpec::linux_x86());
-        assert_eq!(
-            apply(&mut dst, &batch_of(&us)),
-            Err(UpdateError::BadTagShape("((4,1)(0,0),2)".into()))
-        );
-        assert_eq!(dst.read_int(1, 0).unwrap(), 7);
-        assert_eq!(dst.read_int(1, 2).unwrap(), 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use hdsm_platform::scalar::ScalarKind;
 use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::{convert_scalar_run, ConversionStats};
 use hdsm_tags::generate::tag_for_scalar_run;
-use hdsm_tags::wire::reference::{pack_grouped, unpack_updates, updates_of};
-use hdsm_tags::wire::{pack_batch, run_shape, unpack_batch, WireUpdate};
+use hdsm_tags::wire::reference::{pack_grouped, run_shape, unpack_updates, updates_of, WireUpdate};
+use hdsm_tags::wire::{pack_batch_fast, unpack_batch};
 use proptest::prelude::*;
 
 const INTS: u64 = 200;
@@ -354,8 +354,7 @@ proptest! {
 
         let ranges = abstract_diffs(src.table(), &diff_pages(src.space()));
         let ups = extract_updates(&src, &ranges).unwrap();
-        let packed = pack_batch(&updates_of(&ups));
-        let unpacked = unpack_batch(packed).unwrap();
+        let unpacked = unpack_batch(pack_batch_fast(&ups)).unwrap();
 
         let mut dst = GthvInstance::new(def(), dst_p);
         let mut stats = ConversionStats::default();

@@ -108,9 +108,9 @@ impl PageRuns<'_> {
 /// Compare one page against a twin, appending maximal modified runs to
 /// `out`. `page_addr` is the simulated address of the page's first byte.
 ///
-/// The page is compared [`BLOCK`] bytes at a time, as `u64` words: an
+/// The page is compared `BLOCK` bytes at a time, as `u64` words: an
 /// unchanged block costs one fixed-size comparison, a changed one its
-/// [`differing_bytes`] mask and a `trailing_zeros` per run edge.
+/// `differing_bytes` mask and a `trailing_zeros` per run edge.
 pub fn diff_page_into(page_addr: u64, twin: &[u8], current: &[u8], out: &mut Vec<DiffRun>) {
     assert_eq!(twin.len(), current.len(), "twin and page differ in size");
     let mut runs = PageRuns {

@@ -18,20 +18,17 @@
 //!   per block, convertible on the receiving platform ("receiver makes
 //!   right");
 //! * [`compute::Computation`] — the resumable-computation contract that
-//!   replaces preprocessor-instrumented C functions;
-//! * [`roles`] — the paper's thread role machine (master / local /
-//!   skeleton / stub / remote);
-//! * [`scheduler`] — adaptive load policies deciding who migrates where.
+//!   replaces preprocessor-instrumented C functions.
+//!
+//! Who migrates where is decided outside this crate:
+//! `hdsm_core::placement::plan_thread_moves` plans, `run_adaptive`
+//! executes.
 
 pub mod compute;
 pub mod iostate;
 pub mod packfmt;
-pub mod roles;
-pub mod scheduler;
 pub mod state;
 
 pub use compute::{Computation, ProgramRegistry, StepStatus};
 pub use packfmt::{pack_state, unpack_state, MigrateError, StateImage};
-pub use roles::{RoleError, ThreadRole};
-pub use scheduler::{MigrationPlan, MigrationPolicy, NodeLoad, ThresholdPolicy};
 pub use state::{NamedBlock, ThreadState, TypedBlock};

@@ -5,8 +5,8 @@
 //! [`FabricClock`] instead of `std::time::Instant`. In threaded mode the
 //! clock is wall time (microseconds since a process-wide epoch), so
 //! behaviour is identical to the pre-clock code. In simulation mode the
-//! clock is the [`SimFabric`](crate::sim::SimFabric)'s virtual clock, which
-//! only advances when the event queue fires — timers become events and a
+//! clock is the [`SimFabric`]'s virtual clock, which only
+//! advances when the event queue fires — timers become events and a
 //! whole run is a pure function of `(workload, config, seed)`.
 
 use crate::sim::SimFabric;

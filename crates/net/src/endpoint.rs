@@ -172,11 +172,6 @@ impl Network {
         self.fabric.stats.lock().clone()
     }
 
-    /// Reset traffic statistics (between benchmark phases).
-    pub fn reset_stats(&self) {
-        *self.fabric.stats.lock() = NetStats::default();
-    }
-
     /// Sever the link between ranks `a` and `b` in both directions: every
     /// message between them is silently dropped (and counted) until
     /// [`Network::heal`]. Takes effect even without a configured
@@ -559,8 +554,6 @@ mod tests {
         assert_eq!(s.total_messages(), 2);
         assert_eq!(s.total_bytes(), 5100);
         assert!(s.simulated_wire_time > Duration::ZERO);
-        net.reset_stats();
-        assert_eq!(net.stats().total_messages(), 0);
     }
 
     #[test]

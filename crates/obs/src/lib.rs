@@ -48,7 +48,7 @@ pub mod watchdog;
 pub use blackbox::{pretty as pretty_bundle, TriggerRow};
 pub use causal::{causal_order, check_happens_before, estimate_skew, SkewRow};
 pub use chrome::chrome_trace;
-pub use critpath::{analyze as critical_paths, LinkRetransmits, OpCritPath, Segment};
+pub use critpath::{LinkRetransmits, OpCritPath, Segment};
 pub use event::{Event, EventKind, OpCtx, OpKind};
 pub use heatmap::{EntryStats, Heatmap, PageStats, WriterStats};
 pub use hlc::{HlcClock, HlcStamp};

@@ -1005,12 +1005,6 @@ impl Recorder {
         snap.stalls = core.watchdog.lock().stalls.clone();
         Some(snap)
     }
-
-    /// Run `f` against the live registry (tests, custom exporters).
-    /// No-op returning `None` when disabled.
-    pub fn with_registry<T>(&self, f: impl FnOnce(&Registry) -> T) -> Option<T> {
-        self.0.as_ref().map(|core| f(&core.registry.lock()))
-    }
 }
 
 struct SpanInner {
@@ -1121,10 +1115,9 @@ mod tests {
         assert_eq!(scan.rank, 1);
         assert_eq!(scan.arg0, 64);
         // The span also fed the per-kind histogram.
-        let count = r
-            .with_registry(|reg| reg.histogram("diff-scan").map(|h| h.count()))
-            .flatten();
-        assert_eq!(count, Some(1));
+        let snap = r.snapshot().unwrap();
+        let hist = snap.histograms.iter().find(|h| h.name == "diff-scan");
+        assert_eq!(hist.map(|h| h.count), Some(1));
     }
 
     #[test]

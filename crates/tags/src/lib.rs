@@ -32,4 +32,4 @@ pub use generate::{tag_for, tag_for_scalar_run};
 pub use parse::{parse_tag, TagParseError};
 pub use plan::{PlanCache, RunOp, RunPlan};
 pub use tag::{Tag, TagItem};
-pub use wire::{pack_update, unpack_batch, unpack_update, UpdateBatch, WireError, WireUpdate};
+pub use wire::{unpack_batch, UpdateBatch, WireError};

@@ -2,13 +2,16 @@
 //! middle of the computation* while the DSM keeps the global state
 //! consistent.
 //!
-//! Two worker threads start on little-endian Linux/x86 nodes. Mid-run, a
-//! scheduler policy decides the (simulated) Linux nodes are overloaded and
-//! migrates worker 0 to big-endian Solaris/SPARC and worker 1 to 64-bit
-//! Solaris/SPARC64. Thread state (MThV block) travels as a tagged
-//! CGT-RMR image; the global data segment is re-hosted with it; computation
-//! resumes exactly where it stopped — and the final matrix still matches
-//! the serial oracle.
+//! Three worker threads start on three different machines: big-endian
+//! Solaris/SPARC, 64-bit Linux/x86-64 and little-endian 32-bit ARM. The
+//! thread-placement planner the cluster itself runs
+//! (`placement::plan_thread_moves`) compares the platforms' `cpu_factor`s
+//! and repacks the two workers stuck on CPUs more than 2x slower than the
+//! fastest onto that fastest platform. Thread state (MThV block) travels
+//! as a tagged CGT-RMR image — across a byte-order *and* a data-model
+//! boundary for the SPARC worker; the global data segment is re-hosted
+//! with it; computation resumes exactly where it stopped — and the final
+//! matrix still matches the serial oracle.
 //!
 //! Run with:
 //! ```text
@@ -18,72 +21,57 @@
 use hdsm::apps::matmul;
 use hdsm::apps::workload::block_rows;
 use hdsm::dsd::cluster::{ClusterBuilder, MigrationEvent};
-use hdsm::migthread::scheduler::{MigrationPolicy, NodeLoad, ThresholdPolicy};
+use hdsm::dsd::placement::plan_thread_moves;
 use hdsm::platform::spec::PlatformSpec;
 
 fn main() {
     let n = 48;
     let seed = 77;
-    let linux = PlatformSpec::linux_x86();
-    let sparc = PlatformSpec::solaris_sparc();
-    let sparc64 = PlatformSpec::solaris_sparc64();
-
-    // A load policy looks at the cluster and proposes movements: both
-    // workers sit on (overloaded) Linux nodes, two idle Sun machines just
-    // joined the cluster.
-    let policy = ThresholdPolicy::default();
-    let loads = vec![
-        NodeLoad {
-            rank: 0,
-            threads: 2,
-            cpu_factor: 1.0,
-            accepting: true,
-        },
-        NodeLoad {
-            rank: 1,
-            threads: 0,
-            cpu_factor: 0.53,
-            accepting: true,
-        },
-        NodeLoad {
-            rank: 2,
-            threads: 0,
-            cpu_factor: 0.6,
-            accepting: true,
-        },
-    ];
-    let plans = policy.plan(&loads);
-    println!("scheduler proposes {} migrations:", plans.len());
-    for p in &plans {
-        println!("  {p}");
-    }
-
-    // Translate the policy's decision into a migration schedule: move the
-    // two threads after they have completed a few rows.
-    let schedule = vec![
-        MigrationEvent {
-            worker: 0,
-            after_steps: 6,
-            to_platform: sparc.clone(),
-        },
-        MigrationEvent {
-            worker: 1,
-            after_steps: 10,
-            to_platform: sparc64.clone(),
-        },
+    let home = PlatformSpec::linux_x86();
+    let platforms = [
+        PlatformSpec::solaris_sparc(),
+        PlatformSpec::linux_x86_64(),
+        PlatformSpec::linux_arm(),
     ];
 
-    let registry = matmul::registry(&linux);
-    let starts = vec![
-        matmul::start_state(&linux, n, block_rows(n, 0, 2)),
-        matmul::start_state(&linux, n, block_rows(n, 1, 2)),
-    ];
+    // The planner sees only how fast each worker's CPU is; every move it
+    // plans becomes one migration event, due at the worker's first
+    // adaptation point after `after_sweeps` steps.
+    let factors: Vec<f64> = platforms.iter().map(|p| p.cpu_factor).collect();
+    let moves = plan_thread_moves(&factors, 2.0);
+    println!("planner proposes {} migrations:", moves.len());
+    let schedule: Vec<MigrationEvent> = moves
+        .iter()
+        .map(|m| {
+            let (from, to) = (
+                &platforms[m.thread_rank as usize],
+                &platforms[m.to_platform],
+            );
+            println!(
+                "  worker {}: {} ({:.2}) -> {} ({:.2}) after {} step(s)",
+                m.thread_rank, from.name, from.cpu_factor, to.name, to.cpu_factor, m.after_sweeps
+            );
+            MigrationEvent {
+                worker: m.thread_rank as usize,
+                after_steps: u64::from(m.after_sweeps),
+                to_platform: to.clone(),
+            }
+        })
+        .collect();
+    assert_eq!(schedule.len(), 2, "SPARC and ARM workers are 2x slower");
+
+    let registry = matmul::registry(&home);
+    let workers = platforms.len();
+    let starts = (0..workers)
+        .map(|i| matmul::start_state(&platforms[i], n, block_rows(n, i, workers)))
+        .collect();
 
     let outcome = ClusterBuilder::new()
         .gthv(matmul::gthv_def(n))
-        .home(linux.clone())
-        .worker(linux.clone())
-        .worker(linux.clone())
+        .home(home)
+        .worker(platforms[0].clone())
+        .worker(platforms[1].clone())
+        .worker(platforms[2].clone())
         .barriers(2)
         .init(move |g| matmul::init(g, n, seed))
         .run_adaptive(&registry, starts, &schedule)

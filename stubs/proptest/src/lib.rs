@@ -2,7 +2,7 @@
 //!
 //! The build container has no crates.io access, so this crate provides a
 //! deterministic, generation-only reimplementation of the proptest API
-//! subset the hdsm test suites use: the [`Strategy`] trait with
+//! subset the hdsm test suites use: the [`strategy::Strategy`] trait with
 //! `prop_map` / `prop_filter` / `prop_flat_map` / `prop_recursive` /
 //! `boxed`, range and tuple strategies, `any::<T>()`, collection / sample /
 //! option helpers, `prop_oneof!`, and the `proptest!` test macro with

@@ -86,9 +86,10 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
         DsdMsg::decode(MsgKind::EntryMoved, frame(&max)),
         Err(ProtocolError::Truncated)
     );
-    // A v1 batch count can be anything below the v2 marker; a v2 batch
-    // declares groups, and a run group declares runs.
-    let v1 = (u32::MAX - 1).to_be_bytes().to_vec();
+    // A count just below the v2 marker (what opened a batch of the
+    // retired count-prefixed format) is no header; a v2 batch declares
+    // groups, and a run group declares runs.
+    let below_marker = (u32::MAX - 1).to_be_bytes().to_vec();
     let v2_groups = [max, max].concat();
     let mut v2_runs = BytesMut::new();
     v2_runs.put_u32(u32::MAX); // v2 marker
@@ -98,7 +99,7 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
     v2_runs.put_u32(0); // entry
     v2_runs.put_u8(0); // empty sender
     v2_runs.put_u32(u32::MAX); // runs
-    for batch in [&v1[..], &v2_groups[..], &v2_runs[..]] {
+    for batch in [&below_marker[..], &v2_groups[..], &v2_runs[..]] {
         assert!(unpack_batch(frame(batch)).is_err());
         for (kind, ids) in [
             (MsgKind::LockGrant, 1),
