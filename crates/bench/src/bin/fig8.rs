@@ -1,8 +1,10 @@
 //! Figure 8 — "Index discovery" (`t_index`) vs matrix size.
 //!
 //! Measures the time to map writes to the protected global space into
-//! application-level indexes (twin/diff byte scan + run→index mapping)
-//! for the matrix multiplication workload, reported per platform: the
+//! application-level indexes — one scan of each dirty page against its
+//! twin, directed by the index table, comparing at each row's element size
+//! and emitting coalesced index ranges (`runs::scan_ranges`) — for the
+//! matrix multiplication workload, reported per platform: the
 //! Solaris curve comes from the SS pair, the Linux curve from the LL pair
 //! (t_index is a property of the releasing node, paper §5: "a measure of
 //! the performance of the system on which the unlock takes place").

@@ -6,7 +6,10 @@
 //! The paper notes a worst-case spike (their size 216) when a series of
 //! updates builds up at the home node and ships as one large batch; the
 //! batch path here is exercised by the home-side tag formation, which is
-//! reported separately.
+//! reported separately. On a releasing worker the coalescing happens
+//! inside the write-detection scan (`t_index`, Figure 8): what its `t_tag`
+//! holds is settling which ranges ship (whole-entry promotion), so the
+//! worker columns stay nearly flat and the home columns carry the shape.
 
 use hdsm_apps::workload::{paper_pairs, SyncMode};
 use hdsm_bench::{ms, print_header, run_matmul_min, sizes_from_args};
@@ -47,7 +50,7 @@ fn main() {
         );
     }
     println!();
-    println!("Expected shape: t_tag grows with size but stays well below t_conv;");
-    println!("home-side batch formation dominates when updates accumulate");
+    println!("Expected shape: t_tag stays well below t_conv; the home-side batch");
+    println!("formation grows with size and dominates when updates accumulate");
     println!("between a thread's acquires (the paper's size-216 spike case).");
 }

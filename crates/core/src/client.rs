@@ -35,9 +35,8 @@ use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
-use crate::runs::{coalesce, map_runs, UpdateRange};
+use crate::runs::{scan_ranges, scan_ranges_with, UpdateRange};
 use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
-use hdsm_memory::diff::diff_pages;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
@@ -677,23 +676,24 @@ impl DsdClient {
     /// Detect local writes and turn them into update ranges (the head of
     /// the release pipeline: t_index → t_tag in Eq. 1), one update each.
     fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
-        // t_index: byte-level twin/diff plus mapping runs to index ranges.
+        // t_index: one pass from the dirty pages' twins to index ranges,
+        // consecutive elements already folded into one range each.
+        let armed = self.recorder.is_enabled();
+        let mut heat: Vec<(u64, u64)> = Vec::new();
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let runs = diff_pages(self.gthv.space());
-        let mapped = map_runs(self.gthv.table(), &runs);
-        t.args(hdsm_memory::diff::total_bytes(&runs), runs.len() as u64);
-        t.end(&mut self.costs);
-        if self.recorder.is_enabled() {
-            let ps = self.gthv.space().page_size() as u64;
-            let base = self.gthv.space().base();
-            for (page, bytes) in hdsm_memory::diff::split_by_page(&runs, base, ps) {
-                self.recorder.page_diff(page, bytes);
+        let mut ranges = scan_ranges_with(self.gthv.table(), self.gthv.space(), |page, bytes| {
+            if armed {
+                heat.push((page, bytes));
             }
+        });
+        t.args(heat.iter().map(|h| h.1).sum(), ranges.len() as u64);
+        t.end(&mut self.costs);
+        for (page, bytes) in heat {
+            self.recorder.page_diff(page, bytes);
         }
-        // t_tag: coalescing consecutive elements into single tags, plus
-        // optional whole-entry promotion.
+        // t_tag: which ranges ship as they are and which as their whole
+        // entry (optional promotion).
         let mut t = Phase::Tag.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let mut ranges = coalesce(mapped);
         if self.promote_threshold < 100 {
             ranges = crate::runs::promote_ranges(self.gthv.table(), ranges, self.promote_threshold);
         }
@@ -1041,50 +1041,30 @@ impl DsdClient {
     ///
     /// Must be called at an adaptation point with no lock held.
     pub fn rehost(&mut self, platform: Platform) -> Result<(), DsdError> {
-        use crate::runs::abstract_diffs;
         use crate::update::full_ranges;
 
         let def = self.gthv.def().clone();
 
         // 1. What has this thread modified since its last release?
-        let runs = diff_pages(self.gthv.space());
-        let dirty_ranges = abstract_diffs(self.gthv.table(), &runs);
+        let dirty_ranges = scan_ranges(self.gthv.table(), self.gthv.space());
         // 2. Snapshot the *current* values of those ranges (native + tags).
         let dirty_updates = extract_updates(&self.gthv, &dirty_ranges)?;
 
-        // 3. Reconstruct the pre-write (twin) state on the old platform:
-        //    current content with every diff run reverted to its twin
-        //    bytes.
+        // 3. Reconstruct the pre-write state on the old platform: the
+        //    current content, every dirty page replaced by its twin.
         let mut original = GthvInstance::new(def.clone(), self.gthv.platform().clone());
-        let raw: Vec<u8> = self.gthv.space().raw().to_vec();
+        let space = self.gthv.space();
         let orig_base = original.space().base();
         original
             .space_mut()
-            .write_untracked(orig_base, &raw)
+            .write_untracked(orig_base, space.raw())
             .expect("same-size copy");
-        for run in &runs {
-            let page_size = self.gthv.space().page_size();
-            let base = self.gthv.space().base();
-            // A run may span pages; revert per page from each twin.
-            let mut addr = run.addr;
-            let mut remaining = run.len;
-            while remaining > 0 {
-                let page = ((addr - base) as usize) / page_size;
-                let page_end = base + ((page + 1) * page_size) as u64;
-                let chunk = remaining.min((page_end - addr) as usize);
-                let twin = self
-                    .gthv
-                    .space()
-                    .twin(page)
-                    .expect("dirty run implies twin");
-                let off = (addr - (base + (page * page_size) as u64)) as usize;
-                original
-                    .space_mut()
-                    .write_untracked(addr, &twin[off..off + chunk])
-                    .expect("revert in range");
-                addr += chunk as u64;
-                remaining -= chunk;
-            }
+        for page in space.dirty_pages() {
+            let twin = space.twin(page).expect("dirty page implies twin");
+            original
+                .space_mut()
+                .write_untracked(space.page_addr(page), twin)
+                .expect("revert in range");
         }
 
         // 4. Convert the pre-write state to the new platform.

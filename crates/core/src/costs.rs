@@ -90,9 +90,11 @@ impl PhaseTimer {
 /// The five cost components of data sharing, plus bookkeeping counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
-    /// Mapping writes (twin/diff byte scan + run→index mapping).
+    /// Mapping writes: the twin/diff scan of the dirty pages to coalesced
+    /// index ranges.
     pub t_index: Duration,
-    /// Forming application-level tags from indexes (incl. coalescing).
+    /// Settling the ranges that ship as tags: whole-entry promotion on a
+    /// client, coalescing the update log on a home.
     pub t_tag: Duration,
     /// Packing tag + data frames.
     pub t_pack: Duration,

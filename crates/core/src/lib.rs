@@ -9,9 +9,10 @@
 //! paper §4) and whose update pipeline is
 //!
 //! ```text
-//! twin/diff (page level)                       t_index
-//!   → abstract diffs to application-level indexes   t_index
-//!   → coalesce runs, one CGT-RMR run tag each       t_tag
+//! twin/diff the dirty pages, element by element, straight to
+//!     coalesced application-level index ranges       t_index
+//!   → settle the ranges that ship (whole-entry
+//!     promotion), one CGT-RMR run tag each           t_tag
 //!   → frame run groups + raw native data            t_pack
 //!   → ship to peer
 //!   → unpack                                        t_unpack
@@ -26,7 +27,8 @@
 //!   node's native representation inside a protected address space;
 //! * [`index_table`] — the architecture-independent index table built from
 //!   `GThV` at start-up (paper Table 1);
-//! * [`runs`] — diff→index abstraction with consecutive-element coalescing;
+//! * [`runs`] — diff→index abstraction with consecutive-element coalescing:
+//!   the release scan, and the byte-granular two-step route it is held to;
 //! * [`update`] — update extraction and receiver-makes-right application,
 //!   including pointer swizzling through the index table;
 //! * [`protocol`], [`home`], [`client`] — the distributed lock / barrier /

@@ -1,14 +1,27 @@
 //! Abstracting page diffs to application-level indexes (paper §4/§4.2).
 //!
-//! After `MTh_unlock()` detects writes (twin/diff byte runs), each run is
-//! mapped through the index table to `(entry, element-range)` — the
-//! architecture-independent form that can travel between heterogeneous
-//! nodes. Consecutive element ranges of the same entry are coalesced so
-//! "many (hundreds, perhaps thousands) indexes \[distill\] into a single
-//! tag" (paper §5, Figure 9 discussion).
+//! After `MTh_unlock()` detects writes, each one is mapped through the
+//! index table to `(entry, element-range)` — the architecture-independent
+//! form that can travel between heterogeneous nodes. Consecutive element
+//! ranges of the same entry are coalesced so "many (hundreds, perhaps
+//! thousands) indexes \[distill\] into a single tag" (paper §5, Figure 9
+//! discussion).
+//!
+//! Two routes lead from twins to ranges, and they agree on every input:
+//!
+//! * [`scan_ranges`], what the DSD client runs at a release: one pass over
+//!   each dirty page, directed by the index table, comparing twin against
+//!   page one *element* at a time and emitting ranges directly;
+//! * [`abstract_diffs`] over [`diff_pages`]' byte runs ([`map_runs`] then
+//!   [`coalesce`]), the paper-literal two steps: the oracle the scan is
+//!   held to, and what a caller that already has byte runs (the page-DSM
+//!   baseline, the stage replay) maps them with.
+//!
+//! [`diff_pages`]: hdsm_memory::diff::diff_pages
 
-use crate::index_table::IndexTable;
-use hdsm_memory::diff::DiffRun;
+use crate::index_table::{IndexRow, IndexTable};
+use hdsm_memory::diff::{diff_elems, DiffRun};
+use hdsm_memory::AddressSpace;
 
 /// A coalesced range of modified elements of one index-table entry.
 ///
@@ -66,24 +79,129 @@ pub fn map_runs(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> {
             let Some((first, count)) = row.elems_overlapping(start, end) else {
                 continue; // an empty run
             };
-            match out.last_mut() {
-                Some(last)
-                    if last.entry == row.entry && (last.first..=last.end()).contains(&first) =>
-                {
-                    last.count = last.count.max(first + count - last.first);
-                }
-                _ => out.push(UpdateRange {
-                    entry: row.entry,
-                    first,
-                    count,
-                }),
-            }
+            push_folded(&mut out, row.entry, first, count);
         }
     }
     if !in_order {
         out.sort_by_key(|r| (r.entry, r.first));
     }
     out
+}
+
+/// Append elements `[first, first + count)` of `entry` to `out`, extending
+/// the last range in place when they start inside it or right after it.
+#[inline]
+fn push_folded(out: &mut Vec<UpdateRange>, entry: u32, first: u64, count: u64) {
+    match out.last_mut() {
+        Some(last) if last.entry == entry && (last.first..=last.end()).contains(&first) => {
+            last.count = last.count.max(first + count - last.first);
+        }
+        _ => out.push(UpdateRange {
+            entry,
+            first,
+            count,
+        }),
+    }
+}
+
+/// Write detection straight to index ranges: compare every dirty page of
+/// `space` against its twin and return the modified elements as ranges,
+/// sorted by (entry, first), disjoint and maximal — element for element
+/// what `coalesce(map_runs(table, &diff_pages(space)))` returns.
+///
+/// Each dirty page is passed over once. The table rows that overlap it are
+/// walked with one forward cursor, and the bytes of each row on the page
+/// compared at that row's element size ([`diff_elems`]): a differing
+/// element extends the open range, an equal one closes it, and a range
+/// that abuts the previous one of its entry — across a page seam, or
+/// through an element that straddles one (`linux_x86` aligns doubles to 4)
+/// — extends it in place. An element ships whole iff one of its bytes
+/// differs, as in the byte-granular design; padding is never compared,
+/// because no row covers it.
+pub fn scan_ranges(table: &IndexTable, space: &AddressSpace) -> Vec<UpdateRange> {
+    scan_ranges_with(table, space, |_, _| {})
+}
+
+/// [`scan_ranges`], reporting `page_heat(page, bytes)` once for every dirty
+/// page that has a changed element: `bytes` is how much of the page those
+/// elements cover.
+pub fn scan_ranges_with(
+    table: &IndexTable,
+    space: &AddressSpace,
+    mut page_heat: impl FnMut(u64, u64),
+) -> Vec<UpdateRange> {
+    let rows = table.rows();
+    let mut out = Vec::new();
+    // First row that can reach the current page.
+    let mut cursor = 0;
+    for page in space.dirty_pages() {
+        let twin = space
+            .twin(page)
+            .expect("dirty page always has a twin (fault handler invariant)");
+        let current = space.page(page);
+        let page_addr = space.page_addr(page);
+        let page_end = page_addr + current.len() as u64;
+        cursor += rows[cursor..].partition_point(|r| r.end() <= page_addr);
+        let mut changed = 0;
+        for row in rows[cursor..].iter().take_while(|r| r.addr < page_end) {
+            changed += scan_row(row, page_addr, twin, current, &mut out);
+        }
+        if changed > 0 {
+            page_heat(page as u64, changed);
+        }
+    }
+    out
+}
+
+/// Compare the bytes of `row` on one page (`twin` and `current`, at
+/// `page_addr`) and fold its changed elements into `out`. Returns the
+/// number of bytes of the page those elements cover.
+fn scan_row(
+    row: &IndexRow,
+    page_addr: u64,
+    twin: &[u8],
+    current: &[u8],
+    out: &mut Vec<UpdateRange>,
+) -> u64 {
+    let size = u64::from(row.size);
+    // The row's bytes on this page, `[from, to)`, counted from its first.
+    let from = page_addr.max(row.addr) - row.addr;
+    let to = (page_addr + current.len() as u64).min(row.end()) - row.addr;
+    if from >= to {
+        return 0; // a row of no elements
+    }
+    let at = |row_byte: u64| (row.addr + row_byte - page_addr) as usize;
+    let differs = |a: u64, b: u64| twin[at(a)..at(b)] != current[at(a)..at(b)];
+    let mut changed = 0;
+    let mut found = |first: u64, count: u64, bytes: u64| {
+        changed += bytes;
+        push_folded(out, row.entry, first, count);
+    };
+    // Elements `[whole_from, whole_to)` lie on the page whole. An element
+    // that straddles the seam before them or after them is compared over
+    // the bytes it has here; the neighbouring page, if dirty, sees the rest.
+    let (whole_from, whole_to) = (from.div_ceil(size), to / size);
+    let head_end = (whole_from * size).min(to);
+    if from < head_end && differs(from, head_end) {
+        found(from / size, 1, head_end - from);
+    }
+    if whole_from < whole_to {
+        let (a, b) = (at(whole_from * size), at(whole_to * size));
+        diff_elems(
+            &twin[a..b],
+            &current[a..b],
+            row.size as usize,
+            |first, count| {
+                let count = count as u64;
+                found(whole_from + first as u64, count, count * size);
+            },
+        );
+    }
+    let tail = whole_to * size;
+    if whole_from <= whole_to && tail < to && differs(tail, to) {
+        found(whole_to, 1, to - tail);
+    }
+    changed
 }
 
 /// Coalesce sorted ranges: merge overlapping or adjacent element ranges of
@@ -103,9 +221,13 @@ pub fn coalesce(mut ranges: Vec<UpdateRange>) -> Vec<UpdateRange> {
     out
 }
 
-/// The full diff→index abstraction: map then coalesce. This function is
-/// the paper's `t_index`-to-`t_tag` boundary — callers time [`map_runs`]
-/// under `t_index` and [`coalesce`] (plus tag formation) under `t_tag`.
+/// The full diff→index abstraction of byte runs: map then coalesce, the
+/// paper's two steps taken literally. The DSD client does not call it —
+/// its release goes from twins to ranges in one pass, [`scan_ranges`],
+/// charged whole to `t_index` — and [`scan_ranges`] is held to it: over
+/// [`diff_pages`]' runs the two return the same ranges.
+///
+/// [`diff_pages`]: hdsm_memory::diff::diff_pages
 pub fn abstract_diffs(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> {
     coalesce(map_runs(table, runs))
 }
@@ -202,6 +324,7 @@ fn map_runs_reference(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> 
 mod tests {
     use super::*;
     use crate::index_table::IndexTable;
+    use hdsm_memory::diff::diff_pages;
     use hdsm_platform::ctype::{paper_figure4_struct, CType, StructBuilder};
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::PlatformSpec;
@@ -506,9 +629,25 @@ mod tests {
         assert_eq!(map_runs(&t, &twice).len(), 1);
     }
 
-    /// The Fig. 4 struct, and eight `{char; double}` back to back (3 or 7
-    /// padding bytes after every `char`), on the paper's two platforms and
-    /// the LP64 one where the pointer row grows.
+    /// Ints, then doubles from byte 60: `linux_x86` aligns them to 4, so
+    /// one of `d` straddles every page seam it reaches (`d[0]` the first
+    /// 64-byte one, `d[1016]` the 8192-byte one); then a byte of padding
+    /// between `c` and `s`.
+    fn straddling_struct(doubles: usize) -> CType {
+        let def = StructBuilder::new("M")
+            .array("a", ScalarKind::Int, 15)
+            .array("d", ScalarKind::Double, doubles)
+            .array("c", ScalarKind::Char, 5)
+            .array("s", ScalarKind::Short, 3)
+            .array("e", ScalarKind::Double, 3)
+            .build()
+            .unwrap();
+        CType::Struct(def)
+    }
+
+    /// The Fig. 4 struct, eight `{char; double}` back to back (3 or 7
+    /// padding bytes after every `char`) and [`straddling_struct`], on the
+    /// paper's two platforms and the LP64 one where the pointer row grows.
     fn tables() -> Vec<IndexTable> {
         let padded = StructBuilder::new("P")
             .scalar("c", ScalarKind::Char)
@@ -519,7 +658,11 @@ mod tests {
             .field("p", CType::array(CType::Struct(padded), 8))
             .build()
             .unwrap();
-        let types = [CType::Struct(paper_figure4_struct()), CType::Struct(padded)];
+        let types = [
+            CType::Struct(paper_figure4_struct()),
+            CType::Struct(padded),
+            straddling_struct(1100),
+        ];
         let platforms = [
             PlatformSpec::linux_x86(),
             PlatformSpec::solaris_sparc(),
@@ -531,7 +674,128 @@ mod tests {
             .collect()
     }
 
+    /// A space laid over `t` with `page`-byte pages, every byte non-zero,
+    /// armed.
+    fn armed_space(t: &IndexTable, page: usize) -> AddressSpace {
+        let mut s = AddressSpace::new(t.base(), t.total_size() as usize, page);
+        let fill: Vec<u8> = (0..s.len()).map(|k| (k % 251) as u8 | 1).collect();
+        s.write_untracked(t.base(), &fill).unwrap();
+        s.protect_all();
+        s
+    }
+
+    /// The scan against the oracle it replaced in the client, and what its
+    /// heat report must satisfy: dirty pages only, ascending, once each,
+    /// never more bytes than the ranges hold.
+    fn assert_scan_matches_oracle(t: &IndexTable, s: &AddressSpace, what: &str) {
+        let mut heat = Vec::new();
+        let scanned = scan_ranges_with(t, s, |page, bytes| heat.push((page, bytes)));
+        assert_eq!(
+            scanned,
+            abstract_diffs(t, &diff_pages(s)),
+            "{what}, {}-byte pages",
+            s.page_size()
+        );
+        assert_eq!(scan_ranges(t, s), scanned);
+        let dirty: Vec<u64> = s.dirty_pages().map(|p| p as u64).collect();
+        assert!(heat.iter().all(|(p, b)| dirty.contains(p) && *b > 0));
+        assert!(heat.windows(2).all(|w| w[0].0 < w[1].0), "{heat:?}");
+        let shipped: u64 = scanned
+            .iter()
+            .map(|r| r.count * u64::from(t.row(r.entry).unwrap().size))
+            .sum();
+        let charged: u64 = heat.iter().map(|h| h.1).sum();
+        assert!(charged <= shipped, "{charged} > {shipped}");
+        assert_eq!(charged == 0, scanned.is_empty());
+    }
+
+    #[test]
+    fn every_byte_run_across_a_seam_an_element_straddles_matches_the_oracle() {
+        // Two 64-byte pages: `d[0]` straddles their seam, `c` ends at 97
+        // and `s` starts at 98, `e` fills the second page.
+        let t = IndexTable::build(&straddling_struct(4), 0x1000, &PlatformSpec::linux_x86());
+        assert_eq!(t.total_size(), 128);
+        assert_eq!(
+            (t.rows()[1].addr, t.rows()[3].addr),
+            (0x1000 + 60, 0x1000 + 98)
+        );
+        for start in 0..128u64 {
+            for end in start + 1..=128 {
+                let mut s = armed_space(&t, 64);
+                let old = s.read(0x1000 + start, (end - start) as usize).unwrap();
+                let new: Vec<u8> = old.iter().map(|b| !b).collect();
+                s.write(0x1000 + start, &new).unwrap();
+                assert_scan_matches_oracle(&t, &s, &format!("bytes [{start}, {end})"));
+            }
+        }
+        // The straddling element, changed on one side of the seam only, with
+        // the other side's page dirty as well and then clean.
+        for (side, other_dirty) in [(62, true), (62, false), (66, true), (66, false)] {
+            let mut s = armed_space(&t, 64);
+            s.write(0x1000 + side, &[0]).unwrap();
+            if other_dirty {
+                let byte = s.read(0x1000 + 128 - side, 1).unwrap().to_vec();
+                s.write(0x1000 + 128 - side, &byte).unwrap();
+            }
+            assert_scan_matches_oracle(&t, &s, "one side of the seam");
+            let d0 = UpdateRange {
+                entry: 1,
+                first: 0,
+                count: 1,
+            };
+            assert_eq!(scan_ranges(&t, &s), vec![d0]);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn scan_ranges_matches_the_byte_granular_oracle(
+            page in prop::sample::select(vec![64usize, 512, 4096, 8192]),
+            // (row and anchor, offset from the anchor, length, stretch,
+            // what is written): writes cluster on row seams, padding and
+            // the first page seam inside a row; one in eight is long enough
+            // to cross whole rows and pages.
+            writes in prop::collection::vec(
+                (0usize..96, -24i64..24, 1usize..80, 0usize..8, 0u8..4),
+                0..24,
+            ),
+        ) {
+            for t in tables() {
+                let rows = t.rows();
+                let mut s = armed_space(&t, page);
+                let pristine = s.raw().to_vec();
+                let (base, len) = (t.base(), s.len() as u64);
+                for &(row, delta, n, stretch, mode) in &writes {
+                    let r = &rows[(row / 3) % rows.len()];
+                    let anchor = match row % 3 {
+                        0 => r.addr,
+                        1 => r.end(),
+                        _ => r.addr.next_multiple_of(page as u64),
+                    };
+                    let at = anchor.saturating_add_signed(delta).clamp(base, base + len - 1);
+                    let n = if stretch == 0 { n * 700 } else { n };
+                    let n = n.min((base + len - at) as usize);
+                    let off = (at - base) as usize;
+                    let data: Vec<u8> = match mode {
+                        // Every byte changes.
+                        0 => s.raw()[off..off + n].iter().map(|b| !b).collect(),
+                        // One bit of one byte in five: partial elements.
+                        1 => s.raw()[off..off + n]
+                            .iter()
+                            .enumerate()
+                            .map(|(k, b)| if k % 5 == 0 { b ^ 0x10 } else { *b })
+                            .collect(),
+                        // The bytes already there: a dirty page, no change.
+                        2 => s.raw()[off..off + n].to_vec(),
+                        // The original value back, over whatever was written.
+                        _ => pristine[off..off + n].to_vec(),
+                    };
+                    s.write(at, &data).unwrap();
+                }
+                assert_scan_matches_oracle(&t, &s, "random writes");
+            }
+        }
+
         #[test]
         fn map_runs_matches_the_reference_in_any_order(
             // (row, offset from that row's start or end, length, stretch):

@@ -1,13 +1,14 @@
 //! Allocation guard for the store → `UpdateRange` → frame → apply path: a
 //! tracked store is a bounds check, an encode into a stack buffer and a
-//! copy, `map_runs` allocates its output vector and nothing per run, and
-//! a batch is one frame from extraction to apply — written, enveloped,
+//! copy, the release scan and `map_runs` allocate their output vector and
+//! nothing per element, page or run, and a batch is one frame from
+//! extraction to apply — written, enveloped,
 //! validated and applied with a handful of allocations whatever the number
 //! of updates. A counting global allocator holds all of it to that.
 
 use hdsm_core::gthv::{GthvDef, GthvInstance};
 use hdsm_core::protocol::DsdMsg;
-use hdsm_core::runs::{map_runs, UpdateRange};
+use hdsm_core::runs::{map_runs, scan_ranges, UpdateRange};
 use hdsm_core::update::{apply_batch, extract_updates};
 use hdsm_memory::diff::DiffRun;
 use hdsm_platform::ctype::StructBuilder;
@@ -94,6 +95,41 @@ fn stores_and_loads_on_faulted_pages_do_not_allocate() {
     });
     assert_eq!(sum, (CALLS * (CALLS - 1) / 2) as f64);
     assert_eq!(n, 0, "{n} allocations in {CALLS} stores and loads");
+}
+
+#[test]
+fn the_release_scan_allocates_its_output_and_nothing_per_element_or_page() {
+    // A stripe rewritten whole: all of `grid` and the head of `counts`,
+    // 43 pages of 4 KiB (a `jacobi` interval at n = 255), two ranges.
+    let mut g = instance();
+    g.space_mut().protect_all();
+    let ints = (43 * 4096 - 8 * 2 * CALLS) / 4;
+    for e in 0..2 * CALLS {
+        g.write_float(0, e, e as f64 + 0.5).unwrap();
+    }
+    for e in 0..ints {
+        g.write_int(1, e, e as i128 + 1).unwrap();
+    }
+    assert_eq!(g.space().dirty_count(), 43);
+    let (n, ranges) = allocations(|| scan_ranges(g.table(), g.space()));
+    let range = |entry, count| UpdateRange {
+        entry,
+        first: 0,
+        count,
+    };
+    assert_eq!(ranges, [range(0, 2 * CALLS), range(1, ints)]);
+    assert!(n <= 8, "{n} allocations to scan 43 rewritten pages");
+
+    // SOR's shape: every other element, so that no range joins the last.
+    let mut g = instance();
+    g.space_mut().protect_all();
+    for k in 0..CALLS {
+        g.write_float(0, 2 * k, k as f64 + 0.5).unwrap();
+    }
+    let (n, ranges) = allocations(|| scan_ranges(g.table(), g.space()));
+    assert_eq!(ranges.len(), CALLS as usize);
+    // Doubling from 4 to 16 384 slots is 13 (re)allocations.
+    assert!(n <= 16, "{n} allocations for {CALLS} one-element ranges");
 }
 
 #[test]

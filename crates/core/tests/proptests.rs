@@ -1,6 +1,11 @@
 //! Property tests for the DSD core: the update pipeline
 //! (diff → index ranges → wire → receiver-makes-right apply) must carry
 //! arbitrary write patterns faithfully between arbitrary platform pairs.
+//!
+//! Ranges come from `abstract_diffs(diff_pages(..))`, the paper-literal
+//! byte-granular route, on purpose: it is the path independent of the
+//! client's `scan_ranges` (which `runs`' own tests hold to it), so a defect
+//! in the fused scan cannot hide here behind itself.
 
 use bytes::Bytes;
 use hdsm_core::gthv::{GthvDef, GthvInstance};

@@ -1,11 +1,22 @@
-//! Twin/diff: byte-level comparison of dirty pages against their twins.
+//! Twin/diff: comparison of dirty pages against their twins.
 //!
 //! Paper §4.2: "each byte on the dirty page must be compared to its
 //! corresponding byte on the original page" — this scan is the dominant
 //! part of the paper's `t_index` (Figure 8 measures it together with the
-//! run→index mapping). The output is a list of maximal *runs* of modified
-//! bytes, addressed in the node's simulated address space. Every byte is
-//! compared, eight to a `u64` word; the runs are the byte loop's.
+//! run→index mapping). Two scans make that comparison:
+//!
+//! * [`diff_pages`] (over [`diff_page_into`]), the paper-literal one: its
+//!   output is a list of maximal *runs* of modified bytes, addressed in the
+//!   node's simulated address space. Every byte of the page is compared,
+//!   eight to a `u64` word; the runs are the byte loop's. A page DSM ships
+//!   these (`hdsm-core::baseline`), and `hdsm-core::runs::map_runs` folds
+//!   them into element ranges — the oracle the DSD client's scan is held to.
+//! * [`diff_elems`], which compares a span one *element* at a time. The
+//!   DSD ships elements whole, so its release scan
+//!   (`hdsm-core::runs::scan_ranges`) walks the index table's rows over
+//!   each dirty page and compares at the row's element size: every byte a
+//!   row covers is still compared, and no byte run is built only to be
+//!   folded back into elements.
 
 use crate::space::AddressSpace;
 
@@ -25,8 +36,8 @@ impl DiffRun {
     }
 }
 
-/// Bytes compared per step of [`diff_page_into`]: eight `u64` words, one
-/// bit of a `u64` mask per byte.
+/// Bytes compared per step of [`diff_page_into`] and [`diff_elems`]: eight
+/// `u64` words, one bit of a `u64` mask per byte.
 const BLOCK: usize = 64;
 
 /// One bit per byte of `twin`/`current` (equal lengths, at most [`BLOCK`]
@@ -135,6 +146,78 @@ pub fn diff_page_into(page_addr: u64, twin: &[u8], current: &[u8], out: &mut Vec
     );
 }
 
+/// Compare a span of whole `size`-byte elements against its twin, calling
+/// `emit(first, count)` for each maximal run of elements that have a
+/// differing byte, in ascending order; element `k` is bytes
+/// `[k * size, (k + 1) * size)` of both slices.
+///
+/// The element-granular counterpart of [`diff_page_into`], for a caller
+/// that knows the element size (the index table does) and ships elements
+/// whole: an element is in a run iff [`diff_page_into`] would put a run on
+/// one of its bytes. The span is walked `BLOCK` bytes at a time like the
+/// page is there — an unchanged block costs one fixed-size comparison, a
+/// changed one a fixed-width comparison per element — but no byte mask is
+/// built and no run is emitted per byte edge.
+///
+/// # Panics
+/// Panics if the slices differ in length or are not whole elements.
+pub fn diff_elems(twin: &[u8], current: &[u8], size: usize, emit: impl FnMut(usize, usize)) {
+    assert_eq!(twin.len(), current.len(), "twin and span differ in size");
+    assert!(
+        size > 0 && current.len().is_multiple_of(size),
+        "span of {} bytes is not whole {size}-byte elements",
+        current.len()
+    );
+    // The literal sizes turn the element and block compares of the inlined
+    // walk into fixed-width loads; any other size compares slices.
+    match size {
+        1 => elem_runs(twin, current, 1, emit),
+        2 => elem_runs(twin, current, 2, emit),
+        4 => elem_runs(twin, current, 4, emit),
+        8 => elem_runs(twin, current, 8, emit),
+        16 => elem_runs(twin, current, 16, emit),
+        _ => elem_runs(twin, current, size, emit),
+    }
+}
+
+/// [`diff_elems`] for one element size. The blocks compared first are the
+/// whole elements that fit in `BLOCK` bytes — exactly `BLOCK` for a size
+/// that divides it, one element for a larger one.
+#[inline(always)]
+fn elem_runs(twin: &[u8], current: &[u8], size: usize, mut emit: impl FnMut(usize, usize)) {
+    let per_block = (BLOCK / size).max(1);
+    let block = per_block * size;
+    // `at` is the next element to compare, `open` the first element of the
+    // run that reaches it.
+    let mut open: Option<usize> = None;
+    let mut at = 0;
+    let mut step = |elem: usize, differs: bool| match (open, differs) {
+        (None, true) => open = Some(elem),
+        (Some(first), false) => {
+            emit(first, elem - first);
+            open = None;
+        }
+        _ => {}
+    };
+    let (mut t_blocks, mut c_blocks) = (twin.chunks_exact(block), current.chunks_exact(block));
+    for (t, c) in (&mut t_blocks).zip(&mut c_blocks) {
+        if t == c {
+            step(at, false);
+        } else {
+            for (k, (t, c)) in t.chunks_exact(size).zip(c.chunks_exact(size)).enumerate() {
+                step(at + k, t != c);
+            }
+        }
+        at += per_block;
+    }
+    let (t_tail, c_tail) = (t_blocks.remainder(), c_blocks.remainder());
+    for (t, c) in t_tail.chunks_exact(size).zip(c_tail.chunks_exact(size)) {
+        step(at, t != c);
+        at += 1;
+    }
+    step(at, false);
+}
+
 /// Diff every dirty page of a space against its twin, returning runs in
 /// ascending address order. Runs never span page boundaries (pages are
 /// diffed independently, as in any twin/diff DSM); adjacent cross-page runs
@@ -235,30 +318,6 @@ pub fn merge_adjacent(runs: &mut Vec<DiffRun>) {
 /// Total modified bytes across runs.
 pub fn total_bytes(runs: &[DiffRun]) -> u64 {
     runs.iter().map(|r| r.len as u64).sum()
-}
-
-/// Attribute runs to pages: split every run at page boundaries and return
-/// `(page_index, bytes)` chunks in run order, where `page_index` is
-/// relative to `base`. Used by the observability heatmap to charge diffed
-/// bytes to the page they live on; a merged cross-page run contributes one
-/// chunk per page it touches.
-pub fn split_by_page(runs: &[DiffRun], base: u64, page_size: u64) -> Vec<(u64, u64)> {
-    debug_assert!(page_size > 0);
-    let mut out = Vec::new();
-    for run in runs {
-        // Clamp to the space: bytes below `base` have no page to be charged
-        // to, and including them would underflow the page computation.
-        let mut addr = run.addr.max(base);
-        let end = run.end();
-        while addr < end {
-            let page = (addr - base) / page_size;
-            let page_end = base + (page + 1) * page_size;
-            let chunk = end.min(page_end) - addr;
-            out.push((page, chunk));
-            addr += chunk;
-        }
-    }
-    out
 }
 
 /// The byte-at-a-time scan [`diff_page_into`] replaced, kept as the
@@ -367,6 +426,80 @@ mod tests {
         }
     }
 
+    /// `(first, count)` element runs.
+    type ElemRuns = Vec<(usize, usize)>;
+
+    /// Element runs of both scans: [`diff_elems`], and the elements the
+    /// bytewise scan's runs touch, adjacent ones joined.
+    fn elem_scans(twin: &[u8], current: &[u8], size: usize) -> (ElemRuns, ElemRuns) {
+        let mut fast = Vec::new();
+        diff_elems(twin, current, size, |first, count| {
+            fast.push((first, count))
+        });
+        let mut bytes = Vec::new();
+        diff_page_into_bytewise(0, twin, current, &mut bytes);
+        let mut reference = ElemRuns::new();
+        for run in bytes {
+            let first = run.addr as usize / size;
+            let end = (run.end() as usize - 1) / size + 1;
+            match reference.last_mut() {
+                Some((f, n)) if first <= *f + *n => *n = end - *f,
+                _ => reference.push((first, end - first)),
+            }
+        }
+        (fast, reference)
+    }
+
+    #[test]
+    fn every_byte_run_within_two_blocks_matches_bytewise_at_every_size() {
+        // Sizes that divide a block, one that does not, one above a block.
+        for size in [1usize, 2, 4, 8, 16, 3, 12, 80] {
+            let len = (2 * BLOCK + 40) / size * size;
+            let twin = vec![0x5au8; len];
+            for start in 0..len {
+                for end in start + 1..=len {
+                    let mut current = twin.clone();
+                    current[start..end].iter_mut().for_each(|b| *b ^= 0xff);
+                    let (fast, reference) = elem_scans(&twin, &current, size);
+                    assert_eq!(fast, reference, "size {size}, bytes [{start}, {end})");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn element_scan_equals_bytewise(
+            size in prop::sample::select(vec![1usize, 2, 4, 8, 16, 3, 12, 80]),
+            twin in prop::collection::vec(any::<u8>(), 0..=4099),
+            runs in prop::collection::vec((0usize..4099, 1usize..200), 0..40),
+            flips in prop::collection::vec(0usize..4099, 0..64),
+        ) {
+            let len = twin.len() / size * size;
+            let twin = &twin[..len];
+            let mut current = twin.to_vec();
+            if len > 0 {
+                for (at, n) in runs {
+                    let at = at % len;
+                    for b in &mut current[at..(at + n).min(len)] {
+                        *b = !*b;
+                    }
+                }
+                for at in flips {
+                    current[at % len] ^= 1;
+                }
+            }
+            let (fast, reference) = elem_scans(twin, &current, size);
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole 8-byte elements")]
+    fn element_scan_rejects_a_ragged_span() {
+        diff_elems(&[0; 12], &[0; 12], 8, |_, _| {});
+    }
+
     fn armed(len: usize, page: usize) -> AddressSpace {
         let mut s = AddressSpace::new(BASE, len, page);
         s.protect_all();
@@ -470,35 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn split_by_page_charges_each_page_its_share() {
-        let runs = vec![
-            DiffRun {
-                addr: BASE + 10,
-                len: 4,
-            },
-            // Spans the first/second page boundary: 2 bytes each side.
-            DiffRun {
-                addr: BASE + 4094,
-                len: 4,
-            },
-            // Covers all of page 2 and one byte of page 3.
-            DiffRun {
-                addr: BASE + 2 * 4096,
-                len: 4097,
-            },
-        ];
-        assert_eq!(
-            split_by_page(&runs, BASE, 4096),
-            vec![(0, 4), (0, 2), (1, 2), (2, 4096), (3, 1)]
-        );
-        let charged: u64 = split_by_page(&runs, BASE, 4096)
-            .iter()
-            .map(|(_, b)| b)
-            .sum();
-        assert_eq!(charged, total_bytes(&runs));
-    }
-
-    #[test]
     fn parallel_diff_matches_serial_above_threshold() {
         // Enough dirty pages to engage the sharded scan, with runs that
         // cross shard boundaries so concatenation order matters.
@@ -522,20 +626,6 @@ mod tests {
         s.write(BASE + 5, &[1, 2]).unwrap();
         s.write(BASE + 4096 + 9, &[3]).unwrap();
         assert_eq!(diff_pages_parallel(&s, 4), diff_pages(&s));
-    }
-
-    #[test]
-    fn split_by_page_run_straddling_base_charges_only_in_space_pages() {
-        // A run that begins below `base` and spans the base boundary must
-        // still attribute its in-space bytes to page 0 (and further pages it
-        // reaches) — not underflow the page computation. Runs like this
-        // arise when a caller merges externally-sourced runs with space
-        // runs before charging the heatmap.
-        let runs = vec![DiffRun {
-            addr: BASE - 2,
-            len: 4100,
-        }];
-        assert_eq!(split_by_page(&runs, BASE, 4096), vec![(0, 4096), (1, 2)]);
     }
 
     #[test]

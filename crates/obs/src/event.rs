@@ -106,10 +106,13 @@ pub enum EventKind {
     LockRelease,
     /// Inside a barrier, enter→release (`arg0` = barrier id).
     Barrier,
-    /// Twin/diff byte scan + run→index mapping (`t_index`; `arg0` = dirty
-    /// bytes found).
+    /// Twin/diff scan of the dirty pages straight to index ranges
+    /// (`t_index`; `arg0` = bytes of changed elements, `arg1` = ranges
+    /// found).
     DiffScan,
-    /// Coalescing runs into tags (`t_tag`; `arg0` = tag count).
+    /// Settling the ranges that ship, one tag each — whole-entry promotion
+    /// on a client, coalescing the update log on a home (`t_tag`; `arg0` =
+    /// tag count).
     TagBuild,
     /// Packing tag + data frames (`t_pack`; `arg0` = bytes).
     Pack,

@@ -1,8 +1,9 @@
 //! Per-page and per-index-entry access heatmaps.
 //!
 //! The paper's Figure 9 story — "thousands of indexes distill into one
-//! tag" — is reproduced here as data: every release's diff runs feed the
-//! page map (which pages are written, how many bytes actually changed),
+//! tag" — is reproduced here as data: every release's diff scan feeds the
+//! page map (which pages are written, how many bytes of them changed
+//! elements cover),
 //! and every update frame feeds the entry map (which index entries ship,
 //! over which element ranges). The resulting tables show at a glance where
 //! sharing traffic concentrates.
@@ -12,9 +13,12 @@ use std::collections::BTreeMap;
 /// Accumulated statistics for one page of the protected global space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageStats {
-    /// Times the page appeared in a release diff scan with changed bytes.
+    /// Times the page appeared in a release diff scan with a changed
+    /// element.
     pub writes: u64,
-    /// Total changed bytes found on the page across all diff scans.
+    /// Bytes of the page that changed elements covered, summed over all
+    /// diff scans: an element counts whole when one of its bytes changed,
+    /// as it ships.
     pub diff_bytes: u64,
     /// Times the page was overwritten by incoming updates (acquires).
     pub invalidations: u64,
@@ -83,7 +87,7 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// A diff scan found `bytes` changed bytes on `page`.
+    /// A diff scan found changed elements covering `bytes` bytes of `page`.
     pub fn page_diff(&mut self, page: u64, bytes: u64) {
         let p = self.pages.entry(page).or_default();
         p.writes += 1;

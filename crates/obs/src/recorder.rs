@@ -457,7 +457,7 @@ impl Recorder {
 
     // ----- heatmap feeds -----
 
-    /// A diff scan found `bytes` changed bytes on `page`.
+    /// A diff scan found changed elements covering `bytes` bytes of `page`.
     pub fn page_diff(&self, page: u64, bytes: u64) {
         if let Some(core) = &self.0 {
             core.heatmap.lock().page_diff(page, bytes);

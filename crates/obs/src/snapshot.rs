@@ -63,9 +63,9 @@ pub struct HistSummary {
 pub struct PageRow {
     /// Page index in the protected global space.
     pub page: u64,
-    /// Diff scans that found changed bytes on the page.
+    /// Diff scans that found a changed element on the page.
     pub writes: u64,
-    /// Total changed bytes found.
+    /// Bytes of the page that changed elements covered, over those scans.
     pub diff_bytes: u64,
     /// Times overwritten by incoming updates.
     pub invalidations: u64,

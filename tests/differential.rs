@@ -271,8 +271,11 @@ fn dsd_matches_baseline_page_dsm() {
         let raw = unpack_raw(pack_raw(&extract_raw_diffs(&src))).unwrap();
         apply_raw_diffs(&mut via_baseline, src.platform(), &raw).unwrap();
 
-        // DSD, as the client runs it: word-wise diff, grouped v2 wire,
-        // compiled plans.
+        // DSD over the byte-granular route, `abstract_diffs(diff_pages(..))`
+        // — on purpose not the client's `scan_ranges`: this is the
+        // independent path the cluster's bytes are compared against
+        // (`scan_ranges` is held to it in `hdsm-core::runs`' tests). Then
+        // the client's grouped v2 wire and compiled plans.
         let mut via_dsd = GthvInstance::new(def, plat);
         let runs = diff_pages(src.space());
         let ups = extract_updates(&src, &abstract_diffs(src.table(), &runs)).unwrap();
