@@ -205,7 +205,6 @@ struct Touched {
 pub struct DsdClient {
     thread_rank: u32,
     ep: Endpoint,
-    home_ep: u32,
     /// Entry/lock/barrier → home-shard partition (the single-home layout
     /// unless the cluster was built with `shards(n)`), plus the per-entry
     /// ownership rows learned lazily from `EntryMoved` bounces when the
@@ -251,18 +250,18 @@ pub struct DsdClient {
 
 impl DsdClient {
     /// Create a client for thread `thread_rank`, talking to the home
-    /// service at endpoint `home_ep`. The local copy starts write-
-    /// protected: any store before the first acquire is caught and shipped
-    /// at the first release, like a store between `mprotect` and the first
-    /// lock in the original system.
-    pub fn new(thread_rank: u32, ep: Endpoint, home_ep: u32, mut gthv: GthvInstance) -> DsdClient {
+    /// service the directory names (one shard at endpoint 0 until
+    /// [`Self::set_directory`] says otherwise). The local copy starts
+    /// write-protected: any store before the first acquire is caught and
+    /// shipped at the first release, like a store between `mprotect` and
+    /// the first lock in the original system.
+    pub fn new(thread_rank: u32, ep: Endpoint, mut gthv: GthvInstance) -> DsdClient {
         gthv.space_mut().reset_and_protect();
         let obs_rank = ep.rank();
         let clock = ep.clock();
         DsdClient {
             thread_rank,
             ep,
-            home_ep,
             placement: Placement::new(Directory::single()),
             obs_rank,
             gthv,
@@ -316,7 +315,7 @@ impl DsdClient {
 
     /// Attach the cluster's home directory. Must match the directory the
     /// home shards were built with; the default single-home directory
-    /// routes everything to `home_ep`.
+    /// routes everything to endpoint 0.
     pub fn set_directory(&mut self, directory: Directory) {
         self.placement = Placement::new(directory);
     }
@@ -326,20 +325,12 @@ impl DsdClient {
         self.placement.directory()
     }
 
-    /// Endpoint rank home shard `shard` listens on. The single-home
-    /// layout keeps honouring an arbitrary `home_ep`; a failover
-    /// override (learned from a dead endpoint or a `ViewChange`) wins
-    /// over the directory's default.
+    /// Endpoint rank home shard `shard` listens on: a failover override
+    /// (learned from a dead endpoint or a `ViewChange`) wins over the
+    /// directory's default.
     fn shard_ep(&self, shard: u32) -> u32 {
-        if let Some(ep) = self.shard_views.get(&shard).and_then(|v| v.ep) {
-            return ep;
-        }
-        let directory = self.directory();
-        if directory.n_shards() == 1 && directory.n_replicas() == 0 {
-            self.home_ep
-        } else {
-            directory.shard_ep(shard)
-        }
+        let learned = self.shard_views.get(&shard).and_then(|v| v.ep);
+        learned.unwrap_or_else(|| self.directory().shard_ep(shard))
     }
 
     /// The epoch this client stamps on requests to `shard` (0 until a
@@ -423,8 +414,14 @@ impl DsdClient {
     /// [`Self::op`]), so a snapshot taken after the run holds every access
     /// made before the client's last op.
     fn flush_heat(&self) {
-        let tallies = self.heat.iter().map(|t| (t.reads.take(), t.writes.take()));
-        self.recorder.entry_accesses(tallies);
+        self.recorder.heat(|h| {
+            for (entry, t) in self.heat.iter().enumerate() {
+                let (reads, writes) = (t.reads.take(), t.writes.take());
+                if reads != 0 || writes != 0 {
+                    h.entry_accessed(entry as u32, reads, writes);
+                }
+            }
+        });
     }
 
     /// The client's observability recorder (disabled unless wired up).
@@ -483,11 +480,6 @@ impl DsdClient {
     /// The local `GThV` copy (typed reads).
     pub fn gthv(&self) -> &GthvInstance {
         &self.gthv
-    }
-
-    /// The local `GThV` copy (typed writes — tracked by write detection).
-    pub fn gthv_mut(&mut self) -> &mut GthvInstance {
-        &mut self.gthv
     }
 
     /// This node's platform.
@@ -650,23 +642,28 @@ impl DsdClient {
         t.end(&mut self.costs);
         self.costs.updates_applied += updates;
         self.costs.bytes_applied += bytes;
-        if self.recorder.is_enabled() {
+        self.recorder.heat(|h| {
             let ps = self.gthv.space().page_size() as u64;
             let base = self.gthv.space().base();
-            for u in batches.iter().flat_map(UpdateBatch::iter) {
-                self.recorder.update_applied(u.entry, u.data.len() as u64);
-                // Local footprint of the overwritten range, page by page.
-                if let Some(row) = self.gthv.table().row(u.entry) {
+            for g in batches.iter().flat_map(UpdateBatch::groups) {
+                let row = self.gthv.table().row(g.head.entry);
+                let (mut runs, mut bytes) = (0, 0);
+                for u in g.runs() {
+                    runs += 1;
+                    bytes += u.data.len() as u64;
+                    // Local footprint of the overwritten range, page by page.
+                    let Some(row) = row else { continue };
                     let start = row.addr + u.elem_offset * u64::from(row.size);
                     let end = start + u.count * u64::from(row.size);
                     if end > start {
                         for page in (start - base) / ps..=(end - 1 - base) / ps {
-                            self.recorder.page_invalidated(page);
+                            h.page_invalidated(page);
                         }
                     }
                 }
+                h.update_applied(g.head.entry, runs, bytes);
             }
-        }
+        });
         // "Mprotect globals" (paper Fig. 5): re-arm after the acquire so
         // this thread's own writes are trapped for the next release.
         self.gthv.space_mut().reset_and_protect();
@@ -688,9 +685,6 @@ impl DsdClient {
         });
         t.args(heat.iter().map(|h| h.1).sum(), ranges.len() as u64);
         t.end(&mut self.costs);
-        for (page, bytes) in heat {
-            self.recorder.page_diff(page, bytes);
-        }
         // t_tag: which ranges ship as they are and which as their whole
         // entry (optional promotion).
         let mut t = Phase::Tag.begin(&self.recorder, self.obs_rank, self.cur_op);
@@ -700,6 +694,20 @@ impl DsdClient {
         t.args(ranges.len() as u64, 0);
         t.end(&mut self.costs);
         self.costs.updates_sent += ranges.len() as u64;
+        // What the release is about to ship, charged once: the dirty
+        // pages, then the ranges an entry at a time.
+        self.recorder.heat(|h| {
+            for (page, bytes) in heat {
+                h.page_diff(page, bytes);
+            }
+            for of_entry in ranges.chunk_by(|a, b| a.entry == b.entry) {
+                let entry = of_entry[0].entry;
+                if let Some(row) = self.gthv.table().row(entry) {
+                    let runs = of_entry.iter().map(|r| (r.first, r.count));
+                    h.update_sent(entry, self.thread_rank, u64::from(row.size), runs);
+                }
+            }
+        });
         Ok(ranges)
     }
 
@@ -742,9 +750,6 @@ impl DsdClient {
         build: impl Fn(UpdateBatch) -> DsdMsg,
     ) -> Result<DsdMsg, DsdError> {
         let mut pending = self.collect_outgoing()?;
-        if self.recorder.is_enabled() {
-            self.record_outgoing(&pending);
-        }
         // Twins/dirty marks collected; re-arm for the next critical section.
         self.gthv.space_mut().reset_and_protect();
         let shards = self.directory().n_shards();
@@ -786,21 +791,6 @@ impl DsdClient {
                 }
                 reply => return Ok(reply),
             }
-        }
-    }
-
-    /// Feed the recorder the updates a release is about to ship.
-    fn record_outgoing(&self, ranges: &[UpdateRange]) {
-        for r in ranges {
-            let Some(row) = self.gthv.table().row(r.entry) else {
-                continue;
-            };
-            let bytes = r.count * u64::from(row.size);
-            self.recorder.update_sent(r.entry, r.first, r.count, bytes);
-            // Per-(entry, writer) attribution: the placement engine's
-            // "dominant writer" signal.
-            self.recorder
-                .entry_written_by(r.entry, self.thread_rank, bytes);
         }
     }
 
@@ -876,7 +866,7 @@ impl DsdClient {
                 updates,
             })? {
                 DsdMsg::UnlockAck { lock: l } if l == lock => {
-                    c.recorder.release_to(rank, owner);
+                    c.recorder.heat(|h| h.release_to(rank, owner));
                     if let Some((t_us, start)) = c.held_since.remove(&lock) {
                         c.recorder.span_at_op(
                             c.obs_rank,
@@ -988,7 +978,7 @@ impl DsdClient {
                     barrier: b,
                     updates,
                 } if b == barrier => {
-                    c.recorder.release_to(rank, coordinator);
+                    c.recorder.heat(|h| h.release_to(rank, coordinator));
                     c.finish_acquire(coordinator, updates)
                 }
                 _ => Err(DsdError::Unexpected("BarrierRelease")),
@@ -1301,7 +1291,7 @@ mod tests {
                 let body = &body;
                 s.spawn(move || {
                     let gthv = GthvInstance::new(def, plat);
-                    let mut c = DsdClient::new(i as u32 + 1, ep, 0, gthv);
+                    let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
                     body(&mut c);
                     c.join().expect("join");
                 });
@@ -1338,6 +1328,17 @@ mod tests {
         assert_eq!((row(0).reads, row(0).writes), (3 + 5 + 1, 1 + 4));
         assert_eq!((row(1).reads, row(1).writes), (2, 1));
         assert!(snap.entries.iter().all(|e| e.entry < 2));
+        // The release charged its ranges an entry at a time: element 0
+        // and elements 20..24 of entry 0, one element of entry 1, all
+        // attributed to this writer.
+        let sent = |e: u32| (row(e).updates_sent, row(e).elems_sent, row(e).max_elem);
+        assert_eq!((sent(0), sent(1)), ((2, 5, 24), (1, 1, 1)));
+        let by_writer: Vec<_> = snap
+            .write_heat
+            .iter()
+            .map(|w| (w.writer, w.updates))
+            .collect();
+        assert_eq!(by_writer, [(1, 2), (1, 1)]);
     }
 
     #[test]
@@ -1691,7 +1692,7 @@ mod tests {
                 let def = def.clone();
                 s.spawn(move || {
                     let gthv = GthvInstance::new(def, PlatformSpec::linux_x86());
-                    let mut c = DsdClient::new(i as u32 + 1, ep, 0, gthv);
+                    let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
                     c.set_directory(dir);
                     if c.thread_rank() == 1 {
                         c.acquire(L0).unwrap();

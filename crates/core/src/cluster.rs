@@ -46,7 +46,7 @@ use hdsm_net::fault::LinkFaults;
 use hdsm_net::message::MsgKind;
 use hdsm_net::stats::{NetConfig, NetStats};
 use hdsm_net::{FabricClock, FabricMode, FaultPlan, SimFabric, Ticker};
-use hdsm_obs::{DecisionRow, EventKind, ObsSnapshot, Recorder, WatchdogConfig};
+use hdsm_obs::{DecisionRow, EventKind, ObsSnapshot, Recorder, WatchdogConfig, WriterStats};
 use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::ConversionStats;
 use std::fmt;
@@ -1089,12 +1089,20 @@ impl ClusterBuilder {
                             ctl.sleep(slice);
                             slept += slice;
                         }
-                        let inputs = PlacementInputs {
-                            write_heat: recorder.write_heat(),
-                            release_dests: recorder.release_dests(),
+                        let mut inputs = PlacementInputs {
                             owners: owners.rows().into_iter().map(|(e, s, _)| (e, s)).collect(),
                             shards,
+                            ..Default::default()
                         };
+                        // Both signals from one look at the heat map.
+                        recorder.heat(|h| {
+                            let row = |((entry, writer), w): (_, WriterStats)| {
+                                (entry, writer, w.updates, w.bytes)
+                            };
+                            inputs.write_heat = h.writers().map(row).collect();
+                            let row = |((writer, shard), n)| (writer, shard, n);
+                            inputs.release_dests = h.releases().map(row).collect();
+                        });
                         for d in policy.plan(&inputs) {
                             if done() {
                                 break 'engine;
@@ -1190,7 +1198,7 @@ impl ClusterBuilder {
                         session,
                     };
                     let gthv = GthvInstance::new(def, plat);
-                    let mut client = DsdClient::new(i as u32 + 1, ep, 0, gthv);
+                    let mut client = DsdClient::new(i as u32 + 1, ep, gthv);
                     client.set_directory(directory);
                     client.set_recorder(recorder.clone());
                     if let Some(d) = timing.recv_deadline {

@@ -52,13 +52,6 @@ impl GthvDef {
         })
     }
 
-    /// Same, with an explicit base address.
-    pub fn with_base(def: Arc<StructDef>, base: u64) -> Result<GthvDef, TypeError> {
-        let mut d = GthvDef::new(def)?;
-        d.base = base;
-        Ok(d)
-    }
-
     /// Entry id of a top-level field by name (panics if absent — a typo in
     /// the program, not a runtime condition). Only valid when the field
     /// flattens to a single row (scalar or array-of-scalar).

@@ -236,14 +236,6 @@ impl AddressSpace {
         }
     }
 
-    /// Disarm the entire space without faulting (e.g. during initial
-    /// population of the global structure).
-    pub fn unprotect_all(&mut self) {
-        for p in &mut self.prot {
-            *p = PageProt::ReadWrite;
-        }
-    }
-
     /// Protection state of the page containing `addr`.
     pub fn prot_at(&self, addr: u64) -> Result<PageProt, MemError> {
         let off = self.offset_of(addr, 1)?;
@@ -284,15 +276,6 @@ impl AddressSpace {
         }
         self.dirty.clear();
         self.protect_all();
-    }
-
-    /// Discard twins/dirty marks but leave pages writable.
-    pub fn reset_unprotected(&mut self) {
-        for t in &mut self.twins {
-            *t = None;
-        }
-        self.dirty.clear();
-        self.unprotect_all();
     }
 
     /// Raw view of the full backing store (tests/benches).

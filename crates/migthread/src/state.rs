@@ -35,17 +35,6 @@ impl TypedBlock {
         }
     }
 
-    /// Build a block from a logical value.
-    pub fn from_value(
-        ty: CType,
-        platform: Platform,
-        value: &Value,
-    ) -> Result<TypedBlock, ValueError> {
-        let mut b = TypedBlock::zeroed(ty, platform);
-        b.set(value)?;
-        Ok(b)
-    }
-
     /// Decode the whole block to a logical value.
     pub fn value(&self) -> Result<Value, ValueError> {
         Value::decode(&self.layout, &self.platform, &self.bytes)

@@ -4,9 +4,11 @@
 //! tag" — is reproduced here as data: every release's diff scan feeds the
 //! page map (which pages are written, how many bytes of them changed
 //! elements cover),
-//! and every update frame feeds the entry map (which index entries ship,
-//! over which element ranges). The resulting tables show at a glance where
-//! sharing traffic concentrates.
+//! and every update batch feeds the entry map (which index entries ship,
+//! over which element ranges), one charge per run of ranges or run group
+//! that shares an entry. The resulting tables show at a glance where
+//! sharing traffic concentrates. The map is charged through
+//! [`crate::Recorder::heat`], under one lock per batch.
 
 use std::collections::BTreeMap;
 
@@ -106,21 +108,39 @@ impl Heatmap {
         e.writes += writes;
     }
 
-    /// An update frame for `entry` covering `[first, first+count)` with
-    /// `bytes` payload bytes was shipped.
-    pub fn update_sent(&mut self, entry: u32, first: u64, count: u64, bytes: u64) {
+    /// Writer `writer` shipped one update for each `(first, count)` range
+    /// of `entry`, `elem_bytes` payload bytes per element: charges the
+    /// entry row and the per-(entry, writer) attribution table, the
+    /// placement engine's "dominant writer" signal.
+    pub fn update_sent(
+        &mut self,
+        entry: u32,
+        writer: u32,
+        elem_bytes: u64,
+        ranges: impl Iterator<Item = (u64, u64)>,
+    ) {
         let e = self.entries.entry(entry).or_default();
-        e.updates_sent += 1;
-        e.elems_sent += count;
+        let (mut updates, mut elems) = (0, 0);
+        for (first, count) in ranges {
+            updates += 1;
+            elems += count;
+            e.min_elem = e.min_elem.min(first);
+            e.max_elem = e.max_elem.max(first + count);
+        }
+        let bytes = elems * elem_bytes;
+        e.updates_sent += updates;
+        e.elems_sent += elems;
         e.bytes_sent += bytes;
-        e.min_elem = e.min_elem.min(first);
-        e.max_elem = e.max_elem.max(first + count);
+        let w = self.writers.entry((entry, writer)).or_default();
+        w.updates += updates;
+        w.bytes += bytes;
     }
 
-    /// An update frame for `entry` with `bytes` payload bytes was applied.
-    pub fn update_applied(&mut self, entry: u32, bytes: u64) {
+    /// `updates` updates for `entry`, `bytes` payload bytes in all, were
+    /// applied (a run group's runs share an entry).
+    pub fn update_applied(&mut self, entry: u32, updates: u64, bytes: u64) {
         let e = self.entries.entry(entry).or_default();
-        e.updates_applied += 1;
+        e.updates_applied += updates;
         e.bytes_applied += bytes;
     }
 
@@ -142,14 +162,6 @@ impl Heatmap {
     /// Statistics for one page.
     pub fn page(&self, page: u64) -> Option<PageStats> {
         self.pages.get(&page).copied()
-    }
-
-    /// Writer `writer` shipped an update frame for `entry` with `bytes`
-    /// payload bytes.
-    pub fn entry_written_by(&mut self, entry: u32, writer: u32, bytes: u64) {
-        let w = self.writers.entry((entry, writer)).or_default();
-        w.updates += 1;
-        w.bytes += bytes;
     }
 
     /// Writer `writer` completed a release-class sync operation (unlock,
@@ -193,9 +205,8 @@ mod tests {
     #[test]
     fn entry_ranges_track_min_max() {
         let mut h = Heatmap::default();
-        h.update_sent(0, 10, 5, 40);
-        h.update_sent(0, 2, 3, 24);
-        h.update_applied(0, 64);
+        h.update_sent(0, 7, 8, [(10, 5), (2, 3)].into_iter());
+        h.update_applied(0, 1, 64);
         h.entry_accessed(0, 1, 0);
         h.entry_accessed(0, 0, 1);
         let e = h.entry(0).unwrap();
@@ -208,6 +219,18 @@ mod tests {
         assert_eq!(e.bytes_applied, 64);
         assert_eq!(e.reads, 1);
         assert_eq!(e.writes, 1);
+        // The same charge attributes the updates to their writer.
+        let writers: Vec<_> = h.writers().collect();
+        assert_eq!(
+            writers,
+            vec![(
+                (0, 7),
+                WriterStats {
+                    updates: 2,
+                    bytes: 64
+                }
+            )]
+        );
     }
 
     #[test]

@@ -4,14 +4,17 @@
 //! default) it is a null pointer check per call site; enabled it gathers:
 //!
 //! - **Events** — per-rank ring buffers of structured spans and instants
-//!   ([`Event`], [`EventKind`]): lock wait/hold, barriers, the Eq. 1 cost
+//!   ([`Event`], [`EventKind`]), all recorded through one path that takes
+//!   one lock: lock wait/hold, barriers, the Eq. 1 cost
 //!   pipeline (diff scan, tag build, pack, unpack, convert), message
 //!   send/recv, retransmits, injected faults, lease expiries, migration
 //!   pack/restore.
 //! - **Metrics** — named counters, gauges and log2-bucket latency
 //!   histograms with p50/p95/p99 ([`Registry`], [`Histogram`]).
 //! - **Heatmaps** — per-page write/diff/invalidation and per-index-entry
-//!   traffic tables ([`Heatmap`]).
+//!   traffic tables ([`Heatmap`]), charged a batch at a time through
+//!   [`Recorder::heat`]: one lock per release or acquire, not one per
+//!   update.
 //! - **Causal tracing** — hybrid logical clocks stamped on every event
 //!   and merged across ranks on message receipt ([`HlcStamp`], the
 //!   [`causal`] timeline merge), plus per-sync-op critical paths naming

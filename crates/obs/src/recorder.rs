@@ -3,10 +3,17 @@
 //! A recorder is either *disabled* (the default: a `None` inside, every
 //! call is a branch on a null pointer and returns immediately — no
 //! counters, no clocks, no locks) or *enabled* (an `Arc` to the shared
-//! observability core: per-rank event rings, the metrics registry, the
-//! heatmaps and the per-kind network traffic table). Cloning is cheap and
+//! observability core: per-rank event logs, the metrics registry, the
+//! heatmaps and the network traffic tables). Cloning is cheap and
 //! every clone feeds the same core, so one recorder wired through
 //! `ClusterBuilder::obs` observes the whole cluster.
+//!
+//! The lock rule: no record call holds two of the core's locks at once,
+//! and recording an event takes one. Every event goes through the
+//! private `emit` (a rank's HLC and ring sit behind the same mutex); heat
+//! is charged through [`Recorder::heat`] once per batch, and the closure
+//! handed to it must not call back into the recorder;
+//! [`Recorder::blackbox_trigger_at`] never reads the time source.
 
 use crate::blackbox::{self, TriggerRow};
 use crate::event::{Event, EventKind, OpCtx};
@@ -17,7 +24,7 @@ use crate::ring::EventRing;
 use crate::snapshot::{DecisionRow, DestRow, KindTraffic, ObsSnapshot, RingDropRow};
 use crate::timeseries::{Frame, Sample, TimeSeries};
 use crate::watchdog::{self, StallReport, WatchdogConfig};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +85,24 @@ struct BlackboxState {
     triggers: Vec<TriggerRow>,
 }
 
+/// One rank's event ring and the hybrid logical clock that stamps what
+/// goes into it: ticked on every recorded event, merged with the remote
+/// stamp on receives.
+struct RankLog {
+    ring: EventRing,
+    hlc: HlcClock,
+}
+
+/// The two traffic tables one fabric send feeds.
+#[derive(Default)]
+struct NetTraffic {
+    by_kind: BTreeMap<&'static str, KindTraffic>,
+    /// Per destination endpoint, `(msgs, bytes)`. With a sharded home
+    /// (destination ranks `0..S` are shards) this is the raw material of
+    /// the report's shard-utilization section.
+    by_dest: BTreeMap<u32, (u64, u64)>,
+}
+
 pub(crate) struct ObsCore {
     epoch: Instant,
     /// Overrides `epoch.elapsed()` when set (see [`TimeSource`]). Set at
@@ -85,24 +110,17 @@ pub(crate) struct ObsCore {
     time: OnceLock<TimeSource>,
     /// Capacity of each per-rank ring ([`ObsConfig::ring_capacity`]).
     ring_capacity: usize,
-    /// Per-rank event rings, grown on first touch.
-    rings: Mutex<Vec<EventRing>>,
+    /// Per-rank event logs, grown on first touch.
+    logs: Mutex<Vec<RankLog>>,
     registry: Mutex<Registry>,
     heatmap: Mutex<Heatmap>,
-    /// Per-message-kind traffic, fed from the fabric send path (the same
-    /// call site as `NetStats::record`, so totals always agree).
-    net: Mutex<BTreeMap<&'static str, KindTraffic>>,
-    /// Per-destination-endpoint traffic, fed at the same site. With a
-    /// sharded home (destination ranks `0..S` are shards) this is the raw
-    /// material of the report's shard-utilization section.
-    net_dest: Mutex<BTreeMap<u32, (u64, u64)>>,
+    /// Fabric traffic, fed from the fabric send path (the same call site
+    /// as `NetStats::record`, so totals always agree).
+    net: Mutex<NetTraffic>,
     /// Placement decisions applied by the adaptive engine, in decision
     /// order. Part of the snapshot so same-seed simulated runs compare
     /// decision-for-decision.
     decisions: Mutex<Vec<DecisionRow>>,
-    /// Per-rank hybrid logical clocks, grown on first touch. Ticked on
-    /// every recorded event, merged with the remote stamp on receives.
-    clocks: Mutex<Vec<HlcClock>>,
     /// Flow-id allocator binding each `MsgSend` to its `MsgRecv`s
     /// (0 is reserved for "no flow").
     flow: AtomicU64,
@@ -158,13 +176,11 @@ impl Recorder {
             epoch: Instant::now(),
             time: OnceLock::new(),
             ring_capacity: config.ring_capacity.max(1),
-            rings: Mutex::new(Vec::new()),
+            logs: Mutex::new(Vec::new()),
             registry: Mutex::new(Registry::default()),
             heatmap: Mutex::new(Heatmap::default()),
-            net: Mutex::new(BTreeMap::new()),
-            net_dest: Mutex::new(BTreeMap::new()),
+            net: Mutex::new(NetTraffic::default()),
             decisions: Mutex::new(Vec::new()),
-            clocks: Mutex::new(Vec::new()),
             flow: AtomicU64::new(1),
             inflight: Mutex::new(BTreeMap::new()),
             dir_epochs: Mutex::new(BTreeMap::new()),
@@ -197,33 +213,63 @@ impl Recorder {
         }
     }
 
-    fn push(core: &ObsCore, e: Event) {
-        let mut rings = core.rings.lock();
-        let idx = e.rank as usize;
-        while rings.len() <= idx {
-            rings.push(EventRing::new(core.ring_capacity));
+    /// The one way an event is recorded: under the rank's log lock, tick
+    /// its HLC at `now_us` (or merge `remote` into it, for a receive),
+    /// stamp the event and push it. `span` is `(t_us, dur_us)` of a
+    /// completed span; an instant happens at `now_us`. Returns the stamp.
+    #[allow(clippy::too_many_arguments)] // mirrors the Event fields
+    fn emit(
+        core: &ObsCore,
+        now_us: u64,
+        rank: u32,
+        kind: EventKind,
+        span: Option<(u64, u64)>,
+        (arg0, arg1): (u64, u64),
+        label: &'static str,
+        op: OpCtx,
+        flow: u64,
+        remote: Option<HlcStamp>,
+    ) -> HlcStamp {
+        let (t_us, dur_us) = span.unwrap_or((now_us, 0));
+        let mut logs = core.logs.lock();
+        let idx = rank as usize;
+        while logs.len() <= idx {
+            logs.push(RankLog {
+                ring: EventRing::new(core.ring_capacity),
+                hlc: HlcClock::new(),
+            });
         }
-        rings[idx].push(e);
+        let log = &mut logs[idx];
+        let hlc = match remote {
+            Some(remote) => log.hlc.merge(now_us, remote),
+            None => log.hlc.tick(now_us),
+        };
+        log.ring.push(Event {
+            rank,
+            kind,
+            t_us,
+            dur_us,
+            arg0,
+            arg1,
+            label,
+            hlc,
+            flow,
+            op,
+        });
+        hlc
     }
 
-    /// Tick `rank`'s HLC for a local event and return the new stamp.
-    fn hlc_tick(core: &ObsCore, rank: u32, now_us: u64) -> HlcStamp {
-        let mut clocks = core.clocks.lock();
-        let idx = rank as usize;
-        while clocks.len() <= idx {
-            clocks.push(HlcClock::new());
-        }
-        clocks[idx].tick(now_us)
-    }
-
-    /// Merge a remote stamp into `rank`'s HLC (receive event).
-    fn hlc_merge(core: &ObsCore, rank: u32, now_us: u64, remote: HlcStamp) -> HlcStamp {
-        let mut clocks = core.clocks.lock();
-        let idx = rank as usize;
-        while clocks.len() <= idx {
-            clocks.push(HlcClock::new());
-        }
-        clocks[idx].merge(now_us, remote)
+    /// Every held event across ranks, time-ordered; a rank's ring order
+    /// breaks ties (the sort is stable). Takes the guard so the rings are
+    /// copied under the lock and sorted after it is released.
+    fn merged(logs: MutexGuard<'_, Vec<RankLog>>) -> Vec<Event> {
+        let mut events: Vec<Event> = logs
+            .iter()
+            .flat_map(|l| l.ring.iter_in_order().copied())
+            .collect();
+        drop(logs);
+        events.sort_by_key(|e| (e.t_us, e.rank));
+        events
     }
 
     /// Record an instant event.
@@ -242,20 +288,19 @@ impl Recorder {
         op: OpCtx,
     ) {
         if let Some(core) = &self.0 {
-            let t_us = core.now_us();
-            let hlc = Self::hlc_tick(core, rank, t_us);
-            let e = Event {
+            let now = core.now_us();
+            Self::emit(
+                core,
+                now,
                 rank,
                 kind,
-                t_us,
-                arg0,
-                arg1,
+                None,
+                (arg0, arg1),
                 label,
-                hlc,
                 op,
-                ..Default::default()
-            };
-            Self::push(core, e);
+                0,
+                None,
+            );
         }
     }
 
@@ -297,22 +342,18 @@ impl Recorder {
         op: OpCtx,
     ) {
         if let Some(core) = &self.0 {
-            let now = core.now_us();
-            let hlc = Self::hlc_tick(core, rank, now);
-            Self::push(
+            let (now, span) = (core.now_us(), Some((t_us, dur_us)));
+            Self::emit(
                 core,
-                Event {
-                    rank,
-                    kind,
-                    t_us,
-                    dur_us,
-                    arg0,
-                    arg1,
-                    label,
-                    hlc,
-                    op,
-                    ..Default::default()
-                },
+                now,
+                rank,
+                kind,
+                span,
+                (arg0, arg1),
+                label,
+                op,
+                0,
+                None,
             );
             core.registry.lock().observe(kind.name(), dur_us);
         }
@@ -333,23 +374,20 @@ impl Recorder {
         op: OpCtx,
     ) -> Option<(HlcStamp, u64)> {
         let core = self.0.as_ref()?;
-        let t_us = core.now_us();
-        let hlc = Self::hlc_tick(core, src, t_us);
+        let now = core.now_us();
         let flow = core.flow.fetch_add(1, Ordering::Relaxed);
-        Self::push(
+        let args = (bytes, dst as u64);
+        let hlc = Self::emit(
             core,
-            Event {
-                rank: src,
-                kind: EventKind::MsgSend,
-                t_us,
-                dur_us: 0,
-                arg0: bytes,
-                arg1: dst as u64,
-                label,
-                hlc,
-                flow,
-                op,
-            },
+            now,
+            src,
+            EventKind::MsgSend,
+            None,
+            args,
+            label,
+            op,
+            flow,
+            None,
         );
         Some((hlc, flow))
     }
@@ -368,22 +406,19 @@ impl Recorder {
         op: OpCtx,
     ) {
         if let Some(core) = &self.0 {
-            let t_us = core.now_us();
-            let hlc = Self::hlc_merge(core, rank, t_us, remote);
-            Self::push(
+            let now = core.now_us();
+            let args = (bytes, src as u64);
+            Self::emit(
                 core,
-                Event {
-                    rank,
-                    kind: EventKind::MsgRecv,
-                    t_us,
-                    dur_us: 0,
-                    arg0: bytes,
-                    arg1: src as u64,
-                    label,
-                    hlc,
-                    flow,
-                    op,
-                },
+                now,
+                rank,
+                EventKind::MsgRecv,
+                None,
+                args,
+                label,
+                op,
+                flow,
+                Some(remote),
             );
         }
     }
@@ -401,7 +436,6 @@ impl Recorder {
                     t_us: core.now_us(),
                     arg0: 0,
                     arg1: 0,
-                    label: "",
                     op: OpCtx::default(),
                 }),
             },
@@ -439,7 +473,7 @@ impl Recorder {
     pub fn net_send(&self, kind_label: &'static str, dst: u32, bytes: u64, update: bool) {
         if let Some(core) = &self.0 {
             let mut net = core.net.lock();
-            let t = net.entry(kind_label).or_insert(KindTraffic {
+            let t = net.by_kind.entry(kind_label).or_insert(KindTraffic {
                 kind: kind_label.to_string(),
                 msgs: 0,
                 bytes: 0,
@@ -447,107 +481,24 @@ impl Recorder {
             });
             t.msgs += 1;
             t.bytes += bytes;
-            drop(net);
-            let mut dests = core.net_dest.lock();
-            let d = dests.entry(dst).or_insert((0, 0));
+            let d = net.by_dest.entry(dst).or_insert((0, 0));
             d.0 += 1;
             d.1 += bytes;
         }
     }
 
-    // ----- heatmap feeds -----
+    // ----- heat maps -----
 
-    /// A diff scan found changed elements covering `bytes` bytes of `page`.
-    pub fn page_diff(&self, page: u64, bytes: u64) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().page_diff(page, bytes);
-        }
+    /// Lend the locked heat map to `f`: the one way heat is charged or
+    /// read. Callers make one call per batch of work (a release's ranges
+    /// and dirty pages, an acquire's run groups, an op's access tallies)
+    /// and walk the items inside `f`, which must not call back into the
+    /// recorder. `None`, with `f` not run, when disabled.
+    pub fn heat<R>(&self, f: impl FnOnce(&mut Heatmap) -> R) -> Option<R> {
+        self.0.as_ref().map(|core| f(&mut core.heatmap.lock()))
     }
 
-    /// Incoming updates overwrote `page`.
-    pub fn page_invalidated(&self, page: u64) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().page_invalidated(page);
-        }
-    }
-
-    /// The typed accesses a client tallied since its last flush, as
-    /// `(reads, writes)` per entry in entry order. Clients count on the
-    /// load/store path and call this once per sync op: one lock for the
-    /// lot, never one per access.
-    pub fn entry_accesses(&self, tallies: impl Iterator<Item = (u64, u64)>) {
-        if let Some(core) = &self.0 {
-            let mut heatmap = core.heatmap.lock();
-            for (entry, (reads, writes)) in tallies.enumerate() {
-                if reads != 0 || writes != 0 {
-                    heatmap.entry_accessed(entry as u32, reads, writes);
-                }
-            }
-        }
-    }
-
-    /// An update frame was shipped for `entry` over `[first, first+count)`.
-    pub fn update_sent(&self, entry: u32, first: u64, count: u64, bytes: u64) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().update_sent(entry, first, count, bytes);
-        }
-    }
-
-    /// An update frame was applied to `entry`.
-    pub fn update_applied(&self, entry: u32, bytes: u64) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().update_applied(entry, bytes);
-        }
-    }
-
-    // ----- placement signals & decisions -----
-
-    /// Writer `writer` shipped an update frame for `entry` with `bytes`
-    /// payload bytes (the per-(entry, writer) attribution table).
-    pub fn entry_written_by(&self, entry: u32, writer: u32, bytes: u64) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().entry_written_by(entry, writer, bytes);
-        }
-    }
-
-    /// Writer `writer` completed a release-class sync operation homed at
-    /// `shard` (the per-(writer, shard) destination table).
-    pub fn release_to(&self, writer: u32, shard: u32) {
-        if let Some(core) = &self.0 {
-            core.heatmap.lock().release_to(writer, shard);
-        }
-    }
-
-    /// Live read of the per-(entry, writer) update-attribution table:
-    /// `(entry, writer, updates, bytes)` rows, (entry, writer)-ordered.
-    /// Empty when disabled. This is the placement engine's "dominant
-    /// writer" input; reading it never perturbs the recorded state.
-    pub fn write_heat(&self) -> Vec<(u32, u32, u64, u64)> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => core
-                .heatmap
-                .lock()
-                .writers()
-                .map(|((entry, writer), w)| (entry, writer, w.updates, w.bytes))
-                .collect(),
-        }
-    }
-
-    /// Live read of the per-(writer, shard) release-destination table:
-    /// `(writer, shard, releases)` rows, key-ordered. Empty when
-    /// disabled. The placement engine's "nearest shard" input.
-    pub fn release_dests(&self) -> Vec<(u32, u32, u64)> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => core
-                .heatmap
-                .lock()
-                .releases()
-                .map(|((writer, shard), n)| (writer, shard, n))
-                .collect(),
-        }
-    }
+    // ----- placement decisions -----
 
     /// The adaptive placement engine applied a decision: record it for
     /// the snapshot's `placement` section.
@@ -571,10 +522,9 @@ impl Recorder {
             // The rank's current stamp, read without ticking — beginning
             // an op must not perturb the HLC stream the wire carries.
             let hlc = {
-                let clocks = core.clocks.lock();
-                clocks
-                    .get(rank as usize)
-                    .map(|c| c.last())
+                let logs = core.logs.lock();
+                logs.get(rank as usize)
+                    .map(|l| l.hlc.last())
                     .unwrap_or(HlcStamp::ZERO)
             };
             core.inflight.lock().insert(
@@ -635,10 +585,10 @@ impl Recorder {
             }
         }
         {
-            let rings = core.rings.lock();
-            for (rank, r) in rings.iter().enumerate() {
-                if r.total_pushed() > 0 {
-                    s.rank_events.insert(rank as u32, r.total_pushed());
+            let logs = core.logs.lock();
+            for (rank, l) in logs.iter().enumerate() {
+                if l.ring.total_pushed() > 0 {
+                    s.rank_events.insert(rank as u32, l.ring.total_pushed());
                 }
             }
         }
@@ -650,7 +600,7 @@ impl Recorder {
                 }
             }
         }
-        s.dests = core.net_dest.lock().clone();
+        s.dests = core.net.lock().by_dest.clone();
         s.dir_epochs = core.dir_epochs.lock().clone();
         s.decisions = core.decisions.lock().clone();
         s.in_flight = core.inflight.lock().len() as u32;
@@ -740,28 +690,10 @@ impl Recorder {
             if age <= budget || !core.watchdog.lock().fired.insert(f.op) {
                 continue;
             }
-            let hlc = Self::hlc_tick(core, f.rank, now_us);
-            Self::push(
-                core,
-                Event {
-                    rank: f.rank,
-                    kind: EventKind::Stall,
-                    t_us: now_us,
-                    arg0: age,
-                    arg1: budget,
-                    hlc,
-                    op: f.op,
-                    ..Default::default()
-                },
-            );
+            let (kind, args) = (EventKind::Stall, (age, budget));
+            Self::emit(core, now_us, f.rank, kind, None, args, "", f.op, 0, None);
             let (events, shards) = lazy.get_or_insert_with(|| {
-                let rings = core.rings.lock();
-                let mut events: Vec<Event> = rings
-                    .iter()
-                    .flat_map(|r| r.iter_in_order().copied())
-                    .collect();
-                drop(rings);
-                events.sort_by_key(|e| (e.t_us, e.rank));
+                let events = Self::merged(core.logs.lock());
                 let shards = core
                     .registry
                     .lock()
@@ -855,15 +787,14 @@ impl Recorder {
         // Gather one table at a time — no lock is held across another's
         // acquisition, and nothing here reads a clock.
         let ranks: Vec<(u32, Vec<Event>)> = {
-            let rings = core.rings.lock();
-            rings
-                .iter()
+            let logs = core.logs.lock();
+            logs.iter()
                 .enumerate()
-                .filter(|(_, r)| !r.is_empty())
-                .map(|(rank, r)| {
-                    let evs: Vec<Event> = r.iter_in_order().copied().collect();
-                    let skip = evs.len().saturating_sub(last_n);
-                    (rank as u32, evs[skip..].to_vec())
+                .filter(|(_, l)| !l.ring.is_empty())
+                .map(|(rank, l)| {
+                    let skip = l.ring.len().saturating_sub(last_n);
+                    let evs = l.ring.iter_in_order().skip(skip).copied().collect();
+                    (rank as u32, evs)
                 })
                 .collect()
         };
@@ -874,20 +805,10 @@ impl Recorder {
             .iter()
             .map(|(&s, &e)| (s, e))
             .collect();
-        let frames: Vec<Frame> = {
-            let ts = core.timeseries.lock();
-            ts.as_ref()
-                .map(|t| t.frames().cloned().collect())
-                .unwrap_or_default()
-        };
+        let frames = self.timeseries_frames();
         let placement = core.decisions.lock().clone();
-        let stalls = core.watchdog.lock().stalls.clone();
-        let triggers = {
-            let bb = core.blackbox.lock();
-            bb.as_ref()
-                .map(|st| st.triggers.clone())
-                .unwrap_or_default()
-        };
+        let stalls = self.stall_reports();
+        let triggers = self.blackbox_triggers();
         let json = blackbox::render(&blackbox::BundleData {
             trigger,
             seq,
@@ -936,8 +857,9 @@ impl Recorder {
         let core = self.0.as_ref()?;
         let decisions = core.decisions.lock().clone();
         let dests: Vec<DestRow> = core
-            .net_dest
+            .net
             .lock()
+            .by_dest
             .iter()
             .map(|(&dst, &(msgs, bytes))| DestRow { dst, msgs, bytes })
             .collect();
@@ -949,15 +871,7 @@ impl Recorder {
     pub fn events(&self) -> Vec<Event> {
         match &self.0 {
             None => Vec::new(),
-            Some(core) => {
-                let rings = core.rings.lock();
-                let mut out: Vec<Event> = rings
-                    .iter()
-                    .flat_map(|r| r.iter_in_order().copied())
-                    .collect();
-                out.sort_by_key(|e| (e.t_us, e.rank));
-                out
-            }
+            Some(core) => Self::merged(core.logs.lock()),
         }
     }
 
@@ -967,34 +881,30 @@ impl Recorder {
     /// stream. `None` when disabled.
     pub fn snapshot(&self) -> Option<ObsSnapshot> {
         let core = self.0.as_ref()?;
-        let rings = core.rings.lock();
-        let (mut recorded, mut dropped) = (0u64, 0u64);
-        let mut ring_drops = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-        for (rank, r) in rings.iter().enumerate() {
-            recorded += r.total_pushed();
-            dropped += r.dropped();
-            ring_drops.push(RingDropRow {
+        let logs = core.logs.lock();
+        let ring_drops: Vec<RingDropRow> = logs
+            .iter()
+            .enumerate()
+            .map(|(rank, l)| RingDropRow {
                 rank: rank as u32,
-                recorded: r.total_pushed(),
-                dropped: r.dropped(),
-            });
-            events.extend(r.iter_in_order().copied());
-        }
-        drop(rings);
-        events.sort_by_key(|e| (e.t_us, e.rank));
+                recorded: l.ring.total_pushed(),
+                dropped: l.ring.dropped(),
+            })
+            .collect();
+        let events = Self::merged(logs);
+        let recorded = ring_drops.iter().map(|r| r.recorded).sum();
+        let dropped = ring_drops.iter().map(|r| r.dropped).sum();
         let registry = core.registry.lock();
         let heatmap = core.heatmap.lock();
         let net = core.net.lock();
-        let net_dest = core.net_dest.lock();
         let decisions = core.decisions.lock();
         let shards = registry.gauge_value("cluster.shards").unwrap_or(1).max(1) as u32;
         let mut snap = ObsSnapshot::build(
             core.now_us(),
             &registry,
             &heatmap,
-            &net,
-            &net_dest,
+            &net.by_kind,
+            &net.by_dest,
             &decisions,
             recorded,
             dropped,
@@ -1014,7 +924,6 @@ struct SpanInner {
     t_us: u64,
     arg0: u64,
     arg1: u64,
-    label: &'static str,
     op: OpCtx,
 }
 
@@ -1032,13 +941,6 @@ impl Span {
         }
     }
 
-    /// Attach a static label to the eventual event.
-    pub fn label(&mut self, label: &'static str) {
-        if let Some(i) = &mut self.inner {
-            i.label = label;
-        }
-    }
-
     /// Attribute the eventual event to sync operation `op`.
     pub fn op(&mut self, op: OpCtx) {
         if let Some(i) = &mut self.inner {
@@ -1053,27 +955,10 @@ impl Drop for Span {
             // Duration on the recorder's own timeline: wall micros
             // normally, virtual micros (usually zero-width) in sim mode.
             let dur_us = i.rec.now_us().saturating_sub(i.t_us);
-            i.rec.span_at_op(
-                i.rank, i.kind, i.t_us, dur_us, i.arg0, i.arg1, i.label, i.op,
-            );
+            i.rec
+                .span_at_op(i.rank, i.kind, i.t_us, dur_us, i.arg0, i.arg1, "", i.op);
         }
     }
-}
-
-/// Open a span guard for the rest of the enclosing scope:
-/// `obs_span!(recorder, rank, EventKind::DiffScan);`
-#[macro_export]
-macro_rules! obs_span {
-    ($rec:expr, $rank:expr, $kind:expr) => {
-        let _obs_span_guard = $rec.span($rank, $kind);
-    };
-    ($rec:expr, $rank:expr, $kind:expr, $label:expr) => {
-        let _obs_span_guard = {
-            let mut s = $rec.span($rank, $kind);
-            s.label($label);
-            s
-        };
-    };
 }
 
 #[cfg(test)]
@@ -1087,7 +972,7 @@ mod tests {
         r.instant(0, EventKind::Other, 1, 2, "x");
         r.count("c", 5);
         r.observe("h", 9);
-        r.page_diff(0, 10);
+        assert!(r.heat(|h| h.page_diff(0, 10)).is_none());
         r.net_send("other", 0, 100, false);
         {
             let mut s = r.span(0, EventKind::DiffScan);
@@ -1121,15 +1006,43 @@ mod tests {
     }
 
     #[test]
-    fn obs_span_macro_records_on_scope_exit() {
+    fn stall_and_instants_in_one_microsecond_keep_increasing_stamps() {
+        // The watchdog's `Stall` goes through `emit` like every other
+        // event: on a rank whose clock stands still it ticks the same HLC
+        // the instants around it tick, so the stream stays causal.
+        let now = Arc::new(AtomicU64::new(0));
         let r = Recorder::enabled();
-        {
-            obs_span!(r, 3, EventKind::Barrier);
-            obs_span!(r, 3, EventKind::MsgSend, "lock-req");
-        }
+        let clock = now.clone();
+        r.set_time_source(Arc::new(move || clock.load(Ordering::Relaxed)));
+        r.configure_watchdog(WatchdogConfig {
+            budget_us: Some(100),
+            ..Default::default()
+        });
+        let op = OpCtx {
+            kind: crate::event::OpKind::Lock,
+            id: 0,
+            epoch: 1,
+            origin: 3,
+        };
+        r.op_begin(3, op);
+        now.store(500, Ordering::Relaxed);
+        r.instant(3, EventKind::Other, 0, 0, "before");
+        assert_eq!(
+            r.watchdog_scan(500).len(),
+            1,
+            "500 us in flight, budget 100"
+        );
+        r.instant(3, EventKind::Other, 0, 0, "after");
         let evs = r.events();
-        assert_eq!(evs.len(), 2);
-        assert!(evs.iter().any(|e| e.label == "lock-req"));
+        let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::Other, EventKind::Stall, EventKind::Other]
+        );
+        assert!(evs.iter().all(|e| e.rank == 3 && e.t_us == 500));
+        assert!(evs.windows(2).all(|w| w[0].hlc < w[1].hlc), "{evs:?}");
+        assert_eq!(evs[1].op, op);
+        crate::causal::check_happens_before(&evs).expect("causal stream");
     }
 
     #[test]

@@ -870,7 +870,7 @@ mod tests {
         reg.observe("barrier", 100);
         let mut hm = Heatmap::default();
         hm.page_diff(0, 128);
-        hm.update_sent(1, 0, 16, 64);
+        hm.update_sent(1, 0, 4, std::iter::once((0, 16)));
         let mut net = BTreeMap::new();
         net.insert(
             "lock-req",

@@ -9,10 +9,14 @@
 //! recorder is disabled, a disabled run's wire traffic must be identical
 //! to a fully-armed run of the same seed.
 
-use hdsm::dsd::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
-use hdsm::dsd::{BarrierId, GthvDef, LockId};
+use hdsm::apps::sor;
+use hdsm::apps::workload::paper_pairs;
+use hdsm::dsd::cluster::{
+    ClusterBuilder, ClusterOutcome, FaultConfig, TimingConfig, TopologyConfig,
+};
+use hdsm::dsd::{BarrierId, CostBreakdown, GthvDef, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetStats};
-use hdsm::obs::{EventKind, OpKind, Recorder, StallReport, TriggerRow};
+use hdsm::obs::{EntryRow, EventKind, OpKind, Recorder, StallReport, TriggerRow};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -271,4 +275,140 @@ fn every_charged_eq1_term_has_a_span_of_its_kind_on_that_rank() {
         outcome.worker_costs.iter().all(|c| !c.t_pack.is_zero()),
         "every worker packed at least its requests"
     );
+}
+
+/// Hold an armed run's heat ledger to the Eq. 1 counters of the same run:
+/// what the heat map says shipped and landed, entry by entry, is what the
+/// ranks' `CostBreakdown`s counted. Heat is charged a batch at a time (a
+/// run of ranges or a run group per entry row), so a charge that
+/// miscounted the runs of a group would show here and nowhere else.
+fn assert_heat_ledger<R>(outcome: &ClusterOutcome<R>, recorder: &Recorder) {
+    let snap = outcome.obs.as_ref().expect("armed run");
+    assert_eq!(snap.events_dropped, 0, "the spans below must all be held");
+    let workers: CostBreakdown = outcome.worker_costs.iter().sum();
+
+    // Shipped: every entry row agrees with its per-writer attribution,
+    // the rows sum to the workers' update count, and the bytes are the
+    // payload the homes absorbed (a clean static run absorbs each shipped
+    // range exactly once).
+    for e in &snap.entries {
+        let of_entry = snap.write_heat.iter().filter(|w| w.entry == e.entry);
+        let (updates, bytes) = of_entry.fold((0, 0), |(u, b), w| (u + w.updates, b + w.bytes));
+        assert_eq!(e.updates_sent, updates, "entry {} by writer", e.entry);
+        assert_eq!(e.bytes_sent, bytes, "entry {} bytes by writer", e.entry);
+    }
+    let sum = |f: fn(&EntryRow) -> u64| snap.entries.iter().map(f).sum::<u64>();
+    assert!(workers.updates_sent > 0 && workers.updates_applied > 0);
+    assert_eq!(sum(|e| e.updates_sent), workers.updates_sent);
+    assert_eq!(sum(|e| e.updates_sent), outcome.home_costs.updates_applied);
+    assert_eq!(sum(|e| e.bytes_sent), outcome.home_costs.bytes_applied);
+
+    // Landed: one charge per run group, counting its runs.
+    assert_eq!(sum(|e| e.updates_applied), workers.updates_applied);
+    assert_eq!(sum(|e| e.bytes_applied), workers.bytes_applied);
+
+    // Pages: a dirty page with a changed element is written once per
+    // scan. No promotion here, so every changed element ships whole and
+    // the page map's bytes are the entry map's; each scan's span carries
+    // the bytes it found, and a scan that found any wrote a page.
+    let scans: Vec<u64> = recorder
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::DiffScan)
+        .map(|e| e.arg0)
+        .collect();
+    let diff_bytes: u64 = snap.pages.iter().map(|p| p.diff_bytes).sum();
+    let page_writes: u64 = snap.pages.iter().map(|p| p.writes).sum();
+    assert_eq!(diff_bytes, scans.iter().sum::<u64>());
+    assert_eq!(diff_bytes, sum(|e| e.bytes_sent));
+    assert!(page_writes >= scans.iter().filter(|&&b| b > 0).count() as u64);
+}
+
+#[test]
+fn heat_ledger_matches_the_eq1_counters_on_sor_and_a_three_shard_lock_run() {
+    // Red-black SOR: thousands of one-element runs in a few groups.
+    let n = 32;
+    let pair = &paper_pairs()[2];
+    let recorder = Recorder::enabled();
+    let outcome = ClusterBuilder::new()
+        .gthv(sor::gthv_def(n))
+        .init(move |g| sor::init(g, n, 0xD5D))
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 0x50A },
+            ..Default::default()
+        })
+        .obs(recorder.clone())
+        .run(move |c, info| sor::run_worker(c, info, n, 3))
+        .expect("sor run");
+    assert!(sor::verify(&outcome.final_gthv, n, 0xD5D, 3));
+    let snap = outcome.obs.as_ref().unwrap();
+    let shipped: u64 = snap.entries.iter().map(|e| e.updates_sent).sum();
+    assert!(shipped > 1000, "strided writes do not coalesce: {shipped}");
+    assert_heat_ledger(&outcome, &recorder);
+
+    // One-element lock ops over three shards: the update's shard differs
+    // from the lock's, so every release flushes and every acquire fetches.
+    const OPS: usize = 60;
+    let recorder = Recorder::enabled();
+    let outcome = ClusterBuilder::new()
+        .gthv(
+            GthvDef::new(
+                StructBuilder::new("G")
+                    .array("a", ScalarKind::Int, 16)
+                    .array("b", ScalarKind::Long, 16)
+                    .array("c", ScalarKind::Int, 16)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap(),
+        )
+        .home(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86_64())
+        .locks(3)
+        .topology(TopologyConfig {
+            shards: 3,
+            fabric: FabricMode::Sim { seed: 0x10C3 },
+            ..Default::default()
+        })
+        .obs(recorder.clone())
+        .run(|c, info| {
+            for r in 0..OPS {
+                let lock = ((r + info.index) % 3) as u32;
+                let (entry, slot) = ((lock + 1) % 3, (info.index * 4 + r % 4) as u64);
+                c.acquire(LockId::new(lock))?;
+                let v = c.read_int(entry, slot)?;
+                c.write_int(entry, slot, v + 1)?;
+                c.release(LockId::new(lock))?;
+            }
+            Ok(())
+        })
+        .expect("lock run");
+    assert_heat_ledger(&outcome, &recorder);
+    // Every op changed one element on one page, and shipped it as one
+    // update attributed to the rank that wrote it.
+    let snap = outcome.obs.as_ref().unwrap();
+    let ops = (3 * OPS) as u64;
+    assert_eq!(snap.pages.iter().map(|p| p.writes).sum::<u64>(), ops);
+    assert_eq!(
+        snap.entries.iter().map(|e| e.updates_sent).sum::<u64>(),
+        ops
+    );
+    for w in &snap.write_heat {
+        assert_eq!(
+            w.updates,
+            (OPS / 3) as u64,
+            "rank {} entry {}",
+            w.writer,
+            w.entry
+        );
+    }
+    let releases: u64 = snap.release_dests.iter().map(|r| r.releases).sum();
+    assert_eq!(releases, ops);
 }
