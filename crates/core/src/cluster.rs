@@ -36,7 +36,6 @@ use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
 use crate::ids::{BarrierId, CondId, LockId, ShardId};
 use crate::placement::{PlacementInputs, PlacementPolicy};
 use crate::protocol::DsdMsg;
-use crate::tenant::{ResidualReport, SessionSpec, TenantSpace};
 use crate::update::{apply_batch, extract_updates, full_ranges};
 use hdsm_migthread::compute::{Computation, ProgramRegistry, StepStatus};
 use hdsm_migthread::packfmt::{pack_state_observed, MigrateError};
@@ -170,11 +169,6 @@ pub struct WorkerInfo {
     pub n_workers: usize,
     /// The worker's (initial) platform.
     pub platform: Platform,
-    /// The tenancy session this worker belongs to, when the cluster was
-    /// built with [`ClusterBuilder::sessions`]: the offset map minting
-    /// its session-local lock/barrier/cond handles. `None` in classic
-    /// single-session mode.
-    pub session: Option<TenantSpace>,
 }
 
 /// Statistics about migrations performed during an adaptive run.
@@ -212,10 +206,6 @@ pub struct ClusterOutcome<R> {
     /// Observability snapshot, when the cluster ran with
     /// [`ClusterBuilder::obs`] wired to an enabled recorder.
     pub obs: Option<ObsSnapshot>,
-    /// Per-shard tenancy-hygiene reports from the winning home
-    /// instances: state still held for closed-session ranks at loop
-    /// exit. All-clean unless a session purge leaked.
-    pub residuals: Vec<ResidualReport>,
 }
 
 /// One scheduled migration for [`ClusterBuilder::run_adaptive`].
@@ -539,7 +529,6 @@ pub struct ClusterBuilder {
     init: Option<InitFn>,
     control: Option<ControlFn>,
     recorder: Recorder,
-    sessions: Vec<SessionSpec>,
     placement: PlacementPolicy,
     telemetry: Option<(Duration, usize)>,
     blackbox_dir: Option<String>,
@@ -567,7 +556,6 @@ impl ClusterBuilder {
             init: None,
             control: None,
             recorder: Recorder::disabled(),
-            sessions: Vec::new(),
             placement: PlacementPolicy::Static,
             telemetry: None,
             blackbox_dir: None,
@@ -635,19 +623,6 @@ impl ClusterBuilder {
     /// [`Self::obs`] recorder.
     pub fn flight_recorder(mut self, dir: impl Into<String>) -> Self {
         self.blackbox_dir = Some(dir.into());
-        self
-    }
-
-    /// Multi-session tenancy: partition the configured workers (in rank
-    /// order) into independent sessions, each with a private lock,
-    /// barrier and cond namespace carved out of the shared home-shard
-    /// pool. The spec worker counts must sum to the worker count; lock,
-    /// barrier and cond totals override [`Self::locks`]/[`Self::barriers`]
-    /// /[`Self::conds`]. Each session shuts down — and has its home-side
-    /// per-rank state purged — as soon as its own members finish, while
-    /// other sessions keep running.
-    pub fn sessions(mut self, specs: Vec<SessionSpec>) -> Self {
-        self.sessions = specs;
         self
     }
 
@@ -844,21 +819,6 @@ impl ClusterBuilder {
         R: Send,
         F: Fn(&mut DsdClient, &WorkerInfo) -> Result<R, DsdError> + Send + Sync,
     {
-        // Tenancy layout first: session totals override the flat
-        // lock/barrier/cond counts before anything is sized from them.
-        let spaces: Vec<TenantSpace> = TenantSpace::layout(&self.sessions);
-        if !spaces.is_empty() {
-            let total: u32 = self.sessions.iter().map(|t| t.workers).sum();
-            if total as usize != self.worker_platforms.len() {
-                return Err(ClusterError::Config(format!(
-                    "sessions claim {total} workers, cluster has {}",
-                    self.worker_platforms.len()
-                )));
-            }
-            self.n_locks = self.sessions.iter().map(|t| t.locks).sum();
-            self.n_barriers = self.sessions.iter().map(|t| t.barriers).sum();
-            self.n_conds = self.sessions.iter().map(|t| t.conds).sum();
-        }
         let (def, net, mut eps) = self.take_parts()?;
         let sim = net.sim().cloned();
         let directory = Directory::with_replicas(self.topology.shards, self.topology.replicas);
@@ -932,7 +892,6 @@ impl ClusterBuilder {
                     directory,
                     standby: i as u32 >= directory.n_shards(),
                     kill: control.is_some().then(|| kills[i].clone()),
-                    sessions: spaces.clone(),
                     adaptive,
                 },
             );
@@ -1185,17 +1144,12 @@ impl ClusterBuilder {
                 let plat = plat.clone();
                 let body = &body;
                 let alive = &alive;
-                let session = spaces
-                    .iter()
-                    .copied()
-                    .find(|t| t.contains_rank(i as u32 + 1));
                 let name = format!("worker{}", i + 1);
                 handles.push(spawn_actor(s, &sim, &name, move || {
                     let info = WorkerInfo {
                         index: i,
                         n_workers,
                         platform: plat.clone(),
-                        session,
                     };
                     let gthv = GthvInstance::new(def, plat);
                     let mut client = DsdClient::new(i as u32 + 1, ep, gthv);
@@ -1331,7 +1285,6 @@ impl ClusterBuilder {
                 })?;
             winners.push(win);
         }
-        let residuals: Vec<ResidualReport> = winners.iter().map(|w| w.residual).collect();
         // Adaptive placement may have re-homed entries away from their
         // static modulo shard. Adopt every winner's ownership rows into
         // one placement so the overlay step below attributes each entry
@@ -1378,7 +1331,6 @@ impl ClusterBuilder {
             net_stats: net.stats(),
             migration_stats: MigrationStats::default(),
             obs: self.recorder.snapshot(),
-            residuals,
         })
     }
 

@@ -43,8 +43,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::tenant::{ResidualReport, TenantSpace};
-
 /// Configuration of the home service.
 #[derive(Debug, Clone)]
 pub struct HomeConfig {
@@ -87,10 +85,6 @@ pub struct HomeConfig {
     /// the shard abandons its loop mid-run (recording a `ShardKill`
     /// event) and drops its endpoint, exactly like a crashed process.
     pub kill: Option<Arc<AtomicBool>>,
-    /// Multi-session tenancy: the sessions sharing this shard pool, with
-    /// their rank and synchronization-id slices. Empty (the default) is
-    /// classic single-session mode with byte-identical wire behaviour.
-    pub sessions: Vec<TenantSpace>,
     /// An adaptive placement loop may re-home entries through this shard
     /// mid-run. Forces the periodic loop tick even without a lease or
     /// replica, so an in-flight `EntryState` offer is retransmitted
@@ -112,7 +106,6 @@ impl Default for HomeConfig {
             directory: Directory::single(),
             standby: false,
             kill: None,
-            sessions: Vec::new(),
             adaptive: false,
         }
     }
@@ -134,16 +127,11 @@ enum Life {
 }
 
 /// Everything the shard keeps about one computing thread — one row of
-/// the rank-ordered `peers` table, which replaces the ten rank-keyed
-/// collections `participants`, `joined`, `dead`, `closed`, `routes`,
-/// `seen`, `last_heard`, `last_req`, `reply_cache` and `op_ctx`.
+/// the rank-ordered `peers` table, whose keys are exactly the configured
+/// participants.
 #[derive(Debug, Default)]
 struct Peer {
     life: Life,
-    /// The rank's tenancy session has shut down: the purgeable fields
-    /// below are cleared ([`Peer::close`]) and any late request is
-    /// answered with an uncached `Shutdown`.
-    closed: bool,
     /// Transport endpoint of the thread's latest message.
     route: Option<u32>,
     /// Highest update-log sequence the thread has seen (0 = nothing, or
@@ -163,19 +151,6 @@ struct Peer {
     /// deferred grants and barrier releases — and home-side spans are
     /// attributed to the op that caused them. Unset when obs is disabled.
     op: OpCtx,
-}
-
-impl Peer {
-    /// The rank's session shut down: purge its lease, horizon, op and
-    /// cached reply. Only the route and the `last_req` watermark survive,
-    /// so a late duplicate is still answered at-most-once.
-    fn close(&mut self) {
-        self.closed = true;
-        self.last_heard = None;
-        self.seen = 0;
-        self.op = OpCtx::default();
-        self.reply = None;
-    }
 }
 
 /// A handoff drain in progress at a fenced primary — replaces the
@@ -240,10 +215,6 @@ pub struct HomeRunOutcome {
     pub epoch: u32,
     /// Is this instance the shard's authoritative survivor?
     pub authoritative: bool,
-    /// State still held for closed-session ranks at loop exit (tenancy
-    /// hygiene; always clean in classic mode, asserted clean by the
-    /// churn soak).
-    pub residual: ResidualReport,
     /// Per-entry ownership overrides this shard learned during the run:
     /// its [`Placement::rows`]. Empty unless the placement engine
     /// re-homed entries. The cluster's final stitch adopts every winner's
@@ -352,10 +323,12 @@ pub struct HomeShard {
     conds: Vec<CondState>,
     /// Global sequence counter for absorbed updates.
     seq: u64,
-    /// Update log: `(seq, writer, range)` in absorption order. The
-    /// writer rank lets grants exclude a thread's own updates without
-    /// corrupting its horizon (a thread has by definition "seen" what it
-    /// wrote itself, but nothing else absorbed in between).
+    /// Update log: `(seq, writer, range)` in absorption order, so its
+    /// sequences never decrease — what lets a horizon be found by
+    /// `partition_point`. The writer rank lets grants exclude a thread's
+    /// own updates without corrupting its horizon (a thread has by
+    /// definition "seen" what it wrote itself, but nothing else absorbed
+    /// in between).
     log: Vec<(u64, u32, UpdateRange)>,
     /// Oldest sequence still in the log; horizons below this need a full
     /// refresh (log compaction / cold migrated copies).
@@ -366,11 +339,12 @@ pub struct HomeShard {
     /// same-seed simulation must reproduce.
     peers: BTreeMap<u32, Peer>,
     /// How many peers are still `Expected`, kept in step by
-    /// [`Self::settle`]: the service loop's condition and the
-    /// session-less barrier count, O(1) per message.
+    /// [`Self::settle`]: the service loop runs while it is non-zero and a
+    /// barrier releases once that many ranks have entered it.
     pending: usize,
-    /// The lowest `Dead` rank, kept in step by [`Self::settle`]: what a
-    /// session-less barrier entrant is failed with.
+    /// The lowest `Dead` rank, kept in step by [`Self::settle`]: the rank
+    /// a barrier entrant is failed with, since no barrier can complete
+    /// once any participant is dead.
     lowest_dead: Option<u32>,
     lease: Option<Duration>,
     linger: Duration,
@@ -393,8 +367,6 @@ pub struct HomeShard {
     /// The fabric's time source; every lease, drain and promotion timer
     /// reads it so failover timing is seed-deterministic in sim mode.
     clock: FabricClock,
-    /// Tenancy layout (empty = classic single-session mode).
-    sessions: Vec<TenantSpace>,
     /// In-flight outbound entry re-homing (source side); at most one at
     /// a time per shard — the admin serializes moves cluster-wide.
     entry_handoff: Option<EntryHandoffState>,
@@ -458,7 +430,6 @@ impl HomeShard {
             mute: false,
             kill: config.kill,
             clock,
-            sessions: config.sessions,
             entry_handoff: None,
             adaptive: config.adaptive,
             entry_pending: VecDeque::new(),
@@ -628,7 +599,8 @@ impl HomeShard {
             .map(|p| p.seen)
             .min()
             .unwrap_or(self.seq);
-        self.log.retain(|(s, _, _)| *s > min_seen);
+        let k = self.log.partition_point(|(s, ..)| *s <= min_seen);
+        self.log.drain(..k);
         self.log_floor = self.log_floor.max(min_seen);
     }
 
@@ -646,10 +618,11 @@ impl HomeShard {
             // this shard's slice.
             self.owned_full_ranges()
         } else {
+            let stale = self.log.partition_point(|(s, ..)| *s <= horizon);
             coalesce(
-                self.log
+                self.log[stale..]
                     .iter()
-                    .filter(|(s, w, _)| *s > horizon && *w != rank)
+                    .filter(|(_, w, _)| *w != rank)
                     .map(|(_, _, r)| *r)
                     .collect(),
             )
@@ -782,80 +755,6 @@ impl HomeShard {
         }
     }
 
-    /// The tenancy session thread `rank` belongs to, if any.
-    fn session_of_rank(&self, rank: u32) -> Option<&TenantSpace> {
-        self.sessions.iter().find(|t| t.contains_rank(rank))
-    }
-
-    /// The tenancy session owning global barrier id `barrier`, if any.
-    fn session_of_barrier(&self, barrier: u32) -> Option<&TenantSpace> {
-        self.sessions.iter().find(|t| t.contains_barrier(barrier))
-    }
-
-    /// Ranks a barrier waits for: the owning session's live unjoined
-    /// members under tenancy, every live unjoined participant otherwise.
-    fn barrier_waiting_for(&self, barrier: u32) -> usize {
-        match self.session_of_barrier(barrier) {
-            Some(t) => t
-                .member_ranks()
-                .filter(|&r| self.life(r) == Some(Life::Expected))
-                .count(),
-            None => self.pending,
-        }
-    }
-
-    /// A dead member whose loss dooms barriers `rank` participates in:
-    /// session-scoped under tenancy (another tenant's crash must not
-    /// fail this one's barriers), any dead participant otherwise.
-    fn blocking_dead(&self, rank: u32) -> Option<u32> {
-        match self.session_of_rank(rank) {
-            Some(t) => t.member_ranks().find(|&r| self.life(r) == Some(Life::Dead)),
-            None => self.lowest_dead,
-        }
-    }
-
-    /// If `rank`'s session is now fully accounted for (every member
-    /// joined or dead), shut the session down: the deferred `Join`
-    /// replies go out as `Shutdown`s, then every member is closed
-    /// ([`Peer::close`]); late duplicates are re-answered with an uncached
-    /// `Shutdown` instead.
-    fn maybe_close_session(&mut self, rank: u32) -> Result<(), HomeError> {
-        let Some(t) = self.session_of_rank(rank).copied() else {
-            return Ok(());
-        };
-        if t.member_ranks()
-            .any(|r| self.life(r) == Some(Life::Expected))
-        {
-            return Ok(());
-        }
-        for r in t.member_ranks() {
-            let open = self.peers.get(&r).filter(|p| !p.closed);
-            let Some(life) = open.map(|p| p.life) else {
-                continue;
-            };
-            if life == Life::Joined {
-                self.reply(r, DsdMsg::Shutdown)?;
-            }
-            if let Some(p) = self.peers.get_mut(&r) {
-                p.close();
-            }
-        }
-        self.recorder.count("home.sessions_closed", 1);
-        Ok(())
-    }
-
-    /// Answer a closed-session rank with `Shutdown` without touching the
-    /// purged reply cache.
-    fn resend_shutdown_uncached(&mut self, rank: u32) -> Result<(), HomeError> {
-        let Some((Some(ep_rank), req_id)) = self.peers.get(&rank).map(|p| (p.route, p.last_req))
-        else {
-            return Ok(());
-        };
-        let payload = DsdMsg::Shutdown.encode_enveloped(req_id);
-        self.post(ep_rank, MsgKind::Shutdown, payload, OpCtx::default())?;
-        Ok(())
-    }
-
     fn grant(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
         let updates = self.stale_updates_for(rank)?;
         self.send(rank, DsdMsg::LockGrant { lock, updates })
@@ -878,12 +777,6 @@ impl HomeShard {
 
     /// Finish into the run outcome.
     fn outcome(self, authoritative: bool) -> HomeRunOutcome {
-        let closed = || self.peers.values().filter(|p| p.closed);
-        let residual = ResidualReport {
-            leases: closed().filter(|p| p.last_heard.is_some()).count(),
-            dedup: closed().filter(|p| p.reply.is_some()).count(),
-            horizons: closed().filter(|p| p.seen != 0).count(),
-        };
         let entry_overrides = self.placement.rows();
         HomeRunOutcome {
             gthv: self.gthv,
@@ -891,7 +784,6 @@ impl HomeShard {
             conv: self.conv_stats,
             epoch: self.epoch,
             authoritative,
-            residual,
             entry_overrides,
         }
     }
@@ -970,7 +862,7 @@ impl HomeShard {
         let ranks: Vec<u32> = self
             .peers
             .iter()
-            .filter(|(_, p)| p.life == Life::Joined && !p.closed)
+            .filter(|(_, p)| p.life == Life::Joined)
             .map(|(&r, _)| r)
             .collect();
         for r in ranks {
@@ -1648,7 +1540,6 @@ impl HomeShard {
         for (rank, p) in &self.peers {
             out.put_u32(*rank);
             out.put_u8(p.life as u8);
-            out.put_u8(p.closed as u8);
             out.put_u32(p.route.map(|ep| ep + 1).unwrap_or(0));
             out.put_u64(p.seen);
             out.put_u64(p.last_req);
@@ -1733,9 +1624,16 @@ impl HomeShard {
         let ups = unpack_batch(b.split_to(blen)).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         let index = self.gthv.table();
+        let (seq, mut prev) = (self.seq, 0);
         self.log = table(&mut b, 32, |b| {
             let (s, w) = (b.get_u64(), b.get_u32());
             let (entry, first, count) = (b.get_u32(), b.get_u64(), b.get_u64());
+            // Horizons are found in the log by `partition_point`, which
+            // silently skips rows of a log that is not in sequence order.
+            if s < prev || s > seq {
+                return Err(bad("snapshot log out of order"));
+            }
+            prev = s;
             // A logged range is extracted from this instance later; one
             // the index table does not hold must not get that far.
             let row = index.row(entry).ok_or(bad("snapshot log entry unknown"))?;
@@ -1752,7 +1650,7 @@ impl HomeShard {
                 },
             ))
         })?;
-        self.peers = BTreeMap::from_iter(table(&mut b, 27, |b| {
+        self.peers = BTreeMap::from_iter(table(&mut b, 26, |b| {
             let rank = b.get_u32();
             let life = match b.get_u8() {
                 0 => Life::Expected,
@@ -1760,7 +1658,6 @@ impl HomeShard {
                 2 => Life::Dead,
                 _ => return Err(bad("snapshot peer life unknown")),
             };
-            let closed = b.get_u8() != 0;
             let route = b.get_u32().checked_sub(1);
             let (seen, last_req) = (b.get_u64(), b.get_u64());
             let mut reply = None;
@@ -1775,7 +1672,6 @@ impl HomeShard {
             }
             let peer = Peer {
                 life,
-                closed,
                 route,
                 seen,
                 last_req,
@@ -1888,7 +1784,7 @@ impl HomeShard {
             )));
         };
         peer.route = Some(src_ep);
-        if peer.life != Life::Dead && !peer.closed {
+        if peer.life != Life::Dead {
             peer.last_heard = Some(now);
         }
         if matches!(msg, DsdMsg::Heartbeat { .. }) {
@@ -1909,14 +1805,6 @@ impl HomeShard {
             let lost = self.worker_lost_msg(rank);
             self.reply(rank, lost)?;
             return Ok(());
-        }
-        if peer.closed {
-            // The rank's session already shut down and its cached reply
-            // was purged; whether this is a Join retransmission or a
-            // stray late operation, the only correct answer is Shutdown
-            // (sent uncached, so the purge stays permanent).
-            peer.last_req = peer.last_req.max(req_id);
-            return self.resend_shutdown_uncached(rank);
         }
         if req_id != 0 {
             if req_id < peer.last_req {
@@ -1999,17 +1887,9 @@ impl HomeShard {
         for c in &mut self.conds {
             c.waiters.retain(|&(w, _)| w != rank);
         }
-        // Any barrier of the dead worker's session with entrants is now
-        // permanently stuck (the dead worker can never enter): fail the
-        // survivors. Other sessions' barriers are untouched — a tenant
-        // crash must not bleed across the namespace boundary.
-        let dead_session = self.session_of_rank(rank).map(|t| t.session);
+        // Any barrier with entrants is now permanently stuck (the dead
+        // worker can never enter): fail the survivors.
         for idx in 0..self.barriers.len() {
-            if !self.sessions.is_empty()
-                && self.session_of_barrier(idx as u32).map(|t| t.session) != dead_session
-            {
-                continue;
-            }
             let entered = std::mem::take(&mut self.barriers[idx].entered);
             for r in entered {
                 if self.life(r) != Some(Life::Dead) {
@@ -2018,10 +1898,6 @@ impl HomeShard {
                 }
             }
         }
-        // The death may complete its session's membership (survivors
-        // already joined): close it now rather than waiting for a Join
-        // that can never come.
-        self.maybe_close_session(rank)?;
         Ok(())
     }
 
@@ -2116,15 +1992,14 @@ impl HomeShard {
                 if !self.absorb(rank, &updates)? {
                     return Ok(()); // client re-routes and re-enters
                 }
-                if let Some(lost) = self.blocking_dead(rank) {
+                if let Some(lost) = self.lowest_dead {
                     // The barrier can never complete with a dead
-                    // participant of its session outstanding: fail fast.
+                    // participant outstanding: fail fast.
                     let lost_msg = self.worker_lost_msg(lost);
                     return self.send(rank, lost_msg);
                 }
                 self.barriers[idx].entered.push(rank);
-                let waiting_for = self.barrier_waiting_for(barrier);
-                if self.barriers[idx].entered.len() >= waiting_for {
+                if self.barriers[idx].entered.len() >= self.pending {
                     let entered = std::mem::take(&mut self.barriers[idx].entered);
                     for r in entered {
                         let updates = self.stale_updates_for(r)?;
@@ -2135,7 +2010,7 @@ impl HomeShard {
             }
             DsdMsg::Join { rank } => {
                 self.settle(rank, Life::Joined);
-                self.maybe_close_session(rank)
+                Ok(())
             }
             DsdMsg::CondWait {
                 cond,
@@ -2332,18 +2207,7 @@ mod tests {
         // Thread 1 keeps up; generate enough absorbed batches to trigger
         // compaction.
         for i in 0..5000u64 {
-            let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-            src.write_int(0, i % 64, i as i128).unwrap();
-            let ups = extract_updates(
-                &src,
-                &[UpdateRange {
-                    entry: 0,
-                    first: (i % 64),
-                    count: 1,
-                }],
-            )
-            .unwrap();
-            h.absorb(9, &ups).unwrap();
+            h.absorb(9, &one_elem(i % 64, i as i128)).unwrap();
             if i % 2 == 0 {
                 let _ = h.stale_updates_for(1).unwrap();
                 let _ = h.stale_updates_for(2).unwrap();
@@ -2409,28 +2273,45 @@ mod tests {
         .unwrap();
         assert!(matches!(h.absorb(1, &bad), Err(HomeError::Violation(_))));
     }
-    /// A shard over `tiny_def` on `plat` with ranks 1..=5 in two tenancy
-    /// sessions ({1} and {2..=5}, the latter with one mutex), plus the
-    /// worker endpoints 1..=5 of its fabric.
-    fn session_shard(plat: hdsm_platform::spec::Platform) -> (HomeShard, Vec<Endpoint>) {
-        use crate::tenant::SessionSpec;
+
+    /// A shard over `tiny_def` on `plat` with ranks 1..=5 and one mutex,
+    /// plus the worker endpoints 1..=5 of its fabric.
+    fn five_rank_shard(plat: hdsm_platform::spec::Platform) -> (HomeShard, Vec<Endpoint>) {
         let (_net, mut eps) = Network::new(6, NetConfig::instant());
         let config = HomeConfig {
             participants: (1..=5).collect(),
-            sessions: TenantSpace::layout(&[SessionSpec::new(1, 0, 0), SessionSpec::new(4, 1, 0)]),
             ..Default::default()
         };
         let gthv = GthvInstance::new(tiny_def(), plat);
         (HomeShard::new(gthv, eps.remove(0), config), eps)
     }
 
-    /// [`session_shard`] driven until it holds a peer in every state:
-    /// rank 1 joined and closed (its session is complete), rank 2 holding
-    /// mutex 0 with its grant cached, rank 3 queued behind it, rank 4
-    /// dead, rank 5 expected and never heard from — plus one ownership
-    /// row.
+    /// Where the log table of a snapshot starts: after seq, floor and the
+    /// length-prefixed batch. A `u32` row count, then 32-byte rows of
+    /// (seq, writer, entry, first, count).
+    fn snapshot_log_at(snap: &[u8]) -> usize {
+        20 + u32::from_be_bytes(snap[16..20].try_into().unwrap()) as usize
+    }
+
+    /// One element of `tiny_def`'s array as a batch, as a writer ships it.
+    fn one_elem(first: u64, value: i128) -> UpdateBatch {
+        let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        src.write_int(0, first, value).unwrap();
+        let range = UpdateRange {
+            entry: 0,
+            first,
+            count: 1,
+        };
+        extract_updates(&src, &[range]).unwrap()
+    }
+
+    /// [`five_rank_shard`] driven until it holds a peer in every state:
+    /// rank 1 joined (owed its `Shutdown`), rank 2 holding mutex 0 with
+    /// its grant cached, rank 3 queued behind it, rank 4 dead, rank 5
+    /// expected and never heard from — plus a two-row log and one
+    /// ownership row.
     fn populated_shard() -> (HomeShard, Vec<Endpoint>) {
-        let (mut h, eps) = session_shard(PlatformSpec::solaris_sparc());
+        let (mut h, eps) = five_rank_shard(PlatformSpec::solaris_sparc());
         h.init_with(|g| {
             for i in 0..64 {
                 g.write_int(0, i, i as i128 * 7 - 100).unwrap();
@@ -2443,6 +2324,7 @@ mod tests {
                 .unwrap();
         }
         h.declare_dead(4).unwrap();
+        assert!(h.absorb(2, &one_elem(9, -37)).unwrap());
         h.placement.adopt(0, 0, 2);
         (h, eps)
     }
@@ -2452,22 +2334,22 @@ mod tests {
         // Shard snapshot and entry-handoff state both travel as v2 batches
         // and install byte-exactly, also across a representation boundary.
         let (src, _src_eps) = populated_shard();
-        let lives: Vec<_> = src.peers.values().map(|p| (p.life, p.closed)).collect();
+        let lives: Vec<_> = src.peers.values().map(|p| p.life).collect();
         assert_eq!(
             lives,
             [
-                (Life::Joined, true),
-                (Life::Expected, false),
-                (Life::Expected, false),
-                (Life::Dead, false),
-                (Life::Expected, false)
+                Life::Joined,
+                Life::Expected,
+                Life::Expected,
+                Life::Dead,
+                Life::Expected
             ]
         );
         let v2_marker = [0xFFu8; 4];
 
         let snap = src.snapshot_state().unwrap();
         assert_eq!(&snap[20..24], &v2_marker, "snapshot batch must be v2");
-        let (mut same, same_eps) = session_shard(PlatformSpec::solaris_sparc());
+        let (mut same, same_eps) = five_rank_shard(PlatformSpec::solaris_sparc());
         same.install_state(snap.clone()).unwrap();
         assert_eq!(same.gthv().space().raw(), src.gthv().space().raw());
         assert_eq!(
@@ -2476,8 +2358,9 @@ mod tests {
             "snapshot → install → snapshot must be byte-identical"
         );
         assert_eq!((same.pending, same.lowest_dead), (3, Some(4)));
-        let closed = &same.peers[&1];
-        assert!(closed.closed && closed.reply.is_none() && closed.last_req == 1);
+        let joined = &same.peers[&1];
+        assert!(joined.life == Life::Joined && joined.reply.is_none() && joined.last_req == 1);
+        assert_eq!(same.log.len(), 2);
         // A duplicate of rank 2's granted request is answered from the
         // installed reply cache, not by queueing rank 2 behind itself.
         let dup = DsdMsg::LockRequest { lock: 0, rank: 2 };
@@ -2487,15 +2370,15 @@ mod tests {
         assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 7);
         assert_eq!(same.locks[0].holder, Some(2));
         assert_eq!(same.locks[0].waiters, [3]);
-        let (mut other, _other_eps) = session_shard(PlatformSpec::linux_x86());
+        let (mut other, _other_eps) = five_rank_shard(PlatformSpec::linux_x86());
         other.install_state(snap).unwrap();
 
         let state = src.pack_entry_state(0).unwrap();
         assert_eq!(&state[..4], &v2_marker, "entry state must be v2");
-        let (mut adopter, _adopter_eps) = session_shard(PlatformSpec::linux_x86());
+        let (mut adopter, _adopter_eps) = five_rank_shard(PlatformSpec::linux_x86());
         adopter.install_entry(0, 1, state).unwrap();
         for i in 0..64 {
-            let want = i as i128 * 7 - 100;
+            let want = if i == 9 { -37 } else { i as i128 * 7 - 100 };
             assert_eq!(other.gthv().read_int(0, i).unwrap(), want);
             assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
         }
@@ -2509,7 +2392,7 @@ mod tests {
         // never a panic, never a reservation sized by a length prefix.
         let (src, _src_eps) = populated_shard();
         let snap = src.snapshot_state().unwrap();
-        let (mut victim, _eps) = session_shard(PlatformSpec::linux_x86());
+        let (mut victim, _eps) = five_rank_shard(PlatformSpec::linux_x86());
         for cut in 0..snap.len() {
             assert!(
                 victim.install_state(snap.slice(..cut)).is_err(),
@@ -2531,9 +2414,8 @@ mod tests {
             wild[at..at + 4].fill(0xFF);
             let _ = install_and_serve(&mut victim, wild);
         }
-        // A log row whose `first + count` wraps: seq, floor, the batch,
-        // the row count, then (seq, writer, entry, first, count) rows.
-        let log = 20 + u32::from_be_bytes(snap[16..20].try_into().unwrap()) as usize;
+        // A log row whose `first + count` wraps.
+        let log = snapshot_log_at(&snap);
         assert!(u32::from_be_bytes(snap[log..log + 4].try_into().unwrap()) > 0);
         let mut wraps = snap.to_vec();
         wraps[log + 20..log + 28].copy_from_slice(&u64::MAX.to_be_bytes());
@@ -2553,6 +2435,110 @@ mod tests {
             let buf = Bytes::from((0..i * 4200 / 999).map(|_| next()).collect::<Vec<u8>>());
             assert!(victim.install_state(buf.clone()).is_err(), "buffer {i}");
             let _ = victim.install_entry(0, i as u32 + 1, buf);
+        }
+    }
+
+    #[test]
+    fn snapshot_with_an_out_of_order_log_is_rejected_not_installed() {
+        // `stale_updates_for` finds a horizon by `partition_point`, which
+        // skips rows of an unsorted log without a word: such a snapshot
+        // must not get as far as `self.log`.
+        let (src, _src_eps) = populated_shard();
+        let snap = src.snapshot_state().unwrap();
+        let log = snapshot_log_at(&snap);
+        assert_eq!(snap[log..log + 4], 2u32.to_be_bytes());
+        let (row0, row1) = (log + 4, log + 36);
+        assert_eq!(snap[row0..row0 + 8], 1u64.to_be_bytes());
+        assert_eq!(snap[row1..row1 + 8], 2u64.to_be_bytes());
+        let with_seqs = |s0: u64, s1: u64| {
+            let mut v = snap.to_vec();
+            v[row0..row0 + 8].copy_from_slice(&s0.to_be_bytes());
+            v[row1..row1 + 8].copy_from_slice(&s1.to_be_bytes());
+            Bytes::from(v)
+        };
+        let (mut victim, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        // Decreasing, and in order but past the snapshot's own `seq`.
+        for (s0, s1) in [(2, 1), (1, src.seq + 1)] {
+            let res = victim.install_state(with_seqs(s0, s1));
+            let Err(HomeError::Protocol(ProtocolError::BadMessage(what))) = res else {
+                panic!("log sequences ({s0}, {s1}) were accepted");
+            };
+            assert_eq!(what, "snapshot log out of order");
+            assert!(victim.log.is_empty(), "rejected log was installed");
+        }
+        // Equal sequences are one absorbed batch: in order.
+        victim.install_state(with_seqs(2, 2)).unwrap();
+        assert_eq!(victim.log.len(), 2);
+    }
+
+    #[test]
+    fn stale_updates_match_the_filter_reference_across_compaction() {
+        // The reference: one filter over the whole log, which must pick
+        // the rows `stale_updates_for` finds from `partition_point` on.
+        fn reference(h: &HomeShard, rank: u32) -> UpdateBatch {
+            let horizon = h.peers[&rank].seen;
+            let ranges = if horizon < h.log_floor {
+                h.owned_full_ranges()
+            } else {
+                coalesce(
+                    h.log
+                        .iter()
+                        .filter(|(s, w, _)| *s > horizon && *w != rank)
+                        .map(|(_, _, r)| *r)
+                        .collect(),
+                )
+            };
+            extract_updates(&h.gthv, &ranges).unwrap()
+        }
+        fn pull_and_compare(h: &mut HomeShard, rank: u32) {
+            let want = reference(h, rank);
+            let got = h.stale_updates_for(rank).unwrap();
+            assert_eq!(got.frame(), want.frame(), "rank {rank} at seq {}", h.seq);
+        }
+        let (_net, mut eps) = Network::new(1, NetConfig::instant());
+        let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        let config = HomeConfig {
+            participants: vec![1, 2, 3],
+            ..Default::default()
+        };
+        let mut h = HomeShard::new(gthv, eps.pop().unwrap(), config);
+        h.init_with(|g| g.write_int(0, 0, 42).unwrap());
+        // Three writers in turn; rank 1 pulls often, 2 seldom, 3 rarely,
+        // so their horizons sit at different depths of the log.
+        for i in 0..4500u64 {
+            let writer = 1 + (i % 3) as u32;
+            assert!(h.absorb(writer, &one_elem(i * 5 % 64, i as i128)).unwrap());
+            for (rank, every) in [(1, 2), (2, 37), (3, 501)] {
+                if i % every == 0 {
+                    pull_and_compare(&mut h, rank);
+                }
+            }
+        }
+        assert!(h.log_floor > 0 && h.log.len() < 4500, "never compacted");
+        // Horizons on both sides of the floor and at it, and one past the
+        // newest row.
+        for seen in [0, h.log_floor - 1, h.log_floor, h.log_floor + 1, h.seq] {
+            h.peers.get_mut(&2).unwrap().seen = seen;
+            pull_and_compare(&mut h, 2);
+        }
+    }
+
+    #[test]
+    fn requests_from_outside_participants_are_violations_and_change_nothing() {
+        let (mut h, _eps) = populated_shard();
+        let tables = |h: &HomeShard| format!("{:?} {} {:?}", h.peers, h.pending, h.locks);
+        let before = tables(&h);
+        for msg in [
+            DsdMsg::LockRequest { lock: 0, rank: 9 },
+            DsdMsg::Heartbeat { rank: 9 },
+        ] {
+            match h.dispatch(5, 1, msg, OpCtx::default()) {
+                Err(HomeError::Violation(why)) => {
+                    assert!(why.starts_with("request from unknown participant 9"))
+                }
+                other => panic!("expected a violation, got {other:?}"),
+            }
+            assert_eq!(tables(&h), before);
         }
     }
 }

@@ -54,7 +54,6 @@ pub mod index_table;
 pub mod placement;
 pub mod protocol;
 pub mod runs;
-pub mod tenant;
 pub mod update;
 
 pub use client::{DsdClient, DsdError, LockGuard};
@@ -71,4 +70,3 @@ pub use placement::{
     plan_thread_moves, PlacementDecision, PlacementInputs, PlacementPolicy, ThreadMove,
 };
 pub use runs::UpdateRange;
-pub use tenant::{ResidualReport, SessionSpec, TenantSpace};

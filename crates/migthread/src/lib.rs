@@ -25,7 +25,6 @@
 //! executes.
 
 pub mod compute;
-pub mod iostate;
 pub mod packfmt;
 pub mod state;
 

@@ -19,8 +19,8 @@ pub mod prelude {
     pub use hdsm_core::{
         BarrierId, ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, CondId, CostBreakdown,
         Directory, DsdClient, DsdError, FaultConfig, GthvDef, GthvInstance, LockGuard, LockId,
-        PlacementDecision, PlacementInputs, PlacementPolicy, ResidualReport, SessionSpec, ShardId,
-        TenantSpace, TimingConfig, TopologyConfig, WorkerInfo,
+        PlacementDecision, PlacementInputs, PlacementPolicy, ShardId, TimingConfig, TopologyConfig,
+        WorkerInfo,
     };
     pub use hdsm_net::{FabricMode, FaultPlan};
     pub use hdsm_obs::{ObsSnapshot, Recorder};

@@ -20,7 +20,7 @@ use hdsm::apps::{jacobi, lu, matmul, sor};
 use hdsm::dsd::cluster::{
     ClusterBuilder, ClusterOutcome, FaultConfig, TimingConfig, TopologyConfig,
 };
-use hdsm::dsd::{BarrierId, LockId, SessionSpec};
+use hdsm::dsd::{BarrierId, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetStats};
 use hdsm::obs::Recorder;
 use hdsm::platform::ctype::StructBuilder;
@@ -244,11 +244,12 @@ fn thousand_rank_jacobi_completes_in_sim() {
     assert!(jacobi::verify(&outcome.final_gthv, n, seed, 2));
 }
 
-/// Same-seed reproducibility holds at the multi-session level too: a
-/// sharded pool serving four tenants produces identical traffic and
-/// residual reports across runs.
+/// Same-seed reproducibility when ranks finish at different virtual
+/// times: each early finisher joins and waits for the `Shutdown` the home
+/// shards defer until the last rank signs off, and a sharded pool serving
+/// four locks produces identical traffic across runs.
 #[test]
-fn multi_session_sim_runs_are_reproducible() {
+fn same_seed_sim_runs_with_staggered_finishers_are_identical() {
     let run = || {
         let outcome = ClusterBuilder::new()
             .gthv(counters_def())
@@ -258,30 +259,23 @@ fn multi_session_sim_runs_are_reproducible() {
             .worker(PlatformSpec::linux_x86())
             .worker(PlatformSpec::solaris_sparc())
             .worker(PlatformSpec::linux_x86())
-            .sessions(vec![
-                SessionSpec::new(2, 1, 1),
-                SessionSpec::new(1, 1, 0),
-                SessionSpec::new(2, 1, 1),
-                SessionSpec::new(1, 1, 0),
-            ])
+            .locks(4)
             .topology(TopologyConfig {
                 shards: 2,
                 fabric: FabricMode::Sim { seed: 0x7E4A47 },
                 ..Default::default()
             })
             .run(|c, i| {
-                let t = i.session.expect("tenancy configured");
-                // Each tenant pounds its own lock-guarded counter slot;
-                // tenants with a barrier also rendezvous on it.
-                for _ in 0..4 + t.session as usize {
-                    c.acquire(t.lock(0))?;
-                    let slot = t.session as u64;
+                // Worker k pounds lock-guarded counter slot k mod 4 for
+                // 4 + k mod 4 rounds, so slots 0 and 1 are contended and
+                // workers retire at different virtual times.
+                let slot = i.index as u64 % 4;
+                let lock = LockId::new(slot as u32);
+                for _ in 0..4 + slot {
+                    c.acquire(lock)?;
                     let v = c.read_int(0, slot)?;
                     c.write_int(0, slot, v + 1)?;
-                    c.release(t.lock(0))?;
-                }
-                if t.barriers > 0 {
-                    c.barrier(t.barrier(0))?;
+                    c.release(lock)?;
                 }
                 Ok(())
             })
@@ -289,16 +283,12 @@ fn multi_session_sim_runs_are_reproducible() {
         let counters: Vec<i128> = (0..4)
             .map(|s| outcome.final_gthv.read_int(0, s).unwrap())
             .collect();
-        (counters, outcome.net_stats, outcome.residuals)
+        (counters, outcome.net_stats)
     };
-    let (counters_a, stats_a, residuals_a) = run();
-    let (counters_b, stats_b, residuals_b) = run();
-    // Per-tenant counters: sessions 0 and 2 have two workers, 1 and 3 one.
-    assert_eq!(counters_a, vec![8, 5, 12, 7]);
+    let (counters_a, stats_a) = run();
+    let (counters_b, stats_b) = run();
+    // Slots 0 and 1 have two workers each, 2 and 3 one.
+    assert_eq!(counters_a, vec![8, 10, 6, 7]);
     assert_eq!(counters_a, counters_b);
     assert_eq!(stats_a, stats_b);
-    assert_eq!(residuals_a, residuals_b);
-    for r in &residuals_a {
-        assert!(r.is_clean(), "session close leaked home state: {r:?}");
-    }
 }
