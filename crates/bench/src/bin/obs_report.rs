@@ -10,9 +10,6 @@
 //! * `results/obs_snapshot.json` — the machine-readable [`hdsm_obs::ObsSnapshot`].
 //! * `results/critpath.txt` — per-sync-op critical paths from the faulty
 //!   SOR run (straggler rank, slowest shard, retransmits per link).
-//! * `results/obs_metrics.prom` — Prometheus text exposition (`--prom`),
-//!   including the per-destination link counters and placement decision
-//!   rows, cross-checked against [`hdsm_net::NetStats`] before writing.
 //! * `results/obs_timeseries.jsonl` — the faulty SOR run's windowed
 //!   time-series, one delta frame per line.
 //!
@@ -20,10 +17,10 @@
 //! printed as it closes, `tail -f` style. `--bundle <path>` pretty-prints
 //! a flight-recorder bundle (`results/blackbox-*.json`) and exits.
 //!
-//! Also prints the plain-text cluster reports and cross-checks the
-//! snapshot's network totals against the fabric's own [`hdsm_net::NetStats`] —
-//! overall and per destination endpoint — since they are fed at the same
-//! call site and must agree.
+//! Also prints the plain-text cluster reports: the recorder's tables
+//! ([`hdsm_obs::ObsSnapshot::report`]) and the fabric's traffic ledger
+//! ([`hdsm_net::NetStats::report`], by kind and by destination). Critical
+//! paths are computed here, by the reader ([`Recorder::critpaths`]).
 
 use hdsm_apps::workload::paper_pairs;
 use hdsm_apps::{jacobi, sor};
@@ -41,7 +38,6 @@ fn main() {
         print!("{}", pretty_bundle(&raw));
         return;
     }
-    let prom = args.iter().any(|a| a == "--prom");
     let follow = args.iter().any(|a| a == "--follow");
     let n = 48;
     let sweeps = 6;
@@ -69,52 +65,15 @@ fn main() {
 
     let snapshot = outcome.obs.as_ref().expect("recorder was enabled");
 
-    // The snapshot's traffic tables and NetStats are fed from the same
-    // send-path call site; any disagreement is a bug.
-    assert_eq!(snapshot.net_total_msgs, outcome.net_stats.total_messages());
-    assert_eq!(snapshot.net_total_bytes, outcome.net_stats.total_bytes());
-    assert_eq!(snapshot.net_update_bytes, outcome.net_stats.update_bytes());
-    assert_eq!(
-        snapshot.net_control_bytes,
-        outcome.net_stats.control_bytes()
-    );
-    for row in &snapshot.net_by_dest {
-        let t = outcome.net_stats.dest_traffic(row.dst);
-        assert_eq!((row.msgs, row.bytes), (t.msgs, t.bytes), "dest {}", row.dst);
-    }
-
     let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(results).expect("create results dir");
     let trace_path = format!("{results}/obs_trace.json");
     let snap_path = format!("{results}/obs_snapshot.json");
     std::fs::write(&trace_path, chrome_trace(&recorder.events())).expect("write trace");
     std::fs::write(&snap_path, snapshot.to_json()).expect("write snapshot");
-    if prom {
-        // The full exposition: gauges/counters plus the per-destination
-        // link counters and any placement decision rows.
-        let text = recorder.prometheus().expect("recorder enabled");
-        // The exported per-dest counters must re-sum to the fabric's own
-        // totals — they are fed from the same send path.
-        let sum = |metric: &str| -> u64 {
-            text.lines()
-                .filter(|l| l.starts_with(metric) && l.contains('{'))
-                .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
-                .sum()
-        };
-        assert_eq!(
-            sum("hdsm_net_dest_msgs"),
-            outcome.net_stats.total_messages(),
-            "prometheus per-dest msg counters disagree with NetStats"
-        );
-        assert_eq!(
-            sum("hdsm_net_dest_bytes"),
-            outcome.net_stats.total_bytes(),
-            "prometheus per-dest byte counters disagree with NetStats"
-        );
-        std::fs::write(format!("{results}/obs_metrics.prom"), text).expect("write prom");
-    }
 
     println!("{}", snapshot.report());
+    println!("{}", outcome.net_stats.report());
     println!("jacobi n={n} sweeps={sweeps} pair={} verified", pair.label);
 
     // ---- faulty SOR: who made each barrier slow? ----
@@ -182,20 +141,23 @@ fn main() {
         "sor failed to verify under faults"
     );
     let snap2 = outcome2.obs.as_ref().expect("recorder was enabled");
+    let critpaths = faulty.critpaths();
     assert!(
-        !snap2.critpaths.is_empty(),
+        !critpaths.is_empty(),
         "critical-path analyzer found no sync ops"
     );
     let mut critpath = String::new();
     critpath.push_str(&format!(
         "critical paths: sor n={sor_n} sweeps={sor_sweeps} shards=2, 5% drop fabric\n\n"
     ));
-    for cp in &snap2.critpaths {
+    for cp in &critpaths {
         critpath.push_str(&cp.describe(2));
         critpath.push('\n');
     }
     std::fs::write(format!("{results}/critpath.txt"), &critpath).expect("write critpath");
     println!("{}", snap2.report());
+    println!("{}", outcome2.net_stats.report());
+    print!("{critpath}");
     println!(
         "faulty sor fabric: dropped {} retransmitted {}",
         outcome2.net_stats.dropped, outcome2.net_stats.retransmitted
@@ -205,13 +167,4 @@ fn main() {
     println!("obs snapshot  -> results/obs_snapshot.json");
     println!("critical path -> results/critpath.txt");
     println!("time-series   -> results/obs_timeseries.jsonl");
-    if prom {
-        println!("prometheus    -> results/obs_metrics.prom");
-    }
-    println!(
-        "net cross-check: {} msgs / {} bytes over {} dests (obs == NetStats)",
-        snapshot.net_total_msgs,
-        snapshot.net_total_bytes,
-        snapshot.net_by_dest.len()
-    );
 }

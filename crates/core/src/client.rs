@@ -35,7 +35,7 @@ use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::protocol::{DsdMsg, ProtocolError};
-use crate::runs::{scan_ranges, scan_ranges_with, UpdateRange};
+use crate::runs::{scan_ranges, UpdateRange};
 use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
@@ -643,24 +643,10 @@ impl DsdClient {
         self.costs.updates_applied += updates;
         self.costs.bytes_applied += bytes;
         self.recorder.heat(|h| {
-            let ps = self.gthv.space().page_size() as u64;
-            let base = self.gthv.space().base();
             for g in batches.iter().flat_map(UpdateBatch::groups) {
-                let row = self.gthv.table().row(g.head.entry);
-                let (mut runs, mut bytes) = (0, 0);
-                for u in g.runs() {
-                    runs += 1;
-                    bytes += u.data.len() as u64;
-                    // Local footprint of the overwritten range, page by page.
-                    let Some(row) = row else { continue };
-                    let start = row.addr + u.elem_offset * u64::from(row.size);
-                    let end = start + u.count * u64::from(row.size);
-                    if end > start {
-                        for page in (start - base) / ps..=(end - 1 - base) / ps {
-                            h.page_invalidated(page);
-                        }
-                    }
-                }
+                let (runs, bytes) = g.runs().fold((0, 0), |(runs, bytes), u| {
+                    (runs + 1, bytes + u.data.len() as u64)
+                });
                 h.update_applied(g.head.entry, runs, bytes);
             }
         });
@@ -675,15 +661,20 @@ impl DsdClient {
     fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
         // t_index: one pass from the dirty pages' twins to index ranges,
         // consecutive elements already folded into one range each.
-        let armed = self.recorder.is_enabled();
-        let mut heat: Vec<(u64, u64)> = Vec::new();
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let mut ranges = scan_ranges_with(self.gthv.table(), self.gthv.space(), |page, bytes| {
-            if armed {
-                heat.push((page, bytes));
-            }
-        });
-        t.args(heat.iter().map(|h| h.1).sum(), ranges.len() as u64);
+        let mut ranges = scan_ranges(self.gthv.table(), self.gthv.space());
+        if self.recorder.is_enabled() {
+            // The span carries the bytes the scan found: every changed
+            // element whole, as it ships.
+            let table = self.gthv.table();
+            let bytes = ranges.chunk_by(|a, b| a.entry == b.entry).map(|of_entry| {
+                let size = table
+                    .row(of_entry[0].entry)
+                    .map_or(0, |row| u64::from(row.size));
+                size * of_entry.iter().map(|r| r.count).sum::<u64>()
+            });
+            t.args(bytes.sum(), ranges.len() as u64);
+        }
         t.end(&mut self.costs);
         // t_tag: which ranges ship as they are and which as their whole
         // entry (optional promotion).
@@ -694,12 +685,9 @@ impl DsdClient {
         t.args(ranges.len() as u64, 0);
         t.end(&mut self.costs);
         self.costs.updates_sent += ranges.len() as u64;
-        // What the release is about to ship, charged once: the dirty
-        // pages, then the ranges an entry at a time.
+        // What the release is about to ship, charged once, an entry at a
+        // time.
         self.recorder.heat(|h| {
-            for (page, bytes) in heat {
-                h.page_diff(page, bytes);
-            }
             for of_entry in ranges.chunk_by(|a, b| a.entry == b.entry) {
                 let entry = of_entry[0].entry;
                 if let Some(row) = self.gthv.table().row(entry) {

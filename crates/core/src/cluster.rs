@@ -525,6 +525,7 @@ pub struct ClusterBuilder {
     n_conds: u32,
     topology: TopologyConfig,
     timing: TimingConfig,
+    faults: FaultConfig,
     net_config: NetConfig,
     init: Option<InitFn>,
     control: Option<ControlFn>,
@@ -552,6 +553,7 @@ impl ClusterBuilder {
             n_conds: 0,
             topology: TopologyConfig::default(),
             timing: TimingConfig::default(),
+            faults: FaultConfig::default(),
             net_config: NetConfig::instant(),
             init: None,
             control: None,
@@ -589,9 +591,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set fault injection in one typed call.
+    /// Set fault injection in one typed call. Commutes with
+    /// [`Self::net`]: a plan set here is kept apart from the cost model
+    /// and wins over one the cost model carries
+    /// ([`NetConfig::with_faults`]); no plan here leaves that one alone.
     pub fn faults(mut self, f: FaultConfig) -> Self {
-        self.net_config.fault_plan = f.plan;
+        self.faults = f;
         self
     }
 
@@ -739,6 +744,10 @@ impl ClusterBuilder {
             + self.worker_platforms.len()
             + usize::from(self.control.is_some())
             + usize::from(adaptive);
+        // From here on the plan lives in the fabric's configuration only.
+        if let Some(plan) = self.faults.plan.take() {
+            self.net_config.fault_plan = Some(plan);
+        }
         if let Some(plan) = &mut self.net_config.fault_plan {
             // The replication relay and the admin control channel assume
             // a FIFO-reliable link (the paper's fabric guarantee); chaos
@@ -849,7 +858,8 @@ impl ClusterBuilder {
         } else {
             Duration::ZERO
         };
-        // The obs report keys its shard-utilization section off this gauge.
+        // Critical paths and stall reports name a slowest shard from this
+        // gauge.
         self.recorder
             .gauge("cluster.shards", self.topology.shards as i64);
         let mut init = self.init.take();
@@ -1129,7 +1139,12 @@ impl ClusterBuilder {
                         // are stamped with the boundary, not the wake.
                         while let Some(t) = ticker.due(clock.now()) {
                             let t_us = t.as_micros();
-                            recorder.tick_window(t_us);
+                            // The fabric's ledger is the only count of
+                            // traffic; the frame's per-destination deltas
+                            // come from its totals as of this tick.
+                            let per_dest = net.stats().by_dest.into_iter();
+                            let per_dest = per_dest.map(|(dst, t)| (dst, (t.msgs, t.bytes)));
+                            recorder.tick_window(t_us, per_dest.collect());
                             if !recorder.watchdog_scan(t_us).is_empty() {
                                 recorder.blackbox_trigger_at("stall", t_us);
                             }

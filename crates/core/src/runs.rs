@@ -119,17 +119,6 @@ fn push_folded(out: &mut Vec<UpdateRange>, entry: u32, first: u64, count: u64) {
 /// differs, as in the byte-granular design; padding is never compared,
 /// because no row covers it.
 pub fn scan_ranges(table: &IndexTable, space: &AddressSpace) -> Vec<UpdateRange> {
-    scan_ranges_with(table, space, |_, _| {})
-}
-
-/// [`scan_ranges`], reporting `page_heat(page, bytes)` once for every dirty
-/// page that has a changed element: `bytes` is how much of the page those
-/// elements cover.
-pub fn scan_ranges_with(
-    table: &IndexTable,
-    space: &AddressSpace,
-    mut page_heat: impl FnMut(u64, u64),
-) -> Vec<UpdateRange> {
     let rows = table.rows();
     let mut out = Vec::new();
     // First row that can reach the current page.
@@ -142,48 +131,38 @@ pub fn scan_ranges_with(
         let page_addr = space.page_addr(page);
         let page_end = page_addr + current.len() as u64;
         cursor += rows[cursor..].partition_point(|r| r.end() <= page_addr);
-        let mut changed = 0;
         for row in rows[cursor..].iter().take_while(|r| r.addr < page_end) {
-            changed += scan_row(row, page_addr, twin, current, &mut out);
-        }
-        if changed > 0 {
-            page_heat(page as u64, changed);
+            scan_row(row, page_addr, twin, current, &mut out);
         }
     }
     out
 }
 
 /// Compare the bytes of `row` on one page (`twin` and `current`, at
-/// `page_addr`) and fold its changed elements into `out`. Returns the
-/// number of bytes of the page those elements cover.
+/// `page_addr`) and fold its changed elements into `out`.
 fn scan_row(
     row: &IndexRow,
     page_addr: u64,
     twin: &[u8],
     current: &[u8],
     out: &mut Vec<UpdateRange>,
-) -> u64 {
+) {
     let size = u64::from(row.size);
     // The row's bytes on this page, `[from, to)`, counted from its first.
     let from = page_addr.max(row.addr) - row.addr;
     let to = (page_addr + current.len() as u64).min(row.end()) - row.addr;
     if from >= to {
-        return 0; // a row of no elements
+        return; // a row of no elements
     }
     let at = |row_byte: u64| (row.addr + row_byte - page_addr) as usize;
     let differs = |a: u64, b: u64| twin[at(a)..at(b)] != current[at(a)..at(b)];
-    let mut changed = 0;
-    let mut found = |first: u64, count: u64, bytes: u64| {
-        changed += bytes;
-        push_folded(out, row.entry, first, count);
-    };
     // Elements `[whole_from, whole_to)` lie on the page whole. An element
     // that straddles the seam before them or after them is compared over
     // the bytes it has here; the neighbouring page, if dirty, sees the rest.
     let (whole_from, whole_to) = (from.div_ceil(size), to / size);
     let head_end = (whole_from * size).min(to);
     if from < head_end && differs(from, head_end) {
-        found(from / size, 1, head_end - from);
+        push_folded(out, row.entry, from / size, 1);
     }
     if whole_from < whole_to {
         let (a, b) = (at(whole_from * size), at(whole_to * size));
@@ -191,17 +170,13 @@ fn scan_row(
             &twin[a..b],
             &current[a..b],
             row.size as usize,
-            |first, count| {
-                let count = count as u64;
-                found(whole_from + first as u64, count, count * size);
-            },
+            |first, count| push_folded(out, row.entry, whole_from + first as u64, count as u64),
         );
     }
     let tail = whole_to * size;
     if whole_from <= whole_to && tail < to && differs(tail, to) {
-        found(whole_to, 1, to - tail);
+        push_folded(out, row.entry, whole_to, 1);
     }
-    changed
 }
 
 /// Coalesce sorted ranges: merge overlapping or adjacent element ranges of
@@ -684,29 +659,14 @@ mod tests {
         s
     }
 
-    /// The scan against the oracle it replaced in the client, and what its
-    /// heat report must satisfy: dirty pages only, ascending, once each,
-    /// never more bytes than the ranges hold.
+    /// The scan against the oracle it replaced in the client.
     fn assert_scan_matches_oracle(t: &IndexTable, s: &AddressSpace, what: &str) {
-        let mut heat = Vec::new();
-        let scanned = scan_ranges_with(t, s, |page, bytes| heat.push((page, bytes)));
         assert_eq!(
-            scanned,
+            scan_ranges(t, s),
             abstract_diffs(t, &diff_pages(s)),
             "{what}, {}-byte pages",
             s.page_size()
         );
-        assert_eq!(scan_ranges(t, s), scanned);
-        let dirty: Vec<u64> = s.dirty_pages().map(|p| p as u64).collect();
-        assert!(heat.iter().all(|(p, b)| dirty.contains(p) && *b > 0));
-        assert!(heat.windows(2).all(|w| w[0].0 < w[1].0), "{heat:?}");
-        let shipped: u64 = scanned
-            .iter()
-            .map(|r| r.count * u64::from(t.row(r.entry).unwrap().size))
-            .sum();
-        let charged: u64 = heat.iter().map(|h| h.1).sum();
-        assert!(charged <= shipped, "{charged} > {shipped}");
-        assert_eq!(charged == 0, scanned.is_empty());
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub(crate) struct Applied {
     pub duplicated: u64,
     /// Messages held back for pairwise reordering.
     pub reordered: u64,
-    /// Random extra delay to account (and sleep, under `real_delay`).
+    /// Random extra delay to account (virtual latency on the sim fabric).
     pub extra_delay: Duration,
 }
 

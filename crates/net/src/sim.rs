@@ -30,10 +30,10 @@
 //! panic.
 
 use crate::message::Message;
-use crossbeam::channel::Sender;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 

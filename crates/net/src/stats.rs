@@ -5,8 +5,9 @@ use crate::message::MsgKind;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Communication cost model. All costs are *accounted*, not slept, unless
-/// `real_delay` is set (useful in demos to make migration visible).
+/// Communication cost model. All costs are *accounted*, never slept: the
+/// threaded fabric delivers at once, the simulated fabric turns them into
+/// virtual latency.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Fixed per-message latency.
@@ -16,8 +17,6 @@ pub struct NetConfig {
     /// Fixed per-message framing overhead (headers, tags) in bytes, charged
     /// against bandwidth on every send in addition to the payload.
     pub header_overhead: usize,
-    /// Whether to actually sleep for the modelled time when sending.
-    pub real_delay: bool,
     /// Deterministic fault injection; `None` = a perfect fabric.
     pub fault_plan: Option<FaultPlan>,
 }
@@ -30,7 +29,6 @@ impl Default for NetConfig {
             latency: Duration::from_micros(100),
             bandwidth: Some(12_500_000),
             header_overhead: 64,
-            real_delay: false,
             fault_plan: None,
         }
     }
@@ -44,7 +42,6 @@ impl NetConfig {
             latency: Duration::ZERO,
             bandwidth: None,
             header_overhead: 0,
-            real_delay: false,
             fault_plan: None,
         }
     }
@@ -147,7 +144,9 @@ impl NetStats {
         self.dropped + self.duplicated + self.reordered
     }
 
-    /// Render a compact report table (one line per kind with traffic).
+    /// Render a compact report table: one line per kind with traffic,
+    /// then one per destination endpoint (ranks `0..S` are the home
+    /// shards, so this is where an unbalanced directory shows).
     pub fn report(&self) -> String {
         let mut out = String::from("kind              msgs       bytes\n");
         for k in MsgKind::ALL {
@@ -164,6 +163,12 @@ impl NetStats {
             self.total_bytes(),
             self.simulated_wire_time
         ));
+        let mut dests: Vec<(&u32, &DestTraffic)> = self.by_dest.iter().collect();
+        dests.sort_by_key(|(dst, _)| **dst);
+        out.push_str("-- traffic by destination --\ndst        msgs       bytes\n");
+        for (dst, t) in dests {
+            out.push_str(&format!("{:<8} {:>6} {:>11}\n", dst, t.msgs, t.bytes));
+        }
         if self.total_faults() + self.retransmitted > 0 {
             out.push_str(&format!(
                 "faults: dropped {} duplicated {} reordered {} retransmitted {}\n",
@@ -184,7 +189,6 @@ mod tests {
             latency: Duration::from_micros(100),
             bandwidth: Some(1_000_000), // 1 MB/s
             header_overhead: 0,
-            real_delay: false,
             fault_plan: None,
         };
         let t = cfg.transfer_time(500_000);
@@ -234,6 +238,14 @@ mod tests {
         assert!(rep.contains("lock-req"));
         assert!(rep.contains("lock-grant"));
         assert!(!rep.contains("barrier-enter"));
+        // Destinations in rank order, each with what was addressed to it.
+        let dests = rep.split("-- traffic by destination --").nth(1).unwrap();
+        let rows: Vec<Vec<&str>> = dests
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows, [["0", "1", "10"], ["1", "2", "1020"]]);
         // No fault line on a clean run.
         assert!(!rep.contains("faults:"));
         s.dropped = 2;

@@ -8,14 +8,6 @@
 //! duplicated or reordered the wire traffic in between. Local wall
 //! clocks alone cannot promise this once messages bounce between ranks
 //! with skewed clocks; the HLC merge on receive is what restores it.
-//!
-//! This module also estimates pairwise clock skew from matched
-//! send/receive flows: with `delta(a→b) = recv.t_us − send.t_us`, the
-//! one-way minimum includes both the true latency and the skew, so
-//! `(min delta(a→b) − min delta(b→a)) / 2` cancels the symmetric latency
-//! and leaves the skew of `b` relative to `a` (the classic NTP offset
-//! estimate). In this in-process fabric all ranks share one epoch clock,
-//! so the estimate doubles as a self-check: it should sit near zero.
 
 use crate::event::{Event, EventKind};
 use std::collections::BTreeMap;
@@ -95,62 +87,6 @@ pub fn check_happens_before(events: &[Event]) -> Result<(), String> {
     Ok(())
 }
 
-/// Estimated clock offset between one rank pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkewRow {
-    /// Lower-numbered rank of the pair.
-    pub a: u32,
-    /// Higher-numbered rank of the pair.
-    pub b: u32,
-    /// Estimated offset of `b`'s clock relative to `a`'s, in µs
-    /// (positive = `b` runs ahead).
-    pub skew_us: i64,
-    /// Matched send/recv samples behind the estimate.
-    pub samples: u64,
-}
-
-/// Estimate pairwise clock skew from matched message flows. Only pairs
-/// observed in *both* directions produce a row (the one-way minimum
-/// alone cannot separate skew from latency).
-pub fn estimate_skew(events: &[Event]) -> Vec<SkewRow> {
-    let mut sends: BTreeMap<u64, (u32, u64)> = BTreeMap::new();
-    for e in events {
-        if e.kind == EventKind::MsgSend && e.flow != 0 {
-            sends.insert(e.flow, (e.rank, e.t_us));
-        }
-    }
-    // (src, dst) -> (min one-way delta, samples)
-    let mut mins: BTreeMap<(u32, u32), (i64, u64)> = BTreeMap::new();
-    for e in events {
-        if e.kind == EventKind::MsgRecv && e.flow != 0 {
-            if let Some(&(src, sent_us)) = sends.get(&e.flow) {
-                if src == e.rank {
-                    continue;
-                }
-                let delta = e.t_us as i64 - sent_us as i64;
-                let slot = mins.entry((src, e.rank)).or_insert((i64::MAX, 0));
-                slot.0 = slot.0.min(delta);
-                slot.1 += 1;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (&(a, b), &(d_ab, n_ab)) in &mins {
-        if a >= b {
-            continue;
-        }
-        if let Some(&(d_ba, n_ba)) = mins.get(&(b, a)) {
-            out.push(SkewRow {
-                a,
-                b,
-                skew_us: (d_ab - d_ba) / 2,
-                samples: n_ab + n_ba,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,31 +129,5 @@ mod tests {
         let b = ev(1, EventKind::Other, 20, (10, 0), 0); // stamp did not advance
         let err = check_happens_before(&[a, b]).unwrap_err();
         assert!(err.contains("rank 1"), "err: {err}");
-    }
-
-    #[test]
-    fn skew_estimate_cancels_symmetric_latency() {
-        // b's clock runs 50 µs ahead of a's; true one-way latency 10 µs.
-        // a→b: recv stamped at send + 10 + 50; b→a: recv at send + 10 − 50.
-        let events = [
-            ev(0, EventKind::MsgSend, 100, (100, 0), 1),
-            ev(1, EventKind::MsgRecv, 160, (160, 0), 1),
-            ev(1, EventKind::MsgSend, 200, (200, 0), 2),
-            ev(0, EventKind::MsgRecv, 160, (200, 1), 2),
-        ];
-        let rows = estimate_skew(&events);
-        assert_eq!(rows.len(), 1);
-        assert_eq!((rows[0].a, rows[0].b), (0, 1));
-        assert_eq!(rows[0].skew_us, 50);
-        assert_eq!(rows[0].samples, 2);
-    }
-
-    #[test]
-    fn one_way_traffic_yields_no_skew_row() {
-        let events = [
-            ev(0, EventKind::MsgSend, 100, (100, 0), 1),
-            ev(1, EventKind::MsgRecv, 110, (110, 0), 1),
-        ];
-        assert!(estimate_skew(&events).is_empty());
     }
 }

@@ -1,30 +1,14 @@
-//! Per-page and per-index-entry access heatmaps.
+//! Per-index-entry access heatmap and the placement signals.
 //!
 //! The paper's Figure 9 story — "thousands of indexes distill into one
-//! tag" — is reproduced here as data: every release's diff scan feeds the
-//! page map (which pages are written, how many bytes of them changed
-//! elements cover),
-//! and every update batch feeds the entry map (which index entries ship,
-//! over which element ranges), one charge per run of ranges or run group
-//! that shares an entry. The resulting tables show at a glance where
-//! sharing traffic concentrates. The map is charged through
+//! tag" — is reproduced here as data: every update batch feeds the entry
+//! map (which index entries ship, over which element ranges), one charge
+//! per run of ranges or run group that shares an entry. The resulting
+//! tables show at a glance where sharing traffic concentrates, and the
+//! placement engine plans from them. The map is charged through
 //! [`crate::Recorder::heat`], under one lock per batch.
 
 use std::collections::BTreeMap;
-
-/// Accumulated statistics for one page of the protected global space.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageStats {
-    /// Times the page appeared in a release diff scan with a changed
-    /// element.
-    pub writes: u64,
-    /// Bytes of the page that changed elements covered, summed over all
-    /// diff scans: an element counts whole when one of its bytes changed,
-    /// as it ships.
-    pub diff_bytes: u64,
-    /// Times the page was overwritten by incoming updates (acquires).
-    pub invalidations: u64,
-}
 
 /// Accumulated statistics for one index-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,30 +61,17 @@ pub struct WriterStats {
     pub bytes: u64,
 }
 
-/// The access maps together: per-page, per-entry, and the two placement
-/// signals (per-(entry, writer) update attribution and per-(writer,
-/// shard) completed release-class sync operations).
+/// The access maps together: per-entry, and the two placement signals
+/// (per-(entry, writer) update attribution and per-(writer, shard)
+/// completed release-class sync operations).
 #[derive(Debug, Default)]
 pub struct Heatmap {
-    pages: BTreeMap<u64, PageStats>,
     entries: BTreeMap<u32, EntryStats>,
     writers: BTreeMap<(u32, u32), WriterStats>,
     releases: BTreeMap<(u32, u32), u64>,
 }
 
 impl Heatmap {
-    /// A diff scan found changed elements covering `bytes` bytes of `page`.
-    pub fn page_diff(&mut self, page: u64, bytes: u64) {
-        let p = self.pages.entry(page).or_default();
-        p.writes += 1;
-        p.diff_bytes += bytes;
-    }
-
-    /// Incoming updates overwrote `page`.
-    pub fn page_invalidated(&mut self, page: u64) {
-        self.pages.entry(page).or_default().invalidations += 1;
-    }
-
     /// `reads` typed reads and `writes` typed writes hit `entry`.
     pub fn entry_accessed(&mut self, entry: u32, reads: u64, writes: u64) {
         let e = self.entries.entry(entry).or_default();
@@ -144,11 +115,6 @@ impl Heatmap {
         e.bytes_applied += bytes;
     }
 
-    /// Page map, page-ordered.
-    pub fn pages(&self) -> impl Iterator<Item = (u64, PageStats)> + '_ {
-        self.pages.iter().map(|(k, v)| (*k, *v))
-    }
-
     /// Entry map, entry-ordered.
     pub fn entries(&self) -> impl Iterator<Item = (u32, EntryStats)> + '_ {
         self.entries.iter().map(|(k, v)| (*k, *v))
@@ -157,11 +123,6 @@ impl Heatmap {
     /// Statistics for one entry.
     pub fn entry(&self, entry: u32) -> Option<EntryStats> {
         self.entries.get(&entry).copied()
-    }
-
-    /// Statistics for one page.
-    pub fn page(&self, page: u64) -> Option<PageStats> {
-        self.pages.get(&page).copied()
     }
 
     /// Writer `writer` completed a release-class sync operation (unlock,
@@ -184,23 +145,6 @@ impl Heatmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pages_accumulate() {
-        let mut h = Heatmap::default();
-        h.page_diff(3, 100);
-        h.page_diff(3, 50);
-        h.page_invalidated(3);
-        h.page_diff(7, 1);
-        let p3 = h.page(3).unwrap();
-        assert_eq!(p3.writes, 2);
-        assert_eq!(p3.diff_bytes, 150);
-        assert_eq!(p3.invalidations, 1);
-        assert_eq!(h.pages().count(), 2);
-        // BTreeMap order.
-        let keys: Vec<u64> = h.pages().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![3, 7]);
-    }
 
     #[test]
     fn entry_ranges_track_min_max() {
@@ -237,6 +181,5 @@ mod tests {
     fn untouched_entry_is_absent() {
         let h = Heatmap::default();
         assert!(h.entry(5).is_none());
-        assert!(h.page(5).is_none());
     }
 }

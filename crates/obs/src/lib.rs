@@ -11,15 +11,17 @@
 //!   pack/restore.
 //! - **Metrics** — named counters, gauges and log2-bucket latency
 //!   histograms with p50/p95/p99 ([`Registry`], [`Histogram`]).
-//! - **Heatmaps** — per-page write/diff/invalidation and per-index-entry
-//!   traffic tables ([`Heatmap`]), charged a batch at a time through
-//!   [`Recorder::heat`]: one lock per release or acquire, not one per
-//!   update.
+//! - **Heatmaps** — per-index-entry traffic tables and the placement
+//!   engine's two signals ([`Heatmap`]), charged a batch at a time
+//!   through [`Recorder::heat`]: one lock per release or acquire, not one
+//!   per update.
 //! - **Causal tracing** — hybrid logical clocks stamped on every event
 //!   and merged across ranks on message receipt ([`HlcStamp`], the
 //!   [`causal`] timeline merge), plus per-sync-op critical paths naming
 //!   the straggler rank, slowest shard and retransmit count behind each
-//!   barrier/lock latency ([`critpath`]).
+//!   barrier/lock latency ([`critpath`]), computed when a reader asks
+//!   ([`Recorder::critpaths`], the watchdog's attribution) and never by
+//!   [`Recorder::snapshot`].
 //! - **Exporters** — Chrome tracing JSON ([`chrome_trace`], one track per
 //!   rank, with flow arrows linking send→receive across tracks), a
 //!   plain-text cluster report and the machine-readable [`ObsSnapshot`].
@@ -30,7 +32,9 @@
 //!
 //! The crate sits below the rest of the stack and speaks message kinds as
 //! `&'static str` labels, so every other crate can depend on it without
-//! cycles.
+//! cycles. It holds what only it can see: fabric traffic is counted once,
+//! by `hdsm_net::NetStats`, and handed to the time-series by whoever
+//! holds the `Network` ([`Recorder::tick_window`]).
 
 #![warn(missing_docs)]
 
@@ -49,18 +53,17 @@ pub mod timeseries;
 pub mod watchdog;
 
 pub use blackbox::{pretty as pretty_bundle, TriggerRow};
-pub use causal::{causal_order, check_happens_before, estimate_skew, SkewRow};
+pub use causal::{causal_order, check_happens_before};
 pub use chrome::chrome_trace;
 pub use critpath::{LinkRetransmits, OpCritPath, Segment};
 pub use event::{Event, EventKind, OpCtx, OpKind};
-pub use heatmap::{EntryStats, Heatmap, PageStats, WriterStats};
+pub use heatmap::{EntryStats, Heatmap, WriterStats};
 pub use hlc::{HlcClock, HlcStamp};
 pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, BUCKETS};
 pub use recorder::{InflightOp, ObsConfig, Recorder, Span};
 pub use ring::EventRing;
 pub use snapshot::{
-    DecisionRow, DestRow, EntryRow, HistSummary, KindTraffic, ObsSnapshot, PageRow, ReleaseRow,
-    RingDropRow, WriterRow,
+    DecisionRow, EntryRow, HistSummary, ObsSnapshot, ReleaseRow, RingDropRow, WriterRow,
 };
 pub use timeseries::{Frame, Sample, TimeSeries};
 pub use watchdog::{StallReport, WatchdogConfig};

@@ -170,88 +170,6 @@ impl Registry {
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Render every metric in the Prometheus text exposition format.
-    /// Metric names are prefixed `hdsm_` and sanitized to the Prometheus
-    /// charset; histograms emit cumulative `_bucket{le="..."}` rows over
-    /// the occupied log2 buckets plus `+Inf`, `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 5);
-            out.push_str("hdsm_");
-            for c in name.chars() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                    out.push(c);
-                } else {
-                    out.push('_');
-                }
-            }
-            out
-        }
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let top = bucket_index(h.max().max(1));
-            let mut cum = 0u64;
-            for (i, &c) in h.buckets().iter().enumerate().take(top + 1) {
-                cum += c;
-                out.push_str(&format!("{n}_bucket{{le=\"{}\"}} {cum}\n", bucket_upper(i)));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-            out.push_str(&format!("{n}_sum {}\n", h.sum()));
-            out.push_str(&format!("{n}_count {}\n", h.count()));
-        }
-        out
-    }
-
-    /// [`Registry::to_prometheus`] plus the labelled series the flat
-    /// registry doesn't hold: per-destination-endpoint traffic counters
-    /// (`hdsm_net_dest_msgs{dst=".."}` / `hdsm_net_dest_bytes{dst=".."}`)
-    /// and one `hdsm_placement_rehome{...} 1` row per placement decision.
-    /// With no placement rows and no destination rows the output equals
-    /// `to_prometheus()` exactly.
-    pub fn to_prometheus_with(
-        &self,
-        placement: &[crate::snapshot::DecisionRow],
-        dests: &[crate::snapshot::DestRow],
-    ) -> String {
-        let mut out = self.to_prometheus();
-        if !dests.is_empty() {
-            out.push_str("# TYPE hdsm_net_dest_msgs counter\n");
-            for d in dests {
-                out.push_str(&format!(
-                    "hdsm_net_dest_msgs{{dst=\"{}\"}} {}\n",
-                    d.dst, d.msgs
-                ));
-            }
-            out.push_str("# TYPE hdsm_net_dest_bytes counter\n");
-            for d in dests {
-                out.push_str(&format!(
-                    "hdsm_net_dest_bytes{{dst=\"{}\"}} {}\n",
-                    d.dst, d.bytes
-                ));
-            }
-        }
-        if !placement.is_empty() {
-            out.push_str("# TYPE hdsm_placement_rehome counter\n");
-            for p in placement {
-                out.push_str(&format!(
-                    "hdsm_placement_rehome{{entry=\"{}\",from=\"{}\",to=\"{}\",writer=\"{}\",epoch=\"{}\"}} 1\n",
-                    p.entry, p.from_shard, p.to_shard, p.writer, p.epoch
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -321,72 +239,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 100); // clamped to max
         assert_eq!(h.quantile(0.99), 100);
         assert_eq!(h.mean(), 100.0);
-    }
-
-    #[test]
-    fn prometheus_export_covers_all_metric_types() {
-        let mut r = Registry::default();
-        r.count("net.msgs-sent", 7);
-        r.gauge("cluster.shards", 3);
-        r.observe("barrier", 5);
-        r.observe("barrier", 100);
-        let text = r.to_prometheus();
-        assert!(text.contains("# TYPE hdsm_net_msgs_sent counter\nhdsm_net_msgs_sent 7\n"));
-        assert!(text.contains("# TYPE hdsm_cluster_shards gauge\nhdsm_cluster_shards 3\n"));
-        assert!(text.contains("# TYPE hdsm_barrier histogram\n"));
-        // Cumulative buckets: value 5 lands in le="7", value 100 in le="127".
-        assert!(text.contains("hdsm_barrier_bucket{le=\"7\"} 1\n"), "{text}");
-        assert!(
-            text.contains("hdsm_barrier_bucket{le=\"127\"} 2\n"),
-            "{text}"
-        );
-        assert!(text.contains("hdsm_barrier_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("hdsm_barrier_sum 105\n"));
-        assert!(text.contains("hdsm_barrier_count 2\n"));
-        // Every line is either a comment or `name[{labels}] value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# TYPE hdsm_") || line.starts_with("hdsm_"),
-                "bad line: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_with_placement_and_dests() {
-        use crate::snapshot::{DecisionRow, DestRow};
-        let mut r = Registry::default();
-        r.count("net.msgs-sent", 7);
-        let plain = r.to_prometheus();
-        // Empty extras: byte-identical to the plain exposition.
-        assert_eq!(r.to_prometheus_with(&[], &[]), plain);
-        let dests = [
-            DestRow {
-                dst: 0,
-                msgs: 5,
-                bytes: 500,
-            },
-            DestRow {
-                dst: 2,
-                msgs: 1,
-                bytes: 64,
-            },
-        ];
-        let placement = [DecisionRow {
-            entry: 3,
-            from_shard: 1,
-            to_shard: 0,
-            writer: 2,
-            epoch: 4,
-        }];
-        let text = r.to_prometheus_with(&placement, &dests);
-        assert!(text.starts_with(&plain));
-        assert!(text.contains("# TYPE hdsm_net_dest_msgs counter\n"));
-        assert!(text.contains("hdsm_net_dest_msgs{dst=\"0\"} 5\n"));
-        assert!(text.contains("hdsm_net_dest_bytes{dst=\"2\"} 64\n"));
-        assert!(text.contains(
-            "hdsm_placement_rehome{entry=\"3\",from=\"1\",to=\"0\",writer=\"2\",epoch=\"4\"} 1\n"
-        ));
     }
 
     #[test]

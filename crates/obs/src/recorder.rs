@@ -3,8 +3,8 @@
 //! A recorder is either *disabled* (the default: a `None` inside, every
 //! call is a branch on a null pointer and returns immediately — no
 //! counters, no clocks, no locks) or *enabled* (an `Arc` to the shared
-//! observability core: per-rank event logs, the metrics registry, the
-//! heatmaps and the network traffic tables). Cloning is cheap and
+//! observability core: per-rank event logs, the metrics registry and the
+//! heatmaps). Cloning is cheap and
 //! every clone feeds the same core, so one recorder wired through
 //! `ClusterBuilder::obs` observes the whole cluster.
 //!
@@ -16,12 +16,13 @@
 //! [`Recorder::blackbox_trigger_at`] never reads the time source.
 
 use crate::blackbox::{self, TriggerRow};
+use crate::critpath::{self, OpCritPath};
 use crate::event::{Event, EventKind, OpCtx};
 use crate::heatmap::Heatmap;
 use crate::hlc::{HlcClock, HlcStamp};
 use crate::metrics::Registry;
 use crate::ring::EventRing;
-use crate::snapshot::{DecisionRow, DestRow, KindTraffic, ObsSnapshot, RingDropRow};
+use crate::snapshot::{DecisionRow, ObsSnapshot, RingDropRow};
 use crate::timeseries::{Frame, Sample, TimeSeries};
 use crate::watchdog::{self, StallReport, WatchdogConfig};
 use parking_lot::{Mutex, MutexGuard};
@@ -93,16 +94,6 @@ struct RankLog {
     hlc: HlcClock,
 }
 
-/// The two traffic tables one fabric send feeds.
-#[derive(Default)]
-struct NetTraffic {
-    by_kind: BTreeMap<&'static str, KindTraffic>,
-    /// Per destination endpoint, `(msgs, bytes)`. With a sharded home
-    /// (destination ranks `0..S` are shards) this is the raw material of
-    /// the report's shard-utilization section.
-    by_dest: BTreeMap<u32, (u64, u64)>,
-}
-
 pub(crate) struct ObsCore {
     epoch: Instant,
     /// Overrides `epoch.elapsed()` when set (see [`TimeSource`]). Set at
@@ -114,9 +105,6 @@ pub(crate) struct ObsCore {
     logs: Mutex<Vec<RankLog>>,
     registry: Mutex<Registry>,
     heatmap: Mutex<Heatmap>,
-    /// Fabric traffic, fed from the fabric send path (the same call site
-    /// as `NetStats::record`, so totals always agree).
-    net: Mutex<NetTraffic>,
     /// Placement decisions applied by the adaptive engine, in decision
     /// order. Part of the snapshot so same-seed simulated runs compare
     /// decision-for-decision.
@@ -179,7 +167,6 @@ impl Recorder {
             logs: Mutex::new(Vec::new()),
             registry: Mutex::new(Registry::default()),
             heatmap: Mutex::new(Heatmap::default()),
-            net: Mutex::new(NetTraffic::default()),
             decisions: Mutex::new(Vec::new()),
             flow: AtomicU64::new(1),
             inflight: Mutex::new(BTreeMap::new()),
@@ -464,34 +451,11 @@ impl Recorder {
         }
     }
 
-    // ----- network traffic (fed by the fabric send path) -----
-
-    /// One message of `kind_label` with `bytes` payload bytes crossed the
-    /// fabric towards endpoint `dst`. `update` marks data-carrying kinds,
-    /// separating the paper's Figure 8 update traffic from control
-    /// traffic; `dst` feeds the per-destination (shard utilization) table.
-    pub fn net_send(&self, kind_label: &'static str, dst: u32, bytes: u64, update: bool) {
-        if let Some(core) = &self.0 {
-            let mut net = core.net.lock();
-            let t = net.by_kind.entry(kind_label).or_insert(KindTraffic {
-                kind: kind_label.to_string(),
-                msgs: 0,
-                bytes: 0,
-                update,
-            });
-            t.msgs += 1;
-            t.bytes += bytes;
-            let d = net.by_dest.entry(dst).or_insert((0, 0));
-            d.0 += 1;
-            d.1 += bytes;
-        }
-    }
-
     // ----- heat maps -----
 
     /// Lend the locked heat map to `f`: the one way heat is charged or
-    /// read. Callers make one call per batch of work (a release's ranges
-    /// and dirty pages, an acquire's run groups, an op's access tallies)
+    /// read. Callers make one call per batch of work (a release's ranges,
+    /// an acquire's run groups, an op's access tallies)
     /// and walk the items inside `f`, which must not call back into the
     /// recorder. `None`, with `f` not run, when disabled.
     pub fn heat<R>(&self, f: impl FnOnce(&mut Heatmap) -> R) -> Option<R> {
@@ -575,9 +539,14 @@ impl Recorder {
     }
 
     /// One cumulative sample of every windowed table, taken lock by lock
-    /// (never nested) so any feed path can run concurrently.
-    fn sample(core: &ObsCore) -> Sample {
-        let mut s = Sample::default();
+    /// (never nested) so any feed path can run concurrently. `dests` is
+    /// the fabric's per-destination `(msgs, bytes)` totals, which the
+    /// recorder does not count itself.
+    fn sample(core: &ObsCore, dests: BTreeMap<u32, (u64, u64)>) -> Sample {
+        let mut s = Sample {
+            dests,
+            ..Sample::default()
+        };
         {
             let reg = core.registry.lock();
             for (k, v) in reg.counters() {
@@ -600,7 +569,6 @@ impl Recorder {
                 }
             }
         }
-        s.dests = core.net.lock().by_dest.clone();
         s.dir_epochs = core.dir_epochs.lock().clone();
         s.decisions = core.decisions.lock().clone();
         s.in_flight = core.inflight.lock().len() as u32;
@@ -608,15 +576,17 @@ impl Recorder {
     }
 
     /// Close the telemetry window ending at `t_us` (an exact tick
-    /// boundary on the fabric clock, supplied by the cluster's telemetry
-    /// actor) and return the emitted frame. `None` when the time-series
-    /// is off or the recorder disabled.
-    pub fn tick_window(&self, t_us: u64) -> Option<Frame> {
+    /// boundary on the fabric clock) and return the emitted frame.
+    /// `per_dest` is the fabric's cumulative `(msgs, bytes)` per
+    /// destination endpoint as of the tick — the cluster's telemetry
+    /// actor, which holds the `Network`, reads it from `NetStats`. `None`
+    /// when the time-series is off or the recorder disabled.
+    pub fn tick_window(&self, t_us: u64, per_dest: BTreeMap<u32, (u64, u64)>) -> Option<Frame> {
         let core = self.0.as_ref()?;
         if core.timeseries.lock().is_none() {
             return None;
         }
-        let cur = Self::sample(core);
+        let cur = Self::sample(core, per_dest);
         let mut ts = core.timeseries.lock();
         ts.as_mut().map(|t| t.push(t_us, cur))
     }
@@ -692,16 +662,8 @@ impl Recorder {
             }
             let (kind, args) = (EventKind::Stall, (age, budget));
             Self::emit(core, now_us, f.rank, kind, None, args, "", f.op, 0, None);
-            let (events, shards) = lazy.get_or_insert_with(|| {
-                let events = Self::merged(core.logs.lock());
-                let shards = core
-                    .registry
-                    .lock()
-                    .gauge_value("cluster.shards")
-                    .unwrap_or(1)
-                    .max(1) as u32;
-                (events, shards)
-            });
+            let (events, shards) =
+                lazy.get_or_insert_with(|| (Self::merged(core.logs.lock()), Self::shards(core)));
             let critpath = watchdog::attribute(events, f.op, f.rank, f.start_us, age, *shards);
             let report = StallReport {
                 op: f.op,
@@ -850,23 +812,6 @@ impl Recorder {
 
     // ----- export -----
 
-    /// The full Prometheus exposition: the registry's metrics plus the
-    /// placement decisions and per-destination link counters the flat
-    /// registry doesn't hold. `None` when disabled.
-    pub fn prometheus(&self) -> Option<String> {
-        let core = self.0.as_ref()?;
-        let decisions = core.decisions.lock().clone();
-        let dests: Vec<DestRow> = core
-            .net
-            .lock()
-            .by_dest
-            .iter()
-            .map(|(&dst, &(msgs, bytes))| DestRow { dst, msgs, bytes })
-            .collect();
-        let reg = core.registry.lock();
-        Some(reg.to_prometheus_with(&decisions, &dests))
-    }
-
     /// Every held event across ranks, time-ordered. Empty when disabled.
     pub fn events(&self) -> Vec<Event> {
         match &self.0 {
@@ -875,14 +820,33 @@ impl Recorder {
         }
     }
 
-    /// Freeze the current state into a machine-readable snapshot —
-    /// including per-rank ring drops, the estimated inter-rank clock
-    /// skew, and the per-sync-op critical paths computed from the event
-    /// stream. `None` when disabled.
+    /// The per-sync-op critical paths of the held events
+    /// ([`critpath::analyze`] over [`Self::events`] and the
+    /// `cluster.shards` gauge). Computed when asked for: whoever reads the
+    /// paths pays for the merge and the walk, an armed run that does not
+    /// pays nothing. Empty when disabled.
+    pub fn critpaths(&self) -> Vec<OpCritPath> {
+        match &self.0 {
+            None => Vec::new(),
+            Some(core) => critpath::analyze(&self.events(), Self::shards(core)),
+        }
+    }
+
+    /// Home shard count, as the cluster published it (1 when it did not).
+    fn shards(core: &ObsCore) -> u32 {
+        let gauge = core.registry.lock().gauge_value("cluster.shards");
+        gauge.unwrap_or(1).max(1) as u32
+    }
+
+    /// Freeze the current tables into a machine-readable snapshot. A
+    /// copy, table by table: the rings are counted, not merged, and
+    /// nothing is analysed (see [`Self::critpaths`]). `None` when
+    /// disabled.
     pub fn snapshot(&self) -> Option<ObsSnapshot> {
         let core = self.0.as_ref()?;
-        let logs = core.logs.lock();
-        let ring_drops: Vec<RingDropRow> = logs
+        let ring_drops: Vec<RingDropRow> = core
+            .logs
+            .lock()
             .iter()
             .enumerate()
             .map(|(rank, l)| RingDropRow {
@@ -891,29 +855,18 @@ impl Recorder {
                 dropped: l.ring.dropped(),
             })
             .collect();
-        let events = Self::merged(logs);
-        let recorded = ring_drops.iter().map(|r| r.recorded).sum();
-        let dropped = ring_drops.iter().map(|r| r.dropped).sum();
         let registry = core.registry.lock();
         let heatmap = core.heatmap.lock();
-        let net = core.net.lock();
         let decisions = core.decisions.lock();
-        let shards = registry.gauge_value("cluster.shards").unwrap_or(1).max(1) as u32;
-        let mut snap = ObsSnapshot::build(
+        let stalls = core.watchdog.lock().stalls.clone();
+        Some(ObsSnapshot::build(
             core.now_us(),
             &registry,
             &heatmap,
-            &net.by_kind,
-            &net.by_dest,
             &decisions,
-            recorded,
-            dropped,
-        );
-        snap.ring_drops = ring_drops;
-        snap.clock_skew = crate::causal::estimate_skew(&events);
-        snap.critpaths = crate::critpath::analyze(&events, shards);
-        snap.stalls = core.watchdog.lock().stalls.clone();
-        Some(snap)
+            ring_drops,
+            stalls,
+        ))
     }
 }
 
@@ -972,13 +925,13 @@ mod tests {
         r.instant(0, EventKind::Other, 1, 2, "x");
         r.count("c", 5);
         r.observe("h", 9);
-        assert!(r.heat(|h| h.page_diff(0, 10)).is_none());
-        r.net_send("other", 0, 100, false);
+        assert!(r.heat(|h| h.release_to(0, 0)).is_none());
         {
             let mut s = r.span(0, EventKind::DiffScan);
             s.args(1, 2);
         }
         assert!(r.events().is_empty());
+        assert!(r.critpaths().is_empty());
         assert!(r.snapshot().is_none());
         assert_eq!(r.now_us(), 0);
     }
@@ -1043,27 +996,6 @@ mod tests {
         assert!(evs.windows(2).all(|w| w[0].hlc < w[1].hlc), "{evs:?}");
         assert_eq!(evs[1].op, op);
         crate::causal::check_happens_before(&evs).expect("causal stream");
-    }
-
-    #[test]
-    fn net_traffic_accumulates_per_kind() {
-        let r = Recorder::enabled();
-        r.net_send("lock-req", 0, 10, false);
-        r.net_send("lock-req", 1, 20, false);
-        r.net_send("barrier-enter", 0, 1000, true);
-        let snap = r.snapshot().unwrap();
-        assert_eq!(snap.net_total_msgs, 3);
-        assert_eq!(snap.net_total_bytes, 1030);
-        assert_eq!(snap.net_update_bytes, 1000);
-        assert_eq!(snap.net_control_bytes, 30);
-        let lr = snap.net.iter().find(|t| t.kind == "lock-req").unwrap();
-        assert_eq!(lr.msgs, 2);
-        assert_eq!(lr.bytes, 30);
-        // Destination attribution feeds the shard-utilization table.
-        let d0 = snap.net_by_dest.iter().find(|d| d.dst == 0).unwrap();
-        assert_eq!((d0.msgs, d0.bytes), (2, 1010));
-        let d1 = snap.net_by_dest.iter().find(|d| d.dst == 1).unwrap();
-        assert_eq!((d1.msgs, d1.bytes), (1, 20));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Windowed time-series: delta frames over the recorder's cumulative state.
 //!
 //! A [`TimeSeries`] turns the recorder's monotone tables (counters,
-//! per-destination traffic, per-entry heat, per-rank ring pushes,
-//! placement decisions) into bounded, windowed *delta frames*: every
-//! `interval` of fabric time — real in threaded mode, virtual in
-//! simulation mode — the telemetry actor calls
-//! [`Recorder::tick_window`](crate::Recorder::tick_window), which samples
-//! the cumulative state, subtracts the previous sample and pushes one
-//! [`Frame`] into a bounded ring (oldest frames lost first).
+//! per-entry heat, per-rank ring pushes, placement decisions) and the
+//! fabric's per-destination traffic totals into bounded, windowed *delta
+//! frames*: every `interval` of fabric time — real in threaded mode,
+//! virtual in simulation mode — the telemetry actor calls
+//! [`Recorder::tick_window`](crate::Recorder::tick_window) with the
+//! totals it read from `NetStats`, which samples the cumulative state,
+//! subtracts the previous sample and pushes one [`Frame`] into a bounded
+//! ring (oldest frames lost first).
 //!
 //! Frames are plain data with a stable single-line JSON rendering
 //! (`to_json`), so a run can stream them as JSONL for tooling and the

@@ -191,12 +191,9 @@ fn three_shard_home_is_byte_identical_to_single_home() {
 }
 
 /// Per-shard traffic must be visible end to end: NetStats attributes
-/// bytes to each shard's endpoint, and the obs cluster report renders
-/// the shard-utilization table from the `cluster.shards` gauge.
+/// bytes to each shard's endpoint and its report renders them.
 #[test]
 fn sharded_run_reports_per_shard_traffic() {
-    use hdsm::obs::Recorder;
-    let recorder = Recorder::enabled();
     let (n, seed) = (10usize, 31u64);
     let pair = &paper_pairs()[2];
     let outcome = ClusterBuilder::new()
@@ -209,7 +206,6 @@ fn sharded_run_reports_per_shard_traffic() {
             shards: 3,
             ..Default::default()
         })
-        .obs(recorder.clone())
         .gthv(matmul::gthv_def(n))
         .init(move |g| matmul::init(g, n, seed))
         .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
@@ -217,21 +213,15 @@ fn sharded_run_reports_per_shard_traffic() {
     assert!(matmul::verify(&outcome.final_gthv, n, seed));
     // Every shard terminated something: NetStats saw bytes to each of
     // the three shard endpoints (ranks 0..3).
-    let snap = outcome.obs.expect("recorder was enabled");
     for shard in 0..3u32 {
-        let row = snap
-            .net_by_dest
-            .iter()
-            .find(|r| r.dst == shard)
-            .unwrap_or_else(|| panic!("no traffic attributed to shard {shard}"));
-        assert!(row.bytes > 0, "shard {shard} received zero bytes");
+        let to_shard = outcome.net_stats.dest_traffic(shard);
+        assert!(to_shard.bytes > 0, "shard {shard} received zero bytes");
     }
-    let report = snap.report();
+    let report = outcome.net_stats.report();
     assert!(
-        report.contains("-- shard utilization --"),
-        "cluster report must carry the shard table:\n{report}"
+        report.contains("-- traffic by destination --"),
+        "the traffic report must carry the per-endpoint table:\n{report}"
     );
-    assert!(report.contains("-- traffic by destination --"));
 }
 
 /// Cross-implementation axis: on a homogeneous pair, the full DSD pipeline

@@ -127,7 +127,8 @@ fn sim_converges_byte_identically_to_threaded_on_paper_kernels() {
 /// One fully-instrumented faulty run: chaos fault plan, short lease,
 /// enabled recorder. Returns everything a reproducibility comparison
 /// needs — converged memory bytes, traffic statistics and the rendered
-/// observability snapshot.
+/// observability snapshot, followed by the critical paths a reader
+/// computes from the run's events.
 fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, NetStats, String) {
     let recorder = Recorder::enabled();
     let plan = FaultPlan::seeded(fault_seed)
@@ -162,7 +163,7 @@ fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, Ne
             ..Default::default()
         })
         .faults(FaultConfig { plan: Some(plan) })
-        .obs(recorder)
+        .obs(recorder.clone())
         .run(|c, info| {
             for _ in 0..10 {
                 c.acquire(LockId::new(0))?;
@@ -181,6 +182,7 @@ fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, Ne
         .expect("faulty sim run completes");
     let counter = outcome.final_gthv.read_int(0, 0).unwrap();
     let obs = outcome.obs.expect("recorder was enabled").to_json();
+    let obs = format!("{obs}\n{:?}", recorder.critpaths());
     (
         outcome.final_gthv.space().raw().to_vec(),
         counter,

@@ -16,10 +16,11 @@ use hdsm::dsd::cluster::{
 };
 use hdsm::dsd::{BarrierId, CostBreakdown, GthvDef, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetStats};
-use hdsm::obs::{EntryRow, EventKind, OpKind, Recorder, StallReport, TriggerRow};
+use hdsm::obs::{EntryRow, EventKind, Frame, OpKind, Recorder, StallReport, TriggerRow};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn counters_def() -> GthvDef {
@@ -89,6 +90,7 @@ fn stalled_run(dir: String) -> (String, Vec<TriggerRow>, Vec<StallReport>, NetSt
         })
         .expect("stalled run completes after the heal");
     let counter = outcome.final_gthv.read_int(0, 0).unwrap();
+    assert_frames_follow_the_fabric_ledger(&recorder, &outcome.net_stats);
     (
         recorder.timeseries_jsonl(),
         recorder.blackbox_triggers(),
@@ -96,6 +98,33 @@ fn stalled_run(dir: String) -> (String, Vec<TriggerRow>, Vec<StallReport>, NetSt
         outcome.net_stats,
         counter,
     )
+}
+
+/// One traffic ledger: the recorder counts no messages, the telemetry
+/// actor hands each window the fabric's per-destination totals. Close one
+/// last window on the run's final `NetStats` and every destination's
+/// deltas telescope to its row — to the message and the byte — which they
+/// only can if every tick was fed that same ledger, a prefix of it.
+fn assert_frames_follow_the_fabric_ledger(recorder: &Recorder, stats: &NetStats) {
+    let live = recorder.timeseries_frames();
+    assert!(live.iter().map(Frame::msgs).sum::<u64>() > 0);
+    let totals: BTreeMap<u32, (u64, u64)> = stats
+        .by_dest
+        .iter()
+        .map(|(&dst, t)| (dst, (t.msgs, t.bytes)))
+        .collect();
+    let end = live.last().expect("a frame per tick").t_us + 1;
+    recorder.tick_window(end, totals.clone());
+    let mut summed: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for (dst, msgs, bytes) in recorder
+        .timeseries_frames()
+        .into_iter()
+        .flat_map(|f| f.dests)
+    {
+        let row = summed.entry(dst).or_default();
+        *row = (row.0 + msgs, row.1 + bytes);
+    }
+    assert_eq!(summed, totals, "frames' per-destination deltas vs NetStats");
 }
 
 #[test]
@@ -307,21 +336,15 @@ fn assert_heat_ledger<R>(outcome: &ClusterOutcome<R>, recorder: &Recorder) {
     assert_eq!(sum(|e| e.updates_applied), workers.updates_applied);
     assert_eq!(sum(|e| e.bytes_applied), workers.bytes_applied);
 
-    // Pages: a dirty page with a changed element is written once per
-    // scan. No promotion here, so every changed element ships whole and
-    // the page map's bytes are the entry map's; each scan's span carries
-    // the bytes it found, and a scan that found any wrote a page.
-    let scans: Vec<u64> = recorder
+    // Scans: no promotion here, so every changed element ships whole and
+    // the bytes the scans' spans carry are the entry map's.
+    let scanned: u64 = recorder
         .events()
         .iter()
         .filter(|e| e.kind == EventKind::DiffScan)
         .map(|e| e.arg0)
-        .collect();
-    let diff_bytes: u64 = snap.pages.iter().map(|p| p.diff_bytes).sum();
-    let page_writes: u64 = snap.pages.iter().map(|p| p.writes).sum();
-    assert_eq!(diff_bytes, scans.iter().sum::<u64>());
-    assert_eq!(diff_bytes, sum(|e| e.bytes_sent));
-    assert!(page_writes >= scans.iter().filter(|&&b| b > 0).count() as u64);
+        .sum();
+    assert_eq!(scanned, sum(|e| e.bytes_sent));
 }
 
 #[test]
@@ -391,11 +414,10 @@ fn heat_ledger_matches_the_eq1_counters_on_sor_and_a_three_shard_lock_run() {
         })
         .expect("lock run");
     assert_heat_ledger(&outcome, &recorder);
-    // Every op changed one element on one page, and shipped it as one
-    // update attributed to the rank that wrote it.
+    // Every op changed one element, and shipped it as one update
+    // attributed to the rank that wrote it.
     let snap = outcome.obs.as_ref().unwrap();
     let ops = (3 * OPS) as u64;
-    assert_eq!(snap.pages.iter().map(|p| p.writes).sum::<u64>(), ops);
     assert_eq!(
         snap.entries.iter().map(|e| e.updates_sent).sum::<u64>(),
         ops
