@@ -2,8 +2,12 @@
 //! these kernels until they changed) made one accessor call per element.
 //! A copy of each element-wise inner loop lives here, and on the sim
 //! fabric — where a run is a pure function of its seed — both forms must
-//! produce the same memory, the same traffic, the same updates and the
-//! same faults, to the byte and to the count.
+//! produce the same memory, the same updates, the same release traffic
+//! and the same faults, to the byte and to the count. What else crosses
+//! the wire follows what a worker *reads*, call by call, and there the two
+//! forms differ by a known amount, pinned in [`scalar_costs`]: the same
+//! messages and the same bytes back where nothing is fetched, a fetch a
+//! call where the scalar loop walks a range it was only sent a notice for.
 
 use hdsm_apps::workload::{block_rows, SyncMode};
 use hdsm_apps::{jacobi, lu, matmul, sor};
@@ -84,6 +88,7 @@ fn matmul_scalar(
 ) -> Result<(), DsdError> {
     use matmul::{barriers, entries, locks};
     client.barrier(barriers::START)?;
+    debug_assert_eq!(client.read_int(entries::N, 0)? as usize, n);
     let rows = block_rows(n, info.index, info.n_workers);
     let mut b = Vec::with_capacity(n * n);
     for i in 0..(n * n) as u64 {
@@ -121,6 +126,7 @@ fn matmul_scalar(
 fn lu_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
     use lu::{barriers, entries};
     client.barrier(barriers::STEP)?;
+    debug_assert_eq!(client.read_int(entries::N, 0)? as usize, n);
     for k in 0..n.saturating_sub(1) {
         let pivot = client.read_float(entries::M, (k * n + k) as u64)?;
         let mut pivot_row = Vec::with_capacity(n - k);
@@ -155,16 +161,46 @@ enum Kernel {
     Lu,
 }
 
-/// Everything the two forms of a kernel must agree on.
+/// Everything the two forms of a kernel are compared on.
 #[derive(Debug, PartialEq)]
 struct Observed {
     final_bytes: Vec<u8>,
-    net_bytes: u64,
-    net_msgs: u64,
     updates_sent: u64,
-    bytes_sent: u64,
+    /// Updates and payload bytes the workers' releases shipped, as the
+    /// home counted them in.
+    released: (u64, u64),
     /// Write faults per worker, read off its address space when it is done.
     faults: Vec<u64>,
+    /// Messages, wire bytes worker → home (the home is endpoint 0) and
+    /// wire bytes home → worker.
+    traffic: (u64, u64, u64),
+}
+
+/// What the scalar form of `kernel` puts on the wire over the run form:
+/// messages, bytes worker → home, bytes home → worker. A fetch is two
+/// messages; an interest report is 20 bytes a span behind a request.
+fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
+    match (kernel, n) {
+        // Nothing fetched, the same bytes back. A row run takes in the two
+        // edge columns of a neighbour's boundary row, which the stencil
+        // never loads, and so joins that row to the worker's own stripe:
+        // the scalar form's interest is more spans, 12 report rows in all.
+        (Kernel::Jacobi, _) => (0, 12 * 20, 0),
+        (Kernel::Matmul(_), _) => (0, 0, 0),
+        // The first half-sweep loads one colour of a neighbour's boundary
+        // row, so the other colour — rewritten in that half-sweep — comes
+        // as notices between the elements read, and the second half-sweep
+        // loads it: 28 (62) one-element fetches, once. From then on the
+        // whole row is interest, as it is from the run form's first read.
+        (Kernel::Sor, 16) => (2 * 28, 2988, 1893),
+        (Kernel::Sor, 33) => (2 * 62, 7112, 4375),
+        // Every step reads the pivot row, which another worker rewrote the
+        // step before: one fetch for the run form, one an element for the
+        // scalar loop (ROADMAP 3(e)).
+        (Kernel::Lu, 16) => (2 * 210, 11_760, 13_650),
+        (Kernel::Lu, 33) => (2 * 992, 55_552, 64_480),
+        _ => unreachable!("sizes of the test below"),
+    }
 }
 
 /// Run `kernel` at size `n` — its library `run_worker`, or the scalar copy
@@ -215,13 +251,20 @@ fn observe(kernel: Kernel, n: usize, scalar: bool) -> Observed {
         Kernel::Lu => lu::verify(&outcome.final_gthv, n, SEED),
     };
     assert!(verified, "{kernel:?} n={n} scalar={scalar} must verify");
+    let to_home = outcome.net_stats.dest_traffic(0).bytes;
     Observed {
         final_bytes: outcome.final_gthv.space().raw().to_vec(),
-        net_bytes: outcome.net_stats.total_bytes(),
-        net_msgs: outcome.net_stats.total_messages(),
         updates_sent: outcome.worker_costs.iter().map(|c| c.updates_sent).sum(),
-        bytes_sent: outcome.worker_costs.iter().map(|c| c.bytes_sent).sum(),
+        released: (
+            outcome.home_costs.updates_applied,
+            outcome.home_costs.bytes_applied,
+        ),
         faults: outcome.results,
+        traffic: (
+            outcome.net_stats.total_messages(),
+            to_home,
+            outcome.net_stats.total_bytes() - to_home,
+        ),
     }
 }
 
@@ -238,8 +281,12 @@ fn row_run_kernels_equal_their_scalar_originals() {
     // so runs straddle pages at every offset.
     for n in [16, 33] {
         for kernel in kernels {
-            let (runs, scalar) = (observe(kernel, n, false), observe(kernel, n, true));
+            let (mut runs, scalar) = (observe(kernel, n, false), observe(kernel, n, true));
             assert!(runs.updates_sent > 0 && runs.faults.iter().all(|f| *f > 0));
+            let (msgs, to_home, from_home) = scalar_costs(kernel, n);
+            runs.traffic.0 += msgs;
+            runs.traffic.1 += to_home;
+            runs.traffic.2 += from_home;
             assert_eq!(runs, scalar, "{kernel:?} at n = {n}");
         }
     }

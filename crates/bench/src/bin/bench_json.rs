@@ -430,6 +430,92 @@ fn measure_rank_scaling(ranks: u32) -> f64 {
     ms(wall)
 }
 
+/// Nanoseconds a load and a store cost through [`hdsm_core::client::DsdClient`]'s
+/// accessors — where the fetch-before-use check lives, one call above
+/// `GthvInstance` — next to the same loops on a bare `GthvInstance`.
+/// Measured on a worker that holds a notice for the upper half of the
+/// array: it loads `xs[8..N/2]` (inside its read window after the first
+/// pass) and stores to it, a range it stores to while part of the entry is
+/// stale. Each figure is the median of nine passes after a warm-up pass
+/// (which takes the write faults and opens the windows). Returns
+/// `[client_read, client_write, gthv_read, gthv_write]`.
+fn measure_access_path() -> [f64; 4] {
+    use hdsm_core::gthv::GthvInstance;
+    use hdsm_core::BarrierId;
+    const N: u64 = 1 << 15;
+    let def = GthvDef::new(
+        StructBuilder::new("G")
+            .array("xs", ScalarKind::Double, N as usize)
+            .build()
+            .expect("struct"),
+    )
+    .expect("valid def");
+    /// Median ns per element of nine timed passes over `8..N/2`.
+    fn ns_per_elem(mut pass: impl FnMut()) -> f64 {
+        pass();
+        let mut ns: Vec<f64> = (0..9)
+            .map(|_| {
+                let t0 = Instant::now();
+                pass();
+                t0.elapsed().as_nanos() as f64 / (N / 2 - 8) as f64
+            })
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        ns[4]
+    }
+    let b = BarrierId::new(0);
+    let outcome = ClusterBuilder::new()
+        .gthv(def.clone())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::linux_x86())
+        .barriers(1)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 9 },
+            ..Default::default()
+        })
+        .run(move |c, info| {
+            c.barrier(b)?;
+            if info.index == 0 {
+                c.read_floats(0, 0, &mut [0.0; 8])?;
+            } else {
+                (N / 2..N).try_for_each(|i| c.write_float(0, i, i as f64))?;
+            }
+            c.barrier(b)?; // worker 0 reports; the upper half is noticed
+            let mut timed = (0.0, 0.0);
+            if info.index == 0 {
+                let mut sum = 0.0;
+                timed.0 = ns_per_elem(|| {
+                    for i in 8..N / 2 {
+                        sum += c.read_float(0, i).expect("in range");
+                    }
+                });
+                timed.1 = ns_per_elem(|| {
+                    for i in 8..N / 2 {
+                        c.write_float(0, i, sum + i as f64).expect("in range");
+                    }
+                });
+            }
+            c.barrier(b)?;
+            Ok(timed)
+        })
+        .expect("access-path run");
+    let (client_read, client_write) = outcome.results[0];
+    // A fresh instance is unprotected: stores take no fault.
+    let mut g = GthvInstance::new(def, PlatformSpec::linux_x86());
+    let mut sum = 0.0;
+    let gthv_read = ns_per_elem(|| {
+        for i in 8..N / 2 {
+            sum += g.read_float(0, i).expect("in range");
+        }
+    });
+    let gthv_write = ns_per_elem(|| {
+        for i in 8..N / 2 {
+            g.write_float(0, i, sum + i as f64).expect("in range");
+        }
+    });
+    [client_read, client_write, gthv_read, gthv_write]
+}
+
 /// Extract `(name, c_share_ms)` per benchmark from a committed
 /// `BENCH_dsd.json` by line scanning — the emitter writes one object per
 /// line, and the build has no JSON parser dependency to lean on.
@@ -629,6 +715,16 @@ fn main() {
          \"overhead_pct\": {telem_pct:.2}}},"
     )
     .expect("write to string");
+    // The access path, timed where the fetch-before-use check lives. No
+    // `c_share_ms` key, so the perf gate skips it.
+    let [client_read, client_write, gthv_read, gthv_write] = measure_access_path();
+    writeln!(
+        json,
+        "    {{\"name\": \"access_path\", \"client_read_ns\": {client_read:.2}, \
+         \"client_write_ns\": {client_write:.2}, \"gthv_read_ns\": {gthv_read:.2}, \
+         \"gthv_write_ns\": {gthv_write:.2}}},"
+    )
+    .expect("write to string");
     // Robustness figure, not an Eq. 1 cost: how long a replicated home
     // takes to serve again after its primary is killed mid-run. No
     // `c_share_ms` key, so the perf gate skips it.
@@ -661,6 +757,11 @@ fn main() {
     println!(
         "{:>10} off {:>9.2} ms  on {:>9.2} ms ({:+.1}%)",
         "telemetry", telem_off_ms, telem_on_ms, telem_pct
+    );
+    println!(
+        "{:>10} load {client_read:.2} ns, store {client_write:.2} ns through the client \
+         ({gthv_read:.2}, {gthv_write:.2} on a bare GthvInstance)",
+        "access"
     );
     println!(
         "{:>10} recovery {:>7.2} ms (kill -> first grant)",

@@ -7,8 +7,9 @@
 //!
 //! * [`DsdClient::acquire`] / [`DsdClient::lock`] — acquire a distributed
 //!   mutex (the latter returns an RAII [`LockGuard`]); outstanding updates
-//!   arrive with the grant, are converted (or memcpy'd) into the local
-//!   copy, and the region is re-armed for write detection;
+//!   arrive with the grant — for the ranges this thread has read; a notice
+//!   for the rest — and are converted (or memcpy'd) into the local copy,
+//!   twins kept in step, so write detection carries on undisturbed;
 //! * [`DsdClient::release`] — diff the dirty pages, abstract the diffs
 //!   to application-level index ranges, coalesce, tag, pack, ship to the
 //!   home thread and release;
@@ -28,12 +29,24 @@
 //! shard both loops vanish and the message sequence is byte-identical to
 //! the classic single-home protocol.
 //!
+//! **Ship what is read** (DESIGN §5). The accessors are the only way to the
+//! data, so the client knows exactly which element ranges it has read: it
+//! keeps them per entry as a small interval set (its *interest*) and tells
+//! each entry's owning shard what is new on its next request there. A
+//! grant, barrier release or fetch reply then carries updates for stale
+//! ranges inside the interest and a *notice* for the rest; noticed ranges
+//! are remembered per entry (the *stale* set), and any accessor call, read
+//! or write, that meets one first fetches exactly the intersection from
+//! its owner ([`DsdMsg::RangeFetch`]). No access ever returns a
+//! noticed-but-unfetched element.
+//!
 //! Every phase is timed into the Eq. 1 [`CostBreakdown`].
 
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
+use crate::interval::IntervalSet;
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{scan_ranges, UpdateRange};
 use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
@@ -42,7 +55,6 @@ use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::UpdateBatch;
-use std::cell::Cell;
 use std::fmt;
 
 /// Errors from the client side of the protocol.
@@ -197,8 +209,43 @@ struct ShardView {
 /// Typed accesses to one entry since the client's last heat flush.
 #[derive(Debug, Clone, Default)]
 struct Touched {
-    reads: Cell<u64>,
-    writes: Cell<u64>,
+    reads: u64,
+    writes: u64,
+}
+
+/// What this thread knows about its copy of one entry beyond the bytes:
+/// which elements it has read, and which it was told are out of date.
+#[derive(Debug, Clone, Default)]
+struct EntryView {
+    /// Elements the entry holds: an access past them is the accessor's to
+    /// refuse, and never becomes interest.
+    count: u64,
+    /// The element ranges read accessors have returned. Only grows; a walk
+    /// over adjacent rows is one span.
+    interest: IntervalSet,
+    /// The part of `interest` the entry's owning shard has not been told:
+    /// owed on the next request to that shard.
+    unreported: IntervalSet,
+    /// Ranges a notice named and no fetch or update has refreshed since.
+    stale: IntervalSet,
+    /// A range within one `interest` span and clear of `stale`: a read
+    /// inside it has nothing to record and nothing to fetch, which is the
+    /// two compares the load path pays. Empty until the first read, and
+    /// again whenever a notice for the entry arrives.
+    window: (u64, u64),
+    /// A range clear of `stale`, read or not: a store inside it has
+    /// nothing to fetch — the store path's two compares. Empty until the
+    /// first store, and again whenever a notice for the entry arrives.
+    fresh: (u64, u64),
+}
+
+/// One [`EntryView`] per entry of `gthv`, nothing read, nothing stale.
+fn fresh_views(gthv: &GthvInstance) -> Vec<EntryView> {
+    let view = |row: &crate::index_table::IndexRow| EntryView {
+        count: row.count,
+        ..Default::default()
+    };
+    gthv.table().rows().iter().map(view).collect()
 }
 
 /// A computing thread's handle on the distributed shared data.
@@ -235,6 +282,9 @@ pub struct DsdClient {
     /// by [`Self::flush_heat`]. Empty while the recorder is disabled, so a
     /// disarmed access pays one failed lookup.
     heat: Vec<Touched>,
+    /// Interest, stale set and the access path's window, one row per
+    /// entry — always on, recorder or not.
+    views: Vec<EntryView>,
     /// The fabric's time source (wall clock in threaded mode, virtual
     /// clock in simulation mode); every deadline and backoff below reads
     /// it, never `Instant`, so retries are seed-deterministic in sim runs.
@@ -254,11 +304,13 @@ impl DsdClient {
     /// [`Self::set_directory`] says otherwise). The local copy starts
     /// write-protected: any store before the first acquire is caught and
     /// shipped at the first release, like a store between `mprotect` and
-    /// the first lock in the original system.
+    /// the first lock in the original system (the acquire's incoming
+    /// updates leave an element this thread has stored to as it is).
     pub fn new(thread_rank: u32, ep: Endpoint, mut gthv: GthvInstance) -> DsdClient {
         gthv.space_mut().reset_and_protect();
         let obs_rank = ep.rank();
         let clock = ep.clock();
+        let views = fresh_views(&gthv);
         DsdClient {
             thread_rank,
             ep,
@@ -275,6 +327,7 @@ impl DsdClient {
             shard_views: std::collections::HashMap::new(),
             recorder: Recorder::disabled(),
             heat: Vec::new(),
+            views,
             clock,
             held_since: std::collections::HashMap::new(),
             cur_op: OpCtx::default(),
@@ -355,25 +408,59 @@ impl DsdClient {
     /// (from a shard that has since lost the entry again) never roll the
     /// view backwards.
     fn learn_moves(&mut self, rows: &[(u32, u32, u32)]) {
-        let learned = rows
-            .iter()
-            .filter(|&&(entry, shard, epoch)| self.placement.adopt(entry, shard, epoch))
-            .count();
+        let mut learned = 0;
+        for &(entry, shard, epoch) in rows {
+            if !self.placement.adopt(entry, shard, epoch) {
+                continue;
+            }
+            learned += 1;
+            // The new owner was never told what this thread reads of the
+            // entry: the whole interest is news to it.
+            if let Some(v) = self.views.get_mut(entry as usize) {
+                v.unreported = v.interest.clone();
+            }
+        }
         if learned > 0 {
             self.recorder
                 .count("client.entry_moves_learned", learned as u64);
         }
     }
 
+    /// The interest `shard` has not been told: every unreported span of
+    /// the entries it owns, handed over once — the request that carries
+    /// them is retransmitted until it is answered.
+    fn take_report(&mut self, shard: u32) -> Vec<UpdateRange> {
+        let mut rows = Vec::new();
+        for (entry, v) in self.views.iter_mut().enumerate() {
+            if v.unreported.is_empty() || self.placement.owner(entry as u32) != shard {
+                continue;
+            }
+            let spans = std::mem::take(&mut v.unreported);
+            rows.extend(spans.spans().iter().map(|&(first, end)| UpdateRange {
+                entry: entry as u32,
+                first,
+                count: end - first,
+            }));
+        }
+        rows
+    }
+
     /// Encode request `req_id` for `shard` under the directory's envelope
-    /// rule, stamped with the epoch this client last learned — `t_pack`.
-    fn pack_request(&mut self, msg: &DsdMsg, req_id: u64, shard: u32) -> bytes::Bytes {
+    /// rule, stamped with the epoch this client last learned and followed
+    /// by `report` — `t_pack`.
+    fn pack_request(
+        &mut self,
+        msg: &DsdMsg,
+        req_id: u64,
+        shard: u32,
+        report: &[UpdateRange],
+    ) -> bytes::Bytes {
         let epoch = self
             .directory()
             .epoch_stamped(msg.kind())
             .then(|| self.epoch_of(shard));
         let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let payload = msg.encode_request(req_id, epoch);
+        let payload = msg.encode_request(req_id, epoch, report);
         t.args(payload.len() as u64, 0);
         t.end(&mut self.costs);
         payload
@@ -395,17 +482,17 @@ impl DsdClient {
 
     /// Tally `elems` typed reads of `entry`: a run adds its element count.
     #[inline]
-    fn touch_read(&self, entry: u32, elems: usize) {
-        if let Some(t) = self.heat.get(entry as usize) {
-            t.reads.set(t.reads.get() + elems as u64);
+    fn touch_read(&mut self, entry: u32, elems: usize) {
+        if let Some(t) = self.heat.get_mut(entry as usize) {
+            t.reads += elems as u64;
         }
     }
 
     /// Tally `elems` typed writes of `entry`.
     #[inline]
-    fn touch_write(&self, entry: u32, elems: usize) {
-        if let Some(t) = self.heat.get(entry as usize) {
-            t.writes.set(t.writes.get() + elems as u64);
+    fn touch_write(&mut self, entry: u32, elems: usize) {
+        if let Some(t) = self.heat.get_mut(entry as usize) {
+            t.writes += elems as u64;
         }
     }
 
@@ -413,10 +500,10 @@ impl DsdClient {
     /// sync op opens (every op, [`Self::join`] included, goes through
     /// [`Self::op`]), so a snapshot taken after the run holds every access
     /// made before the client's last op.
-    fn flush_heat(&self) {
+    fn flush_heat(&mut self) {
         self.recorder.heat(|h| {
-            for (entry, t) in self.heat.iter().enumerate() {
-                let (reads, writes) = (t.reads.take(), t.writes.take());
+            for (entry, t) in self.heat.iter_mut().enumerate() {
+                let Touched { reads, writes } = std::mem::take(t);
                 if reads != 0 || writes != 0 {
                     h.entry_accessed(entry as u32, reads, writes);
                 }
@@ -477,7 +564,10 @@ impl DsdClient {
         self.thread_rank
     }
 
-    /// The local `GThV` copy (typed reads).
+    /// The local `GThV` copy as it stands: layout, index table, fault
+    /// statistics. Not a way to read shared data — a range this thread was
+    /// only *told* changed is refreshed by the client's own accessors, on
+    /// the way to it, and by nothing else.
     pub fn gthv(&self) -> &GthvInstance {
         &self.gthv
     }
@@ -507,7 +597,9 @@ impl DsdClient {
     ///
     /// `shard` selects the home shard the request is addressed to; each
     /// shard sees a strictly increasing subsequence of this client's
-    /// request ids, so one counter serves them all.
+    /// request ids, so one counter serves them all. Whatever interest the
+    /// shard is owed ([`Self::take_report`]) rides behind the message, on
+    /// every retransmission of it.
     ///
     /// With replicas in the directory the loop also performs client-side
     /// failover: requests carry an epoch stamp; a dead destination flips
@@ -522,7 +614,8 @@ impl DsdClient {
         self.req_counter += 1;
         let req_id = self.req_counter;
         let kind = msg.kind();
-        let mut payload = self.pack_request(&msg, req_id, shard);
+        let report = self.take_report(shard);
+        let mut payload = self.pack_request(&msg, req_id, shard, &report);
         let deadline = self.clock.now() + self.recv_deadline;
         // Decorrelated-jitter state. The seed mixes rank and request id
         // so two clients (or two requests) never share a delay sequence.
@@ -611,7 +704,7 @@ impl DsdClient {
                                     self.shard_views.entry(shard).or_default().ep = ep;
                                 }
                                 dst = self.shard_ep(shard);
-                                payload = self.pack_request(&msg, req_id, shard);
+                                payload = self.pack_request(&msg, req_id, shard, &report);
                                 break; // resend under the new view now
                             }
                             continue;
@@ -629,9 +722,18 @@ impl DsdClient {
         }
     }
 
-    /// Apply incoming updates (grant / barrier release; one batch per
-    /// shard that had any) to the local copy and re-arm write protection.
-    fn apply_incoming(&mut self, batches: &[UpdateBatch]) -> Result<(), DsdError> {
+    /// Take in what an acquire brought (grant / barrier release / fetch;
+    /// one batch per shard that had any): apply the updates to the local
+    /// copy — t_conv — and remember the notices as stale. Write detection
+    /// is not re-armed: a clean page is still protected, and a page this
+    /// thread has stored to since its last release keeps its twin (kept in
+    /// step by the apply) and its dirty mark, so a store made before a
+    /// nested acquire still ships at the next release.
+    fn apply_incoming(
+        &mut self,
+        batches: &[UpdateBatch],
+        notices: &[UpdateRange],
+    ) -> Result<(), DsdError> {
         let updates: u64 = batches.iter().map(|b| b.len() as u64).sum();
         let bytes: u64 = batches.iter().map(UpdateBatch::payload_bytes).sum();
         let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
@@ -650,9 +752,27 @@ impl DsdClient {
                 h.update_applied(g.head.entry, runs, bytes);
             }
         });
-        // "Mprotect globals" (paper Fig. 5): re-arm after the acquire so
-        // this thread's own writes are trapped for the next release.
-        self.gthv.space_mut().reset_and_protect();
+        for g in batches.iter().flat_map(UpdateBatch::groups) {
+            let Some(v) = self.views.get_mut(g.head.entry as usize) else {
+                continue;
+            };
+            // An update refreshes what an earlier notice left stale (a
+            // fetch's reply, or an owner that has not been told this
+            // thread's interest yet and ships everything).
+            if !v.stale.is_empty() {
+                g.runs()
+                    .for_each(|u| v.stale.subtract(u.elem_offset, u.elem_offset + u.count));
+            }
+        }
+        for n in notices {
+            let v = self.views.get_mut(n.entry as usize);
+            let Some(v) = v.filter(|v| n.first.checked_add(n.count).is_some_and(|e| e <= v.count))
+            else {
+                return Err(ProtocolError::BadMessage("notice outside the index table").into());
+            };
+            v.stale.insert(n.first, n.end());
+            (v.window, v.fresh) = ((0, 0), (0, 0));
+        }
         Ok(())
     }
 
@@ -684,6 +804,13 @@ impl DsdClient {
         }
         t.args(ranges.len() as u64, 0);
         t.end(&mut self.costs);
+        if self.promote_threshold < 100 {
+            // A promoted entry ships elements this thread did not store:
+            // shipping is a use, so what is stale of them is fetched first.
+            for r in &ranges {
+                self.fetch_stale(r.entry, r.first, r.end())?;
+            }
+        }
         self.costs.updates_sent += ranges.len() as u64;
         // What the release is about to ship, charged once, an entry at a
         // time.
@@ -783,11 +910,16 @@ impl DsdClient {
     }
 
     /// The tail of every acquire (lock grant, cond wake, barrier
-    /// release): `updates` rode in with the reply from shard `granting`;
-    /// pull the outstanding updates of every other shard (`UpdateFetch` —
-    /// no wire traffic on a single-shard directory), apply the lot and
-    /// re-arm write protection.
-    fn finish_acquire(&mut self, granting: u32, updates: UpdateBatch) -> Result<(), DsdError> {
+    /// release): `updates` and `notices` rode in with the reply from shard
+    /// `granting`; pull the outstanding updates of every other shard
+    /// (`UpdateFetch` — no wire traffic on a single-shard directory) and
+    /// take the lot in.
+    fn finish_acquire(
+        &mut self,
+        granting: u32,
+        updates: UpdateBatch,
+        mut notices: Vec<UpdateRange>,
+    ) -> Result<(), DsdError> {
         let mut batches = vec![updates];
         for shard in (0..self.directory().n_shards()).filter(|&s| s != granting) {
             match self.request(
@@ -796,11 +928,135 @@ impl DsdClient {
                     rank: self.thread_rank,
                 },
             )? {
-                DsdMsg::UpdateBatch { updates } => batches.push(updates),
+                DsdMsg::UpdateBatch {
+                    updates,
+                    notices: more,
+                } => {
+                    batches.push(updates);
+                    notices.extend(more);
+                }
                 _ => return Err(DsdError::Unexpected("UpdateBatch")),
             }
         }
-        self.apply_incoming(&batches)
+        self.apply_incoming(&batches, &notices)
+    }
+
+    /// Fetch before use: bring the stale part of `[first, end)` of `entry`
+    /// up to date from the shard that owns it — exactly the intersection,
+    /// one request (retransmitted, deduplicated and failed over like any
+    /// other), re-routed when the entry has moved since the notice. What
+    /// comes back may be newer than the acquire required; only a racy
+    /// program can tell.
+    #[cold]
+    #[inline(never)]
+    fn fetch_stale(&mut self, entry: u32, first: u64, end: u64) -> Result<(), DsdError> {
+        let Some(v) = self.views.get(entry as usize) else {
+            return Ok(());
+        };
+        let ranges: Vec<UpdateRange> = v
+            .stale
+            .intersect(first, end)
+            .map(|(first, end)| UpdateRange {
+                entry,
+                first,
+                count: end - first,
+            })
+            .collect();
+        if ranges.is_empty() {
+            return Ok(());
+        }
+        let rank = self.thread_rank;
+        let updates = loop {
+            let (owner, ranges) = (self.placement.owner(entry), ranges.clone());
+            match self.request(owner, DsdMsg::RangeFetch { rank, ranges })? {
+                DsdMsg::UpdateBatch { updates, .. } => break updates,
+                DsdMsg::EntryMoved { entries } => self.learn_moves(&entries),
+                _ => return Err(DsdError::Unexpected("UpdateBatch (range fetch)")),
+            }
+        };
+        self.recorder.count("client.range_fetches", 1);
+        // Applying a run takes it out of the stale set: a reply that left
+        // any of the run stale did not answer the request.
+        self.apply_incoming(&[updates], &[])?;
+        let stale = &self.views[entry as usize].stale;
+        match stale.intersect(first, end).next() {
+            None => Ok(()),
+            Some(_) => Err(DsdError::Unexpected("every range of the fetch")),
+        }
+    }
+
+    /// The read path off its window: the run `[first, end)` of `entry` is
+    /// about to be returned. Fetch what is stale of it, add it to the
+    /// interest (what is new of it is owed to the owning shard) and open
+    /// the window around it.
+    #[cold]
+    #[inline(never)]
+    fn note_read(&mut self, entry: u32, first: u64, end: u64) -> Result<(), DsdError> {
+        let v = &self.views[entry as usize];
+        if end <= first || end > v.count {
+            return Ok(()); // nothing read, or the accessor refuses it
+        }
+        if !v.stale.is_empty() {
+            self.fetch_stale(entry, first, end)?;
+        }
+        let v = &mut self.views[entry as usize];
+        for p in v.interest.split(first, end).filter(|p| !p.inside) {
+            v.unreported.insert(p.first, p.end);
+        }
+        v.interest.insert(first, end);
+        let read = v.interest.around(first, end).expect("just inserted");
+        let fresh = v.stale.around(first, end).expect("just fetched");
+        v.window = (read.lo.max(fresh.lo), read.hi.min(fresh.hi));
+        Ok(())
+    }
+
+    /// The store path off its window: fetch what is stale of `[first,
+    /// end)` of `entry`, if anything is, and open the window over the
+    /// stale-free stretch around it — the next store there, and every one
+    /// while the entry has nothing stale at all, is back to two compares.
+    #[cold]
+    #[inline(never)]
+    fn note_write(&mut self, entry: u32, first: u64, end: u64) -> Result<(), DsdError> {
+        let v = &self.views[entry as usize];
+        if end <= first || end > v.count {
+            return Ok(()); // nothing stored, or the accessor refuses it
+        }
+        if v.stale.around(first, end).is_none_or(|p| p.inside) {
+            self.fetch_stale(entry, first, end)?;
+        }
+        let v = &mut self.views[entry as usize];
+        let fresh = v.stale.around(first, end).expect("just fetched");
+        v.fresh = (fresh.lo, fresh.hi);
+        Ok(())
+    }
+
+    /// Before a read of `n` elements of `entry` from `first` returns.
+    #[inline]
+    fn before_read(&mut self, entry: u32, first: u64, n: usize) -> Result<(), DsdError> {
+        if let Some(v) = self.views.get(entry as usize) {
+            let end = first.saturating_add(n as u64);
+            if first < v.window.0 || end > v.window.1 {
+                self.note_read(entry, first, end)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Before a store to `n` elements of `entry` from `first`: a stale
+    /// element is fetched first, so that the twin the store faults in (or
+    /// already has) holds what the home holds and the store — even of the
+    /// very value the page held — is a difference the release ships. A
+    /// store is not a read: the interest stays as it is, and the window
+    /// it is checked against (`fresh`) is any stale-free range.
+    #[inline]
+    fn before_write(&mut self, entry: u32, first: u64, n: usize) -> Result<(), DsdError> {
+        if let Some(v) = self.views.get(entry as usize) {
+            let end = first.saturating_add(n as u64);
+            if first < v.fresh.0 || end > v.fresh.1 {
+                self.note_write(entry, first, end)?;
+            }
+        }
+        Ok(())
     }
 
     // ----- the typed session API -----
@@ -826,12 +1082,16 @@ impl DsdClient {
                 )?
             };
             match reply {
-                DsdMsg::LockGrant { lock: l, updates } if l == lock => {
+                DsdMsg::LockGrant {
+                    lock: l,
+                    updates,
+                    notices,
+                } if l == lock => {
                     if c.recorder.is_enabled() {
                         c.held_since
                             .insert(lock, (c.recorder.now_us(), c.clock.now()));
                     }
-                    c.finish_acquire(owner, updates)
+                    c.finish_acquire(owner, updates, notices)
                 }
                 _ => Err(DsdError::Unexpected("LockGrant")),
             }
@@ -910,9 +1170,11 @@ impl DsdClient {
                 rank,
                 updates,
             })? {
-                DsdMsg::LockGrant { lock: l, updates } if l == lock => {
-                    c.finish_acquire(owner, updates)
-                }
+                DsdMsg::LockGrant {
+                    lock: l,
+                    updates,
+                    notices,
+                } if l == lock => c.finish_acquire(owner, updates, notices),
                 _ => Err(DsdError::Unexpected("LockGrant (cond wake)")),
             }
         })
@@ -965,9 +1227,10 @@ impl DsdClient {
                 DsdMsg::BarrierRelease {
                     barrier: b,
                     updates,
+                    notices,
                 } if b == barrier => {
                     c.recorder.heat(|h| h.release_to(rank, coordinator));
-                    c.finish_acquire(coordinator, updates)
+                    c.finish_acquire(coordinator, updates, notices)
                 }
                 _ => Err(DsdError::Unexpected("BarrierRelease")),
             }
@@ -1015,7 +1278,8 @@ impl DsdClient {
     /// write-detection state: elements dirty before the move are dirty
     /// after it, so unreleased modifications still ship at the next
     /// release. The thread's consistency horizon at the home node remains
-    /// valid, so no resynchronisation round is needed.
+    /// valid, so no resynchronisation round is needed; its interest and its
+    /// stale ranges are element indices and carry over as they are.
     ///
     /// Must be called at an adaptation point with no lock held.
     pub fn rehost(&mut self, platform: Platform) -> Result<(), DsdError> {
@@ -1068,11 +1332,14 @@ impl DsdClient {
     /// this thread at its next acquire. This models a skeleton thread that
     /// received only the compute state (stack/registers) without the
     /// global segment. Unreleased modifications are lost — callers must
-    /// release first.
+    /// release first. So is what the old copy had read and been told: the
+    /// interest and the stale ranges start empty, here and (with `Resync`)
+    /// at every shard.
     pub fn rehost_cold(&mut self, platform: Platform) -> Result<(), DsdError> {
         let def = self.gthv.def().clone();
         self.gthv = GthvInstance::new(def, platform);
         self.gthv.space_mut().reset_and_protect();
+        self.views = fresh_views(&self.gthv);
         // Every shard tracks its own horizon for this thread; each must
         // drop it so the next acquire fully refreshes every slice.
         for shard in 0..self.directory().n_shards() {
@@ -1089,12 +1356,18 @@ impl DsdClient {
         Ok(())
     }
 
-    // ----- typed convenience accessors (forwarders) -----
+    // ----- typed accessors: the only way to the shared data -----
+    //
+    // A read returns nothing stale and is remembered as interest; a store
+    // refreshes what is stale under it first (`before_read`,
+    // `before_write`: two compares when the run lies in the entry's
+    // window). That is why reads take `&mut self`.
 
     /// Read an integer element of the shared structure.
     #[inline]
-    pub fn read_int(&self, entry: u32, elem: u64) -> Result<i128, DsdError> {
+    pub fn read_int(&mut self, entry: u32, elem: u64) -> Result<i128, DsdError> {
         self.touch_read(entry, 1);
+        self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_int(entry, elem)?)
     }
 
@@ -1102,13 +1375,15 @@ impl DsdClient {
     #[inline]
     pub fn write_int(&mut self, entry: u32, elem: u64, v: i128) -> Result<(), DsdError> {
         self.touch_write(entry, 1);
+        self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_int(entry, elem, v)?)
     }
 
     /// Read a float element.
     #[inline]
-    pub fn read_float(&self, entry: u32, elem: u64) -> Result<f64, DsdError> {
+    pub fn read_float(&mut self, entry: u32, elem: u64) -> Result<f64, DsdError> {
         self.touch_read(entry, 1);
+        self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_float(entry, elem)?)
     }
 
@@ -1116,13 +1391,15 @@ impl DsdClient {
     #[inline]
     pub fn write_float(&mut self, entry: u32, elem: u64, v: f64) -> Result<(), DsdError> {
         self.touch_write(entry, 1);
+        self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_float(entry, elem, v)?)
     }
 
     /// Read the `out.len()` integer elements of `entry` from `first`
     /// ([`GthvInstance::read_ints`]).
-    pub fn read_ints(&self, entry: u32, first: u64, out: &mut [i128]) -> Result<(), DsdError> {
+    pub fn read_ints(&mut self, entry: u32, first: u64, out: &mut [i128]) -> Result<(), DsdError> {
         self.touch_read(entry, out.len());
+        self.before_read(entry, first, out.len())?;
         Ok(self.gthv.read_ints(entry, first, out)?)
     }
 
@@ -1130,13 +1407,15 @@ impl DsdClient {
     /// (write-detected; [`GthvInstance::write_ints`]).
     pub fn write_ints(&mut self, entry: u32, first: u64, values: &[i128]) -> Result<(), DsdError> {
         self.touch_write(entry, values.len());
+        self.before_write(entry, first, values.len())?;
         Ok(self.gthv.write_ints(entry, first, values)?)
     }
 
     /// Read the `out.len()` float elements of `entry` from `first`
     /// ([`GthvInstance::read_floats`]).
-    pub fn read_floats(&self, entry: u32, first: u64, out: &mut [f64]) -> Result<(), DsdError> {
+    pub fn read_floats(&mut self, entry: u32, first: u64, out: &mut [f64]) -> Result<(), DsdError> {
         self.touch_read(entry, out.len());
+        self.before_read(entry, first, out.len())?;
         Ok(self.gthv.read_floats(entry, first, out)?)
     }
 
@@ -1144,12 +1423,14 @@ impl DsdClient {
     /// (write-detected; [`GthvInstance::write_floats`]).
     pub fn write_floats(&mut self, entry: u32, first: u64, values: &[f64]) -> Result<(), DsdError> {
         self.touch_write(entry, values.len());
+        self.before_write(entry, first, values.len())?;
         Ok(self.gthv.write_floats(entry, first, values)?)
     }
 
     /// Read a pointer element as a logical `(entry, elem)` target.
-    pub fn read_ptr(&self, entry: u32, elem: u64) -> Result<Option<(u32, u64)>, DsdError> {
+    pub fn read_ptr(&mut self, entry: u32, elem: u64) -> Result<Option<(u32, u64)>, DsdError> {
         self.touch_read(entry, 1);
+        self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_ptr(entry, elem)?)
     }
 
@@ -1161,6 +1442,7 @@ impl DsdClient {
         target: Option<(u32, u64)>,
     ) -> Result<(), DsdError> {
         self.touch_write(entry, 1);
+        self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_ptr(entry, elem, target)?)
     }
 }
@@ -1327,6 +1609,147 @@ mod tests {
             .map(|w| (w.writer, w.updates))
             .collect();
         assert_eq!(by_writer, [(1, 2), (1, 1)]);
+    }
+
+    /// Bring rank 1 to the state "ship what is read" exists for: it has
+    /// read `xs[0..8]`, its home knows, and `xs[50..60]` — rewritten by
+    /// rank 2 to `2000 + i` — is noticed, not shipped. Rank 2 runs `other`
+    /// from there, rank 1 `reader`.
+    fn with_a_noticed_stripe(
+        platforms: Vec<Platform>,
+        reader: impl Fn(&mut DsdClient) + Send + Sync,
+        other: impl Fn(&mut DsdClient) + Send + Sync,
+    ) {
+        with_cluster(platforms, 1, 1, |c| {
+            c.barrier(B0).unwrap(); // the initial pull
+            if c.thread_rank() == 1 {
+                c.read_ints(0, 0, &mut [0; 8]).unwrap();
+                assert_eq!(c.views[0].unreported.spans(), [(0, 8)]);
+                c.barrier(B0).unwrap(); // reports; the stripe is noticed
+                assert_eq!(c.views[0].stale.spans(), [(50, 60)]);
+                assert_eq!(c.read_int(0, 55).unwrap(), 1900 + 55);
+                c.barrier(B0).unwrap(); // reports; the rewrite is noticed
+                assert_eq!(c.views[0].interest.spans(), [(0, 8), (55, 56)]);
+                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 60)]);
+                assert!(c.views[0].unreported.is_empty());
+                reader(c);
+            } else {
+                for i in 50..60 {
+                    c.write_int(0, i, 1900 + i as i128).unwrap();
+                }
+                c.barrier(B0).unwrap();
+                for i in 50..55 {
+                    c.write_int(0, i, 2000 + i as i128).unwrap();
+                }
+                for i in 56..60 {
+                    c.write_int(0, i, 2000 + i as i128).unwrap();
+                }
+                c.barrier(B0).unwrap();
+                other(c);
+            }
+        });
+    }
+
+    fn fetches(c: &DsdClient) -> u64 {
+        let snap = c.recorder().snapshot().expect("armed");
+        let row = snap
+            .counters
+            .iter()
+            .find(|(k, _)| k == "client.range_fetches");
+        row.map_or(0, |(_, v)| *v)
+    }
+
+    #[test]
+    fn a_noticed_range_is_fetched_before_a_read_or_a_store_returns() {
+        let recorder = Recorder::enabled();
+        with_a_noticed_stripe(
+            vec![PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
+            |c| {
+                c.set_recorder(recorder.clone());
+                let applied = c.costs().updates_applied;
+                // Inside the window: nothing to fetch, nothing to say.
+                assert_eq!(c.read_int(0, 3).unwrap(), 1003);
+                assert_eq!(fetches(c), 0);
+                // A read of a noticed element fetches exactly what of the
+                // run is stale — [52, 55) of [52, 56) — and returns it.
+                let mut got = [0; 4];
+                c.read_ints(0, 52, &mut got).unwrap();
+                assert_eq!(got, [2052, 2053, 2054, 1955]);
+                assert_eq!(fetches(c), 1);
+                assert_eq!(c.costs().updates_applied, applied + 1);
+                assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 60)]);
+                assert_eq!(c.views[0].interest.spans(), [(0, 8), (52, 56)]);
+                assert_eq!(c.views[0].window, (52, 56));
+                // A store fetches first too, so that storing the very
+                // value the stale copy held (1957) is still a difference
+                // from the twin — which holds what the home holds.
+                c.write_int(0, 57, 1957).unwrap();
+                assert_eq!(fetches(c), 2);
+                assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 57), (58, 60)]);
+                assert_eq!(c.views[0].fresh, (57, 58));
+                // A store clear of everything stale fetches nothing and
+                // opens the store window over the whole stale-free stretch.
+                c.write_int(0, 100, 7).unwrap();
+                assert_eq!((fetches(c), c.views[0].fresh), (2, (60, u64::MAX)));
+                // Fetched values are nobody's local write: the release
+                // ships the two stores and nothing else.
+                let sent = c.costs().updates_sent;
+                c.barrier(B0).unwrap();
+                assert_eq!(c.costs().updates_sent, sent + 2);
+                c.barrier(B0).unwrap();
+            },
+            |c| {
+                c.barrier(B0).unwrap();
+                assert_eq!(c.read_int(0, 57).unwrap(), 1957, "the store was shipped");
+                assert_eq!(c.read_int(0, 53).unwrap(), 2053, "a fetch was not");
+                c.barrier(B0).unwrap();
+            },
+        );
+    }
+
+    #[test]
+    fn warm_rehost_keeps_what_is_stale_and_cold_rehost_forgets_it() {
+        with_a_noticed_stripe(
+            vec![PlatformSpec::linux_x86(), PlatformSpec::linux_x86()],
+            |c| {
+                // Element indices mean the same on the new node.
+                c.rehost(PlatformSpec::solaris_sparc64()).unwrap();
+                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 60)]);
+                assert_eq!(c.read_int(0, 58).unwrap(), 2058, "fetched after the move");
+                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 58), (59, 60)]);
+                // A cold copy has read nothing and been told nothing: its
+                // next acquire refreshes everything, nothing left stale.
+                c.rehost_cold(PlatformSpec::linux_x86()).unwrap();
+                assert!(c.views[0].stale.is_empty() && c.views[0].interest.is_empty());
+                c.barrier(B0).unwrap();
+                assert!(c.views[0].stale.is_empty());
+                let mut all = [0; 128];
+                c.read_ints(0, 0, &mut all).unwrap();
+                assert_eq!((all[3], all[52], all[55]), (1003, 2052, 1955));
+            },
+            |c| c.barrier(B0).unwrap(),
+        );
+    }
+
+    #[test]
+    fn a_notice_outside_the_index_table_is_refused() {
+        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+            let notice = |first, count| UpdateRange {
+                entry: 0,
+                first,
+                count,
+            };
+            for wild in [notice(120, 9), notice(u64::MAX, 2)] {
+                let res = c.apply_incoming(&[], &[notice(0, 4), wild]);
+                assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
+            }
+            let other_entry = UpdateRange {
+                entry: 7,
+                first: 0,
+                count: 1,
+            };
+            assert!(c.apply_incoming(&[], &[other_entry]).is_err());
+        });
     }
 
     #[test]
@@ -1604,7 +2027,7 @@ mod tests {
             }
             // If the drop hadn't released, this second acquire would
             // deadlock (the home only grants a free mutex).
-            let g = c.lock(L0).unwrap();
+            let mut g = c.lock(L0).unwrap();
             assert_eq!(g.read_int(1, 0).unwrap(), 11);
             g.unlock().unwrap();
             assert!(c.costs().updates_sent >= 1, "drop shipped the diff");

@@ -995,8 +995,11 @@ impl ClusterBuilder {
                                 if a.load(Ordering::Relaxed) {
                                     let rank = i as u32 + 1;
                                     let src = directory.worker_ep(rank);
-                                    let beat =
-                                        DsdMsg::Heartbeat { rank }.encode_request(0, beat_epoch);
+                                    let beat = DsdMsg::Heartbeat { rank }.encode_request(
+                                        0,
+                                        beat_epoch,
+                                        &[],
+                                    );
                                     for dst in directory.home_eps() {
                                         let _ =
                                             net.send_as(src, dst, MsgKind::Heartbeat, beat.clone());

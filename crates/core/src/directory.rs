@@ -43,6 +43,7 @@ pub fn is_client_request(kind: MsgKind) -> bool {
             | MsgKind::Heartbeat
             | MsgKind::UpdateFlush
             | MsgKind::UpdateFetch
+            | MsgKind::RangeFetch
     )
 }
 
@@ -291,6 +292,7 @@ mod tests {
             MsgKind::Heartbeat,
             MsgKind::UpdateFlush,
             MsgKind::UpdateFetch,
+            MsgKind::RangeFetch,
         ] {
             assert!(replicated.epoch_stamped(k), "{k:?}");
             assert!(!plain.epoch_stamped(k), "{k:?}");

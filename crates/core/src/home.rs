@@ -19,14 +19,20 @@
 //! Consistency bookkeeping is a sequence-numbered update log: every
 //! absorbed [`UpdateRange`] is logged under a global sequence number, and
 //! each thread records the highest sequence it has seen. A grant or
-//! barrier release ships the *current authoritative bytes* of every range
-//! logged after the thread's horizon — so updates naturally batch up for
-//! threads that have not synchronized in a while (the paper's Figure 9
-//! "batch update" spike is this mechanism at work).
+//! barrier release covers every range logged after the thread's horizon —
+//! so updates naturally batch up for threads that have not synchronized
+//! in a while (the paper's Figure 9 "batch update" spike is this
+//! mechanism at work) — in one of two ways: the *current authoritative
+//! bytes* of what falls inside the thread's reported **interest** (the
+//! ranges its read accessors have returned; an entry it never read counts
+//! whole), and a **notice** `(entry, first, count)` for the rest, which
+//! the thread fetches ([`DsdMsg::RangeFetch`]) before any access to it
+//! returns (DESIGN §5).
 
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{is_client_request, Directory, Placement};
 use crate::gthv::GthvInstance;
+use crate::interval::{IntervalSet, Piece};
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
 use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
@@ -151,6 +157,10 @@ struct Peer {
     /// deferred grants and barrier releases — and home-side spans are
     /// attributed to the op that caused them. Unset when obs is disabled.
     op: OpCtx,
+    /// The element ranges the thread has reported reading, per entry: what
+    /// a grant ships updates for. An entry without a row was never read
+    /// (or its reader never said) and counts whole.
+    interest: BTreeMap<u32, IntervalSet>,
 }
 
 /// A handoff drain in progress at a fenced primary — replaces the
@@ -529,23 +539,18 @@ impl HomeShard {
         ranges
     }
 
-    /// Absorb a batch of incoming updates from thread `writer`: unpack
-    /// time was already spent decoding; here we apply (t_conv) and log the
-    /// ranges. Returns `false`, with nothing absorbed, when the batch
-    /// targets an entry this shard re-homed away: the writer is replied
-    /// the `EntryMoved` rows instead, merges them, re-buckets the affected
-    /// updates and resends.
-    fn absorb(&mut self, writer: u32, updates: &UpdateBatch) -> Result<bool, HomeError> {
-        if updates.is_empty() {
-            return Ok(true);
-        }
-        // This shard is only authoritative for what it owns — asked once
-        // per group, whose runs share their entry. Of the rest, an entry
-        // that moved (epoch > 0) is a stale view at the writer; one that
-        // never did is a routing bug, which must not silently corrupt
-        // another shard's slice.
+    /// This shard is only authoritative for what it owns. Of `entries`
+    /// that it does not, one that moved (epoch > 0) is a stale view at
+    /// thread `rank`: reply the `EntryMoved` rows — the thread merges them,
+    /// re-routes and resends — and return `true`, nothing else done. One
+    /// that never moved is a routing bug, which must not silently corrupt
+    /// (or be answered from) another shard's slice.
+    fn bounce_unowned(
+        &mut self,
+        rank: u32,
+        entries: impl Iterator<Item = u32>,
+    ) -> Result<bool, HomeError> {
         let p = &self.placement;
-        let entries = updates.groups().map(|g| g.head.entry);
         let (mut moved, misrouted): (Vec<_>, Vec<_>) = entries
             .map(|entry| (entry, p.owner(entry), p.epoch(entry)))
             .filter(|&(_, owner, _)| owner != self.shard)
@@ -554,14 +559,29 @@ impl HomeShard {
             moved.sort_unstable();
             moved.dedup();
             self.recorder.count("home.entry_bounces", 1);
-            self.send(writer, DsdMsg::EntryMoved { entries: moved })?;
-            return Ok(false);
+            self.send(rank, DsdMsg::EntryMoved { entries: moved })?;
+            return Ok(true);
         }
-        if let Some((entry, owner, _)) = misrouted.first() {
-            return Err(HomeError::Violation(format!(
-                "shard {} received update for entry {entry} owned by shard {owner}",
+        match misrouted.first() {
+            Some((entry, owner, _)) => Err(HomeError::Violation(format!(
+                "shard {} received a request for entry {entry} owned by shard {owner}",
                 self.shard
-            )));
+            ))),
+            None => Ok(false),
+        }
+    }
+
+    /// Absorb a batch of incoming updates from thread `writer`: unpack
+    /// time was already spent decoding; here we apply (t_conv) and log the
+    /// ranges. Returns `false`, with nothing absorbed, when the batch
+    /// targets an entry this shard re-homed away ([`Self::bounce_unowned`],
+    /// asked once per group, whose runs share their entry).
+    fn absorb(&mut self, writer: u32, updates: &UpdateBatch) -> Result<bool, HomeError> {
+        if updates.is_empty() {
+            return Ok(true);
+        }
+        if self.bounce_unowned(writer, updates.groups().map(|g| g.head.entry))? {
+            return Ok(false);
         }
         let (n, bytes) = (updates.len() as u64, updates.payload_bytes());
         let mut t = Phase::Conv.begin(&self.recorder, self.ep.rank(), self.op_of(writer));
@@ -604,42 +624,83 @@ impl HomeShard {
         self.log_floor = self.log_floor.max(min_seen);
     }
 
-    /// Updates thread `rank` has not seen, as freshly extracted wire
-    /// frames (t_tag for range coalescing + t_pack accounted by caller's
-    /// encode; extraction itself is charged to t_pack).
-    fn stale_updates_for(&mut self, rank: u32) -> Result<UpdateBatch, HomeError> {
-        let (horizon, op) = self
-            .peers
-            .get(&rank)
-            .map_or((0, OpCtx::default()), |p| (p.seen, p.op));
+    /// What thread `rank` has not seen: freshly extracted wire frames for
+    /// the stale ranges inside its interest, notices for the rest. The
+    /// interest/notice split and the coalescing of what ships are t_tag,
+    /// the extraction t_pack (the reply's encode charges its own copy).
+    fn stale_updates_for(
+        &mut self,
+        rank: u32,
+    ) -> Result<(UpdateBatch, Vec<UpdateRange>), HomeError> {
+        let everything = BTreeMap::new();
+        let (horizon, op, interest) = match self.peers.get(&rank) {
+            Some(p) => (p.seen, p.op, &p.interest),
+            None => (0, OpCtx::default(), &everything),
+        };
         let mut t = Phase::Tag.begin(&self.recorder, self.ep.rank(), op);
-        let ranges = if horizon < self.log_floor {
+        let (ranges, notices) = if horizon < self.log_floor {
             // The thread's horizon predates the log: full refresh of
             // this shard's slice.
-            self.owned_full_ranges()
+            split_by_interest(self.owned_full_ranges().into_iter(), interest)
         } else {
             let stale = self.log.partition_point(|(s, ..)| *s <= horizon);
-            coalesce(
-                self.log[stale..]
-                    .iter()
-                    .filter(|(_, w, _)| *w != rank)
-                    .map(|(_, _, r)| *r)
-                    .collect(),
-            )
+            let unseen = self.log[stale..]
+                .iter()
+                .filter(|(_, w, _)| *w != rank)
+                .map(|(_, _, r)| *r);
+            split_by_interest(unseen, interest)
         };
+        let ranges = coalesce(ranges);
         t.args(ranges.len() as u64, rank as u64);
         t.end(&mut self.costs);
+        let ups = self.extract_for(op, &ranges)?;
+        if !ranges.is_empty() {
+            self.recorder
+                .count("home.ranges_updated", ranges.len() as u64);
+        }
+        if !notices.is_empty() {
+            self.recorder
+                .count("home.ranges_noticed", notices.len() as u64);
+        }
+        if let Some(p) = self.peers.get_mut(&rank) {
+            p.seen = self.seq;
+        }
+        Ok((ups, notices))
+    }
+
+    /// Frame the current authoritative bytes of `ranges` for the thread
+    /// blocked in `op` — t_pack — and book them as sent.
+    fn extract_for(&mut self, op: OpCtx, ranges: &[UpdateRange]) -> Result<UpdateBatch, HomeError> {
         let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
-        let ups = extract_updates(&self.gthv, &ranges)?;
+        let ups = extract_updates(&self.gthv, ranges)?;
         let bytes = ups.payload_bytes();
         t.args(bytes, ups.len() as u64);
         t.end(&mut self.costs);
         self.costs.updates_sent += ups.len() as u64;
         self.costs.bytes_sent += bytes;
-        if let Some(p) = self.peers.get_mut(&rank) {
-            p.seen = self.seq;
-        }
         Ok(ups)
+    }
+
+    /// Take a thread's interest report into its table. The rows came off
+    /// the wire: one the index table does not hold is a violation, like an
+    /// update for it would be.
+    fn note_interest(&mut self, rank: u32, rows: &[UpdateRange]) -> Result<(), HomeError> {
+        let (Some(peer), index) = (self.peers.get_mut(&rank), self.gthv.table()) else {
+            return Ok(());
+        };
+        for r in rows.iter().filter(|r| r.count > 0) {
+            let count = index.row(r.entry).map_or(0, |row| row.count);
+            if r.first.checked_add(r.count).is_none_or(|end| end > count) {
+                return Err(HomeError::Violation(format!(
+                    "thread {rank} reports interest in {r:?}, outside the index table"
+                )));
+            }
+            peer.interest
+                .entry(r.entry)
+                .or_default()
+                .insert(r.first, r.end());
+        }
+        Ok(())
     }
 
     /// The one transmit: put `payload` on the wire to endpoint `ep_rank`
@@ -756,8 +817,13 @@ impl HomeShard {
     }
 
     fn grant(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
-        let updates = self.stale_updates_for(rank)?;
-        self.send(rank, DsdMsg::LockGrant { lock, updates })
+        let (updates, notices) = self.stale_updates_for(rank)?;
+        let grant = DsdMsg::LockGrant {
+            lock,
+            updates,
+            notices,
+        };
+        self.send(rank, grant)
     }
 
     /// Period of the service loop's wake-ups: a quarter of the lease.
@@ -901,7 +967,7 @@ impl HomeShard {
         }
         let mut t = Phase::Unpack.begin(&self.recorder, self.ep.rank(), op);
         t.args(msg.payload.len() as u64, msg.src as u64);
-        let (req_id, stamp, decoded) = DsdMsg::decode_request(
+        let (req_id, stamp, decoded, interest) = DsdMsg::decode_request(
             msg.kind,
             msg.payload.clone(),
             self.placement.directory().epoch_stamped(msg.kind),
@@ -976,13 +1042,14 @@ impl HomeShard {
                 if self.fenced {
                     return self.reply_view_change(msg.src, req_id);
                 }
-                // Relay *before* processing, envelope stripped, so the
+                // Relay *before* processing, envelope stripped (the
+                // interest report behind the body rides along), so the
                 // shadow can never miss a request whose effects the
                 // primary exposed to a client and replays it through the
                 // same dispatch path.
                 let body = msg.payload.slice(if stamp.is_some() { 12 } else { 8 }..);
                 self.relay(msg.src, req_id, msg.kind, body)?;
-                self.dispatch(msg.src, req_id, decoded, op)
+                self.dispatch(msg.src, req_id, decoded, &interest, op)
             }
         }
     }
@@ -1061,7 +1128,7 @@ impl HomeShard {
                 "relayed frame with unknown kind",
             )));
         };
-        let inner = DsdMsg::decode(kind, body)?;
+        let (inner, interest) = DsdMsg::decode_reported(kind, body)?;
         self.mute = true;
         let res = match inner {
             // Relayed home-side decisions (req id 0), not client requests.
@@ -1083,7 +1150,14 @@ impl HomeShard {
                 // the install (muted — the primary sent the ack).
                 self.install_entry(entry, epoch, state)
             }
-            inner => self.dispatch(src_ep, req_id, inner, OpCtx::default()),
+            // A fetch changes no table but the interest riding behind it:
+            // the shadow takes the rows and skips the extraction, so its
+            // Eq. 1 ledger holds no Pack for a reply nobody receives. It
+            // skips the request id too — a retransmission that reaches it
+            // once promoted is a new request, answered from the same
+            // authoritative bytes.
+            DsdMsg::RangeFetch { rank, .. } => self.note_interest(rank, &interest),
+            inner => self.dispatch(src_ep, req_id, inner, &interest, OpCtx::default()),
         };
         self.mute = false;
         res
@@ -1515,8 +1589,9 @@ impl HomeShard {
 
     /// Serialize the full shard state for a handoff: authoritative entry
     /// bytes (as a packed update batch over the owned slice), the update
-    /// log, the peers table (life, route, horizon and at-most-once dedup
-    /// state of every rank), the sync tables and the ownership overlay.
+    /// log, the peers table (life, route, horizon, at-most-once dedup
+    /// state and reported interest of every rank), the sync tables and the
+    /// ownership overlay.
     /// Every table is written in key order, so the bytes are a pure
     /// function of the shard's state (the simulation determinism tests
     /// compare run artifacts byte-for-byte). Opaque to the protocol layer
@@ -1549,6 +1624,15 @@ impl HomeShard {
                 out.put_u16(*kind as u16);
                 out.put_u32(payload.len() as u32);
                 out.put_slice(payload);
+            }
+            out.put_u32(p.interest.len() as u32);
+            for (entry, set) in &p.interest {
+                out.put_u32(*entry);
+                out.put_u32(set.spans().len() as u32);
+                for (start, end) in set.spans() {
+                    out.put_u64(*start);
+                    out.put_u64(*end);
+                }
             }
         }
         out.put_u32(self.locks.len() as u32);
@@ -1650,7 +1734,7 @@ impl HomeShard {
                 },
             ))
         })?;
-        self.peers = BTreeMap::from_iter(table(&mut b, 26, |b| {
+        self.peers = BTreeMap::from_iter(table(&mut b, 30, |b| {
             let rank = b.get_u32();
             let life = match b.get_u8() {
                 0 => Life::Expected,
@@ -1670,12 +1754,34 @@ impl HomeShard {
                 need(b, plen)?;
                 reply = Some((rid, kind, b.split_to(plen)));
             }
+            // The interest table is consulted by every later grant: its
+            // rows are held to the index table and to the one form an
+            // `IntervalSet` has, so what is installed is what was sent.
+            let interest = BTreeMap::from_iter(table(b, 8, |b| {
+                let entry = b.get_u32();
+                let count = index.row(entry).map(|row| row.count);
+                let count = count.ok_or(bad("snapshot interest entry unknown"))?;
+                let (mut set, mut reach) = (IntervalSet::default(), None);
+                for (start, end) in table(b, 16, |b| Ok((b.get_u64(), b.get_u64())))? {
+                    if start >= end || end > count || reach.is_some_and(|r| start <= r) {
+                        return Err(bad("snapshot interest spans malformed"));
+                    }
+                    set.insert(start, end);
+                    reach = Some(end);
+                }
+                // A row is a thread having read something of the entry.
+                if set.is_empty() {
+                    return Err(bad("snapshot interest row empty"));
+                }
+                Ok((entry, set))
+            })?);
             let peer = Peer {
                 life,
                 route,
                 seen,
                 last_req,
                 reply,
+                interest,
                 ..Peer::default()
             };
             Ok((rank, peer))
@@ -1729,7 +1835,8 @@ impl HomeShard {
         let deadline = self.clock.now() + self.linger;
         while let Some(msg) = self.recv_until(deadline)? {
             let stamped = self.placement.directory().epoch_stamped(msg.kind);
-            let Ok((req_id, _, decoded)) = DsdMsg::decode_request(msg.kind, msg.payload, stamped)
+            let Ok((req_id, _, decoded, _)) =
+                DsdMsg::decode_request(msg.kind, msg.payload, stamped)
             else {
                 continue;
             };
@@ -1763,13 +1870,15 @@ impl HomeShard {
     }
 
     /// Reliability front-end: refresh liveness, deduplicate retransmitted
-    /// requests (resending the cached reply), then hand fresh requests to
-    /// [`Self::handle`].
+    /// requests (resending the cached reply), then hand fresh requests —
+    /// their interest report taken in first, so the reply already goes by
+    /// it — to [`Self::handle`].
     fn dispatch(
         &mut self,
         src_ep: u32,
         req_id: u64,
         msg: DsdMsg,
+        interest: &[UpdateRange],
         op: OpCtx,
     ) -> Result<(), HomeError> {
         let Some(rank) = msg.sender_rank() else {
@@ -1820,6 +1929,7 @@ impl HomeShard {
             peer.last_req = req_id;
             peer.reply = None;
         }
+        self.note_interest(rank, interest)?;
         self.handle(msg)
     }
 
@@ -2002,8 +2112,13 @@ impl HomeShard {
                 if self.barriers[idx].entered.len() >= self.pending {
                     let entered = std::mem::take(&mut self.barriers[idx].entered);
                     for r in entered {
-                        let updates = self.stale_updates_for(r)?;
-                        self.send(r, DsdMsg::BarrierRelease { barrier, updates })?;
+                        let (updates, notices) = self.stale_updates_for(r)?;
+                        let release = DsdMsg::BarrierRelease {
+                            barrier,
+                            updates,
+                            notices,
+                        };
+                        self.send(r, release)?;
                     }
                 }
                 Ok(())
@@ -2053,8 +2168,11 @@ impl HomeShard {
             DsdMsg::Resync { rank } => {
                 // Cold copy: force a full refresh at the next acquire by
                 // dropping the horizon below the log floor (or to zero).
+                // The cold copy has read nothing either: what it reports
+                // from here on is its whole interest.
                 if let Some(p) = self.peers.get_mut(&rank) {
                     p.seen = 0;
+                    p.interest.clear();
                 }
                 if self.log_floor == 0 && self.seq > 0 {
                     // Ensure "below floor" semantics even without
@@ -2078,14 +2196,102 @@ impl HomeShard {
             DsdMsg::UpdateFetch { rank } => {
                 // Acquire-time pull: the thread just acquired at another
                 // shard and needs this shard's outstanding updates too.
-                let updates = self.stale_updates_for(rank)?;
-                self.send(rank, DsdMsg::UpdateBatch { updates })
+                let (updates, notices) = self.stale_updates_for(rank)?;
+                self.send(rank, DsdMsg::UpdateBatch { updates, notices })
+            }
+            DsdMsg::RangeFetch { rank, ranges } => {
+                // Fetch before use: the current bytes of ranges the thread
+                // was only told about, straight from the authoritative
+                // copy. Its horizon stays: the log rows these ranges came
+                // from were accounted for when they were noticed.
+                if self.bounce_unowned(rank, ranges.iter().map(|r| r.entry))? {
+                    return Ok(()); // the thread re-routes and fetches again
+                }
+                let updates = self.extract_for(self.op_of(rank), &ranges)?;
+                let notices = Vec::new();
+                self.send(rank, DsdMsg::UpdateBatch { updates, notices })
             }
             other => Err(HomeError::Violation(format!(
                 "home received unexpected {other:?}"
             ))),
         }
     }
+}
+
+/// Divide a reader's stale ranges by its `interest`: what falls inside a
+/// span it has read (or in an entry it has no row for — never read, so
+/// counted whole) is returned first, to be shipped; the rest is folded
+/// into notices, one per gap between two spans that anything fell into,
+/// covering from the first stale element in that gap to the last. A notice
+/// may therefore cover more than was written, never an element of the
+/// interest, and an entry yields at most one more notice than it has
+/// spans — SOR's thousands of stride-2 ranges in a neighbour's stripe
+/// become one. One pass, in log order: consecutive ranges mostly fall in
+/// the span or gap the one before did, which costs them four compares.
+fn split_by_interest(
+    stale: impl Iterator<Item = UpdateRange>,
+    interest: &BTreeMap<u32, IntervalSet>,
+) -> (Vec<UpdateRange>, Vec<UpdateRange>) {
+    /// Close the span or gap the walk is leaving: a gap's hull joins the
+    /// notice of that gap (keyed by entry and where the gap starts).
+    fn leave(at: Option<(u32, Piece)>, noticed: &mut BTreeMap<(u32, u64), (u64, u64)>) {
+        if let Some((entry, p)) = at.filter(|(_, p)| !p.inside) {
+            let hull = noticed.entry((entry, p.lo)).or_insert((p.first, p.end));
+            *hull = (hull.0.min(p.first), hull.1.max(p.end));
+        }
+    }
+    let mut ship = Vec::new();
+    let mut noticed = BTreeMap::new();
+    // The span or gap the last range fell in; in a gap, `first..end` is
+    // the hull of what fell there since the walk entered it.
+    let mut at: Option<(u32, Piece)> = None;
+    for r in stale {
+        if let Some((entry, p)) = &mut at {
+            if *entry == r.entry && p.lo <= r.first && r.end() <= p.hi {
+                if p.inside {
+                    ship.push(r);
+                } else {
+                    (p.first, p.end) = (p.first.min(r.first), p.end.max(r.end()));
+                }
+                continue;
+            }
+        }
+        leave(at.take(), &mut noticed);
+        let Some(set) = interest.get(&r.entry) else {
+            // Never read, or never said: all of the entry ships.
+            ship.push(r);
+            let entry = Piece {
+                inside: true,
+                first: r.first,
+                end: r.end(),
+                lo: 0,
+                hi: u64::MAX,
+            };
+            at = Some((r.entry, entry));
+            continue;
+        };
+        for p in set.split(r.first, r.end()) {
+            leave(at.take(), &mut noticed);
+            if p.inside {
+                ship.push(UpdateRange {
+                    entry: r.entry,
+                    first: p.first,
+                    count: p.end - p.first,
+                });
+            }
+            at = Some((r.entry, p));
+        }
+    }
+    leave(at, &mut noticed);
+    let notices = noticed
+        .into_iter()
+        .map(|((entry, _), (first, end))| UpdateRange {
+            entry,
+            first,
+            count: end - first,
+        })
+        .collect();
+    (ship, notices)
 }
 
 #[cfg(test)]
@@ -2154,13 +2360,13 @@ mod tests {
         );
         h.init_with(|g| g.write_int(0, 0, 42).unwrap());
         // Thread 1 pulls: gets the init batch.
-        let ups = h.stale_updates_for(1).unwrap();
+        let ups = h.stale_updates_for(1).unwrap().0;
         assert_eq!(ups.len(), 1);
         assert_eq!(ups.iter().next().unwrap().count, 64);
         // Pulling again with nothing new: empty.
-        assert!(h.stale_updates_for(1).unwrap().is_empty());
+        assert!(h.stale_updates_for(1).unwrap().0.is_empty());
         // Thread 2 still sees everything.
-        assert_eq!(h.stale_updates_for(2).unwrap().len(), 1);
+        assert_eq!(h.stale_updates_for(2).unwrap().0.len(), 1);
     }
 
     #[test]
@@ -2180,13 +2386,18 @@ mod tests {
         );
         h.init_with(|g| g.write_int(0, 7, 7).unwrap());
         let _ = h.stale_updates_for(1).unwrap();
-        assert!(h.stale_updates_for(1).unwrap().is_empty());
+        assert!(h.stale_updates_for(1).unwrap().0.is_empty());
+        h.note_interest(1, &[elems(3, 5)]).unwrap();
         // Simulate migration: cold copy.
-        h.dispatch(0, 0, DsdMsg::Resync { rank: 1 }, OpCtx::default())
+        h.dispatch(0, 0, DsdMsg::Resync { rank: 1 }, &[], OpCtx::default())
             .unwrap();
-        let ups = h.stale_updates_for(1).unwrap();
+        // The cold copy has read nothing: the refresh is whole again, not
+        // five elements and a notice for the rest.
+        assert!(h.peers[&1].interest.is_empty());
+        let (ups, notices) = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1, "full refresh after resync");
         assert_eq!(ups.iter().next().unwrap().count, 64);
+        assert!(notices.is_empty());
     }
 
     #[test]
@@ -2217,7 +2428,7 @@ mod tests {
         // A thread below the floor still gets a full refresh.
         h.peers.get_mut(&2).unwrap().seen = 0;
         assert!(h.log_floor > 0);
-        let ups = h.stale_updates_for(2).unwrap();
+        let ups = h.stale_updates_for(2).unwrap().0;
         assert_eq!(ups.iter().next().unwrap().count, 64);
     }
 
@@ -2255,7 +2466,7 @@ mod tests {
         // entry 1.
         assert!(!h.log.is_empty());
         assert!(h.log.iter().all(|(_, _, r)| r.entry == 1));
-        let ups = h.stale_updates_for(1).unwrap();
+        let ups = h.stale_updates_for(1).unwrap().0;
         assert!(!ups.is_empty());
         assert!(ups.iter().all(|u| u.entry == 1));
         // A misrouted update for entry 0 is a protocol violation, not a
@@ -2293,6 +2504,15 @@ mod tests {
         20 + u32::from_be_bytes(snap[16..20].try_into().unwrap()) as usize
     }
 
+    /// `count` elements of entry 0 from `first`.
+    fn elems(first: u64, count: u64) -> UpdateRange {
+        UpdateRange {
+            entry: 0,
+            first,
+            count,
+        }
+    }
+
     /// One element of `tiny_def`'s array as a batch, as a writer ships it.
     fn one_elem(first: u64, value: i128) -> UpdateBatch {
         let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
@@ -2318,14 +2538,17 @@ mod tests {
             }
         });
         let op = OpCtx::default();
-        h.dispatch(1, 1, DsdMsg::Join { rank: 1 }, op).unwrap();
+        h.dispatch(1, 1, DsdMsg::Join { rank: 1 }, &[], op).unwrap();
         for rank in [2, 3] {
-            h.dispatch(rank, 7, DsdMsg::LockRequest { lock: 0, rank }, op)
+            h.dispatch(rank, 7, DsdMsg::LockRequest { lock: 0, rank }, &[], op)
                 .unwrap();
         }
         h.declare_dead(4).unwrap();
         assert!(h.absorb(2, &one_elem(9, -37)).unwrap());
         h.placement.adopt(0, 0, 2);
+        h.note_interest(2, &[elems(0, 8), elems(8, 4), elems(40, 24)])
+            .unwrap();
+        h.note_interest(3, &[elems(63, 1)]).unwrap();
         (h, eps)
     }
 
@@ -2358,13 +2581,18 @@ mod tests {
             "snapshot → install → snapshot must be byte-identical"
         );
         assert_eq!((same.pending, same.lowest_dead), (3, Some(4)));
+        // The interest table came along, in its one form: what a promoted
+        // replica ships rank 2 is what the primary would have.
+        assert_eq!(same.peers[&2].interest[&0].spans(), [(0, 12), (40, 64)]);
+        assert_eq!(same.peers[&3].interest[&0].spans(), [(63, 64)]);
+        assert!(same.peers[&5].interest.is_empty());
         let joined = &same.peers[&1];
         assert!(joined.life == Life::Joined && joined.reply.is_none() && joined.last_req == 1);
         assert_eq!(same.log.len(), 2);
         // A duplicate of rank 2's granted request is answered from the
         // installed reply cache, not by queueing rank 2 behind itself.
         let dup = DsdMsg::LockRequest { lock: 0, rank: 2 };
-        same.dispatch(2, 7, dup, OpCtx::default()).unwrap();
+        same.dispatch(2, 7, dup, &[], OpCtx::default()).unwrap();
         let resent = same_eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
         let (rid, grant) = DsdMsg::decode_enveloped(resent.kind, resent.payload).unwrap();
         assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 7);
@@ -2424,6 +2652,24 @@ mod tests {
             install_and_serve(&mut victim, wraps),
             Err(HomeError::Protocol(ProtocolError::BadMessage(_)))
         ));
+        // Rank 2's interest spans, found by their bytes: one reaching past
+        // the entry, two that touch, one that is empty.
+        let spans: Vec<u8> = [0u64, 12, 40, 64]
+            .iter()
+            .flat_map(|v| v.to_be_bytes())
+            .collect();
+        let at = (0..snap.len() - spans.len())
+            .find(|&i| snap[i..i + spans.len()] == spans[..])
+            .expect("rank 2's interest is in the snapshot");
+        for (field, value) in [(3, 65u64), (2, 12), (1, 0)] {
+            let mut wild = snap.to_vec();
+            wild[at + 8 * field..at + 8 * field + 8].copy_from_slice(&value.to_be_bytes());
+            let res = install_and_serve(&mut victim, wild);
+            let Err(HomeError::Protocol(ProtocolError::BadMessage(what))) = res else {
+                panic!("span field {field} = {value} was accepted");
+            };
+            assert_eq!(what, "snapshot interest spans malformed");
+        }
         let mut seed = 0x5EED_5A17u64;
         let mut next = || {
             seed = seed
@@ -2492,8 +2738,9 @@ mod tests {
         }
         fn pull_and_compare(h: &mut HomeShard, rank: u32) {
             let want = reference(h, rank);
-            let got = h.stale_updates_for(rank).unwrap();
+            let (got, notices) = h.stale_updates_for(rank).unwrap();
             assert_eq!(got.frame(), want.frame(), "rank {rank} at seq {}", h.seq);
+            assert!(notices.is_empty(), "rank {rank} at seq {}", h.seq);
         }
         let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
@@ -2503,6 +2750,9 @@ mod tests {
         };
         let mut h = HomeShard::new(gthv, eps.pop().unwrap(), config);
         h.init_with(|g| g.write_int(0, 0, 42).unwrap());
+        // Rank 2 has read the whole entry and said so: it is sent, byte
+        // for byte, what a reader that never said anything is sent.
+        h.note_interest(2, &[elems(0, 40), elems(40, 24)]).unwrap();
         // Three writers in turn; rank 1 pulls often, 2 seldom, 3 rarely,
         // so their horizons sit at different depths of the log.
         for i in 0..4500u64 {
@@ -2524,6 +2774,185 @@ mod tests {
     }
 
     #[test]
+    fn no_notice_overlaps_the_readers_interest_and_nothing_stale_is_lost() {
+        // Random interests and stale logs over two 64-element entries
+        // (entry 1 never read: no row), held to a bitmap: what ships is
+        // exactly the stale part of the interest, every other stale
+        // element is under a notice, and no notice touches the interest.
+        const N: u64 = 64;
+        let mut seed = 0x1D1E_5EEDu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for _ in 0..300 {
+            let mut set = IntervalSet::default();
+            for _ in 0..next(5) {
+                let first = next(N);
+                set.insert(first, (first + 1 + next(12)).min(N));
+            }
+            let read: Vec<bool> = (0..N)
+                .map(|e| set.spans().iter().any(|s| s.0 <= e && e < s.1))
+                .collect();
+            let spans = set.spans().len();
+            let interest = BTreeMap::from([(0, set)]);
+            let stale: Vec<UpdateRange> = (0..next(40))
+                .map(|_| {
+                    let first = next(N);
+                    UpdateRange {
+                        entry: next(2) as u32,
+                        first,
+                        count: (1 + next(6)).min(N - first),
+                    }
+                })
+                .collect();
+            let (ship, notices) = split_by_interest(stale.iter().copied(), &interest);
+            let cover = |ranges: &[UpdateRange], entry: u32| -> Vec<bool> {
+                let of_entry = |e| {
+                    ranges
+                        .iter()
+                        .any(|r| r.entry == entry && r.first <= e && e < r.end())
+                };
+                (0..N).map(of_entry).collect()
+            };
+            for entry in [0, 1] {
+                let (was, shipped, noticed) = (
+                    cover(&stale, entry),
+                    cover(&ship, entry),
+                    cover(&notices, entry),
+                );
+                for e in 0..N as usize {
+                    let wanted = entry == 1 || read[e];
+                    assert_eq!(shipped[e], was[e] && wanted, "entry {entry} elem {e}");
+                    assert!(!(noticed[e] && wanted), "entry {entry} elem {e} noticed");
+                    assert!(
+                        !was[e] || shipped[e] || noticed[e],
+                        "entry {entry} elem {e} lost"
+                    );
+                }
+            }
+            assert!(notices.iter().all(|n| n.entry == 0 && n.count > 0));
+            assert!(notices.len() <= spans + 1, "{notices:?}");
+            assert!(notices.windows(2).all(|w| w[0].end() < w[1].first));
+        }
+    }
+
+    #[test]
+    fn a_stripe_of_strided_writes_outside_the_interest_is_one_notice() {
+        // The SOR shape: a neighbour's stripe of stride-2 one-element
+        // ranges, two of which fall in the rows this reader has read.
+        let (mut h, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        h.init_with(|_| {});
+        for rank in [1, 2] {
+            let _ = h.stale_updates_for(rank).unwrap(); // the initial pull
+        }
+        h.note_interest(1, &[elems(0, 16)]).unwrap();
+        for first in (13..64).step_by(2) {
+            assert!(h.absorb(2, &one_elem(first, first as i128)).unwrap());
+        }
+        let (ups, notices) = h.stale_updates_for(1).unwrap();
+        let shipped: Vec<_> = ups.iter().map(|u| (u.elem_offset, u.count)).collect();
+        assert_eq!(shipped, [(13, 1), (15, 1)]);
+        assert_eq!(notices, [elems(17, 47)]);
+        // The writer itself is owed nothing, and nothing is owed twice.
+        let (ups, notices) = h.stale_updates_for(2).unwrap();
+        assert!(ups.is_empty() && notices.is_empty());
+        let (ups, notices) = h.stale_updates_for(1).unwrap();
+        assert!(ups.is_empty() && notices.is_empty());
+    }
+
+    #[test]
+    fn range_fetch_is_answered_from_the_authoritative_copy_or_bounced() {
+        let (mut h, eps) = five_rank_shard(PlatformSpec::solaris_sparc());
+        h.init_with(|g| {
+            for i in 0..64 {
+                g.write_int(0, i, 100 + i as i128).unwrap();
+            }
+        });
+        let reply_to = |h: &mut HomeShard, req_id, ranges: Vec<UpdateRange>| {
+            let fetch = DsdMsg::RangeFetch { rank: 2, ranges };
+            h.dispatch(2, req_id, fetch, &[], OpCtx::default())?;
+            let m = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
+            let (rid, reply) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+            assert_eq!(rid, req_id);
+            Ok::<_, HomeError>(reply)
+        };
+        let seen = h.peers[&2].seen;
+        let DsdMsg::UpdateBatch { updates, notices } =
+            reply_to(&mut h, 1, vec![elems(5, 2), elems(60, 4)]).unwrap()
+        else {
+            panic!("a fetch is answered with a batch");
+        };
+        assert!(notices.is_empty());
+        let mut dst = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        apply_batch(&mut dst, &updates, &mut ConversionStats::default()).unwrap();
+        let got: Vec<i128> = (0..64).map(|i| dst.read_int(0, i).unwrap()).collect();
+        let want = |i: usize| {
+            if [5, 6, 60, 61, 62, 63].contains(&i) {
+                100 + i as i128
+            } else {
+                0
+            }
+        };
+        assert_eq!(got, (0..64).map(want).collect::<Vec<_>>());
+        assert_eq!(h.peers[&2].seen, seen, "a fetch moves no horizon");
+        assert_eq!((h.costs.updates_sent, h.costs.bytes_sent), (2, 6 * 4));
+        // A shadow is relayed the fetch for the report behind it: it takes
+        // the rows and neither extracts nor remembers the request id.
+        let fetch = DsdMsg::RangeFetch {
+            rank: 2,
+            ranges: vec![elems(5, 2)],
+        };
+        let relayed = fetch.encode_request(9, None, &[elems(5, 2)]).slice(8..);
+        h.on_replicate(2, 9, MsgKind::RangeFetch as u16, relayed)
+            .unwrap();
+        assert_eq!(h.peers[&2].interest[&0].spans(), [(5, 7)]);
+        assert_eq!((h.costs.updates_sent, h.peers[&2].last_req), (2, 1));
+        assert!(eps[1].recv_timeout(Duration::from_millis(10)).is_err());
+        // A range the index table does not hold is refused, not served.
+        assert!(matches!(
+            reply_to(&mut h, 2, vec![elems(60, 5)]),
+            Err(HomeError::Update(UpdateError::RangeOutOfBounds { .. }))
+        ));
+        // The entry has moved: the fetcher is told where to.
+        h.placement.adopt(0, 3, 1);
+        let bounced = reply_to(&mut h, 3, vec![elems(5, 2)]).unwrap();
+        let moved = DsdMsg::EntryMoved {
+            entries: vec![(0, 3, 1)],
+        };
+        assert_eq!(bounced, moved);
+    }
+
+    #[test]
+    fn an_interest_report_outside_the_index_table_is_a_violation() {
+        let (mut h, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        let lock = || DsdMsg::LockRequest { lock: 0, rank: 2 };
+        let wild = [
+            elems(60, 5),
+            elems(u64::MAX, 2),
+            UpdateRange {
+                entry: 9,
+                first: 0,
+                count: 1,
+            },
+        ];
+        for (req_id, row) in (1..).zip(wild) {
+            let res = h.dispatch(2, req_id, lock(), &[row], OpCtx::default());
+            assert!(matches!(res, Err(HomeError::Violation(_))), "{row:?}");
+            assert!(h.peers[&2].interest.is_empty());
+        }
+        // A duplicate of a request is not taken in twice, nor is an empty
+        // row: the table holds what fresh requests reported.
+        h.dispatch(2, 9, lock(), &[elems(4, 4), elems(20, 0)], OpCtx::default())
+            .unwrap();
+        h.dispatch(2, 9, lock(), &[elems(30, 4)], OpCtx::default())
+            .unwrap();
+        assert_eq!(h.peers[&2].interest[&0].spans(), [(4, 8)]);
+    }
+
+    #[test]
     fn requests_from_outside_participants_are_violations_and_change_nothing() {
         let (mut h, _eps) = populated_shard();
         let tables = |h: &HomeShard| format!("{:?} {} {:?}", h.peers, h.pending, h.locks);
@@ -2532,7 +2961,7 @@ mod tests {
             DsdMsg::LockRequest { lock: 0, rank: 9 },
             DsdMsg::Heartbeat { rank: 9 },
         ] {
-            match h.dispatch(5, 1, msg, OpCtx::default()) {
+            match h.dispatch(5, 1, msg, &[], OpCtx::default()) {
                 Err(HomeError::Violation(why)) => {
                     assert!(why.starts_with("request from unknown participant 9"))
                 }

@@ -33,6 +33,8 @@
 //!   including pointer swizzling through the index table;
 //! * [`protocol`], [`home`], [`client`] — the distributed lock / barrier /
 //!   join protocol between remote threads and the home node's stub service;
+//! * [`interval`] — the per-entry range sets behind "ship what is read":
+//!   a reader's interest and its noticed-but-unfetched ranges;
 //! * [`cluster`] — orchestration of a simulated heterogeneous cluster
 //!   (node threads + home service), including runtime node join and thread
 //!   migration: [`placement::plan_thread_moves`] plans the moves,
@@ -51,6 +53,7 @@ pub mod gthv;
 pub mod home;
 pub mod ids;
 pub mod index_table;
+pub mod interval;
 pub mod placement;
 pub mod protocol;
 pub mod runs;

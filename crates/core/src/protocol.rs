@@ -6,13 +6,25 @@
 //! by a freshly migrated thread (its new node's copy is cold), and the
 //! final `Shutdown`. Updates ride inside messages as CGT-RMR wire batches.
 //!
+//! Two things ride *behind* a message body as bare 20-byte
+//! `(entry, first, count)` rows, none of them costing a byte when there
+//! is nothing to say: a grant's or release's **notices** (ranges that
+//! changed and were not shipped — the reader fetches them before use)
+//! follow its update batch, and a client's **interest report** (ranges it
+//! has newly read) follows the body of whatever request it sends next —
+//! part of the request as relayed to a replica, not of any one variant.
+//!
 //! Threads are identified by a stable *thread rank* independent of the
 //! transport endpoint, so a thread keeps its identity when it migrates.
 
+use crate::runs::UpdateRange;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
-use hdsm_tags::wire::{bounded_vec, unpack_batch, UpdateBatch, WireError};
+use hdsm_tags::wire::{bounded_vec, split_batch, UpdateBatch, WireError};
 use std::fmt;
+
+/// Bytes of one `(entry, first, count)` row.
+const RANGE_BYTES: usize = 4 + 8 + 8;
 
 /// A decoded DSD protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +41,11 @@ pub enum DsdMsg {
     LockGrant {
         /// Mutex index.
         lock: u32,
-        /// Outstanding updates.
+        /// Outstanding updates, for what the acquirer has read.
         updates: UpdateBatch,
+        /// Ranges that changed too and were not shipped: stale at the
+        /// acquirer until it fetches them ([`DsdMsg::RangeFetch`]).
+        notices: Vec<UpdateRange>,
     },
     /// Thread `rank` releases mutex `lock`, propagating its updates back
     /// to the home thread (paper §4.2).
@@ -62,6 +77,8 @@ pub enum DsdMsg {
         barrier: u32,
         /// Merged outstanding updates for this thread.
         updates: UpdateBatch,
+        /// Ranges that changed too and were not shipped.
+        notices: Vec<UpdateRange>,
     },
     /// Thread `rank` signs off (called immediately before termination).
     Join {
@@ -147,6 +164,22 @@ pub enum DsdMsg {
     UpdateBatch {
         /// Outstanding updates.
         updates: UpdateBatch,
+        /// Ranges that changed too and were not shipped (always empty in
+        /// the reply to a [`DsdMsg::RangeFetch`]).
+        notices: Vec<UpdateRange>,
+    },
+    /// Fetch before use: thread `rank` is about to access `ranges`, which
+    /// a notice told it are stale, and asks their owning shard for the
+    /// current bytes. Replied to with [`DsdMsg::UpdateBatch`] extracted
+    /// from the authoritative copy — possibly newer than the acquire that
+    /// brought the notice required, which only a racy program can tell —
+    /// or with [`DsdMsg::EntryMoved`] when an entry is homed elsewhere by
+    /// now. The fetcher's horizon does not move.
+    RangeFetch {
+        /// Fetching thread rank.
+        rank: u32,
+        /// The ranges to extract.
+        ranges: Vec<UpdateRange>,
     },
     /// Primary → replica: one deduplicated state-mutating client request,
     /// relayed verbatim *before* the primary processes it, so the replica
@@ -300,6 +333,40 @@ impl From<WireError> for ProtocolError {
     }
 }
 
+/// Append `ranges` as bare `(entry, first, count)` rows.
+fn put_ranges(out: &mut BytesMut, ranges: &[UpdateRange]) {
+    for r in ranges {
+        out.put_u32(r.entry);
+        out.put_u64(r.first);
+        out.put_u64(r.count);
+    }
+}
+
+/// Read `(entry, first, count)` rows off the front of `b`: `count` of
+/// them, or with `None` all that is left of it, which must then be whole
+/// rows. What a row *names* is checked where it is used, against an index
+/// table.
+fn take_ranges(b: &mut Bytes, count: Option<u32>) -> Result<Vec<UpdateRange>, ProtocolError> {
+    let left = b.remaining();
+    if left == 0 && count.is_none_or(|n| n == 0) {
+        return Ok(Vec::new()); // nearly every message: nothing rides behind
+    }
+    let n = match count {
+        Some(n) => n,
+        None if left.is_multiple_of(RANGE_BYTES) => (left / RANGE_BYTES) as u32,
+        None => return Err(ProtocolError::Truncated),
+    };
+    let mut ranges = bounded_vec(n, RANGE_BYTES, left, ProtocolError::Truncated)?;
+    for _ in 0..n {
+        ranges.push(UpdateRange {
+            entry: b.get_u32(),
+            first: b.get_u64(),
+            count: b.get_u64(),
+        });
+    }
+    Ok(ranges)
+}
+
 impl DsdMsg {
     /// The transport kind this message travels under.
     pub fn kind(&self) -> MsgKind {
@@ -335,6 +402,7 @@ impl DsdMsg {
             DsdMsg::EntryInstalled { .. } => MsgKind::EntryInstalled,
             DsdMsg::EntryDone { .. } => MsgKind::EntryDone,
             DsdMsg::EntryMoved { .. } => MsgKind::EntryMoved,
+            DsdMsg::RangeFetch { .. } => MsgKind::RangeFetch,
         }
     }
 
@@ -353,13 +421,20 @@ impl DsdMsg {
     /// largest sum (`WorkerLost`'s 20) after a 12-byte envelope.
     fn encoded_bound(&self) -> usize {
         32 + match self {
-            DsdMsg::LockGrant { updates, .. }
-            | DsdMsg::UnlockRequest { updates, .. }
+            DsdMsg::LockGrant {
+                updates, notices, ..
+            }
+            | DsdMsg::BarrierRelease {
+                updates, notices, ..
+            }
+            | DsdMsg::UpdateBatch { updates, notices } => {
+                updates.frame().len() + RANGE_BYTES * notices.len()
+            }
+            DsdMsg::UnlockRequest { updates, .. }
             | DsdMsg::BarrierEnter { updates, .. }
-            | DsdMsg::BarrierRelease { updates, .. }
             | DsdMsg::CondWait { updates, .. }
-            | DsdMsg::UpdateFlush { updates, .. }
-            | DsdMsg::UpdateBatch { updates } => updates.frame().len(),
+            | DsdMsg::UpdateFlush { updates, .. } => updates.frame().len(),
+            DsdMsg::RangeFetch { ranges, .. } => 4 + RANGE_BYTES * ranges.len(),
             DsdMsg::Replicate { body: tail, .. }
             | DsdMsg::HandoffState { state: tail, .. }
             | DsdMsg::EntryState { state: tail, .. } => tail.len(),
@@ -375,9 +450,14 @@ impl DsdMsg {
                 out.put_u32(*lock);
                 out.put_u32(*rank);
             }
-            DsdMsg::LockGrant { lock, updates } => {
+            DsdMsg::LockGrant {
+                lock,
+                updates,
+                notices,
+            } => {
                 out.put_u32(*lock);
                 out.put_slice(updates.frame());
+                put_ranges(out, notices);
             }
             DsdMsg::UnlockRequest {
                 lock,
@@ -398,9 +478,14 @@ impl DsdMsg {
                 out.put_u32(*rank);
                 out.put_slice(updates.frame());
             }
-            DsdMsg::BarrierRelease { barrier, updates } => {
+            DsdMsg::BarrierRelease {
+                barrier,
+                updates,
+                notices,
+            } => {
                 out.put_u32(*barrier);
                 out.put_slice(updates.frame());
+                put_ranges(out, notices);
             }
             DsdMsg::Join { rank } | DsdMsg::Resync { rank } | DsdMsg::Heartbeat { rank } => {
                 out.put_u32(*rank)
@@ -439,7 +524,15 @@ impl DsdMsg {
                 out.put_slice(updates.frame());
             }
             DsdMsg::UpdateFetch { rank } => out.put_u32(*rank),
-            DsdMsg::UpdateBatch { updates } => out.put_slice(updates.frame()),
+            DsdMsg::UpdateBatch { updates, notices } => {
+                out.put_slice(updates.frame());
+                put_ranges(out, notices);
+            }
+            DsdMsg::RangeFetch { rank, ranges } => {
+                out.put_u32(*rank);
+                out.put_u32(ranges.len() as u32);
+                put_ranges(out, ranges);
+            }
             DsdMsg::Replicate {
                 src_ep,
                 req_id,
@@ -500,27 +593,48 @@ impl DsdMsg {
 
     /// Decode a payload received under `kind` — the `t_unpack` work. An
     /// update batch is validated once, here, and kept as the slice of
-    /// `payload` it arrived in.
-    pub fn decode(kind: MsgKind, mut payload: Bytes) -> Result<DsdMsg, ProtocolError> {
+    /// `payload` it arrived in. Rows behind a request's body (an interest
+    /// report) are not part of the message: [`Self::decode_reported`]
+    /// returns them.
+    pub fn decode(kind: MsgKind, payload: Bytes) -> Result<DsdMsg, ProtocolError> {
+        Ok(DsdMsg::decode_reported(kind, payload)?.0)
+    }
+
+    /// [`Self::decode`] plus the interest report riding behind the body:
+    /// what a home shard decodes a request with, as received or as relayed
+    /// by its primary. Empty for every message that is not a client
+    /// request (a reply's trailing rows are its notices, a field).
+    pub fn decode_reported(
+        kind: MsgKind,
+        payload: Bytes,
+    ) -> Result<(DsdMsg, Vec<UpdateRange>), ProtocolError> {
+        let (msg, mut behind) = DsdMsg::take_message(kind, payload)?;
+        Ok((msg, take_ranges(&mut behind, None)?))
+    }
+
+    /// Split the body of a `kind` message off the front of `payload`; what
+    /// is behind it comes back too.
+    fn take_message(kind: MsgKind, mut payload: Bytes) -> Result<(DsdMsg, Bytes), ProtocolError> {
         fn u32_of(b: &mut Bytes) -> Result<u32, ProtocolError> {
             if b.remaining() < 4 {
                 return Err(ProtocolError::Truncated);
             }
             Ok(b.get_u32())
         }
-        match kind {
+        let msg = match kind {
             MsgKind::LockRequest => Ok(DsdMsg::LockRequest {
                 lock: u32_of(&mut payload)?,
                 rank: u32_of(&mut payload)?,
             }),
             MsgKind::LockGrant => Ok(DsdMsg::LockGrant {
                 lock: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
+                notices: take_ranges(&mut payload, None)?,
             }),
             MsgKind::UnlockRequest => Ok(DsdMsg::UnlockRequest {
                 lock: u32_of(&mut payload)?,
                 rank: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
             }),
             MsgKind::UnlockAck => Ok(DsdMsg::UnlockAck {
                 lock: u32_of(&mut payload)?,
@@ -528,11 +642,12 @@ impl DsdMsg {
             MsgKind::BarrierEnter => Ok(DsdMsg::BarrierEnter {
                 barrier: u32_of(&mut payload)?,
                 rank: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
             }),
             MsgKind::BarrierRelease => Ok(DsdMsg::BarrierRelease {
                 barrier: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
+                notices: take_ranges(&mut payload, None)?,
             }),
             MsgKind::Join => Ok(DsdMsg::Join {
                 rank: u32_of(&mut payload)?,
@@ -541,7 +656,7 @@ impl DsdMsg {
                 cond: u32_of(&mut payload)?,
                 lock: u32_of(&mut payload)?,
                 rank: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
             }),
             MsgKind::CondSignal => {
                 let cond = u32_of(&mut payload)?;
@@ -577,14 +692,23 @@ impl DsdMsg {
             MsgKind::Shutdown => Ok(DsdMsg::Shutdown),
             MsgKind::UpdateFlush => Ok(DsdMsg::UpdateFlush {
                 rank: u32_of(&mut payload)?,
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
             }),
             MsgKind::UpdateFetch => Ok(DsdMsg::UpdateFetch {
                 rank: u32_of(&mut payload)?,
             }),
             MsgKind::UpdateBatch => Ok(DsdMsg::UpdateBatch {
-                updates: unpack_batch(payload)?,
+                updates: split_batch(&mut payload)?,
+                notices: take_ranges(&mut payload, None)?,
             }),
+            MsgKind::RangeFetch => {
+                let rank = u32_of(&mut payload)?;
+                let n = u32_of(&mut payload)?;
+                Ok(DsdMsg::RangeFetch {
+                    rank,
+                    ranges: take_ranges(&mut payload, Some(n))?,
+                })
+            }
             MsgKind::Replicate => {
                 let src_ep = u32_of(&mut payload)?;
                 if payload.remaining() < 10 {
@@ -596,7 +720,7 @@ impl DsdMsg {
                     src_ep,
                     req_id,
                     kind,
-                    body: payload,
+                    body: payload.split_to(payload.len()),
                 })
             }
             MsgKind::Depose => Ok(DsdMsg::Depose {
@@ -617,7 +741,7 @@ impl DsdMsg {
             MsgKind::HandoffState => Ok(DsdMsg::HandoffState {
                 shard: u32_of(&mut payload)?,
                 epoch: u32_of(&mut payload)?,
-                state: payload,
+                state: payload.split_to(payload.len()),
             }),
             MsgKind::HandoffInstalled => Ok(DsdMsg::HandoffInstalled {
                 shard: u32_of(&mut payload)?,
@@ -637,7 +761,7 @@ impl DsdMsg {
             MsgKind::EntryState => Ok(DsdMsg::EntryState {
                 entry: u32_of(&mut payload)?,
                 epoch: u32_of(&mut payload)?,
-                state: payload,
+                state: payload.split_to(payload.len()),
             }),
             MsgKind::EntryInstalled => Ok(DsdMsg::EntryInstalled {
                 entry: u32_of(&mut payload)?,
@@ -661,7 +785,8 @@ impl DsdMsg {
                 Ok(DsdMsg::EntryMoved { entries })
             }
             _ => Err(ProtocolError::BadMessage("unexpected transport kind")),
-        }
+        };
+        Ok((msg?, payload))
     }
 
     /// The thread rank a client-originated message identifies itself with;
@@ -678,52 +803,64 @@ impl DsdMsg {
             | DsdMsg::Resync { rank }
             | DsdMsg::Heartbeat { rank }
             | DsdMsg::UpdateFlush { rank, .. }
-            | DsdMsg::UpdateFetch { rank } => Some(*rank),
+            | DsdMsg::UpdateFetch { rank }
+            | DsdMsg::RangeFetch { rank, .. } => Some(*rank),
             _ => None,
         }
     }
 
     /// Encode with the reliability envelope — the one request/reply codec:
-    /// `req_id u64 | [epoch u32] | body`. Replies echo the request's id so
-    /// the client can match them up and discard stale duplicates; `0` is
-    /// reserved for unsolicited messages (heartbeats, shutdown broadcasts).
-    /// `epoch` is `Some` exactly when
+    /// `req_id u64 | [epoch u32] | body | [interest rows]`. Replies echo
+    /// the request's id so the client can match them up and discard stale
+    /// duplicates; `0` is reserved for unsolicited messages (heartbeats,
+    /// shutdown broadcasts). `epoch` is `Some` exactly when
     /// [`crate::directory::Directory::epoch_stamped`] says the frame
     /// carries a stamp: a home shard compares it against its own epoch to
     /// detect stale views (reply [`DsdMsg::ViewChange`]) and its own
     /// deposition (a stamp from the future means another epoch rules the
-    /// shard).
-    pub fn encode_request(&self, req_id: u64, epoch: Option<u32>) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.encoded_bound());
+    /// shard). `interest` is the client's report of ranges it has newly
+    /// read; empty (every reply, and a request with nothing new) adds no
+    /// byte.
+    pub fn encode_request(
+        &self,
+        req_id: u64,
+        epoch: Option<u32>,
+        interest: &[UpdateRange],
+    ) -> Bytes {
+        let mut out = BytesMut::with_capacity(self.encoded_bound() + RANGE_BYTES * interest.len());
         out.put_u64(req_id);
         if let Some(epoch) = epoch {
             out.put_u32(epoch);
         }
         self.encode_into(&mut out);
+        put_ranges(&mut out, interest);
         out.freeze()
     }
 
     /// Decode what [`Self::encode_request`] wrote; `stamped` says whether
     /// an epoch follows the request id (the same
     /// [`crate::directory::Directory::epoch_stamped`] verdict the sender
-    /// encoded under). Returns the request id, the stamp and the message.
+    /// encoded under). Returns the request id, the stamp, the message and
+    /// the interest report.
+    #[allow(clippy::type_complexity)]
     pub fn decode_request(
         kind: MsgKind,
         mut payload: Bytes,
         stamped: bool,
-    ) -> Result<(u64, Option<u32>, DsdMsg), ProtocolError> {
+    ) -> Result<(u64, Option<u32>, DsdMsg, Vec<UpdateRange>), ProtocolError> {
         if payload.remaining() < if stamped { 12 } else { 8 } {
             return Err(ProtocolError::Truncated);
         }
         let req_id = payload.get_u64();
         let epoch = stamped.then(|| payload.get_u32());
-        Ok((req_id, epoch, DsdMsg::decode(kind, payload)?))
+        let (msg, interest) = DsdMsg::decode_reported(kind, payload)?;
+        Ok((req_id, epoch, msg, interest))
     }
 
     /// [`Self::encode_request`] without an epoch stamp: replies and the
     /// replication/admin control plane.
     pub fn encode_enveloped(&self, req_id: u64) -> Bytes {
-        self.encode_request(req_id, None)
+        self.encode_request(req_id, None, &[])
     }
 
     /// Forwarder to [`Self::encode_enveloped`]; the flag is ignored (there
@@ -738,7 +875,7 @@ impl DsdMsg {
 
     /// [`Self::decode_request`] for an unstamped frame.
     pub fn decode_enveloped(kind: MsgKind, payload: Bytes) -> Result<(u64, DsdMsg), ProtocolError> {
-        let (req_id, _, msg) = DsdMsg::decode_request(kind, payload, false)?;
+        let (req_id, _, msg, _) = DsdMsg::decode_request(kind, payload, false)?;
         Ok((req_id, msg))
     }
 }
@@ -753,6 +890,19 @@ mod tests {
 
     fn sample_batch() -> UpdateBatch {
         batch_of(&[sample_update()])
+    }
+
+    fn sample_ranges() -> Vec<UpdateRange> {
+        let range = |entry, first, count| UpdateRange {
+            entry,
+            first,
+            count,
+        };
+        vec![
+            range(3, 0, 100),
+            range(3, 400, 1),
+            range(7, u64::MAX - 1, 1),
+        ]
     }
 
     fn sample_update() -> WireUpdate {
@@ -773,6 +923,12 @@ mod tests {
             DsdMsg::LockGrant {
                 lock: 2,
                 updates: sample_batch(),
+                notices: vec![],
+            },
+            DsdMsg::LockGrant {
+                lock: 2,
+                updates: UpdateBatch::default(),
+                notices: sample_ranges(),
             },
             DsdMsg::UnlockRequest {
                 lock: 2,
@@ -788,6 +944,7 @@ mod tests {
             DsdMsg::BarrierRelease {
                 barrier: 0,
                 updates: sample_batch(),
+                notices: sample_ranges(),
             },
             DsdMsg::Join { rank: 5 },
             DsdMsg::CondWait {
@@ -817,6 +974,15 @@ mod tests {
             DsdMsg::UpdateFetch { rank: 5 },
             DsdMsg::UpdateBatch {
                 updates: sample_batch(),
+                notices: sample_ranges(),
+            },
+            DsdMsg::RangeFetch {
+                rank: 5,
+                ranges: sample_ranges(),
+            },
+            DsdMsg::RangeFetch {
+                rank: 5,
+                ranges: vec![],
             },
             DsdMsg::Replicate {
                 src_ep: 7,
@@ -883,6 +1049,7 @@ mod tests {
             DsdMsg::LockGrant {
                 lock: 2,
                 updates: updates.clone(),
+                notices: sample_ranges(),
             },
             DsdMsg::UnlockRequest {
                 lock: 2,
@@ -897,6 +1064,7 @@ mod tests {
             DsdMsg::BarrierRelease {
                 barrier: 0,
                 updates: updates.clone(),
+                notices: vec![],
             },
             DsdMsg::CondWait {
                 cond: 1,
@@ -908,7 +1076,10 @@ mod tests {
                 rank: 5,
                 updates: updates.clone(),
             },
-            DsdMsg::UpdateBatch { updates },
+            DsdMsg::UpdateBatch {
+                updates,
+                notices: sample_ranges(),
+            },
         ];
         for m in msgs {
             let kind = m.kind();
@@ -960,14 +1131,123 @@ mod tests {
     #[test]
     fn epoch_envelope_roundtrips_and_detects_truncation() {
         let m = DsdMsg::LockRequest { lock: 2, rank: 5 };
-        let bytes = m.encode_request(77, Some(3));
-        let (rid, epoch, back) = DsdMsg::decode_request(m.kind(), bytes, true).unwrap();
+        let bytes = m.encode_request(77, Some(3), &[]);
+        let (rid, epoch, back, interest) = DsdMsg::decode_request(m.kind(), bytes, true).unwrap();
         assert_eq!((rid, epoch), (77, Some(3)));
         assert_eq!(back, m);
+        assert!(interest.is_empty());
         assert_eq!(
             DsdMsg::decode_request(MsgKind::Join, Bytes::from_static(&[0; 11]), true),
             Err(ProtocolError::Truncated)
         );
+    }
+
+    #[test]
+    fn interest_rides_behind_any_request_and_through_the_relay() {
+        let report = sample_ranges();
+        let requests = vec![
+            DsdMsg::LockRequest { lock: 2, rank: 5 },
+            DsdMsg::UnlockRequest {
+                lock: 2,
+                rank: 5,
+                updates: sample_batch(),
+            },
+            DsdMsg::BarrierEnter {
+                barrier: 0,
+                rank: 5,
+                updates: UpdateBatch::default(),
+            },
+            DsdMsg::CondWait {
+                cond: 1,
+                lock: 0,
+                rank: 5,
+                updates: sample_batch(),
+            },
+            DsdMsg::CondSignal {
+                cond: 1,
+                rank: 5,
+                broadcast: false,
+            },
+            DsdMsg::UpdateFlush {
+                rank: 5,
+                updates: sample_batch(),
+            },
+            DsdMsg::UpdateFetch { rank: 5 },
+            DsdMsg::RangeFetch {
+                rank: 5,
+                ranges: sample_ranges(),
+            },
+            DsdMsg::Resync { rank: 5 },
+            DsdMsg::Join { rank: 5 },
+        ];
+        for m in requests {
+            for epoch in [None, Some(3)] {
+                let wire = m.encode_request(77, epoch, &report);
+                let (rid, stamp, back, interest) =
+                    DsdMsg::decode_request(m.kind(), wire.clone(), epoch.is_some()).unwrap();
+                assert_eq!((rid, stamp, &back, &interest), (77, epoch, &m, &report));
+                // A primary relays the frame behind the envelope as it is;
+                // its replica reads the same message and the same report.
+                let body = wire.slice(if epoch.is_some() { 12 } else { 8 }..);
+                assert_eq!(
+                    DsdMsg::decode_reported(m.kind(), body.clone()).unwrap(),
+                    (m.clone(), report.clone())
+                );
+                assert_eq!(DsdMsg::decode(m.kind(), body.clone()).unwrap(), m);
+                // Rows are whole or the frame is refused.
+                let ragged = body.slice(..body.len() - 1);
+                assert!(DsdMsg::decode_reported(m.kind(), ragged).is_err());
+            }
+            // Nothing to report: the request as it always was.
+            let plain = [&77u64.to_be_bytes()[..], &m.encode()[..]].concat();
+            assert_eq!(m.encode_request(77, None, &[]), plain);
+        }
+    }
+
+    #[test]
+    fn a_reply_without_notices_is_the_reply_as_it_always_was() {
+        let batch = sample_batch();
+        let frame = batch.frame();
+        let no_notices = Vec::new;
+        let replies = [
+            (
+                DsdMsg::LockGrant {
+                    lock: 2,
+                    updates: batch.clone(),
+                    notices: no_notices(),
+                },
+                [&2u32.to_be_bytes()[..], frame].concat(),
+            ),
+            (
+                DsdMsg::BarrierRelease {
+                    barrier: 1,
+                    updates: batch.clone(),
+                    notices: no_notices(),
+                },
+                [&1u32.to_be_bytes()[..], frame].concat(),
+            ),
+            (
+                DsdMsg::UpdateBatch {
+                    updates: batch.clone(),
+                    notices: no_notices(),
+                },
+                frame.to_vec(),
+            ),
+        ];
+        for (m, body) in replies {
+            assert_eq!(m.encode(), body, "{m:?}");
+            // And each notice is twenty bytes behind it.
+            let mut noticed = m.clone();
+            let (DsdMsg::LockGrant { notices, .. }
+            | DsdMsg::BarrierRelease { notices, .. }
+            | DsdMsg::UpdateBatch { notices, .. }) = &mut noticed
+            else {
+                unreachable!()
+            };
+            *notices = sample_ranges();
+            assert_eq!(noticed.encode().len(), body.len() + 3 * 20);
+            assert_eq!(&noticed.encode()[..body.len()], &body[..]);
+        }
     }
 
     #[test]

@@ -229,6 +229,13 @@ pub fn extract_updates(
 /// counts `(memcpy, converted, pointer)`; the caller times this call as
 /// `t_conv`.
 ///
+/// Where the node has stores of its own outstanding (a page with a twin:
+/// a nested acquire, a store before the first one, a fetch in mid-section)
+/// each run goes through [`AddressSpace::write_remote`], which keeps the
+/// twin in step and the node's own unreleased elements as they are, so
+/// the next release ships exactly what the node stored. Everywhere else —
+/// the home, a clean page — that is the plain store below.
+///
 /// The batch is walked as borrowed views of its frame. Entry row, kind
 /// check and conversion plan are looked up once per group, bounds are
 /// checked once per run, and a `Memcpy`/`Swap` run — which cannot fail
@@ -338,28 +345,30 @@ impl ApplyWalk<'_> {
             }
             let dst_addr = row_addr + run.elem_offset * u64::from(row_size);
             let dst_len = (u64::from(row_size) * run.count) as usize;
+            // A run that cannot fail goes straight into the space, unless
+            // a twin there has to be kept in step with it.
+            let in_place = plan.is_some_and(|p| p.op != RunOp::Convert)
+                && (self.tracked || !gthv.space().has_twin(dst_addr, dst_len));
             match plan {
-                Some(plan) if plan.op != RunOp::Convert => {
+                Some(plan) if in_place => {
                     let dst = self.dst(gthv, dst_addr, dst_len)?;
                     plan.apply(run.data, dst, run.count, self.stats)?;
-                    if plan.op == RunOp::Memcpy {
-                        self.tally.0 += 1;
-                    } else {
-                        self.tally.1 += 1;
-                    }
                 }
                 Some(plan) => {
                     self.scratch.clear();
                     self.scratch.resize(dst_len, 0);
                     plan.apply(run.data, &mut self.scratch, run.count, self.stats)?;
-                    self.store_scratch(gthv, dst_addr)?;
-                    self.tally.1 += 1;
+                    self.store_scratch(gthv, dst_addr, row_size as usize)?;
                 }
                 None => {
                     self.unswizzle_run(gthv, &head, &run, row_size as usize)?;
-                    self.store_scratch(gthv, dst_addr)?;
-                    self.tally.2 += 1;
+                    self.store_scratch(gthv, dst_addr, row_size as usize)?;
                 }
+            }
+            match plan.map(|p| p.op) {
+                Some(RunOp::Memcpy) => self.tally.0 += 1,
+                Some(_) => self.tally.1 += 1,
+                None => self.tally.2 += 1,
             }
         }
         Ok(())
@@ -408,9 +417,19 @@ impl ApplyWalk<'_> {
         })
     }
 
-    fn store_scratch(&self, gthv: &mut GthvInstance, addr: u64) -> Result<(), UpdateError> {
-        self.dst(gthv, addr, self.scratch.len())?
-            .copy_from_slice(&self.scratch);
+    /// Store the run built in `scratch` (elements of `elem` bytes).
+    fn store_scratch(
+        &self,
+        gthv: &mut GthvInstance,
+        addr: u64,
+        elem: usize,
+    ) -> Result<(), UpdateError> {
+        let space = gthv.space_mut();
+        if self.tracked {
+            tracked_dst(space, addr, self.scratch.len())?.copy_from_slice(&self.scratch);
+        } else {
+            space.write_remote(addr, &self.scratch, elem)?;
+        }
         Ok(())
     }
 }

@@ -85,13 +85,17 @@ pub enum MsgKind {
     /// Shard → client: some flushed entries are no longer homed here;
     /// re-route them to their new owner and resend.
     EntryMoved = 33,
+    /// Fetch-before-use: a client asks the owning shard for the current
+    /// bytes of element ranges it was told are stale (remote → shard;
+    /// replied to with `UpdateBatch`).
+    RangeFetch = 34,
     /// Anything else (tests, applications).
     Other = 255,
 }
 
 impl MsgKind {
     /// All kinds (for stats iteration).
-    pub const ALL: [MsgKind; 34] = [
+    pub const ALL: [MsgKind; 35] = [
         MsgKind::LockRequest,
         MsgKind::LockGrant,
         MsgKind::UnlockRequest,
@@ -125,6 +129,7 @@ impl MsgKind {
         MsgKind::EntryInstalled,
         MsgKind::EntryDone,
         MsgKind::EntryMoved,
+        MsgKind::RangeFetch,
         MsgKind::Other,
     ];
 
@@ -171,6 +176,7 @@ impl MsgKind {
             MsgKind::EntryInstalled => "entry-installed",
             MsgKind::EntryDone => "entry-done",
             MsgKind::EntryMoved => "entry-moved",
+            MsgKind::RangeFetch => "range-fetch",
             MsgKind::Other => "other",
         }
     }

@@ -339,8 +339,19 @@ pub fn pack_batch_fast(batch: &UpdateBatch) -> Bytes {
 /// Validate a received batch and keep it, as the zero-copy slice it
 /// arrived in. Every length is checked against what the buffer holds
 /// before it is used, and nothing is allocated from one.
-pub fn unpack_batch(buf: Bytes) -> Result<UpdateBatch, WireError> {
-    let mut rest: &[u8] = &buf;
+pub fn unpack_batch(mut buf: Bytes) -> Result<UpdateBatch, WireError> {
+    let batch = split_batch(&mut buf)?;
+    if buf.has_remaining() {
+        return Err(WireError::BadHeader);
+    }
+    Ok(batch)
+}
+
+/// [`unpack_batch`] for a batch that is followed by something else: the
+/// frame says where it ends (a group count, then every group's lengths),
+/// so it is split off the front of `buf` and what follows stays there.
+pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
+    let mut rest: &[u8] = buf;
     if rest.remaining() < 4 {
         return Err(WireError::Truncated);
     }
@@ -360,11 +371,9 @@ pub fn unpack_batch(buf: Bytes) -> Result<UpdateBatch, WireError> {
         updates += n;
         payload_bytes += bytes;
     }
-    if rest.has_remaining() {
-        return Err(WireError::BadHeader);
-    }
+    let frame_len = buf.len() - rest.len();
     Ok(UpdateBatch {
-        frame: buf,
+        frame: buf.split_to(frame_len),
         updates,
         payload_bytes,
     })
@@ -582,6 +591,29 @@ mod tests {
             assert!(
                 unpack_batch(full.slice(..cut)).is_err(),
                 "truncation at {cut} not detected"
+            );
+        }
+    }
+
+    #[test]
+    fn split_batch_leaves_what_follows_the_frame() {
+        let us = vec![sample(0, 2), pointer_sample(1)];
+        let frame = pack_grouped(&us);
+        let mut buf = frame.to_vec();
+        buf.extend_from_slice(b"what follows");
+        let mut buf = Bytes::from(buf);
+        let batch = split_batch(&mut buf).unwrap();
+        assert_eq!(batch.frame(), &frame);
+        assert_eq!(updates_of(&batch), us);
+        assert_eq!(&buf[..], b"what follows");
+        // The empty batch is a frame too, and a cut one is still refused.
+        let mut empty = Bytes::from([pack_grouped(&[]).as_ref(), &[7u8][..]].concat());
+        assert!(split_batch(&mut empty).unwrap().is_empty());
+        assert_eq!(&empty[..], &[7]);
+        for cut in 0..frame.len() {
+            assert!(
+                split_batch(&mut frame.slice(..cut)).is_err(),
+                "cut at {cut}"
             );
         }
     }

@@ -38,6 +38,7 @@ impl Bytes {
     }
 
     /// Length of the view.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
@@ -127,6 +128,7 @@ impl From<BytesMut> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -352,13 +354,19 @@ pub trait Buf {
     }
 }
 
+// The cursor of every wire decoder: three-line methods of a non-generic
+// impl, which without the attribute are calls across the crate boundary
+// (no LTO here) — two or three of them per integer read.
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end");
         self.start += cnt;
@@ -372,12 +380,15 @@ impl Buf for Bytes {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         *self = &self[cnt..];
     }
@@ -427,12 +438,14 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

@@ -111,6 +111,120 @@ fn jacobi_and_sor_on_heterogeneous_pair() {
     assert!(sor::verify(&outcome.final_gthv, n, seed, 3));
 }
 
+/// One stencil run on the paper's SL placement, recorder armed: what the
+/// home shipped to readers (updates, payload bytes), how many notices it
+/// sent and how many ranges the workers fetched.
+fn stencil_shipping(n: usize, sweeps: usize, sor_kernel: bool) -> (u64, u64, u64, u64) {
+    use hdsm::net::FabricMode;
+    let pair = &paper_pairs()[2];
+    let recorder = hdsm::obs::Recorder::enabled();
+    let seed = 5;
+    let builder = ClusterBuilder::new()
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .barriers(1)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 5 },
+            ..Default::default()
+        })
+        .obs(recorder.clone());
+    let home_costs = if sor_kernel {
+        let outcome = builder
+            .gthv(sor::gthv_def(n))
+            .init(move |g| sor::init(g, n, seed))
+            .run(move |c, i| sor::run_worker(c, i, n, sweeps))
+            .unwrap();
+        assert!(sor::verify(&outcome.final_gthv, n, seed, sweeps));
+        outcome.home_costs
+    } else {
+        let outcome = builder
+            .gthv(jacobi::gthv_def(n))
+            .init(move |g| jacobi::init(g, n, seed))
+            .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
+            .unwrap();
+        assert!(jacobi::verify(&outcome.final_gthv, n, seed, sweeps));
+        outcome.home_costs
+    };
+    let snap = recorder.snapshot().expect("armed");
+    let count = |name: &str| {
+        let row = snap.counters.iter().find(|(k, _)| k == name);
+        row.map_or(0, |(_, v)| *v)
+    };
+    (
+        home_costs.updates_sent,
+        home_costs.bytes_sent,
+        count("home.ranges_noticed"),
+        count("client.range_fetches"),
+    )
+}
+
+#[test]
+fn steady_state_stencils_ship_boundary_rows_and_a_few_notices() {
+    // Three workers on row blocks: worker 0 and worker 2 each read one
+    // row of a neighbour's block, worker 1 one of each — four boundary
+    // rows a barrier in all, whatever the grid's size, where every
+    // barrier used to hand every worker both other blocks whole. What a
+    // run of eight more sweeps adds is that and nothing else.
+    let (n, extra) = (30, 8);
+    let interior = (n - 2) as u64; // a row's written elements
+    for (sor_kernel, barriers, row_elems, row_runs) in [
+        (false, extra, interior, 1), // jacobi: a row is one run
+        (true, 2 * extra, interior.div_ceil(2), interior.div_ceil(2)), // SOR: one colour of it
+    ] {
+        let short = stencil_shipping(n, 4, sor_kernel);
+        let long = stencil_shipping(n, 4 + extra as usize, sor_kernel);
+        let (updates, bytes, notices) = (long.0 - short.0, long.1 - short.1, long.2 - short.2);
+        assert!(
+            bytes <= barriers * 4 * row_elems * 8,
+            "sor {sor_kernel}: {bytes} payload bytes over {barriers} barriers"
+        );
+        assert!(
+            updates <= barriers * 4 * row_runs,
+            "sor {sor_kernel}: {updates} updates"
+        );
+        assert!(
+            bytes > 0 && updates > 0,
+            "neighbours' boundary rows do ship"
+        );
+        // At most four notices a reader a barrier (there are three readers).
+        assert!(
+            notices <= barriers * 3 * 4,
+            "sor {sor_kernel}: {notices} notices"
+        );
+        assert_eq!((short.3, long.3), (0, 0), "a stencil never fetches");
+    }
+}
+
+#[test]
+fn lu_fetches_the_moving_pivot_row_and_still_verifies() {
+    // Everyone reads pivot row k at step k, and only its owner wrote it:
+    // the interest trails the pivot by a row, so each step's row comes by
+    // a fetch (the case where what is read is not what was read before).
+    let (n, seed) = (16, 21);
+    let pair = &paper_pairs()[2];
+    let recorder = hdsm::obs::Recorder::enabled();
+    let outcome = ClusterBuilder::new()
+        .gthv(lu::gthv_def(n))
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .barriers(1)
+        .obs(recorder.clone())
+        .init(move |g| lu::init(g, n, seed))
+        .run(move |c, i| lu::run_worker(c, i, n))
+        .unwrap();
+    assert!(lu::verify(&outcome.final_gthv, n, seed));
+    let snap = recorder.snapshot().expect("armed");
+    let fetches = snap
+        .counters
+        .iter()
+        .find(|(k, _)| k == "client.range_fetches");
+    assert!(fetches.is_some_and(|(_, v)| *v > 0), "{:?}", snap.counters);
+}
+
 #[test]
 fn migration_chain_through_every_platform() {
     // One worker migrates Linux → SPARC → SPARC64 → back to Linux while

@@ -174,6 +174,375 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Ship what is read, model-checked: random race-free programs of barrier
+// phases and lock sections, whose every returned value and final byte is
+// held to a sequential model. A worker reads ranges it never read before
+// and ranges it was only sent a notice for as often as ranges it holds.
+// ---------------------------------------------------------------------------
+
+use hdsm::apps::workload::paper_pairs;
+use hdsm::dsd::client::{DsdClient, DsdError};
+use hdsm::dsd::cluster::TopologyConfig;
+use hdsm::net::FabricMode;
+use hdsm::obs::Recorder;
+
+/// `xs` is 12 chunks of 8 ints; in a phase each chunk has one writer or
+/// none, and a worker reads only chunks nobody else writes in that phase.
+const CHUNK: usize = 8;
+const CHUNKS: usize = 12;
+/// `fs` is two regions of 16 doubles, each guarded by the lock of its
+/// number; the first cell of a region counts the sections run on it.
+const REGION: usize = 16;
+const WORKERS: usize = 3;
+/// `owners[chunk]` of nobody.
+const NOBODY: u8 = WORKERS as u8;
+
+/// An access as generated: `(store?, where, offset, length, value)`, made
+/// legal for whoever runs it by [`legal`] or [`locked`].
+type RawOp = (bool, u8, u8, u8, i16);
+
+#[derive(Debug, Clone)]
+struct RawPhase {
+    /// Who may write each chunk of `xs` this phase.
+    owners: Vec<u8>,
+    /// Per worker: accesses to `xs` outside any lock.
+    ops: Vec<Vec<RawOp>>,
+    /// Per worker: lock sections `(lock, accesses)`, run between the first
+    /// and second half of `ops` — so a release ships unlocked stores too.
+    sections: Vec<Vec<(u8, Vec<RawOp>)>>,
+}
+
+fn raw_op() -> impl Strategy<Value = RawOp> {
+    (
+        any::<bool>(),
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        any::<i16>(),
+    )
+}
+
+fn raw_phase() -> impl Strategy<Value = RawPhase> {
+    (
+        prop::collection::vec(0u8..=NOBODY, CHUNKS..=CHUNKS),
+        prop::collection::vec(prop::collection::vec(raw_op(), 0..7), WORKERS..=WORKERS),
+        prop::collection::vec(
+            prop::collection::vec((0u8..2, prop::collection::vec(raw_op(), 0..4)), 0..3),
+            WORKERS..=WORKERS,
+        ),
+    )
+        .prop_map(|(owners, ops, sections)| RawPhase {
+            owners,
+            ops,
+            sections,
+        })
+}
+
+/// One legal access: a run of an entry from `first`, read or stored.
+#[derive(Debug, Clone)]
+enum Access {
+    Read { first: usize, len: usize },
+    Write { first: usize, values: Vec<f64> },
+}
+
+/// `op` as worker `w` may run it on `xs` in a phase with these `owners`:
+/// inside chunks it may touch, up to 24 elements long so that a read
+/// spans what it holds, what it was noticed of and what it never read.
+fn legal(op: &RawOp, w: usize, owners: &[u8]) -> Option<Access> {
+    let &(store, pick, offset, len, value) = op;
+    let may = |c: usize| owners[c] == w as u8 || (!store && owners[c] == NOBODY);
+    let allowed: Vec<usize> = (0..CHUNKS).filter(|&c| may(c)).collect();
+    let chunk = *allowed.get(pick as usize % allowed.len().max(1))?;
+    let first = chunk * CHUNK + offset as usize % CHUNK;
+    let run_end = chunk + (chunk..CHUNKS).take_while(|&c| may(c)).count();
+    let len = 1 + len as usize % (run_end * CHUNK - first).min(24);
+    Some(if store {
+        let values = (0..len).map(|i| f64::from(value) + i as f64).collect();
+        Access::Write { first, values }
+    } else {
+        Access::Read { first, len }
+    })
+}
+
+/// `op` inside a section on `lock`: within the lock's region of `fs`,
+/// past the cell that counts sections.
+fn locked(op: &RawOp, lock: u8) -> Access {
+    let &(store, _, offset, len, value) = op;
+    let at = 1 + offset as usize % (REGION - 1);
+    let len = 1 + len as usize % (REGION - at).min(6);
+    let first = lock as usize * REGION + at;
+    if store {
+        let values = (0..len)
+            .map(|i| f64::from(value) / 4.0 + i as f64)
+            .collect();
+        Access::Write { first, values }
+    } else {
+        Access::Read { first, len }
+    }
+}
+
+/// Run `access` on `entry` through the client; what a read returns goes
+/// to `log`.
+fn perform(
+    c: &mut DsdClient,
+    entry: u32,
+    access: &Access,
+    log: &mut Vec<f64>,
+) -> Result<(), DsdError> {
+    match access {
+        Access::Read { first, len } if entry == 0 => {
+            let mut out = vec![0i128; *len];
+            c.read_ints(0, *first as u64, &mut out)?;
+            log.extend(out.iter().map(|&v| v as f64));
+        }
+        Access::Read { first, len } => {
+            let mut out = vec![0f64; *len];
+            c.read_floats(entry, *first as u64, &mut out)?;
+            log.extend(out);
+        }
+        Access::Write { first, values } if entry == 0 => {
+            let ints: Vec<i128> = values.iter().map(|&v| v as i128).collect();
+            c.write_ints(0, *first as u64, &ints)?;
+        }
+        Access::Write { first, values } => c.write_floats(entry, *first as u64, values)?,
+    }
+    Ok(())
+}
+
+/// The same access on the model's copy of the entry; a read must find the
+/// next values of `log` there.
+fn replay(state: &mut [f64], access: &Access, log: &mut impl Iterator<Item = f64>) -> bool {
+    match access {
+        Access::Read { first, len } => state[*first..][..*len]
+            .iter()
+            .all(|want| log.next() == Some(*want)),
+        Access::Write { first, values } => {
+            state[*first..][..values.len()].copy_from_slice(values);
+            true
+        }
+    }
+}
+
+fn phased_def() -> GthvDef {
+    GthvDef::new(
+        StructBuilder::new("G")
+            .array("xs", ScalarKind::Int, CHUNKS * CHUNK)
+            .array("fs", ScalarKind::Double, 2 * REGION)
+            .build()
+            .unwrap(),
+    )
+    .unwrap()
+}
+
+/// As in `tests/robustness.rs`: CI runs this file at 1 and 3 home shards.
+fn shards_from_env() -> u32 {
+    std::env::var("HDSM_SHARDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
+/// What one worker saw: the values of its unlocked reads in program
+/// order, and per lock section the count it read and its reads.
+type WorkerLog = (Vec<f64>, Vec<(f64, Vec<f64>)>);
+
+/// Run `program` on the paper's placement of pair `pair` (worker 0 on the
+/// home platform, two remote) and hold it to the sequential model.
+/// Returns the run's range fetches and notices, or what diverged.
+fn run_against_model(
+    program: Vec<RawPhase>,
+    pair: usize,
+    sim_seed: u64,
+) -> Result<(u64, u64), String> {
+    let pair = &paper_pairs()[pair];
+    let recorder = Recorder::enabled();
+    let program = std::sync::Arc::new(program);
+    let phases = program.clone();
+    let b = BarrierId::new(0);
+    let outcome = ClusterBuilder::new()
+        .gthv(phased_def())
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .locks(2)
+        .barriers(1)
+        .topology(TopologyConfig {
+            shards: shards_from_env(),
+            fabric: FabricMode::Sim { seed: sim_seed },
+            ..Default::default()
+        })
+        .obs(recorder.clone())
+        .init(|g| {
+            for i in 0..(CHUNKS * CHUNK) as u64 {
+                g.write_int(0, i, 1000 + i as i128).unwrap();
+            }
+        })
+        .run(move |c, info| -> Result<WorkerLog, DsdError> {
+            let w = info.index;
+            let (mut log, mut sections) = (Vec::new(), Vec::new());
+            c.barrier(b)?;
+            for phase in phases.iter() {
+                let (early, late) = phase.ops[w].split_at(phase.ops[w].len() / 2);
+                for op in early.iter().filter_map(|op| legal(op, w, &phase.owners)) {
+                    perform(c, 0, &op, &mut log)?;
+                }
+                for (lock, ops) in &phase.sections[w] {
+                    let count_at = (*lock as usize * REGION) as u64;
+                    c.acquire(LockId::new(u32::from(*lock)))?;
+                    let nth = c.read_float(1, count_at)?;
+                    c.write_float(1, count_at, nth + 1.0)?;
+                    let mut reads = Vec::new();
+                    for op in ops {
+                        perform(c, 1, &locked(op, *lock), &mut reads)?;
+                    }
+                    c.release(LockId::new(u32::from(*lock)))?;
+                    sections.push((nth, reads));
+                }
+                for op in late.iter().filter_map(|op| legal(op, w, &phase.owners)) {
+                    perform(c, 0, &op, &mut log)?;
+                }
+                c.barrier(b)?;
+            }
+            // Everything, once more, as this worker sees it at the end.
+            let (all_xs, all_fs) = (CHUNKS * CHUNK, 2 * REGION);
+            perform(
+                c,
+                0,
+                &Access::Read {
+                    first: 0,
+                    len: all_xs,
+                },
+                &mut log,
+            )?;
+            perform(
+                c,
+                1,
+                &Access::Read {
+                    first: 0,
+                    len: all_fs,
+                },
+                &mut log,
+            )?;
+            Ok((log, sections))
+        })
+        .map_err(|e| e.to_string())?;
+
+    // The sequential model. A phase's unlocked accesses see the state at
+    // its opening barrier plus the worker's own stores (nobody else writes
+    // what it may touch); the sections on a lock ran in the order of the
+    // counts they read.
+    let mut xs: Vec<f64> = (0..CHUNKS * CHUNK).map(|i| 1000.0 + i as f64).collect();
+    let mut fs = vec![0f64; 2 * REGION];
+    let (mut logs, mut sections): (Vec<_>, Vec<_>) = outcome
+        .results
+        .into_iter()
+        .map(|(log, sections)| (log.into_iter(), sections.into_iter()))
+        .unzip();
+    for (p, phase) in program.iter().enumerate() {
+        let at_barrier = xs.clone();
+        let mut ran = Vec::new();
+        for w in 0..WORKERS {
+            let mut mine = at_barrier.clone();
+            for op in phase.ops[w]
+                .iter()
+                .filter_map(|op| legal(op, w, &phase.owners))
+            {
+                if !replay(&mut mine, &op, &mut logs[w]) {
+                    return Err(format!(
+                        "phase {p}, worker {w}: {op:?} returned something else"
+                    ));
+                }
+            }
+            for c in (0..CHUNKS).filter(|&c| phase.owners[c] == w as u8) {
+                let chunk = c * CHUNK..(c + 1) * CHUNK;
+                xs[chunk.clone()].copy_from_slice(&mine[chunk]);
+            }
+            for (lock, ops) in &phase.sections[w] {
+                let (nth, reads) = sections[w].next().ok_or("a section left no log")?;
+                ran.push((*lock, nth as u64, w, ops, reads));
+            }
+        }
+        ran.sort_by_key(|&(lock, nth, ..)| (lock, nth));
+        for (lock, nth, w, ops, reads) in ran {
+            let count_at = lock as usize * REGION;
+            if fs[count_at] != nth as f64 {
+                return Err(format!(
+                    "phase {p}: two sections on lock {lock} both ran as number {nth}"
+                ));
+            }
+            fs[count_at] += 1.0;
+            let mut reads = reads.into_iter();
+            for op in ops.iter().map(|op| locked(op, lock)) {
+                if !replay(&mut fs, &op, &mut reads) {
+                    return Err(format!(
+                        "phase {p}, worker {w}, section {nth} on lock {lock}: {op:?} returned something else"
+                    ));
+                }
+            }
+        }
+    }
+    for (w, log) in logs.iter_mut().enumerate() {
+        if !log.by_ref().eq(xs.iter().chain(&fs).copied()) {
+            return Err(format!("worker {w}'s final view is not the model's"));
+        }
+    }
+    let home = &outcome.final_gthv;
+    let home_xs = (0..xs.len() as u64).map(|i| home.read_int(0, i).unwrap() as f64);
+    let home_fs = (0..fs.len() as u64).map(|i| home.read_float(1, i).unwrap());
+    if !home_xs.eq(xs.iter().copied()) || !home_fs.eq(fs.iter().copied()) {
+        return Err("the home's final bytes are not the model's".into());
+    }
+    let snap = recorder.snapshot().expect("armed");
+    let count = |name: &str| {
+        let row = snap.counters.iter().find(|(k, _)| k == name);
+        row.map_or(0, |(_, v)| *v)
+    };
+    Ok((count("client.range_fetches"), count("home.ranges_noticed")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        .. ProptestConfig::default()
+    })]
+
+    /// On every paper pair (and, under `HDSM_SHARDS=3`, with entries,
+    /// locks and the barrier homed on different shards): no accessor ever
+    /// returns a value the sequential model does not, and the home ends on
+    /// the model's bytes.
+    #[test]
+    fn race_free_programs_match_the_sequential_model_on_every_paper_pair(
+        program in prop::collection::vec(raw_phase(), 2..7),
+        sim_seed in any::<u64>(),
+    ) {
+        for pair in 0..paper_pairs().len() {
+            let verdict = run_against_model(program.clone(), pair, sim_seed);
+            prop_assert!(verdict.is_ok(), "pair {}, sim seed {:#x}: {}", pair, sim_seed, verdict.unwrap_err());
+        }
+    }
+}
+
+/// The programs above are only a check of fetch-before-use if they fetch:
+/// over a fixed set of them, notices are sent and noticed ranges are read.
+#[test]
+fn random_programs_do_read_what_they_were_only_noticed_of() {
+    use proptest::test_runner::TestRng;
+    let mut rng = TestRng::from_name("random_programs_do_read_what_they_were_only_noticed_of");
+    let (mut fetches, mut notices) = (0, 0);
+    for _ in 0..8 {
+        let program = prop::collection::vec(raw_phase(), 6..7).generate(&mut rng);
+        let (f, n) = run_against_model(program, 2, rng.next_u64()).expect("matches the model");
+        fetches += f;
+        notices += n;
+    }
+    assert!(
+        fetches > 0 && notices > 0,
+        "{fetches} fetches, {notices} notices"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pipeline-vs-reference properties: compiled run plans and the parallel
 // diff scan must be indistinguishable from the references they are pinned
 // to (`convert_scalar_run`, the serial `diff_pages`).

@@ -5,7 +5,9 @@
 
 use bytes::Bytes;
 use hdsm::dsd::client::DsdError;
-use hdsm::dsd::cluster::{ClusterBuilder, ClusterError, FaultConfig, TimingConfig, TopologyConfig};
+use hdsm::dsd::cluster::{
+    ClusterBuilder, ClusterCtl, ClusterError, FaultConfig, TimingConfig, TopologyConfig,
+};
 use hdsm::dsd::gthv::GthvDef;
 use hdsm::dsd::protocol::{DsdMsg, ProtocolError};
 use hdsm::dsd::{BarrierId, CondId, LockId};
@@ -83,6 +85,13 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
     // table directly, the update carriers through their embedded batch.
     assert_eq!(
         DsdMsg::decode(MsgKind::EntryMoved, frame(&max)),
+        Err(ProtocolError::Truncated)
+    );
+    // A fetch declares its ranges; the rows behind any body are counted
+    // by what is left of the frame, never declared.
+    let wild_fetch = [&[0, 0, 0, 5][..], &max].concat();
+    assert_eq!(
+        DsdMsg::decode(MsgKind::RangeFetch, frame(&wild_fetch)),
         Err(ProtocolError::Truncated)
     );
     // A count just below the v2 marker (what opened a batch of the
@@ -238,6 +247,60 @@ fn out_of_range_data_access_is_an_error_not_a_panic() {
         })
         .unwrap();
     drop(outcome);
+}
+
+/// Stores made before an acquire — before the first one, or inside an
+/// outer critical section — survive it: the acquire's incoming updates go
+/// into page and twin alike and leave dirty marks alone, so the next
+/// release still ships them. (It used to end in a re-protect that dropped
+/// every twin: `xs[3]` below never reached the home.)
+#[test]
+fn nested_acquire_keeps_the_outer_sections_writes() {
+    let (l0, l1) = (LockId::new(0), LockId::new(1));
+    let outcome = ClusterBuilder::new()
+        .gthv(tiny_def())
+        .home(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(2)
+        .barriers(1)
+        .topology(TopologyConfig {
+            shards: shards_from_env(),
+            ..Default::default()
+        })
+        .init(|g| {
+            for i in 0..16 {
+                g.write_int(0, i, 500 + i as i128).unwrap();
+            }
+        })
+        .run(move |c, info| {
+            if info.index == 0 {
+                // Caught like a store between `mprotect` and the first
+                // lock: it meets the initial pull and wins its element.
+                c.write_int(0, 1, 11)?;
+                c.acquire(l0)?;
+                assert_eq!(c.read_int(0, 1)?, 11);
+                assert_eq!(c.read_int(0, 2)?, 502, "the pull fills in the rest");
+                c.write_int(0, 3, 77)?;
+                c.acquire(l1)?;
+                assert_eq!(c.read_int(0, 3)?, 77);
+                c.write_int(0, 4, 88)?;
+                c.release(l1)?;
+                c.release(l0)?;
+            }
+            c.barrier(BarrierId::new(0))?;
+            if info.index == 1 {
+                let mut xs = [0; 5];
+                c.read_ints(0, 0, &mut xs)?;
+                assert_eq!(xs, [500, 11, 502, 77, 88]);
+            }
+            Ok(())
+        })
+        .expect("nested sections");
+    let got: Vec<i128> = (0..5)
+        .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+        .collect();
+    assert_eq!(got, [500, 11, 502, 77, 88]);
 }
 
 #[test]
@@ -1156,6 +1219,117 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
         fence_t < promote_t,
         "primary fenced at {fence_t}us, after the promotion at {promote_t}us"
     );
+}
+
+/// Two workers on a replicated home, driven to the point where worker 0
+/// holds a notice: it has read `xs[0..4]` and said so, and worker 1's
+/// rewrite of `xs[8..12]` to `200 + i` reached it as a notice only. Both
+/// then pause 300 ms of fabric time — `control` acts in there — and
+/// worker 0 reads `xs[9]`, which it must fetch; a last rewrite to
+/// `300 + i` and a read of `xs[10]` show the run carries on.
+fn run_fetch_after_a_pause(
+    shards: u32,
+    seed: u64,
+    control: impl FnOnce(ClusterCtl) + Send + 'static,
+) -> (Vec<i128>, hdsm::obs::Recorder) {
+    let recorder = hdsm::obs::Recorder::enabled();
+    let b = BarrierId::new(0);
+    let outcome = ClusterBuilder::new()
+        .gthv(tiny_def())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .barriers(1)
+        .topology(TopologyConfig {
+            shards,
+            replicas: 1,
+            fabric: FabricMode::Sim { seed },
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        })
+        .obs(recorder.clone())
+        .control(control)
+        .run(move |c, info| {
+            let rewrite = |c: &mut DsdClient, base: i128| {
+                (8..12).try_for_each(|i| c.write_int(0, i, base + i as i128))
+            };
+            c.barrier(b)?;
+            if info.index == 0 {
+                c.read_ints(0, 0, &mut [0; 4])?;
+            } else {
+                rewrite(c, 100)?;
+            }
+            c.barrier(b)?; // worker 0 reports; the rewrite is noticed
+            if info.index == 1 {
+                rewrite(c, 200)?;
+            }
+            c.barrier(b)?; // so is this one
+            c.network().clock().sleep(Duration::from_millis(300));
+            let mut seen = Vec::new();
+            if info.index == 0 {
+                seen.push(c.read_int(0, 9)?);
+            }
+            c.barrier(b)?;
+            if info.index == 1 {
+                rewrite(c, 300)?;
+            }
+            c.barrier(b)?;
+            if info.index == 0 {
+                seen.push(c.read_int(0, 10)?);
+            }
+            Ok(seen)
+        })
+        .expect("the fetch must find the entry's bytes wherever they are served");
+    let final_xs: Vec<i128> = (8..12)
+        .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+        .collect();
+    assert_eq!(final_xs, [308, 309, 310, 311]);
+    (outcome.results.into_iter().next().unwrap(), recorder)
+}
+
+fn counter(recorder: &hdsm::obs::Recorder, name: &str) -> u64 {
+    let snap = recorder.snapshot().expect("armed");
+    let row = snap.counters.iter().find(|(k, _)| k == name);
+    row.map_or(0, |(_, v)| *v)
+}
+
+#[test]
+fn failover_notice_from_a_killed_primary_is_fetched_from_the_promoted_replica() {
+    use hdsm::obs::EventKind;
+    // The primary of shard 0 (entry 0's owner, whatever the shard count)
+    // sends worker 0 its notice and dies; the fetch fails over like any
+    // request and the replica answers from the bytes the relay gave it.
+    let (seen, recorder) = run_fetch_after_a_pause(shards_from_env(), 0xFE7C, |ctl| {
+        ctl.sleep(Duration::from_millis(100));
+        ctl.kill_shard(ShardId::new(0));
+    });
+    assert_eq!(seen, [209, 310]);
+    assert!(counter(&recorder, "client.range_fetches") >= 1);
+    assert!(counter(&recorder, "home.ranges_noticed") >= 1);
+    let events = recorder.events();
+    assert!(events.iter().any(|e| e.kind == EventKind::ShardKill));
+    assert!(events.iter().any(|e| e.kind == EventKind::Promote));
+}
+
+#[test]
+fn handoff_entry_rehomed_between_notice_and_fetch_is_fetched_from_its_new_owner() {
+    // Entry 0 moves from shard 0 to shard 1 while worker 0 holds a notice
+    // for it: the fetch goes to the old owner, is bounced `EntryMoved`,
+    // and is answered by the new one — which then ships worker 0 the
+    // entry whole until it has been told what worker 0 reads.
+    let (seen, recorder) = run_fetch_after_a_pause(shards_from_env().max(2), 0xE7F0, |mut ctl| {
+        ctl.sleep(Duration::from_millis(100));
+        ctl.rehome_entry(0, ShardId::new(0), ShardId::new(1))
+            .expect("the move completes");
+    });
+    assert_eq!(seen, [209, 310]);
+    assert_eq!(counter(&recorder, "home.entries_rehomed"), 1);
+    assert!(counter(&recorder, "home.entry_bounces") >= 1);
+    assert!(counter(&recorder, "client.entry_moves_learned") >= 1);
+    assert!(counter(&recorder, "client.range_fetches") >= 1);
 }
 
 #[test]
