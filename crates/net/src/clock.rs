@@ -9,7 +9,7 @@
 //! advances when the event queue fires — timers become events and a
 //! whole run is a pure function of `(workload, config, seed)`.
 
-use crate::sim::SimFabric;
+use crate::sim::{dur_us, SimFabric};
 use std::ops::Add;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -50,9 +50,7 @@ impl Add<Duration> for FabricInstant {
 
     fn add(self, d: Duration) -> FabricInstant {
         FabricInstant {
-            us: self
-                .us
-                .saturating_add(d.as_micros().min(u64::MAX as u128) as u64),
+            us: self.us.saturating_add(dur_us(d)),
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::clock::FabricClock;
 use crate::fault::{Applied, FaultPlan, FaultState};
 use crate::message::{Message, MsgKind, TraceCtx};
-use crate::sim::{SimFabric, Wake};
+use crate::sim::{dur_us, SimFabric, Wake};
 use crate::stats::{NetConfig, NetStats};
 use bytes::Bytes;
 use hdsm_obs::{EventKind, OpCtx, Recorder};
@@ -354,24 +354,26 @@ impl Endpoint {
         self.net.clock()
     }
 
+    /// Sim-mode receive: poll the channel, else yield to the scheduler
+    /// until a delivery to this rank or the virtual instant `until`.
+    fn recv_sim(&self, sim: &SimFabric, until: Option<u64>) -> Result<Message, NetError> {
+        loop {
+            match self.try_recv() {
+                Err(NetError::Empty) => {}
+                done => return done,
+            }
+            match sim.block_recv(self.rank, until) {
+                Wake::Delivery => continue,
+                Wake::Timeout => return Err(NetError::Timeout),
+                Wake::Closed => return Err(NetError::ChannelClosed),
+            }
+        }
+    }
+
     /// Blocking receive.
     pub fn recv(&self) -> Result<Message, NetError> {
         if let Some(sim) = &self.net.fabric.sim {
-            loop {
-                match self.rx.try_recv() {
-                    Ok(m) => {
-                        self.note_recv(&m);
-                        return Ok(m);
-                    }
-                    Err(TryRecvError::Disconnected) => return Err(NetError::ChannelClosed),
-                    Err(TryRecvError::Empty) => {}
-                }
-                match sim.block_recv(self.rank, None) {
-                    Wake::Delivery => continue,
-                    Wake::Timeout => unreachable!("no deadline on a plain recv"),
-                    Wake::Closed => return Err(NetError::ChannelClosed),
-                }
-            }
+            return self.recv_sim(sim, None);
         }
         let m = self.rx.recv().map_err(|_| NetError::ChannelClosed)?;
         self.note_recv(&m);
@@ -381,26 +383,8 @@ impl Endpoint {
     /// Blocking receive with timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, NetError> {
         if let Some(sim) = &self.net.fabric.sim {
-            let deadline = sim.now_us().saturating_add(timeout.as_micros() as u64);
-            loop {
-                match self.rx.try_recv() {
-                    Ok(m) => {
-                        self.note_recv(&m);
-                        return Ok(m);
-                    }
-                    Err(TryRecvError::Disconnected) => return Err(NetError::ChannelClosed),
-                    Err(TryRecvError::Empty) => {}
-                }
-                let left = deadline.saturating_sub(sim.now_us());
-                if left == 0 {
-                    return Err(NetError::Timeout);
-                }
-                match sim.block_recv(self.rank, Some(Duration::from_micros(left))) {
-                    Wake::Delivery => continue,
-                    Wake::Timeout => return Err(NetError::Timeout),
-                    Wake::Closed => return Err(NetError::ChannelClosed),
-                }
-            }
+            let until = sim.now_us().saturating_add(dur_us(timeout));
+            return self.recv_sim(sim, Some(until));
         }
         let m = self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
@@ -686,5 +670,101 @@ mod tests {
             Network::new_observed(2, NetConfig::instant().with_faults(plan), rec.clone());
         eps[0].send(1, MsgKind::Other, Bytes::new()).unwrap();
         assert!(rec.events().iter().any(|e| e.kind == EventKind::FaultDrop));
+    }
+
+    /// Run `bodies[i]` as sim actor `i` owning endpoint `i` of a fault-free
+    /// instant fabric; returns the fabric once every actor has finished.
+    fn run_sim(bodies: Vec<Box<dyn FnOnce(Endpoint, SimFabric) + Send>>) -> SimFabric {
+        let sim = SimFabric::new(7);
+        let (_net, eps) = Network::new_sim(
+            bodies.len(),
+            NetConfig::instant(),
+            Recorder::disabled(),
+            &sim,
+        );
+        std::thread::scope(|s| {
+            for (i, (ep, body)) in eps.into_iter().zip(bodies).enumerate() {
+                let (sim, id) = (sim.clone(), sim.add_actor(&format!("a{i}")));
+                s.spawn(move || {
+                    let _g = sim.enter(id);
+                    body(ep, sim.clone());
+                });
+            }
+            sim.begin();
+        });
+        sim
+    }
+
+    #[test]
+    fn sim_recv_timeout_saturates_instead_of_wrapping() {
+        // `Duration::MAX` is "no deadline"; 2^64 + 5 µs used to wrap to a
+        // 5 µs deadline that fired before the 1 ms delivery.
+        for timeout in [
+            Duration::MAX,
+            Duration::new(18_446_744_073_709, 551_621_000),
+        ] {
+            run_sim(vec![
+                Box::new(move |ep, _| {
+                    let m = ep.recv_timeout(timeout).expect("delivered, not Timeout");
+                    assert_eq!(&m.payload[..], b"late");
+                }),
+                Box::new(|ep, _| {
+                    ep.clock().sleep(Duration::from_millis(1));
+                    ep.send(0, MsgKind::Other, Bytes::from_static(b"late"))
+                        .unwrap();
+                }),
+            ]);
+        }
+    }
+
+    #[test]
+    fn sim_request_reply_turns_leave_nothing_queued() {
+        // Every reply beats its 250 ms deadline, and on an instant fabric
+        // virtual time never reaches one: a deadline that outlived its
+        // wait would sit in the scheduler for the rest of the run.
+        const TURNS: usize = 10_000;
+        let sim = run_sim(vec![
+            Box::new(|ep, sim| {
+                for _ in 0..TURNS {
+                    ep.send(1, MsgKind::Other, Bytes::new()).unwrap();
+                    ep.recv_timeout(Duration::from_millis(250)).unwrap();
+                    let (deliveries, deadlines) = sim.pending();
+                    assert!(
+                        deliveries == 0 && deadlines <= 1,
+                        "{deliveries}, {deadlines}"
+                    );
+                }
+            }),
+            Box::new(|ep, _| {
+                for _ in 0..TURNS {
+                    ep.recv_timeout(Duration::from_millis(250)).unwrap();
+                    ep.send(0, MsgKind::Other, Bytes::new()).unwrap();
+                }
+            }),
+        ]);
+        assert_eq!(sim.pending(), (0, 0));
+        assert_eq!(sim.now_us(), 0);
+    }
+
+    #[test]
+    fn sim_ping_pong_stress_loses_no_wake_up() {
+        // Four pairs, every wait a plain `recv`: a hand-off lost between a
+        // scheduler step's unlock and its wake would hang this test, a
+        // message lost would trip the deadlock detector.
+        const ROUNDS: usize = 50_000;
+        let bodies = (0..8u32).map(|me| {
+            Box::new(move |ep: Endpoint, _| {
+                for _ in 0..ROUNDS {
+                    if me % 2 == 0 {
+                        ep.send(me + 1, MsgKind::Other, Bytes::new()).unwrap();
+                        ep.recv().unwrap();
+                    } else {
+                        ep.recv().unwrap();
+                        ep.send(me - 1, MsgKind::Other, Bytes::new()).unwrap();
+                    }
+                }
+            }) as Box<dyn FnOnce(Endpoint, SimFabric) + Send>
+        });
+        assert_eq!(run_sim(bodies.collect()).pending(), (0, 0));
     }
 }

@@ -5,10 +5,17 @@
 //! script) registers as an *actor*, and exactly one actor runs at a time.
 //! When the running actor blocks — on a receive, a receive timeout, or a
 //! virtual sleep — it hands the token to a scheduler step that either picks
-//! the next runnable actor or pops the earliest event off a seeded priority
-//! queue, advancing the virtual clock to the event's timestamp. Sends never
-//! block; they enqueue a `Deliver` event at `now + wire_time (+ fault
-//! jitter)`. Compute costs zero virtual time.
+//! the next runnable actor or fires the earliest event — a delivery off a
+//! seeded priority queue or a blocked actor's deadline — advancing the
+//! virtual clock to the event's timestamp. Sends never block; they enqueue
+//! a delivery at `now + wire_time (+ fault jitter)`. Compute costs zero
+//! virtual time.
+//!
+//! A step decides under the state lock and *returns* whom to wake; the
+//! state lock is never held across a wake, so the woken thread finds it
+//! free and a turn costs one thread switch. A blocked actor has at most one
+//! deadline, kept beside the delivery queue under the same order and
+//! removed by whatever wakes the actor first: nothing dead is ever queued.
 //!
 //! Because execution is fully serialized and every scheduling decision is a
 //! function of `(seed, event sequence)`, a whole cluster run — including
@@ -22,17 +29,17 @@
 //! reorder faults still swap adjacent messages via the fault layer's
 //! holdback queue, exactly as in threaded mode.
 //!
-//! If every actor is blocked with no timer pending and the event queue is
-//! empty, the run has genuinely deadlocked: the fabric panics with a
-//! per-actor diagnostic instead of hanging the test. If an actor panics
+//! If every actor is blocked with no deadline pending and the delivery
+//! queue is empty, the run has genuinely deadlocked: the fabric panics with
+//! a per-actor diagnostic instead of hanging the test. If an actor panics
 //! for any other reason, the remaining blocked actors are woken with
 //! `ChannelClosed` so the thread scope can join and surface the original
 //! panic.
 
 use crate::message::Message;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -89,70 +96,75 @@ enum Phase {
 struct Actor {
     name: String,
     phase: Phase,
-    /// Bumped on every wake; a pending `Timer` event whose generation no
-    /// longer matches is stale and ignored.
-    wait_gen: u64,
     wake: Wake,
+    /// The one deadline of a blocked actor: its key in
+    /// [`SimState::timers`], removed again by whatever wakes the actor.
+    timer: Option<EvKey>,
     /// Endpoint rank this actor is blocked receiving on, if any.
     waiting_ep: Option<u32>,
     cv: Arc<Condvar>,
 }
 
-enum EvKind {
-    Deliver {
-        dst: u32,
-        tx: Sender<Message>,
-        msg: Message,
-    },
-    Timer {
-        actor: usize,
-        gen: u64,
-    },
-}
+/// `(at, lane, seq)`: the one order over deliveries and deadlines. `lane`
+/// is the seeded tie-break for same-timestamp events — one lane per link
+/// or per deadline owner, so per-link FIFO survives while cross-link
+/// ordering varies with the seed — and both draw `seq` from one counter.
+type EvKey = (u64, u64, u64);
 
+/// A message in flight.
 struct Ev {
-    at: u64,
-    /// Seeded tie-break for same-timestamp events. One lane per link (or
-    /// per timer owner), so per-link FIFO survives while cross-link
-    /// ordering varies with the seed.
-    lane: u64,
-    seq: u64,
-    kind: EvKind,
+    dst: u32,
+    tx: Sender<Message>,
+    msg: Message,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Ev) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Ev) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Ev) -> std::cmp::Ordering {
-        (self.at, self.lane, self.seq).cmp(&(other.at, other.lane, other.seq))
-    }
+/// What the scheduler knows of one endpoint rank.
+#[derive(Default)]
+struct Ep {
+    /// The actor blocked receiving on it.
+    waiter: Option<usize>,
+    /// Its receiver half has been dropped (a crashed node).
+    dead: bool,
+    /// By source rank: the earliest time the next delivery on that link
+    /// may land (per-link FIFO).
+    clear: Vec<u64>,
 }
 
 struct SimState {
     seed: u64,
-    now_us: u64,
     seq: u64,
     picks: u64,
-    queue: BinaryHeap<Reverse<Ev>>,
+    /// Deliveries in flight.
+    queue: BTreeMap<EvKey, Ev>,
+    /// Deadlines of blocked actors, at most one each.
+    timers: BTreeMap<EvKey, usize>,
     actors: Vec<Actor>,
     running: Option<usize>,
-    /// Earliest time the next delivery on a link may land (per-link FIFO).
-    link_clear: HashMap<(u32, u32), u64>,
-    /// Which actor is blocked receiving on which endpoint rank.
-    ep_waiter: HashMap<u32, usize>,
-    /// Endpoints whose receiver half has been dropped (crashed nodes).
-    dead_eps: HashSet<u32>,
+    /// By endpoint rank, grown on first mention.
+    eps: Vec<Ep>,
     /// An actor panicked; blocked actors drain with `Wake::Closed`.
     failed: bool,
+}
+
+impl SimState {
+    /// The actors in `phase`, ascending: what the seeded pick indexes.
+    fn in_phase(&self, phase: Phase) -> Vec<usize> {
+        let of = |i: &usize| self.actors[*i].phase == phase;
+        (0..self.actors.len()).filter(of).collect()
+    }
+
+    fn ep(&mut self, rank: u32) -> &mut Ep {
+        slot(&mut self.eps, rank)
+    }
+}
+
+/// `v[rank]`, grown with defaults on first mention.
+fn slot<T: Default>(v: &mut Vec<T>, rank: u32) -> &mut T {
+    let rank = rank as usize;
+    if v.len() <= rank {
+        v.resize_with(rank + 1, T::default);
+    }
+    &mut v[rank]
 }
 
 /// Callback fired with the virtual time on deadlock detection.
@@ -160,11 +172,15 @@ type DeadlockHook = Box<dyn Fn(u64) + Send + Sync>;
 
 struct SimCore {
     state: Mutex<SimState>,
+    /// The virtual clock, µs. Advanced only by a scheduler step, under the
+    /// state lock; read without it. `Relaxed` suffices: an actor that reads
+    /// it was handed the token through the state mutex after the last
+    /// advance, and the value publishes nothing else.
+    now_us: AtomicU64,
     /// Fired (with the virtual time) when the detector finds a fresh
     /// deadlock, *before* the diagnostic panic. Runs while the state lock
-    /// is held, so the hook must not read the fabric clock — the
-    /// observability layer uses it to flush a flight-recorder bundle with
-    /// the timestamp passed in.
+    /// is held — the observability layer uses it to flush a
+    /// flight-recorder bundle with the timestamp passed in.
     deadlock_hook: Mutex<Option<DeadlockHook>>,
 }
 
@@ -196,6 +212,22 @@ pub struct ActorGuard {
     id: usize,
 }
 
+/// The actor a scheduler step picked, to be woken once the state lock is
+/// released.
+#[must_use]
+struct HandOff(Option<Arc<Condvar>>);
+
+impl HandOff {
+    /// Takes the guard so that no wake can be issued with the state lock
+    /// held: the woken thread's first act is to take it.
+    fn unlock_then_wake(self, st: MutexGuard<'_, SimState>) {
+        drop(st);
+        if let Some(cv) = self.0 {
+            cv.notify_one();
+        }
+    }
+}
+
 impl SimFabric {
     /// A fresh fabric whose scheduling decisions derive from `seed`.
     pub fn new(seed: u64) -> SimFabric {
@@ -203,17 +235,16 @@ impl SimFabric {
             core: Arc::new(SimCore {
                 state: Mutex::new(SimState {
                     seed,
-                    now_us: 0,
                     seq: 0,
                     picks: 0,
-                    queue: BinaryHeap::new(),
+                    queue: BTreeMap::new(),
+                    timers: BTreeMap::new(),
                     actors: Vec::new(),
                     running: None,
-                    link_clear: HashMap::new(),
-                    ep_waiter: HashMap::new(),
-                    dead_eps: HashSet::new(),
+                    eps: Vec::new(),
                     failed: false,
                 }),
+                now_us: AtomicU64::new(0),
                 deadlock_hook: Mutex::new(None),
             }),
         }
@@ -222,8 +253,7 @@ impl SimFabric {
     /// Install the deadlock hook: called with the virtual time (µs) when
     /// the detector finds a fresh deadlock, just before the diagnostic
     /// panic. The hook runs with the scheduler's state lock held — it
-    /// must not call back into the fabric (in particular not
-    /// [`SimFabric::now_us`]).
+    /// must not call back into the fabric.
     pub fn set_deadlock_hook(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
         *self
             .core
@@ -234,7 +264,7 @@ impl SimFabric {
 
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> u64 {
-        self.core.lock().now_us
+        self.core.now_us.load(Ordering::Relaxed)
     }
 
     /// Pre-register an actor. Call from the coordinating thread in a fixed
@@ -245,8 +275,8 @@ impl SimFabric {
         st.actors.push(Actor {
             name: name.to_string(),
             phase: Phase::Ready,
-            wait_gen: 0,
             wake: Wake::Delivery,
+            timer: None,
             waiting_ep: None,
             cv: Arc::new(Condvar::new()),
         });
@@ -264,13 +294,7 @@ impl SimFabric {
             );
             c.set(Some(id.0));
         });
-        let mut st = self.core.lock();
-        let cv = st.actors[id.0].cv.clone();
-        while st.running != Some(id.0) {
-            st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.actors[id.0].phase = Phase::Running;
-        drop(st);
+        self.await_token(id.0);
         ActorGuard {
             fabric: self.clone(),
             id: id.0,
@@ -282,7 +306,7 @@ impl SimFabric {
     pub fn begin(&self) {
         let mut st = self.core.lock();
         if st.running.is_none() {
-            self.schedule(&mut st);
+            self.schedule(&mut st).unlock_then_wake(st);
         }
     }
 
@@ -299,27 +323,29 @@ impl SimFabric {
             Some(me),
             "sleep from an actor without the token"
         );
-        let gen = st.actors[me].wait_gen;
-        let at = st.now_us.saturating_add(dur_us(d));
-        self.push_timer(&mut st, me, gen, at);
+        let at = self.now_us().saturating_add(dur_us(d));
+        self.set_timer(&mut st, me, at);
         self.block_here(st, me, None);
     }
 
-    /// Block until a message lands on endpoint `ep` or `timeout` elapses on
-    /// the virtual clock. The caller re-polls its channel on `Delivery`.
-    pub(crate) fn block_recv(&self, ep: u32, timeout: Option<Duration>) -> Wake {
+    /// Block until a message lands on endpoint `ep` or the virtual clock
+    /// reaches `until` (µs; `None` waits for a delivery alone). The caller
+    /// re-polls its channel on `Delivery`. A deadline already reached is
+    /// `Timeout` at once, without yielding the token.
+    pub(crate) fn block_recv(&self, ep: u32, until: Option<u64>) -> Wake {
         let me = current_actor("recv");
+        if until.is_some_and(|at| at <= self.now_us()) {
+            return Wake::Timeout;
+        }
         let mut st = self.core.lock();
         if st.failed {
             return Wake::Closed;
         }
         debug_assert_eq!(st.running, Some(me), "recv from an actor without the token");
-        if let Some(d) = timeout {
-            let gen = st.actors[me].wait_gen;
-            let at = st.now_us.saturating_add(dur_us(d));
-            self.push_timer(&mut st, me, gen, at);
+        if let Some(at) = until {
+            self.set_timer(&mut st, me, at);
         }
-        st.ep_waiter.insert(ep, me);
+        st.ep(ep).waiter = Some(me);
         self.block_here(st, me, Some(ep))
     }
 
@@ -337,29 +363,22 @@ impl SimFabric {
         msgs: Vec<Message>,
     ) -> bool {
         let mut st = self.core.lock();
-        if st.dead_eps.contains(&dst) {
+        if st.ep(dst).dead {
             return false;
         }
-        let base = st
-            .now_us
+        let base = self
+            .now_us()
             .saturating_add(dur_us(wire))
             .saturating_add(dur_us(extra));
-        let at = base.max(*st.link_clear.get(&(src, dst)).unwrap_or(&0));
-        st.link_clear.insert((src, dst), at);
+        let clear = slot(&mut st.ep(dst).clear, src);
+        let at = base.max(*clear);
+        *clear = at;
         let lane = splitmix64(st.seed ^ ((u64::from(src) << 32) | u64::from(dst)));
         for msg in msgs {
-            let seq = st.seq;
+            let key = (at, lane, st.seq);
             st.seq += 1;
-            st.queue.push(Reverse(Ev {
-                at,
-                lane,
-                seq,
-                kind: EvKind::Deliver {
-                    dst,
-                    tx: tx.clone(),
-                    msg,
-                },
-            }));
+            let tx = tx.clone();
+            st.queue.insert(key, Ev { dst, tx, msg });
         }
         true
     }
@@ -368,19 +387,23 @@ impl SimFabric {
     /// finished): future sends to it fail with `Disconnected` and pending
     /// deliveries evaporate in flight.
     pub(crate) fn note_endpoint_dropped(&self, rank: u32) {
-        self.core.lock().dead_eps.insert(rank);
+        self.core.lock().ep(rank).dead = true;
     }
 
-    fn push_timer(&self, st: &mut SimState, actor: usize, gen: u64, at: u64) {
+    /// `(deliveries in flight, live deadlines)`.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> (usize, usize) {
+        let st = self.core.lock();
+        (st.queue.len(), st.timers.len())
+    }
+
+    /// Give the running actor, about to block, its deadline.
+    fn set_timer(&self, st: &mut SimState, actor: usize, at: u64) {
         let lane = splitmix64(st.seed ^ 0x7135_E00D ^ (actor as u64));
-        let seq = st.seq;
+        let key = (at, lane, st.seq);
         st.seq += 1;
-        st.queue.push(Reverse(Ev {
-            at,
-            lane,
-            seq,
-            kind: EvKind::Timer { actor, gen },
-        }));
+        st.timers.insert(key, actor);
+        st.actors[actor].timer = Some(key);
     }
 
     /// Yield the token and wait to be woken. Must be entered with the state
@@ -389,53 +412,58 @@ impl SimFabric {
         st.actors[me].phase = Phase::Blocked;
         st.actors[me].waiting_ep = ep;
         st.running = None;
-        self.schedule(&mut st);
+        self.schedule(&mut st).unlock_then_wake(st);
+        self.await_token(me)
+    }
+
+    /// Sleep until a scheduler step names `me` the running actor. The
+    /// predicate is read under the state lock, so a wake issued between a
+    /// step's unlock and this wait is seen, not lost.
+    fn await_token(&self, me: usize) -> Wake {
+        let mut st = self.core.lock();
         let cv = st.actors[me].cv.clone();
         while st.running != Some(me) {
             st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.actors[me].phase = Phase::Running;
-        st.actors[me].waiting_ep = None;
         st.actors[me].wake
     }
 
     /// One scheduler step: pick the next runnable actor, or fire events
     /// (advancing the virtual clock) until one becomes runnable. Runs with
-    /// the state lock held and no actor running.
-    fn schedule(&self, st: &mut SimState) {
+    /// the state lock held and no actor running; the caller wakes the pick
+    /// after releasing the lock.
+    fn schedule(&self, st: &mut SimState) -> HandOff {
         loop {
-            let ready: Vec<usize> = st
-                .actors
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.phase == Phase::Ready)
-                .map(|(i, _)| i)
-                .collect();
+            let ready = st.in_phase(Phase::Ready);
             if !ready.is_empty() {
-                let pick = splitmix64(st.seed ^ st.now_us ^ st.picks.wrapping_mul(0x9E37)) as usize
+                let pick = splitmix64(st.seed ^ self.now_us() ^ st.picks.wrapping_mul(0x9E37))
+                    as usize
                     % ready.len();
                 st.picks += 1;
                 let next = ready[pick];
                 st.running = Some(next);
-                st.actors[next].cv.notify_one();
-                return;
+                return HandOff(Some(st.actors[next].cv.clone()));
             }
-            let Some(Reverse(ev)) = st.queue.pop() else {
+            // The earlier of the next deadline and the next delivery.
+            let delivery = st.queue.first_key_value().map(|(key, _)| *key);
+            if let Some((&key, &actor)) = st.timers.first_key_value() {
+                if delivery.is_none_or(|d| key < d) {
+                    self.core.now_us.fetch_max(key.0, Ordering::Relaxed);
+                    self.wake(st, actor, Wake::Timeout);
+                    continue;
+                }
+            }
+            let Some((key, ev)) = st.queue.pop_first() else {
                 // No runnable actor and no event left. If nobody is
                 // blocked the fabric is quiescent (all actors done or not
                 // yet started); otherwise this is a real distributed
                 // deadlock — unless we are already unwinding a panic, in
                 // which case the blocked actors drain gracefully with
                 // `Wake::Closed` and the loop hands one of them the token.
-                let blocked: Vec<usize> = st
-                    .actors
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.phase == Phase::Blocked)
-                    .map(|(i, _)| i)
-                    .collect();
+                let blocked = st.in_phase(Phase::Blocked);
                 if blocked.is_empty() {
-                    return;
+                    return HandOff(None);
                 }
                 let fresh_deadlock = !st.failed;
                 if fresh_deadlock {
@@ -453,73 +481,65 @@ impl SimFabric {
                         format!("  {} — {what}", a.name)
                     })
                     .collect();
-                // Wake the blocked actors first so the token can move (via
+                // Ready the blocked actors first so the token can move (via
                 // this loop, or via the panicking actor's guard drop) and
                 // the thread scope can join instead of wedging.
                 for a in blocked {
-                    st.ep_waiter.retain(|_, w| *w != a);
                     self.wake(st, a, Wake::Closed);
                 }
                 if fresh_deadlock {
                     // Give the observability layer its last chance to
                     // flush a flight-recorder bundle before we panic. The
-                    // state lock is held, so the timestamp is passed in
-                    // rather than read back through the fabric.
+                    // state lock is held, so the timestamp is passed in.
                     let hook = self
                         .core
                         .deadlock_hook
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner);
                     if let Some(h) = hook.as_ref() {
-                        h(st.now_us);
+                        h(self.now_us());
                     }
                     drop(hook);
                     panic!(
                         "sim fabric deadlock at t={}µs: every actor is blocked \
                          with no pending event\n{}",
-                        st.now_us,
+                        self.now_us(),
                         detail.join("\n")
                     );
                 }
                 continue;
             };
-            st.now_us = st.now_us.max(ev.at);
-            match ev.kind {
-                EvKind::Deliver { dst, tx, msg } => {
-                    if !st.dead_eps.contains(&dst) {
-                        // A closed receiver mid-flight is a crash: the
-                        // packet evaporates, like a wire cut in threaded
-                        // mode after the send already succeeded.
-                        let _ = tx.send(msg);
-                        if let Some(&a) = st.ep_waiter.get(&dst) {
-                            if st.actors[a].phase == Phase::Blocked {
-                                st.ep_waiter.remove(&dst);
-                                self.wake(st, a, Wake::Delivery);
-                            }
-                        }
-                    }
-                }
-                EvKind::Timer { actor, gen } => {
-                    if st.actors[actor].phase == Phase::Blocked && st.actors[actor].wait_gen == gen
-                    {
-                        if let Some(ep) = st.actors[actor].waiting_ep {
-                            st.ep_waiter.remove(&ep);
-                        }
-                        self.wake(st, actor, Wake::Timeout);
-                    }
+            self.core.now_us.fetch_max(key.0, Ordering::Relaxed);
+            if !st.ep(ev.dst).dead {
+                // A closed receiver mid-flight is a crash: the packet
+                // evaporates, like a wire cut in threaded mode after the
+                // send already succeeded.
+                let _ = ev.tx.send(ev.msg);
+                if let Some(a) = st.ep(ev.dst).waiter {
+                    self.wake(st, a, Wake::Delivery);
                 }
             }
         }
     }
 
+    /// Ready a blocked actor. Its endpoint stops naming it and its
+    /// deadline, fired or not, leaves the scheduler: a dead one is never
+    /// there to be popped.
     fn wake(&self, st: &mut SimState, actor: usize, wake: Wake) {
+        debug_assert_eq!(st.actors[actor].phase, Phase::Blocked);
+        if let Some(key) = st.actors[actor].timer.take() {
+            st.timers.remove(&key);
+        }
+        if let Some(ep) = st.actors[actor].waiting_ep.take() {
+            st.ep(ep).waiter = None;
+        }
         st.actors[actor].phase = Phase::Ready;
-        st.actors[actor].wait_gen += 1;
         st.actors[actor].wake = wake;
     }
 }
 
-fn dur_us(d: Duration) -> u64 {
+/// Microseconds of `d`, saturating: `Duration::MAX` is "no deadline".
+pub(crate) fn dur_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -542,7 +562,7 @@ impl Drop for ActorGuard {
         // detector: someone must hand the token to the drained peers.
         if st.running == Some(self.id) || st.running.is_none() {
             st.running = None;
-            self.fabric.schedule(&mut st);
+            self.fabric.schedule(&mut st).unlock_then_wake(st);
         }
     }
 }
@@ -648,5 +668,124 @@ mod tests {
             assert!(crashed.join().is_err());
         });
         assert_eq!(*woke.lock().unwrap(), Some(Wake::Closed));
+    }
+    /// One recorded scheduler turn: who ran, when, and why it was woken.
+    type Turn = (usize, u64, Wake);
+
+    /// A fixed script over four actors (actor `i` owns endpoint `i`):
+    /// sends with and without wire time, receive deadlines that a delivery
+    /// beats, ones that expire, and virtual sleeps. Returns every turn in
+    /// the order the scheduler granted them.
+    fn scripted_turns(seed: u64) -> Vec<Turn> {
+        use crate::message::MsgKind;
+        use std::sync::mpsc::{channel, Receiver};
+        let sim = SimFabric::new(seed);
+        let ids: Vec<ActorId> = (0..4).map(|i| sim.add_actor(&format!("a{i}"))).collect();
+        let (txs, rxs): (Vec<Sender<Message>>, Vec<Receiver<Message>>) =
+            (0..4).map(|_| channel()).unzip();
+        let turns = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
+            for (me, (id, rx)) in ids.into_iter().zip(rxs).enumerate() {
+                let (sim, txs, turns) = (sim.clone(), txs.clone(), turns.clone());
+                s.spawn(move || {
+                    let _g = sim.enter(id);
+                    let note = |w: Wake| turns.lock().unwrap().push((me, sim.now_us(), w));
+                    let send = |dst: usize, wire_us: u64| {
+                        let msg = Message {
+                            src: me as u32,
+                            dst: dst as u32,
+                            kind: MsgKind::Other,
+                            payload: bytes::Bytes::new(),
+                            trace: None,
+                        };
+                        sim.schedule_delivery(
+                            me as u32,
+                            dst as u32,
+                            Duration::from_micros(wire_us),
+                            Duration::ZERO,
+                            &txs[dst],
+                            vec![msg],
+                        );
+                    };
+                    // `Endpoint::recv_timeout`'s shape: poll, else block.
+                    let recv = |timeout_us: u64| {
+                        if rx.try_recv().is_err() {
+                            note(sim.block_recv(me as u32, Some(sim.now_us() + timeout_us)));
+                            while rx.try_recv().is_ok() {}
+                        }
+                    };
+                    for round in 0..10 {
+                        match (me + round) % 4 {
+                            0 => {
+                                send((me + 1) % 4, 30);
+                                recv(100);
+                            }
+                            1 => {
+                                sim.sleep(Duration::from_micros(50 * (1 + me as u64 % 2)));
+                                note(Wake::Timeout);
+                            }
+                            2 => {
+                                send((me + 2) % 4, 0);
+                                send((me + 3) % 4, 70);
+                                recv(40);
+                            }
+                            _ => recv(500),
+                        }
+                    }
+                });
+            }
+            sim.begin();
+        });
+        let got = turns.lock().unwrap().clone();
+        got
+    }
+
+    #[test]
+    fn schedule_golden_turns_match_the_recorded_parent() {
+        use Wake::{Delivery as D, Timeout as T};
+        // Recorded by running `scripted_turns(0xD5D)` on the commit before
+        // the wake moved outside the state lock and timers left the
+        // delivery heap (b0d7317): neither may change a scheduling decision.
+        let recorded: Vec<Turn> = vec![
+            (0, 0, D),
+            (2, 40, T),
+            (0, 50, T),
+            (2, 50, D),
+            (3, 80, D),
+            (0, 90, T),
+            (1, 100, T),
+            (3, 100, D),
+            (0, 110, D),
+            (2, 130, D),
+            (1, 140, D),
+            (0, 170, D),
+            (2, 180, T),
+            (3, 200, T),
+            (0, 220, T),
+            (2, 220, D),
+            (1, 240, T),
+            (3, 240, D),
+            (1, 250, D),
+            (2, 270, D),
+            (0, 270, D),
+            (2, 280, D),
+            (3, 290, D),
+            (1, 300, D),
+            (0, 310, D),
+            (2, 330, T),
+            (0, 360, T),
+            (2, 370, T),
+            (3, 390, T),
+            (1, 400, T),
+            (3, 400, D),
+            (2, 460, D),
+            (3, 500, T),
+        ];
+        assert_eq!(scripted_turns(0xD5D), recorded);
+        assert_ne!(
+            scripted_turns(0xD5E),
+            recorded,
+            "the script must depend on the seed"
+        );
     }
 }
