@@ -24,8 +24,9 @@
 
 use hdsm_apps::workload::paper_pairs;
 use hdsm_apps::{jacobi, sor};
-use hdsm_core::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
+use hdsm_core::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
 use hdsm_net::fault::FaultPlan;
+use hdsm_net::stats::NetConfig;
 use hdsm_obs::{chrome_trace, pretty_bundle, Recorder};
 use std::time::Duration;
 
@@ -92,7 +93,7 @@ fn main() {
             shards: 2,
             ..Default::default()
         })
-        .faults(FaultConfig { plan: Some(plan) })
+        .net(NetConfig::instant().with_faults(plan))
         .timing(TimingConfig {
             retry_base: Some(Duration::from_millis(10)),
             recv_deadline: Some(Duration::from_secs(30)),

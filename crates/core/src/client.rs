@@ -206,13 +206,6 @@ struct ShardView {
     ep: Option<u32>,
 }
 
-/// Typed accesses to one entry since the client's last heat flush.
-#[derive(Debug, Clone, Default)]
-struct Touched {
-    reads: u64,
-    writes: u64,
-}
-
 /// What this thread knows about its copy of one entry beyond the bytes:
 /// which elements it has read, and which it was told are out of date.
 #[derive(Debug, Clone, Default)]
@@ -277,11 +270,6 @@ pub struct DsdClient {
     shard_views: std::collections::HashMap<u32, ShardView>,
     /// Observability hook (disabled by default: every use is a null check).
     recorder: Recorder,
-    /// Typed accesses since the last sync op, one row per entry — plain
-    /// counters on the load/store path, handed to the recorder's heat map
-    /// by [`Self::flush_heat`]. Empty while the recorder is disabled, so a
-    /// disarmed access pays one failed lookup.
-    heat: Vec<Touched>,
     /// Interest, stale set and the access path's window, one row per
     /// entry — always on, recorder or not.
     views: Vec<EntryView>,
@@ -326,7 +314,6 @@ impl DsdClient {
             retry_base: std::time::Duration::from_millis(250),
             shard_views: std::collections::HashMap::new(),
             recorder: Recorder::disabled(),
-            heat: Vec::new(),
             views,
             clock,
             held_since: std::collections::HashMap::new(),
@@ -350,7 +337,6 @@ impl DsdClient {
         body: impl FnOnce(&mut DsdClient) -> Result<T, DsdError>,
     ) -> Result<T, DsdError> {
         if self.recorder.is_enabled() {
-            self.flush_heat();
             let epoch = self.op_epochs.entry((kind, id)).or_insert(0);
             *epoch += 1;
             self.cur_op = OpCtx {
@@ -470,45 +456,7 @@ impl DsdClient {
     /// heatmap feeds and retransmit instants are recorded through it; the
     /// default disabled recorder makes all of that free.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.flush_heat();
-        let entries = if recorder.is_enabled() {
-            self.gthv.table().rows().len()
-        } else {
-            0
-        };
-        self.heat = vec![Default::default(); entries];
         self.recorder = recorder;
-    }
-
-    /// Tally `elems` typed reads of `entry`: a run adds its element count.
-    #[inline]
-    fn touch_read(&mut self, entry: u32, elems: usize) {
-        if let Some(t) = self.heat.get_mut(entry as usize) {
-            t.reads += elems as u64;
-        }
-    }
-
-    /// Tally `elems` typed writes of `entry`.
-    #[inline]
-    fn touch_write(&mut self, entry: u32, elems: usize) {
-        if let Some(t) = self.heat.get_mut(entry as usize) {
-            t.writes += elems as u64;
-        }
-    }
-
-    /// Hand the access tallies to the heat map and zero them. Runs when a
-    /// sync op opens (every op, [`Self::join`] included, goes through
-    /// [`Self::op`]), so a snapshot taken after the run holds every access
-    /// made before the client's last op.
-    fn flush_heat(&mut self) {
-        self.recorder.heat(|h| {
-            for (entry, t) in self.heat.iter_mut().enumerate() {
-                let Touched { reads, writes } = std::mem::take(t);
-                if reads != 0 || writes != 0 {
-                    h.entry_accessed(entry as u32, reads, writes);
-                }
-            }
-        });
     }
 
     /// The client's observability recorder (disabled unless wired up).
@@ -818,8 +766,8 @@ impl DsdClient {
             for of_entry in ranges.chunk_by(|a, b| a.entry == b.entry) {
                 let entry = of_entry[0].entry;
                 if let Some(row) = self.gthv.table().row(entry) {
-                    let runs = of_entry.iter().map(|r| (r.first, r.count));
-                    h.update_sent(entry, self.thread_rank, u64::from(row.size), runs);
+                    let counts = of_entry.iter().map(|r| r.count);
+                    h.update_sent(entry, self.thread_rank, u64::from(row.size), counts);
                 }
             }
         });
@@ -1366,7 +1314,6 @@ impl DsdClient {
     /// Read an integer element of the shared structure.
     #[inline]
     pub fn read_int(&mut self, entry: u32, elem: u64) -> Result<i128, DsdError> {
-        self.touch_read(entry, 1);
         self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_int(entry, elem)?)
     }
@@ -1374,7 +1321,6 @@ impl DsdClient {
     /// Write an integer element (write-detected).
     #[inline]
     pub fn write_int(&mut self, entry: u32, elem: u64, v: i128) -> Result<(), DsdError> {
-        self.touch_write(entry, 1);
         self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_int(entry, elem, v)?)
     }
@@ -1382,7 +1328,6 @@ impl DsdClient {
     /// Read a float element.
     #[inline]
     pub fn read_float(&mut self, entry: u32, elem: u64) -> Result<f64, DsdError> {
-        self.touch_read(entry, 1);
         self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_float(entry, elem)?)
     }
@@ -1390,7 +1335,6 @@ impl DsdClient {
     /// Write a float element (write-detected).
     #[inline]
     pub fn write_float(&mut self, entry: u32, elem: u64, v: f64) -> Result<(), DsdError> {
-        self.touch_write(entry, 1);
         self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_float(entry, elem, v)?)
     }
@@ -1398,7 +1342,6 @@ impl DsdClient {
     /// Read the `out.len()` integer elements of `entry` from `first`
     /// ([`GthvInstance::read_ints`]).
     pub fn read_ints(&mut self, entry: u32, first: u64, out: &mut [i128]) -> Result<(), DsdError> {
-        self.touch_read(entry, out.len());
         self.before_read(entry, first, out.len())?;
         Ok(self.gthv.read_ints(entry, first, out)?)
     }
@@ -1406,7 +1349,6 @@ impl DsdClient {
     /// Write `values` to the integer elements of `entry` from `first`
     /// (write-detected; [`GthvInstance::write_ints`]).
     pub fn write_ints(&mut self, entry: u32, first: u64, values: &[i128]) -> Result<(), DsdError> {
-        self.touch_write(entry, values.len());
         self.before_write(entry, first, values.len())?;
         Ok(self.gthv.write_ints(entry, first, values)?)
     }
@@ -1414,7 +1356,6 @@ impl DsdClient {
     /// Read the `out.len()` float elements of `entry` from `first`
     /// ([`GthvInstance::read_floats`]).
     pub fn read_floats(&mut self, entry: u32, first: u64, out: &mut [f64]) -> Result<(), DsdError> {
-        self.touch_read(entry, out.len());
         self.before_read(entry, first, out.len())?;
         Ok(self.gthv.read_floats(entry, first, out)?)
     }
@@ -1422,14 +1363,12 @@ impl DsdClient {
     /// Write `values` to the float elements of `entry` from `first`
     /// (write-detected; [`GthvInstance::write_floats`]).
     pub fn write_floats(&mut self, entry: u32, first: u64, values: &[f64]) -> Result<(), DsdError> {
-        self.touch_write(entry, values.len());
         self.before_write(entry, first, values.len())?;
         Ok(self.gthv.write_floats(entry, first, values)?)
     }
 
     /// Read a pointer element as a logical `(entry, elem)` target.
     pub fn read_ptr(&mut self, entry: u32, elem: u64) -> Result<Option<(u32, u64)>, DsdError> {
-        self.touch_read(entry, 1);
         self.before_read(entry, elem, 1)?;
         Ok(self.gthv.read_ptr(entry, elem)?)
     }
@@ -1441,7 +1380,6 @@ impl DsdClient {
         elem: u64,
         target: Option<(u32, u64)>,
     ) -> Result<(), DsdError> {
-        self.touch_write(entry, 1);
         self.before_write(entry, elem, 1)?;
         Ok(self.gthv.write_ptr(entry, elem, target)?)
     }
@@ -1570,39 +1508,22 @@ mod tests {
     }
 
     #[test]
-    fn heat_map_counts_every_access_once_and_a_run_by_its_elements() {
-        // The accessors tally in the client and hand the heat map the
-        // totals at each sync op; the snapshot must read as if every
-        // access had been reported when it was made.
+    fn release_charges_its_ranges_to_the_heat_map_an_entry_at_a_time() {
         let recorder = Recorder::enabled();
         with_cluster(vec![PlatformSpec::solaris_sparc()], 1, 1, |c| {
             c.set_recorder(recorder.clone());
             c.acquire(L0).unwrap();
-            for i in 0..3 {
-                c.read_int(0, i).unwrap();
-            }
-            c.read_ints(0, 10, &mut [0; 5]).unwrap();
             c.write_int(0, 0, 1).unwrap();
             c.write_ints(0, 20, &[2; 4]).unwrap();
             c.write_int(1, 0, 1).unwrap();
-            // A refused access was still attempted.
-            assert!(c.read_float(0, 0).is_err());
-            assert!(c.read_int(9, 0).is_err());
             c.release(L0).unwrap();
-            // After the last sync op of the body: `join` flushes these.
-            c.read_int(1, 0).unwrap();
-            c.read_int(1, 0).unwrap();
         });
         let snap = recorder.snapshot().expect("enabled recorder");
         let row = |entry| *snap.entries.iter().find(|e| e.entry == entry).unwrap();
-        assert_eq!((row(0).reads, row(0).writes), (3 + 5 + 1, 1 + 4));
-        assert_eq!((row(1).reads, row(1).writes), (2, 1));
-        assert!(snap.entries.iter().all(|e| e.entry < 2));
-        // The release charged its ranges an entry at a time: element 0
-        // and elements 20..24 of entry 0, one element of entry 1, all
-        // attributed to this writer.
-        let sent = |e: u32| (row(e).updates_sent, row(e).elems_sent, row(e).max_elem);
-        assert_eq!((sent(0), sent(1)), ((2, 5, 24), (1, 1, 1)));
+        // Element 0 and elements 20..24 of entry 0, one element of entry
+        // 1, all attributed to this writer.
+        let sent = |e: u32| (row(e).updates_sent, row(e).elems_sent);
+        assert_eq!((sent(0), sent(1)), ((2, 5), (1, 1)));
         let by_writer: Vec<_> = snap
             .write_heat
             .iter()

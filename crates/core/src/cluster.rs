@@ -38,14 +38,14 @@ use crate::placement::{PlacementInputs, PlacementPolicy};
 use crate::protocol::DsdMsg;
 use crate::update::{apply_batch, extract_updates, full_ranges};
 use hdsm_migthread::compute::{Computation, ProgramRegistry, StepStatus};
-use hdsm_migthread::packfmt::{pack_state_observed, MigrateError};
+use hdsm_migthread::packfmt::{pack_state, MigrateError};
 use hdsm_migthread::state::ThreadState;
 use hdsm_net::endpoint::{Endpoint, NetError, Network};
 use hdsm_net::fault::LinkFaults;
 use hdsm_net::message::MsgKind;
 use hdsm_net::stats::{NetConfig, NetStats};
-use hdsm_net::{FabricClock, FabricMode, FaultPlan, SimFabric, Ticker};
-use hdsm_obs::{DecisionRow, EventKind, ObsSnapshot, Recorder, WatchdogConfig, WriterStats};
+use hdsm_net::{FabricClock, FabricMode, SimFabric, Ticker};
+use hdsm_obs::{DecisionRow, ObsSnapshot, Recorder, WatchdogConfig, WriterStats};
 use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::ConversionStats;
 use std::fmt;
@@ -504,17 +504,6 @@ impl Default for TimingConfig {
     }
 }
 
-/// Fault injection for the simulated fabric.
-///
-/// Set with [`ClusterBuilder::faults`]. The home automatically lingers
-/// after shutdown to answer retransmissions.
-#[derive(Debug, Clone, Default)]
-pub struct FaultConfig {
-    /// The fault plan (drops, duplicates, reorders, jitter — see
-    /// [`FaultPlan`]); `None` (the default) runs a clean fabric.
-    pub plan: Option<FaultPlan>,
-}
-
 /// Builder for a simulated cluster.
 pub struct ClusterBuilder {
     def: Option<GthvDef>,
@@ -525,7 +514,6 @@ pub struct ClusterBuilder {
     n_conds: u32,
     topology: TopologyConfig,
     timing: TimingConfig,
-    faults: FaultConfig,
     net_config: NetConfig,
     init: Option<InitFn>,
     control: Option<ControlFn>,
@@ -553,7 +541,6 @@ impl ClusterBuilder {
             n_conds: 0,
             topology: TopologyConfig::default(),
             timing: TimingConfig::default(),
-            faults: FaultConfig::default(),
             net_config: NetConfig::instant(),
             init: None,
             control: None,
@@ -588,15 +575,6 @@ impl ClusterBuilder {
     /// schedule and stall budget — in one typed call.
     pub fn timing(mut self, t: TimingConfig) -> Self {
         self.timing = t;
-        self
-    }
-
-    /// Set fault injection in one typed call. Commutes with
-    /// [`Self::net`]: a plan set here is kept apart from the cost model
-    /// and wins over one the cost model carries
-    /// ([`NetConfig::with_faults`]); no plan here leaves that one alone.
-    pub fn faults(mut self, f: FaultConfig) -> Self {
-        self.faults = f;
         self
     }
 
@@ -695,7 +673,10 @@ impl ClusterBuilder {
         (0..self.n_conds).map(CondId::new).collect()
     }
 
-    /// Network cost model (default: instant, for tests).
+    /// Network cost model and fault injection (default: instant and
+    /// clean, for tests). A fault plan rides the cost model
+    /// ([`NetConfig::with_faults`]); the home then lingers after shutdown
+    /// to answer retransmissions.
     pub fn net(mut self, config: NetConfig) -> Self {
         self.net_config = config;
         self
@@ -744,10 +725,6 @@ impl ClusterBuilder {
             + self.worker_platforms.len()
             + usize::from(self.control.is_some())
             + usize::from(adaptive);
-        // From here on the plan lives in the fabric's configuration only.
-        if let Some(plan) = self.faults.plan.take() {
-            self.net_config.fault_plan = Some(plan);
-        }
         if let Some(plan) = &mut self.net_config.fault_plan {
             // The replication relay and the admin control channel assume
             // a FIFO-reliable link (the paper's fabric guarantee); chaos
@@ -1452,26 +1429,14 @@ fn run_one_adaptive(
         while next_event < my_events.len() && my_events[next_event].after_steps <= steps {
             let ev = my_events[next_event];
             next_event += 1;
-            let rec = client.recorder().clone();
-            let rank = client.thread_rank();
             let t0 = Instant::now();
-            let image = pack_state_observed(&comp.capture(), &rec, rank);
+            let image = pack_state(&comp.capture());
             let pack = t0.elapsed();
-            let restore_start_us = rec.now_us();
             let t1 = Instant::now();
             comp = registry
                 .restore(&image, ev.to_platform.clone())
                 .map_err(|_| DsdError::Unexpected("restore"))?;
             let restore = t1.elapsed();
-            rec.span_at(
-                rank,
-                EventKind::MigrationRestore,
-                restore_start_us,
-                restore.as_micros() as u64,
-                image.bytes.len() as u64,
-                steps,
-                "",
-            );
             client.rehost(ev.to_platform.clone())?;
             let mut m = mig_stats.lock();
             m.migrations += 1;

@@ -607,7 +607,9 @@ impl HomeShard {
         Ok(true)
     }
 
-    /// Drop log entries every participant has already seen.
+    /// Drop log entries every participant still expected has already
+    /// seen: a joined or dead rank is never granted again, so its frozen
+    /// horizon must not pin the log.
     fn maybe_compact(&mut self) {
         if self.log.len() < 4096 {
             return;
@@ -615,7 +617,7 @@ impl HomeShard {
         let min_seen = self
             .peers
             .values()
-            .filter(|p| p.life != Life::Joined)
+            .filter(|p| p.life == Life::Expected)
             .map(|p| p.seen)
             .min()
             .unwrap_or(self.seq);
@@ -2430,6 +2432,29 @@ mod tests {
         assert!(h.log_floor > 0);
         let ups = h.stale_updates_for(2).unwrap().0;
         assert_eq!(ups.iter().next().unwrap().count, 64);
+    }
+
+    #[test]
+    fn a_dead_ranks_horizon_does_not_stop_compaction() {
+        let (_net, mut eps) = Network::new(1, NetConfig::instant());
+        let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        let config = HomeConfig {
+            participants: vec![1, 2, 3],
+            ..Default::default()
+        };
+        let mut h = HomeShard::new(gthv, eps.pop().unwrap(), config);
+        h.init_with(|g| g.write_int(0, 0, 42).unwrap());
+        // Rank 3 saw nothing before the lease detector declared it dead;
+        // the live readers keep up with every row.
+        assert!(h.settle(3, Life::Dead));
+        for i in 0..5000u64 {
+            h.absorb(9, &one_elem(i % 64, i as i128)).unwrap();
+            let _ = h.stale_updates_for(1).unwrap();
+            let _ = h.stale_updates_for(2).unwrap();
+        }
+        assert_eq!(h.peers[&3].seen, 0);
+        assert!(h.log.len() < 4096, "{} rows kept", h.log.len());
+        assert!(h.log_floor > 0);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub mod update;
 
 pub use client::{DsdClient, DsdError, LockGuard};
 pub use cluster::{
-    ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, FaultConfig, MigrationEvent,
-    TimingConfig, TopologyConfig, WorkerInfo,
+    ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, MigrationEvent, TimingConfig,
+    TopologyConfig, WorkerInfo,
 };
 pub use costs::CostBreakdown;
 pub use directory::Directory;

@@ -287,25 +287,6 @@ pub fn unpack_state(
     Ok(out)
 }
 
-/// [`pack_state`] under an observability span: records a
-/// `migration-pack` event against `rank` (arg0 = image bytes, arg1 =
-/// block count). Identical to the plain call when `rec` is disabled.
-pub fn pack_state_observed(state: &ThreadState, rec: &hdsm_obs::Recorder, rank: u32) -> StateImage {
-    let t_us = rec.now_us();
-    let t0 = std::time::Instant::now();
-    let image = pack_state(state);
-    rec.span_at(
-        rank,
-        hdsm_obs::EventKind::MigrationPack,
-        t_us,
-        t0.elapsed().as_micros() as u64,
-        image.bytes.len() as u64,
-        state.blocks.len() as u64,
-        "",
-    );
-    image
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,21 +413,6 @@ mod tests {
             };
             assert!(parse_image(&partial).is_err(), "cut at {cut} accepted");
         }
-    }
-
-    #[test]
-    fn observed_pack_records_a_migration_span() {
-        let rec = hdsm_obs::Recorder::enabled();
-        let st = sample_state(PlatformSpec::linux_x86());
-        let image = pack_state_observed(&st, &rec, 7);
-        assert_eq!(image, pack_state(&st));
-        let evs = rec.events();
-        assert_eq!(evs.len(), 1);
-        let pack = &evs[0];
-        assert_eq!(pack.kind, hdsm_obs::EventKind::MigrationPack);
-        assert_eq!(pack.rank, 7);
-        assert_eq!(pack.arg0, image.bytes.len() as u64);
-        assert_eq!(pack.arg1, 2); // MThV + MThP
     }
 
     #[test]

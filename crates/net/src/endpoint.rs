@@ -230,12 +230,12 @@ impl Network {
         };
         let (src, dst, kind, len) = (msg.src, msg.dst, msg.kind, msg.payload.len());
         let rec = &self.fabric.recorder;
-        // Tick the sender's hybrid logical clock and stamp the causal
+        // Record the send before the message is enqueued, and stamp the
         // trace context into the envelope. With a disabled recorder this
         // is one branch and the envelope stays trace-free (`None`), so
         // the wire format is byte-identical to an unobserved fabric.
-        if let Some((hlc, flow)) = rec.msg_send_event(src, len as u64, dst, kind.label(), op) {
-            msg.trace = Some(TraceCtx { flow, hlc, op });
+        if let Some(flow) = rec.msg_send_event(src, len as u64, dst, kind.label(), op) {
+            msg.trace = Some(TraceCtx { flow, op });
         }
         let applied = match self.fabric.faults.lock().as_mut() {
             None => Applied {
@@ -324,29 +324,13 @@ impl Endpoint {
         )
     }
 
-    /// Record a delivered message in the fabric's observability stream,
-    /// merging the carried HLC stamp into this rank's clock so the
-    /// receive is causally after the send even under fault injection.
+    /// Record a dequeued message in the fabric's observability stream,
+    /// bound to its send by the flow id the envelope carries.
     fn note_recv(&self, m: &Message) {
+        let t = m.trace.unwrap_or_default();
+        let (bytes, label) = (m.payload.len() as u64, m.kind.label());
         let rec = &self.net.fabric.recorder;
-        match &m.trace {
-            Some(t) => rec.msg_recv_event(
-                self.rank,
-                m.payload.len() as u64,
-                m.src,
-                m.kind.label(),
-                t.hlc,
-                t.flow,
-                t.op,
-            ),
-            None => rec.instant(
-                self.rank,
-                EventKind::MsgRecv,
-                m.payload.len() as u64,
-                m.src as u64,
-                m.kind.label(),
-            ),
-        }
+        rec.msg_recv_event(self.rank, bytes, m.src, label, t.flow, t.op);
     }
 
     /// This endpoint's fabric clock (wall or virtual).
@@ -637,16 +621,14 @@ mod tests {
         let t = m.trace.expect("observed send must carry trace");
         assert_ne!(t.flow, 0);
         assert_eq!(t.op, op);
-        // The send and receive events share the flow id and carry the op;
-        // the receive's merged stamp is causally after the send's.
+        // The send and receive events share the flow id and carry the op,
+        // and the receive comes second in the recorder's order.
         let evs = rec.events();
-        let send = evs.iter().find(|e| e.kind == EventKind::MsgSend).unwrap();
-        let recv = evs.iter().find(|e| e.kind == EventKind::MsgRecv).unwrap();
-        assert_eq!(send.flow, t.flow);
-        assert_eq!(recv.flow, t.flow);
-        assert_eq!(send.op, op);
-        assert_eq!(recv.op, op);
-        assert!(send.hlc < recv.hlc, "{} !< {}", send.hlc, recv.hlc);
+        let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::MsgSend, EventKind::MsgRecv]);
+        for e in &evs {
+            assert_eq!((e.flow, e.op), (t.flow, op));
+        }
     }
 
     #[test]
@@ -659,7 +641,22 @@ mod tests {
             eps[0].send(1, MsgKind::Other, Bytes::new()).unwrap();
         }
         while eps[1].try_recv().is_ok() {}
-        hdsm_obs::check_happens_before(&rec.events()).unwrap();
+        // Every receive comes after the send of its flow in `events()`,
+        // however the fabric held the copies back or doubled them.
+        let evs = rec.events();
+        let mut sent = std::collections::HashSet::new();
+        let mut received = 0;
+        for e in &evs {
+            match e.kind {
+                EventKind::MsgSend => assert!(sent.insert(e.flow)),
+                EventKind::MsgRecv => {
+                    assert!(sent.contains(&e.flow), "flow {} received first", e.flow);
+                    received += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(received >= 8, "{evs:?}");
     }
 
     #[test]

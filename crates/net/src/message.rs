@@ -1,7 +1,7 @@
 //! Message envelope.
 
 use bytes::Bytes;
-use hdsm_obs::{HlcStamp, OpCtx};
+use hdsm_obs::OpCtx;
 
 /// Protocol message kinds, used for routing within a node and for traffic
 /// statistics bucketing. The DSD protocol (hdsm-core) maps its message
@@ -200,17 +200,14 @@ impl MsgKind {
 }
 
 /// Causal trace context riding on a message when observability is
-/// enabled: the sender's hybrid-logical-clock stamp at send time, a
-/// flow id binding this send to its receive event(s), and the sync
-/// operation the message is doing work for. Stamped by the fabric send
-/// path, merged into the receiver's clock on delivery.
+/// enabled: a flow id binding this send to its receive event(s), and the
+/// sync operation the message is doing work for. Stamped by the fabric
+/// send path, recorded again by the receiving endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Flow id linking the send event to the receive event (unique per
     /// physical transmission, so retransmits and dups stay distinct).
     pub flow: u64,
-    /// Sender's HLC stamp at send time.
-    pub hlc: HlcStamp,
     /// The sync operation that caused this message.
     pub op: OpCtx,
 }

@@ -4,7 +4,7 @@
 //! lost, a lease expires, a shard changes view, the sim fabric detects a
 //! deadlock, or an operator calls `ClusterCtl::dump` — the recorder
 //! freezes a *bundle*: the last N events per rank, every in-flight sync
-//! op with its HLC stamp, the directory epoch table, the most recent
+//! op with its start time, the directory epoch table, the most recent
 //! time-series frames, per-link retransmit/fault counters and the active
 //! placement decisions. The bundle is written to
 //! `<dir>/blackbox-<trigger>-<seq>.json` and the trigger is appended to
@@ -72,8 +72,6 @@ fn event_json(w: &mut JsonWriter, e: &Event) {
     if e.op.is_some() {
         w.field_str("op", &e.op.to_string());
     }
-    w.field_u64("hlc_l", e.hlc.l);
-    w.field_u64("hlc_c", e.hlc.c as u64);
     w.end_obj();
 }
 
@@ -105,8 +103,6 @@ pub(crate) fn render(d: &BundleData) -> String {
         w.field_u64("rank", f.rank as u64);
         w.field_u64("start_us", f.start_us);
         w.field_u64("age_us", d.t_us.saturating_sub(f.start_us));
-        w.field_u64("hlc_l", f.hlc.l);
-        w.field_u64("hlc_c", f.hlc.c as u64);
         w.end_obj();
     }
     w.end_arr();
@@ -257,7 +253,6 @@ pub fn pretty(json: &str) -> String {
 mod tests {
     use super::*;
     use crate::event::{OpCtx, OpKind};
-    use crate::hlc::HlcStamp;
 
     fn bundle_json() -> String {
         let op = OpCtx {
@@ -270,7 +265,6 @@ mod tests {
             op,
             rank: 1,
             start_us: 100,
-            hlc: HlcStamp { l: 100, c: 0 },
         }];
         let triggers = [TriggerRow {
             trigger: "stall",

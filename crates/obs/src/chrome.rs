@@ -6,7 +6,7 @@
 //! carry a flow id additionally emit flow events (`ph:"s"` at the send,
 //! `ph:"f"` with `bp:"e"` at the receive, same `id`), which Perfetto
 //! draws as arrows connecting the two rank tracks — the visual form of
-//! the causal order established in [`crate::causal`]. Load the file at
+//! the causal order [`crate::Recorder::events`] returns. Load the file at
 //! `chrome://tracing` or <https://ui.perfetto.dev> to see every rank as
 //! its own timeline.
 

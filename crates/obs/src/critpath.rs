@@ -166,7 +166,7 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
         .collect();
     let mut out = Vec::new();
     for ((kind, _, _, _), mut evs) in groups {
-        evs.sort_by_key(|e| (e.t_us, e.rank));
+        evs.sort_by_key(|e| (e.t_us, e.seq));
         if kind == OpKind::Handoff {
             // An administrative drain, not a client sync op: the span on
             // the retiring primary covers fence → snapshot → install, and
@@ -370,7 +370,6 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hlc::HlcStamp;
 
     fn op(kind: OpKind, id: u32, epoch: u32, origin: u32) -> OpCtx {
         OpCtx {
@@ -396,7 +395,6 @@ mod tests {
             dur_us,
             label,
             op: o,
-            hlc: HlcStamp { l: t_us, c: 0 },
             ..Default::default()
         }
     }

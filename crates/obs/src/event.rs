@@ -5,7 +5,6 @@
 //! and `Copy`-cheap: two integer arguments plus a static label cover every
 //! site in the stack without allocation on the hot path.
 
-use crate::hlc::HlcStamp;
 use std::fmt;
 
 /// The class of distributed sync operation an event belongs to.
@@ -94,8 +93,8 @@ impl fmt::Display for OpCtx {
 
 /// What happened. The taxonomy mirrors the paper's cost decomposition
 /// (Eq. 1: `t_index + t_tag + t_pack + t_unpack + t_conv`) plus the
-/// synchronization, transport, reliability and migration machinery around
-/// it — see DESIGN.md §10 for the full mapping.
+/// synchronization, transport, reliability and failover machinery around
+/// it — see DESIGN.md §10 for the full mapping and each kind's reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Waiting for a distributed lock grant (`arg0` = lock id).
@@ -153,10 +152,6 @@ pub enum EventKind {
     /// First client request served after a promotion (`arg0` = shard,
     /// `arg1` = epoch) — the recovery-latency endpoint.
     FirstGrant,
-    /// Thread state packed into a portable image (`arg0` = image bytes).
-    MigrationPack,
-    /// Thread state restored receiver-makes-right (`arg0` = image bytes).
-    MigrationRestore,
     /// The stall watchdog found a sync op over budget (`arg0` = age µs,
     /// `arg1` = budget µs; `op` = the stuck operation).
     Stall,
@@ -189,8 +184,6 @@ impl EventKind {
             EventKind::Fence => "fence",
             EventKind::Handoff => "handoff",
             EventKind::FirstGrant => "first-grant",
-            EventKind::MigrationPack => "migration-pack",
-            EventKind::MigrationRestore => "migration-restore",
             EventKind::Stall => "stall",
             EventKind::Other => "other",
         }
@@ -220,14 +213,14 @@ impl EventKind {
             | EventKind::Fence
             | EventKind::Handoff
             | EventKind::FirstGrant => "failover",
-            EventKind::MigrationPack | EventKind::MigrationRestore => "migrate",
             EventKind::Other => "misc",
         }
     }
 }
 
 /// One recorded event. Timestamps are microseconds since the recorder's
-/// epoch; `dur_us == 0` marks an instant event.
+/// epoch; `dur_us == 0` marks an instant event. `(t_us, seq)` is the
+/// order [`crate::Recorder::events`] returns, a causal one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Rank the event happened on (home = 0, workers = 1..).
@@ -244,8 +237,9 @@ pub struct Event {
     pub arg1: u64,
     /// Free-form static qualifier (e.g. the message kind label).
     pub label: &'static str,
-    /// Hybrid logical clock stamp at the event (ZERO when untracked).
-    pub hlc: HlcStamp,
+    /// Global record sequence: the order the recorder took events in,
+    /// across every rank (0 for an event built by hand).
+    pub seq: u64,
     /// Flow id binding a `MsgSend` to its `MsgRecv` (0 = no flow).
     pub flow: u64,
     /// The sync operation this event happened on behalf of.
@@ -262,7 +256,7 @@ impl Default for Event {
             arg0: 0,
             arg1: 0,
             label: "",
-            hlc: HlcStamp::ZERO,
+            seq: 0,
             flow: 0,
             op: OpCtx::default(),
         }
@@ -289,7 +283,7 @@ impl fmt::Display for Event {
 mod tests {
     use super::*;
 
-    const ALL: [EventKind; 25] = [
+    const ALL: [EventKind; 23] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::LockRelease,
@@ -311,8 +305,6 @@ mod tests {
         EventKind::Fence,
         EventKind::Handoff,
         EventKind::FirstGrant,
-        EventKind::MigrationPack,
-        EventKind::MigrationRestore,
         EventKind::Stall,
         EventKind::Other,
     ];

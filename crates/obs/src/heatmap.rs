@@ -1,22 +1,18 @@
-//! Per-index-entry access heatmap and the placement signals.
+//! Per-index-entry update heatmap and the placement signals.
 //!
 //! The paper's Figure 9 story — "thousands of indexes distill into one
 //! tag" — is reproduced here as data: every update batch feeds the entry
-//! map (which index entries ship, over which element ranges), one charge
-//! per run of ranges or run group that shares an entry. The resulting
-//! tables show at a glance where sharing traffic concentrates, and the
-//! placement engine plans from them. The map is charged through
+//! map (which index entries ship how many updates, elements and bytes),
+//! one charge per run of ranges or run group that shares an entry. The
+//! resulting tables show at a glance where sharing traffic concentrates,
+//! and the placement engine plans from them. The map is charged through
 //! [`crate::Recorder::heat`], under one lock per batch.
 
 use std::collections::BTreeMap;
 
-/// Accumulated statistics for one index-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Accumulated update traffic for one index-table entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EntryStats {
-    /// Typed reads through the client accessors.
-    pub reads: u64,
-    /// Typed writes through the client accessors.
-    pub writes: u64,
     /// Update frames shipped for this entry.
     pub updates_sent: u64,
     /// Elements covered by shipped updates.
@@ -27,28 +23,6 @@ pub struct EntryStats {
     pub updates_applied: u64,
     /// Payload bytes applied to this entry.
     pub bytes_applied: u64,
-    /// Lowest element index ever shipped (u64::MAX when none).
-    pub min_elem: u64,
-    /// Highest element index ever shipped (exclusive; 0 when none).
-    pub max_elem: u64,
-}
-
-impl Default for EntryStats {
-    /// All counters zero; `min_elem` starts at `u64::MAX` so the first
-    /// shipped range establishes the minimum.
-    fn default() -> EntryStats {
-        EntryStats {
-            reads: 0,
-            writes: 0,
-            updates_sent: 0,
-            elems_sent: 0,
-            bytes_sent: 0,
-            updates_applied: 0,
-            bytes_applied: 0,
-            min_elem: u64::MAX,
-            max_elem: 0,
-        }
-    }
 }
 
 /// Accumulated update traffic one writer rank generated for one entry —
@@ -61,7 +35,7 @@ pub struct WriterStats {
     pub bytes: u64,
 }
 
-/// The access maps together: per-entry, and the two placement signals
+/// The update maps together: per-entry, and the two placement signals
 /// (per-(entry, writer) update attribution and per-(writer, shard)
 /// completed release-class sync operations).
 #[derive(Debug, Default)]
@@ -72,32 +46,19 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// `reads` typed reads and `writes` typed writes hit `entry`.
-    pub fn entry_accessed(&mut self, entry: u32, reads: u64, writes: u64) {
-        let e = self.entries.entry(entry).or_default();
-        e.reads += reads;
-        e.writes += writes;
-    }
-
-    /// Writer `writer` shipped one update for each `(first, count)` range
-    /// of `entry`, `elem_bytes` payload bytes per element: charges the
-    /// entry row and the per-(entry, writer) attribution table, the
-    /// placement engine's "dominant writer" signal.
+    /// Writer `writer` shipped one update of each element count in
+    /// `counts` for `entry`, `elem_bytes` payload bytes per element:
+    /// charges the entry row and the per-(entry, writer) attribution
+    /// table, the placement engine's "dominant writer" signal.
     pub fn update_sent(
         &mut self,
         entry: u32,
         writer: u32,
         elem_bytes: u64,
-        ranges: impl Iterator<Item = (u64, u64)>,
+        counts: impl Iterator<Item = u64>,
     ) {
         let e = self.entries.entry(entry).or_default();
-        let (mut updates, mut elems) = (0, 0);
-        for (first, count) in ranges {
-            updates += 1;
-            elems += count;
-            e.min_elem = e.min_elem.min(first);
-            e.max_elem = e.max_elem.max(first + count);
-        }
+        let (updates, elems) = counts.fold((0, 0), |(n, sum), count| (n + 1, sum + count));
         let bytes = elems * elem_bytes;
         e.updates_sent += updates;
         e.elems_sent += elems;
@@ -147,22 +108,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entry_ranges_track_min_max() {
+    fn entry_rows_count_updates_elements_and_bytes() {
         let mut h = Heatmap::default();
-        h.update_sent(0, 7, 8, [(10, 5), (2, 3)].into_iter());
+        h.update_sent(0, 7, 8, [5, 3].into_iter());
         h.update_applied(0, 1, 64);
-        h.entry_accessed(0, 1, 0);
-        h.entry_accessed(0, 0, 1);
         let e = h.entry(0).unwrap();
         assert_eq!(e.updates_sent, 2);
         assert_eq!(e.elems_sent, 8);
         assert_eq!(e.bytes_sent, 64);
-        assert_eq!(e.min_elem, 2);
-        assert_eq!(e.max_elem, 15);
         assert_eq!(e.updates_applied, 1);
         assert_eq!(e.bytes_applied, 64);
-        assert_eq!(e.reads, 1);
-        assert_eq!(e.writes, 1);
         // The same charge attributes the updates to their writer.
         let writers: Vec<_> = h.writers().collect();
         assert_eq!(

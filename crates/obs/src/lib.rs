@@ -7,21 +7,21 @@
 //!   ([`Event`], [`EventKind`]), all recorded through one path that takes
 //!   one lock: lock wait/hold, barriers, the Eq. 1 cost
 //!   pipeline (diff scan, tag build, pack, unpack, convert), message
-//!   send/recv, retransmits, injected faults, lease expiries, migration
-//!   pack/restore.
+//!   send/recv, retransmits, injected faults, lease expiries, failover.
 //! - **Metrics** — named counters, gauges and log2-bucket latency
 //!   histograms with p50/p95/p99 ([`Registry`], [`Histogram`]).
 //! - **Heatmaps** — per-index-entry traffic tables and the placement
 //!   engine's two signals ([`Heatmap`]), charged a batch at a time
 //!   through [`Recorder::heat`]: one lock per release or acquire, not one
 //!   per update.
-//! - **Causal tracing** — hybrid logical clocks stamped on every event
-//!   and merged across ranks on message receipt ([`HlcStamp`], the
-//!   [`causal`] timeline merge), plus per-sync-op critical paths naming
-//!   the straggler rank, slowest shard and retransmit count behind each
-//!   barrier/lock latency ([`critpath`]), computed when a reader asks
-//!   ([`Recorder::critpaths`], the watchdog's attribution) and never by
-//!   [`Recorder::snapshot`].
+//! - **Causal tracing** — every event is stamped on the recorder's one
+//!   clock and with a global record sequence, so [`Recorder::events`] is
+//!   a causal order by construction (a send is recorded before its
+//!   message is enqueued, its receive after it is dequeued); plus
+//!   per-sync-op critical paths naming the straggler rank, slowest shard
+//!   and retransmit count behind each barrier/lock latency ([`critpath`]),
+//!   computed when a reader asks ([`Recorder::critpaths`], the watchdog's
+//!   attribution) and never by [`Recorder::snapshot`].
 //! - **Exporters** — Chrome tracing JSON ([`chrome_trace`], one track per
 //!   rank, with flow arrows linking send→receive across tracks), a
 //!   plain-text cluster report and the machine-readable [`ObsSnapshot`].
@@ -39,12 +39,10 @@
 #![warn(missing_docs)]
 
 pub mod blackbox;
-pub mod causal;
 pub mod chrome;
 pub mod critpath;
 pub mod event;
 pub mod heatmap;
-pub mod hlc;
 pub mod metrics;
 pub mod recorder;
 pub mod ring;
@@ -53,12 +51,10 @@ pub mod timeseries;
 pub mod watchdog;
 
 pub use blackbox::{pretty as pretty_bundle, TriggerRow};
-pub use causal::{causal_order, check_happens_before};
 pub use chrome::chrome_trace;
 pub use critpath::{LinkRetransmits, OpCritPath, Segment};
 pub use event::{Event, EventKind, OpCtx, OpKind};
 pub use heatmap::{EntryStats, Heatmap, WriterStats};
-pub use hlc::{HlcClock, HlcStamp};
 pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, BUCKETS};
 pub use recorder::{InflightOp, ObsConfig, Recorder, Span};
 pub use ring::EventRing;

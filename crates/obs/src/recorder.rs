@@ -10,16 +10,16 @@
 //!
 //! The lock rule: no record call holds two of the core's locks at once,
 //! and recording an event takes one. Every event goes through the
-//! private `emit` (a rank's HLC and ring sit behind the same mutex); heat
-//! is charged through [`Recorder::heat`] once per batch, and the closure
-//! handed to it must not call back into the recorder;
-//! [`Recorder::blackbox_trigger_at`] never reads the time source.
+//! private `emit`, which stamps the global record sequence under the
+//! rings' lock; heat is charged through [`Recorder::heat`] once per
+//! batch, and the closure handed to it must not call back into the
+//! recorder; [`Recorder::blackbox_trigger_at`] never reads the time
+//! source.
 
 use crate::blackbox::{self, TriggerRow};
 use crate::critpath::{self, OpCritPath};
 use crate::event::{Event, EventKind, OpCtx};
 use crate::heatmap::Heatmap;
-use crate::hlc::{HlcClock, HlcStamp};
 use crate::metrics::Registry;
 use crate::ring::EventRing;
 use crate::snapshot::{DecisionRow, ObsSnapshot, RingDropRow};
@@ -34,8 +34,9 @@ use std::time::Instant;
 
 /// Pluggable time source: microseconds since "the epoch" of whatever
 /// fabric the cluster runs on. Installed once per recorder by simulation
-/// mode so event timestamps, HLC physical components and span durations
-/// ride the virtual clock and become seed-deterministic.
+/// mode so event timestamps and span durations ride the virtual clock
+/// and become seed-deterministic. Every rank records on this one clock,
+/// which never runs backwards.
 pub type TimeSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Tunables for an enabled recorder.
@@ -63,8 +64,6 @@ pub struct InflightOp {
     pub rank: u32,
     /// When it began, µs on the fabric timeline.
     pub start_us: u64,
-    /// The rank's HLC stamp when it began.
-    pub hlc: HlcStamp,
 }
 
 #[derive(Default)]
@@ -86,14 +85,6 @@ struct BlackboxState {
     triggers: Vec<TriggerRow>,
 }
 
-/// One rank's event ring and the hybrid logical clock that stamps what
-/// goes into it: ticked on every recorded event, merged with the remote
-/// stamp on receives.
-struct RankLog {
-    ring: EventRing,
-    hlc: HlcClock,
-}
-
 pub(crate) struct ObsCore {
     epoch: Instant,
     /// Overrides `epoch.elapsed()` when set (see [`TimeSource`]). Set at
@@ -101,8 +92,8 @@ pub(crate) struct ObsCore {
     time: OnceLock<TimeSource>,
     /// Capacity of each per-rank ring ([`ObsConfig::ring_capacity`]).
     ring_capacity: usize,
-    /// Per-rank event logs, grown on first touch.
-    logs: Mutex<Vec<RankLog>>,
+    /// Per-rank event rings, grown on first touch.
+    logs: Mutex<Vec<EventRing>>,
     registry: Mutex<Registry>,
     heatmap: Mutex<Heatmap>,
     /// Placement decisions applied by the adaptive engine, in decision
@@ -112,6 +103,9 @@ pub(crate) struct ObsCore {
     /// Flow-id allocator binding each `MsgSend` to its `MsgRecv`s
     /// (0 is reserved for "no flow").
     flow: AtomicU64,
+    /// The next [`Event::seq`], drawn under the `logs` lock so ring order
+    /// and sequence order agree.
+    seq: AtomicU64,
     /// In-flight sync ops keyed by (kind, id, origin) — one live op per
     /// key, the value carries the concrete epoch.
     inflight: Mutex<BTreeMap<(crate::event::OpKind, u32, u32), InflightOp>>,
@@ -169,6 +163,7 @@ impl Recorder {
             heatmap: Mutex::new(Heatmap::default()),
             decisions: Mutex::new(Vec::new()),
             flow: AtomicU64::new(1),
+            seq: AtomicU64::new(0),
             inflight: Mutex::new(BTreeMap::new()),
             dir_epochs: Mutex::new(BTreeMap::new()),
             timeseries: Mutex::new(None),
@@ -200,10 +195,10 @@ impl Recorder {
         }
     }
 
-    /// The one way an event is recorded: under the rank's log lock, tick
-    /// its HLC at `now_us` (or merge `remote` into it, for a receive),
-    /// stamp the event and push it. `span` is `(t_us, dur_us)` of a
-    /// completed span; an instant happens at `now_us`. Returns the stamp.
+    /// The one way an event is recorded: under the rings' lock, draw the
+    /// next record sequence, stamp the event and push it onto `rank`'s
+    /// ring. `span` is `(t_us, dur_us)` of a completed span; an instant
+    /// happens at `now_us`.
     #[allow(clippy::too_many_arguments)] // mirrors the Event fields
     fn emit(
         core: &ObsCore,
@@ -215,23 +210,14 @@ impl Recorder {
         label: &'static str,
         op: OpCtx,
         flow: u64,
-        remote: Option<HlcStamp>,
-    ) -> HlcStamp {
+    ) {
         let (t_us, dur_us) = span.unwrap_or((now_us, 0));
         let mut logs = core.logs.lock();
         let idx = rank as usize;
         while logs.len() <= idx {
-            logs.push(RankLog {
-                ring: EventRing::new(core.ring_capacity),
-                hlc: HlcClock::new(),
-            });
+            logs.push(EventRing::new(core.ring_capacity));
         }
-        let log = &mut logs[idx];
-        let hlc = match remote {
-            Some(remote) => log.hlc.merge(now_us, remote),
-            None => log.hlc.tick(now_us),
-        };
-        log.ring.push(Event {
+        logs[idx].push(Event {
             rank,
             kind,
             t_us,
@@ -239,23 +225,25 @@ impl Recorder {
             arg0,
             arg1,
             label,
-            hlc,
+            seq: core.seq.fetch_add(1, Ordering::Relaxed),
             flow,
             op,
         });
-        hlc
     }
 
-    /// Every held event across ranks, time-ordered; a rank's ring order
-    /// breaks ties (the sort is stable). Takes the guard so the rings are
+    /// Every held event across ranks in `(t_us, seq)` order — a causal
+    /// order: every rank reads the one clock, which never runs backwards,
+    /// a send is recorded before its message is enqueued and a receive
+    /// after it is dequeued, and `seq` breaks the ties a clock that stands
+    /// still (the sim fabric's) leaves. Takes the guard so the rings are
     /// copied under the lock and sorted after it is released.
-    fn merged(logs: MutexGuard<'_, Vec<RankLog>>) -> Vec<Event> {
+    fn merged(logs: MutexGuard<'_, Vec<EventRing>>) -> Vec<Event> {
         let mut events: Vec<Event> = logs
             .iter()
-            .flat_map(|l| l.ring.iter_in_order().copied())
+            .flat_map(|ring| ring.iter_in_order().copied())
             .collect();
         drop(logs);
-        events.sort_by_key(|e| (e.t_us, e.rank));
+        events.sort_by_key(|e| (e.t_us, e.seq));
         events
     }
 
@@ -276,18 +264,7 @@ impl Recorder {
     ) {
         if let Some(core) = &self.0 {
             let now = core.now_us();
-            Self::emit(
-                core,
-                now,
-                rank,
-                kind,
-                None,
-                (arg0, arg1),
-                label,
-                op,
-                0,
-                None,
-            );
+            Self::emit(core, now, rank, kind, None, (arg0, arg1), label, op, 0);
         }
     }
 
@@ -330,28 +307,17 @@ impl Recorder {
     ) {
         if let Some(core) = &self.0 {
             let (now, span) = (core.now_us(), Some((t_us, dur_us)));
-            Self::emit(
-                core,
-                now,
-                rank,
-                kind,
-                span,
-                (arg0, arg1),
-                label,
-                op,
-                0,
-                None,
-            );
+            Self::emit(core, now, rank, kind, span, (arg0, arg1), label, op, 0);
             core.registry.lock().observe(kind.name(), dur_us);
         }
     }
 
     // ----- message trace context (fed by the fabric send/recv paths) -----
 
-    /// A message is leaving rank `src`: tick the HLC, allocate a flow id,
-    /// record the `MsgSend` event, and return `(stamp, flow)` for the
-    /// sender to stamp into the envelope. `None` when disabled — the
-    /// envelope then carries no trace context at all.
+    /// A message is leaving rank `src`: allocate a flow id, record the
+    /// `MsgSend` event, and return the flow for the sender to stamp into
+    /// the envelope. Called before the message is enqueued. `None` when
+    /// disabled — the envelope then carries no trace context at all.
     pub fn msg_send_event(
         &self,
         src: u32,
@@ -359,12 +325,12 @@ impl Recorder {
         dst: u32,
         label: &'static str,
         op: OpCtx,
-    ) -> Option<(HlcStamp, u64)> {
+    ) -> Option<u64> {
         let core = self.0.as_ref()?;
         let now = core.now_us();
         let flow = core.flow.fetch_add(1, Ordering::Relaxed);
         let args = (bytes, dst as u64);
-        let hlc = Self::emit(
+        Self::emit(
             core,
             now,
             src,
@@ -374,21 +340,18 @@ impl Recorder {
             label,
             op,
             flow,
-            None,
         );
-        Some((hlc, flow))
+        Some(flow)
     }
 
-    /// A traced message arrived at `rank`: merge the remote stamp into the
-    /// local HLC and record the `MsgRecv` event bound to the same flow.
-    #[allow(clippy::too_many_arguments)] // mirrors the Event fields
+    /// A message from `src` was dequeued at `rank`: record the `MsgRecv`
+    /// event bound to the send's `flow` (0 for an untraced message).
     pub fn msg_recv_event(
         &self,
         rank: u32,
         bytes: u64,
         src: u32,
         label: &'static str,
-        remote: HlcStamp,
         flow: u64,
         op: OpCtx,
     ) {
@@ -405,7 +368,6 @@ impl Recorder {
                 label,
                 op,
                 flow,
-                Some(remote),
             );
         }
     }
@@ -455,8 +417,8 @@ impl Recorder {
 
     /// Lend the locked heat map to `f`: the one way heat is charged or
     /// read. Callers make one call per batch of work (a release's ranges,
-    /// an acquire's run groups, an op's access tallies)
-    /// and walk the items inside `f`, which must not call back into the
+    /// an acquire's run groups, a completed release's destination) and
+    /// walk the items inside `f`, which must not call back into the
     /// recorder. `None`, with `f` not run, when disabled.
     pub fn heat<R>(&self, f: impl FnOnce(&mut Heatmap) -> R) -> Option<R> {
         self.0.as_ref().map(|core| f(&mut core.heatmap.lock()))
@@ -483,22 +445,9 @@ impl Recorder {
                 return;
             }
             let start_us = core.now_us();
-            // The rank's current stamp, read without ticking — beginning
-            // an op must not perturb the HLC stream the wire carries.
-            let hlc = {
-                let logs = core.logs.lock();
-                logs.get(rank as usize)
-                    .map(|l| l.hlc.last())
-                    .unwrap_or(HlcStamp::ZERO)
-            };
             core.inflight.lock().insert(
                 (op.kind, op.id, op.origin),
-                InflightOp {
-                    op,
-                    rank,
-                    start_us,
-                    hlc,
-                },
+                InflightOp { op, rank, start_us },
             );
         }
     }
@@ -555,9 +504,9 @@ impl Recorder {
         }
         {
             let logs = core.logs.lock();
-            for (rank, l) in logs.iter().enumerate() {
-                if l.ring.total_pushed() > 0 {
-                    s.rank_events.insert(rank as u32, l.ring.total_pushed());
+            for (rank, ring) in logs.iter().enumerate() {
+                if ring.total_pushed() > 0 {
+                    s.rank_events.insert(rank as u32, ring.total_pushed());
                 }
             }
         }
@@ -661,7 +610,7 @@ impl Recorder {
                 continue;
             }
             let (kind, args) = (EventKind::Stall, (age, budget));
-            Self::emit(core, now_us, f.rank, kind, None, args, "", f.op, 0, None);
+            Self::emit(core, now_us, f.rank, kind, None, args, "", f.op, 0);
             let (events, shards) =
                 lazy.get_or_insert_with(|| (Self::merged(core.logs.lock()), Self::shards(core)));
             let critpath = watchdog::attribute(events, f.op, f.rank, f.start_us, age, *shards);
@@ -752,10 +701,10 @@ impl Recorder {
             let logs = core.logs.lock();
             logs.iter()
                 .enumerate()
-                .filter(|(_, l)| !l.ring.is_empty())
-                .map(|(rank, l)| {
-                    let skip = l.ring.len().saturating_sub(last_n);
-                    let evs = l.ring.iter_in_order().skip(skip).copied().collect();
+                .filter(|(_, ring)| !ring.is_empty())
+                .map(|(rank, ring)| {
+                    let skip = ring.len().saturating_sub(last_n);
+                    let evs = ring.iter_in_order().skip(skip).copied().collect();
                     (rank as u32, evs)
                 })
                 .collect()
@@ -812,7 +761,9 @@ impl Recorder {
 
     // ----- export -----
 
-    /// Every held event across ranks, time-ordered. Empty when disabled.
+    /// Every held event across ranks in `(t_us, seq)` order, a causal
+    /// one: each `MsgSend` precedes every `MsgRecv` of its flow, and each
+    /// rank's instants keep their recording order. Empty when disabled.
     pub fn events(&self) -> Vec<Event> {
         match &self.0 {
             None => Vec::new(),
@@ -849,10 +800,10 @@ impl Recorder {
             .lock()
             .iter()
             .enumerate()
-            .map(|(rank, l)| RingDropRow {
+            .map(|(rank, ring)| RingDropRow {
                 rank: rank as u32,
-                recorded: l.ring.total_pushed(),
-                dropped: l.ring.dropped(),
+                recorded: ring.total_pushed(),
+                dropped: ring.dropped(),
             })
             .collect();
         let registry = core.registry.lock();
@@ -959,10 +910,11 @@ mod tests {
     }
 
     #[test]
-    fn stall_and_instants_in_one_microsecond_keep_increasing_stamps() {
+    fn stall_and_instants_in_one_microsecond_keep_recording_order() {
         // The watchdog's `Stall` goes through `emit` like every other
-        // event: on a rank whose clock stands still it ticks the same HLC
-        // the instants around it tick, so the stream stays causal.
+        // event: on a clock that stands still it draws the same record
+        // sequence the instants around it draw, so the stream stays in
+        // recording order.
         let now = Arc::new(AtomicU64::new(0));
         let r = Recorder::enabled();
         let clock = now.clone();
@@ -993,9 +945,21 @@ mod tests {
             [EventKind::Other, EventKind::Stall, EventKind::Other]
         );
         assert!(evs.iter().all(|e| e.rank == 3 && e.t_us == 500));
-        assert!(evs.windows(2).all(|w| w[0].hlc < w[1].hlc), "{evs:?}");
+        assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq), "{evs:?}");
         assert_eq!(evs[1].op, op);
-        crate::causal::check_happens_before(&evs).expect("causal stream");
+    }
+
+    #[test]
+    fn ties_on_a_standing_clock_break_by_recording_order_not_rank() {
+        // Virtual time that does not advance: a higher rank's send and a
+        // lower rank's receive of it share `t_us`, and the receive, taken
+        // second, must still come second.
+        let r = Recorder::enabled();
+        r.set_time_source(Arc::new(|| 0));
+        let flow = r.msg_send_event(2, 8, 0, "x", OpCtx::default()).unwrap();
+        r.msg_recv_event(0, 8, 2, "x", flow, OpCtx::default());
+        let kinds: Vec<(u32, EventKind)> = r.events().iter().map(|e| (e.rank, e.kind)).collect();
+        assert_eq!(kinds, [(2, EventKind::MsgSend), (0, EventKind::MsgRecv)]);
     }
 
     #[test]

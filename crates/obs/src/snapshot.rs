@@ -35,10 +35,6 @@ pub struct HistSummary {
 pub struct EntryRow {
     /// Index-table entry id.
     pub entry: u32,
-    /// Typed reads.
-    pub reads: u64,
-    /// Typed writes.
-    pub writes: u64,
     /// Update frames shipped.
     pub updates_sent: u64,
     /// Elements covered by shipped frames.
@@ -49,10 +45,6 @@ pub struct EntryRow {
     pub updates_applied: u64,
     /// Bytes applied.
     pub bytes_applied: u64,
-    /// Lowest element shipped (0 when none).
-    pub min_elem: u64,
-    /// Highest element shipped, exclusive (0 when none).
-    pub max_elem: u64,
 }
 
 /// One row of the per-(entry, writer) update-attribution table: how much
@@ -170,19 +162,11 @@ impl ObsSnapshot {
             .entries()
             .map(|(entry, e)| EntryRow {
                 entry,
-                reads: e.reads,
-                writes: e.writes,
                 updates_sent: e.updates_sent,
                 elems_sent: e.elems_sent,
                 bytes_sent: e.bytes_sent,
                 updates_applied: e.updates_applied,
                 bytes_applied: e.bytes_applied,
-                min_elem: if e.min_elem == u64::MAX {
-                    0
-                } else {
-                    e.min_elem
-                },
-                max_elem: e.max_elem,
             })
             .collect();
         let write_heat = heatmap
@@ -257,15 +241,11 @@ impl ObsSnapshot {
         for e in &self.entries {
             w.begin_obj();
             w.field_u64("entry", e.entry as u64);
-            w.field_u64("reads", e.reads);
-            w.field_u64("writes", e.writes);
             w.field_u64("updates_sent", e.updates_sent);
             w.field_u64("elems_sent", e.elems_sent);
             w.field_u64("bytes_sent", e.bytes_sent);
             w.field_u64("updates_applied", e.updates_applied);
             w.field_u64("bytes_applied", e.bytes_applied);
-            w.field_u64("min_elem", e.min_elem);
-            w.field_u64("max_elem", e.max_elem);
             w.end_obj();
         }
         w.end_arr();
@@ -411,22 +391,16 @@ impl ObsSnapshot {
         }
         if !self.entries.is_empty() {
             out.push_str("\n-- entry heatmap --\n");
-            out.push_str(
-                "entry    reads   writes  ups-sent  elems-sent  bytes-sent  ups-appl  bytes-appl  range\n",
-            );
+            out.push_str("entry    ups-sent  elems-sent  bytes-sent  ups-appl  bytes-appl\n");
             for e in &self.entries {
                 out.push_str(&format!(
-                    "{:<8} {:>6} {:>8} {:>9} {:>11} {:>11} {:>9} {:>11}  [{}..{})\n",
+                    "{:<8} {:>8} {:>11} {:>11} {:>9} {:>11}\n",
                     e.entry,
-                    e.reads,
-                    e.writes,
                     e.updates_sent,
                     e.elems_sent,
                     e.bytes_sent,
                     e.updates_applied,
-                    e.bytes_applied,
-                    e.min_elem,
-                    e.max_elem
+                    e.bytes_applied
                 ));
             }
         }
@@ -564,7 +538,7 @@ mod tests {
         reg.gauge("workers", 2);
         reg.observe("barrier", 100);
         let mut hm = Heatmap::default();
-        hm.update_sent(1, 0, 4, std::iter::once((0, 16)));
+        hm.update_sent(1, 0, 4, std::iter::once(16));
         let rings = vec![
             RingDropRow {
                 rank: 0,

@@ -18,11 +18,11 @@ pub mod prelude {
     //! platform specs — no deep-importing individual workspace crates.
     pub use hdsm_core::{
         BarrierId, ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, CondId, CostBreakdown,
-        Directory, DsdClient, DsdError, FaultConfig, GthvDef, GthvInstance, LockGuard, LockId,
+        Directory, DsdClient, DsdError, GthvDef, GthvInstance, LockGuard, LockId,
         PlacementDecision, PlacementInputs, PlacementPolicy, ShardId, TimingConfig, TopologyConfig,
         WorkerInfo,
     };
-    pub use hdsm_net::{FabricMode, FaultPlan};
+    pub use hdsm_net::{FabricMode, FaultPlan, NetConfig};
     pub use hdsm_obs::{ObsSnapshot, Recorder};
     pub use hdsm_platform::spec::{Platform, PlatformSpec};
 }

@@ -19,9 +19,7 @@
 
 use hdsm::apps::workload::{paper_pairs, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{
-    ClusterBuilder, ClusterOutcome, FaultConfig, TimingConfig, TopologyConfig,
-};
+use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm::dsd::{LockId, PlacementPolicy};
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::obs::{ObsSnapshot, Recorder};
@@ -94,7 +92,7 @@ fn run_kernel(
                 recv_deadline: Some(Duration::from_secs(60)),
                 ..Default::default()
             })
-            .faults(FaultConfig { plan: Some(plan) });
+            .net(NetConfig::default().with_faults(plan));
     }
     b = match kernel {
         "jacobi" => b
@@ -219,7 +217,7 @@ fn skewed_writer_run(
                 recv_deadline: Some(Duration::from_secs(60)),
                 ..Default::default()
             })
-            .faults(FaultConfig { plan: Some(plan) });
+            .net(NetConfig::default().with_faults(plan));
     }
     b.run(|c, info| {
         let hot_rounds = if info.index == 0 { 45 } else { 5 };

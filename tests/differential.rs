@@ -11,8 +11,8 @@
 
 use hdsm::apps::workload::{paper_pairs, PlatformPair, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
-use hdsm::net::FaultPlan;
+use hdsm::dsd::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
+use hdsm::net::{FaultPlan, NetConfig};
 use std::time::Duration;
 
 /// The fault-plan axis: a clean fabric and a mildly hostile one (drops,
@@ -115,9 +115,7 @@ fn run_workload_sharded(
                 recv_deadline: Some(Duration::from_secs(30)),
                 ..Default::default()
             })
-            .faults(FaultConfig {
-                plan: Some(plan.clone()),
-            });
+            .net(NetConfig::instant().with_faults(plan.clone()));
     }
     match name {
         "jacobi" => {

@@ -5,14 +5,12 @@
 
 use bytes::Bytes;
 use hdsm::dsd::client::DsdError;
-use hdsm::dsd::cluster::{
-    ClusterBuilder, ClusterCtl, ClusterError, FaultConfig, TimingConfig, TopologyConfig,
-};
+use hdsm::dsd::cluster::{ClusterBuilder, ClusterCtl, ClusterError, TimingConfig, TopologyConfig};
 use hdsm::dsd::gthv::GthvDef;
 use hdsm::dsd::protocol::{DsdMsg, ProtocolError};
 use hdsm::dsd::{BarrierId, CondId, LockId};
 use hdsm::net::message::MsgKind;
-use hdsm::net::{FabricMode, FaultPlan, NetStats};
+use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -345,7 +343,7 @@ fn run_convergence_workload(plan: Option<FaultPlan>) -> (Vec<u8>, i128, NetStats
             ..Default::default()
         });
     if let Some(p) = plan {
-        b = b.faults(FaultConfig { plan: Some(p) });
+        b = b.net(NetConfig::instant().with_faults(p));
     }
     let outcome = b
         .run(|c, info| {
@@ -399,67 +397,6 @@ fn chaos_five_percent_faults_converge_to_fault_free_state() {
 }
 
 #[test]
-fn fault_plan_survives_either_order_of_the_faults_and_net_setters() {
-    use hdsm::net::NetConfig;
-    // `net` used to overwrite the plan `faults` had set, and an empty
-    // `faults` to clear the one `net`'s config carried: a chaos test that
-    // also chose a cost model could run on a perfect fabric unawares.
-    let plan = || FaultPlan::seeded(0xC0DE).drop(0.1);
-    let base = || {
-        ClusterBuilder::new()
-            .gthv(tiny_def())
-            .worker(PlatformSpec::linux_x86())
-            .worker(PlatformSpec::solaris_sparc())
-            .locks(1)
-            .topology(TopologyConfig {
-                fabric: FabricMode::Sim { seed: 0x0DE5 },
-                ..Default::default()
-            })
-            .timing(TimingConfig {
-                retry_base: Some(Duration::from_millis(10)),
-                recv_deadline: Some(Duration::from_secs(30)),
-                ..Default::default()
-            })
-    };
-    let set = |plan| FaultConfig { plan: Some(plan) };
-    let orders = [
-        (
-            "faults, then net",
-            base().faults(set(plan())).net(NetConfig::default()),
-        ),
-        (
-            "net, then faults",
-            base().net(NetConfig::default()).faults(set(plan())),
-        ),
-        (
-            "net carrying the plan, then faults without one",
-            base()
-                .net(NetConfig::default().with_faults(plan()))
-                .faults(FaultConfig::default()),
-        ),
-    ];
-    let stats = orders.map(|(order, builder)| {
-        let outcome = builder
-            .run(|c, _| {
-                for _ in 0..20 {
-                    c.acquire(LockId::new(0))?;
-                    let v = c.read_int(0, 0)?;
-                    c.write_int(0, 0, v + 1)?;
-                    c.release(LockId::new(0))?;
-                }
-                Ok(())
-            })
-            .expect("workload completes despite drops");
-        assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 40, "{order}");
-        assert!(outcome.net_stats.dropped > 0, "{order}: the plan was lost");
-        outcome.net_stats
-    });
-    // One plan on one seeded fabric, however it was handed over.
-    assert_eq!(stats[0], stats[1]);
-    assert_eq!(stats[0], stats[2]);
-}
-
-#[test]
 fn chaos_run_is_fully_observable() {
     use hdsm::obs::{EventKind, Recorder};
     // Same convergence workload as above, but with an enabled recorder
@@ -487,7 +424,7 @@ fn chaos_run_is_fully_observable() {
             recv_deadline: Some(Duration::from_secs(30)),
             ..Default::default()
         })
-        .faults(FaultConfig { plan: Some(plan) })
+        .net(NetConfig::instant().with_faults(plan))
         .obs(recorder.clone())
         .run(|c, _info| {
             for _ in 0..20 {
@@ -715,7 +652,7 @@ proptest! {
             .barriers(1)
             .topology(TopologyConfig { shards: shards_from_env(), ..Default::default() })
         .timing(TimingConfig { lease: Some(Duration::from_secs(5)), retry_base: Some(Duration::from_millis(10)), recv_deadline: Some(Duration::from_secs(20)), ..Default::default() })
-        .faults(FaultConfig { plan: Some(plan) })
+        .net(NetConfig::instant().with_faults(plan))
             .run(|c, _| {
                 for _ in 0..5 {
                     c.acquire(LockId::new(0))?;
@@ -947,7 +884,7 @@ fn run_failover_convergence(
             ..Default::default()
         });
     if let Some(p) = plan {
-        b = b.faults(FaultConfig { plan: Some(p) });
+        b = b.net(NetConfig::instant().with_faults(p));
     }
     // CI soak runs set this so a failing seed also leaves black-box
     // bundles (worker-lost, lease-expired, view-change) next to the
@@ -1472,9 +1409,7 @@ fn failover_paper_kernels_survive_any_single_shard_kill() {
                 ..Default::default()
             });
         if let Some(p) = plan {
-            b = b.faults(FaultConfig {
-                plan: Some(p.clone()),
-            });
+            b = b.net(NetConfig::instant().with_faults(p.clone()));
         }
         if let Some(shard) = kill {
             b = b.control(move |ctl| {
@@ -1651,14 +1586,14 @@ fn run_sim_convergence(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, NetSta
             recv_deadline: Some(Duration::from_secs(30)),
             ..Default::default()
         })
-        .faults(FaultConfig {
-            plan: Some(
+        .net(
+            NetConfig::instant().with_faults(
                 FaultPlan::seeded(fault_seed)
                     .drop(0.05)
                     .duplicate(0.05)
                     .reorder(0.05),
             ),
-        })
+        )
         .run(|c, info| {
             for _ in 0..20 {
                 c.acquire(LockId::new(0))?;
@@ -1737,14 +1672,14 @@ fn lossy_three_shard_lock_soak_loses_no_increment() {
             recv_deadline: Some(Duration::from_secs(120)),
             ..Default::default()
         })
-        .faults(FaultConfig {
-            plan: Some(
+        .net(
+            NetConfig::instant().with_faults(
                 FaultPlan::seeded(0x50AC)
                     .drop(0.02)
                     .duplicate(0.02)
                     .reorder(0.02),
             ),
-        })
+        )
         .run(|c, info| {
             // Staggered load: worker k does 3 + k % 7 lock-guarded
             // increments of slot k % 50, so the first seventeen slots

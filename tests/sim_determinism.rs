@@ -17,11 +17,9 @@
 
 use hdsm::apps::workload::{paper_pairs, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{
-    ClusterBuilder, ClusterOutcome, FaultConfig, TimingConfig, TopologyConfig,
-};
+use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm::dsd::{BarrierId, LockId};
-use hdsm::net::{FabricMode, FaultPlan, NetStats};
+use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::obs::Recorder;
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
@@ -162,7 +160,7 @@ fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, Ne
             recv_deadline: Some(Duration::from_secs(60)),
             ..Default::default()
         })
-        .faults(FaultConfig { plan: Some(plan) })
+        .net(NetConfig::instant().with_faults(plan))
         .obs(recorder.clone())
         .run(|c, info| {
             for _ in 0..10 {

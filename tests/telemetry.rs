@@ -11,11 +11,9 @@
 
 use hdsm::apps::sor;
 use hdsm::apps::workload::paper_pairs;
-use hdsm::dsd::cluster::{
-    ClusterBuilder, ClusterOutcome, FaultConfig, TimingConfig, TopologyConfig,
-};
+use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm::dsd::{BarrierId, CostBreakdown, GthvDef, LockId};
-use hdsm::net::{FabricMode, FaultPlan, NetStats};
+use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::obs::{EntryRow, EventKind, Frame, OpKind, Recorder, StallReport, TriggerRow};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
@@ -54,9 +52,10 @@ fn stalled_run(dir: String) -> (String, Vec<TriggerRow>, Vec<StallReport>, NetSt
         // Per-message jitter stretches the workload across enough
         // virtual time that the partition lands mid-lock-traffic
         // (jitter-free, the whole run finishes in under 5 virtual ms).
-        .faults(FaultConfig {
-            plan: Some(FaultPlan::seeded(0x717E).jitter(Duration::from_micros(500))),
-        })
+        .net(
+            NetConfig::instant()
+                .with_faults(FaultPlan::seeded(0x717E).jitter(Duration::from_micros(500))),
+        )
         .timing(TimingConfig {
             lease: None,
             // A generous retry budget: the 2 s partition must not
