@@ -12,8 +12,9 @@
 //! the distributed mutex (more, smaller updates — the lock/unlock path of
 //! Figure 5).
 //!
-//! Also provides [`MatmulComputation`], a migratable version for the
-//! adaptive cluster: one `C` row per adaptation quantum.
+//! Also provides [`MatmulComputation`], a migratable version run by
+//! `hdsm_core::cluster::run_migrating`: one `C` row per adaptation
+//! quantum.
 
 use crate::workload::{block_rows, det_i32, SyncMode};
 use hdsm_core::client::{DsdClient, DsdError};
@@ -183,7 +184,7 @@ pub fn run_worker(
 }
 
 // ---------------------------------------------------------------------
-// Migratable version for the adaptive cluster.
+// Migratable version, a worker body through `run_migrating`.
 // ---------------------------------------------------------------------
 
 /// Program name in the registry.
@@ -278,17 +279,18 @@ impl Computation<DsdClient> for MatmulComputation {
                     self.set(4, 2);
                     return StepStatus::Done;
                 }
-                for j in 0..n {
-                    let mut acc = 0i64;
-                    for k in 0..n {
-                        let a = client.read_int(entries::A, (row * n + k) as u64).unwrap() as i64;
-                        let b = client.read_int(entries::B, (k * n + j) as u64).unwrap() as i64;
-                        acc += a * b;
-                    }
-                    client
-                        .write_int(entries::C, (row * n + j) as u64, i128::from(acc))
-                        .unwrap();
-                }
+                let mut b = vec![0i128; n * n];
+                client.read_ints(entries::B, 0, &mut b).expect("read B");
+                let b: Vec<i64> = b.into_iter().map(|v| v as i64).collect();
+                let mut a_row = vec![0i128; n];
+                client
+                    .read_ints(entries::A, (row * n) as u64, &mut a_row)
+                    .expect("read A row");
+                let mut c_row = vec![0i128; n];
+                multiply_row(&a_row, &b, &mut c_row);
+                client
+                    .write_ints(entries::C, (row * n) as u64, &c_row)
+                    .expect("write C row");
                 self.set(3, (row + 1) as i128);
                 StepStatus::Yield
             }
@@ -386,27 +388,15 @@ mod tests {
 
     #[test]
     fn migratable_version_with_mid_run_migrations() {
-        use hdsm_core::cluster::MigrationEvent;
+        use hdsm_core::cluster::{run_migrating, TopologyConfig};
+        use hdsm_net::FabricMode;
         let n = 12;
         let seed = 5;
         let linux = PlatformSpec::linux_x86();
-        let sparc = PlatformSpec::solaris_sparc();
         let reg = registry(&linux);
-        let starts = vec![
-            start_state(&linux, n, block_rows(n, 0, 2)),
-            start_state(&linux, n, block_rows(n, 1, 2)),
-        ];
-        let schedule = vec![
-            MigrationEvent {
-                worker: 0,
-                after_steps: 3,
-                to_platform: sparc.clone(),
-            },
-            MigrationEvent {
-                worker: 1,
-                after_steps: 5,
-                to_platform: PlatformSpec::solaris_sparc64(),
-            },
+        let moves = [
+            vec![(3, PlatformSpec::solaris_sparc())],
+            vec![(5, PlatformSpec::solaris_sparc64())],
         ];
         let outcome = ClusterBuilder::new()
             .gthv(gthv_def(n))
@@ -414,16 +404,27 @@ mod tests {
             .worker(linux.clone())
             .worker(linux.clone())
             .barriers(2)
+            .topology(TopologyConfig {
+                fabric: FabricMode::Sim { seed },
+                ..Default::default()
+            })
             .init(move |g| init(g, n, seed))
-            .run_adaptive(&reg, starts, &schedule)
+            .run(|c, info| {
+                let rows = block_rows(n, info.index, info.n_workers);
+                let start = start_state(&info.platform, n, rows);
+                run_migrating(c, &reg, start, &moves[info.index])
+            })
             .unwrap();
         assert!(verify(&outcome.final_gthv, n, seed));
-        assert_eq!(outcome.migration_stats.migrations, 2);
-        assert!(outcome.migration_stats.image_bytes > 0);
+        let stats = outcome.results.iter().map(|(_, m)| m);
+        assert_eq!(stats.clone().map(|m| m.migrations).sum::<u64>(), 2);
+        assert!(stats.map(|m| m.image_bytes).sum::<u64>() > 0);
         // The migrated threads finished on their destination platforms.
-        assert_eq!(
-            outcome.results[0].block("MThV").unwrap().platform.name,
-            "solaris-sparc"
-        );
+        let finished_on = |i: usize| {
+            let state = &outcome.results[i].0;
+            state.block("MThV").unwrap().platform.name.clone()
+        };
+        assert_eq!(finished_on(0), "solaris-sparc");
+        assert_eq!(finished_on(1), "solaris-sparc64");
     }
 }

@@ -50,6 +50,7 @@ use crate::interval::IntervalSet;
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{scan_ranges, UpdateRange};
 use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
+use hdsm_migthread::packfmt::MigrateError;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
@@ -92,6 +93,9 @@ pub enum DsdError {
         /// Mutex index.
         lock: u32,
     },
+    /// A thread migration failed: its program is not registered, or its
+    /// state image did not restore on the target platform.
+    Migration(MigrateError),
     /// Sentinel returned by a test body to simulate this worker crashing:
     /// the cluster harness stops the worker without signing it off, so
     /// the home's failure detector must notice the silence.
@@ -123,6 +127,7 @@ impl fmt::Display for DsdError {
                 f,
                 "cond {cond} and mutex {lock} are homed at different shards"
             ),
+            DsdError::Migration(e) => write!(f, "migration: {e}"),
             DsdError::Crashed => write!(f, "worker simulated a crash"),
         }
     }
@@ -135,6 +140,7 @@ impl std::error::Error for DsdError {
             DsdError::Protocol(e) => Some(e),
             DsdError::Update(e) => Some(e),
             DsdError::Gthv(e) => Some(e),
+            DsdError::Migration(e) => Some(e),
             _ => None,
         }
     }
@@ -158,6 +164,11 @@ impl From<UpdateError> for DsdError {
 impl From<GthvError> for DsdError {
     fn from(e: GthvError) -> Self {
         DsdError::Gthv(e)
+    }
+}
+impl From<MigrateError> for DsdError {
+    fn from(e: MigrateError) -> Self {
+        DsdError::Migration(e)
     }
 }
 

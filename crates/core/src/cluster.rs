@@ -6,20 +6,20 @@
 //! structure. Workers run as OS threads connected by the simulated
 //! network — nothing crosses a node boundary except serialized bytes.
 //!
-//! Two execution modes:
-//! * [`ClusterBuilder::run`] — SPMD-style: every worker executes the
-//!   same closure against its [`DsdClient`]. Data placement is static
-//!   (`entry % shards`) unless [`ClusterBuilder::placement`] selects an
-//!   adaptive [`PlacementPolicy`], in which case a placement engine
-//!   re-homes hot entries toward their dominant writers mid-run;
-//! * [`ClusterBuilder::run_adaptive`] — workers execute
-//!   [`Computation`]s from a [`ProgramRegistry`] and a migration schedule
-//!   moves threads between (possibly heterogeneous) platforms at their
-//!   adaptation points, exercising the full MigThread pack → ship →
-//!   receiver-makes-right → resync pipeline mid-computation. With an
-//!   adaptive policy and no explicit schedule, the moves are derived
-//!   from the platforms' `cpu_factor`s
-//!   ([`crate::placement::plan_thread_moves`]).
+//! One runner, [`ClusterBuilder::run`], on either fabric: every worker
+//! executes the same closure against its [`DsdClient`]. Data placement is
+//! static (`entry % shards`) unless [`ClusterBuilder::placement`] selects
+//! an adaptive [`PlacementPolicy`], in which case a placement engine
+//! re-homes hot entries toward their dominant writers mid-run.
+//!
+//! A migrating computation is one such body: [`run_migrating`] steps a
+//! [`Computation`](hdsm_migthread::Computation) from a
+//! [`ProgramRegistry`] on the worker's client and, at the adaptation
+//! points its moves name, carries it to another (possibly heterogeneous)
+//! platform — capture → pack → receiver-makes-right restore →
+//! [`DsdClient::rehost`] — mid-computation. Who moves where is the
+//! caller's plan, for instance
+//! [`plan_thread_moves`](crate::placement::plan_thread_moves).
 //!
 //! A note on what "node" means here: a node is a platform specification
 //! plus an address space holding data in that platform's representation.
@@ -33,12 +33,12 @@ use crate::costs::CostBreakdown;
 use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvDef, GthvInstance};
 use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
-use crate::ids::{BarrierId, CondId, LockId, ShardId};
+use crate::ids::{BarrierId, LockId, ShardId};
 use crate::placement::{PlacementInputs, PlacementPolicy};
 use crate::protocol::DsdMsg;
 use crate::update::{apply_batch, extract_updates, full_ranges};
-use hdsm_migthread::compute::{Computation, ProgramRegistry, StepStatus};
-use hdsm_migthread::packfmt::{pack_state, MigrateError};
+use hdsm_migthread::compute::{ProgramRegistry, StepStatus};
+use hdsm_migthread::packfmt::pack_state;
 use hdsm_migthread::state::ThreadState;
 use hdsm_net::endpoint::{Endpoint, NetError, Network};
 use hdsm_net::fault::LinkFaults;
@@ -67,8 +67,6 @@ pub enum ClusterError {
         /// The failure.
         error: DsdError,
     },
-    /// A migration failed.
-    Migration(MigrateError),
     /// A worker thread panicked.
     Panic(String),
     /// A worker crashed or was partitioned away and the home's failure
@@ -105,7 +103,6 @@ impl fmt::Display for ClusterError {
             ClusterError::Config(s) => write!(f, "bad cluster config: {s}"),
             ClusterError::Home(e) => write!(f, "home: {e}"),
             ClusterError::Worker { index, error } => write!(f, "worker {index}: {error}"),
-            ClusterError::Migration(e) => write!(f, "migration: {e}"),
             ClusterError::Panic(s) => write!(f, "worker panicked: {s}"),
             ClusterError::WorkerLost {
                 rank,
@@ -138,7 +135,6 @@ impl std::error::Error for ClusterError {
         match self {
             ClusterError::Home(e) => Some(e),
             ClusterError::Worker { error, .. } => Some(error),
-            ClusterError::Migration(e) => Some(e),
             ClusterError::Handoff { error, .. } => Some(error),
             ClusterError::Config(_)
             | ClusterError::Panic(_)
@@ -154,12 +150,6 @@ impl From<HomeError> for ClusterError {
     }
 }
 
-impl From<MigrateError> for ClusterError {
-    fn from(e: MigrateError) -> ClusterError {
-        ClusterError::Migration(e)
-    }
-}
-
 /// Per-worker identity handed to the SPMD body.
 #[derive(Debug, Clone)]
 pub struct WorkerInfo {
@@ -171,7 +161,7 @@ pub struct WorkerInfo {
     pub platform: Platform,
 }
 
-/// Statistics about migrations performed during an adaptive run.
+/// What one worker's [`run_migrating`] spent on its migrations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MigrationStats {
     /// Number of migrations executed.
@@ -201,22 +191,9 @@ pub struct ClusterOutcome<R> {
     pub final_gthv: GthvInstance,
     /// Network traffic statistics.
     pub net_stats: NetStats,
-    /// Migration statistics (zero for static runs).
-    pub migration_stats: MigrationStats,
     /// Observability snapshot, when the cluster ran with
     /// [`ClusterBuilder::obs`] wired to an enabled recorder.
     pub obs: Option<ObsSnapshot>,
-}
-
-/// One scheduled migration for [`ClusterBuilder::run_adaptive`].
-#[derive(Debug, Clone)]
-pub struct MigrationEvent {
-    /// Worker index to move.
-    pub worker: usize,
-    /// Migrate when the worker has completed this many steps.
-    pub after_steps: u64,
-    /// Destination platform.
-    pub to_platform: Platform,
 }
 
 /// Home-side initialisation closure.
@@ -277,11 +254,6 @@ impl ClusterCtl {
     /// `Disconnected` — the sharpest failure the fabric can model.
     pub fn kill_shard(&self, shard: ShardId) {
         self.kills[self.directory.shard_ep(shard.raw()) as usize].store(true, Ordering::Relaxed);
-    }
-
-    /// Kill shard `shard`'s standby replica. Requires replicas.
-    pub fn kill_replica(&self, shard: ShardId) {
-        self.kills[self.directory.replica_ep(shard.raw()) as usize].store(true, Ordering::Relaxed);
     }
 
     /// Sever the link between two endpoint ranks, both ways. Unlike a
@@ -667,12 +639,6 @@ impl ClusterBuilder {
         (0..self.n_barriers).map(BarrierId::new).collect()
     }
 
-    /// Typed handles for the configured condition variables, in index
-    /// order.
-    pub fn cond_ids(&self) -> Vec<CondId> {
-        (0..self.n_conds).map(CondId::new).collect()
-    }
-
     /// Network cost model and fault injection (default: instant and
     /// clean, for tests). A fault plan rides the cost model
     /// ([`NetConfig::with_faults`]); the home then lingers after shutdown
@@ -820,8 +786,8 @@ impl ClusterBuilder {
         let home_eps: Vec<Endpoint> = eps.drain(..n_home_eps).collect();
         let mut control = self.control.take();
         // Cooperative kill switches, one per home endpoint, flipped by
-        // `ClusterCtl::kill_shard` / `kill_replica`. Only wired when a
-        // control script can actually flip them.
+        // `ClusterCtl::kill_shard`. Only wired when a control script can
+        // actually flip them.
         let kills: Vec<Arc<AtomicBool>> = (0..n_home_eps)
             .map(|_| Arc::new(AtomicBool::new(false)))
             .collect();
@@ -1324,134 +1290,51 @@ impl ClusterBuilder {
             home_conv,
             final_gthv,
             net_stats: net.stats(),
-            migration_stats: MigrationStats::default(),
             obs: self.recorder.snapshot(),
         })
     }
-
-    /// Run registered [`Computation`]s with a migration schedule. Worker
-    /// `i` starts from `starts[i]` on its configured platform; each
-    /// matching [`MigrationEvent`] is honoured at the worker's next
-    /// adaptation point (capture → pack → receiver-makes-right restore →
-    /// DSD resync). Returns the final thread states.
-    ///
-    /// With an adaptive [`Self::placement`] policy and an *empty*
-    /// schedule, the thread-migration leg of the adaptive loop engages:
-    /// a schedule is derived deterministically from the configured
-    /// platforms' `cpu_factor`s ([`crate::placement::plan_thread_moves`]
-    /// with a 2× slowness threshold), repacking every worker stuck on a
-    /// badly slow simulated CPU onto the fastest configured platform at
-    /// its first adaptation point. Pass an explicit schedule to keep
-    /// full manual control.
-    pub fn run_adaptive(
-        self,
-        registry: &ProgramRegistry<DsdClient>,
-        starts: Vec<ThreadState>,
-        schedule: &[MigrationEvent],
-    ) -> Result<ClusterOutcome<ThreadState>, ClusterError> {
-        if starts.len() != self.worker_platforms.len() {
-            return Err(ClusterError::Config(format!(
-                "{} starts for {} workers",
-                starts.len(),
-                self.worker_platforms.len()
-            )));
-        }
-        if !matches!(self.topology.fabric, FabricMode::Threads) {
-            return Err(ClusterError::Config(
-                "run_adaptive is not supported in simulation mode; use fabric(FabricMode::Threads)"
-                    .into(),
-            ));
-        }
-        let platforms = self.worker_platforms.clone();
-        let schedule = if schedule.is_empty() && self.placement.is_adaptive() {
-            let factors: Vec<f64> = platforms.iter().map(|p| p.cpu_factor).collect();
-            crate::placement::plan_thread_moves(&factors, 2.0)
-                .into_iter()
-                .map(|m| MigrationEvent {
-                    worker: m.thread_rank as usize,
-                    after_steps: m.after_sweeps as u64,
-                    to_platform: platforms[m.to_platform].clone(),
-                })
-                .collect()
-        } else {
-            schedule.to_vec()
-        };
-        let registry_ref = registry;
-        let mig_stats = parking_lot::Mutex::new(MigrationStats::default());
-        let mut outcome = {
-            let starts_cell = parking_lot::Mutex::new(
-                starts
-                    .into_iter()
-                    .map(Some)
-                    .collect::<Vec<Option<ThreadState>>>(),
-            );
-            let mig_ref = &mig_stats;
-            self.run(move |client, info| {
-                let start = starts_cell.lock()[info.index]
-                    .take()
-                    .expect("start state taken once");
-                run_one_adaptive(
-                    client,
-                    info,
-                    registry_ref,
-                    start,
-                    &platforms[info.index],
-                    &schedule,
-                    mig_ref,
-                )
-            })?
-        };
-        outcome.migration_stats = mig_stats.into_inner();
-        Ok(outcome)
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_one_adaptive(
+/// Run the migratable computation `start` as one worker's body, on the
+/// worker's own `client` and starting on the client's platform; call it
+/// from the closure given to [`ClusterBuilder::run`]. `moves` are this
+/// worker's planned migrations, `(after_steps, platform)` in the order
+/// they fire: each one is honoured at the first adaptation point after
+/// `after_steps` completed steps — the computation is captured, packed
+/// through CGT-RMR, restored on `platform` (receiver makes right) and the
+/// client [re-hosted](DsdClient::rehost) there with the global data.
+/// Returns the final thread state and what the migrations cost.
+///
+/// A program missing from `registry`, or an image the target cannot
+/// restore, fails as [`DsdError::Migration`].
+pub fn run_migrating(
     client: &mut DsdClient,
-    info: &WorkerInfo,
     registry: &ProgramRegistry<DsdClient>,
     start: ThreadState,
-    start_platform: &Platform,
-    schedule: &[MigrationEvent],
-    mig_stats: &parking_lot::Mutex<MigrationStats>,
-) -> Result<ThreadState, DsdError> {
-    let mut comp: Box<dyn Computation<DsdClient>> = registry
-        .instantiate(start, start_platform.clone())
-        .map_err(|_| DsdError::Unexpected("instantiate"))?;
-    let mut my_events: Vec<&MigrationEvent> =
-        schedule.iter().filter(|e| e.worker == info.index).collect();
-    my_events.sort_by_key(|e| e.after_steps);
-    let mut next_event = 0usize;
+    moves: &[(u64, Platform)],
+) -> Result<(ThreadState, MigrationStats), DsdError> {
+    let mut comp = registry.instantiate(start, client.gthv().platform().clone())?;
+    let mut moves = moves.iter().peekable();
+    let mut stats = MigrationStats::default();
     let mut steps: u64 = 0;
     loop {
-        // Honour any due migration at this adaptation point.
-        while next_event < my_events.len() && my_events[next_event].after_steps <= steps {
-            let ev = my_events[next_event];
-            next_event += 1;
+        // Honour every move due at this adaptation point.
+        while let Some((_, to)) = moves.next_if(|(after, _)| *after <= steps) {
             let t0 = Instant::now();
             let image = pack_state(&comp.capture());
-            let pack = t0.elapsed();
+            stats.pack_time += t0.elapsed();
             let t1 = Instant::now();
-            comp = registry
-                .restore(&image, ev.to_platform.clone())
-                .map_err(|_| DsdError::Unexpected("restore"))?;
-            let restore = t1.elapsed();
-            client.rehost(ev.to_platform.clone())?;
-            let mut m = mig_stats.lock();
-            m.migrations += 1;
-            m.pack_time += pack;
-            m.restore_time += restore;
-            m.image_bytes += image.bytes.len() as u64;
+            comp = registry.restore(&image, to.clone())?;
+            stats.restore_time += t1.elapsed();
+            client.rehost(to.clone())?;
+            stats.migrations += 1;
+            stats.image_bytes += image.bytes.len() as u64;
         }
         match comp.step(client) {
-            StepStatus::Yield => {
-                steps += 1;
-            }
-            StepStatus::Done => break,
+            StepStatus::Yield => steps += 1,
+            StepStatus::Done => return Ok((comp.capture(), stats)),
         }
     }
-    Ok(comp.capture())
 }
 
 /// Spawn one node of the cluster — home shard, worker, pump, control

@@ -36,9 +36,10 @@
 //! * [`interval`] — the per-entry range sets behind "ship what is read":
 //!   a reader's interest and its noticed-but-unfetched ranges;
 //! * [`cluster`] — orchestration of a simulated heterogeneous cluster
-//!   (node threads + home service), including runtime node join and thread
-//!   migration: [`placement::plan_thread_moves`] plans the moves,
-//!   `ClusterBuilder::run_adaptive` executes them;
+//!   (node threads + home service) on the threaded or the deterministic
+//!   fabric; a migrating thread is a worker body,
+//!   [`cluster::run_migrating`], whose moves a caller plans, for instance
+//!   with [`placement::plan_thread_moves`];
 //! * [`placement`] — heat-driven re-homing of index entries;
 //! * [`baseline`] — a traditional homogeneous twin/diff page DSM used as
 //!   the comparison baseline;
@@ -61,8 +62,8 @@ pub mod update;
 
 pub use client::{DsdClient, DsdError, LockGuard};
 pub use cluster::{
-    ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, MigrationEvent, TimingConfig,
-    TopologyConfig, WorkerInfo,
+    ClusterBuilder, ClusterCtl, ClusterError, ClusterOutcome, TimingConfig, TopologyConfig,
+    WorkerInfo,
 };
 pub use costs::CostBreakdown;
 pub use directory::Directory;

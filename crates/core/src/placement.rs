@@ -23,8 +23,10 @@
 //!
 //! The second adaptation axis — moving worker *threads* off slow CPUs —
 //! is planned by [`plan_thread_moves`] from the configured platform
-//! `cpu_factor`s and executed by `run_adaptive`'s existing migration
-//! machinery (pack through CGT-RMR, restore on the target).
+//! `cpu_factor`s. The policy never moves a thread itself: a caller turns
+//! the plan into each worker's moves for
+//! [`run_migrating`](crate::cluster::run_migrating), which packs through
+//! CGT-RMR and restores on the target.
 
 use std::time::Duration;
 
@@ -230,9 +232,10 @@ fn plan_heat_driven(
     out
 }
 
-/// One planned thread migration for `run_adaptive`: move worker
-/// `thread_rank` onto platform `to_platform` after `after_sweeps`
-/// adaptation sweeps.
+/// One planned thread migration: move worker `thread_rank` onto platform
+/// `to_platform` after `after_sweeps` adaptation sweeps — for that
+/// worker, the move `(after_sweeps, platforms[to_platform])` of
+/// [`run_migrating`](crate::cluster::run_migrating).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadMove {
     /// Worker thread rank to repack.

@@ -20,9 +20,10 @@
 //! * [`compute::Computation`] — the resumable-computation contract that
 //!   replaces preprocessor-instrumented C functions.
 //!
-//! Who migrates where is decided outside this crate:
-//! `hdsm_core::placement::plan_thread_moves` plans, `run_adaptive`
-//! executes.
+//! Who migrates where, and when, is decided outside this crate:
+//! `hdsm_core::placement::plan_thread_moves` plans moves, and
+//! `hdsm_core::cluster::run_migrating` steps a [`Computation`] as one
+//! worker's body and carries out that worker's moves.
 
 pub mod compute;
 pub mod packfmt;

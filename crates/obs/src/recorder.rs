@@ -268,30 +268,6 @@ impl Recorder {
         }
     }
 
-    /// Record a completed span given its wall-clock endpoints.
-    #[allow(clippy::too_many_arguments)] // mirrors the Event fields
-    pub fn span_at(
-        &self,
-        rank: u32,
-        kind: EventKind,
-        t_us: u64,
-        dur_us: u64,
-        arg0: u64,
-        arg1: u64,
-        label: &'static str,
-    ) {
-        self.span_at_op(
-            rank,
-            kind,
-            t_us,
-            dur_us,
-            arg0,
-            arg1,
-            label,
-            OpCtx::default(),
-        );
-    }
-
     /// Record a completed span attributed to sync operation `op`.
     #[allow(clippy::too_many_arguments)] // mirrors the Event fields
     pub fn span_at_op(

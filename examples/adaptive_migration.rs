@@ -11,7 +11,9 @@
 //! as a tagged CGT-RMR image — across a byte-order *and* a data-model
 //! boundary for the SPARC worker; the global data segment is re-hosted
 //! with it; computation resumes exactly where it stopped — and the final
-//! matrix still matches the serial oracle.
+//! matrix still matches the serial oracle. Each worker is an ordinary
+//! `ClusterBuilder::run` body that steps its computation through
+//! `run_migrating`, here on the seeded simulation fabric.
 //!
 //! Run with:
 //! ```text
@@ -20,9 +22,10 @@
 
 use hdsm::apps::matmul;
 use hdsm::apps::workload::block_rows;
-use hdsm::dsd::cluster::{ClusterBuilder, MigrationEvent};
+use hdsm::dsd::cluster::{run_migrating, ClusterBuilder, TopologyConfig};
 use hdsm::dsd::placement::plan_thread_moves;
-use hdsm::platform::spec::PlatformSpec;
+use hdsm::net::FabricMode;
+use hdsm::platform::spec::{Platform, PlatformSpec};
 
 fn main() {
     let n = 48;
@@ -35,37 +38,26 @@ fn main() {
     ];
 
     // The planner sees only how fast each worker's CPU is; every move it
-    // plans becomes one migration event, due at the worker's first
-    // adaptation point after `after_sweeps` steps.
+    // plans becomes one move of that worker, due at its first adaptation
+    // point after `after_sweeps` steps.
     let factors: Vec<f64> = platforms.iter().map(|p| p.cpu_factor).collect();
-    let moves = plan_thread_moves(&factors, 2.0);
-    println!("planner proposes {} migrations:", moves.len());
-    let schedule: Vec<MigrationEvent> = moves
-        .iter()
-        .map(|m| {
-            let (from, to) = (
-                &platforms[m.thread_rank as usize],
-                &platforms[m.to_platform],
-            );
-            println!(
-                "  worker {}: {} ({:.2}) -> {} ({:.2}) after {} step(s)",
-                m.thread_rank, from.name, from.cpu_factor, to.name, to.cpu_factor, m.after_sweeps
-            );
-            MigrationEvent {
-                worker: m.thread_rank as usize,
-                after_steps: u64::from(m.after_sweeps),
-                to_platform: to.clone(),
-            }
-        })
-        .collect();
-    assert_eq!(schedule.len(), 2, "SPARC and ARM workers are 2x slower");
+    let planned = plan_thread_moves(&factors, 2.0);
+    println!("planner proposes {} migrations:", planned.len());
+    let mut moves: Vec<Vec<(u64, Platform)>> = vec![Vec::new(); platforms.len()];
+    for m in &planned {
+        let worker = m.thread_rank as usize;
+        let (from, to) = (&platforms[worker], &platforms[m.to_platform]);
+        println!(
+            "  worker {worker}: {} ({:.2}) -> {} ({:.2}) after {} step(s)",
+            from.name, from.cpu_factor, to.name, to.cpu_factor, m.after_sweeps
+        );
+        moves[worker].push((u64::from(m.after_sweeps), to.clone()));
+    }
+    assert_eq!(planned.len(), 2, "SPARC and ARM workers are 2x slower");
 
+    // On the deterministic fabric the whole run, migrations included, is
+    // a function of this seed.
     let registry = matmul::registry(&home);
-    let workers = platforms.len();
-    let starts = (0..workers)
-        .map(|i| matmul::start_state(&platforms[i], n, block_rows(n, i, workers)))
-        .collect();
-
     let outcome = ClusterBuilder::new()
         .gthv(matmul::gthv_def(n))
         .home(home)
@@ -73,31 +65,28 @@ fn main() {
         .worker(platforms[1].clone())
         .worker(platforms[2].clone())
         .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed },
+            ..Default::default()
+        })
         .init(move |g| matmul::init(g, n, seed))
-        .run_adaptive(&registry, starts, &schedule)
-        .expect("adaptive run");
+        .run(|c, info| {
+            let rows = block_rows(n, info.index, info.n_workers);
+            let start = matmul::start_state(&info.platform, n, rows);
+            run_migrating(c, &registry, start, &moves[info.index])
+        })
+        .expect("migrating run");
 
-    println!(
-        "\nmigrations performed : {}",
-        outcome.migration_stats.migrations
-    );
-    println!(
-        "state image bytes    : {}",
-        outcome.migration_stats.image_bytes
-    );
-    println!(
-        "pack time            : {:?}",
-        outcome.migration_stats.pack_time
-    );
-    println!(
-        "restore (convert)    : {:?}",
-        outcome.migration_stats.restore_time
-    );
-
-    for (i, st) in outcome.results.iter().enumerate() {
+    println!();
+    for (i, (st, m)) in outcome.results.iter().enumerate() {
         let plat = &st.block("MThV").expect("MThV").platform;
         println!(
-            "worker {i} finished on {} ({} byte order)",
+            "worker {i}: {} migration(s), {} image bytes, pack {:?}, restore {:?}; \
+             finished on {} ({} byte order)",
+            m.migrations,
+            m.image_bytes,
+            m.pack_time,
+            m.restore_time,
             plat.name,
             plat.endian.label()
         );

@@ -1,10 +1,14 @@
 //! End-to-end integration tests: full clusters, every workload, mixed
 //! platforms, migration mid-run, and the paper's qualitative claims.
 
-use hdsm::apps::workload::{paper_pairs, SyncMode};
+use hdsm::apps::workload::{block_rows, paper_pairs, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{ClusterBuilder, MigrationEvent, TimingConfig, TopologyConfig};
-use hdsm::dsd::{BarrierId, LockId};
+use hdsm::dsd::cluster::{
+    run_migrating, ClusterBuilder, ClusterError, TimingConfig, TopologyConfig,
+};
+use hdsm::dsd::{BarrierId, DsdError, LockId};
+use hdsm::migthread::{MigrateError, ProgramRegistry};
+use hdsm::net::FabricMode;
 use hdsm::platform::spec::PlatformSpec;
 
 #[test]
@@ -115,7 +119,6 @@ fn jacobi_and_sor_on_heterogeneous_pair() {
 /// home shipped to readers (updates, payload bytes), how many notices it
 /// sent and how many ranges the workers fetched.
 fn stencil_shipping(n: usize, sweeps: usize, sor_kernel: bool) -> (u64, u64, u64, u64) {
-    use hdsm::net::FabricMode;
     let pair = &paper_pairs()[2];
     let recorder = hdsm::obs::Recorder::enabled();
     let seed = 5;
@@ -233,26 +236,13 @@ fn migration_chain_through_every_platform() {
     let seed = 5;
     let linux = PlatformSpec::linux_x86();
     let reg = matmul::registry(&linux);
-    let starts = vec![
-        matmul::start_state(&linux, n, 0..n / 2),
-        matmul::start_state(&linux, n, n / 2..n),
-    ];
-    let schedule = vec![
-        MigrationEvent {
-            worker: 0,
-            after_steps: 2,
-            to_platform: PlatformSpec::solaris_sparc(),
-        },
-        MigrationEvent {
-            worker: 0,
-            after_steps: 4,
-            to_platform: PlatformSpec::solaris_sparc64(),
-        },
-        MigrationEvent {
-            worker: 0,
-            after_steps: 6,
-            to_platform: PlatformSpec::linux_x86(),
-        },
+    let moves = [
+        vec![
+            (2, PlatformSpec::solaris_sparc()),
+            (4, PlatformSpec::solaris_sparc64()),
+            (6, PlatformSpec::linux_x86()),
+        ],
+        vec![],
     ];
     let outcome = ClusterBuilder::new()
         .gthv(matmul::gthv_def(n))
@@ -260,15 +250,56 @@ fn migration_chain_through_every_platform() {
         .worker(linux.clone())
         .worker(linux.clone())
         .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed },
+            ..Default::default()
+        })
         .init(move |g| matmul::init(g, n, seed))
-        .run_adaptive(&reg, starts, &schedule)
+        .run(|c, info| {
+            let rows = block_rows(n, info.index, info.n_workers);
+            let start = matmul::start_state(&info.platform, n, rows);
+            run_migrating(c, &reg, start, &moves[info.index])
+        })
         .unwrap();
     assert!(matmul::verify(&outcome.final_gthv, n, seed));
-    assert_eq!(outcome.migration_stats.migrations, 3);
-    assert_eq!(
-        outcome.results[0].block("MThV").unwrap().platform.name,
-        "linux-x86"
+    let (state, stats) = &outcome.results[0];
+    assert_eq!(stats.migrations, 3);
+    assert_eq!(state.block("MThV").unwrap().platform.name, "linux-x86");
+    assert_eq!(outcome.results[1].1.migrations, 0);
+}
+
+#[test]
+fn a_program_missing_from_the_registry_fails_as_a_migration_error() {
+    // The registry knows no program at all, so the very first step — the
+    // instantiation of the start state — is refused, with its type.
+    let n = 8;
+    let linux = PlatformSpec::linux_x86();
+    let empty = ProgramRegistry::new();
+    let err = ClusterBuilder::new()
+        .gthv(matmul::gthv_def(n))
+        .worker(linux.clone())
+        .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 1 },
+            ..Default::default()
+        })
+        .run(|c, info| {
+            let start = matmul::start_state(&info.platform, n, 0..n);
+            run_migrating(c, &empty, start, &[])
+        })
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            ClusterError::Worker {
+                error: DsdError::Migration(MigrateError::UnknownProgram(p)),
+                ..
+            } if p == matmul::PROGRAM
+        ),
+        "{err}"
     );
+    let source = std::error::Error::source(&err).and_then(std::error::Error::source);
+    assert!(source.is_some_and(|e| e.to_string().contains("unknown program")));
 }
 
 #[test]

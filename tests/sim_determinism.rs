@@ -14,10 +14,15 @@
 //!    complete bug report);
 //! 3. **Scale** — one process can simulate a 1000-rank cluster, far past
 //!    what free-running threads can schedule meaningfully.
+//!
+//! Thread migration is a worker body like any other, so a migrating run
+//! replays from its seed too.
 
-use hdsm::apps::workload::{paper_pairs, SyncMode};
+use hdsm::apps::workload::{block_rows, paper_pairs, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
+use hdsm::dsd::cluster::{
+    run_migrating, ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig,
+};
 use hdsm::dsd::{BarrierId, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::obs::Recorder;
@@ -291,4 +296,61 @@ fn same_seed_sim_runs_with_staggered_finishers_are_identical() {
     assert_eq!(counters_a, vec![8, 10, 6, 7]);
     assert_eq!(counters_a, counters_b);
     assert_eq!(stats_a, stats_b);
+}
+
+/// One migrating matmul run on the sim fabric: worker 0 goes Linux →
+/// SPARC → SPARC64 → Linux, worker 1 moves to SPARC once, worker 2 stays.
+/// Returns the verdict, the traffic, the final bytes and each worker's
+/// final thread state (its packed image, which is bytes and comparable).
+fn migrating_matmul_run(seed: u64) -> (bool, NetStats, Vec<u8>, Vec<Vec<u8>>) {
+    let (n, data_seed) = (18, 0x316);
+    let linux = PlatformSpec::linux_x86();
+    let reg = matmul::registry(&linux);
+    let moves = [
+        vec![
+            (2, PlatformSpec::solaris_sparc()),
+            (4, PlatformSpec::solaris_sparc64()),
+            (6, linux.clone()),
+        ],
+        vec![(3, PlatformSpec::solaris_sparc())],
+        vec![],
+    ];
+    let outcome = ClusterBuilder::new()
+        .gthv(matmul::gthv_def(n))
+        .home(PlatformSpec::solaris_sparc())
+        .worker(linux.clone())
+        .worker(linux.clone())
+        .worker(PlatformSpec::linux_x86_64())
+        .barriers(2)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed },
+            ..Default::default()
+        })
+        .init(move |g| matmul::init(g, n, data_seed))
+        .run(|c, info| {
+            let rows = block_rows(n, info.index, info.n_workers);
+            let start = matmul::start_state(&info.platform, n, rows);
+            run_migrating(c, &reg, start, &moves[info.index])
+        })
+        .unwrap();
+    let migrations: Vec<u64> = outcome.results.iter().map(|(_, m)| m.migrations).collect();
+    assert_eq!(migrations, vec![3, 1, 0]);
+    let states = outcome.results.iter();
+    let states = states.map(|(st, _)| hdsm::migthread::pack_state(st).bytes.to_vec());
+    (
+        matmul::verify(&outcome.final_gthv, n, data_seed),
+        outcome.net_stats,
+        outcome.final_gthv.space().raw().to_vec(),
+        states.collect(),
+    )
+}
+
+#[test]
+fn same_seed_migrating_sim_runs_are_identical() {
+    let (verified_a, stats_a, bytes_a, states_a) = migrating_matmul_run(0x1716);
+    let (verified_b, stats_b, bytes_b, states_b) = migrating_matmul_run(0x1716);
+    assert!(verified_a && verified_b, "a migrating run must verify");
+    assert_eq!(stats_a, stats_b, "traffic statistics must be identical");
+    assert_eq!(bytes_a, bytes_b, "final GThV bytes must be identical");
+    assert_eq!(states_a, states_b, "final thread states must be identical");
 }
