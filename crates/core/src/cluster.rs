@@ -56,7 +56,8 @@ use std::time::{Duration, Instant};
 /// Errors from cluster orchestration.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// The builder was incomplete.
+    /// The builder was incomplete, or an admin call needs what the
+    /// cluster was built without (a handoff without replicas).
     Config(String),
     /// The home service failed.
     Home(HomeError),
@@ -90,7 +91,8 @@ pub enum ClusterError {
     /// A handoff or per-entry re-homing found the shard fenced —
     /// mid-promotion, deposed or busy with another move. Transient:
     /// back off and retry once the view settles, as the adaptive
-    /// placement loop does.
+    /// placement loop does. A handoff also gets it from a shard whose
+    /// standby is gone.
     HandoffBusy {
         /// The shard that bounced the request.
         shard: u32,
@@ -279,16 +281,24 @@ impl ClusterCtl {
     }
 
     /// Drain shard `shard` into its standby and retire the old primary:
-    /// the primary fences (clients bounce to the replica and replay
-    /// there), snapshots its full state — entry bytes, update log,
-    /// lease and dedup tables — through the wire, and retires once the
-    /// replica confirms installation under the bumped epoch. Blocks
-    /// until the handoff completes; zero client operations fail.
+    /// a planned failover. The primary fences (clients bounce to the
+    /// replica and replay there) and relays the handoff down the
+    /// replication stream; the standby, having replayed every earlier
+    /// frame, promotes under the bumped epoch and confirms, and the old
+    /// primary retires. Blocks until the handoff completes; zero client
+    /// operations fail.
     ///
-    /// Returns [`ClusterError::HandoffBusy`] when the shard is fenced for
-    /// any reason other than this very drain — transient; retry after
-    /// backing off.
+    /// Returns [`ClusterError::Config`] at once, sending nothing, when the
+    /// cluster runs without replicas, and [`ClusterError::HandoffBusy`]
+    /// when the shard cannot start a drain — fenced for any reason other
+    /// than this very drain (transient; retry after backing off) or left
+    /// without its standby.
     pub fn handoff(&mut self, shard: ShardId) -> Result<(), ClusterError> {
+        if self.directory.n_replicas() == 0 {
+            return Err(ClusterError::Config(
+                "a handoff needs a standby to drain into: the cluster runs without replicas".into(),
+            ));
+        }
         let s = shard.raw();
         self.admin_call(
             s,

@@ -33,7 +33,7 @@ pub enum Phase {
 
 impl Phase {
     /// The span kind this term's regions are recorded under.
-    pub fn event_kind(self) -> EventKind {
+    pub(crate) fn event_kind(self) -> EventKind {
         match self {
             Phase::Index => EventKind::DiffScan,
             Phase::Tag => EventKind::TagBuild,

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// Is `kind` a client-originated request (or heartbeat)? These are the
 /// frames a home shard routes through its epoch check, relay and dedup
 /// path; everything else is a reply or replication/admin control plane.
-pub fn is_client_request(kind: MsgKind) -> bool {
+pub(crate) fn is_client_request(kind: MsgKind) -> bool {
     matches!(
         kind,
         MsgKind::LockRequest
@@ -303,7 +303,7 @@ mod tests {
             MsgKind::Shutdown,
             MsgKind::Replicate,
             MsgKind::ViewChange,
-            MsgKind::HandoffState,
+            MsgKind::HandoffRequest,
             MsgKind::ReplicaBeat,
             MsgKind::EntryHandoff,
             MsgKind::EntryState,

@@ -222,7 +222,7 @@ impl GthvInstance {
     }
 
     /// The compiled conversion-plan cache, for the hot apply path.
-    pub fn plans_mut(&mut self) -> &mut PlanCache {
+    pub(crate) fn plans_mut(&mut self) -> &mut PlanCache {
         &mut self.plans
     }
 

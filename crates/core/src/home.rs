@@ -36,13 +36,13 @@ use crate::interval::{IntervalSet, Piece};
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
 use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{bounded_vec, unpack_batch, UpdateBatch};
+use hdsm_tags::wire::{unpack_batch, UpdateBatch};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,9 +83,10 @@ pub struct HomeConfig {
     /// mute shadow of the primary at `directory.shard_ep(shard)`: it drops
     /// direct client traffic, replays the primary's relay stream, and
     /// promotes itself (epoch + 1) when the primary goes silent past the
-    /// lease or its endpoint dies. Otherwise the instance is the primary
-    /// and, when the directory has replicas, relays every deduplicated
-    /// client request to `directory.replica_ep(shard)` before processing.
+    /// lease, its endpoint dies or the stream relays a handoff. Otherwise
+    /// the instance is the primary and, when the directory has replicas,
+    /// relays every deduplicated client request to
+    /// `directory.replica_ep(shard)` before processing.
     pub standby: bool,
     /// Cooperative kill switch for fault injection: when the flag flips,
     /// the shard abandons its loop mid-run (recording a `ShardKill`
@@ -171,8 +172,6 @@ struct Drain {
     admin_ep: u32,
     /// The epoch the standby will serve under.
     epoch: u32,
-    /// The shard snapshot, re-offered until `HandoffInstalled` arrives.
-    state: Bytes,
     /// Start (µs) of the drain, for the obs span.
     start_us: u64,
 }
@@ -344,9 +343,9 @@ pub struct HomeShard {
     /// refresh (log compaction / cold migrated copies).
     log_floor: u64,
     /// The participants, by rank. Rank order is iteration order, which
-    /// fixes the order of simultaneous lease expiries, of the shutdown
-    /// broadcast and of the snapshot's rows — all three decide bytes a
-    /// same-seed simulation must reproduce.
+    /// fixes the order of simultaneous lease expiries and of the shutdown
+    /// broadcast — both decide bytes a same-seed simulation must
+    /// reproduce.
     peers: BTreeMap<u32, Peer>,
     /// How many peers are still `Expected`, kept in step by
     /// [`Self::settle`]: the service loop runs while it is non-zero and a
@@ -999,11 +998,6 @@ impl HomeShard {
                 Ok(())
             }
             DsdMsg::HandoffRequest { shard } if shard == self.shard => self.start_handoff(msg.src),
-            DsdMsg::HandoffState {
-                shard,
-                epoch,
-                state,
-            } if shard == self.shard => self.on_handoff_state(msg.src, epoch, state),
             DsdMsg::HandoffInstalled { shard, epoch } if shard == self.shard => {
                 self.peer_last_heard = self.clock.now();
                 self.finish_handoff(epoch)
@@ -1023,7 +1017,6 @@ impl HomeShard {
             // keeps offering to both endpoints until the promoted one
             // installs): nothing to do.
             DsdMsg::HandoffRequest { .. }
-            | DsdMsg::HandoffState { .. }
             | DsdMsg::HandoffInstalled { .. }
             | DsdMsg::EntryDone { .. }
             | DsdMsg::ViewChange { .. } => Ok(()),
@@ -1100,8 +1093,13 @@ impl HomeShard {
             kind: kind as u16,
             body,
         };
-        if !self.tell(replica_ep, frame)? && !self.draining() {
-            // (Mid-drain the snapshot offer reports the loss instead.)
+        if !self.tell(replica_ep, frame)? {
+            if self.draining() {
+                // Fenced, with nobody left to take the shard over.
+                return Err(HomeError::Violation(
+                    "handoff target replica is gone".into(),
+                ));
+            }
             self.standby = Standby::Solo;
         }
         Ok(())
@@ -1131,6 +1129,10 @@ impl HomeShard {
             )));
         };
         let (inner, interest) = DsdMsg::decode_reported(kind, body)?;
+        if req_id == 0 && matches!(inner, DsdMsg::HandoffRequest { .. }) {
+            // The primary's handoff decision; its ack is not muted.
+            return self.take_over();
+        }
         self.mute = true;
         let res = match inner {
             // Relayed home-side decisions (req id 0), not client requests.
@@ -1217,9 +1219,9 @@ impl HomeShard {
             Standby::Solo | Standby::Promoted { .. } => {}
         }
         if idle {
-            // Keep offering the shard snapshot / the moved entry's state
-            // until the other side confirms installation.
-            self.offer_handoff_state()?;
+            // Keep relaying the handoff / offering the moved entry's state
+            // until the other side confirms.
+            self.relay_handoff()?;
             self.send_entry_state()?;
         }
         if !self.fenced {
@@ -1257,63 +1259,39 @@ impl HomeShard {
     }
 
     /// Admin asked this primary to drain: fence immediately (clients
-    /// bounce to the replica with zero failed operations), snapshot the
-    /// full shard state and start offering it to the replica.
+    /// bounce to the replica with zero failed operations) and relay the
+    /// request to the standby, which promotes once it has replayed every
+    /// frame relayed before it. An instance that cannot start a drain —
+    /// fenced, or with no standby to drain into — bounces the admin with a
+    /// `ViewChange`, so `ClusterCtl` surfaces a typed busy error instead of
+    /// retransmitting into it for its whole budget.
     fn start_handoff(&mut self, admin_ep: u32) -> Result<(), HomeError> {
         if self.draining() {
             return Ok(()); // duplicate request: drain already underway
         }
-        if self.fenced {
-            // Fenced outside a drain of ours — deposed, self-fenced or
-            // mid-promotion. Bounce the admin with a `ViewChange` instead
-            // of silently swallowing the request, so `ClusterCtl` can
-            // surface a typed busy error and the placement loop can back
-            // off rather than retransmitting into a fenced shard forever.
-            return self.reply_view_change(admin_ep, 0);
+        let (epoch, start_us) = (self.epoch + 1, self.recorder.now_us());
+        match &mut self.standby {
+            Standby::Primary { drain, .. } if !self.fenced => {
+                *drain = Some(Drain {
+                    admin_ep,
+                    epoch,
+                    start_us,
+                })
+            }
+            _ => return self.reply_view_change(admin_ep, 0),
         }
-        let Standby::Primary { replica_ep, .. } = self.standby else {
-            return Err(HomeError::Violation(
-                "handoff requested on a shard without a replica".into(),
-            ));
-        };
-        let start_us = self.recorder.now_us();
-        let epoch = self.epoch + 1;
         self.fence();
-        let state = self.snapshot_state()?;
-        self.standby = Standby::Primary {
-            replica_ep,
-            drain: Some(Drain {
-                admin_ep,
-                epoch,
-                state,
-                start_us,
-            }),
-        };
-        self.offer_handoff_state()
+        self.relay_handoff()
     }
 
-    /// Offer the in-flight drain's snapshot to the replica. Called once
-    /// at drain start and again on idle ticks until `HandoffInstalled`
-    /// arrives.
-    fn offer_handoff_state(&mut self) -> Result<(), HomeError> {
-        let Standby::Primary {
-            replica_ep,
-            drain: Some(drain),
-        } = &self.standby
-        else {
+    /// Relay the in-flight drain to the standby as a decision of this
+    /// primary's. Called once at drain start and again on idle ticks until
+    /// `HandoffInstalled` arrives.
+    fn relay_handoff(&mut self) -> Result<(), HomeError> {
+        if !self.draining() {
             return Ok(());
-        };
-        let offer = DsdMsg::HandoffState {
-            shard: self.shard,
-            epoch: drain.epoch,
-            state: drain.state.clone(),
-        };
-        if !self.tell(*replica_ep, offer)? {
-            return Err(HomeError::Violation(
-                "handoff target replica is gone".into(),
-            ));
         }
-        Ok(())
+        self.relay_decision(DsdMsg::HandoffRequest { shard: self.shard })
     }
 
     /// The replica confirmed installation: tell the admin, close the obs
@@ -1349,24 +1327,24 @@ impl HomeShard {
         Ok(())
     }
 
-    /// Replica side of the handoff: install the snapshot wholesale and
-    /// promote to the offered epoch. Idempotent — a retransmitted
-    /// snapshot after promotion is just re-acknowledged.
-    fn on_handoff_state(&mut self, src_ep: u32, epoch: u32, state: Bytes) -> Result<(), HomeError> {
-        match self.standby {
+    /// Replica side of the handoff: the relay link is FIFO, so every frame
+    /// the primary relayed before fencing has been replayed — promote to
+    /// the next epoch (the primary fenced itself: no depose) and confirm.
+    /// A duplicate after promotion is only confirmed again.
+    fn take_over(&mut self) -> Result<(), HomeError> {
+        let primary_ep = match self.standby {
             Standby::Shadow { primary_ep } => {
-                self.install_state(state)?;
-                // The old primary fenced itself; no depose needed.
-                self.promote(primary_ep, epoch, false, "handoff");
+                self.promote(primary_ep, self.epoch + 1, false, "handoff");
+                primary_ep
             }
-            Standby::Promoted { .. } => {}
+            Standby::Promoted { primary_ep, .. } => primary_ep,
             Standby::Solo | Standby::Primary { .. } => return Ok(()),
-        }
+        };
         let ack = DsdMsg::HandoffInstalled {
             shard: self.shard,
             epoch: self.epoch,
         };
-        self.tell(src_ep, ack)?;
+        self.tell(primary_ep, ack)?;
         Ok(())
     }
 
@@ -1585,234 +1563,6 @@ impl HomeShard {
                     let _ = self.reply_view_change(msg.src, req_id);
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Serialize the full shard state for a handoff: authoritative entry
-    /// bytes (as a packed update batch over the owned slice), the update
-    /// log, the peers table (life, route, horizon, at-most-once dedup
-    /// state and reported interest of every rank), the sync tables and the
-    /// ownership overlay.
-    /// Every table is written in key order, so the bytes are a pure
-    /// function of the shard's state (the simulation determinism tests
-    /// compare run artifacts byte-for-byte). Opaque to the protocol layer
-    /// — only this module reads it back.
-    fn snapshot_state(&self) -> Result<Bytes, HomeError> {
-        let mut out = BytesMut::new();
-        out.put_u64(self.seq);
-        out.put_u64(self.log_floor);
-        let batch = extract_updates(&self.gthv, &self.owned_full_ranges())?;
-        out.put_u32(batch.frame().len() as u32);
-        out.put_slice(batch.frame());
-        out.put_u32(self.log.len() as u32);
-        for (s, w, r) in &self.log {
-            out.put_u64(*s);
-            out.put_u32(*w);
-            out.put_u32(r.entry);
-            out.put_u64(r.first);
-            out.put_u64(r.count);
-        }
-        out.put_u32(self.peers.len() as u32);
-        for (rank, p) in &self.peers {
-            out.put_u32(*rank);
-            out.put_u8(p.life as u8);
-            out.put_u32(p.route.map(|ep| ep + 1).unwrap_or(0));
-            out.put_u64(p.seen);
-            out.put_u64(p.last_req);
-            out.put_u8(p.reply.is_some() as u8);
-            if let Some((rid, kind, payload)) = &p.reply {
-                out.put_u64(*rid);
-                out.put_u16(*kind as u16);
-                out.put_u32(payload.len() as u32);
-                out.put_slice(payload);
-            }
-            out.put_u32(p.interest.len() as u32);
-            for (entry, set) in &p.interest {
-                out.put_u32(*entry);
-                out.put_u32(set.spans().len() as u32);
-                for (start, end) in set.spans() {
-                    out.put_u64(*start);
-                    out.put_u64(*end);
-                }
-            }
-        }
-        out.put_u32(self.locks.len() as u32);
-        for l in &self.locks {
-            out.put_u32(l.holder.map(|h| h + 1).unwrap_or(0));
-            out.put_u32(l.waiters.len() as u32);
-            for w in &l.waiters {
-                out.put_u32(*w);
-            }
-        }
-        out.put_u32(self.barriers.len() as u32);
-        for b in &self.barriers {
-            out.put_u32(b.entered.len() as u32);
-            for r in &b.entered {
-                out.put_u32(*r);
-            }
-        }
-        out.put_u32(self.conds.len() as u32);
-        for c in &self.conds {
-            out.put_u32(c.waiters.len() as u32);
-            for (r, l) in &c.waiters {
-                out.put_u32(*r);
-                out.put_u32(*l);
-            }
-        }
-        let rows = self.placement.rows();
-        out.put_u32(rows.len() as u32);
-        for (entry, shard, epoch) in rows {
-            out.put_u32(entry);
-            out.put_u32(shard);
-            out.put_u32(epoch);
-        }
-        Ok(out.freeze())
-    }
-
-    /// Install a handoff snapshot wholesale, replacing whatever shadow
-    /// state this replica accumulated (correct even if it missed relays).
-    /// The blob arrives in a wire frame: every length is checked against
-    /// what is left of it before anything is reserved or read.
-    fn install_state(&mut self, mut b: Bytes) -> Result<(), HomeError> {
-        const TRUNCATED: HomeError = HomeError::Protocol(ProtocolError::Truncated);
-        fn bad(what: &'static str) -> HomeError {
-            HomeError::Protocol(ProtocolError::BadMessage(what))
-        }
-        fn need(b: &Bytes, n: usize) -> Result<(), HomeError> {
-            if b.remaining() < n {
-                Err(TRUNCATED)
-            } else {
-                Ok(())
-            }
-        }
-        /// One table of the snapshot: a `u32` row count, then that many
-        /// rows, each at least `width` bytes, read by `row`.
-        fn table<T>(
-            b: &mut Bytes,
-            width: usize,
-            mut row: impl FnMut(&mut Bytes) -> Result<T, HomeError>,
-        ) -> Result<Vec<T>, HomeError> {
-            need(b, 4)?;
-            let n = b.get_u32();
-            let mut rows = bounded_vec(n, width, b.remaining(), TRUNCATED)?;
-            for _ in 0..n {
-                need(b, width)?;
-                rows.push(row(b)?);
-            }
-            Ok(rows)
-        }
-        need(&b, 20)?;
-        self.seq = b.get_u64();
-        self.log_floor = b.get_u64();
-        let blen = b.get_u32() as usize;
-        need(&b, blen)?;
-        let ups = unpack_batch(b.split_to(blen)).map_err(ProtocolError::from)?;
-        apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
-        let index = self.gthv.table();
-        let (seq, mut prev) = (self.seq, 0);
-        self.log = table(&mut b, 32, |b| {
-            let (s, w) = (b.get_u64(), b.get_u32());
-            let (entry, first, count) = (b.get_u32(), b.get_u64(), b.get_u64());
-            // Horizons are found in the log by `partition_point`, which
-            // silently skips rows of a log that is not in sequence order.
-            if s < prev || s > seq {
-                return Err(bad("snapshot log out of order"));
-            }
-            prev = s;
-            // A logged range is extracted from this instance later; one
-            // the index table does not hold must not get that far.
-            let row = index.row(entry).ok_or(bad("snapshot log entry unknown"))?;
-            if first.checked_add(count).is_none_or(|end| end > row.count) {
-                return Err(bad("snapshot log range out of bounds"));
-            }
-            Ok((
-                s,
-                w,
-                UpdateRange {
-                    entry,
-                    first,
-                    count,
-                },
-            ))
-        })?;
-        self.peers = BTreeMap::from_iter(table(&mut b, 30, |b| {
-            let rank = b.get_u32();
-            let life = match b.get_u8() {
-                0 => Life::Expected,
-                1 => Life::Joined,
-                2 => Life::Dead,
-                _ => return Err(bad("snapshot peer life unknown")),
-            };
-            let route = b.get_u32().checked_sub(1);
-            let (seen, last_req) = (b.get_u64(), b.get_u64());
-            let mut reply = None;
-            if b.get_u8() != 0 {
-                need(b, 14)?;
-                let rid = b.get_u64();
-                let kind =
-                    MsgKind::from_u16(b.get_u16()).ok_or(bad("snapshot reply kind unknown"))?;
-                let plen = b.get_u32() as usize;
-                need(b, plen)?;
-                reply = Some((rid, kind, b.split_to(plen)));
-            }
-            // The interest table is consulted by every later grant: its
-            // rows are held to the index table and to the one form an
-            // `IntervalSet` has, so what is installed is what was sent.
-            let interest = BTreeMap::from_iter(table(b, 8, |b| {
-                let entry = b.get_u32();
-                let count = index.row(entry).map(|row| row.count);
-                let count = count.ok_or(bad("snapshot interest entry unknown"))?;
-                let (mut set, mut reach) = (IntervalSet::default(), None);
-                for (start, end) in table(b, 16, |b| Ok((b.get_u64(), b.get_u64())))? {
-                    if start >= end || end > count || reach.is_some_and(|r| start <= r) {
-                        return Err(bad("snapshot interest spans malformed"));
-                    }
-                    set.insert(start, end);
-                    reach = Some(end);
-                }
-                // A row is a thread having read something of the entry.
-                if set.is_empty() {
-                    return Err(bad("snapshot interest row empty"));
-                }
-                Ok((entry, set))
-            })?);
-            let peer = Peer {
-                life,
-                route,
-                seen,
-                last_req,
-                reply,
-                interest,
-                ..Peer::default()
-            };
-            Ok((rank, peer))
-        })?);
-        self.pending = self
-            .peers
-            .values()
-            .filter(|p| p.life == Life::Expected)
-            .count();
-        let dead = self.peers.iter().find(|(_, p)| p.life == Life::Dead);
-        self.lowest_dead = dead.map(|(&r, _)| r);
-        self.locks = table(&mut b, 8, |b| {
-            let holder = b.get_u32().checked_sub(1);
-            let waiters = table(b, 4, |b| Ok(b.get_u32()))?.into();
-            Ok(LockState { holder, waiters })
-        })?;
-        self.barriers = table(&mut b, 4, |b| {
-            let entered = table(b, 4, |b| Ok(b.get_u32()))?;
-            Ok(BarrierState { entered })
-        })?;
-        self.conds = table(&mut b, 4, |b| {
-            let waiters = table(b, 8, |b| Ok((b.get_u32(), b.get_u32())))?.into();
-            Ok(CondState { waiters })
-        })?;
-        self.placement = Placement::new(self.placement.directory());
-        for (entry, shard, epoch) in
-            table(&mut b, 12, |b| Ok((b.get_u32(), b.get_u32(), b.get_u32())))?
-        {
-            self.placement.adopt(entry, shard, epoch);
         }
         Ok(())
     }
@@ -2522,13 +2272,6 @@ mod tests {
         (HomeShard::new(gthv, eps.remove(0), config), eps)
     }
 
-    /// Where the log table of a snapshot starts: after seq, floor and the
-    /// length-prefixed batch. A `u32` row count, then 32-byte rows of
-    /// (seq, writer, entry, first, count).
-    fn snapshot_log_at(snap: &[u8]) -> usize {
-        20 + u32::from_be_bytes(snap[16..20].try_into().unwrap()) as usize
-    }
-
     /// `count` elements of entry 0 from `first`.
     fn elems(first: u64, count: u64) -> UpdateRange {
         UpdateRange {
@@ -2578,122 +2321,57 @@ mod tests {
     }
 
     #[test]
-    fn handoff_states_roundtrip_through_the_grouped_batch() {
-        // Shard snapshot and entry-handoff state both travel as v2 batches
-        // and install byte-exactly, also across a representation boundary.
+    fn entry_states_roundtrip_through_the_grouped_batch() {
+        // Entry-handoff state travels as a grouped batch and installs
+        // byte-exactly, on the same representation and across one.
         let (src, _src_eps) = populated_shard();
-        let lives: Vec<_> = src.peers.values().map(|p| p.life).collect();
-        assert_eq!(
-            lives,
-            [
-                Life::Joined,
-                Life::Expected,
-                Life::Expected,
-                Life::Dead,
-                Life::Expected
-            ]
-        );
-        let v2_marker = [0xFFu8; 4];
-
-        let snap = src.snapshot_state().unwrap();
-        assert_eq!(&snap[20..24], &v2_marker, "snapshot batch must be v2");
-        let (mut same, same_eps) = five_rank_shard(PlatformSpec::solaris_sparc());
-        same.install_state(snap.clone()).unwrap();
-        assert_eq!(same.gthv().space().raw(), src.gthv().space().raw());
-        assert_eq!(
-            same.snapshot_state().unwrap(),
-            snap,
-            "snapshot → install → snapshot must be byte-identical"
-        );
-        assert_eq!((same.pending, same.lowest_dead), (3, Some(4)));
-        // The interest table came along, in its one form: what a promoted
-        // replica ships rank 2 is what the primary would have.
-        assert_eq!(same.peers[&2].interest[&0].spans(), [(0, 12), (40, 64)]);
-        assert_eq!(same.peers[&3].interest[&0].spans(), [(63, 64)]);
-        assert!(same.peers[&5].interest.is_empty());
-        let joined = &same.peers[&1];
-        assert!(joined.life == Life::Joined && joined.reply.is_none() && joined.last_req == 1);
-        assert_eq!(same.log.len(), 2);
-        // A duplicate of rank 2's granted request is answered from the
-        // installed reply cache, not by queueing rank 2 behind itself.
-        let dup = DsdMsg::LockRequest { lock: 0, rank: 2 };
-        same.dispatch(2, 7, dup, &[], OpCtx::default()).unwrap();
-        let resent = same_eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
-        let (rid, grant) = DsdMsg::decode_enveloped(resent.kind, resent.payload).unwrap();
-        assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 7);
-        assert_eq!(same.locks[0].holder, Some(2));
-        assert_eq!(same.locks[0].waiters, [3]);
-        let (mut other, _other_eps) = five_rank_shard(PlatformSpec::linux_x86());
-        other.install_state(snap).unwrap();
-
         let state = src.pack_entry_state(0).unwrap();
-        assert_eq!(&state[..4], &v2_marker, "entry state must be v2");
-        let (mut adopter, _adopter_eps) = five_rank_shard(PlatformSpec::linux_x86());
-        adopter.install_entry(0, 1, state).unwrap();
-        for i in 0..64 {
-            let want = if i == 9 { -37 } else { i as i128 * 7 - 100 };
-            assert_eq!(other.gthv().read_int(0, i).unwrap(), want);
-            assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
+        assert_eq!(
+            &state[..4],
+            &[0xFFu8; 4],
+            "entry state must be a grouped batch"
+        );
+        for plat in [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()] {
+            let (mut adopter, _adopter_eps) = five_rank_shard(plat);
+            adopter.install_entry(0, 1, state.clone()).unwrap();
+            for i in 0..64 {
+                let want = if i == 9 { -37 } else { i as i128 * 7 - 100 };
+                assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
+            }
+            assert!(adopter.owns_entry(0));
         }
-        assert!(adopter.owns_entry(0));
     }
 
     #[test]
-    fn random_bytes_never_panic_or_overreserve_installing_snapshots() {
-        // `HandoffState.state` and `EntryState.state` arrive in wire
-        // frames: whatever they hold, the installers answer Ok or Err —
-        // never a panic, never a reservation sized by a length prefix.
+    fn random_bytes_never_panic_or_overreserve_installing_entry_state() {
+        // `EntryState.state` arrives in a wire frame: whatever it holds,
+        // `install_entry` answers Ok or Err — never a panic, never a
+        // reservation sized by a length prefix. Each offer comes under a
+        // fresh ownership epoch, so none is skipped as a duplicate.
         let (src, _src_eps) = populated_shard();
-        let snap = src.snapshot_state().unwrap();
+        let state = src.pack_entry_state(0).unwrap();
         let (mut victim, _eps) = five_rank_shard(PlatformSpec::linux_x86());
-        for cut in 0..snap.len() {
+        let mut epoch = 0;
+        let mut install = |victim: &mut HomeShard, state: Bytes| {
+            epoch += 1;
+            victim.install_entry(0, epoch, state)
+        };
+        for cut in 0..state.len() {
             assert!(
-                victim.install_state(snap.slice(..cut)).is_err(),
+                install(&mut victim, state.slice(..cut)).is_err(),
                 "strict prefix of {cut} bytes must be rejected"
             );
         }
-        // What an accepted snapshot holds is used later: promoted, the
-        // replica extracts every rank's stale ranges from its log.
-        fn install_and_serve(victim: &mut HomeShard, snap: Vec<u8>) -> Result<(), HomeError> {
-            victim.install_state(snap.into())?;
-            for rank in 0..=6 {
-                let _ = victim.stale_updates_for(rank);
-            }
-            Ok(())
-        }
-        // Every count and length of a valid snapshot, blown up in place.
-        for at in 0..snap.len() - 4 {
-            let mut wild = snap.to_vec();
+        // Every count and length of a valid state, blown up in place; what
+        // an accepted one holds is extracted for every rank afterwards.
+        for at in 0..state.len() - 4 {
+            let mut wild = state.to_vec();
             wild[at..at + 4].fill(0xFF);
-            let _ = install_and_serve(&mut victim, wild);
-        }
-        // A log row whose `first + count` wraps.
-        let log = snapshot_log_at(&snap);
-        assert!(u32::from_be_bytes(snap[log..log + 4].try_into().unwrap()) > 0);
-        let mut wraps = snap.to_vec();
-        wraps[log + 20..log + 28].copy_from_slice(&u64::MAX.to_be_bytes());
-        wraps[log + 28..log + 36].copy_from_slice(&2u64.to_be_bytes());
-        assert!(matches!(
-            install_and_serve(&mut victim, wraps),
-            Err(HomeError::Protocol(ProtocolError::BadMessage(_)))
-        ));
-        // Rank 2's interest spans, found by their bytes: one reaching past
-        // the entry, two that touch, one that is empty.
-        let spans: Vec<u8> = [0u64, 12, 40, 64]
-            .iter()
-            .flat_map(|v| v.to_be_bytes())
-            .collect();
-        let at = (0..snap.len() - spans.len())
-            .find(|&i| snap[i..i + spans.len()] == spans[..])
-            .expect("rank 2's interest is in the snapshot");
-        for (field, value) in [(3, 65u64), (2, 12), (1, 0)] {
-            let mut wild = snap.to_vec();
-            wild[at + 8 * field..at + 8 * field + 8].copy_from_slice(&value.to_be_bytes());
-            let res = install_and_serve(&mut victim, wild);
-            let Err(HomeError::Protocol(ProtocolError::BadMessage(what))) = res else {
-                panic!("span field {field} = {value} was accepted");
-            };
-            assert_eq!(what, "snapshot interest spans malformed");
+            if install(&mut victim, wild.into()).is_ok() {
+                for rank in 0..=6 {
+                    let _ = victim.stale_updates_for(rank);
+                }
+            }
         }
         let mut seed = 0x5EED_5A17u64;
         let mut next = || {
@@ -2704,42 +2382,76 @@ mod tests {
         };
         for i in 0..1000usize {
             let buf = Bytes::from((0..i * 4200 / 999).map(|_| next()).collect::<Vec<u8>>());
-            assert!(victim.install_state(buf.clone()).is_err(), "buffer {i}");
-            let _ = victim.install_entry(0, i as u32 + 1, buf);
+            let _ = install(&mut victim, buf);
         }
     }
 
     #[test]
-    fn snapshot_with_an_out_of_order_log_is_rejected_not_installed() {
-        // `stale_updates_for` finds a horizon by `partition_point`, which
-        // skips rows of an unsorted log without a word: such a snapshot
-        // must not get as far as `self.log`.
-        let (src, _src_eps) = populated_shard();
-        let snap = src.snapshot_state().unwrap();
-        let log = snapshot_log_at(&snap);
-        assert_eq!(snap[log..log + 4], 2u32.to_be_bytes());
-        let (row0, row1) = (log + 4, log + 36);
-        assert_eq!(snap[row0..row0 + 8], 1u64.to_be_bytes());
-        assert_eq!(snap[row1..row1 + 8], 2u64.to_be_bytes());
-        let with_seqs = |s0: u64, s1: u64| {
-            let mut v = snap.to_vec();
-            v[row0..row0 + 8].copy_from_slice(&s0.to_be_bytes());
-            v[row1..row1 + 8].copy_from_slice(&s1.to_be_bytes());
-            Bytes::from(v)
+    fn a_handoff_request_to_a_shard_without_a_standby_is_bounced_not_fatal() {
+        let (mut h, eps) = five_rank_shard(PlatformSpec::linux_x86());
+        let request = Message {
+            src: 1,
+            dst: 0,
+            kind: MsgKind::HandoffRequest,
+            payload: DsdMsg::HandoffRequest { shard: 0 }.encode_enveloped(0),
+            trace: None,
         };
-        let (mut victim, _eps) = five_rank_shard(PlatformSpec::linux_x86());
-        // Decreasing, and in order but past the snapshot's own `seq`.
-        for (s0, s1) in [(2, 1), (1, src.seq + 1)] {
-            let res = victim.install_state(with_seqs(s0, s1));
-            let Err(HomeError::Protocol(ProtocolError::BadMessage(what))) = res else {
-                panic!("log sequences ({s0}, {s1}) were accepted");
-            };
-            assert_eq!(what, "snapshot log out of order");
-            assert!(victim.log.is_empty(), "rejected log was installed");
+        h.process(request).unwrap();
+        let m = eps[0].recv_timeout(Duration::from_secs(1)).unwrap();
+        let (_, bounce) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+        assert_eq!(bounce, DsdMsg::ViewChange { shard: 0, epoch: 1 });
+        assert!(!h.fenced && matches!(h.standby, Standby::Solo));
+    }
+
+    #[test]
+    fn a_relayed_handoff_promotes_the_shadow_once_and_is_confirmed_every_time() {
+        // Endpoints: 0 the primary, 1 its standby (this shadow), 2 rank 1.
+        let (_net, mut eps) = Network::new(3, NetConfig::instant());
+        let recorder = Recorder::enabled();
+        let config = HomeConfig {
+            participants: vec![1],
+            directory: Directory::with_replicas(1, 1),
+            standby: true,
+            recorder: recorder.clone(),
+            ..Default::default()
+        };
+        let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        let mut h = HomeShard::new(gthv, eps.remove(1), config);
+        let (primary, worker) = (&eps[0], &eps[1]);
+        let lock = DsdMsg::LockRequest { lock: 0, rank: 1 };
+        h.on_replicate(2, 5, MsgKind::LockRequest as u16, lock.encode())
+            .unwrap();
+        let handoff = DsdMsg::HandoffRequest { shard: 0 };
+        for _ in 0..2 {
+            h.on_replicate(0, 0, MsgKind::HandoffRequest as u16, handoff.encode())
+                .unwrap();
+            let m = primary.recv_timeout(Duration::from_secs(1)).unwrap();
+            let (_, ack) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+            assert_eq!(ack, DsdMsg::HandoffInstalled { shard: 0, epoch: 1 });
         }
-        // Equal sequences are one absorbed batch: in order.
-        victim.install_state(with_seqs(2, 2)).unwrap();
-        assert_eq!(victim.log.len(), 2);
+        assert!(matches!(
+            h.standby,
+            Standby::Promoted {
+                primary_ep: 0,
+                pending_depose: false,
+                ..
+            }
+        ));
+        let promotions: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Promote)
+            .map(|e| (e.arg1, e.label))
+            .collect();
+        assert_eq!(promotions, [(1, "handoff")]);
+        // The replayed grant went nowhere; promoted, the shadow answers a
+        // retransmission of it from the reply cache the stream filled.
+        assert!(worker.recv_timeout(Duration::from_millis(10)).is_err());
+        h.dispatch(2, 5, lock, &[], OpCtx::default()).unwrap();
+        let m = worker.recv_timeout(Duration::from_secs(1)).unwrap();
+        let (rid, grant) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+        assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 5);
+        assert_eq!(h.locks[0].holder, Some(1));
     }
 
     #[test]

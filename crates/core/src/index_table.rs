@@ -63,7 +63,7 @@ impl IndexRow {
     /// The elements the byte range `[start, end)` touches, as
     /// `(first, count)`; an element touched in part counts whole. `None`
     /// if the range misses the row's data (or is empty).
-    pub fn elems_overlapping(&self, start: u64, end: u64) -> Option<(u64, u64)> {
+    pub(crate) fn elems_overlapping(&self, start: u64, end: u64) -> Option<(u64, u64)> {
         let from = start.max(self.addr);
         let to = end.min(self.end());
         if from >= to {

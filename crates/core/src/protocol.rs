@@ -186,7 +186,8 @@ pub enum DsdMsg {
     /// replays the identical sequence against its shadow state. Lease
     /// expiries travel the same stream as a relayed [`DsdMsg::WorkerLost`]
     /// body (`req_id` 0), so the replica never has to re-derive
-    /// timing-dependent decisions.
+    /// timing-dependent decisions; a handoff travels it as a relayed
+    /// [`DsdMsg::HandoffRequest`].
     Replicate {
         /// Endpoint the original request arrived from (route seed).
         src_ep: u32,
@@ -222,23 +223,16 @@ pub enum DsdMsg {
         /// The epoch now ruling the shard.
         epoch: u32,
     },
-    /// Admin → primary: drain `shard` and hand it to its replica.
+    /// Admin → primary: drain `shard` and hand it to its replica. The
+    /// fenced primary relays it to the replica as a decision of its own
+    /// (`req_id` 0), where it orders the promotion: the replica meets it
+    /// after replaying every frame relayed before it.
     HandoffRequest {
         /// Shard to drain.
         shard: u32,
     },
-    /// Primary → replica: the full shard state (entry bytes, update log,
-    /// sync tables, lease/dedup tables) as an opaque snapshot, installed
-    /// wholesale before the replica promotes to `epoch`.
-    HandoffState {
-        /// Shard being handed off.
-        shard: u32,
-        /// Epoch the replica promotes to after install.
-        epoch: u32,
-        /// Opaque snapshot (see `home::snapshot_state`).
-        state: Bytes,
-    },
-    /// Replica → primary: snapshot installed, new epoch live.
+    /// Promoted replica → old primary: the relayed handoff was replayed,
+    /// new epoch live.
     HandoffInstalled {
         /// Shard.
         shard: u32,
@@ -393,7 +387,6 @@ impl DsdMsg {
             DsdMsg::DeposeAck { .. } => MsgKind::DeposeAck,
             DsdMsg::ViewChange { .. } => MsgKind::ViewChange,
             DsdMsg::HandoffRequest { .. } => MsgKind::HandoffRequest,
-            DsdMsg::HandoffState { .. } => MsgKind::HandoffState,
             DsdMsg::HandoffInstalled { .. } => MsgKind::HandoffInstalled,
             DsdMsg::HandoffDone { .. } => MsgKind::HandoffDone,
             DsdMsg::ReplicaBeat { .. } => MsgKind::ReplicaBeat,
@@ -435,9 +428,9 @@ impl DsdMsg {
             | DsdMsg::CondWait { updates, .. }
             | DsdMsg::UpdateFlush { updates, .. } => updates.frame().len(),
             DsdMsg::RangeFetch { ranges, .. } => 4 + RANGE_BYTES * ranges.len(),
-            DsdMsg::Replicate { body: tail, .. }
-            | DsdMsg::HandoffState { state: tail, .. }
-            | DsdMsg::EntryState { state: tail, .. } => tail.len(),
+            DsdMsg::Replicate { body: tail, .. } | DsdMsg::EntryState { state: tail, .. } => {
+                tail.len()
+            }
             DsdMsg::EntryMoved { entries } => 4 + 12 * entries.len(),
             _ => 0,
         }
@@ -553,15 +546,6 @@ impl DsdMsg {
                 out.put_u32(*epoch);
             }
             DsdMsg::HandoffRequest { shard } | DsdMsg::ReplicaBeat { shard } => out.put_u32(*shard),
-            DsdMsg::HandoffState {
-                shard,
-                epoch,
-                state,
-            } => {
-                out.put_u32(*shard);
-                out.put_u32(*epoch);
-                out.put_slice(state);
-            }
             DsdMsg::EntryHandoff { entry, to_shard } | DsdMsg::EntryDone { entry, to_shard } => {
                 out.put_u32(*entry);
                 out.put_u32(*to_shard);
@@ -738,11 +722,6 @@ impl DsdMsg {
             MsgKind::HandoffRequest => Ok(DsdMsg::HandoffRequest {
                 shard: u32_of(&mut payload)?,
             }),
-            MsgKind::HandoffState => Ok(DsdMsg::HandoffState {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-                state: payload.split_to(payload.len()),
-            }),
             MsgKind::HandoffInstalled => Ok(DsdMsg::HandoffInstalled {
                 shard: u32_of(&mut payload)?,
                 epoch: u32_of(&mut payload)?,
@@ -792,7 +771,7 @@ impl DsdMsg {
     /// The thread rank a client-originated message identifies itself with;
     /// `None` for home-originated messages. The home service keys its
     /// liveness and duplicate-suppression state on this.
-    pub fn sender_rank(&self) -> Option<u32> {
+    pub(crate) fn sender_rank(&self) -> Option<u32> {
         match self {
             DsdMsg::LockRequest { rank, .. }
             | DsdMsg::UnlockRequest { rank, .. }
@@ -994,11 +973,6 @@ mod tests {
             DsdMsg::DeposeAck { shard: 1, epoch: 2 },
             DsdMsg::ViewChange { shard: 1, epoch: 2 },
             DsdMsg::HandoffRequest { shard: 1 },
-            DsdMsg::HandoffState {
-                shard: 1,
-                epoch: 2,
-                state: Bytes::from_static(b"opaque-snapshot"),
-            },
             DsdMsg::HandoffInstalled { shard: 1, epoch: 2 },
             DsdMsg::HandoffDone { shard: 1, epoch: 2 },
             DsdMsg::ReplicaBeat { shard: 1 },
@@ -1268,9 +1242,9 @@ mod tests {
     }
 
     #[test]
-    fn migration_kind_rejected_here() {
+    fn a_kind_without_a_message_is_rejected_here() {
         assert!(matches!(
-            DsdMsg::decode(MsgKind::Migration, Bytes::new()),
+            DsdMsg::decode(MsgKind::Other, Bytes::new()),
             Err(ProtocolError::BadMessage(_))
         ));
     }

@@ -256,7 +256,7 @@ pub fn apply_batch(
 /// [`apply_batch`] through the *tracked* write path, so every update
 /// faults/twins/dirties like an application store. Used when replaying a
 /// migrating thread's unreleased modifications onto its new node.
-pub fn apply_batch_tracked(
+pub(crate) fn apply_batch_tracked(
     gthv: &mut GthvInstance,
     batch: &UpdateBatch,
     stats: &mut ConversionStats,

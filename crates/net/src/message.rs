@@ -25,10 +25,6 @@ pub enum MsgKind {
     Join = 7,
     /// Program shutdown (home → remote).
     Shutdown = 8,
-    /// Thread state migration image (MigThread).
-    Migration = 9,
-    /// Migration acknowledgement / resume notification.
-    MigrationAck = 10,
     /// `MTh_cond_wait` request (remote → home).
     CondWait = 11,
     /// `MTh_cond_signal` / broadcast (remote → home).
@@ -52,7 +48,8 @@ pub enum MsgKind {
     /// Outstanding updates for one shard's slice (shard → remote).
     UpdateBatch = 19,
     /// Primary → replica replication relay: one deduplicated client
-    /// request forwarded verbatim for shadow replay.
+    /// request forwarded verbatim for shadow replay, or one decision of
+    /// the primary's own (a lease expiry, an ownership flip, a handoff).
     Replicate = 20,
     /// Replica → deposed primary: a new epoch rules this shard; stop
     /// answering clients (fencing).
@@ -63,10 +60,11 @@ pub enum MsgKind {
     /// to the shard's current primary and retry under the new epoch.
     ViewChange = 23,
     /// Admin → primary: drain this shard and hand it to its replica.
+    /// The primary relays it down the replication stream, where it is
+    /// the standby's order to promote.
     HandoffRequest = 24,
-    /// Primary → replica: full shard state snapshot for installation.
-    HandoffState = 25,
-    /// Replica → primary: snapshot installed, new epoch live.
+    /// Promoted replica → old primary: the relayed handoff was replayed
+    /// behind every earlier frame, new epoch live.
     HandoffInstalled = 26,
     /// Primary → admin: handoff complete, old shard retiring.
     HandoffDone = 27,
@@ -95,7 +93,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// All kinds (for stats iteration).
-    pub const ALL: [MsgKind; 35] = [
+    pub const ALL: [MsgKind; 32] = [
         MsgKind::LockRequest,
         MsgKind::LockGrant,
         MsgKind::UnlockRequest,
@@ -104,8 +102,6 @@ impl MsgKind {
         MsgKind::BarrierRelease,
         MsgKind::Join,
         MsgKind::Shutdown,
-        MsgKind::Migration,
-        MsgKind::MigrationAck,
         MsgKind::CondWait,
         MsgKind::CondSignal,
         MsgKind::Resync,
@@ -120,7 +116,6 @@ impl MsgKind {
         MsgKind::DeposeAck,
         MsgKind::ViewChange,
         MsgKind::HandoffRequest,
-        MsgKind::HandoffState,
         MsgKind::HandoffInstalled,
         MsgKind::HandoffDone,
         MsgKind::ReplicaBeat,
@@ -135,7 +130,7 @@ impl MsgKind {
 
     /// The kind whose discriminant is `raw`, if any — the inverse of
     /// `kind as u16` for frames that carry a nested kind (replication
-    /// relays, reply-cache snapshots).
+    /// relays).
     pub fn from_u16(raw: u16) -> Option<MsgKind> {
         MsgKind::ALL.iter().copied().find(|k| *k as u16 == raw)
     }
@@ -151,8 +146,6 @@ impl MsgKind {
             MsgKind::BarrierRelease => "barrier-release",
             MsgKind::Join => "join",
             MsgKind::Shutdown => "shutdown",
-            MsgKind::Migration => "migration",
-            MsgKind::MigrationAck => "migration-ack",
             MsgKind::CondWait => "cond-wait",
             MsgKind::CondSignal => "cond-signal",
             MsgKind::Resync => "resync",
@@ -167,7 +160,6 @@ impl MsgKind {
             MsgKind::DeposeAck => "depose-ack",
             MsgKind::ViewChange => "view-change",
             MsgKind::HandoffRequest => "handoff-req",
-            MsgKind::HandoffState => "handoff-state",
             MsgKind::HandoffInstalled => "handoff-installed",
             MsgKind::HandoffDone => "handoff-done",
             MsgKind::ReplicaBeat => "replica-beat",
@@ -192,7 +184,6 @@ impl MsgKind {
                 | MsgKind::BarrierEnter
                 | MsgKind::BarrierRelease
                 | MsgKind::CondWait
-                | MsgKind::Migration
                 | MsgKind::UpdateFlush
                 | MsgKind::UpdateBatch
         )

@@ -76,8 +76,9 @@ pub mod seg {
     pub const FLIGHT: &str = "release in flight";
     /// Local unpack + heterogeneous conversion of carried updates.
     pub const APPLY: &str = "apply (unpack+convert)";
-    /// Administrative shard drain: fence → snapshot → install → retire.
-    pub const HANDOFF: &str = "handoff (fence+snapshot+install)";
+    /// Administrative shard drain: fence → relay → replay-then-promote →
+    /// retire.
+    pub const HANDOFF: &str = "handoff (fence+relay+promote)";
 }
 
 /// Human name for an endpoint rank given the shard count: endpoints
@@ -169,7 +170,7 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
         evs.sort_by_key(|e| (e.t_us, e.seq));
         if kind == OpKind::Handoff {
             // An administrative drain, not a client sync op: the span on
-            // the retiring primary covers fence → snapshot → install, and
+            // the retiring primary covers fence → relay → promote, and
             // the whole stall is attributed to that shard. Client ops
             // stretched by the drain carry the wait on their own paths.
             let Some(top) = evs

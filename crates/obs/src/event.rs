@@ -29,8 +29,8 @@ pub enum OpKind {
     Cond,
     /// `MTh_join`.
     Join,
-    /// Administrative shard handoff (drain → install → retire). Not a
-    /// worker-initiated sync op: `id` is the shard, `origin` 0.
+    /// Administrative shard handoff (fence → relay → promote → retire).
+    /// Not a worker-initiated sync op: `id` is the shard, `origin` 0.
     Handoff,
 }
 
@@ -146,8 +146,9 @@ pub enum EventKind {
     /// self-fenced on a severed replication link (`arg0` = shard,
     /// `arg1` = epoch it stopped serving).
     Fence,
-    /// Proactive shard handoff, drain→install→retire (`arg0` = shard,
-    /// `arg1` = new epoch). A span on the old primary.
+    /// Proactive shard handoff, fence → relay → replay-then-promote →
+    /// retire (`arg0` = shard, `arg1` = the epoch the standby promoted
+    /// to). A span on the old primary.
     Handoff,
     /// First client request served after a promotion (`arg0` = shard,
     /// `arg1` = epoch) — the recovery-latency endpoint.

@@ -1383,6 +1383,46 @@ fn handoff_of_a_dead_primary_fails_at_once_not_after_the_budget() {
 }
 
 #[test]
+fn handoff_of_an_unreplicated_shard_is_refused_and_the_run_completes() {
+    // Without replicas there is no standby to drain into: the admin call
+    // is refused with a typed error before anything is sent, and the shard
+    // it named keeps serving to the end of the run.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let outcome = ClusterBuilder::new()
+        .gthv(two_entry_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(2)
+        .barriers(2)
+        .topology(TopologyConfig {
+            shards: 2,
+            replicas: 0,
+            fabric: FabricMode::Sim { seed: 0x5010 },
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        })
+        .control(move |mut ctl| {
+            ctl.sleep(Duration::from_millis(50));
+            tx.send(ctl.handoff(ShardId::new(0))).unwrap();
+        })
+        .run(failover_workload)
+        .expect("a refused handoff must not fail the run");
+    assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 40);
+    assert_eq!(outcome.final_gthv.read_int(1, 0).unwrap(), 40);
+    let verdict = rx.recv().unwrap();
+    assert!(
+        matches!(verdict, Err(ClusterError::Config(_))),
+        "{verdict:?}"
+    );
+    let sent = outcome.net_stats.messages.get(&MsgKind::HandoffRequest);
+    assert_eq!(sent, None, "the refused call sent a request");
+}
+
+#[test]
 fn failover_paper_kernels_survive_any_single_shard_kill() {
     use hdsm::apps::{jacobi, lu, matmul, sor};
     // The tentpole acceptance: with replicas = 1, killing either home

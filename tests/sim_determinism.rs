@@ -354,3 +354,118 @@ fn same_seed_migrating_sim_runs_are_identical() {
     assert_eq!(bytes_a, bytes_b, "final GThV bytes must be identical");
     assert_eq!(states_a, states_b, "final thread states must be identical");
 }
+
+/// Two locks, one counter each, and two entries of stripes: `counters_def`
+/// twice over, so the counters live on different shards of a two-shard
+/// home.
+fn two_counter_def() -> hdsm::dsd::GthvDef {
+    hdsm::dsd::GthvDef::new(
+        StructBuilder::new("G")
+            .array("xs", ScalarKind::Int, 16)
+            .array("ys", ScalarKind::Int, 16)
+            .build()
+            .unwrap(),
+    )
+    .unwrap()
+}
+
+/// Two workers on a two-shard home under 2 % drop/dup/reorder on the
+/// client links (the replication and admin links are exempt). Each does
+/// 20 rounds of one lock-serialized increment per counter, 10 ms of
+/// fabric time apart, then stripe writes between two barriers. With
+/// `handoff`, every shard has a standby and the admin drains shard 0
+/// 100 ms in, halfway through the lock traffic; without, the home runs
+/// unreplicated. Returns both counters, the final bytes, the traffic and
+/// the events.
+fn handoff_run(handoff: bool) -> ((i128, i128), Vec<u8>, NetStats, Vec<hdsm::obs::Event>) {
+    let recorder = Recorder::enabled();
+    let plan = FaultPlan::seeded(0x4A4D)
+        .drop(0.02)
+        .duplicate(0.02)
+        .reorder(0.02);
+    let mut b = ClusterBuilder::new()
+        .gthv(two_counter_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(2)
+        .barriers(1)
+        .topology(TopologyConfig {
+            shards: 2,
+            replicas: u32::from(handoff),
+            fabric: FabricMode::Sim { seed: 0x4A4D },
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(30)),
+            ..Default::default()
+        })
+        .net(NetConfig::instant().with_faults(plan))
+        .obs(recorder.clone());
+    if handoff {
+        b = b.control(|mut ctl| {
+            ctl.sleep(Duration::from_millis(100));
+            ctl.handoff(hdsm::dsd::ShardId::new(0))
+                .expect("the handoff completes");
+        });
+    }
+    let outcome = b
+        .run(|c, info| {
+            for _ in 0..20 {
+                for lock in 0..2u32 {
+                    c.acquire(LockId::new(lock))?;
+                    let v = c.read_int(lock, 0)?;
+                    c.write_int(lock, 0, v + 1)?;
+                    c.release(LockId::new(lock))?;
+                }
+                c.network().clock().sleep(Duration::from_millis(10));
+            }
+            c.barrier(BarrierId::new(0))?;
+            let base = 1 + info.index as u64 * 7;
+            for i in base..base + 7 {
+                c.write_int(0, i, i as i128 * 3 + 1)?;
+                c.write_int(1, i, i as i128 * 5 + 2)?;
+            }
+            c.barrier(BarrierId::new(0))?;
+            Ok(())
+        })
+        .expect("zero failed client operations across the handoff");
+    let g = &outcome.final_gthv;
+    (
+        (g.read_int(0, 0).unwrap(), g.read_int(1, 0).unwrap()),
+        g.space().raw().to_vec(),
+        outcome.net_stats,
+        recorder.events(),
+    )
+}
+
+#[test]
+fn same_seed_sim_handoffs_under_faults_are_identical() {
+    use hdsm::obs::EventKind;
+    let (counters_a, bytes_a, stats_a, events_a) = handoff_run(true);
+    let (counters_b, bytes_b, stats_b, events_b) = handoff_run(true);
+    let (counters_plain, bytes_plain, _, _) = handoff_run(false);
+    // Exact counters: no request was executed twice, or lost, across the
+    // switch from the drained primary to the promoted standby.
+    assert_eq!(counters_a, (40, 40));
+    assert_eq!(counters_plain, (40, 40));
+    assert_eq!(bytes_a, bytes_plain, "the handoff changed the final bytes");
+    let handoff = events_a.iter().find(|e| e.kind == EventKind::Handoff);
+    let handoff = handoff.expect("the handoff must surface as a span");
+    assert_eq!((handoff.arg0, handoff.arg1), (0, 1));
+    assert!(events_a
+        .iter()
+        .any(|e| e.kind == EventKind::Promote && e.label == "handoff"));
+    // The drain landed inside the lock traffic, not after it.
+    let last_grant = events_a.iter().filter(|e| e.kind == EventKind::LockWait);
+    let last_grant = last_grant.map(|e| e.t_us).max().unwrap();
+    assert!(
+        handoff.t_us < last_grant,
+        "the handoff ran after the lock traffic"
+    );
+    assert_eq!(counters_a, counters_b);
+    assert_eq!(bytes_a, bytes_b, "final bytes must be identical");
+    assert!(stats_a.total_faults() > 0, "the client links ran clean");
+    assert_eq!(stats_a, stats_b, "traffic statistics must be identical");
+    assert!(events_a == events_b, "events must be identical");
+}
