@@ -416,7 +416,7 @@ impl ClusterCtl {
 pub struct TopologyConfig {
     /// Home shard count (default 1). Index-table entries, mutexes,
     /// barriers and condition variables are partitioned across
-    /// independent [`HomeShard`]s by the deterministic [`Directory`]
+    /// independent home shards by the deterministic [`Directory`]
     /// (`id % n`); `shards: 1` is the classic single-home layout and
     /// produces a byte-identical message sequence.
     pub shards: u32,
@@ -815,35 +815,15 @@ impl ClusterBuilder {
         // gauge.
         self.recorder
             .gauge("cluster.shards", self.topology.shards as i64);
-        let mut init = self.init.take();
-        // With one shard the initialiser runs directly on the home
-        // instance, exactly the pre-shard path. With several, it runs once
-        // on a seed instance and its raw bytes replay into every shard —
-        // all homes share one platform, so an untracked byte copy
-        // reproduces the closure's effect exactly, and each shard then
-        // logs only the slice of the structure it owns.
-        let init_image: Option<Vec<u8>> = if directory.n_shards() > 1 || self.topology.replicas > 0
-        {
-            init.take().map(|f| {
-                let mut seed = GthvInstance::new(def.clone(), self.home_platform.clone());
-                f(&mut seed);
-                seed.space().raw().to_vec()
-            })
-        } else {
-            None
-        };
         // Every home endpoint gets an instance: primaries first, then
         // (with replication) each shard's standby, configured to shadow
-        // its primary through the relay stream.
-        let mut shard_services = Vec::with_capacity(n_home_eps);
-        for (i, ep) in home_eps.into_iter().enumerate() {
-            // Endpoint `i` serves shard `i % S`: as primary below `S`,
-            // as its standby above.
-            let s = i as u32 % directory.n_shards();
-            let mut home = HomeShard::new(
-                GthvInstance::new(def.clone(), self.home_platform.clone()),
-                ep,
-                HomeConfig {
+        // its primary through the relay stream. Endpoint `i` serves shard
+        // `i % S`: as primary below `S`, as its standby above.
+        let mut homes: Vec<HomeShard> = home_eps
+            .into_iter()
+            .enumerate()
+            .map(|(i, ep)| {
+                let config = HomeConfig {
                     n_locks: self.n_locks,
                     n_barriers: self.n_barriers,
                     n_conds: self.n_conds,
@@ -851,24 +831,30 @@ impl ClusterBuilder {
                     lease: self.timing.lease,
                     linger,
                     recorder: self.recorder.clone(),
-                    shard: s,
+                    shard: i as u32 % directory.n_shards(),
                     directory,
                     standby: i as u32 >= directory.n_shards(),
                     kill: control.is_some().then(|| kills[i].clone()),
-                    adaptive,
-                },
-            );
-            if let Some(image) = &init_image {
+                };
+                let gthv = GthvInstance::new(def.clone(), self.home_platform.clone());
+                HomeShard::new(gthv, ep, config)
+            })
+            .collect();
+        // The initialiser runs once, on the first instance, and its raw
+        // bytes replay into every other: all homes share one platform, so
+        // an untracked byte copy reproduces the closure's effect exactly.
+        // Each instance logs only the slice of the structure it owns.
+        if let (Some(f), [first, rest @ ..]) = (self.init.take(), &mut homes[..]) {
+            first.init_with(f);
+            let image = first.gthv().space().raw();
+            for home in rest {
                 home.init_with(|g| {
                     let base = g.space().base();
                     g.space_mut()
                         .write_untracked(base, image)
                         .expect("init image matches structure size");
                 });
-            } else if let Some(f) = init.take() {
-                home.init_with(f);
             }
-            shard_services.push((s, home));
         }
 
         let mut results: Vec<Option<(R, CostBreakdown, ConversionStats)>> =
@@ -905,15 +891,16 @@ impl ClusterBuilder {
         // park at their entry turnstile until `begin()` below.
         std::thread::scope(|s| {
             let n_shards = directory.n_shards() as usize;
-            let home_handles: Vec<_> = shard_services
+            let home_handles: Vec<_> = homes
                 .into_iter()
                 .enumerate()
-                .map(|(i, (shard, home))| {
+                .map(|(i, home)| {
                     let name = if i < n_shards {
                         format!("home-shard{i}")
                     } else {
                         format!("home-replica{}", i - n_shards)
                     };
+                    let shard = (i % n_shards) as u32;
                     (shard, spawn_actor(s, &sim, &name, move || home.run()))
                 })
                 .collect();

@@ -1,7 +1,7 @@
 //! The home directory: which shard owns what.
 //!
 //! A sharded DSD partitions the home service into `S` independent
-//! [`crate::home::HomeShard`]s. The directory is the *deterministic*
+//! home shards. The directory is the *deterministic*
 //! function every node evaluates locally to route work — there is no
 //! directory server and no lookup traffic:
 //!

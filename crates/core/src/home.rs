@@ -28,6 +28,13 @@
 //! whole), and a **notice** `(entry, first, count)` for the rest, which
 //! the thread fetches ([`DsdMsg::RangeFetch`]) before any access to it
 //! returns (DESIGN §5).
+//!
+//! An instance has one receive path, `process`, in every phase of its
+//! life: serving, the grace period of a fenced instance (every client
+//! frame is redirected with a `ViewChange`) and the linger after the
+//! shutdown broadcast (a fresh request is answered `Shutdown`). A frame
+//! that does not decode is dropped and counted (`home.bad_frames`); a
+//! protocol violation still ends the shard.
 
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{is_client_request, Directory, Placement};
@@ -36,7 +43,7 @@ use crate::interval::{IntervalSet, Piece};
 use crate::protocol::{DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
 use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
@@ -49,7 +56,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of the home service.
+/// Configuration of the home service. Nothing here picks how the service
+/// loop waits: it blocks in an untimed receive unless something timed is
+/// due — a lease, a replication partner, a kill switch or an entry move's
+/// retransmit — and then wakes every tick, a quarter of the lease (at
+/// least 10 ms).
 #[derive(Debug, Clone)]
 pub struct HomeConfig {
     /// Number of distributed mutexes.
@@ -67,9 +78,11 @@ pub struct HomeConfig {
     /// entrants receive [`DsdMsg::WorkerLost`]. `None` disables failure
     /// detection (the service blocks forever, pre-reliability behaviour).
     pub lease: Option<Duration>,
-    /// How long the service keeps answering retransmissions after the
-    /// final shutdown broadcast, so clients whose last reply was dropped
-    /// by a faulty fabric can still complete.
+    /// How long the service keeps answering after the final shutdown
+    /// broadcast, so clients whose last reply was dropped by a faulty
+    /// fabric can still complete. Those frames take the one receive path:
+    /// a duplicate gets its cached reply, a fresh request `Shutdown`, a
+    /// dead rank `WorkerLost`.
     pub linger: Duration,
     /// Observability hook for home-side spans (absorb/extract timing,
     /// lease expiries). Disabled by default.
@@ -92,11 +105,6 @@ pub struct HomeConfig {
     /// the shard abandons its loop mid-run (recording a `ShardKill`
     /// event) and drops its endpoint, exactly like a crashed process.
     pub kill: Option<Arc<AtomicBool>>,
-    /// An adaptive placement loop may re-home entries through this shard
-    /// mid-run. Forces the periodic loop tick even without a lease or
-    /// replica, so an in-flight `EntryState` offer is retransmitted
-    /// instead of blocking forever in `recv`.
-    pub adaptive: bool,
 }
 
 impl Default for HomeConfig {
@@ -113,7 +121,6 @@ impl Default for HomeConfig {
             directory: Directory::single(),
             standby: false,
             kill: None,
-            adaptive: false,
         }
     }
 }
@@ -379,8 +386,6 @@ pub struct HomeShard {
     /// In-flight outbound entry re-homing (source side); at most one at
     /// a time per shard — the admin serializes moves cluster-wide.
     entry_handoff: Option<EntryHandoffState>,
-    /// Placement may re-home entries through this shard (forces ticks).
-    adaptive: bool,
     /// Client-path messages deferred while `entry_handoff` is in flight,
     /// drained in arrival order once the target installs (or the move
     /// aborts).
@@ -440,7 +445,6 @@ impl HomeShard {
             kill: config.kill,
             clock,
             entry_handoff: None,
-            adaptive: config.adaptive,
             entry_pending: VecDeque::new(),
         }
     }
@@ -864,20 +868,20 @@ impl HomeShard {
         // Seed the telemetry epoch table (monotone max, so a replica's
         // epoch-0 report can't regress a promoted primary's).
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
-        // Replication, a lease and the kill switch all need periodic
-        // wake-ups; without any of them the classic blocking recv stands.
-        let tick = self.tick();
-        let ticks = self.lease.is_some()
-            || self.placement.directory().n_replicas() > 0
-            || self.kill.is_some()
-            || self.adaptive;
         while self.pending > 0 {
             if self.killed() {
                 self.mark(EventKind::ShardKill, "");
                 return Ok(self.outcome(false));
             }
-            let msg = if ticks {
-                match self.ep.recv_timeout(tick) {
+            // A lease, a replication partner, the kill switch and an
+            // entry move's retransmit need periodic wake-ups; without any
+            // of them the classic blocking recv stands.
+            let timed = self.lease.is_some()
+                || !matches!(self.standby, Standby::Solo)
+                || self.kill.is_some()
+                || self.entry_handoff.is_some();
+            let msg = if timed {
+                match self.ep.recv_timeout(self.tick()) {
                     Ok(m) => Some(m),
                     Err(NetError::Timeout) => None,
                     Err(e) => return Err(e.into()),
@@ -892,9 +896,15 @@ impl HomeShard {
             self.tick_duties(idle)?;
             if self.fenced && !self.draining() {
                 // Deposed, self-fenced or drained: this instance no
-                // longer serves. Keep redirecting stragglers for a
-                // while, then retire.
-                self.fence_drain()?;
+                // longer serves. Keep redirecting stragglers (and
+                // re-acking deposes) for a grace period, then let the
+                // endpoint drop — from then on senders get
+                // `Disconnected` and probe the shard's other endpoint.
+                let grace = self.lease.map_or(Duration::from_millis(100), |l| l * 2);
+                let deadline = self.clock.now() + grace.max(self.linger);
+                while let Some(m) = self.recv_until(deadline)? {
+                    self.process(m)?;
+                }
                 return Ok(self.outcome(false));
             }
         }
@@ -902,6 +912,12 @@ impl HomeShard {
             // The primary drove the run to completion; this shadow's job
             // is done. The primary broadcasts the shutdown.
             return Ok(self.outcome(false));
+        }
+        if let Standby::Primary { .. } = self.standby {
+            // The standby retired with the last settle it replayed: no
+            // frame relayed from here on would be read, and no drain can
+            // start into it.
+            self.standby = Standby::Solo;
         }
         // An adaptive placement move may still be in flight: conclude it
         // before shutting down, or the ownership flip would outlive the
@@ -947,32 +963,43 @@ impl HomeShard {
                 self.linger = self.linger.max(lease * 2);
             }
         }
-        self.linger_drain()?;
+        let deadline = self.clock.now() + self.linger;
+        while let Some(m) = self.recv_until(deadline)? {
+            self.process(m)?;
+        }
         Ok(self.outcome(true))
     }
 
-    /// One incoming message, decoded once: client requests take the
-    /// epoch-checked path into [`Self::dispatch`]; everything else is
-    /// replication/failover/placement control.
+    /// One incoming message, decoded once — the one receive path, in the
+    /// service loop, the fenced grace period and the post-shutdown linger
+    /// alike: client requests take the epoch-checked path into
+    /// [`Self::dispatch`]; everything else is replication/failover/
+    /// placement control.
     fn process(&mut self, msg: Message) -> Result<(), HomeError> {
         let op = msg.trace.map(|t| t.op).unwrap_or_default();
-        let request = is_client_request(msg.kind);
-        if request && self.entry_handoff.is_some() {
+        if is_client_request(msg.kind) && self.entry_handoff.is_some() && !self.fenced {
             // An outbound entry move is in flight: the entry's log rows
             // are gone here and the target has not installed yet, so
             // neither shard could serve its pre-move updates. Defer every
             // client-path message until the target acknowledges — the
-            // window is one round trip.
+            // window is one round trip. A fenced source serves nothing
+            // and redirects at once, below.
             self.entry_pending.push_back(msg);
             return Ok(());
         }
         let mut t = Phase::Unpack.begin(&self.recorder, self.ep.rank(), op);
         t.args(msg.payload.len() as u64, msg.src as u64);
-        let (req_id, stamp, decoded, interest) = DsdMsg::decode_request(
-            msg.kind,
-            msg.payload.clone(),
-            self.placement.directory().epoch_stamped(msg.kind),
-        )?;
+        let stamped = self.placement.directory().epoch_stamped(msg.kind);
+        let Ok((req_id, stamp, decoded, interest)) =
+            DsdMsg::decode_request(msg.kind, msg.payload.clone(), stamped)
+        else {
+            // A frame that does not decode names no request to answer, and
+            // one bad frame must not end the shard: drop it (the abandoned
+            // region charges nothing) and keep serving. A real sender
+            // retransmits.
+            self.recorder.count("home.bad_frames", 1);
+            return Ok(());
+        };
         t.end(&mut self.costs);
         match decoded {
             DsdMsg::Replicate {
@@ -1373,7 +1400,8 @@ impl HomeShard {
             // Busy with a different move: tell the admin to back off.
             return self.reply_view_change(admin_ep, 0);
         }
-        if self.fenced {
+        if self.fenced || self.pending == 0 {
+            // Not serving, or the run is over: nothing to move.
             return self.reply_view_change(admin_ep, 0);
         }
         if to_shard == self.shard || !self.owns_entry(entry) {
@@ -1533,40 +1561,6 @@ impl HomeShard {
         Ok(())
     }
 
-    /// After fencing, keep redirecting stragglers (and re-acking deposes)
-    /// for a grace period, then let the endpoint drop — from then on
-    /// senders get `Disconnected` and probe the shard's other endpoint.
-    fn fence_drain(&mut self) -> Result<(), HomeError> {
-        let grace = self
-            .lease
-            .map(|l| l * 2)
-            .unwrap_or(Duration::from_millis(100))
-            .max(self.linger);
-        let deadline = self.clock.now() + grace;
-        while let Some(msg) = self.recv_until(deadline)? {
-            match msg.kind {
-                MsgKind::Depose => {
-                    if let Ok((_, DsdMsg::Depose { shard, epoch })) =
-                        DsdMsg::decode_enveloped(msg.kind, msg.payload)
-                    {
-                        let _ = self.tell(msg.src, DsdMsg::DeposeAck { shard, epoch });
-                    }
-                }
-                MsgKind::Replicate | MsgKind::ReplicaBeat | MsgKind::DeposeAck => {}
-                _ => {
-                    // Any client request: redirect. Only the leading
-                    // request id matters for the reply to match up.
-                    if msg.payload.len() < 8 {
-                        continue;
-                    }
-                    let req_id = msg.payload.clone().get_u64();
-                    let _ = self.reply_view_change(msg.src, req_id);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The next message before `deadline`; `None` once it has passed or
     /// the fabric has closed.
     fn recv_until(&self, deadline: FabricInstant) -> Result<Option<Message>, HomeError> {
@@ -1581,50 +1575,11 @@ impl HomeShard {
         }
     }
 
-    /// Keep answering retransmissions for `linger` after shutdown, so
-    /// clients whose final reply was dropped can still complete.
-    fn linger_drain(&mut self) -> Result<(), HomeError> {
-        let deadline = self.clock.now() + self.linger;
-        while let Some(msg) = self.recv_until(deadline)? {
-            let stamped = self.placement.directory().epoch_stamped(msg.kind);
-            let Ok((req_id, _, decoded, _)) =
-                DsdMsg::decode_request(msg.kind, msg.payload, stamped)
-            else {
-                continue;
-            };
-            let Some(rank) = decoded.sender_rank() else {
-                continue;
-            };
-            let Some(peer) = self.peers.get_mut(&rank) else {
-                continue;
-            };
-            peer.route = Some(msg.src);
-            if matches!(decoded, DsdMsg::Heartbeat { .. }) {
-                continue;
-            }
-            if peer.life == Life::Dead {
-                peer.last_req = req_id;
-                let lost = self.worker_lost_msg(rank);
-                let _ = self.send(rank, lost);
-            } else if req_id > peer.last_req {
-                // A new request after shutdown can only be a stray late
-                // join (or a client that missed the broadcast): answer
-                // Shutdown so it terminates.
-                peer.last_req = req_id;
-                let _ = self.send(rank, DsdMsg::Shutdown);
-            } else {
-                // A resend that fails needs no second answer either: the
-                // requester retransmits.
-                let _ = self.resend_cached(rank, req_id);
-            }
-        }
-        Ok(())
-    }
-
     /// Reliability front-end: refresh liveness, deduplicate retransmitted
     /// requests (resending the cached reply), then hand fresh requests —
     /// their interest report taken in first, so the reply already goes by
-    /// it — to [`Self::handle`].
+    /// it — to [`Self::handle`]. Once every participant has settled, a
+    /// fresh request is answered `Shutdown` instead.
     fn dispatch(
         &mut self,
         src_ep: u32,
@@ -1680,6 +1635,13 @@ impl HomeShard {
             }
             peer.last_req = req_id;
             peer.reply = None;
+        }
+        if self.pending == 0 {
+            // A new request after every participant settled can only be
+            // a stray late join (or a client that missed the broadcast):
+            // answer Shutdown so it terminates.
+            self.reply(rank, DsdMsg::Shutdown)?;
+            return Ok(());
         }
         self.note_interest(rank, interest)?;
         self.handle(msg)
@@ -2452,6 +2414,100 @@ mod tests {
         let (rid, grant) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
         assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 5);
         assert_eq!(h.locks[0].holder, Some(1));
+    }
+
+    /// Queue `msg` at the home (endpoint 0) from `eps[src - 1]`, endpoint
+    /// `src`, enveloped as request `req_id`.
+    fn queue(eps: &[Endpoint], src: u32, req_id: u64, msg: DsdMsg) {
+        let frame = msg.encode_request(req_id, None, &[]);
+        eps[src as usize - 1].send(0, msg.kind(), frame).unwrap();
+    }
+
+    /// The next frame endpoint `ep` was sent, and its decoded form.
+    fn answer(ep: &Endpoint) -> (Bytes, u64, DsdMsg) {
+        let m = ep.recv_timeout(Duration::from_secs(1)).unwrap();
+        let (rid, msg) = DsdMsg::decode_enveloped(m.kind, m.payload.clone()).unwrap();
+        (m.payload, rid, msg)
+    }
+
+    #[test]
+    fn after_every_participant_settled_the_linger_answers_from_the_same_tables() {
+        // Frames queued behind the last Join reach the home after its
+        // shutdown broadcast, while it lingers.
+        let (mut h, eps) = populated_shard();
+        h.linger = Duration::from_millis(50);
+        assert!(matches!(answer(&eps[1]).2, DsdMsg::LockGrant { .. }));
+        for (rank, req_id) in [(2, 8), (3, 8), (5, 1)] {
+            queue(&eps, rank, req_id, DsdMsg::Join { rank });
+        }
+        queue(&eps, 1, 1, DsdMsg::Join { rank: 1 }); // a duplicate
+        queue(&eps, 1, 2, DsdMsg::LockRequest { lock: 0, rank: 1 });
+        queue(&eps, 4, 9, DsdMsg::LockRequest { lock: 0, rank: 4 });
+        queue(&eps, 2, 0, DsdMsg::Heartbeat { rank: 2 });
+        assert!(h.run().unwrap().authoritative);
+        // Rank 1: the broadcast's reply to its Join, the same bytes again
+        // for the duplicate, and Shutdown for the fresh request.
+        let (shutdown, rid, msg) = answer(&eps[0]);
+        assert_eq!((rid, msg), (1, DsdMsg::Shutdown));
+        assert_eq!(answer(&eps[0]).0, shutdown, "the cached reply, verbatim");
+        let (_, rid, msg) = answer(&eps[0]);
+        assert_eq!((rid, msg), (2, DsdMsg::Shutdown));
+        for (rank, req_id) in [(2, 8), (3, 8), (5, 1)] {
+            let (_, rid, msg) = answer(&eps[rank - 1]);
+            assert_eq!((rid, msg), (req_id, DsdMsg::Shutdown), "rank {rank}");
+        }
+        // The dead rank is told so, under the request id it sent.
+        let lost = DsdMsg::WorkerLost {
+            rank: 4,
+            heard_ms: 0,
+            lease_ms: 0,
+        };
+        let (_, rid, msg) = answer(&eps[3]);
+        assert_eq!((rid, msg), (9, lost));
+        // The heartbeat is answered by nothing.
+        for ep in &eps {
+            assert!(ep.recv_timeout(Duration::from_millis(10)).is_err());
+        }
+    }
+
+    #[test]
+    fn a_fenced_instance_redirects_every_client_frame_through_its_grace_period() {
+        // Endpoint 5 deposes the shard as a promoted standby would, then
+        // probes it as an admin; ranks 3 and 5 retransmit into it. An
+        // entry move is in flight, so a client frame would be deferred if
+        // the instance still served.
+        let (mut h, eps) = populated_shard();
+        assert!(matches!(answer(&eps[1]).2, DsdMsg::LockGrant { .. }));
+        h.entry_handoff = Some(EntryHandoffState {
+            entry: 0,
+            admin_ep: 5,
+            to_shard: 1,
+            epoch: 3,
+            state: Bytes::new(),
+        });
+        let depose = DsdMsg::Depose { shard: 0, epoch: 1 };
+        queue(&eps, 5, 0, depose.clone());
+        queue(&eps, 3, 9, DsdMsg::LockRequest { lock: 0, rank: 3 });
+        queue(&eps, 5, 0, DsdMsg::Heartbeat { rank: 5 });
+        queue(&eps, 5, 0, depose);
+        let elsewhere = DsdMsg::EntryHandoff {
+            entry: 0,
+            to_shard: 0,
+        };
+        queue(&eps, 5, 0, elsewhere);
+        queue(&eps, 5, 0, DsdMsg::HandoffRequest { shard: 0 });
+        assert!(!h.run().unwrap().authoritative);
+        let redirect = DsdMsg::ViewChange { shard: 0, epoch: 1 };
+        let (_, rid, msg) = answer(&eps[2]);
+        assert_eq!((rid, msg), (9, redirect.clone()));
+        let acked = DsdMsg::DeposeAck { shard: 0, epoch: 1 };
+        for want in [&acked, &redirect, &acked, &redirect, &redirect] {
+            let (_, rid, msg) = answer(&eps[4]);
+            assert_eq!((rid, &msg), (0, want));
+        }
+        for ep in &eps {
+            assert!(ep.recv_timeout(Duration::from_millis(10)).is_err());
+        }
     }
 
     #[test]

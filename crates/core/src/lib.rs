@@ -31,9 +31,10 @@
 //!   the release scan, and the byte-granular two-step route it is held to;
 //! * [`update`] — update extraction and receiver-makes-right application,
 //!   including pointer swizzling through the index table;
-//! * [`protocol`], [`home`], [`client`] — the distributed lock / barrier /
-//!   join protocol between remote threads and the home node's stub service;
-//! * [`interval`] — the per-entry range sets behind "ship what is read":
+//! * [`protocol`], `home`, [`client`] — the distributed lock / barrier /
+//!   join protocol between remote threads and the home node's stub
+//!   service, which [`cluster`] runs (its errors are [`HomeError`]);
+//! * `interval` — the per-entry range sets behind "ship what is read":
 //!   a reader's interest and its noticed-but-unfetched ranges;
 //! * [`cluster`] — orchestration of a simulated heterogeneous cluster
 //!   (node threads + home service) on the threaded or the deterministic
@@ -51,10 +52,10 @@ pub mod cluster;
 pub mod costs;
 pub mod directory;
 pub mod gthv;
-pub mod home;
+pub(crate) mod home;
 pub mod ids;
 pub mod index_table;
-pub mod interval;
+pub(crate) mod interval;
 pub mod placement;
 pub mod protocol;
 pub mod runs;
@@ -68,6 +69,7 @@ pub use cluster::{
 pub use costs::CostBreakdown;
 pub use directory::Directory;
 pub use gthv::{GthvDef, GthvInstance};
+pub use home::HomeError;
 pub use ids::{BarrierId, CondId, LockId, ShardId};
 pub use index_table::{IndexRow, IndexTable};
 pub use placement::{

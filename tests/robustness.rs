@@ -203,6 +203,58 @@ fn home_rejects_unknown_lock_index() {
     }
 }
 
+/// A frame a home cannot decode is dropped and counted, not fatal. Mid-run,
+/// a control script sends shard 0 a truncated `LockRequest` and a frame of
+/// kind `Other` in worker 1's name; the run completes with the bytes of a
+/// run that was sent neither.
+#[test]
+fn undecodable_frames_at_a_home_are_dropped_and_counted() {
+    use hdsm::dsd::Directory;
+    let shards = shards_from_env();
+    let run = |bad_frames: bool| {
+        let recorder = hdsm::obs::Recorder::enabled();
+        let mut b = ClusterBuilder::new()
+            .gthv(two_entry_def())
+            .worker(PlatformSpec::linux_x86())
+            .worker(PlatformSpec::solaris_sparc())
+            .locks(2)
+            .barriers(2)
+            .topology(TopologyConfig {
+                shards,
+                fabric: FabricMode::Sim { seed: 0xBAD },
+                ..Default::default()
+            })
+            .timing(TimingConfig {
+                recv_deadline: Some(Duration::from_secs(30)),
+                ..Default::default()
+            })
+            .obs(recorder.clone());
+        if bad_frames {
+            b = b.control(move |ctl| {
+                // Worker 0 pauses 250 ms after the first barrier.
+                ctl.sleep(Duration::from_millis(100));
+                let (net, from) = (ctl.network(), Directory::new(shards).worker_ep(1));
+                let lock = DsdMsg::LockRequest { lock: 0, rank: 1 }.encode_request(1, None, &[]);
+                net.send_as(from, 0, MsgKind::LockRequest, lock.slice(..12))
+                    .unwrap();
+                net.send_as(from, 0, MsgKind::Other, Bytes::from_static(&[0; 16]))
+                    .unwrap();
+            });
+        }
+        let outcome = b
+            .run(failover_workload)
+            .expect("bad frames must not end the run");
+        let counters = (0..2).map(|e| outcome.final_gthv.read_int(e, 0).unwrap());
+        assert_eq!(counters.collect::<Vec<_>>(), [40, 40]);
+        let bytes = outcome.final_gthv.space().raw().to_vec();
+        (bytes, counter(&recorder, "home.bad_frames"))
+    };
+    let (clean, none) = run(false);
+    let (bytes, dropped) = run(true);
+    assert_eq!((none, dropped), (0, 2));
+    assert_eq!(bytes, clean);
+}
+
 #[test]
 fn worker_body_error_does_not_hang_the_cluster() {
     let err = ClusterBuilder::new()
