@@ -40,7 +40,7 @@ struct Row {
     /// release itself targets (`UpdateFlush` traffic) — the cost a good
     /// placement makes vanish by co-homing hot data with its sync shard.
     remote_update_bytes: u64,
-    /// Entries the placement engine re-homed mid-run (0 under `Static`).
+    /// Entries the placement engine re-homed mid-run (0 without one).
     rehomes: u64,
     verified: bool,
 }
@@ -141,9 +141,10 @@ fn run_workload(name: &'static str, n: usize, shards: u32) -> Row {
 
 /// The adaptive-placement benchmark: one rank does ~90 % of the writes,
 /// all to an entry homed on the *other* shard from the lock serializing
-/// them, so under `Static` every release pays a separate `UpdateFlush`
-/// round trip to the stale home. Under `HeatDriven` the engine re-homes
-/// the hot entry onto the sync shard mid-run, after which the updates
+/// them, so without the placement engine every release pays a separate
+/// `UpdateFlush` round trip to the stale home. With it — the control
+/// script `ClusterCtl::adapt` — the hot entry is re-homed onto the sync
+/// shard mid-run, after which the updates
 /// ride the release's own keep-bucket for free. Runs on the seeded sim
 /// fabric with a modelled wire so virtual time elapses and the engine's
 /// planning epochs interleave with the workload deterministically.
@@ -167,15 +168,6 @@ fn run_skewed_writer(n: usize, adaptive: bool) -> Row {
 }
 
 fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
-    let policy = if adaptive {
-        PlacementPolicy::HeatDriven {
-            epoch: Duration::from_millis(2),
-            hysteresis: 2.0,
-            min_gain: 1024,
-        }
-    } else {
-        PlacementPolicy::Static
-    };
     let hot = n as u64 - 8; // rank 1's slots: 0..hot; slots hot.. are stripes
     let def = GthvDef::new(
         StructBuilder::new("G")
@@ -186,7 +178,7 @@ fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
     )
     .expect("valid def");
     let t0 = Instant::now();
-    let outcome = ClusterBuilder::new()
+    let mut builder = ClusterBuilder::new()
         .gthv(def)
         .worker(PlatformSpec::linux_x86())
         .worker(PlatformSpec::solaris_sparc())
@@ -200,8 +192,18 @@ fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
             ..Default::default()
         })
         .net(NetConfig::default())
-        .obs(Recorder::enabled())
-        .placement(policy)
+        .obs(Recorder::enabled());
+    if adaptive {
+        let policy = PlacementPolicy {
+            epoch: Duration::from_millis(2),
+            hysteresis: 2.0,
+            min_gain: 1024,
+        };
+        builder = builder.control(move |mut ctl| {
+            let _ = ctl.adapt(&policy);
+        });
+    }
+    let outcome = builder
         .run(move |c, info| {
             if info.index == 0 {
                 // The dominant writer: every round rewrites its slice of

@@ -305,7 +305,7 @@ impl DsdClient {
     /// shipped at the first release, like a store between `mprotect` and
     /// the first lock in the original system (the acquire's incoming
     /// updates leave an element this thread has stored to as it is).
-    pub fn new(thread_rank: u32, ep: Endpoint, mut gthv: GthvInstance) -> DsdClient {
+    pub(crate) fn new(thread_rank: u32, ep: Endpoint, mut gthv: GthvInstance) -> DsdClient {
         gthv.space_mut().reset_and_protect();
         let obs_rank = ep.rank();
         let clock = ep.clock();
@@ -366,7 +366,7 @@ impl DsdClient {
     /// Attach the cluster's home directory. Must match the directory the
     /// home shards were built with; the default single-home directory
     /// routes everything to endpoint 0.
-    pub fn set_directory(&mut self, directory: Directory) {
+    pub(crate) fn set_directory(&mut self, directory: Directory) {
         self.placement = Placement::new(directory);
     }
 
@@ -466,7 +466,7 @@ impl DsdClient {
     /// Attach an observability recorder. Spans for every protocol phase,
     /// heatmap feeds and retransmit instants are recorded through it; the
     /// default disabled recorder makes all of that free.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
 
@@ -494,14 +494,14 @@ impl DsdClient {
     /// a timeout error (defence against a dead or wedged home service).
     /// Default 30 s. This is the *total* budget per request, spanning all
     /// retransmission attempts.
-    pub fn set_recv_deadline(&mut self, deadline: std::time::Duration) {
+    pub(crate) fn set_recv_deadline(&mut self, deadline: std::time::Duration) {
         self.recv_deadline = deadline;
     }
 
     /// How many times a request is retransmitted (with exponential
     /// backoff) before the client just waits out the rest of its
     /// deadline. Default 10.
-    pub fn set_max_retries(&mut self, retries: u32) {
+    pub(crate) fn set_max_retries(&mut self, retries: u32) {
         self.max_retries = retries;
     }
 
@@ -509,7 +509,7 @@ impl DsdClient {
     /// decorrelated jitter: uniform in `[base, 3·previous]`, clamped to
     /// 5 s, so a cohort of clients whose requests died
     /// together does not retransmit in lockstep forever. Default 250 ms.
-    pub fn set_retry_base(&mut self, base: std::time::Duration) {
+    pub(crate) fn set_retry_base(&mut self, base: std::time::Duration) {
         self.retry_base = base;
     }
 

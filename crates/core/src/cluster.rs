@@ -7,10 +7,13 @@
 //! network — nothing crosses a node boundary except serialized bytes.
 //!
 //! One runner, [`ClusterBuilder::run`], on either fabric: every worker
-//! executes the same closure against its [`DsdClient`]. Data placement is
-//! static (`entry % shards`) unless [`ClusterBuilder::placement`] selects
-//! an adaptive [`PlacementPolicy`], in which case a placement engine
-//! re-homes hot entries toward their dominant writers mid-run.
+//! executes the same closure against its [`DsdClient`]. One admin plane,
+//! the [`ClusterBuilder::control`] script's [`ClusterCtl`], injects
+//! faults, drains shards and moves data: data placement is static
+//! (`entry % shards`) unless that script runs the placement engine,
+//! [`ClusterCtl::adapt`], which re-homes hot entries toward their
+//! dominant writers mid-run. One service actor beats for the workers and,
+//! when [`ClusterBuilder::telemetry`] is on, ticks the time series.
 //!
 //! A migrating computation is one such body: [`run_migrating`] steps a
 //! [`Computation`](hdsm_migthread::Computation) from a
@@ -50,7 +53,7 @@ use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::ConversionStats;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors from cluster orchestration.
@@ -90,9 +93,9 @@ pub enum ClusterError {
     },
     /// A handoff or per-entry re-homing found the shard fenced —
     /// mid-promotion, deposed or busy with another move. Transient:
-    /// back off and retry once the view settles, as the adaptive
-    /// placement loop does. A handoff also gets it from a shard whose
-    /// standby is gone.
+    /// back off and retry once the view settles, as
+    /// [`ClusterCtl::adapt`] does. A handoff also gets it from a shard
+    /// whose standby is gone.
     HandoffBusy {
         /// The shard that bounced the request.
         shard: u32,
@@ -204,9 +207,11 @@ type InitFn = Box<dyn FnOnce(&mut GthvInstance) + Send>;
 /// Admin control script run concurrently with the workers.
 type ControlFn = Box<dyn FnOnce(ClusterCtl) + Send>;
 
-/// Handle given to a [`ClusterBuilder::control`] script: administrative
-/// operations against the *running* cluster — fault injection (kills,
-/// partitions) and membership changes (live shard handoff). The script
+/// Handle given to a [`ClusterBuilder::control`] script: the cluster's
+/// one admin plane. Administrative operations against the *running*
+/// cluster — fault injection (kills, partitions), membership changes
+/// (live shard handoff) and data placement (per-entry re-homing, and the
+/// placement engine that drives it, [`ClusterCtl::adapt`]). The script
 /// runs on its own thread with its own endpoint; everything it does
 /// crosses the simulated fabric like any other traffic.
 pub struct ClusterCtl {
@@ -215,6 +220,9 @@ pub struct ClusterCtl {
     directory: Directory,
     /// Cooperative kill switches, indexed by home endpoint rank.
     kills: Vec<Arc<AtomicBool>>,
+    /// The workers' liveness flags, in worker order, shared with the
+    /// pump: a worker clears its own once it has signed off or crashed.
+    alive: Arc<[AtomicBool]>,
     /// The fabric's time source. Control scripts that pace themselves
     /// must use [`ClusterCtl::sleep`], not `std::thread::sleep`, so the
     /// pacing rides the virtual clock in simulation mode.
@@ -310,8 +318,8 @@ impl ClusterCtl {
     }
 
     /// Migrate one index entry's home from shard `from` to shard `to` —
-    /// the actuator behind heat-driven placement, also available to
-    /// control scripts directly. The source shard snapshots the entry's
+    /// the actuator [`Self::adapt`] applies each decision with, also
+    /// callable on its own. The source shard snapshots the entry's
     /// authoritative bytes, flips its ownership overlay under a fresh
     /// per-entry epoch and offers the state to the target; client
     /// traffic for the entry is deferred at the source until the target
@@ -347,6 +355,85 @@ impl ClusterCtl {
                     if *e == entry && *to_shard == s_to)
             },
         )
+    }
+
+    /// Run the placement engine under `policy` until no worker is alive:
+    /// once per policy epoch, fold the recorder's cumulative signals
+    /// through the pure [`PlacementPolicy::plan`] and apply each decision
+    /// with [`Self::rehome_entry`], recording it as a [`DecisionRow`]. A
+    /// shard that bounces a move ([`ClusterError::HandoffBusy`]) ends that
+    /// epoch's plan and counts a `placement.busy_backoffs`; any other
+    /// failure ends the engine and is returned. Pacing rides the fabric
+    /// clock in 5 ms slices, so on the simulated fabric the decisions are
+    /// a deterministic function of (signals, seed), and in threaded mode
+    /// the end of the run is noticed within a slice.
+    ///
+    /// Returns [`ClusterError::Config`] at once when the cluster runs
+    /// without an enabled [`ClusterBuilder::obs`] recorder: the signals
+    /// the engine plans from are the observability layer's.
+    pub fn adapt(&mut self, policy: &PlacementPolicy) -> Result<(), ClusterError> {
+        if !self.recorder.is_enabled() {
+            return Err(ClusterError::Config(
+                "adaptive placement needs an enabled recorder: the signals it plans from \
+                 (write heat, release destinations) come from the observability layer"
+                    .into(),
+            ));
+        }
+        let done = |ctl: &Self| !ctl.alive.iter().any(|a| a.load(Ordering::Relaxed));
+        // The engine's own view of where every moved entry lives, its
+        // epochs counting the moves per entry. Fed back into the planner
+        // so settled moves become no-ops instead of oscillation.
+        let mut owners = Placement::new(self.directory);
+        loop {
+            let mut slept = Duration::ZERO;
+            while slept < policy.epoch {
+                if done(self) {
+                    return Ok(());
+                }
+                let slice = Duration::from_millis(5).min(policy.epoch - slept);
+                self.sleep(slice);
+                slept += slice;
+            }
+            let mut inputs = PlacementInputs {
+                owners: owners.rows().into_iter().map(|(e, s, _)| (e, s)).collect(),
+                shards: self.directory.n_shards(),
+                ..Default::default()
+            };
+            // Both signals from one look at the heat map.
+            self.recorder.heat(|h| {
+                let row =
+                    |((entry, writer), w): (_, WriterStats)| (entry, writer, w.updates, w.bytes);
+                inputs.write_heat = h.writers().map(row).collect();
+                let row = |((writer, shard), n)| (writer, shard, n);
+                inputs.release_dests = h.releases().map(row).collect();
+            });
+            for d in policy.plan(&inputs) {
+                if done(self) {
+                    return Ok(());
+                }
+                let (from, to) = (ShardId::new(d.from_shard), ShardId::new(d.to_shard));
+                match self.rehome_entry(d.entry, from, to) {
+                    Ok(()) => {
+                        let moves = owners.epoch(d.entry) + 1;
+                        owners.adopt(d.entry, d.to_shard, moves);
+                        self.recorder.placement_decision(DecisionRow {
+                            entry: d.entry,
+                            from_shard: d.from_shard,
+                            to_shard: d.to_shard,
+                            writer: d.writer,
+                            epoch: moves,
+                        });
+                    }
+                    Err(ClusterError::HandoffBusy { .. }) => {
+                        // Mid-promotion or mid-move: back off to the next
+                        // epoch rather than hammering the shard.
+                        self.recorder.count("placement.busy_backoffs", 1);
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
     }
 
     /// The admin call: offer `req` to the endpoints `dsts` of `shard`
@@ -452,10 +539,10 @@ impl Default for TopologyConfig {
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
     /// Liveness lease; `None` disables failure detection and the
-    /// heartbeat pumps (default 30 s).
+    /// heartbeats (default 30 s).
     pub lease: Option<Duration>,
-    /// Bound on every worker's blocking protocol receive (default
-    /// unbounded).
+    /// Bound on every worker's blocking protocol request, across all its
+    /// retransmissions (`None` = the client default of 30 s).
     pub recv_deadline: Option<Duration>,
     /// Retransmissions each client attempts per request before waiting
     /// out its deadline (`None` = the client default of 10).
@@ -472,9 +559,8 @@ pub struct TimingConfig {
 }
 
 impl Default for TimingConfig {
-    /// The builder defaults: a 30 s lease, unbounded receives, the
-    /// client's own retransmission schedule and p99-derived stall
-    /// budgets.
+    /// The builder defaults: a 30 s lease, the client's own 30 s request
+    /// bound and retransmission schedule, and p99-derived stall budgets.
     fn default() -> TimingConfig {
         TimingConfig {
             lease: Some(Duration::from_secs(30)),
@@ -500,7 +586,6 @@ pub struct ClusterBuilder {
     init: Option<InitFn>,
     control: Option<ControlFn>,
     recorder: Recorder,
-    placement: PlacementPolicy,
     telemetry: Option<(Duration, usize)>,
     blackbox_dir: Option<String>,
 }
@@ -527,23 +612,9 @@ impl ClusterBuilder {
             init: None,
             control: None,
             recorder: Recorder::disabled(),
-            placement: PlacementPolicy::Static,
             telemetry: None,
             blackbox_dir: None,
         }
-    }
-
-    /// Choose how index entries are placed on home shards (default
-    /// [`PlacementPolicy::Static`] — entries stay at `entry % shards`,
-    /// byte-identical to every release so far). An adaptive policy
-    /// provisions a placement endpoint and engine thread that watches
-    /// the run's write heat and re-homes hot entries mid-run; see the
-    /// [`crate::placement`] module docs. Adaptive policies require an
-    /// enabled [`ClusterBuilder::obs`] recorder: the signals they plan
-    /// from come from the observability layer.
-    pub fn placement(mut self, policy: PlacementPolicy) -> Self {
-        self.placement = policy;
-        self
     }
 
     /// Set the cluster shape — shards, replicas and fabric — in one typed
@@ -569,13 +640,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Turn on live telemetry: a cluster "telemetry" actor — registered
-    /// on the fabric like the placement engine, so simulated runs stay
-    /// deterministic — closes one time-series window per `interval` of
-    /// fabric time (keeping the most recent `frames` delta frames) and
-    /// runs the stall watchdog on the same tick. Requires an enabled
-    /// [`Self::obs`] recorder; with a disabled recorder this knob is
-    /// ignored and no actor is spawned.
+    /// Turn on live telemetry: the cluster's service actor — the one
+    /// that beats for the workers, registered on the fabric like every
+    /// node, so simulated runs stay deterministic — closes one
+    /// time-series window per `interval` of fabric time (keeping the most
+    /// recent `frames` delta frames) and runs the stall watchdog, at the
+    /// exact interval boundaries its 5 ms tick has passed. Requires an
+    /// enabled [`Self::obs`] recorder; with a disabled recorder this knob
+    /// is ignored.
     pub fn telemetry(mut self, interval: Duration, frames: usize) -> Self {
         self.telemetry = Some((interval, frames));
         self
@@ -629,8 +701,10 @@ impl ClusterBuilder {
 
     /// Run an admin control script concurrently with the workers. The
     /// script gets a [`ClusterCtl`] on its own fabric endpoint and can
-    /// kill shards, partition links and drain shards into their
-    /// standbys while the computation runs.
+    /// kill shards, partition links, drain shards into their standbys
+    /// and re-home entries while the computation runs — or run the
+    /// placement engine: `.control(move |mut ctl| { let _ =
+    /// ctl.adapt(&policy); })`.
     pub fn control<F: FnOnce(ClusterCtl) + Send + 'static>(mut self, f: F) -> Self {
         self.control = Some(Box::new(f));
         self
@@ -688,23 +762,12 @@ impl ClusterBuilder {
                 "replicas need a lease: promotion is driven by lease-timed silence".into(),
             ));
         }
-        let adaptive = self.placement.is_adaptive();
-        if adaptive && !self.recorder.is_enabled() {
-            return Err(ClusterError::Config(
-                "adaptive placement needs an enabled recorder: the signals it plans from \
-                 (write heat, release destinations) come from the observability layer"
-                    .into(),
-            ));
-        }
         let n_home_eps = (self.topology.shards * (1 + self.topology.replicas)) as usize;
-        let n_eps = n_home_eps
-            + self.worker_platforms.len()
-            + usize::from(self.control.is_some())
-            + usize::from(adaptive);
+        let n_eps = n_home_eps + self.worker_platforms.len() + usize::from(self.control.is_some());
         if let Some(plan) = &mut self.net_config.fault_plan {
-            // The replication relay and the admin control channel assume
-            // a FIFO-reliable link (the paper's fabric guarantee); chaos
-            // plans keep battering the client↔home links, but these two
+            // The replication relay and the admin plane assume a
+            // FIFO-reliable link (the paper's fabric guarantee); chaos
+            // plans keep battering the client↔home links, but these
             // internal link classes stay clean. Runtime partitions still
             // sever them — partitions are checked before link faults.
             let mut clean = |a: u32, b: u32| {
@@ -720,19 +783,12 @@ impl ClusterBuilder {
                 }
             }
             if self.control.is_some() {
-                let admin = (n_home_eps + self.worker_platforms.len()) as u32;
-                for ep in 0..n_home_eps as u32 {
-                    clean(admin, ep);
-                }
-            }
-            if adaptive {
-                // Same control-plane exemption for the placement engine's
-                // endpoint and the shard↔shard entry-state transfers it
-                // triggers. Gated on an adaptive policy so static faulty
-                // runs keep their exact fault schedules.
-                let placement = (n_eps - 1) as u32;
+                // The admin endpoint, and the shard↔shard links: those
+                // carry only the entry-move frames an admin call starts,
+                // so a run that never re-homes keeps its fault schedule.
+                let admin = (n_eps - 1) as u32;
                 for a in 0..n_home_eps as u32 {
-                    clean(placement, a);
+                    clean(admin, a);
                     for b in 0..a {
                         clean(a, b);
                     }
@@ -784,13 +840,9 @@ impl ClusterBuilder {
         let (def, net, mut eps) = self.take_parts()?;
         let sim = net.sim().cloned();
         let directory = Directory::with_replicas(self.topology.shards, self.topology.replicas);
-        let adaptive = self.placement.is_adaptive();
         // Endpoint layout: primaries, then replicas, then workers, then
-        // the admin control endpoint (when a control script runs), then
-        // the placement engine's endpoint (when the policy is adaptive)
-        // — appended in that order so static clusters keep their exact
-        // endpoint numbering.
-        let mut placement_ep = adaptive.then(|| eps.pop().expect("placement ep"));
+        // the admin endpoint when a control script runs — appended last,
+        // so a cluster without one keeps its exact endpoint numbering.
         let mut admin_ep = self.control.is_some().then(|| eps.pop().expect("admin ep"));
         let n_home_eps = (self.topology.shards * (1 + self.topology.replicas)) as usize;
         let home_eps: Vec<Endpoint> = eps.drain(..n_home_eps).collect();
@@ -868,17 +920,15 @@ impl ClusterBuilder {
         let mut first_error: Option<ClusterError> = None;
         let mut home_error: Option<ClusterError> = None;
         let mut worker_errors: Vec<(usize, DsdError)> = Vec::new();
-        // Per-worker liveness flags for the heartbeat pump: a crashed
-        // worker stops beating so the home's lease detector notices.
-        let alive: Vec<AtomicBool> = (0..n_workers).map(|_| AtomicBool::new(true)).collect();
-        // Set once every worker and the control script have returned:
-        // the pump, placement and telemetry actors wind down.
-        let services_done = AtomicBool::new(false);
-        // Threads-mode nap the teardown can cut short, so shutdown never
-        // waits out a telemetry slice (that wait would be pure wall-time
-        // overhead on short runs).
-        let telemetry_stop: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
-        let telemetry_cfg = self
+        // Per-worker liveness flags for the pump and the placement engine:
+        // a crashed worker stops beating so the home's lease detector
+        // notices, and both wind down once no worker is left.
+        let alive: Arc<[AtomicBool]> = (0..n_workers).map(|_| AtomicBool::new(true)).collect();
+        let beat_interval = self
+            .timing
+            .lease
+            .map(|l| (l / 4).max(Duration::from_millis(5)));
+        let telemetry_interval = self
             .telemetry
             .filter(|_| self.recorder.is_enabled())
             .map(|(interval, _)| interval.max(Duration::from_micros(1)));
@@ -886,9 +936,9 @@ impl ClusterBuilder {
         // One spawn path for every node of the cluster. In simulation
         // mode each is registered as a scheduler actor right before its
         // thread spawns — all from this one thread, in a fixed order
-        // (homes, pump, control, placement, telemetry, workers), because
-        // actor ids are part of the deterministic schedule; the threads
-        // park at their entry turnstile until `begin()` below.
+        // (homes, pump, control, workers), because actor ids are part of
+        // the deterministic schedule; the threads park at their entry
+        // turnstile until `begin()` below.
         std::thread::scope(|s| {
             let n_shards = directory.n_shards() as usize;
             let home_handles: Vec<_> = homes
@@ -904,32 +954,36 @@ impl ClusterBuilder {
                     (shard, spawn_actor(s, &sim, &name, move || home.run()))
                 })
                 .collect();
-            // Heartbeat pump: beats on behalf of every live worker at a
-            // quarter of the lease, so blocked-but-alive workers (e.g.
+            // The pump, the cluster's one service actor, on one 5 ms tick
+            // of the fabric clock. It beats on behalf of every live worker
+            // at a quarter of the lease, so blocked-but-alive workers (e.g.
             // waiting in a barrier) are never declared dead. Every shard
             // runs its own lease table, so each beat fans out to all of
-            // them — including standbys: a shadow drops direct beats
-            // (its lease table is fed by the relay stream), but after a
-            // promotion the direct beat is what keeps workers alive at
-            // the new primary.
-            let mut services = Vec::new();
-            services.extend(self.timing.lease.map(|lease| {
+            // them — including standbys: a shadow drops direct beats (its
+            // lease table is fed by the relay stream), but after a
+            // promotion the direct beat is what keeps workers alive at the
+            // new primary. With telemetry armed it also closes the
+            // time-series windows and runs the stall watchdog at the exact
+            // interval boundaries each tick passed, so in simulation mode
+            // same-seed runs emit byte-identical frame streams and fire
+            // the watchdog at identical virtual times.
+            let service = (beat_interval.is_some() || telemetry_interval.is_some()).then(|| {
                 let net = net.clone();
+                let recorder = self.recorder.clone();
                 let alive = &alive;
-                let services_done = &services_done;
-                let interval = (lease / 4).max(Duration::from_millis(5));
                 spawn_actor(s, &sim, "pump", move || {
                     let clock = net.clock();
                     let beat_epoch = directory.epoch_stamped(MsgKind::Heartbeat).then_some(0);
                     let mut last_beat = clock.now();
+                    let mut ticker = telemetry_interval.map(|i| Ticker::new(clock.now(), i));
                     // Exit when every worker has signed off (flags flip
                     // at deterministic points) or the run tears down;
                     // the flag check keeps the heartbeat count a pure
                     // function of the schedule in simulation mode.
-                    while !services_done.load(Ordering::Relaxed)
-                        && alive.iter().any(|a| a.load(Ordering::Relaxed))
-                    {
-                        if clock.now().saturating_since(last_beat) >= interval {
+                    while alive.iter().any(|a| a.load(Ordering::Relaxed)) {
+                        if beat_interval
+                            .is_some_and(|i| clock.now().saturating_since(last_beat) >= i)
+                        {
                             last_beat = clock.now();
                             for (i, a) in alive.iter().enumerate() {
                                 if a.load(Ordering::Relaxed) {
@@ -948,139 +1002,9 @@ impl ClusterBuilder {
                             }
                         }
                         clock.sleep(Duration::from_millis(5));
-                    }
-                })
-            }));
-            // The admin plane as seen from endpoint `ep`: the control
-            // script's handle, and the placement engine's actuator.
-            let ctl_on = |ep: Endpoint| ClusterCtl {
-                net: net.clone(),
-                ep,
-                directory,
-                kills: kills.clone(),
-                clock: net.clock(),
-                recorder: self.recorder.clone(),
-            };
-            let ctl_handle = control.take().map(|f| {
-                let ctl = ctl_on(admin_ep.take().expect("control implies admin endpoint"));
-                spawn_actor(s, &sim, "control", move || f(ctl))
-            });
-            // The adaptive placement engine, on its own endpoint: once
-            // per policy epoch it folds the recorder's cumulative
-            // signals through the pure planner and applies each decision
-            // as a per-entry home handoff over the admin plane. Pacing
-            // rides the fabric clock in small slices, so in simulation
-            // the engine is an ordinary actor and its decisions are a
-            // deterministic function of (signals, seed), while in
-            // threaded mode shutdown is noticed within a slice.
-            services.extend(adaptive.then(|| {
-                let mut ctl = ctl_on(placement_ep.take().expect("adaptive implies placement ep"));
-                let policy = self.placement.clone();
-                let recorder = self.recorder.clone();
-                let services_done = &services_done;
-                let alive = &alive;
-                let shards = directory.n_shards();
-                spawn_actor(s, &sim, "placement", move || {
-                    let epoch = policy.epoch();
-                    // The engine's own view of where every moved entry
-                    // lives, its epochs counting the moves per entry. Fed
-                    // back into the planner so settled moves become
-                    // no-ops instead of oscillation.
-                    let mut owners = Placement::new(directory);
-                    let done = || {
-                        services_done.load(Ordering::Relaxed)
-                            || !alive.iter().any(|a| a.load(Ordering::Relaxed))
-                    };
-                    'engine: loop {
-                        let mut slept = Duration::ZERO;
-                        while slept < epoch {
-                            if done() {
-                                break 'engine;
-                            }
-                            let slice = Duration::from_millis(5).min(epoch - slept);
-                            ctl.sleep(slice);
-                            slept += slice;
-                        }
-                        let mut inputs = PlacementInputs {
-                            owners: owners.rows().into_iter().map(|(e, s, _)| (e, s)).collect(),
-                            shards,
-                            ..Default::default()
-                        };
-                        // Both signals from one look at the heat map.
-                        recorder.heat(|h| {
-                            let row = |((entry, writer), w): (_, WriterStats)| {
-                                (entry, writer, w.updates, w.bytes)
-                            };
-                            inputs.write_heat = h.writers().map(row).collect();
-                            let row = |((writer, shard), n)| (writer, shard, n);
-                            inputs.release_dests = h.releases().map(row).collect();
-                        });
-                        for d in policy.plan(&inputs) {
-                            if done() {
-                                break 'engine;
-                            }
-                            match ctl.rehome_entry(
-                                d.entry,
-                                ShardId::new(d.from_shard),
-                                ShardId::new(d.to_shard),
-                            ) {
-                                Ok(()) => {
-                                    let moves = owners.epoch(d.entry) + 1;
-                                    owners.adopt(d.entry, d.to_shard, moves);
-                                    recorder.placement_decision(DecisionRow {
-                                        entry: d.entry,
-                                        from_shard: d.from_shard,
-                                        to_shard: d.to_shard,
-                                        writer: d.writer,
-                                        epoch: moves,
-                                    });
-                                }
-                                Err(ClusterError::HandoffBusy { .. }) => {
-                                    // The shard is mid-promotion or
-                                    // mid-move: back off to the next
-                                    // epoch rather than hammering it.
-                                    recorder.count("placement.busy_backoffs", 1);
-                                    break;
-                                }
-                                Err(_) => break 'engine, // teardown
-                            }
-                        }
-                    }
-                })
-            }));
-            // The telemetry actor: closes time-series windows and runs
-            // the stall watchdog on exact tick boundaries of the fabric
-            // clock. Registered like the placement engine, so in
-            // simulation mode the ticks are deterministic events and
-            // same-seed runs emit byte-identical frame streams and fire
-            // the watchdog at identical virtual times.
-            services.extend(telemetry_cfg.map(|interval| {
-                let net = net.clone();
-                let recorder = self.recorder.clone();
-                let services_done = &services_done;
-                let telemetry_stop = &telemetry_stop;
-                let alive = &alive;
-                spawn_actor(s, &sim, "telemetry", move || {
-                    let clock = net.clock();
-                    let slice = Duration::from_millis(5).min(interval);
-                    let mut ticker = Ticker::new(clock.now(), interval);
-                    while !services_done.load(Ordering::Relaxed)
-                        && alive.iter().any(|a| a.load(Ordering::Relaxed))
-                    {
-                        if clock.is_sim() {
-                            // Virtual time is free; the slice bounds how
-                            // late past a boundary a tick event can run.
-                            clock.sleep(slice);
-                        } else {
-                            let (lock, cv) = &*telemetry_stop;
-                            let stop = lock.lock().unwrap_or_else(|e| e.into_inner());
-                            if !*stop {
-                                drop(cv.wait_timeout(stop, slice));
-                            }
-                        }
-                        // Drain every boundary the sleep passed; frames
-                        // are stamped with the boundary, not the wake.
-                        while let Some(t) = ticker.due(clock.now()) {
+                        // Drain every boundary the tick passed; frames are
+                        // stamped with the boundary, not the wake.
+                        while let Some(t) = ticker.as_mut().and_then(|k| k.due(clock.now())) {
                             let t_us = t.as_micros();
                             // The fabric's ledger is the only count of
                             // traffic; the frame's per-destination deltas
@@ -1094,7 +1018,19 @@ impl ClusterBuilder {
                         }
                     }
                 })
-            }));
+            });
+            let ctl_handle = control.take().map(|f| {
+                let ctl = ClusterCtl {
+                    net: net.clone(),
+                    ep: admin_ep.take().expect("control implies admin endpoint"),
+                    directory,
+                    kills: kills.clone(),
+                    alive: alive.clone(),
+                    clock: net.clock(),
+                    recorder: self.recorder.clone(),
+                };
+                spawn_actor(s, &sim, "control", move || f(ctl))
+            });
             let mut handles = Vec::new();
             let recorder = &self.recorder;
             for ((i, plat), ep) in self.worker_platforms.iter().enumerate().zip(eps.drain(..)) {
@@ -1154,18 +1090,18 @@ impl ClusterBuilder {
                     }
                 }
             }
+            // Every worker has ended. One that panicked never cleared its
+            // flag, and the pump and the placement engine run until all
+            // are clear.
+            for a in alive.iter() {
+                a.store(false, Ordering::Relaxed);
+            }
             if let Some(h) = ctl_handle {
                 if let Err(p) = h.join() {
                     first_error.get_or_insert(ClusterError::Panic(panic_msg(p)));
                 }
             }
-            services_done.store(true, Ordering::Relaxed);
-            {
-                let (lock, cv) = &telemetry_stop;
-                *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-                cv.notify_all();
-            }
-            for h in services {
+            if let Some(h) = service {
                 if let Err(p) = h.join() {
                     first_error.get_or_insert(ClusterError::Panic(panic_msg(p)));
                 }
@@ -1335,7 +1271,7 @@ pub fn run_migrating(
 }
 
 /// Spawn one node of the cluster — home shard, worker, pump, control
-/// script, placement engine, telemetry — on its own scoped thread. On the
+/// script — on its own scoped thread. On the
 /// simulated fabric the node is first registered as scheduler actor
 /// `name`, and its thread binds to that actor (waiting for the token)
 /// before running `f`.

@@ -922,19 +922,23 @@ impl HomeShard {
         // An adaptive placement move may still be in flight: conclude it
         // before shutting down, or the ownership flip would outlive the
         // state transfer and the stitch would attribute the entry to a
-        // shard that never installed its bytes. Keep offering briefly;
-        // if the target never acknowledges (it may be tearing down too),
-        // revert ownership — the bytes stay authoritative here.
-        if self.entry_handoff.is_some() {
-            let deadline = self.clock.now() + Duration::from_millis(500);
-            while self.entry_handoff.is_some() && self.clock.now() < deadline {
-                match self.ep.recv_timeout(Duration::from_millis(10)) {
-                    Ok(m) => self.process(m)?,
-                    Err(NetError::Timeout) => self.send_entry_state()?,
-                    Err(e) => return Err(e.into()),
-                }
+        // shard that never installed its bytes. Keep offering every 10 ms
+        // of silence for up to 500 ms; if the target never acknowledges
+        // (it may be tearing down too), revert ownership — the bytes stay
+        // authoritative here.
+        let deadline = self.clock.now() + Duration::from_millis(500);
+        while self.entry_handoff.is_some() {
+            let now = self.clock.now();
+            match self.recv_until(deadline.min(now + Duration::from_millis(10)))? {
+                Some(m) => self.process(m)?,
+                None => match self.clock.now() {
+                    // A slice passed in silence: offer again.
+                    t if now < t && t < deadline => self.send_entry_state()?,
+                    // Past the deadline, or the fabric closed (no time
+                    // passed): the bytes stay here.
+                    _ => self.abort_entry_handoff()?,
+                },
             }
-            self.abort_entry_handoff()?;
         }
         // Every live participant joined: broadcast shutdown. The shutdown
         // is the (deferred) reply to each thread's Join request, so it is
@@ -2508,6 +2512,111 @@ mod tests {
         for ep in &eps {
             assert!(ep.recv_timeout(Duration::from_millis(10)).is_err());
         }
+    }
+
+    /// Shard 1 of two, re-homing entry 1 (of `xs`, `ys`) to shard 0 when
+    /// its one participant joins: the move is still in flight when the
+    /// service loop finds every participant settled. Endpoints: 0 the
+    /// target shard, 1 this shard, 2 rank 1, 3 the admin; the returned
+    /// ones are 0, 2 and 3.
+    fn a_move_in_flight_past_the_last_join() -> (HomeShard, Vec<Endpoint>, Recorder) {
+        let def = GthvDef::new(
+            StructBuilder::new("G")
+                .array("xs", ScalarKind::Int, 8)
+                .array("ys", ScalarKind::Int, 8)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let (_net, mut eps) = Network::new(4, NetConfig::instant());
+        let recorder = Recorder::enabled();
+        let config = HomeConfig {
+            participants: vec![1],
+            shard: 1,
+            directory: Directory::new(2),
+            recorder: recorder.clone(),
+            ..Default::default()
+        };
+        let gthv = GthvInstance::new(def, PlatformSpec::linux_x86());
+        let mut h = HomeShard::new(gthv, eps.remove(1), config);
+        h.init_with(|g| (0..8).for_each(|i| g.write_int(1, i, 10 + i as i128).unwrap()));
+        h.on_entry_handoff(3, 1, 0).unwrap();
+        let op = OpCtx::default();
+        h.dispatch(2, 1, DsdMsg::Join { rank: 1 }, &[], op).unwrap();
+        assert_eq!((h.pending, h.entry_handoff.is_some()), (0, true));
+        (h, eps, recorder)
+    }
+
+    fn count(recorder: &Recorder, name: &str) -> u64 {
+        let snap = recorder.snapshot().unwrap();
+        let row = snap.counters.iter().find(|(k, _)| k == name);
+        row.map_or(0, |(_, v)| *v)
+    }
+
+    #[test]
+    fn a_move_acked_after_the_last_join_concludes_before_the_shutdown() {
+        let (h, eps, recorder) = a_move_in_flight_past_the_last_join();
+        let (target, worker, admin) = (&eps[0], &eps[1], &eps[2]);
+        let (_, _, offer) = answer(target);
+        assert!(matches!(
+            offer,
+            DsdMsg::EntryState {
+                entry: 1,
+                epoch: 1,
+                ..
+            }
+        ));
+        let ack = DsdMsg::EntryInstalled { entry: 1, epoch: 1 };
+        target.send(1, ack.kind(), ack.encode_enveloped(0)).unwrap();
+        let out = h.run().unwrap();
+        assert!(out.authoritative);
+        assert_eq!(out.entry_overrides, [(1, 0, 1)]);
+        let done = DsdMsg::EntryDone {
+            entry: 1,
+            to_shard: 0,
+        };
+        assert_eq!(answer(admin).2, done);
+        assert_eq!(answer(worker).2, DsdMsg::Shutdown);
+        assert_eq!(count(&recorder, "home.entries_rehomed"), 1);
+        assert_eq!(count(&recorder, "home.entry_handoff_aborts"), 0);
+    }
+
+    #[test]
+    fn a_move_the_target_never_acks_reverts_within_half_a_second() {
+        let (h, eps, recorder) = a_move_in_flight_past_the_last_join();
+        let (target, worker, admin) = (&eps[0], &eps[1], &eps[2]);
+        let t0 = std::time::Instant::now();
+        let out = h.run().unwrap();
+        let waited = t0.elapsed();
+        assert!(
+            (Duration::from_millis(500)..Duration::from_secs(2)).contains(&waited),
+            "{waited:?}"
+        );
+        // Offered at the start and again on every 10 ms of silence.
+        let mut offers = 0;
+        while let Ok(m) = target.recv_timeout(Duration::from_millis(10)) {
+            let (_, offer) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+            assert!(matches!(
+                offer,
+                DsdMsg::EntryState {
+                    entry: 1,
+                    epoch: 1,
+                    ..
+                }
+            ));
+            offers += 1;
+        }
+        assert!((2..=52).contains(&offers), "{offers} offers");
+        // The owner reverts at epoch + 1 and keeps the source's bytes.
+        assert!(out.authoritative);
+        assert_eq!(out.entry_overrides, [(1, 1, 2)]);
+        for i in 0..8 {
+            assert_eq!(out.gthv.read_int(1, i).unwrap(), 10 + i as i128);
+        }
+        assert_eq!(count(&recorder, "home.entry_handoff_aborts"), 1);
+        assert_eq!(count(&recorder, "home.entries_rehomed"), 0);
+        assert_eq!(answer(worker).2, DsdMsg::Shutdown);
+        assert!(admin.recv_timeout(Duration::from_millis(10)).is_err());
     }
 
     #[test]

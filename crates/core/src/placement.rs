@@ -2,9 +2,10 @@
 //!
 //! The paper's DSM is *adaptive*: it watches where sharing traffic
 //! actually flows and moves data (and computation) to shorten the Eq. 1
-//! cost pipeline. This module closes that loop. A [`PlacementPolicy`]
-//! chosen through `ClusterBuilder::placement(..)` drives a small engine
-//! inside `ClusterBuilder::run` that, once per policy epoch:
+//! cost pipeline. This module closes that loop. The placement engine is
+//! a control script: [`ClusterCtl::adapt`](crate::cluster::ClusterCtl::adapt),
+//! called from `ClusterBuilder::control(..)` with a [`PlacementPolicy`],
+//! that once per policy epoch:
 //!
 //! 1. reads the observability signals — per-(entry, writer) update bytes
 //!    ([`PlacementInputs::write_heat`]) and per-(writer, shard) completed
@@ -15,11 +16,12 @@
 //!    handoff (`ClusterCtl::rehome_entry`), backing off when the target
 //!    shard is itself mid-promotion.
 //!
-//! Planning is deliberately split from acting: `plan` is a deterministic
-//! function of its inputs, so the same signals always produce the same
-//! decisions — on the simulated fabric a same-seed adaptive run replays
+//! Without that script entries stay at `entry % shards`. Planning is
+//! deliberately split from acting: `plan` is a deterministic function of
+//! its inputs, so the same signals always produce the same decisions — on
+//! the simulated fabric a same-seed adaptive run replays
 //! decision-for-decision, and the differential suite can assert adaptive
-//! runs converge byte-identically with static ones.
+//! runs converge byte-identically with runs that never re-home.
 //!
 //! The second adaptation axis — moving worker *threads* off slow CPUs —
 //! is planned by [`plan_thread_moves`] from the configured platform
@@ -67,169 +69,112 @@ pub struct PlacementDecision {
     pub writer: u32,
 }
 
-/// How the cluster places index entries on home shards.
+/// Heat-driven re-homing: move entries to the shard nearest their
+/// dominant writer.
 ///
-/// Set through `ClusterBuilder::placement(..)`. The default, `Static`,
-/// is byte-for-byte today's behaviour: entries stay at `entry % shards`
-/// forever and no placement endpoint, actor, or message is created.
+/// Every `epoch`, each entry's writers are ranked by cumulative update
+/// bytes. An entry moves only when the top writer has shipped at least
+/// `min_gain` bytes **and** at least `hysteresis`× the bytes of the
+/// runner-up — both gates damp oscillation when two ranks trade the lead.
+/// The target shard is the one granting most of the dominant writer's
+/// release-class sync ops.
 #[derive(Debug, Clone)]
-pub enum PlacementPolicy {
-    /// Entries never move: `entry % shards` for the life of the cluster.
-    Static,
-    /// Re-home entries to the shard nearest their dominant writer.
-    ///
-    /// Every `epoch`, each entry's writers are ranked by cumulative
-    /// update bytes. An entry moves only when the top writer has shipped
-    /// at least `min_gain` bytes **and** at least `hysteresis`× the bytes
-    /// of the runner-up — both gates damp oscillation when two ranks
-    /// trade the lead. The target shard is the one granting most of the
-    /// dominant writer's release-class sync ops.
-    HeatDriven {
-        /// How often the engine re-plans.
-        epoch: Duration,
-        /// Dominance ratio the top writer must hold over the runner-up
-        /// (e.g. `2.0` = twice the bytes). Values below 1.0 behave as 1.0.
-        hysteresis: f64,
-        /// Minimum cumulative bytes from the dominant writer before an
-        /// entry is worth moving.
-        min_gain: u64,
-    },
-}
-
-impl Default for PlacementPolicy {
-    /// `Static` — the non-adaptive cluster of every release so far.
-    fn default() -> PlacementPolicy {
-        PlacementPolicy::Static
-    }
+pub struct PlacementPolicy {
+    /// How often the engine re-plans.
+    pub epoch: Duration,
+    /// Dominance ratio the top writer must hold over the runner-up
+    /// (e.g. `2.0` = twice the bytes). Values below 1.0 behave as 1.0.
+    pub hysteresis: f64,
+    /// Minimum cumulative bytes from the dominant writer before an entry
+    /// is worth moving.
+    pub min_gain: u64,
 }
 
 impl PlacementPolicy {
-    /// A `HeatDriven` policy with the defaults used by the benches: plan
-    /// every 20 ms, require 2× dominance and 4 KiB of traffic.
+    /// The defaults used by the benches: plan every 20 ms, require 2×
+    /// dominance and 4 KiB of traffic.
     pub fn heat_driven() -> PlacementPolicy {
-        PlacementPolicy::HeatDriven {
+        PlacementPolicy {
             epoch: Duration::from_millis(20),
             hysteresis: 2.0,
             min_gain: 4096,
         }
     }
 
-    /// Whether this policy ever moves entries (and therefore whether the
-    /// cluster must provision the placement endpoint and engine thread).
-    pub fn is_adaptive(&self) -> bool {
-        !matches!(self, PlacementPolicy::Static)
-    }
-
-    /// How often the engine re-plans under this policy.
-    pub fn epoch(&self) -> Duration {
-        match self {
-            PlacementPolicy::Static => Duration::from_secs(3600),
-            PlacementPolicy::HeatDriven { epoch, .. } => *epoch,
-        }
-    }
-
-    /// Fold the current signals into a list of moves.
+    /// Fold the current signals into a list of moves: per entry, find the
+    /// dominant writer, gate on `min_gain` bytes and `hysteresis`× the
+    /// runner-up, and target the shard granting most of that writer's
+    /// release-class sync operations.
     ///
     /// Pure and deterministic: inputs are key-sorted tables and ties are
     /// broken toward the lower rank / lower shard, so identical inputs
     /// always yield identical decisions in identical order.
     pub fn plan(&self, inputs: &PlacementInputs) -> Vec<PlacementDecision> {
-        match self {
-            PlacementPolicy::Static => Vec::new(),
-            PlacementPolicy::HeatDriven {
-                hysteresis,
-                min_gain,
-                ..
-            } => plan_heat_driven(inputs, hysteresis.max(1.0), *min_gain),
-        }
-    }
-}
-
-/// Effective owner of `entry`: the overlay row if present, else the
-/// static modulo home.
-fn owner_of(inputs: &PlacementInputs, entry: u32) -> u32 {
-    inputs
-        .owners
-        .iter()
-        .find(|&&(e, _)| e == entry)
-        .map(|&(_, s)| s)
-        .unwrap_or_else(|| {
-            if inputs.shards == 0 {
-                0
-            } else {
-                entry % inputs.shards
-            }
-        })
-}
-
-/// The `HeatDriven` planner: per entry, find the dominant writer, gate on
-/// `min_gain` bytes and `hysteresis`× the runner-up, and target the shard
-/// granting most of that writer's release-class sync operations.
-fn plan_heat_driven(
-    inputs: &PlacementInputs,
-    hysteresis: f64,
-    min_gain: u64,
-) -> Vec<PlacementDecision> {
-    // Best release destination per writer: (ops, prefer lower shard).
-    let mut best_dest: Vec<(u32, u32, u64)> = Vec::new(); // (writer, shard, ops)
-    for &(writer, shard, ops) in &inputs.release_dests {
-        match best_dest.iter_mut().find(|r| r.0 == writer) {
-            Some(r) => {
-                if ops > r.2 || (ops == r.2 && shard < r.1) {
-                    r.1 = shard;
-                    r.2 = ops;
+        let hysteresis = self.hysteresis.max(1.0);
+        // Best release destination per writer: (ops, prefer lower shard).
+        let mut best_dest: Vec<(u32, u32, u64)> = Vec::new(); // (writer, shard, ops)
+        for &(writer, shard, ops) in &inputs.release_dests {
+            match best_dest.iter_mut().find(|r| r.0 == writer) {
+                Some(r) => {
+                    if ops > r.2 || (ops == r.2 && shard < r.1) {
+                        r.1 = shard;
+                        r.2 = ops;
+                    }
                 }
+                None => best_dest.push((writer, shard, ops)),
             }
-            None => best_dest.push((writer, shard, ops)),
         }
-    }
 
-    let mut out = Vec::new();
-    let mut i = 0;
-    let heat = &inputs.write_heat;
-    while i < heat.len() {
-        let entry = heat[i].0;
-        // The table is (entry, writer)-sorted: walk this entry's slice,
-        // tracking the top two writers by bytes (ties to the lower rank,
-        // which the sort order gives us for free).
-        let (mut top_writer, mut top_bytes, mut runner_bytes) = (0u32, 0u64, 0u64);
-        while i < heat.len() && heat[i].0 == entry {
-            let (_, writer, _, bytes) = heat[i];
-            if bytes > top_bytes {
-                runner_bytes = top_bytes;
-                top_bytes = bytes;
-                top_writer = writer;
-            } else if bytes > runner_bytes {
-                runner_bytes = bytes;
+        let mut out = Vec::new();
+        let mut i = 0;
+        let heat = &inputs.write_heat;
+        while i < heat.len() {
+            let entry = heat[i].0;
+            // The table is (entry, writer)-sorted: walk this entry's slice,
+            // tracking the top two writers by bytes (ties to the lower rank,
+            // which the sort order gives us for free).
+            let (mut top_writer, mut top_bytes, mut runner_bytes) = (0u32, 0u64, 0u64);
+            while i < heat.len() && heat[i].0 == entry {
+                let (_, writer, _, bytes) = heat[i];
+                if bytes > top_bytes {
+                    runner_bytes = top_bytes;
+                    top_bytes = bytes;
+                    top_writer = writer;
+                } else if bytes > runner_bytes {
+                    runner_bytes = bytes;
+                }
+                i += 1;
             }
-            i += 1;
+            if top_bytes < self.min_gain {
+                continue;
+            }
+            if (top_bytes as f64) < hysteresis * (runner_bytes as f64) {
+                continue;
+            }
+            let Some(&(_, to_shard, _)) = best_dest.iter().find(|r| r.0 == top_writer) else {
+                // No completed sync ops from this writer yet — no basis for
+                // a "nearest shard" call; wait for more signal.
+                continue;
+            };
+            if to_shard >= inputs.shards {
+                continue;
+            }
+            // The effective owner: the overlay row if present, else the
+            // static modulo home.
+            let row = inputs.owners.iter().find(|&&(e, _)| e == entry);
+            let from_shard = row.map_or(entry % inputs.shards.max(1), |&(_, s)| s);
+            if to_shard == from_shard {
+                continue;
+            }
+            out.push(PlacementDecision {
+                entry,
+                from_shard,
+                to_shard,
+                writer: top_writer,
+            });
         }
-        if top_bytes < min_gain {
-            continue;
-        }
-        if (top_bytes as f64) < hysteresis * (runner_bytes as f64) {
-            continue;
-        }
-        let Some(&(_, to_shard, _)) = best_dest.iter().find(|r| r.0 == top_writer) else {
-            // No completed sync ops from this writer yet — no basis for a
-            // "nearest shard" call; wait for more signal.
-            continue;
-        };
-        if to_shard >= inputs.shards {
-            continue;
-        }
-        let from_shard = owner_of(inputs, entry);
-        if to_shard == from_shard {
-            continue;
-        }
-        out.push(PlacementDecision {
-            entry,
-            from_shard,
-            to_shard,
-            writer: top_writer,
-        });
+        out
     }
-    out
 }
 
 /// One planned thread migration: move worker `thread_rank` onto platform
@@ -300,14 +245,19 @@ mod tests {
     }
 
     #[test]
-    fn static_never_plans() {
-        assert!(PlacementPolicy::Static.plan(&inputs()).is_empty());
-        assert!(!PlacementPolicy::Static.is_adaptive());
+    fn an_unmet_min_gain_never_plans() {
+        let mut ins = inputs();
+        ins.release_dests = vec![(2, 0, 20)];
+        let policy = PlacementPolicy {
+            min_gain: u64::MAX,
+            ..PlacementPolicy::heat_driven()
+        };
+        assert!(policy.plan(&ins).is_empty());
     }
 
     #[test]
     fn heat_driven_moves_dominated_entry_only() {
-        let policy = PlacementPolicy::HeatDriven {
+        let policy = PlacementPolicy {
             epoch: Duration::from_millis(20),
             hysteresis: 2.0,
             min_gain: 1000,
@@ -335,7 +285,7 @@ mod tests {
 
     #[test]
     fn owners_overlay_suppresses_repeat_moves() {
-        let policy = PlacementPolicy::HeatDriven {
+        let policy = PlacementPolicy {
             epoch: Duration::from_millis(20),
             hysteresis: 2.0,
             min_gain: 1000,

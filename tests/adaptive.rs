@@ -7,10 +7,13 @@
 //! the traffic costs, never what the program computes. The simulated
 //! fabric doubles as the differential oracle:
 //!
-//! 1. **Differential** — `HeatDriven` == `Static` final bytes on all
-//!    four paper kernels, on a clean fabric and under a chaos plan;
-//! 2. **API compatibility** — `placement(PlacementPolicy::Static)` is
-//!    byte-for-byte the no-call builder: same wire traffic, same state;
+//! 1. **Differential** — a run whose control script is the placement
+//!    engine (`ClusterCtl::adapt`) ends with the final bytes of a run
+//!    without one, on all four paper kernels, on a clean fabric and under
+//!    a chaos plan;
+//! 2. **An idle engine is silent** — an engine whose gate is never met
+//!    moves nothing and sends no entry-move frame, and an engine without
+//!    an enabled recorder refuses at once and leaves the run as it was;
 //! 3. **Actuation** — a skewed writer makes the engine re-home the hot
 //!    entry toward its dominant writer's sync shard, and the decisions
 //!    land in the observability snapshot;
@@ -19,14 +22,17 @@
 
 use hdsm::apps::workload::{paper_pairs, SyncMode};
 use hdsm::apps::{jacobi, lu, matmul, sor};
-use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
-use hdsm::dsd::{LockId, PlacementPolicy};
-use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
+use hdsm::dsd::cluster::{
+    ClusterBuilder, ClusterError, ClusterOutcome, TimingConfig, TopologyConfig, WorkerInfo,
+};
+use hdsm::dsd::{DsdClient, DsdError, LockId, PlacementPolicy};
+use hdsm::net::{FabricMode, FaultPlan, MsgKind, NetConfig, NetStats};
 use hdsm::obs::{ObsSnapshot, Recorder};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::{Platform, PlatformSpec};
 use proptest::prelude::*;
+use std::sync::mpsc;
 use std::time::Duration;
 
 const KERNELS: [&str; 4] = ["jacobi", "sor", "matmul", "lu"];
@@ -34,10 +40,21 @@ const KERNELS: [&str; 4] = ["jacobi", "sor", "matmul", "lu"];
 /// A fast heat-driven policy for virtual-time tests: plan every 2 ms of
 /// fabric time, move on modest dominance so kernel traffic can qualify.
 fn test_policy() -> PlacementPolicy {
-    PlacementPolicy::HeatDriven {
+    PlacementPolicy {
         epoch: Duration::from_millis(2),
         hysteresis: 1.5,
         min_gain: 256,
+    }
+}
+
+/// Make `policy`'s placement engine the cluster's control script; `None`
+/// runs without one, so entries stay at their modulo homes.
+fn with_engine(b: ClusterBuilder, policy: Option<PlacementPolicy>) -> ClusterBuilder {
+    match policy {
+        Some(policy) => b.control(move |mut ctl| {
+            let _ = ctl.adapt(&policy);
+        }),
+        None => b,
     }
 }
 
@@ -52,11 +69,12 @@ fn chaos(seed: u64) -> FaultPlan {
 }
 
 /// Run one paper kernel on the heterogeneous SL pair over two home
-/// shards, simulated, with the given placement policy and optional fault
-/// plan. Returns the outcome and the kernel verifier's verdict.
+/// shards, simulated, with the placement engine under `policy` (if any)
+/// and an optional fault plan. Returns the outcome and the kernel
+/// verifier's verdict.
 fn run_kernel(
     kernel: &str,
-    policy: PlacementPolicy,
+    policy: Option<PlacementPolicy>,
     faults: Option<FaultPlan>,
 ) -> (ClusterOutcome<()>, bool) {
     let pair = &paper_pairs()[2]; // SL: heterogeneous, exercises conversion.
@@ -69,7 +87,7 @@ fn run_kernel(
         pair.remote.clone(),
         pair.home.clone(),
     ];
-    let adaptive = policy.is_adaptive();
+    let adaptive = policy.is_some();
     let mut b = ClusterBuilder::new()
         .home(pair.home.clone())
         .locks(1)
@@ -79,8 +97,8 @@ fn run_kernel(
             fabric: FabricMode::Sim { seed: 0xADA },
             ..Default::default()
         })
-        .net(NetConfig::default())
-        .placement(policy);
+        .net(NetConfig::default());
+    b = with_engine(b, policy);
     if adaptive {
         b = b.obs(Recorder::enabled());
     }
@@ -142,8 +160,8 @@ fn run_kernel(
 #[test]
 fn adaptive_converges_byte_identically_to_static_on_paper_kernels() {
     for kernel in KERNELS {
-        let (st, sv) = run_kernel(kernel, PlacementPolicy::Static, None);
-        let (ad, av) = run_kernel(kernel, test_policy(), None);
+        let (st, sv) = run_kernel(kernel, None, None);
+        let (ad, av) = run_kernel(kernel, Some(test_policy()), None);
         assert!(sv, "{kernel}: static run must verify");
         assert!(av, "{kernel}: adaptive run must verify");
         assert_eq!(
@@ -157,8 +175,8 @@ fn adaptive_converges_byte_identically_to_static_on_paper_kernels() {
 #[test]
 fn adaptive_converges_byte_identically_under_faults() {
     for kernel in KERNELS {
-        let (st, sv) = run_kernel(kernel, PlacementPolicy::Static, Some(chaos(0xFA17)));
-        let (ad, av) = run_kernel(kernel, test_policy(), Some(chaos(0xFA17)));
+        let (st, sv) = run_kernel(kernel, None, Some(chaos(0xFA17)));
+        let (ad, av) = run_kernel(kernel, Some(test_policy()), Some(chaos(0xFA17)));
         assert!(sv, "{kernel}: faulty static run must verify");
         assert!(av, "{kernel}: faulty adaptive run must verify");
         assert_eq!(
@@ -189,7 +207,7 @@ fn two_entry_def() -> hdsm::dsd::GthvDef {
 /// traffic points at shard 0, so a heat-driven engine should re-home
 /// entry 1 from shard 1 to shard 0 mid-run.
 fn skewed_writer_run(
-    policy: PlacementPolicy,
+    policy: Option<PlacementPolicy>,
     sim_seed: u64,
     faults: Option<FaultPlan>,
 ) -> ClusterOutcome<()> {
@@ -207,8 +225,8 @@ fn skewed_writer_run(
             ..Default::default()
         })
         .net(NetConfig::default())
-        .obs(Recorder::enabled())
-        .placement(policy);
+        .obs(Recorder::enabled());
+    b = with_engine(b, policy);
     if let Some(plan) = faults {
         b = b
             .timing(TimingConfig {
@@ -243,48 +261,97 @@ fn skewed_writer_run(
     .expect("skewed run completes")
 }
 
+/// Two workers over two home shards, simulated: where `quiet_body` runs.
+fn quiet_cluster(recorder: Recorder) -> ClusterBuilder {
+    ClusterBuilder::new()
+        .gthv(two_entry_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .locks(1)
+        .barriers(1)
+        .topology(TopologyConfig {
+            shards: 2,
+            fabric: FabricMode::Sim { seed: 0x57A7 },
+            ..Default::default()
+        })
+        .net(NetConfig::default())
+        .obs(recorder)
+}
+
+/// Ten increments of one counter under one lock, each also writing the
+/// worker's own slot of the other entry.
+fn quiet_body(c: &mut DsdClient, info: &WorkerInfo) -> Result<(), DsdError> {
+    for r in 0..10 {
+        c.acquire(LockId::new(0))?;
+        let v = c.read_int(1, 0)?;
+        c.write_int(1, 0, v + 1)?;
+        c.write_int(0, 1 + info.index as u64, r as i128)?;
+        c.release(LockId::new(0))?;
+    }
+    Ok(())
+}
+
 #[test]
 fn static_placement_call_is_byte_identical_to_no_call() {
-    // The compatibility contract: `.placement(Static)` must not change a
-    // single wire byte, message count or memory byte vs not calling
-    // `.placement` at all — no placement endpoint, actor or traffic.
-    let base = || {
-        ClusterBuilder::new()
-            .gthv(two_entry_def())
-            .worker(PlatformSpec::linux_x86())
-            .worker(PlatformSpec::solaris_sparc())
-            .locks(1)
-            .barriers(1)
-            .topology(TopologyConfig {
-                shards: 2,
-                fabric: FabricMode::Sim { seed: 0x57A7 },
-                ..Default::default()
-            })
-            .net(NetConfig::default())
+    // An engine whose `min_gain` is never met moves nothing: not one
+    // entry-move frame, and the state and traffic of no engine at all.
+    let idle = PlacementPolicy {
+        min_gain: u64::MAX,
+        ..test_policy()
     };
-    let body = |c: &mut hdsm::dsd::DsdClient, info: &hdsm::dsd::WorkerInfo| {
-        for r in 0..10 {
-            c.acquire(LockId::new(0))?;
-            let v = c.read_int(1, 0)?;
-            c.write_int(1, 0, v + 1)?;
-            c.write_int(0, 1 + info.index as u64, r as i128)?;
-            c.release(LockId::new(0))?;
-        }
-        Ok(())
-    };
-    let plain = base().run(body).unwrap();
-    let explicit = base().placement(PlacementPolicy::Static).run(body).unwrap();
+    let plain = quiet_cluster(Recorder::enabled()).run(quiet_body).unwrap();
+    let engine = with_engine(quiet_cluster(Recorder::enabled()), Some(idle))
+        .run(quiet_body)
+        .unwrap();
+    for kind in [
+        MsgKind::EntryHandoff,
+        MsgKind::EntryState,
+        MsgKind::EntryInstalled,
+        MsgKind::EntryDone,
+        MsgKind::EntryMoved,
+    ] {
+        assert!(!engine.net_stats.messages.contains_key(&kind), "{kind:?}");
+    }
+    assert!(engine.obs.expect("recorder enabled").placement.is_empty());
     assert_eq!(
         plain.final_gthv.space().raw(),
-        explicit.final_gthv.space().raw()
+        engine.final_gthv.space().raw()
     );
-    assert_eq!(plain.net_stats, explicit.net_stats);
+    assert_eq!(plain.net_stats, engine.net_stats);
+}
+
+#[test]
+fn an_engine_without_an_enabled_recorder_refuses_at_once() {
+    // The engine plans from the recorder's signals: without them it
+    // returns a config error before its first epoch, and the run goes on
+    // as if no engine had been asked for.
+    let (tx, rx) = mpsc::channel();
+    let refused = quiet_cluster(Recorder::disabled())
+        .control(move |mut ctl| {
+            let t0 = ctl.network().clock().now();
+            let verdict = ctl.adapt(&test_policy());
+            let waited = ctl.network().clock().now().saturating_since(t0);
+            tx.send((verdict, waited)).unwrap();
+        })
+        .run(quiet_body)
+        .expect("the run completes without its engine");
+    let (verdict, waited) = rx.recv().unwrap();
+    assert!(
+        matches!(verdict, Err(ClusterError::Config(_))),
+        "{verdict:?}"
+    );
+    assert_eq!(waited, Duration::ZERO, "refused before any pacing");
+    let plain = quiet_cluster(Recorder::disabled()).run(quiet_body).unwrap();
+    assert_eq!(
+        plain.final_gthv.space().raw(),
+        refused.final_gthv.space().raw()
+    );
 }
 
 #[test]
 fn heat_driven_rehomes_hot_entry_and_records_decisions() {
-    let st = skewed_writer_run(PlacementPolicy::Static, 0xBEA7, None);
-    let ad = skewed_writer_run(test_policy(), 0xBEA7, None);
+    let st = skewed_writer_run(None, 0xBEA7, None);
+    let ad = skewed_writer_run(Some(test_policy()), 0xBEA7, None);
     // Transparency first: the adaptive run computes the same bytes.
     assert_eq!(
         st.final_gthv.space().raw(),
@@ -338,7 +405,8 @@ fn heat_driven_rehomes_hot_entry_and_records_decisions() {
         count("client.entry_moves_learned"),
         count("home.entry_bounces")
     );
-    // A static snapshot of the same workload records no decisions.
+    // A snapshot of the same workload without the engine records no
+    // decisions.
     let st_snap = st.obs.expect("recorder enabled");
     assert!(st_snap.placement.is_empty());
 }
@@ -346,7 +414,7 @@ fn heat_driven_rehomes_hot_entry_and_records_decisions() {
 /// One seeded adaptive run under chaos, reduced to the values that must
 /// reproduce exactly.
 fn adaptive_fingerprint(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, NetStats, String, usize) {
-    let o = skewed_writer_run(test_policy(), sim_seed, Some(chaos(fault_seed)));
+    let o = skewed_writer_run(Some(test_policy()), sim_seed, Some(chaos(fault_seed)));
     let snap = o.obs.expect("recorder enabled");
     let decisions = snap.placement.len();
     (
@@ -378,8 +446,8 @@ proptest! {
 
 #[test]
 fn faulty_adaptive_still_matches_static_bytes() {
-    let st = skewed_writer_run(PlacementPolicy::Static, 0x5EED, Some(chaos(0xC4A05)));
-    let ad = skewed_writer_run(test_policy(), 0x5EED, Some(chaos(0xC4A05)));
+    let st = skewed_writer_run(None, 0x5EED, Some(chaos(0xC4A05)));
+    let ad = skewed_writer_run(Some(test_policy()), 0x5EED, Some(chaos(0xC4A05)));
     assert_eq!(
         st.final_gthv.space().raw(),
         ad.final_gthv.space().raw(),
