@@ -10,20 +10,24 @@
 //! call where the scalar loop walks a range it was only sent a notice for.
 
 use hdsm_apps::workload::{block_rows, SyncMode};
-use hdsm_apps::{jacobi, lu, matmul, sor};
+use hdsm_apps::{jacobi, lu, matmul, sor, Kernel};
 use hdsm_core::client::{DsdClient, DsdError};
 use hdsm_core::cluster::{ClusterBuilder, ClusterOutcome, TopologyConfig, WorkerInfo};
 use hdsm_net::FabricMode;
 use hdsm_platform::spec::PlatformSpec;
 
 const SEED: u64 = 0x5CA1A4;
-const SWEEPS: usize = 3;
 
-fn jacobi_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
+fn jacobi_scalar(
+    client: &mut DsdClient,
+    info: &WorkerInfo,
+    n: usize,
+    sweeps: usize,
+) -> Result<(), DsdError> {
     use jacobi::{barriers, entries};
     client.barrier(barriers::SWEEP)?;
     let rows = block_rows(n, info.index, info.n_workers);
-    for sweep in 0..SWEEPS {
+    for sweep in 0..sweeps {
         let (src, dst) = if sweep % 2 == 0 {
             (entries::G0, entries::G1)
         } else {
@@ -47,11 +51,16 @@ fn jacobi_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<
     Ok(())
 }
 
-fn sor_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), DsdError> {
+fn sor_scalar(
+    client: &mut DsdClient,
+    info: &WorkerInfo,
+    n: usize,
+    sweeps: usize,
+) -> Result<(), DsdError> {
     use sor::{barriers, entries, OMEGA};
     client.barrier(barriers::SWEEP)?;
     let rows = block_rows(n, info.index, info.n_workers);
-    for _ in 0..SWEEPS {
+    for _ in 0..sweeps {
         for colour in 0..2 {
             for i in rows.clone() {
                 if i == 0 || i == n - 1 {
@@ -153,12 +162,19 @@ fn lu_scalar(client: &mut DsdClient, info: &WorkerInfo, n: usize) -> Result<(), 
     Ok(())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kernel {
-    Jacobi,
-    Sor,
-    Matmul(SyncMode),
-    Lu,
+/// The element-wise copy of `kernel`'s body.
+fn scalar_worker(
+    kernel: Kernel,
+    client: &mut DsdClient,
+    info: &WorkerInfo,
+    n: usize,
+) -> Result<(), DsdError> {
+    match kernel {
+        Kernel::Jacobi { sweeps } => jacobi_scalar(client, info, n, sweeps),
+        Kernel::Sor { sweeps } => sor_scalar(client, info, n, sweeps),
+        Kernel::Matmul(mode) => matmul_scalar(client, info, n, mode),
+        Kernel::Lu => lu_scalar(client, info, n),
+    }
 }
 
 /// Everything the two forms of a kernel are compared on.
@@ -185,15 +201,15 @@ fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
         // edge columns of a neighbour's boundary row, which the stencil
         // never loads, and so joins that row to the worker's own stripe:
         // the scalar form's interest is more spans, 12 report rows in all.
-        (Kernel::Jacobi, _) => (0, 12 * 20, 0),
+        (Kernel::Jacobi { .. }, _) => (0, 12 * 20, 0),
         (Kernel::Matmul(_), _) => (0, 0, 0),
         // The first half-sweep loads one colour of a neighbour's boundary
         // row, so the other colour — rewritten in that half-sweep — comes
         // as notices between the elements read, and the second half-sweep
         // loads it: 28 (62) one-element fetches, once. From then on the
         // whole row is interest, as it is from the run form's first read.
-        (Kernel::Sor, 16) => (2 * 28, 2988, 1893),
-        (Kernel::Sor, 33) => (2 * 62, 7112, 4375),
+        (Kernel::Sor { .. }, 16) => (2 * 28, 2988, 1893),
+        (Kernel::Sor { .. }, 33) => (2 * 62, 7112, 4375),
         // Every step reads the pivot row, which another worker rewrote the
         // step before: one fetch for the run form, one an element for the
         // scalar loop (ROADMAP 3(e)).
@@ -206,50 +222,27 @@ fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
 /// Run `kernel` at size `n` — its library `run_worker`, or the scalar copy
 /// above — on a heterogeneous three-worker cluster and a fixed sim seed.
 fn observe(kernel: Kernel, n: usize, scalar: bool) -> Observed {
-    let mut b = ClusterBuilder::new()
+    let b = ClusterBuilder::new()
         .home(PlatformSpec::solaris_sparc())
         .worker(PlatformSpec::solaris_sparc())
         .worker(PlatformSpec::linux_x86())
         .worker(PlatformSpec::linux_x86_64())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             fabric: FabricMode::Sim { seed: 0xFAB },
             ..Default::default()
         });
-    b = match kernel {
-        Kernel::Jacobi => b
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, SEED)),
-        Kernel::Sor => b
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, SEED)),
-        Kernel::Matmul(_) => b
-            .gthv(matmul::gthv_def(n))
-            .init(move |g| matmul::init(g, n, SEED)),
-        Kernel::Lu => b.gthv(lu::gthv_def(n)).init(move |g| lu::init(g, n, SEED)),
-    };
-    let outcome: ClusterOutcome<u64> = b
+    let outcome: ClusterOutcome<u64> = kernel
+        .setup(b, n, SEED)
         .run(move |c, info| {
-            match (kernel, scalar) {
-                (Kernel::Jacobi, false) => jacobi::run_worker(c, info, n, SWEEPS),
-                (Kernel::Jacobi, true) => jacobi_scalar(c, info, n),
-                (Kernel::Sor, false) => sor::run_worker(c, info, n, SWEEPS),
-                (Kernel::Sor, true) => sor_scalar(c, info, n),
-                (Kernel::Matmul(mode), false) => matmul::run_worker(c, info, n, mode),
-                (Kernel::Matmul(mode), true) => matmul_scalar(c, info, n, mode),
-                (Kernel::Lu, false) => lu::run_worker(c, info, n),
-                (Kernel::Lu, true) => lu_scalar(c, info, n),
+            if scalar {
+                scalar_worker(kernel, c, info, n)
+            } else {
+                kernel.run_worker(c, info, n)
             }?;
             Ok(c.gthv().space().stats().faults)
         })
         .expect("cluster run");
-    let verified = match kernel {
-        Kernel::Jacobi => jacobi::verify(&outcome.final_gthv, n, SEED, SWEEPS),
-        Kernel::Sor => sor::verify(&outcome.final_gthv, n, SEED, SWEEPS),
-        Kernel::Matmul(_) => matmul::verify(&outcome.final_gthv, n, SEED),
-        Kernel::Lu => lu::verify(&outcome.final_gthv, n, SEED),
-    };
+    let verified = kernel.verify(&outcome.final_gthv, n, SEED);
     assert!(verified, "{kernel:?} n={n} scalar={scalar} must verify");
     let to_home = outcome.net_stats.dest_traffic(0).bytes;
     Observed {
@@ -271,8 +264,8 @@ fn observe(kernel: Kernel, n: usize, scalar: bool) -> Observed {
 #[test]
 fn row_run_kernels_equal_their_scalar_originals() {
     let kernels = [
-        Kernel::Jacobi,
-        Kernel::Sor,
+        Kernel::Jacobi { sweeps: 3 },
+        Kernel::Sor { sweeps: 3 },
         Kernel::Matmul(SyncMode::Barrier),
         Kernel::Matmul(SyncMode::Lock),
         Kernel::Lu,

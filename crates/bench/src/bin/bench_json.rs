@@ -14,9 +14,9 @@
 //! non-zero on a > 20 % regression — the CI perf gate.
 
 use hdsm_apps::workload::{paper_pairs, SyncMode};
-use hdsm_apps::{jacobi, lu, matmul, sor};
+use hdsm_apps::Kernel;
 use hdsm_bench::paper_placement;
-use hdsm_core::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
+use hdsm_core::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm_core::costs::CostBreakdown;
 use hdsm_core::gthv::GthvDef;
 use hdsm_core::{LockId, PlacementPolicy, ShardId};
@@ -45,97 +45,63 @@ struct Row {
     verified: bool,
 }
 
+impl Row {
+    /// A row's costs and traffic, read off a finished run.
+    fn new<R>(
+        label: String,
+        n: usize,
+        shards: u32,
+        wall: Duration,
+        outcome: &ClusterOutcome<R>,
+    ) -> Row {
+        let mut costs: CostBreakdown = outcome.worker_costs.iter().sum();
+        costs += &outcome.home_costs;
+        let stats = &outcome.net_stats;
+        Row {
+            label,
+            n,
+            shards,
+            wall,
+            costs,
+            net_bytes: stats.total_bytes(),
+            net_messages: stats.total_messages(),
+            remote_update_bytes: stats.bytes.get(&MsgKind::UpdateFlush).copied().unwrap_or(0),
+            rehomes: 0,
+            verified: false,
+        }
+    }
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn run_workload(name: &'static str, n: usize, shards: u32) -> Row {
+fn run_workload(name: &'static str, kernel: Kernel, n: usize, shards: u32) -> Row {
     let pair = &paper_pairs()[2]; // SL: heterogeneous, exercises t_conv.
     let seed = 0xD5D;
-    let sweeps = 6;
-    let workers = paper_placement(pair);
-    let mut builder = ClusterBuilder::new()
+    let builder = ClusterBuilder::new()
         .home(pair.home.clone())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             shards,
             ..Default::default()
         });
-    builder = match name {
-        "jacobi" => builder
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, seed)),
-        "sor" => builder
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed)),
-        "matmul" => builder
-            .gthv(matmul::gthv_def(n))
-            .init(move |g| matmul::init(g, n, seed)),
-        "lu" => builder
-            .gthv(lu::gthv_def(n))
-            .init(move |g| lu::init(g, n, seed)),
-        _ => unreachable!(),
-    };
-    for w in &workers {
-        builder = builder.worker(w.clone());
-    }
+    let builder = paper_placement(pair)
+        .into_iter()
+        .fold(builder, |b, w| b.worker(w));
+    let builder = kernel.setup(builder, n, seed);
     let t0 = Instant::now();
-    let (outcome, verified) = match name {
-        "jacobi" => {
-            let o = builder
-                .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-                .expect("jacobi");
-            let v = jacobi::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "sor" => {
-            let o = builder
-                .run(move |c, i| sor::run_worker(c, i, n, sweeps))
-                .expect("sor");
-            let v = sor::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "matmul" => {
-            let o = builder
-                .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-                .expect("matmul");
-            let v = matmul::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        "lu" => {
-            let o = builder
-                .run(move |c, i| lu::run_worker(c, i, n))
-                .expect("lu");
-            let v = lu::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        _ => unreachable!(),
-    };
+    let outcome = builder
+        .run(move |c, i| kernel.run_worker(c, i, n))
+        .expect(name);
     let wall = t0.elapsed();
-    let mut costs: CostBreakdown = outcome.worker_costs.iter().sum();
-    costs += &outcome.home_costs;
     let label = if shards > 1 {
         format!("{name}@s{shards}")
     } else {
         name.to_string()
     };
     Row {
-        label,
-        n,
-        shards,
-        wall,
-        costs,
-        net_bytes: outcome.net_stats.total_bytes(),
-        net_messages: outcome.net_stats.total_messages(),
-        remote_update_bytes: outcome
-            .net_stats
-            .bytes
-            .get(&MsgKind::UpdateFlush)
-            .copied()
-            .unwrap_or(0),
-        rehomes: 0,
-        verified,
+        verified: kernel.verify(&outcome.final_gthv, n, seed),
+        ..Row::new(label, n, shards, wall, &outcome)
     }
 }
 
@@ -153,18 +119,8 @@ fn run_workload(name: &'static str, n: usize, shards: u32) -> Row {
 /// columns are real elapsed time and jitter run to run, so (like the
 /// `--check` gate) the row keeps the best of three runs.
 fn run_skewed_writer(n: usize, adaptive: bool) -> Row {
-    let mut best: Option<Row> = None;
-    for _ in 0..3 {
-        let row = run_skewed_writer_once(n, adaptive);
-        let keep = match &best {
-            Some(b) => row.costs.c_share() < b.costs.c_share(),
-            None => true,
-        };
-        if keep {
-            best = Some(row);
-        }
-    }
-    best.expect("three runs")
+    let runs = (0..3).map(|_| run_skewed_writer_once(n, adaptive));
+    runs.min_by_key(|r| r.costs.c_share()).expect("three runs")
 }
 
 fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
@@ -246,27 +202,11 @@ fn run_skewed_writer_once(n: usize, adaptive: bool) -> Row {
     if adaptive {
         verified &= rehomes > 0;
     }
-    let mut costs: CostBreakdown = outcome.worker_costs.iter().sum();
-    costs += &outcome.home_costs;
+    let mode = if adaptive { "adaptive" } else { "static" };
     Row {
-        label: format!(
-            "skewed_writer@{}",
-            if adaptive { "adaptive" } else { "static" }
-        ),
-        n,
-        shards: 2,
-        wall,
-        costs,
-        net_bytes: outcome.net_stats.total_bytes(),
-        net_messages: outcome.net_stats.total_messages(),
-        remote_update_bytes: outcome
-            .net_stats
-            .bytes
-            .get(&MsgKind::UpdateFlush)
-            .copied()
-            .unwrap_or(0),
         rehomes,
         verified,
+        ..Row::new(format!("skewed_writer@{mode}"), n, 2, wall, &outcome)
     }
 }
 
@@ -357,14 +297,12 @@ fn measure_failover_recovery() -> f64 {
 fn measure_telemetry_overhead() -> (f64, f64) {
     let n = 32usize;
     let seed = 0xD5D;
-    let sweeps = 6;
+    let kernel = Kernel::Sor { sweeps: 6 };
     let run_once = |telemetry: bool| -> Duration {
-        let mut builder = ClusterBuilder::new()
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed))
+        let builder = ClusterBuilder::new()
             .worker(PlatformSpec::linux_x86())
-            .worker(PlatformSpec::linux_x86_64())
-            .barriers(2);
+            .worker(PlatformSpec::linux_x86_64());
+        let mut builder = kernel.setup(builder, n, seed);
         if telemetry {
             builder = builder
                 .obs(Recorder::enabled())
@@ -376,11 +314,11 @@ fn measure_telemetry_overhead() -> (f64, f64) {
         }
         let t0 = Instant::now();
         let outcome = builder
-            .run(move |c, i| sor::run_worker(c, i, n, sweeps))
+            .run(move |c, i| kernel.run_worker(c, i, n))
             .expect("telemetry-overhead run");
         let wall = t0.elapsed();
         assert!(
-            sor::verify(&outcome.final_gthv, n, seed, sweeps),
+            kernel.verify(&outcome.final_gthv, n, seed),
             "telemetry-overhead sor failed to verify"
         );
         wall
@@ -405,8 +343,11 @@ fn measure_rank_scaling(ranks: u32) -> f64 {
     use hdsm_net::FabricMode;
     let n = 32usize;
     let seed = 0xD5D;
-    let sweeps = 2;
-    let mut builder = ClusterBuilder::new().gthv(jacobi::gthv_def(n));
+    let kernel = Kernel::Jacobi { sweeps: 2 };
+    let mut builder = ClusterBuilder::new().topology(TopologyConfig {
+        fabric: FabricMode::Sim { seed: 9 },
+        ..Default::default()
+    });
     for i in 0..ranks {
         builder = builder.worker(if i % 2 == 0 {
             PlatformSpec::linux_x86()
@@ -414,19 +355,14 @@ fn measure_rank_scaling(ranks: u32) -> f64 {
             PlatformSpec::linux_x86_64()
         });
     }
+    let builder = kernel.setup(builder, n, seed);
     let t0 = Instant::now();
     let outcome = builder
-        .barriers(1)
-        .init(move |g| jacobi::init(g, n, seed))
-        .topology(TopologyConfig {
-            fabric: FabricMode::Sim { seed: 9 },
-            ..Default::default()
-        })
-        .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
+        .run(move |c, i| kernel.run_worker(c, i, n))
         .expect("rank-scaling run");
     let wall = t0.elapsed();
     assert!(
-        jacobi::verify(&outcome.final_gthv, n, seed, sweeps),
+        kernel.verify(&outcome.final_gthv, n, seed),
         "rank-scaling jacobi failed to verify at {ranks} ranks"
     );
     ms(wall)
@@ -543,17 +479,17 @@ fn parse_committed(json: &str) -> Vec<(String, f64)> {
 }
 
 fn run_all(grid_n: usize, mat_n: usize, shards: u32) -> Vec<Row> {
-    let mut rows = vec![
-        run_workload("jacobi", grid_n, 1),
-        run_workload("sor", grid_n, 1),
-        run_workload("matmul", mat_n, 1),
-        run_workload("lu", mat_n, 1),
+    let sweeps = 6;
+    let kernels = [
+        ("jacobi", Kernel::Jacobi { sweeps }, grid_n),
+        ("sor", Kernel::Sor { sweeps }, grid_n),
+        ("matmul", Kernel::Matmul(SyncMode::Barrier), mat_n),
+        ("lu", Kernel::Lu, mat_n),
     ];
+    let run = |shards| kernels.map(|(name, kernel, n)| run_workload(name, kernel, n, shards));
+    let mut rows = Vec::from(run(1));
     if shards > 1 {
-        rows.push(run_workload("jacobi", grid_n, shards));
-        rows.push(run_workload("sor", grid_n, shards));
-        rows.push(run_workload("matmul", mat_n, shards));
-        rows.push(run_workload("lu", mat_n, shards));
+        rows.extend(run(shards));
     }
     // The static-vs-adaptive pair: same seed, same workload — the only
     // difference is whether the placement engine is allowed to act.

@@ -23,7 +23,7 @@
 //! paths are computed here, by the reader ([`Recorder::critpaths`]).
 
 use hdsm_apps::workload::paper_pairs;
-use hdsm_apps::{jacobi, sor};
+use hdsm_apps::Kernel;
 use hdsm_core::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
 use hdsm_net::fault::FaultPlan;
 use hdsm_net::stats::NetConfig;
@@ -40,29 +40,20 @@ fn main() {
         return;
     }
     let follow = args.iter().any(|a| a == "--follow");
-    let n = 48;
-    let sweeps = 6;
-    let seed = 0x0B5;
+    let (n, sweeps, seed) = (48, 6, 0x0B5);
     let pair = &paper_pairs()[2]; // SL: the heterogeneous pair.
     let recorder = Recorder::enabled();
 
-    let mut builder = ClusterBuilder::new()
-        .gthv(jacobi::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .home(pair.home.clone())
-        .barriers(1)
         .obs(recorder.clone())
-        .init(move |g| jacobi::init(g, n, seed));
-    builder = builder
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
         .worker(pair.remote.clone());
-    let outcome = builder
-        .run(move |c, info| jacobi::run_worker(c, info, n, sweeps))
+    let (outcome, verified) = Kernel::Jacobi { sweeps }
+        .run(builder, n, seed)
         .expect("jacobi cluster");
-    assert!(
-        jacobi::verify(&outcome.final_gthv, n, seed, sweeps),
-        "jacobi failed to verify"
-    );
+    assert!(verified, "jacobi failed to verify");
 
     let snapshot = outcome.obs.as_ref().expect("recorder was enabled");
 
@@ -78,17 +69,14 @@ fn main() {
     println!("jacobi n={n} sweeps={sweeps} pair={} verified", pair.label);
 
     // ---- faulty SOR: who made each barrier slow? ----
-    let sor_n = 36;
-    let sor_sweeps = 4;
-    let sor_seed = 0x50F;
+    let (sor_n, sor_sweeps, sor_seed) = (36, 4, 0x50F);
     let plan = FaultPlan::seeded(0xBEEF).drop(0.05);
     let faulty = Recorder::enabled();
+    let sor = Kernel::Sor { sweeps: sor_sweeps };
     let builder2 = ClusterBuilder::new()
-        .gthv(sor::gthv_def(sor_n))
         .home(pair.home.clone())
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
-        .barriers(1)
         .topology(TopologyConfig {
             shards: 2,
             ..Default::default()
@@ -100,15 +88,12 @@ fn main() {
             ..Default::default()
         })
         .telemetry(Duration::from_millis(10), 1024)
-        .obs(faulty.clone())
-        .init(move |g| sor::init(g, sor_n, sor_seed));
-    let outcome2 = if follow {
+        .obs(faulty.clone());
+    let (outcome2, verified) = if follow {
         // Tail the windowed time-series while the run is still going:
         // print each frame's one-line brief as it closes.
         let rec = faulty.clone();
-        let handle = std::thread::spawn(move || {
-            builder2.run(move |c, info| sor::run_worker(c, info, sor_n, sor_sweeps))
-        });
+        let handle = std::thread::spawn(move || sor.run(builder2, sor_n, sor_seed));
         let mut last_seq = None;
         loop {
             let done = handle.is_finished();
@@ -128,8 +113,7 @@ fn main() {
             .expect("follow thread")
             .expect("faulty sor cluster")
     } else {
-        builder2
-            .run(move |c, info| sor::run_worker(c, info, sor_n, sor_sweeps))
+        sor.run(builder2, sor_n, sor_seed)
             .expect("faulty sor cluster")
     };
     std::fs::write(
@@ -137,10 +121,7 @@ fn main() {
         faulty.timeseries_jsonl(),
     )
     .expect("write timeseries");
-    assert!(
-        sor::verify(&outcome2.final_gthv, sor_n, sor_seed, sor_sweeps),
-        "sor failed to verify under faults"
-    );
+    assert!(verified, "sor failed to verify under faults");
     let snap2 = outcome2.obs.as_ref().expect("recorder was enabled");
     let critpaths = faulty.critpaths();
     assert!(

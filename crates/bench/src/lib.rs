@@ -1,30 +1,26 @@
 #![warn(missing_docs)]
 
-//! Experiment harness regenerating the paper's evaluation (§5).
-//!
-//! Each `fig*` binary in `src/bin/` reproduces one figure of the paper;
-//! `table1` reproduces Table 1. The harness runs the paper's exact
-//! configuration — three computing threads, two of them "migrated" to the
-//! remote platform and one staying at the home platform — for every matrix
-//! size (99, 138, 177, 216, 255) and platform pair (LL, SS, SL), and
-//! aggregates the Eq. 1 cost breakdown
-//! (`t_index + t_tag + t_pack + t_unpack + t_conv`) across all
-//! participants.
+//! Experiment harness regenerating the paper's evaluation (§5): one cell
+//! runner for the `paper` binary's grids. A cell is one kernel at one
+//! matrix size on one platform pair under the paper's placement — three
+//! computing threads, one on the home platform and two "migrated" to the
+//! remote one — with the Eq. 1 costs (`t_index + t_tag + t_pack +
+//! t_unpack + t_conv`) summed over every participant.
 //!
 //! **Time scaling.** The paper's machines differ in clock speed (2.4 GHz
 //! P4 vs 1.28 GHz UltraSPARC). All nodes here run on one host CPU, so each
-//! reported time is also given *scaled* by the inverse of the simulated
-//! platform's `cpu_factor` (time measured on a "Solaris" node is divided
-//! by 0.53). Raw measurements are printed alongside; scaling never feeds
-//! back into the protocol.
+//! cell also carries its costs *scaled* by the inverse of each node's
+//! `cpu_factor` (time measured on a "Solaris" node is divided by 0.53).
+//! Scaling never feeds back into the protocol.
 
-use hdsm_apps::workload::{PlatformPair, SyncMode};
-use hdsm_apps::{lu, matmul};
+use hdsm_apps::workload::PlatformPair;
+use hdsm_apps::Kernel;
 use hdsm_core::cluster::ClusterBuilder;
 use hdsm_core::costs::CostBreakdown;
-use std::time::Duration;
+use hdsm_platform::spec::Platform;
+use hdsm_tags::convert::ConversionStats;
 
-/// Aggregated result of one experiment cell (workload × size × pair).
+/// Aggregated result of one experiment cell (kernel × size × pair).
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Pair label ("LL", "SS", "SL").
@@ -35,200 +31,78 @@ pub struct ExperimentResult {
     pub raw: CostBreakdown,
     /// CPU-factor-scaled summed cost breakdown.
     pub scaled: CostBreakdown,
-    /// Raw per-worker breakdowns with their platform names.
-    pub per_worker: Vec<(String, CostBreakdown)>,
-    /// Home-side breakdown (home platform name, costs).
-    pub home: (String, CostBreakdown),
+    /// The home's share of `raw`.
+    pub home: CostBreakdown,
+    /// What every apply did, summed over the home and the workers.
+    pub conv: ConversionStats,
     /// Did the distributed result match the serial oracle?
     pub verified: bool,
-    /// Total bytes that crossed the simulated network.
-    pub net_bytes: u64,
-    /// Total messages that crossed the simulated network.
-    pub net_messages: u64,
 }
 
-fn scale(costs: &CostBreakdown, cpu_factor: f64) -> CostBreakdown {
-    costs.scaled(1.0 / cpu_factor)
+/// The paper's thread placement: one worker stays on the home platform,
+/// two are migrated to the remote platform.
+pub fn paper_placement(pair: &PlatformPair) -> Vec<Platform> {
+    vec![pair.home.clone(), pair.remote.clone(), pair.remote.clone()]
 }
 
-fn aggregate(
-    pair: &PlatformPair,
-    n: usize,
-    worker_platforms: &[hdsm_platform::spec::Platform],
-    outcome: &hdsm_core::cluster::ClusterOutcome<()>,
-    verified: bool,
-) -> ExperimentResult {
-    let per_worker: Vec<(String, CostBreakdown)> = worker_platforms
-        .iter()
-        .zip(&outcome.worker_costs)
-        .map(|(plat, costs)| (plat.name.clone(), *costs))
-        .collect();
+/// Run one cell: `kernel` at size `n` on `pair` under the paper
+/// placement, with the harness's data seed (`0xBEEF` for LU, `0xC0FFEE`
+/// for the rest).
+pub fn run_cell(kernel: Kernel, n: usize, pair: &PlatformPair) -> ExperimentResult {
+    let seed = if kernel == Kernel::Lu {
+        0xBEEF
+    } else {
+        0xC0FFEE
+    };
+    let workers = paper_placement(pair);
+    let builder = ClusterBuilder::new().home(pair.home.clone());
+    let builder = workers.iter().fold(builder, |b, w| b.worker(w.clone()));
+    let (outcome, verified) = kernel.run(builder, n, seed).expect("paper cell");
+    let home = outcome.home_costs;
     let mut raw: CostBreakdown = outcome.worker_costs.iter().sum();
-    raw += &outcome.home_costs;
-    let mut scaled: CostBreakdown = worker_platforms
-        .iter()
-        .zip(&outcome.worker_costs)
-        .map(|(plat, costs)| scale(costs, plat.cpu_factor))
-        .sum();
-    scaled += scale(&outcome.home_costs, pair.home.cpu_factor);
+    raw += home;
+    let costs = workers.iter().zip(&outcome.worker_costs);
+    let mut scaled: CostBreakdown = costs.map(|(w, c)| c.scaled(1.0 / w.cpu_factor)).sum();
+    scaled += home.scaled(1.0 / pair.home.cpu_factor);
+    let mut conv = outcome.home_conv;
+    outcome.worker_conv.iter().for_each(|c| conv.merge(c));
     ExperimentResult {
         pair: pair.label.to_string(),
         n,
         raw,
         scaled,
-        per_worker,
-        home: (pair.home.name.clone(), outcome.home_costs),
+        home,
+        conv,
         verified,
-        net_bytes: outcome.net_stats.total_bytes(),
-        net_messages: outcome.net_stats.total_messages(),
     }
 }
 
-/// The paper's thread placement: one worker stays on the home platform,
-/// two are migrated to the remote platform.
-pub fn paper_placement(pair: &PlatformPair) -> Vec<hdsm_platform::spec::Platform> {
-    vec![pair.home.clone(), pair.remote.clone(), pair.remote.clone()]
-}
-
-/// Run the matrix-multiplication experiment for one cell.
-pub fn run_matmul(n: usize, pair: &PlatformPair, mode: SyncMode) -> ExperimentResult {
-    let seed = 0xC0FFEE;
-    let workers = paper_placement(pair);
-    let mut builder = ClusterBuilder::new()
-        .gthv(matmul::gthv_def(n))
-        .home(pair.home.clone())
-        .locks(1)
-        .barriers(2)
-        .init(move |g| matmul::init(g, n, seed));
-    for w in &workers {
-        builder = builder.worker(w.clone());
-    }
-    let outcome = builder
-        .run(move |c, info| matmul::run_worker(c, info, n, mode))
-        .expect("matmul cluster");
-    let verified = matmul::verify(&outcome.final_gthv, n, seed);
-    aggregate(pair, n, &workers, &outcome, verified)
-}
-
-/// Run the LU-decomposition experiment for one cell.
-pub fn run_lu(n: usize, pair: &PlatformPair) -> ExperimentResult {
-    let seed = 0xBEEF;
-    let workers = paper_placement(pair);
-    let mut builder = ClusterBuilder::new()
-        .gthv(lu::gthv_def(n))
-        .home(pair.home.clone())
-        .locks(1)
-        .barriers(1)
-        .init(move |g| lu::init(g, n, seed));
-    for w in &workers {
-        builder = builder.worker(w.clone());
-    }
-    let outcome = builder
-        .run(move |c, info| lu::run_worker(c, info, n))
-        .expect("lu cluster");
-    let verified = lu::verify(&outcome.final_gthv, n, seed);
-    aggregate(pair, n, &workers, &outcome, verified)
-}
-
-/// Milliseconds with two decimals.
-pub fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-/// Render an ASCII bar of `value` out of `max` in `width` columns.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    if max <= 0.0 {
-        return String::new();
-    }
-    let filled = ((value / max) * width as f64).round() as usize;
-    "#".repeat(filled.min(width))
-}
-
-/// Run one cell `reps` times and keep the repetition with the smallest
+/// Run a cell `reps` times and keep the repetition with the smallest
 /// total sharing cost — the standard way to strip scheduler noise from a
-/// single-machine measurement (all repetitions must verify).
-pub fn run_matmul_min(
-    n: usize,
-    pair: &PlatformPair,
-    mode: SyncMode,
-    reps: usize,
-) -> ExperimentResult {
-    assert!(reps >= 1);
-    let mut best: Option<ExperimentResult> = None;
-    for _ in 0..reps {
-        let r = run_matmul(n, pair, mode);
-        assert!(
-            r.verified,
-            "matmul n={n} pair={} failed to verify",
-            pair.label
-        );
-        if best
-            .as_ref()
-            .is_none_or(|b| r.raw.c_share() < b.raw.c_share())
-        {
-            best = Some(r);
-        }
-    }
-    best.expect("reps >= 1")
-}
-
-/// As [`run_matmul_min`] but for the LU workload.
-pub fn run_lu_min(n: usize, pair: &PlatformPair, reps: usize) -> ExperimentResult {
-    assert!(reps >= 1);
-    let mut best: Option<ExperimentResult> = None;
-    for _ in 0..reps {
-        let r = run_lu(n, pair);
-        assert!(r.verified, "lu n={n} pair={} failed to verify", pair.label);
-        if best
-            .as_ref()
-            .is_none_or(|b| r.raw.c_share() < b.raw.c_share())
-        {
-            best = Some(r);
-        }
-    }
-    best.expect("reps >= 1")
-}
-
-/// Matrix sizes for a figure run: the paper's sizes by default, or the
-/// integers passed on the command line (e.g. `fig6 16 32` for a quick
-/// check).
-pub fn sizes_from_args() -> Vec<usize> {
-    let given: Vec<usize> = std::env::args()
-        .skip(1)
-        .filter_map(|a| a.parse().ok())
-        .collect();
-    if given.is_empty() {
-        hdsm_apps::workload::paper_sizes().to_vec()
-    } else {
-        given
-    }
-}
-
-/// Print the standard experiment header.
-pub fn print_header(title: &str, what: &str) {
-    println!("================================================================");
-    println!("{title}");
-    println!("{what}");
-    println!("Workload placement: 3 threads (1 on the home platform, 2 migrated");
-    println!("to the remote platform), per the paper's §5 setup.");
-    println!("Times marked 'scaled' divide each node's measurement by its");
-    println!("cpu_factor to model the paper's 1.28 GHz SPARC vs 2.4 GHz P4.");
-    println!("================================================================");
+/// single-machine measurement. Every repetition must verify.
+pub fn best_of(reps: usize, mut cell: impl FnMut() -> ExperimentResult) -> ExperimentResult {
+    let runs = (0..reps).map(|_| {
+        let r = cell();
+        assert!(r.verified, "n={} pair={} failed to verify", r.n, r.pair);
+        r
+    });
+    runs.min_by_key(|r| r.raw.c_share()).expect("reps >= 1")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdsm_apps::workload::paper_pairs;
+    use hdsm_apps::workload::{paper_pairs, SyncMode};
+    use std::time::Duration;
 
     #[test]
     fn matmul_cell_runs_and_verifies() {
         let pair = &paper_pairs()[2]; // SL, the heterogeneous pair
-        let r = run_matmul(16, pair, SyncMode::Barrier);
+        let r = run_cell(Kernel::Matmul(SyncMode::Barrier), 16, pair);
         assert!(r.verified);
-        assert_eq!(r.per_worker.len(), 3);
-        assert!(r.raw.c_share() > Duration::ZERO);
-        assert!(r.net_bytes > 0);
+        assert!(r.raw.c_share() > r.home.c_share());
+        assert!(r.home.c_share() > Duration::ZERO);
+        assert!(r.conv.scalars_swapped > 0);
         // Scaling inflates (cpu factors <= 1).
         assert!(r.scaled.c_share() >= r.raw.c_share());
     }
@@ -236,14 +110,8 @@ mod tests {
     #[test]
     fn lu_cell_runs_and_verifies() {
         let pair = &paper_pairs()[0];
-        let r = run_lu(12, pair);
+        let r = best_of(2, || run_cell(Kernel::Lu, 12, pair));
         assert!(r.verified);
-    }
-
-    #[test]
-    fn bar_rendering() {
-        assert_eq!(bar(5.0, 10.0, 10), "#####");
-        assert_eq!(bar(0.0, 10.0, 10), "");
-        assert_eq!(bar(20.0, 10.0, 10), "##########");
+        assert_eq!(r.conv.scalars_swapped, 0);
     }
 }

@@ -9,8 +9,8 @@
 //! cargo run --release --example heterogeneous_matmul -- 99
 //! ```
 
-use hdsm::apps::matmul;
 use hdsm::apps::workload::{paper_pairs, SyncMode};
+use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::ClusterBuilder;
 
 fn main() {
@@ -22,19 +22,14 @@ fn main() {
 
     println!("C = A * B with {n}x{n} int matrices, 3 threads, Figure-4 GThV\n");
     for pair in paper_pairs() {
-        let outcome = ClusterBuilder::new()
-            .gthv(matmul::gthv_def(n))
+        let builder = ClusterBuilder::new()
             .home(pair.home.clone())
             .worker(pair.home.clone())
             .worker(pair.remote.clone())
-            .worker(pair.remote.clone())
-            .barriers(2)
-            .locks(1)
-            .init(move |g| matmul::init(g, n, seed))
-            .run(move |c, info| matmul::run_worker(c, info, n, SyncMode::Barrier))
+            .worker(pair.remote.clone());
+        let (outcome, ok) = Kernel::Matmul(SyncMode::Barrier)
+            .run(builder, n, seed)
             .expect("cluster run");
-
-        let ok = matmul::verify(&outcome.final_gthv, n, seed);
         let mut total = outcome.home_costs;
         for c in &outcome.worker_costs {
             total.merge(c);

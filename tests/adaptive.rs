@@ -21,7 +21,7 @@
 //!    decision-for-decision, even under faults (proptest).
 
 use hdsm::apps::workload::{paper_pairs, SyncMode};
-use hdsm::apps::{jacobi, lu, matmul, sor};
+use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::{
     ClusterBuilder, ClusterError, ClusterOutcome, TimingConfig, TopologyConfig, WorkerInfo,
 };
@@ -30,12 +30,17 @@ use hdsm::net::{FabricMode, FaultPlan, MsgKind, NetConfig, NetStats};
 use hdsm::obs::{ObsSnapshot, Recorder};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
-use hdsm::platform::spec::{Platform, PlatformSpec};
+use hdsm::platform::spec::PlatformSpec;
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::time::Duration;
 
-const KERNELS: [&str; 4] = ["jacobi", "sor", "matmul", "lu"];
+const KERNELS: [Kernel; 4] = [
+    Kernel::Jacobi { sweeps: 3 },
+    Kernel::Sor { sweeps: 3 },
+    Kernel::Matmul(SyncMode::Barrier),
+    Kernel::Lu,
+];
 
 /// A fast heat-driven policy for virtual-time tests: plan every 2 ms of
 /// fabric time, move on modest dominance so kernel traffic can qualify.
@@ -73,25 +78,15 @@ fn chaos(seed: u64) -> FaultPlan {
 /// and an optional fault plan. Returns the outcome and the kernel
 /// verifier's verdict.
 fn run_kernel(
-    kernel: &str,
+    kernel: Kernel,
     policy: Option<PlacementPolicy>,
     faults: Option<FaultPlan>,
 ) -> (ClusterOutcome<()>, bool) {
     let pair = &paper_pairs()[2]; // SL: heterogeneous, exercises conversion.
-    let n = 16usize;
-    let seed = 0xD5D;
-    let sweeps = 3;
-    let workers: Vec<Platform> = vec![
-        pair.home.clone(),
-        pair.remote.clone(),
-        pair.remote.clone(),
-        pair.home.clone(),
-    ];
+    let workers = [&pair.home, &pair.remote, &pair.remote, &pair.home];
     let adaptive = policy.is_some();
     let mut b = ClusterBuilder::new()
         .home(pair.home.clone())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             shards: 2,
             fabric: FabricMode::Sim { seed: 0xADA },
@@ -112,49 +107,8 @@ fn run_kernel(
             })
             .net(NetConfig::default().with_faults(plan));
     }
-    b = match kernel {
-        "jacobi" => b
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, seed)),
-        "sor" => b
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed)),
-        "matmul" => b
-            .gthv(matmul::gthv_def(n))
-            .init(move |g| matmul::init(g, n, seed)),
-        "lu" => b.gthv(lu::gthv_def(n)).init(move |g| lu::init(g, n, seed)),
-        _ => unreachable!(),
-    };
-    for w in workers {
-        b = b.worker(w);
-    }
-    match kernel {
-        "jacobi" => {
-            let o = b
-                .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-                .unwrap();
-            let v = jacobi::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "sor" => {
-            let o = b.run(move |c, i| sor::run_worker(c, i, n, sweeps)).unwrap();
-            let v = sor::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "matmul" => {
-            let o = b
-                .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-                .unwrap();
-            let v = matmul::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        "lu" => {
-            let o = b.run(move |c, i| lu::run_worker(c, i, n)).unwrap();
-            let v = lu::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        _ => unreachable!(),
-    }
+    let b = workers.into_iter().fold(b, |b, w| b.worker(w.clone()));
+    kernel.run(b, 16, 0xD5D).unwrap()
 }
 
 #[test]
@@ -162,12 +116,12 @@ fn adaptive_converges_byte_identically_to_static_on_paper_kernels() {
     for kernel in KERNELS {
         let (st, sv) = run_kernel(kernel, None, None);
         let (ad, av) = run_kernel(kernel, Some(test_policy()), None);
-        assert!(sv, "{kernel}: static run must verify");
-        assert!(av, "{kernel}: adaptive run must verify");
+        assert!(sv, "{kernel:?}: static run must verify");
+        assert!(av, "{kernel:?}: adaptive run must verify");
         assert_eq!(
             st.final_gthv.space().raw(),
             ad.final_gthv.space().raw(),
-            "{kernel}: adaptive placement must not change the computed bytes"
+            "{kernel:?}: adaptive placement must not change the computed bytes"
         );
     }
 }
@@ -177,12 +131,12 @@ fn adaptive_converges_byte_identically_under_faults() {
     for kernel in KERNELS {
         let (st, sv) = run_kernel(kernel, None, Some(chaos(0xFA17)));
         let (ad, av) = run_kernel(kernel, Some(test_policy()), Some(chaos(0xFA17)));
-        assert!(sv, "{kernel}: faulty static run must verify");
-        assert!(av, "{kernel}: faulty adaptive run must verify");
+        assert!(sv, "{kernel:?}: faulty static run must verify");
+        assert!(av, "{kernel:?}: faulty adaptive run must verify");
         assert_eq!(
             st.final_gthv.space().raw(),
             ad.final_gthv.space().raw(),
-            "{kernel}: adaptive + chaos must still converge to the static bytes"
+            "{kernel:?}: adaptive + chaos must still converge to the static bytes"
         );
     }
 }

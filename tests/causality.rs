@@ -5,7 +5,7 @@
 //! untraced wire format.
 
 use bytes::Bytes;
-use hdsm::apps::sor;
+use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
 use hdsm::net::endpoint::Network;
 use hdsm::net::message::MsgKind;
@@ -42,12 +42,9 @@ fn burst(plan: Option<FaultPlan>, recorder: &Recorder, n: usize, msgs: u32) {
 /// `recorder`. `NetConfig::instant()` moves no virtual time per message,
 /// so a send and its receive share their `t_us`.
 fn sim_sor(plan: FaultPlan, fabric_seed: u64, recorder: &Recorder) {
-    let (n, sweeps, seed) = (12, 2, 0xC0);
-    let outcome = ClusterBuilder::new()
-        .gthv(sor::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .worker(PlatformSpec::linux_x86())
         .worker(PlatformSpec::solaris_sparc())
-        .barriers(1)
         .topology(TopologyConfig {
             fabric: FabricMode::Sim { seed: fabric_seed },
             ..Default::default()
@@ -58,11 +55,9 @@ fn sim_sor(plan: FaultPlan, fabric_seed: u64, recorder: &Recorder) {
             ..Default::default()
         })
         .net(NetConfig::instant().with_faults(plan))
-        .obs(recorder.clone())
-        .init(move |g| sor::init(g, n, seed))
-        .run(move |c, info| sor::run_worker(c, info, n, sweeps))
-        .expect("sim sor cluster");
-    assert!(sor::verify(&outcome.final_gthv, n, seed, sweeps));
+        .obs(recorder.clone());
+    let sor = Kernel::Sor { sweeps: 2 };
+    assert!(sor.run(builder, 12, 0xC0).expect("sim sor cluster").1);
 }
 
 /// The order `events` is in is causal: every `MsgRecv` comes after the
@@ -145,26 +140,21 @@ fn clean_fabric_causal_order_is_delivery_order() {
 /// deterministic workload.
 #[test]
 fn disabled_recorder_is_wire_format_differential() {
-    let n = 24;
-    let sweeps = 2;
-    let seed = 0x11;
     let run = |recorder: Option<Recorder>| {
         let mut b = ClusterBuilder::new()
-            .gthv(sor::gthv_def(n))
             .home(PlatformSpec::linux_x86())
             .worker(PlatformSpec::linux_x86())
-            .worker(PlatformSpec::solaris_sparc())
-            .barriers(1);
+            .worker(PlatformSpec::solaris_sparc());
         if let Some(r) = recorder {
             b = b.obs(r);
         }
-        b.init(move |g| sor::init(g, n, seed))
-            .run(move |c, info| sor::run_worker(c, info, n, sweeps))
+        Kernel::Sor { sweeps: 2 }
+            .run(b, 24, 0x11)
             .expect("sor cluster")
     };
-    let untraced = run(None);
-    let traced = run(Some(Recorder::enabled()));
-    assert!(sor::verify(&untraced.final_gthv, n, seed, sweeps));
+    let (untraced, verified) = run(None);
+    let (traced, _) = run(Some(Recorder::enabled()));
+    assert!(verified);
     // Identical deterministic workload → identical wire traffic. The
     // trace context rides outside the payload, so enabling observability
     // must not add a single payload byte, and disabling it must leave
@@ -201,17 +191,13 @@ fn disabled_recorder_is_wire_format_differential() {
 /// links.
 #[test]
 fn faulty_sor_critical_paths_attribute_latency() {
-    let n = 36;
     let sweeps = 4;
-    let seed = 0x50F;
     let plan = FaultPlan::seeded(0xBEEF).drop(0.05);
     let recorder = Recorder::enabled();
-    let outcome = ClusterBuilder::new()
-        .gthv(sor::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .home(PlatformSpec::linux_x86())
         .worker(PlatformSpec::linux_x86())
         .worker(PlatformSpec::solaris_sparc())
-        .barriers(1)
         .topology(TopologyConfig {
             shards: 2,
             ..Default::default()
@@ -222,11 +208,11 @@ fn faulty_sor_critical_paths_attribute_latency() {
             ..Default::default()
         })
         .net(NetConfig::instant().with_faults(plan))
-        .obs(recorder.clone())
-        .init(move |g| sor::init(g, n, seed))
-        .run(move |c, info| sor::run_worker(c, info, n, sweeps))
+        .obs(recorder.clone());
+    let (outcome, verified) = Kernel::Sor { sweeps }
+        .run(builder, 36, 0x50F)
         .expect("faulty sor cluster");
-    assert!(sor::verify(&outcome.final_gthv, n, seed, sweeps));
+    assert!(verified);
     assert!(outcome.net_stats.dropped > 0, "fabric was not hostile");
     assert!(outcome.net_stats.retransmitted > 0);
 

@@ -10,7 +10,7 @@
 //! `baseline` page DSM, which knows nothing about tags or plans at all.
 
 use hdsm::apps::workload::{paper_pairs, PlatformPair, SyncMode};
-use hdsm::apps::{jacobi, lu, matmul, sor};
+use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
 use hdsm::net::{FaultPlan, NetConfig};
 use std::time::Duration;
@@ -40,28 +40,36 @@ fn shards_from_env() -> u32 {
         .unwrap_or(1)
 }
 
+/// The four kernels, the stencils at two sweeps.
+const KERNELS: [Kernel; 4] = [
+    Kernel::Jacobi { sweeps: 2 },
+    Kernel::Sor { sweeps: 2 },
+    Kernel::Matmul(SyncMode::Barrier),
+    Kernel::Lu,
+];
+
 /// Run one kernel across every paper pair on the clean and the faulty
 /// fabric: both runs must verify against the serial oracle, and the faulty
 /// run's authoritative bytes must equal the clean run's.
-fn assert_verified_and_fault_invariant(workload: &str) {
+fn assert_verified_and_fault_invariant(kernel: Kernel) {
     let [clean, faulty] = fault_plans();
     for pair in paper_pairs() {
         let shards = shards_from_env();
-        let (clean_bytes, clean_ok) = run_workload_sharded(workload, &pair, &clean, shards);
-        let (faulty_bytes, faulty_ok) = run_workload_sharded(workload, &pair, &faulty, shards);
+        let (clean_bytes, clean_ok) = run_workload_sharded(kernel, &pair, &clean, shards);
+        let (faulty_bytes, faulty_ok) = run_workload_sharded(kernel, &pair, &faulty, shards);
         assert!(
             clean_ok,
-            "{workload} failed verification on {} (clean fabric)",
+            "{kernel:?} failed verification on {} (clean fabric)",
             pair.label
         );
         assert!(
             faulty_ok,
-            "{workload} failed verification on {} (faulty fabric)",
+            "{kernel:?} failed verification on {} (faulty fabric)",
             pair.label
         );
         assert_eq!(
             faulty_bytes, clean_bytes,
-            "{workload} GThV under faults diverged from the clean run on {}",
+            "{kernel:?} GThV under faults diverged from the clean run on {}",
             pair.label
         );
     }
@@ -69,40 +77,37 @@ fn assert_verified_and_fault_invariant(workload: &str) {
 
 #[test]
 fn jacobi_is_verified_and_fault_invariant_on_every_pair() {
-    assert_verified_and_fault_invariant("jacobi");
+    assert_verified_and_fault_invariant(Kernel::Jacobi { sweeps: 2 });
 }
 
 #[test]
 fn sor_is_verified_and_fault_invariant_on_every_pair() {
-    assert_verified_and_fault_invariant("sor");
+    assert_verified_and_fault_invariant(Kernel::Sor { sweeps: 2 });
 }
 
 #[test]
 fn matmul_is_verified_and_fault_invariant_on_every_pair() {
-    assert_verified_and_fault_invariant("matmul");
+    assert_verified_and_fault_invariant(Kernel::Matmul(SyncMode::Barrier));
 }
 
 #[test]
 fn lu_is_verified_and_fault_invariant_on_every_pair() {
-    assert_verified_and_fault_invariant("lu");
+    assert_verified_and_fault_invariant(Kernel::Lu);
 }
 
-/// One workload on a two-worker cluster with the home service sharded
+/// One kernel on a two-worker cluster with the home service sharded
 /// `shards` ways; returns the final authoritative bytes and the oracle
 /// verdict.
 fn run_workload_sharded(
-    name: &str,
+    kernel: Kernel,
     pair: &PlatformPair,
     plan: &Option<FaultPlan>,
     shards: u32,
 ) -> (Vec<u8>, bool) {
-    let (n, seed, sweeps) = (10usize, 29u64, 2usize);
     let mut b = ClusterBuilder::new()
         .home(pair.home.clone())
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             shards,
             ..Default::default()
@@ -117,53 +122,8 @@ fn run_workload_sharded(
             })
             .net(NetConfig::instant().with_faults(plan.clone()));
     }
-    match name {
-        "jacobi" => {
-            let o = b
-                .gthv(jacobi::gthv_def(n))
-                .init(move |g| jacobi::init(g, n, seed))
-                .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-                .unwrap();
-            (
-                o.final_gthv.space().raw().to_vec(),
-                jacobi::verify(&o.final_gthv, n, seed, sweeps),
-            )
-        }
-        "sor" => {
-            let o = b
-                .gthv(sor::gthv_def(n))
-                .init(move |g| sor::init(g, n, seed))
-                .run(move |c, i| sor::run_worker(c, i, n, sweeps))
-                .unwrap();
-            (
-                o.final_gthv.space().raw().to_vec(),
-                sor::verify(&o.final_gthv, n, seed, sweeps),
-            )
-        }
-        "matmul" => {
-            let o = b
-                .gthv(matmul::gthv_def(n))
-                .init(move |g| matmul::init(g, n, seed))
-                .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-                .unwrap();
-            (
-                o.final_gthv.space().raw().to_vec(),
-                matmul::verify(&o.final_gthv, n, seed),
-            )
-        }
-        "lu" => {
-            let o = b
-                .gthv(lu::gthv_def(n))
-                .init(move |g| lu::init(g, n, seed))
-                .run(move |c, i| lu::run_worker(c, i, n))
-                .unwrap();
-            (
-                o.final_gthv.space().raw().to_vec(),
-                lu::verify(&o.final_gthv, n, seed),
-            )
-        }
-        other => panic!("unknown workload {other}"),
-    }
+    let (o, verified) = kernel.run(b, 10, 29).unwrap();
+    (o.final_gthv.space().raw().to_vec(), verified)
 }
 
 /// The sharding axis is a pure routing change: partitioning entries,
@@ -175,14 +135,14 @@ fn run_workload_sharded(
 fn three_shard_home_is_byte_identical_to_single_home() {
     let pair = &paper_pairs()[2];
     for (p, plan) in fault_plans().iter().enumerate() {
-        for name in ["jacobi", "sor", "matmul", "lu"] {
-            let (one, ok1) = run_workload_sharded(name, pair, plan, 1);
-            let (three, ok3) = run_workload_sharded(name, pair, plan, 3);
-            assert!(ok1, "{name} failed to verify at shards=1 on plan {p}");
-            assert!(ok3, "{name} failed to verify at shards=3 on plan {p}");
+        for kernel in KERNELS {
+            let (one, ok1) = run_workload_sharded(kernel, pair, plan, 1);
+            let (three, ok3) = run_workload_sharded(kernel, pair, plan, 3);
+            assert!(ok1, "{kernel:?} failed to verify at shards=1 on plan {p}");
+            assert!(ok3, "{kernel:?} failed to verify at shards=3 on plan {p}");
             assert_eq!(
                 one, three,
-                "{name} shards=3 GThV diverged from shards=1 on plan {p}"
+                "{kernel:?} shards=3 GThV diverged from shards=1 on plan {p}"
             );
         }
     }
@@ -192,23 +152,18 @@ fn three_shard_home_is_byte_identical_to_single_home() {
 /// bytes to each shard's endpoint and its report renders them.
 #[test]
 fn sharded_run_reports_per_shard_traffic() {
-    let (n, seed) = (10usize, 31u64);
     let pair = &paper_pairs()[2];
-    let outcome = ClusterBuilder::new()
+    let builder = ClusterBuilder::new()
         .home(pair.home.clone())
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             shards: 3,
             ..Default::default()
-        })
-        .gthv(matmul::gthv_def(n))
-        .init(move |g| matmul::init(g, n, seed))
-        .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-        .unwrap();
-    assert!(matmul::verify(&outcome.final_gthv, n, seed));
+        });
+    let matmul = Kernel::Matmul(SyncMode::Barrier);
+    let (outcome, verified) = matmul.run(builder, 10, 31).unwrap();
+    assert!(verified);
     // Every shard terminated something: NetStats saw bytes to each of
     // the three shard endpoints (ranks 0..3).
     for shard in 0..3u32 {
@@ -236,23 +191,12 @@ fn dsd_matches_baseline_page_dsm() {
     use hdsm::tags::convert::ConversionStats;
     use hdsm::tags::wire::{pack_batch_fast, unpack_batch};
 
-    let seed = 23u64;
-    let defs = [
-        ("jacobi", jacobi::gthv_def(12)),
-        ("sor", sor::gthv_def(12)),
-        ("matmul", matmul::gthv_def(12)),
-        ("lu", lu::gthv_def(12)),
-    ];
-    for (name, def) in defs {
+    for kernel in KERNELS {
+        let def = kernel.gthv_def(12);
         let plat = PlatformSpec::linux_x86();
         let mut src = GthvInstance::new(def.clone(), plat.clone());
         src.space_mut().protect_all();
-        match name {
-            "jacobi" => jacobi::init(&mut src, 12, seed),
-            "sor" => sor::init(&mut src, 12, seed),
-            "matmul" => matmul::init(&mut src, 12, seed),
-            _ => lu::init(&mut src, 12, seed),
-        }
+        kernel.init(&mut src, 12, 23);
 
         // Baseline page DSM: raw byte diffs, no tags, no conversion.
         let mut via_baseline = GthvInstance::new(def.clone(), plat.clone());
@@ -274,7 +218,7 @@ fn dsd_matches_baseline_page_dsm() {
         assert_eq!(
             via_dsd.space().raw(),
             via_baseline.space().raw(),
-            "{name}: DSD vs baseline page DSM"
+            "{kernel:?}: DSD vs baseline page DSM"
         );
     }
 }

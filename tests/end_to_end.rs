@@ -2,7 +2,7 @@
 //! platforms, migration mid-run, and the paper's qualitative claims.
 
 use hdsm::apps::workload::{block_rows, paper_pairs, SyncMode};
-use hdsm::apps::{jacobi, lu, matmul, sor};
+use hdsm::apps::{matmul, Kernel};
 use hdsm::dsd::cluster::{
     run_migrating, ClusterBuilder, ClusterError, TimingConfig, TopologyConfig,
 };
@@ -13,25 +13,15 @@ use hdsm::platform::spec::PlatformSpec;
 
 #[test]
 fn matmul_all_paper_pairs() {
-    let n = 24;
-    let seed = 1;
     for pair in paper_pairs() {
-        let outcome = ClusterBuilder::new()
-            .gthv(matmul::gthv_def(n))
+        let builder = ClusterBuilder::new()
             .home(pair.home.clone())
             .worker(pair.home.clone())
             .worker(pair.remote.clone())
-            .worker(pair.remote.clone())
-            .barriers(2)
-            .locks(1)
-            .init(move |g| matmul::init(g, n, seed))
-            .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-            .unwrap();
-        assert!(
-            matmul::verify(&outcome.final_gthv, n, seed),
-            "pair {}",
-            pair.label
-        );
+            .worker(pair.remote.clone());
+        let kernel = Kernel::Matmul(SyncMode::Barrier);
+        let (outcome, verified) = kernel.run(builder, 24, 1).unwrap();
+        assert!(verified, "pair {}", pair.label);
         if pair.heterogeneous() {
             assert!(outcome.home_conv.scalars_swapped > 0, "SL must byte-swap");
         } else {
@@ -47,72 +37,43 @@ fn matmul_all_paper_pairs() {
 
 #[test]
 fn lu_all_paper_pairs() {
-    let n = 12;
-    let seed = 2;
     for pair in paper_pairs() {
-        let outcome = ClusterBuilder::new()
-            .gthv(lu::gthv_def(n))
+        let builder = ClusterBuilder::new()
             .home(pair.home.clone())
             .worker(pair.home.clone())
             .worker(pair.remote.clone())
-            .worker(pair.remote.clone())
-            .barriers(1)
-            .init(move |g| lu::init(g, n, seed))
-            .run(move |c, i| lu::run_worker(c, i, n))
-            .unwrap();
-        assert!(
-            lu::verify(&outcome.final_gthv, n, seed),
-            "pair {}",
-            pair.label
-        );
+            .worker(pair.remote.clone());
+        let (_, verified) = Kernel::Lu.run(builder, 12, 2).unwrap();
+        assert!(verified, "pair {}", pair.label);
     }
 }
 
 #[test]
 fn five_platform_cluster_matmul() {
     // Beyond the paper: every modelled platform in one cluster.
-    let n = 20;
-    let seed = 3;
-    let outcome = ClusterBuilder::new()
-        .gthv(matmul::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .home(PlatformSpec::linux_x86())
         .worker(PlatformSpec::linux_x86())
         .worker(PlatformSpec::solaris_sparc())
         .worker(PlatformSpec::linux_x86_64())
         .worker(PlatformSpec::solaris_sparc64())
-        .worker(PlatformSpec::aix_power())
-        .barriers(2)
-        .init(move |g| matmul::init(g, n, seed))
-        .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-        .unwrap();
-    assert!(matmul::verify(&outcome.final_gthv, n, seed));
+        .worker(PlatformSpec::aix_power());
+    let kernel = Kernel::Matmul(SyncMode::Barrier);
+    assert!(kernel.run(builder, 20, 3).unwrap().1);
 }
 
 #[test]
 fn jacobi_and_sor_on_heterogeneous_pair() {
-    let n = 10;
-    let seed = 4;
-    let outcome = ClusterBuilder::new()
-        .gthv(jacobi::gthv_def(n))
-        .home(PlatformSpec::solaris_sparc())
-        .worker(PlatformSpec::linux_x86())
-        .worker(PlatformSpec::linux_x86_64())
-        .barriers(1)
-        .init(move |g| jacobi::init(g, n, seed))
-        .run(move |c, i| jacobi::run_worker(c, i, n, 4))
-        .unwrap();
-    assert!(jacobi::verify(&outcome.final_gthv, n, seed, 4));
-
-    let outcome = ClusterBuilder::new()
-        .gthv(sor::gthv_def(n))
-        .home(PlatformSpec::solaris_sparc())
-        .worker(PlatformSpec::linux_x86())
-        .worker(PlatformSpec::solaris_sparc64())
-        .barriers(1)
-        .init(move |g| sor::init(g, n, seed))
-        .run(move |c, i| sor::run_worker(c, i, n, 3))
-        .unwrap();
-    assert!(sor::verify(&outcome.final_gthv, n, seed, 3));
+    for (kernel, second) in [
+        (Kernel::Jacobi { sweeps: 4 }, PlatformSpec::linux_x86_64()),
+        (Kernel::Sor { sweeps: 3 }, PlatformSpec::solaris_sparc64()),
+    ] {
+        let builder = ClusterBuilder::new()
+            .home(PlatformSpec::solaris_sparc())
+            .worker(PlatformSpec::linux_x86())
+            .worker(second);
+        assert!(kernel.run(builder, 10, 4).unwrap().1, "{kernel:?}");
+    }
 }
 
 /// One stencil run on the paper's SL placement, recorder armed: what the
@@ -127,29 +88,19 @@ fn stencil_shipping(n: usize, sweeps: usize, sor_kernel: bool) -> (u64, u64, u64
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
         .worker(pair.remote.clone())
-        .barriers(1)
         .topology(TopologyConfig {
             fabric: FabricMode::Sim { seed: 5 },
             ..Default::default()
         })
         .obs(recorder.clone());
-    let home_costs = if sor_kernel {
-        let outcome = builder
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed))
-            .run(move |c, i| sor::run_worker(c, i, n, sweeps))
-            .unwrap();
-        assert!(sor::verify(&outcome.final_gthv, n, seed, sweeps));
-        outcome.home_costs
+    let kernel = if sor_kernel {
+        Kernel::Sor { sweeps }
     } else {
-        let outcome = builder
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, seed))
-            .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-            .unwrap();
-        assert!(jacobi::verify(&outcome.final_gthv, n, seed, sweeps));
-        outcome.home_costs
+        Kernel::Jacobi { sweeps }
     };
+    let (outcome, verified) = kernel.run(builder, n, seed).unwrap();
+    assert!(verified);
+    let home_costs = outcome.home_costs;
     let snap = recorder.snapshot().expect("armed");
     let count = |name: &str| {
         let row = snap.counters.iter().find(|(k, _)| k == name);
@@ -205,21 +156,15 @@ fn lu_fetches_the_moving_pivot_row_and_still_verifies() {
     // Everyone reads pivot row k at step k, and only its owner wrote it:
     // the interest trails the pivot by a row, so each step's row comes by
     // a fetch (the case where what is read is not what was read before).
-    let (n, seed) = (16, 21);
     let pair = &paper_pairs()[2];
     let recorder = hdsm::obs::Recorder::enabled();
-    let outcome = ClusterBuilder::new()
-        .gthv(lu::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .home(pair.home.clone())
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
         .worker(pair.remote.clone())
-        .barriers(1)
-        .obs(recorder.clone())
-        .init(move |g| lu::init(g, n, seed))
-        .run(move |c, i| lu::run_worker(c, i, n))
-        .unwrap();
-    assert!(lu::verify(&outcome.final_gthv, n, seed));
+        .obs(recorder.clone());
+    assert!(Kernel::Lu.run(builder, 16, 21).unwrap().1);
     let snap = recorder.snapshot().expect("armed");
     let fetches = snap
         .counters
@@ -305,18 +250,13 @@ fn a_program_missing_from_the_registry_fails_as_a_migration_error() {
 #[test]
 fn lock_mode_equals_barrier_mode_results() {
     let n = 18;
-    let seed = 6;
     let run = |mode| {
-        let outcome = ClusterBuilder::new()
-            .gthv(matmul::gthv_def(n))
+        let builder = ClusterBuilder::new()
             .home(PlatformSpec::solaris_sparc())
             .worker(PlatformSpec::linux_x86())
-            .worker(PlatformSpec::solaris_sparc())
-            .locks(1)
-            .barriers(2)
-            .init(move |g| matmul::init(g, n, seed))
-            .run(move |c, i| matmul::run_worker(c, i, n, mode))
-            .unwrap();
+            .worker(PlatformSpec::solaris_sparc());
+        let (outcome, verified) = Kernel::Matmul(mode).run(builder, n, 6).unwrap();
+        assert!(verified, "{mode:?}");
         let mut c_vals = Vec::new();
         for i in 0..(n * n) as u64 {
             c_vals.push(outcome.final_gthv.read_int(matmul::entries::C, i).unwrap());
@@ -331,16 +271,14 @@ fn pointer_field_survives_full_run() {
     // GThP is initialised to &A[0]; after the whole distributed run the
     // authoritative copy must still resolve it, and the pointer must have
     // been translated correctly into every worker's address space.
-    let n = 12;
-    let seed = 7;
-    let outcome = ClusterBuilder::new()
-        .gthv(matmul::gthv_def(n))
+    let (n, kernel) = (12, Kernel::Matmul(SyncMode::Barrier));
+    let builder = ClusterBuilder::new()
         .home(PlatformSpec::linux_x86())
-        .worker(PlatformSpec::solaris_sparc64())
-        .barriers(2)
-        .init(move |g| matmul::init(g, n, seed))
+        .worker(PlatformSpec::solaris_sparc64());
+    let outcome = kernel
+        .setup(builder, n, 7)
         .run(move |c, i| {
-            matmul::run_worker(c, i, n, SyncMode::Barrier)?;
+            kernel.run_worker(c, i, n)?;
             // After the final barrier the worker's LP64 big-endian copy
             // must still see GThP → A[0].
             assert_eq!(
@@ -363,17 +301,13 @@ fn pointer_field_survives_full_run() {
 fn cost_accounting_covers_every_component() {
     // A heterogeneous run must exercise all five Eq. 1 components on the
     // worker side and tag/pack/unpack/conv on the home side.
-    let n = 20;
-    let seed = 8;
-    let outcome = ClusterBuilder::new()
-        .gthv(matmul::gthv_def(n))
+    let builder = ClusterBuilder::new()
         .home(PlatformSpec::solaris_sparc())
         .worker(PlatformSpec::linux_x86())
-        .worker(PlatformSpec::linux_x86())
-        .barriers(2)
-        .init(move |g| matmul::init(g, n, seed))
-        .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-        .unwrap();
+        .worker(PlatformSpec::linux_x86());
+    let kernel = Kernel::Matmul(SyncMode::Barrier);
+    let (outcome, verified) = kernel.run(builder, 20, 8).unwrap();
+    assert!(verified);
     for c in &outcome.worker_costs {
         assert!(c.t_index > std::time::Duration::ZERO);
         assert!(c.t_tag > std::time::Duration::ZERO);

@@ -69,26 +69,29 @@ fn gthv_tag_covers_whole_structure_on_every_platform() {
 #[test]
 fn section5_shape_claims_hold_at_reduced_scale() {
     // The qualitative claims of §5, checked at a size small enough for a
-    // debug-mode test run (the full sizes run in the fig6..fig11 bins):
-    // 1. heterogeneous t_conv >> homogeneous t_conv,
+    // debug-mode test run (the full sizes run in the `paper` bin):
+    // 1. only the heterogeneous pair converts; the homogeneous pairs copy,
     // 2. pack/unpack are comparatively small,
     // 3. LU ships more bytes per run than matmul.
     use hdsm::apps::workload::{paper_pairs, SyncMode};
-    use hdsm_bench::{run_lu, run_matmul};
+    use hdsm::apps::Kernel;
+    use hdsm_bench::run_cell;
 
     let n = 24;
-    let pairs = paper_pairs();
-    let ll = run_matmul(n, &pairs[0], SyncMode::Barrier);
-    let sl = run_matmul(n, &pairs[2], SyncMode::Barrier);
-    assert!(ll.verified && sl.verified);
+    let matmul = Kernel::Matmul(SyncMode::Barrier);
+    let [ll, ss, sl] = paper_pairs().each_ref().map(|p| run_cell(matmul, n, p));
+    assert!(ll.verified && ss.verified && sl.verified);
 
-    // Claim 1: conversion dominates only in the heterogeneous pair.
-    assert!(
-        sl.raw.t_conv > ll.raw.t_conv * 2,
-        "SL conv {:?} should far exceed LL conv {:?}",
-        sl.raw.t_conv,
-        ll.raw.t_conv
-    );
+    // Claim 1, as the mechanism rather than a wall-clock ratio (compiled
+    // swap plans run near memcpy speed in a release build): LL and SS
+    // byte-swap nothing — everything but the `GThP` pointer moves by
+    // memcpy — while SL swaps scalars.
+    for homogeneous in [&ll, &ss] {
+        let conv = homogeneous.conv;
+        assert_eq!(conv.scalars_swapped, 0, "{}: {conv:?}", homogeneous.pair);
+        assert!(conv.memcpy_bytes > 0, "{}: {conv:?}", homogeneous.pair);
+    }
+    assert!(sl.conv.scalars_swapped > 0, "SL: {:?}", sl.conv);
 
     // Claim 2: pack+unpack < half of total in the heterogeneous pair.
     let pack_unpack = sl.raw.t_pack + sl.raw.t_unpack;
@@ -98,7 +101,7 @@ fn section5_shape_claims_hold_at_reduced_scale() {
     );
 
     // Claim 3: LU moves more update bytes than matmul at the same size.
-    let lu = run_lu(n, &pairs[2]);
+    let lu = run_cell(Kernel::Lu, n, &paper_pairs()[2]);
     assert!(lu.verified);
     assert!(
         lu.raw.bytes_applied > sl.raw.bytes_applied,

@@ -851,6 +851,7 @@ fn cond_paired_with_a_lock_on_another_shard_is_rejected() {
 // ---------------------------------------------------------------------------
 
 use hdsm::apps::workload::SyncMode;
+use hdsm::apps::Kernel;
 use hdsm::dsd::client::DsdClient;
 use hdsm::dsd::cluster::WorkerInfo;
 use hdsm::dsd::ShardId;
@@ -1476,19 +1477,16 @@ fn handoff_of_an_unreplicated_shard_is_refused_and_the_run_completes() {
 
 #[test]
 fn failover_paper_kernels_survive_any_single_shard_kill() {
-    use hdsm::apps::{jacobi, lu, matmul, sor};
     // The tentpole acceptance: with replicas = 1, killing either home
     // shard mid-run in each paper kernel still completes the run with
     // bytes equal to the fault-free result — on a clean fabric and on a
     // faulty one. Worker 0 staggers its start so the kill consistently
     // lands while worker 1 is parked in the kernel's first barrier.
     let (n, seed, sweeps) = (8usize, 11u64, 2usize);
-    let run_kernel = |which: usize, kill: Option<u32>, plan: &Option<FaultPlan>| {
+    let run_kernel = |kernel: Kernel, kill: Option<u32>, plan: &Option<FaultPlan>| {
         let mut b = ClusterBuilder::new()
             .worker(PlatformSpec::linux_x86())
             .worker(PlatformSpec::linux_x86_64())
-            .locks(1)
-            .barriers(2)
             .topology(TopologyConfig {
                 shards: 2,
                 replicas: 1,
@@ -1509,62 +1507,17 @@ fn failover_paper_kernels_survive_any_single_shard_kill() {
                 ctl.kill_shard(ShardId::new(shard));
             });
         }
-        let stagger = |i: &WorkerInfo| {
-            if kill.is_some() && i.index == 0 {
-                std::thread::sleep(Duration::from_millis(150));
-            }
-        };
-        let (bytes, ok) = match which {
-            0 => {
-                let o = b
-                    .gthv(jacobi::gthv_def(n))
-                    .init(move |g| jacobi::init(g, n, seed))
-                    .run(move |c, i| {
-                        stagger(i);
-                        jacobi::run_worker(c, i, n, sweeps)
-                    })
-                    .expect("jacobi completes");
-                let ok = jacobi::verify(&o.final_gthv, n, seed, sweeps);
-                (o.final_gthv.space().raw().to_vec(), ok)
-            }
-            1 => {
-                let o = b
-                    .gthv(sor::gthv_def(n))
-                    .init(move |g| sor::init(g, n, seed))
-                    .run(move |c, i| {
-                        stagger(i);
-                        sor::run_worker(c, i, n, sweeps)
-                    })
-                    .expect("sor completes");
-                let ok = sor::verify(&o.final_gthv, n, seed, sweeps);
-                (o.final_gthv.space().raw().to_vec(), ok)
-            }
-            2 => {
-                let o = b
-                    .gthv(matmul::gthv_def(n))
-                    .init(move |g| matmul::init(g, n, seed))
-                    .run(move |c, i| {
-                        stagger(i);
-                        matmul::run_worker(c, i, n, SyncMode::Barrier)
-                    })
-                    .expect("matmul completes");
-                let ok = matmul::verify(&o.final_gthv, n, seed);
-                (o.final_gthv.space().raw().to_vec(), ok)
-            }
-            _ => {
-                let o = b
-                    .gthv(lu::gthv_def(n))
-                    .init(move |g| lu::init(g, n, seed))
-                    .run(move |c, i| {
-                        stagger(i);
-                        lu::run_worker(c, i, n)
-                    })
-                    .expect("lu completes");
-                let ok = lu::verify(&o.final_gthv, n, seed);
-                (o.final_gthv.space().raw().to_vec(), ok)
-            }
-        };
-        (bytes, ok)
+        let o = kernel
+            .setup(b, n, seed)
+            .run(move |c, i| {
+                if kill.is_some() && i.index == 0 {
+                    std::thread::sleep(Duration::from_millis(150));
+                }
+                kernel.run_worker(c, i, n)
+            })
+            .unwrap_or_else(|e| panic!("{kernel:?} completes: {e}"));
+        let ok = kernel.verify(&o.final_gthv, n, seed);
+        (o.final_gthv.space().raw().to_vec(), ok)
     };
     let faulty = || {
         Some(
@@ -1574,16 +1527,25 @@ fn failover_paper_kernels_survive_any_single_shard_kill() {
                 .reorder(0.02),
         )
     };
-    for (which, name) in ["jacobi", "sor", "matmul", "lu"].iter().enumerate() {
-        let (clean, ok) = run_kernel(which, None, &None);
-        assert!(ok, "{name} failed to verify fault-free");
+    let kernels = [
+        Kernel::Jacobi { sweeps },
+        Kernel::Sor { sweeps },
+        Kernel::Matmul(SyncMode::Barrier),
+        Kernel::Lu,
+    ];
+    for kernel in kernels {
+        let (clean, ok) = run_kernel(kernel, None, &None);
+        assert!(ok, "{kernel:?} failed to verify fault-free");
         for shard in [0u32, 1] {
             for (p, plan) in [None, faulty()].iter().enumerate() {
-                let (bytes, ok) = run_kernel(which, Some(shard), plan);
-                assert!(ok, "{name} failed to verify killing shard {shard} plan {p}");
+                let (bytes, ok) = run_kernel(kernel, Some(shard), plan);
+                assert!(
+                    ok,
+                    "{kernel:?} failed to verify killing shard {shard} plan {p}"
+                );
                 assert_eq!(
                     bytes, clean,
-                    "{name} diverged from fault-free killing shard {shard} plan {p}"
+                    "{kernel:?} diverged from fault-free killing shard {shard} plan {p}"
                 );
             }
         }

@@ -19,7 +19,7 @@
 //! replays from its seed too.
 
 use hdsm::apps::workload::{block_rows, paper_pairs, SyncMode};
-use hdsm::apps::{jacobi, lu, matmul, sor};
+use hdsm::apps::{matmul, Kernel};
 use hdsm::dsd::cluster::{
     run_migrating, ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig,
 };
@@ -28,7 +28,7 @@ use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::obs::Recorder;
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
-use hdsm::platform::spec::{Platform, PlatformSpec};
+use hdsm::platform::spec::PlatformSpec;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -44,72 +44,27 @@ fn counters_def() -> hdsm::dsd::GthvDef {
     .unwrap()
 }
 
-const KERNELS: [&str; 4] = ["jacobi", "sor", "matmul", "lu"];
+const KERNELS: [Kernel; 4] = [
+    Kernel::Jacobi { sweeps: 3 },
+    Kernel::Sor { sweeps: 3 },
+    Kernel::Matmul(SyncMode::Barrier),
+    Kernel::Lu,
+];
 
 /// Build and run one paper kernel on the heterogeneous SL pair (one
 /// Solaris/SPARC home + Linux/x86 and SPARC workers), threaded or
 /// simulated, and return the outcome plus the verifier's verdict.
-fn run_kernel(kernel: &str, n: usize, fabric: FabricMode) -> (ClusterOutcome<()>, bool) {
+fn run_kernel(kernel: Kernel, n: usize, fabric: FabricMode) -> (ClusterOutcome<()>, bool) {
     let pair = &paper_pairs()[2]; // SL: heterogeneous, exercises conversion.
-    let seed = 0xD5D;
-    let sweeps = 3;
-    let workers: Vec<Platform> = vec![
-        pair.home.clone(),
-        pair.remote.clone(),
-        pair.remote.clone(),
-        pair.home.clone(),
-    ];
-    let mut b = ClusterBuilder::new()
+    let workers = [&pair.home, &pair.remote, &pair.remote, &pair.home];
+    let b = ClusterBuilder::new()
         .home(pair.home.clone())
-        .locks(1)
-        .barriers(2)
         .topology(TopologyConfig {
             fabric,
             ..Default::default()
         });
-    b = match kernel {
-        "jacobi" => b
-            .gthv(jacobi::gthv_def(n))
-            .init(move |g| jacobi::init(g, n, seed)),
-        "sor" => b
-            .gthv(sor::gthv_def(n))
-            .init(move |g| sor::init(g, n, seed)),
-        "matmul" => b
-            .gthv(matmul::gthv_def(n))
-            .init(move |g| matmul::init(g, n, seed)),
-        "lu" => b.gthv(lu::gthv_def(n)).init(move |g| lu::init(g, n, seed)),
-        _ => unreachable!(),
-    };
-    for w in workers {
-        b = b.worker(w);
-    }
-    match kernel {
-        "jacobi" => {
-            let o = b
-                .run(move |c, i| jacobi::run_worker(c, i, n, sweeps))
-                .unwrap();
-            let v = jacobi::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "sor" => {
-            let o = b.run(move |c, i| sor::run_worker(c, i, n, sweeps)).unwrap();
-            let v = sor::verify(&o.final_gthv, n, seed, sweeps);
-            (o, v)
-        }
-        "matmul" => {
-            let o = b
-                .run(move |c, i| matmul::run_worker(c, i, n, SyncMode::Barrier))
-                .unwrap();
-            let v = matmul::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        "lu" => {
-            let o = b.run(move |c, i| lu::run_worker(c, i, n)).unwrap();
-            let v = lu::verify(&o.final_gthv, n, seed);
-            (o, v)
-        }
-        _ => unreachable!(),
-    }
+    let b = workers.into_iter().fold(b, |b, w| b.worker(w.clone()));
+    kernel.run(b, n, 0xD5D).unwrap()
 }
 
 #[test]
@@ -117,12 +72,12 @@ fn sim_converges_byte_identically_to_threaded_on_paper_kernels() {
     for kernel in KERNELS {
         let (threaded, tv) = run_kernel(kernel, 16, FabricMode::Threads);
         let (sim, sv) = run_kernel(kernel, 16, FabricMode::Sim { seed: 0xFAB });
-        assert!(tv, "{kernel}: threaded run must verify");
-        assert!(sv, "{kernel}: simulated run must verify");
+        assert!(tv, "{kernel:?}: threaded run must verify");
+        assert!(sv, "{kernel:?}: simulated run must verify");
         assert_eq!(
             threaded.final_gthv.space().raw(),
             sim.final_gthv.space().raw(),
-            "{kernel}: sim and threaded runs must converge to the same bytes"
+            "{kernel:?}: sim and threaded runs must converge to the same bytes"
         );
     }
 }
@@ -231,22 +186,13 @@ fn different_seeds_reorder_but_still_converge() {
 /// barriers per sweep and sign off cleanly under the event scheduler.
 #[test]
 fn thousand_rank_jacobi_completes_in_sim() {
-    let n = 32usize;
-    let seed = 5;
-    let mut b = ClusterBuilder::new().gthv(jacobi::gthv_def(n));
-    for _ in 0..1000 {
-        b = b.worker(PlatformSpec::linux_x86());
-    }
-    let outcome = b
-        .barriers(1)
-        .init(move |g| jacobi::init(g, n, seed))
-        .topology(TopologyConfig {
-            fabric: FabricMode::Sim { seed: 9 },
-            ..Default::default()
-        })
-        .run(move |c, i| jacobi::run_worker(c, i, n, 2))
-        .unwrap();
-    assert!(jacobi::verify(&outcome.final_gthv, n, seed, 2));
+    let b = ClusterBuilder::new().topology(TopologyConfig {
+        fabric: FabricMode::Sim { seed: 9 },
+        ..Default::default()
+    });
+    let b = (0..1000).fold(b, |b, _| b.worker(PlatformSpec::linux_x86()));
+    let (_, verified) = Kernel::Jacobi { sweeps: 2 }.run(b, 32, 5).unwrap();
+    assert!(verified);
 }
 
 /// Same-seed reproducibility when ranks finish at different virtual

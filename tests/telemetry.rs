@@ -9,8 +9,8 @@
 //! recorder is disabled, a disabled run's wire traffic must be identical
 //! to a fully-armed run of the same seed.
 
-use hdsm::apps::sor;
 use hdsm::apps::workload::paper_pairs;
+use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm::dsd::{BarrierId, CostBreakdown, GthvDef, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
@@ -349,25 +349,22 @@ fn assert_heat_ledger<R>(outcome: &ClusterOutcome<R>, recorder: &Recorder) {
 #[test]
 fn heat_ledger_matches_the_eq1_counters_on_sor_and_a_three_shard_lock_run() {
     // Red-black SOR: thousands of one-element runs in a few groups.
-    let n = 32;
     let pair = &paper_pairs()[2];
     let recorder = Recorder::enabled();
-    let outcome = ClusterBuilder::new()
-        .gthv(sor::gthv_def(n))
-        .init(move |g| sor::init(g, n, 0xD5D))
+    let builder = ClusterBuilder::new()
         .home(pair.home.clone())
         .worker(pair.home.clone())
         .worker(pair.remote.clone())
         .worker(pair.remote.clone())
-        .barriers(2)
         .topology(TopologyConfig {
             fabric: FabricMode::Sim { seed: 0x50A },
             ..Default::default()
         })
-        .obs(recorder.clone())
-        .run(move |c, info| sor::run_worker(c, info, n, 3))
+        .obs(recorder.clone());
+    let (outcome, verified) = Kernel::Sor { sweeps: 3 }
+        .run(builder, 32, 0xD5D)
         .expect("sor run");
-    assert!(sor::verify(&outcome.final_gthv, n, 0xD5D, 3));
+    assert!(verified);
     let snap = outcome.obs.as_ref().unwrap();
     let shipped: u64 = snap.entries.iter().map(|e| e.updates_sent).sum();
     assert!(shipped > 1000, "strided writes do not coalesce: {shipped}");
