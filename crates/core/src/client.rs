@@ -630,7 +630,14 @@ impl DsdClient {
                         let src = m.src;
                         let mut t = Phase::Unpack.begin(&self.recorder, self.obs_rank, self.cur_op);
                         t.args(m.payload.len() as u64, m.src as u64);
-                        let (rid, decoded) = DsdMsg::decode_enveloped(m.kind, m.payload)?;
+                        let Ok((rid, decoded)) = DsdMsg::decode_enveloped(m.kind, m.payload) else {
+                            // A frame that does not decode names no reply,
+                            // and one bad frame must not fail the op: drop
+                            // it (the abandoned region charges nothing) and
+                            // keep waiting. Retransmission recovers the reply.
+                            self.recorder.count("client.bad_frames", 1);
+                            continue;
+                        };
                         t.end(&mut self.costs);
                         if let DsdMsg::WorkerLost {
                             rank,

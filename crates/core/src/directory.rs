@@ -24,28 +24,9 @@
 //! primary and replica endpoint when a fenced shard answers with
 //! `ViewChange` — see DESIGN.md §14.
 
+use crate::protocol::is_client_request;
 use hdsm_net::message::MsgKind;
 use std::collections::BTreeMap;
-
-/// Is `kind` a client-originated request (or heartbeat)? These are the
-/// frames a home shard routes through its epoch check, relay and dedup
-/// path; everything else is a reply or replication/admin control plane.
-pub(crate) fn is_client_request(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::LockRequest
-            | MsgKind::UnlockRequest
-            | MsgKind::BarrierEnter
-            | MsgKind::Join
-            | MsgKind::CondWait
-            | MsgKind::CondSignal
-            | MsgKind::Resync
-            | MsgKind::Heartbeat
-            | MsgKind::UpdateFlush
-            | MsgKind::UpdateFetch
-            | MsgKind::RangeFetch
-    )
-}
 
 /// Deterministic entry/lock/barrier/cond → shard mapping for a home
 /// service sharded `S` ways, with `R` warm standby replicas per shard.

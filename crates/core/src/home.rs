@@ -37,10 +37,10 @@
 //! protocol violation still ends the shard.
 
 use crate::costs::{CostBreakdown, Phase};
-use crate::directory::{is_client_request, Directory, Placement};
+use crate::directory::{Directory, Placement};
 use crate::gthv::GthvInstance;
 use crate::interval::{IntervalSet, Piece};
-use crate::protocol::{DsdMsg, ProtocolError};
+use crate::protocol::{is_client_request, DsdMsg, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
 use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
 use bytes::Bytes;

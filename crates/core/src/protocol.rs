@@ -6,6 +6,18 @@
 //! by a freshly migrated thread (its new node's copy is cold), and the
 //! final `Shutdown`. Updates ride inside messages as CGT-RMR wire batches.
 //!
+//! **A message's layout lives in one place: its row of the table below.**
+//! A row is the variant with its docs, travelling under the [`MsgKind`] of
+//! the same name; `: client` if a worker sends it to a home (such a row
+//! names its sender in a `rank` field); and its fields in wire order, each
+//! written and read by the codec of its type or by the one named after
+//! `as`. The table expands into [`DsdMsg`] and everything that walks its
+//! variants — `kind`, the exact size bound, the encoder, the decoder, the
+//! sender's rank and `is_client_request` — so adding or removing a message
+//! is one row. A codec is ordinary code, one small impl per wire type. Only
+//! the count-prefixed codec reads a count off the wire, and it reserves
+//! nothing before [`bounded_vec`] has held the count to the bytes left.
+//!
 //! Two things ride *behind* a message body as bare 20-byte
 //! `(entry, first, count)` rows, none of them costing a byte when there
 //! is nothing to say: a grant's or release's **notices** (ranges that
@@ -20,17 +32,132 @@
 use crate::runs::UpdateRange;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
+use hdsm_platform::endian::Endianness;
+use hdsm_platform::scalar::ScalarKind;
+use hdsm_tags::generate::tag_for_scalar_run;
+use hdsm_tags::wire::reference::{batch_of, WireUpdate};
 use hdsm_tags::wire::{bounded_vec, split_batch, UpdateBatch, WireError};
 use std::fmt;
 
-/// Bytes of one `(entry, first, count)` row.
-const RANGE_BYTES: usize = 4 + 8 + 8;
+/// Expands the message table into [`DsdMsg`], its walks and
+/// [`is_client_request`]; see the module docs for a row's syntax.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident $(: $client:ident)? $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty $(as $codec:ty)?,)*
+        })?,
+    )*) => {
+        /// A decoded DSD protocol message.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum DsdMsg {
+            $($(#[$doc])* $name $({ $($(#[$field_doc])* $field: $ty,)* })?,)*
+        }
 
-/// A decoded DSD protocol message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DsdMsg {
+        impl DsdMsg {
+            /// The transport kind this message travels under: the one of
+            /// its name.
+            pub fn kind(&self) -> MsgKind {
+                match self {
+                    $(DsdMsg::$name { .. } => MsgKind::$name,)*
+                }
+            }
+
+            /// Exactly the bytes of the body: the sum of its fields'.
+            fn encoded_bound(&self) -> usize {
+                match self {
+                    $(DsdMsg::$name { $($($field,)*)? } => {
+                        0 $($(+ <codec!($ty $(as $codec)?) as Codec<$ty>>::bound($field))*)?
+                    })*
+                }
+            }
+
+            /// Append the message body to `out`, field by field.
+            fn encode_into(&self, out: &mut BytesMut) {
+                match self {
+                    $(DsdMsg::$name { $($($field,)*)? } => {
+                        $($(<codec!($ty $(as $codec)?) as Codec<$ty>>::put($field, out);)*)?
+                    })*
+                }
+            }
+
+            /// Split the body of a `kind` message off the front of
+            /// `payload`; what is behind it comes back too.
+            fn take_message(
+                kind: MsgKind,
+                mut payload: Bytes,
+            ) -> Result<(DsdMsg, Bytes), ProtocolError> {
+                let msg = match kind {
+                    $(MsgKind::$name => DsdMsg::$name {
+                        $($($field: <codec!($ty $(as $codec)?) as Codec<$ty>>::take(&mut payload)?,)*)?
+                    },)*
+                    _ => return Err(ProtocolError::BadMessage("unexpected transport kind")),
+                };
+                Ok((msg, payload))
+            }
+
+            /// The thread rank a client request identifies itself with;
+            /// `None` for every other message. The home service keys its
+            /// liveness and duplicate-suppression state on this.
+            pub(crate) fn sender_rank(&self) -> Option<u32> {
+                match self {
+                    $($(DsdMsg::$name { rank, .. } => client!($client, Some(*rank)),)?)*
+                    _ => None,
+                }
+            }
+
+            /// Values of every variant, built from a few samples of each
+            /// field type (empty and full row tables, extreme integers,
+            /// batches of none, one and many updates, nested relays) — for
+            /// round-trip and fuzz tests.
+            #[doc(hidden)]
+            pub fn samples() -> Vec<DsdMsg> {
+                let mut all = Vec::new();
+                $(
+                    let n = 1usize $($(.max(<$ty as Sample>::samples().len()))*)?;
+                    all.extend((0..n).map(|_i| DsdMsg::$name { $($($field: pick(_i),)*)? }));
+                )*
+                all
+            }
+        }
+
+        /// Is `kind` a client request — a row marked `client`? These are
+        /// the frames a home shard routes through its epoch check, relay
+        /// and dedup path; everything else is a reply or the
+        /// replication/admin control plane.
+        pub(crate) fn is_client_request(kind: MsgKind) -> bool {
+            match kind {
+                $($(MsgKind::$name => client!($client, true),)?)*
+                _ => false,
+            }
+        }
+
+        /// Each row's kind and the types of its fields.
+        #[cfg(test)]
+        const ROWS: &[(MsgKind, &[&str])] = &[$((MsgKind::$name, &[$($(stringify!($ty),)*)?]),)*];
+    };
+}
+
+/// The codec of a table field: its type's, or the one named after `as`.
+macro_rules! codec {
+    ($ty:ty as $codec:ty) => {
+        $codec
+    };
+    ($ty:ty) => {
+        $ty
+    };
+}
+
+/// What a `client` row expands to; any other marker does not compile.
+macro_rules! client {
+    (client, $($then:tt)*) => {
+        $($then)*
+    };
+}
+
+messages! {
     /// Thread `rank` requests mutex `lock`.
-    LockRequest {
+    LockRequest: client {
         /// Mutex index.
         lock: u32,
         /// Requesting thread rank.
@@ -45,11 +172,11 @@ pub enum DsdMsg {
         updates: UpdateBatch,
         /// Ranges that changed too and were not shipped: stale at the
         /// acquirer until it fetches them ([`DsdMsg::RangeFetch`]).
-        notices: Vec<UpdateRange>,
+        notices: Vec<UpdateRange> as Trailing,
     },
     /// Thread `rank` releases mutex `lock`, propagating its updates back
     /// to the home thread (paper §4.2).
-    UnlockRequest {
+    UnlockRequest: client {
         /// Mutex index.
         lock: u32,
         /// Releasing thread rank.
@@ -63,7 +190,7 @@ pub enum DsdMsg {
         lock: u32,
     },
     /// Thread `rank` enters barrier `barrier`, releasing its updates.
-    BarrierEnter {
+    BarrierEnter: client {
         /// Barrier index.
         barrier: u32,
         /// Entering thread rank.
@@ -78,10 +205,10 @@ pub enum DsdMsg {
         /// Merged outstanding updates for this thread.
         updates: UpdateBatch,
         /// Ranges that changed too and were not shipped.
-        notices: Vec<UpdateRange>,
+        notices: Vec<UpdateRange> as Trailing,
     },
     /// Thread `rank` signs off (called immediately before termination).
-    Join {
+    Join: client {
         /// Joining thread rank.
         rank: u32,
     },
@@ -89,7 +216,7 @@ pub enum DsdMsg {
     /// (propagating `updates`) and sleep on condition `cond`; the reply is
     /// a [`DsdMsg::LockGrant`] once signalled and the mutex re-acquired —
     /// the distributed analogue of `pthread_cond_wait`.
-    CondWait {
+    CondWait: client {
         /// Condition variable index.
         cond: u32,
         /// Mutex to release and later re-acquire.
@@ -102,7 +229,7 @@ pub enum DsdMsg {
     /// `MTh_cond_signal` / `MTh_cond_broadcast`: wake one (or all) waiters
     /// of condition `cond`. Fire-and-forget, like its Pthreads
     /// counterpart.
-    CondSignal {
+    CondSignal: client {
         /// Condition variable index.
         cond: u32,
         /// Signalling thread rank.
@@ -112,7 +239,7 @@ pub enum DsdMsg {
     },
     /// A migrated thread announces that its local copy is cold and must be
     /// fully refreshed at its next acquire.
-    Resync {
+    Resync: client {
         /// Thread rank that migrated.
         rank: u32,
     },
@@ -122,7 +249,7 @@ pub enum DsdMsg {
     Ack,
     /// Liveness heartbeat from thread `rank`; refreshes its lease at the
     /// home service. No reply.
-    Heartbeat {
+    Heartbeat: client {
         /// Thread rank asserting liveness.
         rank: u32,
     },
@@ -147,7 +274,7 @@ pub enum DsdMsg {
     /// release itself to the owning/coordinating shard. Replied to with
     /// [`DsdMsg::Ack`]; the ack must arrive before the release is sent so
     /// the next acquirer's fetch observes these updates.
-    UpdateFlush {
+    UpdateFlush: client {
         /// Flushing thread rank.
         rank: u32,
         /// Updates for entries this shard owns.
@@ -155,7 +282,7 @@ pub enum DsdMsg {
     },
     /// Acquire-time pull under a sharded home: thread `rank` asks a
     /// non-granting shard for the outstanding updates of its slice.
-    UpdateFetch {
+    UpdateFetch: client {
         /// Fetching thread rank.
         rank: u32,
     },
@@ -166,7 +293,7 @@ pub enum DsdMsg {
         updates: UpdateBatch,
         /// Ranges that changed too and were not shipped (always empty in
         /// the reply to a [`DsdMsg::RangeFetch`]).
-        notices: Vec<UpdateRange>,
+        notices: Vec<UpdateRange> as Trailing,
     },
     /// Fetch before use: thread `rank` is about to access `ranges`, which
     /// a notice told it are stale, and asks their owning shard for the
@@ -175,11 +302,11 @@ pub enum DsdMsg {
     /// brought the notice required, which only a racy program can tell —
     /// or with [`DsdMsg::EntryMoved`] when an entry is homed elsewhere by
     /// now. The fetcher's horizon does not move.
-    RangeFetch {
+    RangeFetch: client {
         /// Fetching thread rank.
         rank: u32,
         /// The ranges to extract.
-        ranges: Vec<UpdateRange>,
+        ranges: Vec<UpdateRange> as Counted,
     },
     /// Primary → replica: one deduplicated state-mutating client request,
     /// relayed verbatim *before* the primary processes it, so the replica
@@ -294,7 +421,7 @@ pub enum DsdMsg {
     EntryMoved {
         /// `(entry, to_shard, ownership_epoch)` rows, epoch-monotonic so
         /// a late duplicate never rolls a newer mapping back.
-        entries: Vec<(u32, u32, u32)>,
+        entries: Vec<(u32, u32, u32)> as Counted,
     },
 }
 
@@ -327,252 +454,295 @@ impl From<WireError> for ProtocolError {
     }
 }
 
-/// Append `ranges` as bare `(entry, first, count)` rows.
-fn put_ranges(out: &mut BytesMut, ranges: &[UpdateRange]) {
-    for r in ranges {
-        out.put_u32(r.entry);
-        out.put_u64(r.first);
-        out.put_u64(r.count);
+/// How one field of the table is sized, written and read. `T` is the
+/// field's type; the implementing type is its codec.
+trait Codec<T> {
+    /// Bytes `v` occupies on the wire.
+    fn bound(v: &T) -> usize;
+    /// Append `v` to `out`.
+    fn put(v: &T, out: &mut BytesMut);
+    /// Read a `T` off the front of `b`.
+    fn take(b: &mut Bytes) -> Result<T, ProtocolError>;
+}
+
+/// `Truncated` unless `b` has `n` bytes left.
+fn need(b: &Bytes, n: usize) -> Result<(), ProtocolError> {
+    if b.remaining() < n {
+        return Err(ProtocolError::Truncated);
+    }
+    Ok(())
+}
+
+impl Codec<u16> for u16 {
+    fn bound(_: &u16) -> usize {
+        2
+    }
+    fn put(v: &u16, out: &mut BytesMut) {
+        out.put_u16(*v);
+    }
+    fn take(b: &mut Bytes) -> Result<u16, ProtocolError> {
+        need(b, 2)?;
+        Ok(b.get_u16())
     }
 }
 
-/// Read `(entry, first, count)` rows off the front of `b`: `count` of
-/// them, or with `None` all that is left of it, which must then be whole
-/// rows. What a row *names* is checked where it is used, against an index
-/// table.
-fn take_ranges(b: &mut Bytes, count: Option<u32>) -> Result<Vec<UpdateRange>, ProtocolError> {
-    let left = b.remaining();
-    if left == 0 && count.is_none_or(|n| n == 0) {
-        return Ok(Vec::new()); // nearly every message: nothing rides behind
+impl Codec<u32> for u32 {
+    fn bound(_: &u32) -> usize {
+        4
     }
-    let n = match count {
-        Some(n) => n,
-        None if left.is_multiple_of(RANGE_BYTES) => (left / RANGE_BYTES) as u32,
-        None => return Err(ProtocolError::Truncated),
-    };
-    let mut ranges = bounded_vec(n, RANGE_BYTES, left, ProtocolError::Truncated)?;
-    for _ in 0..n {
-        ranges.push(UpdateRange {
+    fn put(v: &u32, out: &mut BytesMut) {
+        out.put_u32(*v);
+    }
+    fn take(b: &mut Bytes) -> Result<u32, ProtocolError> {
+        need(b, 4)?;
+        Ok(b.get_u32())
+    }
+}
+
+impl Codec<u64> for u64 {
+    fn bound(_: &u64) -> usize {
+        8
+    }
+    fn put(v: &u64, out: &mut BytesMut) {
+        out.put_u64(*v);
+    }
+    fn take(b: &mut Bytes) -> Result<u64, ProtocolError> {
+        need(b, 8)?;
+        Ok(b.get_u64())
+    }
+}
+
+/// One byte; anything but 0 is `true`.
+impl Codec<bool> for bool {
+    fn bound(_: &bool) -> usize {
+        1
+    }
+    fn put(v: &bool, out: &mut BytesMut) {
+        out.put_u8(u8::from(*v));
+    }
+    fn take(b: &mut Bytes) -> Result<bool, ProtocolError> {
+        need(b, 1)?;
+        Ok(b.get_u8() != 0)
+    }
+}
+
+/// The batch's frame, copied in once; read back, it is validated once and
+/// kept as the slice of the payload it arrived in.
+impl Codec<UpdateBatch> for UpdateBatch {
+    fn bound(v: &UpdateBatch) -> usize {
+        v.frame().len()
+    }
+    fn put(v: &UpdateBatch, out: &mut BytesMut) {
+        out.put_slice(v.frame());
+    }
+    fn take(b: &mut Bytes) -> Result<UpdateBatch, ProtocolError> {
+        Ok(split_batch(b)?)
+    }
+}
+
+/// Everything left of the frame, as it is: a relayed body, a packed entry.
+impl Codec<Bytes> for Bytes {
+    fn bound(v: &Bytes) -> usize {
+        v.len()
+    }
+    fn put(v: &Bytes, out: &mut BytesMut) {
+        out.put_slice(v);
+    }
+    fn take(b: &mut Bytes) -> Result<Bytes, ProtocolError> {
+        Ok(b.split_to(b.len()))
+    }
+}
+
+/// A fixed-width row of a row table. What a row *names* is checked where
+/// it is used, against an index table.
+trait Row {
+    /// Bytes of one row.
+    const BYTES: usize;
+    /// Append the row.
+    fn put_row(&self, out: &mut BytesMut);
+    /// Read a row; the caller has checked that `BYTES` are left.
+    fn get_row(b: &mut Bytes) -> Self;
+}
+
+/// `(entry, first, count)`: a notice, a range to fetch, an interest row.
+impl Row for UpdateRange {
+    const BYTES: usize = 4 + 8 + 8;
+    fn put_row(&self, out: &mut BytesMut) {
+        out.put_u32(self.entry);
+        out.put_u64(self.first);
+        out.put_u64(self.count);
+    }
+    fn get_row(b: &mut Bytes) -> UpdateRange {
+        UpdateRange {
             entry: b.get_u32(),
             first: b.get_u64(),
             count: b.get_u64(),
-        });
+        }
     }
-    Ok(ranges)
+}
+
+/// `(entry, to_shard, ownership_epoch)`: where an entry went.
+impl Row for (u32, u32, u32) {
+    const BYTES: usize = 12;
+    fn put_row(&self, out: &mut BytesMut) {
+        out.put_u32(self.0);
+        out.put_u32(self.1);
+        out.put_u32(self.2);
+    }
+    fn get_row(b: &mut Bytes) -> (u32, u32, u32) {
+        (b.get_u32(), b.get_u32(), b.get_u32())
+    }
+}
+
+/// Rows to the end of the frame, which must hold whole rows; nothing is
+/// counted, so nothing is read that could size a reservation.
+struct Trailing;
+
+impl<R: Row> Codec<Vec<R>> for Trailing {
+    fn bound(v: &Vec<R>) -> usize {
+        R::BYTES * v.len()
+    }
+    fn put(v: &Vec<R>, out: &mut BytesMut) {
+        v.iter().for_each(|r| r.put_row(out));
+    }
+    fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
+        if !b.remaining().is_multiple_of(R::BYTES) {
+            return Err(ProtocolError::Truncated);
+        }
+        Ok((0..b.remaining() / R::BYTES)
+            .map(|_| R::get_row(b))
+            .collect())
+    }
+}
+
+/// `count u32 | count rows`: the one codec that reads a count, and it
+/// reserves nothing before [`bounded_vec`] has held the count to the bytes
+/// left.
+struct Counted;
+
+impl<R: Row> Codec<Vec<R>> for Counted {
+    fn bound(v: &Vec<R>) -> usize {
+        4 + Trailing::bound(v)
+    }
+    fn put(v: &Vec<R>, out: &mut BytesMut) {
+        out.put_u32(v.len() as u32);
+        Trailing::put(v, out);
+    }
+    fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
+        let n = <u32 as Codec<u32>>::take(b)?;
+        let mut rows = bounded_vec(n, R::BYTES, b.remaining(), ProtocolError::Truncated)?;
+        rows.extend((0..n).map(|_| R::get_row(b)));
+        Ok(rows)
+    }
+}
+
+/// A few values of a field type, for [`DsdMsg::samples`].
+trait Sample: Sized + Clone {
+    fn samples() -> Vec<Self>;
+}
+
+/// The `i`-th sample of `T`, counting round its samples.
+fn pick<T: Sample>(i: usize) -> T {
+    let samples = T::samples();
+    samples[i % samples.len()].clone()
+}
+
+impl Sample for u16 {
+    fn samples() -> Vec<u16> {
+        vec![MsgKind::LockRequest as u16, MsgKind::Replicate as u16]
+    }
+}
+
+impl Sample for u32 {
+    fn samples() -> Vec<u32> {
+        vec![5, 2, u32::MAX]
+    }
+}
+
+impl Sample for u64 {
+    fn samples() -> Vec<u64> {
+        vec![31_000, 41, u64::MAX]
+    }
+}
+
+impl Sample for bool {
+    fn samples() -> Vec<bool> {
+        vec![false, true]
+    }
+}
+
+impl Sample for UpdateBatch {
+    /// None, one, and many small same-entry updates: the shape the
+    /// grouped format exists for.
+    fn samples() -> Vec<UpdateBatch> {
+        let update = |i: u64| WireUpdate {
+            entry: 3,
+            elem_offset: 2 * i,
+            endian: Endianness::Big,
+            sender: "solaris-sparc".into(),
+            tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
+            data: Bytes::from(vec![1u8; 4]),
+        };
+        let many: Vec<_> = (0..40).map(update).collect();
+        vec![
+            UpdateBatch::default(),
+            batch_of(&[update(50)]),
+            batch_of(&many),
+        ]
+    }
+}
+
+impl Sample for Vec<UpdateRange> {
+    fn samples() -> Vec<Vec<UpdateRange>> {
+        let range = |entry, first, count| UpdateRange {
+            entry,
+            first,
+            count,
+        };
+        let rows = vec![
+            range(3, 0, 100),
+            range(3, 400, 1),
+            range(7, u64::MAX - 1, 1),
+        ];
+        vec![Vec::new(), rows]
+    }
+}
+
+impl Sample for Vec<(u32, u32, u32)> {
+    fn samples() -> Vec<Vec<(u32, u32, u32)>> {
+        vec![Vec::new(), vec![(4, 2, 3), (9, 0, 1)]]
+    }
+}
+
+impl Sample for Bytes {
+    /// Nothing, an opaque blob, and relayed bodies: a request, and a relay
+    /// of it.
+    fn samples() -> Vec<Bytes> {
+        let lock = DsdMsg::LockRequest { lock: 2, rank: 5 }.encode();
+        let relay = DsdMsg::Replicate {
+            src_ep: 7,
+            req_id: 41,
+            kind: MsgKind::LockRequest as u16,
+            body: lock.clone(),
+        };
+        vec![
+            Bytes::new(),
+            Bytes::from_static(b"packed-entry"),
+            lock,
+            relay.encode(),
+        ]
+    }
 }
 
 impl DsdMsg {
-    /// The transport kind this message travels under.
-    pub fn kind(&self) -> MsgKind {
-        match self {
-            DsdMsg::LockRequest { .. } => MsgKind::LockRequest,
-            DsdMsg::LockGrant { .. } => MsgKind::LockGrant,
-            DsdMsg::UnlockRequest { .. } => MsgKind::UnlockRequest,
-            DsdMsg::UnlockAck { .. } => MsgKind::UnlockAck,
-            DsdMsg::BarrierEnter { .. } => MsgKind::BarrierEnter,
-            DsdMsg::BarrierRelease { .. } => MsgKind::BarrierRelease,
-            DsdMsg::Join { .. } => MsgKind::Join,
-            DsdMsg::CondWait { .. } => MsgKind::CondWait,
-            DsdMsg::CondSignal { .. } => MsgKind::CondSignal,
-            DsdMsg::Resync { .. } => MsgKind::Resync,
-            DsdMsg::Ack => MsgKind::Ack,
-            DsdMsg::Heartbeat { .. } => MsgKind::Heartbeat,
-            DsdMsg::WorkerLost { .. } => MsgKind::WorkerLost,
-            DsdMsg::Shutdown => MsgKind::Shutdown,
-            DsdMsg::UpdateFlush { .. } => MsgKind::UpdateFlush,
-            DsdMsg::UpdateFetch { .. } => MsgKind::UpdateFetch,
-            DsdMsg::UpdateBatch { .. } => MsgKind::UpdateBatch,
-            DsdMsg::Replicate { .. } => MsgKind::Replicate,
-            DsdMsg::Depose { .. } => MsgKind::Depose,
-            DsdMsg::DeposeAck { .. } => MsgKind::DeposeAck,
-            DsdMsg::ViewChange { .. } => MsgKind::ViewChange,
-            DsdMsg::HandoffRequest { .. } => MsgKind::HandoffRequest,
-            DsdMsg::HandoffInstalled { .. } => MsgKind::HandoffInstalled,
-            DsdMsg::HandoffDone { .. } => MsgKind::HandoffDone,
-            DsdMsg::ReplicaBeat { .. } => MsgKind::ReplicaBeat,
-            DsdMsg::EntryHandoff { .. } => MsgKind::EntryHandoff,
-            DsdMsg::EntryState { .. } => MsgKind::EntryState,
-            DsdMsg::EntryInstalled { .. } => MsgKind::EntryInstalled,
-            DsdMsg::EntryDone { .. } => MsgKind::EntryDone,
-            DsdMsg::EntryMoved { .. } => MsgKind::EntryMoved,
-            DsdMsg::RangeFetch { .. } => MsgKind::RangeFetch,
-        }
-    }
-
-    /// Encode the message body: one buffer, sized before the first byte
-    /// is written, into which the fixed fields and the update batch's
-    /// frame (if any) are each copied once — this is the `t_pack` work
-    /// left after extraction wrote the frame.
+    /// Encode the message body: one buffer, sized exactly before the
+    /// first byte is written, into which the fixed fields and the update
+    /// batch's frame (if any) are each copied once — this is the `t_pack`
+    /// work left after extraction wrote the frame.
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(self.encoded_bound());
         self.encode_into(&mut out);
         out.freeze()
-    }
-
-    /// At least as many bytes as the envelope and body occupy: the
-    /// variable-length tail exactly, the few fixed fields by their
-    /// largest sum (`WorkerLost`'s 20) after a 12-byte envelope.
-    fn encoded_bound(&self) -> usize {
-        32 + match self {
-            DsdMsg::LockGrant {
-                updates, notices, ..
-            }
-            | DsdMsg::BarrierRelease {
-                updates, notices, ..
-            }
-            | DsdMsg::UpdateBatch { updates, notices } => {
-                updates.frame().len() + RANGE_BYTES * notices.len()
-            }
-            DsdMsg::UnlockRequest { updates, .. }
-            | DsdMsg::BarrierEnter { updates, .. }
-            | DsdMsg::CondWait { updates, .. }
-            | DsdMsg::UpdateFlush { updates, .. } => updates.frame().len(),
-            DsdMsg::RangeFetch { ranges, .. } => 4 + RANGE_BYTES * ranges.len(),
-            DsdMsg::Replicate { body: tail, .. } | DsdMsg::EntryState { state: tail, .. } => {
-                tail.len()
-            }
-            DsdMsg::EntryMoved { entries } => 4 + 12 * entries.len(),
-            _ => 0,
-        }
-    }
-
-    /// Append the message body to `out`.
-    fn encode_into(&self, out: &mut BytesMut) {
-        match self {
-            DsdMsg::LockRequest { lock, rank } => {
-                out.put_u32(*lock);
-                out.put_u32(*rank);
-            }
-            DsdMsg::LockGrant {
-                lock,
-                updates,
-                notices,
-            } => {
-                out.put_u32(*lock);
-                out.put_slice(updates.frame());
-                put_ranges(out, notices);
-            }
-            DsdMsg::UnlockRequest {
-                lock,
-                rank,
-                updates,
-            } => {
-                out.put_u32(*lock);
-                out.put_u32(*rank);
-                out.put_slice(updates.frame());
-            }
-            DsdMsg::UnlockAck { lock } => out.put_u32(*lock),
-            DsdMsg::BarrierEnter {
-                barrier,
-                rank,
-                updates,
-            } => {
-                out.put_u32(*barrier);
-                out.put_u32(*rank);
-                out.put_slice(updates.frame());
-            }
-            DsdMsg::BarrierRelease {
-                barrier,
-                updates,
-                notices,
-            } => {
-                out.put_u32(*barrier);
-                out.put_slice(updates.frame());
-                put_ranges(out, notices);
-            }
-            DsdMsg::Join { rank } | DsdMsg::Resync { rank } | DsdMsg::Heartbeat { rank } => {
-                out.put_u32(*rank)
-            }
-            DsdMsg::WorkerLost {
-                rank,
-                heard_ms,
-                lease_ms,
-            } => {
-                out.put_u32(*rank);
-                out.put_u64(*heard_ms);
-                out.put_u64(*lease_ms);
-            }
-            DsdMsg::CondWait {
-                cond,
-                lock,
-                rank,
-                updates,
-            } => {
-                out.put_u32(*cond);
-                out.put_u32(*lock);
-                out.put_u32(*rank);
-                out.put_slice(updates.frame());
-            }
-            DsdMsg::CondSignal {
-                cond,
-                rank,
-                broadcast,
-            } => {
-                out.put_u32(*cond);
-                out.put_u32(*rank);
-                out.put_u8(u8::from(*broadcast));
-            }
-            DsdMsg::UpdateFlush { rank, updates } => {
-                out.put_u32(*rank);
-                out.put_slice(updates.frame());
-            }
-            DsdMsg::UpdateFetch { rank } => out.put_u32(*rank),
-            DsdMsg::UpdateBatch { updates, notices } => {
-                out.put_slice(updates.frame());
-                put_ranges(out, notices);
-            }
-            DsdMsg::RangeFetch { rank, ranges } => {
-                out.put_u32(*rank);
-                out.put_u32(ranges.len() as u32);
-                put_ranges(out, ranges);
-            }
-            DsdMsg::Replicate {
-                src_ep,
-                req_id,
-                kind,
-                body,
-            } => {
-                out.put_u32(*src_ep);
-                out.put_u64(*req_id);
-                out.put_u16(*kind);
-                out.put_slice(body);
-            }
-            DsdMsg::Depose { shard, epoch }
-            | DsdMsg::DeposeAck { shard, epoch }
-            | DsdMsg::ViewChange { shard, epoch }
-            | DsdMsg::HandoffInstalled { shard, epoch }
-            | DsdMsg::HandoffDone { shard, epoch } => {
-                out.put_u32(*shard);
-                out.put_u32(*epoch);
-            }
-            DsdMsg::HandoffRequest { shard } | DsdMsg::ReplicaBeat { shard } => out.put_u32(*shard),
-            DsdMsg::EntryHandoff { entry, to_shard } | DsdMsg::EntryDone { entry, to_shard } => {
-                out.put_u32(*entry);
-                out.put_u32(*to_shard);
-            }
-            DsdMsg::EntryState {
-                entry,
-                epoch,
-                state,
-            } => {
-                out.put_u32(*entry);
-                out.put_u32(*epoch);
-                out.put_slice(state);
-            }
-            DsdMsg::EntryInstalled { entry, epoch } => {
-                out.put_u32(*entry);
-                out.put_u32(*epoch);
-            }
-            DsdMsg::EntryMoved { entries } => {
-                out.put_u32(entries.len() as u32);
-                for (entry, to_shard, epoch) in entries {
-                    out.put_u32(*entry);
-                    out.put_u32(*to_shard);
-                    out.put_u32(*epoch);
-                }
-            }
-            DsdMsg::Ack | DsdMsg::Shutdown => {}
-        }
     }
 
     /// Decode a payload received under `kind` — the `t_unpack` work. An
@@ -593,199 +763,7 @@ impl DsdMsg {
         payload: Bytes,
     ) -> Result<(DsdMsg, Vec<UpdateRange>), ProtocolError> {
         let (msg, mut behind) = DsdMsg::take_message(kind, payload)?;
-        Ok((msg, take_ranges(&mut behind, None)?))
-    }
-
-    /// Split the body of a `kind` message off the front of `payload`; what
-    /// is behind it comes back too.
-    fn take_message(kind: MsgKind, mut payload: Bytes) -> Result<(DsdMsg, Bytes), ProtocolError> {
-        fn u32_of(b: &mut Bytes) -> Result<u32, ProtocolError> {
-            if b.remaining() < 4 {
-                return Err(ProtocolError::Truncated);
-            }
-            Ok(b.get_u32())
-        }
-        let msg = match kind {
-            MsgKind::LockRequest => Ok(DsdMsg::LockRequest {
-                lock: u32_of(&mut payload)?,
-                rank: u32_of(&mut payload)?,
-            }),
-            MsgKind::LockGrant => Ok(DsdMsg::LockGrant {
-                lock: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-                notices: take_ranges(&mut payload, None)?,
-            }),
-            MsgKind::UnlockRequest => Ok(DsdMsg::UnlockRequest {
-                lock: u32_of(&mut payload)?,
-                rank: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-            }),
-            MsgKind::UnlockAck => Ok(DsdMsg::UnlockAck {
-                lock: u32_of(&mut payload)?,
-            }),
-            MsgKind::BarrierEnter => Ok(DsdMsg::BarrierEnter {
-                barrier: u32_of(&mut payload)?,
-                rank: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-            }),
-            MsgKind::BarrierRelease => Ok(DsdMsg::BarrierRelease {
-                barrier: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-                notices: take_ranges(&mut payload, None)?,
-            }),
-            MsgKind::Join => Ok(DsdMsg::Join {
-                rank: u32_of(&mut payload)?,
-            }),
-            MsgKind::CondWait => Ok(DsdMsg::CondWait {
-                cond: u32_of(&mut payload)?,
-                lock: u32_of(&mut payload)?,
-                rank: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-            }),
-            MsgKind::CondSignal => {
-                let cond = u32_of(&mut payload)?;
-                let rank = u32_of(&mut payload)?;
-                if payload.remaining() < 1 {
-                    return Err(ProtocolError::Truncated);
-                }
-                let broadcast = payload.get_u8() != 0;
-                Ok(DsdMsg::CondSignal {
-                    cond,
-                    rank,
-                    broadcast,
-                })
-            }
-            MsgKind::Resync => Ok(DsdMsg::Resync {
-                rank: u32_of(&mut payload)?,
-            }),
-            MsgKind::Ack => Ok(DsdMsg::Ack),
-            MsgKind::Heartbeat => Ok(DsdMsg::Heartbeat {
-                rank: u32_of(&mut payload)?,
-            }),
-            MsgKind::WorkerLost => {
-                let rank = u32_of(&mut payload)?;
-                if payload.remaining() < 16 {
-                    return Err(ProtocolError::Truncated);
-                }
-                Ok(DsdMsg::WorkerLost {
-                    rank,
-                    heard_ms: payload.get_u64(),
-                    lease_ms: payload.get_u64(),
-                })
-            }
-            MsgKind::Shutdown => Ok(DsdMsg::Shutdown),
-            MsgKind::UpdateFlush => Ok(DsdMsg::UpdateFlush {
-                rank: u32_of(&mut payload)?,
-                updates: split_batch(&mut payload)?,
-            }),
-            MsgKind::UpdateFetch => Ok(DsdMsg::UpdateFetch {
-                rank: u32_of(&mut payload)?,
-            }),
-            MsgKind::UpdateBatch => Ok(DsdMsg::UpdateBatch {
-                updates: split_batch(&mut payload)?,
-                notices: take_ranges(&mut payload, None)?,
-            }),
-            MsgKind::RangeFetch => {
-                let rank = u32_of(&mut payload)?;
-                let n = u32_of(&mut payload)?;
-                Ok(DsdMsg::RangeFetch {
-                    rank,
-                    ranges: take_ranges(&mut payload, Some(n))?,
-                })
-            }
-            MsgKind::Replicate => {
-                let src_ep = u32_of(&mut payload)?;
-                if payload.remaining() < 10 {
-                    return Err(ProtocolError::Truncated);
-                }
-                let req_id = payload.get_u64();
-                let kind = payload.get_u16();
-                Ok(DsdMsg::Replicate {
-                    src_ep,
-                    req_id,
-                    kind,
-                    body: payload.split_to(payload.len()),
-                })
-            }
-            MsgKind::Depose => Ok(DsdMsg::Depose {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::DeposeAck => Ok(DsdMsg::DeposeAck {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::ViewChange => Ok(DsdMsg::ViewChange {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::HandoffRequest => Ok(DsdMsg::HandoffRequest {
-                shard: u32_of(&mut payload)?,
-            }),
-            MsgKind::HandoffInstalled => Ok(DsdMsg::HandoffInstalled {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::HandoffDone => Ok(DsdMsg::HandoffDone {
-                shard: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::ReplicaBeat => Ok(DsdMsg::ReplicaBeat {
-                shard: u32_of(&mut payload)?,
-            }),
-            MsgKind::EntryHandoff => Ok(DsdMsg::EntryHandoff {
-                entry: u32_of(&mut payload)?,
-                to_shard: u32_of(&mut payload)?,
-            }),
-            MsgKind::EntryState => Ok(DsdMsg::EntryState {
-                entry: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-                state: payload.split_to(payload.len()),
-            }),
-            MsgKind::EntryInstalled => Ok(DsdMsg::EntryInstalled {
-                entry: u32_of(&mut payload)?,
-                epoch: u32_of(&mut payload)?,
-            }),
-            MsgKind::EntryDone => Ok(DsdMsg::EntryDone {
-                entry: u32_of(&mut payload)?,
-                to_shard: u32_of(&mut payload)?,
-            }),
-            MsgKind::EntryMoved => {
-                let n = u32_of(&mut payload)?;
-                let mut entries =
-                    bounded_vec(n, 12, payload.remaining(), ProtocolError::Truncated)?;
-                for _ in 0..n {
-                    entries.push((
-                        u32_of(&mut payload)?,
-                        u32_of(&mut payload)?,
-                        u32_of(&mut payload)?,
-                    ));
-                }
-                Ok(DsdMsg::EntryMoved { entries })
-            }
-            _ => Err(ProtocolError::BadMessage("unexpected transport kind")),
-        };
-        Ok((msg?, payload))
-    }
-
-    /// The thread rank a client-originated message identifies itself with;
-    /// `None` for home-originated messages. The home service keys its
-    /// liveness and duplicate-suppression state on this.
-    pub(crate) fn sender_rank(&self) -> Option<u32> {
-        match self {
-            DsdMsg::LockRequest { rank, .. }
-            | DsdMsg::UnlockRequest { rank, .. }
-            | DsdMsg::BarrierEnter { rank, .. }
-            | DsdMsg::Join { rank }
-            | DsdMsg::CondWait { rank, .. }
-            | DsdMsg::CondSignal { rank, .. }
-            | DsdMsg::Resync { rank }
-            | DsdMsg::Heartbeat { rank }
-            | DsdMsg::UpdateFlush { rank, .. }
-            | DsdMsg::UpdateFetch { rank }
-            | DsdMsg::RangeFetch { rank, .. } => Some(*rank),
-            _ => None,
-        }
+        Ok((msg, Trailing::take(&mut behind)?))
     }
 
     /// Encode with the reliability envelope — the one request/reply codec:
@@ -806,13 +784,15 @@ impl DsdMsg {
         epoch: Option<u32>,
         interest: &[UpdateRange],
     ) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.encoded_bound() + RANGE_BYTES * interest.len());
+        let stamp = epoch.map_or(0, |_| 4);
+        let rows = UpdateRange::BYTES * interest.len();
+        let mut out = BytesMut::with_capacity(8 + stamp + self.encoded_bound() + rows);
         out.put_u64(req_id);
         if let Some(epoch) = epoch {
             out.put_u32(epoch);
         }
         self.encode_into(&mut out);
-        put_ranges(&mut out, interest);
+        interest.iter().for_each(|r| r.put_row(&mut out));
         out.freeze()
     }
 
@@ -862,205 +842,237 @@ impl DsdMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdsm_platform::endian::Endianness;
-    use hdsm_platform::scalar::ScalarKind;
-    use hdsm_tags::generate::tag_for_scalar_run;
-    use hdsm_tags::wire::reference::{batch_of, WireUpdate};
 
     fn sample_batch() -> UpdateBatch {
-        batch_of(&[sample_update()])
+        UpdateBatch::samples().swap_remove(1)
     }
 
     fn sample_ranges() -> Vec<UpdateRange> {
-        let range = |entry, first, count| UpdateRange {
+        Vec::<UpdateRange>::samples().swap_remove(1)
+    }
+
+    /// The absolute byte layout of every message, bare and as a stamped
+    /// request with a one-row interest report behind it. A round trip
+    /// alone would pass a symmetric layout change; this hex changes only
+    /// when the wire format does, on purpose.
+    #[test]
+    fn every_message_has_its_committed_layout() {
+        let batch = batch_of(&[WireUpdate {
+            entry: 3,
+            elem_offset: 100,
+            endian: Endianness::Big,
+            sender: "s".into(),
+            tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
+            data: Bytes::from_static(&[1, 2, 3, 4]),
+        }]);
+        let row = |entry, first, count| UpdateRange {
             entry,
             first,
             count,
         };
-        vec![
-            range(3, 0, 100),
-            range(3, 400, 1),
-            range(7, u64::MAX - 1, 1),
-        ]
-    }
-
-    fn sample_update() -> WireUpdate {
-        WireUpdate {
-            entry: 3,
-            elem_offset: 100,
-            endian: Endianness::Big,
-            sender: "solaris-sparc".into(),
-            tag: tag_for_scalar_run(ScalarKind::Int, 4, 8),
-            data: Bytes::from(vec![1u8; 32]),
+        // `batch`'s frame: the marker, one group, its one run (element
+        // 100) and the run's four payload bytes.
+        const B: &str = "ffffffff00000001000100000000040000000301730000000100000000\
+                         0000006400000001000000000000000401020304";
+        let golden: [(DsdMsg, String); 31] = [
+            (
+                DsdMsg::LockRequest { lock: 2, rank: 5 },
+                "0000000200000005".into(),
+            ),
+            (
+                DsdMsg::LockGrant {
+                    lock: 2,
+                    updates: batch.clone(),
+                    notices: vec![row(3, 400, 1)],
+                },
+                format!("00000002{B}0000000300000000000001900000000000000001"),
+            ),
+            (
+                DsdMsg::UnlockRequest {
+                    lock: 2,
+                    rank: 5,
+                    updates: batch.clone(),
+                },
+                format!("0000000200000005{B}"),
+            ),
+            (DsdMsg::UnlockAck { lock: 2 }, "00000002".into()),
+            (
+                DsdMsg::BarrierEnter {
+                    barrier: 1,
+                    rank: 5,
+                    updates: batch.clone(),
+                },
+                format!("0000000100000005{B}"),
+            ),
+            (
+                DsdMsg::BarrierRelease {
+                    barrier: 1,
+                    updates: batch.clone(),
+                    notices: vec![],
+                },
+                format!("00000001{B}"),
+            ),
+            (DsdMsg::Join { rank: 5 }, "00000005".into()),
+            (
+                DsdMsg::CondWait {
+                    cond: 1,
+                    lock: 2,
+                    rank: 5,
+                    updates: batch.clone(),
+                },
+                format!("000000010000000200000005{B}"),
+            ),
+            (
+                DsdMsg::CondSignal {
+                    cond: 1,
+                    rank: 5,
+                    broadcast: true,
+                },
+                "000000010000000501".into(),
+            ),
+            (DsdMsg::Resync { rank: 5 }, "00000005".into()),
+            (DsdMsg::Ack, String::new()),
+            (DsdMsg::Heartbeat { rank: 5 }, "00000005".into()),
+            (
+                DsdMsg::WorkerLost {
+                    rank: 5,
+                    heard_ms: 31_000,
+                    lease_ms: 30_000,
+                },
+                "0000000500000000000079180000000000007530".into(),
+            ),
+            (DsdMsg::Shutdown, String::new()),
+            (
+                DsdMsg::UpdateFlush {
+                    rank: 5,
+                    updates: batch.clone(),
+                },
+                format!("00000005{B}"),
+            ),
+            (DsdMsg::UpdateFetch { rank: 5 }, "00000005".into()),
+            (
+                DsdMsg::UpdateBatch {
+                    updates: batch.clone(),
+                    notices: vec![],
+                },
+                B.into(),
+            ),
+            (
+                DsdMsg::RangeFetch {
+                    rank: 5,
+                    ranges: vec![row(3, 0, 100)],
+                },
+                "00000005000000010000000300000000000000000000000000000064".into(),
+            ),
+            (
+                DsdMsg::Replicate {
+                    src_ep: 7,
+                    req_id: 41,
+                    kind: MsgKind::LockRequest as u16,
+                    body: DsdMsg::LockRequest { lock: 2, rank: 5 }.encode(),
+                },
+                "00000007000000000000002900010000000200000005".into(),
+            ),
+            (
+                DsdMsg::Depose { shard: 1, epoch: 2 },
+                "0000000100000002".into(),
+            ),
+            (
+                DsdMsg::DeposeAck { shard: 1, epoch: 2 },
+                "0000000100000002".into(),
+            ),
+            (
+                DsdMsg::ViewChange { shard: 1, epoch: 2 },
+                "0000000100000002".into(),
+            ),
+            (DsdMsg::HandoffRequest { shard: 1 }, "00000001".into()),
+            (
+                DsdMsg::HandoffInstalled { shard: 1, epoch: 2 },
+                "0000000100000002".into(),
+            ),
+            (
+                DsdMsg::HandoffDone { shard: 1, epoch: 2 },
+                "0000000100000002".into(),
+            ),
+            (DsdMsg::ReplicaBeat { shard: 1 }, "00000001".into()),
+            (
+                DsdMsg::EntryHandoff {
+                    entry: 4,
+                    to_shard: 2,
+                },
+                "0000000400000002".into(),
+            ),
+            (
+                DsdMsg::EntryState {
+                    entry: 4,
+                    epoch: 3,
+                    state: Bytes::from_static(b"st"),
+                },
+                "00000004000000037374".into(),
+            ),
+            (
+                DsdMsg::EntryInstalled { entry: 4, epoch: 3 },
+                "0000000400000003".into(),
+            ),
+            (
+                DsdMsg::EntryDone {
+                    entry: 4,
+                    to_shard: 2,
+                },
+                "0000000400000002".into(),
+            ),
+            (
+                DsdMsg::EntryMoved {
+                    entries: vec![(4, 2, 3)],
+                },
+                "00000001000000040000000200000003".into(),
+            ),
+        ];
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        // Request id 77 and epoch 3 ahead of the body, the row behind it.
+        let head = "000000000000004d00000003";
+        let tail = "00000007fffffffffffffffe0000000000000001";
+        for (m, body) in golden {
+            assert_eq!(hex(&m.encode()), body, "{m:?}");
+            let wire = m.encode_request(77, Some(3), &[row(7, u64::MAX - 1, 1)]);
+            assert_eq!(hex(&wire), format!("{head}{body}{tail}"), "{m:?}");
         }
     }
 
     #[test]
     fn all_messages_roundtrip() {
-        let msgs = vec![
-            DsdMsg::LockRequest { lock: 2, rank: 5 },
-            DsdMsg::LockGrant {
-                lock: 2,
-                updates: sample_batch(),
-                notices: vec![],
-            },
-            DsdMsg::LockGrant {
-                lock: 2,
-                updates: UpdateBatch::default(),
-                notices: sample_ranges(),
-            },
-            DsdMsg::UnlockRequest {
-                lock: 2,
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::UnlockAck { lock: 2 },
-            DsdMsg::BarrierEnter {
-                barrier: 0,
-                rank: 5,
-                updates: UpdateBatch::default(),
-            },
-            DsdMsg::BarrierRelease {
-                barrier: 0,
-                updates: sample_batch(),
-                notices: sample_ranges(),
-            },
-            DsdMsg::Join { rank: 5 },
-            DsdMsg::CondWait {
-                cond: 1,
-                lock: 0,
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::CondSignal {
-                cond: 1,
-                rank: 5,
-                broadcast: true,
-            },
-            DsdMsg::Resync { rank: 5 },
-            DsdMsg::Ack,
-            DsdMsg::Heartbeat { rank: 5 },
-            DsdMsg::WorkerLost {
-                rank: 5,
-                heard_ms: 31_000,
-                lease_ms: 30_000,
-            },
-            DsdMsg::Shutdown,
-            DsdMsg::UpdateFlush {
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::UpdateFetch { rank: 5 },
-            DsdMsg::UpdateBatch {
-                updates: sample_batch(),
-                notices: sample_ranges(),
-            },
-            DsdMsg::RangeFetch {
-                rank: 5,
-                ranges: sample_ranges(),
-            },
-            DsdMsg::RangeFetch {
-                rank: 5,
-                ranges: vec![],
-            },
-            DsdMsg::Replicate {
-                src_ep: 7,
-                req_id: 41,
-                kind: MsgKind::LockRequest as u16,
-                body: DsdMsg::LockRequest { lock: 2, rank: 5 }.encode(),
-            },
-            DsdMsg::Depose { shard: 1, epoch: 2 },
-            DsdMsg::DeposeAck { shard: 1, epoch: 2 },
-            DsdMsg::ViewChange { shard: 1, epoch: 2 },
-            DsdMsg::HandoffRequest { shard: 1 },
-            DsdMsg::HandoffInstalled { shard: 1, epoch: 2 },
-            DsdMsg::HandoffDone { shard: 1, epoch: 2 },
-            DsdMsg::ReplicaBeat { shard: 1 },
-            DsdMsg::EntryHandoff {
-                entry: 4,
-                to_shard: 2,
-            },
-            DsdMsg::EntryState {
-                entry: 4,
-                epoch: 3,
-                state: Bytes::from_static(b"packed-entry"),
-            },
-            DsdMsg::EntryInstalled { entry: 4, epoch: 3 },
-            DsdMsg::EntryDone {
-                entry: 4,
-                to_shard: 2,
-            },
-            DsdMsg::EntryMoved {
-                entries: vec![(4, 2, 3), (9, 0, 1)],
-            },
-            DsdMsg::EntryMoved { entries: vec![] },
-        ];
-        for m in msgs {
+        let all = DsdMsg::samples();
+        for m in &all {
             let kind = m.kind();
-            let bytes = m.encode();
-            let back = DsdMsg::decode(kind, bytes).unwrap();
-            assert_eq!(back, m);
-            // And through the reliability envelope.
-            let (req_id, back) = DsdMsg::decode_enveloped(kind, m.encode_enveloped(77)).unwrap();
-            assert_eq!(req_id, 77);
-            assert_eq!(back, m);
+            assert_eq!(m.sender_rank().is_some(), is_client_request(kind));
+            // Each buffer is reserved to the exact byte, so none grew.
+            let bare = m.encode();
+            assert_eq!(bare.len(), m.encoded_bound(), "{m:?}");
+            assert_eq!(&DsdMsg::decode(kind, bare).unwrap(), m);
+            let (rid, back) = DsdMsg::decode_enveloped(kind, m.encode_enveloped(77)).unwrap();
+            assert_eq!((rid, &back), (77, m));
+            // An interest report rides behind a request only: the rows
+            // behind a reply are its own.
+            let report = if is_client_request(kind) {
+                sample_ranges()
+            } else {
+                Vec::new()
+            };
+            let wire = m.encode_request(77, Some(3), &report);
+            assert_eq!(wire.len(), 12 + m.encoded_bound() + 20 * report.len());
+            assert_eq!(
+                DsdMsg::decode_request(kind, wire, true).unwrap(),
+                (77, Some(3), m.clone(), report)
+            );
         }
-    }
-
-    #[test]
-    fn grouped_batches_roundtrip_through_every_update_carrier() {
-        // Many small same-entry updates — the shape the v2 grouped format
-        // exists for — must survive every message that carries a batch.
-        let updates: Vec<_> = (0..40u32)
-            .map(|i| WireUpdate {
-                elem_offset: u64::from(i) * 2,
-                ..sample_update()
-            })
-            .collect();
-        let updates = batch_of(&updates);
-        assert_eq!(updates.len(), 40);
-        let msgs = vec![
-            DsdMsg::LockGrant {
-                lock: 2,
-                updates: updates.clone(),
-                notices: sample_ranges(),
-            },
-            DsdMsg::UnlockRequest {
-                lock: 2,
-                rank: 5,
-                updates: updates.clone(),
-            },
-            DsdMsg::BarrierEnter {
-                barrier: 0,
-                rank: 5,
-                updates: updates.clone(),
-            },
-            DsdMsg::BarrierRelease {
-                barrier: 0,
-                updates: updates.clone(),
-                notices: vec![],
-            },
-            DsdMsg::CondWait {
-                cond: 1,
-                lock: 0,
-                rank: 5,
-                updates: updates.clone(),
-            },
-            DsdMsg::UpdateFlush {
-                rank: 5,
-                updates: updates.clone(),
-            },
-            DsdMsg::UpdateBatch {
-                updates,
-                notices: sample_ranges(),
-            },
-        ];
-        for m in msgs {
-            let kind = m.kind();
-            assert_eq!(DsdMsg::decode(kind, m.encode()).unwrap(), m);
-            let (rid, back) = DsdMsg::decode_enveloped(kind, m.encode_enveloped(9)).unwrap();
-            assert_eq!(rid, 9);
-            assert_eq!(back, m);
+        // One row per kind but `Other`, every row generated, and a kind
+        // carries updates exactly when its row has a batch.
+        assert_eq!(ROWS.len(), MsgKind::ALL.len() - 1);
+        for k in MsgKind::ALL.into_iter().filter(|&k| k != MsgKind::Other) {
+            let rows: Vec<_> = ROWS.iter().filter(|(kind, _)| *kind == k).collect();
+            assert_eq!(rows.len(), 1, "{k:?}");
+            assert_eq!(k.carries_updates(), rows[0].1.contains(&"UpdateBatch"));
+            assert!(all.iter().any(|m| m.kind() == k), "{k:?} generated");
         }
     }
 
@@ -1119,41 +1131,9 @@ mod tests {
     #[test]
     fn interest_rides_behind_any_request_and_through_the_relay() {
         let report = sample_ranges();
-        let requests = vec![
-            DsdMsg::LockRequest { lock: 2, rank: 5 },
-            DsdMsg::UnlockRequest {
-                lock: 2,
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::BarrierEnter {
-                barrier: 0,
-                rank: 5,
-                updates: UpdateBatch::default(),
-            },
-            DsdMsg::CondWait {
-                cond: 1,
-                lock: 0,
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::CondSignal {
-                cond: 1,
-                rank: 5,
-                broadcast: false,
-            },
-            DsdMsg::UpdateFlush {
-                rank: 5,
-                updates: sample_batch(),
-            },
-            DsdMsg::UpdateFetch { rank: 5 },
-            DsdMsg::RangeFetch {
-                rank: 5,
-                ranges: sample_ranges(),
-            },
-            DsdMsg::Resync { rank: 5 },
-            DsdMsg::Join { rank: 5 },
-        ];
+        let requests = DsdMsg::samples()
+            .into_iter()
+            .filter(|m| is_client_request(m.kind()));
         for m in requests {
             for epoch in [None, Some(3)] {
                 let wire = m.encode_request(77, epoch, &report);

@@ -8,7 +8,7 @@ use hdsm::dsd::client::DsdError;
 use hdsm::dsd::cluster::{ClusterBuilder, ClusterCtl, ClusterError, TimingConfig, TopologyConfig};
 use hdsm::dsd::gthv::GthvDef;
 use hdsm::dsd::protocol::{DsdMsg, ProtocolError};
-use hdsm::dsd::{BarrierId, CondId, LockId};
+use hdsm::dsd::{BarrierId, CondId, LockId, UpdateRange};
 use hdsm::net::message::MsgKind;
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
 use hdsm::platform::ctype::StructBuilder;
@@ -50,13 +50,45 @@ fn random_bytes_never_panic_protocol_decode() {
             .wrapping_add(1442695040888963407);
         (seed >> 33) as u8
     };
+    // Must return Ok or Err — never panic, never over-allocate.
+    let decode = |kind, buf: Bytes| {
+        let _ = DsdMsg::decode(kind, buf.clone());
+        let _ = DsdMsg::decode_request(kind, buf.clone(), false);
+        let _ = DsdMsg::decode_request(kind, buf, true);
+    };
     for len in (0..64usize).chain((64..=4200).step_by(47)) {
         for kind in MsgKind::ALL {
-            let buf = Bytes::from((0..len).map(|_| next()).collect::<Vec<u8>>());
-            // Must return Ok or Err — never panic, never over-allocate.
-            let _ = DsdMsg::decode(kind, buf.clone());
-            let _ = DsdMsg::decode_request(kind, buf.clone(), false);
-            let _ = DsdMsg::decode_request(kind, buf, true);
+            decode(kind, (0..len).map(|_| next()).collect());
+        }
+    }
+    // Structure-aware: every generated message's frame, bare and under
+    // both envelopes, cut at every prefix, with each byte set to 0xFF and
+    // with each aligned word set to u32::MAX.
+    let report = [UpdateRange {
+        entry: 7,
+        first: u64::MAX - 1,
+        count: 1,
+    }];
+    for m in DsdMsg::samples() {
+        let kind = m.kind();
+        let frames = [
+            m.encode(),
+            m.encode_enveloped(77),
+            m.encode_request(77, Some(3), &report),
+        ];
+        for frame in frames {
+            let jammed = |at: usize, width: usize| {
+                let mut b = frame.to_vec();
+                b[at..at + width].fill(0xFF);
+                Bytes::from(b)
+            };
+            for at in 0..frame.len() {
+                decode(kind, frame.slice(..at));
+                decode(kind, jammed(at, 1));
+            }
+            for at in (0..frame.len() / 4).map(|word| 4 * word) {
+                decode(kind, jammed(at, 4));
+            }
         }
     }
 }
@@ -203,12 +235,14 @@ fn home_rejects_unknown_lock_index() {
     }
 }
 
-/// A frame a home cannot decode is dropped and counted, not fatal. Mid-run,
-/// a control script sends shard 0 a truncated `LockRequest` and a frame of
-/// kind `Other` in worker 1's name; the run completes with the bytes of a
-/// run that was sent neither.
+/// A frame a home or a client cannot decode is dropped and counted, not
+/// fatal. Mid-run, a control script sends shard 0 a truncated `LockRequest`
+/// and a frame of kind `Other` in thread rank 1's name, and sends rank 1,
+/// while it pauses, a truncated `LockGrant` and a frame of kind `Other` in
+/// shard 0's name; the run completes with the bytes of a run that was sent
+/// none.
 #[test]
-fn undecodable_frames_at_a_home_are_dropped_and_counted() {
+fn undecodable_frames_are_dropped_and_counted_at_homes_and_clients() {
     use hdsm::dsd::Directory;
     let shards = shards_from_env();
     let run = |bad_frames: bool| {
@@ -231,14 +265,26 @@ fn undecodable_frames_at_a_home_are_dropped_and_counted() {
             .obs(recorder.clone());
         if bad_frames {
             b = b.control(move |ctl| {
-                // Worker 0 pauses 250 ms after the first barrier.
+                // Worker 0, thread rank 1, pauses 250 ms after the first
+                // barrier.
                 ctl.sleep(Duration::from_millis(100));
-                let (net, from) = (ctl.network(), Directory::new(shards).worker_ep(1));
+                let (net, worker) = (ctl.network(), Directory::new(shards).worker_ep(1));
                 let lock = DsdMsg::LockRequest { lock: 0, rank: 1 }.encode_request(1, None, &[]);
-                net.send_as(from, 0, MsgKind::LockRequest, lock.slice(..12))
-                    .unwrap();
-                net.send_as(from, 0, MsgKind::Other, Bytes::from_static(&[0; 16]))
-                    .unwrap();
+                let grant = DsdMsg::LockGrant {
+                    lock: 0,
+                    updates: Default::default(),
+                    notices: vec![],
+                }
+                .encode_enveloped(1);
+                let other = Bytes::from_static(&[0; 16]);
+                for (src, dst, kind, frame) in [
+                    (worker, 0, MsgKind::LockRequest, lock.slice(..12)),
+                    (worker, 0, MsgKind::Other, other.clone()),
+                    (0, worker, MsgKind::LockGrant, grant.slice(..12)),
+                    (0, worker, MsgKind::Other, other),
+                ] {
+                    net.send_as(src, dst, kind, frame).unwrap();
+                }
             });
         }
         let outcome = b
@@ -247,11 +293,12 @@ fn undecodable_frames_at_a_home_are_dropped_and_counted() {
         let counters = (0..2).map(|e| outcome.final_gthv.read_int(e, 0).unwrap());
         assert_eq!(counters.collect::<Vec<_>>(), [40, 40]);
         let bytes = outcome.final_gthv.space().raw().to_vec();
-        (bytes, counter(&recorder, "home.bad_frames"))
+        let dropped = ["home.bad_frames", "client.bad_frames"].map(|c| counter(&recorder, c));
+        (bytes, dropped)
     };
     let (clean, none) = run(false);
     let (bytes, dropped) = run(true);
-    assert_eq!((none, dropped), (0, 2));
+    assert_eq!((none, dropped), ([0, 0], [2, 2]));
     assert_eq!(bytes, clean);
 }
 
