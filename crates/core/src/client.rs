@@ -1493,7 +1493,6 @@ mod tests {
         let participants: Vec<u32> = (1..=platforms.len() as u32).collect();
         let mut home = HomeShard::new(
             GthvInstance::new(def.clone(), home_plat),
-            home_ep,
             HomeConfig {
                 n_locks,
                 n_barriers,
@@ -1509,7 +1508,7 @@ mod tests {
         });
         std::thread::scope(|s| {
             s.spawn(move || {
-                home.run().expect("home service");
+                home.run(home_ep).expect("home service");
             });
             for (i, (plat, ep)) in platforms.iter().zip(eps.drain(..)).enumerate() {
                 let def = def.clone();
@@ -2016,7 +2015,6 @@ mod tests {
         for (shard, ep) in [(0u32, shard0_ep), (1u32, shard1_ep)] {
             let mut h = HomeShard::new(
                 GthvInstance::new(def.clone(), PlatformSpec::linux_x86()),
-                ep,
                 HomeConfig {
                     n_locks: 1,
                     n_barriers: 1,
@@ -2032,11 +2030,11 @@ mod tests {
                     g.write_int(0, i, 1000 + i as i128).unwrap();
                 }
             });
-            shards.push(h);
+            shards.push((h, ep));
         }
         std::thread::scope(|s| {
-            for h in shards {
-                s.spawn(move || h.run().expect("shard"));
+            for (h, ep) in shards {
+                s.spawn(move || h.run(ep).expect("shard"));
             }
             for (i, ep) in eps.drain(..).enumerate() {
                 let def = def.clone();

@@ -335,8 +335,8 @@ impl ClusterCtl {
         to: ShardId,
     ) -> Result<(), ClusterError> {
         let (s_from, s_to) = (from.raw(), to.raw());
-        // Offer to both of the source shard's endpoints: the mute shadow
-        // drops it, a retired primary is Disconnected, the serving
+        // Offer to both of the source shard's endpoints: a shadow drops
+        // it, a retired primary is Disconnected, the serving
         // instance (original or promoted) acts on it.
         let mut dsts = vec![self.directory.shard_ep(s_from)];
         if self.directory.n_replicas() > 0 {
@@ -871,10 +871,8 @@ impl ClusterBuilder {
         // (with replication) each shard's standby, configured to shadow
         // its primary through the relay stream. Endpoint `i` serves shard
         // `i % S`: as primary below `S`, as its standby above.
-        let mut homes: Vec<HomeShard> = home_eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
+        let mut homes: Vec<HomeShard> = (0..n_home_eps)
+            .map(|i| {
                 let config = HomeConfig {
                     n_locks: self.n_locks,
                     n_barriers: self.n_barriers,
@@ -889,7 +887,7 @@ impl ClusterBuilder {
                     kill: control.is_some().then(|| kills[i].clone()),
                 };
                 let gthv = GthvInstance::new(def.clone(), self.home_platform.clone());
-                HomeShard::new(gthv, ep, config)
+                HomeShard::new(gthv, config)
             })
             .collect();
         // The initialiser runs once, on the first instance, and its raw
@@ -943,15 +941,16 @@ impl ClusterBuilder {
             let n_shards = directory.n_shards() as usize;
             let home_handles: Vec<_> = homes
                 .into_iter()
+                .zip(home_eps)
                 .enumerate()
-                .map(|(i, home)| {
+                .map(|(i, (home, ep))| {
                     let name = if i < n_shards {
                         format!("home-shard{i}")
                     } else {
                         format!("home-replica{}", i - n_shards)
                     };
                     let shard = (i % n_shards) as u32;
-                    (shard, spawn_actor(s, &sim, &name, move || home.run()))
+                    (shard, spawn_actor(s, &sim, &name, move || home.run(ep)))
                 })
                 .collect();
             // The pump, the cluster's one service actor, on one 5 ms tick

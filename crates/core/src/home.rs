@@ -29,12 +29,18 @@
 //! the thread fetches ([`DsdMsg::RangeFetch`]) before any access to it
 //! returns (DESIGN §5).
 //!
-//! An instance has one receive path, `process`, in every phase of its
-//! life: serving, the grace period of a fenced instance (every client
-//! frame is redirected with a `ViewChange`) and the linger after the
-//! shutdown broadcast (a fresh request is answered `Shutdown`). A frame
-//! that does not decode is dropped and counted (`home.bad_frames`); a
-//! protocol violation still ends the shard.
+//! An instance decides and its runner does the I/O. [`HomeShard::on`] is
+//! one step: it takes a frame, a tick or the endpoints its last sends
+//! found gone, at a fabric instant it is handed (decisions read no
+//! clock), and leaves the encoded sends in an outbox. [`HomeShard::run`]
+//! is the one loop that touches an endpoint: it performs a step's sends,
+//! waits as the instance's stage says and steps on what the wait brought.
+//! Every frame takes one receive path, `process`, in every stage:
+//! serving, the grace period of a fenced instance (every client frame is
+//! redirected with a `ViewChange`), the conclusion of an entry move and
+//! the linger after the shutdown broadcast (a fresh request is answered
+//! `Shutdown`). A frame that does not decode is dropped and counted
+//! (`home.bad_frames`); a protocol violation still ends the shard.
 
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{Directory, Placement};
@@ -46,7 +52,7 @@ use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
 use bytes::Bytes;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
-use hdsm_net::{FabricClock, FabricInstant};
+use hdsm_net::FabricInstant;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::{unpack_batch, UpdateBatch};
@@ -56,11 +62,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of the home service. Nothing here picks how the service
-/// loop waits: it blocks in an untimed receive unless something timed is
-/// due — a lease, a replication partner, a kill switch or an entry move's
-/// retransmit — and then wakes every tick, a quarter of the lease (at
-/// least 10 ms).
+/// Configuration of the home service.
 #[derive(Debug, Clone)]
 pub struct HomeConfig {
     /// Number of distributed mutexes.
@@ -72,17 +74,14 @@ pub struct HomeConfig {
     /// Thread ranks that will participate (barriers wait for all of them;
     /// the program ends when all of them join).
     pub participants: Vec<u32>,
-    /// Liveness lease: a participant that has neither joined nor been
-    /// heard from (any message, including heartbeats) for this long is
-    /// declared dead — its locks are reclaimed and blocked barrier
-    /// entrants receive [`DsdMsg::WorkerLost`]. `None` disables failure
-    /// detection (the service blocks forever, pre-reliability behaviour).
+    /// Liveness lease: a participant neither joined nor heard from for
+    /// this long is declared dead — its locks are reclaimed and blocked
+    /// barrier entrants receive [`DsdMsg::WorkerLost`]. `None` disables
+    /// failure detection.
     pub lease: Option<Duration>,
     /// How long the service keeps answering after the final shutdown
-    /// broadcast, so clients whose last reply was dropped by a faulty
-    /// fabric can still complete. Those frames take the one receive path:
-    /// a duplicate gets its cached reply, a fresh request `Shutdown`, a
-    /// dead rank `WorkerLost`.
+    /// broadcast, so clients whose last reply a faulty fabric dropped can
+    /// still complete.
     pub linger: Duration,
     /// Observability hook for home-side spans (absorb/extract timing,
     /// lease expiries). Disabled by default.
@@ -92,18 +91,13 @@ pub struct HomeConfig {
     /// The deterministic entry/lock/barrier → shard partition shared by
     /// the whole cluster. Defaults to the single-home layout.
     pub directory: Directory,
-    /// Is this instance the shard's warm standby? A standby starts as a
-    /// mute shadow of the primary at `directory.shard_ep(shard)`: it drops
-    /// direct client traffic, replays the primary's relay stream, and
-    /// promotes itself (epoch + 1) when the primary goes silent past the
-    /// lease, its endpoint dies or the stream relays a handoff. Otherwise
-    /// the instance is the primary and, when the directory has replicas,
-    /// relays every deduplicated client request to
-    /// `directory.replica_ep(shard)` before processing.
+    /// Is this instance the shard's warm standby? A standby shadows the
+    /// primary through its relay stream and promotes itself (epoch + 1)
+    /// when the primary goes silent past the lease, its endpoint dies or
+    /// the stream relays a handoff.
     pub standby: bool,
     /// Cooperative kill switch for fault injection: when the flag flips,
-    /// the shard abandons its loop mid-run (recording a `ShardKill`
-    /// event) and drops its endpoint, exactly like a crashed process.
+    /// the shard drops its endpoint mid-run, like a crashed process.
     pub kill: Option<Arc<AtomicBool>>,
 }
 
@@ -126,8 +120,7 @@ impl Default for HomeConfig {
 }
 
 /// Where a participant is in its life: every rank starts `Expected` and
-/// settles exactly once, by joining or by lease expiry. Replaces
-/// membership in the `participants`, `joined` and `dead` sets.
+/// settles exactly once, by joining or by lease expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Life {
     /// Configured and not yet signed off: barriers and the service loop
@@ -151,19 +144,17 @@ struct Peer {
     /// Highest update-log sequence the thread has seen (0 = nothing, or
     /// a cold copy that needs a full refresh).
     seen: u64,
-    /// Last time the thread was heard from (any message), on the fabric
-    /// timeline — the lease clock and the `heard_ms` forensics of
-    /// [`DsdMsg::WorkerLost`], virtual-clock exact in simulation mode.
+    /// Last time the thread was heard from (any message): the lease
+    /// clock and the `heard_ms` of [`DsdMsg::WorkerLost`].
     last_heard: Option<FabricInstant>,
     /// Highest request id handled (at-most-once dedup; 0 = none yet).
     last_req: u64,
     /// Last reply sent, resent verbatim when the same request id arrives
     /// again (the reply, not the request, was lost).
     reply: Option<(u64, MsgKind, Bytes)>,
-    /// The sync operation the thread's outstanding request is doing work
-    /// for (from the request's trace context), so replies — including
-    /// deferred grants and barrier releases — and home-side spans are
-    /// attributed to the op that caused them. Unset when obs is disabled.
+    /// The sync operation the thread's outstanding request works for, so
+    /// replies (deferred ones too) and home-side spans are attributed to
+    /// it. Unset when obs is disabled.
     op: OpCtx,
     /// The element ranges the thread has reported reading, per entry: what
     /// a grant ships updates for. An entry without a row was never read
@@ -171,8 +162,7 @@ struct Peer {
     interest: BTreeMap<u32, IntervalSet>,
 }
 
-/// A handoff drain in progress at a fenced primary — replaces the
-/// `handoff` tuple and `handoff_start_us`.
+/// A handoff drain in progress at a fenced primary.
 #[derive(Debug)]
 struct Drain {
     /// Endpoint of the admin that asked (gets `HandoffDone`).
@@ -183,13 +173,9 @@ struct Drain {
     start_us: u64,
 }
 
-/// This instance's place in its shard's replication pair. One state
-/// replaces the nine flags `role`, `promoted`, `replica_ep`, `primary_ep`,
-/// `replica_gone`, `pending_depose`, `handoff`, `handoff_start_us` and
-/// `first_grant_recorded`, so a drain cannot exist without a standby to
-/// drain into and a depose cannot be owed by an instance that never
-/// promoted. (`fenced`, `mute`, `epoch` and `peer_last_heard` stay flat on
-/// the shard: every state has them.)
+/// This instance's place in its shard's replication pair: a drain cannot
+/// exist without a standby to drain into, nor a depose be owed by an
+/// instance that never promoted.
 #[derive(Debug)]
 enum Standby {
     /// Unreplicated, or a primary whose standby's endpoint is gone:
@@ -201,8 +187,8 @@ enum Standby {
         replica_ep: u32,
         drain: Option<Drain>,
     },
-    /// Mute shadow of the primary at `primary_ep`: replays the relay
-    /// stream, answers no client.
+    /// Shadow of the primary at `primary_ep`: replays the relay stream,
+    /// the replay's sends dropped, and answers no client.
     Shadow { primary_ep: u32 },
     /// A shadow that took over (failover or handoff) and serves clients.
     Promoted {
@@ -214,12 +200,10 @@ enum Standby {
     },
 }
 
-/// What a finished [`HomeShard::run`] hands back: the instance and cost
-/// books as before, plus the epoch the shard ended on and whether its
-/// state is *authoritative* — `false` for a shadow replica that was never
-/// promoted, a deposed/fenced primary, a drained handoff source, or a
-/// killed shard. With replication off the outcome is always
-/// `authoritative` at epoch 0, matching the pre-failover contract.
+/// What a finished [`HomeShard::run`] hands back: the instance, its cost
+/// books, the epoch it ended on and whether its state is *authoritative*
+/// — `false` for a shadow never promoted, a deposed, fenced or drained
+/// primary, or a killed shard.
 pub struct HomeRunOutcome {
     /// The shard's final instance (authoritative only for its slice).
     pub gthv: GthvInstance,
@@ -301,10 +285,8 @@ struct CondState {
 }
 
 /// In-flight per-entry re-homing at the *source* shard: ownership has
-/// already flipped in `placement` (and the log rows for the entry were
-/// purged), but the target has not yet acknowledged installation — every
-/// client-path message is deferred until it does, closing the window in
-/// which neither shard could serve the entry's pre-move updates.
+/// flipped and the entry's log rows are purged, but the target has not
+/// acknowledged installation, so client-path messages are deferred.
 #[derive(Debug)]
 struct EntryHandoffState {
     /// The entry being re-homed.
@@ -313,54 +295,89 @@ struct EntryHandoffState {
     admin_ep: u32,
     /// The shard gaining ownership.
     to_shard: u32,
-    /// The new ownership epoch (strictly above any previous epoch for
-    /// this entry, so late/duplicate rows lose max-epoch-wins merges).
+    /// The new ownership epoch, above any previous one for this entry, so
+    /// late or duplicate rows lose max-epoch-wins merges.
     epoch: u32,
-    /// Packed authoritative contents of the entry, retransmitted until
-    /// the target acknowledges with `EntryInstalled`.
+    /// Packed contents of the entry, offered until `EntryInstalled`.
     state: Bytes,
 }
 
+/// What one step of [`HomeShard::on`] is fed.
+pub enum Input<'a> {
+    /// A frame off the instance's endpoint.
+    Frame(Message),
+    /// A wait ended with nothing received: a tick of silence, or the
+    /// deadline of the stage the instance is in.
+    Tick,
+    /// The endpoints the last step's sends found gone (`Disconnected`).
+    Gone(&'a [u32]),
+}
+
+/// One encoded send a step decided on; the runner performs a step's sends
+/// in order.
+struct Outgoing {
+    to: u32,
+    kind: MsgKind,
+    payload: Bytes,
+    op: OpCtx,
+    /// A reply its requester is blocked on, whose endpoint must still be
+    /// there.
+    owed: bool,
+}
+
+/// Where an instance is in its life: what the runner waits for and what
+/// a tick means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Serving: every frame and every tick runs the periodic duties.
+    Serve,
+    /// Every participant settled with an entry move in flight: offer its
+    /// state on every 10 ms of silence, and revert at `until`.
+    Conclude { until: FabricInstant },
+    /// Answer stragglers until `until`: the grace period of a fenced
+    /// instance, or the linger after the shutdown broadcast.
+    Retire {
+        until: FabricInstant,
+        authoritative: bool,
+    },
+    /// The instance's run is over.
+    Done { authoritative: bool },
+}
+
 /// One shard of the home service: owns the authoritative bytes, update
-/// log and synchronization tables of its directory slice and runs the
-/// message loop until every participant has joined. A cluster with a
-/// single shard is exactly the classic home service.
+/// log and synchronization tables of its directory slice and serves
+/// until every participant has joined. A cluster with a single shard is
+/// exactly the classic home service.
 pub struct HomeShard {
     gthv: GthvInstance,
-    ep: Endpoint,
+    /// The endpoint this instance serves on.
+    me: u32,
     shard: u32,
     /// Who owns which entry: the cluster's directory plus the per-entry
-    /// ownership overlay, written identically at a move's source and
-    /// target (and relayed to replicas), so every surviving shard reports
-    /// a consistent final ownership map.
+    /// ownership overlay, written alike at a move's source and target.
     placement: Placement,
     locks: Vec<LockState>,
     barriers: Vec<BarrierState>,
     conds: Vec<CondState>,
     /// Global sequence counter for absorbed updates.
     seq: u64,
-    /// Update log: `(seq, writer, range)` in absorption order, so its
-    /// sequences never decrease — what lets a horizon be found by
-    /// `partition_point`. The writer rank lets grants exclude a thread's
-    /// own updates without corrupting its horizon (a thread has by
-    /// definition "seen" what it wrote itself, but nothing else absorbed
-    /// in between).
+    /// Update log: `(seq, writer, range)` in absorption order, so a
+    /// horizon is found by `partition_point`. The writer lets grants
+    /// exclude a thread's own updates without moving its horizon.
     log: Vec<(u64, u32, UpdateRange)>,
     /// Oldest sequence still in the log; horizons below this need a full
     /// refresh (log compaction / cold migrated copies).
     log_floor: u64,
-    /// The participants, by rank. Rank order is iteration order, which
-    /// fixes the order of simultaneous lease expiries and of the shutdown
-    /// broadcast — both decide bytes a same-seed simulation must
-    /// reproduce.
+    /// The participants, by rank: rank order fixes the order of lease
+    /// expiries and of the shutdown broadcast, which decide bytes a
+    /// same-seed simulation must reproduce.
     peers: BTreeMap<u32, Peer>,
     /// How many peers are still `Expected`, kept in step by
-    /// [`Self::settle`]: the service loop runs while it is non-zero and a
+    /// [`Self::settle`]: the service runs while it is non-zero and a
     /// barrier releases once that many ranks have entered it.
     pending: usize,
     /// The lowest `Dead` rank, kept in step by [`Self::settle`]: the rank
-    /// a barrier entrant is failed with, since no barrier can complete
-    /// once any participant is dead.
+    /// a barrier entrant is failed with.
     lowest_dead: Option<u32>,
     lease: Option<Duration>,
     linger: Duration,
@@ -374,33 +391,32 @@ pub struct HomeShard {
     fenced: bool,
     /// Last sign of life from the replication-link partner.
     peer_last_heard: FabricInstant,
-    /// Replaying a relayed request: suppress every outbound send while
-    /// still populating the reply cache, so the shadow's dedup state
-    /// stays byte-identical to the primary's.
-    mute: bool,
+    /// When this instance, as a shadow, last beat its primary.
+    beat_at: FabricInstant,
     /// Cooperative kill switch (fault injection).
     kill: Option<Arc<AtomicBool>>,
-    /// The fabric's time source; every lease, drain and promotion timer
-    /// reads it so failover timing is seed-deterministic in sim mode.
-    clock: FabricClock,
+    /// The instant of the step being taken, which every timer reads.
+    now: FabricInstant,
+    stage: Stage,
+    /// The sends of the step being taken, in order; reused step to step.
+    outbox: Vec<Outgoing>,
     /// In-flight outbound entry re-homing (source side); at most one at
     /// a time per shard — the admin serializes moves cluster-wide.
     entry_handoff: Option<EntryHandoffState>,
     /// Client-path messages deferred while `entry_handoff` is in flight,
-    /// drained in arrival order once the target installs (or the move
-    /// aborts).
+    /// in arrival order.
     entry_pending: VecDeque<Message>,
 }
 
 impl HomeShard {
-    /// Create the service around the authoritative instance.
-    pub fn new(gthv: GthvInstance, ep: Endpoint, config: HomeConfig) -> HomeShard {
+    /// Create the service around the authoritative instance. It serves on
+    /// the endpoint the directory gives its shard and role.
+    pub fn new(gthv: GthvInstance, config: HomeConfig) -> HomeShard {
         let locks = (0..config.n_locks).map(|_| LockState::default()).collect();
         let barriers = (0..config.n_barriers)
             .map(|_| BarrierState::default())
             .collect();
         let conds = (0..config.n_conds).map(|_| CondState::default()).collect();
-        let clock = ep.clock();
         let (shard, directory) = (config.shard, config.directory);
         let peers: BTreeMap<u32, Peer> = config
             .participants
@@ -409,7 +425,11 @@ impl HomeShard {
             .collect();
         HomeShard {
             gthv,
-            ep,
+            me: if config.standby {
+                directory.replica_ep(shard)
+            } else {
+                directory.shard_ep(shard)
+            },
             shard,
             placement: Placement::new(directory),
             locks,
@@ -440,26 +460,22 @@ impl HomeShard {
             },
             epoch: 0,
             fenced: false,
-            peer_last_heard: clock.now(),
-            mute: false,
+            peer_last_heard: FabricInstant::ZERO,
+            beat_at: FabricInstant::ZERO,
             kill: config.kill,
-            clock,
+            now: FabricInstant::ZERO,
+            stage: Stage::Serve,
+            outbox: Vec::new(),
             entry_handoff: None,
             entry_pending: VecDeque::new(),
         }
     }
 
-    /// Record a failover milestone of this shard — kill, fence, promotion,
-    /// first grant after one — as an instant event carrying the shard and
-    /// the epoch it happened under.
+    /// Record a failover milestone of this shard (kill, fence, promotion,
+    /// first grant after one) under the epoch it happened in.
     fn mark(&self, kind: EventKind, label: &'static str) {
-        self.recorder.instant(
-            self.ep.rank(),
-            kind,
-            self.shard as u64,
-            self.epoch as u64,
-            label,
-        );
+        self.recorder
+            .instant(self.me, kind, self.shard as u64, self.epoch as u64, label);
     }
 
     /// The sync op thread `rank`'s outstanding request belongs to.
@@ -491,7 +507,7 @@ impl HomeShard {
         }
     }
 
-    /// Does this instance answer clients (anything but a mute shadow)?
+    /// Does this instance answer clients (anything but a shadow)?
     fn serves_clients(&self) -> bool {
         !matches!(self.standby, Standby::Shadow { .. })
     }
@@ -501,20 +517,16 @@ impl HomeShard {
         matches!(self.standby, Standby::Primary { drain: Some(_), .. })
     }
 
-    /// `entry` is gained (or re-gained, on an abort revert) without its
-    /// history, which lives at the old owner: raise the log floor above
-    /// every horizon so each thread's next pull is a full refresh of the
-    /// (now larger) owned slice.
+    /// `entry` is gained without its history: raise the log floor above
+    /// every horizon, so each thread's next pull is a full refresh.
     fn force_full_refresh(&mut self) {
         self.seq += 1;
         self.log_floor = self.seq;
     }
 
     /// Initialise the authoritative copy and log this shard's slice of the
-    /// structure as one big update, so every thread pulls the initial
-    /// contents at its first acquire. Every shard runs the same
-    /// initialiser; each logs (and later serves) only the entries it owns,
-    /// so with one shard the whole structure is logged exactly as before.
+    /// structure as one update, so every thread pulls the initial contents
+    /// at its first acquire.
     pub fn init_with<F: FnOnce(&mut GthvInstance)>(&mut self, f: F) {
         f(&mut self.gthv);
         self.seq += 1;
@@ -542,12 +554,11 @@ impl HomeShard {
         ranges
     }
 
-    /// This shard is only authoritative for what it owns. Of `entries`
-    /// that it does not, one that moved (epoch > 0) is a stale view at
-    /// thread `rank`: reply the `EntryMoved` rows — the thread merges them,
-    /// re-routes and resends — and return `true`, nothing else done. One
-    /// that never moved is a routing bug, which must not silently corrupt
-    /// (or be answered from) another shard's slice.
+    /// Of `entries` this shard does not own, one that moved (epoch > 0) is
+    /// a stale view at thread `rank`: reply the `EntryMoved` rows (the
+    /// thread re-routes and resends) and return `true`. One that never
+    /// moved is a routing bug, a violation rather than a silent write to
+    /// another shard's slice.
     fn bounce_unowned(
         &mut self,
         rank: u32,
@@ -574,11 +585,9 @@ impl HomeShard {
         }
     }
 
-    /// Absorb a batch of incoming updates from thread `writer`: unpack
-    /// time was already spent decoding; here we apply (t_conv) and log the
-    /// ranges. Returns `false`, with nothing absorbed, when the batch
-    /// targets an entry this shard re-homed away ([`Self::bounce_unowned`],
-    /// asked once per group, whose runs share their entry).
+    /// Absorb a batch of updates from thread `writer`: apply (t_conv) and
+    /// log the ranges. Returns `false`, with nothing absorbed, when the
+    /// batch targets an entry re-homed away ([`Self::bounce_unowned`]).
     fn absorb(&mut self, writer: u32, updates: &UpdateBatch) -> Result<bool, HomeError> {
         if updates.is_empty() {
             return Ok(true);
@@ -587,7 +596,7 @@ impl HomeShard {
             return Ok(false);
         }
         let (n, bytes) = (updates.len() as u64, updates.payload_bytes());
-        let mut t = Phase::Conv.begin(&self.recorder, self.ep.rank(), self.op_of(writer));
+        let mut t = Phase::Conv.begin(&self.recorder, self.me, self.op_of(writer));
         t.args(n, bytes);
         apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
         t.end(&mut self.costs);
@@ -610,9 +619,8 @@ impl HomeShard {
         Ok(true)
     }
 
-    /// Drop log entries every participant still expected has already
-    /// seen: a joined or dead rank is never granted again, so its frozen
-    /// horizon must not pin the log.
+    /// Drop log entries every participant still expected has seen: a
+    /// joined or dead rank's frozen horizon must not pin the log.
     fn maybe_compact(&mut self) {
         if self.log.len() < 4096 {
             return;
@@ -629,10 +637,8 @@ impl HomeShard {
         self.log_floor = self.log_floor.max(min_seen);
     }
 
-    /// What thread `rank` has not seen: freshly extracted wire frames for
-    /// the stale ranges inside its interest, notices for the rest. The
-    /// interest/notice split and the coalescing of what ships are t_tag,
-    /// the extraction t_pack (the reply's encode charges its own copy).
+    /// What thread `rank` has not seen: extracted frames for the stale
+    /// ranges inside its interest (t_tag, then t_pack), notices for the rest.
     fn stale_updates_for(
         &mut self,
         rank: u32,
@@ -642,7 +648,7 @@ impl HomeShard {
             Some(p) => (p.seen, p.op, &p.interest),
             None => (0, OpCtx::default(), &everything),
         };
-        let mut t = Phase::Tag.begin(&self.recorder, self.ep.rank(), op);
+        let mut t = Phase::Tag.begin(&self.recorder, self.me, op);
         let (ranges, notices) = if horizon < self.log_floor {
             // The thread's horizon predates the log: full refresh of
             // this shard's slice.
@@ -676,7 +682,7 @@ impl HomeShard {
     /// Frame the current authoritative bytes of `ranges` for the thread
     /// blocked in `op` — t_pack — and book them as sent.
     fn extract_for(&mut self, op: OpCtx, ranges: &[UpdateRange]) -> Result<UpdateBatch, HomeError> {
-        let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
+        let mut t = Phase::Pack.begin(&self.recorder, self.me, op);
         let ups = extract_updates(&self.gthv, ranges)?;
         let bytes = ups.payload_bytes();
         t.args(bytes, ups.len() as u64);
@@ -686,9 +692,8 @@ impl HomeShard {
         Ok(ups)
     }
 
-    /// Take a thread's interest report into its table. The rows came off
-    /// the wire: one the index table does not hold is a violation, like an
-    /// update for it would be.
+    /// Take a thread's interest report into its table; a row the index
+    /// table does not hold is a violation, like an update for it.
     fn note_interest(&mut self, rank: u32, rows: &[UpdateRange]) -> Result<(), HomeError> {
         let (Some(peer), index) = (self.peers.get_mut(&rank), self.gthv.table()) else {
             return Ok(());
@@ -708,116 +713,83 @@ impl HomeShard {
         Ok(())
     }
 
-    /// The one transmit: put `payload` on the wire to endpoint `ep_rank`
-    /// and report whether that peer is still there — a dropped endpoint
-    /// (`Disconnected`) is the peer being gone, not a transport failure;
-    /// each caller decides what a gone peer means. A shadow replaying a
-    /// relayed request swallows the send (the primary already answered)
-    /// while all bookkeeping above this call stays byte-identical to the
-    /// primary's.
-    fn post(
-        &mut self,
-        ep_rank: u32,
-        kind: MsgKind,
-        payload: Bytes,
-        op: OpCtx,
-    ) -> Result<bool, HomeError> {
-        if self.mute {
-            return Ok(true);
-        }
-        match self.ep.send_op(ep_rank, kind, payload, op) {
-            Ok(()) => Ok(true),
-            Err(NetError::Disconnected(_)) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
+    /// The one transmit: leave `payload` for endpoint `to` in the outbox,
+    /// for the runner to put on the wire once the step is taken.
+    fn post(&mut self, to: u32, kind: MsgKind, payload: Bytes, op: OpCtx, owed: bool) {
+        self.outbox.push(Outgoing {
+            to,
+            kind,
+            payload,
+            op,
+            owed,
+        });
     }
 
     /// The control-plane send: `msg` to endpoint `ep_rank` as an
     /// unsolicited frame (request id 0) — replication relay, depose and
-    /// handoff traffic, admin confirmations. Returns whether the peer is
-    /// alive.
-    fn tell(&mut self, ep_rank: u32, msg: DsdMsg) -> Result<bool, HomeError> {
-        self.post(
-            ep_rank,
-            msg.kind(),
-            msg.encode_enveloped(0),
-            OpCtx::default(),
-        )
+    /// handoff traffic, admin confirmations.
+    fn tell(&mut self, ep_rank: u32, msg: DsdMsg) {
+        let payload = msg.encode_enveloped(0);
+        self.post(ep_rank, msg.kind(), payload, OpCtx::default(), false);
     }
 
     /// Reply to thread `rank`: `msg` enveloped with the request id of its
-    /// outstanding request and cached for retransmission. Returns whether
-    /// the thread's endpoint is still alive.
-    fn reply(&mut self, rank: u32, msg: DsdMsg) -> Result<bool, HomeError> {
+    /// outstanding request and cached for retransmission. `owed`: the
+    /// requester is blocked on it, so its endpoint must still be there.
+    fn reply(&mut self, rank: u32, msg: DsdMsg, owed: bool) -> Result<(), HomeError> {
         let no_route = || HomeError::Violation(format!("no route for thread {rank}"));
         let peer = self.peers.get_mut(&rank).ok_or_else(no_route)?;
         let ep_rank = peer.route.ok_or_else(no_route)?;
         // The reply — including a deferred grant or barrier release —
         // belongs to the op the requester is blocked in.
         let (req_id, op) = (peer.last_req, peer.op);
-        let mut t = Phase::Pack.begin(&self.recorder, self.ep.rank(), op);
+        let mut t = Phase::Pack.begin(&self.recorder, self.me, op);
         let payload = msg.encode_enveloped(req_id);
         t.args(payload.len() as u64, rank as u64);
         t.end(&mut self.costs);
         peer.reply = Some((req_id, msg.kind(), payload.clone()));
-        let alive = self.post(ep_rank, msg.kind(), payload, op)?;
+        self.post(ep_rank, msg.kind(), payload, op, owed);
         if let Standby::Promoted {
             first_grant_recorded: recorded @ false,
             ..
         } = &mut self.standby
         {
-            if !self.mute {
-                // The recovery-latency endpoint: the first client request
-                // this shard served after taking over.
-                *recorded = true;
-                self.mark(EventKind::FirstGrant, "");
-            }
+            // The recovery-latency endpoint: the first reply after a
+            // takeover.
+            *recorded = true;
+            self.mark(EventKind::FirstGrant, "");
         }
-        Ok(alive)
+        Ok(())
     }
 
     /// [`Self::reply`] to a thread that must still be there: a grant,
     /// release or ack its requester is blocked on.
     fn send(&mut self, rank: u32, msg: DsdMsg) -> Result<(), HomeError> {
-        if self.reply(rank, msg)? {
-            return Ok(());
-        }
-        let ep_rank = self.peers.get(&rank).and_then(|p| p.route);
-        Err(NetError::Disconnected(ep_rank.unwrap_or_default()).into())
+        self.reply(rank, msg, true)
     }
 
     /// Resend thread `rank`'s cached reply if it answers request `req_id`
-    /// (the reply, not the request, was lost). A requester only hangs up
-    /// once it has its reply (and, under a sharded home, every other
-    /// shard's), so a dropped endpoint means the duplicate outlived its
-    /// sender. Returns whether there was such a reply.
-    fn resend_cached(&mut self, rank: u32, req_id: u64) -> Result<bool, HomeError> {
+    /// (the reply, not the request, was lost).
+    fn resend_cached(&mut self, rank: u32, req_id: u64) {
         let Some(peer) = self.peers.get(&rank) else {
-            return Ok(false);
+            return;
         };
-        let (Some((rid, kind, payload)), Some(ep_rank)) = (&peer.reply, peer.route) else {
-            return Ok(false);
-        };
-        if *rid != req_id {
-            return Ok(false);
+        if let (Some((rid, kind, payload)), Some(to)) = (&peer.reply, peer.route) {
+            if *rid == req_id {
+                let (kind, payload, op) = (*kind, payload.clone(), peer.op);
+                self.post(to, kind, payload, op, false);
+            }
         }
-        let (kind, payload, op) = (*kind, payload.clone(), peer.op);
-        self.post(ep_rank, kind, payload, op)?;
-        Ok(true)
     }
 
     /// The enriched lost-worker notification for `rank`: how stale its
     /// lease was when it expired, so survivors can report forensics.
     fn worker_lost_msg(&self, rank: u32) -> DsdMsg {
+        let heard = self.peers.get(&rank).and_then(|p| p.last_heard);
         DsdMsg::WorkerLost {
             rank,
-            heard_ms: self
-                .peers
-                .get(&rank)
-                .and_then(|p| p.last_heard)
-                .map(|t| self.clock.now().saturating_since(t).as_millis() as u64)
-                .unwrap_or(0),
-            lease_ms: self.lease.map(|l| l.as_millis() as u64).unwrap_or(0),
+            heard_ms: heard.map_or(0, |t| self.now.saturating_since(t).as_millis() as u64),
+            lease_ms: self.lease.map_or(0, |l| l.as_millis() as u64),
         }
     }
 
@@ -831,19 +803,11 @@ impl HomeShard {
         self.send(rank, grant)
     }
 
-    /// Period of the service loop's wake-ups: a quarter of the lease.
+    /// Period of the service's wake-ups: a quarter of the lease, at least
+    /// 10 ms.
     fn tick(&self) -> Duration {
-        self.lease
-            .map(|l| (l / 4).max(Duration::from_millis(10)))
-            .unwrap_or(Duration::from_millis(10))
-    }
-
-    /// Has the cooperative kill switch flipped?
-    fn killed(&self) -> bool {
-        self.kill
-            .as_ref()
-            .map(|k| k.load(Ordering::Relaxed))
-            .unwrap_or(false)
+        let floor = Duration::from_millis(10);
+        self.lease.map_or(floor, |l| (l / 4).max(floor))
     }
 
     /// Finish into the run outcome.
@@ -859,93 +823,185 @@ impl HomeShard {
         }
     }
 
-    /// Run the service loop until all live participants joined (or this
-    /// instance is killed, deposed or drained). Returns the instance,
-    /// the home-side cost breakdown and the failover verdict.
-    pub fn run(mut self) -> Result<HomeRunOutcome, HomeError> {
-        self.restart_leases();
-        self.peer_last_heard = self.clock.now();
-        // Seed the telemetry epoch table (monotone max, so a replica's
-        // epoch-0 report can't regress a promoted primary's).
-        self.recorder.dir_epoch(self.shard, self.epoch as u64);
-        while self.pending > 0 {
-            if self.killed() {
+    /// Run the service on `ep` until all live participants joined (or
+    /// this instance is killed, deposed or drained). The one loop that
+    /// touches an endpoint: perform the last step's sends, wait as the
+    /// stage says, and step on what the wait brought.
+    pub fn run(mut self, ep: Endpoint) -> Result<HomeRunOutcome, HomeError> {
+        let clock = ep.clock();
+        let mut send = |s: &Outgoing| match ep.send_op(s.to, s.kind, s.payload.clone(), s.op) {
+            Err(NetError::Disconnected(_)) => Ok(false),
+            sent => sent.map(|()| true).map_err(HomeError::from),
+        };
+        self.start(clock.now())?;
+        loop {
+            self.flush(&mut send)?;
+            if let Stage::Done { authoritative } = self.stage {
+                return Ok(self.outcome(authoritative));
+            }
+            let killed = self
+                .kill
+                .as_ref()
+                .is_some_and(|k| k.load(Ordering::Relaxed));
+            if self.stage == Stage::Serve && killed {
                 self.mark(EventKind::ShardKill, "");
                 return Ok(self.outcome(false));
             }
-            // A lease, a replication partner, the kill switch and an
-            // entry move's retransmit need periodic wake-ups; without any
-            // of them the classic blocking recv stands.
-            let timed = self.lease.is_some()
-                || !matches!(self.standby, Standby::Solo)
-                || self.kill.is_some()
-                || self.entry_handoff.is_some();
-            let msg = if timed {
-                match self.ep.recv_timeout(self.tick()) {
-                    Ok(m) => Some(m),
-                    Err(NetError::Timeout) => None,
+            let now = clock.now();
+            // `Duration::MAX` waits with no deadline.
+            let left = self
+                .wake(now)
+                .map_or(Duration::MAX, |at| at.saturating_since(now));
+            let input = if left.is_zero() {
+                Input::Tick
+            } else {
+                match ep.recv_timeout(left) {
+                    Ok(m) => Input::Frame(m),
+                    Err(NetError::Timeout) => Input::Tick,
                     Err(e) => return Err(e.into()),
                 }
-            } else {
-                Some(self.ep.recv()?)
             };
-            let idle = msg.is_none();
-            if let Some(msg) = msg {
-                self.process(msg)?;
+            self.on(clock.now(), input)?;
+        }
+    }
+
+    /// When the runner's next wait ends if nothing arrives; `None`: it
+    /// does not.
+    fn wake(&self, now: FabricInstant) -> Option<FabricInstant> {
+        match self.stage {
+            Stage::Serve => {
+                // A lease, a replication partner, the kill switch and an
+                // entry move's retransmit need periodic wake-ups; without
+                // any of them the classic blocking receive stands.
+                let timed = self.lease.is_some()
+                    || !matches!(self.standby, Standby::Solo)
+                    || self.kill.is_some()
+                    || self.entry_handoff.is_some();
+                timed.then(|| now + self.tick())
             }
-            self.tick_duties(idle)?;
-            if self.fenced && !self.draining() {
-                // Deposed, self-fenced or drained: this instance no
-                // longer serves. Keep redirecting stragglers (and
-                // re-acking deposes) for a grace period, then let the
-                // endpoint drop — from then on senders get
-                // `Disconnected` and probe the shard's other endpoint.
-                let grace = self.lease.map_or(Duration::from_millis(100), |l| l * 2);
-                let deadline = self.clock.now() + grace.max(self.linger);
-                while let Some(m) = self.recv_until(deadline)? {
-                    self.process(m)?;
+            Stage::Conclude { until } => Some(until.min(now + Duration::from_millis(10))),
+            Stage::Retire { until, .. } => Some(until),
+            Stage::Done { .. } => None,
+        }
+    }
+
+    /// Perform the step's sends in order through `send`, which answers
+    /// whether the destination took the frame (`false`: its endpoint is
+    /// gone). A later send to an endpoint found gone is skipped, and what
+    /// was found gone is the next step, until a step's sends all land.
+    fn flush(
+        &mut self,
+        mut send: impl FnMut(&Outgoing) -> Result<bool, HomeError>,
+    ) -> Result<(), HomeError> {
+        loop {
+            let mut gone = Vec::new();
+            for s in &self.outbox {
+                if !gone.contains(&s.to) && !send(s)? {
+                    gone.push(s.to);
                 }
-                return Ok(self.outcome(false));
+            }
+            if gone.is_empty() {
+                return Ok(());
+            }
+            self.on(self.now, Input::Gone(&gone))?;
+        }
+    }
+
+    /// Start the lease and replication clocks at `now`; the runner calls
+    /// it once, before its first wait.
+    pub fn start(&mut self, now: FabricInstant) -> Result<(), HomeError> {
+        self.now = now;
+        self.restart_leases();
+        self.peer_last_heard = now;
+        // Seed the telemetry epoch table (monotone max, so a replica's
+        // epoch-0 report can't regress a promoted primary's).
+        self.recorder.dir_epoch(self.shard, self.epoch as u64);
+        self.advance()
+    }
+
+    /// One step: take `input` at `now` and decide, leaving what is to be
+    /// sent in the outbox. A serving instance runs its duties after each
+    /// frame and on each tick. A requester found gone while blocked on its
+    /// reply ends the shard, as a failed transport does.
+    pub fn on(&mut self, now: FabricInstant, input: Input) -> Result<(), HomeError> {
+        self.now = now;
+        if let Input::Gone(eps) = &input {
+            let owed = |s: &&Outgoing| s.owed && eps.contains(&s.to);
+            if let Some(s) = self.outbox.iter().find(owed) {
+                return Err(NetError::Disconnected(s.to).into());
             }
         }
-        if !self.serves_clients() {
-            // The primary drove the run to completion; this shadow's job
-            // is done. The primary broadcasts the shutdown.
-            return Ok(self.outcome(false));
+        self.outbox.clear();
+        match (input, self.stage) {
+            (Input::Frame(m), Stage::Serve) => {
+                self.process(m)?;
+                self.duties(false)?;
+            }
+            (Input::Frame(m), _) => self.process(m)?,
+            (Input::Tick, Stage::Serve) => self.duties(true)?,
+            // A slice of a move's conclusion passed in silence: offer
+            // again. Past the deadline the bytes stay here.
+            (Input::Tick, Stage::Conclude { until }) if now < until => self.send_entry_state(),
+            (Input::Tick, Stage::Conclude { .. }) => self.abort_entry_handoff()?,
+            (Input::Tick, _) => {}
+            (Input::Gone(eps), _) => self.gone(eps)?,
         }
-        if let Standby::Primary { .. } = self.standby {
-            // The standby retired with the last settle it replayed: no
-            // frame relayed from here on would be read, and no drain can
-            // start into it.
-            self.standby = Standby::Solo;
-        }
-        // An adaptive placement move may still be in flight: conclude it
-        // before shutting down, or the ownership flip would outlive the
-        // state transfer and the stitch would attribute the entry to a
-        // shard that never installed its bytes. Keep offering every 10 ms
-        // of silence for up to 500 ms; if the target never acknowledges
-        // (it may be tearing down too), revert ownership — the bytes stay
-        // authoritative here.
-        let deadline = self.clock.now() + Duration::from_millis(500);
-        while self.entry_handoff.is_some() {
-            let now = self.clock.now();
-            match self.recv_until(deadline.min(now + Duration::from_millis(10)))? {
-                Some(m) => self.process(m)?,
-                None => match self.clock.now() {
-                    // A slice passed in silence: offer again.
-                    t if now < t && t < deadline => self.send_entry_state()?,
-                    // Past the deadline, or the fabric closed (no time
-                    // passed): the bytes stay here.
-                    _ => self.abort_entry_handoff()?,
+        self.advance()
+    }
+
+    /// Enter the stage the state now calls for, doing what entering it
+    /// takes.
+    fn advance(&mut self) -> Result<(), HomeError> {
+        loop {
+            self.stage = match self.stage {
+                // Deposed, self-fenced or drained: redirect stragglers
+                // for a grace period.
+                Stage::Serve if self.fenced && !self.draining() => {
+                    let grace = self.lease.map_or(Duration::from_millis(100), |l| l * 2);
+                    Stage::Retire {
+                        until: self.now + grace.max(self.linger),
+                        authoritative: false,
+                    }
+                }
+                Stage::Serve if self.pending > 0 => return Ok(()),
+                // The primary drove the run to completion.
+                Stage::Serve if !self.serves_clients() => Stage::Done {
+                    authoritative: false,
                 },
-            }
+                Stage::Serve => {
+                    if let Standby::Primary { .. } = self.standby {
+                        // The standby retired with the last settle it
+                        // replayed.
+                        self.standby = Standby::Solo;
+                    }
+                    // Conclude a placement move still in flight, or the
+                    // stitch would credit the entry to a shard that never
+                    // installed its bytes.
+                    Stage::Conclude {
+                        until: self.now + Duration::from_millis(500),
+                    }
+                }
+                Stage::Conclude { .. } if self.entry_handoff.is_none() => {
+                    self.broadcast_shutdown()?;
+                    Stage::Retire {
+                        until: self.now + self.linger,
+                        authoritative: true,
+                    }
+                }
+                Stage::Retire {
+                    until,
+                    authoritative,
+                } if self.now >= until => Stage::Done { authoritative },
+                _ => return Ok(()),
+            };
         }
-        // Every live participant joined: broadcast shutdown. The shutdown
-        // is the (deferred) reply to each thread's Join request, so it is
-        // cached and resent if the fabric drops it. The broadcast goes
-        // out in rank order, so the send order (and with it the dedup
-        // traffic of any straggler retransmits racing the broadcast) is
-        // the same run to run.
+    }
+
+    /// Every live participant joined: broadcast shutdown, the deferred
+    /// (and cached) reply to each Join, in rank order so the send order is
+    /// the same run to run. A client already gone (a duplicated copy of
+    /// this very Shutdown reached it) has everything it was owed.
+    fn broadcast_shutdown(&mut self) -> Result<(), HomeError> {
         let ranks: Vec<u32> = self
             .peers
             .iter()
@@ -953,11 +1009,7 @@ impl HomeShard {
             .map(|(&r, _)| r)
             .collect();
         for r in ranks {
-            // A duplicated copy of this very Shutdown (or a prior shard's)
-            // may already have reached the worker, which then exits and
-            // drops its endpoint before our enqueue lands. A disconnected
-            // client has everything it was owed.
-            self.reply(r, DsdMsg::Shutdown)?;
+            self.reply(r, DsdMsg::Shutdown, false)?;
         }
         if self.lowest_dead.is_some() {
             // A declared-dead worker may only be partitioned and will
@@ -967,40 +1019,76 @@ impl HomeShard {
                 self.linger = self.linger.max(lease * 2);
             }
         }
-        let deadline = self.clock.now() + self.linger;
-        while let Some(m) = self.recv_until(deadline)? {
-            self.process(m)?;
-        }
-        Ok(self.outcome(true))
+        Ok(())
     }
 
-    /// One incoming message, decoded once — the one receive path, in the
-    /// service loop, the fenced grace period and the post-shutdown linger
-    /// alike: client requests take the epoch-checked path into
+    /// The one place a gone peer means something: `eps` are the endpoints
+    /// the last step's sends found `Disconnected`.
+    fn gone(&mut self, eps: &[u32]) -> Result<(), HomeError> {
+        for &ep in eps {
+            match self.standby {
+                Standby::Primary {
+                    replica_ep,
+                    drain: Some(_),
+                } if replica_ep == ep => {
+                    // Fenced, with nobody left to take the shard over.
+                    return Err(HomeError::Violation(
+                        "handoff target replica is gone".into(),
+                    ));
+                }
+                // Back to the unreplicated availability level.
+                Standby::Primary { replica_ep, .. } if replica_ep == ep => {
+                    self.standby = Standby::Solo;
+                }
+                // The primary crashed: succeed it once the relay stream
+                // has been quiet a full tick, so every frame it sent is
+                // replayed first. Quiet is measured on the stream, not by
+                // idle turns: heartbeats arrive at the tick's own period.
+                Standby::Shadow { primary_ep }
+                    if primary_ep == ep
+                        && self.now.saturating_since(self.peer_last_heard) >= self.tick() =>
+                {
+                    self.promote(primary_ep, self.epoch + 1, true, "");
+                }
+                // A dead primary needs no fencing.
+                Standby::Promoted { primary_ep, .. } if primary_ep == ep => self.depose_settled(),
+                _ => {}
+            }
+        }
+        // Every endpoint of an entry move's target is gone: abort the
+        // move and keep serving the entry here.
+        let Some(to) = self.entry_handoff.as_ref().map(|h| h.to_shard) else {
+            return Ok(());
+        };
+        let d = self.placement.directory();
+        let dead = |ep: u32| eps.contains(&ep);
+        if dead(d.shard_ep(to)) && (d.n_replicas() == 0 || dead(d.replica_ep(to))) {
+            self.abort_entry_handoff()?;
+        }
+        Ok(())
+    }
+
+    /// One incoming message, decoded once — the one receive path, in
+    /// every stage: client requests take the epoch-checked path into
     /// [`Self::dispatch`]; everything else is replication/failover/
     /// placement control.
     fn process(&mut self, msg: Message) -> Result<(), HomeError> {
         let op = msg.trace.map(|t| t.op).unwrap_or_default();
         if is_client_request(msg.kind) && self.entry_handoff.is_some() && !self.fenced {
-            // An outbound entry move is in flight: the entry's log rows
-            // are gone here and the target has not installed yet, so
-            // neither shard could serve its pre-move updates. Defer every
-            // client-path message until the target acknowledges — the
-            // window is one round trip. A fenced source serves nothing
-            // and redirects at once, below.
+            // An outbound entry move is in flight: neither shard could
+            // serve the entry's pre-move updates until the target installs,
+            // one round trip. A fenced source redirects at once, below.
             self.entry_pending.push_back(msg);
             return Ok(());
         }
-        let mut t = Phase::Unpack.begin(&self.recorder, self.ep.rank(), op);
+        let mut t = Phase::Unpack.begin(&self.recorder, self.me, op);
         t.args(msg.payload.len() as u64, msg.src as u64);
         let stamped = self.placement.directory().epoch_stamped(msg.kind);
         let Ok((req_id, stamp, decoded, interest)) =
             DsdMsg::decode_request(msg.kind, msg.payload.clone(), stamped)
         else {
-            // A frame that does not decode names no request to answer, and
-            // one bad frame must not end the shard: drop it (the abandoned
-            // region charges nothing) and keep serving. A real sender
-            // retransmits.
+            // A frame that does not decode names no request to answer:
+            // drop it and keep serving. A real sender retransmits.
             self.recorder.count("home.bad_frames", 1);
             return Ok(());
         };
@@ -1011,62 +1099,52 @@ impl HomeShard {
                 req_id,
                 kind,
                 body,
-            } => self.on_replicate(src_ep, req_id, kind, body),
-            DsdMsg::ReplicaBeat { .. } => {
-                self.peer_last_heard = self.clock.now();
-                Ok(())
-            }
+            } => self.on_replicate(src_ep, req_id, kind, body)?,
+            DsdMsg::ReplicaBeat { .. } => self.peer_last_heard = self.now,
             DsdMsg::Depose { shard, epoch } => {
                 if shard == self.shard && !self.fenced {
                     self.fence();
                 }
-                self.tell(msg.src, DsdMsg::DeposeAck { shard, epoch })?;
-                Ok(())
+                self.tell(msg.src, DsdMsg::DeposeAck { shard, epoch });
             }
             DsdMsg::DeposeAck { .. } => {
-                self.peer_last_heard = self.clock.now();
+                self.peer_last_heard = self.now;
                 self.depose_settled();
-                Ok(())
             }
             DsdMsg::HandoffRequest { shard } if shard == self.shard => self.start_handoff(msg.src),
             DsdMsg::HandoffInstalled { shard, epoch } if shard == self.shard => {
-                self.peer_last_heard = self.clock.now();
-                self.finish_handoff(epoch)
+                self.peer_last_heard = self.now;
+                self.finish_handoff(epoch);
             }
             DsdMsg::EntryHandoff { entry, to_shard } => {
-                self.on_entry_handoff(msg.src, entry, to_shard)
+                self.on_entry_handoff(msg.src, entry, to_shard)?
             }
             DsdMsg::EntryState {
                 entry,
                 epoch,
                 state,
-            } => self.on_entry_state(msg.src, entry, epoch, state),
-            DsdMsg::EntryInstalled { entry, epoch } => self.on_entry_installed(entry, epoch),
-            // Control frames for another shard, a late `EntryDone`, or a
-            // `ViewChange` another home bounced at us (an `EntryState`
-            // offer that hit a fenced endpoint — the idle-tick retransmit
-            // keeps offering to both endpoints until the promoted one
-            // installs): nothing to do.
+            } => self.on_entry_state(msg.src, entry, epoch, state)?,
+            DsdMsg::EntryInstalled { entry, epoch } => self.on_entry_installed(entry, epoch)?,
+            // Control frames for another shard, a late `EntryDone`, or an
+            // offer bounced by a fenced endpoint: nothing to do.
             DsdMsg::HandoffRequest { .. }
             | DsdMsg::HandoffInstalled { .. }
             | DsdMsg::EntryDone { .. }
-            | DsdMsg::ViewChange { .. } => Ok(()),
+            | DsdMsg::ViewChange { .. } => {}
+            // A shadow never answers clients: its state evolves through the
+            // relay stream only. The client retransmits; once this replica
+            // promotes, the retransmission is served (dedup catches anything
+            // the primary already answered).
+            _ if !self.serves_clients() => {}
             decoded => {
-                if !self.serves_clients() {
-                    // A shadow never answers clients: its state evolves
-                    // through the relay stream only. The client
-                    // retransmits; once this replica promotes, the
-                    // retransmission is served (dedup catches anything the
-                    // primary already answered).
-                    return Ok(());
-                }
                 if stamp.is_some_and(|e| e > self.epoch) && !self.fenced {
                     // A request stamped from the future: some other
                     // instance already serves a later epoch of this shard.
                     self.fence();
                 }
                 if self.fenced {
-                    return self.reply_view_change(msg.src, req_id);
+                    self.reply_view_change(msg.src, req_id);
+                    return Ok(());
                 }
                 // Relay *before* processing, envelope stripped (the
                 // interest report behind the body rides along), so the
@@ -1074,22 +1152,28 @@ impl HomeShard {
                 // primary exposed to a client and replays it through the
                 // same dispatch path.
                 let body = msg.payload.slice(if stamp.is_some() { 12 } else { 8 }..);
-                self.relay(msg.src, req_id, msg.kind, body)?;
-                self.dispatch(msg.src, req_id, decoded, &interest, op)
+                self.relay(msg.src, req_id, msg.kind, body);
+                self.dispatch(msg.src, req_id, decoded, &interest, op)?;
             }
         }
+        Ok(())
     }
 
     /// Redirect a client with a stale view: the shard now rules under
     /// `epoch + 1` at its other endpoint.
-    fn reply_view_change(&mut self, src_ep: u32, req_id: u64) -> Result<(), HomeError> {
+    fn reply_view_change(&mut self, src_ep: u32, req_id: u64) {
         let payload = DsdMsg::ViewChange {
             shard: self.shard,
             epoch: self.epoch + 1,
         }
         .encode_enveloped(req_id);
-        self.post(src_ep, MsgKind::ViewChange, payload, OpCtx::default())?;
-        Ok(())
+        self.post(
+            src_ep,
+            MsgKind::ViewChange,
+            payload,
+            OpCtx::default(),
+            false,
+        );
     }
 
     /// Stop serving: every subsequent client request is answered with a
@@ -1101,50 +1185,30 @@ impl HomeShard {
     }
 
     /// Ship one frame down the replication stream (a no-op unless this is
-    /// a primary with a live standby): a client request (`src_ep`,
-    /// `req_id` as received) or, with both 0, a home-side *decision* — a
-    /// lease expiry, an ownership flip, an adopted entry — so that
-    /// timing-dependent state transitions replay verbatim instead of
-    /// being re-derived from the replica's own clock. A dead standby
-    /// means continuing [`Standby::Solo`]: the cluster is back to the
-    /// unreplicated availability level.
-    fn relay(
-        &mut self,
-        src_ep: u32,
-        req_id: u64,
-        kind: MsgKind,
-        body: Bytes,
-    ) -> Result<(), HomeError> {
-        let Standby::Primary { replica_ep, .. } = self.standby else {
-            return Ok(());
-        };
-        let frame = DsdMsg::Replicate {
-            src_ep,
-            req_id,
-            kind: kind as u16,
-            body,
-        };
-        if !self.tell(replica_ep, frame)? {
-            if self.draining() {
-                // Fenced, with nobody left to take the shard over.
-                return Err(HomeError::Violation(
-                    "handoff target replica is gone".into(),
-                ));
-            }
-            self.standby = Standby::Solo;
+    /// a primary with a live standby): a client request as received or,
+    /// with `src_ep` and `req_id` 0, a home-side *decision* (a lease
+    /// expiry, an ownership flip, an adopted entry) to replay verbatim.
+    fn relay(&mut self, src_ep: u32, req_id: u64, kind: MsgKind, body: Bytes) {
+        if let Standby::Primary { replica_ep, .. } = self.standby {
+            let frame = DsdMsg::Replicate {
+                src_ep,
+                req_id,
+                kind: kind as u16,
+                body,
+            };
+            self.tell(replica_ep, frame);
         }
-        Ok(())
     }
 
     /// [`Self::relay`] a home-side decision.
-    fn relay_decision(&mut self, inner: DsdMsg) -> Result<(), HomeError> {
-        self.relay(0, 0, inner.kind(), inner.encode())
+    fn relay_decision(&mut self, inner: DsdMsg) {
+        self.relay(0, 0, inner.kind(), inner.encode());
     }
 
     /// Replica side of the relay: replay the original request through the
-    /// normal dispatch path with sends muted. The shadow's tables, log,
-    /// dedup horizon and reply cache end up byte-identical to the
-    /// primary's, so a promoted replica can serve retransmissions of
+    /// normal dispatch path and drop the replay's sends. The shadow's
+    /// tables, log, dedup horizon and reply cache end up byte-identical to
+    /// the primary's, so a promoted replica can serve retransmissions of
     /// requests the primary already answered.
     fn on_replicate(
         &mut self,
@@ -1153,7 +1217,7 @@ impl HomeShard {
         kind: u16,
         body: Bytes,
     ) -> Result<(), HomeError> {
-        self.peer_last_heard = self.clock.now();
+        self.peer_last_heard = self.now;
         let Some(kind) = MsgKind::from_u16(kind) else {
             return Err(HomeError::Protocol(ProtocolError::BadMessage(
                 "relayed frame with unknown kind",
@@ -1161,10 +1225,11 @@ impl HomeShard {
         };
         let (inner, interest) = DsdMsg::decode_reported(kind, body)?;
         if req_id == 0 && matches!(inner, DsdMsg::HandoffRequest { .. }) {
-            // The primary's handoff decision; its ack is not muted.
-            return self.take_over();
+            // The primary's handoff decision; its ack goes out.
+            self.take_over();
+            return Ok(());
         }
-        self.mute = true;
+        let keep = self.outbox.len();
         let res = match inner {
             // Relayed home-side decisions (req id 0), not client requests.
             DsdMsg::WorkerLost { rank, .. } if req_id == 0 => self.declare_dead(rank),
@@ -1172,9 +1237,10 @@ impl HomeShard {
                 // Mirror the primary's placement flips (including any
                 // abort revert), so a promoted shadow reports and serves
                 // the same per-entry ownership map.
-                entries
-                    .into_iter()
-                    .try_for_each(|(entry, shard, epoch)| self.move_entry(entry, shard, epoch))
+                for (entry, shard, epoch) in entries {
+                    self.move_entry(entry, shard, epoch);
+                }
+                Ok(())
             }
             DsdMsg::EntryState {
                 entry,
@@ -1182,54 +1248,44 @@ impl HomeShard {
                 state,
             } if req_id == 0 => {
                 // The primary adopted an entry from another shard: replay
-                // the install (muted — the primary sent the ack).
+                // the install (the primary sent the ack).
                 self.install_entry(entry, epoch, state)
             }
-            // A fetch changes no table but the interest riding behind it:
-            // the shadow takes the rows and skips the extraction, so its
-            // Eq. 1 ledger holds no Pack for a reply nobody receives. It
-            // skips the request id too — a retransmission that reaches it
-            // once promoted is a new request, answered from the same
-            // authoritative bytes.
+            // A fetch changes no table but the interest behind it: the
+            // shadow takes the rows and skips extraction and request id (a
+            // retransmission reaching it once promoted is a new request).
             DsdMsg::RangeFetch { rank, .. } => self.note_interest(rank, &interest),
             inner => self.dispatch(src_ep, req_id, inner, &interest, OpCtx::default()),
         };
-        self.mute = false;
+        // The primary already answered: the replay's sends go nowhere.
+        self.outbox.truncate(keep);
         res
     }
 
-    /// Periodic failover duties, run on every loop turn (`idle` marks a
-    /// receive-timeout turn, i.e. the inbound queue is drained).
-    fn tick_duties(&mut self, idle: bool) -> Result<(), HomeError> {
+    /// Periodic failover duties of a serving instance, run after every
+    /// frame and on every tick (`idle`: a wait ended with nothing
+    /// received).
+    fn duties(&mut self, idle: bool) -> Result<(), HomeError> {
+        let now = self.now;
         match self.standby {
             Standby::Shadow { primary_ep } => {
-                // Beat the primary so it can self-fence if it loses us; a
-                // dead endpoint on the other side means the primary
-                // crashed outright.
-                let primary_dead =
-                    !self.tell(primary_ep, DsdMsg::ReplicaBeat { shard: self.shard })?;
-                // A dead primary is succeeded only once the relay stream
-                // has been quiet for a full tick, so every frame it
-                // managed to send is replayed before this instance starts
-                // serving. Quiet is measured on the stream itself, not by
-                // waiting for a receive to time out: heartbeats arrive at
-                // the tick's own period and can keep the queue from ever
-                // looking idle.
-                let quiet = self.clock.now().saturating_since(self.peer_last_heard);
-                let primary_silent = self.lease.is_some_and(|l| quiet > l);
-                if (primary_dead && quiet >= self.tick()) || primary_silent {
-                    // Take over and start deposing the old primary.
+                let quiet = now.saturating_since(self.peer_last_heard);
+                if self.lease.is_some_and(|l| quiet > l) {
+                    // A full lease of silence on the relay stream: take
+                    // over and start deposing the old primary.
                     self.promote(primary_ep, self.epoch + 1, true, "");
+                } else if idle || now.saturating_since(self.beat_at) >= self.tick() {
+                    // Beat the primary so it can self-fence if it loses
+                    // us: on idle turns, at most once a tick on busy ones.
+                    self.beat_at = now;
+                    self.tell(primary_ep, DsdMsg::ReplicaBeat { shard: self.shard });
                 }
                 return Ok(()); // a shadow has nobody to serve
             }
             Standby::Primary { .. } => {
-                // Split-brain guard: if the replication link has been
-                // silent for ¾ of the lease, assume the replica is about
-                // to promote (it does so at one full lease) and fence
-                // *first*, so there is never a moment with two grant
-                // authorities.
-                let silence = self.clock.now().saturating_since(self.peer_last_heard);
+                // Split-brain guard: ¾ of a lease of standby silence, and
+                // fence before the replica promotes at a full lease.
+                let silence = now.saturating_since(self.peer_last_heard);
                 if !self.fenced && self.lease.is_some_and(|l| silence > l * 3 / 4) {
                     self.fence();
                 }
@@ -1243,17 +1299,15 @@ impl HomeShard {
                     shard: self.shard,
                     epoch: self.epoch,
                 };
-                if !self.tell(primary_ep, depose)? {
-                    self.depose_settled(); // a dead primary needs no fencing
-                }
+                self.tell(primary_ep, depose);
             }
             Standby::Solo | Standby::Promoted { .. } => {}
         }
         if idle {
             // Keep relaying the handoff / offering the moved entry's state
             // until the other side confirms.
-            self.relay_handoff()?;
-            self.send_entry_state()?;
+            self.relay_handoff();
+            self.send_entry_state();
         }
         if !self.fenced {
             self.check_leases()?;
@@ -1289,16 +1343,14 @@ impl HomeShard {
         );
     }
 
-    /// Admin asked this primary to drain: fence immediately (clients
-    /// bounce to the replica with zero failed operations) and relay the
-    /// request to the standby, which promotes once it has replayed every
-    /// frame relayed before it. An instance that cannot start a drain —
-    /// fenced, or with no standby to drain into — bounces the admin with a
-    /// `ViewChange`, so `ClusterCtl` surfaces a typed busy error instead of
-    /// retransmitting into it for its whole budget.
-    fn start_handoff(&mut self, admin_ep: u32) -> Result<(), HomeError> {
+    /// Admin asked this primary to drain: fence (clients bounce to the
+    /// replica) and relay the request to the standby, which promotes once
+    /// it has replayed every frame before it. An instance that cannot
+    /// drain bounces the admin with a `ViewChange`, a typed busy error at
+    /// `ClusterCtl` instead of retransmits for its whole budget.
+    fn start_handoff(&mut self, admin_ep: u32) {
         if self.draining() {
-            return Ok(()); // duplicate request: drain already underway
+            return; // duplicate request: drain already underway
         }
         let (epoch, start_us) = (self.epoch + 1, self.recorder.now_us());
         match &mut self.standby {
@@ -1312,31 +1364,29 @@ impl HomeShard {
             _ => return self.reply_view_change(admin_ep, 0),
         }
         self.fence();
-        self.relay_handoff()
+        self.relay_handoff();
     }
 
-    /// Relay the in-flight drain to the standby as a decision of this
-    /// primary's. Called once at drain start and again on idle ticks until
-    /// `HandoffInstalled` arrives.
-    fn relay_handoff(&mut self) -> Result<(), HomeError> {
-        if !self.draining() {
-            return Ok(());
+    /// Relay the in-flight drain to the standby, at drain start and on
+    /// idle ticks until `HandoffInstalled` arrives.
+    fn relay_handoff(&mut self) {
+        if self.draining() {
+            self.relay_decision(DsdMsg::HandoffRequest { shard: self.shard });
         }
-        self.relay_decision(DsdMsg::HandoffRequest { shard: self.shard })
     }
 
     /// The replica confirmed installation: tell the admin, close the obs
     /// span, retire.
-    fn finish_handoff(&mut self, epoch: u32) -> Result<(), HomeError> {
+    fn finish_handoff(&mut self, epoch: u32) {
         let Standby::Primary { drain, .. } = &mut self.standby else {
-            return Ok(());
+            return;
         };
         let Some(drain) = drain.take_if(|d| d.epoch == epoch) else {
-            return Ok(());
+            return;
         };
         let now = self.recorder.now_us();
         self.recorder.span_at_op(
-            self.ep.rank(),
+            self.me,
             EventKind::Handoff,
             drain.start_us,
             now.saturating_sub(drain.start_us),
@@ -1354,40 +1404,35 @@ impl HomeShard {
             shard: self.shard,
             epoch,
         };
-        self.tell(drain.admin_ep, done)?;
-        Ok(())
+        self.tell(drain.admin_ep, done);
     }
 
     /// Replica side of the handoff: the relay link is FIFO, so every frame
     /// the primary relayed before fencing has been replayed — promote to
     /// the next epoch (the primary fenced itself: no depose) and confirm.
     /// A duplicate after promotion is only confirmed again.
-    fn take_over(&mut self) -> Result<(), HomeError> {
+    fn take_over(&mut self) {
         let primary_ep = match self.standby {
             Standby::Shadow { primary_ep } => {
                 self.promote(primary_ep, self.epoch + 1, false, "handoff");
                 primary_ep
             }
             Standby::Promoted { primary_ep, .. } => primary_ep,
-            Standby::Solo | Standby::Primary { .. } => return Ok(()),
+            Standby::Solo | Standby::Primary { .. } => return,
         };
         let ack = DsdMsg::HandoffInstalled {
             shard: self.shard,
             epoch: self.epoch,
         };
-        self.tell(primary_ep, ack)?;
-        Ok(())
+        self.tell(primary_ep, ack);
     }
 
     // ----- per-entry re-homing (placement engine actuator) -----
 
     /// Admin asked this shard to migrate one entry's home to `to_shard`:
-    /// snapshot the entry's authoritative bytes, flip the ownership
-    /// overlay under a fresh per-entry epoch, purge the entry's log rows
-    /// (the new owner starts a forced-full-refresh epoch instead) and
-    /// start offering the state. Client traffic is deferred until the
-    /// target acknowledges, closing the one-round-trip window in which
-    /// neither shard could serve the entry's history.
+    /// snapshot its bytes, flip ownership under a fresh per-entry epoch,
+    /// purge its log rows and start offering the state. Client traffic is
+    /// deferred until the target acknowledges.
     fn on_entry_handoff(
         &mut self,
         admin_ep: u32,
@@ -1397,26 +1442,25 @@ impl HomeShard {
         if !self.serves_clients() {
             return Ok(()); // shadows learn moves from the relay stream
         }
-        if let Some(h) = &self.entry_handoff {
-            if h.entry == entry && h.to_shard == to_shard {
-                return Ok(()); // duplicate of the in-flight move
-            }
-            // Busy with a different move: tell the admin to back off.
-            return self.reply_view_change(admin_ep, 0);
+        let inflight = |h: &EntryHandoffState| h.entry == entry && h.to_shard == to_shard;
+        if self.entry_handoff.as_ref().is_some_and(inflight) {
+            return Ok(()); // duplicate of the in-flight move
         }
-        if self.fenced || self.pending == 0 {
-            // Not serving, or the run is over: nothing to move.
-            return self.reply_view_change(admin_ep, 0);
+        if self.entry_handoff.is_some() || self.fenced || self.pending == 0 {
+            // Busy with a different move, not serving, or the run is
+            // over: tell the admin to back off.
+            self.reply_view_change(admin_ep, 0);
+            return Ok(());
         }
         if to_shard == self.shard || !self.owns_entry(entry) {
             // Already there (or a duplicate of a completed move): the
             // idempotent confirmation is all the admin needs.
-            self.tell(admin_ep, DsdMsg::EntryDone { entry, to_shard })?;
+            self.tell(admin_ep, DsdMsg::EntryDone { entry, to_shard });
             return Ok(());
         }
         let state = self.pack_entry_state(entry)?;
         let epoch = self.placement.epoch(entry) + 1;
-        self.move_entry(entry, to_shard, epoch)?;
+        self.move_entry(entry, to_shard, epoch);
         self.entry_handoff = Some(EntryHandoffState {
             entry,
             admin_ep,
@@ -1425,16 +1469,15 @@ impl HomeShard {
             state,
         });
         self.recorder.count("home.entry_handoffs", 1);
-        self.send_entry_state()
+        self.send_entry_state();
+        Ok(())
     }
 
-    /// Offer the in-flight entry snapshot to every endpoint of the
-    /// target shard (a mute shadow drops it, a fenced endpoint bounces,
-    /// the serving one installs and acks). Called once at move start and
-    /// again on idle ticks until `EntryInstalled` arrives.
-    fn send_entry_state(&mut self) -> Result<(), HomeError> {
+    /// Offer the in-flight entry snapshot to every endpoint of the target
+    /// shard, at move start and on idle ticks until `EntryInstalled`.
+    fn send_entry_state(&mut self) {
         let Some(h) = &self.entry_handoff else {
-            return Ok(());
+            return;
         };
         let offer = DsdMsg::EntryState {
             entry: h.entry,
@@ -1442,16 +1485,10 @@ impl HomeShard {
             state: h.state.clone(),
         };
         let (to_shard, directory) = (h.to_shard, self.placement.directory());
-        let mut alive = self.tell(directory.shard_ep(to_shard), offer.clone())?;
+        self.tell(directory.shard_ep(to_shard), offer.clone());
         if directory.n_replicas() > 0 {
-            alive |= self.tell(directory.replica_ep(to_shard), offer)?;
+            self.tell(directory.replica_ep(to_shard), offer);
         }
-        if !alive {
-            // Every endpoint of the target shard is gone: abort the move
-            // and keep serving the entry here.
-            self.abort_entry_handoff()?;
-        }
-        Ok(())
     }
 
     /// The target shard vanished mid-move: take ownership back under a
@@ -1462,14 +1499,13 @@ impl HomeShard {
         let Some(h) = self.entry_handoff.take() else {
             return Ok(());
         };
-        self.move_entry(h.entry, self.shard, h.epoch + 1)?;
+        self.move_entry(h.entry, self.shard, h.epoch + 1);
         self.recorder.count("home.entry_handoff_aborts", 1);
         self.drain_entry_pending()
     }
 
-    /// Target side: another shard is offering an entry it is re-homing
-    /// to us. Install (idempotently — duplicate offers re-ack only) and
-    /// acknowledge so the source can release its deferred traffic.
+    /// Target side: install an entry another shard re-homes to us
+    /// (idempotently) and acknowledge.
     fn on_entry_state(
         &mut self,
         src_ep: u32,
@@ -1481,10 +1517,11 @@ impl HomeShard {
             return Ok(()); // the shadow's copy arrives on the relay stream
         }
         if self.fenced {
-            return self.reply_view_change(src_ep, 0);
+            self.reply_view_change(src_ep, 0);
+            return Ok(());
         }
         self.install_entry(entry, epoch, state)?;
-        self.tell(src_ep, DsdMsg::EntryInstalled { entry, epoch })?;
+        self.tell(src_ep, DsdMsg::EntryInstalled { entry, epoch });
         Ok(())
     }
 
@@ -1498,10 +1535,8 @@ impl HomeShard {
         Ok(extract_updates(&self.gthv, &ranges)?.frame().clone())
     }
 
-    /// Take ownership of `entry` at `epoch` and apply its packed state
-    /// (idempotently — a duplicate offer changes nothing). The install is
-    /// relayed first, as with client requests, so a shadow replays it
-    /// through this same path.
+    /// Take ownership of `entry` at `epoch` and apply its packed state,
+    /// idempotently; relayed first, so a shadow replays it here too.
     fn install_entry(&mut self, entry: u32, epoch: u32, state: Bytes) -> Result<(), HomeError> {
         if !self.placement.adopt(entry, self.shard, epoch) {
             return Ok(());
@@ -1510,7 +1545,7 @@ impl HomeShard {
             entry,
             epoch,
             state: state.clone(),
-        })?;
+        });
         let ups = unpack_batch(state).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         self.force_full_refresh();
@@ -1518,22 +1553,19 @@ impl HomeShard {
         Ok(())
     }
 
-    /// One ownership flip without a state transfer — a move's start and
-    /// its abort revert at the source, and the replay of both at its
-    /// shadow. Shipped down the replication stream *before* acting on it,
-    /// mirroring the relay-before-process discipline; the entry's log
-    /// rows go with the ownership.
-    fn move_entry(&mut self, entry: u32, shard: u32, epoch: u32) -> Result<(), HomeError> {
+    /// One ownership flip without a state transfer (a move's start, its
+    /// abort revert, and their replay), relayed before acting on it; the
+    /// entry's log rows go with the ownership.
+    fn move_entry(&mut self, entry: u32, shard: u32, epoch: u32) {
         self.relay_decision(DsdMsg::EntryMoved {
             entries: vec![(entry, shard, epoch)],
-        })?;
+        });
         if self.placement.adopt(entry, shard, epoch) {
             self.log.retain(|(_, _, r)| r.entry != entry);
             if shard == self.shard {
                 self.force_full_refresh();
             }
         }
-        Ok(())
     }
 
     /// Source side: the target acknowledged installation. Confirm to the
@@ -1548,13 +1580,12 @@ impl HomeShard {
             entry: h.entry,
             to_shard: h.to_shard,
         };
-        self.tell(h.admin_ep, done)?;
+        self.tell(h.admin_ep, done);
         self.drain_entry_pending()
     }
 
     /// Re-process the messages deferred while an entry move was in
-    /// flight, in arrival order. Stops early if one of them starts a new
-    /// move (the rest stay queued behind it).
+    /// flight, until one of them starts a new move.
     fn drain_entry_pending(&mut self) -> Result<(), HomeError> {
         while self.entry_handoff.is_none() {
             let Some(m) = self.entry_pending.pop_front() else {
@@ -1565,25 +1596,10 @@ impl HomeShard {
         Ok(())
     }
 
-    /// The next message before `deadline`; `None` once it has passed or
-    /// the fabric has closed.
-    fn recv_until(&self, deadline: FabricInstant) -> Result<Option<Message>, HomeError> {
-        let left = deadline.saturating_since(self.clock.now());
-        if left.is_zero() {
-            return Ok(None);
-        }
-        match self.ep.recv_timeout(left) {
-            Ok(m) => Ok(Some(m)),
-            Err(NetError::Timeout) | Err(NetError::ChannelClosed) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Reliability front-end: refresh liveness, deduplicate retransmitted
-    /// requests (resending the cached reply), then hand fresh requests —
-    /// their interest report taken in first, so the reply already goes by
-    /// it — to [`Self::handle`]. Once every participant has settled, a
-    /// fresh request is answered `Shutdown` instead.
+    /// requests (resending the cached reply), then take in the interest
+    /// report and hand the request to [`Self::handle`] — or, once every
+    /// participant has settled, answer it `Shutdown`.
     fn dispatch(
         &mut self,
         src_ep: u32,
@@ -1593,11 +1609,10 @@ impl HomeShard {
         op: OpCtx,
     ) -> Result<(), HomeError> {
         let Some(rank) = msg.sender_rank() else {
-            // Rankless messages (e.g. stray Acks) carry no liveness or
-            // dedup state; let handle() report the violation.
+            // Rankless (e.g. a stray Ack): handle() reports the violation.
             return self.handle(msg);
         };
-        let now = self.clock.now();
+        let now = self.now;
         let Some(peer) = self.peers.get_mut(&rank) else {
             return Err(HomeError::Violation(format!(
                 "request from unknown participant {rank}"
@@ -1611,41 +1626,34 @@ impl HomeShard {
             return Ok(());
         }
         if op.is_some() {
-            // Remember which sync op this thread is blocked in, so its
-            // reply (possibly deferred past other requests) and the spans
-            // spent serving it are attributed to the right op.
+            // The sync op this thread is blocked in, for attribution.
             peer.op = op;
         }
         if peer.life == Life::Dead {
-            // A declared-dead worker resurfaced (e.g. a healed partition
-            // after its lease expired). Its synchronisation state is
-            // gone; tell it so instead of corrupting the tables. If it
-            // already hung up again, there is nobody left to tell.
+            // A declared-dead worker resurfaced (e.g. a healed partition):
+            // its synchronisation state is gone, so tell it so — unless it
+            // already hung up again.
             peer.last_req = req_id;
             let lost = self.worker_lost_msg(rank);
-            self.reply(rank, lost)?;
-            return Ok(());
+            return self.reply(rank, lost, false);
         }
         if req_id != 0 {
             if req_id < peer.last_req {
                 return Ok(()); // stale retransmission of an older request
             }
             if req_id == peer.last_req {
-                // Duplicate of the current request: the reply (if already
-                // produced) was lost — resend it verbatim. If the reply
-                // is still pending (deferred grant/release), ignore.
-                self.resend_cached(rank, req_id)?;
+                // Duplicate of the current request: resend the reply, if
+                // it was produced (a deferred one is still pending).
+                self.resend_cached(rank, req_id);
                 return Ok(());
             }
             peer.last_req = req_id;
             peer.reply = None;
         }
         if self.pending == 0 {
-            // A new request after every participant settled can only be
-            // a stray late join (or a client that missed the broadcast):
-            // answer Shutdown so it terminates.
-            self.reply(rank, DsdMsg::Shutdown)?;
-            return Ok(());
+            // A new request after every participant settled: a client
+            // that missed the broadcast. Shutdown terminates it.
+            return self.reply(rank, DsdMsg::Shutdown, false);
         }
         self.note_interest(rank, interest)?;
         self.handle(msg)
@@ -1653,7 +1661,7 @@ impl HomeShard {
 
     /// Start every live participant's lease afresh from now.
     fn restart_leases(&mut self) {
-        let now = self.clock.now();
+        let now = self.now;
         for p in self.peers.values_mut() {
             if p.life == Life::Expected {
                 p.last_heard = Some(now);
@@ -1668,7 +1676,7 @@ impl HomeShard {
         let Some(lease) = self.lease else {
             return Ok(());
         };
-        let now = self.clock.now();
+        let now = self.now;
         let expired: Vec<u32> = self
             .peers
             .iter()
@@ -1677,10 +1685,9 @@ impl HomeShard {
             .map(|(&r, _)| r)
             .collect();
         for r in expired {
-            // Ship the expiry decision down the replication stream first
-            // (it is timing-dependent; the shadow must not re-derive it).
+            // Relay the timing-dependent decision first.
             let decision = self.worker_lost_msg(r);
-            self.relay_decision(decision)?;
+            self.relay_decision(decision);
             self.declare_dead(r)?;
         }
         Ok(())
@@ -1693,10 +1700,9 @@ impl HomeShard {
         if !self.settle(rank, Life::Dead) {
             return Ok(()); // a replayed expiry: already settled
         }
-        // Attributed to the dead rank's last known op — the op whose
-        // participants will observe the expiry.
+        // Attributed to the dead rank's last known op.
         self.recorder.instant_op(
-            self.ep.rank(),
+            self.me,
             EventKind::LeaseExpired,
             rank as u64,
             0,
@@ -1715,8 +1721,7 @@ impl HomeShard {
         for c in &mut self.conds {
             c.waiters.retain(|&(w, _)| w != rank);
         }
-        // Any barrier with entrants is now permanently stuck (the dead
-        // worker can never enter): fail the survivors.
+        // A barrier with entrants can never complete: fail them.
         for idx in 0..self.barriers.len() {
             let entered = std::mem::take(&mut self.barriers[idx].entered);
             for r in entered {
@@ -1752,9 +1757,8 @@ impl HomeShard {
         Ok(id as usize)
     }
 
-    /// Grant mutex `lock` to `rank` if it is free, else queue `rank`
-    /// behind the holder — a lock request, or a woken cond waiter that
-    /// must re-acquire its mutex before its `cond_wait` returns.
+    /// Grant mutex `lock` to `rank` if it is free, else queue `rank` — a
+    /// lock request, or a woken cond waiter re-acquiring its mutex.
     fn grant_or_queue(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
         let l = &mut self.locks[lock as usize];
         if l.holder.is_none() {
@@ -1884,28 +1888,22 @@ impl HomeShard {
                 self.send(rank, DsdMsg::Ack)
             }
             DsdMsg::Resync { rank } => {
-                // Cold copy: force a full refresh at the next acquire by
-                // dropping the horizon below the log floor (or to zero).
-                // The cold copy has read nothing either: what it reports
-                // from here on is its whole interest.
+                // Cold copy: force a full refresh at the next acquire; it
+                // has read nothing either.
                 if let Some(p) = self.peers.get_mut(&rank) {
                     p.seen = 0;
                     p.interest.clear();
                 }
                 if self.log_floor == 0 && self.seq > 0 {
-                    // Ensure "below floor" semantics even without
-                    // compaction: raise the floor to the current sequence
-                    // and prune nothing (full_ranges covers everything).
+                    // "Below the floor" even without compaction.
                     self.log_floor = self.log_floor.max(1);
                 }
                 self.send(rank, DsdMsg::Ack)
             }
             DsdMsg::UpdateFlush { rank, updates } => {
-                // Release-time fan-out from a thread whose critical
-                // section touched this shard's slice but whose release
-                // goes to another shard. Absorb and ack; the thread holds
-                // its release until the ack arrives, so the next acquirer
-                // of any mutex is guaranteed to fetch these updates.
+                // Release-time fan-out to a non-granting shard: the thread
+                // holds its release until this ack arrives, so the next
+                // acquirer of any mutex fetches these updates.
                 if !self.absorb(rank, &updates)? {
                     return Ok(()); // client re-routes and re-flushes
                 }
@@ -1918,10 +1916,8 @@ impl HomeShard {
                 self.send(rank, DsdMsg::UpdateBatch { updates, notices })
             }
             DsdMsg::RangeFetch { rank, ranges } => {
-                // Fetch before use: the current bytes of ranges the thread
-                // was only told about, straight from the authoritative
-                // copy. Its horizon stays: the log rows these ranges came
-                // from were accounted for when they were noticed.
+                // Fetch before use: the current bytes of noticed ranges.
+                // The horizon stays: they were accounted for when noticed.
                 if self.bounce_unowned(rank, ranges.iter().map(|r| r.entry))? {
                     return Ok(()); // the thread re-routes and fetches again
                 }
@@ -1937,15 +1933,13 @@ impl HomeShard {
 }
 
 /// Divide a reader's stale ranges by its `interest`: what falls inside a
-/// span it has read (or in an entry it has no row for — never read, so
-/// counted whole) is returned first, to be shipped; the rest is folded
-/// into notices, one per gap between two spans that anything fell into,
-/// covering from the first stale element in that gap to the last. A notice
-/// may therefore cover more than was written, never an element of the
-/// interest, and an entry yields at most one more notice than it has
-/// spans — SOR's thousands of stride-2 ranges in a neighbour's stripe
-/// become one. One pass, in log order: consecutive ranges mostly fall in
-/// the span or gap the one before did, which costs them four compares.
+/// span it has read (or in an entry it never read) is returned first, to
+/// be shipped; the rest is folded into notices, one per gap between two
+/// spans that anything fell into, from the first stale element in that
+/// gap to the last. A notice never covers an element of the interest, and
+/// SOR's stride-2 ranges in a neighbour's stripe become one. One pass, in
+/// log order: consecutive ranges mostly fall in the span or gap the one
+/// before did, which costs them four compares.
 fn split_by_interest(
     stale: impl Iterator<Item = UpdateRange>,
     interest: &BTreeMap<u32, IntervalSet>,
@@ -2016,11 +2010,11 @@ fn split_by_interest(
 mod tests {
     // The home service is exercised end-to-end in client.rs and the
     // integration suite; unit tests here cover bookkeeping edge cases
-    // that are hard to reach through the full stack.
+    // that are hard to reach through the full stack. A test takes an
+    // instance's decisions through `on` in virtual time: no network.
     use super::*;
     use crate::gthv::GthvDef;
-    use hdsm_net::endpoint::Network;
-    use hdsm_net::stats::NetConfig;
+    use hdsm_net::FabricClock;
     use hdsm_platform::ctype::StructBuilder;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::PlatformSpec;
@@ -2037,11 +2031,9 @@ mod tests {
 
     #[test]
     fn init_logs_full_structure() {
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let mut h = HomeShard::new(
             gthv,
-            eps.pop().unwrap(),
             HomeConfig {
                 n_locks: 1,
                 n_barriers: 1,
@@ -2063,11 +2055,9 @@ mod tests {
 
     #[test]
     fn stale_updates_respect_horizon() {
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let mut h = HomeShard::new(
             gthv,
-            eps.pop().unwrap(),
             HomeConfig {
                 n_locks: 1,
                 n_barriers: 0,
@@ -2089,11 +2079,9 @@ mod tests {
 
     #[test]
     fn resync_forces_full_refresh() {
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let mut h = HomeShard::new(
             gthv,
-            eps.pop().unwrap(),
             HomeConfig {
                 n_locks: 1,
                 n_barriers: 0,
@@ -2120,11 +2108,9 @@ mod tests {
 
     #[test]
     fn compaction_preserves_refresh_capability() {
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let mut h = HomeShard::new(
             gthv,
-            eps.pop().unwrap(),
             HomeConfig {
                 n_locks: 1,
                 n_barriers: 0,
@@ -2152,13 +2138,12 @@ mod tests {
 
     #[test]
     fn a_dead_ranks_horizon_does_not_stop_compaction() {
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let config = HomeConfig {
             participants: vec![1, 2, 3],
             ..Default::default()
         };
-        let mut h = HomeShard::new(gthv, eps.pop().unwrap(), config);
+        let mut h = HomeShard::new(gthv, config);
         h.init_with(|g| g.write_int(0, 0, 42).unwrap());
         // Rank 3 saw nothing before the lease detector declared it dead;
         // the live readers keep up with every row.
@@ -2185,11 +2170,9 @@ mod tests {
             )
             .unwrap()
         };
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(def(), PlatformSpec::linux_x86());
         let mut h = HomeShard::new(
             gthv,
-            eps.pop().unwrap(),
             HomeConfig {
                 participants: vec![1],
                 shard: 1,
@@ -2226,16 +2209,14 @@ mod tests {
         assert!(matches!(h.absorb(1, &bad), Err(HomeError::Violation(_))));
     }
 
-    /// A shard over `tiny_def` on `plat` with ranks 1..=5 and one mutex,
-    /// plus the worker endpoints 1..=5 of its fabric.
-    fn five_rank_shard(plat: hdsm_platform::spec::Platform) -> (HomeShard, Vec<Endpoint>) {
-        let (_net, mut eps) = Network::new(6, NetConfig::instant());
+    /// A shard over `tiny_def` on `plat` with ranks 1..=5 and one mutex;
+    /// rank `r` talks to it from endpoint `r`.
+    fn five_rank_shard(plat: hdsm_platform::spec::Platform) -> HomeShard {
         let config = HomeConfig {
             participants: (1..=5).collect(),
             ..Default::default()
         };
-        let gthv = GthvInstance::new(tiny_def(), plat);
-        (HomeShard::new(gthv, eps.remove(0), config), eps)
+        HomeShard::new(GthvInstance::new(tiny_def(), plat), config)
     }
 
     /// `count` elements of entry 0 from `first`.
@@ -2261,11 +2242,11 @@ mod tests {
 
     /// [`five_rank_shard`] driven until it holds a peer in every state:
     /// rank 1 joined (owed its `Shutdown`), rank 2 holding mutex 0 with
-    /// its grant cached, rank 3 queued behind it, rank 4 dead, rank 5
-    /// expected and never heard from — plus a two-row log and one
-    /// ownership row.
-    fn populated_shard() -> (HomeShard, Vec<Endpoint>) {
-        let (mut h, eps) = five_rank_shard(PlatformSpec::solaris_sparc());
+    /// its grant cached (and still in the outbox), rank 3 queued behind
+    /// it, rank 4 dead, rank 5 expected and never heard from — plus a
+    /// two-row log and one ownership row.
+    fn populated_shard() -> HomeShard {
+        let mut h = five_rank_shard(PlatformSpec::solaris_sparc());
         h.init_with(|g| {
             for i in 0..64 {
                 g.write_int(0, i, i as i128 * 7 - 100).unwrap();
@@ -2283,14 +2264,14 @@ mod tests {
         h.note_interest(2, &[elems(0, 8), elems(8, 4), elems(40, 24)])
             .unwrap();
         h.note_interest(3, &[elems(63, 1)]).unwrap();
-        (h, eps)
+        h
     }
 
     #[test]
     fn entry_states_roundtrip_through_the_grouped_batch() {
         // Entry-handoff state travels as a grouped batch and installs
         // byte-exactly, on the same representation and across one.
-        let (src, _src_eps) = populated_shard();
+        let src = populated_shard();
         let state = src.pack_entry_state(0).unwrap();
         assert_eq!(
             &state[..4],
@@ -2298,7 +2279,7 @@ mod tests {
             "entry state must be a grouped batch"
         );
         for plat in [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()] {
-            let (mut adopter, _adopter_eps) = five_rank_shard(plat);
+            let mut adopter = five_rank_shard(plat);
             adopter.install_entry(0, 1, state.clone()).unwrap();
             for i in 0..64 {
                 let want = if i == 9 { -37 } else { i as i128 * 7 - 100 };
@@ -2314,9 +2295,9 @@ mod tests {
         // `install_entry` answers Ok or Err — never a panic, never a
         // reservation sized by a length prefix. Each offer comes under a
         // fresh ownership epoch, so none is skipped as a duplicate.
-        let (src, _src_eps) = populated_shard();
+        let src = populated_shard();
         let state = src.pack_entry_state(0).unwrap();
-        let (mut victim, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        let mut victim = five_rank_shard(PlatformSpec::linux_x86());
         let mut epoch = 0;
         let mut install = |victim: &mut HomeShard, state: Bytes| {
             epoch += 1;
@@ -2354,25 +2335,17 @@ mod tests {
 
     #[test]
     fn a_handoff_request_to_a_shard_without_a_standby_is_bounced_not_fatal() {
-        let (mut h, eps) = five_rank_shard(PlatformSpec::linux_x86());
-        let request = Message {
-            src: 1,
-            dst: 0,
-            kind: MsgKind::HandoffRequest,
-            payload: DsdMsg::HandoffRequest { shard: 0 }.encode_enveloped(0),
-            trace: None,
-        };
+        let mut h = five_rank_shard(PlatformSpec::linux_x86());
+        let request = frame(1, 0, 0, DsdMsg::HandoffRequest { shard: 0 });
         h.process(request).unwrap();
-        let m = eps[0].recv_timeout(Duration::from_secs(1)).unwrap();
-        let (_, bounce) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
-        assert_eq!(bounce, DsdMsg::ViewChange { shard: 0, epoch: 1 });
+        let bounce = DsdMsg::ViewChange { shard: 0, epoch: 1 };
+        assert_eq!(take(&mut h), [(1, 0, bounce)]);
         assert!(!h.fenced && matches!(h.standby, Standby::Solo));
     }
 
     #[test]
     fn a_relayed_handoff_promotes_the_shadow_once_and_is_confirmed_every_time() {
         // Endpoints: 0 the primary, 1 its standby (this shadow), 2 rank 1.
-        let (_net, mut eps) = Network::new(3, NetConfig::instant());
         let recorder = Recorder::enabled();
         let config = HomeConfig {
             participants: vec![1],
@@ -2382,8 +2355,7 @@ mod tests {
             ..Default::default()
         };
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-        let mut h = HomeShard::new(gthv, eps.remove(1), config);
-        let (primary, worker) = (&eps[0], &eps[1]);
+        let mut h = HomeShard::new(gthv, config);
         let lock = DsdMsg::LockRequest { lock: 0, rank: 1 };
         h.on_replicate(2, 5, MsgKind::LockRequest as u16, lock.encode())
             .unwrap();
@@ -2391,9 +2363,8 @@ mod tests {
         for _ in 0..2 {
             h.on_replicate(0, 0, MsgKind::HandoffRequest as u16, handoff.encode())
                 .unwrap();
-            let m = primary.recv_timeout(Duration::from_secs(1)).unwrap();
-            let (_, ack) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
-            assert_eq!(ack, DsdMsg::HandoffInstalled { shard: 0, epoch: 1 });
+            let ack = DsdMsg::HandoffInstalled { shard: 0, epoch: 1 };
+            assert_eq!(take(&mut h), [(0, 0, ack)]);
         }
         assert!(matches!(
             h.standby,
@@ -2410,68 +2381,116 @@ mod tests {
             .map(|e| (e.arg1, e.label))
             .collect();
         assert_eq!(promotions, [(1, "handoff")]);
-        // The replayed grant went nowhere; promoted, the shadow answers a
-        // retransmission of it from the reply cache the stream filled.
-        assert!(worker.recv_timeout(Duration::from_millis(10)).is_err());
+        // The replayed grant went nowhere (only the acks were sent);
+        // promoted, the shadow answers a retransmission of it from the
+        // reply cache the stream filled.
         h.dispatch(2, 5, lock, &[], OpCtx::default()).unwrap();
-        let m = worker.recv_timeout(Duration::from_secs(1)).unwrap();
-        let (rid, grant) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
-        assert!(matches!(grant, DsdMsg::LockGrant { lock: 0, .. }) && rid == 5);
+        let grant = take(&mut h);
+        assert!(matches!(
+            grant[..],
+            [(2, 5, DsdMsg::LockGrant { lock: 0, .. })]
+        ));
         assert_eq!(h.locks[0].holder, Some(1));
     }
 
-    /// Queue `msg` at the home (endpoint 0) from `eps[src - 1]`, endpoint
-    /// `src`, enveloped as request `req_id`.
-    fn queue(eps: &[Endpoint], src: u32, req_id: u64, msg: DsdMsg) {
-        let frame = msg.encode_request(req_id, None, &[]);
-        eps[src as usize - 1].send(0, msg.kind(), frame).unwrap();
+    /// `msg` as endpoint `src` puts it on the wire to endpoint `dst`,
+    /// enveloped as request `req_id`.
+    fn frame(src: u32, dst: u32, req_id: u64, msg: DsdMsg) -> Message {
+        let payload = msg.encode_enveloped(req_id);
+        let kind = msg.kind();
+        let trace = None;
+        Message {
+            src,
+            dst,
+            kind,
+            payload,
+            trace,
+        }
     }
 
-    /// The next frame endpoint `ep` was sent, and its decoded form.
-    fn answer(ep: &Endpoint) -> (Bytes, u64, DsdMsg) {
-        let m = ep.recv_timeout(Duration::from_secs(1)).unwrap();
-        let (rid, msg) = DsdMsg::decode_enveloped(m.kind, m.payload.clone()).unwrap();
-        (m.payload, rid, msg)
+    /// The sends in `h`'s outbox, decoded: endpoint, request id, message.
+    fn sent(h: &HomeShard) -> Vec<(u32, u64, DsdMsg)> {
+        let decode = |s: &Outgoing| {
+            let (rid, msg) = DsdMsg::decode_enveloped(s.kind, s.payload.clone()).unwrap();
+            (s.to, rid, msg)
+        };
+        h.outbox.iter().map(decode).collect()
+    }
+
+    /// [`sent`], emptying the outbox: for decisions taken outside a step.
+    fn take(h: &mut HomeShard) -> Vec<(u32, u64, DsdMsg)> {
+        let out = sent(h);
+        h.outbox.clear();
+        out
+    }
+
+    /// One step of `h` at `now`, and what it sent.
+    fn step(h: &mut HomeShard, now: FabricInstant, input: Input) -> Vec<(u32, u64, DsdMsg)> {
+        h.on(now, input).unwrap();
+        sent(h)
     }
 
     #[test]
     fn after_every_participant_settled_the_linger_answers_from_the_same_tables() {
-        // Frames queued behind the last Join reach the home after its
-        // shutdown broadcast, while it lingers.
-        let (mut h, eps) = populated_shard();
+        // Frames that reach the home behind the last Join are answered
+        // while it lingers after its shutdown broadcast.
+        let mut h = populated_shard();
         h.linger = Duration::from_millis(50);
-        assert!(matches!(answer(&eps[1]).2, DsdMsg::LockGrant { .. }));
-        for (rank, req_id) in [(2, 8), (3, 8), (5, 1)] {
-            queue(&eps, rank, req_id, DsdMsg::Join { rank });
+        assert!(matches!(
+            take(&mut h)[..],
+            [(2, 7, DsdMsg::LockGrant { .. })]
+        ));
+        let t = FabricInstant::from_micros(1_000);
+        h.start(t).unwrap();
+        let (mut got, mut to_one) = (Vec::new(), Vec::new());
+        for (src, req_id, msg) in [
+            (2, 8, DsdMsg::Join { rank: 2 }),
+            (3, 8, DsdMsg::Join { rank: 3 }),
+            (5, 1, DsdMsg::Join { rank: 5 }),
+            (1, 1, DsdMsg::Join { rank: 1 }), // a duplicate
+            (1, 2, DsdMsg::LockRequest { lock: 0, rank: 1 }),
+            (4, 9, DsdMsg::LockRequest { lock: 0, rank: 4 }),
+            (2, 0, DsdMsg::Heartbeat { rank: 2 }),
+        ] {
+            got.extend(step(&mut h, t, Input::Frame(frame(src, 0, req_id, msg))));
+            let payloads = h.outbox.iter().filter(|s| s.to == 1);
+            to_one.extend(payloads.map(|s| s.payload.clone()));
         }
-        queue(&eps, 1, 1, DsdMsg::Join { rank: 1 }); // a duplicate
-        queue(&eps, 1, 2, DsdMsg::LockRequest { lock: 0, rank: 1 });
-        queue(&eps, 4, 9, DsdMsg::LockRequest { lock: 0, rank: 4 });
-        queue(&eps, 2, 0, DsdMsg::Heartbeat { rank: 2 });
-        assert!(h.run().unwrap().authoritative);
+        let linger = Stage::Retire {
+            until: t + Duration::from_millis(50),
+            authoritative: true,
+        };
+        assert_eq!(h.stage, linger);
         // Rank 1: the broadcast's reply to its Join, the same bytes again
-        // for the duplicate, and Shutdown for the fresh request.
-        let (shutdown, rid, msg) = answer(&eps[0]);
-        assert_eq!((rid, msg), (1, DsdMsg::Shutdown));
-        assert_eq!(answer(&eps[0]).0, shutdown, "the cached reply, verbatim");
-        let (_, rid, msg) = answer(&eps[0]);
-        assert_eq!((rid, msg), (2, DsdMsg::Shutdown));
-        for (rank, req_id) in [(2, 8), (3, 8), (5, 1)] {
-            let (_, rid, msg) = answer(&eps[rank - 1]);
-            assert_eq!((rid, msg), (req_id, DsdMsg::Shutdown), "rank {rank}");
-        }
-        // The dead rank is told so, under the request id it sent.
+        // for the duplicate, and Shutdown for the fresh request. Ranks 2,
+        // 3 and 5 get the broadcast's; the dead rank is told so, under the
+        // request id it sent; the heartbeat is answered by nothing.
         let lost = DsdMsg::WorkerLost {
             rank: 4,
             heard_ms: 0,
             lease_ms: 0,
         };
-        let (_, rid, msg) = answer(&eps[3]);
-        assert_eq!((rid, msg), (9, lost));
-        // The heartbeat is answered by nothing.
-        for ep in &eps {
-            assert!(ep.recv_timeout(Duration::from_millis(10)).is_err());
-        }
+        let shutdown = |to, rid| (to, rid, DsdMsg::Shutdown);
+        let want = [
+            shutdown(1, 1),
+            shutdown(2, 8),
+            shutdown(3, 8),
+            shutdown(5, 1),
+            shutdown(1, 1),
+            shutdown(1, 2),
+            (4, 9, lost),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(to_one[0], to_one[1], "the cached reply, verbatim");
+        // The linger ends at its deadline, authoritatively.
+        let end = t + Duration::from_millis(50);
+        assert!(step(&mut h, end, Input::Tick).is_empty());
+        assert_eq!(
+            h.stage,
+            Stage::Done {
+                authoritative: true
+            }
+        );
     }
 
     #[test]
@@ -2480,8 +2499,11 @@ mod tests {
         // probes it as an admin; ranks 3 and 5 retransmit into it. An
         // entry move is in flight, so a client frame would be deferred if
         // the instance still served.
-        let (mut h, eps) = populated_shard();
-        assert!(matches!(answer(&eps[1]).2, DsdMsg::LockGrant { .. }));
+        let mut h = populated_shard();
+        assert!(matches!(
+            take(&mut h)[..],
+            [(2, 7, DsdMsg::LockGrant { .. })]
+        ));
         h.entry_handoff = Some(EntryHandoffState {
             entry: 0,
             admin_ep: 5,
@@ -2489,37 +2511,56 @@ mod tests {
             epoch: 3,
             state: Bytes::new(),
         });
+        let t = FabricInstant::from_micros(1_000);
+        h.start(t).unwrap();
         let depose = DsdMsg::Depose { shard: 0, epoch: 1 };
-        queue(&eps, 5, 0, depose.clone());
-        queue(&eps, 3, 9, DsdMsg::LockRequest { lock: 0, rank: 3 });
-        queue(&eps, 5, 0, DsdMsg::Heartbeat { rank: 5 });
-        queue(&eps, 5, 0, depose);
         let elsewhere = DsdMsg::EntryHandoff {
             entry: 0,
             to_shard: 0,
         };
-        queue(&eps, 5, 0, elsewhere);
-        queue(&eps, 5, 0, DsdMsg::HandoffRequest { shard: 0 });
-        assert!(!h.run().unwrap().authoritative);
+        let mut got = Vec::new();
+        for (src, req_id, msg) in [
+            (5, 0, depose.clone()),
+            (3, 9, DsdMsg::LockRequest { lock: 0, rank: 3 }),
+            (5, 0, DsdMsg::Heartbeat { rank: 5 }),
+            (5, 0, depose),
+            (5, 0, elsewhere),
+            (5, 0, DsdMsg::HandoffRequest { shard: 0 }),
+        ] {
+            got.extend(step(&mut h, t, Input::Frame(frame(src, 0, req_id, msg))));
+        }
+        let grace = Stage::Retire {
+            until: t + Duration::from_millis(100),
+            authoritative: false,
+        };
+        assert_eq!(h.stage, grace);
         let redirect = DsdMsg::ViewChange { shard: 0, epoch: 1 };
-        let (_, rid, msg) = answer(&eps[2]);
-        assert_eq!((rid, msg), (9, redirect.clone()));
         let acked = DsdMsg::DeposeAck { shard: 0, epoch: 1 };
-        for want in [&acked, &redirect, &acked, &redirect, &redirect] {
-            let (_, rid, msg) = answer(&eps[4]);
-            assert_eq!((rid, &msg), (0, want));
-        }
-        for ep in &eps {
-            assert!(ep.recv_timeout(Duration::from_millis(10)).is_err());
-        }
+        let to_five = |msg: &DsdMsg| (5, 0, msg.clone());
+        let want = [
+            to_five(&acked),
+            (3, 9, redirect.clone()),
+            to_five(&redirect),
+            to_five(&acked),
+            to_five(&redirect),
+            to_five(&redirect),
+        ];
+        assert_eq!(got, want);
+        let end = t + Duration::from_millis(100);
+        assert!(step(&mut h, end, Input::Tick).is_empty());
+        assert_eq!(
+            h.stage,
+            Stage::Done {
+                authoritative: false
+            }
+        );
     }
 
     /// Shard 1 of two, re-homing entry 1 (of `xs`, `ys`) to shard 0 when
     /// its one participant joins: the move is still in flight when the
-    /// service loop finds every participant settled. Endpoints: 0 the
-    /// target shard, 1 this shard, 2 rank 1, 3 the admin; the returned
-    /// ones are 0, 2 and 3.
-    fn a_move_in_flight_past_the_last_join() -> (HomeShard, Vec<Endpoint>, Recorder) {
+    /// instance starts and finds every participant settled. Endpoints: 0
+    /// the target shard, 1 this shard, 2 rank 1, 3 the admin.
+    fn a_move_in_flight_past_the_last_join() -> (HomeShard, Recorder) {
         let def = GthvDef::new(
             StructBuilder::new("G")
                 .array("xs", ScalarKind::Int, 8)
@@ -2528,7 +2569,6 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let (_net, mut eps) = Network::new(4, NetConfig::instant());
         let recorder = Recorder::enabled();
         let config = HomeConfig {
             participants: vec![1],
@@ -2538,13 +2578,13 @@ mod tests {
             ..Default::default()
         };
         let gthv = GthvInstance::new(def, PlatformSpec::linux_x86());
-        let mut h = HomeShard::new(gthv, eps.remove(1), config);
+        let mut h = HomeShard::new(gthv, config);
         h.init_with(|g| (0..8).for_each(|i| g.write_int(1, i, 10 + i as i128).unwrap()));
         h.on_entry_handoff(3, 1, 0).unwrap();
         let op = OpCtx::default();
         h.dispatch(2, 1, DsdMsg::Join { rank: 1 }, &[], op).unwrap();
         assert_eq!((h.pending, h.entry_handoff.is_some()), (0, true));
-        (h, eps, recorder)
+        (h, recorder)
     }
 
     fn count(recorder: &Recorder, name: &str) -> u64 {
@@ -2553,49 +2593,65 @@ mod tests {
         row.map_or(0, |(_, v)| *v)
     }
 
+    /// The virtual start of the move fixtures' runs.
+    const T0: FabricInstant = FabricInstant::ZERO;
+
     #[test]
     fn a_move_acked_after_the_last_join_concludes_before_the_shutdown() {
-        let (h, eps, recorder) = a_move_in_flight_past_the_last_join();
-        let (target, worker, admin) = (&eps[0], &eps[1], &eps[2]);
-        let (_, _, offer) = answer(target);
+        let (mut h, recorder) = a_move_in_flight_past_the_last_join();
+        let offer = take(&mut h);
         assert!(matches!(
-            offer,
-            DsdMsg::EntryState {
-                entry: 1,
-                epoch: 1,
-                ..
-            }
+            offer[..],
+            [(
+                0,
+                0,
+                DsdMsg::EntryState {
+                    entry: 1,
+                    epoch: 1,
+                    ..
+                }
+            )]
         ));
+        h.start(T0).unwrap();
+        let until = T0 + Duration::from_millis(500);
+        assert_eq!(h.stage, Stage::Conclude { until });
         let ack = DsdMsg::EntryInstalled { entry: 1, epoch: 1 };
-        target.send(1, ack.kind(), ack.encode_enveloped(0)).unwrap();
-        let out = h.run().unwrap();
-        assert!(out.authoritative);
-        assert_eq!(out.entry_overrides, [(1, 0, 1)]);
         let done = DsdMsg::EntryDone {
             entry: 1,
             to_shard: 0,
         };
-        assert_eq!(answer(admin).2, done);
-        assert_eq!(answer(worker).2, DsdMsg::Shutdown);
+        let got = step(&mut h, T0, Input::Frame(frame(0, 1, 0, ack)));
+        assert_eq!(got, [(3, 0, done), (2, 1, DsdMsg::Shutdown)]);
+        assert_eq!(
+            h.stage,
+            Stage::Done {
+                authoritative: true
+            }
+        );
+        let out = h.outcome(true);
+        assert!(out.authoritative);
+        assert_eq!(out.entry_overrides, [(1, 0, 1)]);
         assert_eq!(count(&recorder, "home.entries_rehomed"), 1);
         assert_eq!(count(&recorder, "home.entry_handoff_aborts"), 0);
     }
 
     #[test]
     fn a_move_the_target_never_acks_reverts_within_half_a_second() {
-        let (h, eps, recorder) = a_move_in_flight_past_the_last_join();
-        let (target, worker, admin) = (&eps[0], &eps[1], &eps[2]);
-        let t0 = std::time::Instant::now();
-        let out = h.run().unwrap();
-        let waited = t0.elapsed();
-        assert!(
-            (Duration::from_millis(500)..Duration::from_secs(2)).contains(&waited),
-            "{waited:?}"
-        );
-        // Offered at the start and again on every 10 ms of silence.
-        let mut offers = 0;
-        while let Ok(m) = target.recv_timeout(Duration::from_millis(10)) {
-            let (_, offer) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+        let (mut h, recorder) = a_move_in_flight_past_the_last_join();
+        let mut got = take(&mut h); // the offer at the move's start
+        h.start(T0).unwrap();
+        // Nothing arrives: tick at every instant the runner's wait ends.
+        let mut now = T0;
+        while !matches!(h.stage, Stage::Done { .. }) {
+            now = h.wake(now).expect("a timed wait");
+            got.extend(step(&mut h, now, Input::Tick));
+        }
+        // Offered at the start and again on every 10 ms of silence, then
+        // reverted at the deadline exactly; the admin is told nothing.
+        assert_eq!(now, T0 + Duration::from_millis(500), "revert instant");
+        assert_eq!(got.pop(), Some((2, 1, DsdMsg::Shutdown)));
+        for (to, rid, offer) in &got {
+            assert_eq!((*to, *rid), (0, 0));
             assert!(matches!(
                 offer,
                 DsdMsg::EntryState {
@@ -2604,10 +2660,16 @@ mod tests {
                     ..
                 }
             ));
-            offers += 1;
         }
-        assert!((2..=52).contains(&offers), "{offers} offers");
+        assert_eq!(got.len(), 50, "offers");
         // The owner reverts at epoch + 1 and keeps the source's bytes.
+        assert_eq!(
+            h.stage,
+            Stage::Done {
+                authoritative: true
+            }
+        );
+        let out = h.outcome(true);
         assert!(out.authoritative);
         assert_eq!(out.entry_overrides, [(1, 1, 2)]);
         for i in 0..8 {
@@ -2615,8 +2677,6 @@ mod tests {
         }
         assert_eq!(count(&recorder, "home.entry_handoff_aborts"), 1);
         assert_eq!(count(&recorder, "home.entries_rehomed"), 0);
-        assert_eq!(answer(worker).2, DsdMsg::Shutdown);
-        assert!(admin.recv_timeout(Duration::from_millis(10)).is_err());
     }
 
     #[test]
@@ -2644,13 +2704,12 @@ mod tests {
             assert_eq!(got.frame(), want.frame(), "rank {rank} at seq {}", h.seq);
             assert!(notices.is_empty(), "rank {rank} at seq {}", h.seq);
         }
-        let (_net, mut eps) = Network::new(1, NetConfig::instant());
         let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         let config = HomeConfig {
             participants: vec![1, 2, 3],
             ..Default::default()
         };
-        let mut h = HomeShard::new(gthv, eps.pop().unwrap(), config);
+        let mut h = HomeShard::new(gthv, config);
         h.init_with(|g| g.write_int(0, 0, 42).unwrap());
         // Rank 2 has read the whole entry and said so: it is sent, byte
         // for byte, what a reader that never said anything is sent.
@@ -2745,7 +2804,7 @@ mod tests {
     fn a_stripe_of_strided_writes_outside_the_interest_is_one_notice() {
         // The SOR shape: a neighbour's stripe of stride-2 one-element
         // ranges, two of which fall in the rows this reader has read.
-        let (mut h, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        let mut h = five_rank_shard(PlatformSpec::linux_x86());
         h.init_with(|_| {});
         for rank in [1, 2] {
             let _ = h.stale_updates_for(rank).unwrap(); // the initial pull
@@ -2767,7 +2826,7 @@ mod tests {
 
     #[test]
     fn range_fetch_is_answered_from_the_authoritative_copy_or_bounced() {
-        let (mut h, eps) = five_rank_shard(PlatformSpec::solaris_sparc());
+        let mut h = five_rank_shard(PlatformSpec::solaris_sparc());
         h.init_with(|g| {
             for i in 0..64 {
                 g.write_int(0, i, 100 + i as i128).unwrap();
@@ -2776,10 +2835,11 @@ mod tests {
         let reply_to = |h: &mut HomeShard, req_id, ranges: Vec<UpdateRange>| {
             let fetch = DsdMsg::RangeFetch { rank: 2, ranges };
             h.dispatch(2, req_id, fetch, &[], OpCtx::default())?;
-            let m = eps[1].recv_timeout(Duration::from_secs(1)).unwrap();
-            let (rid, reply) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
-            assert_eq!(rid, req_id);
-            Ok::<_, HomeError>(reply)
+            let [(2, rid, reply)] = &take(h)[..] else {
+                panic!("one reply, to the fetcher");
+            };
+            assert_eq!(*rid, req_id);
+            Ok::<_, HomeError>(reply.clone())
         };
         let seen = h.peers[&2].seen;
         let DsdMsg::UpdateBatch { updates, notices } =
@@ -2802,7 +2862,8 @@ mod tests {
         assert_eq!(h.peers[&2].seen, seen, "a fetch moves no horizon");
         assert_eq!((h.costs.updates_sent, h.costs.bytes_sent), (2, 6 * 4));
         // A shadow is relayed the fetch for the report behind it: it takes
-        // the rows and neither extracts nor remembers the request id.
+        // the rows and neither extracts, remembers the request id nor
+        // sends anything.
         let fetch = DsdMsg::RangeFetch {
             rank: 2,
             ranges: vec![elems(5, 2)],
@@ -2812,7 +2873,7 @@ mod tests {
             .unwrap();
         assert_eq!(h.peers[&2].interest[&0].spans(), [(5, 7)]);
         assert_eq!((h.costs.updates_sent, h.peers[&2].last_req), (2, 1));
-        assert!(eps[1].recv_timeout(Duration::from_millis(10)).is_err());
+        assert!(h.outbox.is_empty());
         // A range the index table does not hold is refused, not served.
         assert!(matches!(
             reply_to(&mut h, 2, vec![elems(60, 5)]),
@@ -2829,7 +2890,7 @@ mod tests {
 
     #[test]
     fn an_interest_report_outside_the_index_table_is_a_violation() {
-        let (mut h, _eps) = five_rank_shard(PlatformSpec::linux_x86());
+        let mut h = five_rank_shard(PlatformSpec::linux_x86());
         let lock = || DsdMsg::LockRequest { lock: 0, rank: 2 };
         let wild = [
             elems(60, 5),
@@ -2856,7 +2917,7 @@ mod tests {
 
     #[test]
     fn requests_from_outside_participants_are_violations_and_change_nothing() {
-        let (mut h, _eps) = populated_shard();
+        let mut h = populated_shard();
         let tables = |h: &HomeShard| format!("{:?} {} {:?}", h.peers, h.pending, h.locks);
         let before = tables(&h);
         for msg in [
@@ -2871,5 +2932,474 @@ mod tests {
             }
             assert_eq!(tables(&h), before);
         }
+    }
+
+    // ----- A single-threaded driver: a primary, its standby, scripted
+    // clients, a message multiset and a virtual clock. Each step is one
+    // seeded pick; there is no thread and no network. -----
+
+    /// One request of a client's script.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Lock(u32),
+        Unlock(u32),
+        Join,
+    }
+
+    /// A scripted client, rank `rank` at endpoint `rank + 1`: the requests
+    /// of its script one at a time, each resent under the same id to the
+    /// shard's other endpoint on a `ViewChange` or a gone endpoint, and to
+    /// the same one on a tick. Its `n`th unlock writes `n` to `xs[rank]`.
+    struct Client {
+        rank: u32,
+        script: VecDeque<Op>,
+        /// The outstanding request, and the last request id used.
+        req: Option<(u64, DsdMsg)>,
+        ids: u64,
+        /// The home endpoint it talks to (0 the primary, 1 the standby)
+        /// and the shard epoch it stamps.
+        to: u32,
+        epoch: u32,
+        held: Vec<u32>,
+        unlocks: u64,
+        done: bool,
+    }
+
+    impl Client {
+        /// Start the script's next request, if the client is idle.
+        fn next(&mut self) {
+            let rank = self.rank;
+            let msg = match self.script.pop_front() {
+                Some(Op::Lock(lock)) => DsdMsg::LockRequest { lock, rank },
+                Some(Op::Unlock(lock)) => {
+                    self.held.retain(|&l| l != lock);
+                    self.unlocks += 1;
+                    let updates = one_elem(rank as u64, self.unlocks as i128);
+                    DsdMsg::UnlockRequest {
+                        lock,
+                        rank,
+                        updates,
+                    }
+                }
+                Some(Op::Join) => DsdMsg::Join { rank },
+                None => return,
+            };
+            self.ids += 1;
+            self.req = Some((self.ids, msg));
+        }
+
+        /// Take a reply to request `rid`; `true` if the request is to be
+        /// resent.
+        fn answer(&mut self, rid: u64, msg: DsdMsg) -> bool {
+            if self.req.as_ref().is_none_or(|(id, _)| *id != rid) {
+                return false; // a duplicate, or a redirected heartbeat
+            }
+            match msg {
+                DsdMsg::ViewChange { epoch, .. } => {
+                    self.epoch = self.epoch.max(epoch);
+                    self.to ^= 1;
+                    return true;
+                }
+                DsdMsg::LockGrant { lock, .. } => self.held.push(lock),
+                DsdMsg::UnlockAck { .. } => {}
+                DsdMsg::Shutdown => self.done = true,
+                other => panic!("rank {} was sent {other:?}", self.rank),
+            }
+            self.req = None;
+            false
+        }
+    }
+
+    /// A fresh grant a home sent.
+    struct Grant {
+        at: FabricInstant,
+        /// The endpoint it came from.
+        by: u32,
+        lock: u32,
+        /// The replication link was cut when it was decided.
+        partitioned: bool,
+        /// How long the granting home had not heard from the other.
+        quiet: Duration,
+    }
+
+    /// A seeded splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    fn on_wire(src: u32, dst: u32, kind: MsgKind, payload: Bytes) -> Message {
+        let trace = None;
+        Message {
+            src,
+            dst,
+            kind,
+            payload,
+            trace,
+        }
+    }
+
+    struct World {
+        now: FabricInstant,
+        /// The homes' tick: the clock moves a tick at a time.
+        period: Duration,
+        /// By endpoint: 0 the primary, 1 its standby; `None` once gone.
+        homes: [Option<HomeShard>; 2],
+        /// Instances whose run ended, with their verdicts.
+        ended: Vec<(bool, HomeShard)>,
+        clients: Vec<Client>,
+        flight: Vec<Message>,
+        /// By endpoint.
+        gone: Vec<bool>,
+        /// By home endpoint: when a frame from the other home last landed.
+        heard: [FabricInstant; 2],
+        /// Clients beat both homes every tick, as the cluster's pump does.
+        beats: bool,
+        /// Frames between the homes are dropped as they are sent.
+        partitioned: bool,
+        grants: Vec<Grant>,
+    }
+
+    impl World {
+        /// A primary, its standby and one client per script, started at
+        /// virtual zero, with `n_locks` mutexes and `lease`.
+        fn new(lease: Option<Duration>, n_locks: u32, scripts: &[Vec<Op>]) -> World {
+            let participants: Vec<u32> = (1..=scripts.len() as u32).collect();
+            let homes = [false, true].map(|standby| {
+                let config = HomeConfig {
+                    n_locks,
+                    n_barriers: 0,
+                    participants: participants.clone(),
+                    lease,
+                    directory: Directory::with_replicas(1, 1),
+                    standby,
+                    ..Default::default()
+                };
+                let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+                let mut h = HomeShard::new(gthv, config);
+                h.init_with(|_| {});
+                h.start(FabricInstant::ZERO).unwrap();
+                Some(h)
+            });
+            let client = |(&rank, script): (&u32, &Vec<Op>)| Client {
+                rank,
+                script: script.iter().copied().collect(),
+                req: None,
+                ids: 0,
+                to: 0,
+                epoch: 0,
+                held: Vec::new(),
+                unlocks: 0,
+                done: false,
+            };
+            World {
+                now: FabricInstant::ZERO,
+                period: homes[0].as_ref().unwrap().tick(),
+                homes,
+                ended: Vec::new(),
+                clients: participants.iter().zip(scripts).map(client).collect(),
+                flight: Vec::new(),
+                gone: vec![false; 2 + scripts.len()],
+                heard: [FabricInstant::ZERO; 2],
+                beats: lease.is_some(),
+                partitioned: false,
+                grants: Vec::new(),
+            }
+        }
+
+        /// Perform home `ep`'s step as its runner does — a frame between
+        /// the homes is dropped while the link is cut — and retire the
+        /// home once its run has ended.
+        fn settle(&mut self, ep: u32) {
+            let Some(h) = self.homes[ep as usize].as_mut() else {
+                return;
+            };
+            let (now, partitioned, gone) = (self.now, self.partitioned, &self.gone);
+            let quiet = now.saturating_since(self.heard[ep as usize]);
+            let (flight, grants) = (&mut self.flight, &mut self.grants);
+            let mut deliver = |s: &Outgoing| {
+                if gone[s.to as usize] {
+                    return Ok(false);
+                }
+                if s.kind == MsgKind::LockGrant && s.owed {
+                    let (_, msg) = DsdMsg::decode_enveloped(s.kind, s.payload.clone())?;
+                    let DsdMsg::LockGrant { lock, .. } = msg else {
+                        unreachable!()
+                    };
+                    grants.push(Grant {
+                        at: now,
+                        by: ep,
+                        lock,
+                        partitioned,
+                        quiet,
+                    });
+                }
+                if !(partitioned && s.to < 2) {
+                    flight.push(on_wire(ep, s.to, s.kind, s.payload.clone()));
+                }
+                Ok(true)
+            };
+            h.flush(&mut deliver).unwrap();
+            if let Stage::Done { authoritative } = h.stage {
+                self.retire(ep, Some(authoritative));
+            }
+        }
+
+        /// Home `ep`'s endpoint is gone: its run ended with `verdict`, or
+        /// it was killed (`None`). Frames in flight to it evaporate.
+        fn retire(&mut self, ep: u32, verdict: Option<bool>) {
+            let h = self.homes[ep as usize].take().expect("a live home");
+            self.gone[ep as usize] = true;
+            self.flight.retain(|m| m.dst != ep);
+            if let Some(authoritative) = verdict {
+                self.ended.push((authoritative, h));
+            }
+        }
+
+        /// Put client `i`'s outstanding request on the wire: to the home
+        /// it talks to or, that one gone, to the shard's other endpoint.
+        fn send(&mut self, i: usize) {
+            let c = &mut self.clients[i];
+            let Some((rid, msg)) = &c.req else {
+                return;
+            };
+            for _ in 0..2 {
+                if !self.gone[c.to as usize] {
+                    let payload = msg.encode_request(*rid, Some(c.epoch), &[]);
+                    let frame = on_wire(c.rank + 1, c.to, msg.kind(), payload);
+                    return self.flight.push(frame);
+                }
+                c.to ^= 1;
+            }
+        }
+
+        /// Deliver in-flight frame `i`.
+        fn deliver(&mut self, i: usize) {
+            let m = self.flight.remove(i);
+            let (src, dst) = (m.src as usize, m.dst as usize);
+            if dst < 2 {
+                if src < 2 {
+                    self.heard[dst] = self.now;
+                }
+                let h = self.homes[dst]
+                    .as_mut()
+                    .expect("frames to a gone home evaporate");
+                h.on(self.now, Input::Frame(m)).unwrap();
+                return self.settle(dst as u32);
+            }
+            let (rid, msg) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
+            if self.clients[dst - 2].answer(rid, msg) {
+                self.send(dst - 2);
+            }
+            if self.clients[dst - 2].done {
+                self.gone[dst] = true;
+                self.flight.retain(|m| m.dst as usize != dst);
+            }
+        }
+
+        /// A tick of silence: the clock moves on a tick, each live home
+        /// ticks, and each waiting client retransmits (and, under a lease,
+        /// beats both homes).
+        fn tick(&mut self) {
+            self.now = self.now + self.period;
+            for ep in 0..2 {
+                if let Some(h) = self.homes[ep as usize].as_mut() {
+                    h.on(self.now, Input::Tick).unwrap();
+                    self.settle(ep);
+                }
+            }
+            for i in 0..self.clients.len() {
+                self.send(i);
+                let c = &self.clients[i];
+                if self.beats && !c.done {
+                    let beat = DsdMsg::Heartbeat { rank: c.rank }.encode_request(0, Some(0), &[]);
+                    for dst in (0..2).filter(|&d| !self.gone[d as usize]) {
+                        let frame = on_wire(c.rank + 1, dst, MsgKind::Heartbeat, beat.clone());
+                        self.flight.push(frame);
+                    }
+                }
+            }
+        }
+
+        /// One seeded step: deliver the head of one link, let one idle
+        /// client issue its next request, or — nothing in flight to a
+        /// home, so every frame lands within the tick it was sent in, as
+        /// on the real fabric — tick.
+        fn pick(&mut self, rng: &mut Rng) {
+            let link = |m: &Message| (m.src, m.dst);
+            let flight = &self.flight;
+            let heads: Vec<usize> = (0..flight.len())
+                .filter(|&i| !flight[..i].iter().any(|e| link(e) == link(&flight[i])))
+                .collect();
+            let idle: Vec<usize> = (0..self.clients.len())
+                .filter(|&i| {
+                    let c = &self.clients[i];
+                    c.req.is_none() && !c.done && !c.script.is_empty()
+                })
+                .collect();
+            let calm = self.flight.iter().all(|m| m.dst > 1);
+            let k = rng.below(heads.len() + idle.len() + calm as usize);
+            if k < heads.len() {
+                self.deliver(heads[k]);
+            } else if let Some(&i) = idle.get(k - heads.len()) {
+                self.clients[i].next();
+                self.send(i);
+            } else {
+                self.tick();
+            }
+        }
+
+        /// How many clients hold mutex `lock`.
+        fn holders(&self, lock: u32) -> usize {
+            self.clients
+                .iter()
+                .filter(|c| c.held.contains(&lock))
+                .count()
+        }
+    }
+
+    /// The lock micro-workload's client count and acquire/release pairs
+    /// per client, all on mutex 0.
+    const CLIENTS: u32 = 3;
+    const OPS: u32 = 3;
+
+    /// One seeded schedule of the lock micro-workload, run to its end —
+    /// the primary killed at step `kill`, if given — with no double grant
+    /// after any step. Returns the steps taken and whether the standby
+    /// took over.
+    fn explore(seed: u64, kill: Option<usize>) -> (usize, bool) {
+        let pairs = [Op::Lock(0), Op::Unlock(0)].into_iter().cycle();
+        let script: Vec<Op> = pairs.take(2 * OPS as usize).chain([Op::Join]).collect();
+        let mut w = World::new(None, 1, &vec![script; CLIENTS as usize]);
+        let mut rng = Rng(seed);
+        let mut steps = 0;
+        while w.homes.iter().any(Option::is_some) || w.clients.iter().any(|c| !c.done) {
+            if kill == Some(steps) && w.homes[0].is_some() {
+                w.retire(0, None);
+            }
+            w.pick(&mut rng);
+            steps += 1;
+            assert!(
+                w.holders(0) <= 1,
+                "seed {seed} step {steps}: a double grant"
+            );
+            assert!(steps < 20_000, "seed {seed}: no progress");
+        }
+        // One instance ends authoritative, and it absorbed every unlock
+        // exactly once.
+        let mut survivors = w.ended.iter().filter(|(authoritative, _)| *authoritative);
+        let (_, h) = survivors.next().expect("an authoritative instance");
+        assert!(survivors.next().is_none(), "seed {seed}: two survivors");
+        let unlocks = (CLIENTS * OPS) as u64;
+        assert_eq!(h.costs.updates_applied, unlocks, "seed {seed}");
+        for rank in 1..=CLIENTS as u64 {
+            assert_eq!(
+                h.gthv.read_int(0, rank).unwrap(),
+                OPS as i128,
+                "seed {seed}"
+            );
+        }
+        (steps, h.epoch == 1)
+    }
+
+    #[test]
+    fn seeded_schedules_with_and_without_a_primary_kill_never_double_grant() {
+        let clock = FabricClock::wall();
+        let t0 = clock.now();
+        let (seeds, mut steps, mut failovers) = (1_200u64, 0, 0);
+        for seed in 0..seeds {
+            // Every third schedule loses its primary somewhere in the run.
+            let kill = (seed % 3 == 0).then_some(seed as usize * 7 % 90);
+            let (n, failover) = explore(seed, kill);
+            steps += n;
+            failovers += failover as u32;
+        }
+        assert!(failovers >= 100, "only {failovers} schedules failed over");
+        let took = clock.now().saturating_since(t0).as_secs_f64();
+        let rate = seeds as f64 / took;
+        eprintln!("{seeds} schedules, {steps} steps, {failovers} failovers: {rate:.0} schedules/s");
+    }
+
+    #[test]
+    fn a_cut_replication_link_loses_exactly_the_relays_of_its_window() {
+        // DESIGN §14's known window, pinned: the link between the homes
+        // is cut at step `s` and the clients keep running. Ranks 1–3 each
+        // take a mutex of their own and keep it; once the standby has
+        // promoted, ranks 4–6 probe one of those mutexes each.
+        let lease = Duration::from_millis(400);
+        let (mut windowed, mut relayed) = (0, 0);
+        for seed in 0..60u64 {
+            let mut scripts: Vec<Vec<Op>> = (0..3).map(|l| vec![Op::Lock(l)]).collect();
+            scripts.extend([vec![], vec![], vec![]]);
+            let mut w = World::new(Some(lease), 3, &scripts);
+            let mut rng = Rng(seed);
+            let cut = seed as usize * 5 % 16;
+            let mut promoted_at = None;
+            for step in 0.. {
+                w.partitioned |= step == cut;
+                w.pick(&mut rng);
+                let standby = w.homes[1].as_ref().expect("the standby serves on");
+                if promoted_at.is_none() && matches!(standby.standby, Standby::Promoted { .. }) {
+                    // A full lease of relay silence, and never beside a
+                    // serving primary.
+                    assert!(w.now.saturating_since(w.heard[1]) > lease, "seed {seed}");
+                    assert!(w.homes[0].as_ref().is_none_or(|p| p.fenced), "seed {seed}");
+                    promoted_at = Some(w.now);
+                    for (i, lock) in (3..6).zip(0..3) {
+                        w.clients[i].script.push_back(Op::Lock(lock));
+                    }
+                }
+                let standby = w.homes[1].as_ref().unwrap();
+                let probed = |(i, c): (usize, &Client)| {
+                    let lock = i as u32 - 3;
+                    let queued = standby.locks[lock as usize].waiters.contains(&c.rank);
+                    c.held.contains(&lock) || queued
+                };
+                if promoted_at.is_some() && w.clients.iter().enumerate().skip(3).all(probed) {
+                    break;
+                }
+                assert!(step < 20_000, "seed {seed}: no progress");
+            }
+            let promoted_at = promoted_at.unwrap();
+            // The primary granted nothing after ¾ of a lease without a
+            // beat, nor once the standby had promoted.
+            let by_primary = || w.grants.iter().filter(|g| g.by == 0);
+            for g in by_primary() {
+                assert!(
+                    g.quiet <= lease * 3 / 4 && g.at < promoted_at,
+                    "seed {seed}"
+                );
+            }
+            // The promoted standby re-grants exactly the mutexes whose
+            // grants were decided on a cut link, and none relayed before.
+            let dropped: BTreeMap<u32, bool> =
+                by_primary().map(|g| (g.lock, g.partitioned)).collect();
+            let mut regranted: Vec<u32> = w
+                .grants
+                .iter()
+                .filter(|g| g.by == 1 && dropped.contains_key(&g.lock))
+                .map(|g| g.lock)
+                .collect();
+            regranted.sort_unstable();
+            let window: Vec<u32> = dropped
+                .iter()
+                .filter(|(_, &d)| d)
+                .map(|(&l, _)| l)
+                .collect();
+            assert_eq!(regranted, window, "seed {seed}");
+            windowed += window.len();
+            relayed += dropped.len() - window.len();
+        }
+        assert!(
+            windowed > 0 && relayed > 0,
+            "{windowed} windowed, {relayed} relayed"
+        );
     }
 }

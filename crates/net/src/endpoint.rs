@@ -364,11 +364,12 @@ impl Endpoint {
         Ok(m)
     }
 
-    /// Blocking receive with timeout.
+    /// Blocking receive with timeout; `Duration::MAX` waits with none.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, NetError> {
         if let Some(sim) = &self.net.fabric.sim {
-            let until = sim.now_us().saturating_add(dur_us(timeout));
-            return self.recv_sim(sim, Some(until));
+            let until =
+                (timeout < Duration::MAX).then(|| sim.now_us().saturating_add(dur_us(timeout)));
+            return self.recv_sim(sim, until);
         }
         let m = self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,

@@ -1063,6 +1063,43 @@ fn soak_failover_kill_either_shard_on_wall_clock() {
 }
 
 #[test]
+fn a_standby_beats_its_primary_once_a_tick_not_once_a_relayed_frame() {
+    // The standby's beat tells the primary it is still there; once a tick
+    // (10 ms without a lease) says so, however many frames the relay
+    // stream carries. A 3-worker × 200-op lock run relays some 1 200.
+    let recorder = hdsm::obs::Recorder::enabled();
+    let mut b = ClusterBuilder::new()
+        .gthv(tiny_def())
+        .locks(1)
+        .topology(TopologyConfig {
+            shards: 1,
+            replicas: 1,
+            fabric: FabricMode::Sim { seed: 7 },
+        })
+        .obs(recorder.clone());
+    for _ in 0..3 {
+        b = b.worker(PlatformSpec::linux_x86());
+    }
+    let outcome = b
+        .run(|c, _| {
+            for _ in 0..200 {
+                c.acquire(LockId::new(0))?;
+                let v = c.read_int(0, 0)?;
+                c.write_int(0, 0, v + 1)?;
+                c.release(LockId::new(0))?;
+            }
+            Ok(())
+        })
+        .expect("the lock run completes");
+    assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 600);
+    let sent = |kind| outcome.net_stats.messages.get(&kind).copied().unwrap_or(0);
+    assert!(sent(MsgKind::Replicate) > 1_000, "the relay stream ran");
+    let ticks = recorder.snapshot().expect("armed").wall_us / 10_000;
+    let beats = sent(MsgKind::ReplicaBeat);
+    assert!(beats <= ticks + 1, "{beats} beats in {ticks} ticks");
+}
+
+#[test]
 fn failover_kill_mid_barrier_releases_from_promoted_replica() {
     use hdsm::obs::{EventKind, Recorder};
     // Worker 0 parks inside the barrier on the doomed primary; its entry
