@@ -1,21 +1,20 @@
 //! End-to-end observability demo: run a Jacobi cluster with an enabled
-//! recorder and export everything `hdsm-obs` produces, then run a SOR
-//! cluster over a lossy fabric and let the critical-path analyzer name
-//! the straggler.
+//! recorder and export its trace, then run a SOR cluster over a lossy
+//! fabric and let the critical-path analyzer name the straggler.
 //!
 //! Writes:
-//! * `results/obs_trace.json` — Chrome tracing JSON (load via
-//!   `chrome://tracing` or <https://ui.perfetto.dev>); one track per rank,
-//!   with flow arrows linking each send to its receive.
-//! * `results/obs_snapshot.json` — the machine-readable [`hdsm_obs::ObsSnapshot`].
+//! * `results/obs_trace.json` — the Jacobi run as Chrome tracing JSON
+//!   (load via `chrome://tracing` or <https://ui.perfetto.dev>); one track
+//!   per endpoint, with flow arrows linking each send to its receive.
+//! * `results/obs_log.jsonl` — the faulty SOR run's log
+//!   ([`Recorder::log`]): a header row, then one row per event,
+//!   time-series frame, stall, placement decision and flight-recorder
+//!   trigger.
 //! * `results/critpath.txt` — per-sync-op critical paths from the faulty
 //!   SOR run (straggler rank, slowest shard, retransmits per link).
-//! * `results/obs_timeseries.jsonl` — the faulty SOR run's windowed
-//!   time-series, one delta frame per line.
 //!
 //! `--follow` tails the faulty SOR run live: each time-series frame is
-//! printed as it closes, `tail -f` style. `--bundle <path>` pretty-prints
-//! a flight-recorder bundle (`results/blackbox-*.json`) and exits.
+//! printed as it closes, `tail -f` style.
 //!
 //! Also prints the plain-text cluster reports: the recorder's tables
 //! ([`hdsm_obs::ObsSnapshot::report`]) and the fabric's traffic ledger
@@ -27,19 +26,11 @@ use hdsm_apps::Kernel;
 use hdsm_core::cluster::{ClusterBuilder, TimingConfig, TopologyConfig};
 use hdsm_net::fault::FaultPlan;
 use hdsm_net::stats::NetConfig;
-use hdsm_obs::{chrome_trace, pretty_bundle, Recorder};
+use hdsm_obs::{chrome_trace, Recorder};
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--bundle") {
-        // Offline flight-recorder triage: re-indent a bundle for reading.
-        let path = args.get(i + 1).expect("--bundle takes a file path");
-        let raw = std::fs::read_to_string(path).expect("read bundle");
-        print!("{}", pretty_bundle(&raw));
-        return;
-    }
-    let follow = args.iter().any(|a| a == "--follow");
+    let follow = std::env::args().any(|a| a == "--follow");
     let (n, sweeps, seed) = (48, 6, 0x0B5);
     let pair = &paper_pairs()[2]; // SL: the heterogeneous pair.
     let recorder = Recorder::enabled();
@@ -59,10 +50,8 @@ fn main() {
 
     let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(results).expect("create results dir");
-    let trace_path = format!("{results}/obs_trace.json");
-    let snap_path = format!("{results}/obs_snapshot.json");
-    std::fs::write(&trace_path, chrome_trace(&recorder.events())).expect("write trace");
-    std::fs::write(&snap_path, snapshot.to_json()).expect("write snapshot");
+    let trace = chrome_trace(&recorder.events(), recorder.homes());
+    std::fs::write(format!("{results}/obs_trace.json"), trace).expect("write trace");
 
     println!("{}", snapshot.report());
     println!("{}", outcome.net_stats.report());
@@ -116,11 +105,7 @@ fn main() {
         sor.run(builder2, sor_n, sor_seed)
             .expect("faulty sor cluster")
     };
-    std::fs::write(
-        format!("{results}/obs_timeseries.jsonl"),
-        faulty.timeseries_jsonl(),
-    )
-    .expect("write timeseries");
+    std::fs::write(format!("{results}/obs_log.jsonl"), faulty.log()).expect("write log");
     assert!(verified, "sor failed to verify under faults");
     let snap2 = outcome2.obs.as_ref().expect("recorder was enabled");
     let critpaths = faulty.critpaths();
@@ -132,8 +117,9 @@ fn main() {
     critpath.push_str(&format!(
         "critical paths: sor n={sor_n} sweeps={sor_sweeps} shards=2, 5% drop fabric\n\n"
     ));
+    let homes = faulty.homes();
     for cp in &critpaths {
-        critpath.push_str(&cp.describe(2));
+        critpath.push_str(&cp.describe(homes));
         critpath.push('\n');
     }
     std::fs::write(format!("{results}/critpath.txt"), &critpath).expect("write critpath");
@@ -146,7 +132,6 @@ fn main() {
     );
 
     println!("chrome trace  -> results/obs_trace.json");
-    println!("obs snapshot  -> results/obs_snapshot.json");
+    println!("run log       -> results/obs_log.jsonl");
     println!("critical path -> results/critpath.txt");
-    println!("time-series   -> results/obs_timeseries.jsonl");
 }

@@ -656,7 +656,7 @@ impl ClusterBuilder {
     /// Enable the black-box flight recorder: on a watchdog firing, a
     /// lost worker, a lease expiry, a view change, a sim deadlock or an
     /// explicit [`ClusterCtl::dump`], a diagnostic bundle is written to
-    /// `<dir>/blackbox-<trigger>-<seq>.json`. Requires an enabled
+    /// `<dir>/blackbox-<trigger>-<seq>.jsonl`. Requires an enabled
     /// [`Self::obs`] recorder.
     pub fn flight_recorder(mut self, dir: impl Into<String>) -> Self {
         self.blackbox_dir = Some(dir.into());
@@ -863,10 +863,12 @@ impl ClusterBuilder {
         } else {
             Duration::ZERO
         };
-        // Critical paths and stall reports name a slowest shard from this
-        // gauge.
+        // Critical paths, stall reports, Chrome tracks and the log's
+        // header name each endpoint from the home layout.
         self.recorder
             .gauge("cluster.shards", self.topology.shards as i64);
+        self.recorder
+            .gauge("cluster.replicas", self.topology.replicas as i64);
         // Every home endpoint gets an instance: primaries first, then
         // (with replication) each shard's standby, configured to shadow
         // its primary through the relay stream. Endpoint `i` serves shard

@@ -10,14 +10,15 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev> to see every rank as
 //! its own timeline.
 
+use crate::critpath::{rank_name, HomeLayout};
 use crate::event::{Event, EventKind};
-use crate::snapshot::JsonWriter;
+use crate::log::JsonWriter;
 use std::collections::BTreeSet;
 
 /// Serialize `events` (as returned by `Recorder::events`) to a Chrome
-/// Trace Event Format JSON array. One track (`tid`) per rank, all under
-/// `pid` 0.
-pub fn chrome_trace(events: &[Event]) -> String {
+/// Trace Event Format JSON array. One track (`tid`) per endpoint, all
+/// under `pid` 0, named for its role under `homes` (`Recorder::homes`).
+pub fn chrome_trace(events: &[Event], homes: HomeLayout) -> String {
     let mut w = JsonWriter::new();
     w.begin_arr();
     // Track-name metadata first so the viewer labels timelines.
@@ -26,17 +27,11 @@ pub fn chrome_trace(events: &[Event]) -> String {
         w.begin_obj();
         w.field_str("name", "thread_name");
         w.field_str("ph", "M");
-        w.field_u64("pid", 0);
-        w.field_u64("tid", rank as u64);
+        w.field("pid", 0);
+        w.field("tid", rank as u64);
         w.key("args");
         w.begin_obj();
-        let label = if rank == 0 {
-            "home (rank 0)".to_string()
-        } else {
-            format!("worker rank {rank}")
-        };
-        w.key("name");
-        w.raw_value(&json_string(&label));
+        w.field_str("name", &rank_name(rank, homes));
         w.end_obj();
         w.end_obj();
     }
@@ -46,26 +41,25 @@ pub fn chrome_trace(events: &[Event]) -> String {
         w.field_str("cat", e.kind.category());
         if e.dur_us > 0 {
             w.field_str("ph", "X");
-            w.field_u64("ts", e.t_us);
-            w.field_u64("dur", e.dur_us);
+            w.field("ts", e.t_us);
+            w.field("dur", e.dur_us);
         } else {
             w.field_str("ph", "i");
-            w.field_u64("ts", e.t_us);
+            w.field("ts", e.t_us);
             // Thread-scoped instant: drawn on the rank's own track.
             w.field_str("s", "t");
         }
-        w.field_u64("pid", 0);
-        w.field_u64("tid", e.rank as u64);
+        w.field("pid", 0);
+        w.field("tid", e.rank as u64);
         w.key("args");
         w.begin_obj();
-        w.field_u64("arg0", e.arg0);
-        w.field_u64("arg1", e.arg1);
+        w.field("arg0", e.arg0);
+        w.field("arg1", e.arg1);
         if !e.label.is_empty() {
             w.field_str("label", e.label);
         }
         if e.op.is_some() {
-            w.key("op");
-            w.raw_value(&json_string(&e.op.to_string()));
+            w.field_str("op", &e.op.to_string());
         }
         w.end_obj();
         w.end_obj();
@@ -81,10 +75,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 w.field_str("ph", "f");
                 w.field_str("bp", "e");
             }
-            w.field_u64("id", e.flow);
-            w.field_u64("ts", e.t_us);
-            w.field_u64("pid", 0);
-            w.field_u64("tid", e.rank as u64);
+            w.field("id", e.flow);
+            w.field("ts", e.t_us);
+            w.field("pid", 0);
+            w.field("tid", e.rank as u64);
             w.end_obj();
         }
     }
@@ -92,26 +86,15 @@ pub fn chrome_trace(events: &[Event]) -> String {
     w.finish()
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
+
+    const ONE: HomeLayout = HomeLayout {
+        shards: 1,
+        replicas: 0,
+    };
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -138,10 +121,10 @@ mod tests {
     /// exporter changes shape, this string must be updated deliberately.
     #[test]
     fn golden_trace() {
-        let got = chrome_trace(&sample_events());
+        let got = chrome_trace(&sample_events(), ONE);
         let want = concat!(
-            r#"[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"home (rank 0)"}},"#,
-            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"worker rank 1"}},"#,
+            r#"[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"shard 0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"rank 1"}},"#,
             r#"{"name":"diff-scan","cat":"share","ph":"X","ts":100,"dur":40,"pid":0,"tid":0,"args":{"arg0":4096,"arg1":0}},"#,
             r#"{"name":"retransmit","cat":"fault","ph":"i","ts":150,"s":"t","pid":0,"tid":1,"args":{"arg0":2,"arg1":0,"label":"lock-req"}}]"#,
         );
@@ -150,7 +133,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_empty_array() {
-        assert_eq!(chrome_trace(&[]), "[]");
+        assert_eq!(chrome_trace(&[], ONE), "[]");
     }
 
     #[test]
@@ -177,7 +160,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let t = chrome_trace(&events);
+        let t = chrome_trace(&events, ONE);
         assert!(
             t.contains(r#"{"name":"msg","cat":"flow","ph":"s","id":42,"ts":10,"pid":0,"tid":1}"#),
             "trace: {t}"
@@ -189,13 +172,13 @@ mod tests {
             "trace: {t}"
         );
         // Flow-less events emit no arrows (golden_trace relies on this).
-        let quiet = chrome_trace(&sample_events());
+        let quiet = chrome_trace(&sample_events(), ONE);
         assert!(!quiet.contains(r#""cat":"flow""#));
     }
 
     #[test]
     fn spans_become_complete_events_and_instants_become_i() {
-        let t = chrome_trace(&sample_events());
+        let t = chrome_trace(&sample_events(), ONE);
         assert!(t.contains(r#""ph":"X""#));
         assert!(t.contains(r#""ph":"i""#));
         assert!(t.contains(r#""dur":40"#));

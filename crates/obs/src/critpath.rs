@@ -81,21 +81,50 @@ pub mod seg {
     pub const HANDOFF: &str = "handoff (fence+relay+promote)";
 }
 
-/// Human name for an endpoint rank given the shard count: endpoints
-/// `0..shards` are home shards, the rest are DSD worker ranks `1..`.
-pub fn rank_name(ep: u32, shards: u32) -> String {
-    let shards = shards.max(1);
+/// Where the home service sits among the endpoints: shard `s`'s primary
+/// at endpoint `s`, its standby (with `replicas` = 1) at `shards + s`,
+/// and DSD worker rank `r` after every home endpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HomeLayout {
+    /// Home shards, at least 1.
+    pub shards: u32,
+    /// Standby replicas per shard.
+    pub replicas: u32,
+}
+
+impl HomeLayout {
+    /// Number of home endpoints, primaries and standbys.
+    pub fn home_eps(self) -> u32 {
+        self.shards.max(1) * (1 + self.replicas)
+    }
+
+    /// The layout a cluster published as the gauges `cluster.shards` and
+    /// `cluster.replicas`: one unreplicated shard when it published none.
+    pub(crate) fn from_gauges(gauge: impl Fn(&str) -> Option<i64>) -> HomeLayout {
+        HomeLayout {
+            shards: gauge("cluster.shards").unwrap_or(1).max(1) as u32,
+            replicas: gauge("cluster.replicas").unwrap_or(0).max(0) as u32,
+        }
+    }
+}
+
+/// Human name for endpoint `ep`: `shard s` for a primary, `shard s
+/// standby` for its replica, `rank r` for DSD worker rank `r`.
+pub fn rank_name(ep: u32, homes: HomeLayout) -> String {
+    let shards = homes.shards.max(1);
     if ep < shards {
         format!("shard {ep}")
+    } else if ep < homes.home_eps() {
+        format!("shard {} standby", ep % shards)
     } else {
-        format!("rank {}", ep - shards + 1)
+        format!("rank {}", ep - homes.home_eps() + 1)
     }
 }
 
 impl OpCritPath {
     /// One-line report: `barrier 3 epoch 7: 31.2 ms — straggler rank 1
     /// (+8.4 ms), slowest shard 0 (1.2 ms), 2 retransmits on link 1→0`.
-    pub fn describe(&self, shards: u32) -> String {
+    pub fn describe(&self, homes: HomeLayout) -> String {
         let mut s = format!(
             "{} {} epoch {}: {:.1} ms",
             self.op.kind.name(),
@@ -112,7 +141,7 @@ impl OpCritPath {
         match self.straggler {
             Some(r) => s.push_str(&format!(
                 " — straggler {} (+{:.1} ms)",
-                rank_name(r, shards),
+                rank_name(r, homes),
                 wait as f64 / 1e3
             )),
             None => s.push_str(" — no straggler observed"),
@@ -120,7 +149,7 @@ impl OpCritPath {
         if let Some(shard) = self.slowest_shard {
             s.push_str(&format!(
                 ", slowest {} ({:.1} ms)",
-                rank_name(shard, shards),
+                rank_name(shard, homes),
                 self.shard_busy_us as f64 / 1e3
             ));
         }
@@ -149,10 +178,11 @@ fn group_key(op: &OpCtx) -> Option<(OpKind, u32, u32, u32)> {
 }
 
 /// Compute critical paths for every barrier episode and lock
-/// acquisition in `events` (any order). `shards` is the home shard
-/// count (endpoint ranks `0..shards`); results are op-ordered.
-pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
-    let shards = shards.max(1);
+/// acquisition in `events` (any order). Endpoints below
+/// `homes.home_eps()` are home instances, primaries or promoted
+/// standbys; results are op-ordered.
+pub fn analyze(events: &[Event], homes: HomeLayout) -> Vec<OpCritPath> {
+    let home_eps = homes.home_eps();
     let mut groups: BTreeMap<(OpKind, u32, u32, u32), Vec<&Event>> = BTreeMap::new();
     for e in events {
         if let Some(k) = group_key(&e.op) {
@@ -224,14 +254,14 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
             .map(|e| e.t_us);
         let last_arrival = evs
             .iter()
-            .filter(|e| e.kind == EventKind::MsgRecv && e.rank < shards && e.label == req_label)
+            .filter(|e| e.kind == EventKind::MsgRecv && e.rank < home_eps && e.label == req_label)
             .max_by_key(|e| e.t_us);
         let m_arrive = last_arrival.map(|e| e.t_us);
         let reply_send = evs
             .iter()
             .filter(|e| {
                 e.kind == EventKind::MsgSend
-                    && e.rank < shards
+                    && e.rank < home_eps
                     && e.label == reply_label
                     && e.op.origin == top.op.origin
             })
@@ -277,7 +307,7 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
             .or(last_arrival)
             .map(|e| e.rank)
             .unwrap_or(0)
-            .min(shards - 1);
+            .min(home_eps - 1);
         let segments = vec![
             Segment {
                 label: seg::SEND,
@@ -309,7 +339,7 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
         // Home-shard busy time: home-side spans attributed to this op.
         let mut shard_busy: BTreeMap<u32, u64> = BTreeMap::new();
         for e in &evs {
-            if e.rank < shards && e.dur_us > 0 && e.kind != span_kind {
+            if e.rank < home_eps && e.dur_us > 0 && e.kind != span_kind {
                 *shard_busy.entry(e.rank).or_default() += e.dur_us;
             }
         }
@@ -318,7 +348,7 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
             // Home spans were dropped: attribute by received bytes
             // instead (the busy-time figure is then unknown, 0).
             for e in &evs {
-                if e.rank < shards && e.kind == EventKind::MsgRecv {
+                if e.rank < home_eps && e.kind == EventKind::MsgRecv {
                     *shard_busy.entry(e.rank).or_default() += e.arg0;
                 }
             }
@@ -371,6 +401,11 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ONE: HomeLayout = HomeLayout {
+        shards: 1,
+        replicas: 0,
+    };
 
     fn op(kind: OpKind, id: u32, epoch: u32, origin: u32) -> OpCtx {
         OpCtx {
@@ -427,7 +462,7 @@ mod tests {
 
     #[test]
     fn barrier_critical_path_attributes_the_straggler() {
-        let paths = analyze(&barrier_events(), 1);
+        let paths = analyze(&barrier_events(), ONE);
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert_eq!(p.op.kind, OpKind::Barrier);
@@ -449,7 +484,7 @@ mod tests {
 
     #[test]
     fn segments_sum_to_latency_exactly() {
-        let paths = analyze(&barrier_events(), 1);
+        let paths = analyze(&barrier_events(), ONE);
         let p = &paths[0];
         let sum: u64 = p.segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, p.latency_us);
@@ -461,7 +496,6 @@ mod tests {
 
     #[test]
     fn lock_critical_path_names_the_holder() {
-        let shards = 1;
         let acq = op(OpKind::Lock, 5, 2, 2);
         let events = vec![
             // Worker 2 (ep 2) waits 100..400 for lock 5.
@@ -480,7 +514,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let paths = analyze(&events, shards);
+        let paths = analyze(&events, ONE);
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
         assert_eq!(p.op.kind, OpKind::Lock);
@@ -492,8 +526,8 @@ mod tests {
 
     #[test]
     fn describe_names_rank_shard_and_link() {
-        let paths = analyze(&barrier_events(), 1);
-        let line = paths[0].describe(1);
+        let paths = analyze(&barrier_events(), ONE);
+        let line = paths[0].describe(ONE);
         assert!(line.starts_with("barrier 3 epoch 7:"), "line: {line}");
         assert!(line.contains("straggler rank 2"), "line: {line}");
         assert!(line.contains("shard 0"), "line: {line}");
@@ -505,7 +539,7 @@ mod tests {
         // Only the client span survived (rings dropped the messages).
         let o = op(OpKind::Barrier, 0, 1, 1);
         let events = vec![ev(1, EventKind::Barrier, 10, 50, "", o)];
-        let paths = analyze(&events, 1);
+        let paths = analyze(&events, ONE);
         assert_eq!(paths.len(), 1);
         let sum: u64 = paths[0].segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 50);
@@ -513,10 +547,59 @@ mod tests {
     }
 
     #[test]
-    fn rank_names_split_shards_and_workers() {
-        assert_eq!(rank_name(0, 2), "shard 0");
-        assert_eq!(rank_name(1, 2), "shard 1");
-        assert_eq!(rank_name(2, 2), "rank 1");
-        assert_eq!(rank_name(4, 2), "rank 3");
+    fn rank_names_split_shards_standbys_and_workers() {
+        let two = HomeLayout {
+            shards: 2,
+            replicas: 0,
+        };
+        assert_eq!(rank_name(0, two), "shard 0");
+        assert_eq!(rank_name(1, two), "shard 1");
+        assert_eq!(rank_name(2, two), "rank 1");
+        assert_eq!(rank_name(4, two), "rank 3");
+        let replicated = HomeLayout {
+            shards: 2,
+            replicas: 1,
+        };
+        assert_eq!(rank_name(1, replicated), "shard 1");
+        assert_eq!(rank_name(2, replicated), "shard 0 standby");
+        assert_eq!(rank_name(3, replicated), "shard 1 standby");
+        assert_eq!(rank_name(4, replicated), "rank 1");
+    }
+
+    #[test]
+    fn a_promoted_standby_is_a_home_and_workers_are_named_past_it() {
+        // One shard with a standby: the primary (ep 0) is gone and its
+        // promoted standby (ep 1) serves lock 5. Workers are eps 2 and 3,
+        // DSD ranks 1 and 2; rank 2 holds the lock rank 1 waits for.
+        let homes = HomeLayout {
+            shards: 1,
+            replicas: 1,
+        };
+        let acq = op(OpKind::Lock, 5, 2, 2);
+        let events = vec![
+            ev(2, EventKind::LockWait, 100, 300, "", acq),
+            ev(2, EventKind::MsgSend, 105, 0, "lock-req", acq),
+            ev(1, EventKind::MsgRecv, 110, 0, "lock-req", acq),
+            ev(1, EventKind::Convert, 300, 40, "", acq),
+            ev(1, EventKind::MsgSend, 370, 0, "lock-grant", acq),
+            ev(2, EventKind::MsgRecv, 390, 0, "lock-grant", acq),
+            Event {
+                rank: 3,
+                kind: EventKind::LockHold,
+                t_us: 50,
+                dur_us: 310,
+                arg0: 5,
+                ..Default::default()
+            },
+        ];
+        let paths = analyze(&events, homes);
+        let p = &paths[0];
+        assert_eq!(p.straggler, Some(3));
+        assert_eq!((p.slowest_shard, p.shard_busy_us), (Some(1), 40));
+        let home = p.segments.iter().find(|s| s.label == seg::HOME).unwrap();
+        assert_eq!((home.rank, home.dur_us), (1, 260), "{:?}", p.segments);
+        let line = p.describe(homes);
+        assert!(line.contains("straggler rank 2 "), "line: {line}");
+        assert!(line.contains("slowest shard 0 standby"), "line: {line}");
     }
 }

@@ -264,22 +264,6 @@ impl Default for Event {
     }
 }
 
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>8}us r{}] {:<17} dur={}us arg0={} arg1={} {}",
-            self.t_us,
-            self.rank,
-            self.kind.name(),
-            self.dur_us,
-            self.arg0,
-            self.arg1,
-            self.label
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,21 +301,6 @@ mod tests {
             assert!(seen.insert(k.name()), "duplicate name {}", k.name());
             assert!(!k.category().is_empty());
         }
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let e = Event {
-            rank: 2,
-            kind: EventKind::DiffScan,
-            t_us: 10,
-            dur_us: 5,
-            arg0: 64,
-            ..Default::default()
-        };
-        let s = e.to_string();
-        assert!(s.contains("diff-scan"));
-        assert!(s.contains("r2"));
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Largest recorded value.
     pub fn max(&self) -> u64 {
         self.max
@@ -109,11 +104,6 @@ impl Histogram {
             self.quantile(0.99),
         )
     }
-
-    /// Raw bucket counts (for tests and exporters).
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
 }
 
 /// Registry of named metrics. Locking is the caller's concern (the
@@ -139,11 +129,6 @@ impl Registry {
     /// Record `value` into histogram `name`.
     pub fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Counter value (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Gauge value.
@@ -249,11 +234,9 @@ mod tests {
         r.gauge("g", -7);
         r.observe("h", 5);
         r.observe("h", 9);
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauge_value("g"), Some(-7));
         assert_eq!(r.histogram("h").unwrap().count(), 2);
-        let names: Vec<_> = r.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a"]);
+        let counters: Vec<_> = r.counters().collect();
+        assert_eq!(counters, vec![("a", 5)]);
     }
 }

@@ -16,10 +16,10 @@
 //! recorder; [`Recorder::blackbox_trigger_at`] never reads the time
 //! source.
 
-use crate::blackbox::{self, TriggerRow};
-use crate::critpath::{self, OpCritPath};
+use crate::critpath::{self, HomeLayout, OpCritPath};
 use crate::event::{Event, EventKind, OpCtx};
 use crate::heatmap::Heatmap;
+use crate::log::{Tables, TriggerRow};
 use crate::metrics::Registry;
 use crate::ring::EventRing;
 use crate::snapshot::{DecisionRow, ObsSnapshot, RingDropRow};
@@ -28,6 +28,8 @@ use crate::watchdog::{self, StallReport, WatchdogConfig};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::fs;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -178,7 +180,7 @@ impl Recorder {
     }
 
     /// Microseconds since the recorder's epoch (0 when disabled). Reads
-    /// the installed [`TimeSource`] if any, else the wall clock.
+    /// the installed `TimeSource` if any, else the wall clock.
     pub fn now_us(&self) -> u64 {
         match &self.0 {
             Some(c) => c.now_us(),
@@ -231,16 +233,19 @@ impl Recorder {
         });
     }
 
-    /// Every held event across ranks in `(t_us, seq)` order — a causal
-    /// order: every rank reads the one clock, which never runs backwards,
-    /// a send is recorded before its message is enqueued and a receive
-    /// after it is dequeued, and `seq` breaks the ties a clock that stands
-    /// still (the sim fabric's) leaves. Takes the guard so the rings are
-    /// copied under the lock and sorted after it is released.
-    fn merged(logs: MutexGuard<'_, Vec<EventRing>>) -> Vec<Event> {
+    /// The last `tail` held events of every rank in `(t_us, seq)` order —
+    /// a causal order: every rank reads the one clock, which never runs
+    /// backwards, a send is recorded before its message is enqueued and a
+    /// receive after it is dequeued, and `seq` breaks the ties a clock
+    /// that stands still (the sim fabric's) leaves. Takes the guard so the
+    /// rings are copied under the lock and sorted after it is released.
+    fn merged(logs: MutexGuard<'_, Vec<EventRing>>, tail: usize) -> Vec<Event> {
         let mut events: Vec<Event> = logs
             .iter()
-            .flat_map(|ring| ring.iter_in_order().copied())
+            .flat_map(|ring| {
+                let skip = ring.len().saturating_sub(tail);
+                ring.iter_in_order().skip(skip).copied()
+            })
             .collect();
         drop(logs);
         events.sort_by_key(|e| (e.t_us, e.seq));
@@ -529,18 +534,6 @@ impl Recorder {
         }
     }
 
-    /// The retained frames as JSONL, one frame per line. Empty when off
-    /// or disabled.
-    pub fn timeseries_jsonl(&self) -> String {
-        match &self.0 {
-            None => String::new(),
-            Some(core) => {
-                let ts = core.timeseries.lock();
-                ts.as_ref().map(|t| t.to_jsonl()).unwrap_or_default()
-            }
-        }
-    }
-
     // ----- stall watchdog -----
 
     /// Arm the stall watchdog: subsequent [`Recorder::watchdog_scan`]
@@ -568,9 +561,9 @@ impl Recorder {
         };
         let inflight: Vec<InflightOp> = core.inflight.lock().values().copied().collect();
         let mut new_reports = Vec::new();
-        // Event stream + shard count are gathered once, and only if some
+        // Event stream + home layout are gathered once, and only if some
         // op actually breaches.
-        let mut lazy: Option<(Vec<Event>, u32)> = None;
+        let mut lazy: Option<(Vec<Event>, HomeLayout)> = None;
         for f in inflight {
             let age = now_us.saturating_sub(f.start_us);
             let history = {
@@ -587,9 +580,8 @@ impl Recorder {
             }
             let (kind, args) = (EventKind::Stall, (age, budget));
             Self::emit(core, now_us, f.rank, kind, None, args, "", f.op, 0);
-            let (events, shards) =
-                lazy.get_or_insert_with(|| (Self::merged(core.logs.lock()), Self::shards(core)));
-            let critpath = watchdog::attribute(events, f.op, f.rank, f.start_us, age, *shards);
+            let (events, homes) = lazy.get_or_insert_with(|| (self.events(), self.homes()));
+            let critpath = watchdog::attribute(events, f.op, f.rank, f.start_us, age, *homes);
             let report = StallReport {
                 op: f.op,
                 rank: f.rank,
@@ -616,8 +608,16 @@ impl Recorder {
 
     // ----- black-box flight recorder -----
 
-    /// Enable the flight recorder: triggered bundles go to `dir`,
-    /// carrying the last `last_n` events per rank. No-op when disabled.
+    /// Enable the flight recorder. When something goes wrong — the stall
+    /// watchdog fires, a worker is lost, a lease expires, a shard changes
+    /// view, the sim fabric detects a deadlock, or an operator calls
+    /// `ClusterCtl::dump` — a trigger writes a *bundle* to
+    /// `<dir>/blackbox-<trigger>-<seq>.jsonl`: the run's log
+    /// ([`Self::log`]) over the last `last_n` events per rank, plus the
+    /// sync ops in flight and the directory epochs, stamped with the
+    /// trigger's time. Each trigger is also kept in memory
+    /// ([`Self::blackbox_triggers`]), so same-seed simulated runs compare
+    /// trigger for trigger. No-op when disabled.
     pub fn enable_blackbox(&self, dir: &str, last_n: usize) {
         if let Some(core) = &self.0 {
             *core.blackbox.lock() = Some(BlackboxState {
@@ -671,44 +671,13 @@ impl Recorder {
             });
             (st.dir.clone(), st.last_n, seq)
         };
-        // Gather one table at a time — no lock is held across another's
-        // acquisition, and nothing here reads a clock.
-        let ranks: Vec<(u32, Vec<Event>)> = {
-            let logs = core.logs.lock();
-            logs.iter()
-                .enumerate()
-                .filter(|(_, ring)| !ring.is_empty())
-                .map(|(rank, ring)| {
-                    let skip = ring.len().saturating_sub(last_n);
-                    let evs = ring.iter_in_order().skip(skip).copied().collect();
-                    (rank as u32, evs)
-                })
-                .collect()
-        };
-        let in_flight: Vec<InflightOp> = core.inflight.lock().values().copied().collect();
-        let dir_epochs: Vec<(u32, u64)> = core
-            .dir_epochs
-            .lock()
-            .iter()
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        let frames = self.timeseries_frames();
-        let placement = core.decisions.lock().clone();
-        let stalls = self.stall_reports();
-        let triggers = self.blackbox_triggers();
-        let json = blackbox::render(&blackbox::BundleData {
-            trigger,
-            seq,
-            t_us,
-            ranks,
-            in_flight: &in_flight,
-            dir_epochs,
-            frames,
-            placement,
-            stalls: &stalls,
-            triggers: &triggers,
-        });
-        let path = blackbox::write(&dir, trigger, seq, &json);
+        // The bundle is the run's log over the last `last_n` events per
+        // rank, stamped with the trigger's time: gathering it reads no
+        // clock and holds one lock at a time.
+        let bundle = self.tables(last_n, t_us, Some((trigger, seq)))?.render();
+        let path = Path::new(&dir).join(format!("blackbox-{trigger}-{seq}.jsonl"));
+        let written = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, bundle));
+        let path = written.ok().map(|()| path.to_string_lossy().into_owned());
         if let Some(p) = &path {
             let mut bb = core.blackbox.lock();
             if let Some(row) = bb
@@ -743,26 +712,76 @@ impl Recorder {
     pub fn events(&self) -> Vec<Event> {
         match &self.0 {
             None => Vec::new(),
-            Some(core) => Self::merged(core.logs.lock()),
+            Some(core) => Self::merged(core.logs.lock(), usize::MAX),
         }
+    }
+
+    /// The run as its JSONL log (the row schema is in the `log` module's
+    /// docs): a `header`, every held event in [`Self::events`] order, the
+    /// in-flight ops and directory epochs, then the time-series frames,
+    /// stall reports, placement decisions and flight-recorder triggers.
+    /// Empty when disabled.
+    pub fn log(&self) -> String {
+        let tables = self.tables(usize::MAX, self.now_us(), None);
+        tables.map_or(String::new(), |t| t.render())
+    }
+
+    /// The tables one log renders: the last `tail` events per rank and
+    /// everything else the recorder holds, gathered one lock at a time.
+    /// Reads no clock: `wall_us` is the caller's. `None` when disabled.
+    fn tables(
+        &self,
+        tail: usize,
+        wall_us: u64,
+        trigger: Option<(&'static str, u64)>,
+    ) -> Option<Tables> {
+        let core = self.0.as_ref()?;
+        let logs = core.logs.lock();
+        let recorded = logs.iter().map(EventRing::total_pushed).sum();
+        let dropped = logs.iter().map(EventRing::dropped).sum();
+        let events = Self::merged(logs, tail);
+        let inflight = core.inflight.lock().values().copied().collect();
+        let epochs = core
+            .dir_epochs
+            .lock()
+            .iter()
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        Some(Tables {
+            homes: self.homes(),
+            wall_us,
+            recorded,
+            dropped,
+            trigger,
+            events,
+            inflight,
+            epochs,
+            frames: self.timeseries_frames(),
+            stalls: self.stall_reports(),
+            decisions: core.decisions.lock().clone(),
+            triggers: self.blackbox_triggers(),
+        })
     }
 
     /// The per-sync-op critical paths of the held events
-    /// ([`critpath::analyze`] over [`Self::events`] and the
-    /// `cluster.shards` gauge). Computed when asked for: whoever reads the
-    /// paths pays for the merge and the walk, an armed run that does not
-    /// pays nothing. Empty when disabled.
+    /// (the analyzer over [`Self::events`] and [`Self::homes`]).
+    /// Computed when asked for: whoever reads the paths pays for the merge
+    /// and the walk, an armed run that does not pays nothing. Empty when
+    /// disabled.
     pub fn critpaths(&self) -> Vec<OpCritPath> {
         match &self.0 {
             None => Vec::new(),
-            Some(core) => critpath::analyze(&self.events(), Self::shards(core)),
+            Some(_) => critpath::analyze(&self.events(), self.homes()),
         }
     }
 
-    /// Home shard count, as the cluster published it (1 when it did not).
-    fn shards(core: &ObsCore) -> u32 {
-        let gauge = core.registry.lock().gauge_value("cluster.shards");
-        gauge.unwrap_or(1).max(1) as u32
+    /// The home layout the cluster published (`cluster.shards` and
+    /// `cluster.replicas`; one unreplicated shard when it did not, or
+    /// when disabled): what names an endpoint a shard, a standby or a
+    /// worker rank.
+    pub fn homes(&self) -> HomeLayout {
+        let registry = self.0.as_ref().map(|core| core.registry.lock());
+        HomeLayout::from_gauges(|name| registry.as_ref()?.gauge_value(name))
     }
 
     /// Freeze the current tables into a machine-readable snapshot. A
@@ -860,7 +879,44 @@ mod tests {
         assert!(r.events().is_empty());
         assert!(r.critpaths().is_empty());
         assert!(r.snapshot().is_none());
+        assert!(r.log().is_empty());
         assert_eq!(r.now_us(), 0);
+    }
+
+    #[test]
+    fn a_bundle_is_the_logs_tail_at_the_trigger_time() {
+        let dir = std::env::temp_dir().join(format!("hdsm-obs-bundle-{}", std::process::id()));
+        let r = Recorder::enabled();
+        r.set_time_source(Arc::new(|| 7));
+        r.gauge("cluster.shards", 2);
+        r.enable_blackbox(&dir.to_string_lossy(), 2);
+        for arg in 0..5 {
+            r.instant(1, EventKind::Other, arg, 0, "");
+        }
+        let path = r
+            .blackbox_trigger_at("dump", 1_000)
+            .expect("bundle written");
+        assert!(path.ends_with("blackbox-dump-0.jsonl"), "{path}");
+        let bundle = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(&dir).ok();
+        let rows = |text: &str, kind: &str| -> Vec<String> {
+            let tag = format!(r#"{{"row":"{kind}""#);
+            text.lines()
+                .filter(|l| l.starts_with(&tag))
+                .map(String::from)
+                .collect()
+        };
+        let log = r.log();
+        assert!(
+            log.starts_with(r#"{"row":"header","schema":1,"shards":2,"replicas":0,"wall_us":7,"#)
+        );
+        assert!(bundle.starts_with(
+            r#"{"row":"header","schema":1,"trigger":"dump","seq":0,"shards":2,"replicas":0,"wall_us":1000,"#
+        ));
+        let (all, tail) = (rows(&log, "event"), rows(&bundle, "event"));
+        assert_eq!(all.len(), 5);
+        assert_eq!(tail, all[3..], "the last two events of rank 1");
+        assert_eq!(rows(&log, "trigger"), rows(&bundle, "trigger"));
     }
 
     #[test]

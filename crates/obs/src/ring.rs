@@ -56,11 +56,6 @@ impl EventRing {
         self.buf.len()
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Total events ever pushed.
     pub fn total_pushed(&self) -> u64 {
         self.pushed

@@ -2,11 +2,13 @@
 //!
 //! [`ObsSnapshot`] freezes the tables an enabled recorder keeps: metrics,
 //! the entry heatmap with its placement signals, placement decisions,
-//! ring occupancy and stall reports. It is plain data, renders to JSON
-//! (`to_json`, hand-written) and to a human cluster report (`report`).
-//! What is computed *from* the events — critical paths — is not in it
+//! ring occupancy and stall reports. It is plain data that tests compare
+//! with `==` and that renders to a human cluster report (`report`); the
+//! run's machine-readable export is its log (`Recorder::log`). What is
+//! computed *from* the events — critical paths — is not in it
 //! (`Recorder::critpaths`), and fabric traffic is `hdsm_net::NetStats`'s.
 
+use crate::critpath::HomeLayout;
 use crate::heatmap::Heatmap;
 use crate::metrics::Registry;
 use crate::watchdog::StallReport;
@@ -95,7 +97,7 @@ pub struct DecisionRow {
 }
 
 /// Everything an enabled recorder knows, frozen.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsSnapshot {
     /// Wall time covered, µs since the recorder epoch.
     pub wall_us: u64,
@@ -205,105 +207,6 @@ impl ObsSnapshot {
         }
     }
 
-    /// Serialize to a JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_u64("wall_us", self.wall_us);
-        w.key("counters");
-        w.begin_obj();
-        for (k, v) in &self.counters {
-            w.field_u64_dyn(k, *v);
-        }
-        w.end_obj();
-        w.key("gauges");
-        w.begin_obj();
-        for (k, v) in &self.gauges {
-            w.field_i64_dyn(k, *v);
-        }
-        w.end_obj();
-        w.key("histograms");
-        w.begin_arr();
-        for h in &self.histograms {
-            w.begin_obj();
-            w.field_str("name", &h.name);
-            w.field_u64("count", h.count);
-            w.field_f64("mean_us", h.mean_us);
-            w.field_u64("p50_us", h.p50_us);
-            w.field_u64("p95_us", h.p95_us);
-            w.field_u64("p99_us", h.p99_us);
-            w.field_u64("max_us", h.max_us);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.key("entries");
-        w.begin_arr();
-        for e in &self.entries {
-            w.begin_obj();
-            w.field_u64("entry", e.entry as u64);
-            w.field_u64("updates_sent", e.updates_sent);
-            w.field_u64("elems_sent", e.elems_sent);
-            w.field_u64("bytes_sent", e.bytes_sent);
-            w.field_u64("updates_applied", e.updates_applied);
-            w.field_u64("bytes_applied", e.bytes_applied);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.key("write_heat");
-        w.begin_arr();
-        for r in &self.write_heat {
-            w.begin_obj();
-            w.field_u64("entry", r.entry as u64);
-            w.field_u64("writer", r.writer as u64);
-            w.field_u64("updates", r.updates);
-            w.field_u64("bytes", r.bytes);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.key("release_dests");
-        w.begin_arr();
-        for r in &self.release_dests {
-            w.begin_obj();
-            w.field_u64("writer", r.writer as u64);
-            w.field_u64("shard", r.shard as u64);
-            w.field_u64("releases", r.releases);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.key("placement");
-        w.begin_arr();
-        for d in &self.placement {
-            w.begin_obj();
-            w.field_u64("entry", d.entry as u64);
-            w.field_u64("from_shard", d.from_shard as u64);
-            w.field_u64("to_shard", d.to_shard as u64);
-            w.field_u64("writer", d.writer as u64);
-            w.field_u64("epoch", d.epoch as u64);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.field_u64("events_recorded", self.events_recorded);
-        w.field_u64("events_dropped", self.events_dropped);
-        w.key("ring_drops");
-        w.begin_arr();
-        for r in &self.ring_drops {
-            w.begin_obj();
-            w.field_u64("rank", r.rank as u64);
-            w.field_u64("recorded", r.recorded);
-            w.field_u64("dropped", r.dropped);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.key("stalls");
-        w.begin_arr();
-        for s in &self.stalls {
-            s.write_json(&mut w);
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
-    }
-
     /// Render the plain-text cluster report.
     pub fn report(&self) -> String {
         let mut out = String::new();
@@ -339,15 +242,12 @@ impl ObsSnapshot {
             }
         }
         if !self.stalls.is_empty() {
-            let shards = self
-                .gauges
-                .iter()
-                .find(|(k, _)| k == "cluster.shards")
-                .map(|&(_, v)| v.max(1) as u32)
-                .unwrap_or(1);
+            let homes = HomeLayout::from_gauges(|name| {
+                self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+            });
             out.push_str("\n-- stall watchdog firings --\n");
             for s in &self.stalls {
-                out.push_str(&s.describe(shards));
+                out.push_str(&s.describe(homes));
                 out.push('\n');
             }
         }
@@ -408,124 +308,6 @@ impl ObsSnapshot {
     }
 }
 
-/// Minimal JSON writer: enough for the exporters, no dependencies.
-pub(crate) struct JsonWriter {
-    buf: String,
-    /// Does the current container already have an element?
-    need_comma: Vec<bool>,
-}
-
-impl JsonWriter {
-    pub fn new() -> JsonWriter {
-        JsonWriter {
-            buf: String::new(),
-            need_comma: vec![false],
-        }
-    }
-
-    fn elem(&mut self) {
-        if let Some(last) = self.need_comma.last_mut() {
-            if *last {
-                self.buf.push(',');
-            }
-            *last = true;
-        }
-    }
-
-    pub fn begin_obj(&mut self) {
-        self.elem();
-        self.buf.push('{');
-        self.need_comma.push(false);
-    }
-
-    pub fn end_obj(&mut self) {
-        self.buf.push('}');
-        self.need_comma.pop();
-    }
-
-    pub fn begin_arr(&mut self) {
-        self.elem();
-        self.buf.push('[');
-        self.need_comma.push(false);
-    }
-
-    pub fn end_arr(&mut self) {
-        self.buf.push(']');
-        self.need_comma.pop();
-    }
-
-    /// Write `"key":` and prime the slot for the upcoming value.
-    pub fn key(&mut self, k: &str) {
-        self.elem();
-        self.push_string(k);
-        self.buf.push(':');
-        // The value that follows must not emit its own comma.
-        if let Some(last) = self.need_comma.last_mut() {
-            *last = false;
-        }
-    }
-
-    pub fn field_u64(&mut self, k: &'static str, v: u64) {
-        self.field_u64_dyn(k, v);
-    }
-
-    pub fn field_u64_dyn(&mut self, k: &str, v: u64) {
-        self.key(k);
-        self.elem();
-        self.buf.push_str(&v.to_string());
-    }
-
-    pub fn field_i64_dyn(&mut self, k: &str, v: i64) {
-        self.key(k);
-        self.elem();
-        self.buf.push_str(&v.to_string());
-    }
-
-    pub fn field_f64(&mut self, k: &'static str, v: f64) {
-        self.key(k);
-        self.elem();
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v:.3}"));
-        } else {
-            self.buf.push('0');
-        }
-    }
-
-    pub fn field_str(&mut self, k: &'static str, v: &str) {
-        self.key(k);
-        self.elem();
-        self.push_string(v);
-    }
-
-    /// Append a raw pre-serialized value (used by the chrome exporter).
-    pub fn raw_value(&mut self, v: &str) {
-        self.elem();
-        self.buf.push_str(v);
-    }
-
-    fn push_string(&mut self, s: &str) {
-        self.buf.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\r' => self.buf.push_str("\\r"),
-                '\t' => self.buf.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-    }
-
-    pub fn finish(self) -> String {
-        self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,22 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn json_is_wellformed_and_stable() {
+    fn build_totals_the_rings_and_snapshots_compare_by_value() {
         let s = sample();
-        let j = s.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        // Balanced braces/brackets (no strings contain them here).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"retransmits\":3"));
-        assert!(j.contains("\"bytes_sent\":64"));
-        assert!(j.contains("\"events_recorded\":10,\"events_dropped\":1"));
-        assert!(j.contains("\"ring_drops\":[{\"rank\":0,\"recorded\":5,\"dropped\":0}"));
-        assert!(!j.contains(",,"));
-        assert!(!j.contains(",}"));
-        assert!(!j.contains(",]"));
-        // Deterministic.
-        assert_eq!(j, sample().to_json());
+        assert_eq!((s.events_recorded, s.events_dropped), (10, 1));
+        assert_eq!(s.entries[0].bytes_sent, 64);
+        assert_eq!(s, sample());
+        let mut other = sample();
+        other.wall_us += 1;
+        assert_ne!(s, other);
     }
 
     #[test]
@@ -593,14 +367,5 @@ mod tests {
         let mut clean = sample();
         clean.events_dropped = 0;
         assert!(!clean.report().contains("WARNING"));
-    }
-
-    #[test]
-    fn json_writer_escapes_strings() {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_str("k", "a\"b\\c\nd");
-        w.end_obj();
-        assert_eq!(w.finish(), r#"{"k":"a\"b\\c\nd"}"#);
     }
 }

@@ -10,14 +10,14 @@
 //! subtracts the previous sample and pushes one [`Frame`] into a bounded
 //! ring (oldest frames lost first).
 //!
-//! Frames are plain data with a stable single-line JSON rendering
-//! (`to_json`), so a run can stream them as JSONL for tooling and the
-//! `obs_report --follow` dashboard can tail them as text. Because every
-//! sampled table is `BTreeMap`-ordered and the tick times are exact
+//! Frames are plain data: the run's log renders each as one `frame` row
+//! ([`Recorder::log`](crate::Recorder::log)), and the `obs_report
+//! --follow` dashboard tails them as text ([`Frame::brief`]). Because
+//! every sampled table is `BTreeMap`-ordered and the tick times are exact
 //! interval boundaries on the fabric clock, same-seed simulated runs
-//! produce byte-identical frame streams.
+//! produce identical frame streams.
 
-use crate::snapshot::{DecisionRow, JsonWriter};
+use crate::snapshot::DecisionRow;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One telemetry window: what changed between `t_us - interval` and
@@ -74,72 +74,6 @@ impl Frame {
             self.events(),
             self.decisions.len()
         )
-    }
-
-    /// Stable single-line JSON rendering (one JSONL record).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_u64("seq", self.seq);
-        w.field_u64("t_us", self.t_us);
-        w.field_u64("in_flight", self.in_flight as u64);
-        w.key("counters");
-        w.begin_obj();
-        for (k, v) in &self.counters {
-            w.field_u64_dyn(k, *v);
-        }
-        w.end_obj();
-        w.key("rank_events");
-        w.begin_arr();
-        for &(rank, n) in &self.rank_events {
-            w.begin_arr();
-            w.raw_value(&rank.to_string());
-            w.raw_value(&n.to_string());
-            w.end_arr();
-        }
-        w.end_arr();
-        w.key("entry_bytes");
-        w.begin_arr();
-        for &(entry, b) in &self.entry_bytes {
-            w.begin_arr();
-            w.raw_value(&entry.to_string());
-            w.raw_value(&b.to_string());
-            w.end_arr();
-        }
-        w.end_arr();
-        w.key("dests");
-        w.begin_arr();
-        for &(dst, m, b) in &self.dests {
-            w.begin_arr();
-            w.raw_value(&dst.to_string());
-            w.raw_value(&m.to_string());
-            w.raw_value(&b.to_string());
-            w.end_arr();
-        }
-        w.end_arr();
-        w.key("dir_epochs");
-        w.begin_arr();
-        for &(shard, epoch) in &self.dir_epochs {
-            w.begin_arr();
-            w.raw_value(&shard.to_string());
-            w.raw_value(&epoch.to_string());
-            w.end_arr();
-        }
-        w.end_arr();
-        w.key("decisions");
-        w.begin_arr();
-        for d in &self.decisions {
-            w.begin_obj();
-            w.field_u64("entry", d.entry as u64);
-            w.field_u64("from_shard", d.from_shard as u64);
-            w.field_u64("to_shard", d.to_shard as u64);
-            w.field_u64("writer", d.writer as u64);
-            w.field_u64("epoch", d.epoch as u64);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        w.finish()
     }
 }
 
@@ -238,16 +172,6 @@ impl TimeSeries {
     pub fn frames(&self) -> impl Iterator<Item = &Frame> {
         self.frames.iter()
     }
-
-    /// Render every retained frame as JSONL (one frame per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for f in &self.frames {
-            out.push_str(&f.to_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -294,16 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_single_line_and_stable() {
+    fn brief_is_one_dashboard_line() {
         let mut ts = TimeSeries::new(8);
-        let f = ts.push(1000, sample(5, 7));
-        let j = f.to_json();
-        assert!(!j.contains('\n'));
-        assert!(j.starts_with("{\"seq\":0,\"t_us\":1000,\"in_flight\":0"));
-        assert!(j.contains("\"counters\":{\"net.msgs\":7}"));
-        assert!(j.contains("\"dests\":[[0,5,500]]"));
-        assert_eq!(j, f.to_json());
-        let line = f.brief();
+        let line = ts.push(1000, sample(5, 7)).brief();
+        assert!(!line.contains('\n'));
         assert!(line.contains("win#0"));
         assert!(line.contains("Δmsgs=5"));
     }

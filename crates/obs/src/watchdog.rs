@@ -18,9 +18,8 @@
 //! registered sim actor, same-seed simulated runs fire at identical
 //! virtual times with identical attributions.
 
-use crate::critpath::{self, seg, OpCritPath, Segment};
+use crate::critpath::{self, seg, HomeLayout, OpCritPath, Segment};
 use crate::event::{Event, EventKind, OpCtx, OpKind};
-use crate::snapshot::JsonWriter;
 
 /// Budget policy for the stall watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,50 +89,16 @@ pub struct StallReport {
 
 impl StallReport {
     /// One-line report for dashboards and logs.
-    pub fn describe(&self, shards: u32) -> String {
+    pub fn describe(&self, homes: HomeLayout) -> String {
         format!(
-            "STALL at t={} µs: {} on rank {} in flight {:.1} ms (budget {:.1} ms) — {}",
+            "STALL at t={} µs: {} on {} in flight {:.1} ms (budget {:.1} ms) — {}",
             self.fired_at_us,
             self.op,
-            self.rank,
+            critpath::rank_name(self.rank, homes),
             self.age_us as f64 / 1e3,
             self.budget_us as f64 / 1e3,
-            self.critpath.describe(shards)
+            self.critpath.describe(homes)
         )
-    }
-
-    /// Append the report as a JSON object to `w`.
-    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj();
-        w.field_str("kind", self.op.kind.name());
-        w.field_u64("id", self.op.id as u64);
-        w.field_u64("epoch", self.op.epoch as u64);
-        w.field_u64("origin", self.op.origin as u64);
-        w.field_u64("rank", self.rank as u64);
-        w.field_u64("start_us", self.start_us);
-        w.field_u64("age_us", self.age_us);
-        w.field_u64("budget_us", self.budget_us);
-        w.field_u64("fired_at_us", self.fired_at_us);
-        w.field_u64("latency_us", self.critpath.latency_us);
-        match self.critpath.straggler {
-            Some(r) => w.field_u64("straggler", r as u64),
-            None => {
-                w.key("straggler");
-                w.raw_value("null");
-            }
-        }
-        w.field_u64("retransmits", self.critpath.retransmits);
-        w.key("segments");
-        w.begin_arr();
-        for s in &self.critpath.segments {
-            w.begin_obj();
-            w.field_str("label", s.label);
-            w.field_u64("rank", s.rank as u64);
-            w.field_u64("dur_us", s.dur_us);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
     }
 }
 
@@ -159,7 +124,7 @@ pub fn attribute(
     rank: u32,
     start_us: u64,
     age_us: u64,
-    shards: u32,
+    homes: HomeLayout,
 ) -> OpCritPath {
     if let Some(kind) = span_kind(op.kind) {
         let mut evs: Vec<Event> = events.to_vec();
@@ -171,7 +136,7 @@ pub fn attribute(
             op,
             ..Default::default()
         });
-        if let Some(p) = critpath::analyze(&evs, shards).into_iter().find(|p| {
+        if let Some(p) = critpath::analyze(&evs, homes).into_iter().find(|p| {
             p.op.kind == op.kind
                 && p.op.id == op.id
                 && p.op.epoch == op.epoch
@@ -200,6 +165,11 @@ pub fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ONE: HomeLayout = HomeLayout {
+        shards: 1,
+        replicas: 0,
+    };
 
     #[test]
     fn fixed_budget_wins_over_history() {
@@ -240,7 +210,7 @@ mod tests {
             op,
             ..Default::default()
         }];
-        let p = attribute(&events, op, 1, 100, 5_000, 1);
+        let p = attribute(&events, op, 1, 100, 5_000, ONE);
         let sum: u64 = p.segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 5_000);
         assert_eq!(p.latency_us, 5_000);
@@ -254,7 +224,7 @@ mod tests {
             epoch: 1,
             origin: 2,
         };
-        let p = attribute(&[], op, 2, 0, 777, 1);
+        let p = attribute(&[], op, 2, 0, 777, ONE);
         assert_eq!(p.segments.len(), 1);
         assert_eq!(p.segments[0].label, seg::WAIT);
         assert_eq!(p.segments[0].dur_us, 777);
@@ -262,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn stall_report_json_and_describe() {
+    fn stall_report_describes_the_op() {
         let op = OpCtx {
             kind: OpKind::Barrier,
             id: 3,
@@ -276,16 +246,10 @@ mod tests {
             age_us: 900,
             budget_us: 500,
             fired_at_us: 1000,
-            critpath: attribute(&[], op, 1, 100, 900, 1),
+            critpath: attribute(&[], op, 1, 100, 900, ONE),
         };
-        let line = r.describe(1);
+        let line = r.describe(ONE);
         assert!(line.starts_with("STALL at t=1000 µs"), "line: {line}");
         assert!(line.contains("barrier 3 epoch 7"), "line: {line}");
-        let mut w = JsonWriter::new();
-        r.write_json(&mut w);
-        let j = w.finish();
-        assert!(j.contains("\"kind\":\"barrier\""));
-        assert!(j.contains("\"age_us\":900"));
-        assert!(j.contains("\"segments\":["));
     }
 }

@@ -159,11 +159,12 @@ fn two_entry_def() -> hdsm::dsd::GthvDef {
 /// that serializes them. Every other rank occasionally pokes the cold
 /// entry. The dominant-writer signal points at rank 1 and its sync
 /// traffic points at shard 0, so a heat-driven engine should re-home
-/// entry 1 from shard 1 to shard 0 mid-run.
+/// entry 1 from shard 1 to shard 0 mid-run, observed by `recorder`.
 fn skewed_writer_run(
     policy: Option<PlacementPolicy>,
     sim_seed: u64,
     faults: Option<FaultPlan>,
+    recorder: &Recorder,
 ) -> ClusterOutcome<()> {
     let mut b = ClusterBuilder::new()
         .gthv(two_entry_def())
@@ -179,7 +180,7 @@ fn skewed_writer_run(
             ..Default::default()
         })
         .net(NetConfig::default())
-        .obs(Recorder::enabled());
+        .obs(recorder.clone());
     b = with_engine(b, policy);
     if let Some(plan) = faults {
         b = b
@@ -304,8 +305,8 @@ fn an_engine_without_an_enabled_recorder_refuses_at_once() {
 
 #[test]
 fn heat_driven_rehomes_hot_entry_and_records_decisions() {
-    let st = skewed_writer_run(None, 0xBEA7, None);
-    let ad = skewed_writer_run(Some(test_policy()), 0xBEA7, None);
+    let st = skewed_writer_run(None, 0xBEA7, None, &Recorder::enabled());
+    let ad = skewed_writer_run(Some(test_policy()), 0xBEA7, None, &Recorder::enabled());
     // Transparency first: the adaptive run computes the same bytes.
     assert_eq!(
         st.final_gthv.space().raw(),
@@ -366,15 +367,22 @@ fn heat_driven_rehomes_hot_entry_and_records_decisions() {
 }
 
 /// One seeded adaptive run under chaos, reduced to the values that must
-/// reproduce exactly.
-fn adaptive_fingerprint(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, NetStats, String, usize) {
-    let o = skewed_writer_run(Some(test_policy()), sim_seed, Some(chaos(fault_seed)));
+/// reproduce exactly: bytes, traffic, the recorder's tables, the run's
+/// log and the decision count.
+fn adaptive_fingerprint(
+    sim_seed: u64,
+    fault_seed: u64,
+) -> (Vec<u8>, NetStats, ObsSnapshot, String, usize) {
+    let recorder = Recorder::enabled();
+    let policy = Some(test_policy());
+    let o = skewed_writer_run(policy, sim_seed, Some(chaos(fault_seed)), &recorder);
     let snap = o.obs.expect("recorder enabled");
     let decisions = snap.placement.len();
     (
         o.final_gthv.space().raw().to_vec(),
         o.net_stats,
-        snap.to_json(),
+        snap,
+        recorder.log(),
         decisions,
     )
 }
@@ -386,22 +394,30 @@ proptest! {
     /// gathering, planning, per-entry handoffs, bounced-and-replayed
     /// client traffic, fault injection — replays identically from the
     /// same seed, down to every decision row and event timestamp in the
-    /// snapshot.
+    /// run's log.
     #[test]
     fn same_seed_adaptive_runs_are_identical(sim_seed in 1u64..1 << 48, fault_seed in 1u64..1 << 48) {
-        let (bytes_a, stats_a, obs_a, dec_a) = adaptive_fingerprint(sim_seed, fault_seed);
-        let (bytes_b, stats_b, obs_b, dec_b) = adaptive_fingerprint(sim_seed, fault_seed);
+        let (bytes_a, stats_a, obs_a, log_a, dec_a) = adaptive_fingerprint(sim_seed, fault_seed);
+        let (bytes_b, stats_b, obs_b, log_b, dec_b) = adaptive_fingerprint(sim_seed, fault_seed);
         prop_assert_eq!(&bytes_a, &bytes_b, "converged memory must be identical");
         prop_assert_eq!(&stats_a, &stats_b, "traffic statistics must be identical");
         prop_assert_eq!(dec_a, dec_b, "the decision sequence must replay exactly");
         prop_assert_eq!(&obs_a, &obs_b, "observability snapshots must be identical");
+        let decision_rows = log_a.lines().filter(|l| l.starts_with(r#"{"row":"decision""#));
+        prop_assert_eq!(decision_rows.count(), dec_a, "one decision row per decision");
+        prop_assert_eq!(&log_a, &log_b, "run logs must be byte-identical");
     }
 }
 
 #[test]
 fn faulty_adaptive_still_matches_static_bytes() {
-    let st = skewed_writer_run(None, 0x5EED, Some(chaos(0xC4A05)));
-    let ad = skewed_writer_run(Some(test_policy()), 0x5EED, Some(chaos(0xC4A05)));
+    let st = skewed_writer_run(None, 0x5EED, Some(chaos(0xC4A05)), &Recorder::enabled());
+    let ad = skewed_writer_run(
+        Some(test_policy()),
+        0x5EED,
+        Some(chaos(0xC4A05)),
+        &Recorder::enabled(),
+    );
     assert_eq!(
         st.final_gthv.space().raw(),
         ad.final_gthv.space().raw(),

@@ -222,6 +222,7 @@ fn faulty_sor_critical_paths_attribute_latency() {
     // Critical paths are the reader's to compute: the snapshot the
     // outcome carries holds tables only.
     let critpaths = recorder.critpaths();
+    let homes = recorder.homes();
     // SOR runs 2 colours × sweeps + 1 initial barrier = 9 episodes.
     let barriers: Vec<_> = critpaths
         .iter()
@@ -241,12 +242,12 @@ fn faulty_sor_critical_paths_attribute_latency() {
             "{}: segments sum to {sum}µs, measured {}µs",
             cp.op, cp.latency_us
         );
-        assert!(!cp.describe(2).is_empty());
+        assert!(!cp.describe(homes).is_empty());
     }
     // The plain-text rendering names the straggler as a worker rank.
     assert!(barriers
         .iter()
-        .any(|cp| cp.describe(2).contains("straggler rank")));
+        .any(|cp| cp.describe(homes).contains("straggler rank")));
     // The fabric retransmitted (asserted above); the analyzer must have
     // pinned at least one retransmission to a concrete link.
     let attributed: u64 = critpaths.iter().map(|cp| cp.retransmits).sum();
@@ -256,7 +257,7 @@ fn faulty_sor_critical_paths_attribute_latency() {
         .any(|cp| cp.links.iter().any(|l| l.count > 0)));
 
     // The Chrome export carries flow arrows across rank tracks.
-    let trace = chrome_trace(&events);
+    let trace = chrome_trace(&events, homes);
     assert!(trace.contains("\"cat\":\"flow\",\"ph\":\"s\""));
     assert!(trace.contains("\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\""));
 }

@@ -564,7 +564,7 @@ fn chaos_run_is_fully_observable() {
         .unwrap_or(0);
     assert_eq!(retries, s.retransmitted);
     // And the Chrome export of a chaos run is loadable JSON with content.
-    let trace = hdsm::obs::chrome_trace(&events);
+    let trace = hdsm::obs::chrome_trace(&events, recorder.homes());
     assert!(trace.starts_with('[') && trace.ends_with(']'));
     assert!(trace.contains("\"retransmit\""));
 }

@@ -25,7 +25,7 @@ use hdsm::dsd::cluster::{
 };
 use hdsm::dsd::{BarrierId, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
-use hdsm::obs::Recorder;
+use hdsm::obs::{ObsSnapshot, Recorder};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -82,12 +82,16 @@ fn sim_converges_byte_identically_to_threaded_on_paper_kernels() {
     }
 }
 
+/// What an armed run leaves to compare: the recorder's tables, the run's
+/// log (every held event, row by row) and the critical paths a reader
+/// computes from the run's events.
+type Obs = (ObsSnapshot, String, String);
+
 /// One fully-instrumented faulty run: chaos fault plan, short lease,
 /// enabled recorder. Returns everything a reproducibility comparison
-/// needs — converged memory bytes, traffic statistics and the rendered
-/// observability snapshot, followed by the critical paths a reader
-/// computes from the run's events.
-fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, NetStats, String) {
+/// needs — converged memory bytes, traffic statistics and the
+/// observability record.
+fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, NetStats, Obs) {
     let recorder = Recorder::enabled();
     let plan = FaultPlan::seeded(fault_seed)
         .drop(0.05)
@@ -139,8 +143,12 @@ fn faulty_instrumented_run(sim_seed: u64, fault_seed: u64) -> (Vec<u8>, i128, Ne
         })
         .expect("faulty sim run completes");
     let counter = outcome.final_gthv.read_int(0, 0).unwrap();
-    let obs = outcome.obs.expect("recorder was enabled").to_json();
-    let obs = format!("{obs}\n{:?}", recorder.critpaths());
+    let snapshot = outcome.obs.expect("recorder was enabled");
+    let obs = (
+        snapshot,
+        recorder.log(),
+        format!("{:?}", recorder.critpaths()),
+    );
     (
         outcome.final_gthv.space().raw().to_vec(),
         counter,
@@ -153,8 +161,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The reproducibility contract: same `(workload, config, seed)` ⇒
-    /// identical run, down to every event timestamp in the obs snapshot
-    /// and every fault-injection counter — under a fabric that drops,
+    /// identical run, down to every event timestamp in the run's log and
+    /// every fault-injection counter — under a fabric that drops,
     /// duplicates, reorders and jitters five percent of all traffic.
     #[test]
     fn same_seed_faulty_sim_runs_are_identical(sim_seed in 1u64..1 << 48, fault_seed in 1u64..1 << 48) {
@@ -164,7 +172,10 @@ proptest! {
         prop_assert_eq!(counter_b, 30);
         prop_assert_eq!(&bytes_a, &bytes_b, "converged memory must be identical");
         prop_assert_eq!(&stats_a, &stats_b, "traffic statistics must be identical");
-        prop_assert_eq!(&obs_a, &obs_b, "observability snapshots must be identical");
+        prop_assert!(obs_a.1.lines().any(|l| l.starts_with(r#"{"row":"event""#)));
+        prop_assert_eq!(&obs_a.0, &obs_b.0, "observability snapshots must be identical");
+        prop_assert_eq!(&obs_a.1, &obs_b.1, "run logs must be byte-identical");
+        prop_assert_eq!(&obs_a.2, &obs_b.2, "critical paths must be identical");
     }
 }
 

@@ -3,9 +3,9 @@
 //! The telemetry layer (windowed time-series, stall watchdog, flight
 //! recorder) rides the same fabric clock as everything else, so on the
 //! simulated fabric it inherits the reproducibility contract: two runs
-//! with the same seed must produce byte-identical time-series streams
-//! and fire the watchdog at the same virtual microsecond with the same
-//! attribution. And because every hot-path hook is a null check when the
+//! with the same seed must write byte-identical logs (events, time-series
+//! frames, stalls, triggers) and fire the watchdog at the same virtual
+//! microsecond with the same attribution. And because every hot-path hook is a null check when the
 //! recorder is disabled, a disabled run's wire traffic must be identical
 //! to a fully-armed run of the same seed.
 
@@ -14,7 +14,9 @@ use hdsm::apps::Kernel;
 use hdsm::dsd::cluster::{ClusterBuilder, ClusterOutcome, TimingConfig, TopologyConfig};
 use hdsm::dsd::{BarrierId, CostBreakdown, GthvDef, LockId};
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
-use hdsm::obs::{EntryRow, EventKind, Frame, OpKind, Recorder, StallReport, TriggerRow};
+use hdsm::obs::{
+    EntryRow, EventKind, Frame, ObsSnapshot, OpKind, Recorder, StallReport, TriggerRow,
+};
 use hdsm::platform::ctype::StructBuilder;
 use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
@@ -37,7 +39,9 @@ fn counters_def() -> GthvDef {
 /// later. With a fixed 400 ms stall budget and a 100 ms telemetry
 /// window, the watchdog must fire on the partitioned op at an exact
 /// tick boundary, and the stall trigger must freeze a bundle in `dir`.
-fn stalled_run(dir: String) -> (String, Vec<TriggerRow>, Vec<StallReport>, NetStats, i128) {
+/// Returns the run's log and tables, its triggers and stalls, its
+/// traffic and the counter it computed.
+fn stalled_run(dir: String) -> StalledRun {
     let recorder = Recorder::enabled();
     let outcome = ClusterBuilder::new()
         .gthv(counters_def())
@@ -91,12 +95,28 @@ fn stalled_run(dir: String) -> (String, Vec<TriggerRow>, Vec<StallReport>, NetSt
     let counter = outcome.final_gthv.read_int(0, 0).unwrap();
     assert_frames_follow_the_fabric_ledger(&recorder, &outcome.net_stats);
     (
-        recorder.timeseries_jsonl(),
+        recorder.log(),
+        outcome.obs.expect("armed run"),
         recorder.blackbox_triggers(),
         recorder.stall_reports(),
         outcome.net_stats,
         counter,
     )
+}
+
+type StalledRun = (
+    String,
+    ObsSnapshot,
+    Vec<TriggerRow>,
+    Vec<StallReport>,
+    NetStats,
+    i128,
+);
+
+/// The `"row"` kind of one log line.
+fn row_kind(line: &str) -> &str {
+    let rest = line.strip_prefix(r#"{"row":""#).expect("a log row");
+    &rest[..rest.find('"').expect("a closed kind")]
 }
 
 /// One traffic ledger: the recorder counts no messages, the telemetry
@@ -129,19 +149,24 @@ fn assert_frames_follow_the_fabric_ledger(recorder: &Recorder, stats: &NetStats)
 #[test]
 fn seeded_stall_fires_watchdog_deterministically_and_writes_a_bundle() {
     let base = concat!(env!("CARGO_TARGET_TMPDIR"), "/telemetry-stall");
-    let (jsonl_a, trig_a, stalls_a, stats_a, counter_a) = stalled_run(format!("{base}-a"));
-    let (jsonl_b, trig_b, stalls_b, stats_b, counter_b) = stalled_run(format!("{base}-b"));
+    let (log_a, snap_a, trig_a, stalls_a, stats_a, counter_a) = stalled_run(format!("{base}-a"));
+    let (log_b, snap_b, trig_b, stalls_b, stats_b, counter_b) = stalled_run(format!("{base}-b"));
 
     // The workload itself survived the partition.
     assert_eq!(counter_a, 80, "all increments survive the partition");
     assert_eq!(counter_b, 80);
 
-    // Reproducibility: the time-series stream is byte-identical, the
-    // watchdog fired at the same virtual microseconds with the same
-    // attribution, and the flight recorder saw the same trigger
-    // sequence (paths differ by directory, nothing else may).
-    assert!(!jsonl_a.is_empty(), "time-series frames were emitted");
-    assert_eq!(jsonl_a, jsonl_b, "same seed ⇒ byte-identical time-series");
+    // Reproducibility: the log (events, time-series frames, stalls and
+    // triggers) is byte-identical, the watchdog fired at the same virtual
+    // microseconds with the same attribution, and the flight recorder saw
+    // the same trigger sequence (paths differ by directory, nothing else
+    // may).
+    assert!(
+        log_a.lines().any(|l| row_kind(l) == "frame"),
+        "time-series frames were emitted"
+    );
+    assert_eq!(log_a, log_b, "same seed ⇒ byte-identical log");
+    assert_eq!(snap_a, snap_b, "same seed ⇒ identical tables");
     assert_eq!(stalls_a, stalls_b, "same seed ⇒ identical stall reports");
     let key = |t: &[TriggerRow]| -> Vec<(&'static str, u64, u64)> {
         t.iter().map(|r| (r.trigger, r.seq, r.t_us)).collect()
@@ -189,15 +214,28 @@ fn seeded_stall_fires_watchdog_deterministically_and_writes_a_bundle() {
         stall_trigger.path
     );
     let bundle = std::fs::read_to_string(&stall_trigger.path).unwrap();
-    for section in [
-        "\"trigger\":\"stall\"",
-        "\"in_flight\"",
-        "\"dir_epochs\"",
-        "\"stalls\"",
-        "\"frames\"",
-        "\"ranks\"",
-    ] {
-        assert!(bundle.contains(section), "bundle carries {section}");
+    let header = bundle.lines().next().expect("a header row");
+    assert!(
+        header.starts_with(r#"{"row":"header","schema":1,"trigger":"stall","#),
+        "bundle header: {header}"
+    );
+    for kind in ["trigger", "inflight", "epoch", "stall", "frame", "event"] {
+        assert!(
+            bundle.lines().any(|l| row_kind(l) == kind),
+            "bundle carries {kind} rows"
+        );
+    }
+    // The bundle is the log's tail: every event it froze is a line of the
+    // end-of-run log (the rings dropped nothing in between).
+    assert_eq!(snap_a.events_dropped, 0);
+    let log_lines: std::collections::HashSet<&str> = log_a.lines().collect();
+    let frozen: Vec<&str> = bundle.lines().filter(|l| row_kind(l) == "event").collect();
+    assert!(!frozen.is_empty());
+    for line in frozen {
+        assert!(
+            log_lines.contains(line),
+            "bundle event not in the log: {line}"
+        );
     }
 }
 
@@ -209,6 +247,7 @@ fn clean_run(enabled: bool) -> (NetStats, Vec<u8>) {
     } else {
         Recorder::disabled()
     };
+    let observer = recorder.clone();
     let mut b = ClusterBuilder::new()
         .gthv(counters_def())
         .worker(PlatformSpec::linux_x86())
@@ -241,6 +280,8 @@ fn clean_run(enabled: bool) -> (NetStats, Vec<u8>) {
             Ok(())
         })
         .expect("clean run");
+    // A disabled recorder has nothing to export.
+    assert_eq!(observer.log().is_empty(), !enabled);
     (outcome.net_stats, outcome.final_gthv.space().raw().to_vec())
 }
 
