@@ -194,25 +194,38 @@ struct Observed {
 
 /// What the scalar form of `kernel` puts on the wire over the run form:
 /// messages, bytes worker → home, bytes home → worker. A fetch is two
-/// messages; an interest report is 20 bytes a span behind a request.
+/// messages; an interest report is 20 bytes a span behind a request; and
+/// a barrier release names what its worker ships, the union of the other
+/// workers' interest spans, 20 bytes a span.
 fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
     match (kernel, n) {
-        // Nothing fetched, the same bytes back. A row run takes in the two
-        // edge columns of a neighbour's boundary row, which the stencil
-        // never loads, and so joins that row to the worker's own stripe:
-        // the scalar form's interest is more spans, 12 report rows in all.
-        (Kernel::Jacobi { .. }, _) => (0, 12 * 20, 0),
+        // Nothing fetched. A row run takes in the two edge columns of a
+        // neighbour's boundary row, which the stencil never loads, and so
+        // joins that row to the worker's own stripe: the scalar form's
+        // interest in a grid is three spans, not one — 12 report rows in
+        // all. A release's ship lists name the union of two such sets:
+        // 3 + 6 + 3 rows over the three workers, against 1 + 2 + 1. Five
+        // releases come after a grid was read (G0 after each of the three
+        // sweeps, G1 after the last two), 8 rows more each.
+        (Kernel::Jacobi { .. }, _) => (0, 12 * 20, 5 * 8 * 20),
         (Kernel::Matmul(_), _) => (0, 0, 0),
         // The first half-sweep loads one colour of a neighbour's boundary
         // row, so the other colour — rewritten in that half-sweep — comes
         // as notices between the elements read, and the second half-sweep
         // loads it: 28 (62) one-element fetches, once. From then on the
         // whole row is interest, as it is from the run form's first read.
-        (Kernel::Sor { .. }, 16) => (2 * 28, 2988, 1893),
-        (Kernel::Sor { .. }, 33) => (2 * 62, 7112, 4375),
+        // The ship lists follow the interest: after the first half-sweep
+        // each boundary row read is one span an element (7 a row at
+        // n = 16, 15 or 16 at n = 33), and at n = 33 no two rows of a
+        // stripe meet — 19 + 34 + 20 (53 + 82 + 53) rows against 4 —
+        // then five releases as Jacobi's, 8 rows more each.
+        (Kernel::Sor { .. }, 16) => (2 * 28, 2988, 1893 + (73 - 4 + 5 * 8) * 20),
+        (Kernel::Sor { .. }, 33) => (2 * 62, 7112, 4375 + (188 - 4 + 5 * 8) * 20),
         // Every step reads the pivot row, which another worker rewrote the
-        // step before: one fetch for the run form, one an element for the
-        // scalar loop (ROADMAP 3(e)).
+        // step before and holds: one fetch for the run form, one an
+        // element for the scalar loop (ROADMAP item 10). The first fetch
+        // of the row asks its writer for the whole held span, for both
+        // forms alike.
         (Kernel::Lu, 16) => (2 * 210, 11_760, 13_650),
         (Kernel::Lu, 33) => (2 * 992, 55_552, 64_480),
         _ => unreachable!("sizes of the test below"),

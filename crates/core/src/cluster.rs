@@ -38,7 +38,7 @@ use crate::gthv::{GthvDef, GthvInstance};
 use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
 use crate::ids::{BarrierId, LockId, ShardId};
 use crate::placement::{PlacementInputs, PlacementPolicy};
-use crate::protocol::DsdMsg;
+use crate::protocol::{DsdMsg, Report};
 use crate::update::{apply_batch, extract_updates, full_ranges};
 use hdsm_migthread::compute::{ProgramRegistry, StepStatus};
 use hdsm_migthread::packfmt::pack_state;
@@ -993,7 +993,7 @@ impl ClusterBuilder {
                                     let beat = DsdMsg::Heartbeat { rank }.encode_request(
                                         0,
                                         beat_epoch,
-                                        &[],
+                                        &Report::default(),
                                     );
                                     for dst in directory.home_eps() {
                                         let _ =

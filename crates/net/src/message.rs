@@ -87,13 +87,18 @@ pub enum MsgKind {
     /// bytes of element ranges it was told are stale (remote → shard;
     /// replied to with `UpdateBatch`).
     RangeFetch = 34,
+    /// Shard → writer: send the bytes of ranges only the writer's copy has
+    /// current (held at a barrier), which a reader is about to use.
+    HeldFetch = 35,
+    /// Writer → shard: the bytes a `HeldFetch` asked for. Never answered.
+    HeldData = 36,
     /// Anything else (tests, applications).
     Other = 255,
 }
 
 impl MsgKind {
     /// All kinds (for stats iteration).
-    pub const ALL: [MsgKind; 32] = [
+    pub const ALL: [MsgKind; 34] = [
         MsgKind::LockRequest,
         MsgKind::LockGrant,
         MsgKind::UnlockRequest,
@@ -125,6 +130,8 @@ impl MsgKind {
         MsgKind::EntryDone,
         MsgKind::EntryMoved,
         MsgKind::RangeFetch,
+        MsgKind::HeldFetch,
+        MsgKind::HeldData,
         MsgKind::Other,
     ];
 
@@ -169,6 +176,8 @@ impl MsgKind {
             MsgKind::EntryDone => "entry-done",
             MsgKind::EntryMoved => "entry-moved",
             MsgKind::RangeFetch => "range-fetch",
+            MsgKind::HeldFetch => "held-fetch",
+            MsgKind::HeldData => "held-data",
             MsgKind::Other => "other",
         }
     }
@@ -183,9 +192,12 @@ impl MsgKind {
                 | MsgKind::UnlockRequest
                 | MsgKind::BarrierEnter
                 | MsgKind::BarrierRelease
+                | MsgKind::Join
                 | MsgKind::CondWait
+                | MsgKind::Resync
                 | MsgKind::UpdateFlush
                 | MsgKind::UpdateBatch
+                | MsgKind::HeldData
         )
     }
 }

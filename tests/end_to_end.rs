@@ -151,6 +151,78 @@ fn steady_state_stencils_ship_boundary_rows_and_a_few_notices() {
     }
 }
 
+/// Traffic to the home's endpoint (messages, bytes) of a Jacobi run of
+/// `sweeps` sweeps at `n` on the paper's SL placement.
+fn jacobi_to_home(n: usize, sweeps: usize) -> (u64, u64) {
+    let pair = &paper_pairs()[2];
+    let builder = ClusterBuilder::new()
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 5 },
+            ..Default::default()
+        });
+    let (outcome, verified) = Kernel::Jacobi { sweeps }.run(builder, n, 5).unwrap();
+    assert!(verified);
+    let to_home = outcome.net_stats.dest_traffic(0);
+    (to_home.msgs, to_home.bytes)
+}
+
+#[test]
+fn steady_state_stencils_hold_what_no_one_reads_and_name_it_a_row_at_a_time() {
+    // The writer-side twin of the test above. Each worker reads its own
+    // rows and one row past each edge of its block, so of what it writes
+    // in a sweep it ships the rows a neighbour reads — rows 9, 10, 19 and
+    // 20 at n = 30 — and holds the rest, naming each held row in a
+    // 20-byte row of its barrier entry: eight rows a worker, since the
+    // two edge columns a row leaves unwritten keep its span apart. What
+    // eight more sweeps add to the home's inbound traffic is those entries
+    // and nothing else: the joins gather the same spans either way.
+    use hdsm::dsd::protocol::{DsdMsg, Report};
+    use hdsm::dsd::update::extract_updates;
+    use hdsm::dsd::{GthvInstance, UpdateRange};
+    let (n, extra) = (30u64, 8);
+    let row = |entry, i: u64| UpdateRange {
+        entry,
+        first: i * n + 1,
+        count: n - 2,
+    };
+    let pair = &paper_pairs()[2];
+    let placement = [&pair.home, &pair.remote, &pair.remote];
+    // (shipped rows, held rows) of each worker's block, per sweep.
+    let blocks = [(vec![9], 1..9), (vec![10, 19], 11..19), (vec![20], 21..29)];
+    let mut sweep_bytes = 0;
+    let mut payload = 0;
+    for (platform, (shipped, held)) in placement.into_iter().zip(blocks) {
+        let copy = GthvInstance::new(hdsm::apps::jacobi::gthv_def(n as usize), platform.clone());
+        let shipped: Vec<UpdateRange> = shipped.into_iter().map(|i| row(1, i)).collect();
+        let updates = extract_updates(&copy, &shipped).unwrap();
+        payload += updates.payload_bytes();
+        let report = Report {
+            interest: Vec::new(),
+            held: held.map(|i| row(1, i)).collect(),
+        };
+        assert_eq!(report.held.len(), 8);
+        let enter = DsdMsg::BarrierEnter {
+            barrier: 0,
+            rank: 1,
+            updates,
+        };
+        sweep_bytes += enter.encode_request(1, None, &report).len() as u64;
+    }
+    assert_eq!(payload, 4 * (n - 2) * 8, "four boundary rows of doubles");
+    let short = jacobi_to_home(n as usize, 4);
+    let long = jacobi_to_home(n as usize, 4 + extra);
+    assert_eq!(
+        long.0 - short.0,
+        extra as u64 * 3,
+        "one entry a worker a sweep"
+    );
+    assert_eq!(long.1 - short.1, extra as u64 * sweep_bytes);
+}
+
 #[test]
 fn lu_fetches_the_moving_pivot_row_and_still_verifies() {
     // Everyone reads pivot row k at step k, and only its owner wrote it:

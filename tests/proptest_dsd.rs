@@ -348,12 +348,13 @@ type WorkerLog = (Vec<f64>, Vec<(f64, Vec<f64>)>);
 
 /// Run `program` on the paper's placement of pair `pair` (worker 0 on the
 /// home platform, two remote) and hold it to the sequential model.
-/// Returns the run's range fetches and notices, or what diverged.
+/// Returns the run's range fetches, notices and forwards of a fetch to a
+/// writer that held the range, or what diverged.
 fn run_against_model(
     program: Vec<RawPhase>,
     pair: usize,
     sim_seed: u64,
-) -> Result<(u64, u64), String> {
+) -> Result<(u64, u64, u64), String> {
     let pair = &paper_pairs()[pair];
     let recorder = Recorder::enabled();
     let program = std::sync::Arc::new(program);
@@ -498,7 +499,11 @@ fn run_against_model(
         let row = snap.counters.iter().find(|(k, _)| k == name);
         row.map_or(0, |(_, v)| *v)
     };
-    Ok((count("client.range_fetches"), count("home.ranges_noticed")))
+    Ok((
+        count("client.range_fetches"),
+        count("home.ranges_noticed"),
+        count("home.held_forwards"),
+    ))
 }
 
 proptest! {
@@ -524,21 +529,23 @@ proptest! {
 }
 
 /// The programs above are only a check of fetch-before-use if they fetch:
-/// over a fixed set of them, notices are sent and noticed ranges are read.
+/// over a fixed set of them, notices are sent and noticed ranges are read
+/// — some of them from the writer that held them.
 #[test]
 fn random_programs_do_read_what_they_were_only_noticed_of() {
     use proptest::test_runner::TestRng;
     let mut rng = TestRng::from_name("random_programs_do_read_what_they_were_only_noticed_of");
-    let (mut fetches, mut notices) = (0, 0);
+    let (mut fetches, mut notices, mut forwards) = (0, 0, 0);
     for _ in 0..8 {
         let program = prop::collection::vec(raw_phase(), 6..7).generate(&mut rng);
-        let (f, n) = run_against_model(program, 2, rng.next_u64()).expect("matches the model");
+        let (f, n, h) = run_against_model(program, 2, rng.next_u64()).expect("matches the model");
         fetches += f;
         notices += n;
+        forwards += h;
     }
     assert!(
-        fetches > 0 && notices > 0,
-        "{fetches} fetches, {notices} notices"
+        fetches > 0 && notices > 0 && forwards > 0,
+        "{fetches} fetches, {notices} notices, {forwards} forwards"
     );
 }
 

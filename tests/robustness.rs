@@ -7,7 +7,7 @@ use bytes::Bytes;
 use hdsm::dsd::client::DsdError;
 use hdsm::dsd::cluster::{ClusterBuilder, ClusterCtl, ClusterError, TimingConfig, TopologyConfig};
 use hdsm::dsd::gthv::GthvDef;
-use hdsm::dsd::protocol::{DsdMsg, ProtocolError};
+use hdsm::dsd::protocol::{DsdMsg, ProtocolError, Report};
 use hdsm::dsd::{BarrierId, CondId, LockId, UpdateRange};
 use hdsm::net::message::MsgKind;
 use hdsm::net::{FabricMode, FaultPlan, NetConfig, NetStats};
@@ -64,11 +64,16 @@ fn random_bytes_never_panic_protocol_decode() {
     // Structure-aware: every generated message's frame, bare and under
     // both envelopes, cut at every prefix, with each byte set to 0xFF and
     // with each aligned word set to u32::MAX.
-    let report = [UpdateRange {
-        entry: 7,
-        first: u64::MAX - 1,
-        count: 1,
-    }];
+    // A row read and a row held behind each request.
+    let row = |entry, first, count| UpdateRange {
+        entry,
+        first,
+        count,
+    };
+    let report = Report {
+        interest: vec![row(7, u64::MAX - 1, 1)],
+        held: vec![row(3, 400, 2)],
+    };
     for m in DsdMsg::samples() {
         let kind = m.kind();
         let frames = [
@@ -269,7 +274,11 @@ fn undecodable_frames_are_dropped_and_counted_at_homes_and_clients() {
                 // barrier.
                 ctl.sleep(Duration::from_millis(100));
                 let (net, worker) = (ctl.network(), Directory::new(shards).worker_ep(1));
-                let lock = DsdMsg::LockRequest { lock: 0, rank: 1 }.encode_request(1, None, &[]);
+                let lock = DsdMsg::LockRequest { lock: 0, rank: 1 }.encode_request(
+                    1,
+                    None,
+                    &Report::default(),
+                );
                 let grant = DsdMsg::LockGrant {
                     lock: 0,
                     updates: Default::default(),
@@ -1840,4 +1849,204 @@ fn lossy_three_shard_lock_soak_loses_no_increment() {
         let got = outcome.final_gthv.read_int(0, slot as u64).unwrap();
         assert_eq!(got, want as i128, "slot {slot} lost or gained increments");
     }
+}
+
+// ----- held writes: a barrier ships what another worker reads -----
+
+/// Two (or three) workers past a barrier at which worker 1 wrote
+/// `xs[8..12] = 200 + i` and held it: worker 0 reported reading `xs[0..4]`
+/// only, so nothing made worker 1 ship the rewrite. `then` runs next on
+/// every worker, and its results are returned with the run's outcome.
+fn run_with_a_held_rewrite<R: Send + 'static>(
+    builder: ClusterBuilder,
+    then: impl Fn(&mut DsdClient, &WorkerInfo) -> Result<R, DsdError> + Send + Sync + 'static,
+) -> Result<hdsm::dsd::cluster::ClusterOutcome<R>, ClusterError> {
+    let b = BarrierId::new(0);
+    builder.barriers(1).run(move |c, info| {
+        c.barrier(b)?; // the initial pull
+        if info.index == 0 {
+            c.read_ints(0, 0, &mut [0; 4])?;
+        }
+        if info.index == 1 {
+            // Nobody has said what it reads yet: this ships.
+            (8..12).try_for_each(|i| c.write_int(0, i, 100 + i as i128))?;
+        }
+        c.barrier(b)?; // worker 0 reports what it read
+        if info.index == 1 {
+            (8..12).try_for_each(|i| c.write_int(0, i, 200 + i as i128))?;
+        }
+        c.barrier(b)?; // held, and noticed to the readers
+        then(c, info)
+    })
+}
+
+/// A sim-fabric cluster over `tiny_def` at `shards` shards, armed.
+fn held_cluster(shards: u32, workers: usize, seed: u64) -> (ClusterBuilder, hdsm::obs::Recorder) {
+    let recorder = hdsm::obs::Recorder::enabled();
+    let platforms = [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()];
+    let builder = (0..workers).fold(ClusterBuilder::new().gthv(tiny_def()), |b, i| {
+        b.worker(platforms[i % 2].clone())
+    });
+    let builder = builder
+        .topology(TopologyConfig {
+            shards,
+            fabric: FabricMode::Sim { seed },
+            ..Default::default()
+        })
+        .obs(recorder.clone());
+    (builder, recorder)
+}
+
+#[test]
+fn a_read_outside_what_was_reported_is_forwarded_once_and_served_in_a_barrier() {
+    use hdsm::obs::{EventKind, OpKind};
+    let (builder, recorder) = held_cluster(shards_from_env(), 2, 0x4E1D);
+    let outcome = run_with_a_held_rewrite(builder, |c, info| {
+        let mut seen = Vec::new();
+        if info.index == 0 {
+            // Never reported: a notice brought it, the writer holds it.
+            seen.push(c.read_int(0, 9)?);
+            seen.push(c.read_int(0, 11)?);
+        }
+        c.barrier(BarrierId::new(0))?; // the writer waits here, serving
+        Ok(seen)
+    })
+    .expect("the held rewrite is fetched");
+    assert_eq!(outcome.results[0], [209, 211]);
+    let final_xs: Vec<i128> = (8..12)
+        .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+        .collect();
+    assert_eq!(final_xs, [208, 209, 210, 211]);
+    // One forward for the whole held span: the second read is answered
+    // from the home's copy.
+    assert_eq!(counter(&recorder, "home.held_forwards"), 1);
+    assert_eq!(counter(&recorder, "client.held_served"), 1);
+    assert_eq!(counter(&recorder, "client.range_fetches"), 2);
+    let served = recorder
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::MsgSend && e.label == "held-data")
+        .map(|e| e.op.kind)
+        .collect::<Vec<_>>();
+    assert_eq!(
+        served,
+        [OpKind::Barrier],
+        "served while blocked in a barrier"
+    );
+}
+
+#[test]
+fn two_writers_reading_each_others_held_ranges_in_one_interval_both_finish() {
+    let b = BarrierId::new(0);
+    let (builder, recorder) = held_cluster(shards_from_env(), 2, 0x2A2A);
+    let outcome = builder
+        .barriers(1)
+        .run(move |c, info| {
+            // Each reads, and so reports, its own four elements only.
+            let mine = if info.index == 0 { 0 } else { 8 };
+            let theirs = 8 - mine;
+            c.barrier(b)?;
+            c.read_ints(0, mine, &mut [0; 4])?;
+            c.barrier(b)?;
+            // Each rewrites its own: the other never said it reads them.
+            (mine..mine + 4).try_for_each(|i| c.write_int(0, i, 500 + i as i128))?;
+            c.barrier(b)?;
+            // Both fetch at once, each from the other, each blocked in its
+            // fetch while the other's arrives.
+            let got = c.read_int(0, theirs + 1)?;
+            c.barrier(b)?;
+            Ok(got)
+        })
+        .expect("neither writer waits on the other forever");
+    assert_eq!(outcome.results, [509, 501]);
+    assert_eq!(counter(&recorder, "client.held_served"), 2);
+    assert_eq!(counter(&recorder, "home.held_forwards"), 2);
+}
+
+#[test]
+fn a_writer_that_dies_holding_fails_the_fetch_and_the_barrier_with_worker_lost() {
+    let t0 = Instant::now();
+    let builder = ClusterBuilder::new()
+        .gthv(tiny_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::linux_x86_64())
+        .worker(PlatformSpec::solaris_sparc())
+        .topology(TopologyConfig {
+            shards: shards_from_env(),
+            ..Default::default()
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(10)),
+            ..Default::default()
+        });
+    let err = run_with_a_held_rewrite(builder, |c, info| match info.index {
+        // The fetch is forwarded to a writer that never answers.
+        0 => c.read_int(0, 9).map(drop),
+        // The writer dies holding: heartbeats stop.
+        1 => {
+            std::thread::sleep(Duration::from_millis(100));
+            Err(DsdError::Crashed)
+        }
+        _ => c.barrier(BarrierId::new(0)),
+    })
+    .unwrap_err();
+    assert!(
+        matches!(err, ClusterError::WorkerLost { rank: 2, .. }),
+        "expected WorkerLost {{ rank: 2 }}, got {err}"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(8),
+        "failure detection took {:?} — the fetch hung",
+        t0.elapsed()
+    );
+}
+
+#[test]
+fn a_held_range_re_homed_before_any_fetch_reaches_the_final_bytes_at_the_join() {
+    // Entry 0 moves from shard 0 to shard 1 while worker 1 holds its
+    // rewrite and nobody has fetched it: the hold moves with the entry,
+    // worker 1 gathers for the shard it believes owns it, and the new
+    // owner asks worker 1 for what it still holds once it has joined.
+    let (builder, recorder) = held_cluster(shards_from_env().max(2), 2, 0x7E40);
+    let builder = builder.control(|mut ctl| {
+        ctl.sleep(Duration::from_millis(100));
+        ctl.rehome_entry(0, ShardId::new(0), ShardId::new(1))
+            .expect("the move completes");
+    });
+    let outcome = run_with_a_held_rewrite(builder, |c, _| {
+        c.network().clock().sleep(Duration::from_millis(300));
+        Ok(())
+    })
+    .expect("the run completes");
+    let final_xs: Vec<i128> = (8..12)
+        .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+        .collect();
+    assert_eq!(final_xs, [208, 209, 210, 211]);
+    assert_eq!(counter(&recorder, "home.entries_rehomed"), 1);
+    assert_eq!(counter(&recorder, "client.range_fetches"), 0);
+    assert!(counter(&recorder, "home.held_forwards") >= 1);
+}
+
+#[test]
+fn failover_held_range_is_forwarded_by_the_promoted_standby() {
+    use hdsm::obs::EventKind;
+    // The primary of shard 0 takes worker 1's held rewrite, notices it to
+    // worker 0 and dies before worker 0 fetches: the fetch fails over, and
+    // the promoted standby — whose relayed copy of the barrier entry
+    // carried the hold — forwards it to worker 1.
+    let shards = shards_from_env();
+    let (seen, recorder) = run_fetch_after_a_pause(shards, 0xFE7D, |ctl| {
+        ctl.sleep(Duration::from_millis(100));
+        ctl.kill_shard(ShardId::new(0));
+    });
+    assert_eq!(seen, [209, 310]);
+    let standby = hdsm::dsd::Directory::with_replicas(shards, 1).replica_ep(0);
+    let events = recorder.events();
+    assert!(events.iter().any(|e| e.kind == EventKind::Promote));
+    let forwarded = |e: &&hdsm::obs::Event| e.kind == EventKind::MsgSend && e.label == "held-fetch";
+    let from: Vec<u32> = events.iter().filter(forwarded).map(|e| e.rank).collect();
+    assert!(from.contains(&standby), "forwarded by {from:?}");
+    assert!(counter(&recorder, "client.held_served") >= 1);
 }

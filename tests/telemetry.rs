@@ -356,10 +356,12 @@ fn assert_heat_ledger<R>(outcome: &ClusterOutcome<R>, recorder: &Recorder) {
     assert_eq!(snap.events_dropped, 0, "the spans below must all be held");
     let workers: CostBreakdown = outcome.worker_costs.iter().sum();
 
-    // Shipped: every entry row agrees with its per-writer attribution,
-    // the rows sum to the workers' update count, and the bytes are the
-    // payload the homes absorbed (a clean static run absorbs each shipped
-    // range exactly once).
+    // Released: every entry row agrees with its per-writer attribution,
+    // the rows sum to the workers' update count, and they are what was
+    // shipped plus what was held. Shipped is the payload the homes
+    // absorbed from releases — a clean static run absorbs each shipped
+    // range exactly once — which is all they absorbed but what they
+    // gathered from holds.
     for e in &snap.entries {
         let of_entry = snap.write_heat.iter().filter(|w| w.entry == e.entry);
         let (updates, bytes) = of_entry.fold((0, 0), |(u, b), w| (u + w.updates, b + w.bytes));
@@ -367,10 +369,22 @@ fn assert_heat_ledger<R>(outcome: &ClusterOutcome<R>, recorder: &Recorder) {
         assert_eq!(e.bytes_sent, bytes, "entry {} bytes by writer", e.entry);
     }
     let sum = |f: fn(&EntryRow) -> u64| snap.entries.iter().map(f).sum::<u64>();
+    let count = |name: &str| {
+        let row = snap.counters.iter().find(|(k, _)| k == name);
+        row.map_or(0, |(_, v)| *v)
+    };
+    let home = &outcome.home_costs;
+    let shipped = (
+        home.updates_applied - count("home.ranges_gathered"),
+        home.bytes_applied - count("home.bytes_gathered"),
+    );
+    let held = (count("client.ranges_held"), count("client.bytes_held"));
     assert!(workers.updates_sent > 0 && workers.updates_applied > 0);
     assert_eq!(sum(|e| e.updates_sent), workers.updates_sent);
-    assert_eq!(sum(|e| e.updates_sent), outcome.home_costs.updates_applied);
-    assert_eq!(sum(|e| e.bytes_sent), outcome.home_costs.bytes_applied);
+    assert_eq!(sum(|e| e.updates_sent), shipped.0 + held.0);
+    assert_eq!(sum(|e| e.bytes_sent), shipped.1 + held.1);
+    // A hold reaches the final bytes once, however often it was rewritten.
+    assert!(count("home.bytes_gathered") <= held.1);
 
     // Landed: one charge per run group, counting its runs.
     assert_eq!(sum(|e| e.updates_applied), workers.updates_applied);
@@ -410,6 +424,11 @@ fn heat_ledger_matches_the_eq1_counters_on_sor_and_a_three_shard_lock_run() {
     let shipped: u64 = snap.entries.iter().map(|e| e.updates_sent).sum();
     assert!(shipped > 1000, "strided writes do not coalesce: {shipped}");
     assert_heat_ledger(&outcome, &recorder);
+    let held = snap.counters.iter().find(|(k, _)| k == "client.bytes_held");
+    assert!(
+        held.is_some_and(|(_, b)| *b > 0),
+        "what nobody reads is held"
+    );
 
     // One-element lock ops over three shards: the update's shard differs
     // from the lock's, so every release flushes and every acquire fetches.
