@@ -44,7 +44,10 @@
 //! redirected with a `ViewChange`), the conclusion of an entry move and
 //! the linger after the shutdown broadcast (a fresh request is answered
 //! `Shutdown`). A frame that does not decode is dropped and counted
-//! (`home.bad_frames`); a protocol violation still ends the shard.
+//! (`home.bad_frames`); a protocol violation still ends the shard. What
+//! the home sends unasked until it is answered (a beat, a `Depose`, a
+//! relayed handoff, an entry offer, a held-range ask) goes out at once,
+//! then in one round at most once a tick, busy or idle (DESIGN §14).
 
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{Directory, Placement};
@@ -268,11 +271,6 @@ impl From<UpdateError> for HomeError {
     }
 }
 
-/// How long a `HeldFetch` goes unanswered before it is sent again: a
-/// reader's fetch waits on it, and that reader's retransmissions are
-/// budgeted, so a lost ask or answer must cost little.
-const ASK_AGAIN: Duration = Duration::from_millis(10);
-
 /// Writer id used for home-side initialisation log entries.
 const HOME_WRITER: u32 = u32::MAX;
 
@@ -352,10 +350,10 @@ struct Outgoing {
 /// a tick means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
-    /// Serving: every frame and every tick runs the periodic duties.
+    /// Serving: every frame and every tick runs the duties.
     Serve,
     /// Every participant settled with an entry move in flight: offer its
-    /// state on every 10 ms of silence, and revert at `until`.
+    /// state once a tick, and revert at `until`.
     Conclude { until: FabricInstant },
     /// Answer stragglers until `until`: the grace period of a fenced
     /// instance, or the linger after the shutdown broadcast.
@@ -414,8 +412,9 @@ pub struct HomeShard {
     fenced: bool,
     /// Last sign of life from the replication-link partner.
     peer_last_heard: FabricInstant,
-    /// When this instance, as a shadow, last beat its primary.
-    beat_at: FabricInstant,
+    /// When the last round of unasked sends went out ([`Self::duties`]),
+    /// or the step at which something became owed while nothing was.
+    round_at: FabricInstant,
     /// Cooperative kill switch (fault injection).
     kill: Option<Arc<AtomicBool>>,
     /// The instant of the step being taken, which every timer reads.
@@ -442,10 +441,8 @@ pub struct HomeShard {
     /// `(reader rank, ranges)` in arrival order.
     deferred: Vec<(u32, Vec<UpdateRange>)>,
     /// Held spans a `HeldFetch` asked their writer for that have not
-    /// arrived: `(writer rank, span)`. Asked again every [`ASK_AGAIN`].
+    /// arrived: `(writer rank, span)`. Asked again in every round.
     asked: Vec<(u32, UpdateRange)>,
-    /// When `asked` was last sent.
-    asked_at: FabricInstant,
     /// While a barrier release goes out nothing writes the copy, so
     /// readers that are sent the same share it: every reader of the
     /// initial pull. `None` otherwise.
@@ -509,7 +506,7 @@ impl HomeShard {
             epoch: 0,
             fenced: false,
             peer_last_heard: FabricInstant::ZERO,
-            beat_at: FabricInstant::ZERO,
+            round_at: FabricInstant::ZERO,
             kill: config.kill,
             now: FabricInstant::ZERO,
             stage: Stage::Serve,
@@ -520,7 +517,6 @@ impl HomeShard {
             superseded: BTreeMap::new(),
             deferred: Vec::new(),
             asked: Vec::new(),
-            asked_at: FabricInstant::ZERO,
             alike: None,
             forwarded: BTreeSet::new(),
         }
@@ -723,11 +719,7 @@ impl HomeShard {
             let gone = gone.cloned().unwrap_or_default();
             let pieces = || {
                 of_entry.iter().flat_map(|r| {
-                    let piece = move |p: Piece| UpdateRange {
-                        entry,
-                        first: p.first,
-                        count: p.end - p.first,
-                    };
+                    let piece = move |p: Piece| span(entry, p.first, p.end);
                     gone.split(r.first, r.end())
                         .filter(|p| !p.inside)
                         .map(piece)
@@ -766,12 +758,7 @@ impl HomeShard {
         let mut touched = Vec::new();
         for (&w, set) in self.held.get(&r.entry).into_iter().flatten() {
             for &(first, end) in set.touching(r.first, r.end()) {
-                let span = UpdateRange {
-                    entry: r.entry,
-                    first,
-                    count: end - first,
-                };
-                touched.push((w, span));
+                touched.push((w, span(r.entry, first, end)));
             }
         }
         touched
@@ -789,11 +776,7 @@ impl HomeShard {
             let held = self.held_at(writer, u.entry);
             let held = held.filter(|_| self.owns_entry(u.entry)).unwrap_or(&none);
             for p in held.split(u.elem_offset, u.elem_offset + u.count) {
-                let r = UpdateRange {
-                    entry: u.entry,
-                    first: p.first,
-                    count: p.end - p.first,
-                };
+                let r = span(u.entry, p.first, p.end);
                 if p.inside {
                     take.push(r);
                 } else {
@@ -874,14 +857,7 @@ impl HomeShard {
                     if self.life(w) != Some(Life::Joined) {
                         continue;
                     }
-                    want.extend(set.spans().iter().map(|&(a, b)| {
-                        let span = UpdateRange {
-                            entry,
-                            first: a,
-                            count: b - a,
-                        };
-                        (w, span)
-                    }));
+                    want.extend(set.spans().iter().map(|&(a, b)| (w, span(entry, a, b))));
                 }
             }
         }
@@ -900,7 +876,6 @@ impl HomeShard {
 
     /// One `HeldFetch` to the writer of `spans` (all one writer's).
     fn ask_held(&mut self, spans: &[(u32, UpdateRange)]) {
-        self.asked_at = self.now;
         let route = self.peers.get(&spans[0].0).and_then(|p| p.route);
         if let Some(to) = route {
             let ranges = spans.iter().map(|(_, r)| *r).collect();
@@ -990,11 +965,7 @@ impl HomeShard {
         ranges: Vec<UpdateRange>,
         mut notices: Vec<UpdateRange>,
     ) -> (Vec<UpdateRange>, Vec<UpdateRange>) {
-        let piece = |entry, p: Piece| UpdateRange {
-            entry,
-            first: p.first,
-            count: p.end - p.first,
-        };
+        let piece = |entry, p: Piece| span(entry, p.first, p.end);
         let mut ship = Vec::with_capacity(ranges.len());
         for r in ranges {
             // The held spans `r` meets, of every writer: mostly none.
@@ -1199,8 +1170,8 @@ impl HomeShard {
         self.send(rank, grant)
     }
 
-    /// Period of the service's wake-ups: a quarter of the lease, at least
-    /// 10 ms.
+    /// Period of the service's wake-ups and of its rounds of unasked
+    /// sends: a quarter of the lease, at least 10 ms.
     fn tick(&self) -> Duration {
         let floor = Duration::from_millis(10);
         self.lease.map_or(floor, |l| (l / 4).max(floor))
@@ -1264,21 +1235,18 @@ impl HomeShard {
     /// When the runner's next wait ends if nothing arrives; `None`: it
     /// does not.
     fn wake(&self, now: FabricInstant) -> Option<FabricInstant> {
+        let round = self.owes().then(|| self.round_at + self.tick());
         match self.stage {
             Stage::Serve => {
-                // A lease, a replication partner, the kill switch and an
-                // entry move's retransmit need periodic wake-ups; without
-                // any of them the classic blocking receive stands.
+                // A lease, a replication partner and the kill switch need
+                // periodic wake-ups; without any of them, or anything
+                // owed, the classic blocking receive stands.
                 let timed = self.lease.is_some()
                     || !matches!(self.standby, Standby::Solo)
-                    || self.kill.is_some()
-                    || self.entry_handoff.is_some();
-                let tick = timed.then(|| now + self.tick());
-                // A held span asked for and not arrived is asked again.
-                let ask = (!self.asked.is_empty()).then(|| self.asked_at + ASK_AGAIN);
-                tick.into_iter().chain(ask).min()
+                    || self.kill.is_some();
+                round.or(timed.then(|| now + self.tick()))
             }
-            Stage::Conclude { until } => Some(until.min(now + Duration::from_millis(10))),
+            Stage::Conclude { until } => Some(round.map_or(until, |r| r.min(until))),
             Stage::Retire { until, .. } => Some(until),
             Stage::Done { .. } => None,
         }
@@ -1306,12 +1274,13 @@ impl HomeShard {
         }
     }
 
-    /// Start the lease and replication clocks at `now`; the runner calls
-    /// it once, before its first wait.
+    /// Start the lease, replication and round clocks at `now`; the runner
+    /// calls it once, before its first wait.
     pub fn start(&mut self, now: FabricInstant) -> Result<(), HomeError> {
         self.now = now;
         self.restart_leases();
         self.peer_last_heard = now;
+        self.round_at = now;
         // Seed the telemetry epoch table (monotone max, so a replica's
         // epoch-0 report can't regress a promoted primary's).
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
@@ -1319,9 +1288,10 @@ impl HomeShard {
     }
 
     /// One step: take `input` at `now` and decide, leaving what is to be
-    /// sent in the outbox. A serving instance runs its duties after each
-    /// frame and on each tick. A requester found gone while blocked on its
-    /// reply ends the shard, as a failed transport does.
+    /// sent in the outbox. A serving or concluding instance runs its
+    /// duties after each frame and on each tick. A requester found gone
+    /// while blocked on its reply ends the shard, as a failed transport
+    /// does.
     pub fn on(&mut self, now: FabricInstant, input: Input) -> Result<(), HomeError> {
         self.now = now;
         if let Input::Gone(eps) = &input {
@@ -1330,20 +1300,24 @@ impl HomeShard {
                 return Err(NetError::Disconnected(s.to).into());
             }
         }
+        if !self.owes() {
+            self.round_at = now; // a round is due a tick after this step
+        }
         self.outbox.clear();
         match (input, self.stage) {
-            (Input::Frame(m), Stage::Serve) => {
-                self.process(m)?;
-                self.duties(false)?;
-            }
-            (Input::Frame(m), _) => self.process(m)?,
-            (Input::Tick, Stage::Serve) => self.duties(true)?,
-            // A slice of a move's conclusion passed in silence: offer
-            // again. Past the deadline the bytes stay here.
-            (Input::Tick, Stage::Conclude { until }) if now < until => self.send_entry_state(),
-            (Input::Tick, Stage::Conclude { .. }) => self.abort_entry_handoff()?,
-            (Input::Tick, _) => {}
             (Input::Gone(eps), _) => self.gone(eps)?,
+            // Past a conclusion's deadline the moved entry stays here.
+            (Input::Tick, Stage::Conclude { until }) if now >= until => {
+                self.abort_entry_handoff()?
+            }
+            (input, stage) => {
+                if let Input::Frame(m) = input {
+                    self.process(m)?;
+                }
+                if matches!(stage, Stage::Serve | Stage::Conclude { .. }) {
+                    self.duties()?;
+                }
+            }
         }
         self.advance()
     }
@@ -1441,17 +1415,15 @@ impl HomeShard {
                 Standby::Primary { replica_ep, .. } if replica_ep == ep => {
                     self.standby = Standby::Solo;
                 }
-                // The primary crashed: succeed it once the relay stream
-                // has been quiet a full tick, so every frame it sent is
-                // replayed first. Quiet is measured on the stream, not by
-                // idle turns: heartbeats arrive at the tick's own period.
+                // The primary crashed: succeed it, with no fencing, once
+                // the relay stream has been quiet a full tick, so every
+                // frame it sent is replayed first.
                 Standby::Shadow { primary_ep }
                     if primary_ep == ep
                         && self.now.saturating_since(self.peer_last_heard) >= self.tick() =>
                 {
-                    self.promote(primary_ep, self.epoch + 1, true, "");
+                    self.promote(primary_ep, self.epoch + 1, false, "");
                 }
-                // A dead primary needs no fencing.
                 Standby::Promoted { primary_ep, .. } if primary_ep == ep => self.depose_settled(),
                 _ => {}
             }
@@ -1668,66 +1640,81 @@ impl HomeShard {
         res
     }
 
-    /// Periodic failover duties of a serving instance, run after every
-    /// frame and on every tick (`idle`: a wait ended with nothing
-    /// received).
-    fn duties(&mut self, idle: bool) -> Result<(), HomeError> {
-        let now = self.now;
-        match self.standby {
-            Standby::Shadow { primary_ep } => {
-                let quiet = now.saturating_since(self.peer_last_heard);
-                if self.lease.is_some_and(|l| quiet > l) {
-                    // A full lease of silence on the relay stream: take
-                    // over and start deposing the old primary.
-                    self.promote(primary_ep, self.epoch + 1, true, "");
-                } else if idle || now.saturating_since(self.beat_at) >= self.tick() {
-                    // Beat the primary so it can self-fence if it loses
-                    // us: on idle turns, at most once a tick on busy ones.
-                    self.beat_at = now;
-                    self.tell(primary_ep, DsdMsg::ReplicaBeat { shard: self.shard });
-                }
-                return Ok(()); // a shadow has nobody to serve
-            }
-            Standby::Primary { .. } => {
-                // Split-brain guard: ¾ of a lease of standby silence, and
-                // fence before the replica promotes at a full lease.
-                let silence = now.saturating_since(self.peer_last_heard);
-                if !self.fenced && self.lease.is_some_and(|l| silence > l * 3 / 4) {
-                    self.fence();
-                }
-            }
-            Standby::Promoted {
-                primary_ep,
-                pending_depose: true,
-                ..
-            } => {
-                let depose = DsdMsg::Depose {
-                    shard: self.shard,
-                    epoch: self.epoch,
-                };
-                self.tell(primary_ep, depose);
-            }
-            Standby::Solo | Standby::Promoted { .. } => {}
-        }
-        if idle {
-            // Keep relaying the handoff / offering the moved entry's state
-            // until the other side confirms.
-            self.relay_handoff();
+    /// What a serving or concluding instance does on every step: the
+    /// round, then the checks that guard safety — the shadow's promotion
+    /// after a full lease of relay silence, the primary's self-fence
+    /// after ¾ of one, and lease expiry. The round sends everything owed
+    /// again, at most once a tick whether or not frames are arriving;
+    /// each went out at once when it became owed.
+    fn duties(&mut self) -> Result<(), HomeError> {
+        if self.owes() && self.now >= self.round_at + self.tick() {
+            self.round_at = self.now;
+            self.tell_partner();
             self.send_entry_state();
-        }
-        if !self.asked.is_empty() && now.saturating_since(self.asked_at) >= ASK_AGAIN {
-            // Ask again for held spans that have not arrived, whatever
-            // else arrives meanwhile: a reader waits on them.
             let asked = std::mem::take(&mut self.asked);
             asked
                 .chunk_by(|a, b| a.0 == b.0)
                 .for_each(|of_writer| self.ask_held(of_writer));
             self.asked = asked;
         }
+        let silence = self.now.saturating_since(self.peer_last_heard);
+        match self.standby {
+            Standby::Shadow { primary_ep } => {
+                // A full lease of silence on the relay stream: take over
+                // and depose the old primary.
+                if self.lease.is_some_and(|l| silence > l) {
+                    self.promote(primary_ep, self.epoch + 1, true, "");
+                }
+                return Ok(()); // a shadow has nobody to serve
+            }
+            // Split-brain guard: ¾ of a lease of standby silence, and
+            // fence before the replica promotes at a full lease.
+            Standby::Primary { .. }
+                if !self.fenced && self.lease.is_some_and(|l| silence > l * 3 / 4) =>
+            {
+                self.fence()
+            }
+            _ => {}
+        }
         if !self.fenced {
             self.check_leases()?;
         }
         Ok(())
+    }
+
+    /// Is anything owed that this instance sends unasked until it is
+    /// answered: a shadow's beat (owed from the start), a `Depose`, a
+    /// relayed handoff, an entry offer or a `HeldFetch`?
+    fn owes(&self) -> bool {
+        let partner = matches!(
+            self.standby,
+            Standby::Shadow { .. }
+                | Standby::Primary { drain: Some(_), .. }
+                | Standby::Promoted {
+                    pending_depose: true,
+                    ..
+                }
+        );
+        partner || self.entry_handoff.is_some() || !self.asked.is_empty()
+    }
+
+    /// Send the replication partner what this instance owes it until it
+    /// answers, if anything: a shadow's beat, a draining primary's
+    /// relayed `HandoffRequest`, a promoted instance's `Depose`.
+    fn tell_partner(&mut self) {
+        let (shard, epoch) = (self.shard, self.epoch);
+        match self.standby {
+            Standby::Shadow { primary_ep } => self.tell(primary_ep, DsdMsg::ReplicaBeat { shard }),
+            Standby::Primary { drain: Some(_), .. } => {
+                self.relay_decision(DsdMsg::HandoffRequest { shard })
+            }
+            Standby::Promoted {
+                primary_ep,
+                pending_depose: true,
+                ..
+            } => self.tell(primary_ep, DsdMsg::Depose { shard, epoch }),
+            _ => {}
+        }
     }
 
     /// The old primary acknowledged its `Depose`, or is gone: none owed.
@@ -1749,6 +1736,7 @@ impl HomeShard {
             first_grant_recorded: false,
         };
         self.epoch = epoch;
+        self.tell_partner();
         self.restart_leases();
         self.mark(EventKind::Promote, how);
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
@@ -1779,15 +1767,7 @@ impl HomeShard {
             _ => return self.reply_view_change(admin_ep, 0),
         }
         self.fence();
-        self.relay_handoff();
-    }
-
-    /// Relay the in-flight drain to the standby, at drain start and on
-    /// idle ticks until `HandoffInstalled` arrives.
-    fn relay_handoff(&mut self) {
-        if self.draining() {
-            self.relay_decision(DsdMsg::HandoffRequest { shard: self.shard });
-        }
+        self.tell_partner();
     }
 
     /// The replica confirmed installation: tell the admin, close the obs
@@ -1891,7 +1871,7 @@ impl HomeShard {
     }
 
     /// Offer the in-flight entry snapshot to every endpoint of the target
-    /// shard, at move start and on idle ticks until `EntryInstalled`.
+    /// shard, at move start and in every round until `EntryInstalled`.
     fn send_entry_state(&mut self) {
         let Some(h) = &self.entry_handoff else {
             return;
@@ -2425,6 +2405,16 @@ impl HomeShard {
     }
 }
 
+/// Elements `first..end` of `entry`.
+fn span(entry: u32, first: u64, end: u64) -> UpdateRange {
+    let count = end - first;
+    UpdateRange {
+        entry,
+        first,
+        count,
+    }
+}
+
 /// Take `r` out of every hold in `by` (the holds of `r.entry`); what it
 /// takes from a writer other than `writer` is superseded at that writer.
 fn take_holds(
@@ -2474,11 +2464,7 @@ impl HomeShard {
                     None => read.insert(0, row.count),
                 }
             }
-            rows.extend(read.spans().iter().map(|&(first, end)| UpdateRange {
-                entry,
-                first,
-                count: end - first,
-            }));
+            rows.extend(read.spans().iter().map(|&(a, b)| span(entry, a, b)));
         }
         rows
     }
@@ -2537,11 +2523,7 @@ fn split_by_interest(
         for p in set.split(r.first, r.end()) {
             leave(at.take(), &mut noticed);
             if p.inside {
-                ship.push(UpdateRange {
-                    entry: r.entry,
-                    first: p.first,
-                    count: p.end - p.first,
-                });
+                ship.push(span(r.entry, p.first, p.end));
             }
             at = Some((r.entry, p));
         }
@@ -2549,11 +2531,7 @@ fn split_by_interest(
     leave(at, &mut noticed);
     let notices = noticed
         .into_iter()
-        .map(|((entry, _), (first, end))| UpdateRange {
-            entry,
-            first,
-            count: end - first,
-        })
+        .map(|((entry, _), (first, end))| span(entry, first, end))
         .collect();
     (ship, notices)
 }
@@ -3183,14 +3161,7 @@ mod tests {
     /// instance starts and finds every participant settled. Endpoints: 0
     /// the target shard, 1 this shard, 2 rank 1, 3 the admin.
     fn a_move_in_flight_past_the_last_join() -> (HomeShard, Recorder) {
-        let def = GthvDef::new(
-            StructBuilder::new("G")
-                .array("xs", ScalarKind::Int, 8)
-                .array("ys", ScalarKind::Int, 8)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
+        let def = xs_ys_def();
         let recorder = Recorder::enabled();
         let config = HomeConfig {
             participants: vec![1],
@@ -3217,6 +3188,15 @@ mod tests {
         .unwrap();
         assert_eq!((h.pending, h.entry_handoff.is_some()), (0, true));
         (h, recorder)
+    }
+
+    /// Two entries, `xs` and `ys`, of eight ints each.
+    fn xs_ys_def() -> GthvDef {
+        let def = StructBuilder::new("G")
+            .array("xs", ScalarKind::Int, 8)
+            .array("ys", ScalarKind::Int, 8)
+            .build();
+        GthvDef::new(def.unwrap()).unwrap()
     }
 
     fn count(recorder: &Recorder, name: &str) -> u64 {
@@ -3278,7 +3258,7 @@ mod tests {
             now = h.wake(now).expect("a timed wait");
             got.extend(step(&mut h, now, Input::Tick));
         }
-        // Offered at the start and again on every 10 ms of silence, then
+        // Offered at the start and again once a tick (10 ms), then
         // reverted at the deadline exactly; the admin is told nothing.
         assert_eq!(now, T0 + Duration::from_millis(500), "revert instant");
         assert_eq!(got.pop(), Some((2, 1, DsdMsg::Shutdown)));
@@ -3309,6 +3289,115 @@ mod tests {
         }
         assert_eq!(count(&recorder, "home.entry_handoff_aborts"), 1);
         assert_eq!(count(&recorder, "home.entries_rehomed"), 0);
+    }
+
+    /// One step of `h` at `now` on rank 1's heartbeat from endpoint 2,
+    /// stamped as the directory wants, and what it sent.
+    fn heartbeat(h: &mut HomeShard, now: FabricInstant) -> Vec<(u32, u64, DsdMsg)> {
+        let beat = DsdMsg::Heartbeat { rank: 1 };
+        let stamp = h.placement.directory().epoch_stamped(beat.kind());
+        let payload = beat.encode_request(0, stamp.then_some(h.epoch), &Report::default());
+        let (src, dst, kind, trace) = (2, h.me, beat.kind(), None);
+        let frame = Message {
+            src,
+            dst,
+            kind,
+            payload,
+            trace,
+        };
+        step(h, now, Input::Frame(frame))
+    }
+
+    #[test]
+    fn a_promoted_standby_deposes_at_most_once_a_tick_however_many_frames_arrive() {
+        // Endpoints: 0 the primary, 1 this standby, 2 rank 1. A 400 ms
+        // lease makes the tick 100 ms.
+        let config = HomeConfig {
+            participants: vec![1],
+            lease: Some(Duration::from_millis(400)),
+            directory: Directory::with_replicas(1, 1),
+            standby: true,
+            ..Default::default()
+        };
+        let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        let mut h = HomeShard::new(gthv, config);
+        h.start(T0).unwrap();
+        let depose = DsdMsg::Depose { shard: 0, epoch: 1 };
+        let is_depose = |(_, _, m): &(u32, u64, DsdMsg)| *m == depose;
+        // A full lease of relay silence: it promotes and deposes at once.
+        let promoted = T0 + Duration::from_millis(401);
+        let sent = step(&mut h, promoted, Input::Tick);
+        let at_once = sent.iter().filter(|s| is_depose(s)).count();
+        assert!(h.serves_clients());
+        // Twenty client frames in 95 ms, less than a tick: the round a
+        // tick after the last one deposes once.
+        let mut deposes = Vec::new();
+        for i in 1..=20 {
+            let now = promoted + Duration::from_millis(5 * i);
+            let sent = heartbeat(&mut h, now);
+            deposes.extend(sent.iter().filter(|s| is_depose(s)).map(|_| now));
+        }
+        assert_eq!(deposes, [promoted + h.tick()]);
+        assert_eq!(at_once, 1);
+        // Acknowledged, it owes nothing more.
+        let ack = frame(0, 1, 0, DsdMsg::DeposeAck { shard: 0, epoch: 1 });
+        let acked = promoted + Duration::from_millis(150);
+        step(&mut h, acked, Input::Frame(ack));
+        let later = promoted + Duration::from_millis(350);
+        assert!(step(&mut h, later, Input::Tick).is_empty());
+    }
+
+    #[test]
+    fn a_move_and_a_drain_resend_once_a_tick_while_frames_keep_arriving() {
+        // A 400 ms lease makes the tick 100 ms. Endpoints: 0 shard 0 (the
+        // move's target) or the primary, 1 shard 1 (the move's source) or
+        // the standby, 2 rank 1, 3 the admin.
+        let lease = Some(Duration::from_millis(400));
+        let home = |directory, shard| {
+            let config = HomeConfig {
+                participants: vec![1],
+                lease,
+                shard,
+                directory,
+                ..Default::default()
+            };
+            HomeShard::new(
+                GthvInstance::new(xs_ys_def(), PlatformSpec::linux_x86()),
+                config,
+            )
+        };
+        let is_offer: fn(&DsdMsg) -> bool = |m| matches!(m, DsdMsg::EntryState { entry: 1, .. });
+        let is_relay: fn(&DsdMsg) -> bool = |m| {
+            let relayed = MsgKind::HandoffRequest as u16;
+            matches!(m, DsdMsg::Replicate { kind, .. } if *kind == relayed)
+        };
+        let mover = (
+            home(Directory::new(2), 1),
+            DsdMsg::EntryHandoff {
+                entry: 1,
+                to_shard: 0,
+            },
+        );
+        let drainer = (
+            home(Directory::with_replicas(1, 1), 0),
+            DsdMsg::HandoffRequest { shard: 0 },
+        );
+        for ((mut h, ask), resent) in [(mover, is_offer), (drainer, is_relay)] {
+            h.start(T0).unwrap();
+            let mut at = Vec::new();
+            let mut note = |now, sent: Vec<(u32, u64, DsdMsg)>| {
+                at.extend(sent.iter().filter(|(_, _, m)| resent(m)).map(|_| now));
+            };
+            let me = h.me;
+            note(T0, step(&mut h, T0, Input::Frame(frame(3, me, 0, ask))));
+            // A client frame every 5 ms for 300 ms, never an idle turn.
+            for i in 1..=60 {
+                let now = T0 + Duration::from_millis(5 * i);
+                note(now, heartbeat(&mut h, now));
+            }
+            let ms = |n| T0 + Duration::from_millis(n);
+            assert_eq!(at, [ms(0), ms(100), ms(200), ms(300)]);
+        }
     }
 
     #[test]
@@ -3732,11 +3821,11 @@ mod tests {
             .unwrap();
         assert!(take(&mut h).is_empty());
         assert_eq!(count(&recorder, "home.held_forwards"), 1);
-        // 10 ms later, with nothing arrived, it is asked again.
-        h.duties(true).unwrap();
+        // A tick (10 ms) later, with nothing arrived, it is asked again.
+        h.duties().unwrap();
         assert!(take(&mut h).is_empty(), "not yet");
-        h.now = h.now + ASK_AGAIN;
-        h.duties(true).unwrap();
+        h.now = h.now + h.tick();
+        h.duties().unwrap();
         assert_eq!(take(&mut h), [(1, 0, asked)]);
         // The bytes arrive: the fetch is answered from the shard's copy.
         let values: Vec<i128> = (10..20).map(|i| 700 + i).collect();

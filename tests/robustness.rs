@@ -1225,6 +1225,8 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
     // link is cut are lost until the primary fences (DESIGN.md §14), so
     // the chaos here is silence, not traffic.
     let recorder = Recorder::enabled();
+    let cut = std::sync::Arc::new(std::sync::Mutex::new(Duration::ZERO));
+    let cut_len = cut.clone();
     let outcome = ClusterBuilder::new()
         .gthv(tiny_def())
         .worker(PlatformSpec::linux_x86())
@@ -1242,11 +1244,13 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
             ..Default::default()
         })
         .obs(recorder.clone())
-        .control(|ctl| {
+        .control(move |ctl| {
             std::thread::sleep(Duration::from_millis(200));
+            let start = Instant::now();
             ctl.partition_replication(ShardId::new(0));
             std::thread::sleep(Duration::from_millis(700));
             ctl.heal();
+            *cut_len.lock().unwrap() = start.elapsed();
         })
         .run(|c, _| {
             for _ in 0..5 {
@@ -1301,6 +1305,17 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
     assert!(
         fence_t < promote_t,
         "primary fenced at {fence_t}us, after the promotion at {promote_t}us"
+    );
+    // The promoted standby deposes the old primary when it takes over,
+    // then once a tick (a quarter lease, 100 ms) until an ack crosses
+    // the healed link, however many client frames it serves meanwhile.
+    // Slack 2: the send at promotion, and the round in flight when the
+    // link heals.
+    let deposes = outcome.net_stats.messages.get(&MsgKind::Depose).copied();
+    let cut_ticks = cut.lock().unwrap().as_millis() as u64 / 100;
+    assert!(
+        deposes.unwrap_or(0) <= cut_ticks + 2,
+        "{deposes:?} deposes across a cut of {cut_ticks} ticks"
     );
 }
 
