@@ -1,8 +1,8 @@
 //! Red-black successive over-relaxation (SOR) — the second stencil
 //! extension. The red/black colouring makes each half-sweep's writes
 //! *strided* (every other element), a deliberately diff-hostile pattern:
-//! the twin/diff layer produces many small runs and the coalescing layer
-//! cannot merge across the untouched black (or red) elements. Together
+//! a half-sweep's write set is one span per element, and no layer can
+//! merge across the untouched black (or red) elements. Together
 //! with Jacobi's contiguous stripes this brackets the update-shape
 //! spectrum for the benchmarks.
 

@@ -2,16 +2,15 @@
 //!
 //! A [`DsdClient`] belongs to one application thread. It holds the
 //! thread's node-local copy of `GThV` (in the node's native
-//! representation, write-protected between synchronization points) and
-//! implements the four primitives of paper §4:
+//! representation) and implements the four primitives of paper §4:
 //!
 //! * [`DsdClient::acquire`] / [`DsdClient::lock`] — acquire a distributed
 //!   mutex (the latter returns an RAII [`LockGuard`]); outstanding updates
 //!   arrive with the grant — for the ranges this thread has read; a notice
 //!   for the rest — and are converted (or memcpy'd) into the local copy,
-//!   twins kept in step, so write detection carries on undisturbed;
-//! * [`DsdClient::release`] — diff the dirty pages, abstract the diffs
-//!   to application-level index ranges, coalesce, tag, pack, ship to the
+//!   around what the thread has stored since its last release;
+//! * [`DsdClient::release`] — turn the elements stored since the last
+//!   release into application-level index ranges, tag, pack, ship to the
 //!   home thread and release;
 //! * [`DsdClient::barrier`] — a release followed by an acquire that
 //!   completes when every thread has entered;
@@ -47,6 +46,15 @@
 //! entry; it sends them when a shard asks ([`DsdMsg::HeldFetch`], served
 //! in whatever blocking call the thread is in) and at its join.
 //!
+//! **Know what was written.** The paper traps stores with `mprotect`
+//! because a C store bypasses any API; here every store goes through the
+//! write accessors, so the client records what they wrote as it happens:
+//! per entry, the element ranges stored since the last release (the
+//! *write set*, one span for a loop that walks forward). A release ships
+//! that set, with no page, twin or compare behind it, and an incoming
+//! update leaves its elements as they are. The copy is never
+//! write-protected, so a store takes no fault and no twin.
+//!
 //! Every phase is timed into the Eq. 1 [`CostBreakdown`].
 
 use crate::costs::{CostBreakdown, Phase};
@@ -55,8 +63,8 @@ use crate::gthv::{GthvError, GthvInstance};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::interval::IntervalSet;
 use crate::protocol::{DsdMsg, ProtocolError, Report};
-use crate::runs::{scan_ranges, UpdateRange};
-use crate::update::{apply_batch, apply_batch_tracked, extract_updates, UpdateError};
+use crate::runs::UpdateRange;
+use crate::update::{apply_batch, apply_keeping, extract_updates, full_ranges, UpdateError};
 use hdsm_migthread::packfmt::MigrateError;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
@@ -103,6 +111,13 @@ pub enum DsdError {
     /// A thread migration failed: its program is not registered, or its
     /// state image did not restore on the target platform.
     Migration(MigrateError),
+    /// [`DsdClient::rehost_cold`] found stores no release has shipped: the
+    /// cold copy would drop them, so it refused and left the copy as it
+    /// was. Carries the first entry with unreleased stores.
+    Unreleased {
+        /// Entry index.
+        entry: u32,
+    },
     /// Sentinel returned by a test body to simulate this worker crashing:
     /// the cluster harness stops the worker without signing it off, so
     /// the home's failure detector must notice the silence.
@@ -135,6 +150,9 @@ impl fmt::Display for DsdError {
                 "cond {cond} and mutex {lock} are homed at different shards"
             ),
             DsdError::Migration(e) => write!(f, "migration: {e}"),
+            DsdError::Unreleased { entry } => {
+                write!(f, "entry {entry} has stores no release has shipped")
+            }
             DsdError::Crashed => write!(f, "worker simulated a crash"),
         }
     }
@@ -225,7 +243,8 @@ struct ShardView {
 }
 
 /// What this thread knows about its copy of one entry beyond the bytes:
-/// which elements it has read, and which it was told are out of date.
+/// which elements it has read and written, and which it was told are out
+/// of date.
 #[derive(Debug, Clone, Default)]
 struct EntryView {
     /// Elements the entry holds: an access past them is the accessor's to
@@ -239,6 +258,10 @@ struct EntryView {
     unreported: IntervalSet,
     /// Ranges a notice named and no fetch or update has refreshed since.
     stale: IntervalSet,
+    /// The elements the store accessors wrote since the last release: what
+    /// the next release ships, and what an incoming update leaves as it is.
+    /// Stores that walk forward fold in at the tail, one compare each.
+    written: IntervalSet,
     /// A range within one `interest` span and clear of `stale`: a read
     /// inside it has nothing to record and nothing to fetch, which is the
     /// two compares the load path pays. Empty until the first read, and
@@ -260,13 +283,22 @@ struct EntryView {
     ship: Option<IntervalSet>,
 }
 
-/// One [`EntryView`] per entry of `gthv`, nothing read, nothing stale.
+/// One [`EntryView`] per entry of `gthv`, nothing read, written or stale.
 fn fresh_views(gthv: &GthvInstance) -> Vec<EntryView> {
     let view = |row: &crate::index_table::IndexRow| EntryView {
         count: row.count,
         ..Default::default()
     };
     gthv.table().rows().iter().map(view).collect()
+}
+
+/// The spans of `set`, one of `entry`'s element sets, as update ranges.
+fn ranges_of(entry: usize, set: &IntervalSet) -> impl Iterator<Item = UpdateRange> + '_ {
+    set.spans().iter().map(move |&(first, end)| UpdateRange {
+        entry: entry as u32,
+        first,
+        count: end - first,
+    })
 }
 
 /// A computing thread's handle on the distributed shared data.
@@ -317,13 +349,11 @@ pub struct DsdClient {
 impl DsdClient {
     /// Create a client for thread `thread_rank`, talking to the home
     /// service the directory names (one shard at endpoint 0 until
-    /// [`Self::set_directory`] says otherwise). The local copy starts
-    /// write-protected: any store before the first acquire is caught and
-    /// shipped at the first release, like a store between `mprotect` and
-    /// the first lock in the original system (the acquire's incoming
-    /// updates leave an element this thread has stored to as it is).
-    pub(crate) fn new(thread_rank: u32, ep: Endpoint, mut gthv: GthvInstance) -> DsdClient {
-        gthv.space_mut().reset_and_protect();
+    /// [`Self::set_directory`] says otherwise). A store before the first
+    /// acquire is in the write set like any other and ships at the first
+    /// release, like a store between `mprotect` and the first lock in the
+    /// original system (the acquire's incoming updates leave it as it is).
+    pub(crate) fn new(thread_rank: u32, ep: Endpoint, gthv: GthvInstance) -> DsdClient {
         let obs_rank = ep.rank();
         let clock = ep.clock();
         let views = fresh_views(&gthv);
@@ -449,12 +479,7 @@ impl DsdClient {
             if v.unreported.is_empty() || self.placement.owner(entry as u32) != shard {
                 continue;
             }
-            let spans = std::mem::take(&mut v.unreported);
-            rows.extend(spans.spans().iter().map(|&(first, end)| UpdateRange {
-                entry: entry as u32,
-                first,
-                count: end - first,
-            }));
+            rows.extend(ranges_of(entry, &std::mem::take(&mut v.unreported)));
         }
         rows
     }
@@ -730,11 +755,10 @@ impl DsdClient {
 
     /// Take in what an acquire brought (grant / barrier release / fetch;
     /// one batch per shard that had any): apply the updates to the local
-    /// copy — t_conv — and remember the notices as stale. Write detection
-    /// is not re-armed: a clean page is still protected, and a page this
-    /// thread has stored to since its last release keeps its twin (kept in
-    /// step by the apply) and its dirty mark, so a store made before a
-    /// nested acquire still ships at the next release.
+    /// copy — t_conv — but for what the write set holds, and remember the
+    /// notices as stale. The write set is not touched, so a store made
+    /// before a nested acquire keeps its value and still ships at the next
+    /// release.
     fn apply_incoming(
         &mut self,
         batches: &[UpdateBatch],
@@ -744,8 +768,10 @@ impl DsdClient {
         let bytes: u64 = batches.iter().map(UpdateBatch::payload_bytes).sum();
         let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
         t.args(updates, bytes);
+        let views = &self.views;
+        let written = |entry: u32| views.get(entry as usize).map(|v| &v.written);
         for batch in batches {
-            apply_batch(&mut self.gthv, batch, &mut self.conv_stats)?;
+            apply_keeping(&mut self.gthv, batch, &mut self.conv_stats, written)?;
         }
         t.end(&mut self.costs);
         self.costs.updates_applied += updates;
@@ -825,16 +851,16 @@ impl DsdClient {
         Ok(())
     }
 
-    /// Detect local writes and turn them into update ranges (the head of
-    /// the release pipeline: t_index → t_tag in Eq. 1), one update each.
+    /// Drain the write set into update ranges (the head of the release
+    /// pipeline: t_index → t_tag in Eq. 1), one update each.
     fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
-        // t_index: one pass from the dirty pages' twins to index ranges,
-        // consecutive elements already folded into one range each.
+        // t_index: the write set's spans, entry by entry — sorted, disjoint
+        // and maximal already.
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let mut ranges = scan_ranges(self.gthv.table(), self.gthv.space());
+        let mut ranges = self.write_set();
         if self.recorder.is_enabled() {
-            // The span carries the bytes the scan found: every changed
-            // element whole, as it ships.
+            // The span carries the bytes written: every stored element
+            // whole, as it ships.
             let table = self.gthv.table();
             let bytes = ranges.chunk_by(|a, b| a.entry == b.entry).map(|of_entry| {
                 let size = table
@@ -855,12 +881,26 @@ impl DsdClient {
         t.end(&mut self.costs);
         if self.promote_threshold < 100 {
             // A promoted entry ships elements this thread did not store:
-            // shipping is a use, so what is stale of them is fetched first.
+            // shipping is a use, so what is stale of them is fetched first
+            // (around what it did store, which the set still holds).
             for r in &ranges {
                 self.fetch_stale(r.entry, r.first, r.end())?;
             }
         }
+        // Freed, not cleared: a strided writer's set of thousands of spans
+        // would otherwise stay allocated through the barrier wait.
+        for v in &mut self.views {
+            v.written = IntervalSet::default();
+        }
         Ok(ranges)
+    }
+
+    /// The write set as update ranges, entry by entry: sorted, disjoint
+    /// and maximal.
+    pub(crate) fn write_set(&self) -> Vec<UpdateRange> {
+        (self.views.iter().enumerate())
+            .flat_map(|(entry, v)| ranges_of(entry, &v.written))
+            .collect()
     }
 
     /// Charge what a release puts out, once, an entry at a time: the
@@ -902,14 +942,14 @@ impl DsdClient {
     }
 
     /// The release pipeline, shared by unlock, cond-wait and barrier:
-    /// collect local writes, re-arm write detection, fan the updates out
-    /// to their owning shards (`UpdateFlush`), then send the release
-    /// itself — `build(updates owned by owner)` — to `owner` and return its
-    /// reply. Each flush is acknowledged before the next is sent and
-    /// before the release goes out, so by the time any shard grants a
-    /// later acquire, every flushed update is already absorbed somewhere
-    /// the acquirer will fetch from. A single-shard directory ships the
-    /// whole batch inside the release without touching the wire first.
+    /// drain the write set, fan the updates out to their owning shards
+    /// (`UpdateFlush`), then send the release itself — `build(updates
+    /// owned by owner)` — to `owner` and return its reply. Each flush is
+    /// acknowledged before the next is sent and before the release goes
+    /// out, so by the time any shard grants a later acquire, every flushed
+    /// update is already absorbed somewhere the acquirer will fetch from.
+    /// A single-shard directory ships the whole batch inside the release
+    /// without touching the wire first.
     ///
     /// What is bucketed by owning shard is the *ranges*; each bucket is
     /// framed when it is sent, from the address space, which nothing
@@ -935,8 +975,6 @@ impl DsdClient {
         build: impl Fn(UpdateBatch) -> DsdMsg,
     ) -> Result<DsdMsg, DsdError> {
         let ranges = self.collect_outgoing()?;
-        // Twins/dirty marks collected; re-arm for the next critical section.
-        self.gthv.space_mut().reset_and_protect();
         let (mut pending, mut holding) = self.hold(hold.then_some(owner), ranges);
         self.charge_released(&pending, &holding);
         let shards = self.directory().n_shards();
@@ -1227,11 +1265,11 @@ impl DsdClient {
     }
 
     /// Before a store to `n` elements of `entry` from `first`: a stale
-    /// element is fetched first, so that the twin the store faults in (or
-    /// already has) holds what the home holds and the store — even of the
-    /// very value the page held — is a difference the release ships. A
-    /// store is not a read: the interest stays as it is, and the window
-    /// it is checked against (`fresh`) is any stale-free range.
+    /// element is fetched first, so that fetch and message counts do not
+    /// depend on whether a program stores to what it was only told of (the
+    /// write set would ship the store either way). A store is not a read:
+    /// the interest stays as it is, and the window it is checked against
+    /// (`fresh`) is any stale-free range.
     #[inline]
     fn before_write(&mut self, entry: u32, first: u64, n: usize) -> Result<(), DsdError> {
         if let Some(v) = self.views.get(entry as usize) {
@@ -1241,6 +1279,15 @@ impl DsdClient {
             }
         }
         Ok(())
+    }
+
+    /// After a store to `n` elements of `entry` from `first` succeeded:
+    /// fold them into the write set.
+    #[inline]
+    fn wrote(&mut self, entry: u32, first: u64, n: usize) {
+        if let Some(v) = self.views.get_mut(entry as usize) {
+            v.written.insert(first, first + n as u64);
+        }
     }
 
     // ----- the typed session API -----
@@ -1448,11 +1495,7 @@ impl DsdClient {
             if v.held.is_empty() || self.placement.owner(entry as u32) != shard {
                 continue;
             }
-            ranges.extend(v.held.spans().iter().map(|&(first, end)| UpdateRange {
-                entry: entry as u32,
-                first,
-                count: end - first,
-            }));
+            ranges.extend(ranges_of(entry, &v.held));
         }
         match ranges.is_empty() {
             true => Ok(UpdateBatch::default()),
@@ -1496,57 +1539,22 @@ impl DsdClient {
     /// globals as part of the thread state (paper §3.1: "thread states
     /// typically consist of the global data segment, stack, heap, and
     /// register contents"). The whole local copy is receiver-makes-right
-    /// converted to the new platform's representation, *including* the
-    /// write-detection state: elements dirty before the move are dirty
-    /// after it, so unreleased modifications still ship at the next
-    /// release. The thread's consistency horizon at the home node remains
-    /// valid, so no resynchronisation round is needed; its interest, its
-    /// stale ranges and what it holds are element indices and carry over
-    /// as they are.
+    /// converted to the new platform's representation (t_conv). The write
+    /// set, the interest, the stale ranges and what the thread holds are
+    /// element indices and carry over as they are: unreleased stores still
+    /// ship at the next release, and the thread's consistency horizon at
+    /// the home node remains valid, so no resynchronisation round is
+    /// needed.
     ///
     /// Must be called at an adaptation point with no lock held.
     pub fn rehost(&mut self, platform: Platform) -> Result<(), DsdError> {
-        use crate::update::full_ranges;
-
-        let def = self.gthv.def().clone();
-
-        // 1. What has this thread modified since its last release?
-        let dirty_ranges = scan_ranges(self.gthv.table(), self.gthv.space());
-        // 2. Snapshot the *current* values of those ranges (native + tags).
-        let dirty_updates = extract_updates(&self.gthv, &dirty_ranges)?;
-
-        // 3. Reconstruct the pre-write state on the old platform: the
-        //    current content, every dirty page replaced by its twin.
-        let mut original = GthvInstance::new(def.clone(), self.gthv.platform().clone());
-        let space = self.gthv.space();
-        let orig_base = original.space().base();
-        original
-            .space_mut()
-            .write_untracked(orig_base, space.raw())
-            .expect("same-size copy");
-        for page in space.dirty_pages() {
-            let twin = space.twin(page).expect("dirty page implies twin");
-            original
-                .space_mut()
-                .write_untracked(space.page_addr(page), twin)
-                .expect("revert in range");
-        }
-
-        // 4. Convert the pre-write state to the new platform.
-        let full = extract_updates(&original, &full_ranges(&original))?;
-        let mut fresh = GthvInstance::new(def, platform);
-        let mut stats = ConversionStats::default();
-        apply_batch(&mut fresh, &full, &mut stats)?;
-        // 5. Arm write detection, then replay the thread's unreleased
-        //    modifications through the *tracked* write path so they fault,
-        //    twin and stay dirty on the new node.
-        fresh.space_mut().reset_and_protect();
-        self.gthv = fresh;
+        let full = extract_updates(&self.gthv, &full_ranges(&self.gthv))?;
+        let mut fresh = GthvInstance::new(self.gthv.def().clone(), platform);
         let mut t = Phase::Conv.begin(&self.recorder, self.obs_rank, self.cur_op);
-        t.args(dirty_updates.len() as u64, dirty_updates.payload_bytes());
-        apply_batch_tracked(&mut self.gthv, &dirty_updates, &mut stats)?;
+        t.args(full.len() as u64, full.payload_bytes());
+        apply_batch(&mut fresh, &full, &mut self.conv_stats)?;
         t.end(&mut self.costs);
-        self.conv_stats.merge(&stats);
+        self.gthv = fresh;
         Ok(())
     }
 
@@ -1554,12 +1562,19 @@ impl DsdClient {
     /// node starts zeroed and the home service is told to fully refresh
     /// this thread at its next acquire. This models a skeleton thread that
     /// received only the compute state (stack/registers) without the
-    /// global segment. Unreleased modifications are lost — callers must
-    /// release first. So is what the old copy had read and been told: the
+    /// global segment. What the old copy had read and been told goes: the
     /// interest and the stale ranges start empty, here and (with `Resync`)
-    /// at every shard. What it held is not: each `Resync` carries the bytes
-    /// of what it holds of that shard's entries, before the copy goes.
+    /// at every shard. What it held does not: each `Resync` carries the
+    /// bytes of what it holds of that shard's entries, before the copy
+    /// goes. Stores not yet released would go too, so the call refuses
+    /// ([`DsdError::Unreleased`]) while the write set holds any, before it
+    /// sends or changes anything: release first.
     pub fn rehost_cold(&mut self, platform: Platform) -> Result<(), DsdError> {
+        if let Some(entry) = self.views.iter().position(|v| !v.written.is_empty()) {
+            return Err(DsdError::Unreleased {
+                entry: entry as u32,
+            });
+        }
         // Every shard tracks its own horizon for this thread; each must
         // drop it so the next acquire fully refreshes every slice. What
         // this thread holds goes along, before the copy does; a shard that
@@ -1580,7 +1595,6 @@ impl DsdClient {
         }
         let def = self.gthv.def().clone();
         self.gthv = GthvInstance::new(def, platform);
-        self.gthv.space_mut().reset_and_protect();
         self.views = fresh_views(&self.gthv);
         Ok(())
     }
@@ -1590,7 +1604,8 @@ impl DsdClient {
     // A read returns nothing stale and is remembered as interest; a store
     // refreshes what is stale under it first (`before_read`,
     // `before_write`: two compares when the run lies in the entry's
-    // window). That is why reads take `&mut self`.
+    // window) and, once it succeeded, joins the write set (`wrote`). That
+    // is why reads take `&mut self`.
 
     /// Read an integer element of the shared structure.
     #[inline]
@@ -1599,11 +1614,13 @@ impl DsdClient {
         Ok(self.gthv.read_int(entry, elem)?)
     }
 
-    /// Write an integer element (write-detected).
+    /// Write an integer element (recorded in the write set).
     #[inline]
     pub fn write_int(&mut self, entry: u32, elem: u64, v: i128) -> Result<(), DsdError> {
         self.before_write(entry, elem, 1)?;
-        Ok(self.gthv.write_int(entry, elem, v)?)
+        self.gthv.write_int(entry, elem, v)?;
+        self.wrote(entry, elem, 1);
+        Ok(())
     }
 
     /// Read a float element.
@@ -1613,11 +1630,13 @@ impl DsdClient {
         Ok(self.gthv.read_float(entry, elem)?)
     }
 
-    /// Write a float element (write-detected).
+    /// Write a float element (recorded in the write set).
     #[inline]
     pub fn write_float(&mut self, entry: u32, elem: u64, v: f64) -> Result<(), DsdError> {
         self.before_write(entry, elem, 1)?;
-        Ok(self.gthv.write_float(entry, elem, v)?)
+        self.gthv.write_float(entry, elem, v)?;
+        self.wrote(entry, elem, 1);
+        Ok(())
     }
 
     /// Read the `out.len()` integer elements of `entry` from `first`
@@ -1628,10 +1647,12 @@ impl DsdClient {
     }
 
     /// Write `values` to the integer elements of `entry` from `first`
-    /// (write-detected; [`GthvInstance::write_ints`]).
+    /// (recorded in the write set; [`GthvInstance::write_ints`]).
     pub fn write_ints(&mut self, entry: u32, first: u64, values: &[i128]) -> Result<(), DsdError> {
         self.before_write(entry, first, values.len())?;
-        Ok(self.gthv.write_ints(entry, first, values)?)
+        self.gthv.write_ints(entry, first, values)?;
+        self.wrote(entry, first, values.len());
+        Ok(())
     }
 
     /// Read the `out.len()` float elements of `entry` from `first`
@@ -1642,10 +1663,12 @@ impl DsdClient {
     }
 
     /// Write `values` to the float elements of `entry` from `first`
-    /// (write-detected; [`GthvInstance::write_floats`]).
+    /// (recorded in the write set; [`GthvInstance::write_floats`]).
     pub fn write_floats(&mut self, entry: u32, first: u64, values: &[f64]) -> Result<(), DsdError> {
         self.before_write(entry, first, values.len())?;
-        Ok(self.gthv.write_floats(entry, first, values)?)
+        self.gthv.write_floats(entry, first, values)?;
+        self.wrote(entry, first, values.len());
+        Ok(())
     }
 
     /// Read a pointer element as a logical `(entry, elem)` target.
@@ -1654,7 +1677,7 @@ impl DsdClient {
         Ok(self.gthv.read_ptr(entry, elem)?)
     }
 
-    /// Write a pointer element (write-detected).
+    /// Write a pointer element (recorded in the write set).
     pub fn write_ptr(
         &mut self,
         entry: u32,
@@ -1662,7 +1685,9 @@ impl DsdClient {
         target: Option<(u32, u64)>,
     ) -> Result<(), DsdError> {
         self.before_write(entry, elem, 1)?;
-        Ok(self.gthv.write_ptr(entry, elem, target)?)
+        self.gthv.write_ptr(entry, elem, target)?;
+        self.wrote(entry, elem, 1);
+        Ok(())
     }
 }
 
@@ -1881,9 +1906,8 @@ mod tests {
                 assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 60)]);
                 assert_eq!(c.views[0].interest.spans(), [(0, 8), (52, 56)]);
                 assert_eq!(c.views[0].window, (52, 56));
-                // A store fetches first too, so that storing the very
-                // value the stale copy held (1957) is still a difference
-                // from the twin — which holds what the home holds.
+                // A store fetches first too, even of the very value the
+                // stale copy held (1957).
                 c.write_int(0, 57, 1957).unwrap();
                 assert_eq!(fetches(c), 2);
                 assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 57), (58, 60)]);
@@ -2216,6 +2240,31 @@ mod tests {
             c.acquire(L0).unwrap();
             assert_eq!(c.read_int(1, 0).unwrap(), 99);
             assert_eq!(c.read_int(0, 5).unwrap(), 1005);
+            c.release(L0).unwrap();
+        });
+    }
+
+    #[test]
+    fn cold_rehost_refuses_unreleased_stores() {
+        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+            c.acquire(L0).unwrap();
+            c.write_ints(0, 4, &[7, 8]).unwrap();
+            let sent = c.network().stats().total_messages();
+            let res = c.rehost_cold(PlatformSpec::solaris_sparc64());
+            assert!(
+                matches!(res, Err(DsdError::Unreleased { entry: 0 })),
+                "{res:?}"
+            );
+            // Nothing sent, the copy and the write set as they were.
+            assert_eq!(c.network().stats().total_messages(), sent);
+            assert_eq!(c.platform().name, "linux-x86");
+            assert_eq!(c.read_int(0, 5).unwrap(), 8);
+            assert_eq!(c.views[0].written.spans(), [(4, 6)]);
+            // Released, the same move goes through and the stores survive.
+            c.release(L0).unwrap();
+            c.rehost_cold(PlatformSpec::solaris_sparc64()).unwrap();
+            c.acquire(L0).unwrap();
+            assert_eq!(c.read_int(0, 5).unwrap(), 8);
             c.release(L0).unwrap();
         });
     }

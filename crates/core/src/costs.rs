@@ -90,8 +90,9 @@ impl PhaseTimer {
 /// The five cost components of data sharing, plus bookkeeping counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
-    /// Mapping writes: the twin/diff scan of the dirty pages to coalesced
-    /// index ranges.
+    /// Mapping writes to coalesced index ranges: on a client, draining
+    /// the write set its store accessors kept (the paper diffs the dirty
+    /// pages against their twins).
     pub t_index: Duration,
     /// Settling the ranges that ship as tags: whole-entry promotion on a
     /// client, coalescing the update log on a home.

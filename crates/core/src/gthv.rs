@@ -4,12 +4,14 @@
 //! structure, GThV" (paper §4); the programmer-facing replacement here is
 //! [`GthvDef`], an explicit declaration of that structure. Each node
 //! instantiates the definition as a [`GthvInstance`]: the structure laid
-//! out in the node's *native representation* inside a write-protected
-//! [`AddressSpace`], plus the node's [`IndexTable`].
+//! out in the node's *native representation* inside an [`AddressSpace`],
+//! plus the node's [`IndexTable`].
 //!
 //! All application access goes through the typed accessors, which emulate
 //! plain C loads/stores: writes run through the page-protection check
-//! (twin/diff write detection), reads never fault.
+//! (twin/diff write detection, when a page DSM or a test arms it), reads
+//! never fault. The DSD client never arms it: it records what its own
+//! accessors store.
 
 use crate::index_table::IndexTable;
 use hdsm_memory::space::{AddressSpace, MemError};

@@ -2,8 +2,10 @@
 //!
 //! An [`IntervalSet`] is what both ends of "ship what is read" keep per
 //! entry: a client the ranges its read accessors have returned (its
-//! *interest*) and the ranges it was told changed without being sent them
-//! (its *stale* set); a home shard each reader's interest as last reported.
+//! *interest*), the ranges it was told changed without being sent them
+//! (its *stale* set) and the ranges its store accessors wrote since its
+//! last release (its *write set*); a home shard each reader's interest as
+//! last reported.
 //! Spans are half-open `[start, end)`, sorted, disjoint and never adjacent
 //! — two that meet merge — so a reader that walks an array row by row
 //! holds one span, not one per row, and every operation is a binary search
@@ -46,10 +48,24 @@ impl IntervalSet {
 
     /// Add `[first, end)`, merging it with every span it overlaps or
     /// abuts. An empty range adds nothing.
+    ///
+    /// A range that starts at or after the last span's start — a store
+    /// loop walking forward, or storing again where it just stored —
+    /// extends that span or follows it, with no search: the write set
+    /// folds every store, so an in-order one must cost O(1).
     pub fn insert(&mut self, first: u64, end: u64) {
         if end <= first {
             return;
         }
+        match self.spans.last_mut() {
+            Some(last) if first < last.0 => self.insert_searching(first, end),
+            Some(last) if first <= last.1 => last.1 = last.1.max(end),
+            _ => self.spans.push((first, end)),
+        }
+    }
+
+    /// [`Self::insert`] of a non-empty range anywhere in the set.
+    fn insert_searching(&mut self, first: u64, end: u64) {
         // Spans wholly before `first` (not even abutting) stay; so do
         // those wholly after `end`.
         let from = self.spans.partition_point(|s| s.1 < first);
@@ -364,6 +380,37 @@ mod tests {
                     at = p.end;
                 }
                 assert_eq!(at, b.max(a));
+            }
+        }
+    }
+
+    #[test]
+    fn the_tail_path_of_insert_agrees_with_the_search() {
+        let mut seed = 0x7A11_5EEDu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for _ in 0..300 {
+            let (mut fast, mut searched) = (IntervalSet::default(), IntervalSet::default());
+            let mut at = next(50);
+            for _ in 0..60 {
+                // Mostly forward — strided, abutting, repeated, overlapping
+                // the last span — now and then anywhere.
+                let first = match next(6) {
+                    0 => next(400),
+                    1 => at.saturating_sub(next(8)),
+                    _ => at + next(4),
+                };
+                let end = first + next(5);
+                at = end;
+                fast.insert(first, end);
+                if end > first {
+                    searched.insert_searching(first, end);
+                }
+                assert_eq!(fast, searched, "after [{first}, {end})");
             }
         }
     }

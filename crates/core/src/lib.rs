@@ -9,7 +9,7 @@
 //! paper §4) and whose update pipeline is
 //!
 //! ```text
-//! twin/diff the dirty pages, element by element, straight to
+//! drain the write set the store accessors kept: the
 //!     coalesced application-level index ranges       t_index
 //!   → settle the ranges that ship (whole-entry
 //!     promotion), one CGT-RMR run tag each           t_tag
@@ -24,18 +24,20 @@
 //!
 //! Key modules:
 //! * [`gthv`] — the shared global structure (`GThV`) instantiated in a
-//!   node's native representation inside a protected address space;
+//!   node's native representation inside a paged address space;
 //! * [`index_table`] — the architecture-independent index table built from
 //!   `GThV` at start-up (paper Table 1);
 //! * [`runs`] — diff→index abstraction with consecutive-element coalescing:
-//!   the release scan, and the byte-granular two-step route it is held to;
+//!   the element scan the client's write set is tested against, and the
+//!   byte-granular two-step route the scan is held to;
 //! * [`update`] — update extraction and receiver-makes-right application,
 //!   including pointer swizzling through the index table;
 //! * [`protocol`], `home`, [`client`] — the distributed lock / barrier /
 //!   join protocol between remote threads and the home node's stub
 //!   service, which [`cluster`] runs (its errors are [`HomeError`]);
-//! * `interval` — the per-entry range sets behind "ship what is read":
-//!   a reader's interest and its noticed-but-unfetched ranges;
+//! * `interval` — the per-entry range sets behind "ship what is read" and
+//!   "know what was written": a reader's interest, its
+//!   noticed-but-unfetched ranges and its write set;
 //! * [`cluster`] — orchestration of a simulated heterogeneous cluster
 //!   (node threads + home service) on the threaded or the deterministic
 //!   fabric; a migrating thread is a worker body,

@@ -1,17 +1,21 @@
 //! Abstracting page diffs to application-level indexes (paper §4/§4.2).
 //!
-//! After `MTh_unlock()` detects writes, each one is mapped through the
-//! index table to `(entry, element-range)` — the architecture-independent
-//! form that can travel between heterogeneous nodes. Consecutive element
-//! ranges of the same entry are coalesced so "many (hundreds, perhaps
-//! thousands) indexes \[distill\] into a single tag" (paper §5, Figure 9
-//! discussion).
+//! In the paper, `MTh_unlock()` detects writes by diffing pages, and each
+//! one is mapped through the index table to `(entry, element-range)` — the
+//! architecture-independent form that can travel between heterogeneous
+//! nodes. Consecutive element ranges of the same entry are coalesced so
+//! "many (hundreds, perhaps thousands) indexes \[distill\] into a single
+//! tag" (paper §5, Figure 9 discussion).
 //!
-//! Two routes lead from twins to ranges, and they agree on every input:
+//! The DSD client does not take that route: its store accessors record the
+//! element ranges they write (`client`'s write set), which is the same
+//! form, already coalesced. The routes from twins to ranges stay as what
+//! that record is tested against, and they agree on every input:
 //!
-//! * [`scan_ranges`], what the DSD client runs at a release: one pass over
-//!   each dirty page, directed by the index table, comparing twin against
-//!   page one *element* at a time and emitting ranges directly;
+//! * [`scan_ranges`]: one pass over each dirty page, directed by the index
+//!   table, comparing twin against page one *element* at a time and
+//!   emitting ranges directly. The write set equals it wherever no store
+//!   wrote the value the element already held, and holds it otherwise;
 //! * [`abstract_diffs`] over [`diff_pages`]' byte runs ([`map_runs`] then
 //!   [`coalesce`]), the paper-literal two steps: the oracle the scan is
 //!   held to, and what a caller that already has byte runs (the page-DSM
@@ -198,9 +202,8 @@ pub fn coalesce(mut ranges: Vec<UpdateRange>) -> Vec<UpdateRange> {
 
 /// The full diff→index abstraction of byte runs: map then coalesce, the
 /// paper's two steps taken literally. The DSD client does not call it —
-/// its release goes from twins to ranges in one pass, [`scan_ranges`],
-/// charged whole to `t_index` — and [`scan_ranges`] is held to it: over
-/// [`diff_pages`]' runs the two return the same ranges.
+/// its release ships its write set — and [`scan_ranges`] is held to it:
+/// over [`diff_pages`]' runs the two return the same ranges.
 ///
 /// [`diff_pages`]: hdsm_memory::diff::diff_pages
 pub fn abstract_diffs(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> {
@@ -298,11 +301,15 @@ fn map_runs_reference(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::DsdClient;
+    use crate::gthv::{GthvDef, GthvInstance};
     use crate::index_table::IndexTable;
     use hdsm_memory::diff::diff_pages;
+    use hdsm_net::endpoint::Network;
+    use hdsm_net::stats::NetConfig;
     use hdsm_platform::ctype::{paper_figure4_struct, CType, StructBuilder};
     use hdsm_platform::scalar::ScalarKind;
-    use hdsm_platform::spec::PlatformSpec;
+    use hdsm_platform::spec::{Platform, PlatformSpec};
     use proptest::prelude::*;
 
     const BASE: u64 = 0x4005_8000;
@@ -800,5 +807,151 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Entries of every width the oracle test stores to: chars, ints across
+    /// a page seam, doubles, pointers and one `long`.
+    fn store_def() -> GthvDef {
+        GthvDef::new(
+            StructBuilder::new("S")
+                .array("cs", ScalarKind::Char, 50)
+                .array("xs", ScalarKind::Int, 1500)
+                .array("ds", ScalarKind::Double, 300)
+                .array("ps", ScalarKind::Ptr, 8)
+                .scalar("flag", ScalarKind::Long)
+                .build()
+                .unwrap(),
+        )
+        .unwrap()
+    }
+
+    /// The copy every store sequence starts from: each number even, each
+    /// pointer NULL. A store that is not silent writes an odd number or a
+    /// pointer.
+    fn even_copy(platform: &Platform) -> GthvInstance {
+        let mut g = GthvInstance::new(store_def(), platform.clone());
+        for (entry, count) in [(0, 50), (1, 1500), (4, 1)] {
+            for i in 0..count {
+                g.write_int(entry, i, 2 * (i % 50) as i128).unwrap();
+            }
+        }
+        for i in 0..300 {
+            g.write_float(2, i, 2.0 * i as f64).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn the_write_set_is_the_twin_scan_but_for_silent_stores() {
+        let mut seed = 0x0051_1E57_u64;
+        let mut next = move |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let mut strict = 0;
+        for platform in PlatformSpec::presets() {
+            for round in 0..60 {
+                // The oracle: the same stores on a copy armed as a page DSM
+                // arms it, whose twins say what changed.
+                let mut armed = even_copy(&platform);
+                armed.space_mut().protect_all();
+                let (_net, mut eps) = Network::new(1, NetConfig::instant());
+                let mut c = DsdClient::new(1, eps.remove(0), even_copy(&platform));
+                let (may_be_silent, mut silent) = (round % 2 == 1, false);
+                let (mut last, mut last_n) = (0u64, 1u64);
+                for _ in 0..1 + next(40) {
+                    let entry = next(5) as u32;
+                    let count = [50, 1500, 300, 8, 1][entry as usize];
+                    let n = match (entry, next(2)) {
+                        (3 | 4, _) | (_, 0) => 1, // a scalar accessor
+                        _ => 1 + next(12),
+                    };
+                    // Ascending, descending, repeated, or anywhere — past
+                    // the end now and then, which stores nothing.
+                    let first = match next(4) {
+                        0 => last + last_n,
+                        1 => last.saturating_sub(n),
+                        2 => last,
+                        _ => next(count + 4),
+                    };
+                    (last, last_n) = (first, n);
+                    let mut quiet = || {
+                        let q = may_be_silent && next(3) == 0;
+                        silent |= q;
+                        q
+                    };
+                    let done = match entry {
+                        2 => {
+                            let vals: Vec<f64> = (first..first + n)
+                                .map(|i| {
+                                    if quiet() {
+                                        2.0 * i as f64
+                                    } else {
+                                        i as f64 + 0.5
+                                    }
+                                })
+                                .collect();
+                            match n {
+                                1 => (
+                                    c.write_float(2, first, vals[0]).is_ok(),
+                                    armed.write_float(2, first, vals[0]).is_ok(),
+                                ),
+                                _ => (
+                                    c.write_floats(2, first, &vals).is_ok(),
+                                    armed.write_floats(2, first, &vals).is_ok(),
+                                ),
+                            }
+                        }
+                        3 => {
+                            let target = (!quiet()).then(|| (1, next(1500)));
+                            (
+                                c.write_ptr(3, first, target).is_ok(),
+                                armed.write_ptr(3, first, target).is_ok(),
+                            )
+                        }
+                        _ => {
+                            let vals: Vec<i128> = (first..first + n)
+                                .map(|i| 2 * (i % 50) as i128 + i128::from(!quiet()))
+                                .collect();
+                            match n {
+                                1 => (
+                                    c.write_int(entry, first, vals[0]).is_ok(),
+                                    armed.write_int(entry, first, vals[0]).is_ok(),
+                                ),
+                                _ => (
+                                    c.write_ints(entry, first, &vals).is_ok(),
+                                    armed.write_ints(entry, first, &vals).is_ok(),
+                                ),
+                            }
+                        }
+                    };
+                    assert_eq!(
+                        done.0, done.1,
+                        "{} [{first}, +{n}) of {entry}",
+                        platform.name
+                    );
+                }
+                assert_eq!(c.gthv().space().raw(), armed.space().raw());
+                assert_eq!(c.gthv().space().stats().faults, 0, "no store faults");
+                let scan = scan_ranges(armed.table(), armed.space());
+                let written = c.write_set();
+                if !silent {
+                    assert_eq!(written, scan, "{} round {round}", platform.name);
+                    continue;
+                }
+                for r in &scan {
+                    let within = |w: &&UpdateRange| w.entry == r.entry && w.first <= r.first;
+                    let held = written.iter().rfind(within);
+                    assert!(held.is_some_and(|w| r.end() <= w.end()), "{r:?} unwritten");
+                }
+                strict += usize::from(written != scan);
+            }
+        }
+        assert!(
+            strict > 20,
+            "silent stores left the scan short {strict} times"
+        );
     }
 }

@@ -16,8 +16,8 @@
 //! table. Pointer updates therefore never take the memcpy fast path.
 
 use crate::gthv::GthvInstance;
+use crate::interval::IntervalSet;
 use crate::runs::UpdateRange;
-use hdsm_memory::space::{AddressSpace, MemError};
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::convert::{ConversionError, ConversionStats};
@@ -227,14 +227,8 @@ pub fn extract_updates(
 /// Apply a batch to a node's shared region (untracked — applying remote
 /// updates must not look like local writes), returning per-kind update
 /// counts `(memcpy, converted, pointer)`; the caller times this call as
-/// `t_conv`.
-///
-/// Where the node has stores of its own outstanding (a page with a twin:
-/// a nested acquire, a store before the first one, a fetch in mid-section)
-/// each run goes through [`AddressSpace::write_remote`], which keeps the
-/// twin in step and the node's own unreleased elements as they are, so
-/// the next release ships exactly what the node stored. Everywhere else —
-/// the home, a clean page — that is the plain store below.
+/// `t_conv`. Every element a run names takes the remote value: this is the
+/// home's apply, and every oracle's.
 ///
 /// The batch is walked as borrowed views of its frame. Entry row, kind
 /// check and conversion plan are looked up once per group, bounds are
@@ -250,34 +244,32 @@ pub fn apply_batch(
     batch: &UpdateBatch,
     stats: &mut ConversionStats,
 ) -> Result<(u64, u64, u64), UpdateError> {
-    apply_groups(gthv, batch, stats, false)
+    apply_keeping(gthv, batch, stats, |_| None)
 }
 
-/// [`apply_batch`] through the *tracked* write path, so every update
-/// faults/twins/dirties like an application store. Used when replaying a
-/// migrating thread's unreleased modifications onto its new node.
-pub(crate) fn apply_batch_tracked(
+/// [`apply_batch`] on a copy with stores of its own outstanding:
+/// `written(entry)` is the entry's write set, the elements this thread has
+/// stored to since its last release, and those keep their local value. The
+/// store is newer than anything an acquire can deliver to a race-free
+/// program, and the next release ships it. A run that meets a written span
+/// is built whole in the scratch buffer, counted as if applied whole, and
+/// stored only in the gaps between the spans. Where the entry has nothing
+/// written — every barrier's acquire, which follows its release — the walk
+/// is [`apply_batch`]'s.
+pub(crate) fn apply_keeping<'w>(
     gthv: &mut GthvInstance,
     batch: &UpdateBatch,
     stats: &mut ConversionStats,
-) -> Result<(u64, u64, u64), UpdateError> {
-    apply_groups(gthv, batch, stats, true)
-}
-
-fn apply_groups(
-    gthv: &mut GthvInstance,
-    batch: &UpdateBatch,
-    stats: &mut ConversionStats,
-    tracked: bool,
+    written: impl Fn(u32) -> Option<&'w IntervalSet>,
 ) -> Result<(u64, u64, u64), UpdateError> {
     let mut walk = ApplyWalk {
         stats,
-        tracked,
         scratch: Vec::new(),
         tally: (0, 0, 0),
     };
     for g in batch.groups() {
-        walk.apply_runs(gthv, g.head, g.runs())?;
+        let kept = written(g.head.entry).filter(|w| !w.is_empty());
+        walk.apply_runs(gthv, g.head, g.runs(), kept)?;
     }
     Ok(walk.tally)
 }
@@ -285,20 +277,22 @@ fn apply_groups(
 /// What one walk over a batch carries from group to group.
 struct ApplyWalk<'s> {
     stats: &'s mut ConversionStats,
-    tracked: bool,
-    /// Where a run that can fail half-way is built before it is stored.
+    /// Where a run that can fail half-way, or that is stored only in part,
+    /// is built before it is stored.
     scratch: Vec<u8>,
     /// Updates applied as `(memcpy, converted, pointer)`.
     tally: (u64, u64, u64),
 }
 
 impl ApplyWalk<'_> {
-    /// Apply the runs of one group: the per-entry decisions first, once.
+    /// Apply the runs of one group, but for the elements `kept` holds: the
+    /// per-entry decisions first, once.
     fn apply_runs<'a>(
         &mut self,
         gthv: &mut GthvInstance,
         head: GroupHead<'_>,
         runs: impl Iterator<Item = UpdateView<'a>>,
+        kept: Option<&IntervalSet>,
     ) -> Result<(), UpdateError> {
         let entry = head.entry;
         // Copy the scalar fields out of the row instead of cloning it —
@@ -331,38 +325,38 @@ impl ApplyWalk<'_> {
                 })
         });
         for run in runs {
-            if run
+            let Some(end) = run
                 .elem_offset
                 .checked_add(run.count)
-                .is_none_or(|end| end > row_count)
-            {
+                .filter(|&end| end <= row_count)
+            else {
                 return Err(UpdateError::RangeOutOfBounds {
                     entry,
                     first: run.elem_offset,
                     count: run.count,
                     available: row_count,
                 });
-            }
+            };
             let dst_addr = row_addr + run.elem_offset * u64::from(row_size);
             let dst_len = (u64::from(row_size) * run.count) as usize;
-            // A run that cannot fail goes straight into the space, unless
-            // a twin there has to be kept in step with it.
-            let in_place = plan.is_some_and(|p| p.op != RunOp::Convert)
-                && (self.tracked || !gthv.space().has_twin(dst_addr, dst_len));
+            let keep = kept.filter(|k| !k.touching(run.elem_offset, end).is_empty());
+            // A run that cannot fail and is stored whole goes straight
+            // into the space.
+            let in_place = keep.is_none() && plan.is_some_and(|p| p.op != RunOp::Convert);
             match plan {
                 Some(plan) if in_place => {
-                    let dst = self.dst(gthv, dst_addr, dst_len)?;
+                    let dst = gthv.space_mut().slice_mut_untracked(dst_addr, dst_len)?;
                     plan.apply(run.data, dst, run.count, self.stats)?;
                 }
                 Some(plan) => {
                     self.scratch.clear();
                     self.scratch.resize(dst_len, 0);
                     plan.apply(run.data, &mut self.scratch, run.count, self.stats)?;
-                    self.store_scratch(gthv, dst_addr, row_size as usize)?;
+                    self.store_scratch(gthv, dst_addr, row_size, (run.elem_offset, end), keep)?;
                 }
                 None => {
                     self.unswizzle_run(gthv, &head, &run, row_size as usize)?;
-                    self.store_scratch(gthv, dst_addr, row_size as usize)?;
+                    self.store_scratch(gthv, dst_addr, row_size, (run.elem_offset, end), keep)?;
                 }
             }
             match plan.map(|p| p.op) {
@@ -402,44 +396,29 @@ impl ApplyWalk<'_> {
         Ok(())
     }
 
-    /// The destination of one run in the address space.
-    fn dst<'g>(
-        &self,
-        gthv: &'g mut GthvInstance,
-        addr: u64,
-        len: usize,
-    ) -> Result<&'g mut [u8], UpdateError> {
-        let space = gthv.space_mut();
-        Ok(if self.tracked {
-            tracked_dst(space, addr, len)?
-        } else {
-            space.slice_mut_untracked(addr, len)?
-        })
-    }
-
-    /// Store the run built in `scratch` (elements of `elem` bytes).
+    /// Store the run built in `scratch` — elements `[first, end)` of
+    /// `size` bytes, at `addr` — but for the elements `keep` holds.
     fn store_scratch(
         &self,
         gthv: &mut GthvInstance,
         addr: u64,
-        elem: usize,
+        size: u32,
+        (first, end): (u64, u64),
+        keep: Option<&IntervalSet>,
     ) -> Result<(), UpdateError> {
         let space = gthv.space_mut();
-        if self.tracked {
-            tracked_dst(space, addr, self.scratch.len())?.copy_from_slice(&self.scratch);
-        } else {
-            space.write_remote(addr, &self.scratch, elem)?;
+        let Some(keep) = keep else {
+            space.write_untracked(addr, &self.scratch)?;
+            return Ok(());
+        };
+        let size = size as usize;
+        for gap in keep.split(first, end).filter(|p| !p.inside) {
+            let from = (gap.first - first) as usize * size;
+            let to = (gap.end - first) as usize * size;
+            space.write_untracked(addr + from as u64, &self.scratch[from..to])?;
         }
         Ok(())
     }
-}
-
-/// [`AddressSpace::slice_mut`] kept out of line: it is `#[inline]` for the
-/// accessors' sake, and inlined here the tracked store (migration replay
-/// only) would sit in the apply loop and cost every untracked run 2 ns.
-#[inline(never)]
-fn tracked_dst(space: &mut AddressSpace, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
-    space.slice_mut(addr, len)
 }
 
 /// Ranges covering the *entire* shared structure — used to seed a freshly
@@ -685,22 +664,46 @@ mod tests {
     }
 
     #[test]
-    fn tracked_apply_faults_and_dirties_like_a_store() {
-        let mut src = inst(PlatformSpec::linux_x86());
-        src.write_int(1, 0, 1).unwrap();
-        src.write_ptr(0, 0, Some((1, 5))).unwrap();
-        let ups = extract_updates(&src, &[range(0, 0, 1), range(1, 0, 1)]).unwrap();
-        for p in [PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()] {
-            let mut dst = inst(p);
-            dst.space_mut().protect_all();
-            let mut stats = ConversionStats::default();
-            apply_batch_tracked(&mut dst, &ups, &mut stats).unwrap();
-            assert_eq!(dst.read_int(1, 0).unwrap(), 1);
-            assert_eq!(dst.read_ptr(0, 0).unwrap(), Some((1, 5)));
-            // Both elements sit on the structure's first page.
-            assert_eq!(dst.space().dirty_count(), 1);
-            assert_eq!(dst.space().stats().faults, 1);
-            assert_eq!(dst.space().stats().writes, 2);
+    fn apply_keeps_what_the_write_set_holds() {
+        use hdsm_platform::ctype::StructBuilder;
+        let def = StructBuilder::new("K")
+            .array("ps", ScalarKind::Ptr, 3)
+            .array("xs", ScalarKind::Long, 6)
+            .build()
+            .unwrap();
+        let def = GthvDef::new(def).unwrap();
+        // Pointers 0..3 and longs 0..6 shipped; the receiver wrote pointer
+        // 1 and longs [1, 3) and [4, 5) since its last release.
+        let mut src = GthvInstance::new(def.clone(), PlatformSpec::linux_x86());
+        for i in 0..6 {
+            src.write_int(1, i, 100 + i as i128).unwrap();
+        }
+        for i in 0..3 {
+            src.write_ptr(0, i, Some((1, i))).unwrap();
+        }
+        let ups = extract_updates(&src, &[range(0, 0, 3), range(1, 0, 6)]).unwrap();
+        let mut written = [IntervalSet::default(), IntervalSet::default()];
+        written[0].insert(1, 2);
+        written[1].insert(1, 3);
+        written[1].insert(4, 5);
+        for p in [PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc64()] {
+            let mut dst = GthvInstance::new(def.clone(), p.clone());
+            for i in 0..6 {
+                dst.write_int(1, i, -1).unwrap();
+            }
+            dst.write_ptr(0, 1, Some((1, 5))).unwrap();
+            let (mut kept_stats, mut whole_stats) = Default::default();
+            let kept = apply_keeping(&mut dst, &ups, &mut kept_stats, |e| written.get(e as usize))
+                .unwrap();
+            let longs: Vec<i128> = (0..6).map(|i| dst.read_int(1, i).unwrap()).collect();
+            assert_eq!(longs, [100, -1, -1, 103, -1, 105], "{}", p.name);
+            let ptrs: Vec<_> = (0..3).map(|i| dst.read_ptr(0, i).unwrap()).collect();
+            assert_eq!(ptrs, [Some((1, 0)), Some((1, 5)), Some((1, 2))]);
+            // Counted as applied whole: a kept element is converted, then
+            // not stored.
+            let mut whole = GthvInstance::new(def.clone(), p);
+            let whole = apply_batch(&mut whole, &ups, &mut whole_stats).unwrap();
+            assert_eq!((kept, kept_stats), (whole, whole_stats));
         }
     }
 

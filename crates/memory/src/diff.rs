@@ -10,13 +10,15 @@
 //!   node's simulated address space. Every byte of the page is compared,
 //!   eight to a `u64` word; the runs are the byte loop's. A page DSM ships
 //!   these (`hdsm-core::baseline`), and `hdsm-core::runs::map_runs` folds
-//!   them into element ranges — the oracle the DSD client's scan is held to.
+//!   them into element ranges — the oracle the element scan is held to.
 //! * [`diff_elems`], which compares a span one *element* at a time. The
-//!   DSD ships elements whole, so its release scan
+//!   DSD ships elements whole, so its element scan
 //!   (`hdsm-core::runs::scan_ranges`) walks the index table's rows over
 //!   each dirty page and compares at the row's element size: every byte a
 //!   row covers is still compared, and no byte run is built only to be
-//!   folded back into elements.
+//!   folded back into elements. The DSD client itself compares nothing —
+//!   its accessors record what they store — and the scan is the oracle
+//!   that record is tested against.
 
 use crate::space::AddressSpace;
 

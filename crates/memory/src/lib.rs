@@ -16,6 +16,10 @@
 //! the trap delivery differs (a branch instead of a hardware fault), which
 //! is also what lets a node simulate a *different page size* than the
 //! host's (the paper's SPARC nodes have 8 KiB pages, x86 nodes 4 KiB).
+//!
+//! The DSD client does not arm it: its store accessors record what they
+//! write, so twins and diffs serve the page-DSM baseline and, as the
+//! oracle the recorded write set is tested against, the DSD's tests.
 
 pub mod diff;
 pub mod space;

@@ -191,66 +191,6 @@ impl AddressSpace {
         Ok(&mut self.data[off..off + len])
     }
 
-    /// Does any page of `[addr, addr + len)` have a twin — is a plain
-    /// [`Self::slice_mut_untracked`] there not enough for a remote value,
-    /// which needs [`Self::write_remote`]? `false` for a range outside the
-    /// space (the write that follows reports it).
-    #[inline]
-    pub fn has_twin(&self, addr: u64, len: usize) -> bool {
-        if self.dirty.is_empty() || len == 0 {
-            return false;
-        }
-        let Ok(off) = self.offset_of(addr, len) else {
-            return false;
-        };
-        let last = (off + len - 1) >> self.page_shift;
-        self.dirty
-            .range(off >> self.page_shift..=last)
-            .next()
-            .is_some()
-    }
-
-    /// Store a value that came from another node — an update applied at an
-    /// acquire, a range fetched before an access: `bytes` is whole elements
-    /// of `elem` bytes each, written at `addr` into the page *and into its
-    /// twin where one exists*, with protection and dirty marks left as they
-    /// are. What the next release diffs is therefore what this node stored
-    /// since its last release and nothing else: a remote value is never
-    /// diffed back out as a local write, and a later store of the value the
-    /// page held before is still a difference.
-    ///
-    /// An element this node has itself modified since its last release (it
-    /// differs from its twin) keeps its local value — the store is newer
-    /// than anything an acquire can deliver to a race-free program — and
-    /// only its twin takes the remote one, so the release still ships it.
-    pub fn write_remote(&mut self, addr: u64, bytes: &[u8], elem: usize) -> Result<(), MemError> {
-        let off = self.offset_of(addr, bytes.len())?;
-        if !self.has_twin(addr, bytes.len()) {
-            self.data[off..off + bytes.len()].copy_from_slice(bytes);
-            return Ok(());
-        }
-        let mask = self.page_size - 1;
-        for (i, src) in bytes.chunks(elem.max(1)).enumerate() {
-            let at = off + i * elem;
-            // An element lies on one page, or straddles a seam and is
-            // judged over the bytes each side's twin holds.
-            let local = (at..at + src.len()).any(|b| {
-                self.twins[b >> self.page_shift]
-                    .as_ref()
-                    .is_some_and(|t| t[b & mask] != self.data[b])
-            });
-            for (b, &v) in (at..).zip(src) {
-                if let Some(t) = &mut self.twins[b >> self.page_shift] {
-                    t[b & mask] = v;
-                }
-                if !local {
-                    self.data[b] = v;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Run the fault handler on every protected page of `first..=last`.
     #[cold]
     #[inline(never)]
@@ -327,9 +267,8 @@ impl AddressSpace {
         self.base + (page * self.page_size) as u64
     }
 
-    /// Discard all twins and dirty marks and re-arm protection — the state
-    /// transition after a successful release (unlock) has shipped the
-    /// diffs, or after an acquire has applied incoming updates.
+    /// Discard all twins and dirty marks and re-arm protection — a page
+    /// DSM's state transition after a release has shipped the diffs.
     pub fn reset_and_protect(&mut self) {
         for t in &mut self.twins {
             *t = None;
@@ -427,57 +366,6 @@ mod tests {
         assert_eq!(s.dirty_count(), 0);
         assert_eq!(s.prot_at(BASE + 5).unwrap(), PageProt::ReadOnly);
         assert_eq!(s.read(BASE + 5, 1).unwrap(), &[42]);
-    }
-
-    #[test]
-    fn remote_write_to_a_clean_page_is_an_untracked_write() {
-        let mut s = space();
-        s.protect_all();
-        assert!(!s.has_twin(BASE, 3 * 4096));
-        s.write_remote(BASE + 8, &[1, 2, 3, 4], 4).unwrap();
-        assert_eq!(s.read(BASE + 8, 4).unwrap(), &[1, 2, 3, 4]);
-        assert_eq!((s.stats().faults, s.dirty_count()), (0, 0));
-        assert_eq!(s.prot_at(BASE + 8).unwrap(), PageProt::ReadOnly);
-        assert!(s.write_remote(BASE + 3 * 4096 - 2, &[0; 4], 4).is_err());
-    }
-
-    #[test]
-    fn remote_write_keeps_the_twin_in_step_and_local_stores_as_they_are() {
-        // Four-byte elements on page 0: element 0 stored locally, element
-        // 1 untouched. A remote value for both lands in the twin of both
-        // and in the page of the untouched one only — so a diff of page
-        // against twin still shows exactly the local store.
-        let mut s = space();
-        s.write_untracked(BASE, &[9, 9, 9, 9, 5, 5, 5, 5]).unwrap();
-        s.protect_all();
-        s.write(BASE, &[1, 9, 9, 9]).unwrap(); // one byte of element 0 changes
-        assert!(s.has_twin(BASE + 4, 4) && !s.has_twin(BASE + 4096, 4096));
-        s.write_remote(BASE, &[7, 7, 7, 7, 8, 8, 8, 8], 4).unwrap();
-        assert_eq!(s.read(BASE, 8).unwrap(), &[1, 9, 9, 9, 8, 8, 8, 8]);
-        assert_eq!(&s.twin(0).unwrap()[..8], &[7, 7, 7, 7, 8, 8, 8, 8]);
-        assert_eq!(s.dirty_pages().collect::<Vec<_>>(), [0]);
-        assert_eq!(s.stats().faults, 1, "a remote write never faults");
-        // A later store of the value the page held before the remote one
-        // is a difference again.
-        s.write(BASE + 4, &[5, 5, 5, 5]).unwrap();
-        assert_ne!(s.read(BASE + 4, 4).unwrap(), &s.twin(0).unwrap()[4..8]);
-    }
-
-    #[test]
-    fn remote_write_judges_an_element_on_a_page_seam_whole() {
-        // An 8-byte element straddling pages 0 and 1; only page 1 has a
-        // twin, and the element's bytes there were stored locally.
-        let mut s = space();
-        s.protect_all();
-        let seam = BASE + 4096 - 4;
-        s.write(BASE + 4096, &[3, 3]).unwrap();
-        assert_eq!(s.dirty_pages().collect::<Vec<_>>(), [1]);
-        s.write_remote(seam, &[6; 8], 8).unwrap();
-        assert_eq!(s.read(seam, 8).unwrap(), &[0, 0, 0, 0, 3, 3, 0, 0]);
-        assert_eq!(&s.twin(1).unwrap()[..4], &[6; 4]);
-        // The next element, wholly on page 1 and untouched, takes it.
-        s.write_remote(seam + 8, &[6; 8], 8).unwrap();
-        assert_eq!(s.read(seam + 8, 8).unwrap(), &[6; 8]);
     }
 
     #[test]
