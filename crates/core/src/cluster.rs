@@ -35,7 +35,7 @@ use crate::client::{DsdClient, DsdError};
 use crate::costs::CostBreakdown;
 use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvDef, GthvInstance};
-use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
+use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard, HomeStep};
 use crate::ids::{BarrierId, LockId, ShardId};
 use crate::placement::{PlacementInputs, PlacementPolicy};
 use crate::protocol::{DsdMsg, Report};
@@ -47,7 +47,7 @@ use hdsm_net::endpoint::{Endpoint, NetError, Network};
 use hdsm_net::fault::LinkFaults;
 use hdsm_net::message::MsgKind;
 use hdsm_net::stats::{NetConfig, NetStats};
-use hdsm_net::{FabricClock, FabricMode, SimFabric, Ticker};
+use hdsm_net::{ActorId, FabricClock, FabricMode, SimFabric, Ticker};
 use hdsm_obs::{DecisionRow, ObsSnapshot, Recorder, WatchdogConfig, WriterStats};
 use hdsm_platform::spec::{Platform, PlatformSpec};
 use hdsm_tags::convert::ConversionStats;
@@ -933,12 +933,13 @@ impl ClusterBuilder {
             .filter(|_| self.recorder.is_enabled())
             .map(|(interval, _)| interval.max(Duration::from_micros(1)));
 
-        // One spawn path for every node of the cluster. In simulation
-        // mode each is registered as a scheduler actor right before its
-        // thread spawns — all from this one thread, in a fixed order
-        // (homes, pump, control, workers), because actor ids are part of
-        // the deterministic schedule; the threads park at their entry
-        // turnstile until `begin()` below.
+        // Every node of the cluster is registered from this one thread,
+        // in a fixed order (homes, pump, control, workers), because in
+        // simulation mode actor ids are part of the deterministic
+        // schedule. A home instance is a step actor there, run by the
+        // thread whose pick lands on it; every other node, and every node
+        // on the threads fabric, is a thread from `spawn_actor`, which
+        // parks at its entry turnstile until `begin()` below.
         std::thread::scope(|s| {
             let n_shards = directory.n_shards() as usize;
             let home_handles: Vec<_> = homes
@@ -952,7 +953,15 @@ impl ClusterBuilder {
                         format!("home-replica{}", i - n_shards)
                     };
                     let shard = (i % n_shards) as u32;
-                    (shard, spawn_actor(s, &sim, &name, move || home.run(ep)))
+                    let run = match &sim {
+                        Some(fabric) => {
+                            let rank = ep.rank();
+                            let step = Box::new(HomeStep::new(home, ep));
+                            HomeRun::Step(fabric.clone(), fabric.add_step(&name, rank, step))
+                        }
+                        None => HomeRun::Thread(spawn_actor(s, &sim, &name, move || home.run(ep))),
+                    };
+                    (shard, run)
                 })
                 .collect();
             // The pump, the cluster's one service actor, on one 5 ms tick
@@ -1271,9 +1280,30 @@ pub fn run_migrating(
     }
 }
 
-/// Spawn one node of the cluster — home shard, worker, pump, control
-/// script — on its own scoped thread. On the
-/// simulated fabric the node is first registered as scheduler actor
+/// A home instance as it runs: on its own thread, or on the sim fabric as
+/// a step actor.
+enum HomeRun<'scope> {
+    Thread(std::thread::ScopedJoinHandle<'scope, Result<HomeRunOutcome, HomeError>>),
+    Step(SimFabric, ActorId),
+}
+
+impl HomeRun<'_> {
+    /// What the instance finished with, as a join reports it. A step the
+    /// fabric dropped unfinished, once it failed, saw its channel close.
+    fn join(self) -> std::thread::Result<Result<HomeRunOutcome, HomeError>> {
+        match self {
+            HomeRun::Thread(h) => h.join(),
+            HomeRun::Step(fabric, id) => match fabric.take_result(id) {
+                Some(ran) => ran.map(|out| *out.downcast().expect("a home step's result is run's")),
+                None => Ok(Err(NetError::ChannelClosed.into())),
+            },
+        }
+    }
+}
+
+/// Spawn one node of the cluster on its own scoped thread: a worker, the
+/// pump, the control script, and on the threads fabric a home instance.
+/// On the simulated fabric the node is first registered as thread actor
 /// `name`, and its thread binds to that actor (waiting for the token)
 /// before running `f`.
 fn spawn_actor<'scope, T: Send + 'scope>(

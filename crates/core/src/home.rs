@@ -36,9 +36,12 @@
 //! An instance decides and its runner does the I/O. [`HomeShard::on`] is
 //! one step: it takes a frame, a tick or the endpoints its last sends
 //! found gone, at a fabric instant it is handed (decisions read no
-//! clock), and leaves the encoded sends in an outbox. [`HomeShard::run`]
-//! is the one loop that touches an endpoint: it performs a step's sends,
+//! clock), and leaves the encoded sends in an outbox. A runner *turn* is
+//! the one code that touches an endpoint: it performs a step's sends,
 //! waits as the instance's stage says and steps on what the wait brought.
+//! [`HomeShard::run`] takes turns on its own thread; on the sim fabric a
+//! [`HomeStep`] takes them on whichever thread the scheduler picked it
+//! from, and yields where `run` would block.
 //! Every frame takes one receive path, `process`, in every stage:
 //! serving, the grace period of a fenced instance (every client frame is
 //! redirected with a `ViewChange`), the conclusion of an entry move and
@@ -59,7 +62,7 @@ use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
 use bytes::Bytes;
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
-use hdsm_net::FabricInstant;
+use hdsm_net::{FabricClock, FabricInstant, Step, Turn, Wake};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::{unpack_batch, UpdateBatch};
@@ -332,6 +335,111 @@ pub enum Input<'a> {
     Tick,
     /// The endpoints the last step's sends found gone (`Disconnected`).
     Gone(&'a [u32]),
+}
+
+/// How a runner turn ended.
+enum Turned {
+    /// It stepped on an input.
+    Stepped,
+    /// It must wait for its input: the turn yields.
+    Yield,
+    /// The run is over, authoritatively or not.
+    Over(bool),
+}
+
+/// A home instance as a sim step actor: it takes [`HomeShard::run`]'s
+/// turns on the thread the scheduler picked it from, and where `run`
+/// would block in a receive it answers [`Turn::Wait`] with the same
+/// deadline. Its result is `run`'s, a `Result<HomeRunOutcome, HomeError>`.
+pub(crate) struct HomeStep {
+    home: Option<HomeShard>,
+    ep: Endpoint,
+    clock: FabricClock,
+    started: bool,
+    /// The deadline of the receive the last turn yielded in.
+    until: Option<FabricInstant>,
+}
+
+impl HomeStep {
+    pub(crate) fn new(home: HomeShard, ep: Endpoint) -> HomeStep {
+        let clock = ep.clock();
+        HomeStep {
+            home: Some(home),
+            ep,
+            clock,
+            started: false,
+            until: None,
+        }
+    }
+
+    /// Finish the receive `wake` ended, as `Endpoint::recv_timeout` does on
+    /// the sim fabric, then take turns until one must wait (`None`) or the
+    /// run is over (whether authoritatively).
+    fn resume(&mut self, wake: Wake) -> Result<Option<bool>, HomeError> {
+        let HomeStep {
+            home,
+            ep,
+            clock,
+            started,
+            until,
+        } = self;
+        let home = home.as_mut().expect("a finished home takes no turn");
+        if !*started {
+            *started = true;
+            home.start(clock.now())?;
+        } else {
+            let input = match wake {
+                Wake::Delivery => match poll(ep, clock, *until)? {
+                    Some(input) => input,
+                    None => return Ok(None),
+                },
+                Wake::Timeout => Input::Tick,
+                Wake::Closed => return Err(NetError::ChannelClosed.into()),
+            };
+            home.on(clock.now(), input)?;
+        }
+        loop {
+            let recv = |left: Duration| {
+                *until = (left < Duration::MAX).then(|| clock.now() + left);
+                poll(ep, clock, *until)
+            };
+            match home.turn(ep, clock, recv)? {
+                Turned::Stepped => {}
+                Turned::Yield => return Ok(None),
+                Turned::Over(authoritative) => return Ok(Some(authoritative)),
+            }
+        }
+    }
+}
+
+/// What a sim receive until `until` finds without yielding: a frame, a
+/// tick once the deadline has passed, or `None`: it must wait.
+fn poll(
+    ep: &Endpoint,
+    clock: &FabricClock,
+    until: Option<FabricInstant>,
+) -> Result<Option<Input<'static>>, NetError> {
+    match ep.try_recv() {
+        Ok(m) => Ok(Some(Input::Frame(m))),
+        Err(NetError::Empty) => Ok(until
+            .is_some_and(|at| at <= clock.now())
+            .then_some(Input::Tick)),
+        Err(e) => Err(e),
+    }
+}
+
+impl Step for HomeStep {
+    fn step(&mut self, wake: Wake) -> Turn {
+        let ran = match self.resume(wake) {
+            Ok(None) => return Turn::Wait(self.until.map(FabricInstant::as_micros)),
+            Ok(Some(authoritative)) => {
+                let home = self.home.take().expect("a home finishes once");
+                Ok(home.outcome(authoritative))
+            }
+            Err(e) => Err(e),
+        };
+        Turn::Done(Box::new(ran))
+    }
 }
 
 /// One encoded send a step decided on; the runner performs a step's sends
@@ -1191,45 +1299,67 @@ impl HomeShard {
     }
 
     /// Run the service on `ep` until all live participants joined (or
-    /// this instance is killed, deposed or drained). The one loop that
-    /// touches an endpoint: perform the last step's sends, wait as the
-    /// stage says, and step on what the wait brought.
+    /// this instance is killed, deposed or drained), taking turns on the
+    /// calling thread: each blocks in its receive. On the sim fabric a
+    /// cluster runs homes as [`HomeStep`]s instead.
     pub fn run(mut self, ep: Endpoint) -> Result<HomeRunOutcome, HomeError> {
         let clock = ep.clock();
-        let mut send = |s: &Outgoing| match ep.send_op(s.to, s.kind, s.payload.clone(), s.op) {
-            Err(NetError::Disconnected(_)) => Ok(false),
-            sent => sent.map(|()| true).map_err(HomeError::from),
-        };
         self.start(clock.now())?;
         loop {
-            self.flush(&mut send)?;
-            if let Stage::Done { authoritative } = self.stage {
+            let recv = |left| match ep.recv_timeout(left) {
+                Ok(m) => Ok(Some(Input::Frame(m))),
+                Err(NetError::Timeout) => Ok(Some(Input::Tick)),
+                Err(e) => Err(e),
+            };
+            if let Turned::Over(authoritative) = self.turn(&ep, &clock, recv)? {
                 return Ok(self.outcome(authoritative));
             }
-            let killed = self
-                .kill
-                .as_ref()
-                .is_some_and(|k| k.load(Ordering::Relaxed));
-            if self.stage == Stage::Serve && killed {
-                self.mark(EventKind::ShardKill, "");
-                return Ok(self.outcome(false));
-            }
-            let now = clock.now();
-            // `Duration::MAX` waits with no deadline.
-            let left = self
-                .wake(now)
-                .map_or(Duration::MAX, |at| at.saturating_since(now));
-            let input = if left.is_zero() {
-                Input::Tick
-            } else {
-                match ep.recv_timeout(left) {
-                    Ok(m) => Input::Frame(m),
-                    Err(NetError::Timeout) => Input::Tick,
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            self.on(clock.now(), input)?;
         }
+    }
+
+    /// One runner turn: perform the last step's sends; end if the stage
+    /// is done or the kill switch flipped; else take a tick if the
+    /// stage's deadline has passed, or what `recv` brings within the wait
+    /// it is handed (`Duration::MAX`: with no deadline) — `None` if it
+    /// cannot tell without yielding — and step on it.
+    fn turn(
+        &mut self,
+        ep: &Endpoint,
+        clock: &FabricClock,
+        recv: impl FnOnce(Duration) -> Result<Option<Input<'static>>, NetError>,
+    ) -> Result<Turned, HomeError> {
+        self.flush(
+            |s| match ep.send_op(s.to, s.kind, s.payload.clone(), s.op) {
+                Err(NetError::Disconnected(_)) => Ok(false),
+                sent => sent.map(|()| true).map_err(HomeError::from),
+            },
+        )?;
+        if let Stage::Done { authoritative } = self.stage {
+            return Ok(Turned::Over(authoritative));
+        }
+        let killed = self
+            .kill
+            .as_ref()
+            .is_some_and(|k| k.load(Ordering::Relaxed));
+        if self.stage == Stage::Serve && killed {
+            self.mark(EventKind::ShardKill, "");
+            return Ok(Turned::Over(false));
+        }
+        let now = clock.now();
+        // `Duration::MAX` waits with no deadline.
+        let left = self
+            .wake(now)
+            .map_or(Duration::MAX, |at| at.saturating_since(now));
+        let input = if left.is_zero() {
+            Input::Tick
+        } else {
+            match recv(left)? {
+                Some(input) => input,
+                None => return Ok(Turned::Yield),
+            }
+        };
+        self.on(clock.now(), input)?;
+        Ok(Turned::Stepped)
     }
 
     /// When the runner's next wait ends if nothing arrives; `None`: it

@@ -35,5 +35,5 @@ pub use clock::{FabricClock, FabricInstant, Ticker};
 pub use endpoint::{Endpoint, NetError, Network};
 pub use fault::{FaultPlan, LinkFaults};
 pub use message::{Message, MsgKind};
-pub use sim::{ActorGuard, ActorId, FabricMode, SimFabric};
+pub use sim::{ActorGuard, ActorId, FabricMode, SimFabric, Step, Turn, Wake};
 pub use stats::{DestTraffic, NetConfig, NetStats};

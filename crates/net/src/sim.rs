@@ -1,28 +1,40 @@
 //! Deterministic discrete-event fabric: N logical ranks, one virtual clock.
 //!
 //! [`SimFabric`] replaces preemptive thread scheduling with cooperative
-//! token passing: every rank (worker, home shard, heartbeat pump, control
-//! script) registers as an *actor*, and exactly one actor runs at a time.
-//! When the running actor blocks — on a receive, a receive timeout, or a
-//! virtual sleep — it hands the token to a scheduler step that either picks
-//! the next runnable actor or fires the earliest event — a delivery off a
-//! seeded priority queue or a blocked actor's deadline — advancing the
-//! virtual clock to the event's timestamp. Sends never block; they enqueue
-//! a delivery at `now + wire_time (+ fault jitter)`. Compute costs zero
-//! virtual time.
+//! token passing: every rank registers as an *actor*, and exactly one actor
+//! runs at a time. An actor is one of two kinds:
 //!
-//! A step decides under the state lock and *returns* whom to wake; the
-//! state lock is never held across a wake, so the woken thread finds it
-//! free and a turn costs one thread switch. A blocked actor has at most one
-//! deadline, kept beside the delivery queue under the same order and
-//! removed by whatever wakes the actor first: nothing dead is ever queued.
+//! - a *thread actor* (a worker, the heartbeat pump, a control script) owns
+//!   an OS thread, which parks between its turns;
+//! - a *step actor* (a home instance) owns no thread: it is a [`Step`]
+//!   that the thread which picked it calls, with the state lock released,
+//!   and that answers how it waits next.
+//!
+//! When the running actor blocks — on a receive, a receive timeout, a
+//! virtual sleep, or by a step answering [`Turn::Wait`] — the scheduler
+//! either picks the next runnable actor or fires the earliest event — a
+//! delivery off a seeded priority queue or a blocked actor's deadline —
+//! advancing the virtual clock to the event's timestamp. Sends never block;
+//! they enqueue a delivery at `now + wire_time (+ fault jitter)`. Compute
+//! costs zero virtual time.
+//!
+//! A pick of a step actor runs on the thread that made it, and the picking
+//! goes on; only the pick of a thread actor hands the token over. The
+//! scheduler decides under the state lock and wakes that thread after
+//! releasing it, so the woken thread finds it free and a hand-off costs one
+//! thread switch — none when a thread picks itself. A blocked actor has at
+//! most one deadline, kept beside the delivery queue under the same order
+//! and removed by whatever wakes the actor first: nothing dead is ever
+//! queued.
 //!
 //! Because execution is fully serialized and every scheduling decision is a
 //! function of `(seed, event sequence)`, a whole cluster run — including
 //! fault-plan drops, retransmit backoff, lease expiry and replica
 //! promotion — is a pure function of `(workload, config, seed)`: the same
 //! seed replays the same interleaving byte for byte, and different seeds
-//! explore different interleavings of same-timestamp events.
+//! explore different interleavings of same-timestamp events. Which kind an
+//! actor is changes no decision: a step's wait draws from the same counters
+//! as a thread's receive.
 //!
 //! Per-link FIFO is preserved (delivery times on one link are monotone in
 //! send order), matching the threaded fabric's channel semantics; explicit
@@ -32,13 +44,16 @@
 //! If every actor is blocked with no deadline pending and the delivery
 //! queue is empty, the run has genuinely deadlocked: the fabric panics with
 //! a per-actor diagnostic instead of hanging the test. If an actor panics
-//! for any other reason, the remaining blocked actors are woken with
-//! `ChannelClosed` so the thread scope can join and surface the original
-//! panic.
+//! for any other reason — a step's panic is caught and kept as its result —
+//! the fabric has failed: every step still waiting is dropped, and the
+//! blocked thread actors are woken with `ChannelClosed` so the thread scope
+//! can join and surface the original panic.
 
 use crate::message::Message;
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -83,6 +98,25 @@ pub enum Wake {
     Closed,
 }
 
+/// What a step actor answers at the end of its turn.
+pub enum Turn {
+    /// Wait on the actor's endpoint for a delivery, or until the virtual
+    /// instant (µs; `None`: a delivery alone), which must lie ahead of
+    /// the clock: a step yields only when it must wait.
+    Wait(Option<u64>),
+    /// Finished with this result, kept for [`SimFabric::take_result`].
+    Done(Box<dyn Any + Send>),
+}
+
+/// An actor without a thread of its own: the thread whose pick lands on
+/// it calls [`Step::step`] with the state lock released, and the fabric
+/// then records the wait it answers exactly as a thread actor's receive.
+pub trait Step: Send {
+    /// Take one turn: `wake` says why the last wait ended (a
+    /// [`Wake::Delivery`] on the first turn).
+    fn step(&mut self, wake: Wake) -> Turn;
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Holds or is owed the token (the owning thread may not have reached
@@ -102,7 +136,23 @@ struct Actor {
     timer: Option<EvKey>,
     /// Endpoint rank this actor is blocked receiving on, if any.
     waiting_ep: Option<u32>,
-    cv: Arc<Condvar>,
+    kind: Kind,
+}
+
+/// How an actor runs.
+enum Kind {
+    /// On its own thread, woken through this condvar.
+    Thread(Arc<Condvar>),
+    /// As a step on the picking thread.
+    Step {
+        /// The endpoint rank it waits on.
+        ep: u32,
+        /// The step while it waits; `None` while it runs and once it is
+        /// dropped.
+        step: Option<Box<dyn Step>>,
+        /// Its result, or its panic, once it finished.
+        result: Option<std::thread::Result<Box<dyn Any + Send>>>,
+    },
 }
 
 /// `(at, lane, seq)`: the one order over deliveries and deadlines. `lane`
@@ -144,6 +194,9 @@ struct SimState {
     eps: Vec<Ep>,
     /// An actor panicked; blocked actors drain with `Wake::Closed`.
     failed: bool,
+    /// Wakes of a thread by another.
+    #[cfg(test)]
+    handoffs: u64,
 }
 
 impl SimState {
@@ -243,6 +296,8 @@ impl SimFabric {
                     running: None,
                     eps: Vec::new(),
                     failed: false,
+                    #[cfg(test)]
+                    handoffs: 0,
                 }),
                 now_us: AtomicU64::new(0),
                 deadlock_hook: Mutex::new(None),
@@ -271,6 +326,25 @@ impl SimFabric {
     /// order *before* spawning actor threads, so actor identity (and with
     /// it the seeded tie-breaking) is independent of OS spawn timing.
     pub fn add_actor(&self, name: &str) -> ActorId {
+        self.add(name, Kind::Thread(Arc::new(Condvar::new())))
+    }
+
+    /// Pre-register a step actor that waits on endpoint `ep`, in the same
+    /// order as [`SimFabric::add_actor`]: the ids share one sequence. The
+    /// fabric drops the step once it is done, or once the fabric failed.
+    pub fn add_step(&self, name: &str, ep: u32, step: Box<dyn Step>) -> ActorId {
+        let step = Some(step);
+        self.add(
+            name,
+            Kind::Step {
+                ep,
+                step,
+                result: None,
+            },
+        )
+    }
+
+    fn add(&self, name: &str, kind: Kind) -> ActorId {
         let mut st = self.core.lock();
         st.actors.push(Actor {
             name: name.to_string(),
@@ -278,9 +352,19 @@ impl SimFabric {
             wake: Wake::Delivery,
             timer: None,
             waiting_ep: None,
-            cv: Arc::new(Condvar::new()),
+            kind,
         });
         ActorId(st.actors.len() - 1)
+    }
+
+    /// What step actor `id` finished with — its [`Turn::Done`] result, or
+    /// the payload of its panic — taken once; `None` if it never finished
+    /// (it was dropped when the fabric failed) or was taken already.
+    pub fn take_result(&self, id: ActorId) -> Option<std::thread::Result<Box<dyn Any + Send>>> {
+        match &mut self.core.lock().actors[id.0].kind {
+            Kind::Step { result, .. } => result.take(),
+            Kind::Thread(_) => None,
+        }
     }
 
     /// Bind the calling thread to `id` and wait for the token. The first
@@ -302,11 +386,13 @@ impl SimFabric {
     }
 
     /// Start scheduling: hand the token to the first seeded pick among the
-    /// registered actors. Call once, after `add_actor`/thread spawning.
+    /// registered actors; a step actor picked before the first thread
+    /// actor takes its turn on the calling thread. Call once, after
+    /// `add_actor`/`add_step` and thread spawning.
     pub fn begin(&self) {
-        let mut st = self.core.lock();
+        let st = self.core.lock();
         if st.running.is_none() {
-            self.schedule(&mut st).unlock_then_wake(st);
+            self.hand_off(st, None);
         }
     }
 
@@ -397,6 +483,12 @@ impl SimFabric {
         (st.queue.len(), st.timers.len())
     }
 
+    /// How many times a thread has woken another so far.
+    #[cfg(test)]
+    pub(crate) fn handoffs(&self) -> u64 {
+        self.core.lock().handoffs
+    }
+
     /// Give the running actor, about to block, its deadline.
     fn set_timer(&self, st: &mut SimState, actor: usize, at: u64) {
         let lane = splitmix64(st.seed ^ 0x7135_E00D ^ (actor as u64));
@@ -408,11 +500,16 @@ impl SimFabric {
 
     /// Yield the token and wait to be woken. Must be entered with the state
     /// lock held and the calling actor running.
-    fn block_here(&self, mut st: MutexGuard<'_, SimState>, me: usize, ep: Option<u32>) -> Wake {
+    fn block_here<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, SimState>,
+        me: usize,
+        ep: Option<u32>,
+    ) -> Wake {
         st.actors[me].phase = Phase::Blocked;
         st.actors[me].waiting_ep = ep;
         st.running = None;
-        self.schedule(&mut st).unlock_then_wake(st);
+        self.hand_off(st, Some(me));
         self.await_token(me)
     }
 
@@ -421,7 +518,10 @@ impl SimFabric {
     /// step's unlock and this wait is seen, not lost.
     fn await_token(&self, me: usize) -> Wake {
         let mut st = self.core.lock();
-        let cv = st.actors[me].cv.clone();
+        let Kind::Thread(cv) = &st.actors[me].kind else {
+            unreachable!("a step actor has no thread to wait on");
+        };
+        let cv = cv.clone();
         while st.running != Some(me) {
             st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
@@ -429,11 +529,131 @@ impl SimFabric {
         st.actors[me].wake
     }
 
-    /// One scheduler step: pick the next runnable actor, or fire events
-    /// (advancing the virtual clock) until one becomes runnable. Runs with
-    /// the state lock held and no actor running; the caller wakes the pick
-    /// after releasing the lock.
-    fn schedule(&self, st: &mut SimState) -> HandOff {
+    /// Move the token on: the one path every yield, `begin` and every
+    /// retiring thread take. Picks in turn; each step actor picked runs
+    /// its turn on this thread, and the picking goes on. Stops at the
+    /// first thread actor picked — woken once the state lock is released,
+    /// unless it is the caller `me`, which is awake — or when nothing is
+    /// runnable. Entered with the state lock held and no actor running.
+    fn hand_off<'a>(&'a self, mut st: MutexGuard<'a, SimState>, me: Option<usize>) {
+        loop {
+            if st.failed {
+                st = self.drop_waiting_steps(st);
+            }
+            let Some(next) = self.pick(&mut st) else {
+                return HandOff(None).unlock_then_wake(st);
+            };
+            st.running = Some(next);
+            match &st.actors[next].kind {
+                Kind::Thread(cv) => {
+                    let cv = (Some(next) != me).then(|| cv.clone());
+                    #[cfg(test)]
+                    {
+                        st.handoffs += u64::from(cv.is_some());
+                    }
+                    return HandOff(cv).unlock_then_wake(st);
+                }
+                Kind::Step { .. } => st = self.run_step(st, next),
+            }
+        }
+    }
+
+    /// Run the turn of `a`, a step actor just picked, with the state lock
+    /// released; then record what it answered. A wait is recorded as
+    /// [`SimFabric::block_recv`] records one — deadline first, then the
+    /// endpoint's waiter — so it draws the same sequence numbers. A step
+    /// that finished, panicked or would wait on a failed fabric is dropped
+    /// with the lock released, and its actor is done.
+    fn run_step<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, SimState>,
+        a: usize,
+    ) -> MutexGuard<'a, SimState> {
+        let wake = st.actors[a].wake;
+        st.actors[a].phase = Phase::Running;
+        let Kind::Step { step, .. } = &mut st.actors[a].kind else {
+            unreachable!("only a step actor runs a turn");
+        };
+        let mut step = step.take().expect("a picked step is parked in its actor");
+        drop(st);
+        let turn = catch_unwind(AssertUnwindSafe(|| step.step(wake)));
+        let mut step = Some(step);
+        let result = match turn {
+            Ok(Turn::Wait(until)) => {
+                debug_assert!(
+                    until.is_none_or(|at| at > self.now_us()),
+                    "a step yields only when it must wait"
+                );
+                let mut st = self.core.lock();
+                st.running = None;
+                if !st.failed {
+                    if let Some(at) = until {
+                        self.set_timer(&mut st, a, at);
+                    }
+                    let Kind::Step {
+                        ep, step: parked, ..
+                    } = &mut st.actors[a].kind
+                    else {
+                        unreachable!();
+                    };
+                    let ep = *ep;
+                    *parked = step.take();
+                    st.ep(ep).waiter = Some(a);
+                    st.actors[a].phase = Phase::Blocked;
+                    st.actors[a].waiting_ep = Some(ep);
+                    return st;
+                }
+                None
+            }
+            Ok(Turn::Done(out)) => Some(Ok(out)),
+            Err(panic) => Some(Err(panic)),
+        };
+        drop(step);
+        let mut st = self.core.lock();
+        st.running = None;
+        if matches!(result, Some(Err(_))) {
+            st.failed = true;
+        }
+        st.actors[a].phase = Phase::Done;
+        if let Kind::Step { result: slot, .. } = &mut st.actors[a].kind {
+            *slot = result;
+        }
+        st
+    }
+
+    /// Drop every step still waiting on a failed fabric, with the state
+    /// lock released: none may run again, and each holds an endpoint,
+    /// whose network holds this fabric.
+    fn drop_waiting_steps<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, SimState>,
+    ) -> MutexGuard<'a, SimState> {
+        let mut dead = Vec::new();
+        for a in 0..st.actors.len() {
+            if !matches!(st.actors[a].kind, Kind::Step { step: Some(_), .. }) {
+                continue;
+            }
+            if st.actors[a].phase == Phase::Blocked {
+                self.wake(&mut st, a, Wake::Closed);
+            }
+            st.actors[a].phase = Phase::Done;
+            if let Kind::Step { step, .. } = &mut st.actors[a].kind {
+                dead.extend(step.take());
+            }
+        }
+        if dead.is_empty() {
+            return st;
+        }
+        drop(st);
+        drop(dead);
+        self.core.lock()
+    }
+
+    /// One scheduling decision: pick the next runnable actor, or fire events
+    /// (advancing the virtual clock) until one becomes runnable; `None`:
+    /// nothing is runnable. Runs with the state lock held and no actor
+    /// running.
+    fn pick(&self, st: &mut SimState) -> Option<usize> {
         loop {
             let ready = st.in_phase(Phase::Ready);
             if !ready.is_empty() {
@@ -441,9 +661,7 @@ impl SimFabric {
                     as usize
                     % ready.len();
                 st.picks += 1;
-                let next = ready[pick];
-                st.running = Some(next);
-                return HandOff(Some(st.actors[next].cv.clone()));
+                return Some(ready[pick]);
             }
             // The earlier of the next deadline and the next delivery.
             let delivery = st.queue.first_key_value().map(|(key, _)| *key);
@@ -463,7 +681,7 @@ impl SimFabric {
                 // `Wake::Closed` and the loop hands one of them the token.
                 let blocked = st.in_phase(Phase::Blocked);
                 if blocked.is_empty() {
-                    return HandOff(None);
+                    return None;
                 }
                 let fresh_deadlock = !st.failed;
                 if fresh_deadlock {
@@ -562,7 +780,7 @@ impl Drop for ActorGuard {
         // detector: someone must hand the token to the drained peers.
         if st.running == Some(self.id) || st.running.is_none() {
             st.running = None;
-            self.fabric.schedule(&mut st).unlock_then_wake(st);
+            self.fabric.hand_off(st, None);
         }
     }
 }
@@ -570,6 +788,10 @@ impl Drop for ActorGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::{Endpoint, Network};
+    use crate::message::MsgKind;
+    use crate::stats::NetConfig;
+    use hdsm_obs::Recorder;
 
     #[test]
     fn virtual_sleep_orders_actors_by_deadline() {
@@ -627,10 +849,20 @@ mod tests {
         assert_ne!(a1, b, "different seeds should explore different orders");
     }
 
+    /// A step that waits for a delivery on every turn.
+    struct Waits;
+
+    impl Step for Waits {
+        fn step(&mut self, _: Wake) -> Turn {
+            Turn::Wait(None)
+        }
+    }
+
     #[test]
     fn deadlock_panics_with_actor_diagnostics() {
         let sim = SimFabric::new(1);
         let a = sim.add_actor("stuck-worker");
+        sim.add_step("stuck-home", 98, Box::new(Waits));
         let sim2 = sim.clone();
         let handle = std::thread::spawn(move || {
             let _g = sim2.enter(a);
@@ -644,6 +876,129 @@ mod tests {
         assert!(msg.contains("deadlock"), "got: {msg}");
         assert!(msg.contains("stuck-worker"), "got: {msg}");
         assert!(msg.contains("ep 99"), "got: {msg}");
+        assert!(msg.contains("stuck-home"), "got: {msg}");
+        assert!(msg.contains("ep 98"), "got: {msg}");
+    }
+
+    /// Echoes every frame on its endpoint back to its sender; done after
+    /// `left` replies.
+    struct Echo {
+        ep: Endpoint,
+        left: usize,
+    }
+
+    impl Step for Echo {
+        fn step(&mut self, _: Wake) -> Turn {
+            while let Ok(m) = self.ep.try_recv() {
+                self.ep.send(m.src, MsgKind::Other, m.payload).unwrap();
+                self.left -= 1;
+                if self.left == 0 {
+                    return Turn::Done(Box::new(()));
+                }
+            }
+            Turn::Wait(None)
+        }
+    }
+
+    #[test]
+    fn round_trips_to_a_step_cost_the_thread_no_hand_off() {
+        // Each reply is picked by the client's own thread, which ran the
+        // echo's turn inline: after `begin` woke the client, no thread
+        // wakes another.
+        const TRIPS: usize = 1_000;
+        let sim = SimFabric::new(3);
+        let (_net, mut eps) = Network::new_sim(2, NetConfig::instant(), Recorder::disabled(), &sim);
+        let (echo, ep) = (eps.pop().unwrap(), eps.pop().unwrap());
+        let client = sim.add_actor("client");
+        let home = sim.add_step(
+            "echo",
+            1,
+            Box::new(Echo {
+                ep: echo,
+                left: TRIPS,
+            }),
+        );
+        std::thread::scope(|s| {
+            let actor = sim.clone();
+            s.spawn(move || {
+                let _g = actor.enter(client);
+                for _ in 0..TRIPS {
+                    ep.send(1, MsgKind::Other, bytes::Bytes::new()).unwrap();
+                    ep.recv().unwrap();
+                }
+            });
+            sim.begin();
+        });
+        assert_eq!(sim.handoffs(), 1, "only `begin` woke a thread");
+        assert_eq!(sim.pending(), (0, 0));
+        assert!(matches!(sim.take_result(home), Some(Ok(_))));
+    }
+
+    /// Panics on its first turn.
+    struct Boom;
+
+    impl Step for Boom {
+        fn step(&mut self, _: Wake) -> Turn {
+            panic!("boom");
+        }
+    }
+
+    #[test]
+    fn panicking_step_drains_blocked_threads_with_closed() {
+        let sim = SimFabric::new(1);
+        let a = sim.add_actor("waiter");
+        let b = sim.add_step("crasher", 6, Box::new(Boom));
+        let woke = std::thread::scope(|s| {
+            let sim2 = sim.clone();
+            let waiter = s.spawn(move || {
+                let _g = sim2.enter(a);
+                sim2.block_recv(5, None)
+            });
+            sim.begin();
+            waiter.join().expect("the step's panic is caught")
+        });
+        assert_eq!(woke, Wake::Closed);
+        let panic = sim.take_result(b).expect("finished").expect_err("panicked");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    /// Done on its first turn; flags its drop.
+    struct Once(Arc<std::sync::atomic::AtomicBool>);
+
+    impl Step for Once {
+        fn step(&mut self, _: Wake) -> Turn {
+            Turn::Done(Box::new(7u32))
+        }
+    }
+
+    impl Drop for Once {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_step_is_dropped_when_it_finishes() {
+        let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sim = SimFabric::new(5);
+        let a = sim.add_actor("watcher");
+        let b = sim.add_step("once", 9, Box::new(Once(dropped.clone())));
+        std::thread::scope(|s| {
+            let (actor, dropped) = (sim.clone(), dropped.clone());
+            s.spawn(move || {
+                let _g = actor.enter(a);
+                // A ready step runs before the clock moves.
+                actor.sleep(Duration::from_millis(1));
+                assert!(
+                    dropped.load(Ordering::Relaxed),
+                    "a finished step is dropped"
+                );
+            });
+            sim.begin();
+        });
+        let out = sim.take_result(b).expect("finished").expect("no panic");
+        assert_eq!(out.downcast_ref::<u32>(), Some(&7));
+        assert!(sim.take_result(b).is_none(), "a result is taken once");
     }
 
     #[test]
@@ -670,14 +1025,13 @@ mod tests {
         assert_eq!(*woke.lock().unwrap(), Some(Wake::Closed));
     }
     /// One recorded scheduler turn: who ran, when, and why it was woken.
-    type Turn = (usize, u64, Wake);
+    type Granted = (usize, u64, Wake);
 
     /// A fixed script over four actors (actor `i` owns endpoint `i`):
     /// sends with and without wire time, receive deadlines that a delivery
     /// beats, ones that expire, and virtual sleeps. Returns every turn in
     /// the order the scheduler granted them.
-    fn scripted_turns(seed: u64) -> Vec<Turn> {
-        use crate::message::MsgKind;
+    fn scripted_turns(seed: u64) -> Vec<Granted> {
         use std::sync::mpsc::{channel, Receiver};
         let sim = SimFabric::new(seed);
         let ids: Vec<ActorId> = (0..4).map(|i| sim.add_actor(&format!("a{i}"))).collect();
@@ -746,7 +1100,7 @@ mod tests {
         // Recorded by running `scripted_turns(0xD5D)` on the commit before
         // the wake moved outside the state lock and timers left the
         // delivery heap (b0d7317): neither may change a scheduling decision.
-        let recorded: Vec<Turn> = vec![
+        let recorded: Vec<Granted> = vec![
             (0, 0, D),
             (2, 40, T),
             (0, 50, T),

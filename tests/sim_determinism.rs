@@ -426,3 +426,198 @@ fn same_seed_sim_handoffs_under_faults_are_identical() {
     assert_eq!(stats_a, stats_b, "traffic statistics must be identical");
     assert!(events_a == events_b, "events must be identical");
 }
+
+/// 64-bit FNV-1a: a stable digest of a run's log for the golden below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Three workers of lock-serialized increments on a two-shard home whose
+/// shards each have a standby, armed, on the sim fabric at `seed`.
+/// Returns the traffic and the run's log.
+fn replicated_lock_run(seed: u64) -> (NetStats, String) {
+    let recorder = Recorder::enabled();
+    let outcome = ClusterBuilder::new()
+        .gthv(two_counter_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .locks(2)
+        .topology(TopologyConfig {
+            shards: 2,
+            replicas: 1,
+            fabric: FabricMode::Sim { seed },
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            ..Default::default()
+        })
+        .obs(recorder.clone())
+        .run(|c, info| {
+            for k in 0..12u32 {
+                let lock = (k + info.index as u32) % 2;
+                c.acquire(LockId::new(lock))?;
+                let v = c.read_int(lock, 0)?;
+                c.write_int(lock, 0, v + 1)?;
+                c.release(LockId::new(lock))?;
+            }
+            Ok(())
+        })
+        .expect("replicated lock run completes");
+    let g = &outcome.final_gthv;
+    assert_eq!(
+        (g.read_int(0, 0).unwrap(), g.read_int(1, 0).unwrap()),
+        (18, 18)
+    );
+    (outcome.net_stats, recorder.log())
+}
+
+/// The cluster schedule across commits: traffic and a digest of the run's
+/// log for four faulty sim seeds and one replicated lock run, homes
+/// included. A change that means to change the schedule re-records these
+/// values (print them from this test's body) and says so in CHANGES.md;
+/// any other change must leave them byte for byte.
+#[test]
+fn cluster_schedule_golden_matches_the_recorded_parent() {
+    let mut got: Vec<(String, u64)> = (1..=4)
+        .map(|seed| {
+            let (_, _, stats, (_, log, _)) = faulty_instrumented_run(seed, 0xC4A05);
+            (stats.report(), fnv1a64(log.as_bytes()))
+        })
+        .collect();
+    let (stats, log) = replicated_lock_run(0x5EED);
+    got.push((stats.report(), fnv1a64(log.as_bytes())));
+    for (report, digest) in &got {
+        println!("{report}{digest:#018x}\n");
+    }
+    assert_eq!(got.len(), RECORDED.len());
+    for (i, ((report, digest), (want_report, want_digest))) in
+        got.iter().zip(RECORDED.iter()).enumerate()
+    {
+        assert_eq!(report, want_report, "run {i}: traffic moved");
+        assert_eq!(*digest, *want_digest, "run {i}: the run's log moved");
+    }
+}
+
+/// Recorded by running this test's body on the commit before homes became
+/// sim step actors (a0d5304).
+#[rustfmt::skip]
+const RECORDED: [(&str, u64); 5] = [
+    (
+        "kind              msgs       bytes\n\
+lock-req             48         768\n\
+lock-grant           35        1925\n\
+unlock-req           36        2780\n\
+unlock-ack           34         408\n\
+barrier-enter         9         276\n\
+barrier-release       6         442\n\
+join                 10         448\n\
+shutdown              8          64\n\
+update-fetch         44         528\n\
+update-batch         44         704\n\
+total               274        8343  (modelled wire time 40.857172ms)\n\
+-- traffic by destination --\n\
+dst        msgs       bytes\n\
+0            97        4152\n\
+1            50         648\n\
+2            40        1031\n\
+3            40        1157\n\
+4            47        1355\n\
+faults: dropped 18 duplicated 12 reordered 13 retransmitted 39\n",
+        0x28E6_77C5_4E9F_C92D,
+    ),
+    (
+        "kind              msgs       bytes\n\
+lock-req             52         832\n\
+lock-grant           36        2043\n\
+unlock-req           38        2922\n\
+unlock-ack           36         432\n\
+barrier-enter        10         300\n\
+barrier-release       7         535\n\
+join                 13         699\n\
+shutdown              7          56\n\
+update-fetch         48         576\n\
+update-batch         45         720\n\
+total               292        9115  (modelled wire time 43.899961ms)\n\
+-- traffic by destination --\n\
+dst        msgs       bytes\n\
+0           107        4633\n\
+1            54         696\n\
+2            43        1087\n\
+3            42        1299\n\
+4            46        1400\n\
+faults: dropped 19 duplicated 11 reordered 16 retransmitted 53\n",
+        0xB072_BBC8_C5DF_BB3F,
+    ),
+    (
+        "kind              msgs       bytes\n\
+lock-req             65        1040\n\
+lock-grant           37        2455\n\
+unlock-req           34        2626\n\
+unlock-ack           34         408\n\
+barrier-enter        12         428\n\
+barrier-release       6         442\n\
+join                  9         489\n\
+shutdown              8          64\n\
+update-fetch         53         636\n\
+update-batch         46         736\n\
+total               304        9324  (modelled wire time 45.519421ms)\n\
+-- traffic by destination --\n\
+dst        msgs       bytes\n\
+0           116        4503\n\
+1            57         716\n\
+2            45        1429\n\
+3            44        1315\n\
+4            42        1361\n\
+faults: dropped 19 duplicated 13 reordered 17 retransmitted 65\n",
+        0x419F_6A6C_42FA_849D,
+    ),
+    (
+        "kind              msgs       bytes\n\
+lock-req             52         832\n\
+lock-grant           36        2043\n\
+unlock-req           38        2922\n\
+unlock-ack           36         432\n\
+barrier-enter        10         300\n\
+barrier-release       7         535\n\
+join                 13         699\n\
+shutdown              7          56\n\
+update-fetch         48         576\n\
+update-batch         45         720\n\
+total               292        9115  (modelled wire time 43.985883ms)\n\
+-- traffic by destination --\n\
+dst        msgs       bytes\n\
+0           107        4633\n\
+1            54         696\n\
+2            43        1087\n\
+3            42        1299\n\
+4            46        1400\n\
+faults: dropped 19 duplicated 11 reordered 16 retransmitted 53\n",
+        0x3290_1F76_8556_2D03,
+    ),
+    (
+        "kind              msgs       bytes\n\
+lock-req             36         720\n\
+lock-grant           36        1161\n\
+unlock-req           36        2940\n\
+unlock-ack           36         432\n\
+join                  6         144\n\
+shutdown              6          48\n\
+update-fetch         36         576\n\
+update-batch         36         870\n\
+replicate           114        5520\n\
+total               342       12411  (modelled wire time 0ns)\n\
+-- traffic by destination --\n\
+dst        msgs       bytes\n\
+0            57        2190\n\
+1            57        2190\n\
+2            57        2760\n\
+3            57        2760\n\
+4            38         788\n\
+5            38         935\n\
+6            38         788\n",
+        0xA247_E979_9843_0D11,
+    ),
+];
