@@ -424,8 +424,9 @@ messages! {
         to_shard: u32,
     },
     /// Source shard → target shard: the entry's current contents (packed
-    /// update batch), stamped with the entry's new ownership epoch so
-    /// duplicated offers dedup at the target.
+    /// update batch) and where its current copy is, stamped with the
+    /// entry's new ownership epoch so duplicated offers dedup at the
+    /// target.
     EntryState {
         /// Entry being re-homed.
         entry: u32,
@@ -434,10 +435,12 @@ messages! {
         /// `(writer rank, first, count)`: what of the entry is held, and
         /// at whom.
         held: Vec<(u32, u64, u64)> as Counted,
-        /// `(writer rank, first, count)`: what a later write took from the
-        /// writer's hold since it last pulled; its merged held spans may
-        /// still name them, and they are not held at it again.
-        superseded: Vec<(u32, u64, u64)> as Counted,
+        /// `(writer rank, first, count)`: what of the entry another wrote
+        /// since the writer's horizon at the source. Until the writer pulls
+        /// from the target, it is not held at the writer again.
+        written: Vec<(u32, u64, u64)> as Counted,
+        /// A fetch of the entry was forwarded: its writers ship it whole.
+        forwarded: bool,
         /// Opaque snapshot (see `home::pack_entry_state`).
         state: Bytes,
     },
@@ -1169,11 +1172,13 @@ mod tests {
                     entry: 4,
                     epoch: 3,
                     held: vec![(5, 1, 2)],
-                    superseded: vec![(6, 3, 1)],
+                    written: vec![(6, 3, 1)],
+                    forwarded: true,
                     state: Bytes::from_static(b"st"),
                 },
                 "000000040000000300000001000000050000000000000001000000000000000\
                  2000000010000000600000000000000030000000000000001\
+                 01\
                  7374"
                     .into(),
             ),
