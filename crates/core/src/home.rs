@@ -1610,14 +1610,7 @@ impl HomeShard {
             DsdMsg::EntryHandoff { entry, to_shard } => {
                 self.on_entry_handoff(msg.src, entry, to_shard)?
             }
-            DsdMsg::EntryState {
-                entry,
-                epoch,
-                held,
-                written,
-                forwarded,
-                state,
-            } => self.on_entry_state(msg.src, entry, epoch, [held, written], forwarded, state)?,
+            offer @ DsdMsg::EntryState { .. } => self.on_entry_state(msg.src, offer)?,
             DsdMsg::EntryInstalled { entry, epoch } => self.on_entry_installed(entry, epoch)?,
             // Control frames for another shard, a late `EntryDone`, or an
             // offer bounced by a fenced endpoint: nothing to do.
@@ -1695,15 +1688,16 @@ impl HomeShard {
     }
 
     /// [`Self::relay`] a home-side decision.
-    fn relay_decision(&mut self, inner: DsdMsg) {
+    fn relay_decision(&mut self, inner: &DsdMsg) {
         self.relay(0, 0, inner.kind(), inner.encode());
     }
 
-    /// Replica side of the relay: replay the original request through the
-    /// normal dispatch path and drop the replay's sends. The shadow's
-    /// tables, log, dedup horizon and reply cache end up byte-identical to
+    /// Replica side of the relay: replay the original request, a fetch
+    /// like any other, through the normal dispatch path and drop the
+    /// replay's sends. The shadow's tables, log, dedup horizon, reply
+    /// cache, deferred fetches and held records end up byte-identical to
     /// the primary's, so a promoted replica can serve retransmissions of
-    /// requests the primary already answered.
+    /// requests the primary already answered, and ask for what it waited on.
     fn on_replicate(
         &mut self,
         src_ep: u32,
@@ -1736,23 +1730,9 @@ impl HomeShard {
                 }
                 Ok(())
             }
-            DsdMsg::EntryState {
-                entry,
-                epoch,
-                held,
-                written,
-                forwarded,
-                state,
-            } if req_id == 0 => {
-                // The primary adopted an entry from another shard: replay
-                // the install (the primary sent the ack).
-                self.install_entry(entry, epoch, [held, written], forwarded, state)
-            }
-            // A fetch changes no table but the interest behind it: the
-            // shadow takes the rows and skips extraction, deferral and
-            // request id (a retransmission reaching it once promoted is a
-            // new request, and forwards anew).
-            DsdMsg::RangeFetch { rank, .. } => self.note_interest(rank, &report.interest),
+            // The primary adopted an entry from another shard: replay the
+            // install (the primary sent the ack).
+            offer @ DsdMsg::EntryState { .. } if req_id == 0 => self.install_entry(offer).map(drop),
             inner => self.dispatch(src_ep, req_id, inner, &report, OpCtx::default()),
         };
         // The primary already answered: the replay's sends go nowhere.
@@ -1771,11 +1751,7 @@ impl HomeShard {
             self.round_at = self.now;
             self.tell_partner();
             self.send_entry_state();
-            let mut asked: Vec<_> = self.spans_of(|at| &at.asked).collect();
-            asked.sort_unstable_by_key(|(w, r)| (*w, r.entry, r.first));
-            asked
-                .chunk_by(|a, b| a.0 == b.0)
-                .for_each(|of_writer| self.ask_held(of_writer));
+            self.ask_again();
         }
         let silence = self.now.saturating_since(self.peer_last_heard);
         match self.standby {
@@ -1819,6 +1795,20 @@ impl HomeShard {
         partner || self.entry_handoff.is_some() || asking
     }
 
+    /// Ask each writer, in one `HeldFetch`, for every span asked of it that
+    /// has not come. A shadow asks nobody: what its replay asked, it asks
+    /// once promoted.
+    fn ask_again(&mut self) {
+        if !self.serves_clients() {
+            return;
+        }
+        let mut asked: Vec<_> = self.spans_of(|at| &at.asked).collect();
+        asked.sort_unstable_by_key(|(w, r)| (*w, r.entry, r.first));
+        asked
+            .chunk_by(|a, b| a.0 == b.0)
+            .for_each(|of_writer| self.ask_held(of_writer));
+    }
+
     /// Send the replication partner what this instance owes it until it
     /// answers, if anything: a shadow's beat, a draining primary's
     /// relayed `HandoffRequest`, a promoted instance's `Depose`.
@@ -1827,7 +1817,7 @@ impl HomeShard {
         match self.standby {
             Standby::Shadow { primary_ep } => self.tell(primary_ep, DsdMsg::ReplicaBeat { shard }),
             Standby::Primary { drain: Some(_), .. } => {
-                self.relay_decision(DsdMsg::HandoffRequest { shard })
+                self.relay_decision(&DsdMsg::HandoffRequest { shard })
             }
             Standby::Promoted {
                 primary_ep,
@@ -1858,6 +1848,7 @@ impl HomeShard {
         };
         self.epoch = epoch;
         self.tell_partner();
+        self.ask_again();
         self.restart_leases();
         self.mark(EventKind::Promote, how);
         self.recorder.dir_epoch(self.shard, self.epoch as u64);
@@ -2018,15 +2009,7 @@ impl HomeShard {
 
     /// Target side: install an entry another shard re-homes to us
     /// (idempotently) and acknowledge.
-    fn on_entry_state(
-        &mut self,
-        src_ep: u32,
-        entry: u32,
-        epoch: u32,
-        rows: [Rows; 2],
-        forwarded: bool,
-        state: Bytes,
-    ) -> Result<(), HomeError> {
+    fn on_entry_state(&mut self, src_ep: u32, offer: DsdMsg) -> Result<(), HomeError> {
         if !self.serves_clients() {
             return Ok(()); // the shadow's copy arrives on the relay stream
         }
@@ -2034,8 +2017,8 @@ impl HomeShard {
             self.reply_view_change(src_ep, 0);
             return Ok(());
         }
-        self.install_entry(entry, epoch, rows, forwarded, state)?;
-        self.tell(src_ep, DsdMsg::EntryInstalled { entry, epoch });
+        let installed = self.install_entry(offer)?;
+        self.tell(src_ep, installed);
         Ok(())
     }
 
@@ -2062,44 +2045,44 @@ impl HomeShard {
         })
     }
 
-    /// Take ownership of `entry` at `epoch`, apply its packed state and
-    /// adopt its record, idempotently; relayed first, so a shadow replays
-    /// it here too.
-    fn install_entry(
-        &mut self,
-        entry: u32,
-        epoch: u32,
-        [held, written]: [Rows; 2],
-        forwarded: bool,
-        state: Bytes,
-    ) -> Result<(), HomeError> {
-        if !self.placement.adopt(entry, self.shard, epoch) {
-            return Ok(());
-        }
-        self.relay_decision(DsdMsg::EntryState {
+    /// Take ownership of the entry of an [`DsdMsg::EntryState`] `offer`
+    /// at its epoch, apply its packed state and adopt its record,
+    /// idempotently; relayed first, so a shadow replays it here too.
+    /// Returns the `EntryInstalled` that acknowledges it.
+    fn install_entry(&mut self, offer: DsdMsg) -> Result<DsdMsg, HomeError> {
+        let DsdMsg::EntryState {
             entry,
             epoch,
-            held: held.clone(),
-            written: written.clone(),
+            held,
+            written,
             forwarded,
-            state: state.clone(),
-        });
-        let ups = unpack_batch(state).map_err(ProtocolError::from)?;
+            state,
+        } = &offer
+        else {
+            unreachable!("only an EntryState installs");
+        };
+        let (entry, epoch) = (*entry, *epoch);
+        let installed = DsdMsg::EntryInstalled { entry, epoch };
+        if !self.placement.adopt(entry, self.shard, epoch) {
+            return Ok(installed);
+        }
+        self.relay_decision(&offer);
+        let ups = unpack_batch(state.clone()).map_err(ProtocolError::from)?;
         apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         self.force_full_refresh();
         let mut at = Whereabouts {
-            forwarded,
-            moved: (self.seq, written),
+            forwarded: *forwarded,
+            moved: (self.seq, written.clone()),
             ..Whereabouts::default()
         };
-        for (writer, first, count) in held {
+        for &(writer, first, count) in held {
             let set = at.held.entry(writer).or_default();
             set.insert(first, first.saturating_add(count));
         }
         self.whereabouts.insert(entry, at);
         self.tidy(entry);
         self.recorder.count("home.entries_adopted", 1);
-        Ok(())
+        Ok(installed)
     }
 
     /// One ownership flip without a state transfer (a move's start, its
@@ -2107,7 +2090,7 @@ impl HomeShard {
     /// entry's log rows go with the ownership, and its record keeps what
     /// they said of each writer (rule 6), stamped when it comes back.
     fn move_entry(&mut self, entry: u32, shard: u32, epoch: u32) {
-        self.relay_decision(DsdMsg::EntryMoved {
+        self.relay_decision(&DsdMsg::EntryMoved {
             entries: vec![(entry, shard, epoch)],
         });
         let leaving = self.owns_entry(entry) && shard != self.shard;
@@ -2273,7 +2256,7 @@ impl HomeShard {
         for r in expired {
             // Relay the timing-dependent decision first.
             let decision = self.worker_lost_msg(r);
-            self.relay_decision(decision);
+            self.relay_decision(&decision);
             self.declare_dead(r)?;
         }
         Ok(())
@@ -2670,10 +2653,10 @@ mod tests {
     // instance's decisions through `on` in virtual time: no network.
     use super::*;
     use crate::gthv::GthvDef;
-    use hdsm_net::FabricClock;
     use hdsm_platform::ctype::StructBuilder;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::PlatformSpec;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn tiny_def() -> GthvDef {
         GthvDef::new(
@@ -2964,12 +2947,13 @@ mod tests {
         // Entry-handoff state travels as a grouped batch and installs
         // byte-exactly, on the same representation and across one.
         let src = populated_shard();
+        let offer = src.pack_entry_state(0, 1).unwrap();
         let DsdMsg::EntryState {
             held,
             forwarded,
             state,
             ..
-        } = src.pack_entry_state(0, 1).unwrap()
+        } = &offer
         else {
             panic!("an offer is an EntryState");
         };
@@ -2981,9 +2965,7 @@ mod tests {
         );
         for plat in [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()] {
             let mut adopter = five_rank_shard(plat);
-            adopter
-                .install_entry(0, 1, Default::default(), false, state.clone())
-                .unwrap();
+            adopter.install_entry(offer.clone()).unwrap();
             for i in 0..64 {
                 let want = if i == 9 { -37 } else { i as i128 * 7 - 100 };
                 assert_eq!(adopter.gthv().read_int(0, i).unwrap(), want);
@@ -2999,15 +2981,16 @@ mod tests {
         // `install_entry` answers Ok or Err — never a panic, never a
         // reservation sized by a length prefix. Each offer comes under a
         // fresh ownership epoch, so none is skipped as a duplicate.
-        let src = populated_shard();
-        let DsdMsg::EntryState { state, .. } = src.pack_entry_state(0, 1).unwrap() else {
+        let mut offer = populated_shard().pack_entry_state(0, 1).unwrap();
+        let DsdMsg::EntryState { state, .. } = offer.clone() else {
             panic!("an offer is an EntryState");
         };
         let mut victim = five_rank_shard(PlatformSpec::linux_x86());
-        let mut epoch = 0;
-        let mut install = |victim: &mut HomeShard, state: Bytes| {
-            epoch += 1;
-            victim.install_entry(0, epoch, Default::default(), false, state)
+        let mut install = |victim: &mut HomeShard, bytes: Bytes| {
+            if let DsdMsg::EntryState { epoch, state, .. } = &mut offer {
+                (*epoch, *state) = (*epoch + 1, bytes);
+            }
+            victim.install_entry(offer.clone())
         };
         for cut in 0..state.len() {
             assert!(
@@ -3103,8 +3086,11 @@ mod tests {
     /// `msg` as endpoint `src` puts it on the wire to endpoint `dst`,
     /// enveloped as request `req_id`.
     fn frame(src: u32, dst: u32, req_id: u64, msg: DsdMsg) -> Message {
-        let payload = msg.encode_enveloped(req_id);
-        let kind = msg.kind();
+        wire(src, dst, msg.kind(), msg.encode_enveloped(req_id))
+    }
+
+    /// `payload`, of `kind`, on the wire from endpoint `src` to `dst`.
+    fn wire(src: u32, dst: u32, kind: MsgKind, payload: Bytes) -> Message {
         let trace = None;
         Message {
             src,
@@ -3439,14 +3425,7 @@ mod tests {
         let beat = DsdMsg::Heartbeat { rank: 1 };
         let stamp = h.placement.directory().epoch_stamped(beat.kind());
         let payload = beat.encode_request(0, stamp.then_some(h.epoch), &Report::default());
-        let (src, dst, kind, trace) = (2, h.me, beat.kind(), None);
-        let frame = Message {
-            src,
-            dst,
-            kind,
-            payload,
-            trace,
-        };
+        let frame = wire(2, h.me, beat.kind(), payload);
         step(h, now, Input::Frame(frame))
     }
 
@@ -3689,14 +3668,9 @@ mod tests {
         assert!(ups.is_empty() && notices.is_empty());
     }
 
-    /// A shard over `tiny_def` with ranks 1 and 2 and one barrier, element
-    /// `i` holding `100 + i`, past the initial barrier; rank `r` talks to it
-    /// from endpoint `r`.
-    fn two_rank_shard(recorder: Recorder) -> HomeShard {
-        shard_of(&[1, 2], recorder)
-    }
-
-    /// [`two_rank_shard`] with participants `ranks`.
+    /// A shard over `tiny_def` with participants `ranks` and one barrier,
+    /// element `i` holding `100 + i`, past the initial barrier; rank `r`
+    /// talks to it from endpoint `r`.
     fn shard_of(ranks: &[u32], recorder: Recorder) -> HomeShard {
         let config = HomeConfig {
             participants: ranks.to_vec(),
@@ -3864,7 +3838,7 @@ mod tests {
 
     #[test]
     fn a_held_range_inside_a_readers_interest_goes_out_as_a_notice_never_as_bytes() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         let sent = h.costs.bytes_sent;
         let (updates, notices) = rank_1_holds_10_to_20(&mut h);
         assert_eq!(carried(&updates), [(5, 6)]);
@@ -3889,7 +3863,7 @@ mod tests {
 
     #[test]
     fn a_shipped_write_supersedes_a_held_row() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         rank_1_holds_10_to_20(&mut h);
         // Rank 2 writes element 12 in the next phase and ships it; rank 1
         // names its span 10..20 again (it rewrote 10 and 11).
@@ -3912,7 +3886,7 @@ mod tests {
 
     #[test]
     fn held_data_applies_only_what_is_still_held_at_its_sender_and_gets_no_reply() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         rank_1_holds_10_to_20(&mut h);
         assert!(enter(&mut h, 2, 3, elems_batch(12, &[-12]), &[], &[]).is_empty());
         let held_data = |h: &mut HomeShard, rank, base: i128| {
@@ -3961,7 +3935,7 @@ mod tests {
 
     #[test]
     fn a_re_homed_held_part_is_dropped_without_a_reply() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         rank_1_holds_10_to_20(&mut h);
         // The entry moved to shard 3: the hold went with it, and bytes that
         // reach this shard for it are not applied here.
@@ -3987,7 +3961,7 @@ mod tests {
     #[test]
     fn a_fetch_of_a_held_span_is_forwarded_once_and_answered_when_the_bytes_arrive() {
         let recorder = Recorder::enabled();
-        let mut h = two_rank_shard(recorder.clone());
+        let mut h = shard_of(&[1, 2], recorder.clone());
         rank_1_holds_10_to_20(&mut h);
         // Rank 2 fetches element 15; the shard asks rank 1 for its whole
         // span and answers nobody yet.
@@ -4033,7 +4007,7 @@ mod tests {
     #[test]
     fn a_span_asked_for_stays_asked_when_its_writer_names_it_again() {
         let recorder = Recorder::enabled();
-        let mut h = two_rank_shard(recorder.clone());
+        let mut h = shard_of(&[1, 2], recorder.clone());
         rank_1_holds_10_to_20(&mut h);
         let fetch = DsdMsg::RangeFetch {
             rank: 2,
@@ -4053,7 +4027,7 @@ mod tests {
 
     #[test]
     fn an_entry_a_fetch_was_forwarded_for_ships_whole_from_the_next_release() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         let ships = |out: Vec<(u32, u64, DsdMsg)>| -> Vec<(u32, Vec<UpdateRange>)> {
             let mut ships: Vec<_> = out
                 .into_iter()
@@ -4110,7 +4084,7 @@ mod tests {
 
     #[test]
     fn an_adopted_entry_a_fetch_was_forwarded_for_ships_whole_at_its_new_owner() {
-        let mut src = two_rank_shard(Recorder::disabled());
+        let mut src = shard_of(&[1, 2], Recorder::disabled());
         rank_1_holds_10_to_20(&mut src);
         let fetch = DsdMsg::RangeFetch {
             rank: 2,
@@ -4123,12 +4097,13 @@ mod tests {
         };
         // At the target each reads one end of the array, so each would ship
         // only what the other reads.
-        let mut dst = two_rank_shard(Recorder::disabled());
+        let mut dst = shard_of(&[1, 2], Recorder::disabled());
         assert!(enter(&mut dst, 1, 2, UpdateBatch::default(), &[elems(0, 4)], &[]).is_empty());
         enter(&mut dst, 2, 2, UpdateBatch::default(), &[elems(60, 4)], &[]);
         assert_eq!(dst.ship_for(1), [elems(60, 4)]);
         // The entry moves with its mark: it ships whole there too.
-        install(&mut dst, src.pack_entry_state(0, 1).unwrap()).unwrap();
+        dst.install_entry(src.pack_entry_state(0, 1).unwrap())
+            .unwrap();
         assert!(recorded(&dst, 0, 1).forwarded);
         assert_eq!(dst.ship_for(1), [elems(0, 64)]);
         assert_eq!(dst.ship_for(2), [elems(0, 64)]);
@@ -4136,40 +4111,28 @@ mod tests {
 
     /// Rank `rank`'s entry to barrier 0 as a frame, holding `held`.
     fn entry_frame(rank: u32, req_id: u64, held: &[UpdateRange]) -> Message {
+        let updates = UpdateBatch::default();
         let msg = DsdMsg::BarrierEnter {
             barrier: 0,
             rank,
-            updates: UpdateBatch::default(),
+            updates,
         };
+        request(rank, req_id, msg, held)
+    }
+
+    /// Rank `rank`'s request `msg` as a frame from its endpoint `rank`,
+    /// holding `held`.
+    fn request(rank: u32, req_id: u64, msg: DsdMsg, held: &[UpdateRange]) -> Message {
         let report = Report {
             interest: Vec::new(),
             held: held.to_vec(),
         };
-        let payload = msg.encode_request(req_id, None, &report);
-        let (kind, trace) = (msg.kind(), None);
-        Message {
-            src: rank,
-            dst: 0,
-            kind,
-            payload,
-            trace,
-        }
-    }
-
-    /// Install at `h` an `EntryState` offer.
-    fn install(h: &mut HomeShard, offer: DsdMsg) -> Result<(), HomeError> {
-        let DsdMsg::EntryState {
-            entry,
-            epoch,
-            held,
-            written,
-            forwarded,
-            state,
-        } = offer
-        else {
-            panic!("an offer is an EntryState");
-        };
-        h.install_entry(entry, epoch, [held, written], forwarded, state)
+        wire(
+            rank,
+            0,
+            msg.kind(),
+            msg.encode_request(req_id, None, &report),
+        )
     }
 
     /// `shadow` replays what `h` relayed; `h`'s other sends.
@@ -4189,25 +4152,76 @@ mod tests {
         rest
     }
 
-    #[test]
-    fn what_another_wrote_since_a_writers_pull_is_not_held_at_it_across_a_move_and_an_abort() {
-        // The source, its shadow, which replayed the same requests, and
-        // the target. Rank 2 ships element 12 before rank 1 pulls.
-        let [mut src, mut shadow, mut dst] = [0; 3].map(|_| two_rank_shard(Recorder::disabled()));
-        for h in [&mut src, &mut shadow] {
-            rank_1_holds_10_to_20(h);
-            assert!(enter(h, 2, 3, elems_batch(12, &[-12]), &[], &[]).is_empty());
-        }
-        src.standby = Standby::Primary {
+    /// A primary and its shadow, which replayed the same requests: rank 1
+    /// holds 10..20 at both.
+    fn primary_and_shadow() -> [HomeShard; 2] {
+        let [mut h, mut shadow] = [0; 2].map(|_| shard_of(&[1, 2], Recorder::disabled()));
+        rank_1_holds_10_to_20(&mut h);
+        rank_1_holds_10_to_20(&mut shadow);
+        h.standby = Standby::Primary {
             replica_ep: 9,
             drain: None,
         };
         shadow.standby = Standby::Shadow { primary_ep: 0 };
+        [h, shadow]
+    }
+
+    #[test]
+    fn a_shadows_round_sends_only_its_beat() {
+        // Rank 1 joins still holding 10..20: the primary asks it for them,
+        // and its shadow, replaying the join, records them asked.
+        let [mut h, mut shadow] = primary_and_shadow();
+        let join = DsdMsg::Join {
+            rank: 1,
+            updates: UpdateBatch::default(),
+        };
+        h.process(request(1, 3, join, &[])).unwrap();
+        let [(1, 0, DsdMsg::HeldFetch { .. })] = &replay(&mut h, &mut shadow)[..] else {
+            panic!("the primary asks the joined writer");
+        };
+        assert_eq!(recorded(&shadow, 0, 1).asked, [(10, 20)]);
+        // A tick on, the shadow's round beats its primary and asks nobody.
+        // The mark stays: promoted, it asks.
+        let (beat, now) = (DsdMsg::ReplicaBeat { shard: 0 }, shadow.now + shadow.tick());
+        assert_eq!(step(&mut shadow, now, Input::Tick), [(0, 0, beat)]);
+        assert_eq!(recorded(&shadow, 0, 1).asked, [(10, 20)]);
+    }
+
+    #[test]
+    fn a_shadow_replays_a_forwarded_fetch_as_its_primary_took_it() {
+        // Rank 2 fetches element 15, which rank 1 holds: the primary defers
+        // the fetch, asks rank 1 and marks the entry to ship whole. Its
+        // shadow, promoted, must know all three.
+        let [mut h, mut shadow] = primary_and_shadow();
+        let fetch = DsdMsg::RangeFetch {
+            rank: 2,
+            ranges: vec![elems(15, 1)],
+        };
+        h.process(request(2, 3, fetch, &[])).unwrap();
+        let [(1, 0, DsdMsg::HeldFetch { .. })] = &replay(&mut h, &mut shadow)[..] else {
+            panic!("the fetch is forwarded");
+        };
+        assert!(recorded(&h, 0, 1).forwarded);
+        for w in [1, 2] {
+            assert_eq!(recorded(&shadow, 0, w), recorded(&h, 0, w), "writer {w}");
+        }
+        assert_eq!(shadow.deferred, h.deferred);
+    }
+
+    #[test]
+    fn what_another_wrote_since_a_writers_pull_is_not_held_at_it_across_a_move_and_an_abort() {
+        // The source, its shadow, which replayed the same requests, and
+        // the target. Rank 2 ships element 12 before rank 1 pulls.
+        let [mut src, mut shadow] = primary_and_shadow();
+        let mut dst = shard_of(&[1, 2], Recorder::disabled());
+        for h in [&mut src, &mut shadow] {
+            assert!(enter(h, 2, 3, elems_batch(12, &[-12]), &[], &[]).is_empty());
+        }
         // The entry moves, which purges its log rows, and comes back: the
         // shadow replays both flips.
         src.move_entry(0, 1, 1);
         let offer = src.pack_entry_state(0, 1).unwrap();
-        install(&mut dst, offer.clone()).unwrap();
+        dst.install_entry(offer.clone()).unwrap();
         src.entry_handoff = Some(EntryHandoffState {
             entry: 0,
             admin_ep: 9,
@@ -4246,7 +4260,7 @@ mod tests {
 
     #[test]
     fn a_fetch_waiting_on_a_dead_writer_fails_with_worker_lost() {
-        let mut h = two_rank_shard(Recorder::disabled());
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
         rank_1_holds_10_to_20(&mut h);
         let fetch = DsdMsg::RangeFetch {
             rank: 2,
@@ -4628,21 +4642,22 @@ mod tests {
     #[test]
     fn seeded_holds_ships_pulls_and_fetches_agree_with_a_per_element_model() {
         for seed in 0..48 {
-            let mut rng = Rng(seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut below = |n: usize| rng.gen_range(0..n as u64) as usize;
             let mut m = Oracle::new();
             for _ in 0..160 {
-                let first = rng.below(64) as u64;
-                let len = 1 + rng.below(12.min(64 - first as usize)) as u64;
+                let first = below(64) as u64;
+                let len = 1 + below(12.min(64 - first as usize)) as u64;
                 let range = first..first + len;
                 let alive: Vec<u32> = (1..=3).filter(|&r| Some(r) != m.dead).collect();
-                let rank = alive[rng.below(alive.len())];
-                match rng.below(100) {
+                let rank = alive[below(alive.len())];
+                match below(100) {
                     0..20 => m.ship(rank, range),
                     20..45 if !m.entered.contains(&rank) => m.hold(rank, range),
                     45..55 => m.pull(rank),
-                    55..70 => m.held_data(rank, range, rng.below(5) == 0),
+                    55..70 => m.held_data(rank, range, below(5) == 0),
                     70..86 => m.fetch(rank, range),
-                    86..88 if m.dead.is_none() && rng.below(4) == 0 => m.declare_dead(rank),
+                    86..88 if m.dead.is_none() && below(4) == 0 => m.declare_dead(rank),
                     88..100 => m.tick(),
                     _ => {}
                 }
@@ -4687,9 +4702,9 @@ mod tests {
         assert_eq!(got, (0..64).map(want).collect::<Vec<_>>());
         assert_eq!(h.peers[&2].seen, seen, "a fetch moves no horizon");
         assert_eq!((h.costs.updates_sent, h.costs.bytes_sent), (2, 6 * 4));
-        // A shadow is relayed the fetch for the report behind it: it takes
-        // the rows and neither extracts, remembers the request id nor
-        // sends anything.
+        // A shadow replays a relayed fetch as the primary took it: it takes
+        // the rows, extracts the reply, remembers the request id and sends
+        // nothing.
         let fetch = DsdMsg::RangeFetch {
             rank: 2,
             ranges: vec![elems(5, 2)],
@@ -4700,16 +4715,16 @@ mod tests {
         h.on_replicate(2, 9, MsgKind::RangeFetch as u16, relayed)
             .unwrap();
         assert_eq!(h.peers[&2].interest[&0].spans(), [(5, 7)]);
-        assert_eq!((h.costs.updates_sent, h.peers[&2].last_req), (2, 1));
+        assert_eq!((h.costs.updates_sent, h.peers[&2].last_req), (3, 9));
         assert!(h.outbox.is_empty());
         // A range the index table does not hold is refused, not served.
         assert!(matches!(
-            reply_to(&mut h, 2, vec![elems(60, 5)]),
+            reply_to(&mut h, 10, vec![elems(60, 5)]),
             Err(HomeError::Update(UpdateError::RangeOutOfBounds { .. }))
         ));
         // The entry has moved: the fetcher is told where to.
         h.placement.adopt(0, 3, 1);
-        let bounced = reply_to(&mut h, 3, vec![elems(5, 2)]).unwrap();
+        let bounced = reply_to(&mut h, 11, vec![elems(5, 2)]).unwrap();
         let moved = DsdMsg::EntryMoved {
             entries: vec![(0, 3, 1)],
         };
@@ -4768,473 +4783,156 @@ mod tests {
         }
     }
 
-    // ----- A single-threaded driver: a primary, its standby, scripted
-    // clients, a message multiset and a virtual clock. Each step is one
-    // seeded pick; there is no thread and no network. -----
-
-    /// One request of a client's script.
-    #[derive(Debug, Clone, Copy)]
-    enum Op {
-        Lock(u32),
-        Unlock(u32),
-        Join,
-    }
-
-    /// A scripted client, rank `rank` at endpoint `rank + 1`: the requests
-    /// of its script one at a time, each resent under the same id to the
-    /// shard's other endpoint on a `ViewChange` or a gone endpoint, and to
-    /// the same one on a tick. Its `n`th unlock writes `n` to `xs[rank]`.
-    struct Client {
-        rank: u32,
-        script: VecDeque<Op>,
-        /// The outstanding request, and the last request id used.
-        req: Option<(u64, DsdMsg)>,
-        ids: u64,
-        /// The home endpoint it talks to (0 the primary, 1 the standby)
-        /// and the shard epoch it stamps.
-        to: u32,
-        epoch: u32,
-        held: Vec<u32>,
-        unlocks: u64,
-        done: bool,
-    }
-
-    impl Client {
-        /// Start the script's next request, if the client is idle.
-        fn next(&mut self) {
-            let rank = self.rank;
-            let msg = match self.script.pop_front() {
-                Some(Op::Lock(lock)) => DsdMsg::LockRequest { lock, rank },
-                Some(Op::Unlock(lock)) => {
-                    self.held.retain(|&l| l != lock);
-                    self.unlocks += 1;
-                    let updates = one_elem(rank as u64, self.unlocks as i128);
-                    DsdMsg::UnlockRequest {
-                        lock,
-                        rank,
-                        updates,
-                    }
-                }
-                Some(Op::Join) => DsdMsg::Join {
-                    rank,
-                    updates: UpdateBatch::default(),
-                },
-                None => return,
-            };
-            self.ids += 1;
-            self.req = Some((self.ids, msg));
-        }
-
-        /// Take a reply to request `rid`; `true` if the request is to be
-        /// resent.
-        fn answer(&mut self, rid: u64, msg: DsdMsg) -> bool {
-            if self.req.as_ref().is_none_or(|(id, _)| *id != rid) {
-                return false; // a duplicate, or a redirected heartbeat
-            }
-            match msg {
-                DsdMsg::ViewChange { epoch, .. } => {
-                    self.epoch = self.epoch.max(epoch);
-                    self.to ^= 1;
-                    return true;
-                }
-                DsdMsg::LockGrant { lock, .. } => self.held.push(lock),
-                DsdMsg::UnlockAck { .. } => {}
-                DsdMsg::Shutdown => self.done = true,
-                other => panic!("rank {} was sent {other:?}", self.rank),
-            }
-            self.req = None;
-            false
-        }
-    }
-
-    /// A fresh grant a home sent.
+    /// A fresh grant a home of a [`Pair`] sent.
     struct Grant {
         at: FabricInstant,
         /// The endpoint it came from.
-        by: u32,
+        by: usize,
         lock: u32,
         /// The replication link was cut when it was decided.
-        partitioned: bool,
+        cut: bool,
         /// How long the granting home had not heard from the other.
         quiet: Duration,
     }
 
-    /// A seeded splitmix64 stream.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-    }
-
-    fn on_wire(src: u32, dst: u32, kind: MsgKind, payload: Bytes) -> Message {
-        let trace = None;
-        Message {
-            src,
-            dst,
-            kind,
-            payload,
-            trace,
-        }
-    }
-
-    struct World {
+    /// One shard's primary (endpoint 0) and standby (1) under a lease,
+    /// with mutexes 0..3 for ranks 1–6 at endpoints 2–7, stepped by hand
+    /// at `now`. Frames between the two pass unless the link is `cut`.
+    struct Pair {
+        homes: [HomeShard; 2],
         now: FabricInstant,
-        /// The homes' tick: the clock moves a tick at a time.
-        period: Duration,
-        /// By endpoint: 0 the primary, 1 its standby; `None` once gone.
-        homes: [Option<HomeShard>; 2],
-        /// Instances whose run ended, with their verdicts.
-        ended: Vec<(bool, HomeShard)>,
-        clients: Vec<Client>,
-        flight: Vec<Message>,
-        /// By endpoint.
-        gone: Vec<bool>,
-        /// By home endpoint: when a frame from the other home last landed.
+        cut: bool,
+        /// When each home last heard from the other.
         heard: [FabricInstant; 2],
-        /// Clients beat both homes every tick, as the cluster's pump does.
-        beats: bool,
-        /// Frames between the homes are dropped as they are sent.
-        partitioned: bool,
         grants: Vec<Grant>,
     }
 
-    impl World {
-        /// A primary, its standby and one client per script, started at
-        /// virtual zero, with `n_locks` mutexes and `lease`.
-        fn new(lease: Option<Duration>, n_locks: u32, scripts: &[Vec<Op>]) -> World {
-            let participants: Vec<u32> = (1..=scripts.len() as u32).collect();
+    impl Pair {
+        fn new(lease: Duration) -> Pair {
+            let (zero, plat) = (FabricInstant::ZERO, PlatformSpec::linux_x86());
             let homes = [false, true].map(|standby| {
                 let config = HomeConfig {
-                    n_locks,
-                    n_barriers: 0,
-                    participants: participants.clone(),
-                    lease,
+                    n_locks: 3,
+                    participants: (1..=6).collect(),
+                    lease: Some(lease),
                     directory: Directory::with_replicas(1, 1),
                     standby,
                     ..Default::default()
                 };
-                let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
-                let mut h = HomeShard::new(gthv, config);
-                h.init_with(|_| {});
-                h.start(FabricInstant::ZERO).unwrap();
-                Some(h)
+                let mut h = HomeShard::new(GthvInstance::new(tiny_def(), plat.clone()), config);
+                h.start(zero).unwrap();
+                h
             });
-            let client = |(&rank, script): (&u32, &Vec<Op>)| Client {
-                rank,
-                script: script.iter().copied().collect(),
-                req: None,
-                ids: 0,
-                to: 0,
-                epoch: 0,
-                held: Vec::new(),
-                unlocks: 0,
-                done: false,
-            };
-            World {
-                now: FabricInstant::ZERO,
-                period: homes[0].as_ref().unwrap().tick(),
+            let (now, cut, heard, grants) = (zero, false, [zero; 2], Vec::new());
+            Pair {
                 homes,
-                ended: Vec::new(),
-                clients: participants.iter().zip(scripts).map(client).collect(),
-                flight: Vec::new(),
-                gone: vec![false; 2 + scripts.len()],
-                heard: [FabricInstant::ZERO; 2],
-                beats: lease.is_some(),
-                partitioned: false,
-                grants: Vec::new(),
+                now,
+                cut,
+                heard,
+                grants,
             }
         }
 
-        /// Perform home `ep`'s step as its runner does — a frame between
-        /// the homes is dropped while the link is cut — and retire the
-        /// home once its run has ended.
-        fn settle(&mut self, ep: u32) {
-            let Some(h) = self.homes[ep as usize].as_mut() else {
-                return;
-            };
-            let (now, partitioned, gone) = (self.now, self.partitioned, &self.gone);
-            let quiet = now.saturating_since(self.heard[ep as usize]);
-            let (flight, grants) = (&mut self.flight, &mut self.grants);
-            let mut deliver = |s: &Outgoing| {
-                if gone[s.to as usize] {
-                    return Ok(false);
-                }
-                if s.kind == MsgKind::LockGrant && s.owed {
-                    let (_, msg) = DsdMsg::decode_enveloped(s.kind, s.payload.clone())?;
-                    let DsdMsg::LockGrant { lock, .. } = msg else {
-                        unreachable!()
-                    };
-                    grants.push(Grant {
-                        at: now,
-                        by: ep,
-                        lock,
-                        partitioned,
-                        quiet,
-                    });
-                }
-                if !(partitioned && s.to < 2) {
-                    flight.push(on_wire(ep, s.to, s.kind, s.payload.clone()));
-                }
-                Ok(true)
-            };
-            h.flush(&mut deliver).unwrap();
-            if let Stage::Done { authoritative } = h.stage {
-                self.retire(ep, Some(authoritative));
-            }
+        /// Rank `rank` sends home `ep` `msg` as its request 1, stamped
+        /// `epoch`; see [`Pair::step`].
+        fn ask(&mut self, rank: u32, ep: usize, epoch: u32, msg: DsdMsg) -> Vec<DsdMsg> {
+            let payload = msg.encode_request(1, Some(epoch), &Report::default());
+            let m = wire(rank + 1, ep as u32, msg.kind(), payload);
+            self.step(ep, Input::Frame(m))
         }
 
-        /// Home `ep`'s endpoint is gone: its run ended with `verdict`, or
-        /// it was killed (`None`). Frames in flight to it evaporate.
-        fn retire(&mut self, ep: u32, verdict: Option<bool>) {
-            let h = self.homes[ep as usize].take().expect("a live home");
-            self.gone[ep as usize] = true;
-            self.flight.retain(|m| m.dst != ep);
-            if let Some(authoritative) = verdict {
-                self.ended.push((authoritative, h));
-            }
-        }
-
-        /// Put client `i`'s outstanding request on the wire: to the home
-        /// it talks to or, that one gone, to the shard's other endpoint.
-        fn send(&mut self, i: usize) {
-            let c = &mut self.clients[i];
-            let Some((rid, msg)) = &c.req else {
-                return;
-            };
-            for _ in 0..2 {
-                if !self.gone[c.to as usize] {
-                    let payload = msg.encode_request(*rid, Some(c.epoch), &Report::default());
-                    let frame = on_wire(c.rank + 1, c.to, msg.kind(), payload);
-                    return self.flight.push(frame);
-                }
-                c.to ^= 1;
-            }
-        }
-
-        /// Deliver in-flight frame `i`.
-        fn deliver(&mut self, i: usize) {
-            let m = self.flight.remove(i);
-            let (src, dst) = (m.src as usize, m.dst as usize);
-            if dst < 2 {
-                if src < 2 {
-                    self.heard[dst] = self.now;
-                }
-                let h = self.homes[dst]
-                    .as_mut()
-                    .expect("frames to a gone home evaporate");
-                h.on(self.now, Input::Frame(m)).unwrap();
-                return self.settle(dst as u32);
-            }
-            let (rid, msg) = DsdMsg::decode_enveloped(m.kind, m.payload).unwrap();
-            if self.clients[dst - 2].answer(rid, msg) {
-                self.send(dst - 2);
-            }
-            if self.clients[dst - 2].done {
-                self.gone[dst] = true;
-                self.flight.retain(|m| m.dst as usize != dst);
-            }
-        }
-
-        /// A tick of silence: the clock moves on a tick, each live home
-        /// ticks, and each waiting client retransmits (and, under a lease,
-        /// beats both homes).
-        fn tick(&mut self) {
-            self.now = self.now + self.period;
-            for ep in 0..2 {
-                if let Some(h) = self.homes[ep as usize].as_mut() {
-                    h.on(self.now, Input::Tick).unwrap();
-                    self.settle(ep);
-                }
-            }
-            for i in 0..self.clients.len() {
-                self.send(i);
-                let c = &self.clients[i];
-                if self.beats && !c.done {
-                    let beat = DsdMsg::Heartbeat { rank: c.rank }.encode_request(
-                        0,
-                        Some(0),
-                        &Report::default(),
-                    );
-                    for dst in (0..2).filter(|&d| !self.gone[d as usize]) {
-                        let frame = on_wire(c.rank + 1, dst, MsgKind::Heartbeat, beat.clone());
-                        self.flight.push(frame);
+        /// Home `ep` steps on `input`, and so does each home the other's
+        /// frames reach, in order. Returns what the steps sent clients.
+        fn step(&mut self, ep: usize, input: Input<'static>) -> Vec<DsdMsg> {
+            let (mut next, mut replies) = (VecDeque::from([(ep, input)]), Vec::new());
+            while let Some((ep, input)) = next.pop_front() {
+                self.homes[ep].on(self.now, input).unwrap();
+                for s in std::mem::take(&mut self.homes[ep].outbox) {
+                    let to = s.to as usize;
+                    if to < 2 && !self.cut {
+                        self.heard[to] = self.now;
+                        let m = wire(ep as u32, s.to, s.kind, s.payload);
+                        next.push_back((to, Input::Frame(m)));
+                    } else if to >= 2 {
+                        let (_, msg) = DsdMsg::decode_enveloped(s.kind, s.payload).unwrap();
+                        if let (DsdMsg::LockGrant { lock, .. }, true) = (&msg, s.owed) {
+                            self.grants.push(Grant {
+                                at: self.now,
+                                by: ep,
+                                lock: *lock,
+                                cut: self.cut,
+                                quiet: self.now.saturating_since(self.heard[ep]),
+                            });
+                        }
+                        replies.push(msg);
                     }
                 }
             }
+            replies
         }
-
-        /// One seeded step: deliver the head of one link, let one idle
-        /// client issue its next request, or — nothing in flight to a
-        /// home, so every frame lands within the tick it was sent in, as
-        /// on the real fabric — tick.
-        fn pick(&mut self, rng: &mut Rng) {
-            let link = |m: &Message| (m.src, m.dst);
-            let flight = &self.flight;
-            let heads: Vec<usize> = (0..flight.len())
-                .filter(|&i| !flight[..i].iter().any(|e| link(e) == link(&flight[i])))
-                .collect();
-            let idle: Vec<usize> = (0..self.clients.len())
-                .filter(|&i| {
-                    let c = &self.clients[i];
-                    c.req.is_none() && !c.done && !c.script.is_empty()
-                })
-                .collect();
-            let calm = self.flight.iter().all(|m| m.dst > 1);
-            let k = rng.below(heads.len() + idle.len() + calm as usize);
-            if k < heads.len() {
-                self.deliver(heads[k]);
-            } else if let Some(&i) = idle.get(k - heads.len()) {
-                self.clients[i].next();
-                self.send(i);
-            } else {
-                self.tick();
-            }
-        }
-
-        /// How many clients hold mutex `lock`.
-        fn holders(&self, lock: u32) -> usize {
-            self.clients
-                .iter()
-                .filter(|c| c.held.contains(&lock))
-                .count()
-        }
-    }
-
-    /// The lock micro-workload's client count and acquire/release pairs
-    /// per client, all on mutex 0.
-    const CLIENTS: u32 = 3;
-    const OPS: u32 = 3;
-
-    /// One seeded schedule of the lock micro-workload, run to its end —
-    /// the primary killed at step `kill`, if given — with no double grant
-    /// after any step. Returns the steps taken and whether the standby
-    /// took over.
-    fn explore(seed: u64, kill: Option<usize>) -> (usize, bool) {
-        let pairs = [Op::Lock(0), Op::Unlock(0)].into_iter().cycle();
-        let script: Vec<Op> = pairs.take(2 * OPS as usize).chain([Op::Join]).collect();
-        let mut w = World::new(None, 1, &vec![script; CLIENTS as usize]);
-        let mut rng = Rng(seed);
-        let mut steps = 0;
-        while w.homes.iter().any(Option::is_some) || w.clients.iter().any(|c| !c.done) {
-            if kill == Some(steps) && w.homes[0].is_some() {
-                w.retire(0, None);
-            }
-            w.pick(&mut rng);
-            steps += 1;
-            assert!(
-                w.holders(0) <= 1,
-                "seed {seed} step {steps}: a double grant"
-            );
-            assert!(steps < 20_000, "seed {seed}: no progress");
-        }
-        // One instance ends authoritative, and it absorbed every unlock
-        // exactly once.
-        let mut survivors = w.ended.iter().filter(|(authoritative, _)| *authoritative);
-        let (_, h) = survivors.next().expect("an authoritative instance");
-        assert!(survivors.next().is_none(), "seed {seed}: two survivors");
-        let unlocks = (CLIENTS * OPS) as u64;
-        assert_eq!(h.costs.updates_applied, unlocks, "seed {seed}");
-        for rank in 1..=CLIENTS as u64 {
-            assert_eq!(
-                h.gthv.read_int(0, rank).unwrap(),
-                OPS as i128,
-                "seed {seed}"
-            );
-        }
-        (steps, h.epoch == 1)
-    }
-
-    #[test]
-    fn seeded_schedules_with_and_without_a_primary_kill_never_double_grant() {
-        let clock = FabricClock::wall();
-        let t0 = clock.now();
-        let (seeds, mut steps, mut failovers) = (1_200u64, 0, 0);
-        for seed in 0..seeds {
-            // Every third schedule loses its primary somewhere in the run.
-            let kill = (seed % 3 == 0).then_some(seed as usize * 7 % 90);
-            let (n, failover) = explore(seed, kill);
-            steps += n;
-            failovers += failover as u32;
-        }
-        assert!(failovers >= 100, "only {failovers} schedules failed over");
-        let took = clock.now().saturating_since(t0).as_secs_f64();
-        let rate = seeds as f64 / took;
-        eprintln!("{seeds} schedules, {steps} steps, {failovers} failovers: {rate:.0} schedules/s");
     }
 
     #[test]
     fn a_cut_replication_link_loses_exactly_the_relays_of_its_window() {
-        // DESIGN §14's known window, pinned: the link between the homes
-        // is cut at step `s` and the clients keep running. Ranks 1–3 each
-        // take a mutex of their own and keep it; once the standby has
-        // promoted, ranks 4–6 probe one of those mutexes each.
+        // DESIGN §14's known window, pinned: ranks 1–3 each ask the primary
+        // for a mutex of their own, two ticks apart, and keep what they
+        // are granted; the link between the homes is cut before step
+        // `cut`, at every step in turn, while every rank beats both homes
+        // each tick, as the cluster's pump does. Once the standby has
+        // promoted, ranks 4–6 probe one of those mutexes each: at the old
+        // primary, then where it points.
         let lease = Duration::from_millis(400);
         let (mut windowed, mut relayed) = (0, 0);
-        for seed in 0..60u64 {
-            let mut scripts: Vec<Vec<Op>> = (0..3).map(|l| vec![Op::Lock(l)]).collect();
-            scripts.extend([vec![], vec![], vec![]]);
-            let mut w = World::new(Some(lease), 3, &scripts);
-            let mut rng = Rng(seed);
-            let cut = seed as usize * 5 % 16;
-            let mut promoted_at = None;
+        for cut in 0..8 {
+            let mut w = Pair::new(lease);
             for step in 0.. {
-                w.partitioned |= step == cut;
-                w.pick(&mut rng);
-                let standby = w.homes[1].as_ref().expect("the standby serves on");
-                if promoted_at.is_none() && matches!(standby.standby, Standby::Promoted { .. }) {
-                    // A full lease of relay silence, and never beside a
-                    // serving primary.
-                    assert!(w.now.saturating_since(w.heard[1]) > lease, "seed {seed}");
-                    assert!(w.homes[0].as_ref().is_none_or(|p| p.fenced), "seed {seed}");
-                    promoted_at = Some(w.now);
-                    for (i, lock) in (3..6).zip(0..3) {
-                        w.clients[i].script.push_back(Op::Lock(lock));
-                    }
+                w.cut = step >= cut;
+                if step < 9 && step % 3 == 0 {
+                    let (rank, lock) = (step / 3 + 1, step / 3);
+                    w.ask(rank, 0, 0, DsdMsg::LockRequest { lock, rank });
+                    continue;
                 }
-                let standby = w.homes[1].as_ref().unwrap();
-                let probed = |(i, c): (usize, &Client)| {
-                    let lock = i as u32 - 3;
-                    let queued = standby.locks[lock as usize].waiters.contains(&c.rank);
-                    c.held.contains(&lock) || queued
-                };
-                if promoted_at.is_some() && w.clients.iter().enumerate().skip(3).all(probed) {
+                w.now = w.now + w.homes[0].tick();
+                for (rank, ep) in (1..=6).flat_map(|rank| [(rank, 0), (rank, 1)]) {
+                    w.ask(rank, ep, 0, DsdMsg::Heartbeat { rank });
+                }
+                w.step(0, Input::Tick);
+                w.step(1, Input::Tick);
+                if matches!(w.homes[1].standby, Standby::Promoted { .. }) {
                     break;
                 }
-                assert!(step < 20_000, "seed {seed}: no progress");
+                assert!(step < 100, "cut {cut}: no promotion");
             }
-            let promoted_at = promoted_at.unwrap();
+            // A full lease of relay silence, and never beside a serving
+            // primary.
+            assert!(w.now.saturating_since(w.heard[1]) > lease, "cut {cut}");
+            assert!(w.homes[0].fenced, "cut {cut}");
+            for (lock, rank) in (0..3).zip(4..) {
+                let ask = DsdMsg::LockRequest { lock, rank };
+                let [DsdMsg::ViewChange { epoch, .. }] = w.ask(rank, 0, 0, ask.clone())[..] else {
+                    panic!("cut {cut}: the old primary redirects rank {rank}");
+                };
+                let granted = w.ask(rank, 1, epoch, ask).len() == 1;
+                let queued = w.homes[1].locks[lock as usize].waiters.contains(&rank);
+                assert!(granted || queued, "cut {cut}: rank {rank} is answered");
+            }
             // The primary granted nothing after ¾ of a lease without a
             // beat, nor once the standby had promoted.
             let by_primary = || w.grants.iter().filter(|g| g.by == 0);
             for g in by_primary() {
-                assert!(
-                    g.quiet <= lease * 3 / 4 && g.at < promoted_at,
-                    "seed {seed}"
-                );
+                assert!(g.quiet <= lease * 3 / 4 && g.at < w.now, "cut {cut}");
             }
             // The promoted standby re-grants exactly the mutexes whose
             // grants were decided on a cut link, and none relayed before.
-            let dropped: BTreeMap<u32, bool> =
-                by_primary().map(|g| (g.lock, g.partitioned)).collect();
-            let mut regranted: Vec<u32> = w
-                .grants
-                .iter()
-                .filter(|g| g.by == 1 && dropped.contains_key(&g.lock))
-                .map(|g| g.lock)
-                .collect();
-            regranted.sort_unstable();
+            let dropped: BTreeMap<u32, bool> = by_primary().map(|g| (g.lock, g.cut)).collect();
+            let by_standby = w.grants.iter().filter(|g| g.by == 1).map(|g| g.lock);
+            let regranted: Vec<u32> = by_standby.filter(|l| dropped.contains_key(l)).collect();
             let window: Vec<u32> = dropped
                 .iter()
                 .filter(|(_, &d)| d)
                 .map(|(&l, _)| l)
                 .collect();
-            assert_eq!(regranted, window, "seed {seed}");
+            assert_eq!(regranted, window, "cut {cut}");
             windowed += window.len();
             relayed += dropped.len() - window.len();
         }

@@ -2065,3 +2065,167 @@ fn failover_held_range_is_forwarded_by_the_promoted_standby() {
     assert!(from.contains(&standby), "forwarded by {from:?}");
     assert!(counter(&recorder, "client.held_served") >= 1);
 }
+
+#[test]
+fn seeded_schedules_with_and_without_a_primary_kill_never_double_grant() {
+    // The lock micro-workload on the sim fabric: one shard and its
+    // standby under a lease, three workers each taking mutex 0 three
+    // times and writing their count to `xs[rank]`. A holder sleeps on
+    // the fabric clock, so the others run while it holds. Every third
+    // schedule kills the primary at a seeded fabric instant.
+    use hdsm::obs::{EventKind, Recorder};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    const WORKERS: u64 = 3;
+    const OPS: i128 = 3;
+    let mutex = LockId::new(0);
+    let mut failovers = 0;
+    for seed in 0..600u64 {
+        let recorder = Recorder::enabled();
+        let mut b = ClusterBuilder::new()
+            .gthv(tiny_def())
+            .locks(1)
+            .topology(TopologyConfig {
+                shards: 1,
+                replicas: 1,
+                fabric: FabricMode::Sim { seed },
+            })
+            .timing(TimingConfig {
+                lease: Some(Duration::from_millis(400)),
+                retry_base: Some(Duration::from_millis(25)),
+                ..Default::default()
+            })
+            .obs(recorder.clone());
+        for _ in 0..WORKERS {
+            b = b.worker(PlatformSpec::linux_x86());
+        }
+        if seed % 3 == 0 {
+            let at = Duration::from_micros(seed * 7_919 % 12_000);
+            b = b.control(move |ctl| {
+                ctl.sleep(at);
+                ctl.kill_shard(ShardId::new(0));
+            });
+        }
+        // Holders of mutex 0, by the grants the workers were sent, and the
+        // most at once. (A worker that panicked would hang the run: the
+        // pump beats for it.)
+        let (holders, most) = (AtomicU32::new(0), AtomicU32::new(0));
+        let out = b.run(|c, info| {
+            for n in 1..=OPS {
+                c.acquire(mutex)?;
+                let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                most.fetch_max(now, Ordering::SeqCst);
+                c.write_int(0, info.index as u64 + 1, n)?;
+                c.network().clock().sleep(Duration::from_millis(1));
+                holders.fetch_sub(1, Ordering::SeqCst);
+                c.release(mutex)?;
+            }
+            Ok(())
+        });
+        assert_eq!(most.into_inner(), 1, "seed {seed}: a double grant");
+        let out = out.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Each unlock was absorbed exactly once by the instance that ended
+        // authoritative.
+        let unlocks = WORKERS * OPS as u64;
+        assert_eq!(out.home_costs.updates_applied, unlocks, "seed {seed}");
+        for rank in 1..=WORKERS {
+            let xs = out.final_gthv.read_int(0, rank).unwrap();
+            assert_eq!(xs, OPS, "seed {seed}");
+        }
+        // One authoritative survivor: the primary unless it was killed or
+        // fenced, else the standby, which promoted.
+        let events = recorder.events();
+        let at = |kind, ep| events.iter().any(|e| e.kind == kind && e.rank == ep);
+        let promoted = at(EventKind::Promote, 1);
+        let primary_ended = at(EventKind::ShardKill, 0) || at(EventKind::Fence, 0);
+        assert_eq!(promoted, primary_ended, "seed {seed}");
+        failovers += promoted as u32;
+    }
+    assert!(failovers >= 100, "only {failovers} schedules failed over");
+}
+
+/// No `held-fetch` or `held-data` leaves a standby's endpoint before it
+/// promotes: a shadow asks nothing, whatever it replayed.
+fn assert_no_shadow_asks(recorder: &hdsm::obs::Recorder, shards: u32, seed: u64) {
+    use hdsm::obs::EventKind;
+    let directory = hdsm::dsd::Directory::with_replicas(shards, 1);
+    let events = recorder.events();
+    for standby in (0..shards).map(|s| directory.replica_ep(s)) {
+        let here = |kind| {
+            events
+                .iter()
+                .filter(move |e| e.kind == kind && e.rank == standby)
+        };
+        let promoted = here(EventKind::Promote).map(|e| e.seq).min();
+        let held = here(EventKind::MsgSend).filter(|e| e.label.starts_with("held-"));
+        for e in held {
+            assert!(
+                promoted.is_some_and(|p| p < e.seq),
+                "seed {seed}: standby {standby} sent {} before it promoted",
+                e.label
+            );
+        }
+    }
+}
+
+#[test]
+fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
+    // Both held workloads on a replicated home, the primary of a seeded
+    // shard killed at a seeded fabric instant. The fetch after a pause
+    // spans about 325 ms of fabric time, most of it the pause; the held
+    // rewrite, with each frame 1 ms on the wire, about 16 ms. So a kill
+    // lands before the hold, while it is noticed, while a fetch of it
+    // waits on its writer, or after the run.
+    let shards = shards_from_env();
+    for seed in 0..32u64 {
+        let victim = ShardId::new(seed as u32 % shards);
+        let kill = move |at: Duration| {
+            move |ctl: ClusterCtl| {
+                ctl.sleep(at);
+                ctl.kill_shard(victim);
+            }
+        };
+        let at = Duration::from_micros(seed * 13_933 % 320_000);
+        let (seen, recorder) = run_fetch_after_a_pause(shards, seed, kill(at));
+        assert_eq!(seen, [209, 310], "seed {seed}");
+        assert_no_shadow_asks(&recorder, shards, seed);
+
+        let recorder = hdsm::obs::Recorder::enabled();
+        let builder = ClusterBuilder::new()
+            .gthv(tiny_def())
+            .worker(PlatformSpec::solaris_sparc())
+            .worker(PlatformSpec::linux_x86())
+            .topology(TopologyConfig {
+                shards,
+                replicas: 1,
+                fabric: FabricMode::Sim { seed },
+            })
+            .timing(TimingConfig {
+                lease: Some(Duration::from_millis(400)),
+                retry_base: Some(Duration::from_millis(25)),
+                recv_deadline: Some(Duration::from_secs(30)),
+                ..Default::default()
+            })
+            .net(NetConfig {
+                latency: Duration::from_millis(1),
+                ..NetConfig::instant()
+            })
+            .obs(recorder.clone())
+            .control(kill(at / 20));
+        let outcome = run_with_a_held_rewrite(builder, |c, info| {
+            let mut seen = Vec::new();
+            if info.index == 0 {
+                seen.push(c.read_int(0, 9)?);
+                seen.push(c.read_int(0, 11)?);
+            }
+            c.barrier(BarrierId::new(0))?;
+            Ok(seen)
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(outcome.results[0], [209, 211], "seed {seed}");
+        let final_xs: Vec<i128> = (8..12)
+            .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+            .collect();
+        assert_eq!(final_xs, [208, 209, 210, 211], "seed {seed}");
+        assert_no_shadow_asks(&recorder, shards, seed);
+    }
+}
