@@ -317,6 +317,13 @@ impl SimFabric {
             .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(hook));
     }
 
+    /// Whether the fabric has failed (an actor panicked, or the run
+    /// deadlocked): a virtual sleep returns at once from now on, so an
+    /// actor that loops on one must stop by itself.
+    pub fn failed(&self) -> bool {
+        self.core.lock().failed
+    }
+
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> u64 {
         self.core.now_us.load(Ordering::Relaxed)
