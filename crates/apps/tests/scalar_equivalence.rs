@@ -195,40 +195,56 @@ struct Observed {
 
 /// What the scalar form of `kernel` puts on the wire over the run form:
 /// messages, bytes worker → home, bytes home → worker. A fetch is two
-/// messages; an interest report is 20 bytes a span behind a request; and
-/// a barrier release names what its worker ships, the union of the other
-/// workers' interest spans, 20 bytes a span.
+/// messages; an interest report is its spans behind a request; and a
+/// barrier release names what its worker ships, the union of the other
+/// workers' interest spans. A span is a row of three varints — entry,
+/// first element, count — one byte a field below 128 and two up to
+/// 16 383, so 3 to 5 bytes a row at these sizes; a request id, echoed by
+/// its reply, takes a second byte from 128 on.
 fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
     match (kernel, n) {
         // Nothing fetched. A row run takes in the two edge columns of a
         // neighbour's boundary row, which the stencil never loads, and so
         // joins that row to the worker's own stripe: the scalar form's
-        // interest in a grid is three spans, not one — 12 report rows in
-        // all. A release's ship lists name the union of two such sets:
-        // 3 + 6 + 3 rows over the three workers, against 1 + 2 + 1. Five
+        // interest in a grid is three spans, not one. Over the three
+        // workers they take 9, 10 and 12 bytes at n = 16 against the run
+        // form's 3, 3 and 4 (11, 13 and 13 against 4, 5 and 5 at n = 33):
+        // 42 (46) bytes more over the two grids. A release's ship lists
+        // name the union of two such sets: 3 + 6 + 3 rows over the three
+        // workers in 43 (48) bytes, against 1 + 2 + 1 in 15 (18). Five
         // releases come after a grid was read (G0 after each of the three
-        // sweeps, G1 after the last two), 8 rows more each.
-        (Kernel::Jacobi { .. }, _) => (0, 12 * 20, 5 * 8 * 20),
+        // sweeps, G1 after the last two), 28 (30) bytes more each.
+        (Kernel::Jacobi { .. }, 16) => (0, 42, 5 * 28),
+        (Kernel::Jacobi { .. }, 33) => (0, 46, 5 * 30),
         (Kernel::Matmul(_), _) => (0, 0, 0),
         // The first half-sweep loads one colour of a neighbour's boundary
         // row, so the other colour — rewritten in that half-sweep — comes
         // as notices between the elements read, and the second half-sweep
-        // loads it: 28 (62) one-element fetches, once. From then on the
-        // whole row is interest, as it is from the run form's first read.
-        // The ship lists follow the interest: after the first half-sweep
-        // each boundary row read is one span an element (7 a row at
-        // n = 16, 15 or 16 at n = 33), and at n = 33 no two rows of a
+        // loads it: 28 (62) one-element fetches, once, each a one-row
+        // `RangeFetch` of about 11 (13) bytes and a reply of about 17 (one
+        // double in a frame of 7 or 8): 310 + 462 bytes (793 + 1 054). From
+        // then on the whole row is interest, as it is from the run form's
+        // first read. The ship lists follow the interest: after the first
+        // half-sweep each boundary row read is one span an element (7 a row
+        // at n = 16, 15 or 16 at n = 33), and at n = 33 no two rows of a
         // stripe meet — 19 + 34 + 20 (53 + 82 + 53) rows against 4 —
-        // then five releases as Jacobi's, 8 rows more each.
-        (Kernel::Sor { .. }, 16) => (2 * 28, 2988, 1893 + (73 - 4 + 5 * 8) * 20),
-        (Kernel::Sor { .. }, 33) => (2 * 62, 7112, 4375 + (188 - 4 + 5 * 8) * 20),
+        // then five releases as Jacobi's. Behind the barrier entries that
+        // is 219 (579) report bytes more, and in the releases 171 (395)
+        // bytes of ship rows more.
+        (Kernel::Sor { .. }, 16) => (2 * 28, 310 + 219, 462 + 171),
+        (Kernel::Sor { .. }, 33) => (2 * 62, 793 + 579, 1_054 + 395),
         // Every step reads the pivot row, which another worker rewrote the
         // step before and holds: one fetch for the run form, one an
         // element for the scalar loop (ROADMAP item 10). The first fetch
         // of the row asks its writer for the whole held span, for both
-        // forms alike.
-        (Kernel::Lu, 16) => (2 * 210, 11_760, 13_650),
-        (Kernel::Lu, 33) => (2 * 992, 55_552, 64_480),
+        // forms alike. The scalar form's 210 (992) fetches more cost
+        // 2 002 (11 263) request bytes, and their replies 1 736 (9 453)
+        // bytes of envelopes and frames more: the payload is the run
+        // form's. At n = 33 the fetches take each worker's request ids past
+        // 128 early, so its later barrier entries and its join carry 80
+        // bytes more, and the releases and the shutdown echoing them 78.
+        (Kernel::Lu, 16) => (2 * 210, 2_002, 1_736),
+        (Kernel::Lu, 33) => (2 * 992, 11_263 + 80, 9_453 + 78),
         _ => unreachable!("sizes of the test below"),
     }
 }

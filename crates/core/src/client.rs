@@ -1844,6 +1844,7 @@ mod tests {
     use hdsm_platform::ctype::StructBuilder;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::{Platform, PlatformSpec};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
     const L0: LockId = LockId::new(0);
     const B0: BarrierId = BarrierId::new(0);
@@ -1862,7 +1863,8 @@ mod tests {
     }
 
     /// Spin up a home + N clients on given platforms and run `body` per
-    /// client in its own thread.
+    /// client in its own thread. A client whose body panics still joins,
+    /// so the home finishes; the first panic is raised again after that.
     fn with_cluster<F>(platforms: Vec<Platform>, n_locks: u32, n_barriers: u32, body: F)
     where
         F: Fn(&mut DsdClient) + Send + Sync,
@@ -1887,22 +1889,60 @@ mod tests {
                 g.write_int(0, i, 1000 + i as i128).unwrap();
             }
         });
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                home.run(home_ep).expect("home service");
-            });
-            for (i, (plat, ep)) in platforms.iter().zip(eps.drain(..)).enumerate() {
-                let def = def.clone();
-                let plat = plat.clone();
-                let body = &body;
-                s.spawn(move || {
-                    let gthv = GthvInstance::new(def, plat);
-                    let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
-                    body(&mut c);
-                    c.join().expect("join");
-                });
-            }
+        let panicked = std::thread::scope(|s| {
+            let home = s.spawn(move || home.run(home_ep).expect("home service"));
+            let clients: Vec<_> = platforms
+                .iter()
+                .zip(eps.drain(..))
+                .enumerate()
+                .map(|(i, (plat, ep))| {
+                    let gthv = GthvInstance::new(def.clone(), plat.clone());
+                    let body = &body;
+                    s.spawn(move || {
+                        let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
+                        let ran = catch_unwind(AssertUnwindSafe(|| body(&mut c)));
+                        let joined = c.join();
+                        ran.map(|()| drop(joined.expect("join")))
+                    })
+                })
+                .collect();
+            let ends: Vec<_> = clients
+                .into_iter()
+                .map(|c| c.join().and_then(|r| r))
+                .collect();
+            let home = home.join().map(drop);
+            ends.into_iter().chain([home]).find_map(Result::err)
         });
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+    }
+
+    #[test]
+    fn a_client_body_that_panics_fails_its_test_instead_of_hanging_it() {
+        // Client 2 panics while client 1 works under a lock: client 2
+        // still joins, so the home finishes, and the panic comes back out
+        // of the helper. A thread of its own bounds the wait: a helper
+        // that hangs fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let platforms = vec![PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()];
+            let run = catch_unwind(|| {
+                with_cluster(platforms, 1, 1, |c| {
+                    if c.thread_rank() == 2 {
+                        panic!("client 2 fails an assertion");
+                    }
+                    c.acquire(L0).unwrap();
+                    c.write_int(0, 0, 7).unwrap();
+                    c.release(L0).unwrap();
+                })
+            });
+            let _ = tx.send(run.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a panicking client hung the helper");
+        assert_eq!(run, Err(Some("client 2 fails an assertion".to_string())));
     }
 
     #[test]

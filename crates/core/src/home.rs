@@ -1638,7 +1638,7 @@ impl HomeShard {
                 // shadow can never miss a request whose effects the
                 // primary exposed to a client and replays it through the
                 // same dispatch path.
-                let body = msg.payload.slice(if stamp.is_some() { 12 } else { 8 }..);
+                let body = msg.payload.slice(DsdMsg::envelope_bytes(req_id, stamp)..);
                 self.relay(msg.src, req_id, msg.kind, body);
                 self.dispatch(msg.src, req_id, decoded, &report, op)?;
             }
@@ -2958,9 +2958,8 @@ mod tests {
             panic!("an offer is an EntryState");
         };
         assert!(held.is_empty() && !forwarded);
-        assert_eq!(
-            &state[..4],
-            &[0xFFu8; 4],
+        assert!(
+            unpack_batch(state.clone()).is_ok(),
             "entry state must be a grouped batch"
         );
         for plat in [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()] {
@@ -4711,7 +4710,7 @@ mod tests {
         };
         let relayed = fetch
             .encode_request(9, None, &interest(&[elems(5, 2)]))
-            .slice(8..);
+            .slice(DsdMsg::envelope_bytes(9, None)..);
         h.on_replicate(2, 9, MsgKind::RangeFetch as u16, relayed)
             .unwrap();
         assert_eq!(h.peers[&2].interest[&0].spans(), [(5, 7)]);

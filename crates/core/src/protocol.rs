@@ -14,19 +14,23 @@
 //! `as`. The table expands into [`DsdMsg`] and everything that walks its
 //! variants — `kind`, the exact size bound, the encoder, the decoder, the
 //! sender's rank and `is_client_request` — so adding or removing a message
-//! is one row. A codec is ordinary code, one small impl per wire type. Only
-//! the count-prefixed codec reads a count off the wire, and it reserves
-//! nothing before [`bounded_vec`] has held the count to the bytes left.
+//! is one row. A codec is ordinary code, one small impl per wire type.
+//! Every integer, in a field, a row, a count or the envelope, is one
+//! canonical varint of [`varint`], in the bytes its value needs; a decoder
+//! refuses one that is overlong, not canonical or out of its field's
+//! range. Only the count-prefixed codec reads a count off the wire, and it
+//! reserves nothing before [`bounded_vec`] has held the count to the bytes
+//! left.
 //!
-//! Two things ride *behind* a message body as bare 20-byte
-//! `(entry, first, count)` rows, none of them costing a byte when there
+//! Two things ride *behind* a message body as bare `(entry, first,
+//! count)` rows of three varints, none of them costing a byte when there
 //! is nothing to say: a grant's or release's **notices** (ranges that
 //! changed and were not shipped — the reader fetches them before use)
 //! follow its update batch, and a client's [`Report`] follows the body of
 //! whatever request it sends next — part of the request as relayed to a
 //! replica, not of any one variant. A report is the ranges the client has
 //! newly read (its **interest**) and, behind a barrier entry, the ranges
-//! it wrote and **holds** (rows whose entry has [`HELD_ROW`] set).
+//! it wrote and **holds** (rows whose entry varint has its low bit set).
 //!
 //! Threads are identified by a stable *thread rank* independent of the
 //! transport endpoint, so a thread keeps its identity when it migrates.
@@ -38,6 +42,7 @@ use hdsm_platform::endian::Endianness;
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::generate::tag_for_scalar_run;
 use hdsm_tags::wire::reference::{batch_of, WireUpdate};
+use hdsm_tags::wire::varint::{self, VarintError};
 use hdsm_tags::wire::{bounded_vec, split_batch, UpdateBatch, WireError};
 use std::fmt;
 
@@ -471,13 +476,15 @@ messages! {
     },
 }
 
-/// The entry bit that marks a row of a [`Report`] as held, not read. An
-/// index table never has that many entries.
-pub const HELD_ROW: u32 = 1 << 31;
+/// The bound on a [`Report`] row's entry: the row's first varint is the
+/// entry shifted left by one, its low bit set for a held row, and must fit
+/// a `u32`. An index table never has that many entries.
+const HELD_ROW: u32 = 1 << 31;
 
-/// What rides behind a client request's body, 20 bytes a row and nothing
-/// when there is nothing to say: the rows of `interest` as they are, then
-/// those of `held` with [`HELD_ROW`] set in their entry.
+/// What rides behind a client request's body, a few varint bytes a row
+/// and nothing when there is nothing to say: the rows of `interest`, then
+/// those of `held`, each held one marked by the low bit of its entry's
+/// varint.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Ranges the client's read accessors returned that the shard has not
@@ -490,44 +497,46 @@ pub struct Report {
 }
 
 impl Report {
+    /// Every row's fields, the held mark in the entry's low bit.
+    fn rows(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
+        let interest = self.interest.iter().map(|r| (r, 0));
+        interest
+            .chain(self.held.iter().map(|r| (r, 1)))
+            .map(|(r, held)| {
+                debug_assert!(r.entry < HELD_ROW, "entry {} in a report", r.entry);
+                [u64::from(r.entry) << 1 | held, r.first, r.count]
+            })
+    }
+
     /// Bytes of the rows.
     fn bytes(&self) -> usize {
-        UpdateRange::BYTES * (self.interest.len() + self.held.len())
+        self.rows().map(fields_bytes).sum()
     }
 
     fn put(&self, out: &mut BytesMut) {
-        self.interest.iter().for_each(|r| r.put_row(out));
-        for r in &self.held {
-            let marked = UpdateRange {
-                entry: r.entry | HELD_ROW,
-                ..*r
-            };
-            marked.put_row(out);
-        }
+        self.rows().for_each(|f| put_fields(f, out));
     }
 
     /// Read the rows to the end of `b`, which must hold whole rows; a held
     /// row keeps its entry without the mark.
     fn take(b: &mut Bytes) -> Result<Report, ProtocolError> {
-        if !b.remaining().is_multiple_of(UpdateRange::BYTES) {
-            return Err(ProtocolError::Truncated);
-        }
         let mut report = Report::default();
         while b.has_remaining() {
-            let r = UpdateRange::get_row(b);
-            if r.entry & HELD_ROW == 0 {
+            // The marked entry fits a `u32`, so the entry is below `HELD_ROW`.
+            let [marked, first, count] = take_fields(b, UpdateRange::MAX)?;
+            let r = UpdateRange {
+                entry: (marked >> 1) as u32,
+                first,
+                count,
+            };
+            if marked & 1 == 0 {
                 report.interest.push(r);
             } else {
                 if report.held.is_empty() {
                     // Held rows are the tail: this one and the rest.
-                    report
-                        .held
-                        .reserve_exact(1 + b.remaining() / UpdateRange::BYTES);
+                    report.held.reserve_exact(1 + b.remaining() / MIN_ROW_BYTES);
                 }
-                report.held.push(UpdateRange {
-                    entry: r.entry & !HELD_ROW,
-                    ..r
-                });
+                report.held.push(r);
             }
         }
         Ok(report)
@@ -568,6 +577,15 @@ impl From<WireError> for ProtocolError {
     }
 }
 
+impl From<VarintError> for ProtocolError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => ProtocolError::Truncated,
+            VarintError::Invalid => ProtocolError::BadMessage("bad varint"),
+        }
+    }
+}
+
 /// How one field of the table is sized, written and read. `T` is the
 /// field's type; the implementing type is its codec.
 trait Codec<T> {
@@ -579,52 +597,24 @@ trait Codec<T> {
     fn take(b: &mut Bytes) -> Result<T, ProtocolError>;
 }
 
-/// `Truncated` unless `b` has `n` bytes left.
-fn need(b: &Bytes, n: usize) -> Result<(), ProtocolError> {
-    if b.remaining() < n {
-        return Err(ProtocolError::Truncated);
-    }
-    Ok(())
+/// An unsigned field: a varint no larger than its type's maximum.
+macro_rules! varint_codec {
+    ($($ty:ty),*) => {$(
+        impl Codec<$ty> for $ty {
+            fn bound(v: &$ty) -> usize {
+                varint::len((*v).into())
+            }
+            fn put(v: &$ty, out: &mut BytesMut) {
+                varint::put(out, (*v).into());
+            }
+            fn take(b: &mut Bytes) -> Result<$ty, ProtocolError> {
+                Ok(varint::get(b, <$ty>::MAX.into())? as $ty)
+            }
+        }
+    )*};
 }
 
-impl Codec<u16> for u16 {
-    fn bound(_: &u16) -> usize {
-        2
-    }
-    fn put(v: &u16, out: &mut BytesMut) {
-        out.put_u16(*v);
-    }
-    fn take(b: &mut Bytes) -> Result<u16, ProtocolError> {
-        need(b, 2)?;
-        Ok(b.get_u16())
-    }
-}
-
-impl Codec<u32> for u32 {
-    fn bound(_: &u32) -> usize {
-        4
-    }
-    fn put(v: &u32, out: &mut BytesMut) {
-        out.put_u32(*v);
-    }
-    fn take(b: &mut Bytes) -> Result<u32, ProtocolError> {
-        need(b, 4)?;
-        Ok(b.get_u32())
-    }
-}
-
-impl Codec<u64> for u64 {
-    fn bound(_: &u64) -> usize {
-        8
-    }
-    fn put(v: &u64, out: &mut BytesMut) {
-        out.put_u64(*v);
-    }
-    fn take(b: &mut Bytes) -> Result<u64, ProtocolError> {
-        need(b, 8)?;
-        Ok(b.get_u64())
-    }
-}
+varint_codec!(u16, u32, u64);
 
 /// One byte; anything but 0 is `true`.
 impl Codec<bool> for bool {
@@ -635,7 +625,9 @@ impl Codec<bool> for bool {
         out.put_u8(u8::from(*v));
     }
     fn take(b: &mut Bytes) -> Result<bool, ProtocolError> {
-        need(b, 1)?;
+        if !b.has_remaining() {
+            return Err(ProtocolError::Truncated);
+        }
         Ok(b.get_u8() != 0)
     }
 }
@@ -667,98 +659,118 @@ impl Codec<Bytes> for Bytes {
     }
 }
 
-/// A fixed-width row of a row table. What a row *names* is checked where
-/// it is used, against an index table.
-trait Row {
-    /// Bytes of one row.
-    const BYTES: usize;
-    /// Append the row.
-    fn put_row(&self, out: &mut BytesMut);
-    /// Read a row; the caller has checked that `BYTES` are left.
-    fn get_row(b: &mut Bytes) -> Self;
+/// Fewest bytes a row takes: three one-byte varints.
+const MIN_ROW_BYTES: usize = 3;
+
+/// Bytes of a row's fields.
+fn fields_bytes([a, b, c]: [u64; 3]) -> usize {
+    varint::len(a) + varint::len(b) + varint::len(c)
+}
+
+/// Append a row's fields.
+fn put_fields([a, b, c]: [u64; 3], out: &mut BytesMut) {
+    varint::put(out, a);
+    varint::put(out, b);
+    varint::put(out, c);
+}
+
+/// Read a row's fields, each no larger than its `max`.
+fn take_fields(b: &mut Bytes, max: [u64; 3]) -> Result<[u64; 3], ProtocolError> {
+    let mut fields = [0; 3];
+    for (v, max) in fields.iter_mut().zip(max) {
+        *v = varint::get(b, max)?;
+    }
+    Ok(fields)
+}
+
+/// A row of a row table: three integers, each a varint. What a row
+/// *names* is checked where it is used, against an index table.
+trait Row: Sized {
+    /// Each field's largest value.
+    const MAX: [u64; 3];
+    /// The row's fields in wire order.
+    fn fields(&self) -> [u64; 3];
+    /// The row of fields no larger than [`Self::MAX`].
+    fn of(fields: [u64; 3]) -> Self;
 }
 
 /// `(entry, first, count)`: a notice, a range to fetch, an interest row.
 impl Row for UpdateRange {
-    const BYTES: usize = 4 + 8 + 8;
-    fn put_row(&self, out: &mut BytesMut) {
-        out.put_u32(self.entry);
-        out.put_u64(self.first);
-        out.put_u64(self.count);
+    const MAX: [u64; 3] = [u32::MAX as u64, u64::MAX, u64::MAX];
+    fn fields(&self) -> [u64; 3] {
+        [self.entry.into(), self.first, self.count]
     }
-    fn get_row(b: &mut Bytes) -> UpdateRange {
+    fn of([entry, first, count]: [u64; 3]) -> UpdateRange {
         UpdateRange {
-            entry: b.get_u32(),
-            first: b.get_u64(),
-            count: b.get_u64(),
+            entry: entry as u32,
+            first,
+            count,
         }
     }
 }
 
 /// `(writer, first, count)`: who holds which elements of a moving entry.
 impl Row for (u32, u64, u64) {
-    const BYTES: usize = 4 + 8 + 8;
-    fn put_row(&self, out: &mut BytesMut) {
-        out.put_u32(self.0);
-        out.put_u64(self.1);
-        out.put_u64(self.2);
+    const MAX: [u64; 3] = [u32::MAX as u64, u64::MAX, u64::MAX];
+    fn fields(&self) -> [u64; 3] {
+        [self.0.into(), self.1, self.2]
     }
-    fn get_row(b: &mut Bytes) -> (u32, u64, u64) {
-        (b.get_u32(), b.get_u64(), b.get_u64())
+    fn of([writer, first, count]: [u64; 3]) -> (u32, u64, u64) {
+        (writer as u32, first, count)
     }
 }
 
 /// `(entry, to_shard, ownership_epoch)`: where an entry went.
 impl Row for (u32, u32, u32) {
-    const BYTES: usize = 12;
-    fn put_row(&self, out: &mut BytesMut) {
-        out.put_u32(self.0);
-        out.put_u32(self.1);
-        out.put_u32(self.2);
+    const MAX: [u64; 3] = [u32::MAX as u64; 3];
+    fn fields(&self) -> [u64; 3] {
+        [self.0.into(), self.1.into(), self.2.into()]
     }
-    fn get_row(b: &mut Bytes) -> (u32, u32, u32) {
-        (b.get_u32(), b.get_u32(), b.get_u32())
+    fn of([entry, shard, epoch]: [u64; 3]) -> (u32, u32, u32) {
+        (entry as u32, shard as u32, epoch as u32)
     }
 }
 
 /// Rows to the end of the frame, which must hold whole rows; nothing is
-/// counted, so nothing is read that could size a reservation.
+/// counted, so nothing is read that could size a reservation beyond the
+/// bytes left.
 struct Trailing;
 
 impl<R: Row> Codec<Vec<R>> for Trailing {
     fn bound(v: &Vec<R>) -> usize {
-        R::BYTES * v.len()
+        v.iter().map(|r| fields_bytes(r.fields())).sum()
     }
     fn put(v: &Vec<R>, out: &mut BytesMut) {
-        v.iter().for_each(|r| r.put_row(out));
+        v.iter().for_each(|r| put_fields(r.fields(), out));
     }
     fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
-        if !b.remaining().is_multiple_of(R::BYTES) {
-            return Err(ProtocolError::Truncated);
+        let mut rows = Vec::with_capacity(b.remaining() / MIN_ROW_BYTES);
+        while b.has_remaining() {
+            rows.push(R::of(take_fields(b, R::MAX)?));
         }
-        Ok((0..b.remaining() / R::BYTES)
-            .map(|_| R::get_row(b))
-            .collect())
+        Ok(rows)
     }
 }
 
-/// `count u32 | count rows`: the one codec that reads a count, and it
+/// `count | count rows`: the one codec that reads a count, and it
 /// reserves nothing before [`bounded_vec`] has held the count to the bytes
 /// left.
 struct Counted;
 
 impl<R: Row> Codec<Vec<R>> for Counted {
     fn bound(v: &Vec<R>) -> usize {
-        4 + Trailing::bound(v)
+        varint::len(v.len() as u64) + Trailing::bound(v)
     }
     fn put(v: &Vec<R>, out: &mut BytesMut) {
-        out.put_u32(v.len() as u32);
+        varint::put(out, v.len() as u64);
         Trailing::put(v, out);
     }
     fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
         let n = <u32 as Codec<u32>>::take(b)?;
-        let mut rows = bounded_vec(n, R::BYTES, b.remaining(), ProtocolError::Truncated)?;
-        rows.extend((0..n).map(|_| R::get_row(b)));
+        let mut rows = bounded_vec(n, MIN_ROW_BYTES, b.remaining(), ProtocolError::Truncated)?;
+        for _ in 0..n {
+            rows.push(R::of(take_fields(b, R::MAX)?));
+        }
         Ok(rows)
     }
 }
@@ -806,7 +818,6 @@ impl Sample for UpdateBatch {
             entry: 3,
             elem_offset: 2 * i,
             endian: Endianness::Big,
-            sender: "solaris-sparc".into(),
             tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
             data: Bytes::from(vec![1u8; 4]),
         };
@@ -900,7 +911,8 @@ impl DsdMsg {
     }
 
     /// Encode with the reliability envelope — the one request/reply codec:
-    /// `req_id u64 | [epoch u32] | body | [report rows]`. Replies echo
+    /// `req_id | [epoch] | body | [report rows]`, the id and the epoch as
+    /// varints (`envelope_bytes` of them). Replies echo
     /// the request's id so the client can match them up and discard stale
     /// duplicates; `0` is reserved for unsolicited messages (heartbeats,
     /// shutdown broadcasts). `epoch` is `Some` exactly when
@@ -912,15 +924,24 @@ impl DsdMsg {
     /// barrier entry, what it holds; empty (every reply, and a request
     /// with nothing new) adds no byte.
     pub fn encode_request(&self, req_id: u64, epoch: Option<u32>, report: &Report) -> Bytes {
-        let stamp = epoch.map_or(0, |_| 4);
-        let mut out = BytesMut::with_capacity(8 + stamp + self.encoded_bound() + report.bytes());
-        out.put_u64(req_id);
+        let mut out = BytesMut::with_capacity(
+            DsdMsg::envelope_bytes(req_id, epoch) + self.encoded_bound() + report.bytes(),
+        );
+        <u64 as Codec<u64>>::put(&req_id, &mut out);
         if let Some(epoch) = epoch {
-            out.put_u32(epoch);
+            <u32 as Codec<u32>>::put(&epoch, &mut out);
         }
         self.encode_into(&mut out);
         report.put(&mut out);
         out.freeze()
+    }
+
+    /// Bytes of the envelope ahead of a body: the request id's varint and
+    /// the epoch's, if stamped. A decoded envelope took exactly these, as
+    /// every varint read is canonical, so the body of a received frame
+    /// starts there.
+    pub(crate) fn envelope_bytes(req_id: u64, epoch: Option<u32>) -> usize {
+        varint::len(req_id) + epoch.map_or(0, |e| varint::len(e.into()))
     }
 
     /// Decode what [`Self::encode_request`] wrote; `stamped` says whether
@@ -933,11 +954,11 @@ impl DsdMsg {
         mut payload: Bytes,
         stamped: bool,
     ) -> Result<(u64, Option<u32>, DsdMsg, Report), ProtocolError> {
-        if payload.remaining() < if stamped { 12 } else { 8 } {
-            return Err(ProtocolError::Truncated);
-        }
-        let req_id = payload.get_u64();
-        let epoch = stamped.then(|| payload.get_u32());
+        let req_id = <u64 as Codec<u64>>::take(&mut payload)?;
+        let epoch = match stamped {
+            true => Some(<u32 as Codec<u32>>::take(&mut payload)?),
+            false => None,
+        };
         let (msg, report) = DsdMsg::decode_reported(kind, payload)?;
         Ok((req_id, epoch, msg, report))
     }
@@ -997,7 +1018,6 @@ mod tests {
             entry: 3,
             elem_offset: 100,
             endian: Endianness::Big,
-            sender: "s".into(),
             tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
             data: Bytes::from_static(&[1, 2, 3, 4]),
         }]);
@@ -1006,24 +1026,21 @@ mod tests {
             first,
             count,
         };
-        // `batch`'s frame: the marker, one group, its one run (element
-        // 100) and the run's four payload bytes.
-        const B: &str = "ffffffff00000001000100000000040000000301730000000100000000\
-                         0000006400000001000000000000000401020304";
+        // `batch`'s frame: the marker, one group, its shape (big-endian,
+        // four bytes), entry 3, one run (element 100, one element) and the
+        // run's four payload bytes.
+        const B: &str = "d501440301640101020304";
         // The empty batch: the marker and no group.
-        const E: &str = "ffffffff00000000";
+        const E: &str = "d500";
         let golden: [(DsdMsg, String); 33] = [
-            (
-                DsdMsg::LockRequest { lock: 2, rank: 5 },
-                "0000000200000005".into(),
-            ),
+            (DsdMsg::LockRequest { lock: 2, rank: 5 }, "0205".into()),
             (
                 DsdMsg::LockGrant {
                     lock: 2,
                     updates: batch.clone(),
                     notices: vec![row(3, 400, 1)],
                 },
-                format!("00000002{B}0000000300000000000001900000000000000001"),
+                format!("02{B}03900301"),
             ),
             (
                 DsdMsg::UnlockRequest {
@@ -1031,16 +1048,16 @@ mod tests {
                     rank: 5,
                     updates: batch.clone(),
                 },
-                format!("0000000200000005{B}"),
+                format!("0205{B}"),
             ),
-            (DsdMsg::UnlockAck { lock: 2 }, "00000002".into()),
+            (DsdMsg::UnlockAck { lock: 2 }, "02".into()),
             (
                 DsdMsg::BarrierEnter {
                     barrier: 1,
                     rank: 5,
                     updates: batch.clone(),
                 },
-                format!("0000000100000005{B}"),
+                format!("0105{B}"),
             ),
             (
                 DsdMsg::BarrierRelease {
@@ -1049,14 +1066,14 @@ mod tests {
                     ship: vec![row(3, 0, 100)],
                     notices: vec![],
                 },
-                format!("00000001{B}000000010000000300000000000000000000000000000064"),
+                format!("01{B}01030064"),
             ),
             (
                 DsdMsg::Join {
                     rank: 5,
                     updates: UpdateBatch::default(),
                 },
-                format!("00000005{E}"),
+                format!("05{E}"),
             ),
             (
                 DsdMsg::CondWait {
@@ -1065,7 +1082,7 @@ mod tests {
                     rank: 5,
                     updates: batch.clone(),
                 },
-                format!("000000010000000200000005{B}"),
+                format!("010205{B}"),
             ),
             (
                 DsdMsg::CondSignal {
@@ -1073,24 +1090,24 @@ mod tests {
                     rank: 5,
                     broadcast: true,
                 },
-                "000000010000000501".into(),
+                "010501".into(),
             ),
             (
                 DsdMsg::Resync {
                     rank: 5,
                     updates: UpdateBatch::default(),
                 },
-                format!("00000005{E}"),
+                format!("05{E}"),
             ),
             (DsdMsg::Ack, String::new()),
-            (DsdMsg::Heartbeat { rank: 5 }, "00000005".into()),
+            (DsdMsg::Heartbeat { rank: 5 }, "05".into()),
             (
                 DsdMsg::WorkerLost {
                     rank: 5,
                     heard_ms: 31_000,
                     lease_ms: 30_000,
                 },
-                "0000000500000000000079180000000000007530".into(),
+                "0598f201b0ea01".into(),
             ),
             (DsdMsg::Shutdown, String::new()),
             (
@@ -1098,9 +1115,9 @@ mod tests {
                     rank: 5,
                     updates: batch.clone(),
                 },
-                format!("00000005{B}"),
+                format!("05{B}"),
             ),
-            (DsdMsg::UpdateFetch { rank: 5 }, "00000005".into()),
+            (DsdMsg::UpdateFetch { rank: 5 }, "05".into()),
             (
                 DsdMsg::UpdateBatch {
                     updates: batch.clone(),
@@ -1113,13 +1130,13 @@ mod tests {
                     rank: 5,
                     ranges: vec![row(3, 0, 100)],
                 },
-                "00000005000000010000000300000000000000000000000000000064".into(),
+                "0501030064".into(),
             ),
             (
                 DsdMsg::HeldFetch {
                     ranges: vec![row(3, 0, 100)],
                 },
-                "000000010000000300000000000000000000000000000064".into(),
+                "01030064".into(),
             ),
             (
                 DsdMsg::HeldData {
@@ -1127,7 +1144,7 @@ mod tests {
                     after: 41,
                     updates: batch.clone(),
                 },
-                format!("000000050000000000000029{B}"),
+                format!("0529{B}"),
             ),
             (
                 DsdMsg::Replicate {
@@ -1136,36 +1153,24 @@ mod tests {
                     kind: MsgKind::LockRequest as u16,
                     body: DsdMsg::LockRequest { lock: 2, rank: 5 }.encode(),
                 },
-                "00000007000000000000002900010000000200000005".into(),
+                "0729010205".into(),
             ),
-            (
-                DsdMsg::Depose { shard: 1, epoch: 2 },
-                "0000000100000002".into(),
-            ),
-            (
-                DsdMsg::DeposeAck { shard: 1, epoch: 2 },
-                "0000000100000002".into(),
-            ),
-            (
-                DsdMsg::ViewChange { shard: 1, epoch: 2 },
-                "0000000100000002".into(),
-            ),
-            (DsdMsg::HandoffRequest { shard: 1 }, "00000001".into()),
+            (DsdMsg::Depose { shard: 1, epoch: 2 }, "0102".into()),
+            (DsdMsg::DeposeAck { shard: 1, epoch: 2 }, "0102".into()),
+            (DsdMsg::ViewChange { shard: 1, epoch: 2 }, "0102".into()),
+            (DsdMsg::HandoffRequest { shard: 1 }, "01".into()),
             (
                 DsdMsg::HandoffInstalled { shard: 1, epoch: 2 },
-                "0000000100000002".into(),
+                "0102".into(),
             ),
-            (
-                DsdMsg::HandoffDone { shard: 1, epoch: 2 },
-                "0000000100000002".into(),
-            ),
-            (DsdMsg::ReplicaBeat { shard: 1 }, "00000001".into()),
+            (DsdMsg::HandoffDone { shard: 1, epoch: 2 }, "0102".into()),
+            (DsdMsg::ReplicaBeat { shard: 1 }, "01".into()),
             (
                 DsdMsg::EntryHandoff {
                     entry: 4,
                     to_shard: 2,
                 },
-                "0000000400000002".into(),
+                "0402".into(),
             ),
             (
                 DsdMsg::EntryState {
@@ -1176,34 +1181,34 @@ mod tests {
                     forwarded: true,
                     state: Bytes::from_static(b"st"),
                 },
-                "000000040000000300000001000000050000000000000001000000000000000\
-                 2000000010000000600000000000000030000000000000001\
+                "0403\
+                 01050102\
+                 01060301\
                  01\
                  7374"
                     .into(),
             ),
-            (
-                DsdMsg::EntryInstalled { entry: 4, epoch: 3 },
-                "0000000400000003".into(),
-            ),
+            (DsdMsg::EntryInstalled { entry: 4, epoch: 3 }, "0403".into()),
             (
                 DsdMsg::EntryDone {
                     entry: 4,
                     to_shard: 2,
                 },
-                "0000000400000002".into(),
+                "0402".into(),
             ),
             (
                 DsdMsg::EntryMoved {
                     entries: vec![(4, 2, 3)],
                 },
-                "00000001000000040000000200000003".into(),
+                "01040203".into(),
             ),
         ];
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
-        // Request id 77 and epoch 3 ahead of the body, the row behind it.
-        let head = "000000000000004d00000003";
-        let tail = "00000007fffffffffffffffe0000000000000001";
+        // Request id 77 and epoch 3 ahead of the body, the row behind it:
+        // entry 7 shifted past the held mark, a ten-byte first element and
+        // a count of one.
+        let head = "4d03";
+        let tail = "0efeffffffffffffffff0101";
         let report = Report {
             interest: vec![row(7, u64::MAX - 1, 1)],
             held: Vec::new(),
@@ -1213,7 +1218,8 @@ mod tests {
             let wire = m.encode_request(77, Some(3), &report);
             assert_eq!(hex(&wire), format!("{head}{body}{tail}"), "{m:?}");
         }
-        // A held row behind a barrier entry: its entry carries the mark.
+        // A held row behind a barrier entry: its entry's low bit is the
+        // mark.
         let enter = DsdMsg::BarrierEnter {
             barrier: 1,
             rank: 5,
@@ -1225,11 +1231,127 @@ mod tests {
         };
         assert_eq!(
             hex(&enter.encode_request(77, Some(3), &held)),
-            format!(
-                "{head}0000000100000005{B}{tail}\
-                 800000030000000000000190000000000000000\
-                 2"
-            )
+            format!("{head}0105{B}{tail}07900302")
+        );
+    }
+
+    /// What a one-element release and the grant before it cost, field by
+    /// field: the per-op bill of a lock kernel.
+    #[test]
+    fn a_one_element_release_and_an_empty_grant_pin_every_field() {
+        let int_at = |entry, elem_offset| WireUpdate {
+            entry,
+            elem_offset,
+            endian: Endianness::Big,
+            tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
+            data: Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]),
+        };
+        let release = DsdMsg::UnlockRequest {
+            lock: 2,
+            rank: 5,
+            updates: batch_of(&[int_at(3, 100)]),
+        };
+        let fields: [(&str, &[u8]); 11] = [
+            ("request id 300", &[0xac, 0x02]),
+            ("lock 2", &[0x02]),
+            ("rank 5", &[0x05]),
+            ("batch marker", &[0xd5]),
+            ("one group", &[0x01]),
+            ("shape: big-endian, not a pointer, 4 bytes", &[0x44]),
+            ("entry 3", &[0x03]),
+            ("one run", &[0x01]),
+            ("element 100", &[0x64]),
+            ("one element", &[0x01]),
+            ("payload", &[0xde, 0xad, 0xbe, 0xef]),
+        ];
+        let wire = release.encode_enveloped(300);
+        let mut at = 0;
+        for (what, bytes) in fields {
+            assert_eq!(&wire[at..at + bytes.len()], bytes, "{what}");
+            at += bytes.len();
+        }
+        // Seven bytes frame the four of the payload.
+        assert_eq!(wire.len(), at);
+        assert_eq!((wire.len(), release.encode().len()), (15, 13));
+
+        let grant = DsdMsg::LockGrant {
+            lock: 2,
+            updates: UpdateBatch::default(),
+            notices: Vec::new(),
+        };
+        let wire = grant.encode_enveloped(300);
+        // Request id, lock, then the empty batch: marker and no group.
+        assert_eq!(&wire[..], &[0xac, 0x02, 0x02, 0xd5, 0x00]);
+        assert_eq!((wire.len(), grant.encode().len()), (5, 3));
+    }
+
+    /// A varint spelled longer than its value needs, longer than its type
+    /// allows or above its field's range is refused wherever it stands:
+    /// in the envelope, a field, a row, a count, a report and a batch.
+    #[test]
+    fn overlong_non_canonical_and_out_of_range_varints_are_refused() {
+        let bad = ProtocolError::BadMessage("bad varint");
+        let six = [0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let above_u32 = [0x80, 0x80, 0x80, 0x80, 0x10];
+        let eleven = [
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+        ];
+        let decode = |kind, parts: &[&[u8]]| DsdMsg::decode(kind, Bytes::from(parts.concat()));
+        for lock in [&[0x82, 0x00][..], &six, &above_u32] {
+            assert_eq!(
+                decode(MsgKind::LockRequest, &[lock, &[5]]),
+                Err(bad.clone())
+            );
+        }
+        // `u64` fields: eleven bytes, and a trailing zero group.
+        for heard in [&eleven[..], &[0xff, 0x80, 0x00]] {
+            assert_eq!(
+                decode(MsgKind::WorkerLost, &[&[5], heard, &[1]]),
+                Err(bad.clone())
+            );
+        }
+        // A relayed kind above `u16::MAX`.
+        assert_eq!(
+            decode(MsgKind::Replicate, &[&[7, 41], &[0x80, 0x80, 0x04]]),
+            Err(bad.clone())
+        );
+        // A row count, a row's entry and a row's count.
+        for rows in [
+            &[0x81, 0x00, 3, 0, 1][..],
+            &[1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 1],
+        ] {
+            assert_eq!(decode(MsgKind::RangeFetch, &[&[5], rows]), Err(bad.clone()));
+        }
+        assert_eq!(
+            decode(MsgKind::HeldFetch, &[&[1, 3, 0], &eleven]),
+            Err(bad.clone())
+        );
+        // A report row behind a request, and a notice behind a reply.
+        assert_eq!(
+            decode(MsgKind::Heartbeat, &[&[5, 6, 0x80, 0x00, 1]]),
+            Err(bad.clone())
+        );
+        assert_eq!(
+            decode(MsgKind::UpdateBatch, &[&[0xd5, 0], &above_u32, &[0, 1]]),
+            Err(bad.clone())
+        );
+        // The envelope's request id and epoch.
+        for envelope in [
+            &eleven[..],
+            &[77, 0x80, 0x00],
+            &[77, 0x80, 0x80, 0x80, 0x80, 0x10],
+        ] {
+            let frame = Bytes::from([envelope, &[5][..]].concat());
+            assert_eq!(
+                DsdMsg::decode_request(MsgKind::Heartbeat, frame, true),
+                Err(bad.clone())
+            );
+        }
+        // Inside a batch, the wire's own refusal.
+        let batch = [0xd5, 1, 0x44, 3, 1, 0xe4, 0x00, 1, 9, 9, 9, 9];
+        assert_eq!(
+            decode(MsgKind::UnlockRequest, &[&[2, 5], &batch]),
+            Err(ProtocolError::Wire(WireError::BadHeader))
         );
     }
 
@@ -1253,7 +1375,8 @@ mod tests {
                 Report::default()
             };
             let wire = m.encode_request(77, Some(3), &report);
-            assert_eq!(wire.len(), 12 + m.encoded_bound() + report.bytes());
+            let envelope = DsdMsg::envelope_bytes(77, Some(3));
+            assert_eq!(wire.len(), envelope + m.encoded_bound() + report.bytes());
             assert_eq!(
                 DsdMsg::decode_request(kind, wire, true).unwrap(),
                 (77, Some(3), m.clone(), report)
@@ -1307,7 +1430,7 @@ mod tests {
             Err(ProtocolError::Wire(WireError::BadHeader))
         );
         assert_eq!(
-            DsdMsg::decode(MsgKind::WorkerLost, Bytes::from_static(&[0, 0, 0, 5])),
+            DsdMsg::decode(MsgKind::WorkerLost, Bytes::from_static(&[5])),
             Err(ProtocolError::Truncated)
         );
     }
@@ -1320,10 +1443,13 @@ mod tests {
         assert_eq!((rid, epoch), (77, Some(3)));
         assert_eq!(back, m);
         assert!(report.is_empty());
-        assert_eq!(
-            DsdMsg::decode_request(MsgKind::Join, Bytes::from_static(&[0; 11]), true),
-            Err(ProtocolError::Truncated)
-        );
+        // Cut inside the request id, and before the stamp.
+        for cut in [&[0x80][..], &[77]] {
+            assert_eq!(
+                DsdMsg::decode_request(MsgKind::Join, Bytes::copy_from_slice(cut), true),
+                Err(ProtocolError::Truncated)
+            );
+        }
     }
 
     #[test]
@@ -1340,7 +1466,7 @@ mod tests {
                 assert_eq!((rid, stamp, &back, &got), (77, epoch, &m, &report));
                 // A primary relays the frame behind the envelope as it is;
                 // its replica reads the same message and the same report.
-                let body = wire.slice(if epoch.is_some() { 12 } else { 8 }..);
+                let body = wire.slice(DsdMsg::envelope_bytes(77, epoch)..);
                 assert_eq!(
                     DsdMsg::decode_reported(m.kind(), body.clone()).unwrap(),
                     (m.clone(), report.clone())
@@ -1351,7 +1477,7 @@ mod tests {
                 assert!(DsdMsg::decode_reported(m.kind(), ragged).is_err());
             }
             // Nothing to report: the request as it always was.
-            let plain = [&77u64.to_be_bytes()[..], &m.encode()[..]].concat();
+            let plain = [&[77][..], &m.encode()[..]].concat();
             assert_eq!(m.encode_request(77, None, &Report::default()), plain);
         }
     }
@@ -1368,7 +1494,7 @@ mod tests {
                     updates: batch.clone(),
                     notices: no_notices(),
                 },
-                [&2u32.to_be_bytes()[..], frame].concat(),
+                [&[2][..], frame].concat(),
             ),
             (
                 DsdMsg::BarrierRelease {
@@ -1377,7 +1503,7 @@ mod tests {
                     ship: Vec::new(),
                     notices: no_notices(),
                 },
-                [&1u32.to_be_bytes()[..], frame, &[0; 4]].concat(),
+                [&[1][..], frame, &[0]].concat(),
             ),
             (
                 DsdMsg::UpdateBatch {
@@ -1389,7 +1515,8 @@ mod tests {
         ];
         for (m, body) in replies {
             assert_eq!(m.encode(), body, "{m:?}");
-            // And each notice is twenty bytes behind it.
+            // And the notices behind it: (3, 0, 100) in three bytes,
+            // (3, 400, 1) in four and (7, u64::MAX - 1, 1) in twelve.
             let mut noticed = m.clone();
             let (DsdMsg::LockGrant { notices, .. }
             | DsdMsg::BarrierRelease { notices, .. }
@@ -1398,7 +1525,7 @@ mod tests {
                 unreachable!()
             };
             *notices = sample_ranges();
-            assert_eq!(noticed.encode().len(), body.len() + 3 * 20);
+            assert_eq!(noticed.encode().len(), body.len() + 3 + 4 + 12);
             assert_eq!(&noticed.encode()[..body.len()], &body[..]);
         }
     }
@@ -1406,7 +1533,7 @@ mod tests {
     #[test]
     fn envelope_truncation_detected() {
         assert_eq!(
-            DsdMsg::decode_enveloped(MsgKind::Ack, Bytes::from_static(&[0; 7])),
+            DsdMsg::decode_enveloped(MsgKind::Ack, Bytes::from_static(&[0x80])),
             Err(ProtocolError::Truncated)
         );
     }
@@ -1414,7 +1541,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         assert_eq!(
-            DsdMsg::decode(MsgKind::LockRequest, Bytes::from_static(&[0, 0])),
+            DsdMsg::decode(MsgKind::LockRequest, Bytes::from_static(&[2])),
             Err(ProtocolError::Truncated)
         );
         assert!(DsdMsg::decode(MsgKind::LockGrant, Bytes::from_static(&[0, 0, 0, 1])).is_err());

@@ -154,8 +154,13 @@ pub fn extract_updates(
         return Ok(UpdateBatch::default());
     }
     let endian = gthv.platform().endian;
-    let sender = gthv.platform().name.as_bytes();
     let groups = || ranges.chunk_by(|a, b| a.entry == b.entry);
+    fn runs(group: &[UpdateRange]) -> impl ExactSizeIterator<Item = (u64, u32)> + '_ {
+        group.iter().map(|r| {
+            let count = u32::try_from(r.count).expect("run too long for one update");
+            (r.first, count)
+        })
+    }
 
     let (mut n_groups, mut body_bytes) = (0u32, 0usize);
     for group in groups() {
@@ -164,7 +169,6 @@ pub fn extract_updates(
             .table()
             .row(entry)
             .ok_or(UpdateError::NoSuchEntry(entry))?;
-        let mut elems = 0;
         for r in group {
             if r.first
                 .checked_add(r.count)
@@ -177,14 +181,9 @@ pub fn extract_updates(
                     available: row.count,
                 });
             }
-            elems += r.count;
         }
         n_groups += 1;
-        body_bytes += FrameWriter::run_group_bytes(
-            sender,
-            group.len(),
-            (elems * u64::from(row.size)) as usize,
-        );
+        body_bytes += FrameWriter::run_group_bytes(entry, row.size, runs(group));
     }
 
     let mut w = FrameWriter::new(n_groups, body_bytes);
@@ -195,15 +194,8 @@ pub fn extract_updates(
             endian,
             is_ptr: row.kind == ScalarKind::Ptr,
             size: row.size,
-            sender,
         };
-        w.begin_group(
-            head,
-            group.iter().map(|r| {
-                let count = u32::try_from(r.count).expect("run too long for one update");
-                (r.first, count)
-            }),
-        );
+        w.begin_group(head, runs(group));
         let s = row.size as usize;
         for r in group {
             let raw = gthv
@@ -290,7 +282,7 @@ impl ApplyWalk<'_> {
     fn apply_runs<'a>(
         &mut self,
         gthv: &mut GthvInstance,
-        head: GroupHead<'_>,
+        head: GroupHead,
         runs: impl Iterator<Item = UpdateView<'a>>,
         kept: Option<&IntervalSet>,
     ) -> Result<(), UpdateError> {
@@ -372,7 +364,7 @@ impl ApplyWalk<'_> {
     fn unswizzle_run(
         &mut self,
         gthv: &GthvInstance,
-        head: &GroupHead<'_>,
+        head: &GroupHead,
         run: &UpdateView<'_>,
         dst_size: usize,
     ) -> Result<(), UpdateError> {

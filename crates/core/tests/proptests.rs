@@ -145,7 +145,6 @@ fn reference_extract(
             entry: r.entry,
             elem_offset: r.first,
             endian,
-            sender: gthv.platform().name.clone(),
             tag: tag_for_scalar_run(row.kind, row.size, r.count),
             data: Bytes::from(data),
         });

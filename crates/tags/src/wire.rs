@@ -1,22 +1,33 @@
 //! Wire framing for updates.
 //!
 //! An update travels as *metadata + tag + raw data*. The metadata (entry
-//! index, element offset, sender identity) is framed in fixed network byte
-//! order; the **payload stays in the sender's native format** — that is the
-//! "receiver makes right" contract. Packing cost is the paper's `t_pack`,
-//! unpacking `t_unpack` (Eq. 1); both are deliberately cheap (length-
-//! prefixed copies), matching the paper's observation that
-//! `t_pack`/`t_unpack` are comparatively small.
+//! index, element offset, element count) is framed as canonical varints
+//! ([`varint`]), each in the bytes its value needs; the **payload stays
+//! in the sender's native format** — that is the "receiver makes right"
+//! contract. Packing cost is the paper's `t_pack`, unpacking `t_unpack`
+//! (Eq. 1); both are deliberately cheap (length-prefixed copies),
+//! matching the paper's observation that `t_pack`/`t_unpack` are
+//! comparatively small.
 //!
-//! The grouped v2 frame of run groups is the one batch format, on the
-//! wire and in memory: an [`UpdateBatch`] owns the frame, a
-//! [`FrameWriter`] writes it straight from the sender's address space,
-//! [`unpack_batch`] validates a received one once and keeps it, and the
-//! receiver applies from borrowed [`RunGroup`] views of it. Every update
-//! is one coalesced scalar or pointer run (`(m,n)(0,0)` / `(m,-n)(0,0)`,
-//! paper §4.1), so a group frames element size and pointer flag where a
-//! tag string would stand. [`mod@reference`] is the codec over owned
-//! updates the tests compare against.
+//! The grouped frame of run groups is the one batch format, on the wire
+//! and in memory: an [`UpdateBatch`] owns the frame, a [`FrameWriter`]
+//! writes it straight from the sender's address space, [`unpack_batch`]
+//! validates a received one once and keeps it, and the receiver applies
+//! from borrowed [`RunGroup`] views of it. Every update is one coalesced
+//! scalar or pointer run (`(m,n)(0,0)` / `(m,-n)(0,0)`, paper §4.1), so a
+//! group frames one *shape* byte where a tag string would stand:
+//!
+//! ```text
+//! frame = marker u8 | groups | group*
+//! group = shape u8 | entry | runs | (offset, count)* | payload
+//! shape = size (bits 0–4, 1..=31) | pointer (bit 5) | big-endian (bit 6)
+//! ```
+//!
+//! Every other integer is a varint. Nothing the receiver can work out is
+//! framed: a group's payload is `size × Σcount` bytes. The shape byte
+//! keeps each frame self-describing, so a receiver needs no table of its
+//! senders' platforms. [`mod@reference`] is the codec over owned updates
+//! the tests compare against.
 
 use bytes::{Buf, BufMut, Bytes};
 use hdsm_platform::endian::Endianness;
@@ -24,33 +35,21 @@ use std::fmt;
 use std::sync::OnceLock;
 
 pub mod reference;
+pub mod varint;
 
-/// First word of every batch frame; a buffer that opens with anything
+use varint::VarintError;
+
+/// First byte of every batch frame; a buffer that opens with anything
 /// else is refused as [`WireError::BadHeader`].
-const BATCH_V2_MARKER: u32 = u32::MAX;
-/// A v2 frame opens with the marker and its group count.
-const FRAME_HEADER_BYTES: usize = 4 + 4;
-/// A run group around its sender name, run table and payload: kind,
-/// endianness, pointer flag, element size, entry, name length, run count
-/// and payload length.
-const RUN_GROUP_FIXED_BYTES: usize = 1 + 1 + 1 + 4 + 4 + 1 + 4 + 8;
-/// One row of a run table: element offset and element count.
-const RUN_BYTES: usize = 8 + 4;
+const BATCH_MARKER: u8 = 0xD5;
 
 /// Errors from unpacking a frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
-    /// Frame too short for the declared lengths.
+    /// Frame too short for what it declares.
     Truncated,
-    /// Not a grouped v2 frame, or a header field outside its range.
+    /// Not a batch frame, or a field outside its range.
     BadHeader,
-    /// Declared data length disagrees with the run table's byte size.
-    LengthMismatch {
-        /// Bytes the run table describes (each row a run tag's worth).
-        tag_bytes: u64,
-        /// Bytes in the frame.
-        data_bytes: u64,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -58,25 +57,30 @@ impl fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "truncated frame"),
             WireError::BadHeader => write!(f, "bad frame header"),
-            WireError::LengthMismatch {
-                tag_bytes,
-                data_bytes,
-            } => write!(f, "tag says {tag_bytes}B but frame carries {data_bytes}B"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
+impl From<VarintError> for WireError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => WireError::Truncated,
+            VarintError::Invalid => WireError::BadHeader,
+        }
+    }
+}
+
 /// Size a `Vec` for a length prefix read from outside the program.
 ///
-/// `count` is the declared element count (any of the `u16`/`u32` prefixes
-/// the decoders use), `min_elem_bytes` the fewest bytes one encoded
-/// element can occupy and `remaining` what the buffer still holds. A
-/// count the buffer cannot possibly back fails with the decoder's own
-/// `truncated` error *before* anything is allocated, so no wire input can
-/// make a decoder reserve more than a small multiple of the bytes it was
-/// actually handed.
+/// `count` is the declared element count (any of the varint counts the
+/// decoders read), `min_elem_bytes` the fewest bytes one encoded element
+/// can occupy and `remaining` what the buffer still holds. A count the
+/// buffer cannot possibly back fails with the decoder's own `truncated`
+/// error *before* anything is allocated, so no wire input can make a
+/// decoder reserve more than the bytes it was handed divided by the
+/// smallest element.
 pub fn bounded_vec<T, E>(
     count: impl Into<u64>,
     min_elem_bytes: usize,
@@ -90,19 +94,21 @@ pub fn bounded_vec<T, E>(
     }
 }
 
-fn endian_byte(e: Endianness) -> u8 {
-    match e {
-        Endianness::Little => 0,
-        Endianness::Big => 1,
+/// Bytes of the run table of `runs` rows that opens `buf`: up to its
+/// `2 × runs`-th byte without a continuation bit, counted eight bytes at
+/// a time while that many varints are left.
+fn table_len(buf: &[u8], runs: usize) -> usize {
+    let (mut ends, mut at) = (2 * runs, 0);
+    while ends >= 8 {
+        let word = u64::from_le_bytes(buf[at..at + 8].try_into().expect("eight bytes"));
+        ends -= (!word & 0x8080_8080_8080_8080).count_ones() as usize;
+        at += 8;
     }
-}
-
-fn endian_of(byte: u8) -> Result<Endianness, WireError> {
-    match byte {
-        0 => Ok(Endianness::Little),
-        1 => Ok(Endianness::Big),
-        _ => Err(WireError::BadHeader),
+    while ends > 0 {
+        ends -= usize::from(buf[at] < 0x80);
+        at += 1;
     }
+    at
 }
 
 /// Split the first `n` bytes off the front of `buf` (which holds them).
@@ -114,18 +120,48 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> &'a [u8] {
 
 /// What the updates of one run group share, framed once per group.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupHead<'a> {
+pub struct GroupHead {
     /// Index-table entry every run of the group targets.
     pub entry: u32,
     /// Byte order of the payload.
     pub endian: Endianness,
     /// Pointer runs (`(m,-n)`) rather than data runs (`(m,n)`).
     pub is_ptr: bool,
-    /// Bytes per element on the sender.
+    /// Bytes per element on the sender, 1 to 31.
     pub size: u32,
-    /// Name of the sending platform (diagnostics; at most 255 bytes are
-    /// framed).
-    pub sender: &'a [u8],
+}
+
+impl GroupHead {
+    /// The shape byte.
+    ///
+    /// # Panics
+    /// If the element size is 0 or above 31.
+    fn shape(&self) -> u8 {
+        assert!((1..32).contains(&self.size), "element size {}", self.size);
+        let big = self.endian == Endianness::Big;
+        self.size as u8 | u8::from(self.is_ptr) << 5 | u8::from(big) << 6
+    }
+
+    /// Read a shape byte and an entry off the front of `buf`: a shape
+    /// with its reserved bit set or a size of 0 is refused.
+    fn take(buf: &mut &[u8]) -> Result<GroupHead, WireError> {
+        if buf.is_empty() {
+            return Err(WireError::Truncated);
+        }
+        let shape = buf.get_u8();
+        let size = u32::from(shape & 0x1f);
+        if shape & 0x80 != 0 || size == 0 {
+            return Err(WireError::BadHeader);
+        }
+        let endian = [Endianness::Little, Endianness::Big][usize::from(shape >> 6 & 1)];
+        let (entry, is_ptr) = (varint::get32(buf)?, shape & 0x20 != 0);
+        Ok(GroupHead {
+            entry,
+            endian,
+            is_ptr,
+            size,
+        })
+    }
 }
 
 /// One update of a batch, borrowed from the frame: `count` elements of
@@ -147,24 +183,29 @@ pub struct UpdateView<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct RunGroup<'a> {
     /// What every run shares.
-    pub head: GroupHead<'a>,
+    pub head: GroupHead,
     table: &'a [u8],
     data: &'a [u8],
 }
 
+/// The `(elem_offset, count)` rows of a checked run table.
+fn rows(mut table: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    std::iter::from_fn(move || {
+        (!table.is_empty()).then(|| (varint::read(&mut table), varint::read(&mut table)))
+    })
+}
+
 impl<'a> RunGroup<'a> {
-    /// The group's updates in frame order — two loads and a slice each.
+    /// The group's updates in frame order — two varints and a slice each.
     pub fn runs(&self) -> impl Iterator<Item = UpdateView<'a>> + 'a {
         let (entry, size, mut data) = (self.head.entry, self.head.size as usize, self.data);
-        self.table.chunks_exact(RUN_BYTES).map(move |row| {
-            let (offset, count) = row.split_at(8);
-            let count = u32::from_be_bytes(count.try_into().expect("4-byte count"));
+        rows(self.table).map(move |(elem_offset, count)| {
             let (head, rest) = data.split_at(size * count as usize);
             data = rest;
             UpdateView {
                 entry,
-                elem_offset: u64::from_be_bytes(offset.try_into().expect("8-byte offset")),
-                count: u64::from(count),
+                elem_offset,
+                count,
                 data: head,
             }
         })
@@ -172,94 +213,47 @@ impl<'a> RunGroup<'a> {
 }
 
 /// Split the group at the front of `buf` off it, with every check the
-/// format has and nothing allocated from a wire-supplied length; also how
-/// many updates it holds and their payload bytes. `validated` says the
-/// frame passed this once already (it is an [`UpdateBatch`]'s), so the
-/// pass over the run table that checks it against the payload length is
-/// not made again.
-fn split_group<'a>(
-    buf: &mut &'a [u8],
-    validated: bool,
-) -> Result<(RunGroup<'a>, usize, u64), WireError> {
-    if buf.remaining() < 1 {
+/// format has and nothing allocated from a wire-supplied length: how many
+/// updates it holds and their payload bytes.
+fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
+    let head = GroupHead::take(buf)?;
+    let nruns = varint::get32(buf)? as usize;
+    // A row is at least two one-byte varints.
+    if nruns as u64 * 2 > buf.len() as u64 {
         return Err(WireError::Truncated);
     }
-    // The kind byte: run groups are kind 0, and the only kind.
-    if buf.get_u8() != 0 {
-        return Err(WireError::BadHeader);
-    }
-    if buf.remaining() < 1 + 1 + 4 + 4 + 1 {
-        return Err(WireError::Truncated);
-    }
-    let endian = endian_of(buf.get_u8())?;
-    let is_ptr = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::BadHeader),
-    };
-    let size = buf.get_u32();
-    if size == 0 {
-        return Err(WireError::BadHeader);
-    }
-    let entry = buf.get_u32();
-    let name_len = buf.get_u8() as usize;
-    if buf.remaining() < name_len + 4 {
-        return Err(WireError::Truncated);
-    }
-    let sender = take(buf, name_len);
-    let nruns = buf.get_u32() as usize;
-    if nruns as u64 * RUN_BYTES as u64 > buf.remaining() as u64 {
-        return Err(WireError::Truncated);
-    }
-    let table = take(buf, nruns * RUN_BYTES);
-    let mut want: u64 = 0;
-    if !validated {
-        for row in table.chunks_exact(RUN_BYTES) {
-            let count = u32::from_be_bytes(row[8..].try_into().expect("4-byte count"));
-            if count == 0 {
-                return Err(WireError::BadHeader);
-            }
-            want = u64::from(size)
-                .checked_mul(u64::from(count))
-                .and_then(|b| want.checked_add(b))
-                .ok_or(WireError::BadHeader)?;
+    let (mut rest, mut elems) = (*buf, 0u64);
+    for _ in 0..nruns {
+        varint::get(&mut rest, u64::MAX)?;
+        let count = varint::get32(&mut rest)?;
+        if count == 0 {
+            return Err(WireError::BadHeader);
         }
+        // At most `u32::MAX` counts of at most `u32::MAX` each.
+        elems += u64::from(count);
     }
-    if buf.remaining() < 8 {
+    let data_len = elems
+        .checked_mul(head.size.into())
+        .ok_or(WireError::BadHeader)?;
+    if (rest.len() as u64) < data_len {
         return Err(WireError::Truncated);
     }
-    let data_len = buf.get_u64();
-    if !validated && data_len != want {
-        return Err(WireError::LengthMismatch {
-            tag_bytes: want,
-            data_bytes: data_len,
-        });
-    }
-    if (buf.remaining() as u64) < data_len {
-        return Err(WireError::Truncated);
-    }
-    let data = take(buf, data_len as usize);
-    let head = GroupHead {
-        entry,
-        endian,
-        is_ptr,
-        size,
-        sender,
-    };
-    Ok((RunGroup { head, table, data }, nruns, data_len))
+    *buf = &rest[data_len as usize..];
+    Ok((nruns, data_len))
 }
 
-/// A batch of updates: the grouped v2 frame itself, validated once, with
-/// its update count and payload bytes. It is what every message, log and
+/// A batch of updates: the grouped frame itself, validated once, with its
+/// update count and payload bytes. It is what every message, log and
 /// snapshot of the DSM carries; cloning shares the frame.
 ///
-/// Consecutive updates sharing (entry, endianness, sender, element size,
+/// Consecutive updates sharing (entry, endianness, element size,
 /// scalar-vs-pointer) form one *run group* that frames the shared
-/// metadata once and then just `(elem_offset, count)` pairs plus a single
-/// concatenated payload — SOR's 10 735 one-element updates take 20 framed
-/// bytes each, not ~50 — and the receiver parses no tag. Grouping only
-/// ever merges **consecutive** updates, so apply order — and therefore
-/// last-writer-wins semantics within a batch — is preserved exactly.
+/// metadata once and then just `(elem_offset, count)` varint pairs plus a
+/// single concatenated payload — SOR's 10 735 one-element updates take
+/// three or four framed bytes each — and the receiver parses no tag.
+/// Grouping only ever merges **consecutive** updates, so apply order —
+/// and therefore last-writer-wins semantics within a batch — is preserved
+/// exactly.
 #[derive(Clone, PartialEq)]
 pub struct UpdateBatch {
     frame: Bytes,
@@ -309,14 +303,30 @@ impl UpdateBatch {
     }
 
     /// The groups in frame order, borrowed. A run group without runs
-    /// holds no update and is skipped.
+    /// holds no update and is skipped. The frame was checked when the
+    /// batch was made, so a run table is stepped over by its last bytes
+    /// alone (`table_len`), and only a group before the last sums its
+    /// counts to find where its payload ends.
     pub fn groups(&self) -> impl Iterator<Item = RunGroup<'_>> + '_ {
-        let mut rest = &self.frame[FRAME_HEADER_BYTES..];
+        const CHECKED: &str = "frame checked when the batch was made";
+        let mut rest = &self.frame[1..];
+        let mut left = varint::get32(&mut rest).expect(CHECKED);
         std::iter::from_fn(move || {
-            while !rest.is_empty() {
-                match split_group(&mut rest, true).expect("frame checked when the batch was made") {
-                    (_, 0, _) => continue,
-                    (group, ..) => return Some(group),
+            while left > 0 {
+                left -= 1;
+                let head = GroupHead::take(&mut rest).expect(CHECKED);
+                let nruns = varint::get32(&mut rest).expect(CHECKED) as usize;
+                let len = table_len(rest, nruns);
+                let table = take(&mut rest, len);
+                let data_len = match left {
+                    0 => rest.len(),
+                    _ => rows(table)
+                        .map(|(_, n)| n as usize * head.size as usize)
+                        .sum(),
+                };
+                let data = take(&mut rest, data_len);
+                if nruns > 0 {
+                    return Some(RunGroup { head, table, data });
                 }
             }
             None
@@ -348,26 +358,24 @@ pub fn unpack_batch(mut buf: Bytes) -> Result<UpdateBatch, WireError> {
 }
 
 /// [`unpack_batch`] for a batch that is followed by something else: the
-/// frame says where it ends (a group count, then every group's lengths),
-/// so it is split off the front of `buf` and what follows stays there.
+/// frame says where it ends (a group count, then every group's runs), so
+/// it is split off the front of `buf` and what follows stays there.
 pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
     let mut rest: &[u8] = buf;
-    if rest.remaining() < 4 {
+    if rest.is_empty() {
         return Err(WireError::Truncated);
     }
-    if rest.get_u32() != BATCH_V2_MARKER {
+    if rest.get_u8() != BATCH_MARKER {
         return Err(WireError::BadHeader);
     }
-    if rest.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let groups = rest.get_u32();
-    if u64::from(groups) * RUN_GROUP_FIXED_BYTES as u64 > rest.remaining() as u64 {
+    let groups = varint::get32(&mut rest)?;
+    // A group is at least its shape byte and two one-byte varints.
+    if u64::from(groups) * 3 > rest.len() as u64 {
         return Err(WireError::Truncated);
     }
     let (mut updates, mut payload_bytes) = (0, 0);
     for _ in 0..groups {
-        let (_, n, bytes) = split_group(&mut rest, false)?;
+        let (n, bytes) = split_group(&mut rest)?;
         updates += n;
         payload_bytes += bytes;
     }
@@ -379,11 +387,11 @@ pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
     })
 }
 
-/// Writes a grouped v2 frame group by group into one buffer sized
-/// exactly before the first byte is written: the sender sizes the frame
-/// from its ranges ([`Self::run_group_bytes`]), then per group writes the
-/// header and run table ([`Self::begin_group`]) and appends the payload
-/// straight from its address space ([`Self::put_payload`]).
+/// Writes a grouped frame group by group into one buffer sized exactly
+/// before the first byte is written: the sender sizes the frame from its
+/// ranges ([`Self::run_group_bytes`]), then per group writes the header
+/// and run table ([`Self::begin_group`]) and appends the payload straight
+/// from its address space ([`Self::put_payload`]).
 pub struct FrameWriter {
     out: Vec<u8>,
     /// Groups the header announced and `begin_group` has not yet opened.
@@ -396,19 +404,27 @@ pub struct FrameWriter {
 }
 
 impl FrameWriter {
-    /// Bytes a run group of `runs` runs and `data_len` payload bytes from
-    /// `sender` occupies in the frame.
-    pub fn run_group_bytes(sender: &[u8], runs: usize, data_len: usize) -> usize {
-        RUN_GROUP_FIXED_BYTES + sender.len().min(255) + runs * RUN_BYTES + data_len
+    /// Bytes a run group of `entry` with elements of `size` bytes and the
+    /// `(elem_offset, count)` rows `runs` occupies in the frame, payload
+    /// included.
+    pub fn run_group_bytes(
+        entry: u32,
+        size: u32,
+        runs: impl ExactSizeIterator<Item = (u64, u32)>,
+    ) -> usize {
+        let head = 1 + varint::len(entry.into()) + varint::len(runs.len() as u64);
+        runs.fold(head, |n, (offset, count)| {
+            n + varint::len(offset) + varint::len(count.into()) + size as usize * count as usize
+        })
     }
 
     /// A frame of `groups` groups occupying `body_bytes` in all (the sum
     /// of their [`Self::run_group_bytes`]).
     pub fn new(groups: u32, body_bytes: usize) -> FrameWriter {
-        let planned = FRAME_HEADER_BYTES + body_bytes;
+        let planned = 1 + varint::len(groups.into()) + body_bytes;
         let mut out = Vec::with_capacity(planned);
-        out.put_u32(BATCH_V2_MARKER);
-        out.put_u32(groups);
+        out.put_u8(BATCH_MARKER);
+        varint::put(&mut out, groups.into());
         FrameWriter {
             groups_left: groups,
             group_end: out.len(),
@@ -424,34 +440,28 @@ impl FrameWriter {
     /// the same order, must follow through [`Self::put_payload`].
     ///
     /// # Panics
-    /// If the previous group's payload is incomplete, a run is empty or
-    /// the frame was sized for fewer groups.
+    /// If the previous group's payload is incomplete, a run is empty, the
+    /// element size is not 1 to 31 or the frame was sized for fewer
+    /// groups.
     pub fn begin_group(
         &mut self,
-        head: GroupHead<'_>,
+        head: GroupHead,
         runs: impl ExactSizeIterator<Item = (u64, u32)>,
     ) {
         assert_eq!(self.out.len(), self.group_end, "previous group's payload");
         self.groups_left = self.groups_left.checked_sub(1).expect("a group too many");
         let out = &mut self.out;
-        out.put_u8(0);
-        out.put_u8(endian_byte(head.endian));
-        out.put_u8(u8::from(head.is_ptr));
-        out.put_u32(head.size);
-        out.put_u32(head.entry);
-        let sender = &head.sender[..head.sender.len().min(255)];
-        out.put_u8(sender.len() as u8);
-        out.put_slice(sender);
-        out.put_u32(runs.len() as u32);
+        out.put_u8(head.shape());
+        varint::put(out, head.entry.into());
+        varint::put(out, runs.len() as u64);
         self.updates += runs.len();
         let mut data_len: u64 = 0;
         for (elem_offset, count) in runs {
             assert!(count > 0, "empty run");
-            out.put_u64(elem_offset);
-            out.put_u32(count);
+            varint::put(out, elem_offset);
+            varint::put(out, count.into());
             data_len += u64::from(head.size) * u64::from(count);
         }
-        out.put_u64(data_len);
         self.payload_bytes += data_len;
         self.group_end = out.len() + data_len as usize;
     }
@@ -495,7 +505,6 @@ mod tests {
             entry,
             elem_offset: 7,
             endian: Endianness::Big,
-            sender: "solaris-sparc".into(),
             tag: tag_for_scalar_run(ScalarKind::Int, 4, n),
             data: Bytes::from(data),
         }
@@ -507,7 +516,6 @@ mod tests {
             entry,
             elem_offset: 0,
             endian: Endianness::Little,
-            sender: "linux-x86".into(),
             tag: tag_for_scalar_run(ScalarKind::Ptr, 4, 3),
             data: Bytes::from(vec![7u8; 12]),
         }
@@ -518,6 +526,8 @@ mod tests {
         let batch = unpack_batch(pack_grouped(&[])).unwrap();
         assert_eq!(batch, UpdateBatch::default());
         assert!(batch.is_empty() && batch.iter().next().is_none());
+        // The marker and a group count of 0.
+        assert_eq!(&batch.frame()[..], &[BATCH_MARKER, 0]);
     }
 
     #[test]
@@ -554,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn small_runs_of_one_entry_frame_twelve_bytes_each() {
+    fn small_runs_of_one_entry_frame_their_varints_and_their_payload() {
         // The SOR shape: thousands of tiny same-entry updates.
         let us: Vec<WireUpdate> = (0..500)
             .map(|i| WireUpdate {
@@ -564,22 +574,25 @@ mod tests {
             .collect();
         let frame = pack_grouped(&us);
         assert_eq!(updates_of(&unpack_batch(frame.clone()).unwrap()), us);
-        let group = FrameWriter::run_group_bytes(b"solaris-sparc", 500, 500 * 8);
-        assert_eq!(frame.len(), FRAME_HEADER_BYTES + group);
-        assert_eq!(
-            group - 500 * 8,
-            RUN_GROUP_FIXED_BYTES + 13 + 500 * RUN_BYTES
-        );
+        let runs = (0..500u32).map(|i| (u64::from(i) * 7, 2));
+        let group = FrameWriter::run_group_bytes(3, 4, runs);
+        assert_eq!(frame.len(), 2 + group);
+        // Shape, entry and a two-byte run count; then offsets below 128
+        // (19 of them) in one byte, the rest in two, and every count in
+        // one.
+        assert_eq!(group - 500 * 8, 1 + 1 + 2 + 19 * 2 + 481 * 3);
     }
 
     #[test]
-    fn batch_does_not_group_across_sender_or_endian_changes() {
+    fn batch_does_not_group_across_endian_or_size_changes() {
         let mut other = sample(0, 2);
         other.endian = Endianness::Little;
-        other.sender = "linux-x86".into();
-        let us = vec![sample(0, 2), other, sample(0, 2)];
+        let mut wide = sample(0, 1);
+        wide.tag = tag_for_scalar_run(ScalarKind::Double, 8, 1);
+        wide.data = Bytes::from(vec![3u8; 8]);
+        let us = vec![sample(0, 2), other, sample(0, 2), wide];
         let batch = unpack_batch(pack_grouped(&us)).unwrap();
-        assert_eq!(batch.groups().count(), 3);
+        assert_eq!(batch.groups().count(), 4);
         assert_eq!(updates_of(&batch), us);
     }
 
@@ -626,23 +639,22 @@ mod tests {
     }
 
     #[test]
-    fn detects_table_data_length_mismatch() {
-        // One group of 4 four-byte elements: the payload length is the
-        // eight bytes before the 16 payload bytes.
-        let mut bytes = pack_grouped(&[sample(1, 4)]).to_vec();
-        let at = bytes.len() - 16 - 1;
-        bytes[at] ^= 8;
-        assert_eq!(
-            unpack_batch(bytes.into()),
-            Err(WireError::LengthMismatch {
-                tag_bytes: 16,
-                data_bytes: 24
-            })
-        );
+    fn the_payload_is_as_long_as_the_rows_say() {
+        // One group of 4 four-byte elements: marker, group count, shape,
+        // entry, run count, offset, count, then 16 payload bytes.
+        let bytes = pack_grouped(&[sample(1, 4)]).to_vec();
+        assert_eq!(&bytes[..7], &[BATCH_MARKER, 1, 0x44, 1, 1, 7, 4]);
+        assert_eq!(bytes.len(), 7 + 16);
+        let mut more = bytes.clone();
+        more[6] = 5;
+        assert_eq!(unpack_batch(more.into()), Err(WireError::Truncated));
+        let mut fewer = bytes;
+        fewer[6] = 3;
+        assert_eq!(unpack_batch(fewer.into()), Err(WireError::BadHeader));
     }
 
     #[test]
-    fn other_batch_formats_and_group_kinds_are_bad_headers() {
+    fn other_batch_formats_and_shapes_are_bad_headers() {
         // A count-prefixed batch of the retired v1 format: empty, and one
         // frame (magic 0x0D5D, version 1, tag text, payload).
         let mut v1 = vec![0, 0, 0, 1, 0x0d, 0x5d, 1, 1];
@@ -650,11 +662,22 @@ mod tests {
         v1.extend_from_slice(&[0, 0, 0, 10]);
         v1.extend_from_slice(b"(4,1)(0,0)");
         v1.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 4, 1, 2, 3, 4]);
-        // A group of kind 1 (once: raw v1 frames) in a v2 frame.
-        let mut kind1 = pack_grouped(&[sample(0, 1)]).to_vec();
-        assert_eq!(kind1[FRAME_HEADER_BYTES], 0);
-        kind1[FRAME_HEADER_BYTES] = 1;
-        for bytes in [vec![0; 4], v1, kind1] {
+        // The retired fixed-width v2 frame: a `u32::MAX` marker, a group
+        // count, and a run group with its kind byte, sender name and
+        // payload length.
+        let mut v2 = vec![0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 4];
+        v2.extend_from_slice(&[0, 0, 0, 3, 1, b's', 0, 0, 0, 1]);
+        v2.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 1]);
+        v2.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 4, 1, 2, 3, 4]);
+        // A shape with its reserved bit set, and one of size 0.
+        let one = pack_grouped(&[sample(0, 1)]).to_vec();
+        assert_eq!(one[2], 0x44);
+        let shaped = |shape: u8| {
+            let mut b = one.clone();
+            b[2] = shape;
+            b
+        };
+        for bytes in [vec![0; 4], v1, v2, shaped(0xc4), shaped(0x40), shaped(0x60)] {
             let bytes = Bytes::from(bytes);
             assert_eq!(unpack_batch(bytes.clone()), Err(WireError::BadHeader));
             assert_eq!(unpack_updates(bytes), Err(WireError::BadHeader));
@@ -662,10 +685,63 @@ mod tests {
     }
 
     #[test]
+    fn overlong_non_canonical_and_out_of_range_varints_are_refused() {
+        // Each field of `[marker, groups 1, shape, entry 3, runs 1, offset
+        // 100, count 1, payload]` spelled badly in turn: six bytes for a
+        // `u32`, eleven for the `u64` offset, a trailing zero group, and a
+        // `u32` field one above `u32::MAX`.
+        let u32_fields = [1, 3, 4, 6];
+        let six = vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let above = vec![0x80, 0x80, 0x80, 0x80, 0x10];
+        let eleven = [&[0xff; 10][..], &[0x01]].concat();
+        let plain = [BATCH_MARKER, 1, 0x44, 3, 1, 100, 1];
+        let frame = |at: usize, spelled: &[u8]| {
+            let mut fields: Vec<Vec<u8>> = plain.iter().map(|&b| vec![b]).collect();
+            fields[at] = spelled.to_vec();
+            Bytes::from([fields.concat(), vec![9, 9, 9, 9]].concat())
+        };
+        assert_eq!(
+            updates_of(&unpack_batch(frame(5, &[100])).unwrap()).len(),
+            1
+        );
+        for at in [1, 3, 4, 5, 6] {
+            let mut cases = vec![vec![plain[at] | 0x80, 0x00], eleven.clone()];
+            if u32_fields.contains(&at) {
+                cases.extend([six.clone(), above.clone()]);
+            }
+            for spelled in cases {
+                let bytes = frame(at, &spelled);
+                assert_eq!(
+                    unpack_batch(bytes.clone()),
+                    Err(WireError::BadHeader),
+                    "field {at} as {spelled:x?}"
+                );
+                assert_eq!(unpack_updates(bytes), Err(WireError::BadHeader));
+            }
+        }
+    }
+
+    /// Updates whose varints take several bytes: an entry above 127, an
+    /// offset above 2^21 and a run of more than 127 elements.
+    fn wide_sample() -> WireUpdate {
+        WireUpdate {
+            entry: 300,
+            elem_offset: (1 << 21) + 5,
+            ..sample(300, 130)
+        }
+    }
+
+    #[test]
     fn decoder_agrees_with_the_reference_on_every_truncation_and_byte_flip() {
         // Accepted input: the same updates. Rejected input: the same
         // `WireError`, whichever field the damage lands in.
-        let us = vec![sample(0, 2), sample(0, 3), pointer_sample(1), sample(1, 1)];
+        let us = vec![
+            sample(0, 2),
+            sample(0, 3),
+            pointer_sample(1),
+            wide_sample(),
+            sample(1, 1),
+        ];
         let full = pack_grouped(&us);
         let agree = |bytes: Bytes, what: &str| {
             let got = unpack_batch(bytes.clone()).map(|b| updates_of(&b));
@@ -675,7 +751,7 @@ mod tests {
             agree(full.slice(..cut), &format!("cut at {cut}"));
         }
         for at in 0..full.len() {
-            for flip in [0x01, 0x80, 0xff] {
+            for flip in [0x01, 0x40, 0x80, 0xff] {
                 let mut bytes = full.to_vec();
                 bytes[at] ^= flip;
                 agree(Bytes::from(bytes), &format!("byte {at} ^ {flip:#x}"));
@@ -685,28 +761,25 @@ mod tests {
 
     #[test]
     fn frame_writer_writes_the_reference_frame() {
-        let us = vec![sample(0, 2), sample(0, 5), sample(3, 1)];
+        let us = vec![sample(0, 2), sample(0, 5), wide_sample()];
         let head = |entry| GroupHead {
             entry,
             endian: Endianness::Big,
             is_ptr: false,
             size: 4,
-            sender: b"solaris-sparc",
         };
-        let sizes = [(2, 28), (1, 4)];
-        let body = sizes
-            .iter()
-            .map(|&(runs, len)| FrameWriter::run_group_bytes(b"solaris-sparc", runs, len))
-            .sum();
+        let wide = ((1 << 21) + 5, 130);
+        let body = FrameWriter::run_group_bytes(0, 4, [(7, 2), (7, 5)].into_iter())
+            + FrameWriter::run_group_bytes(300, 4, [wide].into_iter());
         let mut w = FrameWriter::new(2, body);
         w.begin_group(head(0), [(7, 2), (7, 5)].into_iter());
         w.put_payload(&us[0].data);
         w.put_payload(&us[1].data);
-        w.begin_group(head(3), [(7, 1)].into_iter());
+        w.begin_group(head(300), [wide].into_iter());
         w.put_payload(&us[2].data);
         let batch = w.finish();
         assert_eq!(batch.frame(), &pack_grouped(&us));
-        assert_eq!((batch.len(), batch.payload_bytes()), (3, 32));
+        assert_eq!((batch.len(), batch.payload_bytes()), (3, 28 + 520));
         assert_eq!(batch, unpack_batch(batch.frame().clone()).unwrap());
     }
 
@@ -718,9 +791,9 @@ mod tests {
             endian: Endianness::Little,
             is_ptr: false,
             size: 8,
-            sender: b"x",
         };
-        let mut w = FrameWriter::new(2, 2 * FrameWriter::run_group_bytes(b"x", 1, 8));
+        let group = FrameWriter::run_group_bytes(0, 8, [(0, 1)].into_iter());
+        let mut w = FrameWriter::new(2, 2 * group);
         w.begin_group(head, [(0, 1)].into_iter());
         w.put_payload(&[0; 4]);
         w.begin_group(head, [(1, 1)].into_iter());

@@ -1,14 +1,13 @@
-//! The grouped v2 codec as it was when a batch was a `Vec<WireUpdate>`:
-//! group materialised updates into a frame, materialise a frame's updates.
+//! The grouped codec as it would be over a `Vec<WireUpdate>`: group
+//! materialised updates into a frame, materialise a frame's updates.
 //! Nothing in the DSM calls it. It is the oracle the unit and property
 //! tests hold [`FrameWriter`](super::FrameWriter)'s frames and
 //! [`UpdateBatch`]'s views to, byte for byte and update for update, and
-//! the tests' way from hand-made [`WireUpdate`]s to a batch.
+//! the tests' way from hand-made [`WireUpdate`]s to a batch. It reads its
+//! varints with a loop of its own, not [`varint::get`]: a varint is
+//! canonical exactly when [`varint::put`] of its value gives its bytes.
 
-use super::{
-    bounded_vec, endian_byte, endian_of, unpack_batch, GroupHead, UpdateBatch, WireError,
-    BATCH_V2_MARKER, RUN_BYTES, RUN_GROUP_FIXED_BYTES,
-};
+use super::{bounded_vec, unpack_batch, varint, GroupHead, UpdateBatch, WireError, BATCH_MARKER};
 use crate::tag::{Tag, TagItem};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_platform::endian::Endianness;
@@ -24,8 +23,6 @@ pub struct WireUpdate {
     pub elem_offset: u64,
     /// Byte order of `data`.
     pub endian: Endianness,
-    /// Name of the sending platform (diagnostics; not used for decisions).
-    pub sender: String,
     /// CGT-RMR tag describing `data`: one scalar or pointer run.
     pub tag: Tag,
     /// Raw bytes in the sender's native format.
@@ -56,47 +53,67 @@ fn run_tag(size: u32, count: u32, is_ptr: bool) -> Tag {
     Tag(vec![item, TagItem::Padding { bytes: 0 }])
 }
 
+/// Read a varint of at most `max`: up to ten bytes, the last without its
+/// top bit; refused unless writing the value back gives the same bytes.
+fn get_varint(buf: &mut Bytes, max: u64) -> Result<u64, WireError> {
+    let mut v: u128 = 0;
+    for i in 0..10 {
+        let Some(&b) = buf.get(i) else {
+            return Err(WireError::Truncated);
+        };
+        v |= u128::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            let read = buf.split_to(i + 1);
+            if v > u128::from(max) {
+                return Err(WireError::BadHeader);
+            }
+            let mut again = BytesMut::new();
+            varint::put(&mut again, v as u64);
+            return if again[..] == read[..] {
+                Ok(v as u64)
+            } else {
+                Err(WireError::BadHeader)
+            };
+        }
+    }
+    Err(WireError::BadHeader)
+}
+
+/// A varint of a `u32` field.
+fn take_u32(buf: &mut Bytes) -> Result<u32, WireError> {
+    get_varint(buf, u32::MAX.into()).map(|v| v as u32)
+}
+
 /// Pack `updates` in the grouped format: each maximal run of consecutive
-/// updates sharing (entry, endianness, sender, element size,
-/// scalar-vs-pointer) becomes one run group.
+/// updates sharing (entry, endianness, element size, scalar-vs-pointer)
+/// becomes one run group.
 ///
 /// # Panics
-/// If a tag is not run-shaped.
+/// If a tag is not run-shaped, or its element size is not 1 to 31.
 pub fn pack_grouped(updates: &[WireUpdate]) -> Bytes {
     let shape = |u: &WireUpdate| run_shape(&u.tag).expect("update tag is one run");
     let segs: Vec<&[WireUpdate]> = updates
         .chunk_by(|a, b| {
             let ((sa, _, pa), (sb, _, pb)) = (shape(a), shape(b));
-            sa == sb
-                && pa == pb
-                && a.entry == b.entry
-                && a.endian == b.endian
-                && a.sender == b.sender
+            sa == sb && pa == pb && a.entry == b.entry && a.endian == b.endian
         })
         .collect();
-    let mut out =
-        BytesMut::with_capacity(32 + updates.iter().map(|u| 16 + u.data.len()).sum::<usize>());
-    out.put_u32(BATCH_V2_MARKER);
-    out.put_u32(segs.len() as u32);
+    let mut out = BytesMut::new();
+    out.put_u8(BATCH_MARKER);
+    varint::put(&mut out, segs.len() as u64);
     for seg in segs {
         let head = &seg[0];
         let (size, _, is_ptr) = shape(head);
-        out.put_u8(0);
-        out.put_u8(endian_byte(head.endian));
-        out.put_u8(u8::from(is_ptr));
-        out.put_u32(size);
-        out.put_u32(head.entry);
-        out.put_u8(head.sender.len().min(255) as u8);
-        out.put_slice(&head.sender.as_bytes()[..head.sender.len().min(255)]);
-        out.put_u32(seg.len() as u32);
-        let mut data_len: u64 = 0;
+        assert!((1..32).contains(&size), "element size {size}");
+        let big = head.endian == Endianness::Big;
+        out.put_u8(size as u8 | u8::from(is_ptr) << 5 | u8::from(big) << 6);
+        varint::put(&mut out, head.entry.into());
+        varint::put(&mut out, seg.len() as u64);
         for u in seg {
             debug_assert_eq!(u.data.len() as u64, u.tag.byte_size());
-            out.put_u64(u.elem_offset);
-            out.put_u32(shape(u).1);
-            data_len += u.data.len() as u64;
+            varint::put(&mut out, u.elem_offset);
+            varint::put(&mut out, shape(u).1.into());
         }
-        out.put_u64(data_len);
         for u in seg {
             out.put_slice(&u.data);
         }
@@ -118,14 +135,12 @@ pub fn updates_of(batch: &UpdateBatch) -> Vec<WireUpdate> {
             endian,
             is_ptr,
             size,
-            sender,
             ..
         } = g.head;
         out.extend(g.runs().map(|r| WireUpdate {
             entry: r.entry,
             elem_offset: r.elem_offset,
             endian,
-            sender: String::from_utf8_lossy(sender).into_owned(),
             tag: run_tag(size, r.count as u32, is_ptr),
             data: Bytes::copy_from_slice(r.data),
         }));
@@ -136,89 +151,51 @@ pub fn updates_of(batch: &UpdateBatch) -> Vec<WireUpdate> {
 /// Materialise the updates of a batch frame — what `unpack_batch`
 /// returned before the frame itself became the batch.
 pub fn unpack_updates(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
-    if buf.remaining() < 4 {
+    if !buf.has_remaining() {
         return Err(WireError::Truncated);
     }
-    if buf.get_u32() != BATCH_V2_MARKER {
+    if buf.get_u8() != BATCH_MARKER {
         return Err(WireError::BadHeader);
     }
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let groups = buf.get_u32();
-    let mut out = bounded_vec(
-        groups,
-        RUN_GROUP_FIXED_BYTES,
-        buf.remaining(),
-        WireError::Truncated,
-    )?;
+    let groups = take_u32(&mut buf)?;
+    // A group is at least its shape byte, entry and run count.
+    let mut out = bounded_vec(groups, 3, buf.remaining(), WireError::Truncated)?;
     for _ in 0..groups {
-        if buf.remaining() < 1 {
+        if !buf.has_remaining() {
             return Err(WireError::Truncated);
         }
-        if buf.get_u8() != 0 {
+        let shape = buf.get_u8();
+        let size = u32::from(shape & 0x1f);
+        if shape & 0x80 != 0 || size == 0 {
             return Err(WireError::BadHeader);
         }
-        if buf.remaining() < 1 + 1 + 4 + 4 + 1 {
-            return Err(WireError::Truncated);
-        }
-        let endian = endian_of(buf.get_u8())?;
-        let is_ptr = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::BadHeader),
-        };
-        let size = buf.get_u32();
-        if size == 0 {
-            return Err(WireError::BadHeader);
-        }
-        let entry = buf.get_u32();
-        let name_len = buf.get_u8() as usize;
-        if buf.remaining() < name_len + 4 {
-            return Err(WireError::Truncated);
-        }
-        let sender = String::from_utf8_lossy(&buf.copy_to_bytes(name_len)).into_owned();
-        let nruns = buf.get_u32();
-        let mut runs = bounded_vec(nruns, RUN_BYTES, buf.remaining(), WireError::Truncated)?;
-        let mut want: u64 = 0;
+        let is_ptr = shape & 0x20 != 0;
+        let endian = [Endianness::Little, Endianness::Big][usize::from(shape & 0x40 != 0)];
+        let entry = take_u32(&mut buf)?;
+        let nruns = take_u32(&mut buf)?;
+        // A row is at least two one-byte varints.
+        let mut runs = bounded_vec(nruns, 2, buf.remaining(), WireError::Truncated)?;
         for _ in 0..nruns {
-            let elem_offset = buf.get_u64();
-            let count = buf.get_u32();
+            let elem_offset = get_varint(&mut buf, u64::MAX)?;
+            let count = take_u32(&mut buf)?;
             if count == 0 {
                 return Err(WireError::BadHeader);
             }
-            want = u64::from(size)
-                .checked_mul(u64::from(count))
-                .and_then(|b| want.checked_add(b))
-                .ok_or(WireError::BadHeader)?;
             runs.push((elem_offset, count));
         }
-        if buf.remaining() < 8 {
+        let elems: u128 = runs.iter().map(|&(_, count)| u128::from(count)).sum();
+        let want = u64::try_from(elems * u128::from(size)).map_err(|_| WireError::BadHeader)?;
+        if (buf.remaining() as u64) < want {
             return Err(WireError::Truncated);
         }
-        let data_len = buf.get_u64();
-        if data_len != want {
-            return Err(WireError::LengthMismatch {
-                tag_bytes: want,
-                data_bytes: data_len,
-            });
-        }
-        if (buf.remaining() as u64) < data_len {
-            return Err(WireError::Truncated);
-        }
-        let data = buf.copy_to_bytes(data_len as usize);
-        let mut at = 0usize;
         for (elem_offset, count) in runs {
-            let len = (u64::from(size) * u64::from(count)) as usize;
             out.push(WireUpdate {
                 entry,
                 elem_offset,
                 endian,
-                sender: sender.clone(),
                 tag: run_tag(size, count, is_ptr),
-                data: data.slice(at..at + len),
+                data: buf.split_to((u64::from(size) * u64::from(count)) as usize),
             });
-            at += len;
         }
     }
     if buf.has_remaining() {

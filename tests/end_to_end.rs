@@ -176,7 +176,7 @@ fn steady_state_stencils_hold_what_no_one_reads_and_name_it_a_row_at_a_time() {
     // rows and one row past each edge of its block, so of what it writes
     // in a sweep it ships the rows a neighbour reads — rows 9, 10, 19 and
     // 20 at n = 30 — and holds the rest, naming each held row in a
-    // 20-byte row of its barrier entry: eight rows a worker, since the
+    // report row of its barrier entry: eight rows a worker, since the
     // two edge columns a row leaves unwritten keep its span apart. What
     // eight more sweeps add to the home's inbound traffic is those entries
     // and nothing else: the joins gather the same spans either way.

@@ -114,35 +114,37 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
         b.put_slice(&[0u8; 16]);
         b.freeze()
     }
+    // The largest count a varint count field declares, and the largest
+    // fixed-width one the retired formats and the migration image read.
+    let max_varint = [0xff, 0xff, 0xff, 0xff, 0x0f];
     let max = u32::MAX.to_be_bytes();
 
     // DsdMsg::decode, every kind that carries a count: the EntryMoved row
     // table directly, the update carriers through their embedded batch.
     assert_eq!(
-        DsdMsg::decode(MsgKind::EntryMoved, frame(&max)),
+        DsdMsg::decode(MsgKind::EntryMoved, frame(&max_varint)),
         Err(ProtocolError::Truncated)
     );
     // A fetch declares its ranges; the rows behind any body are counted
     // by what is left of the frame, never declared.
-    let wild_fetch = [&[0, 0, 0, 5][..], &max].concat();
+    let wild_fetch = [&[5][..], &max_varint].concat();
     assert_eq!(
         DsdMsg::decode(MsgKind::RangeFetch, frame(&wild_fetch)),
         Err(ProtocolError::Truncated)
     );
-    // A count just below the v2 marker (what opened a batch of the
-    // retired count-prefixed format) is no header; a v2 batch declares
+    // A count just below the retired `u32::MAX` marker (what opened a
+    // batch of the count-prefixed format) is no header; a batch declares
     // groups, and a run group declares runs.
     let below_marker = (u32::MAX - 1).to_be_bytes().to_vec();
-    let v2_groups = [max, max].concat();
-    let mut v2_runs = BytesMut::new();
-    v2_runs.put_u32(u32::MAX); // v2 marker
-    v2_runs.put_u32(1); // one group
-    v2_runs.put_slice(&[0, 0, 0]); // run group, little-endian, not a pointer
-    v2_runs.put_u32(4); // element size
-    v2_runs.put_u32(0); // entry
-    v2_runs.put_u8(0); // empty sender
-    v2_runs.put_u32(u32::MAX); // runs
-    for batch in [&below_marker[..], &v2_groups[..], &v2_runs[..]] {
+    let marker = 0xd5;
+    let groups = [&[marker][..], &max_varint].concat();
+    let mut runs = BytesMut::new();
+    runs.put_u8(marker);
+    runs.put_u8(1); // one group
+    runs.put_u8(0x04); // shape: little-endian data, 4-byte elements
+    runs.put_u8(0); // entry
+    runs.put_slice(&max_varint); // runs
+    for batch in [&below_marker[..], &groups[..], &runs[..]] {
         assert!(unpack_batch(frame(batch)).is_err());
         for (kind, ids) in [
             (MsgKind::LockGrant, 1),
@@ -153,7 +155,7 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
             (MsgKind::UpdateFlush, 1),
             (MsgKind::UpdateBatch, 0),
         ] {
-            let body = [&vec![0u8; 4 * ids][..], batch].concat();
+            let body = [&vec![0u8; ids][..], batch].concat();
             assert!(
                 matches!(
                     DsdMsg::decode(kind, frame(&body)),
@@ -287,9 +289,19 @@ fn undecodable_frames_are_dropped_and_counted_at_homes_and_clients() {
                 .encode_enveloped(1);
                 let other = Bytes::from_static(&[0; 16]);
                 for (src, dst, kind, frame) in [
-                    (worker, 0, MsgKind::LockRequest, lock.slice(..12)),
+                    (
+                        worker,
+                        0,
+                        MsgKind::LockRequest,
+                        lock.slice(..lock.len() - 1),
+                    ),
                     (worker, 0, MsgKind::Other, other.clone()),
-                    (0, worker, MsgKind::LockGrant, grant.slice(..12)),
+                    (
+                        0,
+                        worker,
+                        MsgKind::LockGrant,
+                        grant.slice(..grant.len() - 1),
+                    ),
                     (0, worker, MsgKind::Other, other),
                 ] {
                     net.send_as(src, dst, kind, frame).unwrap();

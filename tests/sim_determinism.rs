@@ -501,123 +501,124 @@ fn cluster_schedule_golden_matches_the_recorded_parent() {
     }
 }
 
-/// Recorded by running this test's body on the commit before homes became
-/// sim step actors (a0d5304).
+/// Recorded by running this test's body after the wire's integers became
+/// varints: the messages, faults and modelled wire time recorded before,
+/// fewer bytes, and a log whose byte counts moved with them.
 #[rustfmt::skip]
 const RECORDED: [(&str, u64); 5] = [
     (
         "kind              msgs       bytes\n\
-lock-req             48         768\n\
-lock-grant           35        1925\n\
-unlock-req           36        2780\n\
-unlock-ack           34         408\n\
-barrier-enter         9         276\n\
-barrier-release       6         442\n\
-join                 10         448\n\
-shutdown              8          64\n\
-update-fetch         44         528\n\
-update-batch         44         704\n\
-total               274        8343  (modelled wire time 40.857172ms)\n\
+lock-req             48         144\n\
+lock-grant           35         365\n\
+unlock-req           36         519\n\
+unlock-ack           34          68\n\
+barrier-enter         9          54\n\
+barrier-release       6          78\n\
+join                 10         124\n\
+shutdown              8           8\n\
+update-fetch         44          88\n\
+update-batch         44         132\n\
+total               274        1580  (modelled wire time 40.857172ms)\n\
 -- traffic by destination --\n\
 dst        msgs       bytes\n\
-0            97        4152\n\
-1            50         648\n\
-2            40        1031\n\
-3            40        1157\n\
-4            47        1355\n\
+0            97         817\n\
+1            50         112\n\
+2            40         189\n\
+3            40         212\n\
+4            47         250\n\
 faults: dropped 18 duplicated 12 reordered 13 retransmitted 39\n",
-        0x28E6_77C5_4E9F_C92D,
+        0x6836_67F1_5969_958F,
     ),
     (
         "kind              msgs       bytes\n\
-lock-req             52         832\n\
-lock-grant           36        2043\n\
-unlock-req           38        2922\n\
-unlock-ack           36         432\n\
-barrier-enter        10         300\n\
-barrier-release       7         535\n\
-join                 13         699\n\
-shutdown              7          56\n\
-update-fetch         48         576\n\
-update-batch         45         720\n\
-total               292        9115  (modelled wire time 43.899961ms)\n\
+lock-req             52         156\n\
+lock-grant           36         387\n\
+unlock-req           38         547\n\
+unlock-ack           36          72\n\
+barrier-enter        10          59\n\
+barrier-release       7          95\n\
+join                 13         199\n\
+shutdown              7           7\n\
+update-fetch         48          96\n\
+update-batch         45         135\n\
+total               292        1753  (modelled wire time 43.899961ms)\n\
 -- traffic by destination --\n\
 dst        msgs       bytes\n\
-0           107        4633\n\
-1            54         696\n\
-2            43        1087\n\
-3            42        1299\n\
-4            46        1400\n\
+0           107         937\n\
+1            54         120\n\
+2            43         200\n\
+3            42         239\n\
+4            46         257\n\
 faults: dropped 19 duplicated 11 reordered 16 retransmitted 53\n",
-        0xB072_BBC8_C5DF_BB3F,
+        0xCA87_3CE8_3BE5_75A2,
     ),
     (
         "kind              msgs       bytes\n\
-lock-req             65        1040\n\
-lock-grant           37        2455\n\
-unlock-req           34        2626\n\
-unlock-ack           34         408\n\
-barrier-enter        12         428\n\
-barrier-release       6         442\n\
-join                  9         489\n\
-shutdown              8          64\n\
-update-fetch         53         636\n\
-update-batch         46         736\n\
-total               304        9324  (modelled wire time 45.519421ms)\n\
+lock-req             65         195\n\
+lock-grant           37         463\n\
+unlock-req           34         491\n\
+unlock-ack           34          68\n\
+barrier-enter        12          81\n\
+barrier-release       6          78\n\
+join                  9         141\n\
+shutdown              8           8\n\
+update-fetch         53         106\n\
+update-batch         46         138\n\
+total               304        1769  (modelled wire time 45.519421ms)\n\
 -- traffic by destination --\n\
 dst        msgs       bytes\n\
-0           116        4503\n\
-1            57         716\n\
-2            45        1429\n\
-3            44        1315\n\
-4            42        1361\n\
+0           116         892\n\
+1            57         122\n\
+2            45         264\n\
+3            44         241\n\
+4            42         250\n\
 faults: dropped 19 duplicated 13 reordered 17 retransmitted 65\n",
-        0x419F_6A6C_42FA_849D,
+        0x17E3_696D_8B6E_610A,
     ),
     (
         "kind              msgs       bytes\n\
-lock-req             52         832\n\
-lock-grant           36        2043\n\
-unlock-req           38        2922\n\
-unlock-ack           36         432\n\
-barrier-enter        10         300\n\
-barrier-release       7         535\n\
-join                 13         699\n\
-shutdown              7          56\n\
-update-fetch         48         576\n\
-update-batch         45         720\n\
-total               292        9115  (modelled wire time 43.985883ms)\n\
+lock-req             52         156\n\
+lock-grant           36         387\n\
+unlock-req           38         547\n\
+unlock-ack           36          72\n\
+barrier-enter        10          59\n\
+barrier-release       7          95\n\
+join                 13         199\n\
+shutdown              7           7\n\
+update-fetch         48          96\n\
+update-batch         45         135\n\
+total               292        1753  (modelled wire time 43.985883ms)\n\
 -- traffic by destination --\n\
 dst        msgs       bytes\n\
-0           107        4633\n\
-1            54         696\n\
-2            43        1087\n\
-3            42        1299\n\
-4            46        1400\n\
+0           107         937\n\
+1            54         120\n\
+2            43         200\n\
+3            42         239\n\
+4            46         257\n\
 faults: dropped 19 duplicated 11 reordered 16 retransmitted 53\n",
-        0x3290_1F76_8556_2D03,
+        0xFE7D_327D_FF1E_F148,
     ),
     (
         "kind              msgs       bytes\n\
-lock-req             36         720\n\
-lock-grant           36        1161\n\
-unlock-req           36        2940\n\
-unlock-ack           36         432\n\
-join                  6         144\n\
-shutdown              6          48\n\
-update-fetch         36         576\n\
-update-batch         36         870\n\
-replicate           114        5520\n\
-total               342       12411  (modelled wire time 0ns)\n\
+lock-req             36         144\n\
+lock-grant           36         225\n\
+unlock-req           36         558\n\
+unlock-ack           36          72\n\
+join                  6          30\n\
+shutdown              6           6\n\
+update-fetch         36         108\n\
+update-batch         36         162\n\
+replicate           114        1068\n\
+total               342        2373  (modelled wire time 0ns)\n\
 -- traffic by destination --\n\
 dst        msgs       bytes\n\
-0            57        2190\n\
-1            57        2190\n\
-2            57        2760\n\
-3            57        2760\n\
-4            38         788\n\
-5            38         935\n\
-6            38         788\n",
-        0xA247_E979_9843_0D11,
+0            57         420\n\
+1            57         420\n\
+2            57         534\n\
+3            57         534\n\
+4            38         146\n\
+5            38         173\n\
+6            38         146\n",
+        0xDD05_4C4D_D25D_82D0,
     ),
 ];
