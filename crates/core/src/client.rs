@@ -16,9 +16,15 @@
 //!   completes when every thread has entered;
 //! * [`DsdClient::join`] — sign off and wait for program shutdown.
 //!
+//! Each is one or more blocking request/reply exchanges with a home
+//! shard, and every exchange is one shell around a step, as at the home
+//! (`HomeShard::on`): the step takes a frame, a tick or the endpoints its
+//! last sends found gone, at the instant it is handed, decides, and leaves
+//! its sends in an outbox; the shell (`DsdClient::request_holding`) alone
+//! sends and receives.
+//!
 //! Synchronization objects are addressed by typed handles ([`LockId`],
-//! [`BarrierId`], [`CondId`]). The bare-`u32` `mth_*` shims deprecated in
-//! 0.5.0 have been removed.
+//! [`BarrierId`], [`CondId`]).
 //!
 //! Under a sharded home ([`Directory`] with `S > 1`) a release first fans
 //! the collected updates out to their owning shards (`UpdateFlush`,
@@ -57,21 +63,26 @@
 //!
 //! Every phase is timed into the Eq. 1 [`CostBreakdown`].
 
+use crate::cluster::TimingConfig;
 use crate::costs::{CostBreakdown, Phase};
 use crate::directory::{Directory, Placement};
 use crate::gthv::{GthvError, GthvInstance};
+use crate::home::{Input, Outgoing};
 use crate::ids::{BarrierId, CondId, LockId};
 use crate::interval::IntervalSet;
 use crate::protocol::{DsdMsg, ProtocolError, Report};
 use crate::runs::UpdateRange;
 use crate::update::{apply_batch, apply_keeping, extract_updates, full_ranges, UpdateError};
+use bytes::Bytes;
 use hdsm_migthread::packfmt::MigrateError;
 use hdsm_net::endpoint::{Endpoint, NetError};
+use hdsm_net::FabricInstant;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
 use hdsm_tags::wire::UpdateBatch;
 use std::fmt;
+use std::time::Duration;
 
 /// Errors from the client side of the protocol.
 #[derive(Debug)]
@@ -92,12 +103,11 @@ pub enum DsdError {
     WorkerLost {
         /// The lost worker's rank.
         rank: u32,
-        /// How long the home had gone without hearing from the worker
-        /// (`None` when talking to a home that predates the enriched
-        /// frame).
-        heard_age: Option<std::time::Duration>,
+        /// How long the home had gone without hearing from the worker,
+        /// if it said.
+        heard_age: Option<Duration>,
         /// The lease deadline that silence exceeded (`None` as above).
-        lease: Option<std::time::Duration>,
+        lease: Option<Duration>,
     },
     /// `MTh_cond_wait` under a sharded home requires the condition and
     /// its mutex to be homed at the same shard — the release+park must be
@@ -171,31 +181,18 @@ impl std::error::Error for DsdError {
     }
 }
 
-impl From<NetError> for DsdError {
-    fn from(e: NetError) -> Self {
-        DsdError::Net(e)
-    }
+/// `impl From<$source> for DsdError`, wrapping it as `DsdError::$variant`.
+macro_rules! wrap_errors {
+    ($($source:ty => $variant:ident),*) => {$(
+        impl From<$source> for DsdError {
+            fn from(e: $source) -> Self {
+                DsdError::$variant(e)
+            }
+        }
+    )*};
 }
-impl From<ProtocolError> for DsdError {
-    fn from(e: ProtocolError) -> Self {
-        DsdError::Protocol(e)
-    }
-}
-impl From<UpdateError> for DsdError {
-    fn from(e: UpdateError) -> Self {
-        DsdError::Update(e)
-    }
-}
-impl From<GthvError> for DsdError {
-    fn from(e: GthvError) -> Self {
-        DsdError::Gthv(e)
-    }
-}
-impl From<MigrateError> for DsdError {
-    fn from(e: MigrateError) -> Self {
-        DsdError::Migration(e)
-    }
-}
+wrap_errors!(NetError => Net, ProtocolError => Protocol, UpdateError => Update, GthvError => Gthv,
+    MigrateError => Migration);
 
 /// One step of a xorshift64 PRNG — enough randomness for retry jitter
 /// without dragging in a dependency. `state` must be non-zero.
@@ -213,21 +210,16 @@ fn xorshift64(state: &mut u64) -> u64 {
 /// to `cap`. Successive delays wander instead of doubling in lockstep,
 /// so clients whose requests died together do not thunder back together;
 /// the cap bounds the worst-case stall a single client can self-inflict.
-fn decorrelated_backoff(
-    prev: std::time::Duration,
-    base: std::time::Duration,
-    cap: std::time::Duration,
-    rng: &mut u64,
-) -> std::time::Duration {
+fn decorrelated_backoff(prev: Duration, base: Duration, cap: Duration, rng: &mut u64) -> Duration {
     let lo = base.as_micros() as u64;
     let hi = (prev.as_micros() as u64).saturating_mul(3).max(lo + 1);
     let pick = lo + xorshift64(rng) % (hi - lo);
-    std::time::Duration::from_micros(pick).min(cap)
+    Duration::from_micros(pick).min(cap)
 }
 
 /// Hard ceiling on any single retransmission delay, whatever the jitter
 /// rolls.
-const RETRY_CAP: std::time::Duration = std::time::Duration::from_secs(5);
+const RETRY_CAP: Duration = Duration::from_secs(5);
 
 /// What this client has learned about one home shard's failover state —
 /// one row per shard replaces the `shard_epochs` and `shard_overrides`
@@ -240,6 +232,27 @@ struct ShardView {
     /// The endpoint this client currently believes serves the shard,
     /// once a dead primary or a `ViewChange` taught it otherwise.
     ep: Option<u32>,
+}
+
+/// A request in flight: what its steps ([`DsdClient::on`]) decide from,
+/// one input to the next.
+struct Request {
+    shard: u32,
+    dst: u32,
+    req_id: u64,
+    msg: DsdMsg,
+    report: Report,
+    /// `msg` and `report` as last packed: a retransmission resends it.
+    payload: Bytes,
+    /// Attempts posted; every one after the first is a retransmission.
+    sent: u32,
+    /// When the exchange fails with a timeout.
+    deadline: FabricInstant,
+    /// When the last attempt is retransmitted (never past `deadline`).
+    retry_at: FabricInstant,
+    /// Decorrelated-jitter state: the generator and the last delay.
+    rng: u64,
+    prev_wait: Duration,
 }
 
 /// What this thread knows about its copy of one entry beyond the bytes:
@@ -340,14 +353,13 @@ pub struct DsdClient {
     gthv: GthvInstance,
     costs: CostBreakdown,
     conv_stats: ConversionStats,
-    recv_deadline: std::time::Duration,
-    promote_threshold: u8,
+    recv_deadline: Duration,
     /// Monotonic request id for the at-most-once envelope.
     req_counter: u64,
     /// Retransmissions attempted before waiting out the full deadline.
     max_retries: u32,
     /// First retransmission delay; later delays use decorrelated jitter.
-    retry_base: std::time::Duration,
+    retry_base: Duration,
     /// Failover view per shard, learned from dead endpoints and
     /// `ViewChange` replies; an absent shard is at its original primary.
     shard_views: std::collections::HashMap<u32, ShardView>,
@@ -357,11 +369,15 @@ pub struct DsdClient {
     /// entry — always on, recorder or not.
     views: Vec<EntryView>,
     /// The fabric's time source (wall clock in threaded mode, virtual
-    /// clock in simulation mode); every deadline and backoff below reads
-    /// it, never `Instant`, so retries are seed-deterministic in sim runs.
+    /// clock in simulation mode). The request shell reads it, never
+    /// `Instant`, and hands the step its `now`, so every deadline and
+    /// backoff is seed-deterministic in sim runs.
     clock: hdsm_net::FabricClock,
+    /// The sends of the request step being taken, in order; reused step to
+    /// step and request to request.
+    outbox: Vec<Outgoing>,
     /// Open lock-hold spans: lock id → (epoch µs, fabric start) at grant.
-    held_since: std::collections::HashMap<u32, (u64, hdsm_net::FabricInstant)>,
+    held_since: std::collections::HashMap<u32, (u64, FabricInstant)>,
     /// The sync operation currently in progress; stamped into every span,
     /// send and retransmit so the cross-rank trace can attribute them.
     cur_op: OpCtx,
@@ -388,15 +404,15 @@ impl DsdClient {
             gthv,
             costs: CostBreakdown::default(),
             conv_stats: ConversionStats::default(),
-            recv_deadline: std::time::Duration::from_secs(30),
-            promote_threshold: 100,
+            recv_deadline: Duration::from_secs(30),
             req_counter: 0,
             max_retries: 10,
-            retry_base: std::time::Duration::from_millis(250),
+            retry_base: Duration::from_millis(250),
             shard_views: std::collections::HashMap::new(),
             recorder: Recorder::disabled(),
             views,
             clock,
+            outbox: Vec::new(),
             held_since: std::collections::HashMap::new(),
             cur_op: OpCtx::default(),
             op_epochs: std::collections::HashMap::new(),
@@ -510,17 +526,9 @@ impl DsdClient {
     /// Encode request `req_id` for `shard` under the directory's envelope
     /// rule, stamped with the epoch this client last learned and followed
     /// by `report` — `t_pack`.
-    fn pack_request(
-        &mut self,
-        msg: &DsdMsg,
-        req_id: u64,
-        shard: u32,
-        report: &Report,
-    ) -> bytes::Bytes {
-        let epoch = self
-            .directory()
-            .epoch_stamped(msg.kind())
-            .then(|| self.epoch_of(shard));
+    fn pack_request(&mut self, msg: &DsdMsg, req_id: u64, shard: u32, report: &Report) -> Bytes {
+        let stamped = self.directory().epoch_stamped(msg.kind());
+        let epoch = stamped.then(|| self.epoch_of(shard));
         let mut t = Phase::Pack.begin(&self.recorder, self.obs_rank, self.cur_op);
         let payload = msg.encode_request(req_id, epoch, report);
         t.args(payload.len() as u64, 0);
@@ -540,42 +548,13 @@ impl DsdClient {
         &self.recorder
     }
 
-    /// Enable whole-entry transfer promotion (paper §4: large arrays are
-    /// shipped "as a whole" when mostly modified): when a release finds
-    /// more than `percent` of an entry's elements dirty, the whole entry
-    /// ships as one tag. `100` (the default) disables promotion.
-    ///
-    /// **Caution**: promotion writes back the releaser's values for the
-    /// entry's *unmodified* elements too. That is only safe when no other
-    /// thread can have updated those elements since this thread's last
-    /// acquire — true for barrier-phased programs with entry-granular
-    /// ownership, not in general.
-    pub fn set_promotion_threshold(&mut self, percent: u8) {
-        assert!(percent <= 100);
-        self.promote_threshold = percent;
-    }
-
-    /// How long a blocking protocol receive may wait before failing with
-    /// a timeout error (defence against a dead or wedged home service).
-    /// Default 30 s. This is the *total* budget per request, spanning all
-    /// retransmission attempts.
-    pub(crate) fn set_recv_deadline(&mut self, deadline: std::time::Duration) {
-        self.recv_deadline = deadline;
-    }
-
-    /// How many times a request is retransmitted (with exponential
-    /// backoff) before the client just waits out the rest of its
-    /// deadline. Default 10.
-    pub(crate) fn set_max_retries(&mut self, retries: u32) {
-        self.max_retries = retries;
-    }
-
-    /// Delay before the first retransmission. Subsequent delays use
-    /// decorrelated jitter: uniform in `[base, 3·previous]`, clamped to
-    /// 5 s, so a cohort of clients whose requests died
-    /// together does not retransmit in lockstep forever. Default 250 ms.
-    pub(crate) fn set_retry_base(&mut self, base: std::time::Duration) {
-        self.retry_base = base;
+    /// Take a request's bounds from `timing`: its total budget across
+    /// every attempt, its retransmissions and its first retry delay. What
+    /// `timing` leaves `None` stays at the default: 30 s, 10, 250 ms.
+    pub(crate) fn set_timing(&mut self, timing: &TimingConfig) {
+        self.recv_deadline = timing.recv_deadline.unwrap_or(self.recv_deadline);
+        self.max_retries = timing.max_retries.unwrap_or(self.max_retries);
+        self.retry_base = timing.retry_base.unwrap_or(self.retry_base);
     }
 
     /// Handle to the fabric (stats, partitions).
@@ -611,169 +590,212 @@ impl DsdClient {
         self.conv_stats
     }
 
-    /// The reliability core: send `msg` under a fresh request id and wait
-    /// for the home's reply to *that* id, retransmitting with capped
-    /// decorrelated-jitter backoff when no reply arrives. The home
-    /// deduplicates by request id, so retransmissions are idempotent;
-    /// replies to older ids (late duplicates) are skipped. The whole
-    /// exchange is bounded by `recv_deadline`. A [`DsdMsg::WorkerLost`]
-    /// reply aborts with [`DsdError::WorkerLost`] regardless of id.
-    ///
-    /// `shard` selects the home shard the request is addressed to; each
-    /// shard sees a strictly increasing subsequence of this client's
-    /// request ids, so one counter serves them all. Whatever interest the
-    /// shard is owed ([`Self::take_interest`]) rides behind the message, on
-    /// every retransmission of it.
-    ///
-    /// While it waits, the client serves every [`DsdMsg::HeldFetch`] that
-    /// arrives, so a fetch of what it holds waits at most until its next
-    /// blocking call, and two writers fetching from each other cannot
-    /// deadlock.
-    ///
-    /// With replicas in the directory the loop also performs client-side
-    /// failover: requests carry an epoch stamp; a dead destination flips
-    /// the request to the shard's other endpoint (a not-yet-promoted
-    /// standby silently drops it — retransmission covers the gap); and a
-    /// [`DsdMsg::ViewChange`] bounce re-resolves the shard, re-stamps the
-    /// payload with the new epoch and resends it under the *same* request
-    /// id, so the promoted replica's dedup table keeps the replayed
-    /// operation at-most-once.
-    fn request(&mut self, shard: u32, msg: DsdMsg) -> Result<DsdMsg, DsdError> {
-        self.request_holding(shard, msg, Vec::new())
-    }
-
-    /// [`Self::request`] with the `held` spans of a barrier entry behind
-    /// the message.
+    /// The reliability core: send `msg` to home shard `shard` under a fresh
+    /// request id, the `held` spans of a barrier entry behind it, and
+    /// return the home's reply to *that* id. This is the shell, the only
+    /// code here that sends or receives: it puts the step's sends on the
+    /// wire, feeds one that found its endpoint gone back as
+    /// [`Input::Gone`], waits until the request's next wake-up and steps on
+    /// the frame or the tick. The step ([`Self::ask`], [`Self::on`])
+    /// decides the rest:
+    /// * it retransmits the same id (the home deduplicates) under capped
+    ///   decorrelated-jitter backoff, within `recv_deadline` in all, with
+    ///   the interest the shard is owed ([`Self::take_interest`]) behind
+    ///   every attempt; it skips replies to older ids and ends on a
+    ///   [`DsdMsg::WorkerLost`], whatever its id;
+    /// * it serves every [`DsdMsg::HeldFetch`] that arrives, so two writers
+    ///   fetching from each other cannot deadlock;
+    /// * with replicas it fails over: a dead destination flips the request
+    ///   to the shard's other endpoint (retransmission covers a standby not
+    ///   yet promoted), and a [`DsdMsg::ViewChange`] re-resolves the shard
+    ///   and resends, stamped with the new epoch, under the *same* id, so
+    ///   the promoted replica's dedup keeps it at-most-once.
     fn request_holding(
         &mut self,
         shard: u32,
         msg: DsdMsg,
         held: Vec<UpdateRange>,
     ) -> Result<DsdMsg, DsdError> {
-        let mut dst = self.shard_ep(shard);
+        let mut req = self.ask(self.clock.now(), shard, msg, held);
+        loop {
+            let mut gone = Vec::new();
+            for s in &self.outbox {
+                match self.ep.send_op(s.to, s.kind, s.payload.clone(), s.op) {
+                    Ok(()) => self.costs.bytes_sent += s.payload.len() as u64,
+                    Err(NetError::Disconnected(_)) => gone.push(s.to),
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            let left = req.retry_at.saturating_since(self.clock.now());
+            let input = if !gone.is_empty() {
+                Input::Gone(&gone)
+            } else if left.is_zero() {
+                Input::Tick
+            } else {
+                match self.ep.recv_timeout(left) {
+                    Ok(m) => Input::Frame(m),
+                    Err(NetError::Timeout) => Input::Tick,
+                    Err(e) => return Err(e.into()),
+                }
+            };
+            if let Some(reply) = self.on(&mut req, self.clock.now(), input)? {
+                return Ok(reply);
+            }
+        }
+    }
+
+    /// The first step of a request: at `now`, take a request id and the
+    /// interest `shard` is owed, pack them behind `msg` and post it.
+    fn ask(
+        &mut self,
+        now: FabricInstant,
+        shard: u32,
+        msg: DsdMsg,
+        held: Vec<UpdateRange>,
+    ) -> Request {
         self.req_counter += 1;
-        let req_id = self.req_counter;
-        let kind = msg.kind();
+        let (dst, req_id) = (self.shard_ep(shard), self.req_counter);
         let report = Report {
             interest: self.take_interest(shard),
             held,
         };
-        let mut payload = self.pack_request(&msg, req_id, shard, &report);
-        let deadline = self.clock.now() + self.recv_deadline;
-        // Decorrelated-jitter state. The seed mixes rank and request id
-        // so two clients (or two requests) never share a delay sequence.
-        let mut rng = (((self.thread_rank as u64) << 32) ^ req_id).max(1);
-        let mut prev_wait = self.retry_base;
-        let mut attempt: u32 = 0;
-        loop {
-            if attempt > 0 {
-                self.ep.network().note_retransmit();
-                // arg1 carries the destination so the critical-path
-                // analyzer can pin retransmits to a link.
-                self.recorder.instant_op(
-                    self.obs_rank,
-                    EventKind::Retransmit,
-                    attempt as u64,
-                    dst as u64,
-                    kind.label(),
-                    self.cur_op,
-                );
-            }
-            match self.ep.send_op(dst, kind, payload.clone(), self.cur_op) {
-                Ok(()) => self.costs.bytes_sent += payload.len() as u64,
-                Err(NetError::Disconnected(_)) if self.directory().n_replicas() > 0 => {
-                    // The destination's endpoint is gone: fail over to
-                    // the shard's other endpoint and keep retrying there.
-                    dst = self.other_ep(shard, dst);
-                    self.shard_views.entry(shard).or_default().ep = Some(dst);
-                }
-                Err(e) => return Err(e.into()),
-            }
-            // How long to wait before the next retransmission; once the
-            // retry budget is spent, wait out the remaining deadline.
-            let attempt_wait = if attempt >= self.max_retries {
-                self.recv_deadline
-            } else if attempt == 0 {
-                self.retry_base
-            } else {
-                prev_wait = decorrelated_backoff(prev_wait, self.retry_base, RETRY_CAP, &mut rng);
-                prev_wait
-            };
-            let attempt_deadline = (self.clock.now() + attempt_wait).min(deadline);
-            loop {
-                let now = self.clock.now();
-                if now >= deadline {
-                    return Err(DsdError::Net(NetError::Timeout));
-                }
-                let wait = attempt_deadline.saturating_since(now);
-                if wait.is_zero() {
-                    break; // retransmit
-                }
-                match self.ep.recv_timeout(wait) {
-                    Ok(m) => {
-                        let src = m.src;
-                        let mut t = Phase::Unpack.begin(&self.recorder, self.obs_rank, self.cur_op);
-                        t.args(m.payload.len() as u64, m.src as u64);
-                        let Ok((rid, decoded)) = DsdMsg::decode_enveloped(m.kind, m.payload) else {
-                            // A frame that does not decode names no reply,
-                            // and one bad frame must not fail the op: drop
-                            // it (the abandoned region charges nothing) and
-                            // keep waiting. Retransmission recovers the reply.
-                            self.recorder.count("client.bad_frames", 1);
-                            continue;
-                        };
-                        t.end(&mut self.costs);
-                        if let DsdMsg::HeldFetch { ranges } = decoded {
-                            self.serve_held(src, ranges)?;
-                            continue;
-                        }
-                        if let DsdMsg::WorkerLost {
-                            rank,
-                            heard_ms,
-                            lease_ms,
-                        } = decoded
-                        {
-                            return Err(DsdError::WorkerLost {
-                                rank,
-                                heard_age: (heard_ms > 0)
-                                    .then(|| std::time::Duration::from_millis(heard_ms)),
-                                lease: (lease_ms > 0)
-                                    .then(|| std::time::Duration::from_millis(lease_ms)),
-                            });
-                        }
-                        if let DsdMsg::ViewChange { shard: vs, epoch } = decoded {
-                            // A fenced shard bounced a request: learn the
-                            // new epoch and re-resolve to the surviving
-                            // endpoint. Stale bounces (an epoch we have
-                            // already adopted) are ignored unless we are
-                            // still talking to the fenced sender itself.
-                            let newer = epoch > self.epoch_of(vs);
-                            if newer {
-                                let ep = Some(self.other_ep(vs, src));
-                                self.shard_views.insert(vs, ShardView { epoch, ep });
-                            }
-                            if vs == shard && (newer || dst == src) {
-                                if dst == src && !newer {
-                                    let ep = Some(self.other_ep(shard, src));
-                                    self.shard_views.entry(shard).or_default().ep = ep;
-                                }
-                                dst = self.shard_ep(shard);
-                                payload = self.pack_request(&msg, req_id, shard, &report);
-                                break; // resend under the new view now
-                            }
-                            continue;
-                        }
-                        if rid == req_id {
-                            return Ok(decoded);
-                        }
-                        // A late duplicate of an earlier reply: skip.
-                    }
-                    Err(NetError::Timeout) => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            attempt += 1;
+        let mut req = Request {
+            payload: self.pack_request(&msg, req_id, shard, &report),
+            shard,
+            dst,
+            req_id,
+            msg,
+            report,
+            sent: 0,
+            deadline: now + self.recv_deadline,
+            retry_at: now,
+            // Rank and request id mixed: no two clients or requests share
+            // a delay sequence.
+            rng: (((self.thread_rank as u64) << 32) ^ req_id).max(1),
+            prev_wait: self.retry_base,
+        };
+        self.post(&mut req, now);
+        req
+    }
+
+    /// Post `req`'s next attempt at `now` and set when it is retransmitted.
+    fn post(&mut self, req: &mut Request, now: FabricInstant) {
+        let (attempt, kind) = (req.sent, req.msg.kind());
+        req.sent += 1;
+        if attempt > 0 {
+            self.ep.network().note_retransmit();
+            // arg1 carries the destination so the critical-path analyzer
+            // can pin retransmits to a link.
+            let (rank, dst, op) = (self.obs_rank, req.dst as u64, self.cur_op);
+            let label = kind.label();
+            self.recorder
+                .instant_op(rank, EventKind::Retransmit, attempt as u64, dst, label, op);
         }
+        self.outbox.push(Outgoing {
+            to: req.dst,
+            kind,
+            payload: req.payload.clone(),
+            op: self.cur_op,
+            owed: true,
+        });
+        // Once the retry budget is spent, wait out the deadline.
+        let wait = if attempt >= self.max_retries {
+            self.recv_deadline
+        } else if attempt == 0 {
+            self.retry_base
+        } else {
+            req.prev_wait =
+                decorrelated_backoff(req.prev_wait, self.retry_base, RETRY_CAP, &mut req.rng);
+            req.prev_wait
+        };
+        req.retry_at = (now + wait).min(req.deadline);
+    }
+
+    /// One step of request `req`: take `input` at `now` and decide, leaving
+    /// what is to be sent in the outbox; the reply, once it came.
+    fn on(
+        &mut self,
+        req: &mut Request,
+        now: FabricInstant,
+        input: Input,
+    ) -> Result<Option<DsdMsg>, DsdError> {
+        let lost = match &input {
+            Input::Gone(eps) => self.outbox.iter().any(|s| s.owed && eps.contains(&s.to)),
+            _ => false,
+        };
+        self.outbox.clear();
+        let m = match input {
+            Input::Frame(m) => m,
+            Input::Tick if now >= req.deadline => return Err(NetError::Timeout.into()),
+            Input::Tick if now >= req.retry_at => {
+                self.post(req, now);
+                return Ok(None);
+            }
+            // Nothing is due, or a `HeldData` found its shard gone: whoever
+            // serves the shard now asks again.
+            _ if !lost => return Ok(None),
+            _ if self.directory().n_replicas() == 0 => {
+                return Err(NetError::Disconnected(req.dst).into())
+            }
+            _ => {
+                // The request's endpoint is gone: fail over to the shard's
+                // other endpoint and keep retrying there.
+                req.dst = self.other_ep(req.shard, req.dst);
+                self.shard_views.entry(req.shard).or_default().ep = Some(req.dst);
+                return Ok(None);
+            }
+        };
+        let src = m.src;
+        let mut t = Phase::Unpack.begin(&self.recorder, self.obs_rank, self.cur_op);
+        t.args(m.payload.len() as u64, src as u64);
+        let Ok((rid, decoded)) = DsdMsg::decode_enveloped(m.kind, m.payload) else {
+            // A frame that does not decode names no reply, and one bad
+            // frame must not fail the op: drop it (the abandoned region
+            // charges nothing); retransmission recovers the reply.
+            self.recorder.count("client.bad_frames", 1);
+            return Ok(None);
+        };
+        t.end(&mut self.costs);
+        match decoded {
+            DsdMsg::HeldFetch { ranges } => self.serve_held(src, ranges)?,
+            DsdMsg::WorkerLost {
+                rank,
+                heard_ms,
+                lease_ms,
+            } => {
+                let ms = |ms| (ms > 0).then(|| Duration::from_millis(ms));
+                let (heard_age, lease) = (ms(heard_ms), ms(lease_ms));
+                return Err(DsdError::WorkerLost {
+                    rank,
+                    heard_age,
+                    lease,
+                });
+            }
+            DsdMsg::ViewChange { shard, epoch } => {
+                // A fenced shard bounced a request: learn the new epoch and
+                // re-resolve to the surviving endpoint. A stale bounce (an
+                // epoch already adopted) counts only from the fenced sender
+                // this request still talks to.
+                let newer = epoch > self.epoch_of(shard);
+                if newer {
+                    let ep = Some(self.other_ep(shard, src));
+                    self.shard_views.insert(shard, ShardView { epoch, ep });
+                }
+                if shard == req.shard && (newer || req.dst == src) {
+                    if req.dst == src && !newer {
+                        let ep = Some(self.other_ep(shard, src));
+                        self.shard_views.entry(shard).or_default().ep = ep;
+                    }
+                    // Resend now, stamped with the new epoch.
+                    req.dst = self.shard_ep(shard);
+                    req.payload = self.pack_request(&req.msg, req.req_id, shard, &req.report);
+                    self.post(req, now);
+                }
+            }
+            reply if rid == req.req_id => return Ok(Some(reply)),
+            _ => {} // A late duplicate of an earlier reply: skip.
+        }
+        Ok(None)
     }
 
     /// Take in what an acquire brought (grant / barrier release / fetch;
@@ -844,10 +866,11 @@ impl DsdClient {
             .ok_or_else(|| ProtocolError::BadMessage(what).into())
     }
 
-    /// Serve a shard's [`DsdMsg::HeldFetch`] from endpoint `src`: send the
+    /// Serve a shard's [`DsdMsg::HeldFetch`] from endpoint `src`: post the
     /// current bytes of `ranges` back (`HeldData`, request id 0, never
-    /// answered) and take them out of the hold. A range outside the index
-    /// table is refused, like a notice for one.
+    /// answered; not owed, so a shard found gone drops it and whoever
+    /// serves the shard now asks again) and take them out of the hold. A
+    /// range outside the index table is refused, like a notice for one.
     fn serve_held(&mut self, src: u32, ranges: Vec<UpdateRange>) -> Result<(), DsdError> {
         for r in &ranges {
             self.view_of(r, "held fetch outside the index table")?;
@@ -866,15 +889,14 @@ impl DsdClient {
             updates,
         };
         let payload = self.pack_request(&msg, 0, shard, &Report::default());
-        let len = payload.len() as u64;
-        match self.ep.send_op(src, msg.kind(), payload, self.cur_op) {
-            // The shard is gone: whoever serves it now asks again.
-            Err(NetError::Disconnected(_)) => {}
-            sent => {
-                sent?;
-                self.costs.bytes_sent += len;
-            }
-        }
+        let (kind, op) = (msg.kind(), self.cur_op);
+        self.outbox.push(Outgoing {
+            to: src,
+            kind,
+            payload,
+            op,
+            owed: false,
+        });
         self.recorder.count("client.held_served", 1);
         Ok(())
     }
@@ -885,7 +907,7 @@ impl DsdClient {
         // t_index: the write set's spans, entry by entry — sorted, disjoint
         // and maximal already.
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let mut ranges = self.write_set();
+        let ranges = self.write_set();
         if self.recorder.is_enabled() {
             // The span carries the bytes written: every stored element
             // whole, as it ships.
@@ -899,22 +921,10 @@ impl DsdClient {
             t.args(bytes.sum(), ranges.len() as u64);
         }
         t.end(&mut self.costs);
-        // t_tag: which ranges ship as they are and which as their whole
-        // entry (optional promotion).
+        // t_tag: every range ships as it is, one tag each.
         let mut t = Phase::Tag.begin(&self.recorder, self.obs_rank, self.cur_op);
-        if self.promote_threshold < 100 {
-            ranges = crate::runs::promote_ranges(self.gthv.table(), ranges, self.promote_threshold);
-        }
         t.args(ranges.len() as u64, 0);
         t.end(&mut self.costs);
-        if self.promote_threshold < 100 {
-            // A promoted entry ships elements this thread did not store:
-            // shipping is a use, so what is stale of them is fetched first
-            // (around what it did store, which the set still holds).
-            for r in &ranges {
-                self.fetch_stale(r.entry, r.first, r.end())?;
-            }
-        }
         // Freed, not cleared: a strided writer's set of thousands of spans
         // would otherwise stay allocated through the barrier wait. An entry
         // this release ships nothing of has shipped nothing the next can
@@ -1028,7 +1038,11 @@ impl DsdClient {
                     }
                     let updates = self.extract(&ranges)?;
                     let rank = self.thread_rank;
-                    match self.request(shard, DsdMsg::UpdateFlush { rank, updates })? {
+                    match self.request_holding(
+                        shard,
+                        DsdMsg::UpdateFlush { rank, updates },
+                        Vec::new(),
+                    )? {
                         DsdMsg::Ack => {}
                         DsdMsg::EntryMoved { entries } => {
                             self.learn_moves(&entries);
@@ -1234,12 +1248,8 @@ impl DsdClient {
     ) -> Result<(), DsdError> {
         let mut batches = vec![updates];
         for shard in (0..self.directory().n_shards()).filter(|&s| s != granting) {
-            match self.request(
-                shard,
-                DsdMsg::UpdateFetch {
-                    rank: self.thread_rank,
-                },
-            )? {
+            let rank = self.thread_rank;
+            match self.request_holding(shard, DsdMsg::UpdateFetch { rank }, Vec::new())? {
                 DsdMsg::UpdateBatch {
                     updates,
                     notices: more,
@@ -1265,22 +1275,19 @@ impl DsdClient {
         let Some(v) = self.views.get(entry as usize) else {
             return Ok(());
         };
-        let ranges: Vec<UpdateRange> = v
-            .stale
-            .intersect(first, end)
-            .map(|(first, end)| UpdateRange {
-                entry,
-                first,
-                count: end - first,
-            })
-            .collect();
+        let span = |(first, end): (u64, u64)| UpdateRange {
+            entry,
+            first,
+            count: end - first,
+        };
+        let ranges: Vec<UpdateRange> = v.stale.intersect(first, end).map(span).collect();
         if ranges.is_empty() {
             return Ok(());
         }
         let rank = self.thread_rank;
         let updates = loop {
             let (owner, ranges) = (self.placement.owner(entry), ranges.clone());
-            match self.request(owner, DsdMsg::RangeFetch { rank, ranges })? {
+            match self.request_holding(owner, DsdMsg::RangeFetch { rank, ranges }, Vec::new())? {
                 DsdMsg::UpdateBatch { updates, .. } => break updates,
                 DsdMsg::EntryMoved { entries } => self.learn_moves(&entries),
                 _ => return Err(DsdError::Unexpected("UpdateBatch (range fetch)")),
@@ -1397,13 +1404,8 @@ impl DsdClient {
                 let mut span = c.recorder.span(c.obs_rank, EventKind::LockWait);
                 span.args(lock as u64, 0);
                 span.op(c.cur_op);
-                c.request(
-                    owner,
-                    DsdMsg::LockRequest {
-                        lock,
-                        rank: c.thread_rank,
-                    },
-                )?
+                let rank = c.thread_rank;
+                c.request_holding(owner, DsdMsg::LockRequest { lock, rank }, Vec::new())?
             };
             match reply {
                 DsdMsg::LockGrant {
@@ -1518,14 +1520,13 @@ impl DsdClient {
 
     fn cond_wake(&mut self, cond: u32, broadcast: bool) -> Result<(), DsdError> {
         self.op(OpKind::Cond, cond, |c| {
-            match c.request(
-                c.directory().cond_shard(cond),
-                DsdMsg::CondSignal {
-                    cond,
-                    rank: c.thread_rank,
-                    broadcast,
-                },
-            )? {
+            let (shard, rank) = (c.directory().cond_shard(cond), c.thread_rank);
+            let signal = DsdMsg::CondSignal {
+                cond,
+                rank,
+                broadcast,
+            };
+            match c.request_holding(shard, signal, Vec::new())? {
                 DsdMsg::Ack => Ok(()),
                 _ => Err(DsdError::Unexpected("Ack")),
             }
@@ -1604,13 +1605,10 @@ impl DsdClient {
     /// still holding some of its own asks for it first.
     pub fn join(mut self) -> Result<(CostBreakdown, ConversionStats, GthvInstance), DsdError> {
         self.op(OpKind::Join, 0, |c| {
-            // Sign off at every shard; each keeps its own participant
-            // table and its Shutdown is the deferred (retransmittable)
-            // reply to the Join it received.
             for shard in 0..c.directory().n_shards() {
                 let updates = c.gather(shard)?;
                 let rank = c.thread_rank;
-                match c.request(shard, DsdMsg::Join { rank, updates }) {
+                match c.request_holding(shard, DsdMsg::Join { rank, updates }, Vec::new()) {
                     Ok(DsdMsg::Shutdown) => {}
                     // A shard cannot exit its service loop before
                     // processing every participant's Join — ours included.
@@ -1676,7 +1674,7 @@ impl DsdClient {
         while let Some(shard) = todo.pop() {
             let updates = self.gather(shard)?;
             let rank = self.thread_rank;
-            match self.request(shard, DsdMsg::Resync { rank, updates })? {
+            match self.request_holding(shard, DsdMsg::Resync { rank, updates }, Vec::new())? {
                 DsdMsg::Ack => {}
                 DsdMsg::EntryMoved { entries } => {
                     self.learn_moves(&entries);
@@ -1837,14 +1835,17 @@ impl Drop for LockGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterBuilder, TopologyConfig};
     use crate::gthv::GthvDef;
     use crate::home::{HomeConfig, HomeShard};
     use hdsm_net::endpoint::Network;
+    use hdsm_net::message::{Message, MsgKind};
     use hdsm_net::stats::NetConfig;
+    use hdsm_net::FabricMode;
     use hdsm_platform::ctype::StructBuilder;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_platform::spec::{Platform, PlatformSpec};
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::collections::VecDeque;
 
     const L0: LockId = LockId::new(0);
     const B0: BarrierId = BarrierId::new(0);
@@ -1862,93 +1863,43 @@ mod tests {
         .unwrap()
     }
 
-    /// Spin up a home + N clients on given platforms and run `body` per
-    /// client in its own thread. A client whose body panics still joins,
-    /// so the home finishes; the first panic is raised again after that.
-    fn with_cluster<F>(platforms: Vec<Platform>, n_locks: u32, n_barriers: u32, body: F)
-    where
-        F: Fn(&mut DsdClient) + Send + Sync,
-    {
-        let def = tiny_def();
-        let home_plat = PlatformSpec::linux_x86();
-        let (_net, mut eps) = Network::new(platforms.len() + 1, NetConfig::instant());
-        let home_ep = eps.remove(0);
-        let participants: Vec<u32> = (1..=platforms.len() as u32).collect();
-        let mut home = HomeShard::new(
-            GthvInstance::new(def.clone(), home_plat),
-            HomeConfig {
-                n_locks,
-                n_barriers,
-                n_conds: 2,
-                participants,
-                ..Default::default()
-            },
-        );
-        home.init_with(|g| {
-            for i in 0..128 {
-                g.write_int(0, i, 1000 + i as i128).unwrap();
-            }
-        });
-        let panicked = std::thread::scope(|s| {
-            let home = s.spawn(move || home.run(home_ep).expect("home service"));
-            let clients: Vec<_> = platforms
-                .iter()
-                .zip(eps.drain(..))
-                .enumerate()
-                .map(|(i, (plat, ep))| {
-                    let gthv = GthvInstance::new(def.clone(), plat.clone());
-                    let body = &body;
-                    s.spawn(move || {
-                        let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
-                        let ran = catch_unwind(AssertUnwindSafe(|| body(&mut c)));
-                        let joined = c.join();
-                        ran.map(|()| drop(joined.expect("join")))
-                    })
-                })
-                .collect();
-            let ends: Vec<_> = clients
-                .into_iter()
-                .map(|c| c.join().and_then(|r| r))
-                .collect();
-            let home = home.join().map(drop);
-            ends.into_iter().chain([home]).find_map(Result::err)
-        });
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
+    /// `tiny_def` on the sim fabric, the home on Linux/x86 with `xs[i] =
+    /// 1000 + i`, one worker per platform, one mutex, one barrier and two
+    /// condition variables.
+    fn tiny_cluster(platforms: &[Platform]) -> ClusterBuilder {
+        let sim = TopologyConfig {
+            fabric: FabricMode::Sim { seed: 1 },
+            ..Default::default()
+        };
+        let builder = ClusterBuilder::new()
+            .gthv(tiny_def())
+            .conds(2)
+            .topology(sim);
+        let builder = builder.init(init);
+        platforms.iter().fold(builder, |b, p| b.worker(p.clone()))
+    }
+
+    /// The home's copy of `tiny_def` at the start: `xs[i] = 1000 + i`.
+    fn init(g: &mut GthvInstance) {
+        for i in 0..128 {
+            g.write_int(0, i, 1000 + i as i128).unwrap();
         }
     }
 
-    #[test]
-    fn a_client_body_that_panics_fails_its_test_instead_of_hanging_it() {
-        // Client 2 panics while client 1 works under a lock: client 2
-        // still joins, so the home finishes, and the panic comes back out
-        // of the helper. A thread of its own bounds the wait: a helper
-        // that hangs fails the test instead of hanging it.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let platforms = vec![PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()];
-            let run = catch_unwind(|| {
-                with_cluster(platforms, 1, 1, |c| {
-                    if c.thread_rank() == 2 {
-                        panic!("client 2 fails an assertion");
-                    }
-                    c.acquire(L0).unwrap();
-                    c.write_int(0, 0, 7).unwrap();
-                    c.release(L0).unwrap();
-                })
-            });
-            let _ = tx.send(run.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+    /// Run `body` on every worker of [`tiny_cluster`]; a worker that fails
+    /// an assertion fails the run.
+    fn run_on(platforms: &[Platform], body: impl Fn(&mut DsdClient) + Send + Sync) {
+        let run = tiny_cluster(platforms).run(|c, _| {
+            body(c);
+            Ok(())
         });
-        let run = rx
-            .recv_timeout(std::time::Duration::from_secs(20))
-            .expect("a panicking client hung the helper");
-        assert_eq!(run, Err(Some("client 2 fails an assertion".to_string())));
+        run.expect("every worker ran its body");
     }
 
     #[test]
     fn release_charges_its_ranges_to_the_heat_map_an_entry_at_a_time() {
         let recorder = Recorder::enabled();
-        with_cluster(vec![PlatformSpec::solaris_sparc()], 1, 1, |c| {
+        run_on(&[PlatformSpec::solaris_sparc()], |c| {
             c.set_recorder(recorder.clone());
             c.acquire(L0).unwrap();
             c.write_int(0, 0, 1).unwrap();
@@ -1975,11 +1926,11 @@ mod tests {
     /// rank 2 to `2000 + i` — is noticed, not shipped. Rank 2 runs `other`
     /// from there, rank 1 `reader`.
     fn with_a_noticed_stripe(
-        platforms: Vec<Platform>,
+        platforms: &[Platform],
         reader: impl Fn(&mut DsdClient) + Send + Sync,
         other: impl Fn(&mut DsdClient) + Send + Sync,
     ) {
-        with_cluster(platforms, 1, 1, |c| {
+        run_on(platforms, |c| {
             c.barrier(B0).unwrap(); // the initial pull
             if c.thread_rank() == 1 {
                 c.read_ints(0, 0, &mut [0; 8]).unwrap();
@@ -2022,7 +1973,7 @@ mod tests {
     fn a_noticed_range_is_fetched_before_a_read_or_a_store_returns() {
         let recorder = Recorder::enabled();
         with_a_noticed_stripe(
-            vec![PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
+            &[PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
             |c| {
                 c.set_recorder(recorder.clone());
                 let applied = c.costs().updates_applied;
@@ -2068,7 +2019,7 @@ mod tests {
     #[test]
     fn warm_rehost_keeps_what_is_stale_and_cold_rehost_forgets_it() {
         with_a_noticed_stripe(
-            vec![PlatformSpec::linux_x86(), PlatformSpec::linux_x86()],
+            &[PlatformSpec::linux_x86(), PlatformSpec::linux_x86()],
             |c| {
                 // Element indices mean the same on the new node.
                 c.rehost(PlatformSpec::solaris_sparc64()).unwrap();
@@ -2093,50 +2044,103 @@ mod tests {
         );
     }
 
+    /// One client per platform, rank `i + 1` at endpoint `i + 1` of a
+    /// network no frame crosses: a test steps each by hand, the home at
+    /// endpoint 0.
+    fn by_hand(platforms: &[Platform]) -> Vec<DsdClient> {
+        let (_net, eps) = Network::new(platforms.len() + 1, NetConfig::instant());
+        let client = |(rank, (ep, p)): (u32, (Endpoint, &Platform))| {
+            DsdClient::new(rank, ep, GthvInstance::new(tiny_def(), p.clone()))
+        };
+        (1..)
+            .zip(eps.into_iter().skip(1).zip(platforms))
+            .map(client)
+            .collect()
+    }
+
+    /// `s`, which endpoint `src`'s step posted, as the wire carries it.
+    fn on_wire(src: u32, s: &Outgoing) -> Message {
+        let (dst, kind, payload, trace) = (s.to, s.kind, s.payload.clone(), None);
+        Message {
+            src,
+            dst,
+            kind,
+            payload,
+            trace,
+        }
+    }
+
+    /// `msg` from the home at endpoint 0 to `c`, as reply `req_id`.
+    fn from_home(c: &DsdClient, req_id: u64, msg: DsdMsg) -> Input<'static> {
+        Input::Frame(Message {
+            src: 0,
+            dst: c.ep.rank(),
+            kind: msg.kind(),
+            payload: msg.encode_enveloped(req_id),
+            trace: None,
+        })
+    }
+
+    fn range(entry: u32, first: u64, count: u64) -> UpdateRange {
+        UpdateRange {
+            entry,
+            first,
+            count,
+        }
+    }
+
+    fn elems(first: u64, count: u64) -> UpdateRange {
+        range(0, first, count)
+    }
+
+    /// Rows no notice or fetch may name: past the array, past `u64::MAX`,
+    /// of an entry the table does not have.
+    fn wild() -> [UpdateRange; 3] {
+        [range(0, 120, 9), range(0, u64::MAX, 2), range(7, 0, 1)]
+    }
+
     #[test]
     fn a_notice_outside_the_index_table_is_refused() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
-            let notice = |first, count| UpdateRange {
-                entry: 0,
-                first,
-                count,
+        let mut c = by_hand(&[PlatformSpec::linux_x86()]).remove(0);
+        let t = FabricInstant::from_micros(0);
+        for wild in wild() {
+            let mut req = c.ask(t, 0, DsdMsg::LockRequest { lock: 0, rank: 1 }, Vec::new());
+            let grant = DsdMsg::LockGrant {
+                lock: 0,
+                updates: UpdateBatch::default(),
+                notices: vec![elems(0, 4), wild],
             };
-            for wild in [notice(120, 9), notice(u64::MAX, 2)] {
-                let res = c.apply_incoming(&[], &[notice(0, 4), wild]);
-                assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
-            }
-            let other_entry = UpdateRange {
-                entry: 7,
-                first: 0,
-                count: 1,
+            let grant = from_home(&c, req.req_id, grant);
+            let reply = c.on(&mut req, t, grant);
+            let Ok(Some(DsdMsg::LockGrant {
+                updates, notices, ..
+            })) = reply
+            else {
+                panic!("the grant is the reply, got {reply:?}");
             };
-            assert!(c.apply_incoming(&[], &[other_entry]).is_err());
-        });
+            let res = c.finish_acquire(0, updates, notices);
+            assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
+        }
     }
 
     #[test]
     fn a_held_fetch_outside_the_index_table_is_refused() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
-            let ask = |first, count| UpdateRange {
-                entry: 0,
-                first,
-                count,
+        let mut c = by_hand(&[PlatformSpec::linux_x86()]).remove(0);
+        let t = FabricInstant::from_micros(0);
+        for wild in wild() {
+            let mut req = c.ask(t, 0, DsdMsg::LockRequest { lock: 0, rank: 1 }, Vec::new());
+            let fetch = DsdMsg::HeldFetch {
+                ranges: vec![elems(0, 4), wild],
             };
-            let other_entry = UpdateRange {
-                entry: 7,
-                first: 0,
-                count: 1,
-            };
-            for wild in [ask(120, 9), ask(u64::MAX, 2), other_entry] {
-                let res = c.serve_held(0, vec![ask(0, 4), wild]);
-                assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
-            }
-        });
+            let res = c.on(&mut req, t, from_home(&c, 0, fetch));
+            assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
+            assert!(c.outbox.is_empty(), "nothing is served");
+        }
     }
 
     #[test]
     fn lock_pulls_initial_state_heterogeneous() {
-        with_cluster(vec![PlatformSpec::solaris_sparc()], 1, 0, |c| {
+        run_on(&[PlatformSpec::solaris_sparc()], |c| {
             c.acquire(L0).unwrap();
             assert_eq!(c.read_int(0, 0).unwrap(), 1000);
             assert_eq!(c.read_int(0, 127).unwrap(), 1127);
@@ -2148,10 +2152,8 @@ mod tests {
     fn updates_flow_between_heterogeneous_threads() {
         // Thread 1 (sparc) increments flag; thread 2 (linux) waits to see
         // it. Use the lock to serialize.
-        with_cluster(
-            vec![PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
-            1,
-            1,
+        run_on(
+            &[PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
             |c| {
                 if c.thread_rank() == 1 {
                     c.acquire(L0).unwrap();
@@ -2176,14 +2178,12 @@ mod tests {
 
     #[test]
     fn barrier_merges_disjoint_writes() {
-        with_cluster(
-            vec![
+        run_on(
+            &[
                 PlatformSpec::solaris_sparc(),
                 PlatformSpec::linux_x86(),
                 PlatformSpec::linux_x86_64(),
             ],
-            0,
-            1,
             |c| {
                 let r = c.thread_rank() as u64 - 1;
                 // Pull the initial state first — release consistency only
@@ -2205,14 +2205,12 @@ mod tests {
     #[test]
     fn lock_contention_serializes_increments() {
         let counter_entry = 1; // "flag" scalar used as shared counter
-        with_cluster(
-            vec![
+        run_on(
+            &[
                 PlatformSpec::solaris_sparc(),
                 PlatformSpec::linux_x86(),
                 PlatformSpec::aix_power(),
             ],
-            1,
-            1,
             move |c| {
                 for _ in 0..10 {
                     c.acquire(L0).unwrap();
@@ -2230,7 +2228,7 @@ mod tests {
 
     #[test]
     fn costs_are_recorded() {
-        with_cluster(vec![PlatformSpec::solaris_sparc()], 1, 0, |c| {
+        run_on(&[PlatformSpec::solaris_sparc()], |c| {
             c.acquire(L0).unwrap();
             for i in 0..128 {
                 c.write_int(0, i, i as i128).unwrap();
@@ -2239,7 +2237,7 @@ mod tests {
             let costs = c.costs();
             assert!(costs.updates_sent >= 1);
             assert!(costs.updates_applied >= 1); // initial state batch
-            assert!(costs.c_share() > std::time::Duration::ZERO);
+            assert!(costs.c_share() > Duration::ZERO);
         });
     }
 
@@ -2249,10 +2247,8 @@ mod tests {
         // MTh_cond_signal: thread 1 (big-endian) produces 10 items into
         // xs[0..10]; thread 2 (little-endian) consumes them. flag (entry
         // 1) holds the number of items available.
-        with_cluster(
-            vec![PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
-            1,
-            1,
+        run_on(
+            &[PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()],
             |c| {
                 const ITEMS: i128 = 10;
                 if c.thread_rank() == 1 {
@@ -2291,14 +2287,12 @@ mod tests {
 
     #[test]
     fn cond_broadcast_wakes_all_waiters() {
-        with_cluster(
-            vec![
+        run_on(
+            &[
                 PlatformSpec::linux_x86(),
                 PlatformSpec::solaris_sparc(),
                 PlatformSpec::linux_x86_64(),
             ],
-            1,
-            1,
             |c| {
                 if c.thread_rank() == 1 {
                     // The broadcaster waits for both waiters to park (they
@@ -2331,37 +2325,8 @@ mod tests {
     }
 
     #[test]
-    fn promotion_ships_whole_entry_when_mostly_dirty() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
-            c.set_promotion_threshold(50);
-            c.acquire(L0).unwrap();
-            // Write > 50% of entry 0 in two disjoint chunks; with
-            // promotion the release ships one full-entry update.
-            for i in 0..50 {
-                c.write_int(0, i, i as i128 + 2000).unwrap();
-            }
-            for i in 90..120 {
-                c.write_int(0, i, i as i128 + 2000).unwrap();
-            }
-            c.release(L0).unwrap();
-            // One update frame for the promoted entry (128 elements,
-            // 512 bytes) rather than two fragments.
-            let costs = c.costs();
-            assert_eq!(costs.updates_sent, 1);
-            assert!(costs.bytes_sent > 512);
-            // And the values are correct at the next acquire (including
-            // the untouched gap, which keeps its pre-critical values).
-            c.acquire(L0).unwrap();
-            assert_eq!(c.read_int(0, 49).unwrap(), 2049);
-            assert_eq!(c.read_int(0, 70).unwrap(), 1070); // initial value
-            assert_eq!(c.read_int(0, 91).unwrap(), 2091);
-            c.release(L0).unwrap();
-        });
-    }
-
-    #[test]
     fn cold_rehost_pulls_full_state_on_new_platform() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+        run_on(&[PlatformSpec::linux_x86()], |c| {
             c.acquire(L0).unwrap();
             c.write_int(1, 0, 99).unwrap();
             c.release(L0).unwrap();
@@ -2379,7 +2344,7 @@ mod tests {
 
     #[test]
     fn cold_rehost_refuses_unreleased_stores() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+        run_on(&[PlatformSpec::linux_x86()], |c| {
             c.acquire(L0).unwrap();
             c.write_ints(0, 4, &[7, 8]).unwrap();
             let sent = c.network().stats().total_messages();
@@ -2404,7 +2369,7 @@ mod tests {
 
     #[test]
     fn warm_rehost_carries_globals_and_dirty_state() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+        run_on(&[PlatformSpec::linux_x86()], |c| {
             // Acquire initial state, then write *without releasing*.
             c.acquire(L0).unwrap();
             c.write_int(0, 10, -42).unwrap();
@@ -2426,7 +2391,7 @@ mod tests {
 
     #[test]
     fn lock_guard_releases_on_drop() {
-        with_cluster(vec![PlatformSpec::linux_x86()], 1, 0, |c| {
+        run_on(&[PlatformSpec::linux_x86()], |c| {
             {
                 let mut g = c.lock(L0).unwrap();
                 g.write_int(1, 0, 11).unwrap();
@@ -2443,10 +2408,8 @@ mod tests {
 
     #[test]
     fn panicking_critical_section_still_flushes_diffs() {
-        with_cluster(
-            vec![PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()],
-            1,
-            1,
+        run_on(
+            &[PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()],
             |c| {
                 if c.thread_rank() == 1 {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2474,68 +2437,176 @@ mod tests {
     /// fetch from it.
     #[test]
     fn updates_flow_across_two_shards() {
-        let def = tiny_def();
-        let dir = Directory::new(2);
-        let (_net, mut eps) =
-            hdsm_net::endpoint::Network::new(2 + 2, hdsm_net::stats::NetConfig::instant());
-        let shard1_ep = eps.remove(1);
-        let shard0_ep = eps.remove(0);
-        let mut shards = Vec::new();
-        for (shard, ep) in [(0u32, shard0_ep), (1u32, shard1_ep)] {
-            let mut h = HomeShard::new(
-                GthvInstance::new(def.clone(), PlatformSpec::linux_x86()),
-                HomeConfig {
-                    n_locks: 1,
-                    n_barriers: 1,
-                    n_conds: 0,
-                    participants: vec![1, 2],
-                    shard,
-                    directory: dir,
-                    ..Default::default()
-                },
-            );
-            h.init_with(|g| {
-                for i in 0..128 {
-                    g.write_int(0, i, 1000 + i as i128).unwrap();
-                }
-            });
-            shards.push((h, ep));
-        }
-        std::thread::scope(|s| {
-            for (h, ep) in shards {
-                s.spawn(move || h.run(ep).expect("shard"));
+        let two = TopologyConfig {
+            shards: 2,
+            fabric: FabricMode::Sim { seed: 1 },
+            ..Default::default()
+        };
+        let linux = PlatformSpec::linux_x86();
+        let cluster = tiny_cluster(&[linux.clone(), linux]).topology(two);
+        let run = cluster.run(|c, _| {
+            assert_eq!(c.directory().n_shards(), 2);
+            if c.thread_rank() == 1 {
+                c.acquire(L0).unwrap();
+                // Initial state arrived from shard 0's slice.
+                assert_eq!(c.read_int(0, 5).unwrap(), 1005);
+                c.write_int(0, 0, -1).unwrap(); // shard 0's entry
+                c.write_int(1, 0, 77).unwrap(); // shard 1's entry
+                c.release(L0).unwrap();
+                c.barrier(B0).unwrap();
+            } else {
+                c.barrier(B0).unwrap();
+                c.acquire(L0).unwrap();
+                assert_eq!(c.read_int(0, 0).unwrap(), -1, "granting shard's slice");
+                assert_eq!(c.read_int(1, 0).unwrap(), 77, "fetched shard's slice");
+                assert_eq!(c.read_int(0, 99).unwrap(), 1099, "untouched initial state");
+                c.release(L0).unwrap();
             }
-            for (i, ep) in eps.drain(..).enumerate() {
-                let def = def.clone();
-                s.spawn(move || {
-                    let gthv = GthvInstance::new(def, PlatformSpec::linux_x86());
-                    let mut c = DsdClient::new(i as u32 + 1, ep, gthv);
-                    c.set_directory(dir);
-                    if c.thread_rank() == 1 {
-                        c.acquire(L0).unwrap();
-                        // Initial state arrived from shard 0's slice.
-                        assert_eq!(c.read_int(0, 5).unwrap(), 1005);
-                        c.write_int(0, 0, -1).unwrap(); // shard 0's entry
-                        c.write_int(1, 0, 77).unwrap(); // shard 1's entry
-                        c.release(L0).unwrap();
-                        c.barrier(B0).unwrap();
-                    } else {
-                        c.barrier(B0).unwrap();
-                        c.acquire(L0).unwrap();
-                        assert_eq!(c.read_int(0, 0).unwrap(), -1, "granting shard's slice");
-                        assert_eq!(c.read_int(1, 0).unwrap(), 77, "fetched shard's slice");
-                        assert_eq!(c.read_int(0, 99).unwrap(), 1099, "untouched initial state");
-                        c.release(L0).unwrap();
-                    }
-                    c.join().expect("join");
-                });
-            }
+            Ok(())
         });
+        run.expect("both workers ran and joined");
+    }
+
+    /// A frame carried: source, destination, kind.
+    type Hop = (u32, u32, MsgKind);
+
+    /// Carry frames by hand between `home` (endpoint 0) and `clients`
+    /// (endpoint `i + 1`, each blocked in its request), first what the
+    /// clients posted, until none is in flight: each frame steps whoever it
+    /// is addressed to. Returns each client's reply, if its request ended,
+    /// and the frames carried.
+    fn carry(
+        home: &mut HomeShard,
+        clients: &mut [(DsdClient, Request)],
+        now: FabricInstant,
+    ) -> (Vec<Option<DsdMsg>>, Vec<Hop>) {
+        let posted = |c: &mut DsdClient| {
+            let src = c.ep.rank();
+            let sent: Vec<Message> = c.outbox.iter().map(|s| on_wire(src, s)).collect();
+            c.outbox.clear();
+            sent
+        };
+        let mut wire: VecDeque<Message> = clients.iter_mut().flat_map(|(c, _)| posted(c)).collect();
+        let (mut replies, mut carried) = (vec![None; clients.len()], Vec::new());
+        while let Some(m) = wire.pop_front() {
+            carried.push((m.src, m.dst, m.kind));
+            if m.dst == 0 {
+                home.on(now, Input::Frame(m)).unwrap();
+                wire.extend(home.outbox.drain(..).map(|s| on_wire(0, &s)));
+                continue;
+            }
+            let i = m.dst as usize - 1;
+            let (c, req) = &mut clients[i];
+            if let Some(reply) = c.on(req, now, Input::Frame(m)).unwrap() {
+                replies[i] = Some(reply);
+            }
+            wire.extend(posted(c));
+        }
+        (replies, carried)
+    }
+
+    #[test]
+    fn two_writers_blocked_on_each_others_hold_serve_each_other_from_inside_their_fetches() {
+        // The deadlock freedom `request_holding` claims, on the steps with
+        // no thread and no fabric: rank 1 holds xs[10..20] and rank 2
+        // xs[30..40] behind a barrier, and then each fetches an element of
+        // the other's hold.
+        let t = FabricInstant::from_micros(1_000);
+        let config = HomeConfig {
+            participants: vec![1, 2],
+            ..Default::default()
+        };
+        let gthv = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+        let mut home = HomeShard::new(gthv, config);
+        home.init_with(init);
+        home.start(t).unwrap();
+        let platforms = [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()];
+        let mut both: Vec<(DsdClient, Request)> = Vec::new();
+        let held = |rank: u32| elems(10 + 20 * u64::from(rank - 1), 10);
+        let enter = |c: &mut DsdClient, held: Vec<UpdateRange>| {
+            let rank = c.thread_rank();
+            let updates = UpdateBatch::default();
+            let msg = DsdMsg::BarrierEnter {
+                barrier: 0,
+                rank,
+                updates,
+            };
+            c.ask(t, 0, msg, held)
+        };
+        for mut c in by_hand(&platforms) {
+            let req = enter(&mut c, Vec::new()); // the initial pull
+            both.push((c, req));
+        }
+        for round in 0..2 {
+            let (replies, _) = carry(&mut home, &mut both, t);
+            for ((c, req), reply) in both.iter_mut().zip(replies) {
+                let Some(DsdMsg::BarrierRelease {
+                    ship,
+                    updates,
+                    notices,
+                    ..
+                }) = reply
+                else {
+                    panic!("round {round}: a release, got {reply:?}");
+                };
+                c.learn_ship(0, &ship).unwrap();
+                c.finish_acquire(0, updates, notices).unwrap();
+                if round == 1 {
+                    continue;
+                }
+                // Each rewrites its stripe and holds it behind the next
+                // barrier entry.
+                let span = held(c.thread_rank());
+                for i in span.first..span.end() {
+                    c.gthv.write_int(0, i, 7000 + i as i128).unwrap();
+                }
+                c.views[0].held.insert(span.first, span.end());
+                *req = enter(c, vec![span]);
+            }
+        }
+        // Each is told of the other's hold, not sent it.
+        assert_eq!(both[0].0.views[0].stale.spans(), [(30, 40)]);
+        assert_eq!(both[1].0.views[0].stale.spans(), [(10, 20)]);
+        for (c, req) in &mut both {
+            let (rank, wants) = (c.thread_rank(), held(3 - c.thread_rank()).first + 5);
+            let fetch = DsdMsg::RangeFetch {
+                rank,
+                ranges: vec![elems(wants, 1)],
+            };
+            *req = c.ask(t, 0, fetch, Vec::new());
+        }
+        let (replies, carried) = carry(&mut home, &mut both, t);
+        // Both fetches reach the home before either writer is asked, so
+        // each serves the other's forwarded fetch while blocked in its own.
+        let (fetch, forward) = (MsgKind::RangeFetch, MsgKind::HeldFetch);
+        let (data, reply) = (MsgKind::HeldData, MsgKind::UpdateBatch);
+        let order = [
+            (1, 0, fetch),
+            (2, 0, fetch),
+            (0, 2, forward),
+            (0, 1, forward),
+        ];
+        let then = [(2, 0, data), (1, 0, data), (0, 1, reply), (0, 2, reply)];
+        assert_eq!(carried, [order, then].concat());
+        for ((c, req), reply) in both.iter_mut().zip(replies) {
+            let Some(DsdMsg::UpdateBatch { updates, notices }) = reply else {
+                panic!(
+                    "rank {}: the fetch is answered, got {reply:?}",
+                    c.thread_rank()
+                );
+            };
+            assert!(notices.is_empty());
+            c.apply_incoming(&[updates], &[]).unwrap();
+            let wants = held(3 - c.thread_rank()).first + 5;
+            assert_eq!(c.gthv.read_int(0, wants).unwrap(), 7000 + wants as i128);
+            assert!(c.views[0].held.is_empty(), "what it served left its hold");
+            assert_eq!(req.sent, 1, "no retransmission");
+        }
+        assert_eq!(both[0].0.network().stats().retransmitted, 0);
     }
 
     #[test]
     fn backoff_jitter_stays_within_bounds() {
-        use std::time::Duration;
         let base = Duration::from_millis(100);
         let cap = Duration::from_millis(800);
         let mut rng = 0x1234_5678_u64;
@@ -2554,7 +2625,6 @@ mod tests {
 
     #[test]
     fn backoff_jitter_is_deterministic_per_seed_and_decorrelated_across_seeds() {
-        use std::time::Duration;
         let base = Duration::from_millis(50);
         let cap = Duration::from_secs(5);
         let draw = |seed: u64| {
@@ -2573,7 +2643,6 @@ mod tests {
 
     #[test]
     fn backoff_cap_clamps_even_a_tiny_cap() {
-        use std::time::Duration;
         let base = Duration::from_millis(100);
         let cap = Duration::from_millis(30); // cap below base: cap wins
         let mut rng = 99;
@@ -2586,7 +2655,6 @@ mod tests {
 
     #[test]
     fn worker_lost_error_reports_detector_evidence() {
-        use std::time::Duration;
         let e = DsdError::WorkerLost {
             rank: 3,
             heard_age: Some(Duration::from_millis(310)),

@@ -547,7 +547,9 @@ pub struct TimingConfig {
     /// Retransmissions each client attempts per request before waiting
     /// out its deadline (`None` = the client default of 10).
     pub max_retries: Option<u32>,
-    /// First client retransmission delay, doubling per attempt
+    /// First client retransmission delay; later ones are drawn from
+    /// `[base, 3 · previous]`, capped at 5 s (decorrelated jitter), so
+    /// clients whose requests died together do not retry in lockstep
     /// (`None` = the client default of 250 ms).
     pub retry_base: Option<Duration>,
     /// Fixed stall-watchdog budget: an in-flight sync op older than this
@@ -1068,15 +1070,7 @@ impl ClusterBuilder {
                     let mut client = DsdClient::new(i as u32 + 1, ep, gthv);
                     client.set_directory(directory);
                     client.set_recorder(recorder.clone());
-                    if let Some(d) = timing.recv_deadline {
-                        client.set_recv_deadline(d);
-                    }
-                    if let Some(n) = timing.max_retries {
-                        client.set_max_retries(n);
-                    }
-                    if let Some(b) = timing.retry_base {
-                        client.set_retry_base(b);
-                    }
+                    client.set_timing(timing);
                     let result = body(&mut client, &info);
                     if matches!(result, Err(DsdError::Crashed)) {
                         // Simulated crash: fall silent without signing

@@ -477,16 +477,16 @@ impl Step for HomeStep {
     }
 }
 
-/// One encoded send a step decided on; the runner performs a step's sends
-/// in order.
-struct Outgoing {
-    to: u32,
-    kind: MsgKind,
-    payload: Bytes,
-    op: OpCtx,
-    /// A reply its requester is blocked on, whose endpoint must still be
-    /// there.
-    owed: bool,
+/// One encoded send a step decided on, a home's or a client's; the runner
+/// performs a step's sends in order.
+pub(crate) struct Outgoing {
+    pub(crate) to: u32,
+    pub(crate) kind: MsgKind,
+    pub(crate) payload: Bytes,
+    pub(crate) op: OpCtx,
+    /// What its sender is blocked on, whose endpoint must still be there:
+    /// a home's reply to a blocked requester, a client's request.
+    pub(crate) owed: bool,
 }
 
 /// Where an instance is in its life: what the runner waits for and what
@@ -564,7 +564,7 @@ pub struct HomeShard {
     now: FabricInstant,
     stage: Stage,
     /// The sends of the step being taken, in order; reused step to step.
-    outbox: Vec<Outgoing>,
+    pub(crate) outbox: Vec<Outgoing>,
     /// In-flight outbound entry re-homing (source side); at most one at
     /// a time per shard — the admin serializes moves cluster-wide.
     entry_handoff: Option<EntryHandoffState>,

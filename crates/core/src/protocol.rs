@@ -39,11 +39,8 @@ use crate::runs::UpdateRange;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
 use hdsm_platform::endian::Endianness;
-use hdsm_platform::scalar::ScalarKind;
-use hdsm_tags::generate::tag_for_scalar_run;
-use hdsm_tags::wire::reference::{batch_of, WireUpdate};
 use hdsm_tags::wire::varint::{self, VarintError};
-use hdsm_tags::wire::{bounded_vec, split_batch, UpdateBatch, WireError};
+use hdsm_tags::wire::{bounded_vec, split_batch, FrameWriter, GroupHead, UpdateBatch, WireError};
 use std::fmt;
 
 /// Expands the message table into [`DsdMsg`], its walks and
@@ -812,21 +809,26 @@ impl Sample for bool {
 
 impl Sample for UpdateBatch {
     /// None, one, and many small same-entry updates: the shape the
-    /// grouped format exists for.
+    /// grouped format exists for. Each is one group of entry 3, big-endian
+    /// four-byte elements, one element a run at the even `offsets`, every
+    /// payload byte 1.
     fn samples() -> Vec<UpdateBatch> {
-        let update = |i: u64| WireUpdate {
-            entry: 3,
-            elem_offset: 2 * i,
-            endian: Endianness::Big,
-            tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
-            data: Bytes::from(vec![1u8; 4]),
+        let frame = |offsets: std::ops::Range<u32>| {
+            let runs = offsets.map(|i| (2 * u64::from(i), 1));
+            let body = FrameWriter::run_group_bytes(3, 4, runs.clone());
+            let mut w = FrameWriter::new(1, body);
+            let (entry, endian, is_ptr, size) = (3, Endianness::Big, false, 4);
+            let head = GroupHead {
+                entry,
+                endian,
+                is_ptr,
+                size,
+            };
+            w.begin_group(head, runs.clone());
+            runs.for_each(|_| w.put_payload(&[1; 4]));
+            w.finish()
         };
-        let many: Vec<_> = (0..40).map(update).collect();
-        vec![
-            UpdateBatch::default(),
-            batch_of(&[update(50)]),
-            batch_of(&many),
-        ]
+        vec![UpdateBatch::default(), frame(50..51), frame(0..40)]
     }
 }
 
@@ -989,9 +991,34 @@ impl DsdMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdsm_platform::scalar::ScalarKind;
+    use hdsm_tags::generate::tag_for_scalar_run;
+    use hdsm_tags::wire::reference::{batch_of, WireUpdate};
 
     fn sample_batch() -> UpdateBatch {
         UpdateBatch::samples().swap_remove(1)
+    }
+
+    #[test]
+    fn the_sample_batches_are_the_reference_codecs_frames() {
+        let update = |i: u64| WireUpdate {
+            entry: 3,
+            elem_offset: 2 * i,
+            endian: Endianness::Big,
+            tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
+            data: Bytes::from(vec![1u8; 4]),
+        };
+        let many: Vec<_> = (0..40).map(update).collect();
+        let want = [
+            UpdateBatch::default(),
+            batch_of(&[update(50)]),
+            batch_of(&many),
+        ];
+        let frames = |batches: &[UpdateBatch]| -> Vec<Bytes> {
+            batches.iter().map(|b| b.frame().clone()).collect()
+        };
+        assert_eq!(frames(&UpdateBatch::samples()), frames(&want));
+        assert_eq!(UpdateBatch::samples(), want);
     }
 
     fn sample_ranges() -> Vec<UpdateRange> {

@@ -210,50 +210,6 @@ pub fn abstract_diffs(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> 
     coalesce(map_runs(table, runs))
 }
 
-/// Whole-entry transfer promotion (paper §4): a page DSM would send the
-/// whole page when a diff exceeds a threshold; DSD "cannot perform
-/// optimizations at the level of the page" but "can transfer and
-/// convert/memcpy() large arrays quickly by dealing with them as a
-/// whole". When the ranges of one entry cover more than
-/// `threshold_percent` of its elements, they are replaced by a single
-/// full-entry range — fewer tags, one contiguous conversion/memcpy, at
-/// the cost of shipping some unmodified elements.
-///
-/// Input must be coalesced (sorted, disjoint); the output is too.
-pub fn promote_ranges(
-    table: &IndexTable,
-    ranges: Vec<UpdateRange>,
-    threshold_percent: u8,
-) -> Vec<UpdateRange> {
-    assert!(threshold_percent <= 100);
-    if threshold_percent >= 100 || ranges.is_empty() {
-        return ranges;
-    }
-    let mut out: Vec<UpdateRange> = Vec::with_capacity(ranges.len());
-    let mut i = 0;
-    while i < ranges.len() {
-        let entry = ranges[i].entry;
-        let mut j = i;
-        let mut covered: u64 = 0;
-        while j < ranges.len() && ranges[j].entry == entry {
-            covered += ranges[j].count;
-            j += 1;
-        }
-        let total = table.row(entry).map(|r| r.count).unwrap_or(0);
-        if total > 0 && covered * 100 >= total * u64::from(threshold_percent) {
-            out.push(UpdateRange {
-                entry,
-                first: 0,
-                count: total,
-            });
-        } else {
-            out.extend_from_slice(&ranges[i..j]);
-        }
-        i = j;
-    }
-    out
-}
-
 /// The `map_runs` this module started with — a binary search and a `Vec`
 /// per run, one range per row a run touches, a sort of everything at the
 /// end — kept as the reference [`map_runs`] is held to.
@@ -495,64 +451,6 @@ mod tests {
         let t = table();
         assert!(abstract_diffs(&t, &[]).is_empty());
         assert!(coalesce(vec![]).is_empty());
-    }
-
-    #[test]
-    fn promotion_threshold_behaviour() {
-        let t = table();
-        // 60% of A modified in two chunks.
-        let a_total = t.row(1).unwrap().count;
-        let chunk = (a_total * 3) / 10;
-        let ranges = vec![
-            UpdateRange {
-                entry: 1,
-                first: 0,
-                count: chunk,
-            },
-            UpdateRange {
-                entry: 1,
-                first: a_total / 2,
-                count: chunk,
-            },
-            UpdateRange {
-                entry: 4,
-                first: 0,
-                count: 1,
-            },
-        ];
-        // Threshold 50%: A promoted to a single full-entry range; the
-        // scalar entry n is left alone.
-        let promoted = promote_ranges(&t, ranges.clone(), 50);
-        assert_eq!(
-            promoted,
-            vec![
-                UpdateRange {
-                    entry: 1,
-                    first: 0,
-                    count: a_total
-                },
-                UpdateRange {
-                    entry: 4,
-                    first: 0,
-                    count: 1
-                },
-            ]
-        );
-        // Threshold 70%: coverage (60%) below threshold — unchanged.
-        assert_eq!(promote_ranges(&t, ranges.clone(), 70), ranges);
-        // Threshold 100%: promotion disabled.
-        assert_eq!(promote_ranges(&t, ranges.clone(), 100), ranges);
-    }
-
-    #[test]
-    fn promotion_full_entry_is_idempotent() {
-        let t = table();
-        let full = vec![UpdateRange {
-            entry: 2,
-            first: 0,
-            count: t.row(2).unwrap().count,
-        }];
-        assert_eq!(promote_ranges(&t, full.clone(), 10), full);
     }
 
     #[test]

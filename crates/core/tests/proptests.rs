@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use hdsm_core::gthv::{GthvDef, GthvInstance};
-use hdsm_core::runs::{abstract_diffs, promote_ranges, UpdateRange};
+use hdsm_core::runs::{abstract_diffs, UpdateRange};
 use hdsm_core::update::{apply_batch, extract_updates, UpdateError, PTR_ELEM_BITS};
 use hdsm_memory::diff::diff_pages;
 use hdsm_platform::ctype::StructBuilder;
@@ -364,60 +364,6 @@ proptest! {
         let mut stats = ConversionStats::default();
         apply_batch(&mut dst, &unpacked, &mut stats).unwrap();
         prop_assert!(logical_equal(&src, &dst));
-    }
-
-    /// Promotion at any threshold never changes the transferred state
-    /// (only how much of it ships) when the receiver starts from the same
-    /// base image.
-    #[test]
-    fn promotion_is_semantics_preserving(
-        writes in prop::collection::vec(any_write(), 1..30),
-        threshold in 0u8..=100,
-    ) {
-        let p = PlatformSpec::linux_x86();
-        let mut src = GthvInstance::new(def(), p.clone());
-        src.space_mut().protect_all();
-        apply_writes(&mut src, &writes);
-        let ranges = abstract_diffs(src.table(), &diff_pages(src.space()));
-        let promoted = promote_ranges(src.table(), ranges.clone(), threshold);
-
-        // Promoted ranges cover at least the original ones.
-        for r in &ranges {
-            let covered = promoted.iter().any(|pr| {
-                pr.entry == r.entry && pr.first <= r.first && pr.end() >= r.end()
-            });
-            prop_assert!(covered, "range {:?} lost by promotion", r);
-        }
-
-        // Applying promoted updates to a *fresh copy of the source's base
-        // image* yields the same logical state.
-        let ups = extract_updates(&src, &promoted).unwrap();
-        let mut dst = GthvInstance::new(def(), PlatformSpec::solaris_sparc());
-        let mut stats = ConversionStats::default();
-        apply_batch(&mut dst, &ups, &mut stats).unwrap();
-        // Elements inside the original ranges must match exactly.
-        for r in &ranges {
-            for e in r.first..r.end() {
-                match r.entry {
-                    0 => prop_assert_eq!(
-                        src.read_int(0, e).unwrap(),
-                        dst.read_int(0, e).unwrap()
-                    ),
-                    1 => prop_assert_eq!(
-                        src.read_float(1, e).unwrap(),
-                        dst.read_float(1, e).unwrap()
-                    ),
-                    2 => prop_assert_eq!(
-                        src.read_ptr(2, e).unwrap(),
-                        dst.read_ptr(2, e).unwrap()
-                    ),
-                    _ => prop_assert_eq!(
-                        src.read_int(3, 0).unwrap(),
-                        dst.read_int(3, 0).unwrap()
-                    ),
-                }
-            }
-        }
     }
 
     /// Ranges produced by abstraction are sorted, disjoint and in bounds.
