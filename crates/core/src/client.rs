@@ -29,10 +29,15 @@
 //! Under a sharded home ([`Directory`] with `S > 1`) a release first fans
 //! the collected updates out to their owning shards (`UpdateFlush`,
 //! awaiting each ack) before the release itself goes to the mutex's (or
-//! barrier's) home shard, and an acquire pulls outstanding updates from
-//! every non-granting shard (`UpdateFetch`) after the grant. With one
-//! shard both loops vanish and the message sequence is byte-identical to
-//! the classic single-home protocol.
+//! barrier's) home shard, and an acquire pulls outstanding updates
+//! (`UpdateFetch`) from each non-granting shard where a write that happens
+//! before it may be unseen. The client keeps, per shard, the highest
+//! sequence of that shard's update log it knows happens before this point
+//! and the horizon its last pull there covered; a release carries the
+//! first for every other shard (its *stamp*), the lock's or barrier's
+//! record keeps the maximum, and the grant hands it on (DESIGN §5, "Pull
+//! only what happens before"). With one shard both loops vanish and the
+//! message sequence is byte-identical to the classic single-home protocol.
 //!
 //! **Ship what is read** (DESIGN §5). The accessors are the only way to the
 //! data, so the client knows exactly which element ranges it has read: it
@@ -234,6 +239,28 @@ struct ShardView {
     ep: Option<u32>,
 }
 
+/// What this thread knows of one shard's update log.
+#[derive(Debug, Clone, Copy, Default)]
+struct LogView {
+    /// The highest sequence there of a write that happens before this
+    /// point of the thread: one of its own, one a grant's stamp carried, or
+    /// the horizon of a grant from the shard (0: none).
+    before: u64,
+    /// The shard's horizon for this thread, as the shard last said or the
+    /// thread worked out: every write logged there up to it, but the
+    /// thread's own, is in the copy or its stale set. `None` until the
+    /// thread's first pull there (the initial contents), and again once it
+    /// has asked for a cold copy.
+    pulled: Option<u64>,
+}
+
+impl LogView {
+    /// A write that happens before this point may be missing from the copy.
+    fn unseen(&self) -> bool {
+        self.pulled.is_none_or(|p| self.before > p)
+    }
+}
+
 /// A request in flight: what its steps ([`DsdClient::on`]) decide from,
 /// one input to the next.
 struct Request {
@@ -363,6 +390,8 @@ pub struct DsdClient {
     /// Failover view per shard, learned from dead endpoints and
     /// `ViewChange` replies; an absent shard is at its original primary.
     shard_views: std::collections::HashMap<u32, ShardView>,
+    /// What this thread knows of each shard's update log, by shard.
+    logs: Vec<LogView>,
     /// Observability hook (disabled by default: every use is a null check).
     recorder: Recorder,
     /// Interest, stale set and the access path's window, one row per
@@ -409,6 +438,7 @@ impl DsdClient {
             max_retries: 10,
             retry_base: Duration::from_millis(250),
             shard_views: std::collections::HashMap::new(),
+            logs: vec![LogView::default()],
             recorder: Recorder::disabled(),
             views,
             clock,
@@ -453,6 +483,7 @@ impl DsdClient {
     /// home shards were built with; the default single-home directory
     /// routes everything to endpoint 0.
     pub(crate) fn set_directory(&mut self, directory: Directory) {
+        self.logs = vec![LogView::default(); directory.n_shards() as usize];
         self.placement = Placement::new(directory);
     }
 
@@ -591,9 +622,10 @@ impl DsdClient {
     }
 
     /// The reliability core: send `msg` to home shard `shard` under a fresh
-    /// request id, the `held` spans of a barrier entry behind it, and
-    /// return the home's reply to *that* id. This is the shell, the only
-    /// code here that sends or receives: it puts the step's sends on the
+    /// request id, `behind` it the held spans of a barrier entry and the
+    /// stamp of a release, and return the home's reply to *that* id. This
+    /// is the shell, the only code here that sends or receives: it puts the
+    /// step's sends on the
     /// wire, feeds one that found its endpoint gone back as
     /// [`Input::Gone`], waits until the request's next wake-up and steps on
     /// the frame or the tick. The step ([`Self::ask`], [`Self::on`])
@@ -614,9 +646,9 @@ impl DsdClient {
         &mut self,
         shard: u32,
         msg: DsdMsg,
-        held: Vec<UpdateRange>,
+        behind: Report,
     ) -> Result<DsdMsg, DsdError> {
-        let mut req = self.ask(self.clock.now(), shard, msg, held);
+        let mut req = self.ask(self.clock.now(), shard, msg, behind);
         loop {
             let mut gone = Vec::new();
             for s in &self.outbox {
@@ -645,19 +677,14 @@ impl DsdClient {
     }
 
     /// The first step of a request: at `now`, take a request id and the
-    /// interest `shard` is owed, pack them behind `msg` and post it.
-    fn ask(
-        &mut self,
-        now: FabricInstant,
-        shard: u32,
-        msg: DsdMsg,
-        held: Vec<UpdateRange>,
-    ) -> Request {
+    /// interest `shard` is owed, pack them and the rest of `behind` behind
+    /// `msg` and post it.
+    fn ask(&mut self, now: FabricInstant, shard: u32, msg: DsdMsg, behind: Report) -> Request {
         self.req_counter += 1;
         let (dst, req_id) = (self.shard_ep(shard), self.req_counter);
         let report = Report {
             interest: self.take_interest(shard),
-            held,
+            ..behind
         };
         let mut req = Request {
             payload: self.pack_request(&msg, req_id, shard, &report),
@@ -770,6 +797,13 @@ impl DsdClient {
                     heard_age,
                     lease,
                 });
+            }
+            DsdMsg::ViewChange { shard, .. }
+                if self.directory().n_replicas() == 0 || shard >= self.directory().n_shards() =>
+            {
+                // No other endpoint serves the shard: a redirect names
+                // nowhere to go. Drop it, as a frame that does not decode.
+                self.recorder.count("client.bad_frames", 1);
             }
             DsdMsg::ViewChange { shard, epoch } => {
                 // A fenced shard bounced a request: learn the new epoch and
@@ -987,11 +1021,13 @@ impl DsdClient {
     /// The release pipeline, shared by unlock, cond-wait and barrier:
     /// drain the write set, fan the updates out to their owning shards
     /// (`UpdateFlush`), then send the release itself — `build(updates
-    /// owned by owner)` — to `owner` and return its reply. Each flush is
-    /// acknowledged before the next is sent and before the release goes
-    /// out, so by the time any shard grants a later acquire, every flushed
-    /// update is already absorbed somewhere the acquirer will fetch from.
-    /// A single-shard directory ships the whole batch inside the release
+    /// owned by owner)` — to `owner`, stamped with what happens before it
+    /// at every other shard ([`Self::stamp`]), and return its reply. Each
+    /// flush is acknowledged, with the sequence its updates were logged
+    /// under, before the next is sent and before the release goes out, so
+    /// by the time any shard grants a later acquire, every flushed update
+    /// is already absorbed somewhere the acquirer's stamp names. A
+    /// single-shard directory ships the whole batch inside the release
     /// without touching the wire first.
     ///
     /// What is bucketed by owning shard is the *ranges*; each bucket is
@@ -1038,12 +1074,9 @@ impl DsdClient {
                     }
                     let updates = self.extract(&ranges)?;
                     let rank = self.thread_rank;
-                    match self.request_holding(
-                        shard,
-                        DsdMsg::UpdateFlush { rank, updates },
-                        Vec::new(),
-                    )? {
-                        DsdMsg::Ack => {}
+                    let flush = DsdMsg::UpdateFlush { rank, updates };
+                    match self.request_holding(shard, flush, Report::default())? {
+                        DsdMsg::Ack { stamp } => self.logged(shard, &stamp)?,
                         DsdMsg::EntryMoved { entries } => {
                             self.learn_moves(&entries);
                             pending.extend(ranges);
@@ -1055,9 +1088,14 @@ impl DsdClient {
                     continue;
                 }
             }
-            let held = self.held_spans(&holding);
+            let behind = Report {
+                held: self.held_spans(&holding),
+                stamp: self.stamp(owner),
+                ..Report::default()
+            };
             let updates = self.extract(&kept)?;
-            match self.request_holding(owner, build(updates), held)? {
+            let wrote = !updates.is_empty();
+            match self.request_holding(owner, build(updates), behind)? {
                 DsdMsg::EntryMoved { entries } => {
                     self.learn_moves(&entries);
                     pending = std::mem::take(&mut kept);
@@ -1072,7 +1110,15 @@ impl DsdClient {
                     pending.extend(moved);
                     holding = stay;
                 }
-                reply => return Ok(reply),
+                reply => {
+                    // An unlock's ack says what its writes were logged
+                    // under; a cond-wait's or barrier entry's are in the
+                    // horizon its grant or release names.
+                    if let (DsdMsg::UnlockAck { stamp, .. }, true) = (&reply, wrote) {
+                        self.logged(owner, stamp)?;
+                    }
+                    return Ok(reply);
+                }
             }
         }
     }
@@ -1236,31 +1282,96 @@ impl DsdClient {
     }
 
     /// The tail of every acquire (lock grant, cond wake, barrier
-    /// release): `updates` and `notices` rode in with the reply from shard
-    /// `granting`; pull the outstanding updates of every other shard
-    /// (`UpdateFetch` — no wire traffic on a single-shard directory) and
-    /// take the lot in.
+    /// release): `updates`, `notices` and `stamp` rode in with the reply
+    /// from shard `granting`. Pull the outstanding updates of each other
+    /// shard where a write that happens before the acquire may be unseen
+    /// (`UpdateFetch` — never on a single-shard directory) and take the lot
+    /// in. The grant's horizon happens before whatever this thread does
+    /// next: its writes there are in the grant, or noticed.
     fn finish_acquire(
         &mut self,
         granting: u32,
         updates: UpdateBatch,
         mut notices: Vec<UpdateRange>,
+        stamp: Vec<(u32, u64)>,
     ) -> Result<(), DsdError> {
+        self.pulled(granting, &stamp)?;
         let mut batches = vec![updates];
         for shard in (0..self.directory().n_shards()).filter(|&s| s != granting) {
+            if !self.logs[shard as usize].unseen() {
+                continue;
+            }
             let rank = self.thread_rank;
-            match self.request_holding(shard, DsdMsg::UpdateFetch { rank }, Vec::new())? {
+            let fetch = DsdMsg::UpdateFetch { rank };
+            match self.request_holding(shard, fetch, Report::default())? {
                 DsdMsg::UpdateBatch {
                     updates,
                     notices: more,
+                    stamp,
                 } => {
+                    self.pulled(shard, &stamp)?;
                     batches.push(updates);
                     notices.extend(more);
                 }
                 _ => return Err(DsdError::Unexpected("UpdateBatch")),
             }
         }
+        let granted = &mut self.logs[granting as usize];
+        granted.before = granted.before.max(granted.pulled.unwrap_or(0));
         self.apply_incoming(&batches, &notices)
+    }
+
+    /// The stamp of a release to `owner`: for every other shard, the
+    /// highest sequence of a write there that happens before the release.
+    fn stamp(&self, owner: u32) -> Vec<(u32, u64)> {
+        (0..)
+            .zip(&self.logs)
+            .filter(|&(shard, log)| shard != owner && log.before > 0)
+            .map(|(shard, log)| (shard, log.before))
+            .collect()
+    }
+
+    /// The row of `stamp` that names `shard`, if any; a row naming no
+    /// shard refuses the reply it came in.
+    fn row_for(&self, shard: u32, stamp: &[(u32, u64)]) -> Result<Option<u64>, DsdError> {
+        if stamp.iter().any(|&(s, _)| s >= self.directory().n_shards()) {
+            return Err(ProtocolError::BadMessage("stamp row for no shard").into());
+        }
+        Ok(stamp
+            .iter()
+            .find(|&&(s, _)| s == shard)
+            .map(|&(_, seq)| seq))
+    }
+
+    /// Take in the stamp of a pull from `shard` (a grant, a barrier release
+    /// or a fetch's reply): its row for `shard` is the shard's new horizon
+    /// for this thread — none, the horizon did not move — and every other
+    /// row what happens before the acquire at its shard.
+    fn pulled(&mut self, shard: u32, stamp: &[(u32, u64)]) -> Result<(), DsdError> {
+        let horizon = self.row_for(shard, stamp)?;
+        for &(s, seq) in stamp.iter().filter(|&&(s, _)| s != shard) {
+            let log = &mut self.logs[s as usize];
+            log.before = log.before.max(seq);
+        }
+        let log = &mut self.logs[shard as usize];
+        log.pulled = Some(horizon.or(log.pulled).unwrap_or(0));
+        Ok(())
+    }
+
+    /// Take in the reply to writes `shard` absorbed: its row for `shard` is
+    /// the sequence they were logged under, with this thread's horizon left
+    /// behind another's write it has not seen. None: they were logged next
+    /// after that horizon, which moved on to them.
+    fn logged(&mut self, shard: u32, stamp: &[(u32, u64)]) -> Result<(), DsdError> {
+        let row = self.row_for(shard, stamp)?;
+        let log = &mut self.logs[shard as usize];
+        let at = row.unwrap_or_else(|| {
+            let next = log.pulled.unwrap_or(0) + 1;
+            log.pulled = Some(next);
+            next
+        });
+        log.before = log.before.max(at);
+        Ok(())
     }
 
     /// Fetch before use: bring the stale part of `[first, end)` of `entry`
@@ -1287,7 +1398,8 @@ impl DsdClient {
         let rank = self.thread_rank;
         let updates = loop {
             let (owner, ranges) = (self.placement.owner(entry), ranges.clone());
-            match self.request_holding(owner, DsdMsg::RangeFetch { rank, ranges }, Vec::new())? {
+            let fetch = DsdMsg::RangeFetch { rank, ranges };
+            match self.request_holding(owner, fetch, Report::default())? {
                 DsdMsg::UpdateBatch { updates, .. } => break updates,
                 DsdMsg::EntryMoved { entries } => self.learn_moves(&entries),
                 _ => return Err(DsdError::Unexpected("UpdateBatch (range fetch)")),
@@ -1405,19 +1517,21 @@ impl DsdClient {
                 span.args(lock as u64, 0);
                 span.op(c.cur_op);
                 let rank = c.thread_rank;
-                c.request_holding(owner, DsdMsg::LockRequest { lock, rank }, Vec::new())?
+                let request = DsdMsg::LockRequest { lock, rank };
+                c.request_holding(owner, request, Report::default())?
             };
             match reply {
                 DsdMsg::LockGrant {
                     lock: l,
                     updates,
                     notices,
+                    stamp,
                 } if l == lock => {
                     if c.recorder.is_enabled() {
                         c.held_since
                             .insert(lock, (c.recorder.now_us(), c.clock.now()));
                     }
-                    c.finish_acquire(owner, updates, notices)
+                    c.finish_acquire(owner, updates, notices, stamp)
                 }
                 _ => Err(DsdError::Unexpected("LockGrant")),
             }
@@ -1439,7 +1553,7 @@ impl DsdClient {
                 rank,
                 updates,
             })? {
-                DsdMsg::UnlockAck { lock: l } if l == lock => {
+                DsdMsg::UnlockAck { lock: l, .. } if l == lock => {
                     c.recorder.heat(|h| h.release_to(rank, owner));
                     if let Some((t_us, start)) = c.held_since.remove(&lock) {
                         c.recorder.span_at_op(
@@ -1500,7 +1614,8 @@ impl DsdClient {
                     lock: l,
                     updates,
                     notices,
-                } if l == lock => c.finish_acquire(owner, updates, notices),
+                    stamp,
+                } if l == lock => c.finish_acquire(owner, updates, notices, stamp),
                 _ => Err(DsdError::Unexpected("LockGrant (cond wake)")),
             }
         })
@@ -1526,8 +1641,8 @@ impl DsdClient {
                 rank,
                 broadcast,
             };
-            match c.request_holding(shard, signal, Vec::new())? {
-                DsdMsg::Ack => Ok(()),
+            match c.request_holding(shard, signal, Report::default())? {
+                DsdMsg::Ack { .. } => Ok(()),
                 _ => Err(DsdError::Unexpected("Ack")),
             }
         })
@@ -1554,10 +1669,11 @@ impl DsdClient {
                     updates,
                     ship,
                     notices,
+                    stamp,
                 } if b == barrier => {
                     c.recorder.heat(|h| h.release_to(rank, coordinator));
                     c.learn_ship(coordinator, &ship)?;
-                    c.finish_acquire(coordinator, updates, notices)
+                    c.finish_acquire(coordinator, updates, notices, stamp)
                 }
                 _ => Err(DsdError::Unexpected("BarrierRelease")),
             }
@@ -1608,7 +1724,7 @@ impl DsdClient {
             for shard in 0..c.directory().n_shards() {
                 let updates = c.gather(shard)?;
                 let rank = c.thread_rank;
-                match c.request_holding(shard, DsdMsg::Join { rank, updates }, Vec::new()) {
+                match c.request_holding(shard, DsdMsg::Join { rank, updates }, Report::default()) {
                     Ok(DsdMsg::Shutdown) => {}
                     // A shard cannot exit its service loop before
                     // processing every participant's Join — ours included.
@@ -1674,8 +1790,9 @@ impl DsdClient {
         while let Some(shard) = todo.pop() {
             let updates = self.gather(shard)?;
             let rank = self.thread_rank;
-            match self.request_holding(shard, DsdMsg::Resync { rank, updates }, Vec::new())? {
-                DsdMsg::Ack => {}
+            let resync = DsdMsg::Resync { rank, updates };
+            match self.request_holding(shard, resync, Report::default())? {
+                DsdMsg::Ack { .. } => self.logs[shard as usize].pulled = None,
                 DsdMsg::EntryMoved { entries } => {
                     self.learn_moves(&entries);
                     todo.push(shard);
@@ -2104,22 +2221,51 @@ mod tests {
         let mut c = by_hand(&[PlatformSpec::linux_x86()]).remove(0);
         let t = FabricInstant::from_micros(0);
         for wild in wild() {
-            let mut req = c.ask(t, 0, DsdMsg::LockRequest { lock: 0, rank: 1 }, Vec::new());
+            let mut req = c.ask(
+                t,
+                0,
+                DsdMsg::LockRequest { lock: 0, rank: 1 },
+                Report::default(),
+            );
             let grant = DsdMsg::LockGrant {
                 lock: 0,
                 updates: UpdateBatch::default(),
                 notices: vec![elems(0, 4), wild],
+                stamp: Vec::new(),
             };
             let grant = from_home(&c, req.req_id, grant);
             let reply = c.on(&mut req, t, grant);
             let Ok(Some(DsdMsg::LockGrant {
-                updates, notices, ..
+                updates,
+                notices,
+                stamp,
+                ..
             })) = reply
             else {
                 panic!("the grant is the reply, got {reply:?}");
             };
-            let res = c.finish_acquire(0, updates, notices);
+            let res = c.finish_acquire(0, updates, notices, stamp);
             assert!(matches!(res, Err(DsdError::Protocol(_))), "{wild:?}");
+        }
+    }
+
+    #[test]
+    fn a_view_change_without_replicas_is_dropped_and_the_request_keeps_its_destination() {
+        // No other endpoint serves a shard of an unreplicated directory,
+        // nor one the directory does not have: the redirect is dropped,
+        // like a frame that does not decode.
+        let mut c = by_hand(&[PlatformSpec::linux_x86()]).remove(0);
+        let t = FabricInstant::from_micros(0);
+        let lock = DsdMsg::LockRequest { lock: 0, rank: 1 };
+        let mut req = c.ask(t, 0, lock, Report::default());
+        c.outbox.clear();
+        let dst = req.dst;
+        for shard in [0, 7] {
+            let bounce = from_home(&c, req.req_id, DsdMsg::ViewChange { shard, epoch: 1 });
+            let res = c.on(&mut req, t, bounce);
+            assert!(matches!(res, Ok(None)), "{res:?}");
+            assert_eq!((req.dst, c.epoch_of(0), c.shard_ep(0)), (dst, 0, dst));
+            assert!(c.outbox.is_empty(), "nothing is resent");
         }
     }
 
@@ -2128,7 +2274,12 @@ mod tests {
         let mut c = by_hand(&[PlatformSpec::linux_x86()]).remove(0);
         let t = FabricInstant::from_micros(0);
         for wild in wild() {
-            let mut req = c.ask(t, 0, DsdMsg::LockRequest { lock: 0, rank: 1 }, Vec::new());
+            let mut req = c.ask(
+                t,
+                0,
+                DsdMsg::LockRequest { lock: 0, rank: 1 },
+                Report::default(),
+            );
             let fetch = DsdMsg::HeldFetch {
                 ranges: vec![elems(0, 4), wild],
             };
@@ -2531,7 +2682,11 @@ mod tests {
                 rank,
                 updates,
             };
-            c.ask(t, 0, msg, held)
+            let behind = Report {
+                held,
+                ..Report::default()
+            };
+            c.ask(t, 0, msg, behind)
         };
         for mut c in by_hand(&platforms) {
             let req = enter(&mut c, Vec::new()); // the initial pull
@@ -2544,13 +2699,14 @@ mod tests {
                     ship,
                     updates,
                     notices,
+                    stamp,
                     ..
                 }) = reply
                 else {
                     panic!("round {round}: a release, got {reply:?}");
                 };
                 c.learn_ship(0, &ship).unwrap();
-                c.finish_acquire(0, updates, notices).unwrap();
+                c.finish_acquire(0, updates, notices, stamp).unwrap();
                 if round == 1 {
                     continue;
                 }
@@ -2573,7 +2729,7 @@ mod tests {
                 rank,
                 ranges: vec![elems(wants, 1)],
             };
-            *req = c.ask(t, 0, fetch, Vec::new());
+            *req = c.ask(t, 0, fetch, Report::default());
         }
         let (replies, carried) = carry(&mut home, &mut both, t);
         // Both fetches reach the home before either writer is asked, so
@@ -2589,7 +2745,10 @@ mod tests {
         let then = [(2, 0, data), (1, 0, data), (0, 1, reply), (0, 2, reply)];
         assert_eq!(carried, [order, then].concat());
         for ((c, req), reply) in both.iter_mut().zip(replies) {
-            let Some(DsdMsg::UpdateBatch { updates, notices }) = reply else {
+            let Some(DsdMsg::UpdateBatch {
+                updates, notices, ..
+            }) = reply
+            else {
                 panic!(
                     "rank {}: the fetch is answered, got {reply:?}",
                     c.thread_rank()

@@ -11,10 +11,15 @@
 //! authoritative bytes, update log, sequence horizon, lease table and
 //! at-most-once dedup state for *its slice only*, and shards never talk
 //! to each other — clients fan released updates out to the owning shards
-//! (`UpdateFlush`) before releasing, and pull outstanding updates from
-//! every non-granting shard (`UpdateFetch`) after acquiring. With `S == 1`
-//! (the default directory) a shard *is* the classic single home service
-//! and produces a byte-identical message sequence.
+//! (`UpdateFlush`) before releasing, and pull outstanding updates from a
+//! non-granting shard (`UpdateFetch`) after acquiring when the grant's
+//! stamp names a write there they may not have seen. The stamp is built
+//! from the shards' own sequences: an ack says what a flush was logged
+//! under, a release names the highest it knows of per other shard, and
+//! each lock and barrier keeps the maximum for its next acquirer
+//! ([`Before`]). With `S == 1` (the default directory) a shard *is* the
+//! classic single home service and produces a byte-identical message
+//! sequence.
 //!
 //! Consistency bookkeeping is a sequence-numbered update log: every
 //! absorbed [`UpdateRange`] is logged under a global sequence number, and
@@ -278,15 +283,46 @@ impl From<UpdateError> for HomeError {
 /// Writer id used for home-side initialisation log entries.
 const HOME_WRITER: u32 = u32::MAX;
 
+/// What a pull hands a thread: the updates, the notices and the stamp.
+type Pulled = (UpdateBatch, Vec<UpdateRange>, Vec<(u32, u64)>);
+
 #[derive(Debug, Default)]
 struct LockState {
     holder: Option<u32>,
     waiters: VecDeque<u32>,
+    before: Before,
 }
 
 #[derive(Debug, Default)]
 struct BarrierState {
     entered: Vec<u32>,
+    before: Before,
+}
+
+/// What happens before the next acquire of one lock or barrier at the
+/// other shards, as its releases said (DESIGN §5, "Pull only what happens
+/// before"): per shard, the highest sequence a release named there and the
+/// rank that named it. A grant hands the acquirer the rows another rank
+/// named; it knows its own.
+#[derive(Debug, Default)]
+struct Before(BTreeMap<u32, (u64, u32)>);
+
+impl Before {
+    /// Take in the stamp of `rank`'s release.
+    fn merge(&mut self, rank: u32, stamp: &[(u32, u64)]) {
+        for &(shard, seq) in stamp {
+            let row = self.0.entry(shard).or_insert((0, rank));
+            if seq > row.0 {
+                *row = (seq, rank);
+            }
+        }
+    }
+
+    /// The rows an acquire by `rank` is handed.
+    fn rows_for(&self, rank: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let named = self.0.iter().filter(move |(_, &(_, by))| by != rank);
+        named.map(|(&shard, &(seq, _))| (shard, seq))
+    }
 }
 
 #[derive(Debug, Default)]
@@ -523,7 +559,8 @@ pub struct HomeShard {
     locks: Vec<LockState>,
     barriers: Vec<BarrierState>,
     conds: Vec<CondState>,
-    /// Global sequence counter for absorbed updates.
+    /// Global sequence counter for absorbed updates. A promotion starts the
+    /// new epoch's numbers above any the old primary can have given out.
     seq: u64,
     /// Update log: `(seq, writer, range)` in absorption order, so a
     /// horizon is found by `partition_point`. The writer lets grants
@@ -933,8 +970,13 @@ impl HomeShard {
                 self.send(reader, lost)?;
             } else if touched.is_empty() {
                 let updates = self.extract_for(self.op_of(reader), &ranges)?;
-                let notices = Vec::new();
-                self.send(reader, DsdMsg::UpdateBatch { updates, notices })?;
+                let (notices, stamp) = (Vec::new(), Vec::new());
+                let batch = DsdMsg::UpdateBatch {
+                    updates,
+                    notices,
+                    stamp,
+                };
+                self.send(reader, batch)?;
             } else {
                 for (_, r) in &touched {
                     self.whereabouts.entry(r.entry).or_default().forwarded = true;
@@ -1030,11 +1072,12 @@ impl HomeShard {
     }
 
     /// What thread `rank` has not seen: extracted frames for the stale
-    /// ranges inside its interest (t_tag, then t_pack), notices for the rest.
-    fn stale_updates_for(
-        &mut self,
-        rank: u32,
-    ) -> Result<(UpdateBatch, Vec<UpdateRange>), HomeError> {
+    /// ranges inside its interest (t_tag, then t_pack), notices for the
+    /// rest — and for what others wrote of an entry that left this shard
+    /// since (its rows went with it), so the thread fetches those from the
+    /// new owner — and the row of its new horizon here, unless the thread
+    /// can tell it did not move.
+    fn stale_updates_for(&mut self, rank: u32) -> Result<Pulled, HomeError> {
         let everything = BTreeMap::new();
         let (horizon, op, interest) = match self.peers.get(&rank) {
             Some(p) => (p.seen, p.op, &p.interest),
@@ -1053,7 +1096,14 @@ impl HomeShard {
                 .map(|(_, _, r)| *r);
             split_by_interest(unseen, interest)
         };
-        let (ranges, notices) = self.notice_held(rank, ranges, notices);
+        let (ranges, mut notices) = self.notice_held(rank, ranges, notices);
+        for (&entry, at) in &self.whereabouts {
+            if horizon >= at.moved.0 || self.owns_entry(entry) {
+                continue;
+            }
+            let others = at.moved.1.iter().filter(|row| row.0 == rank);
+            notices.extend(others.map(|&(_, first, count)| span(entry, first, first + count)));
+        }
         let ranges = coalesce(ranges);
         t.args(ranges.len() as u64, rank as u64);
         t.end(&mut self.costs);
@@ -1066,10 +1116,39 @@ impl HomeShard {
             self.recorder
                 .count("home.ranges_noticed", notices.len() as u64);
         }
+        let moved = horizon != self.seq;
         if let Some(p) = self.peers.get_mut(&rank) {
             p.seen = self.seq;
         }
-        Ok((ups, notices))
+        let stamp = self
+            .own_row(self.seq)
+            .filter(|_| moved)
+            .into_iter()
+            .collect();
+        Ok((ups, notices, stamp))
+    }
+
+    /// A stamp row of this shard's sequence `seq`, for a client that has
+    /// other shards to compare it with: none on a one-shard directory.
+    fn own_row(&self, seq: u64) -> Option<(u32, u64)> {
+        (self.placement.directory().n_shards() > 1).then_some((self.shard, seq))
+    }
+
+    /// What the reply to `writer`'s flush or release says of the writes
+    /// the step absorbed, with this shard's sequence at `was` before it:
+    /// nothing where nothing was, or where the writer had seen everything
+    /// logged before them, so its horizon here moves on to them; else the
+    /// sequence they were logged under.
+    fn logged(&mut self, writer: u32, was: u64) -> Vec<(u32, u64)> {
+        let horizon = self.peers.get_mut(&writer).map(|p| &mut p.seen);
+        match horizon {
+            _ if self.seq == was => Vec::new(),
+            Some(seen) if *seen == was => {
+                *seen = self.seq;
+                Vec::new()
+            }
+            _ => self.own_row(self.seq).into_iter().collect(),
+        }
     }
 
     /// Invariant **H** at a reader: a held element goes out as a notice,
@@ -1257,11 +1336,13 @@ impl HomeShard {
     }
 
     fn grant(&mut self, lock: u32, rank: u32) -> Result<(), HomeError> {
-        let (updates, notices) = self.stale_updates_for(rank)?;
+        let (updates, notices, mut stamp) = self.stale_updates_for(rank)?;
+        stamp.extend(self.locks[lock as usize].before.rows_for(rank));
         let grant = DsdMsg::LockGrant {
             lock,
             updates,
             notices,
+            stamp,
         };
         self.send(rank, grant)
     }
@@ -1847,6 +1928,10 @@ impl HomeShard {
             first_grant_recorded: false,
         };
         self.epoch = epoch;
+        // The relays the old primary sent last may never have arrived, so
+        // a client may have been told sequences this instance never gave
+        // out: number on from above all of them.
+        self.seq = self.seq.max(u64::from(epoch) << 40);
         self.tell_partner();
         self.ask_again();
         self.restart_leases();
@@ -2167,7 +2252,7 @@ impl HomeShard {
     ) -> Result<(), HomeError> {
         let Some(rank) = msg.sender_rank() else {
             // Rankless (e.g. a stray Ack): handle() reports the violation.
-            return self.handle(msg, &[]);
+            return self.handle(msg, &Report::default());
         };
         let now = self.now;
         let Some(peer) = self.peers.get_mut(&rank) else {
@@ -2221,7 +2306,16 @@ impl HomeShard {
             )));
         }
         self.in_table(rank, "holding", &report.held)?;
-        self.handle(msg, &report.held)?;
+        if let Some((shard, _)) = report
+            .stamp
+            .iter()
+            .find(|(s, _)| *s >= self.placement.directory().n_shards())
+        {
+            return Err(HomeError::Violation(format!(
+                "thread {rank} names shard {shard} in a stamp"
+            )));
+        }
+        self.handle(msg, report)?;
         if !self.deferred.is_empty() || self.pending < self.peers.len() {
             self.forward_held()?;
         }
@@ -2358,8 +2452,9 @@ impl HomeShard {
     }
 
     /// One fresh (deduplicated, routed) request against the sync tables;
-    /// `held` rode behind a barrier entry.
-    fn handle(&mut self, msg: DsdMsg, held: &[UpdateRange]) -> Result<(), HomeError> {
+    /// `behind` it rode what a barrier entry holds and a release's stamp.
+    fn handle(&mut self, msg: DsdMsg, behind: &Report) -> Result<(), HomeError> {
+        let (held, stamp) = (&behind.held[..], &behind.stamp[..]);
         match msg {
             DsdMsg::LockRequest { lock, rank } => {
                 self.slot("lock", lock, Directory::lock_shard, self.locks.len())?;
@@ -2377,12 +2472,15 @@ impl HomeShard {
                         self.locks[idx].holder
                     )));
                 }
+                let was = self.seq;
                 if !self.absorb(rank, &updates, &[])? {
                     // Stale placement view: nothing absorbed, lock still
                     // held — the client re-routes and retries the release.
                     return Ok(());
                 }
-                self.send(rank, DsdMsg::UnlockAck { lock })?;
+                self.locks[idx].before.merge(rank, stamp);
+                let stamp = self.logged(rank, was);
+                self.send(rank, DsdMsg::UnlockAck { lock, stamp })?;
                 self.pass_lock(lock)
             }
             DsdMsg::BarrierEnter {
@@ -2399,6 +2497,7 @@ impl HomeShard {
                 if !self.absorb(rank, &updates, held)? {
                     return Ok(()); // client re-routes and re-enters
                 }
+                self.barriers[idx].before.merge(rank, stamp);
                 if let Some(lost) = self.lowest_dead {
                     // The barrier can never complete with a dead
                     // participant outstanding: fail fast.
@@ -2410,12 +2509,14 @@ impl HomeShard {
                     let entered = std::mem::take(&mut self.barriers[idx].entered);
                     self.alike = Some(Alike::default());
                     let sent = entered.into_iter().try_for_each(|r| {
-                        let (updates, notices) = self.stale_updates_for(r)?;
+                        let (updates, notices, mut stamp) = self.stale_updates_for(r)?;
+                        stamp.extend(self.barriers[idx].before.rows_for(r));
                         let release = DsdMsg::BarrierRelease {
                             barrier,
                             updates,
                             ship: self.ship_for(r),
                             notices,
+                            stamp,
                         };
                         self.send(r, release)
                     });
@@ -2449,6 +2550,7 @@ impl HomeShard {
                 if !self.absorb(rank, &updates, &[])? {
                     return Ok(()); // client re-routes and retries the wait
                 }
+                self.locks[lidx].before.merge(rank, stamp);
                 self.pass_lock(lock)?;
                 self.conds[cidx].waiters.push_back((rank, lock));
                 Ok(())
@@ -2467,7 +2569,7 @@ impl HomeShard {
                 for (waiter, lock) in wake {
                     self.grant_or_queue(lock, waiter)?;
                 }
-                self.send(rank, DsdMsg::Ack)
+                self.send(rank, DsdMsg::Ack { stamp: Vec::new() })
             }
             DsdMsg::Resync { rank, updates } => {
                 // The gather of what it held, before its copy goes.
@@ -2485,22 +2587,31 @@ impl HomeShard {
                     // "Below the floor" even without compaction.
                     self.log_floor = self.log_floor.max(1);
                 }
-                self.send(rank, DsdMsg::Ack)
+                self.send(rank, DsdMsg::Ack { stamp: Vec::new() })
             }
             DsdMsg::UpdateFlush { rank, updates } => {
                 // Release-time fan-out to a non-granting shard: the thread
-                // holds its release until this ack arrives, so the next
-                // acquirer of any mutex fetches these updates.
+                // holds its release until this ack arrives, and names what
+                // it says in the release's stamp, so the next acquirer of
+                // the mutex fetches these updates.
+                let was = self.seq;
                 if !self.absorb(rank, &updates, &[])? {
                     return Ok(()); // client re-routes and re-flushes
                 }
-                self.send(rank, DsdMsg::Ack)
+                let stamp = self.logged(rank, was);
+                self.send(rank, DsdMsg::Ack { stamp })
             }
             DsdMsg::UpdateFetch { rank } => {
                 // Acquire-time pull: the thread just acquired at another
-                // shard and needs this shard's outstanding updates too.
-                let (updates, notices) = self.stale_updates_for(rank)?;
-                self.send(rank, DsdMsg::UpdateBatch { updates, notices })
+                // shard, whose stamp named a write here it may not have
+                // seen.
+                let (updates, notices, stamp) = self.stale_updates_for(rank)?;
+                let batch = DsdMsg::UpdateBatch {
+                    updates,
+                    notices,
+                    stamp,
+                };
+                self.send(rank, batch)
             }
             DsdMsg::RangeFetch { rank, ranges } => {
                 // Fetch before use: the current bytes of noticed ranges.
@@ -2748,7 +2859,7 @@ mod tests {
         // The cold copy has read nothing: the refresh is whole again, not
         // five elements and a notice for the rest.
         assert!(h.peers[&1].interest.is_empty());
-        let (ups, notices) = h.stale_updates_for(1).unwrap();
+        let (ups, notices, _) = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1, "full refresh after resync");
         assert_eq!(ups.iter().next().unwrap().count, 64);
         assert!(notices.is_empty());
@@ -2883,8 +2994,79 @@ mod tests {
     fn interest(rows: &[UpdateRange]) -> Report {
         Report {
             interest: rows.to_vec(),
-            held: Vec::new(),
+            ..Report::default()
         }
+    }
+
+    #[test]
+    fn an_ack_names_its_sequence_only_past_a_row_the_writer_has_not_seen() {
+        // Shard 0 of three (entry 0 and mutex 0 are its own), ranks 1
+        // and 2, both pulled at sequence 1, the initial contents.
+        let config = HomeConfig {
+            participants: vec![1, 2],
+            directory: Directory::new(3),
+            ..Default::default()
+        };
+        let mut h = HomeShard::new(
+            GthvInstance::new(tiny_def(), PlatformSpec::linux_x86()),
+            config,
+        );
+        h.init_with(|_| {});
+        for rank in [1, 2] {
+            h.stale_updates_for(rank).unwrap();
+        }
+        let op = OpCtx::default();
+        let ask = |h: &mut HomeShard, rank: u32, req_id, msg, stamp: &[(u32, u64)]| {
+            let report = Report {
+                stamp: stamp.to_vec(),
+                ..Report::default()
+            };
+            h.dispatch(rank, req_id, msg, &report, op).unwrap();
+            let [(to, rid, reply)] = &take(h)[..] else {
+                panic!("one reply");
+            };
+            assert_eq!((*to, *rid), (rank, req_id));
+            reply.clone()
+        };
+        let flush = |rank, first| DsdMsg::UpdateFlush {
+            rank,
+            updates: one_elem(first, 7),
+        };
+        // Rank 1 had seen everything: its horizon moves on to its write,
+        // and the ack says nothing. Rank 2's write lands behind rank 1's,
+        // which it has not seen: the ack names sequence 3, and rank 2's
+        // horizon stays.
+        let stamp = |m: DsdMsg| match m {
+            DsdMsg::Ack { stamp }
+            | DsdMsg::UnlockAck { stamp, .. }
+            | DsdMsg::LockGrant { stamp, .. } => stamp,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(stamp(ask(&mut h, 1, 1, flush(1, 3), &[])), []);
+        assert_eq!(stamp(ask(&mut h, 2, 1, flush(2, 4), &[])), [(0, 3)]);
+        assert_eq!((h.peers[&1].seen, h.peers[&2].seen), (2, 1));
+        // A grant names the acquirer's new horizon where it moved, and the
+        // rows of the lock's record another rank named.
+        let lock = |rank| DsdMsg::LockRequest { lock: 0, rank };
+        let unlock = |rank| DsdMsg::UnlockRequest {
+            lock: 0,
+            rank,
+            updates: UpdateBatch::default(),
+        };
+        assert_eq!(stamp(ask(&mut h, 1, 2, lock(1), &[])), [(0, 3)]);
+        assert_eq!(stamp(ask(&mut h, 1, 3, unlock(1), &[(1, 7), (2, 4)])), []);
+        let got = stamp(ask(&mut h, 2, 2, lock(2), &[]));
+        assert_eq!(got, [(0, 3), (1, 7), (2, 4)]);
+        ask(&mut h, 2, 3, unlock(2), &[(1, 9), (2, 4)]);
+        // Rank 1 named shard 2's row: it is not handed back to it.
+        assert_eq!(stamp(ask(&mut h, 1, 4, lock(1), &[])), [(1, 9)]);
+        // A stamp naming a shard the directory lacks is a violation.
+        let report = Report {
+            stamp: vec![(3, 1)],
+            ..Report::default()
+        };
+        let res = h.dispatch(1, 5, unlock(1), &report, op);
+        assert!(matches!(res, Err(HomeError::Violation(_))), "{res:?}");
     }
 
     /// One element of `tiny_def`'s array as a batch, as a writer ships it.
@@ -3541,7 +3723,7 @@ mod tests {
         }
         fn pull_and_compare(h: &mut HomeShard, rank: u32) {
             let want = reference(h, rank);
-            let (got, notices) = h.stale_updates_for(rank).unwrap();
+            let (got, notices, _) = h.stale_updates_for(rank).unwrap();
             assert_eq!(got.frame(), want.frame(), "rank {rank} at seq {}", h.seq);
             assert!(notices.is_empty(), "rank {rank} at seq {}", h.seq);
         }
@@ -3656,14 +3838,14 @@ mod tests {
         for first in (13..64).step_by(2) {
             assert!(h.absorb(2, &one_elem(first, first as i128), &[]).unwrap());
         }
-        let (ups, notices) = h.stale_updates_for(1).unwrap();
+        let (ups, notices, _) = h.stale_updates_for(1).unwrap();
         let shipped: Vec<_> = ups.iter().map(|u| (u.elem_offset, u.count)).collect();
         assert_eq!(shipped, [(13, 1), (15, 1)]);
         assert_eq!(notices, [elems(17, 47)]);
         // The writer itself is owed nothing, and nothing is owed twice.
-        let (ups, notices) = h.stale_updates_for(2).unwrap();
+        let (ups, notices, _) = h.stale_updates_for(2).unwrap();
         assert!(ups.is_empty() && notices.is_empty());
-        let (ups, notices) = h.stale_updates_for(1).unwrap();
+        let (ups, notices, _) = h.stale_updates_for(1).unwrap();
         assert!(ups.is_empty() && notices.is_empty());
     }
 
@@ -3755,6 +3937,7 @@ mod tests {
         let report = Report {
             interest: read.to_vec(),
             held: held.to_vec(),
+            ..Report::default()
         };
         let msg = DsdMsg::BarrierEnter {
             barrier: 0,
@@ -3850,12 +4033,12 @@ mod tests {
         // A full refresh (a cold reader) notices the held range too.
         h.peers.get_mut(&2).unwrap().seen = 0;
         h.log_floor = h.log_floor.max(1);
-        let (updates, notices) = h.stale_updates_for(2).unwrap();
+        let (updates, notices, _) = h.stale_updates_for(2).unwrap();
         assert_eq!(carried(&updates), [(0, 10), (20, 64)]);
         assert_eq!(notices, [elems(10, 10)]);
         // And nothing rank 1 holds is noticed to rank 1 itself.
         h.peers.get_mut(&1).unwrap().seen = 0;
-        let (updates, notices) = h.stale_updates_for(1).unwrap();
+        let (updates, notices, _) = h.stale_updates_for(1).unwrap();
         assert_eq!(carried(&updates), [(0, 10), (20, 64)]);
         assert!(notices.is_empty(), "{notices:?}");
     }
@@ -3993,7 +4176,14 @@ mod tests {
             updates,
         };
         h.dispatch(1, 0, msg, &Report::default(), op).unwrap();
-        let [(2, 3, DsdMsg::UpdateBatch { updates, notices })] = &take(&mut h)[..] else {
+        let [(
+            2,
+            3,
+            DsdMsg::UpdateBatch {
+                updates, notices, ..
+            },
+        )] = &take(&mut h)[..]
+        else {
             panic!("the fetch is answered");
         };
         assert!(notices.is_empty());
@@ -4123,8 +4313,8 @@ mod tests {
     /// holding `held`.
     fn request(rank: u32, req_id: u64, msg: DsdMsg, held: &[UpdateRange]) -> Message {
         let report = Report {
-            interest: Vec::new(),
             held: held.to_vec(),
+            ..Report::default()
         };
         wire(
             rank,
@@ -4297,6 +4487,7 @@ mod tests {
             let report = Report {
                 interest: Vec::new(),
                 held: vec![row],
+                ..Report::default()
             };
             let res = h.dispatch(2, req_id, enter(0), &report, OpCtx::default());
             assert!(matches!(res, Err(HomeError::Violation(_))), "{row:?}");
@@ -4306,6 +4497,7 @@ mod tests {
         let report = Report {
             interest: Vec::new(),
             held: vec![elems(0, 4)],
+            ..Report::default()
         };
         let lock = DsdMsg::LockRequest { lock: 0, rank: 2 };
         let res = h.dispatch(2, 9, lock, &report, OpCtx::default());
@@ -4378,6 +4570,7 @@ mod tests {
             let report = Report {
                 interest: Vec::new(),
                 held: held.to_vec(),
+                ..Report::default()
             };
             let op = OpCtx::default();
             self.h.dispatch(rank, req_id, msg, &report, op).unwrap();
@@ -4570,7 +4763,12 @@ mod tests {
                     *to == reader
                         && match (&answer, m) {
                             (Answer::Lost(d), DsdMsg::WorkerLost { rank, .. }) => rank == d,
-                            (Answer::Bytes(range), DsdMsg::UpdateBatch { updates, notices }) => {
+                            (
+                                Answer::Bytes(range),
+                                DsdMsg::UpdateBatch {
+                                    updates, notices, ..
+                                },
+                            ) => {
                                 let mut copy =
                                     GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
                                 apply_batch(&mut copy, updates, &mut ConversionStats::default())
@@ -4682,8 +4880,9 @@ mod tests {
             Ok::<_, HomeError>(reply.clone())
         };
         let seen = h.peers[&2].seen;
-        let DsdMsg::UpdateBatch { updates, notices } =
-            reply_to(&mut h, 1, vec![elems(5, 2), elems(60, 4)]).unwrap()
+        let DsdMsg::UpdateBatch {
+            updates, notices, ..
+        } = reply_to(&mut h, 1, vec![elems(5, 2), elems(60, 4)]).unwrap()
         else {
             panic!("a fetch is answered with a batch");
         };

@@ -22,15 +22,24 @@
 //! reserves nothing before [`bounded_vec`] has held the count to the bytes
 //! left.
 //!
-//! Two things ride *behind* a message body as bare `(entry, first,
-//! count)` rows of three varints, none of them costing a byte when there
-//! is nothing to say: a grant's or release's **notices** (ranges that
-//! changed and were not shipped — the reader fetches them before use)
-//! follow its update batch, and a client's [`Report`] follows the body of
+//! Three things ride *behind* a message body as bare rows of three
+//! varints, none of them costing a byte when there is nothing to say: a
+//! grant's or release's **notices** (ranges that changed and were not
+//! shipped — the reader fetches them before use) follow its update batch,
+//! as `(entry, first, count)`; a client's [`Report`] follows the body of
 //! whatever request it sends next — part of the request as relayed to a
 //! replica, not of any one variant. A report is the ranges the client has
 //! newly read (its **interest**) and, behind a barrier entry, the ranges
 //! it wrote and **holds** (rows whose entry varint has its low bit set).
+//! Last come **stamp** rows, behind a reply's notices and in a release's
+//! report alike: `(shard, seq, 0)`, a row no range can be, since a notice,
+//! an interest or a held row names at least one element. A stamp row names
+//! a sequence of a shard's update log (DESIGN §5, "Pull only what happens
+//! before"): on a release, what the releaser knows happened before it at
+//! each other shard; on a grant or release, what happened before the
+//! acquire there, and the granting shard's horizon for the acquirer; on
+//! the reply to a pull or to the writes it absorbed, that shard's horizon
+//! or the sequence the writes were logged under.
 //!
 //! Threads are identified by a stable *thread rank* independent of the
 //! transport endpoint, so a thread keeps its identity when it migrates.
@@ -176,7 +185,10 @@ messages! {
         updates: UpdateBatch,
         /// Ranges that changed too and were not shipped: stale at the
         /// acquirer until it fetches them ([`DsdMsg::RangeFetch`]).
-        notices: Vec<UpdateRange> as Trailing,
+        notices: Vec<UpdateRange> as Noticed,
+        /// What happens before the grant at other shards, and this shard's
+        /// horizon for the acquirer where the acquirer cannot work it out.
+        stamp: Vec<(u32, u64)> as Stamped,
     },
     /// Thread `rank` releases mutex `lock`, propagating its updates back
     /// to the home thread (paper §4.2).
@@ -192,6 +204,9 @@ messages! {
     UnlockAck {
         /// Mutex index.
         lock: u32,
+        /// The sequence the release's updates were logged under, where the
+        /// releaser's horizon did not move past them.
+        stamp: Vec<(u32, u64)> as Stamped,
     },
     /// Thread `rank` enters barrier `barrier`, releasing its updates. The
     /// ranges it wrote and holds instead of shipping ride behind the body,
@@ -216,7 +231,10 @@ messages! {
         /// The rest of what it writes there it holds.
         ship: Vec<UpdateRange> as Counted,
         /// Ranges that changed too and were not shipped.
-        notices: Vec<UpdateRange> as Trailing,
+        notices: Vec<UpdateRange> as Noticed,
+        /// What happens before the release at other shards, and this
+        /// shard's horizon for the thread.
+        stamp: Vec<(u32, u64)> as Stamped,
     },
     /// Thread `rank` signs off (called immediately before termination).
     Join: client {
@@ -263,8 +281,13 @@ messages! {
     },
     /// Generic acknowledgement. The reliability layer uses it as the reply
     /// to requests that have no richer answer (`CondSignal`, `Resync`,
-    /// `Join`), so every request/reply pair can be retried idempotently.
-    Ack,
+    /// `UpdateFlush`), so every request/reply pair can be retried
+    /// idempotently.
+    Ack {
+        /// Behind a flush: the sequence its updates were logged under,
+        /// where the flusher's horizon did not move past them.
+        stamp: Vec<(u32, u64)> as Stamped,
+    },
     /// Liveness heartbeat from thread `rank`; refreshes its lease at the
     /// home service. No reply.
     Heartbeat: client {
@@ -299,7 +322,8 @@ messages! {
         updates: UpdateBatch,
     },
     /// Acquire-time pull under a sharded home: thread `rank` asks a
-    /// non-granting shard for the outstanding updates of its slice.
+    /// non-granting shard for the outstanding updates of its slice, when a
+    /// write there that happens before the acquire may be unseen.
     UpdateFetch: client {
         /// Fetching thread rank.
         rank: u32,
@@ -311,7 +335,10 @@ messages! {
         updates: UpdateBatch,
         /// Ranges that changed too and were not shipped (always empty in
         /// the reply to a [`DsdMsg::RangeFetch`]).
-        notices: Vec<UpdateRange> as Trailing,
+        notices: Vec<UpdateRange> as Noticed,
+        /// The shard's new horizon for the fetcher (always empty in the
+        /// reply to a [`DsdMsg::RangeFetch`]).
+        stamp: Vec<(u32, u64)> as Stamped,
     },
     /// Fetch before use: thread `rank` is about to access `ranges`, which
     /// a notice told it are stale, and asks their owning shard for the
@@ -481,7 +508,7 @@ const HELD_ROW: u32 = 1 << 31;
 /// What rides behind a client request's body, a few varint bytes a row
 /// and nothing when there is nothing to say: the rows of `interest`, then
 /// those of `held`, each held one marked by the low bit of its entry's
-/// varint.
+/// varint, then the `stamp` rows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Ranges the client's read accessors returned that the shard has not
@@ -491,6 +518,9 @@ pub struct Report {
     /// writes since its last release touched. Each is written, and current
     /// in the client's copy alone.
     pub held: Vec<UpdateRange>,
+    /// Behind a release: `(shard, seq)`, for each other shard, the highest
+    /// sequence of a write there that happens before the release.
+    pub stamp: Vec<(u32, u64)>,
 }
 
 impl Report {
@@ -501,8 +531,10 @@ impl Report {
             .chain(self.held.iter().map(|r| (r, 1)))
             .map(|(r, held)| {
                 debug_assert!(r.entry < HELD_ROW, "entry {} in a report", r.entry);
+                debug_assert!(r.count > 0, "an empty range in a report");
                 [u64::from(r.entry) << 1 | held, r.first, r.count]
             })
+            .chain(self.stamp.iter().map(stamp_fields))
     }
 
     /// Bytes of the rows.
@@ -526,7 +558,9 @@ impl Report {
                 first,
                 count,
             };
-            if marked & 1 == 0 {
+            if count == 0 {
+                report.stamp.push((marked as u32, first));
+            } else if marked & 1 == 0 {
                 report.interest.push(r);
             } else {
                 if report.held.is_empty() {
@@ -541,7 +575,7 @@ impl Report {
 
     /// Whether no row rides.
     pub fn is_empty(&self) -> bool {
-        self.interest.is_empty() && self.held.is_empty()
+        self.interest.is_empty() && self.held.is_empty() && self.stamp.is_empty()
     }
 }
 
@@ -672,7 +706,7 @@ fn put_fields([a, b, c]: [u64; 3], out: &mut BytesMut) {
 }
 
 /// Read a row's fields, each no larger than its `max`.
-fn take_fields(b: &mut Bytes, max: [u64; 3]) -> Result<[u64; 3], ProtocolError> {
+fn take_fields(b: &mut impl Buf, max: [u64; 3]) -> Result<[u64; 3], ProtocolError> {
     let mut fields = [0; 3];
     for (v, max) in fields.iter_mut().zip(max) {
         *v = varint::get(b, max)?;
@@ -728,22 +762,65 @@ impl Row for (u32, u32, u32) {
     }
 }
 
-/// Rows to the end of the frame, which must hold whole rows; nothing is
-/// counted, so nothing is read that could size a reservation beyond the
-/// bytes left.
-struct Trailing;
+/// Bytes of `rows`, uncounted.
+fn rows_bytes<R: Row>(rows: &[R]) -> usize {
+    rows.iter().map(|r| fields_bytes(r.fields())).sum()
+}
 
-impl<R: Row> Codec<Vec<R>> for Trailing {
-    fn bound(v: &Vec<R>) -> usize {
-        v.iter().map(|r| fields_bytes(r.fields())).sum()
+/// Append `rows`, uncounted.
+fn put_rows<R: Row>(rows: &[R], out: &mut BytesMut) {
+    rows.iter().for_each(|r| put_fields(r.fields(), out));
+}
+
+/// Notice rows, up to the first stamp row or the end of the frame, which
+/// must hold whole rows; nothing is counted, so nothing is read that could
+/// size a reservation beyond the bytes left.
+struct Noticed;
+
+impl Codec<Vec<UpdateRange>> for Noticed {
+    fn bound(v: &Vec<UpdateRange>) -> usize {
+        rows_bytes(v)
     }
-    fn put(v: &Vec<R>, out: &mut BytesMut) {
-        v.iter().for_each(|r| put_fields(r.fields(), out));
+    fn put(v: &Vec<UpdateRange>, out: &mut BytesMut) {
+        debug_assert!(v.iter().all(|r| r.count > 0), "an empty notice");
+        put_rows(v, out);
     }
-    fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
+    fn take(b: &mut Bytes) -> Result<Vec<UpdateRange>, ProtocolError> {
         let mut rows = Vec::with_capacity(b.remaining() / MIN_ROW_BYTES);
         while b.has_remaining() {
-            rows.push(R::of(take_fields(b, R::MAX)?));
+            let mut ahead: &[u8] = b;
+            let fields = take_fields(&mut ahead, UpdateRange::MAX)?;
+            if fields[2] == 0 {
+                break; // a stamp row: the notices are over
+            }
+            rows.push(UpdateRange::of(fields));
+            b.advance(b.len() - ahead.len());
+        }
+        Ok(rows)
+    }
+}
+
+/// A stamp row's fields: `(shard, seq, 0)`.
+fn stamp_fields(&(shard, seq): &(u32, u64)) -> [u64; 3] {
+    [shard.into(), seq, 0]
+}
+
+/// Stamp rows to the end of the frame: every row left must be one.
+struct Stamped;
+
+impl Codec<Vec<(u32, u64)>> for Stamped {
+    fn bound(v: &Vec<(u32, u64)>) -> usize {
+        v.iter().map(|r| fields_bytes(stamp_fields(r))).sum()
+    }
+    fn put(v: &Vec<(u32, u64)>, out: &mut BytesMut) {
+        v.iter().for_each(|r| put_fields(stamp_fields(r), out));
+    }
+    fn take(b: &mut Bytes) -> Result<Vec<(u32, u64)>, ProtocolError> {
+        let mut rows = Vec::new();
+        while b.has_remaining() {
+            // A count above 0 is out of range: a notice here is refused.
+            let [shard, seq, _] = take_fields(b, [u32::MAX as u64, u64::MAX, 0])?;
+            rows.push((shard as u32, seq));
         }
         Ok(rows)
     }
@@ -756,11 +833,11 @@ struct Counted;
 
 impl<R: Row> Codec<Vec<R>> for Counted {
     fn bound(v: &Vec<R>) -> usize {
-        varint::len(v.len() as u64) + Trailing::bound(v)
+        varint::len(v.len() as u64) + rows_bytes(v)
     }
     fn put(v: &Vec<R>, out: &mut BytesMut) {
         varint::put(out, v.len() as u64);
-        Trailing::put(v, out);
+        put_rows(v, out);
     }
     fn take(b: &mut Bytes) -> Result<Vec<R>, ProtocolError> {
         let n = <u32 as Codec<u32>>::take(b)?;
@@ -857,6 +934,12 @@ impl Sample for Vec<(u32, u64, u64)> {
 impl Sample for Vec<(u32, u32, u32)> {
     fn samples() -> Vec<Vec<(u32, u32, u32)>> {
         vec![Vec::new(), vec![(4, 2, 3), (9, 0, 1)]]
+    }
+}
+
+impl Sample for Vec<(u32, u64)> {
+    fn samples() -> Vec<Vec<(u32, u64)>> {
+        vec![Vec::new(), vec![(1, 41), (u32::MAX, u64::MAX)]]
     }
 }
 
@@ -1025,13 +1108,15 @@ mod tests {
         Vec::<UpdateRange>::samples().swap_remove(1)
     }
 
-    /// Read rows and held rows, the held ones past the last real entry.
+    /// Read rows, held rows, the held ones past the last real entry, and
+    /// stamp rows.
     fn sample_report() -> Report {
         let mut held = sample_ranges();
         held[2].entry = HELD_ROW - 1;
         Report {
             interest: sample_ranges(),
             held,
+            stamp: Vec::<(u32, u64)>::samples().swap_remove(1),
         }
     }
 
@@ -1066,6 +1151,7 @@ mod tests {
                     lock: 2,
                     updates: batch.clone(),
                     notices: vec![row(3, 400, 1)],
+                    stamp: Vec::new(),
                 },
                 format!("02{B}03900301"),
             ),
@@ -1077,7 +1163,13 @@ mod tests {
                 },
                 format!("0205{B}"),
             ),
-            (DsdMsg::UnlockAck { lock: 2 }, "02".into()),
+            (
+                DsdMsg::UnlockAck {
+                    lock: 2,
+                    stamp: Vec::new(),
+                },
+                "02".into(),
+            ),
             (
                 DsdMsg::BarrierEnter {
                     barrier: 1,
@@ -1092,6 +1184,7 @@ mod tests {
                     updates: batch.clone(),
                     ship: vec![row(3, 0, 100)],
                     notices: vec![],
+                    stamp: Vec::new(),
                 },
                 format!("01{B}01030064"),
             ),
@@ -1126,7 +1219,7 @@ mod tests {
                 },
                 format!("05{E}"),
             ),
-            (DsdMsg::Ack, String::new()),
+            (DsdMsg::Ack { stamp: Vec::new() }, String::new()),
             (DsdMsg::Heartbeat { rank: 5 }, "05".into()),
             (
                 DsdMsg::WorkerLost {
@@ -1149,6 +1242,7 @@ mod tests {
                 DsdMsg::UpdateBatch {
                     updates: batch.clone(),
                     notices: vec![],
+                    stamp: Vec::new(),
                 },
                 B.into(),
             ),
@@ -1238,7 +1332,7 @@ mod tests {
         let tail = "0efeffffffffffffffff0101";
         let report = Report {
             interest: vec![row(7, u64::MAX - 1, 1)],
-            held: Vec::new(),
+            ..Report::default()
         };
         for (m, body) in golden {
             assert_eq!(hex(&m.encode()), body, "{m:?}");
@@ -1255,11 +1349,94 @@ mod tests {
         let held = Report {
             interest: report.interest,
             held: vec![row(3, 400, 2)],
+            ..Report::default()
         };
         assert_eq!(
             hex(&enter.encode_request(77, Some(3), &held)),
             format!("{head}0105{B}{tail}07900302")
         );
+        // Stamp rows last, three varints with a count of 0: shard 1 at
+        // sequence 300, then shard 2 at 5.
+        let stamp = || vec![(1, 300), (2, 5)];
+        const S: &str = "01ac0200020500";
+        let stamped = Report {
+            stamp: stamp(),
+            ..held
+        };
+        assert_eq!(
+            hex(&enter.encode_request(77, Some(3), &stamped)),
+            format!("{head}0105{B}{tail}07900302{S}")
+        );
+        let replies = [
+            (
+                DsdMsg::LockGrant {
+                    lock: 2,
+                    updates: UpdateBatch::default(),
+                    notices: vec![row(3, 400, 1)],
+                    stamp: stamp(),
+                },
+                format!("02{E}03900301{S}"),
+            ),
+            (
+                DsdMsg::UnlockAck {
+                    lock: 2,
+                    stamp: stamp(),
+                },
+                format!("02{S}"),
+            ),
+            (
+                DsdMsg::BarrierRelease {
+                    barrier: 1,
+                    updates: UpdateBatch::default(),
+                    ship: Vec::new(),
+                    notices: Vec::new(),
+                    stamp: stamp(),
+                },
+                format!("01{E}00{S}"),
+            ),
+            (DsdMsg::Ack { stamp: stamp() }, S.into()),
+            (
+                DsdMsg::UpdateBatch {
+                    updates: UpdateBatch::default(),
+                    notices: Vec::new(),
+                    stamp: stamp(),
+                },
+                format!("{E}{S}"),
+            ),
+        ];
+        for (m, body) in replies {
+            assert_eq!(hex(&m.encode()), body, "{m:?}");
+        }
+    }
+
+    /// Notices end where the first stamp row starts; a notice behind a
+    /// stamp row, or a row that is neither, is refused.
+    #[test]
+    fn stamp_rows_follow_the_notices_and_nothing_follows_them() {
+        let grant = DsdMsg::LockGrant {
+            lock: 2,
+            updates: sample_batch(),
+            notices: sample_ranges(),
+            stamp: vec![(0, 7), (2, u64::MAX)],
+        };
+        let wire = grant.encode();
+        assert_eq!(DsdMsg::decode(MsgKind::LockGrant, wire.clone()), Ok(grant));
+        let notice = [3, 0, 1];
+        let behind = Bytes::from([&wire[..], &notice].concat());
+        assert_eq!(
+            DsdMsg::decode(MsgKind::LockGrant, behind),
+            Err(ProtocolError::BadMessage("bad varint"))
+        );
+        // A stamp row in a report comes back as one, wherever it stands.
+        let report = Bytes::from_static(&[5, 6, 1, 1, 2, 9, 0, 7, 2, 1]);
+        let (_, got) = DsdMsg::decode_reported(MsgKind::UpdateFetch, report).unwrap();
+        let at = |first| UpdateRange {
+            entry: 3,
+            first,
+            count: 1,
+        };
+        assert_eq!((got.interest, got.held), (vec![at(1)], vec![at(2)]));
+        assert_eq!(got.stamp, [(2, 9)]);
     }
 
     /// What a one-element release and the grant before it cost, field by
@@ -1305,6 +1482,7 @@ mod tests {
             lock: 2,
             updates: UpdateBatch::default(),
             notices: Vec::new(),
+            stamp: Vec::new(),
         };
         let wire = grant.encode_enveloped(300);
         // Request id, lock, then the empty batch: marker and no group.
@@ -1520,6 +1698,7 @@ mod tests {
                     lock: 2,
                     updates: batch.clone(),
                     notices: no_notices(),
+                    stamp: Vec::new(),
                 },
                 [&[2][..], frame].concat(),
             ),
@@ -1529,6 +1708,7 @@ mod tests {
                     updates: batch.clone(),
                     ship: Vec::new(),
                     notices: no_notices(),
+                    stamp: Vec::new(),
                 },
                 [&[1][..], frame, &[0]].concat(),
             ),
@@ -1536,6 +1716,7 @@ mod tests {
                 DsdMsg::UpdateBatch {
                     updates: batch.clone(),
                     notices: no_notices(),
+                    stamp: Vec::new(),
                 },
                 frame.to_vec(),
             ),

@@ -201,8 +201,8 @@ fn steady_state_stencils_hold_what_no_one_reads_and_name_it_a_row_at_a_time() {
         let updates = extract_updates(&copy, &shipped).unwrap();
         payload += updates.payload_bytes();
         let report = Report {
-            interest: Vec::new(),
             held: held.map(|i| row(1, i)).collect(),
+            ..Report::default()
         };
         assert_eq!(report.held.len(), 8);
         let enter = DsdMsg::BarrierEnter {

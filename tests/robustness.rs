@@ -73,6 +73,7 @@ fn random_bytes_never_panic_protocol_decode() {
     let report = Report {
         interest: vec![row(7, u64::MAX - 1, 1)],
         held: vec![row(3, 400, 2)],
+        stamp: vec![(2, u64::MAX)],
     };
     for m in DsdMsg::samples() {
         let kind = m.kind();
@@ -285,6 +286,7 @@ fn undecodable_frames_are_dropped_and_counted_at_homes_and_clients() {
                     lock: 0,
                     updates: Default::default(),
                     notices: vec![],
+                    stamp: vec![],
                 }
                 .encode_enveloped(1);
                 let other = Bytes::from_static(&[0; 16]);
@@ -2417,6 +2419,35 @@ fn assert_no_shadow_asks(recorder: &hdsm::obs::Recorder, shards: u32, seed: u64)
     }
 }
 
+/// Run `f`, a seeded run, on a thread of its own and return what it
+/// returns, or fail once `budget` of wall time has passed without it: a
+/// home that waits for what never comes keeps a sim run's virtual time
+/// going, tick after tick, and never returns. A run past its budget is
+/// abandoned with the test.
+fn within<T: Send + 'static>(
+    budget: Duration,
+    seed: u64,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(budget) {
+        Ok(got) => {
+            let _ = run.join();
+            got
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("seed {seed}: the run did not end within {budget:?}")
+        }
+        // `f` panicked: fail with its message.
+        Err(RecvTimeoutError::Disconnected) => match run.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("a run that returned sent its result"),
+        },
+    }
+}
+
 #[test]
 fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
     // Both held workloads on a replicated home, the primary of a seeded
@@ -2424,8 +2455,9 @@ fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
     // spans about 325 ms of fabric time, most of it the pause; the held
     // rewrite, with each frame 1 ms on the wire, about 16 ms. So a kill
     // lands before the hold, while it is noticed, while a fetch of it
-    // waits on its writer, or after the run.
-    let shards = shards_from_env();
+    // waits on its writer, or after the run. Each run ends within a wall
+    // budget or fails its seed.
+    let (shards, budget) = (shards_from_env(), Duration::from_secs(20));
     for seed in 0..32u64 {
         let victim = ShardId::new(seed as u32 % shards);
         let kill = move |at: Duration| {
@@ -2435,7 +2467,9 @@ fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
             }
         };
         let at = Duration::from_micros(seed * 13_933 % 320_000);
-        let (seen, recorder) = run_fetch_after_a_pause(shards, seed, kill(at));
+        let (seen, recorder) = within(budget, seed, move || {
+            run_fetch_after_a_pause(shards, seed, kill(at))
+        });
         assert_eq!(seen, [209, 310], "seed {seed}");
         assert_no_shadow_asks(&recorder, shards, seed);
 
@@ -2461,14 +2495,16 @@ fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
             })
             .obs(recorder.clone())
             .control(kill(at / 20));
-        let outcome = run_with_a_held_rewrite(builder, |c, info| {
-            let mut seen = Vec::new();
-            if info.index == 0 {
-                seen.push(c.read_int(0, 9)?);
-                seen.push(c.read_int(0, 11)?);
-            }
-            c.barrier(BarrierId::new(0))?;
-            Ok(seen)
+        let outcome = within(budget, seed, move || {
+            run_with_a_held_rewrite(builder, |c, info| {
+                let mut seen = Vec::new();
+                if info.index == 0 {
+                    seen.push(c.read_int(0, 9)?);
+                    seen.push(c.read_int(0, 11)?);
+                }
+                c.barrier(BarrierId::new(0))?;
+                Ok(seen)
+            })
         })
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(outcome.results[0], [209, 211], "seed {seed}");
@@ -2478,4 +2514,232 @@ fn seeded_primary_kills_around_a_held_rewrite_lose_no_bytes() {
         assert_eq!(final_xs, [208, 209, 210, 211], "seed {seed}");
         assert_no_shadow_asks(&recorder, shards, seed);
     }
+}
+
+// ----- pull only what happens before: the acquire's stamp -----
+//
+// An acquire pulls from another shard only when its stamp names a write
+// there the acquirer may not have seen. These chains reach a reader only
+// through that stamp: the write's entry is homed on shard 2, and neither
+// the lock nor the barrier the reader acquires is.
+
+/// Three entries, so that at three shards each shard owns one: entry `i`
+/// at shard `i`, as lock and barrier `i` (and lock 3 at shard 0) are.
+fn three_entry_def() -> GthvDef {
+    let def = (0..3).fold(StructBuilder::new("G"), |b, i| {
+        b.array(format!("e{i}"), ScalarKind::Int, 16)
+    });
+    GthvDef::new(def.build().unwrap()).unwrap()
+}
+
+/// Three workers on a three-shard home, whatever `HDSM_SHARDS` says, with
+/// `replicas` standbys a shard, on the sim fabric at `seed`, armed.
+fn three_shards(seed: u64, replicas: u32) -> (ClusterBuilder, hdsm::obs::Recorder) {
+    let recorder = hdsm::obs::Recorder::enabled();
+    let builder = ClusterBuilder::new()
+        .gthv(three_entry_def())
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86())
+        .locks(4)
+        .barriers(2)
+        .topology(TopologyConfig {
+            shards: 3,
+            replicas,
+            fabric: FabricMode::Sim { seed },
+        })
+        .timing(TimingConfig {
+            lease: Some(Duration::from_millis(400)),
+            retry_base: Some(Duration::from_millis(25)),
+            recv_deadline: Some(Duration::from_secs(5)),
+            ..Default::default()
+        })
+        .obs(recorder.clone());
+    (builder, recorder)
+}
+
+/// Sleep `ms` of fabric time: on the sim fabric the workers take their
+/// turns in the order their pauses say. Every writer pauses first, so
+/// every reader has pulled the initial bytes from every shard before the
+/// first store.
+fn pause(c: &DsdClient, ms: u64) {
+    c.network().clock().sleep(Duration::from_millis(ms));
+}
+
+/// Under lock `lock`, store `v` to element `elem` of entry 2.
+fn store_under(c: &mut DsdClient, lock: u32, elem: u64, v: i128) -> Result<(), DsdError> {
+    c.acquire(LockId::new(lock))?;
+    c.write_int(2, elem, v)?;
+    c.release(LockId::new(lock))
+}
+
+/// Under lock `lock`, read element `elem` of entry 2.
+fn read_under(c: &mut DsdClient, lock: u32, elem: u64) -> Result<i128, DsdError> {
+    c.acquire(LockId::new(lock))?;
+    let v = c.read_int(2, elem)?;
+    c.release(LockId::new(lock))?;
+    Ok(v)
+}
+
+#[test]
+fn a_write_reaches_a_reader_through_a_chain_of_grants_on_other_shards() {
+    // W1 stores under lock 0 (shard 0). W2 takes lock 0, then lock 1
+    // (shard 1). W3 takes only lock 1: its grant names shard 2 only if
+    // W2 carried lock 0's stamp into its release of lock 1.
+    let (builder, _) = three_shards(0xC4A1, 0);
+    let out = builder
+        .run(|c, info| {
+            c.barrier(BarrierId::new(0))?; // every worker pulls the initial bytes
+            match info.index {
+                0 => {
+                    pause(c, 5);
+                    store_under(c, 0, 5, 11)?;
+                }
+                1 => {
+                    pause(c, 10);
+                    c.acquire(LockId::new(0))?;
+                    c.release(LockId::new(0))?;
+                    c.acquire(LockId::new(1))?;
+                    c.release(LockId::new(1))?;
+                }
+                _ => {
+                    pause(c, 20);
+                    return Ok(Some(read_under(c, 1, 5)?));
+                }
+            }
+            Ok(None)
+        })
+        .expect("the chain completes");
+    assert_eq!(out.results[2], Some(11));
+}
+
+#[test]
+fn an_own_flush_does_not_move_the_horizon_past_a_row_it_has_not_seen() {
+    // W1 stores to entry 2 under lock 0. W3 then stores to another
+    // element of it under lock 3 (shard 0): its flush is logged behind
+    // W1's row, which W3 has not seen, so its horizon at shard 2 must stay
+    // before that row. W3 then takes lock 0, whose stamp names W1's row.
+    let (builder, _) = three_shards(0xC4A2, 0);
+    let out = builder
+        .run(|c, info| {
+            c.barrier(BarrierId::new(0))?;
+            match info.index {
+                0 => {
+                    pause(c, 5);
+                    store_under(c, 0, 5, 11)?;
+                }
+                1 => {}
+                _ => {
+                    pause(c, 10);
+                    store_under(c, 3, 9, 33)?;
+                    pause(c, 10);
+                    return Ok(Some(read_under(c, 0, 5)?));
+                }
+            }
+            Ok(None)
+        })
+        .expect("the run completes");
+    assert_eq!(out.results[2], Some(11));
+    assert_eq!(out.final_gthv.read_int(2, 9).unwrap(), 33);
+}
+
+#[test]
+fn a_barrier_on_another_shard_hands_its_entrants_stamps_to_every_reader() {
+    // W1 stores under lock 0, W2 takes lock 0, and all three enter
+    // barrier 1, coordinated by shard 1: its release must name shard 2.
+    let (builder, _) = three_shards(0xC4A3, 0);
+    let out = builder
+        .run(|c, info| {
+            c.barrier(BarrierId::new(0))?;
+            if info.index == 0 {
+                pause(c, 5);
+                store_under(c, 0, 5, 11)?;
+            }
+            if info.index == 1 {
+                pause(c, 10);
+                c.acquire(LockId::new(0))?;
+                c.release(LockId::new(0))?;
+            }
+            c.barrier(BarrierId::new(1))?;
+            c.read_int(2, 5)
+        })
+        .expect("the run completes");
+    assert_eq!(out.results, [11, 11, 11]);
+}
+
+#[test]
+fn a_reader_whose_stamp_names_the_shard_an_entry_left_reads_it_from_its_new_owner() {
+    // W1 stores to entry 2 under lock 0; entry 2 then moves from shard 2
+    // to shard 1, and its log rows go with it. W3 takes lock 0: the stamp
+    // names shard 2, whose pull tells W3 of what W1 wrote, and W3's read
+    // fetches it from shard 1.
+    let (builder, recorder) = three_shards(0xC4A4, 0);
+    let out = builder
+        .control(|mut ctl| {
+            ctl.sleep(Duration::from_millis(10));
+            ctl.rehome_entry(2, ShardId::new(2), ShardId::new(1))
+                .expect("the move completes");
+        })
+        .run(|c, info| {
+            c.barrier(BarrierId::new(0))?;
+            match info.index {
+                0 => {
+                    pause(c, 5);
+                    store_under(c, 0, 5, 11)?;
+                }
+                1 => {}
+                _ => {
+                    pause(c, 20);
+                    return Ok(Some(read_under(c, 0, 5)?));
+                }
+            }
+            Ok(None)
+        })
+        .expect("the run completes");
+    assert_eq!(out.results[2], Some(11));
+    assert_eq!(counter(&recorder, "home.entries_rehomed"), 1);
+}
+
+#[test]
+fn a_promoted_standby_numbers_above_what_the_old_primary_told_a_reader() {
+    // Shard 2's replication link is cut. Before its primary fences, W3
+    // stores to entry 2 twice and pulls from it in between, so W3 has
+    // seen the old primary's sequences past what the standby replayed;
+    // those stores are the relays the cut loses. The standby promotes;
+    // W1 then stores to entry 2 under lock 0 at the promoted standby, and
+    // W3 takes lock 0: the promoted standby's sequence for that store
+    // must be above anything W3 was told, or W3 skips the pull.
+    let (builder, recorder) = three_shards(0xC4A5, 1);
+    let out = builder
+        .control(|ctl| {
+            ctl.sleep(Duration::from_millis(20));
+            ctl.partition_replication(ShardId::new(2));
+            ctl.sleep(Duration::from_millis(900));
+            ctl.heal();
+        })
+        .run(|c, info| {
+            c.barrier(BarrierId::new(0))?;
+            match info.index {
+                0 => {
+                    pause(c, 5);
+                    store_under(c, 0, 5, 11)?;
+                    pause(c, 600);
+                    store_under(c, 0, 5, 22)?;
+                }
+                1 => {}
+                _ => {
+                    pause(c, 50);
+                    store_under(c, 1, 9, 1)?;
+                    store_under(c, 1, 9, 2)?;
+                    pause(c, 650);
+                    return Ok(Some(read_under(c, 0, 5)?));
+                }
+            }
+            Ok(None)
+        })
+        .expect("the run completes at the promoted standby");
+    assert_eq!(out.results[2], Some(22));
+    let events = recorder.events();
+    let promoted = |e: &&hdsm::obs::Event| e.kind == hdsm::obs::EventKind::Promote && e.arg0 == 2;
+    assert!(events.iter().any(|e| promoted(&e)), "shard 2 failed over");
 }
