@@ -230,9 +230,13 @@ fn scalar_costs(kernel: Kernel, n: usize) -> (u64, u64, u64) {
         // stripe meet — 19 + 34 + 20 (53 + 82 + 53) rows against 4 —
         // then five releases as Jacobi's. Behind the barrier entries that
         // is 219 (579) report bytes more, and in the releases 171 (395)
-        // bytes of ship rows more.
-        (Kernel::Sor { .. }, 16) => (2 * 28, 310 + 219, 462 + 171),
-        (Kernel::Sor { .. }, 33) => (2 * 62, 793 + 579, 1_054 + 395),
+        // bytes of ship rows more. The run form's first releases carry the
+        // fetched colour of each boundary row as one strided row, where a
+        // row of two (two or three) bytes an element stood before: the
+        // scalar form's one-element replies fold nothing, 56 (170) bytes
+        // more.
+        (Kernel::Sor { .. }, 16) => (2 * 28, 310 + 219, 462 + 171 + 56),
+        (Kernel::Sor { .. }, 33) => (2 * 62, 793 + 579, 1_054 + 395 + 170),
         // Every step reads the pivot row, which another worker rewrote the
         // step before and holds: one fetch for the run form, one an
         // element for the scalar loop (ROADMAP item 10). The first fetch

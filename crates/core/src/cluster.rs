@@ -1126,7 +1126,12 @@ impl ClusterBuilder {
 
         // Error priority: panics, then a lost worker (the root cause,
         // reported over the secondary errors it induces in survivors),
-        // then other worker errors, then home errors.
+        // then a joined writer's hold that never came (a reader blocked on
+        // it times out first), then other worker errors, then home errors.
+        let not_gathered = matches!(
+            home_error,
+            Some(ClusterError::Home(HomeError::NotGathered(..)))
+        );
         if first_error.is_none() {
             let lost = worker_errors
                 .iter()
@@ -1152,7 +1157,9 @@ impl ClusterBuilder {
                     heard_age,
                     lease,
                 });
-            } else if let Some((index, error)) = worker_errors.into_iter().next() {
+            } else if let Some((index, error)) =
+                worker_errors.into_iter().next().filter(|_| !not_gathered)
+            {
                 first_error = Some(ClusterError::Worker { index, error });
             } else {
                 first_error = home_error;

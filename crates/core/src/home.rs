@@ -249,6 +249,10 @@ pub enum HomeError {
     Update(UpdateError),
     /// Protocol violation (e.g. unlocking a mutex the thread doesn't hold).
     Violation(String),
+    /// A joined writer (its rank) still held spans of this shard's entries
+    /// (the rest) past the gather bound (DESIGN §14): the final bytes would
+    /// lack them.
+    NotGathered(u32, Vec<UpdateRange>),
 }
 
 impl fmt::Display for HomeError {
@@ -258,6 +262,7 @@ impl fmt::Display for HomeError {
             HomeError::Protocol(e) => write!(f, "protocol: {e}"),
             HomeError::Update(e) => write!(f, "update: {e}"),
             HomeError::Violation(s) => write!(f, "protocol violation: {s}"),
+            HomeError::NotGathered(w, spans) => write!(f, "writer {w} never sent {spans:?}"),
         }
     }
 }
@@ -592,6 +597,9 @@ pub struct HomeShard {
     fenced: bool,
     /// Last sign of life from the replication-link partner.
     peer_last_heard: FabricInstant,
+    /// Since when the shard has served for nothing but what joined
+    /// writers hold here; `None` while it has not, and from a promotion.
+    gather_since: Option<FabricInstant>,
     /// When the last round of unasked sends went out ([`Self::duties`]),
     /// or the step at which something became owed while nothing was.
     round_at: FabricInstant,
@@ -672,6 +680,7 @@ impl HomeShard {
             epoch: 0,
             fenced: false,
             peer_last_heard: FabricInstant::ZERO,
+            gather_since: None,
             round_at: FabricInstant::ZERO,
             kill: config.kill,
             now: FabricInstant::ZERO,
@@ -1045,12 +1054,32 @@ impl HomeShard {
         }
     }
 
-    /// A writer that has joined still holds some of this shard's entries:
-    /// the final bytes wait for them.
-    fn gathering(&self) -> bool {
+    /// The lowest joined writer that still holds some of this shard's
+    /// entries: the final bytes wait for it.
+    fn gathering(&self) -> Option<u32> {
         let joined = |w| self.life(w) == Some(Life::Joined);
-        self.spans_of(|at| &at.held)
-            .any(|(w, r)| self.owns_entry(r.entry) && joined(w))
+        let held = self.spans_of(|at| &at.held);
+        held.filter(|(w, r)| self.owns_entry(r.entry) && joined(*w))
+            .map(|(w, _)| w)
+            .min()
+    }
+
+    /// Fail the shard once it has served for nothing but joined writers'
+    /// holds for two leases, or 30 s without a lease (DESIGN §14, "The
+    /// gather bound"), naming the lowest; a shadow waits on its primary.
+    fn bound_gather(&mut self) -> Result<(), HomeError> {
+        let since = *self.gather_since.get_or_insert(self.now);
+        let bound = self.lease.map_or(Duration::from_secs(30), |l| l * 2);
+        if !self.serves_clients() || self.now.saturating_since(since) <= bound {
+            return Ok(());
+        }
+        let writer = self.gathering().expect("gathering");
+        let held = self.spans_of(|at| &at.held);
+        let spans = held.filter(|(w, r)| *w == writer && self.owns_entry(r.entry));
+        Err(HomeError::NotGathered(
+            writer,
+            spans.map(|(_, r)| r).collect(),
+        ))
     }
 
     /// Drop log entries every participant still expected has seen: a
@@ -1437,12 +1466,13 @@ impl HomeShard {
         let round = self.owes().then(|| self.round_at + self.tick());
         match self.stage {
             Stage::Serve => {
-                // A lease, a replication partner and the kill switch need
-                // periodic wake-ups; without any of them, or anything
-                // owed, the classic blocking receive stands.
+                // A lease, a replication partner, the kill switch and the
+                // gather bound need periodic wake-ups; without any of them,
+                // or anything owed, the classic blocking receive stands.
                 let timed = self.lease.is_some()
                     || !matches!(self.standby, Standby::Solo)
-                    || self.kill.is_some();
+                    || self.kill.is_some()
+                    || self.gather_since.is_some();
                 round.or(timed.then(|| now + self.tick()))
             }
             Stage::Conclude { until } => Some(round.map_or(until, |r| r.min(until))),
@@ -1537,7 +1567,8 @@ impl HomeShard {
                 }
                 // Serve until every participant settled and what a joined
                 // writer held has reached the final bytes.
-                Stage::Serve if self.pending > 0 || self.gathering() => return Ok(()),
+                Stage::Serve if self.pending > 0 => return Ok(()),
+                Stage::Serve if self.gathering().is_some() => return self.bound_gather(),
                 // The primary drove the run to completion.
                 Stage::Serve if !self.serves_clients() => Stage::Done {
                     authoritative: false,
@@ -2322,9 +2353,11 @@ impl HomeShard {
         Ok(())
     }
 
-    /// Start every live participant's lease afresh from now.
+    /// Start every live participant's lease, and the gather bound, afresh
+    /// from now.
     fn restart_leases(&mut self) {
         let now = self.now;
+        self.gather_since = None;
         for p in self.peers.values_mut() {
             if p.life == Life::Expected {
                 p.last_heard = Some(now);
@@ -4135,9 +4168,44 @@ mod tests {
         assert_eq!(values(&h, 10..12), [110, 111]);
         // Nor does the writer, joined, keep this shard serving for it.
         h.settle(1, Life::Joined);
-        assert!(!h.gathering());
+        assert_eq!(h.gathering(), None);
         h.placement.adopt(0, 0, 2);
-        assert!(h.gathering(), "the hold is this shard's again");
+        assert_eq!(h.gathering(), Some(1), "the hold is this shard's again");
+    }
+
+    #[test]
+    fn a_joined_writers_hold_that_never_comes_fails_the_shard_after_two_leases() {
+        let mut h = shard_of(&[1, 2], Recorder::disabled());
+        h.lease = Some(Duration::from_millis(400));
+        rank_1_holds_10_to_20(&mut h);
+        let t0 = FabricInstant::from_micros(1_000);
+        h.start(t0).unwrap();
+        let join = |rank| {
+            let updates = UpdateBatch::default();
+            Input::Frame(frame(rank, 0, 3, DsdMsg::Join { rank, updates }))
+        };
+        assert!(step(&mut h, t0, join(2)).is_empty());
+        // Rank 1 joins without what it holds: the shard asks for it and
+        // serves on.
+        let asked = DsdMsg::HeldFetch {
+            ranges: vec![elems(10, 10)],
+        };
+        assert_eq!(step(&mut h, t0, join(1)), [(1, 0, asked.clone())]);
+        // Only ticks follow. Each asks again, until two leases have gone.
+        let mut now = t0;
+        let err = loop {
+            now = now + h.tick();
+            match h.on(now, Input::Tick) {
+                Ok(()) => assert_eq!(sent(&h), [(1, 0, asked.clone())]),
+                Err(e) => break e,
+            }
+        };
+        let waited = now.saturating_since(t0);
+        assert!(waited > Duration::from_millis(800) && waited <= Duration::from_millis(900));
+        let HomeError::NotGathered(writer, spans) = err else {
+            panic!("the gather's error, got {err:?}");
+        };
+        assert_eq!((writer, spans), (1, vec![elems(10, 10)]));
     }
 
     #[test]

@@ -1561,6 +1561,32 @@ mod tests {
     }
 
     #[test]
+    fn a_strided_row_the_wire_cannot_index_is_refused_in_a_message() {
+        // An unlock carrying one strided group of entry 3, two four-byte
+        // elements from `first` at `stride`.
+        let unlock = |first: &[u8], stride: u8| {
+            let group = [&[0xd5, 1, 0xc4, 3, 1][..], first, &[2, stride], &[9; 8]];
+            DsdMsg::decode(
+                MsgKind::UnlockRequest,
+                Bytes::from([&[2, 5], &group.concat()[..]].concat()),
+            )
+        };
+        let Ok(DsdMsg::UnlockRequest { updates, .. }) = unlock(&[10], 4) else {
+            panic!("a strided row of stride 4 decodes");
+        };
+        let views: Vec<(u64, u64)> = updates.iter().map(|u| (u.elem_offset, u.count)).collect();
+        assert_eq!(views, [(10, 1), (14, 1)]);
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        for (first, stride) in [(&[10][..], 0), (&max[..], 1)] {
+            assert_eq!(
+                unlock(first, stride),
+                Err(ProtocolError::Wire(WireError::BadHeader)),
+                "first {first:x?}, stride {stride}"
+            );
+        }
+    }
+
+    #[test]
     fn all_messages_roundtrip() {
         let all = DsdMsg::samples();
         for m in &all {

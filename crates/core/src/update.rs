@@ -155,7 +155,7 @@ pub fn extract_updates(
     }
     let endian = gthv.platform().endian;
     let groups = || ranges.chunk_by(|a, b| a.entry == b.entry);
-    fn runs(group: &[UpdateRange]) -> impl ExactSizeIterator<Item = (u64, u32)> + '_ {
+    fn runs(group: &[UpdateRange]) -> impl ExactSizeIterator<Item = (u64, u32)> + Clone + '_ {
         group.iter().map(|r| {
             let count = u32::try_from(r.count).expect("run too long for one update");
             (r.first, count)

@@ -19,15 +19,18 @@
 //!
 //! ```text
 //! frame = marker u8 | groups | group*
-//! group = shape u8 | entry | runs | (offset, count)* | payload
-//! shape = size (bits 0–4, 1..=31) | pointer (bit 5) | big-endian (bit 6)
+//! group = shape u8 | entry | rows | (offset, count | first, count, stride)* | payload
+//! shape = size (bits 0–4, 1..=31) | pointer (bit 5) | big-endian (bit 6) | strided (bit 7)
 //! ```
 //!
-//! Every other integer is a varint. Nothing the receiver can work out is
-//! framed: a group's payload is `size × Σcount` bytes. The shape byte
-//! keeps each frame self-describing, so a receiver needs no table of its
-//! senders' platforms. [`mod@reference`] is the codec over owned updates
-//! the tests compare against.
+//! Every other integer is a varint. A strided row names `first + k·stride`
+//! for `k < count`: one dense run at stride 1, else `count` one-element
+//! updates; a writer takes it for a group only when that is strictly
+//! smaller. Nothing the receiver can work out is framed: a group's payload
+//! is `size × Σcount` bytes. The shape byte keeps each frame
+//! self-describing, so a receiver needs no table of its senders'
+//! platforms. [`mod@reference`] is the codec over owned updates the tests
+//! compare against.
 
 use bytes::{Buf, BufMut, Bytes};
 use hdsm_platform::endian::Endianness;
@@ -94,30 +97,6 @@ pub fn bounded_vec<T, E>(
     }
 }
 
-/// Bytes of the run table of `runs` rows that opens `buf`: up to its
-/// `2 × runs`-th byte without a continuation bit, counted eight bytes at
-/// a time while that many varints are left.
-fn table_len(buf: &[u8], runs: usize) -> usize {
-    let (mut ends, mut at) = (2 * runs, 0);
-    while ends >= 8 {
-        let word = u64::from_le_bytes(buf[at..at + 8].try_into().expect("eight bytes"));
-        ends -= (!word & 0x8080_8080_8080_8080).count_ones() as usize;
-        at += 8;
-    }
-    while ends > 0 {
-        ends -= usize::from(buf[at] < 0x80);
-        at += 1;
-    }
-    at
-}
-
-/// Split the first `n` bytes off the front of `buf` (which holds them).
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> &'a [u8] {
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    head
-}
-
 /// What the updates of one run group share, framed once per group.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupHead {
@@ -142,25 +121,26 @@ impl GroupHead {
         self.size as u8 | u8::from(self.is_ptr) << 5 | u8::from(big) << 6
     }
 
-    /// Read a shape byte and an entry off the front of `buf`: a shape
-    /// with its reserved bit set or a size of 0 is refused.
-    fn take(buf: &mut &[u8]) -> Result<GroupHead, WireError> {
+    /// Read a shape byte and an entry off the front of `buf`, and whether
+    /// the group's rows are strided: a shape of size 0 is refused.
+    fn take(buf: &mut &[u8]) -> Result<(GroupHead, bool), WireError> {
         if buf.is_empty() {
             return Err(WireError::Truncated);
         }
         let shape = buf.get_u8();
         let size = u32::from(shape & 0x1f);
-        if shape & 0x80 != 0 || size == 0 {
+        if size == 0 {
             return Err(WireError::BadHeader);
         }
         let endian = [Endianness::Little, Endianness::Big][usize::from(shape >> 6 & 1)];
         let (entry, is_ptr) = (varint::get32(buf)?, shape & 0x20 != 0);
-        Ok(GroupHead {
+        let head = GroupHead {
             entry,
             endian,
             is_ptr,
             size,
-        })
+        };
+        Ok((head, shape & 0x80 != 0))
     }
 }
 
@@ -179,35 +159,47 @@ pub struct UpdateView<'a> {
 }
 
 /// A run group of a batch: consecutive updates sharing a [`GroupHead`],
-/// framed as `(elem_offset, count)` rows and one concatenated payload.
+/// framed as dense or strided rows and one concatenated payload.
 #[derive(Debug, Clone, Copy)]
 pub struct RunGroup<'a> {
     /// What every run shares.
     pub head: GroupHead,
+    strided: bool,
     table: &'a [u8],
     data: &'a [u8],
 }
 
-/// The `(elem_offset, count)` rows of a checked run table.
-fn rows(mut table: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    std::iter::from_fn(move || {
-        (!table.is_empty()).then(|| (varint::read(&mut table), varint::read(&mut table)))
-    })
+/// The row of a checked run table that opens `table`, as `(first, count,
+/// stride)`; a dense row's stride is 1.
+fn row(table: &mut &[u8], strided: bool) -> (u64, u64, u64) {
+    let (first, count) = (varint::read(table), varint::read(table));
+    (first, count, if strided { varint::read(table) } else { 1 })
 }
 
 impl<'a> RunGroup<'a> {
-    /// The group's updates in frame order — two varints and a slice each.
+    /// The group's updates in frame order: a row of stride 1 is one
+    /// update, a row of a larger stride one update an element.
     pub fn runs(&self) -> impl Iterator<Item = UpdateView<'a>> + 'a {
-        let (entry, size, mut data) = (self.head.entry, self.head.size as usize, self.data);
-        rows(self.table).map(move |(elem_offset, count)| {
-            let (head, rest) = data.split_at(size * count as usize);
-            data = rest;
-            UpdateView {
+        let (entry, size, strided) = (self.head.entry, self.head.size as usize, self.strided);
+        let (mut table, mut data) = (self.table, self.data);
+        // What is left of the open row: its next element, count and stride.
+        let (mut next, mut left, mut stride) = (0, 0, 1);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                (next, left, stride) = (!table.is_empty()).then(|| row(&mut table, strided))?;
+            }
+            let count = if stride == 1 { left } else { 1 };
+            let view;
+            (view, data) = data.split_at(size * count as usize);
+            let elem_offset = next;
+            // The last element was checked to fit; past it nothing is read.
+            (next, left) = (next.wrapping_add(stride), left - count);
+            Some(UpdateView {
                 entry,
                 elem_offset,
                 count,
-                data: head,
-            }
+                data: view,
+            })
         })
     }
 }
@@ -216,21 +208,26 @@ impl<'a> RunGroup<'a> {
 /// format has and nothing allocated from a wire-supplied length: how many
 /// updates it holds and their payload bytes.
 fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
-    let head = GroupHead::take(buf)?;
-    let nruns = varint::get32(buf)? as usize;
-    // A row is at least two one-byte varints.
-    if nruns as u64 * 2 > buf.len() as u64 {
+    let (head, strided) = GroupHead::take(buf)?;
+    let nrows = varint::get32(buf)?;
+    // A row is at least two or three one-byte varints.
+    if u64::from(nrows) * (2 + u64::from(strided)) > buf.len() as u64 {
         return Err(WireError::Truncated);
     }
-    let (mut rest, mut elems) = (*buf, 0u64);
-    for _ in 0..nruns {
-        varint::get(&mut rest, u64::MAX)?;
-        let count = varint::get32(&mut rest)?;
-        if count == 0 {
+    let (mut rest, mut elems, mut updates) = (*buf, 0u64, 0u64);
+    for _ in 0..nrows {
+        let first = varint::get(&mut rest, u64::MAX)?;
+        let count = u64::from(varint::get32(&mut rest)?);
+        let stride = strided.then(|| varint::get(&mut rest, u64::MAX));
+        let stride = stride.transpose()?.unwrap_or(1);
+        // Each element named must be one a `u64` can index.
+        let last = count.checked_sub(1).and_then(|k| k.checked_mul(stride));
+        if stride == 0 || last.and_then(|d| first.checked_add(d)).is_none() {
             return Err(WireError::BadHeader);
         }
         // At most `u32::MAX` counts of at most `u32::MAX` each.
-        elems += u64::from(count);
+        elems += count;
+        updates += if stride == 1 { 1 } else { count };
     }
     let data_len = elems
         .checked_mul(head.size.into())
@@ -239,7 +236,8 @@ fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
         return Err(WireError::Truncated);
     }
     *buf = &rest[data_len as usize..];
-    Ok((nruns, data_len))
+    // No more updates than payload bytes, which the buffer holds.
+    Ok((updates as usize, data_len))
 }
 
 /// A batch of updates: the grouped frame itself, validated once, with its
@@ -248,9 +246,10 @@ fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
 ///
 /// Consecutive updates sharing (entry, endianness, element size,
 /// scalar-vs-pointer) form one *run group* that frames the shared
-/// metadata once and then just `(elem_offset, count)` varint pairs plus a
-/// single concatenated payload — SOR's 10 735 one-element updates take
-/// three or four framed bytes each — and the receiver parses no tag.
+/// metadata once and then just its varint rows plus a single concatenated
+/// payload — a red-black writer's every-other-element stores along a row
+/// of SOR's grid take one `(first, count, stride)` row, not a row each —
+/// and the receiver parses no tag.
 /// Grouping only ever merges **consecutive** updates, so apply order —
 /// and therefore last-writer-wins semantics within a batch — is preserved
 /// exactly.
@@ -304,9 +303,7 @@ impl UpdateBatch {
 
     /// The groups in frame order, borrowed. A run group without runs
     /// holds no update and is skipped. The frame was checked when the
-    /// batch was made, so a run table is stepped over by its last bytes
-    /// alone (`table_len`), and only a group before the last sums its
-    /// counts to find where its payload ends.
+    /// batch was made, so its rows are read unchecked.
     pub fn groups(&self) -> impl Iterator<Item = RunGroup<'_>> + '_ {
         const CHECKED: &str = "frame checked when the batch was made";
         let mut rest = &self.frame[1..];
@@ -314,19 +311,22 @@ impl UpdateBatch {
         std::iter::from_fn(move || {
             while left > 0 {
                 left -= 1;
-                let head = GroupHead::take(&mut rest).expect(CHECKED);
-                let nruns = varint::get32(&mut rest).expect(CHECKED) as usize;
-                let len = table_len(rest, nruns);
-                let table = take(&mut rest, len);
-                let data_len = match left {
-                    0 => rest.len(),
-                    _ => rows(table)
-                        .map(|(_, n)| n as usize * head.size as usize)
-                        .sum(),
-                };
-                let data = take(&mut rest, data_len);
-                if nruns > 0 {
-                    return Some(RunGroup { head, table, data });
+                let (head, strided) = GroupHead::take(&mut rest).expect(CHECKED);
+                let nrows = varint::get32(&mut rest).expect(CHECKED) as usize;
+                let (table, mut elems) = (rest, 0);
+                for _ in 0..nrows {
+                    elems += row(&mut rest, strided).1 as usize;
+                }
+                let table = &table[..table.len() - rest.len()];
+                let data;
+                (data, rest) = rest.split_at(elems * head.size as usize);
+                if nrows > 0 {
+                    return Some(RunGroup {
+                        head,
+                        strided,
+                        table,
+                        data,
+                    });
                 }
             }
             None
@@ -387,6 +387,49 @@ pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
     })
 }
 
+/// The strided rows of `runs`: each maximal left-to-right sequence of
+/// one-element runs at one gap of 2 or more is one `(first, count, gap)`
+/// row, every other run `(offset, count, 1)`.
+fn strided_rows(runs: impl Iterator<Item = (u64, u32)>) -> impl Iterator<Item = (u64, u64, u64)> {
+    let mut runs = runs.peekable();
+    std::iter::from_fn(move || {
+        let (first, count) = runs.next()?;
+        let (mut n, mut stride, mut last) = (u64::from(count), 1, first);
+        while let Some(&(next, 1)) = runs.peek().filter(|_| count == 1 && n < u32::MAX.into()) {
+            let gap = next.wrapping_sub(last);
+            if next < last || gap < 2 || (n > 1 && gap != stride) {
+                break;
+            }
+            (n, stride, last) = (n + 1, gap, next);
+            runs.next();
+        }
+        Some((first, n, stride))
+    })
+}
+
+/// How a group frames the table of the runs `runs`: `(strided, rows, bytes
+/// with the row count, elements)`. Strided only when that is strictly
+/// smaller, so a group with nothing to fold keeps its dense table.
+fn table_of(runs: impl ExactSizeIterator<Item = (u64, u32)>) -> (bool, usize, usize, u64) {
+    let nruns = runs.len();
+    let (mut dense, mut elems) = (varint::len(nruns as u64), 0);
+    let counted = runs.inspect(|&(offset, count)| {
+        assert!(count > 0, "empty run");
+        dense += varint::len(offset) + varint::len(count.into());
+        elems += u64::from(count);
+    });
+    let (mut rows, mut bytes) = (0, 0);
+    for (first, count, stride) in strided_rows(counted) {
+        bytes += varint::len(first) + varint::len(count) + varint::len(stride);
+        rows += 1;
+    }
+    bytes += varint::len(rows as u64);
+    match bytes < dense {
+        true => (true, rows, bytes, elems),
+        false => (false, nruns, dense, elems),
+    }
+}
+
 /// Writes a grouped frame group by group into one buffer sized exactly
 /// before the first byte is written: the sender sizes the frame from its
 /// ranges ([`Self::run_group_bytes`]), then per group writes the header
@@ -405,17 +448,18 @@ pub struct FrameWriter {
 
 impl FrameWriter {
     /// Bytes a run group of `entry` with elements of `size` bytes and the
-    /// `(elem_offset, count)` rows `runs` occupies in the frame, payload
-    /// included.
+    /// `(elem_offset, count)` runs `runs` occupies in the frame, payload
+    /// included, in the form [`Self::begin_group`] will write it.
+    ///
+    /// # Panics
+    /// If a run is empty.
     pub fn run_group_bytes(
         entry: u32,
         size: u32,
         runs: impl ExactSizeIterator<Item = (u64, u32)>,
     ) -> usize {
-        let head = 1 + varint::len(entry.into()) + varint::len(runs.len() as u64);
-        runs.fold(head, |n, (offset, count)| {
-            n + varint::len(offset) + varint::len(count.into()) + size as usize * count as usize
-        })
+        let (_, _, table, elems) = table_of(runs);
+        1 + varint::len(entry.into()) + table + size as usize * elems as usize
     }
 
     /// A frame of `groups` groups occupying `body_bytes` in all (the sum
@@ -435,9 +479,10 @@ impl FrameWriter {
         }
     }
 
-    /// Open the next run group: its header and its `(elem_offset, count)`
-    /// table. The payload of the runs, `head.size * count` bytes each in
-    /// the same order, must follow through [`Self::put_payload`].
+    /// Open the next run group: its header and its table of the
+    /// `(elem_offset, count)` runs `runs`, dense or strided. The payload of
+    /// the runs, `head.size * count` bytes each in the same order, must
+    /// follow through [`Self::put_payload`].
     ///
     /// # Panics
     /// If the previous group's payload is incomplete, a run is empty, the
@@ -446,22 +491,29 @@ impl FrameWriter {
     pub fn begin_group(
         &mut self,
         head: GroupHead,
-        runs: impl ExactSizeIterator<Item = (u64, u32)>,
+        runs: impl ExactSizeIterator<Item = (u64, u32)> + Clone,
     ) {
         assert_eq!(self.out.len(), self.group_end, "previous group's payload");
         self.groups_left = self.groups_left.checked_sub(1).expect("a group too many");
+        let (strided, rows, _, elems) = table_of(runs.clone());
         let out = &mut self.out;
-        out.put_u8(head.shape());
+        out.put_u8(head.shape() | u8::from(strided) << 7);
         varint::put(out, head.entry.into());
-        varint::put(out, runs.len() as u64);
+        varint::put(out, rows as u64);
         self.updates += runs.len();
-        let mut data_len: u64 = 0;
-        for (elem_offset, count) in runs {
-            assert!(count > 0, "empty run");
-            varint::put(out, elem_offset);
-            varint::put(out, count.into());
-            data_len += u64::from(head.size) * u64::from(count);
+        if strided {
+            for (first, count, stride) in strided_rows(runs) {
+                varint::put(out, first);
+                varint::put(out, count);
+                varint::put(out, stride);
+            }
+        } else {
+            for (offset, count) in runs {
+                varint::put(out, offset);
+                varint::put(out, count.into());
+            }
         }
+        let data_len = u64::from(head.size) * elems;
         self.payload_bytes += data_len;
         self.group_end = out.len() + data_len as usize;
     }
@@ -669,7 +721,7 @@ mod tests {
         v2.extend_from_slice(&[0, 0, 0, 3, 1, b's', 0, 0, 0, 1]);
         v2.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 1]);
         v2.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 4, 1, 2, 3, 4]);
-        // A shape with its reserved bit set, and one of size 0.
+        // Shapes of size 0, dense and strided.
         let one = pack_grouped(&[sample(0, 1)]).to_vec();
         assert_eq!(one[2], 0x44);
         let shaped = |shape: u8| {
@@ -677,7 +729,8 @@ mod tests {
             b[2] = shape;
             b
         };
-        for bytes in [vec![0; 4], v1, v2, shaped(0xc4), shaped(0x40), shaped(0x60)] {
+        let sizeless = [0x40, 0x60, 0x80, 0xc0].map(shaped);
+        for bytes in [vec![0; 4], v1, v2].into_iter().chain(sizeless) {
             let bytes = Bytes::from(bytes);
             assert_eq!(unpack_batch(bytes.clone()), Err(WireError::BadHeader));
             assert_eq!(unpack_updates(bytes), Err(WireError::BadHeader));
@@ -731,18 +784,32 @@ mod tests {
         }
     }
 
+    /// One-element updates of entry 2 at `first`, `first + gap`, … —
+    /// `n` of them, the shape a strided row folds.
+    fn every(first: u64, gap: u64, n: u64) -> Vec<WireUpdate> {
+        (0..n)
+            .map(|k| WireUpdate {
+                elem_offset: first + k * gap,
+                data: Bytes::from(vec![k as u8; 4]),
+                ..sample(2, 1)
+            })
+            .collect()
+    }
+
     #[test]
     fn decoder_agrees_with_the_reference_on_every_truncation_and_byte_flip() {
         // Accepted input: the same updates. Rejected input: the same
-        // `WireError`, whichever field the damage lands in.
-        let us = vec![
-            sample(0, 2),
-            sample(0, 3),
-            pointer_sample(1),
-            wide_sample(),
-            sample(1, 1),
-        ];
+        // `WireError`, whichever field the damage lands in. The third
+        // group is strided, its first element and stride two-byte varints.
+        let us = [
+            vec![sample(0, 2), sample(0, 3), pointer_sample(1)],
+            every(300, 130, 3),
+            vec![wide_sample(), sample(1, 1)],
+        ]
+        .concat();
         let full = pack_grouped(&us);
+        let strided = [0xc4, 2, 1, 0xac, 0x02, 3, 0x82, 0x01];
+        assert!(full.windows(8).any(|w| w == strided));
         let agree = |bytes: Bytes, what: &str| {
             let got = unpack_batch(bytes.clone()).map(|b| updates_of(&b));
             assert_eq!(got, unpack_updates(bytes), "{what}");
@@ -756,6 +823,101 @@ mod tests {
                 bytes[at] ^= flip;
                 agree(Bytes::from(bytes), &format!("byte {at} ^ {flip:#x}"));
             }
+        }
+    }
+
+    /// A frame of one group of entry 1, big-endian four-byte elements,
+    /// from the `(offset, count)` runs `runs`, its payload byte `i` being
+    /// `i`.
+    fn written(runs: &[(u64, u32)]) -> UpdateBatch {
+        let head = GroupHead {
+            entry: 1,
+            endian: Endianness::Big,
+            is_ptr: false,
+            size: 4,
+        };
+        let body = FrameWriter::run_group_bytes(1, 4, runs.iter().copied());
+        let mut w = FrameWriter::new(1, body);
+        w.begin_group(head, runs.iter().copied());
+        let elems: u32 = runs.iter().map(|r| r.1).sum();
+        w.put_payload(&(0..4 * elems as u8).collect::<Vec<u8>>());
+        w.finish()
+    }
+
+    #[test]
+    fn a_strided_row_folds_a_constant_gap_of_one_element_runs() {
+        // Three elements two apart and a dense run of four: rows (3, 3, 2)
+        // and (20, 4, 1) where the dense table would take four.
+        let batch = written(&[(3, 1), (5, 1), (7, 1), (20, 4)]);
+        let table = [BATCH_MARKER, 1, 0xc4, 1, 2, 3, 3, 2, 20, 4, 1];
+        assert_eq!(&batch.frame()[..11], &table);
+        assert_eq!(batch.frame().len(), 11 + 7 * 4);
+        let views: Vec<(u64, u64, &[u8])> = batch
+            .iter()
+            .map(|u| (u.elem_offset, u.count, u.data))
+            .collect();
+        let want: [(u64, u64, &[u8]); 4] = [
+            (3, 1, &[0, 1, 2, 3]),
+            (5, 1, &[4, 5, 6, 7]),
+            (7, 1, &[8, 9, 10, 11]),
+            (20, 4, &(12..28).collect::<Vec<u8>>()),
+        ];
+        assert_eq!(views, want);
+        assert_eq!((batch.len(), batch.payload_bytes()), (4, 28));
+        assert_eq!(batch, unpack_batch(batch.frame().clone()).unwrap());
+        assert_eq!(batch.frame(), &pack_grouped(&updates_of(&batch)));
+        // A changed gap starts a new row; so does a dense run, and a gap
+        // of 1 (what coalescing would have joined) or going back.
+        let batch = written(&[(0, 1), (2, 1), (4, 1), (7, 1), (10, 1), (11, 1), (9, 1)]);
+        let rows = [0xc4, 1, 4, 0, 3, 2, 7, 2, 3, 11, 1, 1, 9, 1, 1];
+        assert_eq!(&batch.frame()[2..17], &rows);
+        assert_eq!(batch.len(), 7);
+        // A table the strided form would not shorten stays dense: here
+        // both take seven bytes.
+        let batch = written(&[(0, 1), (2, 1), (10, 3)]);
+        assert_eq!(&batch.frame()[2..11], &[0x44, 1, 3, 0, 1, 2, 1, 10, 3]);
+    }
+
+    #[test]
+    fn strided_rows_out_of_range_are_refused() {
+        // `[marker, 1 group, strided shape, entry 0, 1 row, first, count,
+        // stride]`, then eight payload bytes.
+        let frame = |row: &[u8]| {
+            let head = [BATCH_MARKER, 1, 0xc4, 0, 1];
+            Bytes::from([&head[..], row, &[9; 8]].concat())
+        };
+        let max_less_1 = [&[0xfe][..], &[0xff; 8], &[0x01]].concat();
+        let u32_max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        let cases = [
+            (vec![3, 2, 4], Ok(2)),
+            (vec![3, 2, 0], Err(WireError::BadHeader)),
+            (vec![3, 0, 4], Err(WireError::BadHeader)),
+            // Last element `u64::MAX`, then one past it.
+            ([&max_less_1[..], &[2, 1]].concat(), Ok(1)),
+            (
+                [&max_less_1[..], &[2, 2]].concat(),
+                Err(WireError::BadHeader),
+            ),
+            // A huge count over eight bytes of payload.
+            (
+                [&[3][..], &u32_max, &[2]].concat(),
+                Err(WireError::Truncated),
+            ),
+            (vec![3, 2], Err(WireError::Truncated)),
+        ];
+        for (row, want) in cases {
+            let bytes = frame(&row);
+            let got = unpack_batch(bytes.clone()).map(|b| b.len());
+            assert_eq!(got, want, "row {row:x?}");
+            let reference = unpack_updates(bytes).map(|us| us.len());
+            assert_eq!(reference, want, "row {row:x?}");
+        }
+        // Cut anywhere inside a strided frame.
+        let full = pack_grouped(&every(1 << 30, 1 << 20, 3));
+        assert_eq!(full[2], 0xc4);
+        for cut in 0..full.len() {
+            assert_eq!(unpack_batch(full.slice(..cut)), Err(WireError::Truncated));
+            assert_eq!(unpack_updates(full.slice(..cut)), Err(WireError::Truncated));
         }
     }
 

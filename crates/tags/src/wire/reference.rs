@@ -6,6 +6,8 @@
 //! the tests' way from hand-made [`WireUpdate`]s to a batch. It reads its
 //! varints with a loop of its own, not [`varint::get`]: a varint is
 //! canonical exactly when [`varint::put`] of its value gives its bytes.
+//! It folds strided rows over a `Vec` and expands them with loops of its
+//! own too.
 
 use super::{bounded_vec, unpack_batch, varint, GroupHead, UpdateBatch, WireError, BATCH_MARKER};
 use crate::tag::{Tag, TagItem};
@@ -84,6 +86,38 @@ fn take_u32(buf: &mut Bytes) -> Result<u32, WireError> {
     get_varint(buf, u32::MAX.into()).map(|v| v as u32)
 }
 
+/// The table of a group's `(offset, count)` runs: a row each, or, when
+/// that is strictly shorter, strided rows that fold each left-to-right
+/// sequence of one-element runs at one gap of 2 or more.
+fn run_table(runs: &[(u64, u32)]) -> (bool, BytesMut) {
+    let mut rows: Vec<(u64, u64, u64)> = Vec::new();
+    for &(offset, count) in runs {
+        if let Some((first, n, stride)) = rows.last_mut().filter(|_| count == 1) {
+            // A dense run's stride is 1: no gap of 2 or more extends it.
+            let gap = offset.saturating_sub(*first + (*n - 1) * *stride);
+            if gap >= 2 && (*n == 1 || gap == *stride) && *n < u64::from(u32::MAX) {
+                (*n, *stride) = (*n + 1, gap);
+                continue;
+            }
+        }
+        rows.push((offset, count.into(), 1));
+    }
+    let table = |rows: Vec<Vec<u64>>| {
+        let mut table = BytesMut::new();
+        varint::put(&mut table, rows.len() as u64);
+        for v in rows.concat() {
+            varint::put(&mut table, v);
+        }
+        table
+    };
+    let dense = table(runs.iter().map(|&(o, c)| vec![o, c.into()]).collect());
+    let strided = table(rows.into_iter().map(|(f, n, s)| vec![f, n, s]).collect());
+    match strided.len() < dense.len() {
+        true => (true, strided),
+        false => (false, dense),
+    }
+}
+
 /// Pack `updates` in the grouped format: each maximal run of consecutive
 /// updates sharing (entry, endianness, element size, scalar-vs-pointer)
 /// becomes one run group.
@@ -106,15 +140,15 @@ pub fn pack_grouped(updates: &[WireUpdate]) -> Bytes {
         let (size, _, is_ptr) = shape(head);
         assert!((1..32).contains(&size), "element size {size}");
         let big = head.endian == Endianness::Big;
-        out.put_u8(size as u8 | u8::from(is_ptr) << 5 | u8::from(big) << 6);
+        let runs: Vec<(u64, u32)> = seg.iter().map(|u| (u.elem_offset, shape(u).1)).collect();
+        let (strided, table) = run_table(&runs);
+        out.put_u8(
+            size as u8 | u8::from(is_ptr) << 5 | u8::from(big) << 6 | u8::from(strided) << 7,
+        );
         varint::put(&mut out, head.entry.into());
-        varint::put(&mut out, seg.len() as u64);
+        out.put_slice(&table);
         for u in seg {
             debug_assert_eq!(u.data.len() as u64, u.tag.byte_size());
-            varint::put(&mut out, u.elem_offset);
-            varint::put(&mut out, shape(u).1.into());
-        }
-        for u in seg {
             out.put_slice(&u.data);
         }
     }
@@ -166,36 +200,45 @@ pub fn unpack_updates(mut buf: Bytes) -> Result<Vec<WireUpdate>, WireError> {
         }
         let shape = buf.get_u8();
         let size = u32::from(shape & 0x1f);
-        if shape & 0x80 != 0 || size == 0 {
+        if size == 0 {
             return Err(WireError::BadHeader);
         }
         let is_ptr = shape & 0x20 != 0;
         let endian = [Endianness::Little, Endianness::Big][usize::from(shape & 0x40 != 0)];
+        let strided = shape & 0x80 != 0;
         let entry = take_u32(&mut buf)?;
-        let nruns = take_u32(&mut buf)?;
-        // A row is at least two one-byte varints.
-        let mut runs = bounded_vec(nruns, 2, buf.remaining(), WireError::Truncated)?;
-        for _ in 0..nruns {
-            let elem_offset = get_varint(&mut buf, u64::MAX)?;
+        let nrows = take_u32(&mut buf)?;
+        // A row is at least two (dense) or three (strided) one-byte varints.
+        let fields = 2 + usize::from(strided);
+        let mut rows = bounded_vec(nrows, fields, buf.remaining(), WireError::Truncated)?;
+        for _ in 0..nrows {
+            let first = get_varint(&mut buf, u64::MAX)?;
             let count = take_u32(&mut buf)?;
-            if count == 0 {
+            let stride = strided.then(|| get_varint(&mut buf, u64::MAX));
+            let stride = stride.transpose()?.unwrap_or(1);
+            let last = u128::from(first) + u128::from(count.max(1) - 1) * u128::from(stride);
+            if count == 0 || stride == 0 || last > u128::from(u64::MAX) {
                 return Err(WireError::BadHeader);
             }
-            runs.push((elem_offset, count));
+            rows.push((first, count, stride));
         }
-        let elems: u128 = runs.iter().map(|&(_, count)| u128::from(count)).sum();
+        let elems: u128 = rows.iter().map(|&(_, count, _)| u128::from(count)).sum();
         let want = u64::try_from(elems * u128::from(size)).map_err(|_| WireError::BadHeader)?;
         if (buf.remaining() as u64) < want {
             return Err(WireError::Truncated);
         }
-        for (elem_offset, count) in runs {
-            out.push(WireUpdate {
-                entry,
-                elem_offset,
-                endian,
-                tag: run_tag(size, count, is_ptr),
-                data: buf.split_to((u64::from(size) * u64::from(count)) as usize),
-            });
+        for (first, count, stride) in rows {
+            // A dense run is one update; a strided row is one an element.
+            let (n, each) = if stride == 1 { (1, count) } else { (count, 1) };
+            for k in 0..u64::from(n) {
+                out.push(WireUpdate {
+                    entry,
+                    elem_offset: first + k * stride,
+                    endian,
+                    tag: run_tag(size, each, is_ptr),
+                    data: buf.split_to((u64::from(size) * u64::from(each)) as usize),
+                });
+            }
         }
     }
     if buf.has_remaining() {

@@ -2,6 +2,7 @@
 //! receiver-makes-right conversion identities across all platform pairs.
 
 use hdsm_platform::ctype::{CType, StructBuilder};
+use hdsm_platform::endian::Endianness;
 use hdsm_platform::layout::{LayoutKind, TypeLayout};
 use hdsm_platform::scalar::{ScalarClass, ScalarKind};
 use hdsm_platform::spec::PlatformSpec;
@@ -10,9 +11,39 @@ use hdsm_tags::convert::{convert_block, ConversionStats};
 use hdsm_tags::generate::tag_for;
 use hdsm_tags::parse::parse_tag;
 use hdsm_tags::tag::{Tag, TagItem};
-use hdsm_tags::wire::reference::{pack_grouped, unpack_updates, updates_of, WireUpdate};
-use hdsm_tags::wire::unpack_batch;
+use hdsm_tags::wire::reference::{pack_grouped, run_shape, unpack_updates, updates_of, WireUpdate};
+use hdsm_tags::wire::{unpack_batch, FrameWriter, GroupHead, UpdateBatch};
 use proptest::prelude::*;
+
+/// `updates` through the sender's frame writer: a group a maximal run of
+/// consecutive updates of one entry, byte order, element size and kind.
+fn write_frame(updates: &[WireUpdate]) -> UpdateBatch {
+    let head = |u: &WireUpdate| {
+        let (size, _, is_ptr) = run_shape(&u.tag).expect("one run");
+        GroupHead {
+            entry: u.entry,
+            endian: u.endian,
+            is_ptr,
+            size,
+        }
+    };
+    let groups: Vec<&[WireUpdate]> = updates.chunk_by(|a, b| head(a) == head(b)).collect();
+    let rows = |g: &[WireUpdate]| -> Vec<(u64, u32)> {
+        g.iter()
+            .map(|u| (u.elem_offset, run_shape(&u.tag).unwrap().1))
+            .collect()
+    };
+    let body = groups
+        .iter()
+        .map(|g| FrameWriter::run_group_bytes(g[0].entry, head(&g[0]).size, rows(g).into_iter()))
+        .sum();
+    let mut w = FrameWriter::new(groups.len() as u32, body);
+    for g in groups {
+        w.begin_group(head(&g[0]), rows(g).into_iter());
+        g.iter().for_each(|u| w.put_payload(&u.data));
+    }
+    w.finish()
+}
 
 fn any_kind() -> impl Strategy<Value = ScalarKind> {
     prop::sample::select(ScalarKind::ALL.to_vec())
@@ -199,50 +230,59 @@ proptest! {
     }
 
     /// The batch format round-trips arbitrary updates — data and pointer
-    /// runs of any width and byte order — and the borrowed views of the
-    /// kept frame show, update for update, what the reference decoder
-    /// materialises from it.
+    /// runs of any width and byte order, dense runs mixed in one group
+    /// with sequences of one-element runs at one gap — and the borrowed
+    /// views of the kept frame show, update for update, what the reference
+    /// decoder materialises from it. The frame writer writes the reference
+    /// packer's frame, strided groups included.
     #[test]
     fn wire_batch_views_equal_the_reference_decoder(
         frames in prop::collection::vec(
-            (0u32..4, 0u64..3_000_000, 1u64..200, any::<bool>(), 0u8..8),
-            0..12
+            (
+                (0u32..4, any::<bool>(), 0u8..8),
+                // (offset, elements, one-element repeats, gap)
+                prop::collection::vec((0u64..3_000_000, 1u64..200, 0u64..5, 2u64..300), 1..5),
+            ),
+            0..8
         )
     ) {
-        let updates: Vec<WireUpdate> = frames
-            .into_iter()
-            .map(|(entry, elem_offset, n, big, shape)| {
-                let (tag, bytes) = match shape {
-                    0 => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Short, 2, n), n * 2),
-                    1 => (Tag(vec![
-                        TagItem::Pointer { size: 4, count: n as u32 },
-                        TagItem::Padding { bytes: 0 },
-                    ]), n * 4),
-                    2 | 3 => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Double, 8, n), n * 8),
-                    _ => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Int, 4, n), n * 4),
-                };
-                WireUpdate {
-                    // Entries 200 and 300 take two-byte varints.
-                    entry: entry * 100,
-                    elem_offset,
-                    endian: if big {
-                        hdsm_platform::endian::Endianness::Big
-                    } else {
-                        hdsm_platform::endian::Endianness::Little
-                    },
-                    tag,
-                    data: (0..bytes).map(|i| (i * 31 % 256) as u8).collect(),
+        let update = |(entry, big, shape): (u32, bool, u8), elem_offset: u64, n: u64| {
+            let (tag, bytes) = match shape {
+                0 => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Short, 2, n), n * 2),
+                1 => (Tag(vec![
+                    TagItem::Pointer { size: 4, count: n as u32 },
+                    TagItem::Padding { bytes: 0 },
+                ]), n * 4),
+                2 | 3 => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Double, 8, n), n * 8),
+                _ => (hdsm_tags::generate::tag_for_scalar_run(ScalarKind::Int, 4, n), n * 4),
+            };
+            WireUpdate {
+                // Entries 200 and 300 take two-byte varints.
+                entry: entry * 100,
+                elem_offset,
+                endian: if big { Endianness::Big } else { Endianness::Little },
+                tag,
+                data: (0..bytes).map(|i| ((i + elem_offset) * 31 % 256) as u8).collect(),
+            }
+        };
+        let mut updates = Vec::new();
+        for (head, runs) in frames {
+            for (offset, n, repeats, gap) in runs {
+                match repeats {
+                    0 | 1 => updates.push(update(head, offset, n)),
+                    _ => updates.extend((0..repeats).map(|k| update(head, offset + k * gap, 1))),
                 }
-            })
-            .collect();
+            }
+        }
         let packed = pack_grouped(&updates);
         let batch = unpack_batch(packed.clone()).unwrap();
         prop_assert_eq!(&updates_of(&batch), &updates);
-        prop_assert_eq!(&unpack_updates(packed).unwrap(), &updates);
+        prop_assert_eq!(&unpack_updates(packed.clone()).unwrap(), &updates);
         prop_assert_eq!(batch.len(), updates.len());
         prop_assert_eq!(batch.iter().count(), updates.len());
         let bytes: usize = updates.iter().map(|u| u.data.len()).sum();
         prop_assert_eq!(batch.payload_bytes(), bytes as u64);
+        prop_assert_eq!(write_frame(&updates).frame(), &packed);
     }
 
     /// Parser never panics on arbitrary ASCII input.

@@ -510,3 +510,39 @@ fn typed_session_api_three_shards_three_workers() {
     // The post-barrier view agreed everywhere.
     assert!(outcome.results.iter().all(|&v| v == 6));
 }
+
+/// Traffic of `Kernel::Sor` at n = 64 on the SL placement and the sim
+/// fabric through `shards` home shards: (messages, bytes). The final bytes
+/// must verify.
+fn sor_traffic(shards: u32) -> (u64, u64) {
+    let pair = &paper_pairs()[2];
+    let builder = ClusterBuilder::new()
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .worker(pair.remote.clone())
+        .topology(TopologyConfig {
+            shards,
+            fabric: FabricMode::Sim { seed: 5 },
+            ..Default::default()
+        });
+    let (outcome, verified) = Kernel::Sor { sweeps: 4 }.run(builder, 64, 5).unwrap();
+    assert!(verified, "SOR at {shards} shards");
+    let stats = &outcome.net_stats;
+    (stats.total_messages(), stats.total_bytes())
+}
+
+#[test]
+fn sor_ships_a_colour_of_a_row_as_one_strided_row() {
+    // A red-black half-sweep stores every other element of a row, so each
+    // of its one-element runs was a row of the frame's run table; the
+    // strided form folds a row's colour into one `(first, count, stride)`
+    // row. The bytes at commit 70e58d7, before the strided form, were
+    // 171 314 at one shard and 171 392 at three; the messages were 60 and
+    // 84, and they do not move.
+    for (shards, msgs, before, bytes) in [(1, 60, 171_314, 160_483), (3, 84, 171_392, 160_561)] {
+        let got = sor_traffic(shards);
+        assert_eq!(got, (msgs, bytes), "{shards} shards");
+        assert!(got.1 < before);
+    }
+}
