@@ -85,6 +85,7 @@ use hdsm_net::FabricInstant;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
+use hdsm_tags::wire::fold_rows;
 use hdsm_tags::wire::UpdateBatch;
 use std::fmt;
 use std::time::Duration;
@@ -350,17 +351,15 @@ fn fresh_views(gthv: &GthvInstance) -> Vec<EntryView> {
 
 /// The spans of `set`, one of `entry`'s element sets, as update ranges.
 fn ranges_of(entry: usize, set: &IntervalSet) -> impl Iterator<Item = UpdateRange> + '_ {
-    set.spans().iter().map(move |&(first, end)| UpdateRange {
-        entry: entry as u32,
-        first,
-        count: end - first,
-    })
+    set.spans()
+        .iter()
+        .map(move |&(first, end)| UpdateRange::new(entry as u32, first, end - first))
 }
 
-/// `ranges`, one entry's and ascending, as a set.
+/// The elements of `ranges`, one entry's and ascending, as a set.
 fn set_of(ranges: &[UpdateRange]) -> IntervalSet {
     let mut set = IntervalSet::default();
-    set.insert_sorted(ranges.iter().map(|r| (r.first, r.end())));
+    set.insert_sorted(ranges.iter().flat_map(|r| r.spans()));
     set
 }
 
@@ -936,12 +935,28 @@ impl DsdClient {
     }
 
     /// Drain the write set into update ranges (the head of the release
-    /// pipeline: t_index → t_tag in Eq. 1), one update each.
+    /// pipeline: t_index → t_tag in Eq. 1). Each entry's spans — sorted,
+    /// disjoint and maximal already — fold once, by the rule of the frame's
+    /// strided rows ([`fold_rows`]): a maximal left-to-right run of
+    /// one-element spans at one gap is one strided range, so a red-black
+    /// writer's colour of a row is one range of `count` updates, and every
+    /// later stage of the release works per range, not per element.
     fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
-        // t_index: the write set's spans, entry by entry — sorted, disjoint
-        // and maximal already.
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        let ranges = self.write_set();
+        // A dense writer drains a range a span, a strided one far fewer:
+        // room for the first, short of what the allocator maps afresh.
+        let spans: usize = self.views.iter().map(|v| v.written.spans().len()).sum();
+        let mut ranges = Vec::with_capacity(spans.min(2048));
+        for (entry, v) in (0..).zip(&self.views) {
+            let spans = v.written.spans().iter().map(|&(a, b)| (a, b - a, 1));
+            fold_rows(spans, |(first, count, stride)| {
+                ranges.push(UpdateRange {
+                    stride,
+                    ..UpdateRange::new(entry, first, count)
+                })
+            });
+        }
+        let updates: u64 = ranges.iter().map(UpdateRange::updates).sum();
         if self.recorder.is_enabled() {
             // The span carries the bytes written: every stored element
             // whole, as it ships.
@@ -952,12 +967,12 @@ impl DsdClient {
                     .map_or(0, |row| u64::from(row.size));
                 size * of_entry.iter().map(|r| r.count).sum::<u64>()
             });
-            t.args(bytes.sum(), ranges.len() as u64);
+            t.args(bytes.sum(), updates);
         }
         t.end(&mut self.costs);
-        // t_tag: every range ships as it is, one tag each.
+        // t_tag: every update ships as it is, one tag each.
         let mut t = Phase::Tag.begin(&self.recorder, self.obs_rank, self.cur_op);
-        t.args(ranges.len() as u64, 0);
+        t.args(updates, 0);
         t.end(&mut self.costs);
         // Freed, not cleared: a strided writer's set of thousands of spans
         // would otherwise stay allocated through the barrier wait. An entry
@@ -972,18 +987,12 @@ impl DsdClient {
         Ok(ranges)
     }
 
-    /// The write set as update ranges, entry by entry: sorted, disjoint
-    /// and maximal.
-    pub(crate) fn write_set(&self) -> Vec<UpdateRange> {
-        (self.views.iter().enumerate())
-            .flat_map(|(entry, v)| ranges_of(entry, &v.written))
-            .collect()
-    }
-
     /// Charge what a release puts out, once, an entry at a time: the
-    /// updates it ships and the pieces it holds are both released.
+    /// updates it ships and the pieces it holds are both released, a
+    /// strided range as its one-element updates.
     fn charge_released(&mut self, ship: &[UpdateRange], held: &[UpdateRange]) {
-        self.costs.updates_sent += (ship.len() + held.len()) as u64;
+        let updates = |ranges: &[UpdateRange]| ranges.iter().map(UpdateRange::updates).sum::<u64>();
+        self.costs.updates_sent += updates(ship) + updates(held);
         let table = self.gthv.table();
         let rank = self.thread_rank;
         self.recorder.heat(|h| {
@@ -993,7 +1002,10 @@ impl DsdClient {
             {
                 let entry = of_entry[0].entry;
                 if let Some(row) = table.row(entry) {
-                    let counts = of_entry.iter().map(|r| r.count);
+                    let counts = of_entry.iter().flat_map(|r| match r.stride {
+                        1 => std::iter::repeat_n(r.count, 1),
+                        _ => std::iter::repeat_n(1, r.count as usize),
+                    });
                     h.update_sent(entry, rank, u64::from(row.size), counts);
                 }
             }
@@ -1001,7 +1013,7 @@ impl DsdClient {
         if !held.is_empty() && self.recorder.is_enabled() {
             let size = |r: &UpdateRange| table.row(r.entry).map_or(0, |row| u64::from(row.size));
             let bytes = held.iter().map(|r| size(r) * r.count).sum();
-            self.recorder.count("client.ranges_held", held.len() as u64);
+            self.recorder.count("client.ranges_held", updates(held));
             self.recorder.count("client.bytes_held", bytes);
         }
     }
@@ -1105,7 +1117,7 @@ impl DsdClient {
                         .into_iter()
                         .partition(|r| self.placement.owner(r.entry) == owner);
                     for r in &moved {
-                        self.views[r.entry as usize].held.subtract(r.first, r.end());
+                        self.views[r.entry as usize].held.subtract_range(*r);
                     }
                     pending.extend(moved);
                     holding = stay;
@@ -1131,6 +1143,12 @@ impl DsdClient {
     /// Ranges come ascending, so one cursor walks each set. Returns what
     /// ships and the pieces held.
     ///
+    /// A piece is a range of the release's stride: a range is cut only at
+    /// the spans of a set its elements meet (DESIGN §5, "A release's
+    /// piece"), so a colour of a row that nobody reads, or that another
+    /// reads whole, is one piece, and work per element is left to the rows
+    /// a `ship` list cuts and to what first joins the hold.
+    ///
     /// The hold takes whole spans of what this thread's copy alone has
     /// current: the pieces, what it held before, and what the last barrier
     /// entry shipped that no other participant reads, so the spans
@@ -1148,9 +1166,7 @@ impl DsdClient {
                 let v = &mut self.views[of_entry[0].entry as usize];
                 v.shipped = IntervalSet::default();
                 if !v.held.is_empty() {
-                    of_entry
-                        .iter()
-                        .for_each(|r| v.held.subtract(r.first, r.end()));
+                    of_entry.iter().for_each(|r| v.held.subtract_range(*r));
                 }
             }
             return (ranges, Vec::new());
@@ -1169,9 +1185,7 @@ impl DsdClient {
             } = &mut self.views[entry as usize];
             let Some(listed) = read.as_ref().filter(|_| holds) else {
                 if !hold.is_empty() {
-                    of_entry
-                        .iter()
-                        .for_each(|r| hold.subtract(r.first, r.end()));
+                    of_entry.iter().for_each(|r| hold.subtract_range(*r));
                 }
                 // The next `ship` list for an entry another shard owns
                 // comes from another barrier's release.
@@ -1197,30 +1211,25 @@ impl DsdClient {
             let mut keep = |piece: UpdateRange, held: &mut Vec<UpdateRange>| {
                 // Mostly held already: a stencil rewrites what it wrote.
                 if at_hold.span_holding(piece.first, piece.end()).is_none() {
-                    fresh.push((piece.first, piece.end()));
+                    fresh.extend(piece.spans());
                 }
                 held.push(piece);
             };
             for r in of_entry {
                 if at_read.misses(r.first, r.end()) {
-                    keep(*r, &mut held); // read by nobody
+                    keep(*r, &mut held); // read by nobody: the hull is exact
                     continue;
                 }
-                for p in read.split(r.first, r.end()) {
-                    let piece = UpdateRange {
-                        entry,
-                        first: p.first,
-                        count: p.end - p.first,
-                    };
-                    match p.inside {
-                        true => ship.push(piece),
-                        false => keep(piece, &mut held),
+                for (span, piece) in at_read.split(*r) {
+                    match span {
+                        Some(_) => ship.push(piece),
+                        None => keep(piece, &mut held),
                     }
                 }
             }
             if !hold.is_empty() {
                 let shipped = &ship[from_ship..];
-                shipped.iter().for_each(|r| hold.subtract(r.first, r.end()));
+                shipped.iter().for_each(|r| hold.subtract_range(*r));
             }
             // What the last release shipped and nobody reads is current
             // here alone too: a span of the hold may reach across it, when
@@ -1230,7 +1239,10 @@ impl DsdClient {
             // no `ship` list can say yet: its next read would wait on this
             // thread instead of the shard.
             let mut at_shipped = shipped.cursor();
-            let other_colour = of_entry.iter().all(|r| at_shipped.misses(r.first, r.end()));
+            let missed = |r: &UpdateRange| {
+                at_shipped.misses(r.first, r.end()) || at_shipped.split(*r).all(|p| p.0.is_none())
+            };
+            let other_colour = of_entry.iter().all(missed);
             let reach: Vec<(u64, u64)> = (shipped.spans().iter())
                 .filter(|_| other_colour)
                 .flat_map(|&(a, b)| read.split(a, b).filter(|p| !p.inside))
@@ -1244,7 +1256,7 @@ impl DsdClient {
                 own.insert_sorted(reach);
                 let mut at = own.cursor();
                 let pieces = held[from_held..].iter();
-                hold.insert_sorted(pieces.filter_map(|p| at.span_holding(p.first, p.end())));
+                hold.insert_sorted(pieces.flat_map(|p| at.split(*p).filter_map(|(span, _)| span)));
             }
             *shipped = set_of(&ship[from_ship..]);
         }
@@ -1256,24 +1268,30 @@ impl DsdClient {
 
     /// The spans of the hold that `pieces` (ascending) lie in, each named
     /// once — whole spans, so a red-black writer names a row, the colour
-    /// it shipped or held before included. A piece a fetch took out of the
-    /// hold meanwhile (a flush's wait serves them) is named as it is.
+    /// it shipped or held before included. What of a piece a fetch took
+    /// out of the hold meanwhile (a flush's wait serves them) is named as
+    /// it is, an element at a time when strided: a name is dense.
     fn held_spans(&self, pieces: &[UpdateRange]) -> Vec<UpdateRange> {
         let mut spans: Vec<UpdateRange> = Vec::new();
         for of_entry in pieces.chunk_by(|a, b| a.entry == b.entry) {
             let entry = of_entry[0].entry;
             let mut at = self.views[entry as usize].held.cursor();
-            for t in of_entry {
-                let span = match at.span_holding(t.first, t.end()) {
-                    Some((first, end)) => UpdateRange {
-                        entry,
-                        first,
-                        count: end - first,
-                    },
-                    None => *t,
-                };
+            let mut name = |(first, end): (u64, u64)| {
+                let span = UpdateRange::new(entry, first, end - first);
                 if spans.last() != Some(&span) {
                     spans.push(span);
+                }
+            };
+            for t in of_entry {
+                if let Some(span) = at.span_holding(t.first, t.end()) {
+                    name(span);
+                    continue;
+                }
+                for (span, piece) in at.split(*t) {
+                    match span {
+                        Some(span) => name(span),
+                        None => piece.spans().for_each(&mut name),
+                    }
                 }
             }
         }
@@ -1386,11 +1404,7 @@ impl DsdClient {
         let Some(v) = self.views.get(entry as usize) else {
             return Ok(());
         };
-        let span = |(first, end): (u64, u64)| UpdateRange {
-            entry,
-            first,
-            count: end - first,
-        };
+        let span = |(first, end): (u64, u64)| UpdateRange::new(entry, first, end - first);
         let ranges: Vec<UpdateRange> = v.stale.intersect(first, end).map(span).collect();
         if ranges.is_empty() {
             return Ok(());
@@ -2199,11 +2213,7 @@ mod tests {
     }
 
     fn range(entry: u32, first: u64, count: u64) -> UpdateRange {
-        UpdateRange {
-            entry,
-            first,
-            count,
-        }
+        UpdateRange::new(entry, first, count)
     }
 
     fn elems(first: u64, count: u64) -> UpdateRange {
@@ -2654,6 +2664,180 @@ mod tests {
             wire.extend(posted(c));
         }
         (replies, carried)
+    }
+
+    impl DsdClient {
+        /// The write set as dense update ranges, entry by entry: sorted,
+        /// disjoint and maximal.
+        pub(crate) fn write_set(&self) -> Vec<UpdateRange> {
+            (self.views.iter().enumerate())
+                .flat_map(|(entry, v)| ranges_of(entry, &v.written))
+                .collect()
+        }
+    }
+
+    /// A client of `def` on Linux/x86, stepped by hand.
+    fn client_of(def: &GthvDef) -> DsdClient {
+        let (_net, mut eps) = Network::new(2, NetConfig::instant());
+        let gthv = GthvInstance::new(def.clone(), PlatformSpec::linux_x86());
+        DsdClient::new(1, eps.remove(1), gthv)
+    }
+
+    /// The elements `ranges` name, in order.
+    fn elements(ranges: &[UpdateRange]) -> Vec<(u32, u64)> {
+        let each = |&r: &UpdateRange| r.spans().flat_map(|(a, b)| a..b).map(move |e| (r.entry, e));
+        ranges.iter().flat_map(each).collect()
+    }
+
+    #[test]
+    fn a_red_black_store_loop_drains_to_a_range_a_row() {
+        let (width, rows) = (255, 9);
+        let grid = StructBuilder::new("G").array("grid", ScalarKind::Double, width * rows);
+        let mut c = client_of(&GthvDef::new(grid.build().unwrap()).unwrap());
+        let width = width as u64;
+        for row in 0..rows as u64 {
+            for j in (1 + row % 2..width - 1).step_by(2) {
+                c.write_float(0, row * width + j, 1.0).unwrap();
+            }
+        }
+        // 127 and 126 one-element spans a row, by colour.
+        assert_eq!(c.write_set().len(), 5 * 127 + 4 * 126);
+        let ranges = c.collect_outgoing().unwrap();
+        let shape: Vec<(u64, u64, u64)> = ranges
+            .iter()
+            .map(|r| (r.first, r.count, r.stride))
+            .collect();
+        let want: Vec<(u64, u64, u64)> = (0..rows as u64)
+            .map(|row| (row * width + 1 + row % 2, 127 - row % 2, 2))
+            .collect();
+        assert_eq!(shape, want);
+        assert!(c.views[0].written.is_empty());
+    }
+
+    #[test]
+    fn the_release_of_strided_ranges_is_the_release_of_their_elements() {
+        // Each case draws a write set, the `ship`, `held`, `shipped` and
+        // `fetched` sets of every entry and whether the release is a
+        // barrier entry, then runs the release pipeline twice on clients
+        // alike: on the drain's strided ranges, and on the same write set
+        // drained as it stands, a range of count 1 for each one-element
+        // span. Everything the release decides must be the same.
+        let def = StructBuilder::new("R")
+            .array("a", ScalarKind::Int, 400)
+            .array("b", ScalarKind::Int, 400)
+            .array("c", ScalarKind::Int, 400)
+            .build()
+            .unwrap();
+        let def = GthvDef::new(def).unwrap();
+        struct Draw(u64);
+        impl Draw {
+            fn below(&mut self, m: u64) -> u64 {
+                self.0 = (self.0)
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (self.0 >> 33) % m
+            }
+
+            /// Fewer than `most` spans of at most `len` elements.
+            fn set(&mut self, most: u64, len: u64) -> IntervalSet {
+                let mut set = IntervalSet::default();
+                for _ in 0..self.below(most) {
+                    let a = self.below(400);
+                    set.insert(a, (a + 1 + self.below(len)).min(400));
+                }
+                set
+            }
+        }
+        let mut draw = Draw(0x5EED_0F57);
+        let (mut strided_cases, mut cut_cases) = (0, 0);
+        for case in 0..600 {
+            let mut stores: Vec<(u32, u64)> = Vec::new();
+            let mut sets: Vec<[Option<IntervalSet>; 4]> = Vec::new();
+            for entry in 0..3 {
+                let (ship, held, fetched) = (draw.set(6, 40), draw.set(8, 20), draw.set(2, 10));
+                let mut shipped = draw.set(4, 30);
+                let (width, gap) = (5 + draw.below(40), 2 + draw.below(3));
+                let (at, rows, pattern) = (draw.below(60), 1 + draw.below(8), draw.below(4));
+                let mut mine = Vec::new();
+                match pattern {
+                    // Red-black rows, stored forwards or backwards; the
+                    // other colour is what the last release shipped.
+                    0 | 1 => {
+                        for row in 0..rows {
+                            let from = at + row * width + 1 + (row + draw.below(2)) % gap;
+                            let row_end = (at + (row + 1) * width - 1).min(400);
+                            mine.extend((from..row_end).step_by(gap as usize));
+                            if draw.below(2) == 0 {
+                                for e in (from + 1..row_end).step_by(gap as usize) {
+                                    shipped.insert(e, e + 1);
+                                }
+                            }
+                        }
+                        if pattern == 1 {
+                            mine.reverse();
+                        }
+                    }
+                    // Dense spans and lone elements.
+                    2 => {
+                        for _ in 0..12 {
+                            let a = draw.below(400);
+                            let len = if draw.below(2) == 0 {
+                                1
+                            } else {
+                                1 + draw.below(6)
+                            };
+                            mine.extend(a..(a + len).min(400));
+                        }
+                    }
+                    _ => {}
+                }
+                stores.extend(mine.into_iter().map(|e| (entry, e)));
+                let ship = (draw.below(4) != 0).then_some(ship);
+                sets.push([ship, Some(held), Some(shipped), Some(fetched)]);
+            }
+            let coordinator = [None, Some(0)][draw.below(2) as usize];
+            let release = |strided: bool| {
+                let mut c = client_of(&def);
+                for &(entry, e) in &stores {
+                    c.write_int(entry, e, i128::from(entry) * 1000 + e as i128)
+                        .unwrap();
+                }
+                for (v, [ship, held, shipped, fetched]) in c.views.iter_mut().zip(sets.clone()) {
+                    (v.ship, v.held) = (ship, held.unwrap());
+                    (v.shipped, v.fetched) = (shipped.unwrap(), fetched.unwrap());
+                }
+                let ranges = match strided {
+                    true => c.collect_outgoing().unwrap(),
+                    false => {
+                        let dense = c.write_set();
+                        c.collect_outgoing().unwrap();
+                        dense
+                    }
+                };
+                let many = ranges.iter().any(|r| r.stride > 1);
+                let (ship, held) = c.hold(coordinator, ranges);
+                c.charge_released(&ship, &held);
+                let names = c.held_spans(&held);
+                let frame = c.extract(&ship).unwrap().frame().clone();
+                let sets: Vec<_> = c
+                    .views
+                    .iter()
+                    .map(|v| (v.held.clone(), v.shipped.clone()))
+                    .collect();
+                let cut = held.len() + ship.len() > names.len() + 1;
+                let decided = (elements(&ship), elements(&held), names, frame, sets);
+                (decided, c.costs.updates_sent, many && cut)
+            };
+            let (strided, oracle) = (release(true), release(false));
+            assert_eq!(strided.0, oracle.0, "case {case}");
+            assert_eq!(strided.1, oracle.1, "case {case}: updates");
+            strided_cases += usize::from(strided.2);
+            cut_cases += usize::from(strided.0 .2.len() > 1);
+        }
+        assert!(
+            strided_cases > 150 && cut_cases > 150,
+            "{strided_cases} {cut_cases}"
+        );
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl ClusterCtl {
     }
 
     /// Sever the replication link of shard `shard` (primary ↔ replica):
-    /// the primary self-fences at ¾ of the lease, the replica promotes
+    /// the primary self-fences at half the lease, the replica promotes
     /// at a full lease of silence.
     pub fn partition_replication(&self, shard: ShardId) {
         self.partition(

@@ -1855,7 +1855,7 @@ impl HomeShard {
     /// What a serving or concluding instance does on every step: the
     /// round, then the checks that guard safety — the shadow's promotion
     /// after a full lease of relay silence, the primary's self-fence
-    /// after ¾ of one, and lease expiry. The round sends everything owed
+    /// after half of one, and lease expiry. The round sends everything owed
     /// again, at most once a tick whether or not frames are arriving;
     /// each went out at once when it became owed.
     fn duties(&mut self) -> Result<(), HomeError> {
@@ -1875,10 +1875,14 @@ impl HomeShard {
                 }
                 return Ok(()); // a shadow has nobody to serve
             }
-            // Split-brain guard: ¾ of a lease of standby silence, and
-            // fence before the replica promotes at a full lease.
+            // Split-brain guard: half a lease of standby silence, and
+            // fence before the replica promotes at a full lease. Both
+            // check on their ticks (a quarter lease), and a cut can drop
+            // the last frame one way and not the other, so the replica's
+            // silence may start up to a tick before this one's: half a
+            // lease still fences a tick ahead of the promotion.
             Standby::Primary { .. }
-                if !self.fenced && self.lease.is_some_and(|l| silence > l * 3 / 4) =>
+                if !self.fenced && self.lease.is_some_and(|l| silence > l / 2) =>
             {
                 self.fence()
             }
@@ -2681,11 +2685,7 @@ impl HomeShard {
 /// Elements `first..end` of `entry`.
 fn span(entry: u32, first: u64, end: u64) -> UpdateRange {
     let count = end - first;
-    UpdateRange {
-        entry,
-        first,
-        count,
-    }
+    UpdateRange::new(entry, first, count)
 }
 
 impl HomeShard {
@@ -2989,15 +2989,7 @@ mod tests {
         // silent write into a non-authoritative copy.
         let mut src = GthvInstance::new(def(), PlatformSpec::linux_x86());
         src.write_int(0, 0, 9).unwrap();
-        let bad = extract_updates(
-            &src,
-            &[UpdateRange {
-                entry: 0,
-                first: 0,
-                count: 1,
-            }],
-        )
-        .unwrap();
+        let bad = extract_updates(&src, &[UpdateRange::new(0, 0, 1)]).unwrap();
         assert!(matches!(
             h.absorb(1, &bad, &[]),
             Err(HomeError::Violation(_))
@@ -3016,11 +3008,7 @@ mod tests {
 
     /// `count` elements of entry 0 from `first`.
     fn elems(first: u64, count: u64) -> UpdateRange {
-        UpdateRange {
-            entry: 0,
-            first,
-            count,
-        }
+        UpdateRange::new(0, first, count)
     }
 
     /// A report of `rows` read and nothing held.
@@ -3106,11 +3094,7 @@ mod tests {
     fn one_elem(first: u64, value: i128) -> UpdateBatch {
         let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         src.write_int(0, first, value).unwrap();
-        let range = UpdateRange {
-            entry: 0,
-            first,
-            count: 1,
-        };
+        let range = UpdateRange::new(0, first, 1);
         extract_updates(&src, &[range]).unwrap()
     }
 
@@ -3820,11 +3804,7 @@ mod tests {
             let stale: Vec<UpdateRange> = (0..next(40))
                 .map(|_| {
                     let first = next(N);
-                    UpdateRange {
-                        entry: next(2) as u32,
-                        first,
-                        count: (1 + next(6)).min(N - first),
-                    }
+                    UpdateRange::new(next(2) as u32, first, (1 + next(6)).min(N - first))
                 })
                 .collect();
             let (ship, notices) = split_by_interest(stale.iter().copied(), &interest);
@@ -4537,15 +4517,7 @@ mod tests {
     #[test]
     fn a_held_row_outside_the_index_table_is_a_violation() {
         let mut h = five_rank_shard(PlatformSpec::linux_x86());
-        let wild = [
-            elems(60, 5),
-            elems(u64::MAX, 2),
-            UpdateRange {
-                entry: 9,
-                first: 0,
-                count: 1,
-            },
-        ];
+        let wild = [elems(60, 5), elems(u64::MAX, 2), UpdateRange::new(9, 0, 1)];
         let enter = |barrier| DsdMsg::BarrierEnter {
             barrier,
             rank: 2,
@@ -5001,15 +4973,7 @@ mod tests {
     fn an_interest_report_outside_the_index_table_is_a_violation() {
         let mut h = five_rank_shard(PlatformSpec::linux_x86());
         let lock = || DsdMsg::LockRequest { lock: 0, rank: 2 };
-        let wild = [
-            elems(60, 5),
-            elems(u64::MAX, 2),
-            UpdateRange {
-                entry: 9,
-                first: 0,
-                count: 1,
-            },
-        ];
+        let wild = [elems(60, 5), elems(u64::MAX, 2), UpdateRange::new(9, 0, 1)];
         for (req_id, row) in (1..).zip(wild) {
             let res = h.dispatch(2, req_id, lock(), &interest(&[row]), OpCtx::default());
             assert!(matches!(res, Err(HomeError::Violation(_))), "{row:?}");
@@ -5182,11 +5146,11 @@ mod tests {
                 let queued = w.homes[1].locks[lock as usize].waiters.contains(&rank);
                 assert!(granted || queued, "cut {cut}: rank {rank} is answered");
             }
-            // The primary granted nothing after ¾ of a lease without a
+            // The primary granted nothing after half a lease without a
             // beat, nor once the standby had promoted.
             let by_primary = || w.grants.iter().filter(|g| g.by == 0);
             for g in by_primary() {
-                assert!(g.quiet <= lease * 3 / 4 && g.at < w.now, "cut {cut}");
+                assert!(g.quiet <= lease / 2 && g.at < w.now, "cut {cut}");
             }
             // The promoted standby re-grants exactly the mutexes whose
             // grants were decided on a cut link, and none relayed before.

@@ -10,6 +10,10 @@
 //! — two that meet merge — so a reader that walks an array row by row
 //! holds one span, not one per row, and every operation is a binary search
 //! plus work proportional to the spans it touches.
+//! A strided [`UpdateRange`] is asked about for its elements, not its
+//! hull, at work per span its hull touches.
+
+use crate::runs::UpdateRange;
 
 /// One piece of a range split against an [`IntervalSet`]: `[first, end)`
 /// lies wholly inside one span of the set or wholly in one gap between
@@ -128,6 +132,23 @@ impl IntervalSet {
             .splice(from..to, keep.into_iter().filter(|s| s.0 < s.1));
     }
 
+    /// Remove the elements of `r`: spans its hull touches lose the
+    /// elements they hold, gaps between them stay.
+    pub fn subtract_range(&mut self, r: UpdateRange) {
+        let from = self.spans.partition_point(|s| s.1 <= r.first);
+        let to = self.spans.partition_point(|s| s.0 < r.end()).max(from);
+        let mut keep = Vec::new();
+        for &(a, b) in &self.spans[from..to] {
+            let holes = r.slice(r.below(a), r.below(b)).into_iter();
+            let mut at = a;
+            for (x, y) in holes.flat_map(|p| p.spans()).chain([(b, b)]) {
+                keep.extend((at < x).then_some((at, x)));
+                at = y;
+            }
+        }
+        self.spans.splice(from..to, keep);
+    }
+
     /// `[first, end)` cut at the set's span boundaries, in ascending
     /// order: the pieces tile the range exactly, alternating between
     /// spans and gaps.
@@ -205,7 +226,7 @@ pub struct Cursor<'a> {
     at: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     /// The first span ending past `first`, if any.
     fn next_span(&mut self, first: u64) -> Option<(u64, u64)> {
         while self.spans.get(self.at).is_some_and(|s| s.1 <= first) {
@@ -222,6 +243,29 @@ impl Cursor<'_> {
     /// The span that holds all of `[first, end)`, if one does.
     pub fn span_holding(&mut self, first: u64, end: u64) -> Option<(u64, u64)> {
         self.next_span(first).filter(|s| s.0 <= first && end <= s.1)
+    }
+
+    /// The elements of `r` cut at the spans, in ascending order: each piece
+    /// a range of `r`'s stride with the span that holds it, or `None` in a
+    /// gap. No two gap pieces meet; a span that holds no element of `r`
+    /// cuts nothing. Where the hull is exact, `misses` costs less.
+    pub fn split(
+        &mut self,
+        r: UpdateRange,
+    ) -> impl Iterator<Item = (Option<(u64, u64)>, UpdateRange)> + 'a {
+        self.next_span(r.first);
+        // Elements cut off so far; a last gap closes the walk.
+        let (mut at, end) = (0, r.end());
+        (self.spans[self.at..].iter())
+            .take_while(move |s| s.0 < end)
+            .map(move |&s| (Some(s), r.below(s.0), r.below(s.1)))
+            .filter(|&(_, lo, hi)| lo < hi)
+            .chain([(None, r.count, r.count)])
+            .flat_map(move |(span, lo, hi)| {
+                let gap = r.slice(std::mem::replace(&mut at, hi), lo);
+                let gap = gap.map(|p| (None, p)).into_iter();
+                gap.chain(r.slice(lo, hi).map(|p| (span, p)))
+            })
     }
 }
 
@@ -412,6 +456,58 @@ mod tests {
                 }
                 assert_eq!(fast, searched, "after [{first}, {end})");
             }
+        }
+    }
+
+    #[test]
+    fn a_strided_range_is_split_and_subtracted_element_by_element() {
+        const N: u64 = 120;
+        let mut seed = 0x57_21DEu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for _ in 0..2000 {
+            let (mut s, mut bits) = (IntervalSet::default(), [false; N as usize]);
+            for _ in 0..next(8) {
+                let first = next(N);
+                let end = (first + 1 + next(10)).min(N);
+                s.insert(first, end);
+                bits[first as usize..end as usize].fill(true);
+            }
+            let (stride, count) = (1 + next(5), 1 + next(12));
+            let r = UpdateRange {
+                stride,
+                ..UpdateRange::new(0, next(N - (count - 1) * stride), count)
+            };
+            let elems: Vec<u64> = r.spans().flat_map(|(a, b)| a..b).collect();
+            // The pieces tile the elements in order, each inside the span
+            // it names or in no span, and no two gap pieces meet.
+            let pieces: Vec<_> = s.cursor().split(r).collect();
+            let tiled: Vec<u64> = (pieces.iter())
+                .flat_map(|(_, p)| p.spans().flat_map(|(a, b)| a..b))
+                .collect();
+            assert_eq!(tiled, elems, "{r:?} in {:?}", s.spans());
+            for (span, p) in &pieces {
+                assert_eq!(p.stride, r.stride);
+                let inside = |e: u64| span.is_some_and(|(a, b)| a <= e && e < b);
+                let mut all = p.spans().flat_map(|(a, b)| a..b);
+                assert!(all.all(|e| inside(e) == bits[e as usize]), "{r:?}");
+                assert!(span.is_none_or(|sp| s.spans().contains(&sp)));
+            }
+            let gaps_meet = |w: &[(Option<_>, _)]| w[0].0.is_none() && w[1].0.is_none();
+            assert!(!pieces.windows(2).any(gaps_meet), "{r:?}");
+            // Subtracting removes exactly the elements.
+            let mut cut = s.clone();
+            cut.subtract_range(r);
+            elems.iter().for_each(|&e| bits[e as usize] = false);
+            let held: Vec<bool> = (0..N)
+                .map(|e| cut.spans().iter().any(|s| s.0 <= e && e < s.1))
+                .collect();
+            assert_eq!(held, bits, "{r:?}");
+            assert!(cut.spans().windows(2).all(|w| w[0].1 < w[1].0));
         }
     }
 

@@ -532,6 +532,7 @@ impl Report {
             .map(|(r, held)| {
                 debug_assert!(r.entry < HELD_ROW, "entry {} in a report", r.entry);
                 debug_assert!(r.count > 0, "an empty range in a report");
+                debug_assert_eq!(r.stride, 1, "a strided range in a report");
                 [u64::from(r.entry) << 1 | held, r.first, r.count]
             })
             .chain(self.stamp.iter().map(stamp_fields))
@@ -553,11 +554,7 @@ impl Report {
         while b.has_remaining() {
             // The marked entry fits a `u32`, so the entry is below `HELD_ROW`.
             let [marked, first, count] = take_fields(b, UpdateRange::MAX)?;
-            let r = UpdateRange {
-                entry: (marked >> 1) as u32,
-                first,
-                count,
-            };
+            let r = UpdateRange::new((marked >> 1) as u32, first, count);
             if count == 0 {
                 report.stamp.push((marked as u32, first));
             } else if marked & 1 == 0 {
@@ -729,14 +726,11 @@ trait Row: Sized {
 impl Row for UpdateRange {
     const MAX: [u64; 3] = [u32::MAX as u64, u64::MAX, u64::MAX];
     fn fields(&self) -> [u64; 3] {
+        debug_assert_eq!(self.stride, 1, "a strided row");
         [self.entry.into(), self.first, self.count]
     }
     fn of([entry, first, count]: [u64; 3]) -> UpdateRange {
-        UpdateRange {
-            entry: entry as u32,
-            first,
-            count,
-        }
+        UpdateRange::new(entry as u32, first, count)
     }
 }
 
@@ -891,18 +885,21 @@ impl Sample for UpdateBatch {
     /// payload byte 1.
     fn samples() -> Vec<UpdateBatch> {
         let frame = |offsets: std::ops::Range<u32>| {
-            let runs = offsets.map(|i| (2 * u64::from(i), 1));
-            let body = FrameWriter::run_group_bytes(3, 4, runs.clone());
-            let mut w = FrameWriter::new(1, body);
+            let mut w = FrameWriter::default();
             let (entry, endian, is_ptr, size) = (3, Endianness::Big, false, 4);
+            w.plan_group(
+                entry,
+                size,
+                offsets.clone().map(|i| (2 * u64::from(i), 1, 1)),
+            );
             let head = GroupHead {
                 entry,
                 endian,
                 is_ptr,
                 size,
             };
-            w.begin_group(head, runs.clone());
-            runs.for_each(|_| w.put_payload(&[1; 4]));
+            w.begin_group(head);
+            offsets.for_each(|_| w.put_payload(&[1; 4]));
             w.finish()
         };
         vec![UpdateBatch::default(), frame(50..51), frame(0..40)]
@@ -911,11 +908,7 @@ impl Sample for UpdateBatch {
 
 impl Sample for Vec<UpdateRange> {
     fn samples() -> Vec<Vec<UpdateRange>> {
-        let range = |entry, first, count| UpdateRange {
-            entry,
-            first,
-            count,
-        };
+        let range = |entry, first, count| UpdateRange::new(entry, first, count);
         let rows = vec![
             range(3, 0, 100),
             range(3, 400, 1),
@@ -1133,11 +1126,7 @@ mod tests {
             tag: tag_for_scalar_run(ScalarKind::Int, 4, 1),
             data: Bytes::from_static(&[1, 2, 3, 4]),
         }]);
-        let row = |entry, first, count| UpdateRange {
-            entry,
-            first,
-            count,
-        };
+        let row = |entry, first, count| UpdateRange::new(entry, first, count);
         // `batch`'s frame: the marker, one group, its shape (big-endian,
         // four bytes), entry 3, one run (element 100, one element) and the
         // run's four payload bytes.
@@ -1430,11 +1419,7 @@ mod tests {
         // A stamp row in a report comes back as one, wherever it stands.
         let report = Bytes::from_static(&[5, 6, 1, 1, 2, 9, 0, 7, 2, 1]);
         let (_, got) = DsdMsg::decode_reported(MsgKind::UpdateFetch, report).unwrap();
-        let at = |first| UpdateRange {
-            entry: 3,
-            first,
-            count: 1,
-        };
+        let at = |first| UpdateRange::new(3, first, 1);
         assert_eq!((got.interest, got.held), (vec![at(1)], vec![at(2)]));
         assert_eq!(got.stamp, [(2, 9)]);
     }

@@ -27,7 +27,9 @@ use crate::index_table::{IndexRow, IndexTable};
 use hdsm_memory::diff::{diff_elems, DiffRun};
 use hdsm_memory::AddressSpace;
 
-/// A coalesced range of modified elements of one index-table entry.
+/// A coalesced range of modified elements of one index-table entry:
+/// elements `first + k·stride` for `k < count`, one update when dense
+/// (stride 1), else one an element ([`hdsm_tags::wire::fold_rows`]).
 ///
 /// This is the portable unit of modification: entry ids and element
 /// indexes mean the same thing on every node regardless of architecture.
@@ -39,12 +41,59 @@ pub struct UpdateRange {
     pub first: u64,
     /// Number of modified elements.
     pub count: u64,
+    /// Distance from one element to the next; 1 when dense.
+    pub stride: u64,
 }
 
 impl UpdateRange {
-    /// One-past-the-last element.
+    /// The dense range of `count` elements from `first` on.
+    pub const fn new(entry: u32, first: u64, count: u64) -> UpdateRange {
+        let stride = 1;
+        UpdateRange {
+            entry,
+            first,
+            count,
+            stride,
+        }
+    }
+
+    /// One past the last element: the end of the range's hull.
     pub fn end(&self) -> u64 {
-        self.first + self.count
+        match self.stride {
+            1 => self.first + self.count,
+            s => self.first + (self.count - 1) * s + 1,
+        }
+    }
+
+    /// The updates the range is: one when dense, one an element otherwise.
+    pub fn updates(&self) -> u64 {
+        1 + (self.count - 1) * u64::from(self.stride > 1)
+    }
+
+    /// The range as dense spans, ascending: itself when dense, one span an
+    /// element otherwise.
+    pub fn spans(self) -> impl Iterator<Item = (u64, u64)> {
+        (0..self.updates()).map(move |k| match self.stride {
+            1 => (self.first, self.end()),
+            s => (self.first + k * s, self.first + k * s + 1),
+        })
+    }
+
+    /// Its elements `first + k·stride` for `k` in `[from, to)`, as a range;
+    /// `None` when that is empty.
+    pub fn slice(&self, from: u64, to: u64) -> Option<UpdateRange> {
+        (from < to).then(|| UpdateRange {
+            first: self.first + from * self.stride,
+            count: to - from,
+            ..*self
+        })
+    }
+
+    /// How many of its elements lie below `x`.
+    pub fn below(&self, x: u64) -> u64 {
+        let (d, s) = (x.saturating_sub(self.first), self.stride);
+        let d = if s == 1 { d } else { d.div_ceil(s) };
+        d.min(self.count)
     }
 }
 
@@ -100,11 +149,7 @@ fn push_folded(out: &mut Vec<UpdateRange>, entry: u32, first: u64, count: u64) {
         Some(last) if last.entry == entry && (last.first..=last.end()).contains(&first) => {
             last.count = last.count.max(first + count - last.first);
         }
-        _ => out.push(UpdateRange {
-            entry,
-            first,
-            count,
-        }),
+        _ => out.push(UpdateRange::new(entry, first, count)),
     }
 }
 
@@ -243,11 +288,7 @@ fn map_runs_reference(table: &IndexTable, runs: &[DiffRun]) -> Vec<UpdateRange> 
     let mut out = Vec::new();
     for run in runs {
         for (entry, first, count) in rows_overlapping(table, run.addr, run.end()) {
-            out.push(UpdateRange {
-                entry,
-                first,
-                count,
-            });
+            out.push(UpdateRange::new(entry, first, count));
         }
     }
     out.sort_by_key(|r| (r.entry, r.first));
@@ -283,14 +324,7 @@ mod tests {
         let t = table();
         let a10 = t.row(1).unwrap().elem_addr(10);
         let runs = vec![DiffRun { addr: a10, len: 4 }];
-        assert_eq!(
-            abstract_diffs(&t, &runs),
-            vec![UpdateRange {
-                entry: 1,
-                first: 10,
-                count: 1
-            }]
-        );
+        assert_eq!(abstract_diffs(&t, &runs), vec![UpdateRange::new(1, 10, 1)]);
     }
 
     #[test]
@@ -302,14 +336,7 @@ mod tests {
             addr: a10 + 2,
             len: 1,
         }];
-        assert_eq!(
-            abstract_diffs(&t, &runs),
-            vec![UpdateRange {
-                entry: 1,
-                first: 10,
-                count: 1
-            }]
-        );
+        assert_eq!(abstract_diffs(&t, &runs), vec![UpdateRange::new(1, 10, 1)]);
     }
 
     #[test]
@@ -322,18 +349,7 @@ mod tests {
         }]; // last elem of A + first 2 of B
         assert_eq!(
             abstract_diffs(&t, &runs),
-            vec![
-                UpdateRange {
-                    entry: 1,
-                    first: 56168,
-                    count: 1
-                },
-                UpdateRange {
-                    entry: 2,
-                    first: 0,
-                    count: 2
-                },
-            ]
+            vec![UpdateRange::new(1, 56168, 1), UpdateRange::new(2, 0, 2),]
         );
     }
 
@@ -357,18 +373,7 @@ mod tests {
         ];
         assert_eq!(
             abstract_diffs(&t, &runs),
-            vec![
-                UpdateRange {
-                    entry: 1,
-                    first: 5,
-                    count: 2
-                },
-                UpdateRange {
-                    entry: 1,
-                    first: 100,
-                    count: 2
-                },
-            ]
+            vec![UpdateRange::new(1, 5, 2), UpdateRange::new(1, 100, 2),]
         );
     }
 
@@ -383,66 +388,25 @@ mod tests {
             len: (4 * 56169) as usize,
         }];
         let out = abstract_diffs(&t, &runs);
-        assert_eq!(
-            out,
-            vec![UpdateRange {
-                entry: 3,
-                first: 0,
-                count: 56169
-            }]
-        );
+        assert_eq!(out, vec![UpdateRange::new(3, 0, 56169)]);
     }
 
     #[test]
     fn overlapping_ranges_merge() {
         let merged = coalesce(vec![
-            UpdateRange {
-                entry: 0,
-                first: 0,
-                count: 10,
-            },
-            UpdateRange {
-                entry: 0,
-                first: 5,
-                count: 10,
-            },
-            UpdateRange {
-                entry: 1,
-                first: 0,
-                count: 1,
-            },
+            UpdateRange::new(0, 0, 10),
+            UpdateRange::new(0, 5, 10),
+            UpdateRange::new(1, 0, 1),
         ]);
         assert_eq!(
             merged,
-            vec![
-                UpdateRange {
-                    entry: 0,
-                    first: 0,
-                    count: 15
-                },
-                UpdateRange {
-                    entry: 1,
-                    first: 0,
-                    count: 1
-                },
-            ]
+            vec![UpdateRange::new(0, 0, 15), UpdateRange::new(1, 0, 1),]
         );
     }
 
     #[test]
     fn different_entries_never_merge() {
-        let merged = coalesce(vec![
-            UpdateRange {
-                entry: 0,
-                first: 0,
-                count: 1,
-            },
-            UpdateRange {
-                entry: 1,
-                first: 0,
-                count: 1,
-            },
-        ]);
+        let merged = coalesce(vec![UpdateRange::new(0, 0, 1), UpdateRange::new(1, 0, 1)]);
         assert_eq!(merged.len(), 2);
     }
 
@@ -455,26 +419,8 @@ mod tests {
 
     #[test]
     fn unsorted_input_is_sorted_and_coalesced() {
-        let merged = coalesce(vec![
-            UpdateRange {
-                entry: 0,
-                first: 10,
-                count: 5,
-            },
-            UpdateRange {
-                entry: 0,
-                first: 0,
-                count: 10,
-            },
-        ]);
-        assert_eq!(
-            merged,
-            vec![UpdateRange {
-                entry: 0,
-                first: 0,
-                count: 15
-            }]
-        );
+        let merged = coalesce(vec![UpdateRange::new(0, 10, 5), UpdateRange::new(0, 0, 10)]);
+        assert_eq!(merged, vec![UpdateRange::new(0, 0, 15)]);
     }
     #[test]
     fn a_store_per_element_of_a_stripe_maps_to_one_range() {
@@ -488,11 +434,7 @@ mod tests {
                 len: 3,
             })
             .collect();
-        let one = vec![UpdateRange {
-            entry: 1,
-            first: 40,
-            count: 100,
-        }];
+        let one = vec![UpdateRange::new(1, 40, 100)];
         assert_eq!(map_runs(&t, &runs), one);
         assert_eq!(map_runs_reference(&t, &runs).len(), 100);
         // Two runs inside one element repeat its range.
@@ -603,11 +545,7 @@ mod tests {
                 s.write(0x1000 + 128 - side, &byte).unwrap();
             }
             assert_scan_matches_oracle(&t, &s, "one side of the seam");
-            let d0 = UpdateRange {
-                entry: 1,
-                first: 0,
-                count: 1,
-            };
+            let d0 = UpdateRange::new(1, 0, 1);
             assert_eq!(scan_ranges(&t, &s), vec![d0]);
         }
     }

@@ -135,17 +135,19 @@ fn unswizzle_ptr(gthv: &GthvInstance, portable: u64) -> Result<u64, UpdateError>
 }
 
 /// Frame the current bytes of the given (coalesced) ranges as an update
-/// batch, one update per range. Data entries ship verbatim native bytes;
-/// pointer entries are swizzled to the portable index form (still in
-/// native byte order — the receiver handles endianness like any unsigned
-/// scalar).
+/// batch: a dense range is one update, a strided one an update an
+/// element. Data entries ship verbatim native bytes; pointer entries are
+/// swizzled to the portable index form (still in native byte order — the
+/// receiver handles endianness like any unsigned scalar).
 ///
 /// Two passes over `ranges`: the first touches no data, checks every
-/// range against its row and sizes the frame (consecutive ranges of one
-/// entry form one run group); the second writes group headers, run tables
-/// and payload straight from the address space into that one buffer. The
-/// cost is two allocations a batch (the buffer and its reference count)
-/// and one copy of each payload byte, whatever the number of ranges.
+/// range against its row and plans the frame (consecutive ranges of one
+/// entry form one run group, their rows folded once by
+/// [`hdsm_tags::wire::fold_rows`], so the frame is the same whether a
+/// strided range came in whole or an element at a time); the second
+/// writes group headers, run tables and payload straight from the address
+/// space into that one buffer. The cost is per range and per row, not per
+/// update, and one copy of each payload byte.
 pub fn extract_updates(
     gthv: &GthvInstance,
     ranges: &[UpdateRange],
@@ -155,14 +157,7 @@ pub fn extract_updates(
     }
     let endian = gthv.platform().endian;
     let groups = || ranges.chunk_by(|a, b| a.entry == b.entry);
-    fn runs(group: &[UpdateRange]) -> impl ExactSizeIterator<Item = (u64, u32)> + Clone + '_ {
-        group.iter().map(|r| {
-            let count = u32::try_from(r.count).expect("run too long for one update");
-            (r.first, count)
-        })
-    }
-
-    let (mut n_groups, mut body_bytes) = (0u32, 0usize);
+    let mut w = FrameWriter::default();
     for group in groups() {
         let entry = group[0].entry;
         let row = gthv
@@ -170,10 +165,9 @@ pub fn extract_updates(
             .row(entry)
             .ok_or(UpdateError::NoSuchEntry(entry))?;
         for r in group {
-            if r.first
-                .checked_add(r.count)
-                .is_none_or(|end| end > row.count)
-            {
+            let last = r.count.checked_sub(1).and_then(|k| k.checked_mul(r.stride));
+            let last = last.and_then(|d| r.first.checked_add(d));
+            if last.is_none_or(|last| last >= row.count) {
                 return Err(UpdateError::RangeOutOfBounds {
                     entry,
                     first: r.first,
@@ -182,11 +176,12 @@ pub fn extract_updates(
                 });
             }
         }
-        n_groups += 1;
-        body_bytes += FrameWriter::run_group_bytes(entry, row.size, runs(group));
+        w.plan_group(
+            entry,
+            row.size,
+            group.iter().map(|r| (r.first, r.count, r.stride)),
+        );
     }
-
-    let mut w = FrameWriter::new(n_groups, body_bytes);
     for group in groups() {
         let row = gthv.table().row(group[0].entry).expect("checked above");
         let head = GroupHead {
@@ -195,17 +190,20 @@ pub fn extract_updates(
             is_ptr: row.kind == ScalarKind::Ptr,
             size: row.size,
         };
-        w.begin_group(head, runs(group));
+        w.begin_group(head);
         let s = row.size as usize;
         for r in group {
-            let raw = gthv
-                .space()
-                .read(row.elem_addr(r.first), s * r.count as usize)?;
-            if !head.is_ptr {
+            let hull = (r.end() - r.first) as usize;
+            let raw = gthv.space().read(row.elem_addr(r.first), s * hull)?;
+            if !head.is_ptr && r.stride == 1 {
                 w.put_payload(raw);
                 continue;
             }
-            for native in raw.chunks_exact(s) {
+            for native in raw.chunks(s * r.stride as usize).map(|e| &e[..s]) {
+                if !head.is_ptr {
+                    w.put_payload(native);
+                    continue;
+                }
                 let portable = swizzle_ptr(gthv, read_uint(native, endian) as u64)?;
                 let mut word = [0u8; 16];
                 write_uint(u128::from(portable), &mut word[..s], endian);
@@ -419,11 +417,7 @@ pub fn full_ranges(gthv: &GthvInstance) -> Vec<UpdateRange> {
     gthv.table()
         .rows()
         .iter()
-        .map(|r| UpdateRange {
-            entry: r.entry,
-            first: 0,
-            count: r.count,
-        })
+        .map(|r| UpdateRange::new(r.entry, 0, r.count))
         .collect()
 }
 
@@ -440,11 +434,7 @@ mod tests {
     }
 
     fn range(entry: u32, first: u64, count: u64) -> UpdateRange {
-        UpdateRange {
-            entry,
-            first,
-            count,
-        }
+        UpdateRange::new(entry, first, count)
     }
 
     fn apply(dst: &mut GthvInstance, batch: &UpdateBatch) -> Result<(u64, u64, u64), UpdateError> {
@@ -555,6 +545,90 @@ mod tests {
         assert_eq!(dst.read_int(3, 210).unwrap(), 0);
     }
 
+    /// `count` elements of `entry` from `first` on, `stride` apart.
+    fn strided(entry: u32, first: u64, count: u64, stride: u64) -> UpdateRange {
+        UpdateRange {
+            stride,
+            ..range(entry, first, count)
+        }
+    }
+
+    #[test]
+    fn strided_ranges_frame_as_the_reference_packs_their_one_element_updates() {
+        use hdsm_tags::generate::tag_for_scalar_run;
+        use hdsm_tags::wire::reference::pack_grouped;
+        let mut src = inst(PlatformSpec::linux_x86());
+        for i in 0..20_000 {
+            src.write_int(1, i, i as i128 * 3 - 7).unwrap();
+            src.write_int(2, i, -(i as i128)).unwrap();
+        }
+        // The updates `ranges` are, each read off the space on its own.
+        let expanded = |ranges: &[UpdateRange]| -> Vec<WireUpdate> {
+            let one = |entry: u32, first: u64, count: u64| {
+                let row = src.table().row(entry).unwrap();
+                let len = (row.size as u64 * count) as usize;
+                let data = src.space().read(row.elem_addr(first), len).unwrap();
+                WireUpdate {
+                    entry,
+                    elem_offset: first,
+                    endian: src.platform().endian,
+                    tag: tag_for_scalar_run(row.kind, row.size, count),
+                    data: data.to_vec().into(),
+                }
+            };
+            let each = |r: &UpdateRange| match r.stride {
+                1 => vec![one(r.entry, r.first, r.count)],
+                s => (0..r.count)
+                    .map(|k| one(r.entry, r.first + k * s, 1))
+                    .collect(),
+            };
+            ranges.iter().flat_map(each).collect()
+        };
+        let cases: [(&str, Vec<UpdateRange>); 5] = [
+            (
+                "offsets across the varint bands",
+                vec![strided(1, 100, 10, 7), strided(2, 16_300, 6, 30)],
+            ),
+            (
+                "a range that continues the lattice joins its row",
+                vec![strided(1, 1, 5, 2), strided(1, 11, 3, 2), range(1, 17, 1)],
+            ),
+            (
+                "dense neighbours",
+                vec![
+                    range(1, 0, 5),
+                    strided(1, 6, 4, 2),
+                    range(1, 20, 3),
+                    strided(2, 3, 3, 9),
+                ],
+            ),
+            (
+                "a changed gap and a lattice that breaks inside a range",
+                vec![
+                    strided(1, 0, 3, 2),
+                    strided(1, 8, 4, 3),
+                    strided(1, 30, 2, 5),
+                ],
+            ),
+            (
+                "a tie stays dense",
+                vec![strided(1, 0, 2, 2), range(1, 10, 3)],
+            ),
+        ];
+        for (what, ranges) in cases {
+            let batch = extract_updates(&src, &ranges).unwrap();
+            let us = expanded(&ranges);
+            assert_eq!(batch.frame(), &pack_grouped(&us), "{what}");
+            assert_eq!(updates_of(&batch), us, "{what}");
+        }
+        // The lattice that continues across two ranges is one strided row:
+        // elements 1, 3, …, 17 of `A`.
+        let batch = extract_updates(&src, &[strided(1, 1, 5, 2), strided(1, 11, 4, 2)]).unwrap();
+        assert_eq!(&batch.frame()[..7], &[0xD5, 1, 0x80 | 4, 1, 1, 1, 9]);
+        let tie = extract_updates(&src, &[strided(1, 0, 2, 2), range(1, 10, 3)]).unwrap();
+        assert_eq!(tie.frame()[2], 4, "a dense table");
+    }
+
     #[test]
     fn extraction_rejects_what_the_table_does_not_hold() {
         let src = inst(PlatformSpec::linux_x86());
@@ -570,6 +644,16 @@ mod tests {
         assert!(matches!(
             extract_updates(&src, &[range(9, 0, 1)]),
             Err(UpdateError::NoSuchEntry(9))
+        ));
+        // A strided range's last element, not its count, must fit.
+        assert!(extract_updates(&src, &[strided(1, 56000, 57, 3)]).is_ok());
+        assert!(matches!(
+            extract_updates(&src, &[strided(1, 56000, 58, 3)]),
+            Err(UpdateError::RangeOutOfBounds { count: 58, .. })
+        ));
+        assert!(matches!(
+            extract_updates(&src, &[strided(1, 2, 3, u64::MAX / 2)]),
+            Err(UpdateError::RangeOutOfBounds { count: 3, .. })
         ));
     }
 

@@ -112,11 +112,7 @@ fn the_release_scan_allocates_its_output_and_nothing_per_element_or_page() {
     }
     assert_eq!(g.space().dirty_count(), 43);
     let (n, ranges) = allocations(|| scan_ranges(g.table(), g.space()));
-    let range = |entry, count| UpdateRange {
-        entry,
-        first: 0,
-        count,
-    };
+    let range = |entry, count| UpdateRange::new(entry, 0, count);
     assert_eq!(ranges, [range(0, 2 * CALLS), range(1, ints)]);
     assert!(n <= 8, "{n} allocations to scan 43 rewritten pages");
 
@@ -156,13 +152,7 @@ fn a_batch_costs_a_few_allocations_from_extraction_to_apply_not_one_per_update()
         sender.write_float(0, 2 * k, k as f64 + 0.5).unwrap();
     }
     // SOR's shape: every other element, so that no range joins the last.
-    let ranges: Vec<UpdateRange> = (0..CALLS)
-        .map(|k| UpdateRange {
-            entry: 0,
-            first: 2 * k,
-            count: 1,
-        })
-        .collect();
+    let ranges: Vec<UpdateRange> = (0..CALLS).map(|k| UpdateRange::new(0, 2 * k, 1)).collect();
 
     // The release: the frame (buffer + reference count), then the message
     // that carries it (the same again).

@@ -240,11 +240,7 @@ fn entry_len(entry: u32) -> u64 {
 /// clipped single ranges in any order, strided one-element ranges that
 /// cannot coalesce, whole entries, entry switches, the empty set.
 fn any_ranges() -> impl Strategy<Value = Vec<UpdateRange>> {
-    let range = |entry, first, count| UpdateRange {
-        entry,
-        first,
-        count,
-    };
+    let range = |entry, first, count| UpdateRange::new(entry, first, count);
     let one = (0u32..5, 0u64..INTS, 1u64..50).prop_map(move |(entry, first, count)| {
         let first = first % entry_len(entry);
         vec![range(entry, first, count.min(entry_len(entry) - first))]
@@ -286,8 +282,8 @@ proptest! {
         // the range, where the reference reports the pointer).
         let dangling = dangling.filter(|_| spoil > 1);
         match spoil {
-            0 => ranges.push(UpdateRange { entry: 9, first: 0, count: 1 }),
-            1 => ranges.push(UpdateRange { entry: 1, first: DOUBLES - 1, count: 2 }),
+            0 => ranges.push(UpdateRange::new(9, 0, 1)),
+            1 => ranges.push(UpdateRange::new(1, DOUBLES - 1, 2)),
             _ => {}
         }
         let mut src = GthvInstance::new(def(), src_p);

@@ -265,7 +265,7 @@ impl Default for UpdateBatch {
     fn default() -> UpdateBatch {
         static EMPTY: OnceLock<UpdateBatch> = OnceLock::new();
         EMPTY
-            .get_or_init(|| FrameWriter::new(0, 0).finish())
+            .get_or_init(|| FrameWriter::default().finish())
             .clone()
     }
 }
@@ -387,132 +387,160 @@ pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
     })
 }
 
-/// The strided rows of `runs`: each maximal left-to-right sequence of
-/// one-element runs at one gap of 2 or more is one `(first, count, gap)`
-/// row, every other run `(offset, count, 1)`.
-fn strided_rows(runs: impl Iterator<Item = (u64, u32)>) -> impl Iterator<Item = (u64, u64, u64)> {
-    let mut runs = runs.peekable();
-    std::iter::from_fn(move || {
-        let (first, count) = runs.next()?;
-        let (mut n, mut stride, mut last) = (u64::from(count), 1, first);
-        while let Some(&(next, 1)) = runs.peek().filter(|_| count == 1 && n < u32::MAX.into()) {
-            let gap = next.wrapping_sub(last);
-            if next < last || gap < 2 || (n > 1 && gap != stride) {
-                break;
-            }
-            (n, stride, last) = (n + 1, gap, next);
-            runs.next();
-        }
-        Some((first, n, stride))
-    })
-}
-
-/// How a group frames the table of the runs `runs`: `(strided, rows, bytes
-/// with the row count, elements)`. Strided only when that is strictly
-/// smaller, so a group with nothing to fold keeps its dense table.
-fn table_of(runs: impl ExactSizeIterator<Item = (u64, u32)>) -> (bool, usize, usize, u64) {
-    let nruns = runs.len();
-    let (mut dense, mut elems) = (varint::len(nruns as u64), 0);
-    let counted = runs.inspect(|&(offset, count)| {
+/// Fold the runs `runs` (`count` elements `first + k·stride`) into rows,
+/// handed to `row` in order: an element of a one-element run (count 1 or
+/// stride 2+) continues the last row of such runs where it follows at its
+/// one gap of 2+ (any, after one element); a dense run is a row of its own.
+/// So the rows do not depend on how the same elements were cut into runs.
+///
+/// # Panics
+/// If a run is empty.
+#[inline]
+pub fn fold_rows(
+    runs: impl IntoIterator<Item = (u64, u64, u64)>,
+    mut row: impl FnMut((u64, u64, u64)),
+) {
+    const MOST: u64 = u32::MAX as u64;
+    // The last row, open to what follows (none while `n` is 0), and its
+    // last element.
+    let (mut f, mut n, mut gap, mut last) = (0, 0, 1, 0);
+    for (mut first, mut count, stride) in runs {
         assert!(count > 0, "empty run");
-        dense += varint::len(offset) + varint::len(count.into());
-        elems += u64::from(count);
-    });
-    let (mut rows, mut bytes) = (0, 0);
-    for (first, count, stride) in strided_rows(counted) {
-        bytes += varint::len(first) + varint::len(count) + varint::len(stride);
-        rows += 1;
+        let ones = (count == 1 || stride > 1) && (n == 1 || gap > 1);
+        let step = first.saturating_sub(last);
+        if ones && n > 0 && step >= 2 && (n == 1 || step == gap) && n < MOST {
+            // The run's later elements continue the row only at its gap.
+            let take = match count == 1 || stride == step {
+                true => count.min(MOST - n),
+                false => 1,
+            };
+            (n, gap, last) = (n + take, step, first + (take - 1) * stride);
+            if take == count {
+                continue;
+            }
+            (first, count) = (first + take * stride, count - take);
+        }
+        if n > 0 {
+            row((f, n, gap));
+        }
+        (f, n, gap) = (first, count, if count == 1 { 1 } else { stride });
+        last = first + (count - 1) * gap;
     }
-    bytes += varint::len(rows as u64);
-    match bytes < dense {
-        true => (true, rows, bytes, elems),
-        false => (false, nruns, dense, elems),
+    if n > 0 {
+        row((f, n, gap));
     }
 }
 
-/// Writes a grouped frame group by group into one buffer sized exactly
-/// before the first byte is written: the sender sizes the frame from its
-/// ranges ([`Self::run_group_bytes`]), then per group writes the header
-/// and run table ([`Self::begin_group`]) and appends the payload straight
-/// from its address space ([`Self::put_payload`]).
+/// Bytes the varints of `first + k·stride`, `k < count`, take: a byte each,
+/// and one more for each band edge `2^7j` an element reaches.
+fn varints_len(first: u64, count: u64, stride: u64) -> usize {
+    let below = |edge: u64| edge.saturating_sub(first).div_ceil(stride).min(count);
+    (1..10).fold(count, |bytes, j| bytes + count - below(1 << (7 * j))) as usize
+}
+
+/// Bit 63 of a group's head row: its table is strided.
+const STRIDED: u64 = 1 << 63;
+
+/// Writes a grouped frame into one buffer sized exactly before the first
+/// byte is written. The sender first plans every group from its runs
+/// ([`Self::plan_group`]), which folds them into rows once and sizes the
+/// group; then, per group in the same order, writes the header and table
+/// from those rows ([`Self::begin_group`]) and appends the payload
+/// straight from its address space ([`Self::put_payload`]).
+#[derive(Default)]
 pub struct FrameWriter {
     out: Vec<u8>,
-    /// Groups the header announced and `begin_group` has not yet opened.
-    groups_left: u32,
+    /// Per planned group a head row — its row count (with [`STRIDED`]),
+    /// elements and updates — then its rows.
+    rows: Vec<(u64, u64, u64)>,
+    groups: u64,
+    /// The head row of the next group to open.
+    next: usize,
+    /// Bytes the planned groups take.
+    body: usize,
     /// `out.len()` once the open group's payload is complete.
     group_end: usize,
-    planned: usize,
-    updates: usize,
+    updates: u64,
     payload_bytes: u64,
 }
 
 impl FrameWriter {
-    /// Bytes a run group of `entry` with elements of `size` bytes and the
-    /// `(elem_offset, count)` runs `runs` occupies in the frame, payload
-    /// included, in the form [`Self::begin_group`] will write it.
+    /// Plan the next run group: `entry`, elements of `size` bytes, and the
+    /// runs `runs` ([`fold_rows`]' runs). Its table is strided only when
+    /// that is strictly smaller, so a group with nothing to fold keeps its
+    /// dense table.
     ///
     /// # Panics
-    /// If a run is empty.
-    pub fn run_group_bytes(
+    /// If a group was opened already, or a run is empty or counts more
+    /// than `u32::MAX` elements.
+    pub fn plan_group(
+        &mut self,
         entry: u32,
         size: u32,
-        runs: impl ExactSizeIterator<Item = (u64, u32)>,
-    ) -> usize {
-        let (_, _, table, elems) = table_of(runs);
-        1 + varint::len(entry.into()) + table + size as usize * elems as usize
+        runs: impl IntoIterator<Item = (u64, u64, u64)>,
+    ) {
+        assert!(self.out.is_empty(), "a group planned late");
+        let (head, runs) = (self.rows.len(), runs.into_iter());
+        self.rows.reserve(1 + runs.size_hint().0);
+        self.rows.push((0, 0, 0));
+        let long = |r: &(u64, u64, u64)| assert!(r.1 <= u32::MAX.into(), "run too long");
+        fold_rows(runs.inspect(long), |row| self.rows.push(row));
+        let (mut dense, mut strided, mut elems, mut updates) = (0, 0, 0, 0);
+        for &(first, count, stride) in &self.rows[head + 1..] {
+            strided += varint::len(first) + varint::len(count) + varint::len(stride);
+            // A dense table frames each update's offset and count.
+            let (ones, offsets) = match stride {
+                1 => (1, varint::len(first) + varint::len(count)),
+                _ => (count, varints_len(first, count, stride) + count as usize),
+            };
+            dense += offsets;
+            (elems, updates) = (elems + count, updates + ones);
+        }
+        let n_rows = (self.rows.len() - head - 1) as u64;
+        let (dense, strided) = (dense + varint::len(updates), strided + varint::len(n_rows));
+        self.body +=
+            1 + varint::len(entry.into()) + dense.min(strided) + size as usize * elems as usize;
+        let shape = n_rows | if strided < dense { STRIDED } else { 0 };
+        (self.rows[head], self.groups) = ((shape, elems, updates), self.groups + 1);
     }
 
-    /// A frame of `groups` groups occupying `body_bytes` in all (the sum
-    /// of their [`Self::run_group_bytes`]).
-    pub fn new(groups: u32, body_bytes: usize) -> FrameWriter {
-        let planned = 1 + varint::len(groups.into()) + body_bytes;
-        let mut out = Vec::with_capacity(planned);
-        out.put_u8(BATCH_MARKER);
-        varint::put(&mut out, groups.into());
-        FrameWriter {
-            groups_left: groups,
-            group_end: out.len(),
-            out,
-            planned,
-            updates: 0,
-            payload_bytes: 0,
+    /// The frame's header, once, in a buffer of the frame's size.
+    fn start(&mut self) {
+        if self.out.is_empty() {
+            self.out = Vec::with_capacity(1 + varint::len(self.groups) + self.body);
+            self.out.put_u8(BATCH_MARKER);
+            varint::put(&mut self.out, self.groups);
+            self.group_end = self.out.len();
         }
     }
 
-    /// Open the next run group: its header and its table of the
-    /// `(elem_offset, count)` runs `runs`, dense or strided. The payload of
-    /// the runs, `head.size * count` bytes each in the same order, must
-    /// follow through [`Self::put_payload`].
+    /// Open the next planned group, whose entry and element size `head`
+    /// names: its header and its table. The payload of its elements,
+    /// `head.size` bytes each in order, must follow through
+    /// [`Self::put_payload`].
     ///
     /// # Panics
-    /// If the previous group's payload is incomplete, a run is empty, the
-    /// element size is not 1 to 31 or the frame was sized for fewer
-    /// groups.
-    pub fn begin_group(
-        &mut self,
-        head: GroupHead,
-        runs: impl ExactSizeIterator<Item = (u64, u32)> + Clone,
-    ) {
+    /// If the previous group's payload is incomplete, every planned group
+    /// is open already, or the element size is not 1 to 31.
+    pub fn begin_group(&mut self, head: GroupHead) {
+        self.start();
         assert_eq!(self.out.len(), self.group_end, "previous group's payload");
-        self.groups_left = self.groups_left.checked_sub(1).expect("a group too many");
-        let (strided, rows, _, elems) = table_of(runs.clone());
+        let (shape, elems, updates) = *self.rows.get(self.next).expect("a group too many");
+        let (n_rows, strided) = (shape & !STRIDED, shape & STRIDED != 0);
+        let rows = &self.rows[self.next + 1..][..n_rows as usize];
+        self.next += 1 + n_rows as usize;
         let out = &mut self.out;
         out.put_u8(head.shape() | u8::from(strided) << 7);
-        varint::put(out, head.entry.into());
-        varint::put(out, rows as u64);
-        self.updates += runs.len();
-        if strided {
-            for (first, count, stride) in strided_rows(runs) {
-                varint::put(out, first);
-                varint::put(out, count);
-                varint::put(out, stride);
-            }
-        } else {
-            for (offset, count) in runs {
-                varint::put(out, offset);
-                varint::put(out, count.into());
+        let mut put = |vs: &[u64]| vs.iter().for_each(|&v| varint::put(out, v));
+        put(&[head.entry.into(), if strided { n_rows } else { updates }]);
+        for &(first, count, stride) in rows {
+            match (strided, stride) {
+                (true, _) => put(&[first, count, stride]),
+                (false, 1) => put(&[first, count]),
+                _ => (0..count).for_each(|k| put(&[first + k * stride, 1])),
             }
         }
+        self.updates += updates;
         let data_len = u64::from(head.size) * elems;
         self.payload_bytes += data_len;
         self.group_end = out.len() + data_len as usize;
@@ -526,19 +554,17 @@ impl FrameWriter {
     /// The finished batch.
     ///
     /// # Panics
-    /// If the frame is not exactly what [`Self::new`] and
+    /// If the frame is not exactly what [`Self::plan_group`] and
     /// [`Self::begin_group`] were told it would be.
-    pub fn finish(self) -> UpdateBatch {
+    pub fn finish(mut self) -> UpdateBatch {
+        self.start();
         assert_eq!(self.out.len(), self.group_end, "last group's payload");
-        assert_eq!(self.groups_left, 0, "groups announced but not written");
-        assert_eq!(
-            self.out.len(),
-            self.planned,
-            "frame was sized for its groups"
-        );
+        assert_eq!(self.next, self.rows.len(), "groups planned but not written");
+        let planned = 1 + varint::len(self.groups) + self.body;
+        assert_eq!(self.out.len(), planned, "frame was sized for its groups");
         UpdateBatch {
             frame: self.out.into(),
-            updates: self.updates,
+            updates: self.updates as usize,
             payload_bytes: self.payload_bytes,
         }
     }
@@ -626,9 +652,17 @@ mod tests {
             .collect();
         let frame = pack_grouped(&us);
         assert_eq!(updates_of(&unpack_batch(frame.clone()).unwrap()), us);
-        let runs = (0..500u32).map(|i| (u64::from(i) * 7, 2));
-        let group = FrameWriter::run_group_bytes(3, 4, runs);
-        assert_eq!(frame.len(), 2 + group);
+        let mut w = FrameWriter::default();
+        w.plan_group(3, 4, (0..500).map(|i| (i * 7, 2, 1)));
+        w.begin_group(GroupHead {
+            entry: 3,
+            endian: Endianness::Big,
+            is_ptr: false,
+            size: 4,
+        });
+        us.iter().for_each(|u| w.put_payload(&u.data));
+        assert_eq!(w.finish().frame(), &frame);
+        let group = frame.len() - 2;
         // Shape, entry and a two-byte run count; then offsets below 128
         // (19 of them) in one byte, the rest in two, and every count in
         // one.
@@ -836,9 +870,9 @@ mod tests {
             is_ptr: false,
             size: 4,
         };
-        let body = FrameWriter::run_group_bytes(1, 4, runs.iter().copied());
-        let mut w = FrameWriter::new(1, body);
-        w.begin_group(head, runs.iter().copied());
+        let mut w = FrameWriter::default();
+        w.plan_group(1, 4, runs.iter().map(|&(o, c)| (o, c.into(), 1)));
+        w.begin_group(head);
         let elems: u32 = runs.iter().map(|r| r.1).sum();
         w.put_payload(&(0..4 * elems as u8).collect::<Vec<u8>>());
         w.finish()
@@ -930,19 +964,60 @@ mod tests {
             is_ptr: false,
             size: 4,
         };
-        let wide = ((1 << 21) + 5, 130);
-        let body = FrameWriter::run_group_bytes(0, 4, [(7, 2), (7, 5)].into_iter())
-            + FrameWriter::run_group_bytes(300, 4, [wide].into_iter());
-        let mut w = FrameWriter::new(2, body);
-        w.begin_group(head(0), [(7, 2), (7, 5)].into_iter());
+        let mut w = FrameWriter::default();
+        w.plan_group(0, 4, [(7, 2, 1), (7, 5, 1)]);
+        w.plan_group(300, 4, [((1 << 21) + 5, 130, 1)]);
+        w.begin_group(head(0));
         w.put_payload(&us[0].data);
         w.put_payload(&us[1].data);
-        w.begin_group(head(300), [wide].into_iter());
+        w.begin_group(head(300));
         w.put_payload(&us[2].data);
         let batch = w.finish();
         assert_eq!(batch.frame(), &pack_grouped(&us));
         assert_eq!((batch.len(), batch.payload_bytes()), (3, 28 + 520));
         assert_eq!(batch, unpack_batch(batch.frame().clone()).unwrap());
+    }
+
+    #[test]
+    fn frame_writer_folds_strided_runs_as_the_reference_folds_their_updates() {
+        let cases: [&[(u64, u64, u64)]; 5] = [
+            // Offsets across the varint bands at 128 and 16 384.
+            &[(100, 10, 7), (16_300, 6, 30)],
+            // A run that continues the lattice joins the row.
+            &[(1, 5, 2), (11, 3, 2), (17, 1, 1)],
+            // Dense neighbours, and a lattice that breaks inside a run.
+            &[(0, 5, 1), (6, 4, 2), (20, 3, 1), (30, 3, 2), (35, 4, 3)],
+            // A tie: both tables take seven bytes, so it stays dense.
+            &[(0, 2, 2), (10, 3, 1)],
+            &[(4, 1, 9)],
+        ];
+        for runs in cases {
+            let update = |(first, count): (u64, u64)| WireUpdate {
+                elem_offset: first,
+                tag: tag_for_scalar_run(ScalarKind::Int, 4, count),
+                data: Bytes::from(vec![first as u8; 4 * count as usize]),
+                ..sample(2, 1)
+            };
+            let each = |&(first, count, stride): &(u64, u64, u64)| match stride {
+                1 => vec![update((first, count))],
+                _ => (0..count)
+                    .map(|k| update((first + k * stride, 1)))
+                    .collect(),
+            };
+            let us: Vec<WireUpdate> = runs.iter().flat_map(each).collect();
+            let mut w = FrameWriter::default();
+            w.plan_group(2, 4, runs.iter().copied());
+            w.begin_group(GroupHead {
+                entry: 2,
+                endian: Endianness::Big,
+                is_ptr: false,
+                size: 4,
+            });
+            us.iter().for_each(|u| w.put_payload(&u.data));
+            let batch = w.finish();
+            assert_eq!(batch.frame(), &pack_grouped(&us), "{runs:?}");
+            assert_eq!(updates_of(&batch), us, "{runs:?}");
+        }
     }
 
     #[test]
@@ -954,10 +1029,11 @@ mod tests {
             is_ptr: false,
             size: 8,
         };
-        let group = FrameWriter::run_group_bytes(0, 8, [(0, 1)].into_iter());
-        let mut w = FrameWriter::new(2, 2 * group);
-        w.begin_group(head, [(0, 1)].into_iter());
+        let mut w = FrameWriter::default();
+        w.plan_group(0, 8, [(0, 1, 1)]);
+        w.plan_group(0, 8, [(1, 1, 1)]);
+        w.begin_group(head);
         w.put_payload(&[0; 4]);
-        w.begin_group(head, [(1, 1)].into_iter());
+        w.begin_group(head);
     }
 }

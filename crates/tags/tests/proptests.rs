@@ -28,18 +28,17 @@ fn write_frame(updates: &[WireUpdate]) -> UpdateBatch {
         }
     };
     let groups: Vec<&[WireUpdate]> = updates.chunk_by(|a, b| head(a) == head(b)).collect();
-    let rows = |g: &[WireUpdate]| -> Vec<(u64, u32)> {
+    let runs = |g: &[WireUpdate]| -> Vec<(u64, u64, u64)> {
         g.iter()
-            .map(|u| (u.elem_offset, run_shape(&u.tag).unwrap().1))
+            .map(|u| (u.elem_offset, run_shape(&u.tag).unwrap().1.into(), 1))
             .collect()
     };
-    let body = groups
-        .iter()
-        .map(|g| FrameWriter::run_group_bytes(g[0].entry, head(&g[0]).size, rows(g).into_iter()))
-        .sum();
-    let mut w = FrameWriter::new(groups.len() as u32, body);
+    let mut w = FrameWriter::default();
+    for g in &groups {
+        w.plan_group(g[0].entry, head(&g[0]).size, runs(g));
+    }
     for g in groups {
-        w.begin_group(head(&g[0]), rows(g).into_iter());
+        w.begin_group(head(&g[0]));
         g.iter().for_each(|u| w.put_payload(&u.data));
     }
     w.finish()

@@ -184,11 +184,7 @@ fn steady_state_stencils_hold_what_no_one_reads_and_name_it_a_row_at_a_time() {
     use hdsm::dsd::update::extract_updates;
     use hdsm::dsd::{GthvInstance, UpdateRange};
     let (n, extra) = (30u64, 8);
-    let row = |entry, i: u64| UpdateRange {
-        entry,
-        first: i * n + 1,
-        count: n - 2,
-    };
+    let row = |entry, i: u64| UpdateRange::new(entry, i * n + 1, n - 2);
     let pair = &paper_pairs()[2];
     let placement = [&pair.home, &pair.remote, &pair.remote];
     // (shipped rows, held rows) of each worker's block, per sweep.

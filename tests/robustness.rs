@@ -65,11 +65,7 @@ fn random_bytes_never_panic_protocol_decode() {
     // both envelopes, cut at every prefix, with each byte set to 0xFF and
     // with each aligned word set to u32::MAX.
     // A row read and a row held behind each request.
-    let row = |entry, first, count| UpdateRange {
-        entry,
-        first,
-        count,
-    };
+    let row = |entry, first, count| UpdateRange::new(entry, first, count);
     let report = Report {
         interest: vec![row(7, u64::MAX - 1, 1)],
         held: vec![row(3, 400, 2)],
@@ -959,7 +955,7 @@ fn cond_paired_with_a_lock_on_another_shard_is_rejected() {
 // promoted replica, replay their in-flight requests (dedup-protected), and
 // the run converges to the exact fault-free bytes. A partition of the
 // replication link must promote the standby *without* double-granting: the
-// primary self-fences at ¾ of the lease, before the replica promotes at a
+// primary self-fences at half the lease, before the replica promotes at a
 // full lease. A live handoff drains a healthy primary into its standby with
 // zero failed client operations.
 // ---------------------------------------------------------------------------
@@ -1271,9 +1267,8 @@ fn failover_kill_mid_lock_hold_preserves_mutual_exclusion() {
 
 #[test]
 fn failover_partition_promotes_replica_and_fences_deposed_primary() {
-    use hdsm::obs::{EventKind, Recorder};
     // Sever the replication link instead of killing anyone. The primary
-    // self-fences after ¾ of a lease of standby silence — strictly before
+    // self-fences after half a lease of standby silence — strictly before
     // the replica promotes at a full lease — so there is never a moment
     // with two shards granting. Clients bounced off the fenced primary
     // with a ViewChange re-resolve to the promoted replica; after the
@@ -1282,6 +1277,21 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
     // Workers stay quiet across the window: relays in flight when the
     // link is cut are lost until the primary fences (DESIGN.md §14), so
     // the chaos here is silence, not traffic.
+    //
+    // On the sim fabric the lease, the cut and the pauses are virtual
+    // time, so the margin between fence and promotion is the seed's, not
+    // the host's load. The seeds order the frames and ticks of the cut's
+    // instant: at some the cut drops the primary's last frame to the
+    // standby and not the standby's last beat.
+    for seed in 0..16 {
+        partition_the_replication_link(seed);
+    }
+}
+
+/// [`failover_partition_promotes_replica_and_fences_deposed_primary`] at
+/// sim seed `seed`.
+fn partition_the_replication_link(seed: u64) {
+    use hdsm::obs::{EventKind, Recorder};
     let recorder = Recorder::enabled();
     let cut = std::sync::Arc::new(std::sync::Mutex::new(Duration::ZERO));
     let cut_len = cut.clone();
@@ -1293,7 +1303,7 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
         .topology(TopologyConfig {
             shards: 1,
             replicas: 1,
-            ..Default::default()
+            fabric: FabricMode::Sim { seed },
         })
         .timing(TimingConfig {
             lease: Some(Duration::from_millis(400)),
@@ -1303,12 +1313,13 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
         })
         .obs(recorder.clone())
         .control(move |ctl| {
-            std::thread::sleep(Duration::from_millis(200));
-            let start = Instant::now();
+            ctl.sleep(Duration::from_millis(200));
+            let clock = ctl.network().clock();
+            let start = clock.now();
             ctl.partition_replication(ShardId::new(0));
-            std::thread::sleep(Duration::from_millis(700));
+            ctl.sleep(Duration::from_millis(700));
             ctl.heal();
-            *cut_len.lock().unwrap() = start.elapsed();
+            *cut_len.lock().unwrap() = clock.now().saturating_since(start);
         })
         .run(|c, _| {
             for _ in 0..5 {
@@ -1317,7 +1328,7 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
                 c.write_int(0, 0, v + 1)?;
                 c.release(LockId::new(0))?;
             }
-            std::thread::sleep(Duration::from_millis(1100));
+            c.network().clock().sleep(Duration::from_millis(1100));
             for _ in 0..5 {
                 c.acquire(LockId::new(0))?;
                 let v = c.read_int(0, 0)?;
@@ -1362,7 +1373,7 @@ fn failover_partition_promotes_replica_and_fences_deposed_primary() {
         .unwrap();
     assert!(
         fence_t < promote_t,
-        "primary fenced at {fence_t}us, after the promotion at {promote_t}us"
+        "seed {seed}: primary fenced at {fence_t}us, after the promotion at {promote_t}us"
     );
     // The promoted standby deposes the old primary when it takes over,
     // then once a tick (a quarter lease, 100 ms) until an ack crosses
@@ -2111,6 +2122,54 @@ fn a_name_reaching_across_what_a_lock_release_shipped_does_not_take_it_back() {
     let final_xs: Vec<i128> = (0..8)
         .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
         .collect();
+    assert_eq!(final_xs, want);
+}
+
+#[test]
+fn a_strided_hold_split_by_a_read_element_names_both_of_its_spans() {
+    // Worker 0 writes the even elements of xs[0..16] and ships them all
+    // (no ship list yet), then the odd ones, which nobody reads: one
+    // strided range. Worker 1 reads only xs[8], so the hold reaches
+    // across every even element but that one, and the odd range lies in
+    // two hold spans, [0, 8) and [9, 16). Both must be named: worker 1
+    // then reads odd elements on either side of xs[8] and must get
+    // worker 0's stores, not the copy the shard had.
+    let b = BarrierId::new(0);
+    let (builder, _) = held_cluster(shards_from_env(), 2, 0x57D);
+    let outcome = builder
+        .barriers(1)
+        .run(move |c, info| {
+            let writer = info.index == 0;
+            c.barrier(b)?;
+            if writer {
+                (0..16)
+                    .step_by(2)
+                    .try_for_each(|i| c.write_int(0, i, 100 + i as i128))?;
+            } else {
+                c.read_int(0, 8)?;
+            }
+            c.barrier(b)?; // everything ships; worker 1 says it reads xs[8]
+            if writer {
+                (1..16)
+                    .step_by(2)
+                    .try_for_each(|i| c.write_int(0, i, 200 + i as i128))?;
+            }
+            c.barrier(b)?; // the odd elements are held
+            let mut seen = [0; 3];
+            if !writer {
+                for (slot, i) in seen.iter_mut().zip([5, 11, 15]) {
+                    *slot = c.read_int(0, i)?;
+                }
+            }
+            c.barrier(b)?;
+            Ok(seen)
+        })
+        .expect("the run completes");
+    assert_eq!(outcome.results[1], [205, 211, 215]);
+    let final_xs: Vec<i128> = (0..16)
+        .map(|i| outcome.final_gthv.read_int(0, i).unwrap())
+        .collect();
+    let want: Vec<i128> = (0..16).map(|i| 100 * (1 + i % 2) + i).collect();
     assert_eq!(final_xs, want);
 }
 
