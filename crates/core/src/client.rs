@@ -856,10 +856,10 @@ impl DsdClient {
         self.costs.bytes_applied += bytes;
         self.recorder.heat(|h| {
             for g in batches.iter().flat_map(UpdateBatch::groups) {
-                let (runs, bytes) = g.runs().fold((0, 0), |(runs, bytes), u| {
-                    (runs + 1, bytes + u.data.len() as u64)
+                let (runs, elems) = g.rows().iter().fold((0, 0), |(runs, elems), r| {
+                    (runs + if r.2 == 1 { 1 } else { r.1 }, elems + r.1)
                 });
-                h.update_applied(g.head.entry, runs, bytes);
+                h.update_applied(g.head.entry, runs, elems * u64::from(g.head.size));
             }
         });
         for g in batches.iter().flat_map(UpdateBatch::groups) {

@@ -837,7 +837,7 @@ impl HomeShard {
         }
         self.seq += 1;
         let s = self.seq;
-        for u in updates.iter() {
+        for u in updates.groups().flat_map(|g| g.runs()) {
             let r = span(u.entry, u.elem_offset, u.elem_offset + u.count);
             self.unhold(&r);
             self.log.push((s, writer, r));
@@ -928,7 +928,7 @@ impl HomeShard {
     fn absorb_held(&mut self, writer: u32, updates: &UpdateBatch) -> Result<(), HomeError> {
         let (mut take, mut keep) = (Vec::new(), BTreeMap::<u32, IntervalSet>::new());
         let none = IntervalSet::default();
-        for u in updates.iter() {
+        for u in updates.groups().flat_map(|g| g.runs()) {
             let at = self.whereabouts.get(&u.entry);
             let held = match at.filter(|_| self.owns_entry(u.entry)) {
                 Some(at) => at.held.get(&writer).unwrap_or(&none),
@@ -2853,7 +2853,7 @@ mod tests {
         // Thread 1 pulls: gets the init batch.
         let ups = h.stale_updates_for(1).unwrap().0;
         assert_eq!(ups.len(), 1);
-        assert_eq!(ups.iter().next().unwrap().count, 64);
+        assert_eq!(carried(&ups), [(0, 64)]);
         // Pulling again with nothing new: empty.
         assert!(h.stale_updates_for(1).unwrap().0.is_empty());
         // Thread 2 still sees everything.
@@ -2894,7 +2894,7 @@ mod tests {
         assert!(h.peers[&1].interest.is_empty());
         let (ups, notices, _) = h.stale_updates_for(1).unwrap();
         assert_eq!(ups.len(), 1, "full refresh after resync");
-        assert_eq!(ups.iter().next().unwrap().count, 64);
+        assert_eq!(carried(&ups), [(0, 64)]);
         assert!(notices.is_empty());
     }
 
@@ -2925,7 +2925,7 @@ mod tests {
         h.peers.get_mut(&2).unwrap().seen = 0;
         assert!(h.log_floor > 0);
         let ups = h.stale_updates_for(2).unwrap().0;
-        assert_eq!(ups.iter().next().unwrap().count, 64);
+        assert_eq!(carried(&ups), [(0, 64)]);
     }
 
     #[test]
@@ -2984,7 +2984,7 @@ mod tests {
         assert!(h.log.iter().all(|(_, _, r)| r.entry == 1));
         let ups = h.stale_updates_for(1).unwrap().0;
         assert!(!ups.is_empty());
-        assert!(ups.iter().all(|u| u.entry == 1));
+        assert!(ups.groups().all(|g| g.head.entry == 1));
         // A misrouted update for entry 0 is a protocol violation, not a
         // silent write into a non-authoritative copy.
         let mut src = GthvInstance::new(def(), PlatformSpec::linux_x86());
@@ -3852,8 +3852,7 @@ mod tests {
             assert!(h.absorb(2, &one_elem(first, first as i128), &[]).unwrap());
         }
         let (ups, notices, _) = h.stale_updates_for(1).unwrap();
-        let shipped: Vec<_> = ups.iter().map(|u| (u.elem_offset, u.count)).collect();
-        assert_eq!(shipped, [(13, 1), (15, 1)]);
+        assert_eq!(carried(&ups), [(13, 14), (15, 16)]);
         assert_eq!(notices, [elems(17, 47)]);
         // The writer itself is owed nothing, and nothing is owed twice.
         let (ups, notices, _) = h.stale_updates_for(2).unwrap();
@@ -3970,7 +3969,7 @@ mod tests {
     /// The element ranges `updates` carries.
     fn carried(updates: &UpdateBatch) -> Vec<(u64, u64)> {
         let run = |u: hdsm_tags::wire::UpdateView<'_>| (u.elem_offset, u.elem_offset + u.count);
-        updates.iter().map(run).collect()
+        updates.groups().flat_map(|g| g.runs()).map(run).collect()
     }
 
     /// What a shard records of one entry at one writer (DESIGN §5 rules

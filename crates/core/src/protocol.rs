@@ -1559,8 +1559,8 @@ mod tests {
         let Ok(DsdMsg::UnlockRequest { updates, .. }) = unlock(&[10], 4) else {
             panic!("a strided row of stride 4 decodes");
         };
-        let views: Vec<(u64, u64)> = updates.iter().map(|u| (u.elem_offset, u.count)).collect();
-        assert_eq!(views, [(10, 1), (14, 1)]);
+        let rows: Vec<_> = updates.groups().flat_map(|g| g.rows().to_vec()).collect();
+        assert_eq!(rows, [(10, 2, 4)]);
         let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         for (first, stride) in [(&[10][..], 0), (&max[..], 1)] {
             assert_eq!(

@@ -16,13 +16,14 @@
 //! table. Pointer updates therefore never take the memcpy fast path.
 
 use crate::gthv::GthvInstance;
+use crate::index_table::IndexRow;
 use crate::interval::IntervalSet;
 use crate::runs::UpdateRange;
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::plan::{RunOp, RunPlan};
-use hdsm_tags::wire::{FrameWriter, GroupHead, UpdateBatch, UpdateView};
+use hdsm_tags::wire::{FrameWriter, GroupHead, RunGroup, UpdateBatch, UpdateView};
 use std::fmt;
 
 /// Bits of the portable pointer word reserved for the element index.
@@ -160,27 +161,10 @@ pub fn extract_updates(
     let mut w = FrameWriter::default();
     for group in groups() {
         let entry = group[0].entry;
-        let row = gthv
-            .table()
-            .row(entry)
-            .ok_or(UpdateError::NoSuchEntry(entry))?;
-        for r in group {
-            let last = r.count.checked_sub(1).and_then(|k| k.checked_mul(r.stride));
-            let last = last.and_then(|d| r.first.checked_add(d));
-            if last.is_none_or(|last| last >= row.count) {
-                return Err(UpdateError::RangeOutOfBounds {
-                    entry,
-                    first: r.first,
-                    count: r.count,
-                    available: row.count,
-                });
-            }
-        }
-        w.plan_group(
-            entry,
-            row.size,
-            group.iter().map(|r| (r.first, r.count, r.stride)),
-        );
+        let row = row_of(gthv, entry)?;
+        let rows = || group.iter().map(|r| (r.first, r.count, r.stride));
+        within(row, rows())?;
+        w.plan_group(entry, row.size, rows());
     }
     for group in groups() {
         let row = gthv.table().row(group[0].entry).expect("checked above");
@@ -220,15 +204,15 @@ pub fn extract_updates(
 /// `t_conv`. Every element a run names takes the remote value: this is the
 /// home's apply, and every oracle's.
 ///
-/// The batch is walked as borrowed views of its frame. Entry row, kind
-/// check and conversion plan are looked up once per group, bounds are
-/// checked once per run, and a `Memcpy`/`Swap` run — which cannot fail
-/// once its lengths are checked — converts straight into its destination
-/// in the address space: one pass over the payload, no allocation. A
-/// `Convert` or pointer run can fail on any element (`IntOverflow`,
-/// `BadPointer`), so it is built in one scratch buffer the walk owns and
-/// stored only whole. An error leaves every earlier update applied and
-/// the failing one unwritten.
+/// The batch is refused whole, before its first store, unless every
+/// group's entry is in the table with the group's kind and every row's
+/// last element lies inside it. Then the plan is looked up once per group,
+/// and a `Memcpy`/`Swap` run — which cannot fail — converts straight into
+/// its destination in the address space: one pass over the payload, no
+/// allocation. A `Convert` or pointer run can still fail on any element
+/// (`IntOverflow`, `BadPointer`), so it is built in one scratch buffer the
+/// walk owns and stored only whole; such an error leaves every earlier
+/// update applied and the failing one unwritten.
 pub fn apply_batch(
     gthv: &mut GthvInstance,
     batch: &UpdateBatch,
@@ -252,6 +236,13 @@ pub(crate) fn apply_keeping<'w>(
     stats: &mut ConversionStats,
     written: impl Fn(u32) -> Option<&'w IntervalSet>,
 ) -> Result<(u64, u64, u64), UpdateError> {
+    for g in batch.groups() {
+        let row = row_of(gthv, g.head.entry)?;
+        if (row.kind == ScalarKind::Ptr) != g.head.is_ptr {
+            return Err(UpdateError::KindMismatch { entry: row.entry });
+        }
+        within(row, g.rows().iter().copied())?;
+    }
     let mut walk = ApplyWalk {
         stats,
         scratch: Vec::new(),
@@ -259,9 +250,35 @@ pub(crate) fn apply_keeping<'w>(
     };
     for g in batch.groups() {
         let kept = written(g.head.entry).filter(|w| !w.is_empty());
-        walk.apply_runs(gthv, g.head, g.runs(), kept)?;
+        walk.apply_group(gthv, g, kept)?;
     }
     Ok(walk.tally)
+}
+
+/// The index-table row of `entry`.
+fn row_of(gthv: &GthvInstance, entry: u32) -> Result<&IndexRow, UpdateError> {
+    gthv.table()
+        .row(entry)
+        .ok_or(UpdateError::NoSuchEntry(entry))
+}
+
+/// Refuse the rows `(first, count, stride)` unless every element they
+/// name lies inside `row`'s entry.
+fn within(row: &IndexRow, rows: impl Iterator<Item = (u64, u64, u64)>) -> Result<(), UpdateError> {
+    for (first, count, stride) in rows {
+        let last = count.checked_sub(1).and_then(|k| k.checked_mul(stride));
+        let last = last.and_then(|d| first.checked_add(d));
+        if last.is_none_or(|last| last >= row.count) {
+            let (entry, available) = (row.entry, row.count);
+            return Err(UpdateError::RangeOutOfBounds {
+                entry,
+                first,
+                count,
+                available,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// What one walk over a batch carries from group to group.
@@ -275,28 +292,21 @@ struct ApplyWalk<'s> {
 }
 
 impl ApplyWalk<'_> {
-    /// Apply the runs of one group, but for the elements `kept` holds: the
-    /// per-entry decisions first, once.
-    fn apply_runs<'a>(
+    /// Apply the runs of one checked group, but for the elements `kept`
+    /// holds: the per-entry decisions first, once.
+    fn apply_group(
         &mut self,
         gthv: &mut GthvInstance,
-        head: GroupHead,
-        runs: impl Iterator<Item = UpdateView<'a>>,
+        g: RunGroup<'_>,
         kept: Option<&IntervalSet>,
     ) -> Result<(), UpdateError> {
-        let entry = head.entry;
+        let (head, entry) = (g.head, g.head.entry);
         // Copy the scalar fields out of the row instead of cloning it —
         // its path is a heap `String`.
-        let (row_addr, row_size, row_count, row_kind) = {
-            let row = gthv
-                .table()
-                .row(entry)
-                .ok_or(UpdateError::NoSuchEntry(entry))?;
-            (row.addr, row.size, row.count, row.kind)
+        let (row_addr, row_size, row_kind) = {
+            let row = gthv.table().row(entry).expect("checked before the walk");
+            (row.addr, row.size, row.kind)
         };
-        if (row_kind == ScalarKind::Ptr) != head.is_ptr {
-            return Err(UpdateError::KindMismatch { entry });
-        }
         let local_endian = gthv.platform().endian;
         // Receiver makes right through the compiled plan for (entry,
         // sender shape) — lowered once, memoized; `Memcpy` exactly when
@@ -314,19 +324,8 @@ impl ApplyWalk<'_> {
                     )
                 })
         });
-        for run in runs {
-            let Some(end) = run
-                .elem_offset
-                .checked_add(run.count)
-                .filter(|&end| end <= row_count)
-            else {
-                return Err(UpdateError::RangeOutOfBounds {
-                    entry,
-                    first: run.elem_offset,
-                    count: run.count,
-                    available: row_count,
-                });
-            };
+        for run in g.runs() {
+            let end = run.elem_offset + run.count;
             let dst_addr = row_addr + run.elem_offset * u64::from(row_size);
             let dst_len = (u64::from(row_size) * run.count) as usize;
             let keep = kept.filter(|k| !k.touching(run.elem_offset, end).is_empty());
@@ -515,7 +514,9 @@ mod tests {
         let mut dst = inst(PlatformSpec::linux_x86());
         src.write_ptr(0, 0, None).unwrap();
         let ups = extract_updates(&src, &[range(0, 0, 1)]).unwrap();
-        assert!(ups.iter().all(|u| u.data.iter().all(|&b| b == 0)));
+        assert!(updates_of(&ups)
+            .iter()
+            .all(|u| u.data.iter().all(|&b| b == 0)));
         apply(&mut dst, &ups).unwrap();
         assert_eq!(dst.read_ptr(0, 0).unwrap(), None);
     }
@@ -538,7 +539,7 @@ mod tests {
             src.write_int(3, i, 1000 + i as i128).unwrap();
         }
         let ups = extract_updates(&src, &[range(3, 200, 10)]).unwrap();
-        assert_eq!(ups.iter().next().unwrap().elem_offset, 200);
+        assert_eq!(updates_of(&ups)[0].elem_offset, 200);
         apply(&mut dst, &ups).unwrap();
         assert_eq!(dst.read_int(3, 205).unwrap(), 1205);
         assert_eq!(dst.read_int(3, 199).unwrap(), 0);
@@ -672,9 +673,9 @@ mod tests {
 
     #[test]
     fn per_group_checks_reject_what_per_update_checks_did() {
-        // A failing update is reported as it always was, everything before
-        // it — in its own group too — is applied, it and everything after
-        // it is not.
+        // A failing update is reported as it always was, and the batch is
+        // refused whole: nothing before it, in its own group or another,
+        // is applied either.
         type Edit = fn(&mut WireUpdate);
         type Check = fn(&UpdateError) -> bool;
         let cases: [(&str, Edit, Check); 4] = [
@@ -712,15 +713,41 @@ mod tests {
                 let err = apply(&mut dst, &three_with(k, edit)).unwrap_err();
                 assert!(check(&err), "{name} at {k}: {err:?}");
                 for i in 0..3 {
-                    let want = if i < k { 7 + i as i128 } else { 0 };
-                    assert_eq!(
-                        dst.read_int(1, 2 * i as u64).unwrap(),
-                        want,
-                        "{name} at {k}"
-                    );
+                    let got = dst.read_int(1, 2 * i).unwrap();
+                    assert_eq!(got, 0, "{name} at {k}");
                 }
                 assert_eq!(dst.read_ptr(0, 0).unwrap(), None, "{name} at {k}");
             }
+        }
+    }
+
+    #[test]
+    fn a_batch_whose_second_group_runs_past_its_entry_stores_nothing() {
+        // Four elements of `A`, then nine of `B` moved one past its end:
+        // the first group passes every check, the second refuses the
+        // batch before its first store, on either byte order.
+        let mut src = inst(PlatformSpec::linux_x86());
+        for i in 0..4 {
+            src.write_int(1, i, 40 + i as i128).unwrap();
+        }
+        let ranges = [range(1, 0, 4), range(2, 56160, 9)];
+        let mut us = updates_of(&extract_updates(&src, &ranges).unwrap());
+        us[1].elem_offset = 56161;
+        let batch = batch_of(&us);
+        assert_eq!(batch.groups().count(), 2);
+        for p in [PlatformSpec::linux_x86(), PlatformSpec::solaris_sparc()] {
+            let mut dst = inst(p);
+            dst.write_int(1, 1, -5).unwrap();
+            let before = dst.space().raw().to_vec();
+            let err = apply(&mut dst, &batch).unwrap_err();
+            let want = UpdateError::RangeOutOfBounds {
+                entry: 2,
+                first: 56161,
+                count: 9,
+                available: 56169,
+            };
+            assert_eq!(err, want);
+            assert!(dst.space().raw() == before, "a byte was stored");
         }
     }
 

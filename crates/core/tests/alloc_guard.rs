@@ -197,3 +197,44 @@ fn a_batch_costs_a_few_allocations_from_extraction_to_apply_not_one_per_update()
     assert_eq!(n, 0, "{n} allocations to clone a batch");
     assert_eq!(copy, batch);
 }
+
+#[test]
+fn a_lock_sized_release_allocates_its_row_table_and_an_empty_one_nothing() {
+    // What a lock section ships: one group of one row of one element,
+    // decoded and applied on the opposite byte order. The frame is a
+    // slice of the payload and the swap goes straight into the space, so
+    // the row table is all that is allocated: the vector the check
+    // decodes into, sized once, and the reference count that shares it.
+    // A release with nothing to ship keeps no table.
+    let mut sender = instance();
+    sender.write_int(1, 7, 42).unwrap();
+    let mut receiver = instance_on(PlatformSpec::solaris_sparc());
+    let mut stats = ConversionStats::default();
+    for (count, bound) in [(1, 2), (0, 0)] {
+        let ranges: Vec<UpdateRange> = (0..count).map(|_| UpdateRange::new(1, 7, 1)).collect();
+        let updates = extract_updates(&sender, &ranges).unwrap();
+        let msg = DsdMsg::UnlockRequest {
+            lock: 0,
+            rank: 2,
+            updates,
+        };
+        let (payload, kind) = (msg.encode_enveloped(1), msg.kind());
+        let mut decode_and_apply = || {
+            let (_, msg) = DsdMsg::decode_enveloped(kind, payload.clone()).unwrap();
+            let DsdMsg::UnlockRequest { updates, .. } = msg else {
+                panic!("decoded {msg:?}");
+            };
+            apply_batch(&mut receiver, &updates, &mut stats).unwrap()
+        };
+        // The first apply lowers the conversion plan; every later one
+        // finds it.
+        assert_eq!(decode_and_apply(), (0, count, 0));
+        let (n, tally) = allocations(&mut decode_and_apply);
+        assert_eq!(tally, (0, count, 0));
+        assert!(
+            n <= bound,
+            "{n} allocations to decode and apply {count} one-element update"
+        );
+    }
+    assert_eq!(receiver.read_int(1, 7).unwrap(), 42);
+}

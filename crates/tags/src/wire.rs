@@ -31,11 +31,14 @@
 //! self-describing, so a receiver needs no table of its senders'
 //! platforms. [`mod@reference`] is the codec over owned updates the tests
 //! compare against.
+//! A run table is decoded once: a batch keeps the rows the check of a
+//! received frame decoded, or a [`FrameWriter`] planned — the same rows
+//! either way — beside its frame, and every later walk reads those.
 
 use bytes::{Buf, BufMut, Bytes};
 use hdsm_platform::endian::Endianness;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 pub mod reference;
 pub mod varint;
@@ -121,26 +124,14 @@ impl GroupHead {
         self.size as u8 | u8::from(self.is_ptr) << 5 | u8::from(big) << 6
     }
 
-    /// Read a shape byte and an entry off the front of `buf`, and whether
-    /// the group's rows are strided: a shape of size 0 is refused.
-    fn take(buf: &mut &[u8]) -> Result<(GroupHead, bool), WireError> {
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let shape = buf.get_u8();
-        let size = u32::from(shape & 0x1f);
-        if size == 0 {
-            return Err(WireError::BadHeader);
-        }
-        let endian = [Endianness::Little, Endianness::Big][usize::from(shape >> 6 & 1)];
-        let (entry, is_ptr) = (varint::get32(buf)?, shape & 0x20 != 0);
-        let head = GroupHead {
+    /// The head a shape byte and an entry name.
+    fn of(shape: u8, entry: u32) -> GroupHead {
+        GroupHead {
             entry,
-            endian,
-            is_ptr,
-            size,
-        };
-        Ok((head, shape & 0x80 != 0))
+            endian: [Endianness::Little, Endianness::Big][usize::from(shape >> 6 & 1)],
+            is_ptr: shape & 0x20 != 0,
+            size: u32::from(shape & 0x1f),
+        }
     }
 }
 
@@ -158,35 +149,36 @@ pub struct UpdateView<'a> {
     pub data: &'a [u8],
 }
 
+/// A row of a batch's table: a group's `(first, count, stride)` row, or its
+/// head row `(rows | shape << 32, entry, where its payload starts)`.
+type Row = (u64, u64, u64);
+
 /// A run group of a batch: consecutive updates sharing a [`GroupHead`],
-/// framed as dense or strided rows and one concatenated payload.
-#[derive(Debug, Clone, Copy)]
+/// its rows and its concatenated payload.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunGroup<'a> {
     /// What every run shares.
     pub head: GroupHead,
-    strided: bool,
-    table: &'a [u8],
+    rows: &'a [Row],
     data: &'a [u8],
 }
 
-/// The row of a checked run table that opens `table`, as `(first, count,
-/// stride)`; a dense row's stride is 1.
-fn row(table: &mut &[u8], strided: bool) -> (u64, u64, u64) {
-    let (first, count) = (varint::read(table), varint::read(table));
-    (first, count, if strided { varint::read(table) } else { 1 })
-}
-
 impl<'a> RunGroup<'a> {
+    /// The group's rows `(first, count, stride)` in frame order.
+    pub fn rows(&self) -> &'a [(u64, u64, u64)] {
+        self.rows
+    }
+
     /// The group's updates in frame order: a row of stride 1 is one
     /// update, a row of a larger stride one update an element.
     pub fn runs(&self) -> impl Iterator<Item = UpdateView<'a>> + 'a {
-        let (entry, size, strided) = (self.head.entry, self.head.size as usize, self.strided);
-        let (mut table, mut data) = (self.table, self.data);
+        let (entry, size) = (self.head.entry, self.head.size as usize);
+        let (mut rows, mut data) = (self.rows.iter(), self.data);
         // What is left of the open row: its next element, count and stride.
         let (mut next, mut left, mut stride) = (0, 0, 1);
         std::iter::from_fn(move || {
             if left == 0 {
-                (next, left, stride) = (!table.is_empty()).then(|| row(&mut table, strided))?;
+                (next, left, stride) = *rows.next()?;
             }
             let count = if stride == 1 { left } else { 1 };
             let view;
@@ -204,45 +196,57 @@ impl<'a> RunGroup<'a> {
     }
 }
 
-/// Split the group at the front of `buf` off it, with every check the
-/// format has and nothing allocated from a wire-supplied length: how many
-/// updates it holds and their payload bytes.
-fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
-    let (head, strided) = GroupHead::take(buf)?;
-    let nrows = varint::get32(buf)?;
+/// Split the group at the front of `buf`, `len - buf.len()` bytes into its
+/// frame, off it with every check the format has, and push its head row and
+/// rows onto `out`, sized only once the buffer is seen to hold them: how
+/// many updates it holds and their payload bytes.
+fn split_group(buf: &mut &[u8], len: usize, out: &mut Vec<Row>) -> Result<(usize, u64), WireError> {
+    let (&shape, rest) = buf.split_first().ok_or(WireError::Truncated)?;
+    let (size, strided) = (u64::from(shape & 0x1f), shape & STRIDED != 0);
+    *buf = rest;
+    if size == 0 {
+        return Err(WireError::BadHeader);
+    }
+    let (entry, nrows) = (varint::get32(buf)?, varint::get32(buf)?);
     // A row is at least two or three one-byte varints.
     if u64::from(nrows) * (2 + u64::from(strided)) > buf.len() as u64 {
         return Err(WireError::Truncated);
     }
-    let (mut rest, mut elems, mut updates) = (*buf, 0u64, 0u64);
+    let at = out.len();
+    out.reserve(1 + nrows as usize);
+    out.push((0, 0, 0));
+    let (mut elems, mut updates) = (0u64, 0u64);
     for _ in 0..nrows {
-        let first = varint::get(&mut rest, u64::MAX)?;
-        let count = u64::from(varint::get32(&mut rest)?);
-        let stride = strided.then(|| varint::get(&mut rest, u64::MAX));
+        let first = varint::get(buf, u64::MAX)?;
+        let count = u64::from(varint::get32(buf)?);
+        let stride = strided.then(|| varint::get(buf, u64::MAX));
         let stride = stride.transpose()?.unwrap_or(1);
         // Each element named must be one a `u64` can index.
         let last = count.checked_sub(1).and_then(|k| k.checked_mul(stride));
         if stride == 0 || last.and_then(|d| first.checked_add(d)).is_none() {
             return Err(WireError::BadHeader);
         }
+        out.push((first, count, stride));
         // At most `u32::MAX` counts of at most `u32::MAX` each.
         elems += count;
         updates += if stride == 1 { 1 } else { count };
     }
-    let data_len = elems
-        .checked_mul(head.size.into())
-        .ok_or(WireError::BadHeader)?;
-    if (rest.len() as u64) < data_len {
+    let data_len = elems.checked_mul(size).ok_or(WireError::BadHeader)?;
+    if (buf.len() as u64) < data_len {
         return Err(WireError::Truncated);
     }
-    *buf = &rest[data_len as usize..];
+    let meta = u64::from(nrows) | u64::from(shape) << 32;
+    out[at] = (meta, entry.into(), (len - buf.len()) as u64);
+    *buf = &buf[data_len as usize..];
     // No more updates than payload bytes, which the buffer holds.
     Ok((updates as usize, data_len))
 }
 
 /// A batch of updates: the grouped frame itself, validated once, with its
-/// update count and payload bytes. It is what every message, log and
-/// snapshot of the DSM carries; cloning shares the frame.
+/// decoded run table, update count and payload bytes. It is what every
+/// message, log and snapshot of the DSM carries; cloning shares the frame
+/// and the table, and two batches are equal when their frames are (the
+/// rest follows from the frame).
 ///
 /// Consecutive updates sharing (entry, endianness, element size,
 /// scalar-vs-pointer) form one *run group* that frames the shared
@@ -256,6 +260,9 @@ fn split_group(buf: &mut &[u8]) -> Result<(usize, u64), WireError> {
 #[derive(Clone, PartialEq)]
 pub struct UpdateBatch {
     frame: Bytes,
+    /// Per group a head row, then its rows: the vector they were decoded
+    /// or planned in, shared as it is, like the frame; none without groups.
+    rows: Option<Arc<Vec<Row>>>,
     updates: usize,
     payload_bytes: u64,
 }
@@ -301,39 +308,25 @@ impl UpdateBatch {
         self.payload_bytes
     }
 
-    /// The groups in frame order, borrowed. A run group without runs
-    /// holds no update and is skipped. The frame was checked when the
-    /// batch was made, so its rows are read unchecked.
+    /// The groups in frame order, borrowed, read off the batch's rows. A
+    /// run group without rows holds no update and is skipped.
     pub fn groups(&self) -> impl Iterator<Item = RunGroup<'_>> + '_ {
-        const CHECKED: &str = "frame checked when the batch was made";
-        let mut rest = &self.frame[1..];
-        let mut left = varint::get32(&mut rest).expect(CHECKED);
-        std::iter::from_fn(move || {
-            while left > 0 {
-                left -= 1;
-                let (head, strided) = GroupHead::take(&mut rest).expect(CHECKED);
-                let nrows = varint::get32(&mut rest).expect(CHECKED) as usize;
-                let (table, mut elems) = (rest, 0);
-                for _ in 0..nrows {
-                    elems += row(&mut rest, strided).1 as usize;
-                }
-                let table = &table[..table.len() - rest.len()];
-                let data;
-                (data, rest) = rest.split_at(elems * head.size as usize);
-                if nrows > 0 {
-                    return Some(RunGroup {
-                        head,
-                        strided,
-                        table,
-                        data,
-                    });
-                }
+        let mut table = self.rows.as_deref().map_or(&[][..], Vec::as_slice);
+        std::iter::from_fn(move || loop {
+            let (&(meta, entry, at), rest) = table.split_first()?;
+            let rows;
+            (rows, table) = rest.split_at(meta as u32 as usize);
+            let head = GroupHead::of((meta >> 32) as u8, entry as u32);
+            let len = rows.iter().map(|r| r.1).sum::<u64>() * u64::from(head.size);
+            let data = &self.frame[at as usize..][..len as usize];
+            if !rows.is_empty() {
+                return Some(RunGroup { head, rows, data });
             }
-            None
         })
     }
 
-    /// Every update in frame order, borrowed.
+    /// Every update in frame order, borrowed: only `benchmark/`, frozen
+    /// between benchmark PRs, still walks a batch so.
     pub fn iter(&self) -> impl Iterator<Item = UpdateView<'_>> + '_ {
         self.groups().flat_map(|g| g.runs())
     }
@@ -361,11 +354,8 @@ pub fn unpack_batch(mut buf: Bytes) -> Result<UpdateBatch, WireError> {
 /// frame says where it ends (a group count, then every group's runs), so
 /// it is split off the front of `buf` and what follows stays there.
 pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
-    let mut rest: &[u8] = buf;
-    if rest.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    if rest.get_u8() != BATCH_MARKER {
+    let (&marker, mut rest) = buf.split_first().ok_or(WireError::Truncated)?;
+    if marker != BATCH_MARKER {
         return Err(WireError::BadHeader);
     }
     let groups = varint::get32(&mut rest)?;
@@ -373,15 +363,14 @@ pub fn split_batch(buf: &mut Bytes) -> Result<UpdateBatch, WireError> {
     if u64::from(groups) * 3 > rest.len() as u64 {
         return Err(WireError::Truncated);
     }
-    let (mut updates, mut payload_bytes) = (0, 0);
+    let (whole, mut rows, mut updates, mut payload_bytes) = (buf.len(), Vec::new(), 0, 0);
     for _ in 0..groups {
-        let (n, bytes) = split_group(&mut rest)?;
-        updates += n;
-        payload_bytes += bytes;
+        let (n, bytes) = split_group(&mut rest, whole, &mut rows)?;
+        (updates, payload_bytes) = (updates + n, payload_bytes + bytes);
     }
-    let frame_len = buf.len() - rest.len();
     Ok(UpdateBatch {
-        frame: buf.split_to(frame_len),
+        frame: buf.split_to(whole - rest.len()),
+        rows: (!rows.is_empty()).then(|| Arc::new(rows)),
         updates,
         payload_bytes,
     })
@@ -438,21 +427,22 @@ fn varints_len(first: u64, count: u64, stride: u64) -> usize {
     (1..10).fold(count, |bytes, j| bytes + count - below(1 << (7 * j))) as usize
 }
 
-/// Bit 63 of a group's head row: its table is strided.
-const STRIDED: u64 = 1 << 63;
+/// Bit 7 of a shape byte: the group's table is strided.
+const STRIDED: u8 = 0x80;
 
 /// Writes a grouped frame into one buffer sized exactly before the first
 /// byte is written. The sender first plans every group from its runs
 /// ([`Self::plan_group`]), which folds them into rows once and sizes the
 /// group; then, per group in the same order, writes the header and table
 /// from those rows ([`Self::begin_group`]) and appends the payload
-/// straight from its address space ([`Self::put_payload`]).
+/// straight from its address space ([`Self::put_payload`]). The batch
+/// keeps the rows as they were written.
 #[derive(Default)]
 pub struct FrameWriter {
     out: Vec<u8>,
-    /// Per planned group a head row — its row count (with [`STRIDED`]),
-    /// elements and updates — then its rows.
-    rows: Vec<(u64, u64, u64)>,
+    /// Per planned group a head row, then its rows. Until the group is
+    /// written its head row's payload field counts its elements instead.
+    rows: Vec<Row>,
     groups: u64,
     /// The head row of the next group to open.
     next: usize,
@@ -468,7 +458,7 @@ impl FrameWriter {
     /// Plan the next run group: `entry`, elements of `size` bytes, and the
     /// runs `runs` ([`fold_rows`]' runs). Its table is strided only when
     /// that is strictly smaller, so a group with nothing to fold keeps its
-    /// dense table.
+    /// dense table, whose rows are one update each.
     ///
     /// # Panics
     /// If a group was opened already, or a run is empty or counts more
@@ -498,10 +488,23 @@ impl FrameWriter {
         }
         let n_rows = (self.rows.len() - head - 1) as u64;
         let (dense, strided) = (dense + varint::len(updates), strided + varint::len(n_rows));
-        self.body +=
-            1 + varint::len(entry.into()) + dense.min(strided) + size as usize * elems as usize;
-        let shape = n_rows | if strided < dense { STRIDED } else { 0 };
-        (self.rows[head], self.groups) = ((shape, elems, updates), self.groups + 1);
+        let data_len = u64::from(size) * elems;
+        self.body += 1 + varint::len(entry.into()) + dense.min(strided) + data_len as usize;
+        let shape = if strided < dense { STRIDED } else { 0 };
+        if shape == 0 && updates > n_rows {
+            // Each element of a strided row is a row of the dense table.
+            let folded = self.rows.split_off(head + 1);
+            let each = |(first, count, stride): Row| {
+                let (n, count) = if stride == 1 { (1, count) } else { (count, 1) };
+                (0..n).map(move |k| (first + k * stride, count, 1))
+            };
+            self.rows.extend(folded.into_iter().flat_map(each));
+        }
+        let n_rows = (self.rows.len() - head - 1) as u64;
+        self.rows[head] = (n_rows | u64::from(shape) << 32, entry.into(), elems);
+        self.groups += 1;
+        self.updates += updates;
+        self.payload_bytes += data_len;
     }
 
     /// The frame's header, once, in a buffer of the frame's size.
@@ -525,25 +528,21 @@ impl FrameWriter {
     pub fn begin_group(&mut self, head: GroupHead) {
         self.start();
         assert_eq!(self.out.len(), self.group_end, "previous group's payload");
-        let (shape, elems, updates) = *self.rows.get(self.next).expect("a group too many");
-        let (n_rows, strided) = (shape & !STRIDED, shape & STRIDED != 0);
-        let rows = &self.rows[self.next + 1..][..n_rows as usize];
-        self.next += 1 + n_rows as usize;
+        let (meta, _, elems) = *self.rows.get(self.next).expect("a group too many");
+        let (n_rows, shape) = (meta as u32 as usize, head.shape() | (meta >> 32) as u8);
         let out = &mut self.out;
-        out.put_u8(head.shape() | u8::from(strided) << 7);
+        out.put_u8(shape);
         let mut put = |vs: &[u64]| vs.iter().for_each(|&v| varint::put(out, v));
-        put(&[head.entry.into(), if strided { n_rows } else { updates }]);
-        for &(first, count, stride) in rows {
-            match (strided, stride) {
-                (true, _) => put(&[first, count, stride]),
-                (false, 1) => put(&[first, count]),
-                _ => (0..count).for_each(|k| put(&[first + k * stride, 1])),
-            }
+        put(&[head.entry.into(), n_rows as u64]);
+        let fields = if shape & STRIDED != 0 { 3 } else { 2 };
+        for &(first, count, stride) in &self.rows[self.next + 1..][..n_rows] {
+            put(&[first, count, stride][..fields]);
         }
-        self.updates += updates;
-        let data_len = u64::from(head.size) * elems;
-        self.payload_bytes += data_len;
-        self.group_end = out.len() + data_len as usize;
+        let at = out.len();
+        let meta = n_rows as u64 | u64::from(shape) << 32;
+        self.rows[self.next] = (meta, head.entry.into(), at as u64);
+        self.next += 1 + n_rows;
+        self.group_end = at + (u64::from(head.size) * elems) as usize;
     }
 
     /// Append payload bytes of the open group.
@@ -564,6 +563,7 @@ impl FrameWriter {
         assert_eq!(self.out.len(), planned, "frame was sized for its groups");
         UpdateBatch {
             frame: self.out.into(),
+            rows: (!self.rows.is_empty()).then(|| Arc::new(self.rows)),
             updates: self.updates as usize,
             payload_bytes: self.payload_bytes,
         }
@@ -603,7 +603,7 @@ mod tests {
     fn empty_batch() {
         let batch = unpack_batch(pack_grouped(&[])).unwrap();
         assert_eq!(batch, UpdateBatch::default());
-        assert!(batch.is_empty() && batch.iter().next().is_none());
+        assert!(batch.is_empty() && batch.groups().next().is_none());
         // The marker and a group count of 0.
         assert_eq!(&batch.frame()[..], &[BATCH_MARKER, 0]);
     }
@@ -626,7 +626,8 @@ mod tests {
         assert_eq!(batch.groups().count(), 4);
         // The counts the batch carries are the flat walk's.
         let flat: Vec<(u32, u64, usize)> = batch
-            .iter()
+            .groups()
+            .flat_map(|g| g.runs())
             .map(|u| (u.entry, u.count, u.data.len()))
             .collect();
         let want: Vec<(u32, u64, usize)> = us
@@ -886,8 +887,10 @@ mod tests {
         let table = [BATCH_MARKER, 1, 0xc4, 1, 2, 3, 3, 2, 20, 4, 1];
         assert_eq!(&batch.frame()[..11], &table);
         assert_eq!(batch.frame().len(), 11 + 7 * 4);
-        let views: Vec<(u64, u64, &[u8])> = batch
-            .iter()
+        let group = batch.groups().next().unwrap();
+        assert_eq!(group.rows(), [(3, 3, 2), (20, 4, 1)]);
+        let views: Vec<(u64, u64, &[u8])> = group
+            .runs()
             .map(|u| (u.elem_offset, u.count, u.data))
             .collect();
         let want: [(u64, u64, &[u8]); 4] = [
@@ -907,9 +910,15 @@ mod tests {
         assert_eq!(&batch.frame()[2..17], &rows);
         assert_eq!(batch.len(), 7);
         // A table the strided form would not shorten stays dense: here
-        // both take seven bytes.
+        // both take seven bytes, and the writer hands over a row an
+        // update, as the check of its frame decodes it.
         let batch = written(&[(0, 1), (2, 1), (10, 3)]);
         assert_eq!(&batch.frame()[2..11], &[0x44, 1, 3, 0, 1, 2, 1, 10, 3]);
+        let rows = [(0, 1, 1), (2, 1, 1), (10, 3, 1)];
+        assert_eq!(batch.groups().next().unwrap().rows(), rows);
+        assert!(batch
+            .groups()
+            .eq(unpack_batch(batch.frame().clone()).unwrap().groups()));
     }
 
     #[test]
@@ -952,6 +961,26 @@ mod tests {
         for cut in 0..full.len() {
             assert_eq!(unpack_batch(full.slice(..cut)), Err(WireError::Truncated));
             assert_eq!(unpack_updates(full.slice(..cut)), Err(WireError::Truncated));
+        }
+    }
+
+    #[test]
+    fn a_wild_group_or_row_count_sizes_no_row_table() {
+        // `u32::MAX` groups, then one group of `u32::MAX` dense rows and
+        // one of `u32::MAX` strided rows, each declared in twelve bytes.
+        let most = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        let frames = [
+            [&[BATCH_MARKER][..], &most, &[0x44, 0, 1, 0, 1, 9]].concat(),
+            [&[BATCH_MARKER, 1, 0x44, 0][..], &most, &[0, 1, 9]].concat(),
+            [&[BATCH_MARKER, 1, 0xc4, 0][..], &most, &[0, 1, 1]].concat(),
+        ];
+        // Each is refused before its table is sized: a table sized from
+        // either count would take 96 GiB, which the decoder fuzz's capped
+        // address space turns into an abort.
+        for bytes in frames.map(Bytes::from) {
+            assert_eq!(bytes.len(), 12);
+            assert_eq!(unpack_batch(bytes.clone()), Err(WireError::Truncated));
+            assert_eq!(unpack_updates(bytes), Err(WireError::Truncated));
         }
     }
 

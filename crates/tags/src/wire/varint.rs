@@ -4,7 +4,8 @@
 //! accepts only the one encoding a value has: a varint longer than its
 //! value needs, longer than ten bytes or above its field's `max` is
 //! [`VarintError::Invalid`]. So [`len`] of a decoded value is the bytes
-//! it took.
+//! it took. There is no unchecked read: a frame's varints are read once,
+//! by its check, which keeps the values it read.
 
 use bytes::{Buf, BufMut};
 
@@ -38,7 +39,15 @@ pub fn put(out: &mut impl BufMut, mut v: u64) {
 /// Read a varint of at most `max` off the front of `buf`.
 #[inline(always)]
 pub fn get(buf: &mut impl Buf, max: u64) -> Result<u64, VarintError> {
-    let (v, n) = split(buf.chunk())?;
+    let (v, n) = match *buf.chunk() {
+        [b0, ..] if b0 < 0x80 => (u64::from(b0), 1),
+        [b0, b1, ..] if b1 < 0x80 => (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2),
+        [b0, b1, b2, ..] if b2 < 0x80 => {
+            let low = u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7;
+            (low | u64::from(b2) << 14, 3)
+        }
+        _ => long(buf.chunk())?,
+    };
     // A last byte of 0 says nothing the one before did not.
     if v > max || (n > 1 && buf.chunk()[n - 1] == 0) {
         return Err(VarintError::Invalid);
@@ -47,30 +56,8 @@ pub fn get(buf: &mut impl Buf, max: u64) -> Result<u64, VarintError> {
     Ok(v)
 }
 
-/// Read a varint that [`get`] has read before: a row of a checked frame.
-#[inline]
-pub fn read(buf: &mut &[u8]) -> u64 {
-    let (v, n) = split(buf).expect("a checked varint");
-    *buf = &buf[n..];
-    v
-}
-
-/// The value and length of the varint that opens `bytes`: ten bytes at
-/// most, the tenth holding bit 63 alone.
-#[inline(always)]
-fn split(bytes: &[u8]) -> Result<(u64, usize), VarintError> {
-    match *bytes {
-        [b0, ..] if b0 < 0x80 => Ok((u64::from(b0), 1)),
-        [b0, b1, ..] if b1 < 0x80 => Ok((u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2)),
-        [b0, b1, b2, ..] if b2 < 0x80 => {
-            let low = u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7;
-            Ok((low | u64::from(b2) << 14, 3))
-        }
-        _ => long(bytes),
-    }
-}
-
-/// [`split`] of four bytes or more.
+/// The value and length of a varint of four bytes or more that opens
+/// `bytes`: ten bytes at most, the tenth holding bit 63 alone.
 fn long(bytes: &[u8]) -> Result<(u64, usize), VarintError> {
     let mut v = 0u64;
     for (i, &b) in bytes.iter().enumerate().take(10) {

@@ -12,7 +12,7 @@ use hdsm_tags::generate::tag_for;
 use hdsm_tags::parse::parse_tag;
 use hdsm_tags::tag::{Tag, TagItem};
 use hdsm_tags::wire::reference::{pack_grouped, run_shape, unpack_updates, updates_of, WireUpdate};
-use hdsm_tags::wire::{unpack_batch, FrameWriter, GroupHead, UpdateBatch};
+use hdsm_tags::wire::{unpack_batch, FrameWriter, GroupHead, RunGroup, UpdateBatch};
 use proptest::prelude::*;
 
 /// `updates` through the sender's frame writer: a group a maximal run of
@@ -233,7 +233,8 @@ proptest! {
     /// with sequences of one-element runs at one gap — and the borrowed
     /// views of the kept frame show, update for update, what the reference
     /// decoder materialises from it. The frame writer writes the reference
-    /// packer's frame, strided groups included.
+    /// packer's frame, strided groups included, and hands over the rows
+    /// the check of that frame decodes.
     #[test]
     fn wire_batch_views_equal_the_reference_decoder(
         frames in prop::collection::vec(
@@ -278,10 +279,15 @@ proptest! {
         prop_assert_eq!(&updates_of(&batch), &updates);
         prop_assert_eq!(&unpack_updates(packed.clone()).unwrap(), &updates);
         prop_assert_eq!(batch.len(), updates.len());
-        prop_assert_eq!(batch.iter().count(), updates.len());
         let bytes: usize = updates.iter().map(|u| u.data.len()).sum();
         prop_assert_eq!(batch.payload_bytes(), bytes as u64);
-        prop_assert_eq!(write_frame(&updates).frame(), &packed);
+        let written = write_frame(&updates);
+        prop_assert_eq!(written.frame(), &packed);
+        // The writer's rows are the ones the check decodes from its frame:
+        // heads, rows and payload, group for group.
+        let (sent, got): (Vec<RunGroup>, Vec<RunGroup>) =
+            (written.groups().collect(), batch.groups().collect());
+        prop_assert_eq!(sent, got);
     }
 
     /// Parser never panics on arbitrary ASCII input.
