@@ -53,16 +53,21 @@ pub fn source_grid(n: usize, seed: u64) -> Vec<f64> {
     let mut g = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..n {
-            g[i * n + j] = if i == 0 {
-                100.0 // hot top edge
-            } else if i == n - 1 || j == 0 || j == n - 1 {
-                0.0
-            } else {
-                det_f64(seed, (i * n + j) as u64).abs() * 10.0
-            };
+            g[i * n + j] = source_at(n, seed, i, j);
         }
     }
     g
+}
+
+/// Element `(i, j)` of the initial grid.
+pub fn source_at(n: usize, seed: u64, i: usize, j: usize) -> f64 {
+    if i == 0 {
+        100.0 // hot top edge
+    } else if i == n - 1 || j == 0 || j == n - 1 {
+        0.0
+    } else {
+        det_f64(seed, (i * n + j) as u64).abs() * 10.0
+    }
 }
 
 /// Serial oracle: `sweeps` Jacobi iterations.

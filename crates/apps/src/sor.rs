@@ -1,10 +1,12 @@
 //! Red-black successive over-relaxation (SOR) — the second stencil
 //! extension. The red/black colouring makes each half-sweep's writes
 //! *strided* (every other element), a deliberately diff-hostile pattern:
-//! a half-sweep's write set is one span per element, and no layer can
-//! merge across the untouched black (or red) elements. Together
-//! with Jacobi's contiguous stripes this brackets the update-shape
-//! spectrum for the benchmarks.
+//! no dense range can merge across the untouched black (or red)
+//! elements, so a page diff or a dense write set sees an element at a
+//! time. The DSD keeps a colour of a grid row as one strided row instead,
+//! from the write set through the frame to the home's log. Together with
+//! Jacobi's contiguous stripes this brackets the update-shape spectrum
+//! for the benchmarks.
 
 use crate::workload::{block_rows, close_to};
 use hdsm_core::client::{DsdClient, DsdError};
@@ -48,10 +50,15 @@ pub fn source_grid(n: usize, seed: u64) -> Vec<f64> {
     crate::jacobi::source_grid(n, seed)
 }
 
-/// Home-side initialisation.
+/// Home-side initialisation, a row at a time: no grid-sized buffer.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
-    g.write_floats(entries::G, 0, &source_grid(n, seed))
-        .expect("init grid");
+    for i in 0..n {
+        let row: Vec<f64> = (0..n)
+            .map(|j| crate::jacobi::source_at(n, seed, i, j))
+            .collect();
+        g.write_floats(entries::G, (i * n) as u64, &row)
+            .expect("init grid");
+    }
     g.write_int(entries::N, 0, n as i128).expect("init n");
 }
 

@@ -85,7 +85,6 @@ use hdsm_net::FabricInstant;
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_platform::spec::Platform;
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::fold_rows;
 use hdsm_tags::wire::UpdateBatch;
 use std::fmt;
 use std::time::Duration;
@@ -352,8 +351,7 @@ fn fresh_views(gthv: &GthvInstance) -> Vec<EntryView> {
 /// The spans of `set`, one of `entry`'s element sets, as update ranges.
 fn ranges_of(entry: usize, set: &IntervalSet) -> impl Iterator<Item = UpdateRange> + '_ {
     set.spans()
-        .iter()
-        .map(move |&(first, end)| UpdateRange::new(entry as u32, first, end - first))
+        .map(move |(first, end)| UpdateRange::new(entry as u32, first, end - first))
 }
 
 /// The elements of `ranges`, one entry's and ascending, as a set.
@@ -935,26 +933,21 @@ impl DsdClient {
     }
 
     /// Drain the write set into update ranges (the head of the release
-    /// pipeline: t_index → t_tag in Eq. 1). Each entry's spans — sorted,
-    /// disjoint and maximal already — fold once, by the rule of the frame's
-    /// strided rows ([`fold_rows`]): a maximal left-to-right run of
-    /// one-element spans at one gap is one strided range, so a red-black
-    /// writer's colour of a row is one range of `count` updates, and every
-    /// later stage of the release works per range, not per element.
+    /// pipeline: t_index → t_tag in Eq. 1): a copy of each entry's rows,
+    /// which are folded by the rule of the frame's strided rows already
+    /// ([`IntervalSet`]), so a red-black writer's colour of a row is one
+    /// strided range of `count` updates, and every later stage of the
+    /// release works per range, not per element.
     fn collect_outgoing(&mut self) -> Result<Vec<UpdateRange>, DsdError> {
         let mut t = Phase::Index.begin(&self.recorder, self.obs_rank, self.cur_op);
-        // A dense writer drains a range a span, a strided one far fewer:
-        // room for the first, short of what the allocator maps afresh.
-        let spans: usize = self.views.iter().map(|v| v.written.spans().len()).sum();
-        let mut ranges = Vec::with_capacity(spans.min(2048));
+        let rows: usize = self.views.iter().map(|v| v.written.rows().len()).sum();
+        let mut ranges = Vec::with_capacity(rows);
         for (entry, v) in (0..).zip(&self.views) {
-            let spans = v.written.spans().iter().map(|&(a, b)| (a, b - a, 1));
-            fold_rows(spans, |(first, count, stride)| {
-                ranges.push(UpdateRange {
-                    stride,
-                    ..UpdateRange::new(entry, first, count)
-                })
-            });
+            let range = |(first, count, stride)| UpdateRange {
+                stride,
+                ..UpdateRange::new(entry, first, count)
+            };
+            ranges.extend(v.written.rows().map(range));
         }
         let updates: u64 = ranges.iter().map(UpdateRange::updates).sum();
         if self.recorder.is_enabled() {
@@ -1202,7 +1195,7 @@ impl DsdClient {
                 true => listed,
                 false => {
                     union.clone_from(listed);
-                    union.insert_sorted(fetched.spans().iter().copied());
+                    union.insert_sorted(fetched.spans());
                     &union
                 }
             };
@@ -1243,9 +1236,9 @@ impl DsdClient {
                 at_shipped.misses(r.first, r.end()) || at_shipped.split(*r).all(|p| p.0.is_none())
             };
             let other_colour = of_entry.iter().all(missed);
-            let reach: Vec<(u64, u64)> = (shipped.spans().iter())
+            let reach: Vec<(u64, u64)> = (shipped.spans())
                 .filter(|_| other_colour)
-                .flat_map(|&(a, b)| read.split(a, b).filter(|p| !p.inside))
+                .flat_map(|(a, b)| read.split(a, b).filter(|p| !p.inside))
                 .map(|p| (p.first, p.end))
                 .collect();
             if reach.is_empty() {
@@ -1978,6 +1971,11 @@ mod tests {
     use hdsm_platform::spec::{Platform, PlatformSpec};
     use std::collections::VecDeque;
 
+    /// The spans of `set`.
+    fn spans(set: &IntervalSet) -> Vec<(u64, u64)> {
+        set.spans().collect()
+    }
+
     const L0: LockId = LockId::new(0);
     const B0: BarrierId = BarrierId::new(0);
     const C0: CondId = CondId::new(0);
@@ -2065,13 +2063,13 @@ mod tests {
             c.barrier(B0).unwrap(); // the initial pull
             if c.thread_rank() == 1 {
                 c.read_ints(0, 0, &mut [0; 8]).unwrap();
-                assert_eq!(c.views[0].unreported.spans(), [(0, 8)]);
+                assert_eq!(spans(&c.views[0].unreported), [(0, 8)]);
                 c.barrier(B0).unwrap(); // reports; the stripe is noticed
-                assert_eq!(c.views[0].stale.spans(), [(50, 60)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 60)]);
                 assert_eq!(c.read_int(0, 55).unwrap(), 1900 + 55);
                 c.barrier(B0).unwrap(); // reports; the rewrite is noticed
-                assert_eq!(c.views[0].interest.spans(), [(0, 8), (55, 56)]);
-                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 60)]);
+                assert_eq!(spans(&c.views[0].interest), [(0, 8), (55, 56)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 55), (56, 60)]);
                 assert!(c.views[0].unreported.is_empty());
                 reader(c);
             } else {
@@ -2118,14 +2116,14 @@ mod tests {
                 assert_eq!(got, [2052, 2053, 2054, 1955]);
                 assert_eq!(fetches(c), 1);
                 assert_eq!(c.costs().updates_applied, applied + 1);
-                assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 60)]);
-                assert_eq!(c.views[0].interest.spans(), [(0, 8), (52, 56)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 52), (56, 60)]);
+                assert_eq!(spans(&c.views[0].interest), [(0, 8), (52, 56)]);
                 assert_eq!(c.views[0].window, (52, 56));
                 // A store fetches first too, even of the very value the
                 // stale copy held (1957).
                 c.write_int(0, 57, 1957).unwrap();
                 assert_eq!(fetches(c), 2);
-                assert_eq!(c.views[0].stale.spans(), [(50, 52), (56, 57), (58, 60)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 52), (56, 57), (58, 60)]);
                 assert_eq!(c.views[0].fresh, (57, 58));
                 // A store clear of everything stale fetches nothing and
                 // opens the store window over the whole stale-free stretch.
@@ -2154,9 +2152,9 @@ mod tests {
             |c| {
                 // Element indices mean the same on the new node.
                 c.rehost(PlatformSpec::solaris_sparc64()).unwrap();
-                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 60)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 55), (56, 60)]);
                 assert_eq!(c.read_int(0, 58).unwrap(), 2058, "fetched after the move");
-                assert_eq!(c.views[0].stale.spans(), [(50, 55), (56, 58), (59, 60)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 55), (56, 58), (59, 60)]);
                 // A cold copy has read nothing and been told nothing: its
                 // next acquire refreshes everything but what the other
                 // thread still holds — the part of its rewrite the fetch of
@@ -2165,7 +2163,7 @@ mod tests {
                 c.rehost_cold(PlatformSpec::linux_x86()).unwrap();
                 assert!(c.views[0].stale.is_empty() && c.views[0].interest.is_empty());
                 c.barrier(B0).unwrap();
-                assert_eq!(c.views[0].stale.spans(), [(50, 55)]);
+                assert_eq!(spans(&c.views[0].stale), [(50, 55)]);
                 let mut all = [0; 128];
                 c.read_ints(0, 0, &mut all).unwrap();
                 assert!(c.views[0].stale.is_empty());
@@ -2518,7 +2516,7 @@ mod tests {
             assert_eq!(c.network().stats().total_messages(), sent);
             assert_eq!(c.platform().name, "linux-x86");
             assert_eq!(c.read_int(0, 5).unwrap(), 8);
-            assert_eq!(c.views[0].written.spans(), [(4, 6)]);
+            assert_eq!(spans(&c.views[0].written), [(4, 6)]);
             // Released, the same move goes through and the stores survive.
             c.release(L0).unwrap();
             c.rehost_cold(PlatformSpec::solaris_sparc64()).unwrap();
@@ -2905,8 +2903,8 @@ mod tests {
             }
         }
         // Each is told of the other's hold, not sent it.
-        assert_eq!(both[0].0.views[0].stale.spans(), [(30, 40)]);
-        assert_eq!(both[1].0.views[0].stale.spans(), [(10, 20)]);
+        assert_eq!(spans(&both[0].0.views[0].stale), [(30, 40)]);
+        assert_eq!(spans(&both[1].0.views[0].stale), [(10, 20)]);
         for (c, req) in &mut both {
             let (rank, wants) = (c.thread_rank(), held(3 - c.thread_rank()).first + 5);
             let fetch = DsdMsg::RangeFetch {

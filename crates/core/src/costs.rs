@@ -94,8 +94,9 @@ pub struct CostBreakdown {
     /// the write set its store accessors kept (the paper diffs the dirty
     /// pages against their twins).
     pub t_index: Duration,
-    /// Settling the ranges that ship as tags: whole-entry promotion on a
-    /// client, coalescing the update log on a home.
+    /// Settling the ranges that ship as tags: on a home, the unseen rows of
+    /// the update log cut by a reader's interest and by others' holds,
+    /// then coalesced; a client ships its drained ranges as they are.
     pub t_tag: Duration,
     /// Packing tag + data frames.
     pub t_pack: Duration,

@@ -378,11 +378,11 @@ struct Whereabouts {
 }
 
 impl Whereabouts {
-    /// Take `[first, end)` from every writer's hold, and from what was
-    /// asked of it.
-    fn take(&mut self, first: u64, end: u64) {
+    /// Take the elements of `r` from every writer's hold, and from what
+    /// was asked of it.
+    fn take(&mut self, r: &UpdateRange) {
         for sets in [&mut self.held, &mut self.asked] {
-            sets.values_mut().for_each(|set| set.subtract(first, end));
+            sets.values_mut().for_each(|set| set.subtract_range(*r));
             sets.retain(|_, set| !set.is_empty());
         }
     }
@@ -568,7 +568,8 @@ pub struct HomeShard {
     /// new epoch's numbers above any the old primary can have given out.
     seq: u64,
     /// Update log: `(seq, writer, range)` in absorption order, so a
-    /// horizon is found by `partition_point`. The writer lets grants
+    /// horizon is found by `partition_point`; a row of a release's frame
+    /// is one range, strided or dense. The writer lets grants
     /// exclude a thread's own updates without moving its horizon.
     log: Vec<(u64, u32, UpdateRange)>,
     /// Oldest sequence still in the log; horizons below this need a full
@@ -837,10 +838,17 @@ impl HomeShard {
         }
         self.seq += 1;
         let s = self.seq;
-        for u in updates.groups().flat_map(|g| g.runs()) {
-            let r = span(u.entry, u.elem_offset, u.elem_offset + u.count);
-            self.unhold(&r);
-            self.log.push((s, writer, r));
+        // A row of the frame is a row of the log: a colour of a grid row
+        // is one, strided.
+        for g in updates.groups() {
+            for &(first, count, stride) in g.rows() {
+                let r = UpdateRange {
+                    stride,
+                    ..UpdateRange::new(g.head.entry, first, count)
+                };
+                self.unhold(&r);
+                self.log.push((s, writer, r));
+            }
         }
         if !held.is_empty() {
             self.hold(writer, held, s);
@@ -878,15 +886,16 @@ impl HomeShard {
             let mut others: Vec<_> = others.map(|(_, set)| set.cursor()).collect();
             let touched = |&(a, b): &(u64, u64)| others.iter_mut().any(|c| !c.misses(a, b));
             let taken: Vec<_> = pieces().filter(touched).collect();
-            taken.iter().for_each(|&(a, b)| at.take(a, b));
+            taken.iter().for_each(|&(a, b)| at.take(&span(entry, a, b)));
             at.held.entry(writer).or_default().insert_sorted(pieces());
         }
     }
 
-    /// A write made `r` current here: out of every hold it goes.
+    /// A write made `r`'s elements current here: out of every hold they
+    /// go.
     fn unhold(&mut self, r: &UpdateRange) {
         if let Some(at) = self.whereabouts.get_mut(&r.entry) {
-            at.take(r.first, r.end());
+            at.take(r);
             self.tidy(r.entry);
         }
     }
@@ -905,7 +914,7 @@ impl HomeShard {
         let logged = self.log[since..]
             .iter()
             .filter(|(_, w, r)| *w != writer && near(r))
-            .map(|(.., r)| (r.first, r.end()));
+            .flat_map(|(.., r)| r.spans());
         let moved = self.whereabouts.get(&entry).map(|at| &at.moved);
         let carried = moved
             .filter(|(at, _)| seen < *at)
@@ -1023,7 +1032,7 @@ impl HomeShard {
     fn held_touching(&self, r: &UpdateRange) -> Vec<(u32, UpdateRange)> {
         let (mut touched, at) = (Vec::new(), self.whereabouts.get(&r.entry));
         for (&w, set) in at.into_iter().flat_map(|at| &at.held) {
-            for &(a, b) in set.touching(r.first, r.end()) {
+            for (a, b) in set.touching(r.first, r.end()) {
                 touched.push((w, span(r.entry, a, b)));
             }
         }
@@ -1039,8 +1048,8 @@ impl HomeShard {
     ) -> impl Iterator<Item = (u32, UpdateRange)> + '_ {
         self.whereabouts.iter().flat_map(move |(&entry, at)| {
             sets(at).iter().flat_map(move |(&w, set)| {
-                let spans = set.spans().iter();
-                spans.map(move |&(a, b)| (w, span(entry, a, b)))
+                let spans = set.spans();
+                spans.map(move |(a, b)| (w, span(entry, a, b)))
             })
         })
     }
@@ -1200,8 +1209,14 @@ impl HomeShard {
                 held.insert(s.first, s.end());
             }
             for p in held.split(r.first, r.end()) {
-                let to = if p.inside { &mut notices } else { &mut ship };
-                to.push(span(r.entry, p.first, p.end));
+                let Some(piece) = r.slice(r.below(p.first), r.below(p.end)) else {
+                    continue; // between the elements of a strided range
+                };
+                match p.inside {
+                    // A notice is dense: an element a notice.
+                    true => notices.extend(piece.spans().map(|(a, b)| span(r.entry, a, b))),
+                    false => ship.push(piece),
+                }
             }
         }
         let mut told = Vec::with_capacity(notices.len());
@@ -2153,7 +2168,7 @@ impl HomeShard {
             .collect();
         let (mut held, at) = (Vec::new(), self.whereabouts.get(&entry));
         for (&w, set) in at.into_iter().flat_map(|at| &at.held) {
-            held.extend(set.spans().iter().map(|&(a, b)| (w, a, b - a)));
+            held.extend(set.spans().map(|(a, b)| (w, a, b - a)));
         }
         Ok(DsdMsg::EntryState {
             entry,
@@ -2222,7 +2237,7 @@ impl HomeShard {
             let mut written = Vec::new();
             for &w in self.peers.keys() {
                 let gone = self.written_since(w, &[span(entry, 0, u64::MAX)]);
-                written.extend(gone.spans().iter().map(|&(a, b)| (w, a, b - a)));
+                written.extend(gone.spans().map(|(a, b)| (w, a, b - a)));
             }
             self.whereabouts.entry(entry).or_default().moved.1 = written;
         }
@@ -2713,11 +2728,11 @@ impl HomeShard {
             }
             for p in &others {
                 match p.interest.get(&entry) {
-                    Some(set) => set.spans().iter().for_each(|&(a, b)| read.insert(a, b)),
+                    Some(set) => set.spans().for_each(|(a, b)| read.insert(a, b)),
                     None => read.insert(0, row.count),
                 }
             }
-            rows.extend(read.spans().iter().map(|&(a, b)| span(entry, a, b)));
+            rows.extend(read.spans().map(|(a, b)| span(entry, a, b)));
         }
         rows
     }
@@ -2774,11 +2789,15 @@ fn split_by_interest(
             continue;
         };
         for p in set.split(r.first, r.end()) {
+            let Some(piece) = r.slice(r.below(p.first), r.below(p.end)) else {
+                continue; // between the elements of a strided range
+            };
             leave(at.take(), &mut noticed);
             if p.inside {
-                ship.push(span(r.entry, p.first, p.end));
+                ship.push(piece);
             }
-            at = Some((r.entry, p));
+            let (first, end) = (piece.first, piece.end());
+            at = Some((r.entry, Piece { first, end, ..p }));
         }
     }
     leave(at, &mut noticed);
@@ -3091,6 +3110,59 @@ mod tests {
     }
 
     /// One element of `tiny_def`'s array as a batch, as a writer ships it.
+    #[test]
+    fn a_strided_row_is_one_log_row_and_pulls_as_its_elements_did() {
+        let def = StructBuilder::new("G").array("xs", ScalarKind::Int, 256);
+        let def = GthvDef::new(def.build().unwrap()).unwrap();
+        let config = HomeConfig {
+            participants: vec![1, 2, 3],
+            ..Default::default()
+        };
+        let mut h = HomeShard::new(
+            GthvInstance::new(def.clone(), PlatformSpec::linux_x86()),
+            config,
+        );
+        h.init_with(|_| {});
+        for rank in [1, 2, 3] {
+            h.stale_updates_for(rank).unwrap();
+        }
+        // Rank 2 read [100, 228); rank 1 writes one colour of the row,
+        // elements 1, 3, .., 253, of which rank 2 read 64.
+        h.note_interest(2, &[elems(100, 128)]).unwrap();
+        let row = UpdateRange {
+            stride: 2,
+            ..elems(1, 127)
+        };
+        let mut src = GthvInstance::new(def, PlatformSpec::linux_x86());
+        for e in (1..254).step_by(2) {
+            src.write_int(0, e, 5 + e as i128).unwrap();
+        }
+        let logged = h.log.len();
+        assert!(h
+            .absorb(1, &extract_updates(&src, &[row]).unwrap(), &[])
+            .unwrap());
+        assert_eq!(h.log.len(), logged + 1, "one log row, not one an element");
+        assert_eq!(h.log.last().unwrap().2, row);
+        // Rank 3 holds [150, 160) but for what rank 1 wrote since it
+        // pulled: the other colour, every element of it a notice.
+        h.hold(3, &[elems(150, 10)], h.seq);
+        let (ups, notices, _) = h.stale_updates_for(2).unwrap();
+        // What rank 2 read ships, as its one-element updates did; a notice
+        // covers the rest on either side.
+        let read: Vec<UpdateRange> = (101..228).step_by(2).map(|e| elems(e, 1)).collect();
+        assert_eq!(
+            ups.frame(),
+            extract_updates(h.gthv(), &read).unwrap().frame()
+        );
+        let held = (150..160).step_by(2).map(|e| elems(e, 1));
+        let want: Vec<_> = [elems(1, 99)]
+            .into_iter()
+            .chain(held)
+            .chain([elems(229, 25)])
+            .collect();
+        assert_eq!(notices, want);
+    }
+
     fn one_elem(first: u64, value: i128) -> UpdateBatch {
         let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         src.write_int(0, first, value).unwrap();
@@ -3797,9 +3869,9 @@ mod tests {
                 set.insert(first, (first + 1 + next(12)).min(N));
             }
             let read: Vec<bool> = (0..N)
-                .map(|e| set.spans().iter().any(|s| s.0 <= e && e < s.1))
+                .map(|e| set.spans().any(|s| s.0 <= e && e < s.1))
                 .collect();
-            let spans = set.spans().len();
+            let spans = set.spans().count();
             let interest = BTreeMap::from([(0, set)]);
             let stale: Vec<UpdateRange> = (0..next(40))
                 .map(|_| {
@@ -3993,9 +4065,9 @@ mod tests {
             .filter(|(at, r)| *at == w && r.entry == entry);
         let gone = h.written_since(w, &[span(entry, 0, u64::MAX)]);
         Recorded {
-            held: held.map_or_else(Vec::new, |set| set.spans().to_vec()),
+            held: held.map_or_else(Vec::new, |set| set.spans().collect()),
             asked: asked.map(|(_, r)| (r.first, r.end())).collect(),
-            gone: gone.spans().to_vec(),
+            gone: gone.spans().collect(),
             forwarded: at.is_some_and(|at| at.forwarded),
         }
     }
@@ -4951,7 +5023,10 @@ mod tests {
             .slice(DsdMsg::envelope_bytes(9, None)..);
         h.on_replicate(2, 9, MsgKind::RangeFetch as u16, relayed)
             .unwrap();
-        assert_eq!(h.peers[&2].interest[&0].spans(), [(5, 7)]);
+        assert_eq!(
+            h.peers[&2].interest[&0].spans().collect::<Vec<_>>(),
+            [(5, 7)]
+        );
         assert_eq!((h.costs.updates_sent, h.peers[&2].last_req), (3, 9));
         assert!(h.outbox.is_empty());
         // A range the index table does not hold is refused, not served.
@@ -4990,7 +5065,10 @@ mod tests {
         .unwrap();
         h.dispatch(2, 9, lock(), &interest(&[elems(30, 4)]), OpCtx::default())
             .unwrap();
-        assert_eq!(h.peers[&2].interest[&0].spans(), [(4, 8)]);
+        assert_eq!(
+            h.peers[&2].interest[&0].spans().collect::<Vec<_>>(),
+            [(4, 8)]
+        );
     }
 
     #[test]

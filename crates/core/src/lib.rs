@@ -9,10 +9,12 @@
 //! paper §4) and whose update pipeline is
 //!
 //! ```text
-//! drain the write set the store accessors kept: the
-//!     coalesced application-level index ranges       t_index
-//!   → settle the ranges that ship (whole-entry
-//!     promotion), one CGT-RMR run tag each           t_tag
+//! drain the write set the store accessors kept: its
+//!     application-level index ranges, strided rows
+//!     where a store loop wrote every k-th element    t_index
+//!   → settle the ranges that ship (at a home: the
+//!     unseen log rows cut by the reader's interest
+//!     and others' holds), one CGT-RMR run tag each   t_tag
 //!   → frame run groups + raw native data            t_pack
 //!   → ship to peer
 //!   → unpack                                        t_unpack

@@ -24,6 +24,7 @@
 //! [`diff_pages`]: hdsm_memory::diff::diff_pages
 
 use crate::index_table::{IndexRow, IndexTable};
+use crate::interval::IntervalSet;
 use hdsm_memory::diff::{diff_elems, DiffRun};
 use hdsm_memory::AddressSpace;
 
@@ -228,19 +229,41 @@ fn scan_row(
     }
 }
 
-/// Coalesce sorted ranges: merge overlapping or adjacent element ranges of
-/// the same entry (the paper's consecutive-array-element grouping).
+/// Coalesce ranges: sort them and merge overlapping or adjacent element
+/// ranges of the same entry (the paper's consecutive-array-element
+/// grouping). Ranges whose hulls meet are one range of their hull when
+/// every hull is exact, else their elements refolded as an
+/// `IntervalSet`'s rows; a range no other meets passes as it is. So the
+/// ranges come out ascending with a gap after each, and the frame folds
+/// them into the rows of their elements' maximal dense runs.
 pub fn coalesce(mut ranges: Vec<UpdateRange>) -> Vec<UpdateRange> {
     ranges.sort_by_key(|r| (r.entry, r.first));
     let mut out: Vec<UpdateRange> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        match out.last_mut() {
-            Some(last) if last.entry == r.entry && r.first <= last.end() => {
-                let new_end = last.end().max(r.end());
-                last.count = new_end - last.first;
-            }
-            _ => out.push(r),
+    let mut rest = &ranges[..];
+    while let Some(r) = rest.first() {
+        // The ranges after `r` whose hulls meet those before them.
+        let (mut n, mut end) = (1, r.end());
+        while let Some(q) = rest.get(n).filter(|q| q.entry == r.entry && q.first <= end) {
+            (n, end) = (n + 1, end.max(q.end()));
         }
+        let (met, more) = rest.split_at(n);
+        rest = more;
+        if n == 1 {
+            out.push(*r);
+            continue;
+        }
+        if met.iter().all(|q| q.stride == 1 || q.count == 1) {
+            out.push(UpdateRange::new(r.entry, r.first, end - r.first));
+            continue;
+        }
+        let mut spans: Vec<(u64, u64)> = met.iter().flat_map(|q| q.spans()).collect();
+        spans.sort_unstable();
+        let mut set = IntervalSet::default();
+        set.insert_sorted(spans);
+        out.extend(set.rows().map(|(first, count, stride)| UpdateRange {
+            stride,
+            ..UpdateRange::new(r.entry, first, count)
+        }));
     }
     out
 }
@@ -402,6 +425,59 @@ mod tests {
             merged,
             vec![UpdateRange::new(0, 0, 15), UpdateRange::new(1, 0, 1),]
         );
+    }
+
+    #[test]
+    fn coalesced_strided_ranges_frame_as_their_elements_dense_runs() {
+        use hdsm_tags::wire::fold_rows;
+        let mut seed = 0xC0A1_E5CEu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let rows = |ranges: &[UpdateRange]| {
+            let mut rows = Vec::new();
+            let runs = ranges.iter().map(|r| (r.first, r.count, r.stride));
+            fold_rows(runs, |row| rows.push(row));
+            rows
+        };
+        for _ in 0..2000 {
+            let ranges: Vec<UpdateRange> = (0..next(7))
+                .map(|_| UpdateRange {
+                    stride: 1 + next(3),
+                    ..UpdateRange::new(0, next(60), 1 + next(9))
+                })
+                .collect();
+            let mut bits = [false; 90];
+            let elems = |r: &UpdateRange| r.spans().flat_map(|(a, b)| a..b).collect::<Vec<_>>();
+            ranges
+                .iter()
+                .flat_map(elems)
+                .for_each(|e| bits[e as usize] = true);
+            let out = coalesce(ranges.clone());
+            // The same elements, ascending, a gap after every range.
+            let mut got = [false; 90];
+            out.iter()
+                .flat_map(elems)
+                .for_each(|e| got[e as usize] = true);
+            assert_eq!(got, bits, "{ranges:?}");
+            assert!(out.windows(2).all(|w| w[0].end() < w[1].first), "{out:?}");
+            // The frame folds them as it folds the maximal dense runs.
+            let mut dense: Vec<UpdateRange> = Vec::new();
+            for e in (0..90).filter(|&e| bits[e as usize]) {
+                match dense.last_mut() {
+                    Some(d) if d.end() == e => d.count += 1,
+                    _ => dense.push(UpdateRange::new(0, e, 1)),
+                }
+            }
+            assert_eq!(rows(&out), rows(&dense), "{ranges:?}");
+            // Dense ranges in, the maximal dense runs out.
+            let exact: Vec<UpdateRange> =
+                ranges.iter().filter(|r| r.stride == 1).copied().collect();
+            assert!(coalesce(exact).iter().all(|r| r.stride == 1));
+        }
     }
 
     #[test]

@@ -197,9 +197,11 @@ const WORKERS: usize = 3;
 /// `owners[chunk]` of nobody.
 const NOBODY: u8 = WORKERS as u8;
 
-/// An access as generated: `(store?, where, offset, length, value)`, made
-/// legal for whoever runs it by [`legal`] or [`locked`].
-type RawOp = (bool, u8, u8, u8, i16);
+/// An access as generated: `(store?, where, offset, length, value,
+/// shape)`, made legal for whoever runs it by [`legal`] or [`locked`]; the
+/// shape picks a store of every element, or of every second or third one
+/// of its run, forwards or backwards.
+type RawOp = (bool, u8, u8, u8, i16, u8);
 
 #[derive(Debug, Clone)]
 struct RawPhase {
@@ -219,6 +221,7 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
         any::<u8>(),
         any::<u8>(),
         any::<i16>(),
+        any::<u8>(),
     )
 }
 
@@ -238,27 +241,51 @@ fn raw_phase() -> impl Strategy<Value = RawPhase> {
         })
 }
 
-/// One legal access: a run of an entry from `first`, read or stored.
+/// One legal access: a run of an entry from `first`, read, or stored to
+/// element `first + k·stride` for the `k`-th value, in descending order
+/// when `back`.
 #[derive(Debug, Clone)]
 enum Access {
-    Read { first: usize, len: usize },
-    Write { first: usize, values: Vec<f64> },
+    Read {
+        first: usize,
+        len: usize,
+    },
+    Write {
+        first: usize,
+        stride: usize,
+        back: bool,
+        values: Vec<f64>,
+    },
+}
+
+/// The store of `op` to the run of `len` elements from `first`, with its
+/// values from `base` on: every element, or every second or third of the
+/// run (a red-black sweep's colour), forwards or backwards.
+fn store(op: &RawOp, first: usize, len: usize, base: f64) -> Access {
+    let shape = op.5 % 6;
+    let stride = [1, 1, 2, 2, 3, 3][shape as usize];
+    let n = (len - 1) / stride + 1;
+    Access::Write {
+        first,
+        stride,
+        back: shape % 2 == 1 && stride > 1,
+        values: (0..n).map(|i| base + i as f64).collect(),
+    }
 }
 
 /// `op` as worker `w` may run it on `xs` in a phase with these `owners`:
 /// inside chunks it may touch, up to 24 elements long so that a read
 /// spans what it holds, what it was noticed of and what it never read.
 fn legal(op: &RawOp, w: usize, owners: &[u8]) -> Option<Access> {
-    let &(store, pick, offset, len, value) = op;
-    let may = |c: usize| owners[c] == w as u8 || (!store && owners[c] == NOBODY);
+    let &(stores, pick, offset, len, value, _) = op;
+    let may = |c: usize| owners[c] == w as u8 || (!stores && owners[c] == NOBODY);
     let allowed: Vec<usize> = (0..CHUNKS).filter(|&c| may(c)).collect();
     let chunk = *allowed.get(pick as usize % allowed.len().max(1))?;
     let first = chunk * CHUNK + offset as usize % CHUNK;
     let run_end = chunk + (chunk..CHUNKS).take_while(|&c| may(c)).count();
     let len = 1 + len as usize % (run_end * CHUNK - first).min(24);
-    Some(if store {
-        let values = (0..len).map(|i| f64::from(value) + i as f64).collect();
-        Access::Write { first, values }
+    Some(if stores {
+        store(op, first, len, f64::from(value))
     } else {
         Access::Read { first, len }
     })
@@ -267,15 +294,12 @@ fn legal(op: &RawOp, w: usize, owners: &[u8]) -> Option<Access> {
 /// `op` inside a section on `lock`: within the lock's region of `fs`,
 /// past the cell that counts sections.
 fn locked(op: &RawOp, lock: u8) -> Access {
-    let &(store, _, offset, len, value) = op;
+    let &(stores, _, offset, len, value, _) = op;
     let at = 1 + offset as usize % (REGION - 1);
     let len = 1 + len as usize % (REGION - at).min(6);
     let first = lock as usize * REGION + at;
-    if store {
-        let values = (0..len)
-            .map(|i| f64::from(value) / 4.0 + i as f64)
-            .collect();
-        Access::Write { first, values }
+    if stores {
+        store(op, first, len, f64::from(value) / 4.0)
     } else {
         Access::Read { first, len }
     }
@@ -300,11 +324,39 @@ fn perform(
             c.read_floats(entry, *first as u64, &mut out)?;
             log.extend(out);
         }
-        Access::Write { first, values } if entry == 0 => {
+        Access::Write {
+            first,
+            stride: 1,
+            values,
+            ..
+        } if entry == 0 => {
             let ints: Vec<i128> = values.iter().map(|&v| v as i128).collect();
             c.write_ints(0, *first as u64, &ints)?;
         }
-        Access::Write { first, values } => c.write_floats(entry, *first as u64, values)?,
+        Access::Write {
+            first,
+            stride: 1,
+            values,
+            ..
+        } => c.write_floats(entry, *first as u64, values)?,
+        Access::Write {
+            first,
+            stride,
+            back,
+            values,
+        } => {
+            let mut at: Vec<usize> = (0..values.len()).collect();
+            if *back {
+                at.reverse();
+            }
+            for k in at {
+                let e = (first + k * stride) as u64;
+                match entry {
+                    0 => c.write_int(0, e, values[k] as i128)?,
+                    _ => c.write_float(entry, e, values[k])?,
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -316,8 +368,14 @@ fn replay(state: &mut [f64], access: &Access, log: &mut impl Iterator<Item = f64
         Access::Read { first, len } => state[*first..][..*len]
             .iter()
             .all(|want| log.next() == Some(*want)),
-        Access::Write { first, values } => {
-            state[*first..][..values.len()].copy_from_slice(values);
+        Access::Write {
+            first,
+            stride,
+            values,
+            ..
+        } => {
+            let at = state[*first..].iter_mut().step_by(*stride);
+            at.zip(values).for_each(|(cell, v)| *cell = *v);
             true
         }
     }
