@@ -42,31 +42,36 @@ pub fn gthv_def(n: usize) -> GthvDef {
 
 /// Home-side initialisation: deterministic interior, fixed hot boundary.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
-    let src = source_grid(n, seed);
-    g.write_floats(entries::G0, 0, &src).expect("init g0");
-    g.write_floats(entries::G1, 0, &src).expect("init g1");
+    write_source(g, &[entries::G0, entries::G1], n, seed);
     g.write_int(entries::N, 0, n as i128).expect("init n");
 }
 
 /// The initial grid.
 pub fn source_grid(n: usize, seed: u64) -> Vec<f64> {
-    let mut g = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            g[i * n + j] = source_at(n, seed, i, j);
-        }
-    }
-    g
+    (0..n * n).map(|e| source_at(n, seed, e)).collect()
 }
 
-/// Element `(i, j)` of the initial grid.
-pub fn source_at(n: usize, seed: u64, i: usize, j: usize) -> f64 {
+/// Element `e` of the initial grid.
+fn source_at(n: usize, seed: u64, e: usize) -> f64 {
+    let (i, j) = (e / n, e % n);
     if i == 0 {
         100.0 // hot top edge
     } else if i == n - 1 || j == 0 || j == n - 1 {
         0.0
     } else {
-        det_f64(seed, (i * n + j) as u64).abs() * 10.0
+        det_f64(seed, e as u64).abs() * 10.0
+    }
+}
+
+/// Write the initial grid into each of the entries `grids`, a row at a
+/// time: a set-up builds no grid-sized copy beside the ones it fills.
+pub(crate) fn write_source(g: &mut GthvInstance, grids: &[u32], n: usize, seed: u64) {
+    for row in (0..n * n).step_by(n) {
+        let values: Vec<f64> = (row..row + n).map(|e| source_at(n, seed, e)).collect();
+        for &entry in grids {
+            g.write_floats(entry, row as u64, &values)
+                .expect("init grid");
+        }
     }
 }
 

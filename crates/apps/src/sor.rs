@@ -50,15 +50,9 @@ pub fn source_grid(n: usize, seed: u64) -> Vec<f64> {
     crate::jacobi::source_grid(n, seed)
 }
 
-/// Home-side initialisation, a row at a time: no grid-sized buffer.
+/// Home-side initialisation.
 pub fn init(g: &mut GthvInstance, n: usize, seed: u64) {
-    for i in 0..n {
-        let row: Vec<f64> = (0..n)
-            .map(|j| crate::jacobi::source_at(n, seed, i, j))
-            .collect();
-        g.write_floats(entries::G, (i * n) as u64, &row)
-            .expect("init grid");
-    }
+    crate::jacobi::write_source(g, &[entries::G], n, seed);
     g.write_int(entries::N, 0, n as i128).expect("init n");
 }
 

@@ -943,11 +943,7 @@ impl DsdClient {
         let rows: usize = self.views.iter().map(|v| v.written.rows().len()).sum();
         let mut ranges = Vec::with_capacity(rows);
         for (entry, v) in (0..).zip(&self.views) {
-            let range = |(first, count, stride)| UpdateRange {
-                stride,
-                ..UpdateRange::new(entry, first, count)
-            };
-            ranges.extend(v.written.rows().map(range));
+            ranges.extend(v.written.rows().map(|row| UpdateRange::row(entry, row)));
         }
         let updates: u64 = ranges.iter().map(UpdateRange::updates).sum();
         if self.recorder.is_enabled() {

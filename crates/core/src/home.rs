@@ -841,11 +841,8 @@ impl HomeShard {
         // A row of the frame is a row of the log: a colour of a grid row
         // is one, strided.
         for g in updates.groups() {
-            for &(first, count, stride) in g.rows() {
-                let r = UpdateRange {
-                    stride,
-                    ..UpdateRange::new(g.head.entry, first, count)
-                };
+            for &row in g.rows() {
+                let r = UpdateRange::row(g.head.entry, row);
                 self.unhold(&r);
                 self.log.push((s, writer, r));
             }
@@ -3109,7 +3106,6 @@ mod tests {
         assert!(matches!(res, Err(HomeError::Violation(_))), "{res:?}");
     }
 
-    /// One element of `tiny_def`'s array as a batch, as a writer ships it.
     #[test]
     fn a_strided_row_is_one_log_row_and_pulls_as_its_elements_did() {
         let def = StructBuilder::new("G").array("xs", ScalarKind::Int, 256);
@@ -3163,6 +3159,7 @@ mod tests {
         assert_eq!(notices, want);
     }
 
+    /// One element of `tiny_def`'s array as a batch, as a writer ships it.
     fn one_elem(first: u64, value: i128) -> UpdateBatch {
         let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
         src.write_int(0, first, value).unwrap();

@@ -9,57 +9,31 @@
 //!
 //! Its *spans* are the maximal runs of adjacent elements, half-open and
 //! ascending, so a reader that walks an array row by row holds one span.
-//! They are kept as the frame's strided rows ([`hdsm_tags::wire::fold_rows`]
-//! over the spans): a span of two or more elements is a row at stride 1,
-//! and a maximal left-to-right run of one-element spans at one gap is one
-//! row at that gap, so a red-black writer's colour of a grid row is one
-//! row. Every question is asked of the spans, at a binary search plus work
-//! per span touched; a change refolds the rows it touches, and those
-//! behind them as far as the fold moves. A strided [`UpdateRange`] is
-//! asked about for its elements, not its hull.
+//! They are kept as the frame's strided rows of them
+//! ([`hdsm_tags::wire::fold_rows`]), so a red-black writer's colour of a
+//! grid row is one row. Every question is asked of the spans, at a binary
+//! search plus work per span touched; a change refolds the rows it
+//! touches, and those behind them as far as the fold moves. A strided
+//! [`UpdateRange`] is asked about for its elements, not its hull.
 
 use crate::runs::UpdateRange;
+use hdsm_tags::wire::{counted, RowFold};
 
 /// Elements `first, first + stride, .., last`, kept as `(first, last,
 /// stride)` so that a search compares a field: dense at stride 1, and a
 /// lone element at stride 1.
 type Row = (u64, u64, u64);
 
-/// The most elements a strided row counts, as in a frame's row.
-const MOST: u64 = u32::MAX as u64;
-
 /// The spans of `r`: itself when dense, one an element otherwise.
-fn spans_of((first, last, stride): Row) -> impl Iterator<Item = (u64, u64)> {
-    let n = if stride == 1 {
-        1
-    } else {
-        (last - first) / stride + 1
-    };
-    (0..n).map(move |j| match stride {
-        1 => (first, last + 1),
-        s => (first + j * s, first + j * s + 1),
-    })
-}
-
-/// Whether the row `open`, the last so far, takes the lone element `x`
-/// that follows it after a gap: a lone element takes any gap, a strided
-/// row only its own, up to [`MOST`] elements.
-fn takes((first, last, stride): Row, x: u64) -> bool {
-    let more = last - first < (MOST - 1).saturating_mul(stride);
-    more && (first == last || (stride > 1 && x - last == stride))
-}
-
-/// Whether the first element of `r` is a span of its own.
-fn lone(r: Row) -> bool {
-    r.0 == r.1 || r.2 > 1
+fn spans_of(r: Row) -> impl Iterator<Item = (u64, u64)> {
+    UpdateRange::row(0, counted(r)).spans()
 }
 
 /// Rows folded from ascending spans, which may overlap or meet.
 #[derive(Default)]
 struct Fold {
     rows: Vec<Row>,
-    /// The last row, open to what follows.
-    open: Option<Row>,
+    row: RowFold,
     /// The last span, not folded yet: the next may meet it.
     span: Option<(u64, u64)>,
 }
@@ -79,18 +53,14 @@ impl Fold {
     /// Fold the pending span, if any: the open row is then the last of
     /// everything pushed.
     fn flush(&mut self) {
-        let Some((a, b)) = self.span.take() else {
-            return;
-        };
-        match &mut self.open {
-            Some(o) if b - a == 1 && takes(*o, a) => *o = (o.0, a, a - o.1),
-            open => self.rows.extend(open.replace((a, b - 1, 1))),
+        if let Some((a, b)) = self.span.take() {
+            self.rows.extend(self.row.push((a, b - a, 1)));
         }
     }
 
     fn finish(mut self) -> Vec<Row> {
         self.flush();
-        self.rows.extend(self.open);
+        self.rows.extend(self.row.open());
         self.rows
     }
 }
@@ -128,11 +98,7 @@ impl IntervalSet {
     /// The rows `(first, count, stride)`, ascending: what
     /// [`hdsm_tags::wire::fold_rows`] makes of the spans.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = (u64, u64, u64)> + '_ {
-        let count = |&(first, last, stride): &Row| match stride {
-            1 => (first, last - first + 1, 1),
-            s => (first, (last - first) / s + 1, s),
-        };
-        self.rows.iter().map(count)
+        self.rows.iter().map(|&r| counted(r))
     }
 
     /// The spans, ascending.
@@ -150,20 +116,20 @@ impl IntervalSet {
         if end <= first {
             return;
         }
-        let Some(l) = self.rows.last_mut() else {
-            self.rows.push((first, end - 1, 1));
-            return;
-        };
-        let tail = l.1;
-        if first > tail + 1 {
-            match end - first == 1 && takes(*l, first) {
-                true => *l = (l.0, first, first - tail),
-                false => self.rows.push((first, end - 1, 1)),
+        match self.rows.last_mut() {
+            Some(l) if first <= l.1 + 1 && l.2 == 1 && first >= l.0 => l.1 = l.1.max(end - 1),
+            Some(l) if first <= l.1 + 1 => {
+                if (first, end) != (l.1, l.1 + 1) {
+                    self.insert_searching(first, end);
+                }
             }
-        } else if l.2 == 1 && first >= l.0 {
-            l.1 = l.1.max(end - 1);
-        } else if (first, end) != (tail, tail + 1) {
-            self.insert_searching(first, end);
+            last => {
+                let mut fold = RowFold::resume(last.copied());
+                if fold.push((first, end - first, 1)).is_none() {
+                    self.rows.pop(); // the last row took the range, if any
+                }
+                self.rows.extend(fold.open());
+            }
         }
     }
 
@@ -191,7 +157,7 @@ impl IntervalSet {
         while let Some(&r) = self.rows.get(to) {
             if fold.span.is_none_or(|s| s.1 < r.0) {
                 fold.flush();
-                if !(lone(r) && fold.open.is_some_and(|o| takes(o, r.0))) {
+                if fold.row.takes(counted(r)) == 0 {
                     break;
                 }
             }
@@ -212,25 +178,14 @@ impl IntervalSet {
         }
         let rows = std::mem::take(&mut self.rows);
         let mut old = rows.iter().flat_map(|&r| spans_of(r)).peekable();
-        let most = rows.len() + new.size_hint().1.unwrap_or(0);
-        let mut fold = Fold {
-            rows: Vec::with_capacity(most),
-            ..Fold::default()
+        let next = || match (old.peek(), new.peek()) {
+            (Some(o), Some(n)) if n.0 < o.0 => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
         };
-        loop {
-            let next = match (old.peek(), new.peek()) {
-                (Some(o), Some(n)) if n.0 < o.0 => new.next(),
-                (Some(_), _) => old.next(),
-                (None, _) => new.next(),
-            };
-            let Some(span) = next else {
-                break;
-            };
-            fold.push(span);
-        }
+        let mut fold = Fold::default();
+        std::iter::from_fn(next).for_each(|s| fold.push(s));
         self.rows = fold.finish();
-        // Merging often leaves far fewer rows than went in.
-        self.rows.shrink_to_fit();
     }
 
     /// Remove `[first, end)`: spans inside it go, spans it cuts are
@@ -247,27 +202,6 @@ impl IntervalSet {
         let (first, end) = (r.first, r.end());
         let lo = self.rows.partition_point(|&row| row.1 < first);
         let hi = self.rows.partition_point(|&row| row.0 < end);
-        if lo >= hi {
-            return;
-        }
-        let (a, b) = (self.rows[lo], self.rows[hi - 1]);
-        if r.stride == 1 && a.2 == 1 && b.2 == 1 {
-            // Dense: a head and a tail stay, which fold as they stand when
-            // two elements or more long.
-            let kept = [(a.0, first.min(a.1 + 1)), (end.max(b.0), b.1 + 1)];
-            let mut kept = kept.into_iter().filter(|s| s.0 < s.1);
-            let joined = |(l, r): (Row, &Row)| lone(*r) && takes(l, r.0);
-            let meet = lo
-                .checked_sub(1)
-                .map(|i| self.rows[i])
-                .zip(self.rows.get(hi));
-            match kept.clone().map(|s| s.1 - s.0).min() {
-                Some(2..) => drop(self.rows.splice(lo..hi, kept.map(|(x, y)| (x, y - 1, 1)))),
-                None if !meet.is_some_and(joined) => drop(self.rows.drain(lo..hi)),
-                _ => self.refold(lo, hi, &mut kept),
-            }
-            return;
-        }
         let (mut kept, mut cut) = (Vec::new(), false);
         for (a, b) in self.rows[lo..hi].iter().flat_map(|&row| spans_of(row)) {
             let holes = r.slice(r.below(a), r.below(b)).into_iter();
@@ -285,12 +219,8 @@ impl IntervalSet {
 
     /// A walk standing at the first span that ends past `x`.
     fn seek(&self, x: u64) -> Cursor<'_> {
-        let at = self.rows.partition_point(|&r| r.1 < x);
-        let mut c = Cursor {
-            rows: &self.rows,
-            at,
-            k: 0,
-        };
+        let mut c = self.cursor();
+        c.at = self.rows.partition_point(|&r| r.1 < x);
         c.next_span(x);
         c
     }
@@ -299,9 +229,7 @@ impl IntervalSet {
     /// order: the pieces tile the range exactly, alternating between
     /// spans and gaps.
     pub fn split(&self, first: u64, end: u64) -> impl Iterator<Item = Piece> + '_ {
-        let mut c = self.seek(first);
-        // Where the gap the walk may stand in starts, once it has stepped.
-        let (mut at, mut gap) = (first, None);
+        let (mut c, mut at) = (self.seek(first), first);
         std::iter::from_fn(move || {
             if at >= end {
                 return None;
@@ -309,13 +237,9 @@ impl IntervalSet {
             let (inside, lo, hi) = match c.span() {
                 Some((lo, hi)) if lo <= at => {
                     c.step();
-                    gap = Some(hi);
                     (true, lo, hi)
                 }
-                next => {
-                    let lo = gap.unwrap_or_else(|| c.end_before());
-                    (false, lo, next.map_or(u64::MAX, |s| s.0))
-                }
+                next => (false, c.end_before(), next.map_or(u64::MAX, |s| s.0)),
             };
             let first = std::mem::replace(&mut at, end.min(hi));
             Some(Piece {
@@ -374,11 +298,7 @@ impl<'a> Cursor<'a> {
     fn span(&self) -> Option<(u64, u64)> {
         let &(first, last, stride) = self.rows.get(self.at)?;
         let e = first + self.k * stride;
-        Some(if stride == 1 {
-            (first, last + 1)
-        } else {
-            (e, e + 1)
-        })
+        Some((e, if stride == 1 { last + 1 } else { e + 1 }))
     }
 
     /// The end of the span before the one the walk stands at; 0 if none.
@@ -730,9 +650,8 @@ mod tests {
         assert_eq!(c.span_holding(40, 50), Some((40, 50)));
         assert!(c.misses(50, 60));
     }
-    /// The spans of a bitmap, and the span or gap around element `e`: what
-    /// it is, where it starts and where it ends (a gap past the last span
-    /// ends at `u64::MAX`).
+
+    /// The spans of a bitmap.
     fn bitmap_spans(bits: &[bool]) -> Vec<(u64, u64)> {
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for e in (0..bits.len()).filter(|&e| bits[e]) {
@@ -744,6 +663,9 @@ mod tests {
         spans
     }
 
+    /// The span or gap around element `e` of a bitmap: whether it is a
+    /// span, where it starts and where it ends (a gap past the last span
+    /// ends at `u64::MAX`).
     fn bitmap_around(bits: &[bool], e: u64) -> (bool, u64, u64) {
         let at = |x: u64| bits.get(x as usize).copied().unwrap_or(false);
         let (inside, mut lo, mut hi) = (at(e), e, e + 1);

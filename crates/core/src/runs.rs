@@ -49,7 +49,11 @@ pub struct UpdateRange {
 impl UpdateRange {
     /// The dense range of `count` elements from `first` on.
     pub const fn new(entry: u32, first: u64, count: u64) -> UpdateRange {
-        let stride = 1;
+        UpdateRange::row(entry, (first, count, 1))
+    }
+
+    /// The frame's row `(first, count, stride)` of `entry`.
+    pub const fn row(entry: u32, (first, count, stride): (u64, u64, u64)) -> UpdateRange {
         UpdateRange {
             entry,
             first,
@@ -231,8 +235,7 @@ fn scan_row(
 
 /// Coalesce ranges: sort them and merge overlapping or adjacent element
 /// ranges of the same entry (the paper's consecutive-array-element
-/// grouping). Ranges whose hulls meet are one range of their hull when
-/// every hull is exact, else their elements refolded as an
+/// grouping). Ranges whose hulls meet are their elements refolded as an
 /// `IntervalSet`'s rows; a range no other meets passes as it is. So the
 /// ranges come out ascending with a gap after each, and the frame folds
 /// them into the rows of their elements' maximal dense runs.
@@ -252,18 +255,11 @@ pub fn coalesce(mut ranges: Vec<UpdateRange>) -> Vec<UpdateRange> {
             out.push(*r);
             continue;
         }
-        if met.iter().all(|q| q.stride == 1 || q.count == 1) {
-            out.push(UpdateRange::new(r.entry, r.first, end - r.first));
-            continue;
-        }
         let mut spans: Vec<(u64, u64)> = met.iter().flat_map(|q| q.spans()).collect();
         spans.sort_unstable();
         let mut set = IntervalSet::default();
         set.insert_sorted(spans);
-        out.extend(set.rows().map(|(first, count, stride)| UpdateRange {
-            stride,
-            ..UpdateRange::new(r.entry, first, count)
-        }));
+        out.extend(set.rows().map(|row| UpdateRange::row(r.entry, row)));
     }
     out
 }

@@ -389,34 +389,82 @@ pub fn fold_rows(
     runs: impl IntoIterator<Item = (u64, u64, u64)>,
     mut row: impl FnMut((u64, u64, u64)),
 ) {
-    const MOST: u64 = u32::MAX as u64;
-    // The last row, open to what follows (none while `n` is 0), and its
-    // last element.
-    let (mut f, mut n, mut gap, mut last) = (0, 0, 1, 0);
-    for (mut first, mut count, stride) in runs {
-        assert!(count > 0, "empty run");
-        let ones = (count == 1 || stride > 1) && (n == 1 || gap > 1);
+    let mut fold = RowFold::default();
+    let closed = runs.into_iter().filter_map(|run| fold.push(run));
+    closed.for_each(|r| row(counted(r)));
+    fold.open().into_iter().for_each(|r| row(counted(r)));
+}
+
+/// The row `(first, last, stride)` as `(first, count, stride)`.
+#[inline]
+pub fn counted((first, last, stride): (u64, u64, u64)) -> (u64, u64, u64) {
+    match stride {
+        1 => (first, last - first + 1, 1),
+        s => (first, (last - first) / s + 1, s),
+    }
+}
+
+/// [`fold_rows`] a run at a time, holding its last row, open to what
+/// follows, as `(first, last, stride)` (a lone element at stride 1): the
+/// form a set of rows is searched in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RowFold(Option<(u64, u64, u64)>);
+
+impl RowFold {
+    /// A fold whose last row is `row`, a row a fold made.
+    #[inline]
+    pub fn resume(row: Option<(u64, u64, u64)>) -> RowFold {
+        let made = |(f, l, s): (u64, u64, u64)| s > 0 && f <= l && (l - f) % s == 0;
+        debug_assert!(row.is_none_or(|r| made(r) && (r.0 < r.1 || r.2 == 1)));
+        RowFold(row)
+    }
+
+    /// The last row, open to what follows.
+    #[inline]
+    pub fn open(&self) -> Option<(u64, u64, u64)> {
+        self.0
+    }
+
+    /// How many of the run's leading elements the last row takes: a row of
+    /// one-element runs goes on at its one gap, up to `u32::MAX` elements.
+    #[inline]
+    pub fn takes(&self, (first, count, stride): (u64, u64, u64)) -> u64 {
+        const MOST: u64 = u32::MAX as u64;
+        let Some((f, last, gap)) = self.0 else {
+            return 0;
+        };
+        let ones = (count == 1 || stride > 1) && (f == last || gap > 1);
         let step = first.saturating_sub(last);
-        if ones && n > 0 && step >= 2 && (n == 1 || step == gap) && n < MOST {
-            // The run's later elements continue the row only at its gap.
-            let take = match count == 1 || stride == step {
-                true => count.min(MOST - n),
-                false => 1,
-            };
-            (n, gap, last) = (n + take, step, first + (take - 1) * stride);
+        let room = last - f < (MOST - 1).saturating_mul(gap);
+        match ones && step >= 2 && (f == last || step == gap) && room {
+            false => 0,
+            // A run's later elements continue the row only at its gap.
+            true if count > 1 && stride == step => count.min(MOST - counted((f, last, gap)).1),
+            true => 1,
+        }
+    }
+
+    /// Fold in the run `(first, count, stride)`; the row it closed, if any.
+    ///
+    /// # Panics
+    /// If the run is empty.
+    #[inline]
+    pub fn push(
+        &mut self,
+        (mut first, mut count, stride): (u64, u64, u64),
+    ) -> Option<(u64, u64, u64)> {
+        assert!(count > 0, "empty run");
+        let take = self.takes((first, count, stride));
+        if let Some((f, last, _)) = self.0.filter(|_| take > 0) {
+            self.0 = Some((f, first + (take - 1) * stride, first - last));
             if take == count {
-                continue;
+                return None;
             }
             (first, count) = (first + take * stride, count - take);
         }
-        if n > 0 {
-            row((f, n, gap));
-        }
-        (f, n, gap) = (first, count, if count == 1 { 1 } else { stride });
-        last = first + (count - 1) * gap;
-    }
-    if n > 0 {
-        row((f, n, gap));
+        let stride = if count == 1 { 1 } else { stride };
+        self.0
+            .replace((first, first + (count - 1) * stride, stride))
     }
 }
 
