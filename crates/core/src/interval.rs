@@ -110,30 +110,30 @@ impl IntervalSet {
     /// abuts. An empty range adds nothing.
     ///
     /// A range at or past the last row's last element — a store loop
-    /// walking forward, densely or every k-th element — extends that row
-    /// or follows it with no search: the write set takes every store.
+    /// walking forward, densely or every k-th element — grows that row in
+    /// place or follows it with no search: the write set takes every store.
+    #[inline]
     pub fn insert(&mut self, first: u64, end: u64) {
         if end <= first {
             return;
         }
-        match self.rows.last_mut() {
-            Some(l) if first <= l.1 + 1 && l.2 == 1 && first >= l.0 => l.1 = l.1.max(end - 1),
-            Some(l) if first <= l.1 + 1 => {
-                if (first, end) != (l.1, l.1 + 1) {
-                    self.insert_searching(first, end);
-                }
+        let Some(l) = self.rows.last_mut() else {
+            self.rows.push((first, end - 1, 1));
+            return;
+        };
+        if first > l.1 + 1 {
+            if let Some(row) = RowFold::grow(l, (first, end - first, 1)) {
+                self.rows.push(row);
             }
-            last => {
-                let mut fold = RowFold::resume(last.copied());
-                if fold.push((first, end - first, 1)).is_none() {
-                    self.rows.pop(); // the last row took the range, if any
-                }
-                self.rows.extend(fold.open());
-            }
+        } else if l.2 == 1 && first >= l.0 {
+            l.1 = l.1.max(end - 1);
+        } else if (first, end) != (l.1, l.1 + 1) {
+            self.insert_searching(first, end);
         }
     }
 
     /// [`Self::insert`] of a non-empty range anywhere in the set.
+    #[inline(never)]
     fn insert_searching(&mut self, first: u64, end: u64) {
         let lo = self.rows.partition_point(|&r| r.1 + 1 < first);
         let hi = self.rows.partition_point(|&r| r.0 <= end);
@@ -568,6 +568,25 @@ mod tests {
                 assert_eq!(fast, searched, "after [{first}, {end})");
             }
         }
+    }
+
+    #[test]
+    fn a_store_grows_a_lattice_in_place_up_to_the_frames_cap_and_then_starts_a_row() {
+        // One element short of the cap: 0, 2, .., 2·(MOST − 2).
+        const MOST: u64 = u32::MAX as u64;
+        let mut s = IntervalSet {
+            rows: vec![(0, 2 * (MOST - 2), 2)],
+        };
+        let held = s.rows.as_ptr();
+        s.insert(2 * (MOST - 1), 2 * (MOST - 1) + 1);
+        assert_eq!(s.rows().collect::<Vec<_>>(), [(0, MOST, 2)]);
+        assert_eq!(s.rows.as_ptr(), held, "the row moved");
+        s.insert(2 * MOST, 2 * MOST + 1);
+        let mut folded = Vec::new();
+        let runs = [(0, MOST - 1, 2), (2 * (MOST - 1), 1, 1), (2 * MOST, 1, 1)];
+        hdsm_tags::wire::fold_rows(runs, |r| folded.push(r));
+        assert_eq!(folded, [(0, MOST, 2), (2 * MOST, 1, 1)]);
+        assert_eq!(s.rows().collect::<Vec<_>>(), folded);
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! nothing per element, page or run, and a batch is one frame from
 //! extraction to apply — written, enveloped,
 //! validated and applied with a handful of allocations whatever the number
-//! of updates. A counting global allocator holds all of it to that.
+//! of updates. A client's store adds to its write set in place: a store
+//! loop allocates per row it writes, not per store. A counting global
+//! allocator holds all of it to that.
 
 use hdsm_core::gthv::{GthvDef, GthvInstance};
+use hdsm_core::ids::BarrierId;
 use hdsm_core::protocol::DsdMsg;
 use hdsm_core::runs::{map_runs, scan_ranges, UpdateRange};
 use hdsm_core::update::{apply_batch, extract_updates};
+use hdsm_core::{ClusterBuilder, DsdError, TopologyConfig};
 use hdsm_memory::diff::DiffRun;
+use hdsm_net::FabricMode;
 use hdsm_platform::ctype::StructBuilder;
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_platform::spec::{Platform, PlatformSpec};
@@ -237,4 +242,56 @@ fn a_lock_sized_release_allocates_its_row_table_and_an_empty_one_nothing() {
         );
     }
     assert_eq!(receiver.read_int(1, 7).unwrap(), 42);
+}
+
+#[test]
+fn a_clients_store_loops_allocate_per_row_not_per_store() {
+    // One worker's stripe of a 255 × 255 grid: 84 rows of one red-black
+    // colour, then 84 further rows' interiors stored densely in ascending
+    // order. Each grows its write set by one row per grid row.
+    const N: u64 = 255;
+    const ROWS: u64 = 84;
+    let def = StructBuilder::new("G")
+        .array("grid", ScalarKind::Double, (N * N) as usize)
+        .build()
+        .unwrap();
+    let sim = TopologyConfig {
+        fabric: FabricMode::Sim { seed: 1 },
+        ..Default::default()
+    };
+    let outcome = ClusterBuilder::new()
+        .gthv(GthvDef::new(def).unwrap())
+        .topology(sim)
+        .worker(PlatformSpec::linux_x86())
+        .run(|c, _| {
+            c.barrier(BarrierId::new(0))?;
+            let (colour, stored) = allocations(|| {
+                for i in 1..=ROWS {
+                    for j in (1..N - 1).filter(|j| (i + j) % 2 == 0) {
+                        c.write_float(0, i * N + j, 1.0)?;
+                    }
+                }
+                Ok::<_, DsdError>(())
+            });
+            stored?;
+            let (dense, stored) = allocations(|| {
+                for i in ROWS + 1..=2 * ROWS {
+                    for j in 1..N - 1 {
+                        c.write_float(0, i * N + j, 2.0)?;
+                    }
+                }
+                Ok::<_, DsdError>(())
+            });
+            stored?;
+            Ok((colour, dense))
+        })
+        .expect("the worker ran its loops");
+    let (colour, dense) = outcome.results[0];
+    // Doubling from 4 to 128 rows is 6 (re)allocations; the dense loop
+    // finds the colour's capacity and doubles it once.
+    assert!(
+        colour <= 8,
+        "{colour} allocations for one colour of {ROWS} rows"
+    );
+    assert!(dense <= 8, "{dense} allocations for {ROWS} dense rows");
 }

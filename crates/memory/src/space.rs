@@ -65,6 +65,9 @@ pub struct AddressSpace {
     page_shift: u32,
     data: Vec<u8>,
     prot: Vec<PageProt>,
+    /// Whether any page has ever been protected: until then no store can
+    /// fault, and the store path reads no page's protection.
+    armed: bool,
     twins: Vec<Option<Box<[u8]>>>,
     dirty: BTreeSet<usize>,
     stats: FaultStats,
@@ -88,6 +91,7 @@ impl AddressSpace {
             page_shift: page_size.trailing_zeros(),
             data: vec![0; pages * page_size],
             prot: vec![PageProt::ReadWrite; pages],
+            armed: false,
             twins: vec![None; pages],
             dirty: BTreeSet::new(),
             stats: FaultStats::default(),
@@ -158,13 +162,14 @@ impl AddressSpace {
     /// slice in place (a conversion writes straight into the space instead
     /// of into a buffer [`Self::write`] would copy).
     ///
-    /// The store path proper is the range check, one protection check per
-    /// page touched and the slice; the handler is out of line.
+    /// The store path proper is the range check, the write count and the
+    /// slice; a space some page of which was ever armed adds one protection
+    /// check per page touched. The handler is out of line.
     #[inline]
     pub fn slice_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
         let off = self.offset_of(addr, len)?;
         self.stats.writes += 1;
-        if len > 0 {
+        if self.armed && len > 0 {
             let first = off >> self.page_shift;
             let last = (off + len - 1) >> self.page_shift;
             if self.prot[first..=last].contains(&PageProt::ReadOnly) {
@@ -226,14 +231,14 @@ impl AddressSpace {
         let first = off >> self.page_shift;
         let last = (off + len - 1) >> self.page_shift;
         self.prot[first..=last].fill(PageProt::ReadOnly);
+        self.armed = true;
         Ok(())
     }
 
     /// Arm the entire space.
     pub fn protect_all(&mut self) {
-        for p in &mut self.prot {
-            *p = PageProt::ReadOnly;
-        }
+        self.prot.fill(PageProt::ReadOnly);
+        self.armed = true;
     }
 
     /// Protection state of the page containing `addr`.
@@ -380,6 +385,25 @@ mod tests {
         // Writing again faults again.
         s.write(BASE, &[2]).unwrap();
         assert_eq!(s.stats().faults, 2);
+    }
+
+    #[test]
+    fn protecting_one_page_arms_a_space_stores_have_touched() {
+        let mut s = space();
+        s.write(BASE + 4096, &[1]).unwrap();
+        s.write(BASE + 2 * 4096, &[2]).unwrap();
+        assert_eq!(s.stats().faults, 0);
+        s.protect(BASE + 4096, 1).unwrap();
+        s.write(BASE + 2 * 4096 + 8, &[3]).unwrap();
+        assert_eq!(s.stats().faults, 0, "a store to an unarmed page faulted");
+        s.write(BASE + 4096 + 8, &[4]).unwrap();
+        assert_eq!(
+            s.stats().faults,
+            1,
+            "a store to the armed page did not fault"
+        );
+        assert_eq!(s.dirty_pages().collect::<Vec<_>>(), [1]);
+        assert_eq!(&s.twin(1).unwrap()[..9], &[1, 0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -411,14 +411,6 @@ pub fn counted((first, last, stride): (u64, u64, u64)) -> (u64, u64, u64) {
 pub struct RowFold(Option<(u64, u64, u64)>);
 
 impl RowFold {
-    /// A fold whose last row is `row`, a row a fold made.
-    #[inline]
-    pub fn resume(row: Option<(u64, u64, u64)>) -> RowFold {
-        let made = |(f, l, s): (u64, u64, u64)| s > 0 && f <= l && (l - f) % s == 0;
-        debug_assert!(row.is_none_or(|r| made(r) && (r.0 < r.1 || r.2 == 1)));
-        RowFold(row)
-    }
-
     /// The last row, open to what follows.
     #[inline]
     pub fn open(&self) -> Option<(u64, u64, u64)> {
@@ -449,23 +441,41 @@ impl RowFold {
     /// # Panics
     /// If the run is empty.
     #[inline]
-    pub fn push(
-        &mut self,
+    pub fn push(&mut self, run: (u64, u64, u64)) -> Option<(u64, u64, u64)> {
+        assert!(run.1 > 0, "empty run");
+        match &mut self.0 {
+            Some(row) => RowFold::grow(row, run).and_then(|rest| self.0.replace(rest)),
+            None => self.0.replace(started(run)),
+        }
+    }
+
+    /// The step of the fold in place: `row`, the last row a fold made,
+    /// takes what it can of the non-empty run `(first, count, stride)`;
+    /// the row the rest of the run starts, if any.
+    #[inline]
+    pub fn grow(
+        row: &mut (u64, u64, u64),
         (mut first, mut count, stride): (u64, u64, u64),
     ) -> Option<(u64, u64, u64)> {
-        assert!(count > 0, "empty run");
-        let take = self.takes((first, count, stride));
-        if let Some((f, last, _)) = self.0.filter(|_| take > 0) {
-            self.0 = Some((f, first + (take - 1) * stride, first - last));
+        let (f, l, s) = *row;
+        debug_assert!(s > 0 && f <= l && (l - f) % s == 0 && (f < l || s == 1));
+        let take = RowFold(Some(*row)).takes((first, count, stride));
+        if take > 0 {
+            *row = (f, first + (take - 1) * stride, first - l);
             if take == count {
                 return None;
             }
             (first, count) = (first + take * stride, count - take);
         }
-        let stride = if count == 1 { 1 } else { stride };
-        self.0
-            .replace((first, first + (count - 1) * stride, stride))
+        Some(started((first, count, stride)))
     }
+}
+
+/// The row the non-empty run `(first, count, stride)` starts.
+#[inline]
+fn started((first, count, stride): (u64, u64, u64)) -> (u64, u64, u64) {
+    let stride = if count == 1 { 1 } else { stride };
+    (first, first + (count - 1) * stride, stride)
 }
 
 /// Bytes the varints of `first + k·stride`, `k < count`, take: a byte each,
