@@ -855,9 +855,10 @@ impl HomeShard {
         Ok(true)
     }
 
-    /// Record `held` — `writer`'s rows — as held at it, taking them from
-    /// any other writer, and log them under sequence `s`, but for what
-    /// another wrote since the writer last pulled here (rule 6).
+    /// Record `held` — `writer`'s names, rows of any stride — as held at
+    /// it, taking them from any other writer, and log them under sequence
+    /// `s`, one row a name, but for what another wrote since the writer
+    /// last pulled here (rule 6), which cuts a name by its elements.
     fn hold(&mut self, writer: u32, held: &[UpdateRange], s: u64) {
         let key = |r: &UpdateRange| (r.entry, r.first);
         let held: std::borrow::Cow<[UpdateRange]> = match held.is_sorted_by_key(key) {
@@ -870,21 +871,41 @@ impl HomeShard {
         };
         for of_entry in held.chunk_by(|a, b| a.entry == b.entry) {
             let (entry, gone) = (of_entry[0].entry, self.written_since(writer, of_entry));
-            let kept = |r: &UpdateRange| gone.split(r.first, r.end()).filter(|p| !p.inside);
-            let pieces = || of_entry.iter().flat_map(kept).map(|p| (p.first, p.end));
-            if pieces().next().is_none() {
+            let mut cut = gone.cursor();
+            let kept: Vec<UpdateRange> = match gone.is_empty() {
+                true => of_entry.to_vec(),
+                false => (of_entry.iter())
+                    .flat_map(|r| cut.split(*r))
+                    .filter_map(|(span, part)| span.is_none().then_some(part))
+                    .collect(),
+            };
+            if kept.is_empty() {
                 continue;
             }
-            let rows = pieces().map(|(a, b)| (s, writer, span(entry, a, b)));
-            self.log.extend(rows);
+            self.log.extend(kept.iter().map(|&r| (s, writer, r)));
             let at = self.whereabouts.entry(entry).or_default();
-            // One walk of each other writer's spans finds what it gives up.
-            let others = at.held.iter().filter(|(w, _)| **w != writer);
-            let mut others: Vec<_> = others.map(|(_, set)| set.cursor()).collect();
-            let touched = |&(a, b): &(u64, u64)| others.iter_mut().any(|c| !c.misses(a, b));
-            let taken: Vec<_> = pieces().filter(touched).collect();
-            taken.iter().for_each(|&(a, b)| at.take(&span(entry, a, b)));
-            at.held.entry(writer).or_default().insert_sorted(pieces());
+            // One walk of each other writer's spans finds the elements it
+            // gives up, and only those leave what was asked of anyone: a
+            // writer naming what it holds again changes neither (rule 7).
+            let mut taken = Vec::new();
+            for (_, set) in at.held.iter().filter(|(w, _)| **w != writer) {
+                let mut c = set.cursor();
+                for r in &kept {
+                    if !c.misses(r.first, r.end()) {
+                        taken.extend(c.split(*r).filter_map(|(s, part)| s.and(Some(part))));
+                    }
+                }
+            }
+            taken.iter().for_each(|r| at.take(r));
+            // Mostly held already: a stencil names what it named before.
+            let own = at.held.entry(writer).or_default();
+            let mut mine = own.cursor();
+            let mut fresh: Vec<(u64, u64)> = (kept.iter())
+                .filter(|r| !mine.holds(**r))
+                .flat_map(|r| r.spans())
+                .collect();
+            fresh.sort_unstable(); // the hulls of two names may overlap
+            own.insert_sorted(fresh);
         }
     }
 
@@ -1277,7 +1298,11 @@ impl HomeShard {
         let index = self.gthv.table();
         for r in rows.iter().filter(|r| r.count > 0) {
             let count = index.row(r.entry).map_or(0, |row| row.count);
-            if r.first.checked_add(r.count).is_none_or(|end| end > count) {
+            let last = (r.count - 1).checked_mul(r.stride);
+            if last
+                .and_then(|d| r.first.checked_add(d))
+                .is_none_or(|last| last >= count)
+            {
                 return Err(HomeError::Violation(format!(
                     "thread {rank} reports {what} {r:?}, outside the index table"
                 )));
@@ -4729,29 +4754,26 @@ mod tests {
             self.check(out, vec![(rank, MsgKind::Ack)])
         }
 
-        /// Rank `rank` names `range` held behind a barrier entry. A
-        /// race-free writer never names an element another wrote since it
-        /// last pulled but did not take from its hold: the name stops
-        /// short of the first.
-        fn hold(&mut self, rank: u32, range: std::ops::Range<u64>) {
-            let (r, mut end) = (rank as usize, range.end);
-            if let Some(e) = range
-                .clone()
-                .find(|&e| self.written[r][e as usize] && !self.superseded[r][e as usize])
-            {
-                end = e;
-            }
-            if end == range.start {
+        /// Rank `rank` names the elements of `range` at `stride` held
+        /// behind a barrier entry, one row. A race-free writer never names
+        /// an element another wrote since it last pulled but did not take
+        /// from its hold: the name stops short of the first.
+        fn hold(&mut self, rank: u32, range: std::ops::Range<u64>, stride: u64) {
+            let r = rank as usize;
+            let elems: Vec<usize> = range.step_by(stride as usize).map(|e| e as usize).collect();
+            let ours = |e: &usize| !self.written[r][*e] || self.superseded[r][*e];
+            let n = elems.iter().take_while(|e| ours(e)).count();
+            let Some(&first) = elems.first().filter(|_| n > 0) else {
                 return;
-            }
+            };
             let msg = DsdMsg::BarrierEnter {
                 barrier: 0,
                 rank,
                 updates: UpdateBatch::default(),
             };
-            let held = [elems(range.start, end - range.start)];
+            let held = [UpdateRange::row(0, (first as u64, n as u64, stride))];
             let out = self.request(rank, msg, &held);
-            for e in range.start as usize..end as usize {
+            for &e in &elems[..n] {
                 if !self.superseded[r][e] {
                     self.give(e, rank, Some(rank));
                     self.wrote(rank, e);
@@ -4958,7 +4980,10 @@ mod tests {
                 let rank = alive[below(alive.len())];
                 match below(100) {
                     0..20 => m.ship(rank, range),
-                    20..45 if !m.entered.contains(&rank) => m.hold(rank, range),
+                    20..45 if !m.entered.contains(&rank) => {
+                        // Dense names, and a colour of a row at 2 or 3.
+                        m.hold(rank, range, [1, 1, 2, 3][below(4)] as u64)
+                    }
                     45..55 => m.pull(rank),
                     55..70 => m.held_data(rank, range, below(5) == 0),
                     70..86 => m.fetch(rank, range),

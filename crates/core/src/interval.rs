@@ -352,6 +352,21 @@ impl<'a> Cursor<'a> {
         self.next_span(first).filter(|s| s.0 <= first && end <= s.1)
     }
 
+    /// Whether one span holds the hull of `r`, or one row of `r`'s stride
+    /// runs through all of its elements: either way the set holds every
+    /// element, found with no walk over them. A range the set holds across
+    /// several spans answers `false`.
+    pub fn holds(&mut self, r: UpdateRange) -> bool {
+        if self.span_holding(r.first, r.end()).is_some() {
+            return true;
+        }
+        // The walk stands in the first row that ends at or past `r.first`.
+        let row = self.rows.get(self.at);
+        row.is_some_and(|&(f, last, s)| {
+            s == r.stride && f <= r.first && (r.first - f).is_multiple_of(s) && r.end() - 1 <= last
+        })
+    }
+
     /// The elements of `r` cut at the spans, in ascending order: each piece
     /// a range of `r`'s stride with the span that holds it, or `None` in a
     /// gap. No two gap pieces meet; a span that holds no element of `r`
@@ -639,6 +654,13 @@ mod tests {
             assert_eq!(held, bits, "{r:?}");
             assert!(spans(&cut).windows(2).all(|w| w[0].1 < w[1].0));
         }
+        // A row of the range's stride that runs through all of it holds
+        // it; one of another stride, or a lattice it leaves, does not.
+        let mut s = IntervalSet::default();
+        (10..40).step_by(3).for_each(|e| s.insert(e, e + 1));
+        let holds = |row| s.cursor().holds(UpdateRange::row(0, row));
+        assert!(holds((16, 5, 3)) && holds((10, 10, 3)) && holds((13, 1, 2)));
+        assert!(!holds((16, 9, 3)) && !holds((17, 2, 3)) && !holds((10, 3, 6)));
     }
 
     #[test]
@@ -817,8 +839,10 @@ mod tests {
                                 stride,
                                 ..UpdateRange::new(0, first, count)
                             };
-                            let pieces: Vec<_> = c.split(r).collect();
                             let elems: Vec<u64> = r.spans().flat_map(|(a, b)| a..b).collect();
+                            let all = elems.iter().all(|&e| holds(e));
+                            assert!(!c.holds(r) || all, "{r:?}");
+                            let pieces: Vec<_> = c.split(r).collect();
                             let tiled: Vec<u64> = (pieces.iter())
                                 .flat_map(|(_, p)| p.spans().flat_map(|(a, b)| a..b))
                                 .collect();

@@ -30,7 +30,8 @@
 //! whatever request it sends next — part of the request as relayed to a
 //! replica, not of any one variant. A report is the ranges the client has
 //! newly read (its **interest**) and, behind a barrier entry, the ranges
-//! it wrote and **holds** (rows whose entry varint has its low bit set).
+//! it wrote and **holds** (from the first row whose entry varint has its
+//! low bit set on; a strided one carries its stride as a fourth varint).
 //! Last come **stamp** rows, behind a reply's notices and in a release's
 //! report alike: `(shard, seq, 0)`, a row no range can be, since a notice,
 //! an interest or a held row names at least one element. A stamp row names
@@ -502,21 +503,31 @@ messages! {
 
 /// The bound on a [`Report`] row's entry: the row's first varint is the
 /// entry shifted left by one, its low bit set for a held row, and must fit
-/// a `u32`. An index table never has that many entries.
+/// a `u32` but for [`STRIDED`]. An index table never has that many entries.
 const HELD_ROW: u32 = 1 << 31;
+
+/// Bit 32 of a held row's entry varint: the row is strided, and its stride
+/// follows as a fourth varint. Past a report's first held row the low bit
+/// says as much in no byte (clear: strided), so a dense held row costs
+/// what it always did and only a held tail that opens strided pays it.
+const STRIDED: u64 = 1 << 32;
 
 /// What rides behind a client request's body, a few varint bytes a row
 /// and nothing when there is nothing to say: the rows of `interest`, then
-/// those of `held`, each held one marked by the low bit of its entry's
-/// varint, then the `stamp` rows.
+/// those of `held`, the first of them marked by the low bit of its entry's
+/// varint, then the `stamp` rows. Every row past the first held one but a
+/// stamp is held: there the low bit is set on a dense row, and clear on a
+/// strided one, whose stride follows as a fourth varint. A tail that opens
+/// with a strided row sets bit 32 of that row's entry varint.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Ranges the client's read accessors returned that the shard has not
     /// been told of.
     pub interest: Vec<UpdateRange>,
-    /// Behind a barrier entry: spans of what the client holds that its
-    /// writes since its last release touched. Each is written, and current
-    /// in the client's copy alone.
+    /// Behind a barrier entry: what the client holds of its writes since
+    /// its last release, each a piece of its release as it stands, of any
+    /// stride, less what a fetch served meanwhile. Each is written, and
+    /// current in the client's copy alone.
     pub held: Vec<UpdateRange>,
     /// Behind a release: `(shard, seq)`, for each other shard, the highest
     /// sequence of a write there that happens before the release.
@@ -524,48 +535,87 @@ pub struct Report {
 }
 
 impl Report {
-    /// Every row's fields, the held mark in the entry's low bit.
-    fn rows(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
-        let interest = self.interest.iter().map(|r| (r, 0));
+    /// Every row's fields, a strided held row's stride behind them.
+    fn rows(&self) -> impl Iterator<Item = ([u64; 3], Option<u64>)> + '_ {
+        let interest = self.interest.iter().map(|r| {
+            debug_assert_eq!(r.stride, 1, "a strided interest row");
+            (r, 0)
+        });
+        let held = (0..).zip(&self.held).map(|(i, r)| match (r.stride, i) {
+            (1, _) => (r, 1),
+            (_, 0) => (r, STRIDED | 1),
+            _ => (r, 0),
+        });
         interest
-            .chain(self.held.iter().map(|r| (r, 1)))
-            .map(|(r, held)| {
+            .chain(held)
+            .map(|(r, mark)| {
                 debug_assert!(r.entry < HELD_ROW, "entry {} in a report", r.entry);
-                debug_assert!(r.count > 0, "an empty range in a report");
-                debug_assert_eq!(r.stride, 1, "a strided range in a report");
-                [u64::from(r.entry) << 1 | held, r.first, r.count]
+                debug_assert!(r.count > 0 && r.stride > 0, "{r:?} in a report");
+                let stride = (r.stride != 1).then_some(r.stride);
+                ([u64::from(r.entry) << 1 | mark, r.first, r.count], stride)
             })
-            .chain(self.stamp.iter().map(stamp_fields))
+            .chain(self.stamp.iter().map(|s| (stamp_fields(s), None)))
     }
 
     /// Bytes of the rows.
     fn bytes(&self) -> usize {
-        self.rows().map(fields_bytes).sum()
+        let bytes =
+            |(f, stride): ([u64; 3], Option<u64>)| fields_bytes(f) + stride.map_or(0, varint::len);
+        self.rows().map(bytes).sum()
     }
 
     fn put(&self, out: &mut BytesMut) {
-        self.rows().for_each(|f| put_fields(f, out));
+        for (fields, stride) in self.rows() {
+            put_fields(fields, out);
+            stride.into_iter().for_each(|s| varint::put(out, s));
+        }
     }
 
     /// Read the rows to the end of `b`, which must hold whole rows; a held
-    /// row keeps its entry without the mark.
+    /// row keeps its entry without the marks. A stride flag anywhere but on
+    /// the held tail's first row (an interest row's included), a stride
+    /// below 2 and a last element past `u64::MAX` are refused.
     fn take(b: &mut Bytes) -> Result<Report, ProtocolError> {
         let mut report = Report::default();
         while b.has_remaining() {
-            // The marked entry fits a `u32`, so the entry is below `HELD_ROW`.
-            let [marked, first, count] = take_fields(b, UpdateRange::MAX)?;
-            let r = UpdateRange::new((marked >> 1) as u32, first, count);
+            let [marked, first, count] = take_fields(b, [2 * STRIDED - 1, u64::MAX, u64::MAX])?;
             if count == 0 {
-                report.stamp.push((marked as u32, first));
-            } else if marked & 1 == 0 {
-                report.interest.push(r);
-            } else {
-                if report.held.is_empty() {
-                    // Held rows are the tail: this one and the rest.
-                    report.held.reserve_exact(1 + b.remaining() / MIN_ROW_BYTES);
-                }
-                report.held.push(r);
+                let shard = u32::try_from(marked)
+                    .map_err(|_| ProtocolError::BadMessage("stamp row for no shard"))?;
+                report.stamp.push((shard, first));
+                continue;
             }
+            // Bits 1 to 31: the entry is below `HELD_ROW`.
+            let entry = (marked >> 1) as u32 & (HELD_ROW - 1);
+            let (flag, low, tail) = (
+                marked & STRIDED != 0,
+                marked & 1 == 1,
+                !report.held.is_empty(),
+            );
+            let strided = flag || (tail && !low);
+            let stride = if strided {
+                varint::get(b, u64::MAX)?
+            } else {
+                1
+            };
+            let last = (count - 1)
+                .checked_mul(stride)
+                .and_then(|d| first.checked_add(d));
+            if flag && (tail || !low) || strided && (stride < 2 || last.is_none()) {
+                return Err(ProtocolError::BadMessage(
+                    "a strided row the wire cannot index",
+                ));
+            }
+            let r = UpdateRange::row(entry, (first, count, stride));
+            if !(low || tail) {
+                report.interest.push(r);
+                continue;
+            }
+            if !tail {
+                // Held rows are the tail: this one and the rest.
+                report.held.reserve_exact(1 + b.remaining() / MIN_ROW_BYTES);
+            }
+            report.held.push(r);
         }
         Ok(report)
     }
@@ -1101,11 +1151,14 @@ mod tests {
         Vec::<UpdateRange>::samples().swap_remove(1)
     }
 
-    /// Read rows, held rows, the held ones past the last real entry, and
+    /// Read rows, held rows — strided ones opening the tail and past dense
+    /// ones, some past the last real entry or ending at `u64::MAX` — and
     /// stamp rows.
     fn sample_report() -> Report {
         let mut held = sample_ranges();
         held[2].entry = HELD_ROW - 1;
+        held.insert(0, UpdateRange::row(1, (7, 3, 2)));
+        held.push(UpdateRange::row(HELD_ROW - 1, (u64::MAX - 4, 3, 2)));
         Report {
             interest: sample_ranges(),
             held,
@@ -1344,6 +1397,28 @@ mod tests {
             hex(&enter.encode_request(77, Some(3), &held)),
             format!("{head}0105{B}{tail}07900302")
         );
+        // A strided held row: its stride a fourth varint. Past a dense
+        // held row its entry varint's low bit is clear (entry 3 from 500,
+        // two elements at stride 3); opening the held tail, it is the held
+        // mark and bit 32 is set, five bytes.
+        let strided = |held| Report {
+            interest: vec![row(7, u64::MAX - 1, 1)],
+            held,
+            ..Report::default()
+        };
+        let rows = vec![row(3, 400, 2), UpdateRange::row(3, (500, 2, 3))];
+        assert_eq!(
+            hex(&enter.encode_request(77, Some(3), &strided(rows))),
+            format!("{head}0105{B}{tail}0790030206f4030203")
+        );
+        assert_eq!(
+            hex(&enter.encode_request(
+                77,
+                Some(3),
+                &strided(vec![UpdateRange::row(3, (500, 2, 3))])
+            )),
+            format!("{head}0105{B}{tail}8780808010f4030203")
+        );
         // Stamp rows last, three varints with a count of 0: shard 1 at
         // sequence 300, then shard 2 at 5.
         let stamp = || vec![(1, 300), (2, 5)];
@@ -1568,6 +1643,59 @@ mod tests {
                 Err(ProtocolError::Wire(WireError::BadHeader)),
                 "first {first:x?}, stride {stride}"
             );
+        }
+    }
+
+    /// A held row that names what no index can hold is refused: a stride
+    /// of 0, or of 1 under the stride flag, and a last element past
+    /// `u64::MAX`; so is a stride flag on an interest row, or past the
+    /// held tail's first row. A last element at `u64::MAX` is read.
+    #[test]
+    fn a_held_row_the_wire_cannot_index_is_refused() {
+        let enter = DsdMsg::BarrierEnter {
+            barrier: 1,
+            rank: 5,
+            updates: UpdateBatch::default(),
+        };
+        let body = enter.encode();
+        let behind = |rows: &[&[u8]]| {
+            let frame = Bytes::from([&body[..], &rows.concat()].concat());
+            DsdMsg::decode_reported(MsgKind::BarrierEnter, frame).map(|(_, r)| r)
+        };
+        // Entry 3 opening the held tail strided, and as an interest row.
+        const OPEN: &[u8] = &[0x87, 0x80, 0x80, 0x80, 0x10];
+        const FLAGGED: &[u8] = &[0x86, 0x80, 0x80, 0x80, 0x10];
+        // A dense held row, then entry 3 strided past it.
+        const DENSE: &[u8] = &[7, 10, 1];
+        const PAST: &[u8] = &[6];
+        // `u64::MAX - 2` and `u64::MAX - 1`.
+        let near = |low| [&[low][..], &[0xff; 8], &[0x01]].concat();
+        let got = |held: &[(u64, u64, u64)]| {
+            let held = held.iter().map(|&row| UpdateRange::row(3, row)).collect();
+            Ok(Report {
+                held,
+                ..Report::default()
+            })
+        };
+        assert_eq!(behind(&[OPEN, &[10, 3, 2]]), got(&[(10, 3, 2)]));
+        assert_eq!(
+            behind(&[DENSE, PAST, &near(0xfd), &[2, 2]]),
+            got(&[(10, 1, 1), (u64::MAX - 2, 2, 2)])
+        );
+        let cannot = Err(ProtocolError::BadMessage(
+            "a strided row the wire cannot index",
+        ));
+        for rows in [
+            &[OPEN, &[10, 3, 0]][..],
+            &[OPEN, &[10, 3, 1]],
+            &[DENSE, PAST, &[10, 3, 0]],
+            &[DENSE, PAST, &near(0xfe), &[2, 2]],
+            &[OPEN, &near(0xfd), &[3, 2]],
+            &[FLAGGED, &[10, 3, 2]],
+            &[DENSE, FLAGGED, &[10, 3, 2]],
+            &[DENSE, OPEN, &[10, 3, 2]],
+        ] {
+            assert_eq!(behind(rows), cannot, "{rows:x?}");
         }
     }
 

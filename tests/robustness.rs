@@ -64,12 +64,18 @@ fn random_bytes_never_panic_protocol_decode() {
     // Structure-aware: every generated message's frame, bare and under
     // both envelopes, cut at every prefix, with each byte set to 0xFF and
     // with each aligned word set to u32::MAX.
-    // A row read and a row held behind each request.
+    // A row read and rows held behind each request: dense, and strided
+    // past it and opening the held tail.
     let row = |entry, first, count| UpdateRange::new(entry, first, count);
+    let strided = UpdateRange::row(3, (500, 2, 3));
     let report = Report {
         interest: vec![row(7, u64::MAX - 1, 1)],
-        held: vec![row(3, 400, 2)],
+        held: vec![row(3, 400, 2), strided],
         stamp: vec![(2, u64::MAX)],
+    };
+    let opened = Report {
+        held: vec![strided],
+        ..report.clone()
     };
     for m in DsdMsg::samples() {
         let kind = m.kind();
@@ -77,6 +83,7 @@ fn random_bytes_never_panic_protocol_decode() {
             m.encode(),
             m.encode_enveloped(77),
             m.encode_request(77, Some(3), &report),
+            m.encode_request(77, Some(3), &opened),
         ];
         for frame in frames {
             let jammed = |at: usize, width: usize| {
@@ -160,6 +167,30 @@ fn wild_length_prefixes_are_rejected_before_allocating() {
                 ),
                 "{kind:?}"
             );
+        }
+    }
+
+    // Rows behind a barrier entry are counted by what is left of the
+    // frame, never declared. A held row that names what no index holds —
+    // a stride of 0, a stride flag on an interest row, a last element past
+    // `u64::MAX` — is refused before its rows are reserved.
+    let enter = [&[1, 5][..], &[0xd5, 0]].concat();
+    let opened = [0x87, 0x80, 0x80, 0x80, 0x10]; // entry 3, held, strided
+    let flagged = [0x86, 0x80, 0x80, 0x80, 0x10]; // the same, not held
+    let near_max = [0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    for rows in [
+        [&opened[..], &[10, 3, 0]].concat(),
+        [&flagged[..], &[10, 3, 2]].concat(),
+        [&opened[..], &near_max, &[2, 2]].concat(),
+    ] {
+        let mut wild = rows.clone();
+        wild.extend(std::iter::repeat_n(0x7f, 16));
+        for frame in [rows, wild] {
+            let frame = Bytes::from([&enter[..], &frame].concat());
+            assert!(matches!(
+                DsdMsg::decode_reported(MsgKind::BarrierEnter, frame),
+                Err(ProtocolError::BadMessage(_))
+            ));
         }
     }
 
@@ -1986,8 +2017,9 @@ fn a_red_black_writer_names_one_held_span_per_row_from_its_first_held_barrier() 
     use hdsm::apps::workload::block_rows;
     // The first barrier entry after a half-sweep ships everything (no
     // ship list yet); every later one holds what the neighbours do not
-    // read. Each names at most one span per row of its writer, the first
-    // one included: its spans reach across the colour shipped before.
+    // read. Each names at most one row per grid row of its writer, the
+    // first one included: a name is the colour of a grid row the writer
+    // wrote, one strided row.
     let (n, sweeps, workers) = (32, 2, 3);
     let recorder = hdsm::obs::Recorder::enabled();
     let platforms = [PlatformSpec::solaris_sparc(), PlatformSpec::linux_x86()];
