@@ -848,17 +848,17 @@ impl DsdClient {
             // thread's interest yet and ships everything), and takes what
             // someone wrote later out of what this thread holds.
             if !v.stale.is_empty() || !v.held.is_empty() {
-                for u in g.runs() {
-                    let (first, end) = (u.elem_offset, u.elem_offset + u.count);
-                    v.stale.subtract(first, end);
-                    v.held.subtract(first, end);
+                for &row in g.rows() {
+                    let r = UpdateRange::row(g.head.entry, row);
+                    v.stale.subtract(r);
+                    v.held.subtract(r);
                 }
             }
         }
         for n in notices {
             let v = self.view_of(n, "notice outside the index table")?;
             v.stale.insert(n.first, n.end());
-            v.held.subtract(n.first, n.end());
+            v.held.subtract(*n);
             (v.window, v.fresh) = ((0, 0), (0, 0));
         }
         Ok(())
@@ -885,7 +885,7 @@ impl DsdClient {
         }
         let updates = self.extract(&ranges)?;
         for r in &ranges {
-            self.views[r.entry as usize].held.subtract_range(*r);
+            self.views[r.entry as usize].held.subtract(*r);
         }
         let shard = ranges.first().map_or(0, |r| self.placement.owner(r.entry));
         let (rank, after) = (self.thread_rank, self.req_counter);
@@ -1076,7 +1076,7 @@ impl DsdClient {
                         .into_iter()
                         .partition(|r| self.placement.owner(r.entry) == owner);
                     for r in &moved {
-                        self.views[r.entry as usize].held.subtract_range(*r);
+                        self.views[r.entry as usize].held.subtract(*r);
                     }
                     pending.extend(moved);
                     holding = stay;
@@ -1124,38 +1124,30 @@ impl DsdClient {
             } = &mut self.views[entry as usize];
             let Some(read) = read.as_ref().filter(|_| holds) else {
                 if !hold.is_empty() {
-                    of_entry.iter().for_each(|r| hold.subtract_range(*r));
+                    of_entry.iter().for_each(|r| hold.subtract(*r));
                 }
                 ship.extend_from_slice(of_entry);
                 continue;
             };
-            let (from_ship, mut fresh) = (ship.len(), Vec::new());
-            let (mut at_read, mut at_hold) = (read.cursor(), hold.cursor());
-            let mut keep = |piece: UpdateRange, held: &mut Vec<UpdateRange>| {
-                // Mostly held already: a stencil rewrites what it wrote.
-                if !at_hold.holds(piece) {
-                    fresh.extend(piece.spans());
-                }
-                held.push(piece);
-            };
+            let (from_ship, from_held) = (ship.len(), held.len());
+            let mut at_read = read.cursor();
             for r in of_entry {
                 if at_read.misses(r.first, r.end()) {
-                    keep(*r, &mut held); // read by nobody: the hull is exact
+                    held.push(*r); // read by nobody: the hull is exact
                     continue;
                 }
                 for (span, piece) in at_read.split(*r) {
                     match span {
                         Some(_) => ship.push(piece),
-                        None => keep(piece, &mut held),
+                        None => held.push(piece),
                     }
                 }
             }
             if !hold.is_empty() {
-                ship[from_ship..]
-                    .iter()
-                    .for_each(|r| hold.subtract_range(*r));
+                ship[from_ship..].iter().for_each(|r| hold.subtract(*r));
             }
-            hold.insert_sorted(fresh);
+            // Mostly held already: a stencil rewrites what it wrote.
+            hold.extend(held[from_held..].iter().copied());
         }
         (ship, held)
     }
@@ -1295,8 +1287,10 @@ impl DsdClient {
         let Some(v) = self.views.get(entry as usize) else {
             return Ok(());
         };
-        let span = |(first, end): (u64, u64)| UpdateRange::new(entry, first, end - first);
-        let ranges: Vec<UpdateRange> = v.stale.intersect(first, end).map(span).collect();
+        let ranges: Vec<UpdateRange> = (v.stale.split(first, end))
+            .filter(|p| p.inside)
+            .map(|p| UpdateRange::new(entry, p.first, p.end - p.first))
+            .collect();
         if ranges.is_empty() {
             return Ok(());
         }
@@ -1315,9 +1309,9 @@ impl DsdClient {
         // any of the run stale did not answer the request.
         self.apply_incoming(&[updates], &[])?;
         let stale = &self.views[entry as usize].stale;
-        match stale.intersect(first, end).next() {
-            None => Ok(()),
-            Some(_) => Err(DsdError::Unexpected("every range of the fetch")),
+        match stale.split(first, end).any(|p| p.inside) {
+            false => Ok(()),
+            true => Err(DsdError::Unexpected("every range of the fetch")),
         }
     }
 
@@ -1607,7 +1601,7 @@ impl DsdClient {
             if v.held.is_empty() || self.placement.owner(entry as u32) != shard {
                 continue;
             }
-            ranges.extend(ranges_of(entry, &v.held));
+            ranges.extend(v.held.rows().map(|row| UpdateRange::row(entry as u32, row)));
         }
         match ranges.is_empty() {
             true => Ok(UpdateBatch::default()),
@@ -2710,13 +2704,14 @@ mod tests {
                 // A fetch served out of the hold leaves its names.
                 for (v, [.., served]) in c.views.iter_mut().zip(sets.clone()) {
                     let served = served.unwrap();
-                    served.spans().for_each(|(a, b)| v.held.subtract(a, b));
+                    let served = served.rows().map(|row| UpdateRange::row(0, row));
+                    served.for_each(|r| v.held.subtract(r));
                 }
                 let names = c.held_names(&held);
                 let mut kept = elements(&held);
                 kept.retain(|&(entry, e)| {
                     let served = sets[entry as usize][2].as_ref().unwrap();
-                    served.intersect(e, e + 1).next().is_none()
+                    !served.cursor().holds(UpdateRange::new(entry, e, 1))
                 });
                 assert_eq!(elements(&names), kept, "case {case}");
                 let frame = c.extract(&ship).unwrap().frame().clone();
@@ -2730,6 +2725,33 @@ mod tests {
             let (strided, oracle) = (release(true), release(false));
             assert_eq!(strided.0, oracle.0, "case {case}");
             assert_eq!(strided.1, oracle.1, "case {case}: updates");
+            // An incoming release of strided rows takes exactly their
+            // elements out of what this thread holds and has stale.
+            let mut c = client_of(&def);
+            let mut rows = Vec::new();
+            for (entry, (v, [_, held, stale])) in c.views.iter_mut().zip(sets.clone()).enumerate() {
+                (v.held, v.stale) = (held.unwrap(), stale.unwrap());
+                let (stride, count) = (1 + draw.below(3), 1 + draw.below(60));
+                let first = draw.below(400 - (count - 1) * stride);
+                let row = (first, count, stride);
+                rows.push(UpdateRange::row(entry as u32, row));
+            }
+            let each = |c: &DsdClient, set: fn(&EntryView) -> &IntervalSet| -> Vec<(u32, u64)> {
+                let of = |(entry, v): (usize, &EntryView)| {
+                    let all = set(v).spans().flat_map(|(a, b)| a..b);
+                    all.map(move |e| (entry as u32, e)).collect::<Vec<_>>()
+                };
+                c.views.iter().enumerate().flat_map(of).collect()
+            };
+            let (held, stale) = (each(&c, |v| &v.held), each(&c, |v| &v.stale));
+            let batch = c.extract(&rows).unwrap();
+            c.apply_incoming(&[batch], &[]).unwrap();
+            let written = elements(&rows);
+            let left = |was: Vec<_>| -> Vec<_> {
+                was.into_iter().filter(|e| !written.contains(e)).collect()
+            };
+            assert_eq!(each(&c, |v| &v.held), left(held), "case {case}");
+            assert_eq!(each(&c, |v| &v.stale), left(stale), "case {case}");
             strided_cases += usize::from(strided.2);
             served_cases += usize::from(strided.3);
         }

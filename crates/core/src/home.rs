@@ -71,7 +71,7 @@ use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant, Step, Turn, Wake};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{unpack_batch, UpdateBatch};
+use hdsm_tags::wire::{last_element, unpack_batch, UpdateBatch};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -382,7 +382,7 @@ impl Whereabouts {
     /// was asked of it.
     fn take(&mut self, r: &UpdateRange) {
         for sets in [&mut self.held, &mut self.asked] {
-            sets.values_mut().for_each(|set| set.subtract_range(*r));
+            sets.values_mut().for_each(|set| set.subtract(*r));
             sets.retain(|_, set| !set.is_empty());
         }
     }
@@ -897,15 +897,7 @@ impl HomeShard {
                 }
             }
             taken.iter().for_each(|r| at.take(r));
-            // Mostly held already: a stencil names what it named before.
-            let own = at.held.entry(writer).or_default();
-            let mut mine = own.cursor();
-            let mut fresh: Vec<(u64, u64)> = (kept.iter())
-                .filter(|r| !mine.holds(**r))
-                .flat_map(|r| r.spans())
-                .collect();
-            fresh.sort_unstable(); // the hulls of two names may overlap
-            own.insert_sorted(fresh);
+            at.held.entry(writer).or_default().extend(kept);
         }
     }
 
@@ -932,17 +924,15 @@ impl HomeShard {
         let logged = self.log[since..]
             .iter()
             .filter(|(_, w, r)| *w != writer && near(r))
-            .flat_map(|(.., r)| r.spans());
+            .map(|(.., r)| *r);
         let moved = self.whereabouts.get(&entry).map(|at| &at.moved);
         let carried = moved
             .filter(|(at, _)| seen < *at)
             .into_iter()
             .flat_map(|(_, rows)| rows.iter().filter(|row| row.0 == writer))
-            .map(|&(_, first, count)| (first, first.saturating_add(count)));
-        let mut hit: Vec<_> = logged.chain(carried).collect();
-        hit.sort_unstable();
+            .map(|&(_, first, count)| span(entry, first, first.saturating_add(count)));
         let mut gone = IntervalSet::default();
-        gone.insert_sorted(hit);
+        gone.extend(logged.chain(carried));
         gone
     }
 
@@ -955,17 +945,28 @@ impl HomeShard {
     fn absorb_held(&mut self, writer: u32, updates: &UpdateBatch) -> Result<(), HomeError> {
         let (mut take, mut keep) = (Vec::new(), BTreeMap::<u32, IntervalSet>::new());
         let none = IntervalSet::default();
-        for u in updates.groups().flat_map(|g| g.runs()) {
-            let at = self.whereabouts.get(&u.entry);
-            let held = match at.filter(|_| self.owns_entry(u.entry)) {
+        for g in updates.groups() {
+            let entry = g.head.entry;
+            let at = self.whereabouts.get(&entry);
+            let held = match at.filter(|_| self.owns_entry(entry)) {
                 Some(at) => at.held.get(&writer).unwrap_or(&none),
                 None => &none,
             };
-            for p in held.split(u.elem_offset, u.elem_offset + u.count) {
-                match p.inside {
-                    true => take.push(span(u.entry, p.first, p.end)),
-                    false => keep.entry(u.entry).or_default().insert(p.first, p.end),
+            // The rows come from outside, in any order: a search each.
+            let mut gaps = Vec::new();
+            for u in g.rows().iter().map(|&row| UpdateRange::row(entry, row)) {
+                for p in held.split(u.first, u.end()) {
+                    let Some(piece) = u.slice(u.below(p.first), u.below(p.end)) else {
+                        continue; // between the elements of a strided row
+                    };
+                    match p.inside {
+                        true => take.push(piece),
+                        false => gaps.push(piece),
+                    }
                 }
+            }
+            if !gaps.is_empty() {
+                keep.entry(entry).or_default().extend(gaps);
             }
         }
         if take.is_empty() {
@@ -974,16 +975,16 @@ impl HomeShard {
         let table = self.gthv.table();
         let size = |r: &UpdateRange| table.row(r.entry).map_or(0, |row| u64::from(row.size));
         let bytes: u64 = take.iter().map(|r| size(r) * r.count).sum();
+        let updates_taken = take.iter().map(UpdateRange::updates).sum();
         let mut t = Phase::Conv.begin(&self.recorder, self.me, self.op_of(writer));
-        t.args(take.len() as u64, bytes);
+        t.args(updates_taken, bytes);
         // What the batch carries beyond the hold keeps the shard's value.
         let kept = |entry| keep.get(&entry);
         apply_keeping(&mut self.gthv, updates, &mut self.conv_stats, kept)?;
         t.end(&mut self.costs);
-        self.costs.updates_applied += take.len() as u64;
+        self.costs.updates_applied += updates_taken;
         self.costs.bytes_applied += bytes;
-        self.recorder
-            .count("home.ranges_gathered", take.len() as u64);
+        self.recorder.count("home.ranges_gathered", updates_taken);
         self.recorder.count("home.bytes_gathered", bytes);
         take.iter().for_each(|r| self.unhold(r));
         Ok(())
@@ -1223,9 +1224,7 @@ impl HomeShard {
         for r in ranges {
             // The held spans `r` meets, of every writer: mostly none.
             let mut held = IntervalSet::default();
-            for (_, s) in self.held_touching(&r) {
-                held.insert(s.first, s.end());
-            }
+            held.extend(self.held_touching(&r).into_iter().map(|(_, s)| s));
             for p in held.split(r.first, r.end()) {
                 let Some(piece) = r.slice(r.below(p.first), r.below(p.end)) else {
                     continue; // between the elements of a strided range
@@ -1298,11 +1297,7 @@ impl HomeShard {
         let index = self.gthv.table();
         for r in rows.iter().filter(|r| r.count > 0) {
             let count = index.row(r.entry).map_or(0, |row| row.count);
-            let last = (r.count - 1).checked_mul(r.stride);
-            if last
-                .and_then(|d| r.first.checked_add(d))
-                .is_none_or(|last| last >= count)
-            {
+            if last_element((r.first, r.count, r.stride)).is_none_or(|last| last >= count) {
                 return Err(HomeError::Violation(format!(
                     "thread {rank} reports {what} {r:?}, outside the index table"
                 )));
@@ -2232,9 +2227,9 @@ impl HomeShard {
             moved: (self.seq, written.clone()),
             ..Whereabouts::default()
         };
-        for &(writer, first, count) in held {
-            let set = at.held.entry(writer).or_default();
-            set.insert(first, first.saturating_add(count));
+        for rows in held.chunk_by(|a, b| a.0 == b.0) {
+            let set = at.held.entry(rows[0].0).or_default();
+            set.extend((rows.iter()).map(|&(_, a, n)| span(entry, a, a.saturating_add(n))));
         }
         self.whereabouts.insert(entry, at);
         self.tidy(entry);
@@ -2744,16 +2739,14 @@ impl HomeShard {
             if row.count == 0 || !self.owns_entry(entry) {
                 continue;
             }
+            let forwarded = self.whereabouts.get(&entry).is_some_and(|at| at.forwarded);
+            if forwarded || others.iter().any(|p| !p.interest.contains_key(&entry)) {
+                rows.push(span(entry, 0, row.count));
+                continue;
+            }
             let mut read = IntervalSet::default();
-            if self.whereabouts.get(&entry).is_some_and(|at| at.forwarded) {
-                read.insert(0, row.count);
-            }
-            for p in &others {
-                match p.interest.get(&entry) {
-                    Some(set) => set.spans().for_each(|(a, b)| read.insert(a, b)),
-                    None => read.insert(0, row.count),
-                }
-            }
+            let read_rows = others.iter().flat_map(|p| p.interest[&entry].rows());
+            read.extend(read_rows.map(|row| UpdateRange::row(entry, row)));
             rows.extend(read.spans().map(|(a, b)| span(entry, a, b)));
         }
         rows
@@ -4800,23 +4793,30 @@ mod tests {
             self.check(out, vec![(rank, MsgKind::UpdateBatch)])
         }
 
-        /// Rank `rank` serves `range`; `stale`: served before its last
-        /// request, so none of it lands.
-        fn held_data(&mut self, rank: u32, range: std::ops::Range<u64>, stale: bool) {
-            let vals = self.fresh_values(range.clone());
+        /// Rank `rank` serves `rows`, of any stride, in the order given;
+        /// `stale`: served before its last request, so none of it lands.
+        fn held_data(&mut self, rank: u32, rows: &[UpdateRange], stale: bool) {
+            let mut src = GthvInstance::new(tiny_def(), PlatformSpec::linux_x86());
+            let elems: Vec<u64> = rows
+                .iter()
+                .flat_map(|r| r.spans().flat_map(|(a, b)| a..b))
+                .collect();
+            for &e in &elems {
+                self.fresh += 1;
+                src.write_int(0, e, self.fresh).unwrap();
+            }
             let after = self.h.peers[&rank].last_req - u64::from(stale);
-            let updates = elems_batch(range.start, &vals);
+            let updates = extract_updates(&src, rows).unwrap();
             let msg = DsdMsg::HeldData {
                 rank,
                 after,
                 updates,
             };
             let out = self.request(rank, msg, &[]);
-            for (e, v) in range.zip(vals).filter(|_| !stale) {
-                let e = e as usize;
-                if self.holder[e] == Some(rank) {
-                    self.values[e] = v;
-                    self.holder[e] = None;
+            for e in elems.into_iter().filter(|_| !stale) {
+                if self.holder[e as usize] == Some(rank) {
+                    self.values[e as usize] = src.read_int(0, e).unwrap();
+                    self.holder[e as usize] = None;
                 }
             }
             self.check(out, Vec::new())
@@ -4985,7 +4985,18 @@ mod tests {
                         m.hold(rank, range, [1, 1, 2, 3][below(4)] as u64)
                     }
                     45..55 => m.pull(rank),
-                    55..70 => m.held_data(rank, range, below(5) == 0),
+                    55..70 => {
+                        // Rows of stride 1 to 3 in any order, some held in
+                        // part, some out of ascending order.
+                        let mut rows = vec![elems(range.start, len)];
+                        for _ in 0..below(3) {
+                            let (first, stride) = (below(64) as u64, 1 + below(3) as u64);
+                            let most = ((63 - first) / stride + 1).min(12);
+                            let row = (first, 1 + below(most as usize) as u64, stride);
+                            rows.push(UpdateRange::row(0, row));
+                        }
+                        m.held_data(rank, &rows, below(5) == 0)
+                    }
                     70..86 => m.fetch(rank, range),
                     86..88 if m.dead.is_none() && below(4) == 0 => m.declare_dead(rank),
                     88..100 => m.tick(),

@@ -15,6 +15,10 @@
 //! search plus work per span touched; a change refolds the rows it
 //! touches, and those behind them as far as the fold moves. A strided
 //! [`UpdateRange`] is asked about for its elements, not its hull.
+//!
+//! One way in, one way out: [`IntervalSet::extend`] and
+//! [`IntervalSet::subtract`] take ranges of any stride, so how a strided
+//! range joins or leaves a set is decided here, never by a caller.
 
 use crate::runs::UpdateRange;
 use hdsm_tags::wire::{counted, RowFold};
@@ -167,38 +171,43 @@ impl IntervalSet {
         self.rows.splice(from..to, fold.finish());
     }
 
-    /// Add every range of `ranges`, which come in ascending order of start:
-    /// one merge of two sorted lists, where adding them one by one would
-    /// refold the rows behind each — what a red-black writer's second
-    /// colour, filling every gap between the first's, would cost.
-    pub fn insert_sorted(&mut self, ranges: impl IntoIterator<Item = (u64, u64)>) {
-        let mut new = ranges.into_iter().filter(|r| r.0 < r.1).peekable();
-        if new.peek().is_none() {
+    /// Add the elements of `ranges`, of any stride and in any order: a
+    /// range the set holds ([`Cursor::holds`]) is skipped, the rest are cut
+    /// into spans, sorted and merged in one pass with the set's from the
+    /// first row they can touch.
+    pub fn extend(&mut self, ranges: impl IntoIterator<Item = UpdateRange>) {
+        let (mut at, mut from, mut new) = (self.cursor(), u64::MAX, Vec::new());
+        for r in ranges.into_iter().filter(|r| r.count > 0) {
+            if r.first < from {
+                at = self.seek(r.first); // the first, or behind the walk
+            }
+            from = r.first;
+            if !at.holds(r) {
+                new.extend(r.spans());
+            }
+        }
+        if new.is_empty() {
             return;
         }
-        let rows = std::mem::take(&mut self.rows);
+        new.sort_unstable();
+        let lo = self.rows.partition_point(|&r| r.1 + 1 < new[0].0);
+        let rows = self.rows.split_off(lo);
         let mut old = rows.iter().flat_map(|&r| spans_of(r)).peekable();
+        let mut new = new.into_iter().peekable();
         let next = || match (old.peek(), new.peek()) {
             (Some(o), Some(n)) if n.0 < o.0 => new.next(),
             (Some(_), _) => old.next(),
             (None, _) => new.next(),
         };
-        let mut fold = Fold::default();
-        std::iter::from_fn(next).for_each(|s| fold.push(s));
-        self.rows = fold.finish();
+        self.refold(lo, lo, std::iter::from_fn(next));
     }
 
-    /// Remove `[first, end)`: spans inside it go, spans it cuts are
-    /// trimmed, a span it falls inside is split in two.
-    pub fn subtract(&mut self, first: u64, end: u64) {
-        if first < end {
-            self.subtract_range(UpdateRange::new(0, first, end - first));
+    /// Remove the elements of `r`, of any stride: spans its hull touches
+    /// lose the elements they hold, gaps between them stay.
+    pub fn subtract(&mut self, r: UpdateRange) {
+        if r.count == 0 {
+            return;
         }
-    }
-
-    /// Remove the elements of `r`: spans its hull touches lose the
-    /// elements they hold, gaps between them stay.
-    pub fn subtract_range(&mut self, r: UpdateRange) {
         let (first, end) = (r.first, r.end());
         let lo = self.rows.partition_point(|&row| row.1 < first);
         let hi = self.rows.partition_point(|&row| row.0 < end);
@@ -250,13 +259,6 @@ impl IntervalSet {
                 hi,
             })
         })
-    }
-
-    /// The parts of `[first, end)` the set holds.
-    pub fn intersect(&self, first: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.split(first, end)
-            .filter(|p| p.inside)
-            .map(|p| (p.first, p.end))
     }
 
     /// A walk over the spans for ranges asked about in ascending order.
@@ -347,24 +349,19 @@ impl<'a> Cursor<'a> {
         self.next_span(first).is_none_or(|s| s.0 >= end)
     }
 
-    /// The span that holds all of `[first, end)`, if one does.
-    pub fn span_holding(&mut self, first: u64, end: u64) -> Option<(u64, u64)> {
-        self.next_span(first).filter(|s| s.0 <= first && end <= s.1)
-    }
-
     /// Whether one span holds the hull of `r`, or one row of `r`'s stride
     /// runs through all of its elements: either way the set holds every
     /// element, found with no walk over them. A range the set holds across
     /// several spans answers `false`.
     pub fn holds(&mut self, r: UpdateRange) -> bool {
-        if self.span_holding(r.first, r.end()).is_some() {
-            return true;
-        }
-        // The walk stands in the first row that ends at or past `r.first`.
-        let row = self.rows.get(self.at);
-        row.is_some_and(|&(f, last, s)| {
-            s == r.stride && f <= r.first && (r.first - f).is_multiple_of(s) && r.end() - 1 <= last
-        })
+        let (first, last) = (r.first, r.end() - 1);
+        let Some((a, b)) = self.next_span(first) else {
+            return false;
+        };
+        // The walk stands in the first row that ends at or past `first`.
+        let (f, l, s) = self.rows[self.at];
+        a <= first && last < b
+            || s == r.stride && f <= first && last <= l && (first - f).is_multiple_of(s)
     }
 
     /// The elements of `r` cut at the spans, in ascending order: each piece
@@ -394,9 +391,52 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn spans(s: &IntervalSet) -> Vec<(u64, u64)> {
         s.spans().collect()
+    }
+
+    /// Elements `[first, end)`.
+    fn dense(first: u64, end: u64) -> UpdateRange {
+        UpdateRange::new(0, first, end - first)
+    }
+
+    /// A change to a set.
+    enum Op {
+        Extend(Vec<UpdateRange>),
+        Subtract(UpdateRange),
+    }
+
+    /// Whether `r` names element `e`.
+    fn names(r: &UpdateRange, e: u64) -> bool {
+        e >= r.first && (e - r.first).is_multiple_of(r.stride) && (e - r.first) / r.stride < r.count
+    }
+
+    /// Apply `op` to `s` and to `model`, the set of its elements, and check
+    /// that the set's rows are the frame's fold of the model's maximal runs.
+    fn apply(s: &mut IntervalSet, model: &mut BTreeSet<u64>, op: Op) {
+        match op {
+            Op::Extend(ranges) => {
+                let named = ranges.iter().filter(|r| r.count > 0);
+                model.extend(named.flat_map(|r| r.spans().flat_map(|(a, b)| a..b)));
+                s.extend(ranges);
+            }
+            Op::Subtract(r) => {
+                model.retain(|&e| !names(&r, e));
+                s.subtract(r);
+            }
+        }
+        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+        for &e in model.iter() {
+            match runs.last_mut() {
+                Some(run) if run.0 + run.1 == e => run.1 += 1,
+                _ => runs.push((e, 1, 1)),
+            }
+        }
+        let mut rows = Vec::new();
+        hdsm_tags::wire::fold_rows(runs, |r| rows.push(r));
+        assert_eq!(s.rows().collect::<Vec<_>>(), rows);
     }
 
     fn set(spans: &[(u64, u64)]) -> IntervalSet {
@@ -439,17 +479,78 @@ mod tests {
     #[test]
     fn subtract_trims_splits_and_removes() {
         let mut s = set(&[(0, 10), (20, 30), (40, 50)]);
-        s.subtract(25, 25); // empty: nothing
-        s.subtract(10, 20); // a gap: nothing
+        let mut model: BTreeSet<u64> = s.spans().flat_map(|(a, b)| a..b).collect();
+        let mut cut = |s: &mut IntervalSet, first, end| {
+            apply(s, &mut model, Op::Subtract(dense(first, end)));
+        };
+        cut(&mut s, 25, 25); // empty: nothing
+        cut(&mut s, 10, 20); // a gap: nothing
         assert_eq!(spans(&s), [(0, 10), (20, 30), (40, 50)]);
-        s.subtract(22, 24); // inside a span: splits it
+        cut(&mut s, 22, 24); // inside a span: splits it
         assert_eq!(spans(&s), [(0, 10), (20, 22), (24, 30), (40, 50)]);
-        s.subtract(5, 21); // trims one, removes part of the next
+        cut(&mut s, 5, 21); // trims one, removes part of the next
         assert_eq!(spans(&s), [(0, 5), (21, 22), (24, 30), (40, 50)]);
-        s.subtract(21, 45); // removes whole spans, trims the last
+        cut(&mut s, 21, 45); // removes whole spans, trims the last
         assert_eq!(spans(&s), [(0, 5), (45, 50)]);
-        s.subtract(0, u64::MAX);
+        cut(&mut s, 0, u64::MAX);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn extend_and_subtract_agree_with_a_set_of_elements() {
+        const N: u64 = 120;
+        let mut seed = 0xE7_7E5Du64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        let (mut partly, mut behind, mut held) = (0, 0, 0);
+        for _ in 0..300 {
+            let (mut s, mut model) = (IntervalSet::default(), BTreeSet::new());
+            for _ in 0..30 {
+                let mut ranges: Vec<UpdateRange> = Vec::new();
+                for _ in 0..1 + next(6) {
+                    let row = s.rows().nth(next(1 + s.rows().len() as u64) as usize);
+                    let r = match (row, next(4)) {
+                        // One drawn before (repeated), one from inside a
+                        // row of the set at its stride and on past it (held
+                        // in part), or one anywhere.
+                        (_, 0) if !ranges.is_empty() => ranges[next(ranges.len() as u64) as usize],
+                        (Some((f, n, st)), 1) => {
+                            let k = next(n);
+                            UpdateRange::row(0, (f + k * st, n - k + next(4), st))
+                        }
+                        _ => UpdateRange::row(0, (next(N), next(12), 1 + next(3))),
+                    };
+                    let has = (0..r.count).filter(|k| model.contains(&(r.first + k * r.stride)));
+                    match has.count() as u64 {
+                        0 => {}
+                        k if k == r.count => held += 1,
+                        _ => partly += 1,
+                    }
+                    ranges.push(r);
+                }
+                match next(3) {
+                    0 => ranges.sort_by_key(|r| r.first),
+                    1 => ranges.sort_by_key(|r| std::cmp::Reverse(r.first)),
+                    _ => {}
+                }
+                behind += ranges
+                    .windows(2)
+                    .filter(|w| w[1].first < w[0].first)
+                    .count();
+                match next(3) {
+                    0 => apply(&mut s, &mut model, Op::Subtract(ranges[0])),
+                    _ => apply(&mut s, &mut model, Op::Extend(ranges)),
+                }
+            }
+        }
+        assert!(
+            partly > 1000 && behind > 1000 && held > 1000,
+            "{partly} {behind} {held}"
+        );
     }
 
     #[test]
@@ -485,15 +586,6 @@ mod tests {
             IntervalSet::default().split(3, 9).collect::<Vec<_>>(),
             [p(false, 3, 9, 0, u64::MAX)]
         );
-        assert_eq!(
-            s.intersect(0, 100).collect::<Vec<_>>(),
-            [(10, 20), (30, 40)]
-        );
-        assert_eq!(
-            s.intersect(15, 32).collect::<Vec<_>>(),
-            [(15, 20), (30, 32)]
-        );
-        assert_eq!(s.intersect(20, 30).count(), 0);
     }
 
     #[test]
@@ -527,7 +619,7 @@ mod tests {
                 if insert {
                     s.insert(first, end);
                 } else {
-                    s.subtract(first, end);
+                    s.subtract(dense(first, end));
                 }
                 bits[first as usize..end as usize].fill(insert);
                 // Canonical form: sorted, non-empty, never touching.
@@ -646,7 +738,7 @@ mod tests {
             assert!(!pieces.windows(2).any(gaps_meet), "{r:?}");
             // Subtracting removes exactly the elements.
             let mut cut = s.clone();
-            cut.subtract_range(r);
+            cut.subtract(r);
             elems.iter().for_each(|&e| bits[e as usize] = false);
             let held: Vec<bool> = (0..N)
                 .map(|e| spans(&cut).into_iter().any(|s| s.0 <= e && e < s.1))
@@ -668,14 +760,16 @@ mod tests {
         let base = set(&[(2, 4), (10, 20), (30, 31), (40, 50)]);
         // Ascending ranges that fill gaps, abut, overlap and stand alone.
         let ranges = [(0, 1), (4, 6), (8, 12), (20, 30), (31, 33), (60, 61)];
+        let mut model: BTreeSet<u64> = base.spans().flat_map(|(a, b)| a..b).collect();
         let mut bulk = base.clone();
-        bulk.insert_sorted(ranges);
+        let bulk_ranges = ranges.map(|(a, b)| dense(a, b)).to_vec();
+        apply(&mut bulk, &mut model, Op::Extend(bulk_ranges));
         let mut one = base.clone();
         ranges.iter().for_each(|&(a, b)| one.insert(a, b));
         assert_eq!(bulk, one);
         assert_eq!(spans(&bulk), [(0, 1), (2, 6), (8, 33), (40, 50), (60, 61)]);
         // Nothing to add leaves the set as it is.
-        bulk.insert_sorted([(5, 5)]);
+        apply(&mut bulk, &mut model, Op::Extend(vec![dense(5, 5)]));
         assert_eq!(bulk, one);
         // The whole spans that hold an element of a range.
         assert_eq!(base.touching(3, 11).collect::<Vec<_>>(), [(2, 4), (10, 20)]);
@@ -684,11 +778,11 @@ mod tests {
         // A cursor asked in ascending order answers as a search would.
         let mut c = base.cursor();
         assert!(c.misses(0, 2));
-        assert_eq!(c.span_holding(11, 15), Some((10, 20)));
-        assert_eq!(c.span_holding(15, 21), None);
+        assert!(c.holds(dense(11, 15)));
+        assert!(!c.holds(dense(15, 21)));
         assert!(!c.misses(19, 31));
         assert!(c.misses(31, 40));
-        assert_eq!(c.span_holding(40, 50), Some((40, 50)));
+        assert!(c.holds(dense(40, 50)));
         assert!(c.misses(50, 60));
     }
 
@@ -759,18 +853,17 @@ mod tests {
                         bits[a as usize..b as usize].fill(true);
                     }
                     4 => {
-                        let mut ranges: Vec<(u64, u64)> = (0..next(6))
+                        let ranges: Vec<(u64, u64)> = (0..next(6))
                             .map(|_| (next(N), next(5)))
                             .map(|(f, n)| (f, (f + n).min(N)))
                             .collect();
-                        ranges.sort_unstable();
                         for &(f, e) in &ranges {
                             bits[f as usize..e as usize].fill(true);
                         }
-                        s.insert_sorted(ranges);
+                        s.extend(ranges.iter().map(|&(f, e)| dense(f, e)));
                     }
                     5 => {
-                        s.subtract(a, b);
+                        s.subtract(dense(a, b));
                         bits[a as usize..b as usize].fill(false);
                     }
                     6 => {
@@ -780,7 +873,7 @@ mod tests {
                             stride,
                             ..UpdateRange::new(0, first, count)
                         };
-                        s.subtract_range(r);
+                        s.subtract(r);
                         (0..count).for_each(|k| bits[(first + k * stride) as usize] = false);
                     }
                     // Storing again where it just stored.
@@ -830,9 +923,8 @@ mod tests {
                     match next(3) {
                         0 => assert_eq!(c.misses(first, end), !(first..end).any(holds)),
                         1 => {
-                            let (inside, lo, hi) = bitmap_around(&bits, first);
-                            let held = inside && end <= hi;
-                            assert_eq!(c.span_holding(first, end), held.then_some((lo, hi)));
+                            let (inside, _, hi) = bitmap_around(&bits, first);
+                            assert_eq!(c.holds(dense(first, end)), inside && end <= hi);
                         }
                         _ => {
                             let r = UpdateRange {

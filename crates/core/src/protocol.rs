@@ -50,7 +50,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
 use hdsm_platform::endian::Endianness;
 use hdsm_tags::wire::varint::{self, VarintError};
-use hdsm_tags::wire::{bounded_vec, split_batch, FrameWriter, GroupHead, UpdateBatch, WireError};
+use hdsm_tags::wire::{
+    bounded_vec, last_element, split_batch, FrameWriter, GroupHead, UpdateBatch, WireError,
+};
 use std::fmt;
 
 /// Expands the message table into [`DsdMsg`], its walks and
@@ -598,9 +600,7 @@ impl Report {
             } else {
                 1
             };
-            let last = (count - 1)
-                .checked_mul(stride)
-                .and_then(|d| first.checked_add(d));
+            let last = last_element((first, count, stride));
             if flag && (tail || !low) || strided && (stride < 2 || last.is_none()) {
                 return Err(ProtocolError::BadMessage(
                     "a strided row the wire cannot index",

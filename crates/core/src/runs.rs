@@ -255,10 +255,8 @@ pub fn coalesce(mut ranges: Vec<UpdateRange>) -> Vec<UpdateRange> {
             out.push(*r);
             continue;
         }
-        let mut spans: Vec<(u64, u64)> = met.iter().flat_map(|q| q.spans()).collect();
-        spans.sort_unstable();
         let mut set = IntervalSet::default();
-        set.insert_sorted(spans);
+        set.extend(met.iter().copied());
         out.extend(set.rows().map(|row| UpdateRange::row(r.entry, row)));
     }
     out

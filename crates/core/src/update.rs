@@ -23,7 +23,7 @@ use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::plan::{RunOp, RunPlan};
-use hdsm_tags::wire::{FrameWriter, GroupHead, RunGroup, UpdateBatch, UpdateView};
+use hdsm_tags::wire::{last_element, FrameWriter, GroupHead, RunGroup, UpdateBatch, UpdateView};
 use std::fmt;
 
 /// Bits of the portable pointer word reserved for the element index.
@@ -266,9 +266,7 @@ fn row_of(gthv: &GthvInstance, entry: u32) -> Result<&IndexRow, UpdateError> {
 /// name lies inside `row`'s entry.
 fn within(row: &IndexRow, rows: impl Iterator<Item = (u64, u64, u64)>) -> Result<(), UpdateError> {
     for (first, count, stride) in rows {
-        let last = count.checked_sub(1).and_then(|k| k.checked_mul(stride));
-        let last = last.and_then(|d| first.checked_add(d));
-        if last.is_none_or(|last| last >= row.count) {
+        if last_element((first, count, stride)).is_none_or(|last| last >= row.count) {
             let (entry, available) = (row.entry, row.count);
             return Err(UpdateError::RangeOutOfBounds {
                 entry,

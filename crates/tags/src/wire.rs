@@ -222,8 +222,7 @@ fn split_group(buf: &mut &[u8], len: usize, out: &mut Vec<Row>) -> Result<(usize
         let stride = strided.then(|| varint::get(buf, u64::MAX));
         let stride = stride.transpose()?.unwrap_or(1);
         // Each element named must be one a `u64` can index.
-        let last = count.checked_sub(1).and_then(|k| k.checked_mul(stride));
-        if stride == 0 || last.and_then(|d| first.checked_add(d)).is_none() {
+        if stride == 0 || last_element((first, count, stride)).is_none() {
             return Err(WireError::BadHeader);
         }
         out.push((first, count, stride));
@@ -393,6 +392,13 @@ pub fn fold_rows(
     let closed = runs.into_iter().filter_map(|run| fold.push(run));
     closed.for_each(|r| row(counted(r)));
     fold.open().into_iter().for_each(|r| row(counted(r)));
+}
+
+/// The last element of the row `(first, count, stride)`, `first + (count −
+/// 1)·stride`; `None` when the row is empty or a `u64` cannot index it.
+#[inline]
+pub fn last_element((first, count, stride): (u64, u64, u64)) -> Option<u64> {
+    first.checked_add(count.checked_sub(1)?.checked_mul(stride)?)
 }
 
 /// The row `(first, last, stride)` as `(first, count, stride)`.
