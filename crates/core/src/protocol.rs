@@ -949,7 +949,7 @@ impl Sample for UpdateBatch {
                 size,
             };
             w.begin_group(head);
-            offsets.for_each(|_| w.put_payload(&[1; 4]));
+            offsets.for_each(|_| w.put_payload(&[1; 4], 1));
             w.finish()
         };
         vec![UpdateBatch::default(), frame(50..51), frame(0..40)]

@@ -5,7 +5,8 @@
 //! of the modified elements, in the sender's native format, written
 //! straight into the grouped wire frame. The applier side walks that frame
 //! and is receiver-makes-right: identical tag + endianness → `memcpy`;
-//! otherwise per-element conversion (paper §4.1, Figure 5).
+//! otherwise a swap or conversion, a strided row in one call at its pitch
+//! (paper §4.1, Figure 5).
 //!
 //! **Pointers** get special treatment in both directions (paper §4: "with
 //! each index then, it is straightforward to map the index to a memory
@@ -23,7 +24,7 @@ use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::ScalarKind;
 use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::plan::{RunOp, RunPlan};
-use hdsm_tags::wire::{last_element, FrameWriter, GroupHead, RunGroup, UpdateBatch, UpdateView};
+use hdsm_tags::wire::{last_element, FrameWriter, GroupHead, RunGroup, UpdateBatch};
 use std::fmt;
 
 /// Bits of the portable pointer word reserved for the element index.
@@ -146,9 +147,9 @@ fn unswizzle_ptr(gthv: &GthvInstance, portable: u64) -> Result<u64, UpdateError>
 /// entry form one run group, their rows folded once by
 /// [`hdsm_tags::wire::fold_rows`], so the frame is the same whether a
 /// strided range came in whole or an element at a time); the second
-/// writes group headers, run tables and payload straight from the address
-/// space into that one buffer. The cost is per range and per row, not per
-/// update, and one copy of each payload byte.
+/// writes group headers, run tables and each range's payload, in one call,
+/// straight from the address space into that one buffer. The cost is per
+/// range and per row, not per update, and one copy of each payload byte.
 pub fn extract_updates(
     gthv: &GthvInstance,
     ranges: &[UpdateRange],
@@ -166,6 +167,8 @@ pub fn extract_updates(
         within(row, rows())?;
         w.plan_group(entry, row.size, rows());
     }
+    // A pointer range's hull, its elements swizzled.
+    let mut words = Vec::new();
     for group in groups() {
         let row = gthv.table().row(group[0].entry).expect("checked above");
         let head = GroupHead {
@@ -178,21 +181,17 @@ pub fn extract_updates(
         let s = row.size as usize;
         for r in group {
             let hull = (r.end() - r.first) as usize;
-            let raw = gthv.space().read(row.elem_addr(r.first), s * hull)?;
-            if !head.is_ptr && r.stride == 1 {
-                w.put_payload(raw);
-                continue;
-            }
-            for native in raw.chunks(s * r.stride as usize).map(|e| &e[..s]) {
-                if !head.is_ptr {
-                    w.put_payload(native);
-                    continue;
+            let mut raw = gthv.space().read(row.elem_addr(r.first), s * hull)?;
+            if head.is_ptr {
+                words.clear();
+                words.extend_from_slice(raw);
+                for native in words.chunks_mut(s * r.stride as usize).map(|e| &mut e[..s]) {
+                    let portable = swizzle_ptr(gthv, read_uint(native, endian) as u64)?;
+                    write_uint(u128::from(portable), native, endian);
                 }
-                let portable = swizzle_ptr(gthv, read_uint(native, endian) as u64)?;
-                let mut word = [0u8; 16];
-                write_uint(u128::from(portable), &mut word[..s], endian);
-                w.put_payload(&word[..s]);
+                raw = &words;
             }
+            w.put_payload(raw, r.stride as usize);
         }
     }
     Ok(w.finish())
@@ -200,19 +199,21 @@ pub fn extract_updates(
 
 /// Apply a batch to a node's shared region (untracked — applying remote
 /// updates must not look like local writes), returning per-kind update
-/// counts `(memcpy, converted, pointer)`; the caller times this call as
-/// `t_conv`. Every element a run names takes the remote value: this is the
-/// home's apply, and every oracle's.
+/// counts `(memcpy, converted, pointer)`, a strided row counted as its
+/// elements; the caller times this call as `t_conv`. Every element a row
+/// names takes the remote value: this is the home's apply, and every
+/// oracle's.
 ///
-/// The batch is refused whole, before its first store, unless every
-/// group's entry is in the table with the group's kind and every row's
-/// last element lies inside it. Then the plan is looked up once per group,
-/// and a `Memcpy`/`Swap` run — which cannot fail — converts straight into
-/// its destination in the address space: one pass over the payload, no
-/// allocation. A `Convert` or pointer run can still fail on any element
-/// (`IntOverflow`, `BadPointer`), so it is built in one scratch buffer the
-/// walk owns and stored only whole; such an error leaves every earlier
-/// update applied and the failing one unwritten.
+/// All or nothing: the batch is refused whole, before its first store and
+/// with nothing counted in `stats`, unless every group's entry is in the
+/// table with the group's kind, every row's last element lies inside it
+/// and every element converts. The plan is looked up once per group. A
+/// `Convert` or pointer row can fail on any element (`IntOverflow`,
+/// `BadPointer`), so a first walk builds every such row in one buffer the
+/// walk owns, and only then does a second walk store the rows in frame
+/// order: a built row through its pitch, and a `Memcpy`/`Swap` row —
+/// which cannot fail — converted straight into the slice of its hull, in
+/// one call and with no allocation.
 pub fn apply_batch(
     gthv: &mut GthvInstance,
     batch: &UpdateBatch,
@@ -225,34 +226,41 @@ pub fn apply_batch(
 /// `written(entry)` is the entry's write set, the elements this thread has
 /// stored to since its last release, and those keep their local value. The
 /// store is newer than anything an acquire can deliver to a race-free
-/// program, and the next release ships it. A run that meets a written span
-/// is built whole in the scratch buffer, counted as if applied whole, and
-/// stored only in the gaps between the spans. Where the entry has nothing
-/// written — every barrier's acquire, which follows its release — the walk
-/// is [`apply_batch`]'s.
+/// program, and the next release ships it. A row whose hull meets a
+/// written span is built whole by the first walk, counted as if applied
+/// whole, and stored only in the gaps between the spans; like a failure,
+/// a kept element costs its row the in-place conversion, never the batch
+/// its all-or-nothing. Where the entry has nothing written — every
+/// barrier's acquire, which follows its release — the walk is
+/// [`apply_batch`]'s.
 pub(crate) fn apply_keeping<'w>(
     gthv: &mut GthvInstance,
     batch: &UpdateBatch,
     stats: &mut ConversionStats,
     written: impl Fn(u32) -> Option<&'w IntervalSet>,
 ) -> Result<(u64, u64, u64), UpdateError> {
+    // Whether any row can fail or is kept: only then is there a first walk.
+    let (h, mut build) = (gthv.platform().endian, false);
     for g in batch.groups() {
-        let row = row_of(gthv, g.head.entry)?;
-        if (row.kind == ScalarKind::Ptr) != g.head.is_ptr {
+        let (row, head) = (row_of(gthv, g.head.entry)?, g.head);
+        if (row.kind == ScalarKind::Ptr) != head.is_ptr {
             return Err(UpdateError::KindMismatch { entry: row.entry });
         }
         within(row, g.rows().iter().copied())?;
+        let plan = RunPlan::lower(row.kind.class(), head.size, head.endian, row.size, h);
+        build |= head.is_ptr || plan.op == RunOp::Convert;
+        build |= written(row.entry).is_some_and(|w| !w.is_empty());
     }
-    let mut walk = ApplyWalk {
-        stats,
-        scratch: Vec::new(),
-        tally: (0, 0, 0),
-    };
-    for g in batch.groups() {
-        let kept = written(g.head.entry).filter(|w| !w.is_empty());
-        walk.apply_group(gthv, g, kept)?;
+    let mut walk = ApplyWalk::default();
+    for store in [false, true].into_iter().filter(|&store| store || build) {
+        for g in batch.groups() {
+            let kept = written(g.head.entry).filter(|w| !w.is_empty());
+            walk.apply_group(gthv, g, kept, store)?;
+        }
     }
-    Ok(walk.tally)
+    stats.merge(&walk.stats);
+    let [memcpy, converted, pointer] = walk.tally;
+    Ok((memcpy, converted, pointer))
 }
 
 /// The index-table row of `entry`.
@@ -279,24 +287,31 @@ fn within(row: &IndexRow, rows: impl Iterator<Item = (u64, u64, u64)>) -> Result
     Ok(())
 }
 
-/// What one walk over a batch carries from group to group.
-struct ApplyWalk<'s> {
-    stats: &'s mut ConversionStats,
-    /// Where a run that can fail half-way, or that is stored only in part,
-    /// is built before it is stored.
-    scratch: Vec<u8>,
-    /// Updates applied as `(memcpy, converted, pointer)`.
-    tally: (u64, u64, u64),
+/// What the two walks over a batch carry from group to group.
+#[derive(Default)]
+struct ApplyWalk {
+    /// What the batch's conversions did, counted once it is applied.
+    stats: ConversionStats,
+    /// The rows not converted in place — a row that can fail half-way, or
+    /// that is stored only in part — built by the first walk, packed.
+    built: Vec<u8>,
+    /// Bytes of `built` the second walk has stored.
+    stored: usize,
+    /// Updates applied as `[memcpy, converted, pointer]`.
+    tally: [u64; 3],
 }
 
-impl ApplyWalk<'_> {
-    /// Apply the runs of one checked group, but for the elements `kept`
-    /// holds: the per-entry decisions first, once.
+impl ApplyWalk {
+    /// Walk the rows of one checked group, but for the elements `kept`
+    /// holds: the per-entry decisions first, once. The first walk builds
+    /// the rows not converted in place; the second (`store`) counts and
+    /// stores every row through its pitch.
     fn apply_group(
         &mut self,
         gthv: &mut GthvInstance,
         g: RunGroup<'_>,
         kept: Option<&IntervalSet>,
+        store: bool,
     ) -> Result<(), UpdateError> {
         let (head, entry) = (g.head, g.head.entry);
         // Copy the scalar fields out of the row instead of cloning it —
@@ -310,99 +325,67 @@ impl ApplyWalk<'_> {
         // sender shape) — lowered once, memoized; `Memcpy` exactly when
         // element size and byte order agree. Pointers never take it: they
         // are unswizzled element by element.
+        let lower = |size, e| RunPlan::lower(row_kind.class(), size, e, row_size, local_endian);
         let plan = (!head.is_ptr).then(|| {
             gthv.plans_mut()
                 .lookup(entry as usize, head.size, head.endian, || {
-                    RunPlan::lower(
-                        row_kind.class(),
-                        head.size,
-                        head.endian,
-                        row_size,
-                        local_endian,
-                    )
+                    lower(head.size, head.endian)
                 })
         });
-        for run in g.runs() {
-            let end = run.elem_offset + run.count;
-            let dst_addr = row_addr + run.elem_offset * u64::from(row_size);
-            let dst_len = (u64::from(row_size) * run.count) as usize;
-            let keep = kept.filter(|k| k.touching(run.elem_offset, end).next().is_some());
-            // A run that cannot fail and is stored whole goes straight
-            // into the space.
+        let (size, none, mut data) = (row_size as usize, IntervalSet::default(), g.data);
+        for &row in g.rows() {
+            let r = UpdateRange::row(entry, row);
+            let src;
+            (src, data) = data.split_at(head.size as usize * r.count as usize);
+            let keep = kept.filter(|k| k.touching(r.first, r.end()).next().is_some());
+            // What cannot fail and is stored whole goes straight into the space.
             let in_place = keep.is_none() && plan.is_some_and(|p| p.op != RunOp::Convert);
-            match plan {
-                Some(plan) if in_place => {
-                    let dst = gthv.space_mut().slice_mut_untracked(dst_addr, dst_len)?;
-                    plan.apply(run.data, dst, run.count, self.stats)?;
+            if !store {
+                if in_place {
+                    continue;
                 }
-                Some(plan) => {
-                    self.scratch.clear();
-                    self.scratch.resize(dst_len, 0);
-                    plan.apply(run.data, &mut self.scratch, run.count, self.stats)?;
-                    self.store_scratch(gthv, dst_addr, row_size, (run.elem_offset, end), keep)?;
-                }
-                None => {
-                    self.unswizzle_run(gthv, &head, &run, row_size as usize)?;
-                    self.store_scratch(gthv, dst_addr, row_size, (run.elem_offset, end), keep)?;
-                }
+                let at = self.built.len();
+                self.built.resize(at + size * r.count as usize, 0);
+                let built = &mut self.built[at..];
+                let Some(plan) = plan else {
+                    let words = src.chunks_exact(head.size as usize);
+                    for (word, dst) in words.zip(built.chunks_exact_mut(size)) {
+                        let addr = unswizzle_ptr(gthv, read_uint(word, head.endian) as u64)?;
+                        if !fits_uint(u128::from(addr), size) {
+                            return Err(UpdateError::BadPointer(format!(
+                                "address {addr:#x} does not fit a {size}-byte pointer"
+                            )));
+                        }
+                        write_uint(u128::from(addr), dst, local_endian);
+                        self.stats.scalars_converted += 1;
+                    }
+                    continue;
+                };
+                plan.apply(src, built, r.count, &mut self.stats)?;
+                continue;
             }
-            match plan.map(|p| p.op) {
-                Some(RunOp::Memcpy) => self.tally.0 += 1,
-                Some(_) => self.tally.1 += 1,
-                None => self.tally.2 += 1,
+            self.tally[plan.map_or(2, |p| usize::from(p.op != RunOp::Memcpy))] += r.updates();
+            let pitch = r.stride as usize * size;
+            if let Some(plan) = plan.filter(|_| in_place) {
+                let at = row_addr + r.first * u64::from(row_size);
+                let len = (r.end() - r.first) as usize * size;
+                let dst = gthv.space_mut().slice_mut_untracked(at, len)?;
+                plan.apply(src, dst, (r.count, pitch), &mut self.stats)?;
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    /// Unswizzle a pointer run into native addresses, in `scratch`.
-    fn unswizzle_run(
-        &mut self,
-        gthv: &GthvInstance,
-        head: &GroupHead,
-        run: &UpdateView<'_>,
-        dst_size: usize,
-    ) -> Result<(), UpdateError> {
-        let s = head.size as usize;
-        self.scratch.clear();
-        self.scratch.resize(dst_size * run.count as usize, 0);
-        for (src, dst) in run
-            .data
-            .chunks_exact(s)
-            .zip(self.scratch.chunks_exact_mut(dst_size))
-        {
-            let addr = unswizzle_ptr(gthv, read_uint(src, head.endian) as u64)?;
-            if !fits_uint(u128::from(addr), dst_size) {
-                return Err(UpdateError::BadPointer(format!(
-                    "address {addr:#x} does not fit a {dst_size}-byte pointer"
-                )));
+            // A built row is stored as a copy, counted as it was built.
+            let (copy, at) = (lower(row_size, local_endian), self.stored);
+            self.stored += size * r.count as usize;
+            let pieces = keep.unwrap_or(&none).split(r.first, r.end());
+            let gaps = pieces.filter(|p| !p.inside);
+            for p in gaps.filter_map(|p| r.slice(r.below(p.first), r.below(p.end))) {
+                let built = &self.built[at + r.below(p.first) as usize * size..];
+                let to = row_addr + p.first * u64::from(row_size);
+                let len = (p.end() - p.first) as usize * size;
+                let dst = gthv.space_mut().slice_mut_untracked(to, len)?;
+                let src = &built[..p.count as usize * size];
+                copy.apply(src, dst, (p.count, pitch), &mut ConversionStats::default())?;
             }
-            write_uint(u128::from(addr), dst, gthv.platform().endian);
-            self.stats.scalars_converted += 1;
-        }
-        Ok(())
-    }
-
-    /// Store the run built in `scratch` — elements `[first, end)` of
-    /// `size` bytes, at `addr` — but for the elements `keep` holds.
-    fn store_scratch(
-        &self,
-        gthv: &mut GthvInstance,
-        addr: u64,
-        size: u32,
-        (first, end): (u64, u64),
-        keep: Option<&IntervalSet>,
-    ) -> Result<(), UpdateError> {
-        let space = gthv.space_mut();
-        let Some(keep) = keep else {
-            space.write_untracked(addr, &self.scratch)?;
-            return Ok(());
-        };
-        let size = size as usize;
-        for gap in keep.split(first, end).filter(|p| !p.inside) {
-            let from = (gap.first - first) as usize * size;
-            let to = (gap.end - first) as usize * size;
-            space.write_untracked(addr + from as u64, &self.scratch[from..to])?;
         }
         Ok(())
     }
@@ -826,26 +809,174 @@ mod tests {
         use hdsm_platform::ctype::StructBuilder;
         use hdsm_platform::scalar::ScalarKind;
         let def = StructBuilder::new("L")
-            .array("xs", ScalarKind::Long, 4)
+            .array("xs", ScalarKind::Long, 8)
             .build()
             .unwrap();
         let gd = GthvDef::new(def).unwrap();
-        let mut src = GthvInstance::new(gd.clone(), PlatformSpec::linux_x86_64());
-        let mut dst = GthvInstance::new(gd, PlatformSpec::linux_x86());
-        for i in 0..4 {
-            src.write_int(0, i, 100 + i as i128).unwrap();
-            dst.write_int(0, i, -1).unwrap();
+        // An element that does not fit a 4-byte long, in the second of two
+        // rows: dense, then every other element. The batch is refused
+        // whole: not even the first row, nor the elements of its own row
+        // converted before it, are stored.
+        let cases = [
+            ("dense", 3, [range(0, 0, 1), range(0, 1, 3)]),
+            ("strided", 5, [range(0, 0, 1), strided(0, 1, 3, 2)]),
+        ];
+        for (what, wide, ranges) in cases {
+            let mut src = GthvInstance::new(gd.clone(), PlatformSpec::linux_x86_64());
+            let mut dst = GthvInstance::new(gd.clone(), PlatformSpec::linux_x86());
+            for i in 0..8 {
+                src.write_int(0, i, 100 + i as i128).unwrap();
+                dst.write_int(0, i, -1).unwrap();
+            }
+            src.write_int(0, wide, 1i128 << 40).unwrap();
+            let ups = extract_updates(&src, &ranges).unwrap();
+            let stride = |g: RunGroup<'_>| g.rows().iter().map(|r| r.2).max();
+            assert_eq!(
+                ups.groups().map(stride).max().flatten(),
+                Some(ranges[1].stride)
+            );
+            let mut stats = ConversionStats::default();
+            assert!(
+                matches!(
+                    apply_batch(&mut dst, &ups, &mut stats),
+                    Err(UpdateError::Conversion(ConversionError::IntOverflow { .. }))
+                ),
+                "{what}"
+            );
+            let got: Vec<i128> = (0..8).map(|i| dst.read_int(0, i).unwrap()).collect();
+            assert_eq!(got, [-1; 8], "{what}");
         }
-        // The third element of the second update does not fit a 4-byte
-        // long: the first update lands, the second leaves no byte behind —
-        // not even of the two elements converted before the failure.
-        src.write_int(0, 3, 1i128 << 40).unwrap();
-        let ups = extract_updates(&src, &[range(0, 0, 1), range(0, 1, 3)]).unwrap();
-        assert!(matches!(
-            apply(&mut dst, &ups),
-            Err(UpdateError::Conversion(ConversionError::IntOverflow { .. }))
-        ));
-        let got: Vec<i128> = (0..4).map(|i| dst.read_int(0, i).unwrap()).collect();
-        assert_eq!(got, [100, -1, -1, -1]);
+    }
+
+    /// The per-element oracle of [`apply_keeping`]: each update the
+    /// reference decodes from `batch`, converted on its own through
+    /// `convert_scalar_run` or the unswizzle, then stored but for the
+    /// elements `written` holds; on an error, nothing is stored or counted.
+    fn apply_each(
+        dst: &mut GthvInstance,
+        sender: &GthvInstance,
+        batch: &UpdateBatch,
+        written: &[IntervalSet],
+        stats: &mut ConversionStats,
+    ) -> Result<(u64, u64, u64), UpdateError> {
+        use hdsm_tags::convert::convert_scalar_run;
+        let (before, counted) = (dst.space().raw().to_vec(), *stats);
+        let mut tally = (0, 0, 0);
+        let mut each = |dst: &mut GthvInstance, u: WireUpdate| {
+            let row = dst.table().row(u.entry).unwrap().clone();
+            let ss = sender.table().row(u.entry).unwrap().size;
+            let (ds, de) = (row.size as usize, dst.platform().endian);
+            let count = u.data.len() / ss as usize;
+            let mut conv = vec![0; ds * count];
+            if row.kind == ScalarKind::Ptr {
+                let words = u.data.chunks(ss as usize).zip(conv.chunks_mut(ds));
+                for (s, d) in words {
+                    let addr = unswizzle_ptr(dst, read_uint(s, u.endian) as u64)?;
+                    write_uint(u128::from(addr), d, de);
+                    stats.scalars_converted += 1;
+                }
+                tally.2 += 1;
+            } else {
+                let (class, n) = (row.kind.class(), count as u64);
+                convert_scalar_run(
+                    &u.data, ss, u.endian, &mut conv, row.size, de, class, n, stats,
+                )?;
+                match ss == row.size && u.endian == de {
+                    true => tally.0 += 1,
+                    false => tally.1 += 1,
+                }
+            }
+            for (k, bytes) in conv.chunks(ds).enumerate() {
+                let e = u.elem_offset + k as u64;
+                let kept = written
+                    .get(u.entry as usize)
+                    .and_then(|w| w.around(e, e + 1));
+                if !kept.is_some_and(|p| p.inside) {
+                    dst.space_mut().write_untracked(row.elem_addr(e), bytes)?;
+                }
+            }
+            Ok::<_, UpdateError>(())
+        };
+        let done = updates_of(batch).into_iter().try_for_each(|u| each(dst, u));
+        if done.is_err() {
+            let base = dst.space().base();
+            dst.space_mut().write_untracked(base, &before).unwrap();
+            *stats = counted;
+        }
+        done.map(|()| tally)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// Batches of rows at strides 1–4, in frame order, over pointer,
+        /// `long`, `int` and `double` entries — `Memcpy`, `Swap`, `Convert`
+        /// and pointer groups across the four 32/64-bit, big/little-endian
+        /// presets, some `long`s too wide for an ILP32 receiver — and write
+        /// sets that hold none, part or all of a row, or only a gap of its
+        /// hull: the row walk stores the oracle's bytes and counts its
+        /// stats and tally, and refuses what it refuses, storing nothing.
+        #[test]
+        fn the_row_walk_applies_what_the_per_element_oracle_applies(
+            sides in (0usize..4, 0usize..4),
+            rows in proptest::collection::vec(
+                (0u32..4, 0u64..40, 1u64..6, 1u64..5, 0u8..4, 0u8..8),
+                1..12,
+            ),
+        ) {
+            use hdsm_platform::ctype::StructBuilder;
+            let def = StructBuilder::new("W")
+                .array("ps", ScalarKind::Ptr, 64)
+                .array("ls", ScalarKind::Long, 64)
+                .array("is", ScalarKind::Int, 64)
+                .array("ds", ScalarKind::Double, 64)
+                .build()
+                .unwrap();
+            let def = GthvDef::new(def).unwrap();
+            let presets = [
+                PlatformSpec::linux_x86(),
+                PlatformSpec::linux_x86_64(),
+                PlatformSpec::solaris_sparc(),
+                PlatformSpec::solaris_sparc64(),
+            ];
+            let mut src = GthvInstance::new(def.clone(), presets[sides.0].clone());
+            for i in 0..64 {
+                src.write_ptr(0, i, Some((1 + i as u32 % 3, 63 - i))).unwrap();
+                src.write_int(1, i, i as i128 - 32).unwrap();
+                src.write_int(2, i, i as i128 * 7919 - 250_000).unwrap();
+                src.write_float(3, i, i as f64 * 0.37 - 5.0).unwrap();
+            }
+            let (mut ranges, mut written) = (Vec::new(), vec![IntervalSet::default(); 4]);
+            for &(entry, first, count, stride, keep, wide) in &rows {
+                let r = strided(entry, first, count, stride);
+                // One in eight `long` rows ends in a value above 32 bits.
+                if entry == 1 && wide == 0 && src.table().row(1).unwrap().size == 8 {
+                    src.write_int(1, r.end() - 1, 1i128 << 40).unwrap();
+                }
+                let w = &mut written[entry as usize];
+                match keep {
+                    1 => w.insert(r.first + count / 2 * stride, r.end()),
+                    2 => w.insert(r.first, r.end()),
+                    3 if stride > 1 => w.insert(r.first + 1, r.first + 2),
+                    _ => {}
+                }
+                ranges.push(r);
+            }
+            let batch = extract_updates(&src, &ranges).unwrap();
+            let fresh = || {
+                let mut g = GthvInstance::new(def.clone(), presets[sides.1].clone());
+                let base = g.space().base();
+                let junk: Vec<u8> = (0..g.space().len()).map(|i| (i * 37 % 251) as u8).collect();
+                g.space_mut().write_untracked(base, &junk).unwrap();
+                g
+            };
+            let (mut got, mut want) = (fresh(), fresh());
+            let (mut got_stats, mut want_stats) = Default::default();
+            let kept = |e: u32| written.get(e as usize);
+            let got_tally = apply_keeping(&mut got, &batch, &mut got_stats, kept);
+            let want_tally = apply_each(&mut want, &src, &batch, &written, &mut want_stats);
+            proptest::prop_assert_eq!(&got_tally, &want_tally);
+            proptest::prop_assert!(got.space().raw() == want.space().raw());
+            proptest::prop_assert_eq!(got_stats, want_stats);
+        }
     }
 }

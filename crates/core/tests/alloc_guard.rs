@@ -347,3 +347,53 @@ fn a_fetched_colour_leaves_the_stale_set_per_row_not_per_element() {
     assert_eq!(seen, 7.0, "worker 0 read the colour");
     assert!(n <= 2 * ROWS, "{n} allocations for a colour of {ROWS} rows");
 }
+
+#[test]
+fn a_red_black_colour_is_gathered_and_swapped_per_frame_not_per_row_or_element() {
+    // A Linux worker releases one red-black colour of 32 rows of a
+    // 255-wide grid (32 strided rows, 4 048 elements) and a Solaris home
+    // applies it, byte-swapped. The gather allocates the frame and its row
+    // table, each a buffer and the count that shares it, and the apply
+    // swaps each row into its hull and allocates nothing: neither
+    // allocates per row or per element. The parent, which gathered and
+    // applied element by element, made the same 4 and 0.
+    const N: u64 = 255;
+    const ROWS: u64 = 32;
+    let def = StructBuilder::new("G")
+        .array("grid", ScalarKind::Double, (N * N) as usize)
+        .build()
+        .unwrap();
+    let def = GthvDef::new(def).unwrap();
+    let mut sender = GthvInstance::new(def.clone(), PlatformSpec::linux_x86());
+    let colour: Vec<UpdateRange> = (1..=ROWS)
+        .map(|i| {
+            let first = 1 + (i + 1) % 2;
+            let count = (N - 2 - first) / 2 + 1;
+            UpdateRange::row(0, (i * N + first, count, 2))
+        })
+        .collect();
+    let elems: u64 = colour.iter().map(|r| r.count).sum();
+    for r in &colour {
+        for k in 0..r.count {
+            let e = r.first + k * r.stride;
+            sender.write_float(0, e, e as f64 + 0.25).unwrap();
+        }
+    }
+    let (n, updates) = allocations(|| extract_updates(&sender, &colour).unwrap());
+    let rows: usize = updates.groups().map(|g| g.rows().len()).sum();
+    assert_eq!((rows, updates.len() as u64), (ROWS as usize, elems));
+    assert!(n <= 4, "{n} allocations to gather {ROWS} strided rows");
+
+    // The first apply lowers the conversion plan; every later one finds it.
+    let mut home = GthvInstance::new(def, PlatformSpec::solaris_sparc());
+    let mut stats = ConversionStats::default();
+    apply_batch(&mut home, &updates, &mut stats).unwrap();
+    let (n, tally) = allocations(|| apply_batch(&mut home, &updates, &mut stats).unwrap());
+    assert_eq!(tally, (0, elems, 0));
+    assert_eq!(n, 0, "{n} allocations to apply {ROWS} strided rows");
+    assert_eq!(stats.scalars_swapped, 2 * elems);
+    for e in [N + 1, N + 3, ROWS * N + 252] {
+        assert_eq!(home.read_float(0, e).unwrap(), e as f64 + 0.25);
+    }
+    assert_eq!(home.read_float(0, N + 2).unwrap(), 0.0);
+}

@@ -30,6 +30,6 @@ pub use convert::{
 };
 pub use generate::{tag_for, tag_for_scalar_run};
 pub use parse::{parse_tag, TagParseError};
-pub use plan::{PlanCache, RunOp, RunPlan};
+pub use plan::{Elems, PlanCache, RunOp, RunPlan};
 pub use tag::{Tag, TagItem};
 pub use wire::{unpack_batch, UpdateBatch, WireError};

@@ -3,13 +3,12 @@
 //!
 //! Eq. 1's `t_conv` (and much of `t_unpack`) used to be spent re-deciding
 //! *how* to convert: every incoming update re-parsed its tag string and
-//! re-walked the type tree before moving a single byte. For SOR's 16k
-//! two-element updates that bookkeeping dwarfs the conversion itself. A
-//! [`RunPlan`] is that decision made once per (source element shape,
-//! destination element shape, endianness pair). Applying it dispatches on
-//! the precomputed op with no tag traversal, no string parsing and no
-//! allocation, and collapses to a straight `memcpy` exactly when element
-//! size and endianness agree.
+//! re-walked the type tree before moving a single byte. A [`RunPlan`] is
+//! that decision made once per (source element shape, destination element
+//! shape, endianness pair). Applying it dispatches on the precomputed op
+//! with no tag traversal, no string parsing and no allocation, collapses to
+//! a `memcpy` exactly when element size and endianness agree, and converts
+//! a strided frame row, CGT-RMR's `((8,1)(8,0),k)`, in one call.
 //!
 //! Semantics are pinned to the reference: `RunPlan::apply` must byte-match
 //! [`crate::convert::convert_scalar_run`] (including its
@@ -84,21 +83,24 @@ impl RunPlan {
         }
     }
 
-    /// True when applying this plan is a straight `memcpy`.
-    pub fn is_memcpy(&self) -> bool {
-        self.op == RunOp::Memcpy
-    }
-
-    /// Apply the plan to `count` elements. Byte-for-byte and stats-for-stats
-    /// identical to [`crate::convert::convert_scalar_run`] with the same
-    /// arguments — `tests/proptest_dsd.rs` holds the equivalence.
+    /// Apply the plan to `elems`, packed in `src`, into their hull `dst`,
+    /// leaving the bytes between elements as they are. Byte-for-byte and
+    /// stats-for-stats identical to [`crate::convert::convert_scalar_run`]
+    /// on the elements — `tests/proptest_dsd.rs` holds the equivalence.
+    ///
+    /// # Panics
+    /// If the pitch is below the destination's element size.
     pub fn apply(
         &self,
         src: &[u8],
         dst: &mut [u8],
-        count: u64,
+        elems: impl Into<Elems>,
         stats: &mut ConversionStats,
     ) -> Result<(), ConversionError> {
+        let Elems { count, pitch } = elems.into();
+        let (ss, ds) = (self.src_size as usize, self.dst_size as usize);
+        let pitch = pitch.unwrap_or(ds);
+        assert!(pitch >= ds, "pitch {pitch} below the element size {ds}");
         let want_src = u64::from(self.src_size) * count;
         if src.len() as u64 != want_src {
             return Err(ConversionError::SrcSizeMismatch {
@@ -106,7 +108,8 @@ impl RunPlan {
                 got: src.len() as u64,
             });
         }
-        let want_dst = u64::from(self.dst_size) * count;
+        let hull = count.checked_sub(1).map(|n| n.saturating_mul(pitch as u64));
+        let want_dst = hull.map_or(0, |h| h.saturating_add(ds as u64));
         if dst.len() as u64 != want_dst {
             return Err(ConversionError::DstSizeMismatch {
                 expected: want_dst,
@@ -115,26 +118,22 @@ impl RunPlan {
         }
         match self.op {
             RunOp::Memcpy => {
-                dst.copy_from_slice(src);
+                match pitch == ds {
+                    true => dst.copy_from_slice(src),
+                    false => (dst.chunks_mut(pitch).zip(src.chunks_exact(ss)))
+                        .for_each(|(d, s)| d[..ss].copy_from_slice(s)),
+                }
                 stats.memcpy_bytes += src.len() as u64;
             }
             RunOp::Swap => {
-                swap_run(src, dst, self.src_size as usize);
+                swap_run(src, dst, ss, pitch);
                 stats.scalars_converted += count;
                 stats.scalars_swapped += count;
             }
             RunOp::Convert => {
-                let ss = self.src_size as usize;
-                let ds = self.dst_size as usize;
-                for i in 0..count as usize {
-                    convert_one(
-                        &src[i * ss..(i + 1) * ss],
-                        self.src_endian,
-                        &mut dst[i * ds..(i + 1) * ds],
-                        self.dst_endian,
-                        self.class,
-                        stats,
-                    )?;
+                for (i, s) in src.chunks_exact(ss).enumerate() {
+                    let d = &mut dst[i * pitch..][..ds];
+                    convert_one(s, self.src_endian, d, self.dst_endian, self.class, stats)?;
                 }
             }
         }
@@ -142,31 +141,66 @@ impl RunPlan {
     }
 }
 
-/// Reverse the bytes of every `size`-byte element of `src` into `dst`
-/// (equally long, a whole number of elements): one load, `swap_bytes` and
-/// store per element at the widths scalars have, byte by byte at any
-/// other.
-fn swap_run(src: &[u8], dst: &mut [u8], size: usize) {
+/// The elements [`RunPlan::apply`] converts: `count` of them, each `pitch`
+/// destination bytes after the one before (a frame row's stride times the
+/// element size). A bare count is dense.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Elems {
+    /// Elements converted.
+    pub count: u64,
+    /// Bytes from one element's start to the next; `None` when dense.
+    pub pitch: Option<usize>,
+}
+
+impl From<u64> for Elems {
+    fn from(count: u64) -> Elems {
+        Elems { count, pitch: None }
+    }
+}
+
+impl From<(u64, usize)> for Elems {
+    /// `(count, pitch)`.
+    fn from((count, pitch): (u64, usize)) -> Elems {
+        let pitch = Some(pitch);
+        Elems { count, pitch }
+    }
+}
+
+/// Reverse the bytes of every `size`-byte element of `src` into `dst`, one
+/// element each `pitch` bytes (`dst` the hull of a whole number of
+/// elements): one load, `swap_bytes` and store per element at the widths
+/// scalars have, byte by byte at any other.
+fn swap_run(src: &[u8], dst: &mut [u8], size: usize, pitch: usize) {
     macro_rules! swap_as {
-        ($ty:ty) => {
-            for (d, s) in dst.chunks_exact_mut(size).zip(src.chunks_exact(size)) {
+        ($ty:ty) => {{
+            let swap = |d: &mut [u8], s: &[u8]| {
                 let v = <$ty>::from_ne_bytes(s.try_into().expect("chunk is one element"));
                 d.copy_from_slice(&v.swap_bytes().to_ne_bytes());
+            };
+            let src = src.chunks_exact(size);
+            if pitch == size {
+                dst.chunks_exact_mut(size)
+                    .zip(src)
+                    .for_each(|(d, s)| swap(d, s));
+            } else {
+                dst.chunks_mut(pitch)
+                    .zip(src)
+                    .for_each(|(d, s)| swap(&mut d[..size], s));
             }
-        };
+        }};
     }
     match size {
         2 => swap_as!(u16),
         4 => swap_as!(u32),
         8 => swap_as!(u64),
-        _ => swap_run_bytewise(src, dst, size),
+        _ => swap_run_bytewise(src, dst, size, pitch),
     }
 }
 
 /// [`swap_run`] at any width, and the reference its fast widths are
 /// tested against.
-fn swap_run_bytewise(src: &[u8], dst: &mut [u8], size: usize) {
-    for (d, c) in dst.chunks_exact_mut(size).zip(src.chunks_exact(size)) {
+fn swap_run_bytewise(src: &[u8], dst: &mut [u8], size: usize, pitch: usize) {
+    for (d, c) in dst.chunks_mut(pitch).zip(src.chunks_exact(size)) {
         for (i, b) in c.iter().rev().enumerate() {
             d[i] = *b;
         }
@@ -192,16 +226,6 @@ impl PlanCache {
         PlanCache {
             slots: vec![None; n],
         }
-    }
-
-    /// Number of entry slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the cache has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Fetch the plan for `(entry, src_size, src_endian)`, lowering and
@@ -307,13 +331,16 @@ mod tests {
         #[test]
         fn swap_matches_the_byte_loop_at_every_width(
             size in proptest::sample::select(vec![1usize, 2, 3, 4, 8, 16]),
+            gap in 0usize..3,
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
         ) {
             let src = &bytes[..bytes.len() / size * size];
-            let mut want = vec![0u8; src.len()];
-            swap_run_bytewise(src, &mut want, size);
-            let mut got = vec![0xAAu8; src.len()];
-            swap_run(src, &mut got, size);
+            let (n, pitch) = (src.len() / size, size + gap);
+            let hull = n.saturating_sub(1) * pitch + size.min(src.len());
+            let mut want = vec![0xAAu8; hull];
+            swap_run_bytewise(src, &mut want, size, pitch);
+            let mut got = vec![0xAAu8; hull];
+            swap_run(src, &mut got, size, pitch);
             proptest::prop_assert_eq!(got, want);
         }
     }
@@ -325,7 +352,7 @@ mod tests {
             let mut dst = vec![0x55u8; ds as usize * 3];
             let mut stats = ConversionStats::default();
             assert_eq!(
-                plan.apply(&[1u8; 11], &mut dst, 3, &mut stats),
+                plan.apply(&[1u8; 11], &mut dst, 3u64, &mut stats),
                 Err(ConversionError::SrcSizeMismatch {
                     expected: 12,
                     got: 11

@@ -160,7 +160,8 @@ pub struct RunGroup<'a> {
     /// What every run shares.
     pub head: GroupHead,
     rows: &'a [Row],
-    data: &'a [u8],
+    /// Its rows' elements in frame order, packed, `head.size` bytes each.
+    pub data: &'a [u8],
 }
 
 impl<'a> RunGroup<'a> {
@@ -514,6 +515,8 @@ pub struct FrameWriter {
     body: usize,
     /// `out.len()` once the open group's payload is complete.
     group_end: usize,
+    /// The open group's element size.
+    size: usize,
     updates: u64,
     payload_bytes: u64,
 }
@@ -607,11 +610,30 @@ impl FrameWriter {
         self.rows[self.next] = (meta, head.entry.into(), at as u64);
         self.next += 1 + n_rows;
         self.group_end = at + (u64::from(head.size) * elems) as usize;
+        self.size = head.size as usize;
     }
 
-    /// Append payload bytes of the open group.
-    pub fn put_payload(&mut self, bytes: &[u8]) {
-        self.out.extend_from_slice(bytes);
+    /// Append a row of the open group's payload: every `stride`-th element
+    /// of `hull`, which runs from the row's first element to its last.
+    pub fn put_payload(&mut self, hull: &[u8], stride: usize) {
+        if stride == 1 {
+            return self.out.extend_from_slice(hull);
+        }
+        let (size, at) = (self.size, self.out.len());
+        let elems = hull.chunks(size * stride);
+        self.out.resize(at + size * elems.len(), 0);
+        // At a constant width each copy is a load and a store.
+        macro_rules! gather {
+            ($n:expr) => {{
+                let out = self.out[at..].chunks_exact_mut($n);
+                out.zip(elems)
+                    .for_each(|(d, e)| d.copy_from_slice(&e[..$n]))
+            }};
+        }
+        match size {
+            8 => gather!(8),
+            _ => gather!(size),
+        }
     }
 
     /// The finished batch.
@@ -725,7 +747,7 @@ mod tests {
             is_ptr: false,
             size: 4,
         });
-        us.iter().for_each(|u| w.put_payload(&u.data));
+        us.iter().for_each(|u| w.put_payload(&u.data, 1));
         assert_eq!(w.finish().frame(), &frame);
         let group = frame.len() - 2;
         // Shape, entry and a two-byte run count; then offsets below 128
@@ -939,7 +961,7 @@ mod tests {
         w.plan_group(1, 4, runs.iter().map(|&(o, c)| (o, c.into(), 1)));
         w.begin_group(head);
         let elems: u32 = runs.iter().map(|r| r.1).sum();
-        w.put_payload(&(0..4 * elems as u8).collect::<Vec<u8>>());
+        w.put_payload(&(0..4 * elems as u8).collect::<Vec<u8>>(), 1);
         w.finish()
     }
 
@@ -1061,10 +1083,10 @@ mod tests {
         w.plan_group(0, 4, [(7, 2, 1), (7, 5, 1)]);
         w.plan_group(300, 4, [((1 << 21) + 5, 130, 1)]);
         w.begin_group(head(0));
-        w.put_payload(&us[0].data);
-        w.put_payload(&us[1].data);
+        w.put_payload(&us[0].data, 1);
+        w.put_payload(&us[1].data, 1);
         w.begin_group(head(300));
-        w.put_payload(&us[2].data);
+        w.put_payload(&us[2].data, 1);
         let batch = w.finish();
         assert_eq!(batch.frame(), &pack_grouped(&us));
         assert_eq!((batch.len(), batch.payload_bytes()), (3, 28 + 520));
@@ -1106,7 +1128,7 @@ mod tests {
                 is_ptr: false,
                 size: 4,
             });
-            us.iter().for_each(|u| w.put_payload(&u.data));
+            us.iter().for_each(|u| w.put_payload(&u.data, 1));
             let batch = w.finish();
             assert_eq!(batch.frame(), &pack_grouped(&us), "{runs:?}");
             assert_eq!(updates_of(&batch), us, "{runs:?}");
@@ -1126,7 +1148,7 @@ mod tests {
         w.plan_group(0, 8, [(0, 1, 1)]);
         w.plan_group(0, 8, [(1, 1, 1)]);
         w.begin_group(head);
-        w.put_payload(&[0; 4]);
+        w.put_payload(&[0; 4], 1);
         w.begin_group(head);
     }
 }

@@ -39,7 +39,7 @@ fn write_frame(updates: &[WireUpdate]) -> UpdateBatch {
     }
     for g in groups {
         w.begin_group(head(&g[0]));
-        g.iter().for_each(|u| w.put_payload(&u.data));
+        g.iter().for_each(|u| w.put_payload(&u.data, 1));
     }
     w.finish()
 }

@@ -618,7 +618,7 @@ use hdsm::memory::space::AddressSpace;
 use hdsm::platform::endian::Endianness;
 use hdsm::platform::scalar::ScalarClass;
 use hdsm::tags::convert::{convert_scalar_run, ConversionStats};
-use hdsm::tags::plan::RunPlan;
+use hdsm::tags::plan::{RunOp, RunPlan};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -626,10 +626,13 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Random (class, src/dst size, src/dst endian, count) over random
-    /// source bytes: a lowered [`RunPlan`] must agree with
+    /// Random (class, src/dst size, src/dst endian, count, pitch) over
+    /// random source bytes: a lowered [`RunPlan`] must agree with
     /// `convert_scalar_run` on the verdict (representability errors
-    /// included), the destination bytes and the [`ConversionStats`].
+    /// included), the destination bytes and the [`ConversionStats`]. At a
+    /// pitch wider than the destination's element, each element lands
+    /// `pitch` bytes after the one before, and the bytes between them keep
+    /// their value.
     #[test]
     fn run_plan_apply_matches_convert_scalar_run(
         class_sel in 0u8..4,
@@ -638,6 +641,7 @@ proptest! {
         se_big in any::<bool>(),
         de_big in any::<bool>(),
         count in 0u64..33,
+        gap in prop::sample::select(vec![0usize, 0, 1, 3, 8, 13]),
         raw in prop::collection::vec(any::<u8>(), 8 * 32),
     ) {
         let class = [
@@ -663,15 +667,25 @@ proptest! {
             convert_scalar_run(src, ss, se, &mut want, ds, de, class, count, &mut want_stats);
 
         let plan = RunPlan::lower(class, ss, se, ds, de);
-        let mut got = vec![0x55u8; dst_len];
+        let (size, pitch) = (ds as usize, ds as usize + gap);
+        let hull = (count as usize).saturating_sub(1) * pitch + size.min(dst_len);
+        let mut got = vec![0x55u8; hull];
         let mut got_stats = ConversionStats::default();
-        let got_res = plan.apply(src, &mut got, count, &mut got_stats);
+        let got_res = match gap {
+            0 => plan.apply(src, &mut got, count, &mut got_stats),
+            _ => plan.apply(src, &mut got, (count, pitch), &mut got_stats),
+        };
+        // The reference's elements, each at its pitch.
+        let mut spread = vec![0x55u8; hull];
+        for (k, e) in want.chunks(size).enumerate() {
+            spread[k * pitch..][..size].copy_from_slice(e);
+        }
 
         // Debug strings: a float error may carry a NaN, which is not `==`.
         prop_assert_eq!(format!("{got_res:?}"), format!("{want_res:?}"));
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, spread);
         prop_assert_eq!(got_stats, want_stats);
-        prop_assert_eq!(plan.is_memcpy(), ss == ds && se == de);
+        prop_assert_eq!(plan.op == RunOp::Memcpy, ss == ds && se == de);
     }
 
     /// Random dirty-byte patterns: the sharded parallel diff scan must
